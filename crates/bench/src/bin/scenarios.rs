@@ -18,15 +18,16 @@
 //! `--expect-all-exact` — if any scenario was not served as a zero-step
 //! exact cache hit (the CI smoke contract for the persistent cache).
 //!
-//! `--backend gpu` routes every scenario's driver through the batched
-//! GPU backend (one shared device pool and engine across the sweep,
-//! registered on the cache's telemetry registry — `--metrics-out`
-//! snapshots then carry the `hddm_gpu_*` instruments).
+//! `--backend gpu` has one simulated device observe and price every
+//! block the sweep's drivers evaluate (one shared device pool and engine
+//! across the sweep, registered on the cache's telemetry registry —
+//! `--metrics-out` snapshots then carry the `hddm_gpu_*` and
+//! `hddm_model_gpu_*` instruments). Values equal `--backend cpu`'s.
 
 use std::process::ExitCode;
 
 use hddm_cluster::{mixed_fleet, Assignment};
-use hddm_gpu::{ExecutionBackend, GpuEngine};
+use hddm_gpu::GpuEngine;
 use hddm_scenarios::{
     run_set, run_single, CacheKind, EvictionPolicy, ExecutorConfig, Knob, ScenarioSet, SurfaceCache,
 };
@@ -161,7 +162,7 @@ fn main() -> ExitCode {
     if args.gpu {
         // One engine (device + surface pool) shared by every scenario,
         // instrumented on the same registry the sweep snapshots.
-        config.backend = ExecutionBackend::Gpu(GpuEngine::with_registry(cache.registry()));
+        config.backend = GpuEngine::with_registry(cache.registry()).into();
     }
 
     println!(

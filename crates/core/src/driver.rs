@@ -12,8 +12,7 @@ use hddm_telemetry::{Histogram, Registry};
 
 use hddm_asg::{refine_frontier, regular_grid, BoxDomain, RefineConfig, SparseGrid, SurplusNorm};
 use hddm_compress::CompressedGrid;
-use hddm_gpu::ExecutionBackend;
-use hddm_kernels::{CompressedState, KernelKind, PointBlock, Scratch};
+use hddm_kernels::{CompressedState, ExecutionBackend, KernelKind, PointBlock, Scratch};
 use hddm_olg::PolicyOracle;
 use hddm_sched::{parallel_for_init, PoolConfig};
 use hddm_solver::SolverError;
@@ -54,10 +53,10 @@ pub struct DriverConfig {
     pub kernel: KernelKind,
     /// Which engine evaluates batched `PointBlock` calls (warm-start
     /// frontier evaluation, change measurement, incremental
-    /// hierarchization). [`ExecutionBackend::Cpu`] dispatches through
-    /// `kernel`; [`ExecutionBackend::Gpu`] routes blocks through the
-    /// simulated device (single-point oracle calls inside the per-point
-    /// solver stay on the CPU either way).
+    /// hierarchization). Every backend runs `kernel`'s batch walk;
+    /// [`ExecutionBackend::Observed`] also reports each block to its
+    /// observer (the simulated device prices it). Single-point oracle
+    /// calls inside the per-point solver are never observed.
     pub backend: ExecutionBackend,
     /// Regular sparse-grid level every step starts from (the paper
     /// restarts from level 2).

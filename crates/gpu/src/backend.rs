@@ -1,19 +1,22 @@
-//! Backend selection for the batched-kernel seam: every consumer that
-//! speaks `PointBlock` (driver hierarchization, change measurement,
-//! warm-start projection, the serve batch-solve path) dispatches through
-//! an [`ExecutionBackend`] — the CPU kernels by default, or a shared
-//! [`GpuEngine`] that routes each block through the simulated device
-//! with a device-resident surface pool and registry-backed telemetry.
+//! The device engine behind the batched-kernel seam. The seam itself —
+//! `ExecutionBackend` — lives in `hddm-kernels`, and so does the only
+//! batch walk; a [`GpuEngine`] is a `BlockObserver` of that walk: it
+//! keeps the surface device-resident (upload-once/reuse through the
+//! pool), prices the walk's per-chunk counts as simulated launches
+//! ([`price_block`]) and records both in registry-backed telemetry.
 
 use std::sync::Arc;
 
-use hddm_kernels::{CompressedState, KernelKind, PointBlock, Scratch};
+use hddm_kernels::batch::interpolate_batch;
+use hddm_kernels::{
+    BlockObserver, ChunkCounts, CompressedState, ExecutionBackend, KernelKind, PointBlock, Scratch,
+};
 use hddm_telemetry::{Counter, Gauge, Histogram, Registry};
 
-use crate::batch::{interpolate_block, BatchTiming};
-use crate::device::Device;
+use crate::device::{Device, GpuError};
 use crate::kernel::LaunchOptions;
 use crate::pool::DevicePool;
+use crate::pricing::{price_block, BatchTiming};
 
 /// Default device-pool budget: the P100's 16 GB HBM2 minus headroom for
 /// launch scratch and transfer buffers.
@@ -34,10 +37,12 @@ pub mod metric {
     pub const OCCUPANCY: &str = "hddm_gpu_occupancy";
     /// Device bytes currently resident in the pool.
     pub const POOL_RESIDENT_BYTES: &str = "hddm_gpu_pool_resident_bytes";
-    /// Modeled PCIe upload seconds per pool miss.
-    pub const UPLOAD_SECONDS: &str = "hddm_gpu_upload_seconds";
-    /// Modeled kernel seconds per block evaluation.
-    pub const KERNEL_SECONDS: &str = "hddm_gpu_kernel_seconds";
+    /// Modeled PCIe upload seconds per pool miss (`hddm_model_*`: not a
+    /// wall time).
+    pub const UPLOAD_SECONDS: &str = "hddm_model_gpu_upload_seconds";
+    /// Modeled kernel seconds per block evaluation (`hddm_model_*`: not
+    /// a wall time).
+    pub const KERNEL_SECONDS: &str = "hddm_model_gpu_kernel_seconds";
 }
 
 struct GpuInstruments {
@@ -141,22 +146,30 @@ impl GpuEngine {
         &self.inner.pool
     }
 
-    /// Evaluates `state` at `block` on the device: ensures the surface
-    /// is resident (upload-once/reuse through the pool), runs one
-    /// simulated launch per 64-point chunk, and records telemetry.
-    /// Results are bitwise equal to the scalar CPU batch kernel.
+    /// Evaluates `state` at `block` with the `avx2` batch walk (the
+    /// repo's default kernel) and prices it as one simulated launch per
+    /// 64-point chunk. `out` holds the host walk's values whether or not
+    /// the device model can map the launch.
     pub fn evaluate_batch(
         &self,
         state: &CompressedState,
         block: &PointBlock,
         scratch: &mut Scratch,
         out: &mut [f64],
-    ) -> Result<GpuRun, crate::GpuError> {
+    ) -> Result<GpuRun, GpuError> {
+        let counts = interpolate_batch(KernelKind::Avx2, state, block, scratch, out);
+        self.price(state, &counts)
+    }
+
+    /// Prices one walked block: ensures the surface is resident
+    /// (upload-once/reuse through the pool), prices the launches and
+    /// records telemetry.
+    fn price(&self, state: &CompressedState, counts: &[ChunkCounts]) -> Result<GpuRun, GpuError> {
         let inner = &*self.inner;
         let residency = inner
             .pool
             .ensure_resident(state, inner.device.pcie_bandwidth);
-        let timing = interpolate_block(&inner.device, &inner.options, state, block, scratch, out)?;
+        let timing = price_block(&inner.device, &inner.options, state, counts)?;
         if let Some(ins) = &inner.instruments {
             if residency.reused {
                 ins.pool_hits.inc();
@@ -183,6 +196,22 @@ impl GpuEngine {
     }
 }
 
+impl BlockObserver for GpuEngine {
+    /// A block the device model cannot map (see [`price_block`]) stays
+    /// unpriced; its values came from the host walk either way.
+    fn observe(&self, state: &CompressedState, counts: &[ChunkCounts]) {
+        let _ = self.price(state, counts);
+    }
+}
+
+/// The observed backend whose observer is this engine (clones share the
+/// pool and the instruments).
+impl From<GpuEngine> for ExecutionBackend {
+    fn from(engine: GpuEngine) -> ExecutionBackend {
+        ExecutionBackend::Observed(Arc::new(engine))
+    }
+}
+
 impl Default for GpuEngine {
     fn default() -> Self {
         GpuEngine::new()
@@ -196,62 +225,6 @@ impl std::fmt::Debug for GpuEngine {
             .field("resident_surfaces", &self.inner.pool.resident_surfaces())
             .field("resident_bytes", &self.inner.pool.resident_bytes())
             .finish()
-    }
-}
-
-/// Which engine evaluates `PointBlock` batches. Carried by
-/// `DriverConfig`/`ExecutorConfig`; `Cpu` preserves the pre-backend
-/// behaviour exactly.
-#[derive(Clone, Debug, Default)]
-pub enum ExecutionBackend {
-    /// The host kernels, dispatched by `KernelKind` (the default).
-    #[default]
-    Cpu,
-    /// The simulated device through a shared [`GpuEngine`].
-    Gpu(GpuEngine),
-}
-
-impl ExecutionBackend {
-    /// A GPU backend with a fresh default engine.
-    pub fn gpu() -> ExecutionBackend {
-        ExecutionBackend::Gpu(GpuEngine::new())
-    }
-
-    /// Whether this is the GPU backend.
-    pub fn is_gpu(&self) -> bool {
-        matches!(self, ExecutionBackend::Gpu(_))
-    }
-
-    /// Short name for logs and bench rows.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ExecutionBackend::Cpu => "cpu",
-            ExecutionBackend::Gpu(_) => "gpu",
-        }
-    }
-
-    /// Evaluates a compressed interpolant at a whole block. `Cpu`
-    /// dispatches through `kernel` (crossover routing included); `Gpu`
-    /// runs the device engine, whose results are bitwise equal to the
-    /// scalar CPU batch path. If the device rejects the launch (e.g.
-    /// base tiles exceed shared memory), the block falls back to the
-    /// scalar CPU batch kernel — identical values, host-side cost.
-    pub fn evaluate_batch(
-        &self,
-        kernel: KernelKind,
-        state: &CompressedState,
-        block: &PointBlock,
-        scratch: &mut Scratch,
-        out: &mut [f64],
-    ) {
-        match self {
-            ExecutionBackend::Cpu => kernel.evaluate_compressed_batch(state, block, scratch, out),
-            ExecutionBackend::Gpu(engine) => {
-                if engine.evaluate_batch(state, block, scratch, out).is_err() {
-                    hddm_kernels::batch::interpolate_batch(state, block, scratch, out);
-                }
-            }
-        }
     }
 }
 
@@ -280,9 +253,10 @@ mod tests {
         let block = PointBlock::from_rows(3, &rows);
         let mut scratch = Scratch::default();
         let mut want = vec![0.0; 9 * 5];
-        hddm_kernels::batch::interpolate_batch(&state, &block, &mut scratch, &mut want);
+        interpolate_batch(KernelKind::X86, &state, &block, &mut scratch, &mut want);
         let mut got = vec![0.0; 9 * 5];
-        ExecutionBackend::gpu().evaluate_batch(
+        let engine = GpuEngine::new();
+        ExecutionBackend::from(engine.clone()).evaluate_batch(
             KernelKind::X86,
             &state,
             &block,
@@ -290,6 +264,7 @@ mod tests {
             &mut got,
         );
         assert_eq!(got, want);
+        assert_eq!(engine.pool().resident_surfaces(), 1, "the block was priced");
     }
 
     #[test]

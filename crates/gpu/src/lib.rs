@@ -4,22 +4,27 @@
 //! substituting for the NVIDIA P100 + CUDA stack of "Piz Daint" (see
 //! DESIGN.md): a device model with SMs, per-block shared memory, occupancy
 //! waves and transfer links ([`device`]), and the compressed-format
-//! interpolation kernel mapped onto it ([`kernel`]), with `xpv` staged in
-//! shared memory exactly as the paper describes.
+//! single-point interpolation kernel mapped onto it ([`kernel`]), with
+//! `xpv` staged in shared memory exactly as the paper describes.
 //!
-//! Results are bit-identical to the CPU kernels (tested); performance is
-//! costed by a roofline model, since this host has no GPU.
+//! Batched blocks are not re-implemented here: `hddm-kernels` walks them
+//! and reports what the walk did, [`pricing`] costs that as device
+//! launches, and [`backend`]'s `GpuEngine` plugs the pricing (plus the
+//! device-resident surface [`pool`]) into `hddm-kernels`'
+//! `ExecutionBackend` as an observer. Performance is costed by a roofline
+//! model, since this host has no GPU.
 
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod batch;
 pub mod device;
 pub mod kernel;
 pub mod pool;
+pub mod pricing;
 
-pub use backend::{ExecutionBackend, GpuEngine, GpuRun, DEFAULT_POOL_BYTES};
-pub use batch::{interpolate_block, BatchTiming};
+pub use backend::{GpuEngine, GpuRun, DEFAULT_POOL_BYTES};
 pub use device::{Device, GpuError};
+pub use hddm_kernels::ExecutionBackend;
 pub use kernel::{CudaInterpolator, KernelTiming, LaunchConfig, LaunchOptions};
 pub use pool::{device_bytes, DevicePool, Residency, SurfaceId};
+pub use pricing::{price_block, BatchTiming};

@@ -33,6 +33,7 @@
 
 use crate::data::{CompressedState, Scratch};
 use crate::vector::VectorIsa;
+use crate::KernelKind;
 use hddm_asg::linear_basis;
 
 /// Points per internal processing chunk. 64 keeps the entry-major xpv
@@ -49,8 +50,8 @@ pub const BATCH_CHUNK: usize = 64;
 /// *slower* than single-point at npts=1 (0.77×–0.90×) but already
 /// faster at npts=2 (≥ 1.2×), so exactly the one-point block is routed.
 /// Both paths are bitwise identical per point, so the routing is
-/// invisible to results. Direct calls to the `interpolate_batch*`
-/// functions bypass the crossover.
+/// invisible to results. Direct calls to [`interpolate_batch`] bypass
+/// the crossover.
 pub const BATCH_CROSSOVER: usize = 2;
 
 /// Grid-size threshold (in compressed grid rows) above which the
@@ -80,6 +81,25 @@ pub fn batch_crossover(nno: usize) -> usize {
 // The alive-lane mask of a chunk is a single u64 (bit k ⇔ point k's chain
 // product is non-zero); the chunk width must not outgrow it.
 const _: () = assert!(BATCH_CHUNK <= 64);
+
+/// What the walk did on one [`BATCH_CHUNK`]-point chunk — the integers a
+/// device cost model prices (one chunk is one launch, and a roofline
+/// `max(flops/peak, bytes/bw)` is taken per launch, so the counts are
+/// per chunk). They depend only on the grid and the points: the masks
+/// are data-determined, so every accumulator and every thread split
+/// reports the same records.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ChunkCounts {
+    /// Points in the chunk (`≤ BATCH_CHUNK`; only the last can be short).
+    pub chunk: usize,
+    /// Factor columns streamed by chains the column-mask bound kept (an
+    /// all-sentinel chain counts one).
+    pub factor_cols: usize,
+    /// Surplus rows accumulated: chains with at least one alive lane.
+    pub rows_touched: usize,
+    /// Alive `(chain, point)` pairs, i.e. row accumulations performed.
+    pub alive_pairs: usize,
+}
 
 /// A block of query points in structure-of-arrays layout: coordinate `d`
 /// of point `p` lives at `column(d)[p]`. This is the layout the batched
@@ -352,30 +372,23 @@ fn accum_avx512_safe(temps: &[f64], mask: u64, row: &[f64], out: &mut [f64], str
     accum_lanes::<8>(temps, mask, row, out, stride)
 }
 
-/// Picks the chunk accumulator for an ISA, falling back to the portable
-/// lane implementation of the same width when the CPU lacks the feature
-/// (mirroring the single-point kernels' substitution table).
-fn select_accum(isa: VectorIsa) -> RowAccum {
-    match (isa, isa.native()) {
-        (VectorIsa::Avx, true) => accum_avx_safe,
-        (VectorIsa::Avx2, true) => accum_avx2_safe,
-        (VectorIsa::Avx512, true) => accum_avx512_safe,
-        (VectorIsa::Avx | VectorIsa::Avx2, false) => accum_lanes::<4>,
-        (VectorIsa::Avx512, false) => accum_lanes::<8>,
-    }
-}
-
 /// Processes points `lo..hi` of `block`, writing `out[k·ndofs ..]` for
-/// the `k`-th point of the span. Shared core of every batch variant.
+/// the `k`-th point of the span, and hands each chunk's [`ChunkCounts`]
+/// to `sink`. Shared core of every batch variant — the only basis fill
+/// and chain walk in the repository. With a no-op sink the counters are
+/// dead stores the compiler drops, so the un-observed path pays nothing.
+#[allow(clippy::too_many_arguments)]
 fn batch_span(
+    kernel: KernelKind,
     state: &CompressedState,
     block: &PointBlock,
     lo: usize,
     hi: usize,
     scratch: &mut Scratch,
     out: &mut [f64],
-    accum: RowAccum,
+    mut sink: impl FnMut(ChunkCounts),
 ) {
+    let accum = accum_for(kernel);
     let cg = &state.grid;
     let ndofs = state.ndofs;
     debug_assert_eq!(out.len(), (hi - lo) * ndofs);
@@ -424,6 +437,10 @@ fn batch_span(
         // unconditionally — a dead lane's zero just propagates
         // (`0 · finite = 0`, the value the single-point early exit
         // produces), keeping the loop branch-free and vectorizable.
+        let mut counts = ChunkCounts {
+            chunk,
+            ..ChunkCounts::default()
+        };
         {
             for (p, chain) in chains.chunks_exact(nfreq).enumerate() {
                 // Chain length: position of the 0 terminator. The typical
@@ -442,6 +459,7 @@ fn batch_span(
                     // column-mask bits, so NaN lanes are never pruned.)
                     continue;
                 }
+                counts.factor_cols += len.max(1);
                 // The alive mask (bit k ⇔ `temps[k] != 0.0`) is rebuilt
                 // exactly from the products — a product can still
                 // underflow to zero on a lane the bound kept.
@@ -495,6 +513,8 @@ fn batch_span(
                 if mask == 0 {
                     continue;
                 }
+                counts.rows_touched += 1;
+                counts.alive_pairs += mask.count_ones() as usize;
                 // The surplus row is resident for every alive lane's
                 // accumulation; dead points are not even visited, as in
                 // the single-point kernel's skip. One accumulator call
@@ -510,6 +530,7 @@ fn batch_span(
                 );
             }
         }
+        sink(counts);
         at += chunk;
     }
 }
@@ -524,80 +545,85 @@ fn check_batch(state: &CompressedState, block: &PointBlock, out: &[f64]) {
     );
 }
 
-/// Scalar batched interpolation (the `x86` kernel restructured over a
-/// point block). `out` is point-major `npts × ndofs`. Bitwise equal to
-/// calling [`crate::x86::interpolate`] per point.
+/// The chunk accumulator of `kernel`'s batch variant, falling back to
+/// the portable lane implementation of the same width when the CPU lacks
+/// the feature (mirroring the single-point kernels' substitution table).
+fn accum_for(kernel: KernelKind) -> RowAccum {
+    match (kernel, kernel.native()) {
+        (KernelKind::Gold, _) => panic!("gold kernel requires DenseState"),
+        (KernelKind::X86, _) => accum_scalar,
+        (KernelKind::Avx, true) => accum_avx_safe,
+        (KernelKind::Avx2, true) => accum_avx2_safe,
+        (KernelKind::Avx512, true) => accum_avx512_safe,
+        (KernelKind::Avx | KernelKind::Avx2, false) => accum_lanes::<4>,
+        (KernelKind::Avx512, false) => accum_lanes::<8>,
+    }
+}
+
+/// `kernel`'s batch walk over the whole block, whatever its width,
+/// handing each chunk's [`ChunkCounts`] to `sink` in chunk order.
+pub(crate) fn walk(
+    kernel: KernelKind,
+    state: &CompressedState,
+    block: &PointBlock,
+    scratch: &mut Scratch,
+    out: &mut [f64],
+    sink: impl FnMut(ChunkCounts),
+) {
+    check_batch(state, block, out);
+    batch_span(kernel, state, block, 0, block.len(), scratch, out, sink);
+}
+
+/// `kernel`'s batch walk over the whole block — whatever its width; the
+/// crossover lives in [`KernelKind::evaluate_compressed_batch`] —
+/// returning one [`ChunkCounts`] per chunk, in chunk order. `out` is
+/// point-major `npts × ndofs`; per point it is bitwise `kernel`'s
+/// single-point result. Panics for [`KernelKind::Gold`], which needs the
+/// dense format.
 pub fn interpolate_batch(
+    kernel: KernelKind,
     state: &CompressedState,
     block: &PointBlock,
     scratch: &mut Scratch,
     out: &mut [f64],
-) {
-    check_batch(state, block, out);
-    batch_span(state, block, 0, block.len(), scratch, out, accum_scalar);
-}
-
-/// Batched `avx` kernel: 4-wide multiply + add accumulation.
-pub fn interpolate_batch_avx(
-    state: &CompressedState,
-    block: &PointBlock,
-    scratch: &mut Scratch,
-    out: &mut [f64],
-) {
-    check_batch(state, block, out);
-    let accum = select_accum(VectorIsa::Avx);
-    batch_span(state, block, 0, block.len(), scratch, out, accum);
-}
-
-/// Batched `avx2` kernel: 4-wide FMA accumulation.
-pub fn interpolate_batch_avx2(
-    state: &CompressedState,
-    block: &PointBlock,
-    scratch: &mut Scratch,
-    out: &mut [f64],
-) {
-    check_batch(state, block, out);
-    let accum = select_accum(VectorIsa::Avx2);
-    batch_span(state, block, 0, block.len(), scratch, out, accum);
-}
-
-/// Batched `avx512` kernel (single-threaded core): 8-wide FMA.
-pub fn interpolate_batch_avx512(
-    state: &CompressedState,
-    block: &PointBlock,
-    scratch: &mut Scratch,
-    out: &mut [f64],
-) {
-    check_batch(state, block, out);
-    let accum = select_accum(VectorIsa::Avx512);
-    batch_span(state, block, 0, block.len(), scratch, out, accum);
+) -> Vec<ChunkCounts> {
+    let mut counts = Vec::with_capacity(block.len().div_ceil(BATCH_CHUNK));
+    walk(kernel, state, block, scratch, out, |c| counts.push(c));
+    counts
 }
 
 /// The threaded batch kernel: the **point axis** is split into contiguous
 /// spans across `threads` workers (the paper's intra-kernel thread seam,
 /// applied where batching makes it embarrassingly parallel — each worker
 /// owns disjoint output rows, so no partial-sum reduction is needed).
-/// Results are bitwise equal to the single-threaded variant.
+/// Results are bitwise equal to the single-threaded variant. Returns the
+/// walk's [`ChunkCounts`] in chunk order, whatever the split.
 pub fn interpolate_batch_avx512_mt(
     state: &CompressedState,
     block: &PointBlock,
     threads: usize,
     out: &mut [f64],
-) {
+) -> Vec<ChunkCounts> {
     check_batch(state, block, out);
     let ndofs = state.ndofs;
     let npts = block.len();
-    let threads = threads.max(1).min(npts.div_ceil(BATCH_CHUNK).max(1));
-    if threads == 1 {
-        let mut scratch = Scratch::default();
-        interpolate_batch_avx512(state, block, &mut scratch, out);
-        return;
-    }
-    let accum = select_accum(VectorIsa::Avx512);
     // Span boundaries aligned to whole chunks so every worker's interior
     // chunking matches the single-threaded walk.
     let chunks = npts.div_ceil(BATCH_CHUNK);
+    let threads = threads.clamp(1, chunks.max(1));
     let per_worker = chunks.div_ceil(threads) * BATCH_CHUNK;
+    let span = |lo: usize, hi: usize, mine: &mut [f64]| {
+        let mut counts = Vec::with_capacity((hi - lo).div_ceil(BATCH_CHUNK));
+        let mut scratch = Scratch::default();
+        let kernel = KernelKind::Avx512;
+        batch_span(kernel, state, block, lo, hi, &mut scratch, mine, |c| {
+            counts.push(c)
+        });
+        counts
+    };
+    if threads == 1 {
+        return span(0, npts, out);
+    }
     std::thread::scope(|scope| {
         let mut rest = out;
         let mut handles = Vec::with_capacity(threads);
@@ -609,15 +635,13 @@ pub fn interpolate_batch_avx512_mt(
             }
             let (mine, tail) = rest.split_at_mut((hi - lo) * ndofs);
             rest = tail;
-            handles.push(scope.spawn(move || {
-                let mut scratch = Scratch::default();
-                batch_span(state, block, lo, hi, &mut scratch, mine, accum);
-            }));
+            handles.push(scope.spawn(move || span(lo, hi, mine)));
         }
-        for h in handles {
-            h.join().expect("batch worker panicked");
-        }
-    });
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("batch worker panicked"))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -672,7 +696,13 @@ mod tests {
         let block = PointBlock::from_rows(4, &rows);
         let mut scratch = Scratch::default();
         let mut got = vec![0.0; 13 * 7];
-        interpolate_batch(&state, &block, &mut scratch, &mut got);
+        interpolate_batch(
+            KernelKind::X86,
+            &state,
+            &block,
+            &mut Scratch::default(),
+            &mut got,
+        );
         let mut want = vec![0.0; 7];
         for p in 0..13 {
             crate::x86::interpolate(&state, &rows[p * 4..(p + 1) * 4], &mut scratch, &mut want);
@@ -690,7 +720,13 @@ mod tests {
         let mut scratch = Scratch::default();
         let n = block.len();
         let mut got = vec![0.0; n * 3];
-        interpolate_batch(&state, &block, &mut scratch, &mut got);
+        interpolate_batch(
+            KernelKind::X86,
+            &state,
+            &block,
+            &mut Scratch::default(),
+            &mut got,
+        );
         let mut want = vec![0.0; 3];
         for p in 0..n {
             crate::x86::interpolate(&state, &rows[p * 3..(p + 1) * 3], &mut scratch, &mut want);
@@ -703,10 +739,15 @@ mod tests {
         let state = make_state(3, 4, 5);
         let rows = probe_rows(3, BATCH_CHUNK * 3 + 11);
         let block = PointBlock::from_rows(3, &rows);
-        let mut scratch = Scratch::default();
         let n = block.len();
         let mut want = vec![0.0; n * 5];
-        interpolate_batch_avx512(&state, &block, &mut scratch, &mut want);
+        interpolate_batch(
+            KernelKind::Avx512,
+            &state,
+            &block,
+            &mut Scratch::default(),
+            &mut want,
+        );
         for threads in [1usize, 2, 3, 8] {
             let mut got = vec![0.0; n * 5];
             interpolate_batch_avx512_mt(&state, &block, threads, &mut got);
@@ -718,9 +759,14 @@ mod tests {
     fn empty_block_is_a_no_op() {
         let state = make_state(2, 2, 2);
         let block = PointBlock::new(2);
-        let mut scratch = Scratch::default();
         let mut out: Vec<f64> = Vec::new();
-        interpolate_batch(&state, &block, &mut scratch, &mut out);
+        interpolate_batch(
+            KernelKind::X86,
+            &state,
+            &block,
+            &mut Scratch::default(),
+            &mut out,
+        );
         interpolate_batch_avx512_mt(&state, &block, 4, &mut out);
     }
 }

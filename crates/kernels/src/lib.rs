@@ -14,9 +14,16 @@
 //! Kernels are selected at runtime through [`KernelKind`]; on hosts without
 //! the requested instruction set the vector kernels degrade to portable
 //! fixed-lane code with identical results (see DESIGN.md).
+//!
+//! Block consumers evaluate through an [`ExecutionBackend`]. There is one
+//! batch walk ([`batch`]); a backend other than `Cpu` does not evaluate
+//! differently, it *observes*: the walk reports per-chunk
+//! [`ChunkCounts`] and a [`BlockObserver`] — `hddm-gpu`'s device model —
+//! prices them. The dependency points from the model to this crate.
 
 #![warn(missing_docs)]
 
+pub mod backend;
 pub mod batch;
 pub mod data;
 pub mod gold;
@@ -26,7 +33,10 @@ pub mod multi;
 pub mod vector;
 pub mod x86;
 
-pub use batch::{batch_crossover, PointBlock, BATCH_CHUNK, BATCH_CROSSOVER, LARGE_GRID_NNO};
+pub use backend::{BlockObserver, ExecutionBackend};
+pub use batch::{
+    batch_crossover, ChunkCounts, PointBlock, BATCH_CHUNK, BATCH_CROSSOVER, LARGE_GRID_NNO,
+};
 pub use data::{CompressedState, DenseState, Scratch};
 pub use hashtab::HashState;
 pub use multi::MultiState;
@@ -125,13 +135,7 @@ impl KernelKind {
             }
             return;
         }
-        match self {
-            KernelKind::Gold => panic!("gold kernel requires DenseState"),
-            KernelKind::X86 => batch::interpolate_batch(state, block, scratch, out),
-            KernelKind::Avx => batch::interpolate_batch_avx(state, block, scratch, out),
-            KernelKind::Avx2 => batch::interpolate_batch_avx2(state, block, scratch, out),
-            KernelKind::Avx512 => batch::interpolate_batch_avx512(state, block, scratch, out),
-        }
+        batch::walk(self, state, block, scratch, out, |_| {});
     }
 }
 

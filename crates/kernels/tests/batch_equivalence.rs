@@ -1,6 +1,6 @@
 //! Golden-value equivalence of the batched interpolation engine: on
 //! seeded random adaptive grids (deterministic `ChaCha8Rng`), every
-//! `interpolate_batch` variant must
+//! kernel's `interpolate_batch` walk must
 //!
 //! * match the dense `gold` baseline to ≤ 1e-12, and
 //! * match its own single-point counterpart **bitwise** (the batch
@@ -15,7 +15,8 @@ use rand_chacha::ChaCha8Rng;
 
 use hddm_asg::{basis, ActiveCoord, NodeKey, SparseGrid};
 use hddm_kernels::{
-    batch, gold, x86, CompressedState, DenseState, KernelKind, PointBlock, Scratch,
+    batch, gold, x86, ChunkCounts, CompressedState, DenseState, KernelKind, PointBlock, Scratch,
+    BATCH_CHUNK,
 };
 
 const TOL: f64 = 1e-12;
@@ -55,28 +56,27 @@ fn random_block(dim: usize, npts: usize, rng: &mut ChaCha8Rng) -> Vec<f64> {
     (0..npts * dim).map(|_| rng.gen::<f64>()).collect()
 }
 
-type BatchFn = fn(&CompressedState, &PointBlock, &mut Scratch, &mut [f64]);
 type SingleFn = fn(&CompressedState, &[f64], &mut Scratch, &mut [f64]);
 
-/// Every batched variant next to the single-point kernel it must equal.
-const VARIANTS: [(&str, BatchFn, SingleFn); 4] = [
-    ("x86", batch::interpolate_batch, x86::interpolate),
-    (
-        "avx",
-        batch::interpolate_batch_avx,
-        hddm_kernels::vector::interpolate_avx,
-    ),
-    (
-        "avx2",
-        batch::interpolate_batch_avx2,
-        hddm_kernels::vector::interpolate_avx2,
-    ),
-    (
-        "avx512",
-        batch::interpolate_batch_avx512,
-        hddm_kernels::vector::interpolate_avx512,
-    ),
+/// Every kernel with a batch walk next to the single-point function it
+/// must equal.
+const VARIANTS: [(KernelKind, SingleFn); 4] = [
+    (KernelKind::X86, x86::interpolate),
+    (KernelKind::Avx, hddm_kernels::vector::interpolate_avx),
+    (KernelKind::Avx2, hddm_kernels::vector::interpolate_avx2),
+    (KernelKind::Avx512, hddm_kernels::vector::interpolate_avx512),
 ];
+
+/// `kind`'s raw batch walk (no crossover) and its per-chunk counts.
+fn batch_fn(
+    kind: KernelKind,
+    state: &CompressedState,
+    block: &PointBlock,
+    scratch: &mut Scratch,
+    out: &mut [f64],
+) -> Vec<ChunkCounts> {
+    batch::interpolate_batch(kind, state, block, scratch, out)
+}
 
 #[test]
 fn batched_kernels_match_gold_and_single_point() {
@@ -93,9 +93,10 @@ fn batched_kernels_match_gold_and_single_point() {
             let block = PointBlock::from_rows(dim, &rows);
             let mut want_gold = vec![0.0; ndofs];
             let mut want_single = vec![0.0; ndofs];
-            for (name, batch_fn, single_fn) in VARIANTS {
+            for (kind, single_fn) in VARIANTS {
+                let name = kind.name();
                 let mut got = vec![0.0; npts * ndofs];
-                batch_fn(&state, &block, &mut scratch, &mut got);
+                batch_fn(kind, &state, &block, &mut scratch, &mut got);
                 for p in 0..npts {
                     let x = &rows[p * dim..(p + 1) * dim];
                     gold::interpolate(&dense, x, &mut want_gold);
@@ -135,11 +136,7 @@ fn kernel_kind_batch_dispatch_matches_variants() {
     let mut got = vec![0.0; 9 * ndofs];
     for kind in KernelKind::COMPRESSED {
         kind.evaluate_compressed_batch(&state, &block, &mut scratch, &mut got);
-        let (_, batch_fn, _) = VARIANTS
-            .iter()
-            .find(|(name, _, _)| *name == kind.name())
-            .unwrap();
-        batch_fn(&state, &block, &mut scratch, &mut want);
+        batch_fn(kind, &state, &block, &mut scratch, &mut want);
         assert_eq!(got, want, "{kind:?}");
     }
 }
@@ -160,15 +157,11 @@ fn dispatch_below_the_crossover_is_bitwise_equal_to_both_paths() {
     for npts in [1usize, batch::BATCH_CROSSOVER, batch::BATCH_CROSSOVER + 1] {
         let rows = random_block(3, npts, &mut rng);
         let block = PointBlock::from_rows(3, &rows);
-        for kind in KernelKind::COMPRESSED {
+        for (kind, single_fn) in VARIANTS {
             let mut got = vec![0.0; npts * ndofs];
             kind.evaluate_compressed_batch(&state, &block, &mut scratch, &mut got);
-            let (_, batch_fn, single_fn) = VARIANTS
-                .iter()
-                .find(|(name, _, _)| *name == kind.name())
-                .unwrap();
             let mut want_batch = vec![0.0; npts * ndofs];
-            batch_fn(&state, &block, &mut scratch, &mut want_batch);
+            batch_fn(kind, &state, &block, &mut scratch, &mut want_batch);
             let mut want_single = vec![0.0; ndofs];
             for p in 0..npts {
                 single_fn(
@@ -205,12 +198,65 @@ fn threaded_batch_matches_across_uneven_splits() {
     let npts = hddm_kernels::BATCH_CHUNK * 3 + 17;
     let rows = random_block(4, npts, &mut rng);
     let block = PointBlock::from_rows(4, &rows);
-    let mut scratch = Scratch::default();
     let mut want = vec![0.0; npts * ndofs];
-    batch::interpolate_batch_avx512(&state, &block, &mut scratch, &mut want);
+    let want_counts = batch_fn(
+        KernelKind::Avx512,
+        &state,
+        &block,
+        &mut Scratch::default(),
+        &mut want,
+    );
     for threads in [1usize, 2, 4, 7, 64] {
         let mut got = vec![0.0; npts * ndofs];
-        batch::interpolate_batch_avx512_mt(&state, &block, threads, &mut got);
+        let counts = batch::interpolate_batch_avx512_mt(&state, &block, threads, &mut got);
         assert_eq!(got, want, "threads={threads}");
+        // Workers' records concatenate to the single-threaded walk's.
+        assert_eq!(counts, want_counts, "threads={threads}");
+    }
+}
+
+/// The counts a device model prices are a property of the grid and the
+/// points (the masks are data-determined), not of the accumulator: one
+/// record per chunk, identical across kernels, and bounded by the grid.
+#[test]
+fn chunk_counts_are_per_chunk_bounded_and_kernel_independent() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xC0C7);
+    let grid = random_grid(4, 150, &mut rng);
+    let ndofs = 5;
+    let surplus = random_surplus(&grid, ndofs, &mut rng);
+    let state = CompressedState::new(&grid, &surplus, ndofs);
+    let nno = state.grid.nno();
+    let mut scratch = Scratch::default();
+    for npts in [
+        0usize,
+        1,
+        7,
+        BATCH_CHUNK,
+        BATCH_CHUNK + 1,
+        BATCH_CHUNK * 3 + 17,
+    ] {
+        let rows = random_block(4, npts, &mut rng);
+        let block = PointBlock::from_rows(4, &rows);
+        let mut out = vec![0.0; npts * ndofs];
+        let want = batch_fn(KernelKind::X86, &state, &block, &mut scratch, &mut out);
+        assert_eq!(want.len(), npts.div_ceil(BATCH_CHUNK), "npts={npts}");
+        assert_eq!(want.iter().map(|c| c.chunk).sum::<usize>(), npts);
+        for (i, c) in want.iter().enumerate() {
+            assert!(
+                c.chunk == BATCH_CHUNK || i + 1 == want.len(),
+                "short interior chunk"
+            );
+            assert!(c.rows_touched <= nno, "npts={npts} chunk {i}: {c:?}");
+            assert!(
+                c.alive_pairs <= c.rows_touched * c.chunk,
+                "npts={npts} chunk {i}: {c:?}"
+            );
+            // Every point sees at least the root.
+            assert!(c.alive_pairs >= c.chunk && c.factor_cols >= c.rows_touched);
+        }
+        for kind in KernelKind::COMPRESSED {
+            let got = batch_fn(kind, &state, &block, &mut scratch, &mut out);
+            assert_eq!(got, want, "{kind:?} npts={npts}");
+        }
     }
 }

@@ -41,8 +41,7 @@ use serde::{Deserialize, Serialize};
 use hddm_asg::{hierarchize, regular_grid, BoxDomain};
 use hddm_compress::CompressedGrid;
 use hddm_core::{PolicySet, StateRecord};
-use hddm_gpu::ExecutionBackend;
-use hddm_kernels::{CompressedState, KernelKind, PointBlock, Scratch};
+use hddm_kernels::{CompressedState, ExecutionBackend, KernelKind, PointBlock, Scratch};
 use hddm_telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::hash::{fingerprint_distances, HashId};

@@ -37,8 +37,7 @@ use std::time::Instant;
 use hddm_asg::regular_grid_size;
 use hddm_cluster::{mixed_fleet, schedule_with_map, Assignment, WorkerSpec};
 use hddm_core::{DriverConfig, OlgStep, TimeIteration};
-use hddm_gpu::ExecutionBackend;
-use hddm_kernels::KernelKind;
+use hddm_kernels::{ExecutionBackend, KernelKind};
 use hddm_sched::{parallel_for_init, PoolConfig};
 use hddm_solver::NewtonOptions;
 use hddm_telemetry::Registry;

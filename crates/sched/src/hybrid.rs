@@ -259,30 +259,47 @@ mod tests {
 
     #[test]
     fn accelerator_receives_batches() {
-        // With a yielding CPU side and a big batch size, the dispatch
-        // thread must engage and take large coalesced batches — even on a
-        // single-core host (the CPU worker yields every item).
+        // No race to win: CPU tasks park until the accelerator's first
+        // batch is handed over, so the dispatch thread's first grab sees
+        // a CPU side holding ≤ 1 item and coalesces its `accel_batch`
+        // items into ≤ 2 runs. The free-running tail is < 500 items, so
+        // the mean batch is ≥ (9_500 + 499) / (2 + 499) ≈ 20 whatever
+        // the schedule.
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
         let n = 10_000;
         let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+        let engaged = AtomicBool::new(false);
         let stats = hybrid_for(
             n,
             &HybridConfig {
                 cpu_threads: 1,
                 cpu_grain: 1,
-                accel_batch: 512,
+                accel_batch: 9_500,
             },
             |i| {
+                let deadline = Instant::now() + Duration::from_secs(60);
+                // ORDERING: Acquire — pairs with the accelerator task's
+                // Release store; nothing else is published through it.
+                while !engaged.load(Ordering::Acquire) {
+                    assert!(
+                        Instant::now() < deadline,
+                        "accelerator dispatched no batch within 60 s"
+                    );
+                    std::thread::yield_now();
+                }
                 hits[i].fetch_add(1, Ordering::Relaxed);
-                std::thread::yield_now();
             },
             |chunk| {
                 for i in chunk.lo..chunk.hi {
                     hits[i].fetch_add(1, Ordering::Relaxed);
                 }
+                // ORDERING: Release — see the CPU task's Acquire load.
+                engaged.store(true, Ordering::Release);
             },
         );
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        assert!(stats.accel_items > 0, "accelerator never engaged");
+        assert!(stats.accel_items >= 9_500, "accelerator never engaged");
         let avg = stats.accel_items / stats.accel_batches.max(1);
         assert!(avg > 8, "batches too small: {avg}");
     }
