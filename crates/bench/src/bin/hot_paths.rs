@@ -14,6 +14,10 @@
 //! in seconds; `--expect-speedup X` exits non-zero unless every batched
 //! interpolation measurement at `npts ≥ 64` reaches `X ×` the
 //! single-point points/sec — the acceptance gate on the batch engine.
+//! Narrower rows are reported, not gated: below the dispatch crossover
+//! the batch entry point *is* the single-point kernel (pinned bitwise by
+//! `hddm-kernels`' `dispatch_below_the_crossover_…` test), so their
+//! ratio times one code path against itself.
 //! Each row's `modeled` object is the P100 device model's price of the
 //! same block (`hddm_gpu::price_block` over the walk's chunk counts);
 //! it is never divided into a measured figure and never gated.
@@ -233,19 +237,6 @@ fn main() {
                     );
                     failed = true;
                 }
-            }
-            // Below the dispatch crossover the batch entry point routes
-            // through the single-point kernel, so small blocks must
-            // never regress (0.95 leaves room for timer noise around a
-            // true ratio of 1.0). The crossover is grid-size-aware: on
-            // ≥ 100k-node grids blocks of 2 also route single-point.
-            if row.npts < batch::batch_crossover(row.grid_points) && row.speedup < 0.95 {
-                eprintln!(
-                    "FAIL: {} npts={} speedup {:.2}x — small blocks must not \
-                     regress through the batch entry point",
-                    row.case, row.npts, row.speedup
-                );
-                failed = true;
             }
         }
         if failed {

@@ -27,6 +27,8 @@ const SWEEP_COUNTERS: &[&str] = &[
     "hddm_cache_warm_hits_total",
     "hddm_cache_misses_total",
     "hddm_cache_disk_hits_total",
+    "hddm_solve_oracle_blocks_total",
+    "hddm_solve_oracle_points_total",
 ];
 const SWEEP_GAUGES: &[&str] = &[
     "hddm_cache_entries",

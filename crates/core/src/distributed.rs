@@ -20,7 +20,9 @@ use hddm_cluster::{multiplex_states, proportional_ranks, Comm};
 use hddm_compress::CompressedGrid;
 use hddm_kernels::CompressedState;
 
-use crate::driver::{DriverConfig, IncrementalHierarchizer, StepModel, StepReport};
+use crate::driver::{
+    measure_change, solve_frontier, DriverConfig, IncrementalHierarchizer, StepModel, StepReport,
+};
 use crate::policy::PolicySet;
 
 /// One state's finished interpolant plus its per-level frontier sizes,
@@ -179,7 +181,6 @@ fn build_state<M: StepModel, C: Comm>(
 ) -> BuiltState {
     let dim = model.dim();
     let ndofs = model.ndofs();
-    let domain = &policy.domain;
     let (grank, gsize) = group.map(|g| (g.rank(), g.size())).unwrap_or((0, 1));
 
     let mut grid = regular_grid(dim, config.start_level);
@@ -188,45 +189,24 @@ fn build_state<M: StepModel, C: Comm>(
     let mut levels = Vec::new();
     let mut hier = IncrementalHierarchizer::new(config.kernel, dim, ndofs);
 
-    let mut oracle = policy.oracle(config.kernel);
-    let mut unit = vec![0.0; dim];
-    let mut phys = vec![0.0; dim];
-    let mut warm = vec![0.0; ndofs];
-    let mut old = vec![0.0; ndofs];
-
     loop {
         levels.push(frontier.len());
 
-        // --- Solve my share of the frontier (every gsize-th point).
-        let mut flat = Vec::new();
-        for (i, &p) in frontier.iter().enumerate() {
-            if i % gsize != grank {
-                continue;
-            }
-            grid.unit_point_of(p as usize, &mut unit);
-            domain.from_unit(&unit, &mut phys);
-            oracle.eval_unit(z, &unit, &mut warm);
-            let row = match model.solve_point_row(z, &phys, &warm, &mut oracle) {
-                Ok(row) => row,
-                Err(_) => {
-                    metrics.failures += 1;
-                    let cold = model.initial_row();
-                    model
-                        .solve_point_row(z, &phys, &cold, &mut oracle)
-                        .unwrap_or_else(|_| warm.clone())
-                }
-            };
-            // --- Measure the policy change at my points only; the world
-            // reduction combines the shares.
-            oracle.eval_unit(z, &unit, &mut old);
-            for k in 0..ndofs {
-                let delta = (row[k] - old[k]).abs() / (1.0 + old[k].abs());
-                metrics.sup = metrics.sup.max(delta);
-                metrics.sum_sq += delta * delta;
-                metrics.count += 1;
-            }
+        // --- Solve my share of the frontier (every gsize-th point) with
+        // the driver's frontier solve, and measure the policy change at
+        // my points only; the world reduction combines the shares.
+        let positions: Vec<usize> = (grank..frontier.len()).step_by(gsize).collect();
+        let mine: Vec<u32> = positions.iter().map(|&i| frontier[i]).collect();
+        let solved = solve_frontier(model, policy, config, z, &grid, &mine);
+        let change = measure_change(policy, config, z, &grid, &mine, &solved.rows);
+        metrics.failures += solved.failures;
+        metrics.sup = metrics.sup.max(change.sup);
+        metrics.sum_sq += change.sum_sq;
+        metrics.count += change.count;
+        let mut flat = Vec::with_capacity(mine.len() * (1 + ndofs));
+        for (&i, row) in positions.iter().zip(solved.rows.chunks_exact(ndofs)) {
             flat.push(i as f64);
-            flat.extend_from_slice(&row);
+            flat.extend_from_slice(row);
         }
 
         // --- Merge the level: allgather (pos, row) pairs within the group.

@@ -8,17 +8,19 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use hddm_telemetry::{Histogram, Registry};
+use hddm_telemetry::{Counter, Histogram, Registry};
 
 use hddm_asg::{refine_frontier, regular_grid, BoxDomain, RefineConfig, SparseGrid, SurplusNorm};
 use hddm_compress::CompressedGrid;
-use hddm_kernels::{CompressedState, ExecutionBackend, KernelKind, PointBlock, Scratch};
-use hddm_olg::PolicyOracle;
+use hddm_kernels::{
+    CompressedState, ExecutionBackend, KernelKind, PointBlock, Scratch, BATCH_CHUNK,
+};
+use hddm_olg::{PointScratch, PolicyOracle};
 use hddm_sched::{parallel_for_init, PoolConfig};
 use hddm_solver::SolverError;
 
 use crate::disjoint::DisjointRows;
-use crate::policy::PolicySet;
+use crate::policy::{AsgOracle, PolicySet};
 
 /// What the driver needs from an economic model: the state-space shape and
 /// a per-point solve. Implemented for [`hddm_olg::OlgModel`] via
@@ -44,6 +46,37 @@ pub trait StepModel: Sync {
         warm: &[f64],
         oracle: &mut dyn PolicyOracle,
     ) -> Result<Vec<f64>, SolverError>;
+
+    /// Solves the point problems of a block of states of `z` together:
+    /// `xs_phys` is `npts × dim`, `warm` one warm-start row per point
+    /// (`npts × ndofs`). Point `i`'s solved row is written to row `i` of
+    /// `rows` where entry `i` of the result is `Ok`; both must be exactly
+    /// what [`Self::solve_point_row`] gives for the point alone. The
+    /// provided implementation loops it; a model whose point solver can
+    /// advance many points in lockstep overrides this so `oracle` sees
+    /// wide blocks. `scratch` is the calling worker's, reused from block
+    /// to block.
+    fn solve_point_rows(
+        &self,
+        z: usize,
+        xs_phys: &[f64],
+        warm: &[f64],
+        oracle: &mut dyn PolicyOracle,
+        _scratch: &mut PointScratch,
+        rows: &mut [f64],
+    ) -> Vec<Result<(), SolverError>> {
+        let dim = self.dim();
+        let ndofs = self.ndofs();
+        let points = xs_phys.chunks_exact(dim).zip(warm.chunks_exact(ndofs));
+        points
+            .zip(rows.chunks_exact_mut(ndofs))
+            .map(|((x, warm), row)| {
+                let solved = self.solve_point_row(z, x, warm, oracle)?;
+                row.copy_from_slice(&solved);
+                Ok(())
+            })
+            .collect()
+    }
 }
 
 /// Driver configuration.
@@ -51,12 +84,15 @@ pub trait StepModel: Sync {
 pub struct DriverConfig {
     /// Interpolation kernel for `pnext` evaluations.
     pub kernel: KernelKind,
-    /// Which engine evaluates batched `PointBlock` calls (warm-start
-    /// frontier evaluation, change measurement, incremental
-    /// hierarchization). Every backend runs `kernel`'s batch walk;
-    /// [`ExecutionBackend::Observed`] also reports each block to its
-    /// observer (the simulated device prices it). Single-point oracle
-    /// calls inside the per-point solver are never observed.
+    /// Which engine evaluates batched `PointBlock` calls: the blocks of
+    /// the point solver's Newton rounds (the interpolation the paper
+    /// offloads), warm-start frontier evaluation, change measurement and
+    /// incremental hierarchization. Every backend runs `kernel`'s batch
+    /// walk; [`ExecutionBackend::Observed`] also reports each block to
+    /// its observer (the simulated device prices it). A model that solves
+    /// its points one at a time (the provided
+    /// [`StepModel::solve_point_rows`]) makes single-point oracle calls,
+    /// which are never observed.
     pub backend: ExecutionBackend,
     /// Regular sparse-grid level every step starts from (the paper
     /// restarts from level 2).
@@ -75,7 +111,9 @@ pub struct DriverConfig {
     /// Convergence tolerance on the sup policy change.
     pub tolerance: f64,
     /// Telemetry registry receiving per-phase span timings
-    /// (`hddm_solve_*_seconds`); `None` disables phase timing entirely.
+    /// (`hddm_solve_*_seconds`) and the point solver's oracle traffic
+    /// (`hddm_solve_oracle_{blocks,points}_total`); `None` disables both
+    /// entirely.
     pub telemetry: Option<Registry>,
 }
 
@@ -261,13 +299,16 @@ impl<M: StepModel> TimeIteration<M> {
                 levels_here.push(frontier.len());
                 // --- Solve the frontier in parallel against pnext.
                 let solved = timed(spans.map(|s| &s.policy_update), || {
-                    self.solve_points(z, &grid, &frontier, &domain, &mut failures)
+                    solve_frontier(&self.model, &self.policy, &self.config, z, &grid, &frontier)
                 });
+                failures += solved.failures;
+                let solved = solved.rows;
                 // --- Measure policy change at these points (vs pnext).
-                let (s, q, c) = self.measure_change(z, &grid, &frontier, &solved);
-                sup_change = sup_change.max(s);
-                sum_sq += q;
-                change_count += c;
+                let change =
+                    measure_change(&self.policy, &self.config, z, &grid, &frontier, &solved);
+                sup_change = sup_change.max(change.sup);
+                sum_sq += change.sum_sq;
+                change_count += change.count;
                 values.extend_from_slice(&solved);
 
                 // --- Hierarchize the new rows against the current partial
@@ -338,130 +379,224 @@ impl<M: StepModel> TimeIteration<M> {
         }
         reports
     }
+}
 
-    /// Solves a set of grid points in parallel, returning their dof rows
-    /// in frontier order.
-    fn solve_points(
-        &self,
-        z: usize,
-        grid: &SparseGrid,
-        frontier: &[u32],
-        domain: &BoxDomain,
-        failures: &mut usize,
-    ) -> Vec<f64> {
-        let ndofs = self.model.ndofs();
-        let dim = self.model.dim();
-        let rows = DisjointRows::zeros(frontier.len(), ndofs);
-        let failure_count = AtomicUsize::new(0);
-        let model = &self.model;
-        let policy = &self.policy;
-        let kernel = self.config.kernel;
+/// The unit-cube coordinates of grid nodes `points`, point-major.
+fn unit_rows(grid: &SparseGrid, points: &[u32]) -> Vec<f64> {
+    let dim = grid.dim();
+    let mut unit = vec![0.0; dim];
+    let mut rows = Vec::with_capacity(points.len() * dim);
+    for &p in points {
+        grid.unit_point_of(p as usize, &mut unit);
+        rows.extend_from_slice(&unit);
+    }
+    rows
+}
 
-        // Warm starts — pnext at every frontier point — as ONE batched
-        // evaluation through the backend before dispatch, instead of a
-        // single-point oracle call inside each task: the whole frontier
-        // walks the compressed structure once (bitwise equal per point,
-        // so the solves are unchanged).
-        let warm_rows = {
-            let mut unit = vec![0.0; dim];
-            let mut point_rows = Vec::with_capacity(frontier.len() * dim);
-            for &p in frontier {
-                grid.unit_point_of(p as usize, &mut unit);
-                point_rows.extend_from_slice(&unit);
+/// `pnext(z)` at the unit-cube points `unit_rows`, as one batched
+/// evaluation through the backend.
+fn evaluate_pnext(
+    policy: &PolicySet,
+    config: &DriverConfig,
+    z: usize,
+    unit_rows: &[f64],
+) -> Vec<f64> {
+    let state = policy.states.state(z);
+    let block = PointBlock::from_rows(policy.domain.dim(), unit_rows);
+    let mut out = vec![0.0; block.len() * state.ndofs];
+    config.backend.evaluate_batch(
+        config.kernel,
+        state,
+        &block,
+        &mut Scratch::default(),
+        &mut out,
+    );
+    out
+}
+
+/// What [`solve_frontier`] returns.
+pub(crate) struct FrontierSolve {
+    /// The solved dof rows, in the order of the requested points.
+    pub rows: Vec<f64>,
+    /// Points whose warm-started solve failed (each was retried cold).
+    pub failures: usize,
+}
+
+/// The frontier solve of the single-process driver and of every rank of
+/// the distributed step: solves the point problems of state `z` at grid
+/// nodes `points` against `policy` (= `pnext`).
+///
+/// Warm starts — `pnext(z)` at every point — are ONE batched evaluation
+/// before dispatch. The points then go to the pool in slices of at most
+/// [`BATCH_CHUNK`], each solved as a block
+/// ([`StepModel::solve_point_rows`]) so the oracle sees wide blocks; the
+/// points of a slice that fail are retried together from the cold
+/// constant guess, and keep their warm-start row if they fail again.
+/// Point problems are independent, so neither the slicing nor the thread
+/// count changes a row.
+pub(crate) fn solve_frontier<M: StepModel>(
+    model: &M,
+    policy: &PolicySet,
+    config: &DriverConfig,
+    z: usize,
+    grid: &SparseGrid,
+    points: &[u32],
+) -> FrontierSolve {
+    let ndofs = model.ndofs();
+    let dim = model.dim();
+    let units = unit_rows(grid, points);
+    let warm_rows = evaluate_pnext(policy, config, z, &units);
+    let rows = DisjointRows::zeros(points.len(), ndofs);
+    let failure_count = AtomicUsize::new(0);
+    let traffic = config.telemetry.as_ref().map(|registry| OracleCounters {
+        blocks: registry.counter("hddm_solve_oracle_blocks_total"),
+        points: registry.counter("hddm_solve_oracle_points_total"),
+    });
+
+    // Every thread gets work on small frontiers; no slice is wider than
+    // the kernels' chunk or, where the frontier allows, narrower than the
+    // pool's grain.
+    let threads = config.pool.threads.max(1);
+    let slice = points
+        .len()
+        .div_ceil(threads)
+        .max(config.pool.grain)
+        .clamp(1, BATCH_CHUNK);
+    let pool = PoolConfig { threads, grain: 1 };
+
+    parallel_for_init(
+        points.len().div_ceil(slice),
+        &pool,
+        || SliceWorker {
+            oracle: policy.oracle_on(config.kernel, config.backend.clone()),
+            scratch: PointScratch::default(),
+            phys: Vec::new(),
+            solved: Vec::new(),
+            retry_phys: Vec::new(),
+            retry_rows: Vec::new(),
+        },
+        |worker, t| {
+            let lo = t * slice;
+            let hi = (lo + slice).min(points.len());
+            let warm = &warm_rows[lo * ndofs..hi * ndofs];
+            worker.phys.resize((hi - lo) * dim, 0.0);
+            for (unit, phys) in units[lo * dim..hi * dim]
+                .chunks_exact(dim)
+                .zip(worker.phys.chunks_exact_mut(dim))
+            {
+                policy.domain.from_unit(unit, phys);
             }
-            let block = PointBlock::from_rows(dim, &point_rows);
-            let mut scratch = Scratch::default();
-            let mut warm = vec![0.0; frontier.len() * ndofs];
-            self.config.backend.evaluate_batch(
-                kernel,
-                policy.states.state(z),
-                &block,
-                &mut scratch,
-                &mut warm,
+            worker.solved.resize((hi - lo) * ndofs, 0.0);
+            let results = model.solve_point_rows(
+                z,
+                &worker.phys,
+                warm,
+                &mut worker.oracle,
+                &mut worker.scratch,
+                &mut worker.solved,
             );
-            warm
-        };
-        let warm_rows = &warm_rows;
 
-        parallel_for_init(
-            frontier.len(),
-            &self.config.pool,
-            || {
-                (
-                    policy.oracle(kernel),
-                    vec![0.0; dim], // unit point
-                    vec![0.0; dim], // physical point
-                )
-            },
-            |(oracle, unit, phys), i| {
-                grid.unit_point_of(frontier[i] as usize, unit);
-                domain.from_unit(unit, phys);
-                // Warm start: pnext at this very point (precomputed).
-                let warm = &warm_rows[i * ndofs..(i + 1) * ndofs];
-                let row = match model.solve_point_row(z, phys, warm, oracle) {
-                    Ok(row) => row,
-                    Err(_) => {
-                        // Retry from the cold constant guess; fall back to
-                        // the warm-start row if the solver fails again.
-                        // ORDERING: Relaxed — retry tally summed after
-                        // the parallel loop joins; atomicity suffices.
-                        failure_count.fetch_add(1, Ordering::Relaxed);
-                        let cold = model.initial_row();
-                        model
-                            .solve_point_row(z, phys, &cold, oracle)
-                            .unwrap_or_else(|_| warm.to_vec())
-                    }
-                };
-                rows.write_row(i, &row);
-            },
-        );
-        // ORDERING: Relaxed — `parallel_for` has joined its workers, so
-        // this is a single-threaded read-out of the tally.
-        *failures += failure_count.load(Ordering::Relaxed);
-        rows.into_vec()
-    }
-
-    /// Policy-change metrics at the frontier points: sup and squared-sum
-    /// of the relative difference between the new rows and pnext. The
-    /// frontier is evaluated against pnext as one batched kernel call.
-    fn measure_change(
-        &self,
-        z: usize,
-        grid: &SparseGrid,
-        frontier: &[u32],
-        solved: &[f64],
-    ) -> (f64, f64, usize) {
-        let ndofs = self.model.ndofs();
-        let dim = self.model.dim();
-        let mut unit = vec![0.0; dim];
-        let mut rows = Vec::with_capacity(frontier.len() * dim);
-        for &p in frontier {
-            grid.unit_point_of(p as usize, &mut unit);
-            rows.extend_from_slice(&unit);
-        }
-        let block = PointBlock::from_rows(dim, &rows);
-        let mut scratch = Scratch::default();
-        let mut old = vec![0.0; frontier.len() * ndofs];
-        self.config.backend.evaluate_batch(
-            self.config.kernel,
-            self.policy.states.state(z),
-            &block,
-            &mut scratch,
-            &mut old,
-        );
-        let mut sup = 0.0f64;
-        let mut sum_sq = 0.0;
-        let mut count = 0usize;
-        for (new_row, old_row) in solved.chunks_exact(ndofs).zip(old.chunks_exact(ndofs)) {
-            for k in 0..ndofs {
-                let delta = (new_row[k] - old_row[k]).abs() / (1.0 + old_row[k].abs());
-                sup = sup.max(delta);
-                sum_sq += delta * delta;
-                count += 1;
+            let failed: Vec<usize> = (0..hi - lo).filter(|&i| results[i].is_err()).collect();
+            if !failed.is_empty() {
+                // ORDERING: Relaxed — retry tally summed after the
+                // parallel loop joins; atomicity suffices.
+                failure_count.fetch_add(failed.len(), Ordering::Relaxed);
+                // Retry from the cold constant guess as a second block;
+                // fall back to the warm-start row where that fails too.
+                let cold = model.initial_row();
+                worker.retry_phys.clear();
+                for &i in &failed {
+                    let x = &worker.phys[i * dim..(i + 1) * dim];
+                    worker.retry_phys.extend_from_slice(x);
+                }
+                worker.retry_rows.resize(failed.len() * ndofs, 0.0);
+                let retried = model.solve_point_rows(
+                    z,
+                    &worker.retry_phys,
+                    &cold.repeat(failed.len()),
+                    &mut worker.oracle,
+                    &mut worker.scratch,
+                    &mut worker.retry_rows,
+                );
+                for (j, &i) in failed.iter().enumerate() {
+                    let row = match retried[j] {
+                        Ok(()) => &worker.retry_rows[j * ndofs..(j + 1) * ndofs],
+                        Err(_) => &warm[i * ndofs..(i + 1) * ndofs],
+                    };
+                    worker.solved[i * ndofs..(i + 1) * ndofs].copy_from_slice(row);
+                }
             }
-        }
-        (sup, sum_sq, count)
+            for (i, row) in worker.solved.chunks_exact(ndofs).enumerate() {
+                rows.write_row(lo + i, row);
+            }
+            if let Some(counters) = &traffic {
+                let tally = worker.oracle.take_traffic();
+                counters.blocks.add(tally.blocks);
+                counters.points.add(tally.points);
+            }
+        },
+    );
+    FrontierSolve {
+        rows: rows.into_vec(),
+        // ORDERING: Relaxed — `parallel_for_init` has joined its workers,
+        // so this is a single-threaded read-out of the tally.
+        failures: failure_count.load(Ordering::Relaxed),
     }
+}
+
+/// Per-worker state of [`solve_frontier`], built once per worker and
+/// reused from slice to slice.
+struct SliceWorker<'a> {
+    oracle: AsgOracle<'a>,
+    scratch: PointScratch,
+    /// The slice's physical points and solved rows.
+    phys: Vec<f64>,
+    solved: Vec<f64>,
+    /// Points and solved rows of the cold retry.
+    retry_phys: Vec<f64>,
+    retry_rows: Vec<f64>,
+}
+
+/// The registry's oracle-traffic counters, resolved once per frontier.
+struct OracleCounters {
+    blocks: Arc<Counter>,
+    points: Arc<Counter>,
+}
+
+/// Policy-change metrics over a set of points.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct PolicyChange {
+    /// Largest relative change of a coefficient.
+    pub sup: f64,
+    /// Sum of squared relative changes.
+    pub sum_sq: f64,
+    /// Coefficients compared.
+    pub count: usize,
+}
+
+/// Policy-change metrics at grid nodes `points`: sup and squared-sum of
+/// the relative difference between the new rows `solved` and `policy`
+/// (= `pnext`), which is evaluated there as one batched kernel call.
+pub(crate) fn measure_change(
+    policy: &PolicySet,
+    config: &DriverConfig,
+    z: usize,
+    grid: &SparseGrid,
+    points: &[u32],
+    solved: &[f64],
+) -> PolicyChange {
+    let ndofs = policy.states.ndofs();
+    let old = evaluate_pnext(policy, config, z, &unit_rows(grid, points));
+    let mut change = PolicyChange::default();
+    for (new_row, old_row) in solved.chunks_exact(ndofs).zip(old.chunks_exact(ndofs)) {
+        for k in 0..ndofs {
+            let delta = (new_row[k] - old_row[k]).abs() / (1.0 + old_row[k].abs());
+            change.sup = change.sup.max(delta);
+            change.sum_sq += delta * delta;
+            change.count += 1;
+        }
+    }
+    change
 }
 
 /// Incremental hierarchization of one state's grid within one

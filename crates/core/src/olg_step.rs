@@ -59,6 +59,32 @@ impl StepModel for OlgStep {
                 .solve_point(z, x_phys, warm, oracle, &mut scratch, &self.newton)?;
         Ok(solution.dof_row())
     }
+
+    /// The block as one lockstep solve ([`OlgModel::solve_points`]).
+    fn solve_point_rows(
+        &self,
+        z: usize,
+        xs_phys: &[f64],
+        warm: &[f64],
+        oracle: &mut dyn PolicyOracle,
+        scratch: &mut PointScratch,
+        rows: &mut [f64],
+    ) -> Vec<Result<(), SolverError>> {
+        let solved = self
+            .model
+            .solve_points(z, xs_phys, warm, oracle, scratch, &self.newton);
+        solved
+            .into_iter()
+            .zip(rows.chunks_exact_mut(self.model.ndofs()))
+            .map(|(solution, row)| {
+                let solution = solution?;
+                let (savings, values) = row.split_at_mut(solution.savings.len());
+                savings.copy_from_slice(&solution.savings);
+                values.copy_from_slice(&solution.values);
+                Ok(())
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]

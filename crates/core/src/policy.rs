@@ -1,9 +1,14 @@
 //! Policy-function storage: one adaptive sparse grid interpolant per
 //! discrete state, with domain scaling and the kernel-backed
-//! [`PolicyOracle`] the per-point solver calls 16 times per residual.
+//! [`PolicyOracle`] of the per-point solver. Each round of the block
+//! Newton asks it for one [`PointBlock`] per next discrete state
+//! (`Ns = 16` blocks per round at the paper's scale), every block as wide
+//! as the round has rows.
 
 use hddm_asg::BoxDomain;
-use hddm_kernels::{CompressedState, KernelKind, MultiState, Scratch};
+use hddm_kernels::{
+    CompressedState, ExecutionBackend, KernelKind, MultiState, PointBlock, Scratch,
+};
 use hddm_olg::PolicyOracle;
 
 /// The policy `p = (p(z=1), …, p(z=Ns))` of one time-iteration step:
@@ -30,16 +35,39 @@ impl PolicySet {
         self.states.points_per_state()
     }
 
-    /// An oracle view over this policy set using `kernel`.
+    /// An oracle view over this policy set using `kernel` on the host
+    /// kernels.
     pub fn oracle(&self, kernel: KernelKind) -> AsgOracle<'_> {
+        self.oracle_on(kernel, ExecutionBackend::Cpu)
+    }
+
+    /// An oracle view whose block evaluations go through `backend` (an
+    /// observed backend is told of every block; single-point calls are
+    /// the host kernel either way).
+    pub fn oracle_on(&self, kernel: KernelKind, backend: ExecutionBackend) -> AsgOracle<'_> {
+        let dim = self.domain.dim();
         AsgOracle {
             set: self,
             kernel,
+            backend,
             scratch: Scratch::default(),
-            phys: vec![0.0; self.domain.dim()],
-            unit: vec![0.0; self.domain.dim()],
+            phys: vec![0.0; dim],
+            unit: vec![0.0; dim],
+            unit_rows: Vec::new(),
+            block: PointBlock::new(dim),
+            traffic: OracleTraffic::default(),
         }
     }
+}
+
+/// What an [`AsgOracle`] has evaluated so far: calls and the points in
+/// them (a single-point call is a block of one).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OracleTraffic {
+    /// Evaluation calls.
+    pub blocks: u64,
+    /// Points over all calls.
+    pub points: u64,
 }
 
 /// [`PolicyOracle`] implementation on compressed ASG kernels: clamps the
@@ -48,23 +76,63 @@ impl PolicySet {
 pub struct AsgOracle<'a> {
     set: &'a PolicySet,
     kernel: KernelKind,
+    backend: ExecutionBackend,
     scratch: Scratch,
     phys: Vec<f64>,
     unit: Vec<f64>,
+    /// A block's clamped, rescaled points (point-major) and their SoA
+    /// form, reused from block to block.
+    unit_rows: Vec<f64>,
+    block: PointBlock,
+    traffic: OracleTraffic,
 }
 
 impl PolicyOracle for AsgOracle<'_> {
     fn eval(&mut self, z_next: usize, x_next: &[f64], out: &mut [f64]) {
-        self.phys.copy_from_slice(x_next);
-        self.set.domain.clamp(&mut self.phys);
-        self.set.domain.to_unit(&self.phys, &mut self.unit);
+        self.clamp_to_unit(x_next);
         self.set
             .states
             .evaluate_one(self.kernel, z_next, &self.unit, &mut self.scratch, out);
+        self.traffic.blocks += 1;
+        self.traffic.points += 1;
+    }
+
+    /// The block as one `PointBlock` through the backend's batch entry
+    /// (which routes blocks below the crossover to the single-point
+    /// kernel): per point bitwise [`Self::eval`].
+    fn eval_block(&mut self, z_next: usize, dim: usize, xs: &[f64], out: &mut [f64]) {
+        self.unit_rows.clear();
+        for x in xs.chunks_exact(dim) {
+            self.clamp_to_unit(x);
+            self.unit_rows.extend_from_slice(&self.unit);
+        }
+        self.block.set_rows(&self.unit_rows);
+        self.backend.evaluate_batch(
+            self.kernel,
+            self.set.states.state(z_next),
+            &self.block,
+            &mut self.scratch,
+            out,
+        );
+        self.traffic.blocks += 1;
+        self.traffic.points += self.block.len() as u64;
     }
 }
 
 impl AsgOracle<'_> {
+    /// Clamps the physical point into `B` and rescales it into
+    /// `self.unit`.
+    fn clamp_to_unit(&mut self, x_phys: &[f64]) {
+        self.phys.copy_from_slice(x_phys);
+        self.set.domain.clamp(&mut self.phys);
+        self.set.domain.to_unit(&self.phys, &mut self.unit);
+    }
+
+    /// Returns the traffic since the last call and starts a new tally.
+    pub fn take_traffic(&mut self) -> OracleTraffic {
+        std::mem::take(&mut self.traffic)
+    }
+
     /// Evaluates the interpolant of state `z` at a *unit-cube* point
     /// (driver-internal shortcut when the point is already scaled).
     pub fn eval_unit(&mut self, z: usize, unit: &[f64], out: &mut [f64]) {

@@ -1,0 +1,205 @@
+//! The block path against the point-at-a-time path, on the kernels.
+//!
+//! `OlgStep` overrides `StepModel::solve_point_rows` with the lockstep
+//! block solve; a model that implements only `solve_point_row` (the shape
+//! of the benchmark's `TracedStep`) gets the provided loop, in which every
+//! oracle call is a single point. Both must build the same policies bit
+//! for bit, whatever the thread count — and so must a block solve and a
+//! loop of point solves against the same `AsgOracle`, for every kernel.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use hddm_core::{DriverConfig, OlgStep, PolicySet, StepModel, TimeIteration};
+use hddm_kernels::{BlockObserver, ChunkCounts, CompressedState, ExecutionBackend, KernelKind};
+use hddm_olg::{Calibration, OlgModel, PointScratch, PolicyOracle};
+use hddm_sched::PoolConfig;
+use hddm_solver::SolverError;
+use hddm_telemetry::Registry;
+
+/// `OlgStep` without its block override.
+struct RowOnly(OlgStep);
+
+impl StepModel for RowOnly {
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+    fn ndofs(&self) -> usize {
+        self.0.ndofs()
+    }
+    fn num_states(&self) -> usize {
+        self.0.num_states()
+    }
+    fn bounds(&self) -> (Vec<f64>, Vec<f64>) {
+        self.0.bounds()
+    }
+    fn initial_row(&self) -> Vec<f64> {
+        self.0.initial_row()
+    }
+    fn solve_point_row(
+        &self,
+        z: usize,
+        x_phys: &[f64],
+        warm: &[f64],
+        oracle: &mut dyn PolicyOracle,
+    ) -> Result<Vec<f64>, SolverError> {
+        self.0.solve_point_row(z, x_phys, warm, oracle)
+    }
+}
+
+/// The `solve_cold` instance of the benchmark of record.
+fn instance() -> OlgModel {
+    OlgModel::new(Calibration::small(5, 3, 2, 0.04))
+}
+
+fn config(threads: usize) -> DriverConfig {
+    DriverConfig {
+        refine_epsilon: Some(1e-2),
+        max_level: 4,
+        tolerance: 1e-5,
+        max_steps: 2,
+        pool: PoolConfig { threads, grain: 4 },
+        ..Default::default()
+    }
+}
+
+/// Grid sizes and every surplus's bits, state by state.
+fn policy_bits(policy: &PolicySet) -> Vec<(usize, Vec<u64>)> {
+    (0..policy.states.num_states())
+        .map(|z| {
+            let state = policy.states.state(z);
+            let surplus = state.surplus.iter().map(|v| v.to_bits()).collect();
+            (state.grid.nno(), surplus)
+        })
+        .collect()
+}
+
+fn two_steps<M: StepModel>(model: M, threads: usize) -> (PolicySet, Vec<usize>) {
+    let mut ti = TimeIteration::new(model, config(threads));
+    let failures = ti.run().iter().map(|r| r.solver_failures).collect();
+    (ti.policy, failures)
+}
+
+#[test]
+fn block_path_and_row_path_build_identical_policies() {
+    let (reference, failures) = two_steps(RowOnly(OlgStep::new(instance())), 1);
+    let reference = policy_bits(&reference);
+    assert!(reference.iter().all(|(nno, _)| *nno > 100), "no refinement");
+    for threads in [1, 2] {
+        let (blocks, block_failures) = two_steps(OlgStep::new(instance()), threads);
+        assert_eq!(
+            policy_bits(&blocks),
+            reference,
+            "block path, {threads} threads"
+        );
+        assert_eq!(block_failures, failures);
+        let (rows, row_failures) = two_steps(RowOnly(OlgStep::new(instance())), threads);
+        assert_eq!(policy_bits(&rows), reference, "row path, {threads} threads");
+        assert_eq!(row_failures, failures);
+    }
+}
+
+#[test]
+fn block_solve_equals_point_solves_on_every_kernel() {
+    // A refined, non-trivial pnext: one adaptive step from the constant.
+    let model = instance();
+    let (policy, _) = two_steps(OlgStep::new(model.clone()), 1);
+    let step = OlgStep::new(model);
+    let (dim, ndofs) = (step.dim(), step.ndofs());
+    let (lower, upper) = step.bounds();
+    let warm = step.initial_row();
+    for npts in [1usize, 7, 64, 130] {
+        // States across the box, some outside it (the oracle clamps).
+        let xs: Vec<f64> = (0..npts * dim)
+            .map(|k| {
+                let u = ((k * 37 + 11) % 101) as f64 / 100.0 * 1.1 - 0.05;
+                lower[k % dim] + (upper[k % dim] - lower[k % dim]) * u
+            })
+            .collect();
+        for kernel in KernelKind::COMPRESSED {
+            let mut oracle = policy.oracle(kernel);
+            let mut rows = vec![0.0; npts * ndofs];
+            let together = step.solve_point_rows(
+                1,
+                &xs,
+                &warm.repeat(npts),
+                &mut oracle,
+                &mut PointScratch::default(),
+                &mut rows,
+            );
+            let traffic = oracle.take_traffic();
+            assert!(traffic.points > traffic.blocks || npts == 1, "{traffic:?}");
+            for i in 0..npts {
+                let alone =
+                    step.solve_point_row(1, &xs[i * dim..(i + 1) * dim], &warm, &mut oracle);
+                match (&together[i], alone) {
+                    (Ok(()), Ok(alone)) => {
+                        let got = rows[i * ndofs..(i + 1) * ndofs].iter().map(|v| v.to_bits());
+                        let want = alone.iter().map(|v| v.to_bits());
+                        assert!(got.eq(want), "{kernel:?}, point {i} of {npts}");
+                    }
+                    (Err(got), Err(want)) => assert_eq!(got, &want),
+                    (got, want) => panic!("{kernel:?}, point {i} of {npts}: {got:?} vs {want:?}"),
+                }
+            }
+        }
+    }
+}
+
+/// Counts the points of every block an observed backend evaluates.
+#[derive(Debug, Default)]
+struct PointCounter(AtomicU64);
+
+impl BlockObserver for PointCounter {
+    fn observe(&self, _state: &CompressedState, counts: &[ChunkCounts]) {
+        let points: usize = counts.iter().map(|c| c.chunk).sum();
+        self.0.fetch_add(points as u64, Ordering::Relaxed);
+    }
+}
+
+#[test]
+fn solver_blocks_reach_the_registry_and_the_observer() {
+    let (reference, _) = two_steps(OlgStep::new(instance()), 1);
+    let traffic = |registry: &Registry| {
+        let snapshot = registry.snapshot();
+        let counter = |name| snapshot.counter(name).expect("registered by the solve");
+        (
+            counter("hddm_solve_oracle_blocks_total"),
+            counter("hddm_solve_oracle_points_total"),
+        )
+    };
+
+    // The block path, observed, on two threads: same policies, its
+    // blocks are wide, and the observer sees every point the oracle
+    // evaluated (plus the driver's own warm/change/hierarchization blocks).
+    let registry = Registry::new();
+    let observer = Arc::new(PointCounter::default());
+    let mut ti = TimeIteration::new(
+        OlgStep::new(instance()),
+        DriverConfig {
+            backend: ExecutionBackend::Observed(observer.clone()),
+            telemetry: Some(registry.clone()),
+            ..config(2)
+        },
+    );
+    ti.run();
+    assert_eq!(policy_bits(&ti.policy), policy_bits(&reference));
+    let (blocks, points) = traffic(&registry);
+    assert!(points > 8 * blocks, "{points} points in {blocks} blocks");
+    assert!(observer.0.load(Ordering::Relaxed) > points);
+
+    // The row path makes the same evaluations point solve by point
+    // solve: no block is wider than one point's finite-difference columns.
+    let row_registry = Registry::new();
+    let mut ti = TimeIteration::new(
+        RowOnly(OlgStep::new(instance())),
+        DriverConfig {
+            telemetry: Some(row_registry.clone()),
+            ..config(1)
+        },
+    );
+    ti.run();
+    let (row_blocks, row_points) = traffic(&row_registry);
+    assert_eq!(row_points, points);
+    assert!(row_points <= 4 * row_blocks && row_blocks > blocks);
+}

@@ -1,6 +1,7 @@
 //! The backend seam of the batched kernels: every consumer that speaks
-//! [`PointBlock`] (driver hierarchization, change measurement, warm-start
-//! projection, the serve batch-solve path) evaluates through an
+//! [`PointBlock`] (the point solver's Newton rounds, driver
+//! hierarchization, change measurement, warm-start projection, the serve
+//! batch-solve path) evaluates through an
 //! [`ExecutionBackend`]; see the crate docs for why it observes.
 
 use std::sync::Arc;

@@ -135,16 +135,28 @@ impl PointBlock {
     /// Builds a block from point-major rows (`npts × dim`, the layout the
     /// rest of the code base passes around) by transposing into SoA.
     pub fn from_rows(dim: usize, rows: &[f64]) -> Self {
+        let mut block = PointBlock::new(dim);
+        block.set_rows(rows);
+        block
+    }
+
+    /// Replaces the block's points with the point-major `rows`
+    /// (`npts × dim`), keeping the allocation: callers that evaluate block
+    /// after block (the policy oracle inside the point solver) refill one
+    /// `PointBlock` instead of building a new one per call.
+    pub fn set_rows(&mut self, rows: &[f64]) {
+        let dim = self.dim;
         assert!(dim > 0, "dimension must be positive");
         assert_eq!(rows.len() % dim, 0, "ragged point rows");
         let npts = rows.len() / dim;
-        let mut coords = vec![0.0; rows.len()];
+        self.npts = npts;
+        self.coords.clear();
+        self.coords.resize(rows.len(), 0.0);
         for p in 0..npts {
             for d in 0..dim {
-                coords[d * npts + p] = rows[p * dim + d];
+                self.coords[d * npts + p] = rows[p * dim + d];
             }
         }
-        PointBlock { dim, npts, coords }
     }
 
     /// Appends one point (given as a `dim`-length row). Re-strides every

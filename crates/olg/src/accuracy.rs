@@ -58,13 +58,8 @@ impl EulerErrorReport {
 }
 
 /// Computes the per-generation Euler errors of the policy served by
-/// `oracle` at a single state `(z, x)`, writing `A − 1` entries to `out`.
-///
-/// The policy's own savings row at `(z, x)` is taken as the household
-/// decision; the relative Euler residual `r_a = 1 − β·E/u'(c_a)` is then
-/// mapped to consumption units via `E_a = |(1 − r_a)^(−1/γ) − 1|` (exact
-/// algebra, no re-solve). Residual evaluations that the model rejects
-/// (non-positive implied capital) yield an error of 1 — maximally wrong.
+/// `oracle` at a single state `(z, x)`, writing `A − 1` entries to `out`
+/// — [`euler_errors_block`] with one point.
 pub fn euler_errors_at(
     model: &OlgModel,
     z: usize,
@@ -73,26 +68,69 @@ pub fn euler_errors_at(
     scratch: &mut PointScratch,
     out: &mut [f64],
 ) {
+    euler_errors_block(model, &[z], x, oracle, scratch, out)
+}
+
+/// Computes the per-generation Euler errors of the policy served by
+/// `oracle` at the states `(zs[i], row i of xs)`, writing `A − 1` entries
+/// per state to `out`. The policy rows are evaluated as one block per
+/// discrete state present and the `Ns` next-period interpolations as one
+/// block each; per state the numbers are those of a one-state call.
+///
+/// The policy's own savings row at `(z, x)` is taken as the household
+/// decision; the relative Euler residual `r_a = 1 − β·E/u'(c_a)` is then
+/// mapped to consumption units via `E_a = |(1 − r_a)^(−1/γ) − 1|` (exact
+/// algebra, no re-solve). Residual evaluations that the model rejects
+/// (non-positive implied capital) yield an error of 1 — maximally wrong.
+pub fn euler_errors_block(
+    model: &OlgModel,
+    zs: &[usize],
+    xs: &[f64],
+    oracle: &mut dyn PolicyOracle,
+    scratch: &mut PointScratch,
+    out: &mut [f64],
+) {
     let n = model.cal.lifespan - 1;
-    debug_assert_eq!(out.len(), n);
-    let mut row = vec![0.0; model.ndofs()];
-    oracle.eval(z, x, &mut row);
-    let savings = &row[..n];
-    let mut residuals = vec![0.0; n];
-    match model.euler_residuals(z, x, savings, oracle, scratch, &mut residuals) {
-        Ok(()) => {
-            let inv_gamma = -1.0 / model.cal.gamma;
-            for (e, &r) in out.iter_mut().zip(&residuals) {
-                // r = 1 − βE/u'(c) ⇒ c_implied/c = (1 − r)^(−1/γ).
-                let ratio = (1.0 - r).max(0.0).powf(inv_gamma);
-                *e = if ratio.is_finite() {
-                    (ratio - 1.0).abs()
-                } else {
-                    1.0
-                };
-            }
+    let d = model.dim();
+    let ndofs = model.ndofs();
+    let m = zs.len();
+    debug_assert_eq!(xs.len(), m * d);
+    debug_assert_eq!(out.len(), m * n);
+
+    // The policy's savings at every state, one block per discrete state.
+    let mut savings = vec![0.0; m * n];
+    let mut states = Vec::new();
+    let mut rows = Vec::new();
+    for z in 0..model.num_states() {
+        let here: Vec<usize> = (0..m).filter(|&i| zs[i] == z).collect();
+        states.clear();
+        for &i in &here {
+            states.extend_from_slice(&xs[i * d..(i + 1) * d]);
         }
-        Err(_) => out.fill(1.0),
+        rows.resize(here.len() * ndofs, 0.0);
+        oracle.eval_block(z, d, &states, &mut rows);
+        for (&i, row) in here.iter().zip(rows.chunks_exact(ndofs)) {
+            savings[i * n..(i + 1) * n].copy_from_slice(&row[..n]);
+        }
+    }
+
+    let mut rejected = vec![None; m];
+    model.euler_residual_rows(zs, xs, &savings, oracle, scratch, out, &mut rejected);
+    let inv_gamma = -1.0 / model.cal.gamma;
+    for (errs, rejected) in out.chunks_exact_mut(n).zip(&rejected) {
+        if rejected.is_some() {
+            errs.fill(1.0);
+            continue;
+        }
+        for e in errs {
+            // r = 1 − βE/u'(c) ⇒ c_implied/c = (1 − r)^(−1/γ).
+            let ratio = (1.0 - *e).max(0.0).powf(inv_gamma);
+            *e = if ratio.is_finite() {
+                (ratio - 1.0).abs()
+            } else {
+                1.0
+            };
+        }
     }
 }
 
@@ -144,9 +182,16 @@ pub fn euler_errors_on_path<R: Rng>(
     EulerErrorReport::from_samples(by_age_max, sum, max, samples)
 }
 
+/// States per block of [`euler_errors_on_box`]: wide enough for the
+/// batched kernels, small enough that the `Ns` interpolated blocks of a
+/// 59-dimensional economy stay a few megabytes.
+const BOX_BLOCK: usize = 256;
+
 /// Evaluates Euler errors on `n_points` uniform random states of the box
 /// `B` × uniform discrete states — the "worst-case over the domain"
-/// complement to [`euler_errors_on_path`].
+/// complement to [`euler_errors_on_path`]. States are drawn one after the
+/// other (`d` uniforms, then `z`) and evaluated in blocks
+/// ([`euler_errors_block`]); errors accumulate in the order drawn.
 pub fn euler_errors_on_box<R: Rng>(
     model: &OlgModel,
     oracle: &mut dyn PolicyOracle,
@@ -156,8 +201,9 @@ pub fn euler_errors_on_box<R: Rng>(
     let n = model.cal.lifespan - 1;
     let d = model.dim();
     let ns = model.num_states();
-    let mut x = vec![0.0; d];
-    let mut errs = vec![0.0; n];
+    let mut zs = Vec::with_capacity(BOX_BLOCK.min(n_points));
+    let mut xs = Vec::with_capacity(BOX_BLOCK.min(n_points) * d);
+    let mut errs = Vec::new();
     let mut scratch = PointScratch::default();
 
     let mut by_age_max = vec![0.0f64; n];
@@ -165,18 +211,28 @@ pub fn euler_errors_on_box<R: Rng>(
     let mut max = 0.0f64;
     let mut samples = 0usize;
 
-    for _ in 0..n_points {
-        for t in 0..d {
-            x[t] = model.lower[t] + (model.upper[t] - model.lower[t]) * rng.gen::<f64>();
+    let mut drawn = 0;
+    while drawn < n_points {
+        let block = BOX_BLOCK.min(n_points - drawn);
+        zs.clear();
+        xs.clear();
+        for _ in 0..block {
+            for t in 0..d {
+                xs.push(model.lower[t] + (model.upper[t] - model.lower[t]) * rng.gen::<f64>());
+            }
+            zs.push(rng.gen_range(0..ns));
         }
-        let z = rng.gen_range(0..ns);
-        euler_errors_at(model, z, &x, oracle, &mut scratch, &mut errs);
-        for (a, &e) in errs.iter().enumerate() {
-            by_age_max[a] = by_age_max[a].max(e);
-            sum += e;
-            max = max.max(e);
-            samples += 1;
+        errs.resize(block * n, 0.0);
+        euler_errors_block(model, &zs, &xs, oracle, &mut scratch, &mut errs);
+        for point in errs.chunks_exact(n) {
+            for (a, &e) in point.iter().enumerate() {
+                by_age_max[a] = by_age_max[a].max(e);
+                sum += e;
+                max = max.max(e);
+                samples += 1;
+            }
         }
+        drawn += block;
     }
     EulerErrorReport::from_samples(by_age_max, sum, max, samples)
 }

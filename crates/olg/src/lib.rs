@@ -32,7 +32,10 @@ pub mod simulate;
 pub mod steady;
 pub mod welfare;
 
-pub use accuracy::{euler_errors_at, euler_errors_on_box, euler_errors_on_path, EulerErrorReport};
+pub use accuracy::{
+    euler_errors_at, euler_errors_block, euler_errors_on_box, euler_errors_on_path,
+    EulerErrorReport,
+};
 pub use calibration::{Calibration, CalibrationError, RegimeSpec};
 pub use economy::{income, marginal_utility, prices, utility, Prices, C_FLOOR};
 pub use markov::MarkovChain;

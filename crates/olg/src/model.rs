@@ -2,11 +2,26 @@
 //! (Sec. II-A): given `(z, x)` and next period's policy `p_next`, solve the
 //! `A−1` Euler equations for today's savings vector and recover the value
 //! functions — the function `f` of the functional equation (3).
+//!
+//! The unit of work is a **block of points**. [`OlgModel::solve_points`]
+//! hands the points' Euler systems to the lockstep Newton
+//! ([`hddm_solver::newton_block`]); each of its rounds arrives here as a
+//! set of savings rows, and the residual is evaluated in three passes:
+//! next states from the savings rows, **one [`PolicyOracle::eval_block`]
+//! per next discrete state** over all rows of the round — the
+//! interpolation of `pnext` the paper's kernels exist for, now dozens to
+//! hundreds of points wide — then the Euler algebra row by row. What
+//! depends only on the point (today's prices, wealth, incomes) is computed
+//! once per point solve. Every row sees the arithmetic a lone
+//! [`OlgModel::solve_point`] applies to it, so a point's solution does not
+//! depend on its block; `solve_point`, [`OlgModel::euler_residuals`] and
+//! [`OlgModel::values_at`] are the one-point and one-row cases of the same
+//! code.
 
 use crate::calibration::Calibration;
 use crate::economy::{income, marginal_utility, prices, utility, Prices};
 use crate::steady::{solve_steady_state, SteadyState};
-use hddm_solver::{newton, NewtonOptions, NewtonReport, SolverError};
+use hddm_solver::{newton_block, NewtonOptions, NewtonReport, NewtonWorkspace, SolverError};
 
 /// Next-period policy interpolation, the hot path the paper's kernels
 /// accelerate. The time-iteration driver implements this on top of the
@@ -17,6 +32,22 @@ pub trait PolicyOracle {
     /// *physical* state `x_next` into `out`. Implementations clamp
     /// `x_next` into the domain box (the paper's truncation).
     fn eval(&mut self, z_next: usize, x_next: &[f64], out: &mut [f64]);
+
+    /// [`Self::eval`] at a block of `dim`-dimensional states: `xs` is
+    /// point-major `npts × dim`, `out` point-major `npts × ndofs`. Row
+    /// `i` of `out` must be exactly what `eval` writes for row `i` of
+    /// `xs`; the provided implementation loops `eval`, kernel-backed
+    /// oracles evaluate the block in one walk.
+    fn eval_block(&mut self, z_next: usize, dim: usize, xs: &[f64], out: &mut [f64]) {
+        let npts = xs.len() / dim;
+        if npts == 0 {
+            return;
+        }
+        let ndofs = out.len() / npts;
+        for (x, row) in xs.chunks_exact(dim).zip(out.chunks_exact_mut(ndofs)) {
+            self.eval(z_next, x, row);
+        }
+    }
 }
 
 /// Blanket implementation so plain closures can serve as oracles in tests.
@@ -29,13 +60,70 @@ where
     }
 }
 
-/// Reusable buffers for one point solve (per worker thread).
+/// Reusable buffers of the point solver (one per worker thread): the
+/// Newton workspace, the per-point contexts, one round's rows and the
+/// rows kept for the value recursion. Everything is sized by the first
+/// (largest) block and reused across rounds and blocks.
 #[derive(Clone, Debug, Default)]
 pub struct PointScratch {
+    newton: NewtonWorkspace,
+    /// The Newton unknowns: every point's savings (`m × (A−1)`).
+    savings: Vec<f64>,
+    points: PointContexts,
+    round: RoundBuffers,
+    kept: KeptRows,
+}
+
+/// What the residual needs of each point `(z, x)` of a block and no
+/// savings row changes.
+#[derive(Clone, Debug, Default)]
+struct PointContexts {
+    /// `0..m`: the owners of a round in which every point contributes
+    /// its one row, in order.
+    identity: Vec<usize>,
+    z: Vec<usize>,
+    /// Resources by age before saving, `R̃·ω_a + income_a` for
+    /// `a = 1..A` (`m × A`): consumption is this minus savings.
+    resources: Vec<f64>,
+    wealth: Vec<f64>,
+}
+
+/// One round of residual rows.
+#[derive(Clone, Debug, Default)]
+struct RoundBuffers {
+    /// Rows whose next state exists (positive capital tomorrow).
+    valid: Vec<usize>,
+    /// Their next states, `valid × d`.
     x_next: Vec<f64>,
+    /// `pnext` there, one `valid × ndofs` block per next discrete state.
     policy_next: Vec<f64>,
     prices_next: Vec<Prices>,
-    wealth: Vec<f64>,
+}
+
+/// Per point, the interpolated `pnext` rows (`Ns × ndofs`) of its last
+/// residual evaluation that was a single row, and the savings they belong
+/// to. Newton's last single-row evaluation is the point it accepted, so
+/// the value recursion at the solution finds its rows here.
+#[derive(Clone, Debug, Default)]
+struct KeptRows {
+    has: Vec<bool>,
+    savings: Vec<f64>,
+    policy: Vec<f64>,
+}
+
+/// `pnext` at one next state, as laid out in a buffer: coefficient `k` of
+/// next discrete state `z'` is `data[z' · stride + k]`.
+#[derive(Clone, Copy)]
+struct NextPolicy<'a> {
+    data: &'a [f64],
+    stride: usize,
+}
+
+impl NextPolicy<'_> {
+    #[inline]
+    fn at(&self, z_next: usize, k: usize) -> f64 {
+        self.data[z_next * self.stride + k]
+    }
 }
 
 /// The solved point: today's policies, values, and solver diagnostics.
@@ -169,11 +257,235 @@ impl OlgModel {
     /// The state tomorrow implied by today's savings:
     /// `x' = (Σ_a s_a, s_1, …, s_{A−2})`.
     pub fn next_state(&self, savings: &[f64], x_next: &mut Vec<f64>) {
+        x_next.clear();
+        self.extend_next_state(savings, x_next);
+    }
+
+    /// Appends the next state of `savings` to `x_next` (one more row of a
+    /// point-major block).
+    fn extend_next_state(&self, savings: &[f64], x_next: &mut Vec<f64>) {
         let a_max = self.cal.lifespan;
         debug_assert_eq!(savings.len(), a_max - 1);
-        x_next.clear();
         x_next.push(savings.iter().sum());
         x_next.extend_from_slice(&savings[..a_max - 2]);
+    }
+
+    /// Records the contexts of a block: point `i` is `(z_of(i), row i of xs)`.
+    fn set_contexts(&self, points: &mut PointContexts, z_of: impl Fn(usize) -> usize, xs: &[f64]) {
+        let cal = &self.cal;
+        let a_max = cal.lifespan;
+        let m = xs.len() / self.dim();
+        points.identity.clear();
+        points.identity.extend(0..m);
+        points.z.clear();
+        points.z.extend((0..m).map(z_of));
+        points.resources.resize(m * a_max, 0.0);
+        let resources = points.resources.chunks_exact_mut(a_max);
+        for ((x, &z), resources) in xs.chunks_exact(self.dim()).zip(&points.z).zip(resources) {
+            let p = prices(cal, z, x[0].max(1e-9));
+            self.wealth_from_state(x, &mut points.wealth);
+            for a in 1..=a_max {
+                resources[a - 1] = p.gross_return * points.wealth[a - 1] + income(cal, z, &p, a);
+            }
+        }
+    }
+
+    /// `pnext` of every next discrete state at the next states `x_next`
+    /// (`npts × d`): one block evaluation per `z'`, written to
+    /// `policy_next[z' · npts · ndofs ..]`.
+    fn interpolate_next(
+        &self,
+        x_next: &[f64],
+        oracle: &mut dyn PolicyOracle,
+        policy_next: &mut Vec<f64>,
+    ) {
+        let npts = x_next.len() / self.dim();
+        if npts == 0 {
+            return;
+        }
+        policy_next.resize(self.num_states() * npts * self.ndofs(), 0.0);
+        let blocks = policy_next.chunks_exact_mut(npts * self.ndofs());
+        for (z_next, block) in blocks.enumerate() {
+            oracle.eval_block(z_next, self.dim(), x_next, block);
+        }
+    }
+
+    /// One round of Euler residuals: `rows` are savings vectors
+    /// (`k × (A−1)`), `owners[i]` the point of `points` row `i` belongs
+    /// to. Writes the relative residuals
+    /// `1 − β·E[R̃'·u'(c'_{a+1})]/u'(c_a)` of row `i` into row `i` of `out`,
+    /// or rejects it when implied aggregate capital tomorrow is
+    /// non-positive (prices undefined). With `keep`, a point's rows of
+    /// `pnext` are remembered whenever it contributed a single row.
+    #[allow(clippy::too_many_arguments)]
+    fn residual_rows(
+        &self,
+        points: &PointContexts,
+        owners: &[usize],
+        rows: &[f64],
+        oracle: &mut dyn PolicyOracle,
+        round: &mut RoundBuffers,
+        mut keep: Option<&mut KeptRows>,
+        out: &mut [f64],
+        rejected: &mut [Option<SolverError>],
+    ) {
+        let cal = &self.cal;
+        let a_max = cal.lifespan;
+        let n = a_max - 1;
+        let d = self.dim();
+        let ndofs = self.ndofs();
+        let ns = cal.num_states();
+
+        // Next states from the savings rows.
+        round.valid.clear();
+        round.x_next.clear();
+        for (r, savings) in rows.chunks_exact(n).enumerate() {
+            let k_next: f64 = savings.iter().sum();
+            if k_next <= 1e-9 {
+                rejected[r] = Some(SolverError::Rejected(format!(
+                    "non-positive aggregate capital tomorrow: {k_next}"
+                )));
+                continue;
+            }
+            round.valid.push(r);
+            self.extend_next_state(savings, &mut round.x_next);
+        }
+        let valid = round.valid.len();
+
+        // The interpolation: one block per next discrete state.
+        self.interpolate_next(&round.x_next, oracle, &mut round.policy_next);
+
+        // Euler algebra, row by row.
+        for (i, &r) in round.valid.iter().enumerate() {
+            let savings = &rows[r * n..(r + 1) * n];
+            let owner = owners[r];
+            let k_next = round.x_next[i * d];
+            round.prices_next.clear();
+            round
+                .prices_next
+                .extend((0..ns).map(|z_next| prices(cal, z_next, k_next)));
+            let next = NextPolicy {
+                data: &round.policy_next[i * ndofs..],
+                stride: valid * ndofs,
+            };
+            self.euler_row(
+                points.z[owner],
+                &points.resources[owner * a_max..(owner + 1) * a_max],
+                savings,
+                &round.prices_next,
+                next,
+                &mut out[r * n..(r + 1) * n],
+            );
+
+            let alone = (r == 0 || owners[r - 1] != owner)
+                && (r + 1 == owners.len() || owners[r + 1] != owner);
+            if let (Some(kept), true) = (keep.as_deref_mut(), alone) {
+                kept.has[owner] = true;
+                kept.savings[owner * n..(owner + 1) * n].copy_from_slice(savings);
+                let slot = &mut kept.policy[owner * ns * ndofs..(owner + 1) * ns * ndofs];
+                for (z_next, row) in slot.chunks_exact_mut(ndofs).enumerate() {
+                    row.copy_from_slice(&next.data[z_next * next.stride..][..ndofs]);
+                }
+            }
+        }
+    }
+
+    /// The Euler residuals of one savings row — the only Euler loop.
+    fn euler_row(
+        &self,
+        z: usize,
+        resources: &[f64],
+        savings: &[f64],
+        prices_next: &[Prices],
+        next: NextPolicy<'_>,
+        out: &mut [f64],
+    ) {
+        let cal = &self.cal;
+        let a_max = cal.lifespan;
+        let transition = cal.chain.row(z);
+        for a in 1..a_max {
+            let c_today = resources[a - 1] - savings[a - 1];
+            let mut expectation = 0.0;
+            for (z_next, pn) in prices_next.iter().enumerate() {
+                let pi = transition[z_next];
+                if pi == 0.0 {
+                    continue;
+                }
+                let s_next = if a + 1 < a_max {
+                    next.at(z_next, a)
+                } else {
+                    0.0 // the oldest generation saves nothing
+                };
+                let c_tomorrow =
+                    pn.gross_return * savings[a - 1] + income(cal, z_next, pn, a + 1) - s_next;
+                expectation += pi * pn.gross_return * marginal_utility(cal.gamma, c_tomorrow);
+            }
+            out[a - 1] = 1.0 - cal.beta * expectation / marginal_utility(cal.gamma, c_today);
+        }
+    }
+
+    /// The value functions `v_1..v_{A−1}` and the consumption profile
+    /// `c_1..c_A` of one point at `savings` — the only value recursion.
+    fn values_row(
+        &self,
+        z: usize,
+        resources: &[f64],
+        savings: &[f64],
+        next: NextPolicy<'_>,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let cal = &self.cal;
+        let a_max = cal.lifespan;
+        let ns = cal.num_states();
+        let k_next: f64 = savings.iter().sum();
+
+        let mut consumption = Vec::with_capacity(a_max);
+        for a in 1..a_max {
+            consumption.push(resources[a - 1] - savings[a - 1]);
+        }
+        consumption.push(resources[a_max - 1]);
+
+        let transition = cal.chain.row(z);
+        let mut values = vec![0.0; a_max - 1];
+        for a in 1..a_max {
+            let mut continuation = 0.0;
+            for z_next in 0..ns {
+                let pi = transition[z_next];
+                if pi == 0.0 {
+                    continue;
+                }
+                let v_next = if a + 1 < a_max {
+                    next.at(z_next, (a_max - 1) + a)
+                } else {
+                    // v'_A is closed-form: the oldest consumes everything.
+                    let pn = prices(cal, z_next, k_next.max(1e-9));
+                    let c_last =
+                        pn.gross_return * savings[a_max - 2] + income(cal, z_next, &pn, a_max);
+                    utility(cal.gamma, c_last)
+                };
+                continuation += pi * v_next;
+            }
+            values[a - 1] = utility(cal.gamma, consumption[a - 1]) + cal.beta * continuation;
+        }
+        (values, consumption)
+    }
+
+    /// Euler residuals of one savings row per point: row `i` of `savings`
+    /// at `(zs[i], row i of xs)`, as one round.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn euler_residual_rows(
+        &self,
+        zs: &[usize],
+        xs: &[f64],
+        savings: &[f64],
+        oracle: &mut dyn PolicyOracle,
+        scratch: &mut PointScratch,
+        out: &mut [f64],
+        rejected: &mut [Option<SolverError>],
+    ) {
+        let PointScratch { points, round, .. } = scratch;
+        self.set_contexts(points, |i| zs[i], xs);
+        let owners = &points.identity;
+        self.residual_rows(points, owners, savings, oracle, round, None, out, rejected);
     }
 
     /// Evaluates the `A−1` relative Euler residuals
@@ -191,62 +503,15 @@ impl OlgModel {
         scratch: &mut PointScratch,
         out: &mut [f64],
     ) -> Result<(), SolverError> {
-        let cal = &self.cal;
-        let a_max = cal.lifespan;
-        let ndofs = self.ndofs();
-        debug_assert_eq!(out.len(), a_max - 1);
-
-        let k_next: f64 = savings.iter().sum();
-        if k_next <= 1e-9 {
-            return Err(SolverError::Rejected(format!(
-                "non-positive aggregate capital tomorrow: {k_next}"
-            )));
-        }
-
-        let p = prices(cal, z, x[0].max(1e-9));
-        self.wealth_from_state(x, &mut scratch.wealth);
-
-        self.next_state(savings, &mut scratch.x_next);
-        let ns = cal.num_states();
-        scratch.policy_next.resize(ns * ndofs, 0.0);
-        scratch.prices_next.clear();
-        for z_next in 0..ns {
-            oracle.eval(
-                z_next,
-                &scratch.x_next,
-                &mut scratch.policy_next[z_next * ndofs..(z_next + 1) * ndofs],
-            );
-            scratch.prices_next.push(prices(cal, z_next, k_next));
-        }
-
-        let transition = cal.chain.row(z);
-        for a in 1..a_max {
-            let c_today =
-                p.gross_return * scratch.wealth[a - 1] + income(cal, z, &p, a) - savings[a - 1];
-            let mut expectation = 0.0;
-            for z_next in 0..ns {
-                let pi = transition[z_next];
-                if pi == 0.0 {
-                    continue;
-                }
-                let pn = &scratch.prices_next[z_next];
-                let s_next = if a + 1 < a_max {
-                    scratch.policy_next[z_next * ndofs + a]
-                } else {
-                    0.0 // the oldest generation saves nothing
-                };
-                let c_tomorrow =
-                    pn.gross_return * savings[a - 1] + income(cal, z_next, pn, a + 1) - s_next;
-                expectation += pi * pn.gross_return * marginal_utility(cal.gamma, c_tomorrow);
-            }
-            out[a - 1] = 1.0 - cal.beta * expectation / marginal_utility(cal.gamma, c_today);
-        }
-        Ok(())
+        debug_assert_eq!(out.len(), self.cal.lifespan - 1);
+        let mut rejected = [None];
+        self.euler_residual_rows(&[z], x, savings, oracle, scratch, out, &mut rejected);
+        let [rejected] = rejected;
+        rejected.map_or(Ok(()), Err)
     }
 
     /// Recovers the value functions `v_1..v_{A−1}` and consumption profile
-    /// at solved `savings` (one extra oracle sweep, reusing the scratch
-    /// buffers filled by the last residual evaluation).
+    /// at `savings` (one oracle sweep over the next discrete states).
     pub fn values_at(
         &self,
         z: usize,
@@ -255,63 +520,121 @@ impl OlgModel {
         oracle: &mut dyn PolicyOracle,
         scratch: &mut PointScratch,
     ) -> (Vec<f64>, Vec<f64>) {
-        let cal = &self.cal;
-        let a_max = cal.lifespan;
+        let PointScratch { points, round, .. } = scratch;
+        self.set_contexts(points, |_| z, x);
+        round.x_next.clear();
+        self.extend_next_state(savings, &mut round.x_next);
+        self.interpolate_next(&round.x_next, oracle, &mut round.policy_next);
+        let next = NextPolicy {
+            data: &round.policy_next,
+            stride: self.ndofs(),
+        };
+        self.values_row(z, &points.resources, savings, next)
+    }
+
+    /// Solves the point problems of discrete state `z` at the states `xs`
+    /// (`m × d`) together: lockstep Newton on the `m` Euler systems from
+    /// the savings part of each row of `guesses` (`m` rows of at least
+    /// `A−1` entries, e.g. dof rows), then the value recursion of every
+    /// solved point. Entry `i` of the result is what
+    /// [`Self::solve_point`] returns for point `i` alone, bit for bit.
+    pub fn solve_points(
+        &self,
+        z: usize,
+        xs: &[f64],
+        guesses: &[f64],
+        oracle: &mut dyn PolicyOracle,
+        scratch: &mut PointScratch,
+        options: &NewtonOptions,
+    ) -> Vec<Result<PointSolution, SolverError>> {
+        let a_max = self.cal.lifespan;
+        let n = a_max - 1;
+        let d = self.dim();
         let ndofs = self.ndofs();
-        let ns = cal.num_states();
-
-        let p = prices(cal, z, x[0].max(1e-9));
-        self.wealth_from_state(x, &mut scratch.wealth);
-        self.next_state(savings, &mut scratch.x_next);
-        let k_next: f64 = savings.iter().sum();
-        scratch.policy_next.resize(ns * ndofs, 0.0);
-        scratch.prices_next.clear();
-        for z_next in 0..ns {
-            oracle.eval(
-                z_next,
-                &scratch.x_next,
-                &mut scratch.policy_next[z_next * ndofs..(z_next + 1) * ndofs],
-            );
-            scratch
-                .prices_next
-                .push(prices(cal, z_next, k_next.max(1e-9)));
+        let ns = self.num_states();
+        assert_eq!(xs.len() % d, 0, "ragged block of states");
+        let m = xs.len() / d;
+        if m == 0 {
+            return Vec::new();
         }
+        assert_eq!(guesses.len() % m, 0, "ragged block of guesses");
+        let guess_len = guesses.len() / m;
 
-        let mut consumption = Vec::with_capacity(a_max);
-        for a in 1..a_max {
-            consumption.push(
-                p.gross_return * scratch.wealth[a - 1] + income(cal, z, &p, a) - savings[a - 1],
-            );
+        let PointScratch {
+            newton,
+            savings,
+            points,
+            round,
+            kept,
+        } = scratch;
+        self.set_contexts(points, |_| z, xs);
+        savings.clear();
+        for guess in guesses.chunks_exact(guess_len) {
+            savings.extend_from_slice(&guess[..n]);
         }
-        consumption.push(p.gross_return * scratch.wealth[a_max - 1] + income(cal, z, &p, a_max));
+        kept.has.clear();
+        kept.has.resize(m, false);
+        kept.savings.resize(m * n, 0.0);
+        kept.policy.resize(m * ns * ndofs, 0.0);
+        let reports = newton_block(
+            n,
+            savings,
+            options,
+            newton,
+            |owners, rows, out, rejected| {
+                self.residual_rows(
+                    points,
+                    owners,
+                    rows,
+                    oracle,
+                    round,
+                    Some(kept),
+                    out,
+                    rejected,
+                )
+            },
+        );
 
-        let transition = cal.chain.row(z);
-        let mut values = vec![0.0; a_max - 1];
-        for a in 1..a_max {
-            let mut continuation = 0.0;
-            for z_next in 0..ns {
-                let pi = transition[z_next];
-                if pi == 0.0 {
-                    continue;
-                }
-                let v_next = if a + 1 < a_max {
-                    scratch.policy_next[z_next * ndofs + (a_max - 1) + a]
+        reports
+            .into_iter()
+            .enumerate()
+            .map(|(s, report)| {
+                let report = report?;
+                let savings = &savings[s * n..(s + 1) * n];
+                let kept_here = kept.has[s]
+                    && savings
+                        .iter()
+                        .zip(&kept.savings[s * n..(s + 1) * n])
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                let next = if kept_here {
+                    NextPolicy {
+                        data: &kept.policy[s * ns * ndofs..(s + 1) * ns * ndofs],
+                        stride: ndofs,
+                    }
                 } else {
-                    // v'_A is closed-form: the oldest consumes everything.
-                    let pn = &scratch.prices_next[z_next];
-                    let c_last =
-                        pn.gross_return * savings[a_max - 2] + income(cal, z_next, pn, a_max);
-                    utility(cal.gamma, c_last)
+                    round.x_next.clear();
+                    self.extend_next_state(savings, &mut round.x_next);
+                    self.interpolate_next(&round.x_next, oracle, &mut round.policy_next);
+                    NextPolicy {
+                        data: &round.policy_next,
+                        stride: ndofs,
+                    }
                 };
-                continuation += pi * v_next;
-            }
-            values[a - 1] = utility(cal.gamma, consumption[a - 1]) + cal.beta * continuation;
-        }
-        (values, consumption)
+                let resources = &points.resources[s * a_max..(s + 1) * a_max];
+                let (values, consumption) = self.values_row(z, resources, savings, next);
+                Ok(PointSolution {
+                    savings: savings.to_vec(),
+                    values,
+                    consumption,
+                    report,
+                })
+            })
+            .collect()
     }
 
     /// Solves the full point problem: Newton on the Euler system from
-    /// `guess` (savings part of a dof row), then the value recursion.
+    /// `guess` (savings part of a dof row), then the value recursion —
+    /// [`Self::solve_points`] with one point.
     pub fn solve_point(
         &self,
         z: usize,
@@ -321,20 +644,9 @@ impl OlgModel {
         scratch: &mut PointScratch,
         options: &NewtonOptions,
     ) -> Result<PointSolution, SolverError> {
-        let n = self.cal.lifespan - 1;
-        let mut savings = guess[..n].to_vec();
-        let report = newton(
-            |s, out| self.euler_residuals(z, x, s, oracle, scratch, out),
-            &mut savings,
-            options,
-        )?;
-        let (values, consumption) = self.values_at(z, x, &savings, oracle, scratch);
-        Ok(PointSolution {
-            savings,
-            values,
-            consumption,
-            report,
-        })
+        self.solve_points(z, x, guess, oracle, scratch, options)
+            .pop()
+            .expect("one point in, one solution out")
     }
 }
 

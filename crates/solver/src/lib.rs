@@ -7,7 +7,9 @@
 //! see DESIGN.md for the substitution argument.
 //!
 //! * [`linalg`] — dense matrices, LU with partial pivoting, norms;
-//! * [`newton`] — the damped Newton driver ([`newton::newton`]);
+//! * [`newton`] — the damped Newton driver: [`newton::newton_block`] advances
+//!   many independent systems in lockstep rounds, [`newton::newton`] is its
+//!   one-system case;
 //! * [`scalar`] — Brent's method for bracketed scalar roots;
 //! * [`complementarity`] — Fischer–Burmeister smoothing for bound
 //!   constraints.
@@ -30,7 +32,7 @@ pub mod scalar;
 
 pub use complementarity::{fischer_burmeister, lower_bound_residual};
 pub use linalg::{norm2, norm_inf, DenseMatrix, Lu};
-pub use newton::{newton, NewtonOptions, NewtonReport};
+pub use newton::{newton, newton_block, NewtonOptions, NewtonReport, NewtonWorkspace};
 pub use scalar::brent;
 
 /// Errors surfaced by the solvers. The time-iteration driver distinguishes

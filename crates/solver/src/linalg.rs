@@ -58,22 +58,37 @@ impl DenseMatrix {
 
     /// `y = A·x`.
     pub fn matvec(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(y.len(), self.n);
-        for (i, yi) in y.iter_mut().enumerate() {
-            *yi = self.row(i).iter().zip(x).map(|(a, b)| a * b).sum();
-        }
+        matvec(&self.data, x, y)
     }
 
     /// Rank-1 update `A += alpha · u vᵀ` (Broyden's step).
     pub fn rank1_update(&mut self, alpha: f64, u: &[f64], v: &[f64]) {
-        assert_eq!(u.len(), self.n);
-        assert_eq!(v.len(), self.n);
-        for i in 0..self.n {
-            let ui = alpha * u[i];
-            for (aij, vj) in self.row_mut(i).iter_mut().zip(v) {
-                *aij += ui * vj;
-            }
+        rank1_update(&mut self.data, alpha, u, v)
+    }
+}
+
+/// `y = A·x` for a row-major `n × n` matrix stored in `a` (`n = x.len()`).
+/// The slice forms below are the arithmetic of [`DenseMatrix`] and [`Lu`];
+/// the block Newton keeps many small systems in flat per-worker buffers
+/// and calls them directly.
+pub(crate) fn matvec(a: &[f64], x: &[f64], y: &mut [f64]) {
+    let n = x.len();
+    assert_eq!(a.len(), n * n);
+    assert_eq!(y.len(), n);
+    for (yi, row) in y.iter_mut().zip(a.chunks_exact(n)) {
+        *yi = row.iter().zip(x).map(|(a, b)| a * b).sum();
+    }
+}
+
+/// `A += alpha · u vᵀ` on a row-major `n × n` slice (`n = u.len()`).
+pub(crate) fn rank1_update(a: &mut [f64], alpha: f64, u: &[f64], v: &[f64]) {
+    let n = u.len();
+    assert_eq!(a.len(), n * n);
+    assert_eq!(v.len(), n);
+    for (row, &ui) in a.chunks_exact_mut(n).zip(u) {
+        let ui = alpha * ui;
+        for (aij, vj) in row.iter_mut().zip(v) {
+            *aij += ui * vj;
         }
     }
 }
@@ -107,60 +122,75 @@ impl Lu {
         let n = a.n;
         let mut lu = a.data.clone();
         let mut pivots = vec![0u32; n];
-        for col in 0..n {
-            // Pivot search.
-            let mut best = col;
-            let mut best_abs = lu[col * n + col].abs();
-            for r in col + 1..n {
-                let v = lu[r * n + col].abs();
-                if v > best_abs {
-                    best_abs = v;
-                    best = r;
-                }
-            }
-            if best_abs < f64::MIN_POSITIVE * 1e4 || !best_abs.is_finite() {
-                return Err(SolverError::SingularJacobian { column: col });
-            }
-            pivots[col] = best as u32;
-            if best != col {
-                for j in 0..n {
-                    lu.swap(col * n + j, best * n + j);
-                }
-            }
-            let inv_pivot = 1.0 / lu[col * n + col];
-            for r in col + 1..n {
-                let factor = lu[r * n + col] * inv_pivot;
-                lu[r * n + col] = factor;
-                for j in col + 1..n {
-                    lu[r * n + j] -= factor * lu[col * n + j];
-                }
-            }
-        }
+        lu_factor(&mut lu, &mut pivots)?;
         Ok(Lu { n, lu, pivots })
     }
 
     /// Solves `A x = b` in place (`b` becomes `x`).
     pub fn solve(&self, b: &mut [f64]) {
         assert_eq!(b.len(), self.n);
-        let n = self.n;
-        // Apply permutation + forward substitution.
-        for i in 0..n {
-            b.swap(i, self.pivots[i] as usize);
-            let bi = b[i];
-            if bi != 0.0 {
-                for r in i + 1..n {
-                    b[r] -= self.lu[r * n + i] * bi;
-                }
+        lu_solve(&self.lu, &self.pivots, b)
+    }
+}
+
+/// Factors the row-major `n × n` matrix in `lu` in place (`PA = LU`,
+/// `n = pivots.len()`). On `Err` the contents of `lu` are unspecified.
+pub(crate) fn lu_factor(lu: &mut [f64], pivots: &mut [u32]) -> Result<(), SolverError> {
+    let n = pivots.len();
+    assert_eq!(lu.len(), n * n);
+    for col in 0..n {
+        // Pivot search.
+        let mut best = col;
+        let mut best_abs = lu[col * n + col].abs();
+        for r in col + 1..n {
+            let v = lu[r * n + col].abs();
+            if v > best_abs {
+                best_abs = v;
+                best = r;
             }
         }
-        // Back substitution.
-        for i in (0..n).rev() {
-            let mut sum = b[i];
-            for j in i + 1..n {
-                sum -= self.lu[i * n + j] * b[j];
-            }
-            b[i] = sum / self.lu[i * n + i];
+        if best_abs < f64::MIN_POSITIVE * 1e4 || !best_abs.is_finite() {
+            return Err(SolverError::SingularJacobian { column: col });
         }
+        pivots[col] = best as u32;
+        if best != col {
+            for j in 0..n {
+                lu.swap(col * n + j, best * n + j);
+            }
+        }
+        let inv_pivot = 1.0 / lu[col * n + col];
+        for r in col + 1..n {
+            let factor = lu[r * n + col] * inv_pivot;
+            lu[r * n + col] = factor;
+            for j in col + 1..n {
+                lu[r * n + j] -= factor * lu[col * n + j];
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Solves `A x = b` in place with the factors [`lu_factor`] left in `lu`.
+pub(crate) fn lu_solve(lu: &[f64], pivots: &[u32], b: &mut [f64]) {
+    let n = pivots.len();
+    assert_eq!(b.len(), n);
+    // Apply permutation + forward substitution.
+    for i in 0..n {
+        b.swap(i, pivots[i] as usize);
+        let bi = b[i];
+        if bi != 0.0 {
+            for r in i + 1..n {
+                b[r] -= lu[r * n + i] * bi;
+            }
+        }
+    }
+    // Back substitution.
+    for i in (0..n).rev() {
+        let mut sum = b[i];
+        for j in i + 1..n {
+            sum -= lu[i * n + j] * b[j];
+        }
+        b[i] = sum / lu[i * n + i];
     }
 }
 

@@ -8,8 +8,19 @@
 //! keeping the cost profile the paper optimizes for: the residual
 //! evaluations (each of which interpolates all `Ns` next-period policies)
 //! dominate everything else.
+//!
+//! There is one iteration body, [`newton_block`], and it advances `m`
+//! independent systems in **rounds**: each round every unfinished system
+//! contributes the evaluation points it needs next — its initial residual,
+//! all `n` finite-difference columns of a Jacobian at once, or one
+//! line-search trial — and a single callback evaluates all of them. The
+//! caller can therefore turn the residual's inner interpolation into one
+//! wide operation per round instead of one call per point. Each system
+//! walks exactly the trajectory it walks alone (same evaluation points,
+//! same arithmetic, same order), so results do not depend on which other
+//! systems share the block; [`newton`] is the `m = 1` case.
 
-use crate::linalg::{norm2, norm_inf, DenseMatrix, Lu};
+use crate::linalg::{lu_factor, lu_solve, matvec, norm2, norm_inf, rank1_update};
 use crate::SolverError;
 
 /// Newton solver configuration.
@@ -62,8 +73,361 @@ pub struct NewtonReport {
     pub jacobian_evals: usize,
 }
 
+/// What a system asks the next round to evaluate.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Phase {
+    /// `F(x)` at the initial guess.
+    Initial,
+    /// The `n` forward-difference columns `F(x + h_j e_j)`.
+    Jacobian,
+    /// One line-search trial `F(x + α d)`.
+    Trial,
+    /// Finished; its outcome is recorded.
+    Done,
+}
+
+/// Scalar state of one system between rounds (its vectors live in the
+/// flat buffers of [`NewtonWorkspace`]).
+#[derive(Clone, Copy, Debug)]
+struct System {
+    phase: Phase,
+    /// The `iter` of `for iter in 0..max_iterations`.
+    iter: usize,
+    /// Accepted steps since the last finite-difference Jacobian;
+    /// `usize::MAX` forces one.
+    since_refresh: usize,
+    /// Whether `lu` holds a factorization.
+    factored: bool,
+    /// Current line-search step length.
+    alpha: f64,
+    /// Merit `½‖F(x)‖²` the line search compares against.
+    merit0: f64,
+    report: NewtonReport,
+}
+
+/// Buffers of [`newton_block`], reusable across calls: per-system vectors
+/// and matrices in flat `m × n` / `m × n × n` arrays plus the row buffers
+/// of a round. Capacity only grows, so a worker that keeps one workspace
+/// allocates on its first (largest) block and never again.
+#[derive(Clone, Debug, Default)]
+pub struct NewtonWorkspace {
+    systems: Vec<System>,
+    fx: Vec<f64>,
+    step: Vec<f64>,
+    jac: Vec<f64>,
+    lu: Vec<f64>,
+    pivots: Vec<u32>,
+    // Broyden temporaries (`n` each).
+    dx: Vec<f64>,
+    b_dx: Vec<f64>,
+    // One round: the system each row belongs to, the evaluation points,
+    // the residual rows and the per-row rejections.
+    owners: Vec<usize>,
+    rows: Vec<f64>,
+    out: Vec<f64>,
+    rejected: Vec<Option<SolverError>>,
+}
+
+impl NewtonWorkspace {
+    /// Sizes the per-system buffers for `m` systems of `n` unknowns, all
+    /// about to evaluate their initial guess.
+    fn reset(&mut self, m: usize, n: usize) {
+        self.systems.clear();
+        self.systems.resize(
+            m,
+            System {
+                phase: Phase::Initial,
+                iter: 0,
+                since_refresh: usize::MAX, // force FD Jacobian on first iteration
+                factored: false,
+                alpha: 1.0,
+                merit0: 0.0,
+                report: NewtonReport::default(),
+            },
+        );
+        self.fx.resize(m * n, 0.0);
+        self.step.resize(m * n, 0.0);
+        self.jac.resize(m * n * n, 0.0);
+        self.lu.resize(m * n * n, 0.0);
+        self.pivots.resize(m * n, 0);
+        self.dx.resize(n, 0.0);
+        self.b_dx.resize(n, 0.0);
+    }
+
+    /// Consumes the rows the last round evaluated for system `s`, which
+    /// start at row `r`, then runs the system on until it needs another
+    /// evaluation (`None`) or finishes (`Some`). `x` is the system's
+    /// current iterate.
+    fn consume(
+        &mut self,
+        s: usize,
+        r: usize,
+        x: &mut [f64],
+        opts: &NewtonOptions,
+    ) -> Option<Result<NewtonReport, SolverError>> {
+        let n = x.len();
+        let sys = &mut self.systems[s];
+        let fx = &mut self.fx[s * n..(s + 1) * n];
+        match sys.phase {
+            Phase::Initial => {
+                if let Some(error) = self.rejected[r].take() {
+                    return Some(Err(error));
+                }
+                fx.copy_from_slice(&self.out[r * n..(r + 1) * n]);
+                sys.report.residual_evals += 1;
+            }
+            Phase::Jacobian => {
+                // A rejected column fails the system with the first
+                // rejected column's error.
+                if let Some(error) = self.rejected[r..r + n].iter_mut().find_map(Option::take) {
+                    return Some(Err(error));
+                }
+                // Forward differences: `J[:,j] = (F(x + h_j e_j) − F(x)) / h_j`.
+                let jac = &mut self.jac[s * n * n..(s + 1) * n * n];
+                for j in 0..n {
+                    let at = (r + j) * n;
+                    let h_actual = self.rows[at + j] - x[j]; // exact representable step
+                    for i in 0..n {
+                        jac[i * n + j] = (self.out[at + i] - fx[i]) / h_actual;
+                    }
+                }
+                sys.report.residual_evals += n;
+                sys.report.jacobian_evals += 1;
+                sys.since_refresh = 0;
+                let lu = &mut self.lu[s * n * n..(s + 1) * n * n];
+                lu.copy_from_slice(jac);
+                if let Err(error) = lu_factor(lu, &mut self.pivots[s * n..(s + 1) * n]) {
+                    return Some(Err(error));
+                }
+                sys.factored = true;
+                return self.search(s, n, opts);
+            }
+            Phase::Trial => {
+                let f_trial = &self.out[r * n..(r + 1) * n];
+                // A point rejected by the model (e.g. negative
+                // consumption) shrinks the step like a failed merit test.
+                let accepted = self.rejected[r].take().is_none() && {
+                    sys.report.residual_evals += 1;
+                    let merit = 0.5 * norm2(f_trial).powi(2);
+                    merit <= sys.merit0 * (1.0 - 2.0 * opts.armijo_c * sys.alpha)
+                        || merit < sys.merit0 * 1e-8
+                };
+                if !accepted {
+                    sys.alpha *= opts.backtrack;
+                    return self.next_trial(s, n, opts);
+                }
+
+                // Broyden update B += ((Δf − B·Δx) Δxᵀ)/(Δxᵀ·Δx); Δx = α·d.
+                let jac = &mut self.jac[s * n * n..(s + 1) * n * n];
+                let step = &self.step[s * n..(s + 1) * n];
+                for (dx, d) in self.dx.iter_mut().zip(step) {
+                    *dx = d * sys.alpha;
+                }
+                matvec(jac, &self.dx, &mut self.b_dx);
+                let dx_dot = self.dx.iter().map(|v| v * v).sum::<f64>();
+                if dx_dot > 0.0 {
+                    for k in 0..n {
+                        self.b_dx[k] = (f_trial[k] - fx[k]) - self.b_dx[k];
+                    }
+                    rank1_update(jac, 1.0 / dx_dot, &self.b_dx, &self.dx);
+                    // Refactor the updated approximation (cheap at these sizes).
+                    if sys.since_refresh + 1 < opts.broyden_refresh {
+                        let lu = &mut self.lu[s * n * n..(s + 1) * n * n];
+                        lu.copy_from_slice(jac);
+                        if lu_factor(lu, &mut self.pivots[s * n..(s + 1) * n]).is_err() {
+                            sys.since_refresh = usize::MAX; // force FD refresh
+                        }
+                    }
+                }
+                sys.since_refresh = sys.since_refresh.saturating_add(1);
+
+                x.copy_from_slice(&self.rows[r * n..(r + 1) * n]);
+                fx.copy_from_slice(f_trial);
+                sys.iter += 1;
+            }
+            Phase::Done => unreachable!("a finished system contributes no rows"),
+        }
+        self.iterate(s, n, opts)
+    }
+
+    /// The top of iteration `sys.iter`: convergence test, then either a
+    /// Jacobian request or the Newton direction and its first trial.
+    fn iterate(
+        &mut self,
+        s: usize,
+        n: usize,
+        opts: &NewtonOptions,
+    ) -> Option<Result<NewtonReport, SolverError>> {
+        let sys = &mut self.systems[s];
+        let fx = &self.fx[s * n..(s + 1) * n];
+        if sys.iter >= opts.max_iterations {
+            sys.report.residual_norm = norm_inf(fx);
+            return Some(if sys.report.residual_norm <= opts.tolerance {
+                sys.report.iterations = opts.max_iterations;
+                Ok(sys.report)
+            } else {
+                Err(SolverError::MaxIterations {
+                    residual: sys.report.residual_norm,
+                })
+            });
+        }
+        sys.report.iterations = sys.iter;
+        sys.report.residual_norm = norm_inf(fx);
+        if sys.report.residual_norm <= opts.tolerance {
+            return Some(Ok(sys.report));
+        }
+        if sys.since_refresh >= opts.broyden_refresh || !sys.factored {
+            sys.phase = Phase::Jacobian;
+            return None;
+        }
+        self.search(s, n, opts)
+    }
+
+    /// Newton direction `J d = −F` and the start of the Armijo
+    /// backtracking on the merit function `½‖F‖²`.
+    fn search(
+        &mut self,
+        s: usize,
+        n: usize,
+        opts: &NewtonOptions,
+    ) -> Option<Result<NewtonReport, SolverError>> {
+        let sys = &mut self.systems[s];
+        let fx = &self.fx[s * n..(s + 1) * n];
+        let step = &mut self.step[s * n..(s + 1) * n];
+        for (d, f) in step.iter_mut().zip(fx) {
+            *d = -*f;
+        }
+        lu_solve(
+            &self.lu[s * n * n..(s + 1) * n * n],
+            &self.pivots[s * n..(s + 1) * n],
+            step,
+        );
+        sys.merit0 = 0.5 * norm2(fx).powi(2);
+        sys.alpha = 1.0;
+        self.next_trial(s, n, opts)
+    }
+
+    /// Requests the trial at the current step length, or handles an
+    /// exhausted search.
+    fn next_trial(
+        &mut self,
+        s: usize,
+        n: usize,
+        opts: &NewtonOptions,
+    ) -> Option<Result<NewtonReport, SolverError>> {
+        let sys = &mut self.systems[s];
+        if sys.alpha >= opts.min_step {
+            sys.phase = Phase::Trial;
+            return None;
+        }
+        // A stall with a Broyden-approximated Jacobian often recovers
+        // after a fresh factorization; force one (it costs an iteration)
+        // before giving up.
+        if sys.since_refresh > 0 {
+            sys.since_refresh = usize::MAX;
+            sys.iter += 1;
+            return self.iterate(s, n, opts);
+        }
+        Some(Err(SolverError::LineSearchStalled {
+            iteration: sys.iter,
+            residual: sys.report.residual_norm,
+        }))
+    }
+}
+
+/// Solves `m` independent square systems `F_s(x_s) = 0` of `n` unknowns
+/// each, in lockstep rounds. `xs` holds the `m` initial guesses row-major
+/// (`m × n`) and is overwritten with the final iterates; the result has
+/// one entry per system, in order.
+///
+/// Each round calls `eval(owners, rows, out, rejected)` once: `rows` is
+/// `k × n` evaluation points, `owners[i]` the system row `i` belongs to
+/// (a system's rows are consecutive: one for an initial residual or a
+/// line-search trial, `n` for the columns of a Jacobian), and `eval`
+/// writes `F_{owners[i]}(rows[i])` into row `i` of `out` or rejects the
+/// point by setting `rejected[i]`. A rejected trial shrinks the step, a
+/// rejected initial guess or Jacobian column fails that system — the
+/// other systems of the block are not affected.
+pub fn newton_block<E>(
+    n: usize,
+    xs: &mut [f64],
+    opts: &NewtonOptions,
+    work: &mut NewtonWorkspace,
+    mut eval: E,
+) -> Vec<Result<NewtonReport, SolverError>>
+where
+    E: FnMut(&[usize], &[f64], &mut [f64], &mut [Option<SolverError>]),
+{
+    assert!(n > 0, "empty system");
+    assert_eq!(xs.len() % n, 0, "ragged block of systems");
+    let m = xs.len() / n;
+    work.reset(m, n);
+    let mut outcomes: Vec<Option<Result<NewtonReport, SolverError>>> = vec![None; m];
+
+    loop {
+        // Gather: what every unfinished system needs evaluated next.
+        work.owners.clear();
+        work.rows.clear();
+        for (s, x) in xs.chunks_exact(n).enumerate() {
+            match work.systems[s].phase {
+                Phase::Done => {}
+                Phase::Initial => {
+                    work.owners.push(s);
+                    work.rows.extend_from_slice(x);
+                }
+                Phase::Jacobian => {
+                    for j in 0..n {
+                        work.owners.push(s);
+                        work.rows.extend_from_slice(x);
+                        let h = opts.fd_step * x[j].abs().max(1.0);
+                        let at = work.rows.len() - n + j;
+                        work.rows[at] = x[j] + h;
+                    }
+                }
+                Phase::Trial => {
+                    work.owners.push(s);
+                    let alpha = work.systems[s].alpha;
+                    let step = &work.step[s * n..(s + 1) * n];
+                    work.rows
+                        .extend(x.iter().zip(step).map(|(x, d)| x + alpha * d));
+                }
+            }
+        }
+        let count = work.owners.len();
+        if count == 0 {
+            break;
+        }
+        // Stale rows are harmless: `eval` overwrites every row it does
+        // not reject, and a rejected row is never read.
+        work.out.resize(count * n, 0.0);
+        work.rejected.clear();
+        work.rejected.resize(count, None);
+        eval(&work.owners, &work.rows, &mut work.out, &mut work.rejected);
+
+        // Scatter: every owner consumes its rows and runs on.
+        let mut r = 0;
+        while r < count {
+            let s = work.owners[r];
+            let taken = if work.systems[s].phase == Phase::Jacobian {
+                n
+            } else {
+                1
+            };
+            if let Some(outcome) = work.consume(s, r, &mut xs[s * n..(s + 1) * n], opts) {
+                work.systems[s].phase = Phase::Done;
+                outcomes[s] = Some(outcome);
+            }
+            r += taken;
+        }
+    }
+    outcomes
+        .into_iter()
+        .map(|outcome| outcome.expect("the round loop ends when every system has finished"))
+        .collect()
+}
+
 /// Solves `F(x) = 0` for square `F`, starting from `x` (overwritten with
-/// the solution).
+/// the solution) — [`newton_block`] with one system.
 ///
 /// `f(x, out)` writes the residual into `out` and may reject an evaluation
 /// point by returning `Err`, which the line search treats as "step too
@@ -73,145 +437,15 @@ where
     F: FnMut(&[f64], &mut [f64]) -> Result<(), SolverError>,
 {
     let n = x.len();
-    assert!(n > 0, "empty system");
-    let mut report = NewtonReport::default();
-    let mut fx = vec![0.0; n];
-    f(x, &mut fx)?;
-    report.residual_evals += 1;
-
-    let mut jac = DenseMatrix::zeros(n);
-    let mut lu: Option<Lu> = None;
-    let mut since_refresh = usize::MAX; // force FD Jacobian on first iteration
-
-    let mut step = vec![0.0; n];
-    let mut x_trial = vec![0.0; n];
-    let mut f_trial = vec![0.0; n];
-    let mut delta_f = vec![0.0; n];
-
-    for iter in 0..opts.max_iterations {
-        report.iterations = iter;
-        report.residual_norm = norm_inf(&fx);
-        if report.residual_norm <= opts.tolerance {
-            return Ok(report);
+    let mut work = NewtonWorkspace::default();
+    newton_block(n, x, opts, &mut work, |_, rows, out, rejected| {
+        let evaluated = rows.chunks_exact(n).zip(out.chunks_exact_mut(n));
+        for ((row, out), rejected) in evaluated.zip(rejected) {
+            *rejected = f(row, out).err();
         }
-
-        if since_refresh >= opts.broyden_refresh || lu.is_none() {
-            fd_jacobian(&mut f, x, &fx, &mut jac, opts.fd_step, &mut report)?;
-            since_refresh = 0;
-            lu = Some(Lu::factor(&jac)?);
-        }
-
-        // Newton direction: J d = -F.
-        step.copy_from_slice(&fx);
-        for s in step.iter_mut() {
-            *s = -*s;
-        }
-        lu.as_ref().expect("factored above").solve(&mut step);
-
-        // Armijo backtracking on the merit function ½‖F‖².
-        let merit0 = 0.5 * norm2(&fx).powi(2);
-        let mut alpha = 1.0;
-        let mut accepted = false;
-        while alpha >= opts.min_step {
-            for k in 0..n {
-                x_trial[k] = x[k] + alpha * step[k];
-            }
-            match f(&x_trial, &mut f_trial) {
-                Ok(()) => {
-                    report.residual_evals += 1;
-                    let merit = 0.5 * norm2(&f_trial).powi(2);
-                    if merit <= merit0 * (1.0 - 2.0 * opts.armijo_c * alpha)
-                        || merit < merit0 * 1e-8
-                    {
-                        accepted = true;
-                        break;
-                    }
-                }
-                Err(_) => {
-                    // Point rejected by the model (e.g. negative
-                    // consumption): shrink like a failed merit test.
-                }
-            }
-            alpha *= opts.backtrack;
-        }
-        if !accepted {
-            // A stall with a Broyden-approximated Jacobian often recovers
-            // after a fresh factorization; force one before giving up.
-            if since_refresh > 0 {
-                since_refresh = usize::MAX;
-                continue;
-            }
-            return Err(SolverError::LineSearchStalled {
-                iteration: iter,
-                residual: report.residual_norm,
-            });
-        }
-
-        // Broyden update B += ((Δf − B·Δx) Δxᵀ)/(Δxᵀ·Δx); Δx = α·d.
-        for k in 0..n {
-            delta_f[k] = f_trial[k] - fx[k];
-        }
-        let mut b_dx = vec![0.0; n];
-        let dx: Vec<f64> = step.iter().map(|s| s * alpha).collect();
-        jac.matvec(&dx, &mut b_dx);
-        let dx_dot = dx.iter().map(|v| v * v).sum::<f64>();
-        if dx_dot > 0.0 {
-            let resid: Vec<f64> = delta_f.iter().zip(&b_dx).map(|(df, b)| df - b).collect();
-            jac.rank1_update(1.0 / dx_dot, &resid, &dx);
-            // Refactor the updated approximation (cheap at these sizes).
-            if since_refresh + 1 < opts.broyden_refresh {
-                match Lu::factor(&jac) {
-                    Ok(factored) => lu = Some(factored),
-                    Err(_) => since_refresh = usize::MAX, // force FD refresh
-                }
-            }
-        }
-        since_refresh = since_refresh.saturating_add(1);
-
-        x.copy_from_slice(&x_trial);
-        fx.copy_from_slice(&f_trial);
-    }
-
-    report.residual_norm = norm_inf(&fx);
-    if report.residual_norm <= opts.tolerance {
-        report.iterations = opts.max_iterations;
-        Ok(report)
-    } else {
-        Err(SolverError::MaxIterations {
-            residual: report.residual_norm,
-        })
-    }
-}
-
-/// Forward-difference Jacobian: `J[:,j] = (F(x + h_j e_j) − F(x)) / h_j`.
-fn fd_jacobian<F>(
-    f: &mut F,
-    x: &mut [f64],
-    fx: &[f64],
-    jac: &mut DenseMatrix,
-    rel_step: f64,
-    report: &mut NewtonReport,
-) -> Result<(), SolverError>
-where
-    F: FnMut(&[f64], &mut [f64]) -> Result<(), SolverError>,
-{
-    let n = x.len();
-    let mut f_pert = vec![0.0; n];
-    for j in 0..n {
-        let h = rel_step * x[j].abs().max(1.0);
-        let saved = x[j];
-        x[j] = saved + h;
-        let h_actual = x[j] - saved; // exact representable step
-        let result = f(x, &mut f_pert);
-        x[j] = saved;
-        result?;
-        report.residual_evals += 1;
-        for i in 0..n {
-            jac[(i, j)] = (f_pert[i] - fx[i]) / h_actual;
-        }
-    }
-    report.jacobian_evals += 1;
-    Ok(())
+    })
+    .pop()
+    .expect("one system in, one outcome out")
 }
 
 #[cfg(test)]

@@ -1,10 +1,14 @@
 //! Property tests for the solver crate: LU against random well-conditioned
 //! systems, Newton against affine systems (must converge in one step) and
-//! randomized monotone nonlinear systems.
+//! randomized monotone nonlinear systems, and the block Newton against
+//! any grouping of the systems it is given.
 
 use proptest::prelude::*;
 
-use hddm_solver::{newton, DenseMatrix, Lu, NewtonOptions};
+use hddm_solver::{
+    newton, newton_block, DenseMatrix, Lu, NewtonOptions, NewtonReport, NewtonWorkspace,
+    SolverError,
+};
 
 fn diag_dominant(n: usize, seed: u64) -> (DenseMatrix, Vec<f64>) {
     let mut state = seed | 1;
@@ -23,6 +27,38 @@ fn diag_dominant(n: usize, seed: u64) -> (DenseMatrix, Vec<f64>) {
     }
     let x: Vec<f64> = (0..n).map(|_| rnd() * 4.0).collect();
     (a, x)
+}
+
+/// `A x + tanh(x) − 0.8`, undefined where `x₀` exceeds `cap` — so some
+/// systems have trial points rejected and some fail outright.
+fn capped_monotone(
+    a: &DenseMatrix,
+    cap: f64,
+    x: &[f64],
+    out: &mut [f64],
+) -> Result<(), SolverError> {
+    if x[0] > cap {
+        return Err(SolverError::Rejected(format!("x0 = {} above {cap}", x[0])));
+    }
+    a.matvec(x, out);
+    for (o, v) in out.iter_mut().zip(x) {
+        *o += v.tanh() - 0.8;
+    }
+    Ok(())
+}
+
+/// Final iterate bits plus the report's fields (or the error).
+fn end_state(x: &[f64], result: Result<NewtonReport, SolverError>) -> String {
+    let bits: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+    let result = result.map(|r| {
+        (
+            r.iterations,
+            r.residual_norm.to_bits(),
+            r.residual_evals,
+            r.jacobian_evals,
+        )
+    });
+    format!("{bits:?} {result:?}")
 }
 
 proptest! {
@@ -90,6 +126,63 @@ proptest! {
         a.matvec(&x, &mut check);
         for (i, c) in check.iter().enumerate() {
             prop_assert!((c + x[i].tanh() - 0.8).abs() < 1e-8);
+        }
+    }
+
+    /// Systems are independent: whichever others share its block, and in
+    /// whatever order, a system ends exactly where it ends alone.
+    #[test]
+    fn block_partition_never_changes_a_result(
+        n in 1usize..6,
+        count in 2usize..14,
+        seed in any::<u64>(),
+    ) {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let opts = NewtonOptions { max_iterations: 40, broyden_refresh: 3, ..Default::default() };
+        let systems: Vec<(DenseMatrix, f64, Vec<f64>)> = (0..count)
+            .map(|_| {
+                let (a, start) = diag_dominant(n, next());
+                // Caps from "never binds" down to "the guess is rejected".
+                let cap = start[0] + (next() % 5) as f64 - 1.0;
+                (a, cap, start)
+            })
+            .collect();
+        let alone: Vec<String> = systems
+            .iter()
+            .map(|(a, cap, start)| {
+                let mut x = start.clone();
+                let result = newton(|x, out| capped_monotone(a, *cap, x, out), &mut x, &opts);
+                end_state(&x, result)
+            })
+            .collect();
+
+        // A random order, cut into random consecutive blocks.
+        let mut order: Vec<usize> = (0..count).collect();
+        for i in (1..count).rev() {
+            order.swap(i, (next() % (i as u64 + 1)) as usize);
+        }
+        let mut work = NewtonWorkspace::default();
+        let mut at = 0;
+        while at < count {
+            let members = &order[at..(at + 1 + (next() % 5) as usize).min(count)];
+            let mut xs: Vec<f64> = members.iter().flat_map(|&s| systems[s].2.clone()).collect();
+            let results = newton_block(n, &mut xs, &opts, &mut work, |owners, rows, out, rejected| {
+                let evaluated = rows.chunks_exact(n).zip(out.chunks_exact_mut(n));
+                for ((&o, (row, out)), rejected) in owners.iter().zip(evaluated).zip(rejected) {
+                    let (a, cap, _) = &systems[members[o]];
+                    *rejected = capped_monotone(a, *cap, row, out).err();
+                }
+            });
+            for ((&s, x), result) in members.iter().zip(xs.chunks_exact(n)).zip(results) {
+                prop_assert_eq!(&end_state(x, result), &alone[s], "system {} of {:?}", s, members);
+            }
+            at += members.len();
         }
     }
 
