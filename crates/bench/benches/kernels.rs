@@ -7,8 +7,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use hddm_asg::regular_grid;
 use hddm_bench::{random_points, synthetic_surpluses};
-use hddm_gpu::{CudaInterpolator, Device};
-use hddm_kernels::{gold, hashtab, CompressedState, DenseState, HashState, KernelKind, Scratch};
+use hddm_gpu::GpuEngine;
+use hddm_kernels::{
+    gold, hashtab, CompressedState, DenseState, HashState, KernelKind, PointBlock, Scratch,
+};
 
 fn bench_kernels(c: &mut Criterion) {
     let ndofs = 118;
@@ -41,10 +43,18 @@ fn bench_kernels(c: &mut Criterion) {
                 })
             });
         }
-        let cuda = CudaInterpolator::new(Device::p100(), &compressed).unwrap();
-        let mut it = xs.chunks_exact(dim).cycle();
-        group.bench_function(BenchmarkId::from_parameter("cuda-hostsim"), |b| {
-            b.iter(|| cuda.interpolate(it.next().unwrap(), &mut out))
+        // A single point on the device backend: a one-point block through
+        // the `avx2` walk, priced and pool-tracked by the engine.
+        let engine = GpuEngine::new();
+        let blocks: Vec<PointBlock> = xs
+            .chunks_exact(dim)
+            .map(|x| PointBlock::from_rows(dim, x))
+            .collect();
+        let mut it = blocks.iter().cycle();
+        group.bench_function(BenchmarkId::from_parameter("gpu-observed"), |b| {
+            b.iter(|| {
+                engine.evaluate_batch(&compressed, it.next().unwrap(), &mut scratch, &mut out)
+            })
         });
         // The hash-table incumbent (Sec. IV-B's other storage scheme).
         let hashed = HashState::new(&grid, &surplus, ndofs);

@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices DESIGN.md calls out:
+//! Ablation studies for the paper's design choices:
 //!
 //! 1. **Storage scheme** — dense matrix (`gold`, [23]) vs hash table
 //!    ([22]) vs the paper's compressed chains, the three ASG storage
@@ -8,7 +8,8 @@
 //!    order.
 //! 3. **Zero-skip early exit** — the `goto zero` shortcut of Fig. 5 on/off.
 //! 4. **GPU launch geometry** — block-size sweep around the paper's 128
-//!    and shared-memory vs global-memory `xpv` staging (roofline model).
+//!    and shared-memory vs global-memory `xpv` staging: `price_block` over
+//!    the counts of one walk (modeled; the options never change values).
 //!
 //! ```text
 //! cargo run -p hddm-bench --release --bin ablations [points-per-case]
@@ -16,8 +17,9 @@
 
 use hddm_bench::{random_points, synthetic_surpluses, time_avg, KernelCase, NDOFS};
 use hddm_compress::CompressedGrid;
-use hddm_gpu::{CudaInterpolator, Device, LaunchOptions};
-use hddm_kernels::{gold, hashtab, x86, HashState, Scratch};
+use hddm_gpu::{price_block, Device, LaunchOptions};
+use hddm_kernels::batch::interpolate_batch;
+use hddm_kernels::{gold, hashtab, x86, HashState, KernelKind, PointBlock, Scratch};
 
 fn main() {
     let points: usize = std::env::args()
@@ -121,9 +123,16 @@ fn main() {
             t_noskip / t_skip
         );
 
-        // --- Ablation 4: GPU launch geometry (roofline model).
+        // --- Ablation 4: GPU launch geometry (roofline model). The
+        // one-point block is walked once; every option prices its counts.
         println!("\n  GPU launch (P100 model)     modeled [sec]     flops      dram [MB]  blocks");
-        let x0: Vec<f64> = xs[..59].to_vec();
+        let counts = interpolate_batch(
+            KernelKind::Avx2,
+            &case.compressed,
+            &PointBlock::from_rows(59, &xs[..59]),
+            &mut scratch,
+            &mut out,
+        );
         for (label, opts) in [
             (
                 "block  32, shared xpv",
@@ -155,9 +164,7 @@ fn main() {
                 },
             ),
         ] {
-            let gpu = CudaInterpolator::with_options(Device::p100(), &case.compressed, opts)
-                .expect("launch");
-            let t = gpu.interpolate(&x0, &mut out);
+            let t = price_block(&Device::p100(), &opts, &case.compressed, &counts).expect("launch");
             println!(
                 "  {label:<27} {:>10.6}   {:>10.3e}  {:>8.2}  {:>6}",
                 t.modeled_seconds,
@@ -173,5 +180,5 @@ fn main() {
     println!("The surplus reordering shows little effect on this single-socket host —");
     println!("its target is the many-thread / GPU memory systems of the paper's nodes,");
     println!("where scattered row gathers serialize on DRAM (cf. the global-xpv row of");
-    println!("the device model, which pays uncoalesced transactions for the same reason).");
+    println!("the device model, which re-streams its basis columns from DRAM).");
 }

@@ -10,7 +10,7 @@
 //! The per-point solve cost is *measured* on this host (real 59-dim OLG
 //! solves); the node sweep replays the paper's distribution logic (groups
 //! ∝ M_z, per-level barrier + merge) in the discrete-event simulator of
-//! `hddm-cluster::sim` (this host has one core; see DESIGN.md).
+//! `hddm-cluster::sim` (more ranks than this host has cores).
 
 use hddm_bench::calibrate_point_seconds;
 use hddm_cluster::{strong_scaling_sweep, ClusterModel, LevelWork};

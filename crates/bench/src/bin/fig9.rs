@@ -10,7 +10,7 @@
 //!
 //! The economy is the paper's model scaled to laptop size (default
 //! `A = 6`, `Ns = 4`; the paper's `A = 60`, `Ns = 16` instance needed
-//! 4,096 Cray nodes — see DESIGN.md). The code path is identical.
+//! 4,096 Cray nodes). The code path is identical.
 
 use hddm_core::{DriverConfig, OlgStep, TimeIteration};
 use hddm_kernels::KernelKind;

@@ -1,7 +1,7 @@
 //! # hddm-cluster — message passing and cluster simulation
 //!
 //! The distributed layer of Sec. IV-A, substituting for MPI on the Cray
-//! systems (see DESIGN.md):
+//! systems (README, "Workspace layout"):
 //!
 //! * [`comm`] — an MPI-flavored [`Comm`] trait with a threaded in-process
 //!   backend ([`ThreadComm`], every rank an OS thread) and a no-op

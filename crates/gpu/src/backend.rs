@@ -14,9 +14,8 @@ use hddm_kernels::{
 use hddm_telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::device::{Device, GpuError};
-use crate::kernel::LaunchOptions;
 use crate::pool::DevicePool;
-use crate::pricing::{price_block, BatchTiming};
+use crate::pricing::{price_block, BatchTiming, LaunchOptions};
 
 /// Default device-pool budget: the P100's 16 GB HBM2 minus headroom for
 /// launch scratch and transfer buffers.

@@ -1,6 +1,6 @@
 //! The software GPU device model: enough of the CUDA execution model
-//! (SMs, blocks, shared memory, occupancy waves, transfer links) to run
-//! the paper's offloaded interpolation kernel faithfully and to cost it.
+//! (SMs, blocks, shared memory, occupancy waves, transfer links) to cost
+//! the paper's offloaded interpolation kernel.
 
 /// Static device parameters.
 #[derive(Clone, Debug)]
@@ -14,9 +14,6 @@ pub struct Device {
     pub shared_mem_per_block: usize,
     /// Maximum threads per block.
     pub max_threads_per_block: usize,
-    /// Concurrent blocks per SM at this kernel's register/shared usage
-    /// with the default 128-thread blocks.
-    pub blocks_per_sm: usize,
     /// Hardware thread-residency limit per SM.
     pub max_threads_per_sm: usize,
     /// Threads per SM sustainable at this kernel's register usage ("for a
@@ -46,7 +43,6 @@ impl Device {
             sm_count: 56,
             shared_mem_per_block: 48 * 1024,
             max_threads_per_block: 1024,
-            blocks_per_sm: 4,
             max_threads_per_sm: 2048,
             reg_limited_threads_per_sm: 512,
             fp64_flops: 4.7e12,
@@ -56,15 +52,8 @@ impl Device {
         }
     }
 
-    /// Maximum number of blocks resident in one wave (default 128-thread
-    /// geometry).
-    #[inline]
-    pub fn max_concurrent_blocks(&self) -> usize {
-        self.sm_count * self.blocks_per_sm
-    }
-
-    /// Maximum resident blocks per wave for an arbitrary block size,
-    /// limited by register pressure and the hardware thread/block caps.
+    /// Maximum resident blocks per wave for a block size, limited by
+    /// register pressure and the hardware thread/block caps.
     #[inline]
     pub fn max_concurrent_blocks_for(&self, block_size: usize) -> usize {
         let per_sm = (self.reg_limited_threads_per_sm / block_size.max(1))
@@ -118,7 +107,7 @@ mod tests {
     fn p100_parameters() {
         let device = Device::p100();
         assert_eq!(device.shared_mem_per_block, 49_152);
-        assert_eq!(device.max_concurrent_blocks(), 224);
+        assert_eq!(device.max_concurrent_blocks_for(128), 224);
         assert!(device.fp64_flops > 4e12);
     }
 

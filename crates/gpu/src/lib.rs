@@ -1,30 +1,26 @@
-//! # hddm-gpu — software GPU and the `cuda` interpolation kernel
+//! # hddm-gpu — software GPU: device model, launch pricing, surface pool
 //!
 //! The accelerator leg of the hybrid scheme (Sec. IV-A / V-A),
-//! substituting for the NVIDIA P100 + CUDA stack of "Piz Daint" (see
-//! DESIGN.md): a device model with SMs, per-block shared memory, occupancy
-//! waves and transfer links ([`device`]), and the compressed-format
-//! single-point interpolation kernel mapped onto it ([`kernel`]), with
-//! `xpv` staged in shared memory exactly as the paper describes.
+//! substituting for the NVIDIA P100 + CUDA stack of "Piz Daint" (README,
+//! "GPU backend"): a device model with SMs, per-block shared memory,
+//! occupancy waves and transfer links ([`device`]).
 //!
-//! Batched blocks are not re-implemented here: `hddm-kernels` walks them
-//! and reports what the walk did, [`pricing`] costs that as device
-//! launches, and [`backend`]'s `GpuEngine` plugs the pricing (plus the
-//! device-resident surface [`pool`]) into `hddm-kernels`'
-//! `ExecutionBackend` as an observer. Performance is costed by a roofline
-//! model, since this host has no GPU.
+//! No interpolation arithmetic lives here: `hddm-kernels` walks every
+//! block — a single point is a one-point block — and reports what the
+//! walk did, [`pricing`] costs that as device launches, and [`backend`]'s
+//! `GpuEngine` plugs the pricing (plus the device-resident surface
+//! [`pool`]) into `hddm-kernels`' `ExecutionBackend` as an observer.
+//! Performance is costed by a roofline model, since this host has no GPU.
 
 #![warn(missing_docs)]
 
 pub mod backend;
 pub mod device;
-pub mod kernel;
 pub mod pool;
 pub mod pricing;
 
 pub use backend::{GpuEngine, GpuRun, DEFAULT_POOL_BYTES};
 pub use device::{Device, GpuError};
 pub use hddm_kernels::ExecutionBackend;
-pub use kernel::{CudaInterpolator, KernelTiming, LaunchConfig, LaunchOptions};
 pub use pool::{device_bytes, DevicePool, Residency, SurfaceId};
-pub use pricing::{price_block, BatchTiming};
+pub use pricing::{price_block, BatchTiming, LaunchOptions};

@@ -11,7 +11,28 @@
 use hddm_kernels::{ChunkCounts, CompressedState};
 
 use crate::device::{Device, GpuError};
-use crate::kernel::LaunchOptions;
+
+/// Tunable launch choices — the knobs the ablation benches sweep.
+#[derive(Clone, Copy, Debug)]
+pub struct LaunchOptions {
+    /// Threads per block. The paper picks 128, "closest to the ndofs per
+    /// point" (118); other sizes waste thread lanes or occupancy.
+    pub block_size: usize,
+    /// Stage `xpv` in per-block shared memory (the paper's design). When
+    /// `false` the tile stays in device DRAM and every surviving chain
+    /// re-streams its factor columns from there — the configuration the
+    /// compression scheme was designed to avoid.
+    pub stage_xpv_shared: bool,
+}
+
+impl Default for LaunchOptions {
+    fn default() -> Self {
+        LaunchOptions {
+            block_size: 128,
+            stage_xpv_shared: true,
+        }
+    }
+}
 
 /// Cost/occupancy report of a batched block evaluation (all launches).
 #[derive(Clone, Copy, Debug, Default)]
@@ -232,6 +253,15 @@ mod tests {
             let t = price(&device, &options, &state, npts).unwrap();
             assert_eq!(t.launches, launches, "npts={npts}");
         }
+        // A single point on the device is a one-point chunk: one launch.
+        let counts = walk_counts(&state, 1);
+        assert_eq!((counts.len(), counts[0].chunk), (1, 1));
+        let t = price_block(&device, &options, &state, &counts).unwrap();
+        assert_eq!((t.dram_bytes, t.flops), (640.0, 755.0));
+        // The chain indices of every node are streamed per launch, so the
+        // same point costs more on a bigger grid.
+        let bigger = price(&device, &options, &make_state(3, 5, 5), 1).unwrap();
+        assert!(bigger.dram_bytes > t.dram_bytes);
     }
 
     #[test]
@@ -248,6 +278,15 @@ mod tests {
         assert!(t_big.xpv_staged && !t_small.xpv_staged);
         assert!(t_small.dram_bytes > t_big.dram_bytes);
         assert!(t_small.modeled_seconds >= t_big.modeled_seconds);
+        // Asked not to stage, the tile spills even where it would fit.
+        let global = LaunchOptions {
+            stage_xpv_shared: false,
+            ..options
+        };
+        let t_global = price(&device, &global, &state, 64).unwrap();
+        assert!(!t_global.xpv_staged);
+        assert!(t_global.dram_bytes > t_big.dram_bytes);
+        assert!(t_global.modeled_seconds >= t_big.modeled_seconds);
     }
 
     #[test]
@@ -261,12 +300,26 @@ mod tests {
 
     #[test]
     fn oversized_block_size_is_rejected() {
-        let state = make_state(2, 2, 2);
-        let options = LaunchOptions {
-            block_size: 4096,
-            stage_xpv_shared: true,
+        let device = Device::p100();
+        let threads = |block_size| LaunchOptions {
+            block_size,
+            ..LaunchOptions::default()
         };
-        let r = price(&Device::p100(), &options, &state, 4);
-        assert!(matches!(r, Err(GpuError::BlockTooLarge { .. })));
+        let state = make_state(2, 2, 2);
+        for block_size in [0, 4096] {
+            let r = price(&device, &threads(block_size), &state, 4);
+            assert!(matches!(r, Err(GpuError::BlockTooLarge { .. })));
+        }
+        // A legal but large block size cuts residency, not the wave count:
+        // on a grid with more nodes than stay resident at 512 threads the
+        // chains still go through in a single wave of fewer blocks.
+        let state = make_state(4, 4, 7);
+        assert!(state.grid.nno() > device.max_concurrent_blocks_for(512));
+        let blocks_at = |block_size| {
+            let t = price(&device, &threads(block_size), &state, 4).unwrap();
+            assert_eq!(t.waves, 1, "block_size={block_size}");
+            t.blocks
+        };
+        assert!(blocks_at(512) < blocks_at(128));
     }
 }

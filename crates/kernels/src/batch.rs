@@ -46,9 +46,12 @@ pub const BATCH_CHUNK: usize = 64;
 /// by [`KernelKind::evaluate_compressed_batch`](crate::KernelKind):
 /// the batch machinery's per-block setup (xpv block fill, mask
 /// bookkeeping, masked accumulation) only amortizes once a few points
-/// share each chain walk: the hot-paths bench measured the batch path
-/// *slower* than single-point at npts=1 (0.77×–0.90×) but already
-/// faster at npts=2 (≥ 1.2×), so exactly the one-point block is routed.
+/// share each chain walk. The benchmark of record's traced
+/// `interp_stream` run measures both sides on the Table I "7k" grid:
+/// `kernels.single_us_per_point.7k` read 128–160 µs on the development
+/// host and `kernels.batch_pps.npts2.7k` 9.0–9.4 k points/s (106–111 µs
+/// per point), so a 2-point block already wins (1.2–1.4× within a run)
+/// and exactly the one-point block is routed.
 /// Both paths are bitwise identical per point, so the routing is
 /// invisible to results. Direct calls to [`interpolate_batch`] bypass
 /// the crossover.
@@ -58,9 +61,12 @@ pub const BATCH_CROSSOVER: usize = 2;
 /// dispatch crossover widens. On large grids the surplus matrix no
 /// longer fits in cache, so the batch path's extra setup (xpv block
 /// fill + mask bookkeeping over a long `xps` table) needs more points
-/// to amortize: `BENCH_hotpaths.json` measured the 300k-row case at
-/// 0.94×/0.81× for npts=1/2 but 1.09× at npts=3, while the 7k-row case
-/// is already ≥ 1.12× at npts=2.
+/// to amortize. The traced `interp_stream` run brackets the Table I
+/// "300k" grid from both ends — `kernels.single_us_per_point.300k` read
+/// 7.6–8.5 ms on the development host, `kernels.batch_us_per_point.300k`
+/// (one 128-point block) 1.3–1.4 ms — but has no 2- or 3-point rung
+/// there, so no harness re-measures the widened crossover of 3
+/// (ROADMAP item 4c: derive it from that ladder or drop the routing).
 pub const LARGE_GRID_NNO: usize = 100_000;
 
 /// The effective dispatch crossover for a grid with `nno` compressed
@@ -86,8 +92,7 @@ const _: () = assert!(BATCH_CHUNK <= 64);
 /// device cost model prices (one chunk is one launch, and a roofline
 /// `max(flops/peak, bytes/bw)` is taken per launch, so the counts are
 /// per chunk). They depend only on the grid and the points: the masks
-/// are data-determined, so every accumulator and every thread split
-/// reports the same records.
+/// are data-determined, so every accumulator reports the same records.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChunkCounts {
     /// Points in the chunk (`≤ BATCH_CHUNK`; only the last can be short).
@@ -604,58 +609,6 @@ pub fn interpolate_batch(
     counts
 }
 
-/// The threaded batch kernel: the **point axis** is split into contiguous
-/// spans across `threads` workers (the paper's intra-kernel thread seam,
-/// applied where batching makes it embarrassingly parallel — each worker
-/// owns disjoint output rows, so no partial-sum reduction is needed).
-/// Results are bitwise equal to the single-threaded variant. Returns the
-/// walk's [`ChunkCounts`] in chunk order, whatever the split.
-pub fn interpolate_batch_avx512_mt(
-    state: &CompressedState,
-    block: &PointBlock,
-    threads: usize,
-    out: &mut [f64],
-) -> Vec<ChunkCounts> {
-    check_batch(state, block, out);
-    let ndofs = state.ndofs;
-    let npts = block.len();
-    // Span boundaries aligned to whole chunks so every worker's interior
-    // chunking matches the single-threaded walk.
-    let chunks = npts.div_ceil(BATCH_CHUNK);
-    let threads = threads.clamp(1, chunks.max(1));
-    let per_worker = chunks.div_ceil(threads) * BATCH_CHUNK;
-    let span = |lo: usize, hi: usize, mine: &mut [f64]| {
-        let mut counts = Vec::with_capacity((hi - lo).div_ceil(BATCH_CHUNK));
-        let mut scratch = Scratch::default();
-        let kernel = KernelKind::Avx512;
-        batch_span(kernel, state, block, lo, hi, &mut scratch, mine, |c| {
-            counts.push(c)
-        });
-        counts
-    };
-    if threads == 1 {
-        return span(0, npts, out);
-    }
-    std::thread::scope(|scope| {
-        let mut rest = out;
-        let mut handles = Vec::with_capacity(threads);
-        for w in 0..threads {
-            let lo = (w * per_worker).min(npts);
-            let hi = ((w + 1) * per_worker).min(npts);
-            if lo == hi {
-                break;
-            }
-            let (mine, tail) = rest.split_at_mut((hi - lo) * ndofs);
-            rest = tail;
-            handles.push(scope.spawn(move || span(lo, hi, mine)));
-        }
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("batch worker panicked"))
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -747,27 +700,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_batch_matches_single_threaded() {
-        let state = make_state(3, 4, 5);
-        let rows = probe_rows(3, BATCH_CHUNK * 3 + 11);
-        let block = PointBlock::from_rows(3, &rows);
-        let n = block.len();
-        let mut want = vec![0.0; n * 5];
-        interpolate_batch(
-            KernelKind::Avx512,
-            &state,
-            &block,
-            &mut Scratch::default(),
-            &mut want,
-        );
-        for threads in [1usize, 2, 3, 8] {
-            let mut got = vec![0.0; n * 5];
-            interpolate_batch_avx512_mt(&state, &block, threads, &mut got);
-            assert_eq!(got, want, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn empty_block_is_a_no_op() {
         let state = make_state(2, 2, 2);
         let block = PointBlock::new(2);
@@ -779,6 +711,5 @@ mod tests {
             &mut Scratch::default(),
             &mut out,
         );
-        interpolate_batch_avx512_mt(&state, &block, 4, &mut out);
     }
 }

@@ -10,10 +10,11 @@
 //! | `avx2`   | compressed   | 4-wide FMA                                |
 //! | `avx512` | compressed   | 8-wide FMA + intra-kernel threading       |
 //!
-//! The `cuda` variant lives in `hddm-gpu` (it needs the device model).
-//! Kernels are selected at runtime through [`KernelKind`]; on hosts without
-//! the requested instruction set the vector kernels degrade to portable
-//! fixed-lane code with identical results (see DESIGN.md).
+//! There is no `cuda` walk: `hddm-gpu` prices these kernels' batch walk
+//! as device launches (a single point is a one-point block). Kernels are
+//! selected at runtime through [`KernelKind`]; on hosts without the
+//! requested instruction set the vector kernels degrade to portable
+//! fixed-lane code with identical results.
 //!
 //! Block consumers evaluate through an [`ExecutionBackend`]. There is one
 //! batch walk ([`batch`]); a backend other than `Cpu` does not evaluate

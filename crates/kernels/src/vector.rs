@@ -16,8 +16,7 @@
 //!
 //! On hosts without the corresponding instruction set the entry points fall
 //! back to the portable lane implementations of [`crate::lanes`], which
-//! produce identical results with the same blocking (see DESIGN.md,
-//! substitution table).
+//! produce identical results with the same blocking.
 
 use crate::data::{CompressedState, Scratch};
 use hddm_asg::linear_basis;

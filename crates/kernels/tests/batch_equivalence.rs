@@ -192,34 +192,6 @@ fn dispatch_below_the_crossover_is_bitwise_equal_to_both_paths() {
     }
 }
 
-#[test]
-fn threaded_batch_matches_across_uneven_splits() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0x517E);
-    let grid = random_grid(4, 150, &mut rng);
-    let ndofs = 11;
-    let surplus = random_surplus(&grid, ndofs, &mut rng);
-    let state = CompressedState::new(&grid, &surplus, ndofs);
-    // 3 chunks + a tail: thread splits land on chunk boundaries.
-    let npts = hddm_kernels::BATCH_CHUNK * 3 + 17;
-    let rows = random_block(4, npts, &mut rng);
-    let block = PointBlock::from_rows(4, &rows);
-    let mut want = vec![0.0; npts * ndofs];
-    let want_counts = batch_fn(
-        KernelKind::Avx512,
-        &state,
-        &block,
-        &mut Scratch::default(),
-        &mut want,
-    );
-    for threads in [1usize, 2, 4, 7, 64] {
-        let mut got = vec![0.0; npts * ndofs];
-        let counts = batch::interpolate_batch_avx512_mt(&state, &block, threads, &mut got);
-        assert_eq!(got, want, "threads={threads}");
-        // Workers' records concatenate to the single-threaded walk's.
-        assert_eq!(counts, want_counts, "threads={threads}");
-    }
-}
-
 /// The counts a device model prices are a property of the grid and the
 /// points (the masks are data-determined), not of the accumulator: one
 /// record per chunk, identical across kernels, and bounded by the grid.

@@ -56,8 +56,7 @@ pub fn income(cal: &Calibration, z: usize, p: &Prices, a: usize) -> f64 {
 }
 
 /// Consumption floor below which marginal utility is extended linearly
-/// (keeps per-point residuals defined on the whole grid box; see
-/// DESIGN.md).
+/// (keeps per-point residuals defined on the whole grid box).
 pub const C_FLOOR: f64 = 1e-6;
 
 /// CRRA marginal utility `u'(c) = c^{−γ}` with a C¹ linear extension below

@@ -8,7 +8,6 @@
 //! <cache-dir>/
 //!   manifest.json            # version + entry index (insertion order)
 //!   surface-<16-hex>.bin     # one binary record per surface, keyed by hash
-//!   surface-<16-hex>.json    # legacy JSON records (read-back only)
 //! ```
 //!
 //! The manifest is the index: one [`ManifestEntry`] per surface with the
@@ -16,16 +15,16 @@
 //! everything lookups and cost estimation need *without* touching the
 //! record files. Surfaces themselves are loaded lazily on first hit.
 //!
-//! Record format: new deposits are written in a versioned binary
-//! columnar layout (`.bin`, see [`encode_record`]) — a checksummed
-//! 40-byte header followed by length-prefixed sections in which every
-//! field is one contiguous little-endian array, 8-byte aligned, so the
-//! `f64` payloads (fingerprint, domain box, surpluses) land in the same
+//! Record format: a versioned binary columnar layout (`.bin`, see
+//! [`encode_record`]) — a checksummed 40-byte header followed by
+//! length-prefixed sections in which every field is one contiguous
+//! little-endian array, 8-byte aligned, so the `f64` payloads
+//! (fingerprint, domain box, surpluses) land in the same
 //! structure-of-arrays shape the kernels' `PointBlock` consumes and the
-//! restore is a bounds-checked copy instead of a float parse. Records
-//! from before the binary format (`.json`) read back transparently: the
-//! manifest names each record file, and the reader dispatches on the
-//! extension.
+//! restore is a bounds-checked copy instead of a float parse. A record's
+//! file name is a pure function of its hash ([`surface_file_name`]); a
+//! manifest row naming any other path is dropped at open, so nothing read
+//! from the manifest can point outside the cache directory.
 //!
 //! Durability rules:
 //!
@@ -67,8 +66,7 @@ use hddm_core::StateRecord;
 use crate::cache::{CachedSurface, ShapeKey};
 use crate::hash::{fingerprint_distance, HashId, ScenarioHasher};
 
-/// Current on-disk format version of the manifest and legacy JSON
-/// record files.
+/// Current on-disk format version of the manifest.
 pub const PERSIST_VERSION: u32 = 1;
 
 /// Current version of the binary columnar record format.
@@ -120,35 +118,13 @@ struct Manifest {
     entries: Vec<ManifestEntry>,
 }
 
-/// The on-disk form of one cached surface (used for reading; writing
-/// streams borrowed fields).
-#[derive(Clone, Debug, Deserialize)]
-struct SurfaceFile {
-    version: u32,
-    hash: HashId,
-    shape: ShapeKey,
-    fingerprint: Vec<f64>,
-    domain_lo: Vec<f64>,
-    domain_hi: Vec<f64>,
-    records: Vec<StateRecord>,
-    steps: usize,
-    final_sup_change: f64,
-    cost_seconds: f64,
-}
-
 fn warn(message: &str) {
     eprintln!("hddm-scenarios: warning: {message}");
 }
 
-/// Record file name for a hash (the binary format new deposits write).
+/// Record file name for a hash.
 pub fn surface_file_name(hash: u64) -> String {
     format!("surface-{}.bin", HashId(hash))
-}
-
-/// Record file name of the legacy JSON format (read-back only; kept
-/// public for migration tooling and the legacy-compatibility tests).
-pub fn legacy_surface_file_name(hash: u64) -> String {
-    format!("surface-{}.json", HashId(hash))
 }
 
 /// Writes `bytes` to `path` atomically **and durably**: temp file in the
@@ -221,9 +197,12 @@ impl Store {
     /// crashed writers. An unreadable, unparseable, or version-mismatched
     /// manifest is skipped with a warning — the store starts empty and
     /// the index is rewritten at the current version on the next deposit.
-    /// Record files the index does not reference (crash leftovers, or the
-    /// remains of a skipped manifest) are deleted, so they cannot leak
-    /// past the eviction budget forever.
+    /// A row whose `file` is not the name its hash determines (a damaged
+    /// or hostile manifest, or a record format this version cannot read)
+    /// is dropped the same way, so no later read or delete can follow it
+    /// out of the directory. Record files the index does not reference
+    /// (crash leftovers, or the remains of a skipped manifest or row) are
+    /// deleted, so they cannot leak past the eviction budget forever.
     pub fn open<P: AsRef<Path>>(dir: P, policy: EvictionPolicy) -> Result<Store, String> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir).map_err(|e| format!("create cache dir {}: {e}", dir.display()))?;
@@ -236,6 +215,18 @@ impl Store {
                 Ok(text) => match serde_json::from_str::<Manifest>(&text) {
                     Ok(manifest) if manifest.version == PERSIST_VERSION => {
                         entries = manifest.entries;
+                        entries.retain(|e| {
+                            let named_by_hash = e.file == surface_file_name(e.hash.0);
+                            if !named_by_hash {
+                                warn(&format!(
+                                    "cache manifest row {} names {:?}, not its record file; \
+                                     ignoring it",
+                                    e.hash, e.file
+                                ));
+                                skipped += 1;
+                            }
+                            named_by_hash
+                        });
                     }
                     Ok(manifest) => {
                         warn(&format!(
@@ -277,10 +268,7 @@ impl Store {
                 let name = entry.file_name().to_string_lossy().into_owned();
                 if name.starts_with(".tmp-") {
                     let _ = fs::remove_file(entry.path());
-                } else if name.starts_with("surface-")
-                    && (name.ends_with(".json") || name.ends_with(".bin"))
-                    && !entries.iter().any(|e| e.file == name)
-                {
+                } else if name.starts_with("surface-") && !entries.iter().any(|e| e.file == name) {
                     warn(&format!("removing unindexed cache record {name}"));
                     let _ = fs::remove_file(entry.path());
                     skipped += 1;
@@ -403,20 +391,12 @@ impl Store {
     }
 
     /// Reads and validates the record file for an index snapshot taken
-    /// earlier, dispatching on the file extension the index names
-    /// (binary for new deposits, JSON for legacy records). **Holds no
-    /// lock** — this is the disk restore the serving front-end runs
-    /// concurrently across threads. On failure the caller must
-    /// [`Store::discard`] the entry.
+    /// earlier. **Holds no lock** — this is the disk restore the serving
+    /// front-end runs concurrently across threads. On failure the caller
+    /// must [`Store::discard`] the entry.
     pub fn read_record(&self, entry: &ManifestEntry) -> Result<CachedSurface, String> {
-        let path = self.dir.join(&entry.file);
-        let surface = if entry.file.ends_with(".json") {
-            let text = fs::read_to_string(&path).map_err(|e| format!("read: {e}"))?;
-            decode_legacy_record_json(&text)?
-        } else {
-            let bytes = fs::read(&path).map_err(|e| format!("read: {e}"))?;
-            decode_record(&bytes)?
-        };
+        let bytes = fs::read(self.dir.join(&entry.file)).map_err(|e| format!("read: {e}"))?;
+        let surface = decode_record(&bytes)?;
         if surface.hash != entry.hash.0 {
             return Err(format!(
                 "record hash {} does not match index hash {}",
@@ -482,21 +462,13 @@ impl Store {
         let _writer = self.writer_lock();
         let mut evicted = Vec::new();
         let mut evicted_files: Vec<String> = Vec::new();
-        let mut replaced_file: Option<String> = None;
         {
             let mut index = self.index_write();
             // Re-deposits of the same scenario replace in place (last
             // writer wins, like the in-memory map) and keep their
-            // eviction slot. A replaced legacy record keeps a different
-            // file name (`.json`) — remove it below so the old copy
-            // cannot linger outside the index.
+            // eviction slot; the record file was overwritten above.
             match index.iter_mut().find(|e| e.hash == entry.hash) {
-                Some(slot) => {
-                    if slot.file != entry.file {
-                        replaced_file = Some(std::mem::take(&mut slot.file));
-                    }
-                    *slot = entry;
-                }
+                Some(slot) => *slot = entry,
                 None => index.push(entry),
             }
 
@@ -536,9 +508,6 @@ impl Store {
                 HashId(surface.hash)
             ));
             evicted.remove(pos);
-        }
-        if let Some(old) = replaced_file {
-            let _ = fs::remove_file(self.dir.join(&old));
         }
 
         self.write_manifest()?;
@@ -590,8 +559,7 @@ impl Store {
 // consume) and every f64 section starts 8-byte aligned, so a restore is
 // a bounds-checked memcpy per section — no float parsing. `f64` goes
 // through `to_le_bytes`/`from_le_bytes`, so the round trip is bit-exact
-// including NaN payloads and signed zeros (stronger than the JSON path,
-// which nulls out non-finite values).
+// including NaN payloads and signed zeros.
 
 fn fnv64(bytes: &[u8]) -> u64 {
     let mut hasher = ScenarioHasher::default();
@@ -829,72 +797,8 @@ pub fn decode_record(bytes: &[u8]) -> Result<CachedSurface, String> {
     })
 }
 
-/// Serializes a surface to the legacy on-disk JSON record (borrowed
-/// fields — no clone of the record rows). Kept public so the
-/// compatibility tests and the serving bench can produce (and time)
-/// legacy records; new deposits always write the binary format.
-pub fn legacy_record_json(surface: &CachedSurface) -> String {
-    let mut out = String::new();
-    out.push('{');
-    serde::write_key("version", &mut out);
-    PERSIST_VERSION.serialize_json(&mut out);
-    out.push(',');
-    serde::write_key("hash", &mut out);
-    HashId(surface.hash).serialize_json(&mut out);
-    out.push(',');
-    serde::write_key("shape", &mut out);
-    surface.shape.serialize_json(&mut out);
-    out.push(',');
-    serde::write_key("fingerprint", &mut out);
-    surface.fingerprint.serialize_json(&mut out);
-    out.push(',');
-    serde::write_key("domain_lo", &mut out);
-    surface.domain_lo.serialize_json(&mut out);
-    out.push(',');
-    serde::write_key("domain_hi", &mut out);
-    surface.domain_hi.serialize_json(&mut out);
-    out.push(',');
-    serde::write_key("records", &mut out);
-    surface.records.serialize_json(&mut out);
-    out.push(',');
-    serde::write_key("steps", &mut out);
-    surface.steps.serialize_json(&mut out);
-    out.push(',');
-    serde::write_key("final_sup_change", &mut out);
-    surface.final_sup_change.serialize_json(&mut out);
-    out.push(',');
-    serde::write_key("cost_seconds", &mut out);
-    surface.cost_seconds.serialize_json(&mut out);
-    out.push('}');
-    out
-}
-
-/// Decodes and fully self-validates a legacy JSON record. Cross-checks
-/// against the manifest row happen in [`Store::read_record`].
-pub fn decode_legacy_record_json(text: &str) -> Result<CachedSurface, String> {
-    let file: SurfaceFile = serde_json::from_str(text).map_err(|e| e.to_string())?;
-    if file.version != PERSIST_VERSION {
-        return Err(format!(
-            "record format version {} (expected {PERSIST_VERSION})",
-            file.version
-        ));
-    }
-    validate_surface(CachedSurface {
-        hash: file.hash.0,
-        shape: file.shape,
-        fingerprint: file.fingerprint,
-        domain_lo: file.domain_lo,
-        domain_hi: file.domain_hi,
-        records: file.records,
-        steps: file.steps,
-        final_sup_change: file.final_sup_change,
-        cost_seconds: file.cost_seconds,
-    })
-}
-
-/// The semantic validation every decoded record passes regardless of
-/// format: consistent shapes, a sane domain box, well-formed compressed
-/// state records.
+/// The semantic validation every decoded record passes: consistent
+/// shapes, a sane domain box, well-formed compressed state records.
 fn validate_surface(surface: CachedSurface) -> Result<CachedSurface, String> {
     let shape = surface.shape;
     if surface.records.len() != shape.num_states {

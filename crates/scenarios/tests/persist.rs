@@ -235,85 +235,9 @@ fn corrupt_record_files_are_skipped_without_a_panic() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Records written before the binary format (legacy JSON, named by the
-/// manifest with a `.json` extension) must read back transparently —
-/// and bitwise — through a format-mixed directory.
-#[test]
-fn legacy_json_records_read_back_transparently() {
-    let dir = temp_cache_dir("legacy");
-    let scenario = base_scenario();
-    let cache = SurfaceCache::open(&dir).unwrap();
-    let hash = run_single(&scenario, &cache, &config()).unwrap().hash.0;
-    let Lookup::Exact(original) = cache.lookup(
-        hash,
-        original_shape(&scenario),
-        &hddm_scenarios::fingerprint(&scenario),
-        false,
-    ) else {
-        panic!("stored surface must be an exact hit in its own cache");
-    };
-    drop(cache);
-
-    // Convert the directory to the pre-binary layout: rewrite the
-    // record as legacy JSON and point the manifest row at it.
-    let bin_name = persist::surface_file_name(hash);
-    let json_name = persist::legacy_surface_file_name(hash);
-    fs::write(dir.join(&json_name), persist::legacy_record_json(&original)).unwrap();
-    fs::remove_file(dir.join(&bin_name)).unwrap();
-    let manifest = fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
-    let rewritten = manifest.replacen(&bin_name, &json_name, 1);
-    assert_ne!(manifest, rewritten, "manifest must name the record file");
-    fs::write(dir.join(MANIFEST_FILE), rewritten).unwrap();
-
-    // A fresh cache restores the legacy record as a bitwise-equal
-    // zero-step exact hit.
-    let reopened = SurfaceCache::open(&dir).unwrap();
-    assert_eq!(reopened.stats().persisted_entries, 1);
-    let served = run_single(&scenario, &reopened, &config()).unwrap();
-    assert_eq!(served.cache, CacheKind::Exact);
-    assert_eq!(served.steps, 0);
-    assert_eq!(reopened.stats().disk_hits, 1);
-    let Lookup::Exact(restored) = reopened.lookup(
-        hash,
-        original_shape(&scenario),
-        &hddm_scenarios::fingerprint(&scenario),
-        false,
-    ) else {
-        panic!("legacy record must restore as an exact hit");
-    };
-    let probes: Vec<Vec<f64>> = vec![
-        original.domain_lo.clone(),
-        original
-            .domain_lo
-            .iter()
-            .zip(&original.domain_hi)
-            .map(|(lo, hi)| 0.5 * (lo + hi))
-            .collect(),
-    ];
-    assert_policies_bitwise_equal(&original, &restored, &probes);
-
-    // Semantic corruption of a legacy record (valid JSON, broken
-    // structure) is caught: damage a structural field and expect a cold
-    // solve, not a panic.
-    let text = fs::read_to_string(dir.join(&json_name)).unwrap();
-    let damaged = text.replacen("\"nfreq\":", "\"nfreq\":9999999,\"was_nfreq\":", 1);
-    assert_ne!(text, damaged, "test must actually damage the record");
-    fs::write(dir.join(&json_name), damaged).unwrap();
-    let third = SurfaceCache::open(&dir).unwrap();
-    let report = run_single(&scenario, &third, &config()).unwrap();
-    assert_eq!(report.cache, CacheKind::Cold);
-    assert_eq!(third.stats().skipped, 1);
-    // The re-solve re-deposited in the current binary format and the
-    // dead legacy file is gone.
-    assert!(dir.join(&bin_name).exists());
-    assert!(!dir.join(&json_name).exists());
-
-    let _ = fs::remove_dir_all(&dir);
-}
-
-/// The acceptance property of the binary format: encoding and decoding
-/// a surface reproduces the JSON round trip bit-for-bit, in fewer
-/// bytes.
+/// The acceptance property of the record format: encoding and decoding
+/// a surface reproduces it bit for bit. (The JSON codec this test once
+/// compared against is gone; the name is kept.)
 #[test]
 fn binary_and_json_records_roundtrip_bitwise() {
     let scenario = base_scenario();
@@ -329,15 +253,7 @@ fn binary_and_json_records_roundtrip_bitwise() {
     };
 
     let encoded = persist::encode_record(&original);
-    let from_bin = persist::decode_record(&encoded).unwrap();
-    let json = persist::legacy_record_json(&original);
-    let from_json = persist::decode_legacy_record_json(&json).unwrap();
-    assert!(
-        encoded.len() < json.len(),
-        "binary record ({} bytes) must undercut JSON ({} bytes)",
-        encoded.len(),
-        json.len()
-    );
+    let restored = persist::decode_record(&encoded).unwrap();
 
     let probes: Vec<Vec<f64>> = vec![
         original.domain_lo.clone(),
@@ -348,19 +264,16 @@ fn binary_and_json_records_roundtrip_bitwise() {
             .map(|(lo, hi)| 0.5 * (lo + hi))
             .collect(),
     ];
-    for (label, restored) in [("binary", &from_bin), ("json", &from_json)] {
-        assert_eq!(restored.hash, original.hash, "{label}");
-        assert_eq!(restored.shape, original.shape, "{label}");
-        assert_eq!(restored.steps, original.steps, "{label}");
-        assert_eq!(
-            restored.final_sup_change.to_bits(),
-            original.final_sup_change.to_bits(),
-            "{label}"
-        );
-        assert_policies_bitwise_equal(&original, restored, &probes);
-    }
-    // Field-level bitwise agreement between the two decoded forms.
-    for (a, b) in from_bin.records.iter().zip(&from_json.records) {
+    assert_eq!(restored.hash, original.hash);
+    assert_eq!(restored.shape, original.shape);
+    assert_eq!(restored.steps, original.steps);
+    assert_eq!(
+        restored.final_sup_change.to_bits(),
+        original.final_sup_change.to_bits()
+    );
+    assert_policies_bitwise_equal(&original, &restored, &probes);
+    // Field-level bitwise agreement with the encoded surface.
+    for (a, b) in restored.records.iter().zip(&original.records) {
         assert_eq!(a.xps, b.xps);
         assert_eq!(a.chains, b.chains);
         assert_eq!(a.order, b.order);
@@ -377,7 +290,7 @@ fn unknown_manifest_versions_are_skipped_without_a_panic() {
     let dir = temp_cache_dir("version");
     let scenario = base_scenario();
     let cache = SurfaceCache::open(&dir).unwrap();
-    run_single(&scenario, &cache, &config()).unwrap();
+    let hash = run_single(&scenario, &cache, &config()).unwrap().hash.0;
     drop(cache);
 
     // Stamp a future format version onto the manifest.
@@ -393,6 +306,38 @@ fn unknown_manifest_versions_are_skipped_without_a_panic() {
     assert!(stats.skipped >= 1);
     let report = run_single(&scenario, &reopened, &config()).unwrap();
     assert_eq!(report.cache, CacheKind::Cold);
+    drop(reopened);
+
+    // A row may only name the record file its hash determines: a row
+    // naming a record format this version cannot read, a path that climbs
+    // out of the directory, or an absolute path is dropped at open, so no
+    // read, discard or eviction can follow it to another file.
+    let record = persist::surface_file_name(hash);
+    let stale = record.replace(".bin", ".json");
+    let victim = dir.with_file_name(format!(
+        "{}_victim",
+        dir.file_name().unwrap().to_string_lossy()
+    ));
+    let climbing = format!("../{}", victim.file_name().unwrap().to_string_lossy());
+    for bad in [stale.as_str(), climbing.as_str(), victim.to_str().unwrap()] {
+        fs::write(&victim, b"not a cache file").unwrap();
+        fs::write(dir.join(&stale), b"{}").unwrap();
+        let text = fs::read_to_string(&manifest).unwrap();
+        let rewritten = text.replacen(&record, bad, 1);
+        assert_ne!(text, rewritten, "manifest must name the record file");
+        fs::write(&manifest, rewritten).unwrap();
+
+        let reopened = SurfaceCache::open(&dir).unwrap();
+        let stats = reopened.stats();
+        assert_eq!(stats.persisted_entries, 0, "{bad}: the row is dropped");
+        assert!(stats.skipped >= 1, "{bad}");
+        assert!(!dir.join(&stale).exists(), "{bad}: stale record is swept");
+        let report = run_single(&scenario, &reopened, &config()).unwrap();
+        assert_eq!(report.cache, CacheKind::Cold, "{bad}");
+        assert!(dir.join(&record).exists(), "{bad}: re-deposited as .bin");
+        assert_eq!(fs::read(&victim).unwrap(), b"not a cache file", "{bad}");
+    }
+    fs::remove_file(&victim).unwrap();
 
     // A wholly corrupt manifest is equally survivable.
     fs::write(&manifest, "not json at all {{{").unwrap();

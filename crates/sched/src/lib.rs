@@ -2,9 +2,10 @@
 //!
 //! The intra-node parallelization layer of Sec. IV-A, substituting for
 //! Intel TBB: a work-stealing `parallel_for` over grid points
-//! ([`pool::parallel_for`]) and the hybrid CPU+accelerator dispatch of
-//! Fig. 2, where one thread is dedicated to feeding the GPU with large
-//! preempted batches ([`hybrid::hybrid_for`]).
+//! ([`pool::parallel_for`]). The accelerator leg of Fig. 2 is not a second
+//! dispatcher here: the block path hands frontier slices to this pool and
+//! an observed `ExecutionBackend` prices the blocks they evaluate
+//! (`hddm-gpu`).
 //!
 //! The scheduler is deliberately independent of what the tasks do — the
 //! time-iteration driver hands it per-grid-point equation solves, the
@@ -12,8 +13,6 @@
 
 #![warn(missing_docs)]
 
-pub mod hybrid;
 pub mod pool;
 
-pub use hybrid::{hybrid_for, HybridConfig, HybridStats};
 pub use pool::{parallel_for, parallel_for_init, Chunk, LoadStats, PoolConfig};

@@ -3,8 +3,8 @@
 //! The per-grid-point equation solver of the HDDM stack: a globalized
 //! (damped, line-searched) Newton method with finite-difference Jacobians
 //! and Broyden rank-1 updates, over a small self-contained dense linear
-//! algebra core. This substitutes for Ipopt [24] in the paper's pipeline —
-//! see DESIGN.md for the substitution argument.
+//! algebra core. This substitutes for Ipopt [24] in the paper's pipeline
+//! (README, "Workspace layout").
 //!
 //! * [`linalg`] — dense matrices, LU with partial pivoting, norms;
 //! * [`newton`] — the damped Newton driver: [`newton::newton_block`] advances

@@ -3,8 +3,7 @@
 //! The workspace's telemetry substrate: every subsystem that used to keep
 //! its own counter island (`ServiceStats` atomics in `hddm-serve`,
 //! `CacheStats` in `hddm-scenarios`, the `compression_builds` thread-local
-//! in `hddm-compress`, percentile math private to `serve-bench`) now
-//! records through the instruments defined here, so one registry, one
+//! in `hddm-compress`) now records through the instruments defined here, so one registry, one
 //! naming scheme, and one export path cover solve + serve.
 //!
 //! * [`Counter`] / [`Gauge`] — relaxed-ordering atomics; `inc`/`add`/`set`
@@ -13,8 +12,8 @@
 //!   (8 sub-buckets per octave over `2^-30 s ≈ 1 ns` … `2^12 s`, ≤ 12.5 %
 //!   relative bucket width). Recording is wait-free (`fetch_add` on one
 //!   bucket); quantiles are nearest-rank over the cumulative bucket
-//!   counts — the same methodology `serve-bench` applies to its sorted
-//!   sample vectors (see [`nearest_rank`]). [`HistogramShard`] is the
+//!   counts — the same definition [`nearest_rank`] applies to a sorted
+//!   sample vector. [`HistogramShard`] is the
 //!   contention-free per-thread variant: plain integers, merged into a
 //!   shared histogram with [`Histogram::merge_shard`];
 //! * [`SpanTimer`] — a scoped guard that records wall time into a
@@ -59,10 +58,10 @@ pub use snapshot::{CounterSample, GaugeSample, HistogramSample, Snapshot};
 /// Nearest-rank percentile of an ascending-sorted sample vector.
 ///
 /// `q` is the quantile in `(0, 1]` (e.g. `0.99` for p99). The nearest-rank
-/// definition picks `sorted[ceil(q · n) - 1]` — the exact methodology the
-/// `serve-bench` latency report has used since it landed, now shared with
-/// the runtime [`Histogram`] so bench and runtime percentiles can never
-/// drift. Returns `0.0` for an empty slice.
+/// definition picks `sorted[ceil(q · n) - 1]` — the definition the
+/// runtime [`Histogram`] applies to its cumulative bucket counts, kept
+/// here so exact and bucketed percentiles can be compared. Returns `0.0`
+/// for an empty slice.
 pub fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;

@@ -1,6 +1,6 @@
 //! The distributed machinery in action: per-state MPI-style group
-//! splitting over the threaded communicator, the hybrid CPU+GPU
-//! scheduler, and the strong-scaling simulator.
+//! splitting over the threaded communicator and the strong-scaling
+//! simulator.
 //!
 //! ```text
 //! cargo run --release --example cluster_scaling
@@ -9,7 +9,6 @@
 use hddm::cluster::{
     proportional_ranks, strong_scaling_sweep, ClusterModel, Comm, LevelWork, ThreadComm,
 };
-use hddm::sched::{hybrid_for, HybridConfig};
 
 fn main() {
     // --- 1. Proportional group assignment (Sec. IV-A, footnote 5).
@@ -38,29 +37,7 @@ fn main() {
         println!("  world rank {rank} -> group {color} rank {group_rank}; group total = {sum}");
     }
 
-    // --- 3. Hybrid CPU + accelerator dispatch (Fig. 2, lower panel).
-    println!("\nhybrid scheduler (CPU workers + dedicated GPU-dispatch thread):");
-    let stats = hybrid_for(
-        5_000,
-        &HybridConfig {
-            cpu_threads: 2,
-            cpu_grain: 4,
-            accel_batch: 256,
-        },
-        |_i| {
-            std::thread::yield_now(); // a "CPU point solve"
-        },
-        |chunk| {
-            // a batched "GPU interpolation offload"
-            std::hint::black_box(chunk.len());
-        },
-    );
-    println!(
-        "  cpu workers solved {:?} points; accelerator took {} points in {} batches",
-        stats.cpu_items, stats.accel_items, stats.accel_batches
-    );
-
-    // --- 4. Strong scaling of the Fig. 8 workload.
+    // --- 3. Strong scaling of the Fig. 8 workload.
     println!("\nstrong-scaling simulation (Fig. 8 workload, Piz Daint model):");
     let model = ClusterModel::piz_daint(0.1147);
     let levels = vec![

@@ -10,8 +10,8 @@ use std::time::Instant;
 
 use hddm::asg::regular_grid;
 use hddm::compress::CompressedGrid;
-use hddm::gpu::{CudaInterpolator, Device};
-use hddm::kernels::{gold, CompressedState, DenseState, KernelKind, Scratch};
+use hddm::gpu::GpuEngine;
+use hddm::kernels::{gold, CompressedState, DenseState, KernelKind, PointBlock, Scratch};
 
 fn main() {
     let dim: usize = std::env::args()
@@ -40,7 +40,6 @@ fn main() {
         .collect();
     let dense = DenseState::new(&grid, surplus.clone(), ndofs);
     let compressed = CompressedState::new(&grid, &surplus, ndofs);
-    let cuda = CudaInterpolator::new(Device::p100(), &compressed).expect("fits the P100");
 
     let points: Vec<Vec<f64>> = (0..evals)
         .map(|s| {
@@ -74,22 +73,23 @@ fn main() {
         );
     }
 
+    // A single point on the device is a one-point block: one launch,
+    // priced from the counts of the host walk. Modeled, so no ratio
+    // against the measured rows.
+    let engine = GpuEngine::new();
     let mut modeled = 0.0;
-    let t0 = Instant::now();
     for x in &points {
-        modeled = cuda.interpolate(x, &mut out).modeled_seconds;
+        let block = PointBlock::from_rows(dim, x);
+        modeled += engine
+            .evaluate_batch(&compressed, &block, &mut scratch, &mut out)
+            .expect("fits the P100")
+            .timing
+            .modeled_seconds;
     }
-    let t = t0.elapsed().as_secs_f64() / evals as f64;
     println!(
-        "{:<16} {:>14.2} {:>9.2}x",
-        "cuda (host-sim)",
-        t * 1e6,
-        gold_time / t
-    );
-    println!(
-        "{:<16} {:>14.2} {:>9.2}x   (roofline model incl. launch overhead)",
+        "{:<16} {:>14.2} {:>10}   (roofline model incl. launch overhead)",
         "cuda (P100)",
-        modeled * 1e6,
-        gold_time / modeled
+        modeled / evals as f64 * 1e6,
+        "modeled"
     );
 }

@@ -10,8 +10,8 @@
 
 use hddm::asg::{hierarchize, refine, regular_grid, tabulate, RefineConfig, SurplusNorm};
 use hddm::compress::CompressedGrid;
-use hddm::gpu::{CudaInterpolator, Device};
-use hddm::kernels::{gold, CompressedState, DenseState, KernelKind, Scratch};
+use hddm::gpu::GpuEngine;
+use hddm::kernels::{gold, CompressedState, DenseState, KernelKind, PointBlock, Scratch};
 
 fn f(x: &[f64]) -> f64 {
     // Smooth with a mild ridge: the kind of policy-function shape the
@@ -81,7 +81,6 @@ fn main() {
     // 4. Every kernel produces the same numbers.
     let dense = DenseState::new(&grid, values.clone(), ndofs);
     let compressed = CompressedState::new(&grid, &values, ndofs);
-    let cuda = CudaInterpolator::new(Device::p100(), &compressed).expect("fits the device");
     let mut scratch = Scratch::default();
     let x: Vec<f64> = (0..dim).map(|t| 0.1 + 0.08 * t as f64).collect();
     let mut reference = [0.0];
@@ -95,12 +94,21 @@ fn main() {
         println!("  {:<10} {:.10}", kind.name(), out[0]);
         assert!((out[0] - reference[0]).abs() < 1e-12);
     }
-    let timing = cuda.interpolate(&x, &mut out);
+    // The device backend: a single point is a one-point block, walked by
+    // the `avx2` kernel and priced as one P100 launch.
+    let run = GpuEngine::new()
+        .evaluate_batch(
+            &compressed,
+            &PointBlock::from_rows(dim, &x),
+            &mut scratch,
+            &mut out,
+        )
+        .expect("fits the device");
     println!(
         "  {:<10} {:.10}  (modeled P100 time: {:.1} us)",
         "cuda",
         out[0],
-        timing.modeled_seconds * 1e6
+        run.timing.modeled_seconds * 1e6
     );
     assert!((out[0] - reference[0]).abs() < 1e-12);
     println!();

@@ -3,7 +3,7 @@
 //! An open-source reproduction of Kübler, Mikushin, Scheidegger & Schenk,
 //! *"Rethinking large-scale economic modeling for efficiency: optimizations
 //! for GPU and Xeon Phi clusters"* (IPDPS 2018): adaptive sparse grids with
-//! index compression, vectorized interpolation kernels, a hybrid
+//! index compression, vectorized interpolation kernels, a
 //! work-stealing scheduler, a message-passing/cluster-simulation layer, and
 //! a time-iteration driver solving stochastic overlapping-generations
 //! economies.
@@ -15,18 +15,19 @@
 //! | [`asg`] | `hddm-asg` | hierarchical basis, grids, refinement |
 //! | [`compress`] | `hddm-compress` | Sec. IV-B index compression |
 //! | [`kernels`] | `hddm-kernels` | gold/x86/avx/avx2/avx512 kernels |
-//! | [`gpu`] | `hddm-gpu` | software GPU + cuda kernel |
+//! | [`gpu`] | `hddm-gpu` | device model + launch pricing + surface pool |
 //! | [`solver`] | `hddm-solver` | Newton/Broyden/LU (Ipopt substitute) |
 //! | [`cluster`] | `hddm-cluster` | Comm runtime + scaling simulators |
-//! | [`sched`] | `hddm-sched` | work-stealing + hybrid dispatch |
+//! | [`sched`] | `hddm-sched` | work-stealing `parallel_for` |
 //! | [`olg`] | `hddm-olg` | the stochastic OLG economy |
 //! | [`core`] | `hddm-core` | the time-iteration driver |
 //! | [`scenarios`] | `hddm-scenarios` | batched multi-calibration sweeps + policy-surface cache |
 //! | [`serve`] | `hddm-serve` | scenario serving facade: exact-hit fast path + miss micro-batching |
 //! | [`telemetry`] | `hddm-telemetry` | lock-free metrics registry, span timing, JSON/text exposition |
 //!
-//! See `examples/quickstart.rs` for a five-minute tour and DESIGN.md /
-//! EXPERIMENTS.md for the reproduction inventory.
+//! See `examples/quickstart.rs` for a five-minute tour and the README
+//! ("Workspace layout", "Reproduction binaries") for the reproduction
+//! inventory.
 //!
 //! ## End-to-end in eight lines
 //!

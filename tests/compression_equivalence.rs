@@ -9,8 +9,8 @@ use hddm::asg::{
     hierarchize, interpolate_reference, regular_grid, ActiveCoord, NodeKey, SparseGrid,
 };
 use hddm::compress::CompressedGrid;
-use hddm::gpu::{CudaInterpolator, Device};
-use hddm::kernels::{gold, CompressedState, DenseState, KernelKind, Scratch};
+use hddm::gpu::GpuEngine;
+use hddm::kernels::{gold, CompressedState, DenseState, KernelKind, PointBlock, Scratch};
 
 /// Strategy: a random ancestor-closed adaptive grid in `dim` dimensions.
 fn adaptive_grid(dim: usize) -> impl Strategy<Value = SparseGrid> {
@@ -76,8 +76,9 @@ proptest! {
         }
     }
 
-    /// Every kernel (including the simulated GPU) agrees with `gold` on
-    /// random adaptive grids.
+    /// Every kernel agrees with `gold` on random adaptive grids, and a
+    /// single point on the simulated GPU — a one-point block, one launch —
+    /// is bitwise the `avx2` kernel.
     #[test]
     fn all_kernels_agree(
         grid in adaptive_grid(3),
@@ -94,7 +95,7 @@ proptest! {
         let surplus: Vec<f64> = (0..grid.len() * ndofs).map(|_| rnd()).collect();
         let dense = DenseState::new(&grid, surplus.clone(), ndofs);
         let compressed = CompressedState::new(&grid, &surplus, ndofs);
-        let cuda = CudaInterpolator::new(Device::p100(), &compressed).unwrap();
+        let engine = GpuEngine::new();
         let mut scratch = Scratch::default();
         let mut want = vec![0.0; ndofs];
         let mut got = vec![0.0; ndofs];
@@ -107,10 +108,13 @@ proptest! {
                     prop_assert!((got[k] - want[k]).abs() < 1e-10, "{:?}", kind);
                 }
             }
-            cuda.interpolate(&x, &mut got);
-            for k in 0..ndofs {
-                prop_assert!((got[k] - want[k]).abs() < 1e-10, "cuda");
-            }
+            KernelKind::Avx2.evaluate_compressed(&compressed, &x, &mut scratch, &mut want);
+            let block = PointBlock::from_rows(3, &x);
+            let run = engine
+                .evaluate_batch(&compressed, &block, &mut scratch, &mut got)
+                .unwrap();
+            prop_assert_eq!(run.timing.launches, 1);
+            prop_assert_eq!(&got, &want, "cuda");
         }
     }
 
