@@ -42,7 +42,6 @@ pub mod domain;
 pub mod grid;
 pub mod hierarchize;
 pub mod node;
-pub mod quadrature;
 pub mod refine;
 pub mod regular;
 
@@ -52,6 +51,5 @@ pub use domain::BoxDomain;
 pub use grid::SparseGrid;
 pub use hierarchize::{dehierarchize, hierarchize, interpolate_reference, tabulate};
 pub use node::{ActiveCoord, NodeKey};
-pub use quadrature::{integrate, integrate_on, node_weight, weights};
 pub use refine::{refine, refine_frontier, RefineConfig, RefineReport, SurplusNorm};
 pub use regular::{level_increment_size, regular_grid, regular_grid_size};

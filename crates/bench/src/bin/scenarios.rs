@@ -1,6 +1,6 @@
-//! Scenario-engine demo: run a batched multi-calibration sweep through
-//! the heterogeneous fleet scheduler with the compressed policy-surface
-//! cache, and demonstrate the cache-assisted warm-start win against a
+//! Scenario-engine demo: run a batched multi-calibration sweep on
+//! `--threads` host workers with the compressed policy-surface cache,
+//! and demonstrate the cache-assisted warm-start win against a
 //! cold solve of the same scenario.
 //!
 //! ```text
@@ -26,7 +26,6 @@
 
 use std::process::ExitCode;
 
-use hddm_cluster::{mixed_fleet, Assignment};
 use hddm_gpu::GpuEngine;
 use hddm_scenarios::{
     run_set, run_single, CacheKind, EvictionPolicy, ExecutorConfig, Knob, ScenarioSet, SurfaceCache,
@@ -142,8 +141,6 @@ fn main() -> ExitCode {
     }
 
     let mut config = ExecutorConfig {
-        fleet: mixed_fleet(2, 2),
-        assignment: Assignment::WorkStealing { chunk: 1 },
         threads: args.threads,
         cache_dir: args.cache_dir.as_ref().map(std::path::PathBuf::from),
         cache_eviction: EvictionPolicy {
@@ -166,7 +163,7 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "Scenario sweep: {} scenarios (lifespan {}, work years {}), fleet 2x daint + 2x tave, {} host thread(s)\n",
+        "Scenario sweep: {} scenarios (lifespan {}, work years {}), {} host thread(s)\n",
         set.len(),
         args.lifespan,
         args.work_years,
@@ -188,32 +185,23 @@ fn main() -> ExitCode {
     };
 
     println!(
-        "  {:<28} {:>5} {:>6} {:>10} {:>7} {:>9}  worker",
+        "  {:<28} {:>5} {:>6} {:>10} {:>7} {:>9}",
         "scenario", "cache", "steps", "sup change", "points", "wall [ms]"
     );
     for s in &report.scenarios {
         println!(
-            "  {:<28} {:>5} {:>6} {:>10.2e} {:>7} {:>9.2}  {}",
+            "  {:<28} {:>5} {:>6} {:>10.2e} {:>7} {:>9.2}",
             s.name.trim_start_matches("demo/"),
             s.cache,
             s.steps,
             s.final_sup_change,
             s.grid_points,
-            s.wall_seconds * 1e3,
-            s.worker
+            s.wall_seconds * 1e3
         );
     }
 
     println!(
-        "\nfleet: planned makespan {:.3} s (imbalance {:.3}, idle {:.1}%), replayed {:.3e} s (imbalance {:.3})",
-        report.planned.schedule.makespan,
-        report.planned.imbalance,
-        100.0 * report.planned.schedule.idle_fraction,
-        report.replayed.schedule.makespan,
-        report.replayed.imbalance,
-    );
-    println!(
-        "cache: {} cold / {} warm / {} exact; total wall {:.3} s",
+        "\ncache: {} cold / {} warm / {} exact; total wall {:.3} s",
         report.cold_solves, report.warm_starts, report.exact_hits, report.total_wall_seconds
     );
     if args.cache_dir.is_some() {

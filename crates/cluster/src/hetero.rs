@@ -1,4 +1,7 @@
-//! Heterogeneous-cluster scheduling ablation.
+//! Heterogeneous-cluster scheduling ablation — a model, owned by the
+//! `scheduler` reproduction bin (`hddm-bench`) and called from nowhere
+//! else: production work is scheduled by the real work-stealing pool in
+//! `hddm-sched`, never by this simulation.
 //!
 //! The paper's third contribution is "a hybrid cluster oriented
 //! work-preempting scheduler based on TBB, which evenly distributes the
@@ -55,10 +58,8 @@ pub enum Assignment {
     },
 }
 
-use serde::{Deserialize, Serialize};
-
 /// Outcome of one scheduled execution.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ScheduleResult {
     /// Wall-clock makespan (seconds): when the last worker finishes.
     pub makespan: f64,
@@ -98,34 +99,17 @@ pub fn fluid_bound(workers: &[WorkerSpec], costs: &[f64]) -> f64 {
 /// Executes `costs` (per-task reference seconds) on `workers` under the
 /// given policy and returns the timing. Deterministic.
 pub fn schedule(workers: &[WorkerSpec], costs: &[f64], policy: Assignment) -> ScheduleResult {
-    schedule_with_map(workers, costs, policy).0
-}
-
-/// Like [`schedule`], but also returns the task → worker assignment map
-/// (`map[i]` = index of the worker that executed task `i`) — the hook the
-/// scenario engine uses to attribute each scenario to a fleet node.
-pub fn schedule_with_map(
-    workers: &[WorkerSpec],
-    costs: &[f64],
-    policy: Assignment,
-) -> (ScheduleResult, Vec<usize>) {
     assert!(!workers.is_empty(), "need at least one worker");
     let w = workers.len();
-    let mut map = vec![0usize; costs.len()];
-    let result = match policy {
+    match policy {
         Assignment::StaticEqual => {
             let mut busy = vec![0.0; w];
             let mut tasks = vec![0usize; w];
             let per = costs.len().div_ceil(w.max(1)).max(1);
-            let mut start = 0usize;
             for (k, slice) in costs.chunks(per).enumerate() {
                 let k = k.min(w - 1);
                 busy[k] += slice.iter().sum::<f64>() / workers[k].speed;
                 tasks[k] += slice.len();
-                for m in &mut map[start..start + slice.len()] {
-                    *m = k;
-                }
-                start += slice.len();
             }
             ScheduleResult::from_busy(busy, tasks)
         }
@@ -145,9 +129,6 @@ pub fn schedule_with_map(
                 };
                 busy[k] = costs[start..end].iter().sum::<f64>() / worker.speed;
                 tasks[k] = end - start;
-                for m in &mut map[start..end] {
-                    *m = k;
-                }
                 start = end;
             }
             ScheduleResult::from_busy(busy, tasks)
@@ -172,15 +153,11 @@ pub fn schedule_with_map(
                 free_at[k] += dt;
                 busy[k] += dt;
                 tasks[k] += hi - next;
-                for m in &mut map[next..hi] {
-                    *m = k;
-                }
                 next = hi;
             }
             ScheduleResult::from_busy(busy, tasks)
         }
-    };
-    (result, map)
+    }
 }
 
 /// A mixed "Piz Daint" + "Grand Tave" fleet: `daint` CPU+GPU nodes (25×
@@ -344,53 +321,6 @@ mod tests {
         assert_eq!(r.makespan, 0.0);
         let r = schedule(&workers, &[3.0], Assignment::StaticEqual);
         assert!((r.makespan - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn assignment_map_is_consistent_with_task_counts() {
-        let workers = mixed_fleet(2, 2);
-        let costs = straggler_costs(333, 0.05, 0.8, 11);
-        for policy in [
-            Assignment::StaticEqual,
-            Assignment::StaticProportional,
-            Assignment::WorkStealing { chunk: 16 },
-        ] {
-            let (r, map) = schedule_with_map(&workers, &costs, policy);
-            assert_eq!(map.len(), costs.len(), "{policy:?}");
-            for k in 0..workers.len() {
-                let count = map.iter().filter(|&&m| m == k).count();
-                assert_eq!(count, r.tasks[k], "{policy:?} worker {k}");
-            }
-            // Busy time recomputed from the map matches the schedule.
-            for k in 0..workers.len() {
-                let work: f64 = map
-                    .iter()
-                    .zip(&costs)
-                    .filter(|(&m, _)| m == k)
-                    .map(|(_, &c)| c)
-                    .sum();
-                assert!(
-                    (work / workers[k].speed - r.busy[k]).abs() < 1e-9,
-                    "{policy:?} worker {k}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn schedule_result_roundtrips_through_json() {
-        let workers = mixed_fleet(1, 2);
-        let costs = straggler_costs(64, 0.05, 0.8, 3);
-        let r = schedule(&workers, &costs, Assignment::WorkStealing { chunk: 4 });
-        let json = serde_json::to_string(&r).unwrap();
-        let back: ScheduleResult = serde_json::from_str(&json).unwrap();
-        assert_eq!(r.makespan.to_bits(), back.makespan.to_bits());
-        assert_eq!(r.idle_fraction.to_bits(), back.idle_fraction.to_bits());
-        assert_eq!(r.tasks, back.tasks);
-        assert_eq!(r.busy.len(), back.busy.len());
-        for (a, b) in r.busy.iter().zip(&back.busy) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   (regenerates Fig. 8 for 1→4,096 nodes);
 //! * [`nodesim`] — the single-node performance model behind Fig. 7;
 //! * [`hetero`] — the work-preempting-scheduler ablation on heterogeneous
-//!   worker fleets (static vs proportional vs stealing assignment).
+//!   worker fleets (static vs proportional vs stealing assignment), the
+//!   model behind the `scheduler` bin and nothing else.
 
 #![warn(missing_docs)]
 
@@ -28,8 +29,7 @@ pub mod sim;
 pub use assign::{multiplex_states, proportional_ranks};
 pub use comm::{Comm, SerialComm, ThreadComm};
 pub use hetero::{
-    fluid_bound, mixed_fleet, schedule, schedule_with_map, straggler_costs, Assignment,
-    ScheduleResult, WorkerSpec,
+    fluid_bound, mixed_fleet, schedule, straggler_costs, Assignment, ScheduleResult, WorkerSpec,
 };
 pub use nodesim::{fig7_variants, NodeVariant};
 pub use sim::{simulate_step, strong_scaling_sweep, ClusterModel, LevelWork, StepTiming};

@@ -2,19 +2,11 @@
 //! assembled by the [`crate::pipeline`] stages, with the scalar reference
 //! interpolator of Fig. 5 (left).
 
-use std::cell::Cell;
-
 use hddm_asg::{basis, linear_basis, SparseGrid};
 
 use crate::pipeline::{
     build_chains, decompose, renumber, transition, unique_elements, XiSparse, XpsEntry,
 };
-
-thread_local! {
-    /// Full pipeline runs performed by this thread (see
-    /// [`compression_builds`]).
-    static BUILDS: Cell<usize> = const { Cell::new(0) };
-}
 
 /// Name of the process-global registry counter incremented by every
 /// [`CompressedGrid::build`] (see [`builds_total`]).
@@ -32,21 +24,6 @@ fn builds_counter() -> &'static std::sync::Arc<hddm_telemetry::Counter> {
 /// instrument on [`hddm_telemetry::Registry::global`].
 pub fn builds_total() -> u64 {
     builds_counter().get()
-}
-
-/// Number of full compression-pipeline runs ([`CompressedGrid::build`])
-/// this thread has performed. The driver's incremental hierarchization
-/// contract — *one* compression per state per step, regardless of how
-/// many refinement levels the step grows — is asserted against this
-/// counter; it is thread-local so concurrently running tests (or sweep
-/// workers) cannot pollute each other's deltas.
-#[deprecated(
-    note = "use `builds_total()` (the `hddm_compress_builds_total` registry \
-            counter) for process-wide counts; this thread-local shim remains \
-            only for single-thread delta assertions in existing tests"
-)]
-pub fn compression_builds() -> usize {
-    BUILDS.with(|b| b.get())
 }
 
 /// Compression statistics reported alongside Table I.
@@ -84,7 +61,6 @@ pub struct CompressedGrid {
 impl CompressedGrid {
     /// Runs the full compression pipeline on a grid.
     pub fn build(grid: &SparseGrid) -> Self {
-        BUILDS.with(|b| b.set(b.get() + 1));
         builds_counter().inc();
         let xi = XiSparse::from_grid(grid);
         let zero_fraction = xi.zero_fraction();
@@ -796,21 +772,6 @@ mod tests {
         assert_eq!(cg.chains().len(), grid.len() * 3);
         // Widened old rows terminate with zeros.
         assert_eq!(&cg.chains()[..3], &[0, 0, 0]);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn build_counter_counts_pipeline_runs_only() {
-        let grid = regular_grid(3, 3);
-        let before = crate::compression_builds();
-        let global_before = crate::builds_total();
-        let _ = CompressedGrid::build(&grid);
-        let mut inc = CompressedGrid::empty(3);
-        inc.append_nodes(&grid, &(0..grid.len() as u32).collect::<Vec<_>>());
-        assert_eq!(crate::compression_builds(), before + 1);
-        // The registry counter moves in lockstep (other test threads may
-        // add more, so >= rather than ==).
-        assert!(crate::builds_total() > global_before);
     }
 
     #[test]

@@ -35,8 +35,6 @@
 pub mod compressed;
 pub mod pipeline;
 
-#[allow(deprecated)]
-pub use compressed::compression_builds;
 pub use compressed::{builds_total, CompressedGrid, CompressionStats, BUILDS_COUNTER};
 pub use pipeline::{
     build_chains, decompose, renumber, transition, unique_elements, Renumbering, UniqueElements,

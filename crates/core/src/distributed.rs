@@ -8,39 +8,20 @@
 //! interpolate on the full `pnext = (p(1), …, p(Ns))`.
 //!
 //! With fewer ranks than states, ranks multiplex several states
-//! sequentially (the paper's small-node-count configuration). With the
-//! [`hddm_cluster::SerialComm`] the function degenerates to exactly the
-//! single-process [`TimeIteration::step`] — and the test suite pins the
-//! two paths to bitwise-equal policies.
+//! sequentially (the paper's small-node-count configuration). Each state
+//! is built by the driver's own level loop (`driver::build_state`) — the
+//! loop [`TimeIteration::step`](crate::driver::TimeIteration::step) runs,
+//! given a rank group to share each frontier with — so with the
+//! [`hddm_cluster::SerialComm`] a step is the single-process step plus a
+//! world exchange of one rank.
 
 use std::time::Instant;
 
-use hddm_asg::{refine_frontier, regular_grid, NodeKey, RefineConfig, SparseGrid};
+use hddm_asg::{NodeKey, SparseGrid};
 use hddm_cluster::{multiplex_states, proportional_ranks, Comm};
-use hddm_compress::CompressedGrid;
-use hddm_kernels::CompressedState;
 
-use crate::driver::{
-    measure_change, solve_frontier, DriverConfig, IncrementalHierarchizer, StepModel, StepReport,
-};
+use crate::driver::{build_state, BuiltState, DriverConfig, StepModel, StepReport, StepTotals};
 use crate::policy::PolicySet;
-
-/// One state's finished interpolant plus its per-level frontier sizes,
-/// ready for the world exchange.
-struct BuiltState {
-    grid: SparseGrid,
-    surpluses: Vec<f64>, // grid order
-    levels: Vec<usize>,
-}
-
-/// Local accumulators reduced world-wide at the end of the step.
-#[derive(Default)]
-struct Metrics {
-    sup: f64,
-    sum_sq: f64,
-    count: usize,
-    failures: usize,
-}
 
 /// Executes one distributed time-iteration step: consumes the (replicated)
 /// previous policy and returns the merged new policy plus the step report.
@@ -55,7 +36,7 @@ pub fn distributed_step<M: StepModel, C: Comm>(
     let start = Instant::now();
     let ns = model.num_states();
     let m = policy.points_per_state();
-    let mut metrics = Metrics::default();
+    let mut totals = StepTotals::default();
     let mut built: Vec<Option<BuiltState>> = (0..ns).map(|_| None).collect();
 
     if world.size() >= ns {
@@ -77,7 +58,7 @@ pub fn distributed_step<M: StepModel, C: Comm>(
             config,
             color,
             Some(&group),
-            &mut metrics,
+            &mut totals,
         ));
     } else {
         // Fewer ranks than states: each rank serves its states in turn.
@@ -89,7 +70,7 @@ pub fn distributed_step<M: StepModel, C: Comm>(
                 config,
                 z,
                 None::<&C>,
-                &mut metrics,
+                &mut totals,
             ));
         }
     }
@@ -120,13 +101,9 @@ pub fn distributed_step<M: StepModel, C: Comm>(
     }
 
     // --- Reductions for the report.
-    let mut maxbuf = [metrics.sup];
+    let mut maxbuf = [totals.sup];
     world.allreduce_max(&mut maxbuf);
-    let mut sumbuf = [
-        metrics.sum_sq,
-        metrics.count as f64,
-        metrics.failures as f64,
-    ];
+    let mut sumbuf = [totals.sum_sq, totals.count as f64, totals.failures as f64];
     world.allreduce_sum(&mut sumbuf);
 
     // --- Assemble the new policy (identical on every rank).
@@ -143,9 +120,7 @@ pub fn distributed_step<M: StepModel, C: Comm>(
         for (l, &count) in state.levels.iter().enumerate() {
             level_points[l][z] = count;
         }
-        let cg = CompressedGrid::build(&state.grid);
-        let chain_order = cg.reorder_rows(&state.surpluses, ndofs);
-        new_states.push(CompressedState::from_parts(cg, chain_order, ndofs));
+        new_states.push(state.compress(config, ndofs));
     }
 
     let report = StepReport {
@@ -166,94 +141,6 @@ fn is_group_leader<C: Comm>(world: &C, m: &[usize], z: usize) -> bool {
     let sizes = proportional_ranks(m, world.size());
     let first: usize = sizes[..z].iter().sum();
     world.rank() == first
-}
-
-/// Builds one state's new interpolant level by level. `group = None` means
-/// solo (multiplexed) construction; otherwise the frontier is partitioned
-/// round-robin across the group and merged with an allgather per level.
-fn build_state<M: StepModel, C: Comm>(
-    model: &M,
-    policy: &PolicySet,
-    config: &DriverConfig,
-    z: usize,
-    group: Option<&C>,
-    metrics: &mut Metrics,
-) -> BuiltState {
-    let dim = model.dim();
-    let ndofs = model.ndofs();
-    let (grank, gsize) = group.map(|g| (g.rank(), g.size())).unwrap_or((0, 1));
-
-    let mut grid = regular_grid(dim, config.start_level);
-    let mut frontier: Vec<u32> = (0..grid.len() as u32).collect();
-    let mut surpluses: Vec<f64> = Vec::new();
-    let mut levels = Vec::new();
-    let mut hier = IncrementalHierarchizer::new(config.kernel, dim, ndofs);
-
-    loop {
-        levels.push(frontier.len());
-
-        // --- Solve my share of the frontier (every gsize-th point) with
-        // the driver's frontier solve, and measure the policy change at
-        // my points only; the world reduction combines the shares.
-        let positions: Vec<usize> = (grank..frontier.len()).step_by(gsize).collect();
-        let mine: Vec<u32> = positions.iter().map(|&i| frontier[i]).collect();
-        let solved = solve_frontier(model, policy, config, z, &grid, &mine);
-        let change = measure_change(policy, config, z, &grid, &mine, &solved.rows);
-        metrics.failures += solved.failures;
-        metrics.sup = metrics.sup.max(change.sup);
-        metrics.sum_sq += change.sum_sq;
-        metrics.count += change.count;
-        let mut flat = Vec::with_capacity(mine.len() * (1 + ndofs));
-        for (&i, row) in positions.iter().zip(solved.rows.chunks_exact(ndofs)) {
-            flat.push(i as f64);
-            flat.extend_from_slice(row);
-        }
-
-        // --- Merge the level: allgather (pos, row) pairs within the group.
-        let mut solved = vec![0.0; frontier.len() * ndofs];
-        let mut seen = vec![false; frontier.len()];
-        let contributions = match group {
-            Some(g) => g.allgather(&flat),
-            None => vec![flat],
-        };
-        for contribution in &contributions {
-            let stride = 1 + ndofs;
-            assert_eq!(contribution.len() % stride, 0, "ragged merge payload");
-            for rec in contribution.chunks_exact(stride) {
-                let i = rec[0] as usize;
-                solved[i * ndofs..(i + 1) * ndofs].copy_from_slice(&rec[1..]);
-                seen[i] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "merge missed frontier points");
-
-        // --- Hierarchize (deterministic, replicated in the group; the
-        // hierarchizer extends its compressed state — no per-level
-        // recompression).
-        let new_surpluses = hier.extend(&grid, &frontier, &solved);
-        surpluses.extend_from_slice(&new_surpluses);
-
-        // --- Refine (same surpluses everywhere ⇒ same refinement).
-        let Some(epsilon) = config.refine_epsilon else {
-            break;
-        };
-        let refine_config = RefineConfig {
-            epsilon,
-            max_level: config.max_level,
-            norm: config.refine_norm,
-        };
-        let report = refine_frontier(&mut grid, &surpluses, ndofs, &frontier, &refine_config);
-        if report.new_nodes.is_empty() {
-            break;
-        }
-        frontier = report.new_nodes;
-    }
-
-    BuiltState {
-        grid,
-        surpluses,
-        levels,
-    }
 }
 
 /// Appends a state's encoding to `out`:

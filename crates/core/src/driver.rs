@@ -4,6 +4,7 @@
 //! interpolating next-period policies `pnext` through the compressed
 //! kernels; then merge into the new policy and iterate to convergence.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -11,6 +12,7 @@ use std::time::Instant;
 use hddm_telemetry::{Counter, Histogram, Registry};
 
 use hddm_asg::{refine_frontier, regular_grid, BoxDomain, RefineConfig, SparseGrid, SurplusNorm};
+use hddm_cluster::{Comm, SerialComm};
 use hddm_compress::CompressedGrid;
 use hddm_kernels::{
     CompressedState, ExecutionBackend, KernelKind, PointBlock, Scratch, BATCH_CHUNK,
@@ -86,8 +88,8 @@ pub struct DriverConfig {
     pub kernel: KernelKind,
     /// Which engine evaluates batched `PointBlock` calls: the blocks of
     /// the point solver's Newton rounds (the interpolation the paper
-    /// offloads), warm-start frontier evaluation, change measurement and
-    /// incremental hierarchization. Every backend runs `kernel`'s batch
+    /// offloads), warm-start frontier evaluation and incremental
+    /// hierarchization. Every backend runs `kernel`'s batch
     /// walk; [`ExecutionBackend::Observed`] also reports each block to
     /// its observer (the simulated device prices it). A model that solves
     /// its points one at a time (the provided
@@ -134,13 +136,13 @@ impl Default for DriverConfig {
     }
 }
 
-/// Phase-span histograms resolved once per step; instrument names follow the
-/// `hddm_solve_<phase>_seconds` scheme documented in the README.
+/// Phase-span histograms of one state's level loop, resolved once per
+/// state; instrument names follow the `hddm_solve_<phase>_seconds` scheme
+/// documented in the README.
 struct PhaseSpans {
     policy_update: Arc<Histogram>,
     hierarchize: Arc<Histogram>,
     refine: Arc<Histogram>,
-    compress: Arc<Histogram>,
 }
 
 impl PhaseSpans {
@@ -149,7 +151,6 @@ impl PhaseSpans {
             policy_update: registry.histogram("hddm_solve_policy_update_seconds"),
             hierarchize: registry.histogram("hddm_solve_hierarchize_seconds"),
             refine: registry.histogram("hddm_solve_refine_seconds"),
-            compress: registry.histogram("hddm_solve_compress_seconds"),
         }
     }
 }
@@ -268,100 +269,39 @@ impl<M: StepModel> TimeIteration<M> {
     /// Executes one time-iteration step (Fig. 2), replacing the policy.
     pub fn step(&mut self) -> StepReport {
         let start = Instant::now();
-        let ndofs = self.model.ndofs();
-        let dim = self.model.dim();
         let ns = self.model.num_states();
-        let domain = self.policy.domain.clone();
-        let spans = self.config.telemetry.as_ref().map(PhaseSpans::resolve);
-        let spans = spans.as_ref();
-
+        let mut totals = StepTotals::default();
         let mut new_states = Vec::with_capacity(ns);
-        let mut sup_change = 0.0f64;
-        let mut sum_sq = 0.0f64;
-        let mut change_count = 0usize;
-        let mut failures = 0usize;
         let mut level_points: Vec<Vec<usize>> = Vec::new();
 
         for z in 0..ns {
-            let mut grid = regular_grid(dim, self.config.start_level);
-            let mut values: Vec<f64> = Vec::new(); // nodal rows, grid order
-            let mut frontier: Vec<u32> = (0..grid.len() as u32).collect();
-            let mut surpluses: Vec<f64> = Vec::new();
-            let mut levels_here: Vec<usize> = Vec::new();
-            let mut hier = IncrementalHierarchizer::with_backend(
-                self.config.kernel,
-                self.config.backend.clone(),
-                dim,
-                ndofs,
+            let built = build_state(
+                &self.model,
+                &self.policy,
+                &self.config,
+                z,
+                None::<&SerialComm>,
+                &mut totals,
             );
-
-            loop {
-                levels_here.push(frontier.len());
-                // --- Solve the frontier in parallel against pnext.
-                let solved = timed(spans.map(|s| &s.policy_update), || {
-                    solve_frontier(&self.model, &self.policy, &self.config, z, &grid, &frontier)
-                });
-                failures += solved.failures;
-                let solved = solved.rows;
-                // --- Measure policy change at these points (vs pnext).
-                let change =
-                    measure_change(&self.policy, &self.config, z, &grid, &frontier, &solved);
-                sup_change = sup_change.max(change.sup);
-                sum_sq += change.sum_sq;
-                change_count += change.count;
-                values.extend_from_slice(&solved);
-
-                // --- Hierarchize the new rows against the current partial
-                // interpolant of *this* step (coarser levels already done);
-                // the hierarchizer extends its compressed state in place.
-                let new_surpluses = timed(spans.map(|s| &s.hierarchize), || {
-                    hier.extend(&grid, &frontier, &solved)
-                });
-                surpluses.extend_from_slice(&new_surpluses);
-
-                // --- Refine.
-                let Some(epsilon) = self.config.refine_epsilon else {
-                    break;
-                };
-                let refine_config = RefineConfig {
-                    epsilon,
-                    max_level: self.config.max_level,
-                    norm: self.config.refine_norm,
-                };
-                let report = timed(spans.map(|s| &s.refine), || {
-                    refine_frontier(&mut grid, &surpluses, ndofs, &frontier, &refine_config)
-                });
-                if report.new_nodes.is_empty() {
-                    break;
-                }
-                frontier = report.new_nodes;
+            if level_points.len() < built.levels.len() {
+                level_points.resize(built.levels.len(), vec![0; ns]);
             }
-
-            if level_points.len() < levels_here.len() {
-                level_points.resize(levels_here.len(), vec![0; ns]);
-            }
-            for (l, &count) in levels_here.iter().enumerate() {
+            for (l, &count) in built.levels.iter().enumerate() {
                 level_points[l][z] = count;
             }
-
-            let (cg, chain_order) = timed(spans.map(|s| &s.compress), || {
-                let cg = CompressedGrid::build(&grid);
-                let chain_order = cg.reorder_rows(&surpluses, ndofs);
-                (cg, chain_order)
-            });
-            new_states.push(CompressedState::from_parts(cg, chain_order, ndofs));
+            new_states.push(built.compress(&self.config, self.model.ndofs()));
         }
 
         let report = StepReport {
             step: self.step,
-            sup_change,
-            l2_change: (sum_sq / change_count.max(1) as f64).sqrt(),
+            sup_change: totals.sup,
+            l2_change: (totals.sum_sq / totals.count.max(1) as f64).sqrt(),
             points_per_state: new_states.iter().map(|s| s.grid.nno()).collect(),
             level_points,
-            solver_failures: failures,
+            solver_failures: totals.failures,
             wall_seconds: start.elapsed().as_secs_f64(),
         };
-        self.policy = PolicySet::new(new_states, domain);
+        self.policy = PolicySet::new(new_states, self.policy.domain.clone());
         self.step += 1;
         report
     }
@@ -379,6 +319,176 @@ impl<M: StepModel> TimeIteration<M> {
         }
         reports
     }
+}
+
+/// What one process accumulates over a step: the policy change against
+/// `pnext` at the points it solved, and the solves that fell back. The
+/// distributed step reduces these world-wide.
+#[derive(Default)]
+pub(crate) struct StepTotals {
+    /// Largest relative change of a coefficient.
+    pub sup: f64,
+    /// Sum of squared relative changes.
+    pub sum_sq: f64,
+    /// Coefficients compared.
+    pub count: usize,
+    /// Points whose warm-started solve failed.
+    pub failures: usize,
+}
+
+impl StepTotals {
+    /// Folds in one frontier solve: its fallbacks, and the relative
+    /// difference between its new rows and `pnext` at the same points.
+    /// The solve's squared sum is formed on its own and then added — the
+    /// summation order the bitwise `StepReport` checks pin.
+    fn add(&mut self, solved: &FrontierSolve) {
+        let mut sum_sq = 0.0;
+        for (new, old) in solved.rows.iter().zip(&solved.warm) {
+            let delta = (new - old).abs() / (1.0 + old.abs());
+            self.sup = self.sup.max(delta);
+            sum_sq += delta * delta;
+        }
+        self.sum_sq += sum_sq;
+        self.count += solved.rows.len();
+        self.failures += solved.failures;
+    }
+}
+
+/// One state's finished grid of this step, before compression.
+pub(crate) struct BuiltState {
+    pub grid: SparseGrid,
+    /// Surplus rows in grid order.
+    pub surpluses: Vec<f64>,
+    /// Frontier size per refinement level.
+    pub levels: Vec<usize>,
+}
+
+impl BuiltState {
+    /// Runs the compression pipeline on the finished grid — once per state
+    /// per step — under the `hddm_solve_compress_seconds` span.
+    pub(crate) fn compress(&self, config: &DriverConfig, ndofs: usize) -> CompressedState {
+        let span = config
+            .telemetry
+            .as_ref()
+            .map(|registry| registry.histogram("hddm_solve_compress_seconds"));
+        timed(span.as_ref(), || {
+            let cg = CompressedGrid::build(&self.grid);
+            let chain_order = cg.reorder_rows(&self.surpluses, ndofs);
+            CompressedState::from_parts(cg, chain_order, ndofs)
+        })
+    }
+}
+
+/// The level loop of Fig. 2 for one discrete state: solve the frontier
+/// against `policy` (= `pnext`), measure the policy change there,
+/// hierarchize the new rows against this step's partial interpolant,
+/// refine, repeat. The single-process step and every rank of the
+/// distributed step run this one loop.
+///
+/// With a `group`, each level's frontier is dealt round-robin across the
+/// group's ranks and the solved rows are merged by an allgather, so every
+/// rank hierarchizes and refines the same rows; `totals` then covers this
+/// rank's share only. `None` solves the whole frontier here.
+pub(crate) fn build_state<M: StepModel, C: Comm>(
+    model: &M,
+    policy: &PolicySet,
+    config: &DriverConfig,
+    z: usize,
+    group: Option<&C>,
+    totals: &mut StepTotals,
+) -> BuiltState {
+    let dim = model.dim();
+    let ndofs = model.ndofs();
+    let spans = config.telemetry.as_ref().map(PhaseSpans::resolve);
+    let spans = spans.as_ref();
+
+    let mut grid = regular_grid(dim, config.start_level);
+    let mut frontier: Vec<u32> = (0..grid.len() as u32).collect();
+    let mut surpluses: Vec<f64> = Vec::new();
+    let mut levels = Vec::new();
+    let mut hier =
+        IncrementalHierarchizer::with_backend(config.kernel, config.backend.clone(), dim, ndofs);
+
+    loop {
+        levels.push(frontier.len());
+
+        // A group deals the frontier round-robin: this rank solves every
+        // `size`-th point and the level is merged across the group.
+        let share = group.map(|g| (g, (g.rank()..frontier.len()).step_by(g.size())));
+        let mine: Cow<[u32]> = match &share {
+            Some((_, positions)) => positions.clone().map(|i| frontier[i]).collect(),
+            None => Cow::Borrowed(&frontier),
+        };
+        let solved = timed(spans.map(|s| &s.policy_update), || {
+            solve_frontier(model, policy, config, z, &grid, &mine)
+        });
+        totals.add(&solved);
+        let solved = match share {
+            Some((g, positions)) => merge_level(g, positions, &solved.rows, frontier.len(), ndofs),
+            None => solved.rows,
+        };
+
+        // Hierarchize the new rows against the partial interpolant of
+        // *this* step (coarser levels already done); the hierarchizer
+        // extends its compressed state in place. Deterministic, so a
+        // group's ranks stay in agreement.
+        let new_surpluses = timed(spans.map(|s| &s.hierarchize), || {
+            hier.extend(&grid, &frontier, &solved)
+        });
+        surpluses.extend_from_slice(&new_surpluses);
+
+        let Some(epsilon) = config.refine_epsilon else {
+            break;
+        };
+        let refine_config = RefineConfig {
+            epsilon,
+            max_level: config.max_level,
+            norm: config.refine_norm,
+        };
+        let report = timed(spans.map(|s| &s.refine), || {
+            refine_frontier(&mut grid, &surpluses, ndofs, &frontier, &refine_config)
+        });
+        if report.new_nodes.is_empty() {
+            break;
+        }
+        frontier = report.new_nodes;
+    }
+
+    BuiltState {
+        grid,
+        surpluses,
+        levels,
+    }
+}
+
+/// Merges one level across a rank group: every rank contributes the rows
+/// it solved, tagged with their frontier `positions`, and gets back all
+/// `len` rows in frontier order.
+fn merge_level<C: Comm>(
+    group: &C,
+    positions: impl Iterator<Item = usize>,
+    rows: &[f64],
+    len: usize,
+    ndofs: usize,
+) -> Vec<f64> {
+    let stride = 1 + ndofs;
+    let mut flat = Vec::with_capacity(rows.len() / ndofs * stride);
+    for (i, row) in positions.zip(rows.chunks_exact(ndofs)) {
+        flat.push(i as f64);
+        flat.extend_from_slice(row);
+    }
+    let mut merged = vec![0.0; len * ndofs];
+    let mut seen = vec![false; len];
+    for contribution in &group.allgather(&flat) {
+        assert_eq!(contribution.len() % stride, 0, "ragged merge payload");
+        for rec in contribution.chunks_exact(stride) {
+            let i = rec[0] as usize;
+            merged[i * ndofs..(i + 1) * ndofs].copy_from_slice(&rec[1..]);
+            seen[i] = true;
+        }
+    }
+    assert!(seen.iter().all(|&s| s), "merge missed frontier points");
+    merged
 }
 
 /// The unit-cube coordinates of grid nodes `points`, point-major.
@@ -415,11 +525,14 @@ fn evaluate_pnext(
 }
 
 /// What [`solve_frontier`] returns.
-pub(crate) struct FrontierSolve {
+struct FrontierSolve {
     /// The solved dof rows, in the order of the requested points.
-    pub rows: Vec<f64>,
+    rows: Vec<f64>,
+    /// `pnext(z)` at the same points — the warm starts the solves began
+    /// from, and the rows the policy change is measured against.
+    warm: Vec<f64>,
     /// Points whose warm-started solve failed (each was retried cold).
-    pub failures: usize,
+    failures: usize,
 }
 
 /// The frontier solve of the single-process driver and of every rank of
@@ -434,7 +547,7 @@ pub(crate) struct FrontierSolve {
 /// constant guess, and keep their warm-start row if they fail again.
 /// Point problems are independent, so neither the slicing nor the thread
 /// count changes a row.
-pub(crate) fn solve_frontier<M: StepModel>(
+fn solve_frontier<M: StepModel>(
     model: &M,
     policy: &PolicySet,
     config: &DriverConfig,
@@ -538,6 +651,7 @@ pub(crate) fn solve_frontier<M: StepModel>(
     );
     FrontierSolve {
         rows: rows.into_vec(),
+        warm: warm_rows,
         // ORDERING: Relaxed — `parallel_for_init` has joined its workers,
         // so this is a single-threaded read-out of the tally.
         failures: failure_count.load(Ordering::Relaxed),
@@ -563,49 +677,14 @@ struct OracleCounters {
     points: Arc<Counter>,
 }
 
-/// Policy-change metrics over a set of points.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct PolicyChange {
-    /// Largest relative change of a coefficient.
-    pub sup: f64,
-    /// Sum of squared relative changes.
-    pub sum_sq: f64,
-    /// Coefficients compared.
-    pub count: usize,
-}
-
-/// Policy-change metrics at grid nodes `points`: sup and squared-sum of
-/// the relative difference between the new rows `solved` and `policy`
-/// (= `pnext`), which is evaluated there as one batched kernel call.
-pub(crate) fn measure_change(
-    policy: &PolicySet,
-    config: &DriverConfig,
-    z: usize,
-    grid: &SparseGrid,
-    points: &[u32],
-    solved: &[f64],
-) -> PolicyChange {
-    let ndofs = policy.states.ndofs();
-    let old = evaluate_pnext(policy, config, z, &unit_rows(grid, points));
-    let mut change = PolicyChange::default();
-    for (new_row, old_row) in solved.chunks_exact(ndofs).zip(old.chunks_exact(ndofs)) {
-        for k in 0..ndofs {
-            let delta = (new_row[k] - old_row[k]).abs() / (1.0 + old_row[k].abs());
-            change.sup = change.sup.max(delta);
-            change.sum_sq += delta * delta;
-            change.count += 1;
-        }
-    }
-    change
-}
-
 /// Incremental hierarchization of one state's grid within one
 /// time-iteration step: computes surpluses of each refinement frontier
 /// relative to the partial interpolant built so far
 /// (`α_p = f(x_p) − u_partial(x_p)`) and **extends** that interpolant in
 /// place, so the compressed structure is never rebuilt per level — the
 /// per-step compression pipeline runs exactly once, on the finished grid
-/// (asserted against [`hddm_compress::compression_builds`] by test).
+/// (asserted against [`hddm_compress::builds_total`] in
+/// `tests/compression_count.rs`).
 ///
 /// Ancestor closure can mix level sums within one refinement batch, and
 /// a coarser new node contributes to a finer new node's interpolant — so
@@ -613,9 +692,8 @@ pub(crate) fn measure_change(
 /// group against the partial interpolant as **one batched kernel call**
 /// ([`KernelKind::evaluate_compressed_batch`]) and folding it in via
 /// [`CompressedState::extend_from_frontier`] before the next (within a
-/// group, cross terms vanish at grid points; see `hddm-asg`). Shared by
-/// the single-process driver and the distributed step
-/// (`crate::distributed`); deterministic, so every rank hierarchizing the
+/// group, cross terms vanish at grid points; see `hddm-asg`).
+/// Deterministic, so every rank of a distributed step hierarchizing the
 /// same rows gets bitwise identical surpluses.
 pub struct IncrementalHierarchizer {
     kernel: KernelKind,
@@ -627,13 +705,7 @@ pub struct IncrementalHierarchizer {
 
 impl IncrementalHierarchizer {
     /// A fresh hierarchizer for one `(state, step)` grid construction,
-    /// evaluating on the CPU kernels.
-    pub fn new(kernel: KernelKind, dim: usize, ndofs: usize) -> Self {
-        Self::with_backend(kernel, ExecutionBackend::Cpu, dim, ndofs)
-    }
-
-    /// A fresh hierarchizer whose group evaluations dispatch through
-    /// `backend` ([`ExecutionBackend::Cpu`] reproduces [`Self::new`]).
+    /// whose group evaluations dispatch through `backend`.
     pub fn with_backend(
         kernel: KernelKind,
         backend: ExecutionBackend,
@@ -853,8 +925,7 @@ mod tests {
         assert!(report.level_points.len() > 1);
     }
 
-    /// Fixed point has a kink → adaptivity adds points (shared by the
-    /// refinement and compression-count tests).
+    /// Fixed point has a kink → adaptivity adds points.
     struct Kinked;
     impl StepModel for Kinked {
         fn dim(&self) -> usize {
@@ -884,36 +955,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // thread-local delta assertion needs the shim
-    fn compression_runs_once_per_solve_not_once_per_level() {
-        // A refining step builds the grid over several levels; the
-        // compression pipeline must still run exactly once per state
-        // (on the finished grid), not once per level group — the
-        // incremental hierarchizer extends its state instead.
-        let config = DriverConfig {
-            start_level: 2,
-            refine_epsilon: Some(1e-3),
-            max_level: 6,
-            max_steps: 1,
-            pool: PoolConfig {
-                threads: 1,
-                grain: 4,
-            },
-            ..Default::default()
-        };
-        let mut ti = TimeIteration::new(Kinked, config);
-        let before = hddm_compress::compression_builds();
-        let report = ti.step();
-        let builds = hddm_compress::compression_builds() - before;
-        assert!(
-            report.level_points.len() > 1,
-            "refinement must produce multiple level groups: {:?}",
-            report.level_points
-        );
-        assert_eq!(builds, 1, "one compression per solve (ns = 1)");
-    }
-
-    #[test]
     fn incremental_hierarchizer_matches_full_rebuild() {
         use hddm_asg::{refine_frontier, RefineConfig, SurplusNorm};
         // Grow a grid level by level with a kinked target function; the
@@ -928,7 +969,12 @@ mod tests {
         let mut grid = regular_grid(dim, 2);
         let mut frontier: Vec<u32> = (0..grid.len() as u32).collect();
         let mut surpluses: Vec<f64> = Vec::new();
-        let mut hier = IncrementalHierarchizer::new(KernelKind::Avx2, dim, ndofs);
+        let mut hier = IncrementalHierarchizer::with_backend(
+            KernelKind::Avx2,
+            ExecutionBackend::Cpu,
+            dim,
+            ndofs,
+        );
         let mut unit = vec![0.0; dim];
         for level in 0..4 {
             let mut solved = vec![0.0; frontier.len() * ndofs];

@@ -10,7 +10,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use hddm_core::{DriverConfig, OlgStep, PolicySet, StepModel, TimeIteration};
+use hddm_cluster::SerialComm;
+use hddm_core::{
+    distributed_step, initial_policy, DriverConfig, OlgStep, PolicySet, StepModel, TimeIteration,
+};
 use hddm_kernels::{BlockObserver, ChunkCounts, CompressedState, ExecutionBackend, KernelKind};
 use hddm_olg::{Calibration, OlgModel, PointScratch, PolicyOracle};
 use hddm_sched::PoolConfig;
@@ -171,7 +174,7 @@ fn solver_blocks_reach_the_registry_and_the_observer() {
 
     // The block path, observed, on two threads: same policies, its
     // blocks are wide, and the observer sees every point the oracle
-    // evaluated (plus the driver's own warm/change/hierarchization blocks).
+    // evaluated (plus the driver's own warm-start and hierarchization blocks).
     let registry = Registry::new();
     let observer = Arc::new(PointCounter::default());
     let mut ti = TimeIteration::new(
@@ -202,4 +205,37 @@ fn solver_blocks_reach_the_registry_and_the_observer() {
     let (row_blocks, row_points) = traffic(&row_registry);
     assert_eq!(row_points, points);
     assert!(row_points <= 4 * row_blocks && row_blocks > blocks);
+}
+
+#[test]
+fn a_distributed_step_is_observed_and_timed_like_the_single_process_step() {
+    // One step of the same instance each way: the observer sees the same
+    // points (solver, warm-start and hierarchization blocks alike) and
+    // the phase spans record the same number of levels.
+    let measure = |step: &dyn Fn(&DriverConfig)| {
+        let registry = Registry::new();
+        let observer = Arc::new(PointCounter::default());
+        step(&DriverConfig {
+            backend: ExecutionBackend::Observed(observer.clone()),
+            telemetry: Some(registry.clone()),
+            ..config(1)
+        });
+        let snapshot = registry.snapshot();
+        let levels = |name| snapshot.histogram(name).map_or(0, |h| h.count);
+        (
+            observer.0.load(Ordering::Relaxed),
+            levels("hddm_solve_policy_update_seconds"),
+            levels("hddm_solve_hierarchize_seconds"),
+        )
+    };
+    let single = measure(&|config| {
+        TimeIteration::new(OlgStep::new(instance()), config.clone()).step();
+    });
+    let distributed = measure(&|config| {
+        let model = OlgStep::new(instance());
+        let policy = initial_policy(&model, config.start_level);
+        distributed_step(&SerialComm, &model, &policy, config, 0);
+    });
+    assert!(single.1 > 2 && single.2 == single.1, "{single:?}");
+    assert_eq!(distributed, single);
 }

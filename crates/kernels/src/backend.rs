@@ -1,6 +1,6 @@
 //! The backend seam of the batched kernels: every consumer that speaks
-//! [`PointBlock`] (the point solver's Newton rounds, driver
-//! hierarchization, change measurement, warm-start projection, the serve
+//! [`PointBlock`] (the point solver's Newton rounds, the driver's frontier
+//! warm starts and hierarchization, warm-start projection, the serve
 //! batch-solve path) evaluates through an
 //! [`ExecutionBackend`]; see the crate docs for why it observes.
 

@@ -5,7 +5,7 @@
 //! The single-point kernels walk the whole `chains` matrix — and stream
 //! the whole surplus matrix — once **per query point**. For the hot
 //! consumers (hierarchization of a refinement frontier, warm-start
-//! projection, policy-change measurement) the queries arrive in blocks of
+//! projection, a frontier's warm starts) the queries arrive in blocks of
 //! dozens to thousands of points, so the batched kernels restructure the
 //! loops the way the paper restructures them for Xeon Phi and GPUs:
 //!

@@ -43,17 +43,6 @@ pub fn add_assign<const N: usize>(x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Clamped linear-basis evaluation for a block of xps entries:
-/// `xpv[k] = max(0, 1 − |x[j_k]·l_k − i_k|)`. The gather of `x[j]` is
-/// scalar (as on real hardware); the arithmetic vectorizes.
-#[inline(always)]
-pub fn fill_xpv_block(xs: &[f64], ls: &[f64], is: &[f64], xpv: &mut [f64]) {
-    for k in 0..xpv.len() {
-        let xp = 1.0 - (xs[k] * ls[k] - is[k]).abs();
-        xpv[k] = xp.max(0.0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

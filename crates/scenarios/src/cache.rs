@@ -10,9 +10,10 @@
 //! instead of the constant steady-state guess, cutting the
 //! time-iteration count.
 //!
-//! Measured solve costs ride along on each entry, so the executor's
-//! fleet assignment improves as the cache fills (cost estimates are fed
-//! back from actual runs of nearby scenarios).
+//! Measured solve costs ride along on each entry:
+//! [`SurfaceCache::nearest_neighbour`] reports the cost of the nearest
+//! solved scenario, which the serving front-end hands to clients as the
+//! estimated cost of a warm-started solve.
 //!
 //! ## Concurrency architecture
 //!
@@ -99,8 +100,7 @@ pub struct CachedSurface {
     pub steps: usize,
     /// Final sup policy change of the producing solve.
     pub final_sup_change: f64,
-    /// Measured wall-clock seconds of the producing solve (cost
-    /// feedback for the fleet assignment).
+    /// Measured wall-clock seconds of the producing solve.
     pub cost_seconds: f64,
 }
 
@@ -909,16 +909,6 @@ impl SurfaceCache {
         deposit_span.stop();
     }
 
-    /// The measured cost of the nearest same-shape cached scenario —
-    /// in memory or in the persistent index — if any lies within the warm
-    /// radius. This is the feedback path from executed scenarios into the
-    /// next sweep's fleet assignment; persisted costs make it survive
-    /// process restarts.
-    pub fn estimated_cost(&self, shape: ShapeKey, fingerprint: &[f64]) -> Option<f64> {
-        self.nearest_neighbour(shape, fingerprint)
-            .map(|n| n.cost_seconds)
-    }
-
     /// Telemetry snapshot — a structured view over the registry's
     /// instruments. The gauges are refreshed first through the same path
     /// the registry's collect hook uses, so a [`Registry::snapshot`] taken
@@ -1095,6 +1085,14 @@ mod tests {
         }
     }
 
+    /// The measured cost of `fingerprint`'s nearest cached neighbour —
+    /// what the serving front-end's warm hint reports.
+    fn nearest_cost(cache: &SurfaceCache, fingerprint: &[f64]) -> Option<f64> {
+        cache
+            .nearest_neighbour(shape(), fingerprint)
+            .map(|n| n.cost_seconds)
+    }
+
     /// A one-state policy set interpolating `f(x_phys) = a·x₀ + b·x₁`
     /// over `domain`.
     fn linear_policy(domain: &BoxDomain, a: f64, b: f64) -> PolicySet {
@@ -1186,7 +1184,7 @@ mod tests {
             Lookup::Warm(s) => assert_eq!(s.hash, 26, "earliest deposit wins ties"),
             other => panic!("expected warm, got {other:?}"),
         }
-        assert_eq!(cache.estimated_cost(shape(), &[0.95]), Some(0.1));
+        assert_eq!(nearest_cost(&cache, &[0.95]), Some(0.1));
     }
 
     #[test]
@@ -1307,11 +1305,11 @@ mod tests {
         let cache = SurfaceCache::new(0.2);
         let domain = BoxDomain::new(vec![0.0, 0.0], vec![1.0, 1.0]);
         let policy = linear_policy(&domain, 1.0, 0.0);
-        assert_eq!(cache.estimated_cost(shape(), &[0.95]), None);
+        assert_eq!(nearest_cost(&cache, &[0.95]), None);
         cache.store_policy(1, shape(), vec![0.90], &policy, 5, 1e-8, 1.5);
         cache.store_policy(2, shape(), vec![0.96], &policy, 5, 1e-8, 2.5);
-        assert_eq!(cache.estimated_cost(shape(), &[0.95]), Some(2.5));
-        assert_eq!(cache.estimated_cost(shape(), &[0.90]), Some(1.5));
+        assert_eq!(nearest_cost(&cache, &[0.95]), Some(2.5));
+        assert_eq!(nearest_cost(&cache, &[0.90]), Some(1.5));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The batch executor: runs a [`ScenarioSet`] through the time-iteration
-//! driver, scheduling scenarios across the simulated heterogeneous fleet
-//! (`hddm_cluster::hetero`) and across host threads
-//! (`hddm_sched::parallel_for_init`), with the policy-surface cache
-//! supplying exact hits and warm starts.
+//! driver on `threads` host workers of the work-stealing pool
+//! (`hddm_sched::parallel_for_init` — the paper's Sec. IV-A scheduler),
+//! with the policy-surface cache supplying exact hits and warm starts.
 //!
 //! Two entry points:
 //!
@@ -20,22 +19,12 @@
 //! and sends `(index, result)` as each scenario finishes — no shared
 //! `Mutex<Vec<...>>` serializing completions. Failures are typed
 //! ([`ExecutorError`]), never bare strings.
-//!
-//! Cost model feedback: the fleet assignment is computed from
-//! per-scenario cost estimates. Before anything has run, the estimate is
-//! an analytic point-count model; once the cache holds measured costs of
-//! nearby scenarios, those replace the analytic guess — so a second
-//! sweep's assignment reflects what the first sweep actually cost. The
-//! report carries both the planned schedule (estimates) and the replay
-//! of the measured costs, making the estimate error visible.
 
 use std::path::PathBuf;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use hddm_asg::regular_grid_size;
-use hddm_cluster::{mixed_fleet, schedule_with_map, Assignment, WorkerSpec};
 use hddm_core::{DriverConfig, OlgStep, TimeIteration};
 use hddm_kernels::{ExecutionBackend, KernelKind};
 use hddm_sched::{parallel_for_init, PoolConfig};
@@ -45,7 +34,7 @@ use hddm_telemetry::Registry;
 use crate::cache::{project_policy_with, Lookup, ShapeKey, SurfaceCache};
 use crate::hash::{fingerprint, scenario_hash, HashId};
 use crate::persist::EvictionPolicy;
-use crate::report::{CacheKind, FleetSummary, ScenarioReport, SweepReport};
+use crate::report::{CacheKind, ScenarioReport, SweepReport};
 use crate::scenario::{Scenario, ScenarioSet};
 
 /// One streamed completion: the scenario's index within its set plus its
@@ -59,8 +48,6 @@ type BatchItem = (usize, Result<ScenarioReport, ExecutorError>);
 pub enum ExecutorError {
     /// The scenario set contained no scenarios.
     EmptySet,
-    /// The simulated fleet contained no workers.
-    EmptyFleet,
     /// A scenario failed validation before execution.
     InvalidScenario {
         /// Display name of the offending scenario.
@@ -88,7 +75,6 @@ impl std::fmt::Display for ExecutorError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecutorError::EmptySet => write!(f, "empty scenario set"),
-            ExecutorError::EmptyFleet => write!(f, "executor fleet is empty"),
             ExecutorError::InvalidScenario { name, reason } => {
                 write!(f, "invalid scenario {name:?}: {reason}")
             }
@@ -104,15 +90,10 @@ impl std::fmt::Display for ExecutorError {
 
 impl std::error::Error for ExecutorError {}
 
-/// Executor configuration: the simulated fleet the sweep is scheduled
-/// onto, the host resources it actually runs with, and the (optional)
-/// persistent policy-surface cache directory.
+/// Executor configuration: the host resources a sweep runs with and the
+/// (optional) persistent policy-surface cache directory.
 #[derive(Clone, Debug)]
 pub struct ExecutorConfig {
-    /// Simulated heterogeneous fleet the scenarios are assigned to.
-    pub fleet: Vec<WorkerSpec>,
-    /// Assignment policy over the fleet.
-    pub assignment: Assignment,
     /// Host threads running scenarios concurrently (scenario-level
     /// `parallel_for`; each scenario's own point solves use
     /// `SolveSettings::solver_threads`).
@@ -120,7 +101,8 @@ pub struct ExecutorConfig {
     /// Interpolation kernel for policy evaluations.
     pub kernel: KernelKind,
     /// Which engine evaluates batched `PointBlock` calls (warm-start
-    /// projection, driver hierarchization/change measurement). The GPU
+    /// projection, the driver's Newton rounds, frontier warm starts and
+    /// hierarchization). The GPU
     /// variant shares one device pool across every scenario the
     /// executor runs, so a served surface is uploaded once and re-used.
     pub backend: ExecutionBackend,
@@ -145,8 +127,6 @@ pub struct ExecutorConfig {
 impl Default for ExecutorConfig {
     fn default() -> Self {
         ExecutorConfig {
-            fleet: mixed_fleet(2, 2),
-            assignment: Assignment::WorkStealing { chunk: 1 },
             threads: std::thread::available_parallelism()
                 .map(|n| n.get().min(8))
                 .unwrap_or(1),
@@ -181,30 +161,6 @@ impl ExecutorConfig {
     }
 }
 
-/// The scenario's state-space shape ([`ShapeKey::of`] — the shared
-/// derivation the serving front-end uses too).
-fn shape_of(scenario: &Scenario) -> ShapeKey {
-    ShapeKey::of(scenario)
-}
-
-/// Analytic cost estimate in arbitrary reference units: grid points ×
-/// discrete states × dof rows × step budget. Only relative magnitudes
-/// matter to the assignment.
-fn analytic_cost(scenario: &Scenario) -> f64 {
-    let shape = shape_of(scenario);
-    let points = regular_grid_size(shape.dim, scenario.solve.start_level) as f64;
-    points * shape.num_states as f64 * shape.ndofs as f64 * scenario.solve.max_steps as f64 * 1e-6
-}
-
-/// Estimated cost of one scenario: the measured cost of the nearest
-/// cached neighbour when available (the feedback path), otherwise the
-/// analytic model.
-fn estimate_cost(scenario: &Scenario, cache: &SurfaceCache) -> f64 {
-    cache
-        .estimated_cost(shape_of(scenario), &fingerprint(scenario))
-        .unwrap_or_else(|| analytic_cost(scenario))
-}
-
 fn driver_config(
     scenario: &Scenario,
     kernel: KernelKind,
@@ -229,9 +185,9 @@ fn driver_config(
     }
 }
 
-/// Solves one scenario against the cache and returns its report (with
-/// `worker` left for the caller to fill in). Converged surfaces are
-/// deposited back into the cache, measured cost included.
+/// Solves one scenario against the cache and returns its report.
+/// Converged surfaces are deposited back into the cache, measured cost
+/// included.
 fn solve_one(
     scenario: &Scenario,
     cache: &SurfaceCache,
@@ -239,7 +195,7 @@ fn solve_one(
 ) -> Result<ScenarioReport, ExecutorError> {
     let start = Instant::now();
     let hash = scenario_hash(scenario);
-    let shape = shape_of(scenario);
+    let shape = ShapeKey::of(scenario);
     let fp = fingerprint(scenario);
     let tolerance = scenario.solve.tolerance;
 
@@ -335,12 +291,11 @@ fn solve_one(
         wall_seconds: wall,
         cache: cache_tag,
         warm_source,
-        worker: String::new(),
     })
 }
 
 /// Runs a single scenario outside any sweep (cold-versus-warm
-/// comparisons, CLI one-offs). The report's worker is `"local"`.
+/// comparisons, CLI one-offs).
 pub fn run_single(
     scenario: &Scenario,
     cache: &SurfaceCache,
@@ -352,9 +307,7 @@ pub fn run_single(
             name: scenario.name.clone(),
             reason,
         })?;
-    let mut report = solve_one(scenario, cache, config)?;
-    report.worker = "local".into();
-    Ok(report)
+    solve_one(scenario, cache, config)
 }
 
 /// A dispatched batch: per-scenario results stream out of
@@ -366,9 +319,6 @@ pub struct BatchHandle {
     rx: Receiver<BatchItem>,
     slots: Vec<Option<Result<ScenarioReport, ExecutorError>>>,
     delivered: usize,
-    planned: FleetSummary,
-    fleet: Vec<WorkerSpec>,
-    assignment: Assignment,
     cache: SurfaceCache,
     started: Instant,
     worker: Option<JoinHandle<()>>,
@@ -383,11 +333,6 @@ impl BatchHandle {
     /// Whether the batch is empty (never true: empty sets are rejected).
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
-    }
-
-    /// The fleet schedule planned from the pre-run cost estimates.
-    pub fn planned(&self) -> &FleetSummary {
-        &self.planned
     }
 
     /// The next completed scenario, blocking until one finishes:
@@ -432,18 +377,12 @@ impl BatchHandle {
             }
         }
 
-        let measured: Vec<f64> = scenarios.iter().map(|s| s.wall_seconds).collect();
-        let (replayed, _) = schedule_with_map(&self.fleet, &measured, self.assignment);
-        let worker_names: Vec<String> = self.fleet.iter().map(|w| w.name.clone()).collect();
-
         let count = |kind: CacheKind| scenarios.iter().filter(|s| s.cache == kind).count();
         Ok(SweepReport {
             exact_hits: count(CacheKind::Exact),
             warm_starts: count(CacheKind::Warm),
             cold_solves: count(CacheKind::Cold),
             scenarios,
-            planned: self.planned.clone(),
-            replayed: FleetSummary::new(worker_names, replayed),
             cache_stats: self.cache.stats(),
             total_wall_seconds,
         })
@@ -469,9 +408,8 @@ impl Drop for BatchHandle {
 /// incremental entry point the serving front-end coalesces micro-batches
 /// onto; [`run_set`] is the blocking wrapper.
 ///
-/// Validates the whole batch up front (typed [`ExecutorError`]s), plans
-/// the fleet assignment from current cost estimates, then executes on a
-/// detached worker thread running the scenario-level pool.
+/// Validates the whole batch up front (typed [`ExecutorError`]s), then
+/// executes on a detached worker thread running the scenario-level pool.
 pub fn run_batch(
     set: ScenarioSet,
     cache: SurfaceCache,
@@ -488,25 +426,11 @@ pub fn run_batch(
                 reason,
             })?;
     }
-    if config.fleet.is_empty() {
-        return Err(ExecutorError::EmptyFleet);
-    }
-
-    let estimates: Vec<f64> = set
-        .scenarios
-        .iter()
-        .map(|s| estimate_cost(s, &cache))
-        .collect();
-    let (planned, map) = schedule_with_map(&config.fleet, &estimates, config.assignment);
-    let worker_names: Vec<String> = config.fleet.iter().map(|w| w.name.clone()).collect();
-    let planned = FleetSummary::new(worker_names.clone(), planned);
 
     let n = set.len();
     let (tx, rx): (Sender<BatchItem>, Receiver<BatchItem>) = channel();
 
     let started = Instant::now();
-    let fleet = config.fleet.clone();
-    let assignment = config.assignment;
     let thread_cache = cache.clone();
     let worker = std::thread::spawn(move || {
         let pool = PoolConfig {
@@ -521,11 +445,7 @@ pub fn run_batch(
             &pool,
             || tx.clone(),
             |tx, i| {
-                let mut result = solve_one(&set.scenarios[i], &thread_cache, &config);
-                if let Ok(report) = &mut result {
-                    report.worker = worker_names[map[i]].clone();
-                }
-                let _ = tx.send((i, result));
+                let _ = tx.send((i, solve_one(&set.scenarios[i], &thread_cache, &config)));
             },
         );
     });
@@ -534,20 +454,15 @@ pub fn run_batch(
         rx,
         slots: vec![None; n],
         delivered: 0,
-        planned,
-        fleet,
-        assignment,
         cache,
         started,
         worker: Some(worker),
     })
 }
 
-/// Runs a whole scenario set: estimates costs (cache feedback first,
-/// analytic model otherwise), assigns scenarios to the simulated fleet,
-/// executes them across host threads, then replays the schedule with the
-/// measured costs. Returns the full [`SweepReport`]. Equivalent to
-/// [`run_batch`] followed by [`BatchHandle::join`].
+/// Runs a whole scenario set across host threads and returns the full
+/// [`SweepReport`]. Equivalent to [`run_batch`] followed by
+/// [`BatchHandle::join`].
 pub fn run_set(
     set: &ScenarioSet,
     cache: &SurfaceCache,
@@ -644,12 +559,6 @@ mod tests {
         assert_eq!(report.cold_solves, 1);
         assert_eq!(report.warm_starts, 3);
         assert_eq!(report.exact_hits, 0);
-        // Every scenario is attributed to a fleet worker.
-        let names: std::collections::HashSet<_> = report.planned.workers.iter().cloned().collect();
-        for s in &report.scenarios {
-            assert!(names.contains(&s.worker), "unknown worker {:?}", s.worker);
-        }
-        assert_eq!(report.planned.schedule.tasks.iter().sum::<usize>(), 4);
         // Re-running the identical set is all exact hits.
         let second = run_set(&set, &cache, &ExecutorConfig::serial()).unwrap();
         assert_eq!(second.exact_hits, 4);
@@ -662,7 +571,6 @@ mod tests {
         let set = ScenarioSet::grid(&base(), &[(Knob::Beta, vec![0.949, 0.95, 0.951])]).unwrap();
         let mut handle = run_batch(set.clone(), cache.clone(), ExecutorConfig::serial()).unwrap();
         assert_eq!(handle.len(), 3);
-        assert_eq!(handle.planned().schedule.tasks.iter().sum::<usize>(), 3);
 
         let mut seen = Vec::new();
         while let Some((i, result)) = handle.recv() {
@@ -684,20 +592,7 @@ mod tests {
     }
 
     #[test]
-    fn cost_feedback_changes_the_estimates_after_a_sweep() {
-        let cache = SurfaceCache::default();
-        let scenario = base();
-        let analytic = estimate_cost(&scenario, &cache);
-        run_single(&scenario, &cache, &ExecutorConfig::serial()).unwrap();
-        let fed_back = estimate_cost(&scenario, &cache);
-        // The measured wall clock of the real solve replaces the
-        // analytic unit-model estimate.
-        assert_ne!(analytic.to_bits(), fed_back.to_bits());
-        assert!(fed_back > 0.0);
-    }
-
-    #[test]
-    fn empty_sets_and_empty_fleets_are_rejected_with_typed_errors() {
+    fn empty_sets_and_invalid_scenarios_are_rejected_with_typed_errors() {
         let cache = SurfaceCache::default();
         let err = run_set(
             &ScenarioSet { scenarios: vec![] },
@@ -707,17 +602,6 @@ mod tests {
         .unwrap_err();
         assert_eq!(err, ExecutorError::EmptySet);
         assert!(err.to_string().contains("empty"));
-        let err = run_set(
-            &ScenarioSet::single(base()),
-            &cache,
-            &ExecutorConfig {
-                fleet: vec![],
-                ..ExecutorConfig::serial()
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err, ExecutorError::EmptyFleet);
-        assert!(err.to_string().contains("fleet"));
 
         // Invalid scenarios are named in the typed error.
         let mut bad = base();

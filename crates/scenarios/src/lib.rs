@@ -1,11 +1,10 @@
 //! # hddm-scenarios — batched multi-calibration experiment runner
 //!
 //! The paper solves *one* calibrated OLG economy per run. This crate turns
-//! the solver into a scenario engine in the spirit of GPU-accelerated
-//! simulation-optimization fleets: define a family of counterfactuals
+//! the solver into a scenario engine: define a family of counterfactuals
 //! (calibration overrides, shock/Markov variants, box-policy reforms,
 //! refinement + solver settings), batch them through the time-iteration
-//! driver over the simulated heterogeneous fleet, and reuse solved policy
+//! driver on the host's work-stealing pool, and reuse solved policy
 //! surfaces across nearby scenarios instead of restarting every solve from
 //! the constant steady-state guess.
 //!
@@ -25,11 +24,10 @@
 //!   JSON record per surface, lazy restoration, LRU-by-insertion
 //!   eviction, and corrupt-artifact skipping — run N+1 of the same sweep
 //!   does zero solves;
-//! * [`executor`] — the batch executor: per-scenario cost estimates
-//!   (fed back from measured costs of completed scenarios), fleet
-//!   assignment via [`hddm_cluster::hetero::schedule_with_map`], and
-//!   host-side execution through [`hddm_sched::parallel_for_init`];
-//! * [`report`] — per-scenario and fleet-level diagnostics
+//! * [`executor`] — the batch executor: scenarios run in set order on
+//!   `threads` workers of [`hddm_sched::parallel_for_init`], each against
+//!   the cache, streaming results as they complete;
+//! * [`report`] — per-scenario and per-sweep diagnostics
 //!   ([`ScenarioReport`], [`SweepReport`]) serialized to JSON through the
 //!   serde shim (bit-exact `f64`, the checkpoint convention).
 //!
@@ -63,5 +61,5 @@ pub use hash::{
     fingerprint, fingerprint_distance, fingerprint_distances, scenario_hash, HashId, ScenarioHasher,
 };
 pub use persist::{EvictionPolicy, ManifestEntry, MANIFEST_FILE, PERSIST_VERSION};
-pub use report::{CacheKind, FleetSummary, ScenarioReport, SweepReport};
+pub use report::{CacheKind, ScenarioReport, SweepReport};
 pub use scenario::{Knob, Scenario, ScenarioSet, SolveSettings};

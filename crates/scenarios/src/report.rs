@@ -1,13 +1,11 @@
-//! Sweep diagnostics: per-scenario solve telemetry plus fleet-level
-//! scheduling summaries, serialized to JSON through the serde shim
-//! (bit-exact `f64`, the checkpoint convention).
+//! Sweep diagnostics: per-scenario solve telemetry plus the sweep's cache
+//! totals, serialized to JSON through the serde shim (bit-exact `f64`,
+//! the checkpoint convention).
 
 use std::io;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
-
-use hddm_cluster::ScheduleResult;
 
 use crate::cache::{CacheStats, CachedSurface};
 use crate::hash::HashId;
@@ -86,15 +84,12 @@ pub struct ScenarioReport {
     /// Hash of the cached scenario a warm start came from (`None` for
     /// cold solves and exact hits).
     pub warm_source: Option<HashId>,
-    /// Name of the fleet worker the scenario was assigned to.
-    pub worker: String,
 }
 
 impl ScenarioReport {
     /// The report of an exact cache hit: zero time-iteration steps, the
     /// cached surface *is* the answer. Shared by the batch executor and
-    /// the serving front-end so both describe a hit identically. The
-    /// `worker` attribution is left empty for the caller to fill.
+    /// the serving front-end so both describe a hit identically.
     pub fn from_exact_hit(
         name: &str,
         surface: &CachedSurface,
@@ -111,51 +106,16 @@ impl ScenarioReport {
             wall_seconds,
             cache: CacheKind::Exact,
             warm_source: None,
-            worker: String::new(),
         }
     }
 }
 
-/// Fleet-level scheduling summary (one simulated execution of the
-/// per-scenario costs over the heterogeneous worker fleet).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct FleetSummary {
-    /// Worker display names, aligned with the schedule's per-worker
-    /// vectors.
-    pub workers: Vec<String>,
-    /// Makespan / busy / task-count telemetry.
-    pub schedule: ScheduleResult,
-    /// Load imbalance: max over workers of busy seconds divided by the
-    /// mean (1.0 = perfectly balanced).
-    pub imbalance: f64,
-}
-
-impl FleetSummary {
-    /// Bundles a schedule with its worker names, deriving the imbalance.
-    pub fn new(workers: Vec<String>, schedule: ScheduleResult) -> FleetSummary {
-        let n = schedule.busy.len().max(1) as f64;
-        let mean = schedule.busy.iter().sum::<f64>() / n;
-        let max = schedule.busy.iter().cloned().fold(0.0, f64::max);
-        let imbalance = if mean > 0.0 { max / mean } else { 1.0 };
-        FleetSummary {
-            workers,
-            schedule,
-            imbalance,
-        }
-    }
-}
-
-/// The complete record of one sweep: every scenario's telemetry, the
-/// planned (estimated-cost) and replayed (measured-cost) fleet
-/// schedules, and cache totals.
+/// The complete record of one sweep: every scenario's telemetry and the
+/// cache totals.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SweepReport {
     /// Per-scenario reports, in scenario-set order.
     pub scenarios: Vec<ScenarioReport>,
-    /// Fleet schedule computed from the pre-run cost estimates.
-    pub planned: FleetSummary,
-    /// Fleet schedule replayed with the measured per-scenario costs.
-    pub replayed: FleetSummary,
     /// Exact cache hits in this sweep.
     pub exact_hits: usize,
     /// Warm starts in this sweep.
@@ -196,14 +156,6 @@ impl SweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hddm_cluster::{mixed_fleet, schedule, straggler_costs, Assignment};
-
-    fn summary() -> FleetSummary {
-        let fleet = mixed_fleet(1, 1);
-        let costs = straggler_costs(32, 0.05, 0.5, 5);
-        let s = schedule(&fleet, &costs, Assignment::WorkStealing { chunk: 2 });
-        FleetSummary::new(fleet.iter().map(|w| w.name.clone()).collect(), s)
-    }
 
     #[test]
     fn sweep_report_roundtrips_through_json() {
@@ -219,10 +171,7 @@ mod tests {
                 wall_seconds: 0.125,
                 cache: CacheKind::Warm,
                 warm_source: Some(HashId(42)),
-                worker: "daint-0".into(),
             }],
-            planned: summary(),
-            replayed: summary(),
             exact_hits: 0,
             warm_starts: 1,
             cold_solves: 0,
@@ -247,23 +196,6 @@ mod tests {
         assert_eq!(s.warm_source, Some(HashId(42)));
         assert_eq!(back.cache_stats, report.cache_stats);
         assert_eq!(s.final_sup_change.to_bits(), 3.25e-7f64.to_bits());
-        assert_eq!(back.planned.workers, report.planned.workers);
-        assert_eq!(
-            back.planned.schedule.makespan.to_bits(),
-            report.planned.schedule.makespan.to_bits()
-        );
         assert!(back.all_converged());
-    }
-
-    #[test]
-    fn imbalance_is_max_over_mean_busy() {
-        let s = ScheduleResult {
-            makespan: 4.0,
-            busy: vec![4.0, 2.0],
-            tasks: vec![8, 4],
-            idle_fraction: 0.25,
-        };
-        let f = FleetSummary::new(vec!["a".into(), "b".into()], s);
-        assert!((f.imbalance - 4.0 / 3.0).abs() < 1e-12);
     }
 }

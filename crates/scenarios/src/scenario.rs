@@ -256,8 +256,7 @@ impl Knob {
     }
 }
 
-/// An ordered batch of scenarios — the unit the executor schedules over
-/// the fleet.
+/// An ordered batch of scenarios — the unit the executor runs.
 #[derive(Clone, Debug)]
 pub struct ScenarioSet {
     /// The scenarios, in construction order.

@@ -10,7 +10,6 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use hddm_cluster::{mixed_fleet, Assignment};
 use hddm_kernels::KernelKind;
 use hddm_olg::{Calibration, PolicyOracle};
 use hddm_scenarios::{
@@ -28,15 +27,6 @@ fn temp_cache_dir(tag: &str) -> PathBuf {
     ));
     let _ = fs::remove_dir_all(&dir);
     dir
-}
-
-fn config() -> ExecutorConfig {
-    ExecutorConfig {
-        fleet: mixed_fleet(2, 2),
-        assignment: Assignment::WorkStealing { chunk: 1 },
-        threads: 1,
-        ..ExecutorConfig::serial()
-    }
 }
 
 fn base_scenario() -> Scenario {
@@ -78,7 +68,7 @@ fn surfaces_roundtrip_through_a_reopened_directory_bitwise() {
 
     // Solve once into a persistent cache.
     let first = SurfaceCache::open(&dir).unwrap();
-    let report = run_single(&scenario, &first, &config()).unwrap();
+    let report = run_single(&scenario, &first, &ExecutorConfig::serial()).unwrap();
     assert!(report.converged);
     assert_eq!(report.cache, CacheKind::Cold);
     let hash = report.hash.0;
@@ -122,7 +112,7 @@ fn surfaces_roundtrip_through_a_reopened_directory_bitwise() {
     assert_policies_bitwise_equal(&original, &restored, &probes);
 
     // And the executor path serves it with zero solver steps.
-    let again = run_single(&scenario, &reopened, &config()).unwrap();
+    let again = run_single(&scenario, &reopened, &ExecutorConfig::serial()).unwrap();
     assert_eq!(again.cache, CacheKind::Exact);
     assert_eq!(again.steps, 0);
 
@@ -147,14 +137,14 @@ fn rerunning_a_sweep_through_a_fresh_cache_does_zero_solves() {
     .unwrap();
 
     let first_cache = SurfaceCache::open(&dir).unwrap();
-    let first = run_set(&set, &first_cache, &config()).unwrap();
+    let first = run_set(&set, &first_cache, &ExecutorConfig::serial()).unwrap();
     assert!(first.all_converged());
     assert_eq!(first.cache_stats.persisted_entries, set.len());
 
     // Fresh cache over the same directory — exactly what a new process
     // sees. Every scenario must be a zero-step exact hit from disk.
     let second_cache = SurfaceCache::open(&dir).unwrap();
-    let second = run_set(&set, &second_cache, &config()).unwrap();
+    let second = run_set(&set, &second_cache, &ExecutorConfig::serial()).unwrap();
     assert_eq!(second.exact_hits, set.len(), "every scenario exact");
     assert_eq!(second.cold_solves, 0);
     assert_eq!(second.warm_starts, 0);
@@ -164,18 +154,18 @@ fn rerunning_a_sweep_through_a_fresh_cache_does_zero_solves() {
     );
     assert_eq!(second.cache_stats.disk_hits, set.len());
 
-    // Cost feedback also survives the restart: a third fresh cache over
-    // the directory serves measured costs from the manifest alone, no
-    // record file loads needed (the estimator would return None without
-    // the persisted index).
+    // Measured costs also survive the restart: a third fresh cache over
+    // the directory serves them from the manifest alone, no record file
+    // loads needed (the probe would return None without the persisted
+    // index).
     let third_cache = SurfaceCache::open(&dir).unwrap();
     for scenario in &set.scenarios {
-        let cost = third_cache.estimated_cost(
+        let near = third_cache.nearest_neighbour(
             original_shape(scenario),
             &hddm_scenarios::fingerprint(scenario),
         );
         assert!(
-            cost.is_some_and(|c| c > 0.0),
+            near.is_some_and(|n| n.cost_seconds > 0.0),
             "persisted cost missing for {:?}",
             scenario.name
         );
@@ -190,7 +180,7 @@ fn corrupt_record_files_are_skipped_without_a_panic() {
     let dir = temp_cache_dir("corrupt");
     let scenario = base_scenario();
     let cache = SurfaceCache::open(&dir).unwrap();
-    let report = run_single(&scenario, &cache, &config()).unwrap();
+    let report = run_single(&scenario, &cache, &ExecutorConfig::serial()).unwrap();
     let hash = report.hash.0;
     drop(cache);
 
@@ -203,14 +193,14 @@ fn corrupt_record_files_are_skipped_without_a_panic() {
     let reopened = SurfaceCache::open(&dir).unwrap();
     assert_eq!(reopened.stats().persisted_entries, 1);
     // The lookup skips the corrupt file (warning, not panic) and misses.
-    let report = run_single(&scenario, &reopened, &config()).unwrap();
+    let report = run_single(&scenario, &reopened, &ExecutorConfig::serial()).unwrap();
     assert_eq!(report.cache, CacheKind::Cold, "corrupt entry must not hit");
     let stats = reopened.stats();
     assert_eq!(stats.skipped, 1);
     // The re-solve re-deposited a good copy.
     assert_eq!(stats.persisted_entries, 1);
     let third = SurfaceCache::open(&dir).unwrap();
-    let served = run_single(&scenario, &third, &config()).unwrap();
+    let served = run_single(&scenario, &third, &ExecutorConfig::serial()).unwrap();
     assert_eq!(served.cache, CacheKind::Exact);
 
     // Silent bit rot: flip one payload byte. The length and structure
@@ -220,7 +210,7 @@ fn corrupt_record_files_are_skipped_without_a_panic() {
     bytes[last] ^= 0x01;
     fs::write(&record, &bytes).unwrap();
     let fourth = SurfaceCache::open(&dir).unwrap();
-    let report = run_single(&scenario, &fourth, &config()).unwrap();
+    let report = run_single(&scenario, &fourth, &ExecutorConfig::serial()).unwrap();
     assert_eq!(report.cache, CacheKind::Cold);
     assert_eq!(fourth.stats().skipped, 1);
 
@@ -228,7 +218,7 @@ fn corrupt_record_files_are_skipped_without_a_panic() {
     // any write reached disk) is equally survivable.
     fs::write(&record, b"").unwrap();
     let fifth = SurfaceCache::open(&dir).unwrap();
-    let report = run_single(&scenario, &fifth, &config()).unwrap();
+    let report = run_single(&scenario, &fifth, &ExecutorConfig::serial()).unwrap();
     assert_eq!(report.cache, CacheKind::Cold);
     assert_eq!(fifth.stats().skipped, 1);
 
@@ -242,7 +232,10 @@ fn corrupt_record_files_are_skipped_without_a_panic() {
 fn binary_and_json_records_roundtrip_bitwise() {
     let scenario = base_scenario();
     let cache = SurfaceCache::default();
-    let hash = run_single(&scenario, &cache, &config()).unwrap().hash.0;
+    let hash = run_single(&scenario, &cache, &ExecutorConfig::serial())
+        .unwrap()
+        .hash
+        .0;
     let Lookup::Exact(original) = cache.lookup(
         hash,
         original_shape(&scenario),
@@ -290,7 +283,10 @@ fn unknown_manifest_versions_are_skipped_without_a_panic() {
     let dir = temp_cache_dir("version");
     let scenario = base_scenario();
     let cache = SurfaceCache::open(&dir).unwrap();
-    let hash = run_single(&scenario, &cache, &config()).unwrap().hash.0;
+    let hash = run_single(&scenario, &cache, &ExecutorConfig::serial())
+        .unwrap()
+        .hash
+        .0;
     drop(cache);
 
     // Stamp a future format version onto the manifest.
@@ -304,7 +300,7 @@ fn unknown_manifest_versions_are_skipped_without_a_panic() {
     let stats = reopened.stats();
     assert_eq!(stats.persisted_entries, 0, "unknown version starts empty");
     assert!(stats.skipped >= 1);
-    let report = run_single(&scenario, &reopened, &config()).unwrap();
+    let report = run_single(&scenario, &reopened, &ExecutorConfig::serial()).unwrap();
     assert_eq!(report.cache, CacheKind::Cold);
     drop(reopened);
 
@@ -332,7 +328,7 @@ fn unknown_manifest_versions_are_skipped_without_a_panic() {
         assert_eq!(stats.persisted_entries, 0, "{bad}: the row is dropped");
         assert!(stats.skipped >= 1, "{bad}");
         assert!(!dir.join(&stale).exists(), "{bad}: stale record is swept");
-        let report = run_single(&scenario, &reopened, &config()).unwrap();
+        let report = run_single(&scenario, &reopened, &ExecutorConfig::serial()).unwrap();
         assert_eq!(report.cache, CacheKind::Cold, "{bad}");
         assert!(dir.join(&record).exists(), "{bad}: re-deposited as .bin");
         assert_eq!(fs::read(&victim).unwrap(), b"not a cache file", "{bad}");
@@ -361,7 +357,7 @@ fn eviction_bounds_the_directory_to_max_entries_oldest_first() {
     .unwrap();
 
     let cache = SurfaceCache::open_with(&dir, policy).unwrap();
-    let report = run_set(&set, &cache, &config()).unwrap();
+    let report = run_set(&set, &cache, &ExecutorConfig::serial()).unwrap();
     assert!(report.all_converged());
 
     let stats = cache.stats();
@@ -388,11 +384,11 @@ fn eviction_bounds_the_directory_to_max_entries_oldest_first() {
     let reopened = SurfaceCache::open_with(&dir, policy).unwrap();
     assert_eq!(reopened.stats().persisted_entries, 2);
     let newest = set.scenarios.last().unwrap();
-    let served = run_single(newest, &reopened, &config()).unwrap();
+    let served = run_single(newest, &reopened, &ExecutorConfig::serial()).unwrap();
     assert_eq!(served.cache, CacheKind::Exact);
     // An evicted scenario is genuinely gone: warm at best, never exact.
     let oldest = &set.scenarios[0];
-    let served = run_single(oldest, &reopened, &config()).unwrap();
+    let served = run_single(oldest, &reopened, &ExecutorConfig::serial()).unwrap();
     assert_ne!(served.cache, CacheKind::Exact);
 
     let _ = fs::remove_dir_all(&dir);
@@ -404,7 +400,7 @@ fn max_bytes_eviction_bounds_the_directory_size() {
     // First find out how big one record is.
     let probe_dir = temp_cache_dir("bytes_probe");
     let probe = SurfaceCache::open(&probe_dir).unwrap();
-    run_single(&base_scenario(), &probe, &config()).unwrap();
+    run_single(&base_scenario(), &probe, &ExecutorConfig::serial()).unwrap();
     let one_record = probe.stats().persisted_bytes;
     assert!(one_record > 0);
     let _ = fs::remove_dir_all(&probe_dir);
@@ -420,7 +416,7 @@ fn max_bytes_eviction_bounds_the_directory_size() {
     )
     .unwrap();
     let cache = SurfaceCache::open_with(&dir, policy).unwrap();
-    run_set(&set, &cache, &config()).unwrap();
+    run_set(&set, &cache, &ExecutorConfig::serial()).unwrap();
     let stats = cache.stats();
     assert!(
         stats.persisted_bytes <= one_record * 5 / 2,
@@ -439,7 +435,10 @@ fn orphaned_record_files_are_swept_on_open() {
     let dir = temp_cache_dir("orphans");
     let scenario = base_scenario();
     let cache = SurfaceCache::open(&dir).unwrap();
-    let hash = run_single(&scenario, &cache, &config()).unwrap().hash.0;
+    let hash = run_single(&scenario, &cache, &ExecutorConfig::serial())
+        .unwrap()
+        .hash
+        .0;
     drop(cache);
 
     // A manifest from a future format version orphans its record files.
@@ -479,7 +478,7 @@ fn a_budget_below_one_surface_warns_but_keeps_the_memory_tier_working() {
     };
     let scenario = base_scenario();
     let cache = SurfaceCache::open_with(&dir, policy).unwrap();
-    let first = run_single(&scenario, &cache, &config()).unwrap();
+    let first = run_single(&scenario, &cache, &ExecutorConfig::serial()).unwrap();
     assert_eq!(first.cache, CacheKind::Cold);
 
     // The directory bound holds (nothing persisted)…
@@ -488,7 +487,7 @@ fn a_budget_below_one_surface_warns_but_keeps_the_memory_tier_working() {
     assert_eq!(stats.persisted_bytes, 0);
     // …but the in-memory tier must still serve the surface.
     assert_eq!(stats.entries, 1);
-    let again = run_single(&scenario, &cache, &config()).unwrap();
+    let again = run_single(&scenario, &cache, &ExecutorConfig::serial()).unwrap();
     assert_eq!(again.cache, CacheKind::Exact);
     assert_eq!(again.steps, 0);
 
@@ -500,7 +499,7 @@ fn persist_to_flushes_an_in_memory_cache_to_disk() {
     let dir = temp_cache_dir("flush");
     let scenario = base_scenario();
     let cache = SurfaceCache::default();
-    run_single(&scenario, &cache, &config()).unwrap();
+    run_single(&scenario, &cache, &ExecutorConfig::serial()).unwrap();
     assert_eq!(cache.stats().persisted_entries, 0);
 
     cache.persist_to(&dir).unwrap();
@@ -509,7 +508,7 @@ fn persist_to_flushes_an_in_memory_cache_to_disk() {
 
     // A fresh cache over the directory serves the flushed surface.
     let reopened = SurfaceCache::open(&dir).unwrap();
-    let served = run_single(&scenario, &reopened, &config()).unwrap();
+    let served = run_single(&scenario, &reopened, &ExecutorConfig::serial()).unwrap();
     assert_eq!(served.cache, CacheKind::Exact);
     assert_eq!(served.steps, 0);
 

@@ -1,54 +1,24 @@
 //! End-to-end acceptance test of the scenario engine: a demo sweep of 16
-//! scenarios runs through the heterogeneous fleet scheduler, the
-//! policy-surface cache warm-starts later scenarios off earlier ones, and
-//! a warm start solves in strictly fewer time-iteration steps than the
-//! cold-start solve of the identical scenario.
+//! scenarios runs through the executor, the policy-surface cache
+//! warm-starts later scenarios off earlier ones, and a warm start solves
+//! in strictly fewer time-iteration steps than the cold-start solve of
+//! the identical scenario.
 
-use hddm_cluster::{mixed_fleet, Assignment};
 use hddm_scenarios::{
     run_set, run_single, CacheKind, ExecutorConfig, ScenarioSet, SurfaceCache, SweepReport,
 };
 
-/// Deterministic executor: serial scenario order (warm-start provenance
-/// is reproducible) over a mixed Piz Daint + Grand Tave fleet.
-fn config() -> ExecutorConfig {
-    ExecutorConfig {
-        fleet: mixed_fleet(2, 2),
-        assignment: Assignment::WorkStealing { chunk: 1 },
-        threads: 1,
-        ..ExecutorConfig::serial()
-    }
-}
-
 #[test]
-fn demo_sweep_warm_starts_beat_cold_solves_through_the_fleet() {
+fn demo_sweep_warm_starts_beat_cold_solves() {
     let set = ScenarioSet::demo(5, 3).unwrap();
     assert!(set.len() >= 16, "demo sweep must span ≥ 16 scenarios");
 
     let cache = SurfaceCache::default();
-    let report = run_set(&set, &cache, &config()).unwrap();
+    let report = run_set(&set, &cache, &ExecutorConfig::serial()).unwrap();
 
     // Every scenario of the sweep converged.
     assert!(report.all_converged(), "non-converged scenario in sweep");
     assert_eq!(report.scenarios.len(), set.len());
-
-    // The sweep went through the heterogeneous fleet scheduler: all
-    // scenarios assigned, and the mixed fleet actually shares the work.
-    assert_eq!(
-        report.planned.schedule.tasks.iter().sum::<usize>(),
-        set.len()
-    );
-    let busy_workers = report
-        .planned
-        .schedule
-        .tasks
-        .iter()
-        .filter(|&&t| t > 0)
-        .count();
-    assert!(busy_workers >= 2, "fleet degenerated to one worker");
-    assert_eq!(report.planned.workers.len(), 4);
-    assert!(report.planned.imbalance >= 1.0);
-    assert!(report.replayed.imbalance >= 1.0);
 
     // The cache assisted: the first scenario is cold, and at least one
     // later scenario warm-started off a cached surface.
@@ -68,7 +38,12 @@ fn demo_sweep_warm_starts_beat_cold_solves_through_the_fleet() {
         .iter()
         .find(|s| s.name == warm.name)
         .expect("scenario by name");
-    let cold = run_single(scenario, &SurfaceCache::default(), &config()).unwrap();
+    let cold = run_single(
+        scenario,
+        &SurfaceCache::default(),
+        &ExecutorConfig::serial(),
+    )
+    .unwrap();
     assert_eq!(cold.cache, CacheKind::Cold);
     assert!(cold.converged);
     assert!(
@@ -87,33 +62,21 @@ fn demo_sweep_warm_starts_beat_cold_solves_through_the_fleet() {
         assert_eq!(a.hash, b.hash);
         assert_eq!(a.steps, b.steps);
         assert_eq!(a.final_sup_change.to_bits(), b.final_sup_change.to_bits());
-        assert_eq!(a.worker, b.worker);
     }
 }
 
 #[test]
-fn resweeping_with_a_shared_cache_is_all_exact_hits_and_faster_estimates() {
+fn resweeping_with_a_shared_cache_is_all_exact_hits() {
     let set = ScenarioSet::demo(4, 3).unwrap();
     let cache = SurfaceCache::default();
-    let first = run_set(&set, &cache, &config()).unwrap();
+    let first = run_set(&set, &cache, &ExecutorConfig::serial()).unwrap();
     assert!(first.all_converged());
 
-    let second = run_set(&set, &cache, &config()).unwrap();
+    let second = run_set(&set, &cache, &ExecutorConfig::serial()).unwrap();
     assert_eq!(second.exact_hits, set.len(), "second sweep must be free");
     assert_eq!(second.cold_solves, 0);
     // Exact hits skip the solver entirely.
     assert!(second.scenarios.iter().all(|s| s.steps == 0));
-    // Cost feedback: the second planned schedule is built from measured
-    // costs of the first sweep, not the analytic unit model. (Comparing
-    // the two makespans by magnitude would be load-sensitive — measured
-    // wall clocks inflate under parallel test execution — so assert the
-    // plans differ instead: the analytic model prices every demo
-    // scenario identically, measured costs never do.)
-    assert_ne!(
-        second.planned.schedule.makespan.to_bits(),
-        first.planned.schedule.makespan.to_bits(),
-        "second plan must be built from measured costs, not the analytic model"
-    );
 }
 
 #[test]
@@ -122,13 +85,13 @@ fn concurrent_sweep_execution_matches_the_serial_results() {
     // warm-start provenance is timing-dependent) must still all converge
     // and cover the same scenario hashes.
     let set = ScenarioSet::demo(4, 3).unwrap();
-    let serial = run_set(&set, &SurfaceCache::default(), &config()).unwrap();
+    let serial = run_set(&set, &SurfaceCache::default(), &ExecutorConfig::serial()).unwrap();
     let concurrent = run_set(
         &set,
         &SurfaceCache::default(),
         &ExecutorConfig {
             threads: 3,
-            ..config()
+            ..ExecutorConfig::serial()
         },
     )
     .unwrap();

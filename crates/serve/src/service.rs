@@ -328,12 +328,11 @@ impl ScenarioService {
         // telemetry-neutral on a miss: the dispatched solve's own lookup
         // accounts for it (counting here too would double every miss).
         if let Some(surface) = self.cache.lookup_exact(hash, shape, &fp) {
-            let mut report = ScenarioReport::from_exact_hit(
+            let report = ScenarioReport::from_exact_hit(
                 &scenario.name,
                 &surface,
                 admitted.elapsed().as_secs_f64(),
             );
-            report.worker = "serve-cache".into();
             metrics.exact_hits.inc();
             metrics
                 .exact_hit_seconds

@@ -7,8 +7,8 @@ use hddm_scenarios::{CacheKind, ExecutorConfig, ExecutorError, HashId, Scenario,
 /// Configuration of a [`ScenarioService`](crate::ScenarioService).
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Executor the micro-batches are dispatched to (fleet, host
-    /// threads, kernel, warm-start policy, persistent cache directory).
+    /// Executor the micro-batches are dispatched to (host threads,
+    /// kernel, warm-start policy, persistent cache directory).
     pub executor: ExecutorConfig,
     /// Maximum scenarios coalesced into one dispatched micro-batch.
     pub max_batch: usize,

@@ -10,9 +10,7 @@
 //! * [`newton`] — the damped Newton driver: [`newton::newton_block`] advances
 //!   many independent systems in lockstep rounds, [`newton::newton`] is its
 //!   one-system case;
-//! * [`scalar`] — Brent's method for bracketed scalar roots;
-//! * [`complementarity`] — Fischer–Burmeister smoothing for bound
-//!   constraints.
+//! * [`scalar`] — Brent's method for bracketed scalar roots.
 //!
 //! ```
 //! use hddm_solver::{newton, NewtonOptions};
@@ -25,12 +23,10 @@
 
 #![warn(missing_docs)]
 
-pub mod complementarity;
 pub mod linalg;
 pub mod newton;
 pub mod scalar;
 
-pub use complementarity::{fischer_burmeister, lower_bound_residual};
 pub use linalg::{norm2, norm_inf, DenseMatrix, Lu};
 pub use newton::{newton, newton_block, NewtonOptions, NewtonReport, NewtonWorkspace};
 pub use scalar::brent;

@@ -185,18 +185,4 @@ proptest! {
             at += members.len();
         }
     }
-
-    /// The Fischer–Burmeister function's zero set is exactly the
-    /// complementarity set.
-    #[test]
-    fn fb_zero_set(a in -5.0f64..5.0, b in -5.0f64..5.0) {
-        let phi = hddm_solver::fischer_burmeister(a, b);
-        let complementary = a >= -1e-12 && b >= -1e-12 && (a * b).abs() < 1e-12;
-        if complementary {
-            prop_assert!(phi.abs() < 1e-6, "phi({a},{b}) = {phi}");
-        }
-        if phi.abs() < 1e-12 {
-            prop_assert!(a >= -1e-6 && b >= -1e-6 && a.min(b) < 1e-5);
-        }
-    }
 }

@@ -2,9 +2,10 @@
 //!
 //! The workspace's telemetry substrate: every subsystem that used to keep
 //! its own counter island (`ServiceStats` atomics in `hddm-serve`,
-//! `CacheStats` in `hddm-scenarios`, the `compression_builds` thread-local
-//! in `hddm-compress`) now records through the instruments defined here, so one registry, one
-//! naming scheme, and one export path cover solve + serve.
+//! `CacheStats` in `hddm-scenarios`, the compression-build count in
+//! `hddm-compress`) now records through the instruments defined here, so
+//! one registry, one naming scheme, and one export path cover solve +
+//! serve.
 //!
 //! * [`Counter`] / [`Gauge`] — relaxed-ordering atomics; `inc`/`add`/`set`
 //!   are single `fetch_add`/`store` instructions, safe on every hot path;
