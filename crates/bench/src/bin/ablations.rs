@@ -15,11 +15,13 @@
 //! cargo run -p hddm-bench --release --bin ablations [points-per-case]
 //! ```
 
+use hddm_bench::ablation::interpolate_no_skip;
+use hddm_bench::hashtab::{self, HashState};
 use hddm_bench::{random_points, synthetic_surpluses, time_avg, KernelCase, NDOFS};
 use hddm_compress::CompressedGrid;
 use hddm_gpu::{price_block, Device, LaunchOptions};
 use hddm_kernels::batch::interpolate_batch;
-use hddm_kernels::{gold, hashtab, x86, HashState, KernelKind, PointBlock, Scratch};
+use hddm_kernels::{gold, x86, KernelKind, PointBlock, Scratch};
 
 fn main() {
     let points: usize = std::env::args()
@@ -109,7 +111,7 @@ fn main() {
         });
         let mut iter = xs.chunks_exact(59).cycle();
         let t_noskip = time_avg(points, || {
-            x86::interpolate_no_skip(
+            interpolate_no_skip(
                 &case.compressed,
                 iter.next().unwrap(),
                 &mut scratch,

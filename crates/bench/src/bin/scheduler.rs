@@ -4,9 +4,10 @@
 //!
 //! Part 1 simulates a mixed "Piz Daint"(CPU+GPU) + "Grand Tave"(KNL)
 //! fleet under three assignment policies and sweeps the stealing chunk
-//! size. Part 2 runs the *real* work-stealing pool (`hddm-sched`) on this
-//! host with straggler-shaped task costs and reports the balance it
-//! achieves against a static split.
+//! size. Part 2 runs the *real* pool (`hddm-sched`: a shared cursor, the
+//! policy Part 1 models as work stealing) on this host with
+//! straggler-shaped task costs and reports the balance it achieves
+//! against a static split.
 //!
 //! ```text
 //! cargo run -p hddm-bench --release --bin scheduler [points]

@@ -3,8 +3,9 @@
 //! Sec. IV-B of the paper opens: "the most widespread techniques for
 //! storing ASGs are matrix-kind of structures (see, e.g., [23]) or **hash
 //! tables** (see, e.g., [22])". The dense matrix baseline is the `gold`
-//! kernel; this module supplies the hash-table baseline so the ablation
-//! benches can place the compression scheme against *both* incumbents.
+//! kernel; this module supplies the hash-table baseline so the `ablations`
+//! bin — its one caller — can place the compression scheme against *both*
+//! incumbents.
 //!
 //! Evaluation exploits that within one 1-D level the hat supports tile the
 //! interval: at a point `x` and level multi-index `ľ` at most one tensor
@@ -128,8 +129,8 @@ pub fn interpolate(state: &HashState, x: &[f64], out: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::DenseState;
     use hddm_asg::{hierarchize, regular_grid, tabulate, ActiveCoord};
+    use hddm_kernels::{gold, DenseState};
 
     fn wavy(x: &[f64], out: &mut [f64]) {
         for (k, o) in out.iter_mut().enumerate() {
@@ -153,7 +154,7 @@ mod tests {
                 .map(|t| ((s * 11 + t * 7) as f64 * 0.0719 + 0.013) % 1.0)
                 .collect();
             interpolate(&hashed, &x, &mut got);
-            crate::gold::interpolate(&dense, &x, &mut want);
+            gold::interpolate(&dense, &x, &mut want);
             for k in 0..ndofs {
                 assert!(
                     (got[k] - want[k]).abs() < 1e-12,

@@ -1,9 +1,14 @@
 //! Shared helpers for the benchmark harness: grid construction with
 //! synthetic surpluses, deterministic random evaluation points, timing
 //! utilities, and the OLG point-solve calibration used by the Fig. 7/8
-//! models.
+//! models — plus the two baselines only the `ablations` bin runs: the
+//! hash-table storage scheme ([`hashtab`]) and the chain walk without its
+//! zero-skip ([`ablation`]).
 
 #![warn(missing_docs)]
+
+pub mod ablation;
+pub mod hashtab;
 
 use std::time::Instant;
 

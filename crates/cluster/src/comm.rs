@@ -8,9 +8,18 @@
 //! sub-communicator per discrete state.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use parking_lot::{Condvar, Mutex};
+/// Locks `lock`, recovering it if a rank panicked while holding it: the
+/// boards hold plain data that every collective rewrites before reading,
+/// so a poisoned lock carries no broken invariant and the surviving ranks
+/// must not cascade-panic on it.
+fn recover<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
+    lock.lock().unwrap_or_else(|poisoned| {
+        lock.clear_poison();
+        poisoned.into_inner()
+    })
+}
 
 /// MPI-like communicator operations over `f64` payloads.
 pub trait Comm: Sized {
@@ -53,7 +62,7 @@ impl Rendezvous {
     }
 
     fn wait(&self) {
-        let mut guard = self.state.lock();
+        let mut guard = recover(&self.state);
         let gen = guard.1;
         guard.0 += 1;
         if guard.0 == self.size {
@@ -62,7 +71,7 @@ impl Rendezvous {
             self.cv.notify_all();
         } else {
             while guard.1 == gen {
-                self.cv.wait(&mut guard);
+                guard = self.cv.wait(guard).unwrap_or_else(|e| e.into_inner());
             }
         }
     }
@@ -142,18 +151,17 @@ impl Comm for ThreadComm {
     }
 
     fn allgather(&self, mine: &[f64]) -> Vec<Vec<f64>> {
-        self.inner.board.lock()[self.rank] = Some(mine.to_vec());
+        recover(&self.inner.board)[self.rank] = Some(mine.to_vec());
         self.barrier();
-        let all: Vec<Vec<f64>> = self
-            .inner
-            .board
-            .lock()
+        let all: Vec<Vec<f64>> = recover(&self.inner.board)
             .iter()
             .map(|slot| slot.clone().expect("rank missing from allgather"))
             .collect();
         self.barrier(); // everyone has read: safe to clear
         if self.rank == 0 {
-            self.inner.board.lock().iter_mut().for_each(|s| *s = None);
+            recover(&self.inner.board)
+                .iter_mut()
+                .for_each(|s| *s = None);
         }
         self.barrier();
         all
@@ -182,29 +190,26 @@ impl Comm for ThreadComm {
 
     fn bcast(&self, root: usize, buf: &mut [f64]) {
         if self.rank == root {
-            self.inner.board.lock()[root] = Some(buf.to_vec());
+            recover(&self.inner.board)[root] = Some(buf.to_vec());
         }
         self.barrier();
         if self.rank != root {
-            let board = self.inner.board.lock();
+            let board = recover(&self.inner.board);
             let data = board[root].as_ref().expect("bcast root missing");
             buf.copy_from_slice(data);
         }
         self.barrier();
         if self.rank == root {
-            self.inner.board.lock()[root] = None;
+            recover(&self.inner.board)[root] = None;
         }
         self.barrier();
     }
 
     fn split(&self, color: usize) -> ThreadComm {
         // Publish colors.
-        self.inner.color_board.lock()[self.rank] = Some(color);
+        recover(&self.inner.color_board)[self.rank] = Some(color);
         self.barrier();
-        let colors: Vec<usize> = self
-            .inner
-            .color_board
-            .lock()
+        let colors: Vec<usize> = recover(&self.inner.color_board)
             .iter()
             .map(|c| c.expect("rank missing color"))
             .collect();
@@ -216,22 +221,18 @@ impl Comm for ThreadComm {
         // The lowest rank of each color creates the child communicator.
         if new_rank == 0 {
             let child = Inner::new(members.len());
-            self.inner.split_board.lock().insert(color, child);
+            recover(&self.inner.split_board).insert(color, child);
         }
         self.barrier();
         let child = Arc::clone(
-            self.inner
-                .split_board
-                .lock()
+            recover(&self.inner.split_board)
                 .get(&color)
                 .expect("child communicator missing"),
         );
         self.barrier();
         if self.rank == 0 {
-            self.inner.split_board.lock().clear();
-            self.inner
-                .color_board
-                .lock()
+            recover(&self.inner.split_board).clear();
+            recover(&self.inner.color_board)
                 .iter_mut()
                 .for_each(|c| *c = None);
         }
@@ -374,6 +375,33 @@ mod tests {
             comm.allreduce_sum(&mut buf);
             assert_eq!(buf[0], 4.0);
         });
+    }
+
+    #[test]
+    fn a_lock_poisoned_by_a_panicking_holder_is_recovered() {
+        // Rank 1 panics while holding the exchange board and the
+        // rendezvous state; the collectives that follow must neither
+        // cascade the panic nor hang, and must leave the locks clean.
+        let results = ThreadComm::launch(3, |comm| {
+            if comm.rank() == 1 {
+                let holder = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let _board = recover(&comm.inner.board);
+                    let _state = recover(&comm.inner.rendezvous.state);
+                    panic!("injected");
+                }));
+                assert!(holder.is_err());
+                // (The rendezvous state may already have been recovered
+                // by a peer entering the barrier below.)
+                assert!(comm.inner.board.is_poisoned());
+            }
+            comm.barrier();
+            let mut buf = vec![comm.rank() as f64];
+            comm.allreduce_sum(&mut buf);
+            assert!(!comm.inner.board.is_poisoned());
+            assert!(!comm.inner.rendezvous.state.is_poisoned());
+            buf[0]
+        });
+        assert_eq!(results, vec![3.0; 3]);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Heterogeneous-cluster scheduling ablation — a model, owned by the
 //! `scheduler` reproduction bin (`hddm-bench`) and called from nowhere
-//! else: production work is scheduled by the real work-stealing pool in
-//! `hddm-sched`, never by this simulation.
+//! else: production work is scheduled by the real pool in `hddm-sched`,
+//! never by this simulation. The real pool *is* the policy modeled here
+//! as [`Assignment::WorkStealing`]: one shared cursor over the index
+//! range, from which every free worker takes the next chunk.
 //!
 //! The paper's third contribution is "a hybrid cluster oriented
 //! work-preempting scheduler based on TBB, which evenly distributes the

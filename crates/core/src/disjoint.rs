@@ -1,5 +1,5 @@
 //! A write-disjoint view over a row-major matrix, letting the
-//! work-stealing pool write solved dof rows from many threads without
+//! `hddm-sched` pool write solved dof rows from many threads without
 //! locks. Safety rests on the scheduler's exactly-once contract (each
 //! index is dispatched to exactly one task — tested in `hddm-sched`).
 

@@ -3,7 +3,7 @@
 //! The top of the HDDM stack: Algorithm 1 of Kübler et al. (IPDPS 2018)
 //! executed with the per-step structure of Fig. 2. Each step rebuilds one
 //! adaptive sparse grid per discrete state — solving the frontier of grid
-//! points in parallel through the work-stealing scheduler, interpolating
+//! points in parallel through the `hddm-sched` pool, interpolating
 //! next-period policies with the compressed kernels, hierarchizing, and
 //! refining — then replaces the policy guess and repeats until the policy
 //! stops moving.

@@ -97,9 +97,8 @@ impl PolicyOracle for AsgOracle<'_> {
         self.traffic.points += 1;
     }
 
-    /// The block as one `PointBlock` through the backend's batch entry
-    /// (which routes blocks below the crossover to the single-point
-    /// kernel): per point bitwise [`Self::eval`].
+    /// The block as one `PointBlock` through the backend's batch entry:
+    /// per point bitwise [`Self::eval`].
     fn eval_block(&mut self, z_next: usize, dim: usize, xs: &[f64], out: &mut [f64]) {
         self.unit_rows.clear();
         for x in xs.chunks_exact(dim) {

@@ -12,7 +12,7 @@ use hddm_kernels::{ChunkCounts, CompressedState};
 
 use crate::device::{Device, GpuError};
 
-/// Tunable launch choices — the knobs the ablation benches sweep.
+/// Tunable launch choices — the knobs the `ablations` bin sweeps.
 #[derive(Clone, Copy, Debug)]
 pub struct LaunchOptions {
     /// Threads per block. The paper picks 128, "closest to the ndofs per

@@ -87,8 +87,7 @@ fn gpu_backend_joins_the_kernel_golden_suite() {
 
 /// The backend dispatch entry (the seam the driver/serve consumers use):
 /// observed by the device engine or not, a block evaluates to bitwise
-/// the same values for every kernel — at the crossover widths too, where
-/// the CPU backend routes single-point and the observed one walks.
+/// the same values for every kernel, narrow blocks included.
 #[test]
 fn backend_dispatch_matches_every_cpu_kernel() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x6B01);

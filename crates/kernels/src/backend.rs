@@ -29,10 +29,8 @@ pub enum ExecutionBackend {
 
 impl ExecutionBackend {
     /// Evaluates a compressed interpolant at a whole block through
-    /// `kernel`'s batch walk. `Cpu` routes narrow blocks single-point
-    /// (the crossover); `Observed` always walks the block — a device
-    /// launches for any width — and then reports it. Per point both are
-    /// bitwise `kernel`'s values.
+    /// `kernel`'s batch walk; `Observed` then reports the walk's counts.
+    /// Per point the values are bitwise `kernel`'s single-point values.
     pub fn evaluate_batch(
         &self,
         kernel: KernelKind,

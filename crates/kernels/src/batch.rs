@@ -42,48 +42,6 @@ use hddm_asg::linear_basis;
 /// walk and surplus-row load across 64 points.
 pub const BATCH_CHUNK: usize = 64;
 
-/// Blocks narrower than this are routed through the single-point kernel
-/// by [`KernelKind::evaluate_compressed_batch`](crate::KernelKind):
-/// the batch machinery's per-block setup (xpv block fill, mask
-/// bookkeeping, masked accumulation) only amortizes once a few points
-/// share each chain walk. The benchmark of record's traced
-/// `interp_stream` run measures both sides on the Table I "7k" grid:
-/// `kernels.single_us_per_point.7k` read 128–160 µs on the development
-/// host and `kernels.batch_pps.npts2.7k` 9.0–9.4 k points/s (106–111 µs
-/// per point), so a 2-point block already wins (1.2–1.4× within a run)
-/// and exactly the one-point block is routed.
-/// Both paths are bitwise identical per point, so the routing is
-/// invisible to results. Direct calls to [`interpolate_batch`] bypass
-/// the crossover.
-pub const BATCH_CROSSOVER: usize = 2;
-
-/// Grid-size threshold (in compressed grid rows) above which the
-/// dispatch crossover widens. On large grids the surplus matrix no
-/// longer fits in cache, so the batch path's extra setup (xpv block
-/// fill + mask bookkeeping over a long `xps` table) needs more points
-/// to amortize. The traced `interp_stream` run brackets the Table I
-/// "300k" grid from both ends — `kernels.single_us_per_point.300k` read
-/// 7.6–8.5 ms on the development host, `kernels.batch_us_per_point.300k`
-/// (one 128-point block) 1.3–1.4 ms — but has no 2- or 3-point rung
-/// there, so no harness re-measures the widened crossover of 3
-/// (ROADMAP item 4c: derive it from that ladder or drop the routing).
-pub const LARGE_GRID_NNO: usize = 100_000;
-
-/// The effective dispatch crossover for a grid with `nno` compressed
-/// rows: blocks narrower than the returned width are routed through the
-/// single-point kernel by
-/// [`KernelKind::evaluate_compressed_batch`](crate::KernelKind).
-/// Grid-size-aware because the break-even point moves with the surplus
-/// working set (see [`LARGE_GRID_NNO`]); both paths stay bitwise
-/// identical per point, so the routing never changes values.
-pub fn batch_crossover(nno: usize) -> usize {
-    if nno >= LARGE_GRID_NNO {
-        3
-    } else {
-        BATCH_CROSSOVER
-    }
-}
-
 // The alive-lane mask of a chunk is a single u64 (bit k ⇔ point k's chain
 // product is non-zero); the chunk width must not outgrow it.
 const _: () = assert!(BATCH_CHUNK <= 64);
@@ -591,9 +549,8 @@ pub(crate) fn walk(
     batch_span(kernel, state, block, 0, block.len(), scratch, out, sink);
 }
 
-/// `kernel`'s batch walk over the whole block — whatever its width; the
-/// crossover lives in [`KernelKind::evaluate_compressed_batch`] —
-/// returning one [`ChunkCounts`] per chunk, in chunk order. `out` is
+/// `kernel`'s batch walk over the whole block, returning one
+/// [`ChunkCounts`] per chunk, in chunk order. `out` is
 /// point-major `npts × ndofs`; per point it is bitwise `kernel`'s
 /// single-point result. Panics for [`KernelKind::Gold`], which needs the
 /// dense format.

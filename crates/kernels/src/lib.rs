@@ -28,18 +28,14 @@ pub mod backend;
 pub mod batch;
 pub mod data;
 pub mod gold;
-pub mod hashtab;
 pub mod lanes;
 pub mod multi;
 pub mod vector;
 pub mod x86;
 
 pub use backend::{BlockObserver, ExecutionBackend};
-pub use batch::{
-    batch_crossover, ChunkCounts, PointBlock, BATCH_CHUNK, BATCH_CROSSOVER, LARGE_GRID_NNO,
-};
+pub use batch::{ChunkCounts, PointBlock, BATCH_CHUNK};
 pub use data::{CompressedState, DenseState, Scratch};
-pub use hashtab::HashState;
 pub use multi::MultiState;
 pub use vector::{axpy_best, VectorIsa};
 
@@ -121,21 +117,6 @@ impl KernelKind {
         scratch: &mut Scratch,
         out: &mut [f64],
     ) {
-        // Crossover routing: narrow blocks pay the batch machinery's
-        // per-block setup without amortizing it across points, so they
-        // run point-by-point through the single-point kernel — bitwise
-        // identical, just without the setup overhead. The crossover is
-        // grid-size-aware: large grids need wider blocks to break even
-        // (see [`batch::batch_crossover`]).
-        if !block.is_empty() && block.len() < batch::batch_crossover(state.grid.nno()) {
-            let mut row = vec![0.0; block.dim()];
-            let ndofs = state.ndofs;
-            for p in 0..block.len() {
-                block.point(p, &mut row);
-                self.evaluate_compressed(state, &row, scratch, &mut out[p * ndofs..][..ndofs]);
-            }
-            return;
-        }
         batch::walk(self, state, block, scratch, out, |_| {});
     }
 }

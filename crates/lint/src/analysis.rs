@@ -815,9 +815,7 @@ enum LoopKind {
 /// 1. sit inside a loop that re-checks the predicate: a `while` loop,
 ///    or a bare `loop` that tests an exit before reaching the wait
 ///    (the `loop { if done { return } g = cv.wait(g) }` idiom);
-/// 2. rebind the reacquired guard (`g = cv.wait(g)`), unless the
-///    argument is `&mut guard` (parking_lot-style in-place
-///    reacquisition, where there is no returned guard to lose).
+/// 2. rebind the reacquired guard (`g = cv.wait(g)`).
 fn hl006_wait_discipline(f: &FnInfo, findings: &mut Vec<Finding>) {
     let body = &f.body;
     let mut seen: BTreeSet<String> = BTreeSet::new();
@@ -880,38 +878,32 @@ fn hl006_wait_discipline(f: &FnInfo, findings: &mut Vec<Finding>) {
                     ),
                     _ => {}
                 }
-                // parking_lot-style `wait(&mut guard)` reacquires in
-                // place: there is no returned guard to rebind.
-                let in_place = body.get(i + 3).is_some_and(|n| n.is("&"))
-                    && body.get(i + 4).is_some_and(|n| n.is("mut"));
-                if !in_place {
-                    let mut rebound = false;
-                    let mut j = i;
-                    while j > 0 {
-                        j -= 1;
-                        match body[j].text.as_str() {
-                            ";" | "{" | "}" => break,
-                            "=" => {
-                                rebound = true;
-                                break;
-                            }
-                            _ => {}
+                let mut rebound = false;
+                let mut j = i;
+                while j > 0 {
+                    j -= 1;
+                    match body[j].text.as_str() {
+                        ";" | "{" | "}" => break,
+                        "=" => {
+                            rebound = true;
+                            break;
                         }
+                        _ => {}
                     }
-                    if !rebound {
-                        emit(
-                            findings,
-                            &mut seen,
-                            "HL006",
-                            &f.file,
-                            &f.name,
-                            line,
-                            format!(
-                                "`{method}` result discarded — rebind the \
-                                 reacquired guard (`g = cv.{method}(g, ..)`)"
-                            ),
-                        );
-                    }
+                }
+                if !rebound {
+                    emit(
+                        findings,
+                        &mut seen,
+                        "HL006",
+                        &f.file,
+                        &f.name,
+                        line,
+                        format!(
+                            "`{method}` result discarded — rebind the \
+                             reacquired guard (`g = cv.{method}(g, ..)`)"
+                        ),
+                    );
                 }
             }
             _ => {}

@@ -493,25 +493,6 @@ fn hl006_silent_on_loop_with_exit_before_wait() {
 }
 
 #[test]
-fn hl006_silent_on_in_place_mut_ref_wait() {
-    // parking_lot-style `wait(&mut guard)` reacquires in place: no
-    // returned guard exists, so no rebinding is required.
-    let findings = lint_one(concat!(
-        "struct S { m: Mutex<u64>, cv: Condvar }\n",
-        "impl S {\n",
-        "    fn f(&self, gen: u64) {\n",
-        "        let mut g = self.m.lock();\n",
-        "        while *g == gen {\n",
-        "            self.cv.wait(&mut g);\n",
-        "        }\n",
-        "        drop(g);\n",
-        "    }\n",
-        "}\n",
-    ));
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
 fn hl006_ignores_zero_argument_waits() {
     // Barriers, tickets and join handles expose argument-free `wait()`
     // methods; only the guard-passing condvar form is in scope.

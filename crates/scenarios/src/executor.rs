@@ -1,5 +1,5 @@
 //! The batch executor: runs a [`ScenarioSet`] through the time-iteration
-//! driver on `threads` host workers of the work-stealing pool
+//! driver on `threads` host workers of the `hddm-sched` pool
 //! (`hddm_sched::parallel_for_init` — the paper's Sec. IV-A scheduler),
 //! with the policy-surface cache supplying exact hits and warm starts.
 //!

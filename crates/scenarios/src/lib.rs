@@ -4,7 +4,7 @@
 //! the solver into a scenario engine: define a family of counterfactuals
 //! (calibration overrides, shock/Markov variants, box-policy reforms,
 //! refinement + solver settings), batch them through the time-iteration
-//! driver on the host's work-stealing pool, and reuse solved policy
+//! driver on the host's `hddm-sched` pool, and reuse solved policy
 //! surfaces across nearby scenarios instead of restarting every solve from
 //! the constant steady-state guess.
 //!

@@ -1,46 +1,21 @@
-//! Work-stealing parallel-for over grid-point indices — the TBB substitute
+//! Dynamic parallel-for over grid-point indices — the TBB substitute
 //! (Sec. IV-A: "the threads leverage TBB's automatic workload balancing
 //! based on stealing tasks from the slower workers").
 //!
-//! Built on `crossbeam-deque`: a global injector seeded with index chunks,
-//! one LIFO worker deque per thread, and stealers between all pairs. Each
-//! solved chunk decrements a shared outstanding counter; workers exit when
-//! it reaches zero.
+//! The tasks are a flat index range and never spawn tasks, so there is
+//! nothing to steal that a shared queue does not already hand out: one
+//! atomic cursor over `0..n`, from which every free worker claims the
+//! next `grain` indices until the range is exhausted. This is the policy
+//! `hddm_cluster::hetero::Assignment::WorkStealing` models ("free workers
+//! preempt the next `chunk` tasks from a shared queue").
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-use crossbeam_deque::{Injector, Steal, Stealer, Worker};
-
-/// A half-open index range, the unit of scheduling.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Chunk {
-    /// First index.
-    pub lo: usize,
-    /// One past the last index.
-    pub hi: usize,
-}
-
-impl Chunk {
-    /// Number of items.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.hi - self.lo
-    }
-
-    /// Whether the chunk is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.lo >= self.hi
-    }
-}
 
 /// Per-worker execution statistics, for load-balance reporting.
 #[derive(Clone, Debug, Default)]
 pub struct LoadStats {
     /// Items processed by each worker.
     pub items_per_worker: Vec<usize>,
-    /// Successful steals per worker (from the injector or peers).
-    pub steals_per_worker: Vec<usize>,
 }
 
 impl LoadStats {
@@ -77,25 +52,9 @@ impl Default for PoolConfig {
     }
 }
 
-/// Decrements the outstanding-chunk counter on drop, so a chunk is
-/// retired even when the task unwinds — peers then drain the rest and the
-/// panic propagates out of the thread scope instead of deadlocking it.
-/// (The panicking worker's own deque stays stealable: `crossbeam-deque`
-/// stealers hold the buffer alive independently of the `Worker`.)
-pub(crate) struct RetireGuard<'a>(pub(crate) &'a AtomicUsize);
-
-impl Drop for RetireGuard<'_> {
-    fn drop(&mut self) {
-        // ORDERING: AcqRel — Release publishes the chunk's writes to the
-        // peer that observes the counter hit zero (its Acquire load in
-        // the steal loop), and Acquire keeps this retire from being
-        // reordered before the task's own reads complete.
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// Runs `task(index)` for every index in `0..n`, work-stealing across
-/// `config.threads` threads. `task` observes each index exactly once.
+/// Runs `task(index)` for every index in `0..n` on `config.threads`
+/// threads, each claiming `config.grain` indices at a time. `task`
+/// observes each index exactly once.
 pub fn parallel_for<F>(n: usize, config: &PoolConfig, task: F) -> LoadStats
 where
     F: Fn(usize) + Sync,
@@ -105,7 +64,8 @@ where
 
 /// Like [`parallel_for`], but each worker first builds private state with
 /// `init` and threads it through its `task` calls — the pattern for
-/// per-thread solver scratch and oracles.
+/// per-thread solver scratch and oracles. A panicking task propagates:
+/// its peers drain the rest of the range and the scope's join re-raises.
 pub fn parallel_for_init<S, I, F>(n: usize, config: &PoolConfig, init: I, task: F) -> LoadStats
 where
     I: Fn() -> S + Sync,
@@ -120,109 +80,39 @@ where
         }
         return LoadStats {
             items_per_worker: vec![n],
-            steals_per_worker: vec![0],
         };
     }
 
-    let injector = Injector::new();
-    let mut outstanding = 0usize;
-    let mut lo = 0;
-    while lo < n {
-        let hi = (lo + grain).min(n);
-        injector.push(Chunk { lo, hi });
-        outstanding += 1;
-        lo = hi;
-    }
-    let remaining = AtomicUsize::new(outstanding);
-
-    let workers: Vec<Worker<Chunk>> = (0..threads).map(|_| Worker::new_lifo()).collect();
-    let stealers: Vec<Stealer<Chunk>> = workers.iter().map(|w| w.stealer()).collect();
-
-    let counters: Vec<(AtomicUsize, AtomicUsize)> = (0..threads)
-        .map(|_| (AtomicUsize::new(0), AtomicUsize::new(0)))
-        .collect();
-
-    std::thread::scope(|scope| {
-        for (me, worker) in workers.into_iter().enumerate() {
-            let injector = &injector;
-            let stealers = &stealers;
-            let remaining = &remaining;
-            let counters = &counters;
-            let task = &task;
-            let init = &init;
-            scope.spawn(move || {
-                let (items, steals) = &counters[me];
-                let mut state = init();
-                loop {
-                    // Local pop first; otherwise steal from the injector or
-                    // a slower peer.
-                    let (chunk, stolen) = match worker.pop() {
-                        Some(c) => (Some(c), false),
-                        None => {
-                            let acquired = std::iter::repeat_with(|| {
-                                injector.steal_batch_and_pop(&worker).or_else(|| {
-                                    stealers
-                                        .iter()
-                                        .enumerate()
-                                        .filter(|(other, _)| *other != me)
-                                        .map(|(_, s)| s.steal())
-                                        .collect()
-                                })
-                            })
-                            .find(|s| !s.is_retry())
-                            .and_then(Steal::success);
-                            (acquired, true)
+    let cursor = AtomicUsize::new(0);
+    let items_per_worker = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut state = init();
+                    let mut items = 0;
+                    loop {
+                        // ORDERING: Relaxed — the cursor only hands out
+                        // disjoint index ranges; the tasks' writes reach
+                        // the caller through the scope's join.
+                        let lo = cursor.fetch_add(grain, Ordering::Relaxed);
+                        if lo >= n {
+                            break items;
                         }
-                    };
-                    match chunk {
-                        Some(chunk) => {
-                            if stolen {
-                                // ORDERING: Relaxed — per-worker load
-                                // statistic, read only after join.
-                                steals.fetch_add(1, Ordering::Relaxed);
-                            }
-                            // Decrement on unwind too: if a task panics,
-                            // peers must still observe the chunk as retired
-                            // or they spin forever and the panic never
-                            // propagates out of the thread scope.
-                            let _retire = RetireGuard(remaining);
-                            for i in chunk.lo..chunk.hi {
-                                task(&mut state, i);
-                            }
-                            // ORDERING: Relaxed — per-worker load
-                            // statistic, read only after join.
-                            items.fetch_add(chunk.len(), Ordering::Relaxed);
+                        let hi = (lo + grain).min(n);
+                        for i in lo..hi {
+                            task(&mut state, i);
                         }
-                        None => {
-                            // ORDERING: Acquire — pairs with the AcqRel
-                            // retire in `RetireGuard::drop`; seeing zero
-                            // here must also make every retired chunk's
-                            // writes visible before the worker exits.
-                            if remaining.load(Ordering::Acquire) == 0 {
-                                break;
-                            }
-                            std::thread::yield_now();
-                        }
+                        items += hi - lo;
                     }
-                }
-            });
-        }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
-
-    LoadStats {
-        items_per_worker: counters
-            .iter()
-            // ORDERING: Relaxed — workers have joined (scope ended), so
-            // their counter writes are already visible; this is a
-            // single-threaded read-out.
-            .map(|(i, _)| i.load(Ordering::Relaxed))
-            .collect(),
-        steals_per_worker: counters
-            .iter()
-            // ORDERING: Relaxed — post-join read-out, as above.
-            .map(|(_, s)| s.load(Ordering::Relaxed))
-            .collect(),
-    }
+    LoadStats { items_per_worker }
 }
 
 #[cfg(test)]
@@ -230,25 +120,38 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
 
+    /// Runs `parallel_for(n, {threads, grain})` and checks that every
+    /// index is visited exactly once, that the per-worker counts add up
+    /// to `n`, and that workers beyond the `ceil(n / grain)` claims the
+    /// cursor can hand out come back with nothing.
+    fn check_every_index_exactly_once(n: usize, threads: usize, grain: usize) {
+        let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+        let stats = parallel_for(n, &PoolConfig { threads, grain }, |i| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+        });
+        let case = format!("n={n} threads={threads} grain={grain}");
+        for (i, h) in hits.iter().enumerate() {
+            assert_eq!(h.load(Ordering::Relaxed), 1, "{case} index {i}");
+        }
+        assert_eq!(stats.items_per_worker.iter().sum::<usize>(), n, "{case}");
+        if n > grain {
+            assert_eq!(stats.items_per_worker.len(), threads, "{case}");
+            let busy = stats.items_per_worker.iter().filter(|&&c| c > 0).count();
+            assert!(busy <= n.div_ceil(grain), "{case}: {stats:?}");
+            // Every claim but the last is a full grain.
+            let short = stats.items_per_worker.iter().filter(|&&c| c % grain != 0);
+            assert!(short.count() <= 1, "{case}: {stats:?}");
+        }
+    }
+
     #[test]
     fn every_index_exactly_once() {
-        let n = 1000;
-        let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        let stats = parallel_for(
-            n,
-            &PoolConfig {
-                threads: 4,
-                grain: 7,
-            },
-            |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            },
-        );
-        for (i, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(Ordering::Relaxed), 1, "index {i}");
-        }
-        let total: usize = stats.items_per_worker.iter().sum();
-        assert_eq!(total, n);
+        check_every_index_exactly_once(1000, 4, 7); // grain ∤ n: the last claim is short
+        check_every_index_exactly_once(1001, 4, 7); // grain | n
+        check_every_index_exactly_once(10, 8, 3); // 4 claims, 8 workers: ≥ 4 return with 0 items
+        check_every_index_exactly_once(65, 3, 64); // 2 claims, the second of one index
+        check_every_index_exactly_once(5, 2, 1);
+        check_every_index_exactly_once(0, 4, 1); // nothing to claim
     }
 
     #[test]
@@ -300,12 +203,10 @@ mod tests {
     fn imbalance_metric() {
         let stats = LoadStats {
             items_per_worker: vec![10, 10, 10, 10],
-            steals_per_worker: vec![0; 4],
         };
         assert!((stats.imbalance() - 1.0).abs() < 1e-12);
         let skew = LoadStats {
             items_per_worker: vec![40, 0, 0, 0],
-            steals_per_worker: vec![0; 4],
         };
         assert!((skew.imbalance() - 4.0).abs() < 1e-12);
     }
@@ -363,7 +264,6 @@ mod tests {
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         // Serial fast path reports a single worker.
         assert_eq!(stats.items_per_worker, vec![10]);
-        assert_eq!(stats.steals_per_worker, vec![0]);
     }
 
     #[test]
@@ -383,22 +283,5 @@ mod tests {
             );
         });
         assert!(result.is_err(), "worker panic must not be swallowed");
-    }
-
-    #[test]
-    fn steals_are_recorded() {
-        // With more threads than one and per-item chunks from the
-        // injector, at least one acquisition is counted as a steal (the
-        // injector grab itself counts).
-        let stats = parallel_for(
-            64,
-            &PoolConfig {
-                threads: 2,
-                grain: 1,
-            },
-            |_| std::thread::yield_now(),
-        );
-        let steals: usize = stats.steals_per_worker.iter().sum();
-        assert!(steals > 0);
     }
 }

@@ -3,8 +3,8 @@
 //! An open-source reproduction of Kübler, Mikushin, Scheidegger & Schenk,
 //! *"Rethinking large-scale economic modeling for efficiency: optimizations
 //! for GPU and Xeon Phi clusters"* (IPDPS 2018): adaptive sparse grids with
-//! index compression, vectorized interpolation kernels, a
-//! work-stealing scheduler, a message-passing/cluster-simulation layer, and
+//! index compression, vectorized interpolation kernels, a dynamic
+//! `parallel_for` scheduler, a message-passing/cluster-simulation layer, and
 //! a time-iteration driver solving stochastic overlapping-generations
 //! economies.
 //!
@@ -18,7 +18,7 @@
 //! | [`gpu`] | `hddm-gpu` | device model + launch pricing + surface pool |
 //! | [`solver`] | `hddm-solver` | Newton/Broyden/LU (Ipopt substitute) |
 //! | [`cluster`] | `hddm-cluster` | Comm runtime + scaling simulators |
-//! | [`sched`] | `hddm-sched` | work-stealing `parallel_for` |
+//! | [`sched`] | `hddm-sched` | dynamic `parallel_for` over a shared cursor |
 //! | [`olg`] | `hddm-olg` | the stochastic OLG economy |
 //! | [`core`] | `hddm-core` | the time-iteration driver |
 //! | [`scenarios`] | `hddm-scenarios` | batched multi-calibration sweeps + policy-surface cache |

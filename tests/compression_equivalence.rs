@@ -149,78 +149,6 @@ proptest! {
         prop_assert!(grid.is_ancestor_closed());
     }
 
-    /// The hash-table storage scheme (the paper's *other* incumbent,
-    /// Sec. IV-B) agrees with the dense reference on random adaptive
-    /// grids.
-    #[test]
-    fn hash_table_equals_reference(
-        grid in adaptive_grid(4),
-        seed in any::<u64>(),
-    ) {
-        use hddm::kernels::{hashtab, HashState};
-        let ndofs = 3;
-        let mut state = seed | 1;
-        let mut rnd = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        };
-        let surplus: Vec<f64> = (0..grid.len() * ndofs).map(|_| rnd()).collect();
-        let hashed = HashState::new(&grid, &surplus, ndofs);
-        let mut got = vec![0.0; ndofs];
-        let mut want = vec![0.0; ndofs];
-        for _ in 0..5 {
-            let x: Vec<f64> = (0..4).map(|_| rnd() + 0.5).collect();
-            hashtab::interpolate(&hashed, &x, &mut got);
-            interpolate_reference(&grid, &surplus, ndofs, &x, &mut want);
-            for k in 0..ndofs {
-                prop_assert!((got[k] - want[k]).abs() < 1e-10,
-                    "dof {} at {:?}: {} vs {}", k, x, got[k], want[k]);
-            }
-        }
-    }
-
-    /// The two chain-walk ablation variants (no zero-skip; grid-order
-    /// surplus gather) compute the same interpolant as the production
-    /// kernel on random adaptive grids.
-    #[test]
-    fn ablation_variants_agree(
-        grid in adaptive_grid(3),
-        seed in any::<u64>(),
-    ) {
-        use hddm::kernels::x86;
-        let ndofs = 2;
-        let mut state = seed | 1;
-        let mut rnd = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        };
-        let surplus: Vec<f64> = (0..grid.len() * ndofs).map(|_| rnd()).collect();
-        let cg = CompressedGrid::build(&grid);
-        let compressed = CompressedState::new(&grid, &surplus, ndofs);
-        let reordered = cg.reorder_rows(&surplus, ndofs);
-        let mut scratch = Scratch::default();
-        let mut xpv = vec![0.0; cg.xps().len()];
-        let mut want = vec![0.0; ndofs];
-        let mut got = vec![0.0; ndofs];
-        for _ in 0..4 {
-            let x: Vec<f64> = (0..3).map(|_| rnd() + 0.5).collect();
-            x86::interpolate(&compressed, &x, &mut scratch, &mut want);
-            x86::interpolate_no_skip(&compressed, &x, &mut scratch, &mut got);
-            for k in 0..ndofs {
-                prop_assert!((got[k] - want[k]).abs() < 1e-12, "no_skip dof {}", k);
-            }
-            cg.interpolate_scalar_unordered(&surplus, ndofs, &x, &mut xpv, &mut got);
-            cg.interpolate_scalar(&reordered, ndofs, &x, &mut xpv, &mut want);
-            for k in 0..ndofs {
-                prop_assert!((got[k] - want[k]).abs() < 1e-12, "unordered dof {}", k);
-            }
-        }
-    }
-
     /// Compressed grids survive dismantling into raw arrays and
     /// revalidation — the invariant the checkpoint file format rests on.
     #[test]
