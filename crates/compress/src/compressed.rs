@@ -106,50 +106,70 @@ impl CompressedGrid {
         }
     }
 
-    /// Reassembles a compressed grid from its raw arrays (the checkpoint
-    /// path). Validates every structural invariant the kernels rely on;
-    /// panics on violation — a corrupt checkpoint must not reach a kernel.
-    /// `stats` are recomputed from the arrays.
-    pub fn from_raw_parts(
+    /// Reassembles a compressed grid from its raw arrays — the one
+    /// structural check between stored bytes (policy records, checkpoints)
+    /// and the kernels. Every invariant the chain walk indexes by is
+    /// verified and a violation is an `Err` naming it, never a panic: the
+    /// arrays may come from a damaged file. Nothing larger than the input
+    /// is allocated. `stats` are recomputed from the arrays.
+    pub fn try_from_raw_parts(
         dim: usize,
         nfreq: usize,
         xps: Vec<XpsEntry>,
         chains: Vec<u32>,
         order: Vec<u32>,
-    ) -> Self {
-        assert!(dim >= 1, "dimension must be positive");
-        assert!(nfreq >= 1, "nfreq must be positive");
-        assert!(
-            xps.first() == Some(&XpsEntry::SENTINEL),
-            "xps[0] must be the sentinel"
-        );
-        assert_eq!(chains.len() % nfreq, 0, "chains not a multiple of nfreq");
+    ) -> Result<Self, String> {
+        if dim < 1 {
+            return Err("dimension must be positive".into());
+        }
+        if nfreq < 1 {
+            return Err("nfreq must be positive".into());
+        }
+        if xps.first() != Some(&XpsEntry::SENTINEL) {
+            return Err(format!(
+                "xps[0] must be the sentinel, got {:?}",
+                xps.first()
+            ));
+        }
+        if !chains.len().is_multiple_of(nfreq) {
+            return Err(format!(
+                "chains length {} not a multiple of nfreq {nfreq}",
+                chains.len()
+            ));
+        }
         let nno = chains.len() / nfreq;
-        assert_eq!(order.len(), nno, "order length mismatch");
+        if order.len() != nno {
+            return Err(format!(
+                "order length {} does not match nno {nno}",
+                order.len()
+            ));
+        }
         let mut seen = vec![false; nno];
         for &o in &order {
-            assert!(
-                (o as usize) < nno && !std::mem::replace(&mut seen[o as usize], true),
-                "order is not a permutation"
-            );
+            if (o as usize) >= nno || std::mem::replace(&mut seen[o as usize], true) {
+                return Err("order is not a permutation".into());
+            }
         }
         let mut nonzero = 0usize;
         for &c in &chains {
-            assert!((c as usize) < xps.len(), "chain entry out of xps range");
+            if (c as usize) >= xps.len() {
+                return Err(format!("chain entry {c} out of xps range"));
+            }
             if c != 0 {
                 nonzero += 1;
             }
         }
         for e in &xps[1..] {
-            assert!(
-                (e.index as usize) < dim && e.l >= 2,
-                "invalid xps entry {e:?}"
-            );
+            if (e.index as usize) >= dim || e.l < 2 {
+                return Err(format!("invalid xps entry {e:?}"));
+            }
         }
-        let zero_fraction = 1.0 - nonzero as f64 / (nno * dim).max(1) as f64;
+        // `dim` is whatever the file claimed: saturate rather than wrap.
+        let cells = nno.saturating_mul(dim);
+        let zero_fraction = 1.0 - nonzero as f64 / cells.max(1) as f64;
         let compressed_bytes = xps.len() * std::mem::size_of::<XpsEntry>() + chains.len() * 4;
-        let dense_bytes = nno * dim * 2 * std::mem::size_of::<u16>();
-        CompressedGrid {
+        let dense_bytes = cells.saturating_mul(2 * std::mem::size_of::<u16>());
+        Ok(CompressedGrid {
             dim,
             nno,
             nfreq,
@@ -161,7 +181,7 @@ impl CompressedGrid {
                 compressed_bytes,
                 dense_bytes,
             },
-        }
+        })
     }
 
     /// A compressed grid over no points at all — the seed of incremental
@@ -191,7 +211,7 @@ impl CompressedGrid {
     /// stride widens in place when a new point has more non-zeros than
     /// any before it (old rows keep their 0 terminators).
     ///
-    /// Every kernel invariant of [`Self::from_raw_parts`] is preserved,
+    /// Every kernel invariant of [`Self::try_from_raw_parts`] is preserved,
     /// and the result is independent of how a sequence of appends is
     /// batched — appending ids `A` then `B` is bitwise identical to
     /// appending `A ∪ B` at once. The *row order* is append order, not
@@ -524,13 +544,7 @@ mod tests {
     fn raw_parts_roundtrip() {
         let grid = regular_grid(5, 3);
         let cg = CompressedGrid::build(&grid);
-        let rebuilt = CompressedGrid::from_raw_parts(
-            cg.dim(),
-            cg.nfreq(),
-            cg.xps().to_vec(),
-            cg.chains().to_vec(),
-            cg.order().to_vec(),
-        );
+        let rebuilt = rebuild_with(&cg, cg.dim(), cg.nfreq(), |_, _, _| {}).unwrap();
         assert_eq!(rebuilt.nno(), cg.nno());
         assert_eq!(rebuilt.chains(), cg.chains());
         assert_eq!(rebuilt.order(), cg.order());
@@ -550,36 +564,70 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "order is not a permutation")]
-    fn raw_parts_reject_bad_order() {
-        let grid = regular_grid(3, 3);
-        let cg = CompressedGrid::build(&grid);
-        let mut order = cg.order().to_vec();
-        order[0] = order[1];
-        let _ = CompressedGrid::from_raw_parts(
-            cg.dim(),
-            cg.nfreq(),
-            cg.xps().to_vec(),
-            cg.chains().to_vec(),
-            order,
-        );
+    /// `try_from_raw_parts` with one array of `cg` replaced.
+    fn rebuild_with(
+        cg: &CompressedGrid,
+        dim: usize,
+        nfreq: usize,
+        edit: impl FnOnce(&mut Vec<XpsEntry>, &mut Vec<u32>, &mut Vec<u32>),
+    ) -> Result<CompressedGrid, String> {
+        let (mut xps, mut chains, mut order) =
+            (cg.xps().to_vec(), cg.chains().to_vec(), cg.order().to_vec());
+        edit(&mut xps, &mut chains, &mut order);
+        CompressedGrid::try_from_raw_parts(dim, nfreq, xps, chains, order)
     }
 
     #[test]
-    #[should_panic(expected = "chain entry out of xps range")]
+    fn raw_parts_reject_bad_order() {
+        let cg = CompressedGrid::build(&regular_grid(3, 3));
+        let err = rebuild_with(&cg, cg.dim(), cg.nfreq(), |_, _, order| order[0] = order[1]);
+        assert_eq!(err.unwrap_err(), "order is not a permutation");
+    }
+
+    #[test]
     fn raw_parts_reject_dangling_chain() {
-        let grid = regular_grid(3, 3);
-        let cg = CompressedGrid::build(&grid);
-        let mut chains = cg.chains().to_vec();
-        chains[0] = cg.xps().len() as u32 + 7;
-        let _ = CompressedGrid::from_raw_parts(
-            cg.dim(),
-            cg.nfreq(),
-            cg.xps().to_vec(),
-            chains,
-            cg.order().to_vec(),
-        );
+        let cg = CompressedGrid::build(&regular_grid(3, 3));
+        let dangling = cg.xps().len() as u32 + 7;
+        let err = rebuild_with(&cg, cg.dim(), cg.nfreq(), |_, chains, _| {
+            chains[0] = dangling
+        });
+        assert!(err.unwrap_err().contains("out of xps range"));
+    }
+
+    /// The structural check every stored policy passes on its way back to
+    /// a kernel: each corruption is an `Err` naming the broken invariant.
+    #[test]
+    fn raw_parts_validate_catches_structural_corruption() {
+        let cg = CompressedGrid::build(&regular_grid(3, 3));
+        let (dim, nfreq) = (cg.dim(), cg.nfreq());
+        assert!(rebuild_with(&cg, dim, nfreq, |_, _, _| {}).is_ok());
+
+        let err = |r: Result<CompressedGrid, String>| r.unwrap_err();
+        // Truncated payload: a chain row cut short.
+        let e = err(rebuild_with(&cg, dim, nfreq, |_, chains, _| {
+            chains.pop();
+        }));
+        assert!(e.contains("multiple of nfreq"), "{e}");
+        let e = err(rebuild_with(&cg, dim, nfreq, |xps, _, _| {
+            xps[0] = XpsEntry {
+                index: 1,
+                l: 2,
+                i: 3,
+            }
+        }));
+        assert!(e.contains("sentinel"), "{e}");
+        let e = err(rebuild_with(&cg, dim, nfreq, |_, _, order| {
+            order[0] = u32::MAX
+        }));
+        assert!(e.contains("permutation"), "{e}");
+        let e = err(rebuild_with(&cg, dim, nfreq, |_, chains, _| {
+            chains[0] = u32::MAX
+        }));
+        assert!(e.contains("xps range"), "{e}");
+        // The arrays themselves are fine but the claimed shape is not.
+        let e = err(rebuild_with(&cg, dim - 1, nfreq, |_, _, _| {}));
+        assert!(e.contains("invalid xps entry"), "{e}");
+        assert!(rebuild_with(&cg, dim, 0, |_, _, _| {}).is_err());
     }
 
     #[test]
@@ -715,14 +763,9 @@ mod tests {
         let appended_rows = appended.reorder_rows(&surplus, ndofs);
         assert_eq!(appended_rows, surplus);
 
-        // Invariants of from_raw_parts hold for the appended structure.
-        let revalidated = CompressedGrid::from_raw_parts(
-            appended.dim(),
-            appended.nfreq(),
-            appended.xps().to_vec(),
-            appended.chains().to_vec(),
-            appended.order().to_vec(),
-        );
+        // The appended structure passes the structural check.
+        let revalidated =
+            rebuild_with(&appended, appended.dim(), appended.nfreq(), |_, _, _| {}).unwrap();
         assert!((revalidated.stats().zero_fraction - appended.stats().zero_fraction).abs() < 1e-12);
 
         let mut xpv_a = vec![0.0; built.xps().len()];

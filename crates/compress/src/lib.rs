@@ -12,7 +12,8 @@
 //! [`pipeline`] exposes each construction stage (zero elimination, `ξ_freq`
 //! decomposition, renumbering, transition matrices, unique elements,
 //! Algorithm 2); [`CompressedGrid`] drives them and owns the kernel-facing
-//! arrays.
+//! arrays. Arrays that come back from storage re-enter through
+//! [`CompressedGrid::try_from_raw_parts`], the one structural check.
 //!
 //! ```
 //! use hddm_asg::{regular_grid, hierarchize, tabulate};

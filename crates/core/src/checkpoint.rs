@@ -7,216 +7,83 @@
 //! ε. This module provides that restart surface: the complete solver state
 //! between two time steps is the policy set (one compressed interpolant
 //! per discrete state, chain-ordered surpluses) plus the step counter, and
-//! that is exactly what a [`Checkpoint`] captures.
+//! that is exactly what a [`Checkpoint`] holds.
 //!
-//! The on-disk format is versioned JSON of plain arrays — deliberately
-//! decoupled from the in-memory layout of `CompressedGrid` so old
-//! checkpoints survive refactors. `serde_json` is built with its
-//! `float_roundtrip` feature (see the workspace manifest) so `f64`
-//! surpluses survive the file exactly and a resumed run continues
-//! **bit-identically** — without that feature the default fast float
-//! parser is allowed to be off by one ulp, which the round-trip test
-//! below would catch.
+//! On disk a checkpoint is one [`crate::record`] frame — magic
+//! `HDDMCKPT`, the step counter, the policy's shape and the policy body
+//! every stored policy shares — so surpluses survive the file bit for bit
+//! and a resumed run continues **bit-identically**. It is written through
+//! [`write_atomic`]: a crash mid-save leaves the previous checkpoint of
+//! an ε-continuation stage in place, and a truncated or damaged file is an
+//! [`io::Error`] at [`Checkpoint::load`], never a panic.
 
 use std::fs;
 use std::io;
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
-
-use hddm_asg::BoxDomain;
-use hddm_compress::{CompressedGrid, XpsEntry};
-use hddm_kernels::CompressedState;
-
 use crate::driver::{DriverConfig, StepModel, TimeIteration};
 use crate::policy::PolicySet;
+use crate::record::{write_atomic, Reader, Writer};
 
-/// Current on-disk format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Magic bytes opening every checkpoint file.
+const CHECKPOINT_MAGIC: [u8; 8] = *b"HDDMCKPT";
 
-/// One discrete state's interpolant, flattened to plain arrays.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct StateRecord {
-    /// Unique elements as `(dimension, ł, í)` triples; entry 0 is the
-    /// sentinel `(0, 0, 0)`.
-    pub xps: Vec<(u32, u16, u16)>,
-    /// Chain matrix, row-major `nno × nfreq`.
-    pub chains: Vec<u32>,
-    /// Chain-position → grid-order permutation.
-    pub order: Vec<u32>,
-    /// Chain stride.
-    pub nfreq: usize,
-    /// Surpluses in chain order, row-major `nno × ndofs`.
-    pub surplus: Vec<f64>,
-}
+/// Current version of the checkpoint payload.
+const CHECKPOINT_VERSION: u32 = 1;
 
-impl StateRecord {
-    /// Flattens one compressed interpolant to the plain-array form —
-    /// shared by checkpoints and the scenario engine's policy-surface
-    /// cache.
-    pub fn capture(state: &CompressedState) -> StateRecord {
-        StateRecord {
-            xps: state
-                .grid
-                .xps()
-                .iter()
-                .map(|e| (e.index, e.l, e.i))
-                .collect(),
-            chains: state.grid.chains().to_vec(),
-            order: state.grid.order().to_vec(),
-            nfreq: state.grid.nfreq(),
-            surplus: state.surplus.clone(),
-        }
-    }
-
-    /// Checks the structural invariants [`StateRecord::restore`] relies
-    /// on, without panicking — the guard that lets records arriving from
-    /// untrusted storage (the persistent policy-surface cache) be skipped
-    /// with a warning instead of aborting the process. Mirrors the
-    /// assertions in [`CompressedGrid::from_raw_parts`] plus the surplus
-    /// length check.
-    pub fn validate(&self, dim: usize, ndofs: usize) -> Result<(), String> {
-        if dim < 1 || ndofs < 1 {
-            return Err(format!("dim {dim} / ndofs {ndofs} must be positive"));
-        }
-        if self.nfreq < 1 {
-            return Err("nfreq must be positive".into());
-        }
-        match self.xps.first() {
-            Some(&(0, 0, 0)) => {}
-            other => return Err(format!("xps[0] must be the sentinel, got {other:?}")),
-        }
-        if !self.chains.len().is_multiple_of(self.nfreq) {
-            return Err(format!(
-                "chains length {} not a multiple of nfreq {}",
-                self.chains.len(),
-                self.nfreq
-            ));
-        }
-        let nno = self.chains.len() / self.nfreq;
-        if self.order.len() != nno {
-            return Err(format!(
-                "order length {} does not match nno {nno}",
-                self.order.len()
-            ));
-        }
-        let mut seen = vec![false; nno];
-        for &o in &self.order {
-            if (o as usize) >= nno || std::mem::replace(&mut seen[o as usize], true) {
-                return Err("order is not a permutation".into());
-            }
-        }
-        for &c in &self.chains {
-            if (c as usize) >= self.xps.len() {
-                return Err(format!("chain entry {c} out of xps range"));
-            }
-        }
-        for &(index, l, _) in &self.xps[1..] {
-            if (index as usize) >= dim || l < 2 {
-                return Err(format!("invalid xps entry ({index}, {l}, _)"));
-            }
-        }
-        if self.surplus.len() != nno * ndofs {
-            return Err(format!(
-                "surplus length {} does not match nno {nno} × ndofs {ndofs}",
-                self.surplus.len()
-            ));
-        }
-        Ok(())
-    }
-
-    /// Rebuilds the compressed interpolant. Panics on structural
-    /// corruption (the validation lives in
-    /// [`CompressedGrid::from_raw_parts`]); records from untrusted
-    /// storage should be checked with [`StateRecord::validate`] first.
-    pub fn restore(&self, dim: usize, ndofs: usize) -> CompressedState {
-        let xps = self
-            .xps
-            .iter()
-            .map(|&(index, l, i)| XpsEntry { index, l, i })
-            .collect();
-        let cg = CompressedGrid::from_raw_parts(
-            dim,
-            self.nfreq,
-            xps,
-            self.chains.clone(),
-            self.order.clone(),
-        );
-        assert_eq!(
-            self.surplus.len(),
-            cg.nno() * ndofs,
-            "surplus length mismatch in state record"
-        );
-        CompressedState::from_parts(cg, self.surplus.clone(), ndofs)
-    }
-}
-
-/// A complete, versioned snapshot of the solver state between time steps.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// A complete snapshot of the solver state between time steps.
+#[derive(Clone, Debug)]
 pub struct Checkpoint {
-    /// Format version ([`CHECKPOINT_VERSION`]).
-    pub version: u32,
     /// Time-iteration steps already executed.
     pub step: usize,
-    /// Continuous dimensionality `d`.
-    pub dim: usize,
-    /// Coefficients per grid point.
-    pub ndofs: usize,
-    /// Domain box lower bounds.
-    pub domain_lo: Vec<f64>,
-    /// Domain box upper bounds.
-    pub domain_hi: Vec<f64>,
-    /// Per-discrete-state interpolants.
-    pub states: Vec<StateRecord>,
+    /// The policy `p` after `step` steps.
+    pub policy: PolicySet,
 }
 
 impl Checkpoint {
     /// Captures the current solver state of a driver.
     pub fn capture<M: StepModel>(ti: &TimeIteration<M>) -> Checkpoint {
-        let domain = &ti.policy.domain;
-        let states = (0..ti.policy.states.num_states())
-            .map(|z| StateRecord::capture(ti.policy.states.state(z)))
-            .collect();
         Checkpoint {
-            version: CHECKPOINT_VERSION,
             step: ti.step_index(),
-            dim: ti.model.dim(),
-            ndofs: ti.model.ndofs(),
-            domain_lo: domain.lo().to_vec(),
-            domain_hi: domain.hi().to_vec(),
-            states,
+            policy: ti.policy.clone(),
         }
     }
 
-    /// Rebuilds the policy set. Panics on structural corruption (the
-    /// validation lives in [`CompressedGrid::from_raw_parts`]).
-    pub fn restore_policy(&self) -> PolicySet {
-        let domain = BoxDomain::new(self.domain_lo.clone(), self.domain_hi.clone());
-        let states = self
-            .states
-            .iter()
-            .map(|r| r.restore(self.dim, self.ndofs))
-            .collect();
-        PolicySet::new(states, domain)
+    fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new(CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
+        w.u64(self.step as u64);
+        w.u64(self.policy.domain.dim() as u64);
+        w.u64(self.policy.states.ndofs() as u64);
+        w.u64(self.policy.states.num_states() as u64);
+        w.policy(&self.policy);
+        w.finish()
     }
 
-    /// Serializes to a JSON file.
+    fn decode(bytes: &[u8]) -> Result<Checkpoint, String> {
+        let mut r = Reader::open(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, bytes)?;
+        let step = r.usize()?;
+        let (dim, ndofs, num_states) = (r.usize()?, r.usize()?, r.usize()?);
+        let policy = r.policy(dim, ndofs, num_states)?;
+        r.finish()?;
+        Ok(Checkpoint { step, policy })
+    }
+
+    /// Writes the checkpoint to `path`, atomically and durably: an
+    /// existing file at `path` is replaced only once the new one is
+    /// complete on disk.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
-        let json = serde_json::to_string(self).map_err(io::Error::other)?;
-        fs::write(path, json)
+        write_atomic(path.as_ref(), &self.encode())
     }
 
-    /// Loads and version-checks a checkpoint file.
+    /// Loads and fully validates a checkpoint file.
     pub fn load<P: AsRef<Path>>(path: P) -> io::Result<Checkpoint> {
-        let json = fs::read_to_string(path)?;
-        let ck: Checkpoint = serde_json::from_str(&json).map_err(io::Error::other)?;
-        if ck.version != CHECKPOINT_VERSION {
-            return Err(io::Error::other(format!(
-                "checkpoint version {} unsupported (expected {CHECKPOINT_VERSION})",
-                ck.version
-            )));
-        }
-        Ok(ck)
+        let bytes = fs::read(&path)?;
+        Checkpoint::decode(&bytes).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("checkpoint {}: {e}", path.as_ref().display()),
+            )
+        })
     }
 }
 
@@ -226,15 +93,12 @@ impl<M: StepModel> TimeIteration<M> {
     /// code + calibration, not solver state). Panics if the model shape
     /// does not match the checkpoint.
     pub fn resume(model: M, config: DriverConfig, checkpoint: &Checkpoint) -> Self {
-        assert_eq!(model.dim(), checkpoint.dim, "model dimension mismatch");
-        assert_eq!(model.ndofs(), checkpoint.ndofs, "model ndofs mismatch");
         assert_eq!(
-            model.num_states(),
-            checkpoint.states.len(),
-            "discrete state count mismatch"
+            model.ndofs(),
+            checkpoint.policy.states.ndofs(),
+            "model ndofs mismatch"
         );
-        let policy = checkpoint.restore_policy();
-        TimeIteration::with_policy(model, config, policy, checkpoint.step)
+        TimeIteration::with_policy(model, config, checkpoint.policy.clone(), checkpoint.step)
     }
 }
 
@@ -243,9 +107,11 @@ mod tests {
     use super::*;
     use crate::driver::DriverConfig;
     use crate::olg_step::OlgStep;
-    use hddm_kernels::KernelKind;
+    use hddm_asg::{basis, ActiveCoord, BoxDomain, NodeKey, SparseGrid};
+    use hddm_kernels::{CompressedState, KernelKind};
     use hddm_olg::{Calibration, OlgModel, PolicyOracle};
     use hddm_sched::PoolConfig;
+    use proptest::prelude::*;
 
     fn config(max_steps: usize) -> DriverConfig {
         DriverConfig {
@@ -272,18 +138,26 @@ mod tests {
             .collect()
     }
 
+    /// A scratch directory of this test process.
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("hddm_checkpoint_test_{}_{tag}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn capture_restore_roundtrip_is_bitwise() {
         let model = OlgModel::new(Calibration::small(5, 3, 2, 0.03));
         let x = model.steady.state_vector();
         let mut ti = TimeIteration::new(OlgStep::new(model), config(3));
         ti.run();
-        let ck = Checkpoint::capture(&ti);
-        let restored = ck.restore_policy();
+        let restored = Checkpoint::decode(&Checkpoint::capture(&ti).encode()).unwrap();
+        assert_eq!(restored.step, 3);
         let mut a = vec![0.0; 8];
         let mut b = vec![0.0; 8];
         let mut oa = ti.policy.oracle(KernelKind::X86);
-        let mut ob = restored.oracle(KernelKind::X86);
+        let mut ob = restored.policy.oracle(KernelKind::X86);
         for z in 0..2 {
             oa.eval(z, &x, &mut a);
             ob.eval(z, &x, &mut b);
@@ -304,9 +178,8 @@ mod tests {
 
         let mut first = TimeIteration::new(OlgStep::new(make_model()), config(2));
         first.run();
-        let dir = std::env::temp_dir().join(format!("hddm_checkpoint_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ck.json");
+        let dir = scratch_dir("resume");
+        let path = dir.join("ck.bin");
         Checkpoint::capture(&first).save(&path).unwrap();
 
         let loaded = Checkpoint::load(&path).unwrap();
@@ -316,56 +189,49 @@ mod tests {
         assert_eq!(resumed.step_index(), 4);
         let got = probe(&resumed, &x, 8);
         assert_eq!(got, want, "resumed run diverged from straight run");
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn state_record_validate_catches_structural_corruption() {
-        let model = OlgModel::new(Calibration::small(5, 3, 2, 0.03));
-        let ndofs = model.ndofs();
-        let dim = model.dim();
-        let ti = TimeIteration::new(OlgStep::new(model), config(1));
-        let good = StateRecord::capture(ti.policy.states.state(0));
-        assert_eq!(good.validate(dim, ndofs), Ok(()));
+    fn save_replaces_the_previous_checkpoint_atomically_and_damage_is_an_error() {
+        let model = OlgModel::new(Calibration::deterministic(4, 3));
+        let mut ti = TimeIteration::new(OlgStep::new(model), config(1));
+        let dir = scratch_dir("atomic");
+        let path = dir.join("stage.bin");
+        Checkpoint::capture(&ti).save(&path).unwrap();
+        ti.run();
+        Checkpoint::capture(&ti).save(&path).unwrap();
+        assert_eq!(Checkpoint::load(&path).unwrap().step, 1);
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["stage.bin"], "the target and no temp file");
 
-        let mut bad = good.clone();
-        bad.surplus.pop(); // truncated payload
-        assert!(bad.validate(dim, ndofs).unwrap_err().contains("surplus"));
-
-        let mut bad = good.clone();
-        bad.xps[0] = (1, 2, 3); // missing sentinel
-        assert!(bad.validate(dim, ndofs).unwrap_err().contains("sentinel"));
-
-        let mut bad = good.clone();
-        bad.order[0] = u32::MAX; // not a permutation
-        assert!(bad
-            .validate(dim, ndofs)
-            .unwrap_err()
-            .contains("permutation"));
-
-        let mut bad = good.clone();
-        bad.chains[0] = u32::MAX; // dangling chain reference
-        assert!(bad.validate(dim, ndofs).unwrap_err().contains("xps range"));
-
-        // The record itself is fine but the claimed shape is not.
-        assert!(good.validate(dim + 7, ndofs).is_err() || good.validate(dim, ndofs + 1).is_err());
+        let good = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &good[..good.len() / 2]).unwrap();
+        let err = Checkpoint::load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let mut flipped = good.clone();
+        flipped[good.len() - 1] ^= 0x01;
+        std::fs::write(&path, &flipped).unwrap();
+        let err = Checkpoint::load(&path).unwrap_err();
+        assert!(err.to_string().contains("checksum"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn version_mismatch_is_rejected() {
         let model = OlgModel::new(Calibration::deterministic(4, 3));
         let ti = TimeIteration::new(OlgStep::new(model), config(0));
-        let mut ck = Checkpoint::capture(&ti);
-        ck.version = 99;
-        let dir = std::env::temp_dir().join(format!("hddm_checkpoint_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad_version.json");
-        // Write the bad version manually (save would stamp the right one
-        // only if we let it — it serializes the struct as-is).
-        std::fs::write(&path, serde_json::to_string(&ck).unwrap()).unwrap();
+        let mut bytes = Checkpoint::capture(&ti).encode();
+        bytes[8] = 99;
+        let dir = scratch_dir("version");
+        let path = dir.join("bad_version.bin");
+        std::fs::write(&path, &bytes).unwrap();
         let err = Checkpoint::load(&path).unwrap_err();
-        assert!(err.to_string().contains("version"));
-        std::fs::remove_file(&path).ok();
+        assert!(err.to_string().contains("version 99"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -378,5 +244,183 @@ mod tests {
             TimeIteration::resume(OlgStep::new(other), config(1), &ck)
         }));
         assert!(result.is_err(), "dimension mismatch must panic");
+    }
+
+    // ----- the decoder against damaged input ---------------------------
+
+    const DIM: usize = 3;
+    const NDOFS: usize = 2;
+
+    /// Strategy: a random ancestor-closed adaptive grid with at least one
+    /// refined node, so `xps` holds more than the sentinel.
+    fn adaptive_grid() -> impl Strategy<Value = SparseGrid> {
+        let coords = prop::collection::vec((0..DIM as u16, 2u8..=4u8, any::<u32>()), 1..10);
+        coords.prop_map(|raw| {
+            let mut grid = SparseGrid::new(DIM);
+            grid.insert(NodeKey::root());
+            for nodes in raw.chunks(2) {
+                let mut active: Vec<ActiveCoord> = Vec::new();
+                for &(dim, level, pick) in nodes {
+                    let indices = basis::level_indices(level);
+                    let index = indices[pick as usize % indices.len()];
+                    if active.iter().all(|c| c.dim != dim) {
+                        active.push(ActiveCoord { dim, level, index });
+                    }
+                }
+                grid.insert_closed(NodeKey::from_coords(active));
+            }
+            grid
+        })
+    }
+
+    fn adaptive_checkpoint(grids: &[SparseGrid], seed: u64) -> Checkpoint {
+        let mut state = seed | 1;
+        let states = grids
+            .iter()
+            .map(|grid| {
+                let surplus: Vec<f64> = (0..grid.len() * NDOFS)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+                    })
+                    .collect();
+                CompressedState::new(grid, &surplus, NDOFS)
+            })
+            .collect();
+        Checkpoint {
+            step: 7,
+            policy: PolicySet::new(states, BoxDomain::cube(DIM, -1.0, 2.0)),
+        }
+    }
+
+    /// Byte offsets of state 0's sections in an encoded checkpoint.
+    struct Offsets {
+        num_states: usize,
+        xps: usize,
+        chains: usize,
+        order: usize,
+        nfreq: usize,
+        surplus_len: usize,
+        surplus_end: usize,
+    }
+
+    fn offsets(ck: &Checkpoint) -> Offsets {
+        let state = ck.policy.states.state(0);
+        let u32s = |n: usize| 8 + 4 * (n + n % 2);
+        let xps_len = 40 + 4 * 8 + 2 * (8 + 8 * DIM);
+        let chains_len = xps_len + 8 + 8 * state.grid.xps().len();
+        let order_len = chains_len + u32s(state.grid.chains().len());
+        let nfreq = order_len + u32s(state.grid.order().len());
+        Offsets {
+            num_states: 40 + 3 * 8,
+            xps: xps_len + 8,
+            chains: chains_len + 8,
+            order: order_len + 8,
+            nfreq,
+            surplus_len: nfreq + 8,
+            surplus_end: nfreq + 16 + 8 * state.surplus.len(),
+        }
+    }
+
+    /// `bytes` is refused — as an `Err` naming `invariant`, in memory and
+    /// through a file — instead of panicking or being accepted.
+    fn assert_refused(bytes: &[u8], invariant: &str, path: &Path) {
+        let err = Checkpoint::decode(bytes).expect_err(invariant);
+        assert!(
+            err.contains(invariant),
+            "{err:?} does not name {invariant:?}"
+        );
+        std::fs::write(path, bytes).unwrap();
+        let err = Checkpoint::load(path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    proptest! {
+        // Cases and RNG seed pinned: the identical population every run.
+        #![proptest_config(ProptestConfig::with_cases(8).with_rng_seed(0x5EC0_DE20))]
+
+        /// Every truncation and every single-byte flip of an encoded
+        /// adaptive policy is an error: the frame's checksums see it.
+        #[test]
+        fn truncated_and_flipped_records_are_errors(
+            a in adaptive_grid(),
+            b in adaptive_grid(),
+            seed in any::<u64>(),
+        ) {
+            let good = adaptive_checkpoint(&[a, b], seed).encode();
+            prop_assert!(Checkpoint::decode(&good).is_ok());
+            let dir = scratch_dir("damage");
+            let path = dir.join("damaged.bin");
+            for cut in 0..good.len() {
+                prop_assert!(Checkpoint::decode(&good[..cut]).is_err(), "cut at {}", cut);
+            }
+            let mut bytes = good.clone();
+            for at in 0..good.len() {
+                bytes[at] ^= 1 << (at % 8);
+                prop_assert!(Checkpoint::decode(&bytes).is_err(), "flip at {}", at);
+                if at % 101 == 0 {
+                    std::fs::write(&path, &bytes).unwrap();
+                    prop_assert!(Checkpoint::load(&path).is_err(), "flip at {} on disk", at);
+                    std::fs::write(&path, &good[..at]).unwrap();
+                    prop_assert!(Checkpoint::load(&path).is_err(), "cut at {} on disk", at);
+                }
+                bytes[at] = good[at];
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+
+        /// With the checksums re-stamped the damage reaches the validator:
+        /// each broken invariant is an `Err` naming it — never a panic,
+        /// never an allocation sized by a damaged length.
+        #[test]
+        fn restamped_structural_damage_is_named_not_panicked(
+            a in adaptive_grid(),
+            b in adaptive_grid(),
+            seed in any::<u64>(),
+        ) {
+            let ck = adaptive_checkpoint(&[a, b], seed);
+            let good = ck.encode();
+            let at = offsets(&ck);
+            let dir = scratch_dir("restamped");
+            let path = dir.join("damaged.bin");
+            let damaged = |edit: &dyn Fn(&mut Vec<u8>)| {
+                let mut bytes = good.clone();
+                edit(&mut bytes);
+                crate::record::stamp(&mut bytes);
+                bytes
+            };
+            let put = |bytes: &mut [u8], at: usize, v: &[u8]| bytes[at..at + v.len()].copy_from_slice(v);
+
+            // Re-stamping an undamaged record changes nothing.
+            prop_assert_eq!(&damaged(&|_| {}), &good);
+
+            let twice = damaged(&|b| b.copy_within(at.order + 4..at.order + 8, at.order));
+            assert_refused(&twice, "order is not a permutation", &path);
+            let dangling = damaged(&|b| put(b, at.chains, &u32::MAX.to_le_bytes()));
+            assert_refused(&dangling, "out of xps range", &path);
+            let no_sentinel = damaged(&|b| put(b, at.xps + 4, &2u16.to_le_bytes()));
+            assert_refused(&no_sentinel, "xps[0] must be the sentinel", &path);
+            let level_one = damaged(&|b| put(b, at.xps + 8 + 4, &1u16.to_le_bytes()));
+            assert_refused(&level_one, "invalid xps entry", &path);
+            let beyond_d = damaged(&|b| put(b, at.xps + 8, &(DIM as u32).to_le_bytes()));
+            assert_refused(&beyond_d, "invalid xps entry", &path);
+            let no_stride = damaged(&|b| put(b, at.nfreq, &0u64.to_le_bytes()));
+            assert_refused(&no_stride, "nfreq must be positive", &path);
+            let rows = ck.policy.states.state(0).surplus.len() / NDOFS;
+            let row_short = damaged(&|b| {
+                b.drain(at.surplus_end - 8 * NDOFS..at.surplus_end);
+                put(b, at.surplus_len, &(((rows - 1) * NDOFS) as u64).to_le_bytes());
+            });
+            assert_refused(&row_short, "surplus length", &path);
+            let one_more = damaged(&|b| put(b, at.num_states, &3u64.to_le_bytes()));
+            assert_refused(&one_more, "state 2: truncated record", &path);
+            let many_more = damaged(&|b| put(b, at.num_states, &(1u64 << 40).to_le_bytes()));
+            assert_refused(&many_more, "discrete states exceed the payload", &path);
+            let huge_section = damaged(&|b| put(b, at.xps - 8, &u64::MAX.to_le_bytes()));
+            assert_refused(&huge_section, "exceeds the", &path);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

@@ -691,7 +691,7 @@ struct OracleCounters {
 /// each batch is processed in ascending-`|ľ|₁` groups, evaluating every
 /// group against the partial interpolant as **one batched kernel call**
 /// ([`KernelKind::evaluate_compressed_batch`]) and folding it in via
-/// [`CompressedState::extend_from_frontier`] before the next (within a
+/// [`CompressedState::append_rows`] before the next (within a
 /// group, cross terms vanish at grid points; see `hddm-asg`).
 /// Deterministic, so every rank of a distributed step hierarchizing the
 /// same rows gets bitwise identical surpluses.
@@ -739,7 +739,7 @@ impl IncrementalHierarchizer {
             debug_assert!(frontier.iter().enumerate().all(|(i, &p)| i == p as usize));
             let mut values = solved.to_vec();
             hddm_asg::hierarchize(grid, &mut values, ndofs);
-            self.state.extend_from_frontier(grid, frontier, &values);
+            self.state.append_rows(grid, frontier, &values);
             return values;
         }
         let dim = grid.dim();
@@ -798,8 +798,7 @@ impl IncrementalHierarchizer {
             }
             // Fold the group into the partial interpolant (append-only —
             // no recompression, no surplus permutation).
-            self.state
-                .extend_from_frontier(grid, &group_ids, &group_rows);
+            self.state.append_rows(grid, &group_ids, &group_rows);
             at = group_end;
         }
         out

@@ -19,8 +19,11 @@
 //!   [`hddm_cluster::Comm`]: per-state groups sized ∝ `M_z`, per-level
 //!   frontier partitioning + allgather merge, world-wide policy exchange
 //!   (bitwise-equal to the single-process driver, by test);
-//! * [`checkpoint`] — versioned save/restart of the solver state between
-//!   time steps (the paper's restart-with-smaller-ε protocol);
+//! * [`record`] — the byte form of a [`PolicySet`]: the one encode/decode
+//!   pair for the compressed layout, its checksummed frame and the atomic
+//!   file write, shared by checkpoints and the scenario cache's records;
+//! * [`checkpoint`] — save/restart of the solver state between time steps
+//!   (the paper's restart-with-smaller-ε protocol), one such record;
 //! * [`disjoint`] — lock-free disjoint-row writes for parallel point
 //!   solves.
 
@@ -32,8 +35,9 @@ pub mod distributed;
 pub mod driver;
 pub mod olg_step;
 pub mod policy;
+pub mod record;
 
-pub use checkpoint::{Checkpoint, StateRecord, CHECKPOINT_VERSION};
+pub use checkpoint::Checkpoint;
 pub use distributed::{distributed_run, distributed_step};
 pub use driver::{
     initial_policy, DriverConfig, IncrementalHierarchizer, StepModel, StepReport, TimeIteration,

@@ -12,7 +12,10 @@ use hddm_kernels::{
 use hddm_olg::PolicyOracle;
 
 /// The policy `p = (p(z=1), …, p(z=Ns))` of one time-iteration step:
-/// per-state compressed interpolants over a shared physical domain.
+/// per-state compressed interpolants over a shared physical domain. This
+/// is the one in-memory form of a solved policy — the driver iterates on
+/// it, a [`Checkpoint`](crate::Checkpoint) and a cached surface of the
+/// scenario engine hold it, and [`crate::record`] is its byte form.
 #[derive(Clone, Debug)]
 pub struct PolicySet {
     /// Per-state interpolants (compressed, chain-ordered surpluses).

@@ -96,13 +96,6 @@ impl CompressedState {
         self.grid.append_nodes(grid, new_ids);
         self.surplus.extend_from_slice(rows);
     }
-
-    /// [`Self::append_rows`] under the name the driver's per-level loop
-    /// uses: extends the partial interpolant of the current step by one
-    /// refinement frontier (already hierarchized rows in frontier order).
-    pub fn extend_from_frontier(&mut self, grid: &SparseGrid, frontier: &[u32], rows: &[f64]) {
-        self.append_rows(grid, frontier, rows);
-    }
 }
 
 /// Reusable per-thread evaluation scratch. Sized for the largest state it

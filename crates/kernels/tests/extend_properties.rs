@@ -72,7 +72,7 @@ proptest! {
         let mut s = 0usize;
         while at < all.len() {
             let end = (at + splits[s % splits.len()]).min(all.len());
-            extended.extend_from_frontier(
+            extended.append_rows(
                 &grid,
                 &all[at..end],
                 &rows[at * ndofs..end * ndofs],

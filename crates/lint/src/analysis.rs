@@ -119,6 +119,9 @@ const IO_IDENTS: &[&str] = &[
     "read_exact",
     "OpenOptions",
     "File",
+    // hddm_core::record's durable write: the summaries above are per
+    // file, so a callee in another crate has to be named.
+    "write_atomic",
 ];
 
 /// Macro names that can panic at runtime (debug_assert* excluded: they

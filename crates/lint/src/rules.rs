@@ -287,12 +287,9 @@ fn hl005_instrument_names(file: &ScannedFile, findings: &mut Vec<Finding>) {
                 ));
             }
             let code = &line.code;
-            let is_counter = has_word(code, "counter") || has_word(code, "counter_with");
-            let is_histogram = has_word(code, "histogram")
-                || has_word(code, "histogram_with")
-                || has_word(code, "span")
-                || has_word(code, "span_with");
-            let is_gauge = has_word(code, "gauge") || has_word(code, "gauge_with");
+            let is_counter = has_word(code, "counter");
+            let is_histogram = has_word(code, "histogram") || has_word(code, "span");
+            let is_gauge = has_word(code, "gauge");
             if is_counter && !s.ends_with("_total") {
                 problems.push(format!("counter name `{s}` must end `_total`"));
             }

@@ -441,7 +441,7 @@ impl Calibration {
 }
 
 // Manual serde impls: `f64` fields round-trip bit-exactly through the
-// shortest-roundtrip writer (the checkpoint convention), and
+// shortest-roundtrip writer, and
 // deserialization funnels through `try_validate` so a corrupted or
 // hand-edited scenario manifest is rejected with a typed diagnostic.
 impl Serialize for Calibration {

@@ -1,13 +1,12 @@
 //! The content-addressed policy-surface cache.
 //!
-//! Every converged scenario solve deposits its policy surface — one
-//! compressed interpolant per discrete state, flattened through the
-//! `hddm_compress` pipeline into [`StateRecord`] rows — keyed by the
-//! deterministic scenario hash. A later solve of the *same* scenario is
-//! an exact hit and skips the solver entirely; a solve of a *nearby*
-//! scenario (same state-space shape, close parameter fingerprint) warm
-//! starts from the cached surface projected onto its own domain box
-//! instead of the constant steady-state guess, cutting the
+//! Every converged scenario solve deposits its policy surface — the
+//! solved [`PolicySet`] itself, one compressed interpolant per discrete
+//! state — keyed by the deterministic scenario hash. A later solve of the
+//! *same* scenario is an exact hit and skips the solver entirely; a solve
+//! of a *nearby* scenario (same state-space shape, close parameter
+//! fingerprint) warm starts from the cached surface projected onto its
+//! own domain box instead of the constant steady-state guess, cutting the
 //! time-iteration count.
 //!
 //! Measured solve costs ride along on each entry:
@@ -41,11 +40,11 @@ use serde::{Deserialize, Serialize};
 
 use hddm_asg::{hierarchize, regular_grid, BoxDomain};
 use hddm_compress::CompressedGrid;
-use hddm_core::{PolicySet, StateRecord};
+use hddm_core::PolicySet;
 use hddm_kernels::{CompressedState, ExecutionBackend, KernelKind, PointBlock, Scratch};
 use hddm_telemetry::{Counter, Gauge, Histogram, Registry};
 
-use crate::hash::{fingerprint_distances, HashId};
+use crate::hash::{fingerprint_distance, HashId};
 use crate::persist::{EvictionPolicy, ManifestEntry, Store};
 
 /// Number of `RwLock` shards the in-memory map is split across. A small
@@ -90,12 +89,8 @@ pub struct CachedSurface {
     pub shape: ShapeKey,
     /// Parameter fingerprint of the producing scenario.
     pub fingerprint: Vec<f64>,
-    /// Domain box lower bounds the surface was solved on.
-    pub domain_lo: Vec<f64>,
-    /// Domain box upper bounds.
-    pub domain_hi: Vec<f64>,
-    /// Per-state compressed interpolants (the `hddm_compress` arrays).
-    pub records: Vec<StateRecord>,
+    /// The solved policy over the domain box it was solved on.
+    pub(crate) policy: PolicySet,
     /// Time-iteration steps the producing solve took.
     pub steps: usize,
     /// Final sup policy change of the producing solve.
@@ -105,23 +100,15 @@ pub struct CachedSurface {
 }
 
 impl CachedSurface {
-    /// Rebuilds the policy set from the compressed records.
-    pub fn restore_policy(&self) -> PolicySet {
-        let domain = BoxDomain::new(self.domain_lo.clone(), self.domain_hi.clone());
-        let states = self
-            .records
-            .iter()
-            .map(|r| r.restore(self.shape.dim, self.shape.ndofs))
-            .collect();
-        PolicySet::new(states, domain)
+    /// The held policy: every hit on this surface reads the one copy the
+    /// deposit (or the disk restore) made.
+    pub fn restore_policy(&self) -> &PolicySet {
+        &self.policy
     }
 
     /// Total grid points of the surface (summed over discrete states).
     pub fn grid_points(&self) -> usize {
-        self.records
-            .iter()
-            .map(|r| r.surplus.len() / self.shape.ndofs.max(1))
-            .sum()
+        self.policy.states.total_points()
     }
 }
 
@@ -257,8 +244,8 @@ struct CacheInner {
     shards: Vec<RwLock<Shard>>,
     /// Global deposit counter (insertion order across shards).
     seq: AtomicU64,
-    /// Persistent backing store, when attached.
-    store: RwLock<Option<Arc<Store>>>,
+    /// Persistent backing store, fixed at construction.
+    store: Option<Store>,
     /// Maximum fingerprint distance a warm start may bridge.
     warm_radius: f64,
     metrics: CacheInstruments,
@@ -278,7 +265,7 @@ struct CacheInner {
 /// choices stay deterministic given a deterministic execution order.
 ///
 /// Optionally backed by a persistent cache directory (see
-/// [`SurfaceCache::open`] and [`SurfaceCache::persist_to`]): the on-disk
+/// [`SurfaceCache::open`]): the on-disk
 /// index is consulted on misses, hit surfaces are lazily restored from
 /// their record files — concurrently, outside any lock, at most once per
 /// entry — and promoted into memory, and every deposit is written through
@@ -288,9 +275,13 @@ pub struct SurfaceCache {
     inner: Arc<CacheInner>,
 }
 
+/// Warm radius of [`SurfaceCache::default`] and of every cache opened over
+/// a directory.
+const DEFAULT_WARM_RADIUS: f64 = 0.05;
+
 impl Default for SurfaceCache {
     fn default() -> Self {
-        SurfaceCache::new(0.05)
+        SurfaceCache::new(DEFAULT_WARM_RADIUS)
     }
 }
 
@@ -298,6 +289,10 @@ impl SurfaceCache {
     /// An empty in-memory cache accepting warm starts within
     /// `warm_radius` fingerprint distance (see [`fingerprint_distance`]).
     pub fn new(warm_radius: f64) -> SurfaceCache {
+        SurfaceCache::with_store(warm_radius, None)
+    }
+
+    fn with_store(warm_radius: f64, store: Option<Store>) -> SurfaceCache {
         let registry = Registry::new();
         let cache = SurfaceCache {
             inner: Arc::new(CacheInner {
@@ -305,7 +300,7 @@ impl SurfaceCache {
                     .map(|_| RwLock::new(Shard::default()))
                     .collect(),
                 seq: AtomicU64::new(0),
-                store: RwLock::new(None),
+                store,
                 warm_radius,
                 metrics: CacheInstruments::new(registry.clone()),
                 lock_poisonings: AtomicUsize::new(0),
@@ -345,7 +340,7 @@ impl SurfaceCache {
             .map(|i| self.shard_read(i).by_hash.len())
             .sum();
         let (persisted_entries, persisted_bytes, evictions, skipped, store_poisonings) =
-            match self.store() {
+            match &self.inner.store {
                 Some(store) => (
                     store.len(),
                     store.total_bytes(),
@@ -385,61 +380,8 @@ impl SurfaceCache {
         dir: P,
         policy: EvictionPolicy,
     ) -> Result<SurfaceCache, String> {
-        let cache = SurfaceCache::default();
-        *cache.store_write() = Some(Arc::new(Store::open(dir, policy)?));
-        Ok(cache)
-    }
-
-    /// Attaches a persistent directory to an existing cache (unbounded
-    /// policy) and flushes every in-memory surface to it. Subsequent
-    /// deposits are written through.
-    pub fn persist_to<P: AsRef<Path>>(&self, dir: P) -> Result<(), String> {
-        self.persist_to_with(dir, EvictionPolicy::default())
-    }
-
-    /// [`SurfaceCache::persist_to`] with an explicit eviction policy.
-    pub fn persist_to_with<P: AsRef<Path>>(
-        &self,
-        dir: P,
-        policy: EvictionPolicy,
-    ) -> Result<(), String> {
         let store = Store::open(dir, policy)?;
-        // Flush in deposit order so the on-disk LRU order matches the
-        // in-memory insertion order.
-        let mut surfaces: Vec<(u64, Arc<CachedSurface>)> = Vec::new();
-        for i in 0..SHARD_COUNT {
-            let shard = self.shard_read(i);
-            surfaces.extend(
-                shard
-                    .by_hash
-                    .values()
-                    .map(|e| (e.seq, Arc::clone(&e.surface))),
-            );
-        }
-        surfaces.sort_by_key(|(seq, _)| *seq);
-        let mut dropped = Vec::new();
-        for (_, surface) in &surfaces {
-            dropped.extend(store.insert(surface)?);
-        }
-        // A hash evicted mid-flush may have been re-deposited by a later
-        // insert of the same flush; only drop from memory what the store
-        // really ended up without.
-        dropped.retain(|&h| !store.contains(h));
-        for hash in dropped {
-            self.shard_write(shard_of(hash)).by_hash.remove(&hash);
-        }
-        *self.store_write() = Some(Arc::new(store));
-        Ok(())
-    }
-
-    /// The persistent directory backing this cache, if one is attached.
-    pub fn cache_dir(&self) -> Option<std::path::PathBuf> {
-        self.store().map(|s| s.dir().to_path_buf())
-    }
-
-    /// Number of `RwLock` shards the in-memory map is split across.
-    pub fn shard_count(&self) -> usize {
-        SHARD_COUNT
+        Ok(SurfaceCache::with_store(DEFAULT_WARM_RADIUS, Some(store)))
     }
 
     /// Entries currently held by each shard — per-shard telemetry for
@@ -494,14 +436,6 @@ impl SurfaceCache {
         self.recover_rw_write(&self.inner.shards[i])
     }
 
-    fn store(&self) -> Option<Arc<Store>> {
-        self.recover_rw_read(&self.inner.store).clone()
-    }
-
-    fn store_write(&self) -> RwLockWriteGuard<'_, Option<Arc<Store>>> {
-        self.recover_rw_write(&self.inner.store)
-    }
-
     // ----- disk promotion (restore-once, I/O outside locks) ------------
 
     /// Loads `hash` from the backing store (if any) and promotes it into
@@ -515,7 +449,7 @@ impl SurfaceCache {
     /// many readers race. Callers for *different* hashes proceed fully in
     /// parallel — the file read holds no lock at all.
     fn promote_from_disk(&self, hash: u64) -> Option<Arc<CachedSurface>> {
-        let store = self.store()?;
+        let store = self.inner.store.as_ref()?;
         loop {
             if let Some(entry) = self.shard_read(shard_of(hash)).by_hash.get(&hash) {
                 // Another thread promoted it while we raced for the claim.
@@ -560,7 +494,7 @@ impl SurfaceCache {
             }
             let _claim = ClaimGuard { cache: self, hash };
 
-            return self.restore_claimed(&store, hash);
+            return self.restore_claimed(store, hash);
         }
     }
 
@@ -708,7 +642,7 @@ impl SurfaceCache {
         // record file drops out of the index inside the restore, so the
         // next scan finds the next-nearest neighbour.
         loop {
-            let best_disk = self.store().and_then(|store| {
+            let best_disk = self.inner.store.as_ref().and_then(|store| {
                 store
                     .best_candidate(shape, fingerprint, self.inner.warm_radius, |h| {
                         in_memory.contains(&h)
@@ -750,59 +684,32 @@ impl SurfaceCache {
     /// in-memory hashes (so the disk scan can skip entries already
     /// considered here). Shards are scanned one read lock at a time; a
     /// deposit racing the scan may be missed this round, exactly as it
-    /// could have missed the old cache-wide mutex. Candidate fingerprints
-    /// are gathered component-major and scored in one blocked
-    /// [`fingerprint_distances`] pass **outside every lock** instead of
-    /// one scalar distance per entry under the shard guard.
+    /// could have missed the old cache-wide mutex.
     fn best_memory_candidate(
         &self,
         shape: ShapeKey,
         fingerprint: &[f64],
     ) -> (Option<(f64, Arc<CachedSurface>)>, HashSet<u64>) {
         let mut in_memory = HashSet::new();
-        let mut candidates: Vec<(u64, Arc<CachedSurface>)> = Vec::new();
+        let mut best: Option<(f64, u64, Arc<CachedSurface>)> = None;
         for i in 0..SHARD_COUNT {
             let shard = self.shard_read(i);
             for (&h, entry) in &shard.by_hash {
                 in_memory.insert(h);
-                if entry.surface.shape != shape
-                    || entry.surface.fingerprint.len() != fingerprint.len()
-                {
+                if entry.surface.shape != shape {
                     continue;
                 }
-                candidates.push((entry.seq, Arc::clone(&entry.surface)));
+                let d = fingerprint_distance(&entry.surface.fingerprint, fingerprint);
+                let better = match &best {
+                    None => true,
+                    Some((bd, bseq, _)) => d < *bd || (d == *bd && entry.seq < *bseq),
+                };
+                if d <= self.inner.warm_radius && better {
+                    best = Some((d, entry.seq, Arc::clone(&entry.surface)));
+                }
             }
         }
-        if candidates.is_empty() {
-            return (None, in_memory);
-        }
-        let ncand = candidates.len();
-        let mut soa = vec![0.0; fingerprint.len() * ncand];
-        for (c, (_, surface)) in candidates.iter().enumerate() {
-            for (k, &v) in surface.fingerprint.iter().enumerate() {
-                soa[k * ncand + c] = v;
-            }
-        }
-        let mut distances = vec![0.0; ncand];
-        fingerprint_distances(fingerprint, &soa, &mut distances);
-        let mut best: Option<(f64, u64, usize)> = None;
-        for (c, &d) in distances.iter().enumerate() {
-            if d > self.inner.warm_radius {
-                continue;
-            }
-            let seq = candidates[c].0;
-            let better = match best {
-                None => true,
-                Some((bd, bseq, _)) => d < bd || (d == bd && seq < bseq),
-            };
-            if better {
-                best = Some((d, seq, c));
-            }
-        }
-        (
-            best.map(|(d, _, c)| (d, Arc::clone(&candidates[c].1))),
-            in_memory,
-        )
+        (best.map(|(d, _, surface)| (d, surface)), in_memory)
     }
 
     /// The nearest same-shape cached neighbour of `fingerprint` within
@@ -818,7 +725,7 @@ impl SurfaceCache {
             distance: d,
             cost_seconds: s.cost_seconds,
         });
-        let best_disk = self.store().and_then(|store| {
+        let best_disk = self.inner.store.as_ref().and_then(|store| {
             store
                 .best_candidate(shape, fingerprint, self.inner.warm_radius, |h| {
                     in_memory.contains(&h)
@@ -835,8 +742,8 @@ impl SurfaceCache {
         }
     }
 
-    /// Deposits a solved policy surface, flattening each state's
-    /// compressed interpolant to a [`StateRecord`]. Last writer wins on
+    /// Deposits a solved policy surface: the policy is cloned once and
+    /// that copy is what every later hit reads. Last writer wins on
     /// hash collisions of identical scenarios (the surfaces are
     /// interchangeable by construction). With a persistent store
     /// attached, the surface is written through atomically and the
@@ -855,16 +762,11 @@ impl SurfaceCache {
     ) {
         let deposit_span =
             hddm_telemetry::SpanTimer::start(Arc::clone(&self.inner.metrics.deposit_seconds));
-        let records = (0..policy.states.num_states())
-            .map(|z| StateRecord::capture(policy.states.state(z)))
-            .collect();
         let surface = Arc::new(CachedSurface {
             hash,
             shape,
             fingerprint,
-            domain_lo: policy.domain.lo().to_vec(),
-            domain_hi: policy.domain.hi().to_vec(),
-            records,
+            policy: policy.clone(),
             steps,
             final_sup_change,
             cost_seconds,
@@ -887,7 +789,7 @@ impl SurfaceCache {
                 }
             }
         }
-        if let Some(store) = self.store() {
+        if let Some(store) = &self.inner.store {
             match store.insert(&surface) {
                 Ok(evicted) => {
                     if !evicted.is_empty() {
@@ -986,33 +888,11 @@ impl std::error::Error for ProjectionError {}
 /// exactly the representation the driver iterates on.
 ///
 /// The whole target grid is mapped into the cached surface's unit cube
-/// once and evaluated per state as **one batched kernel call**
-/// ([`hddm_kernels::KernelKind::evaluate_compressed_batch`]) instead of
-/// one single-point interpolation per grid point, and the target grid is
-/// compressed once — the two hot costs of admitting a warm start on the
-/// serving path.
-pub fn project_policy(
-    cached: &PolicySet,
-    target_lo: &[f64],
-    target_hi: &[f64],
-    start_level: u8,
-    kernel: KernelKind,
-) -> Result<PolicySet, ProjectionError> {
-    project_policy_with(
-        cached,
-        target_lo,
-        target_hi,
-        start_level,
-        kernel,
-        &ExecutionBackend::Cpu,
-    )
-}
-
-/// [`project_policy`] with an explicit [`ExecutionBackend`]: the
-/// per-state batched evaluation of the target grid dispatches through
-/// `backend` (the GPU engine re-uses the cached surface's device
-/// residency across states and requests); `ExecutionBackend::Cpu`
-/// reproduces [`project_policy`] exactly.
+/// once and evaluated per state as **one batched kernel call** through
+/// `backend` (an observing backend re-uses the cached surface's device
+/// residency across states and requests) instead of one single-point
+/// interpolation per grid point, and the target grid is compressed once —
+/// the two hot costs of admitting a warm start on the serving path.
 pub fn project_policy_with(
     cached: &PolicySet,
     target_lo: &[f64],
@@ -1209,6 +1089,24 @@ mod tests {
     }
 
     #[test]
+    fn a_warm_hit_hands_out_the_deposited_policy_without_copying_it() {
+        let cache = SurfaceCache::new(0.05);
+        let domain = BoxDomain::new(vec![0.0, 0.0], vec![1.0, 1.0]);
+        let policy = linear_policy(&domain, 1.0, 2.0);
+        cache.store_policy(77, shape(), vec![0.95, 2.0], &policy, 9, 1e-8, 0.5);
+        let Lookup::Warm(surface) = cache.lookup(78, shape(), &[0.953, 2.0], true) else {
+            panic!("expected a warm hit");
+        };
+        let surplus = |p: &PolicySet| p.states.state(0).surplus.as_ptr();
+        assert_eq!(
+            surplus(surface.restore_policy()),
+            surplus(surface.restore_policy()),
+            "two reads of one surface see one allocation"
+        );
+        assert_ne!(surplus(surface.restore_policy()), surplus(&policy));
+    }
+
+    #[test]
     fn projection_reproduces_the_surface_on_an_overlapping_box() {
         // Cached: linear surface on [0,1]². Target: the sub-box
         // [0.2,0.8]×[0.1,0.9]. A piecewise-linear interpolant of a linear
@@ -1216,8 +1114,15 @@ mod tests {
         // function on the whole target box.
         let domain = BoxDomain::new(vec![0.0, 0.0], vec![1.0, 1.0]);
         let cached = linear_policy(&domain, 2.0, -1.0);
-        let projected =
-            project_policy(&cached, &[0.2, 0.1], &[0.8, 0.9], 3, KernelKind::X86).unwrap();
+        let projected = project_policy_with(
+            &cached,
+            &[0.2, 0.1],
+            &[0.8, 0.9],
+            3,
+            KernelKind::X86,
+            &ExecutionBackend::Cpu,
+        )
+        .unwrap();
         let mut oracle = projected.oracle(KernelKind::X86);
         let mut out = [0.0];
         for probe in [[0.25, 0.3], [0.5, 0.5], [0.75, 0.85]] {
@@ -1280,7 +1185,10 @@ mod tests {
         let domain = BoxDomain::new(vec![0.0, 0.0], vec![1.0, 1.0]);
         let cached = linear_policy(&domain, 1.0, 0.0);
         // Wrong target dimensionality: typed error, no assert.
-        let err = project_policy(&cached, &[0.2], &[0.8], 3, KernelKind::X86).unwrap_err();
+        let project = |lo: &[f64], hi: &[f64]| {
+            project_policy_with(&cached, lo, hi, 3, KernelKind::X86, &ExecutionBackend::Cpu)
+        };
+        let err = project(&[0.2], &[0.8]).unwrap_err();
         assert_eq!(
             err,
             ProjectionError::DimensionMismatch {
@@ -1291,7 +1199,7 @@ mod tests {
         );
         // Mismatched lo/hi lengths are caught too (previously an assert
         // inside BoxDomain).
-        let err = project_policy(&cached, &[0.2, 0.1], &[0.8], 3, KernelKind::X86).unwrap_err();
+        let err = project(&[0.2, 0.1], &[0.8]).unwrap_err();
         assert!(matches!(err, ProjectionError::DimensionMismatch { .. }));
         // Both variants render a diagnostic.
         assert!(err.to_string().contains("dimension mismatch"));

@@ -233,7 +233,7 @@ fn solve_one(
 
     let (mut ti, cache_tag, warm_source) = match looked_up {
         Lookup::Warm(surface) => match project_policy_with(
-            &surface.restore_policy(),
+            surface.restore_policy(),
             &step.model.lower,
             &step.model.upper,
             scenario.solve.start_level,

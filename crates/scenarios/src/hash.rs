@@ -239,36 +239,6 @@ pub fn fingerprint_distance(a: &[f64], b: &[f64]) -> f64 {
     d
 }
 
-/// Batched [`fingerprint_distance`]: distances of `out.len()` candidate
-/// fingerprints against one query, with the candidates packed
-/// component-major (SoA — `candidates[k·ncand + c]` is component `k` of
-/// candidate `c`), so each component pass streams one contiguous column
-/// across all candidates. This is the nearest-neighbour scan of the
-/// serving front-end's warm-hint probe restructured the same way the
-/// interpolation kernels batch their query points; results are identical
-/// to the single-candidate function (NaN components still poison the
-/// candidate to `INFINITY`, never vanish inside `max`).
-pub fn fingerprint_distances(query: &[f64], candidates: &[f64], out: &mut [f64]) {
-    let ncand = out.len();
-    assert_eq!(
-        candidates.len(),
-        query.len() * ncand,
-        "candidates must be component-major query.len() × ncand"
-    );
-    out.fill(0.0);
-    for (k, &q) in query.iter().enumerate() {
-        let column = &candidates[k * ncand..(k + 1) * ncand];
-        for (d, &y) in out.iter_mut().zip(column) {
-            let component = (q - y).abs() / (1.0 + q.abs().max(y.abs()));
-            if component.is_nan() {
-                *d = f64::INFINITY;
-            } else {
-                *d = d.max(component);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,39 +324,6 @@ mod tests {
         );
         // A clean comparison after a NaN-free prefix still works.
         assert_eq!(fingerprint_distance(&[1.0, 2.0], &[1.0, 2.0]), 0.0);
-    }
-
-    #[test]
-    fn batched_distances_match_single_candidate_scan() {
-        let query = [0.95, 2.0, -3.5, 0.0];
-        let rows: Vec<Vec<f64>> = vec![
-            vec![0.95, 2.0, -3.5, 0.0],
-            vec![0.96, 2.1, -3.4, 0.2],
-            vec![10.0, -2.0, 0.0, 5.0],
-            vec![0.95, f64::NAN, -3.5, 0.0],
-            vec![f64::NAN, 2.0, -3.5, 0.1],
-        ];
-        // Pack component-major, as the cache scan does.
-        let ncand = rows.len();
-        let mut soa = vec![0.0; query.len() * ncand];
-        for (c, row) in rows.iter().enumerate() {
-            for (k, &v) in row.iter().enumerate() {
-                soa[k * ncand + c] = v;
-            }
-        }
-        let mut got = vec![0.0; ncand];
-        fingerprint_distances(&query, &soa, &mut got);
-        for (c, row) in rows.iter().enumerate() {
-            let want = fingerprint_distance(&query, row);
-            assert!(
-                got[c] == want || (got[c].is_infinite() && want.is_infinite()),
-                "candidate {c}: {} vs {}",
-                got[c],
-                want
-            );
-        }
-        // Zero candidates is a no-op.
-        fingerprint_distances(&query, &[], &mut []);
     }
 
     #[test]

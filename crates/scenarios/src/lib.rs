@@ -14,22 +14,21 @@
 //! * [`hash`] — a deterministic, platform-stable content hash of
 //!   everything that affects a scenario's solution (FNV-1a over canonical
 //!   little-endian bit patterns), the cache key;
-//! * [`cache`] — the content-addressed policy-surface cache: solved
-//!   [`hddm_core::PolicySet`] rows flattened through the `hddm_compress`
-//!   pipeline ([`hddm_core::StateRecord`]), exact-hit reuse, and
-//!   nearest-neighbour warm starts projected onto the new scenario's
-//!   domain box;
+//! * [`cache`] — the content-addressed policy-surface cache: each entry
+//!   holds the solved [`hddm_core::PolicySet`] itself, for exact-hit
+//!   reuse and nearest-neighbour warm starts projected onto the new
+//!   scenario's domain box;
 //! * [`persist`] — the versioned persistent backing store: a cache
 //!   directory with a `manifest.json` index and one atomically-written
-//!   JSON record per surface, lazy restoration, LRU-by-insertion
-//!   eviction, and corrupt-artifact skipping — run N+1 of the same sweep
-//!   does zero solves;
+//!   binary record per surface (a [`hddm_core::record`] frame), lazy
+//!   restoration, LRU-by-insertion eviction, and corrupt-artifact
+//!   skipping — run N+1 of the same sweep does zero solves;
 //! * [`executor`] — the batch executor: scenarios run in set order on
 //!   `threads` workers of [`hddm_sched::parallel_for_init`], each against
 //!   the cache, streaming results as they complete;
 //! * [`report`] — per-scenario and per-sweep diagnostics
 //!   ([`ScenarioReport`], [`SweepReport`]) serialized to JSON through the
-//!   serde shim (bit-exact `f64`, the checkpoint convention).
+//!   serde shim (bit-exact `f64`).
 //!
 //! ```
 //! use hddm_scenarios::{ExecutorConfig, Scenario, ScenarioSet, SurfaceCache, Knob};
@@ -57,9 +56,7 @@ pub use cache::{
     RestoreHook, ShapeKey, SurfaceCache,
 };
 pub use executor::{run_batch, run_set, run_single, BatchHandle, ExecutorConfig, ExecutorError};
-pub use hash::{
-    fingerprint, fingerprint_distance, fingerprint_distances, scenario_hash, HashId, ScenarioHasher,
-};
+pub use hash::{fingerprint, fingerprint_distance, scenario_hash, HashId, ScenarioHasher};
 pub use persist::{EvictionPolicy, ManifestEntry, MANIFEST_FILE, PERSIST_VERSION};
 pub use report::{CacheKind, ScenarioReport, SweepReport};
 pub use scenario::{Knob, Scenario, ScenarioSet, SolveSettings};

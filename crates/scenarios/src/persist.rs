@@ -15,25 +15,23 @@
 //! everything lookups and cost estimation need *without* touching the
 //! record files. Surfaces themselves are loaded lazily on first hit.
 //!
-//! Record format: a versioned binary columnar layout (`.bin`, see
-//! [`encode_record`]) — a checksummed 40-byte header followed by
-//! length-prefixed sections in which every field is one contiguous
-//! little-endian array, 8-byte aligned, so the `f64` payloads
-//! (fingerprint, domain box, surpluses) land in the same
-//! structure-of-arrays shape the kernels' `PointBlock` consumes and the
-//! restore is a bounds-checked copy instead of a float parse. A record's
-//! file name is a pure function of its hash ([`surface_file_name`]); a
-//! manifest row naming any other path is dropped at open, so nothing read
-//! from the manifest can point outside the cache directory.
+//! Record format: one [`hddm_core::record`] frame (`.bin`, magic
+//! `HDDMSURF`) — the checksummed 40-byte header, this module's own fields
+//! (hash, shape, cost telemetry, fingerprint; see [`encode_record`]) and
+//! the policy body every stored policy shares, laid out and validated by
+//! `hddm-core`. A record's file name is a pure function of its hash
+//! ([`surface_file_name`]); a manifest row naming any other path is
+//! dropped at open, so nothing read from the manifest can point outside
+//! the cache directory.
 //!
 //! Durability rules:
 //!
 //! * every file (manifest and records) is written atomically *and
-//!   durably* — serialized to a dot-prefixed temp file in the same
-//!   directory, fsynced, renamed, and the directory fsynced after — so
-//!   a crash at any point leaves either the previous version or the
-//!   complete new one, never a torn or empty file that a rename alone
-//!   (buffered in the page cache) could still surface;
+//!   durably* through [`hddm_core::record::write_atomic`] — a dot-prefixed
+//!   temp file in the same directory, fsynced, renamed, and the directory
+//!   fsynced after — so a crash at any point leaves either the previous
+//!   version or the complete new one, never a torn or empty file that a
+//!   rename alone (buffered in the page cache) could still surface;
 //! * an unknown manifest format version is skipped with a warning (the
 //!   store starts empty), never a panic;
 //! * a corrupt or truncated record file is skipped with a warning at load
@@ -61,10 +59,10 @@ use std::sync::{Mutex, RwLock};
 
 use serde::{Deserialize, Serialize};
 
-use hddm_core::StateRecord;
+use hddm_core::record::{write_atomic, Reader, Writer};
 
 use crate::cache::{CachedSurface, ShapeKey};
-use crate::hash::{fingerprint_distance, HashId, ScenarioHasher};
+use crate::hash::{fingerprint_distance, HashId};
 
 /// Current on-disk format version of the manifest.
 pub const PERSIST_VERSION: u32 = 1;
@@ -125,47 +123,6 @@ fn warn(message: &str) {
 /// Record file name for a hash.
 pub fn surface_file_name(hash: u64) -> String {
     format!("surface-{}.bin", HashId(hash))
-}
-
-/// Writes `bytes` to `path` atomically **and durably**: temp file in the
-/// same directory, fsync, rename, fsync the directory. The dot-prefixed
-/// temp name can never be mistaken for a record file, and a crash
-/// between any two steps leaves the previous version of `path` intact.
-/// Without the temp-file fsync, a crash shortly *after* the rename could
-/// surface the new name over still-unwritten data (an empty or truncated
-/// record despite the atomic contract); without the directory fsync, the
-/// rename itself may not survive the crash. The temp name carries a
-/// process-wide counter on top of the pid: record files are written
-/// outside the store's locks, so two threads depositing the same surface
-/// concurrently must not collide on the temp path.
-fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), String> {
-    static TMP_COUNTER: AtomicUsize = AtomicUsize::new(0);
-    // ORDERING: Relaxed — temp-name uniqueness needs only RMW atomicity;
-    // no other memory is synchronized through the counter.
-    let unique = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
-    let tmp = dir.join(format!(".tmp-{}-{unique}-{name}", std::process::id()));
-    let target = dir.join(name);
-    let write_synced = || -> std::io::Result<()> {
-        use std::io::Write;
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()
-    };
-    write_synced().map_err(|e| {
-        let _ = fs::remove_file(&tmp);
-        format!("write {}: {e}", tmp.display())
-    })?;
-    fs::rename(&tmp, &target).map_err(|e| {
-        let _ = fs::remove_file(&tmp);
-        format!("rename {} -> {}: {e}", tmp.display(), target.display())
-    })?;
-    // Make the rename durable: fsync the directory so the new directory
-    // entry reaches disk. Best effort — not every platform lets a
-    // directory be opened and synced (the data itself is already safe).
-    if let Ok(d) = fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
 }
 
 /// The persistent backing store of a `SurfaceCache`: a cache directory,
@@ -324,11 +281,6 @@ impl Store {
         self.poisonings.load(Ordering::Relaxed)
     }
 
-    /// The cache directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Number of persisted surfaces in the index.
     pub fn len(&self) -> usize {
         self.index_read().len()
@@ -350,11 +302,6 @@ impl Store {
     pub fn skipped(&self) -> usize {
         // ORDERING: Relaxed — statistics read; staleness is acceptable.
         self.skipped.load(Ordering::Relaxed)
-    }
-
-    /// Whether `hash` is currently indexed.
-    pub fn contains(&self, hash: u64) -> bool {
-        self.index_read().iter().any(|e| e.hash.0 == hash)
     }
 
     /// Snapshot of the index row for `hash`, if persisted. The clone is
@@ -447,7 +394,7 @@ impl Store {
         // means concurrent writers of the same hash race to an
         // interchangeable result (identical scenario ⇒ identical surface
         // up to cost telemetry), and readers never see a torn file.
-        write_atomic(&self.dir, &name, &encoded)?;
+        write_atomic(&self.dir.join(&name), &encoded).map_err(|e| e.to_string())?;
 
         let entry = ManifestEntry {
             hash: HashId(surface.hash),
@@ -524,307 +471,56 @@ impl Store {
         serde::write_key("entries", &mut out);
         self.index_read().serialize_json(&mut out);
         out.push('}');
-        write_atomic(&self.dir, MANIFEST_FILE, out.as_bytes())
+        write_atomic(&self.dir.join(MANIFEST_FILE), out.as_bytes()).map_err(|e| e.to_string())
     }
 }
 
-// ---------------------------------------------------------------------------
-// Binary columnar record format
-// ---------------------------------------------------------------------------
-//
-// ```text
-// header (40 bytes):
-//   0..8    magic "HDDMSURF"
-//   8..12   u32  format version (BINARY_RECORD_VERSION)
-//   12..16  u32  reserved (zero; keeps the header 8-byte aligned)
-//   16..24  u64  payload length in bytes
-//   24..32  u64  FNV-1a-64 checksum of the payload
-//   32..40  u64  FNV-1a-64 checksum of header bytes 0..32
-// payload (all integers/floats little-endian, sections in order):
-//   u64 hash · u64 dim · u64 ndofs · u64 num_states · u64 steps
-//   f64 final_sup_change · f64 cost_seconds
-//   u64 len + f64[len]  fingerprint
-//   u64 len + f64[len]  domain_lo
-//   u64 len + f64[len]  domain_hi
-//   num_states × state record:
-//     u64 len + (u32 index, u16 l, u16 i)[len]   xps      (8 B/entry)
-//     u64 len + u32[len] (+ zero pad to 8 B)     chains
-//     u64 len + u32[len] (+ zero pad to 8 B)     order
-//     u64 nfreq
-//     u64 len + f64[len]                         surplus
-// ```
-//
-// Every section is one contiguous array of its field (columnar /
-// structure-of-arrays, the layout `PointBlock` and the batch kernels
-// consume) and every f64 section starts 8-byte aligned, so a restore is
-// a bounds-checked memcpy per section — no float parsing. `f64` goes
-// through `to_le_bytes`/`from_le_bytes`, so the round trip is bit-exact
-// including NaN payloads and signed zeros.
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hasher = ScenarioHasher::default();
-    hasher.write_bytes(bytes);
-    hasher.finish()
-}
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_f64_section(out: &mut Vec<u8>, vs: &[f64]) {
-    push_u64(out, vs.len() as u64);
-    for v in vs {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn push_u32_section(out: &mut Vec<u8>, vs: &[u32]) {
-    push_u64(out, vs.len() as u64);
-    for v in vs {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    if vs.len() % 2 == 1 {
-        out.extend_from_slice(&0u32.to_le_bytes()); // keep 8-byte alignment
-    }
-}
-
-/// Encodes a surface into the versioned binary columnar record format.
+/// Encodes a surface as one `HDDMSURF` record.
+///
+/// ```text
+/// payload, behind the frame header of `hddm_core::record`:
+///   u64 hash · u64 dim · u64 ndofs · u64 num_states · u64 steps
+///   f64 final_sup_change · f64 cost_seconds
+///   u64 len + f64[len]  fingerprint
+///   the policy body (domain box, then the states' arrays)
+/// ```
 pub fn encode_record(surface: &CachedSurface) -> Vec<u8> {
-    let mut payload = Vec::new();
-    push_u64(&mut payload, surface.hash);
-    push_u64(&mut payload, surface.shape.dim as u64);
-    push_u64(&mut payload, surface.shape.ndofs as u64);
-    push_u64(&mut payload, surface.shape.num_states as u64);
-    push_u64(&mut payload, surface.steps as u64);
-    payload.extend_from_slice(&surface.final_sup_change.to_le_bytes());
-    payload.extend_from_slice(&surface.cost_seconds.to_le_bytes());
-    push_f64_section(&mut payload, &surface.fingerprint);
-    push_f64_section(&mut payload, &surface.domain_lo);
-    push_f64_section(&mut payload, &surface.domain_hi);
-    for record in &surface.records {
-        push_u64(&mut payload, record.xps.len() as u64);
-        for &(index, l, i) in &record.xps {
-            payload.extend_from_slice(&index.to_le_bytes());
-            payload.extend_from_slice(&l.to_le_bytes());
-            payload.extend_from_slice(&i.to_le_bytes());
-        }
-        push_u32_section(&mut payload, &record.chains);
-        push_u32_section(&mut payload, &record.order);
-        push_u64(&mut payload, record.nfreq as u64);
-        push_f64_section(&mut payload, &record.surplus);
-    }
-
-    let mut out = Vec::with_capacity(40 + payload.len());
-    out.extend_from_slice(&RECORD_MAGIC);
-    out.extend_from_slice(&BINARY_RECORD_VERSION.to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes());
-    push_u64(&mut out, payload.len() as u64);
-    push_u64(&mut out, fnv64(&payload));
-    let header_checksum = fnv64(&out[..32]);
-    push_u64(&mut out, header_checksum);
-    out.extend_from_slice(&payload);
-    out
+    let mut w = Writer::new(RECORD_MAGIC, BINARY_RECORD_VERSION);
+    w.u64(surface.hash);
+    w.u64(surface.shape.dim as u64);
+    w.u64(surface.shape.ndofs as u64);
+    w.u64(surface.shape.num_states as u64);
+    w.u64(surface.steps as u64);
+    w.f64(surface.final_sup_change);
+    w.f64(surface.cost_seconds);
+    w.f64_section(&surface.fingerprint);
+    w.policy(&surface.policy);
+    w.finish()
 }
 
-/// A bounds-checked little-endian reader over a record payload. Every
-/// length is validated against the remaining bytes *before* any
-/// allocation, so a corrupt or truncated record fails with a typed error
-/// (→ the store's skip-and-warn path), never a panic or a huge alloc.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.bytes.len() - self.at < n {
-            return Err(format!(
-                "truncated record: wanted {n} bytes at offset {}, {} remain",
-                self.at,
-                self.bytes.len() - self.at
-            ));
-        }
-        let slice = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(slice)
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// A section length, validated so `len × elem_bytes` fits in the
-    /// remaining payload.
-    fn section_len(&mut self, elem_bytes: usize) -> Result<usize, String> {
-        let len = self.u64()?;
-        let remaining = (self.bytes.len() - self.at) as u64;
-        if len
-            .checked_mul(elem_bytes as u64)
-            .is_none_or(|b| b > remaining)
-        {
-            return Err(format!(
-                "corrupt record: section of {len} × {elem_bytes}-byte elements \
-                 exceeds the {remaining} remaining bytes"
-            ));
-        }
-        Ok(len as usize)
-    }
-
-    fn f64_section(&mut self) -> Result<Vec<f64>, String> {
-        let len = self.section_len(8)?;
-        let raw = self.take(len * 8)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    fn u32_section(&mut self) -> Result<Vec<u32>, String> {
-        let len = self.section_len(4)?;
-        let raw = self.take(len * 4)?;
-        let vs = raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        if len % 2 == 1 {
-            self.take(4)?; // alignment pad
-        }
-        Ok(vs)
-    }
-}
-
-/// Decodes and fully self-validates a binary record. Cross-checks
-/// against the manifest row happen in [`Store::read_record`].
+/// Decodes and fully self-validates a record. Cross-checks against the
+/// manifest row happen in [`Store::read_record`].
 pub fn decode_record(bytes: &[u8]) -> Result<CachedSurface, String> {
-    if bytes.len() < 40 {
-        return Err(format!("truncated record header ({} bytes)", bytes.len()));
-    }
-    if bytes[..8] != RECORD_MAGIC {
-        return Err("not a binary surface record (bad magic)".into());
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != BINARY_RECORD_VERSION {
-        return Err(format!(
-            "binary record format version {version} (expected {BINARY_RECORD_VERSION})"
-        ));
-    }
-    let payload_len = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    let payload_checksum = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
-    let header_checksum = u64::from_le_bytes(bytes[32..40].try_into().unwrap());
-    if fnv64(&bytes[..32]) != header_checksum {
-        return Err("record header checksum mismatch".into());
-    }
-    let payload = &bytes[40..];
-    if payload.len() as u64 != payload_len {
-        return Err(format!(
-            "record payload is {} bytes, header says {payload_len}",
-            payload.len()
-        ));
-    }
-    if fnv64(payload) != payload_checksum {
-        return Err("record payload checksum mismatch".into());
-    }
-
-    let mut r = Reader {
-        bytes: payload,
-        at: 0,
-    };
+    let mut r = Reader::open(RECORD_MAGIC, BINARY_RECORD_VERSION, bytes)?;
     let hash = r.u64()?;
     let shape = ShapeKey {
-        dim: r.u64()? as usize,
-        ndofs: r.u64()? as usize,
-        num_states: r.u64()? as usize,
+        dim: r.usize()?,
+        ndofs: r.usize()?,
+        num_states: r.usize()?,
     };
-    let steps = r.u64()? as usize;
+    let steps = r.usize()?;
     let final_sup_change = r.f64()?;
     let cost_seconds = r.f64()?;
     let fingerprint = r.f64_section()?;
-    let domain_lo = r.f64_section()?;
-    let domain_hi = r.f64_section()?;
-    if shape.num_states > payload.len() / 8 {
-        return Err(format!(
-            "corrupt record: {} discrete states exceed the payload",
-            shape.num_states
-        ));
-    }
-    let mut records = Vec::with_capacity(shape.num_states);
-    for _ in 0..shape.num_states {
-        let nxps = r.section_len(8)?;
-        let raw = r.take(nxps * 8)?;
-        let xps = raw
-            .chunks_exact(8)
-            .map(|c| {
-                (
-                    u32::from_le_bytes(c[0..4].try_into().unwrap()),
-                    u16::from_le_bytes(c[4..6].try_into().unwrap()),
-                    u16::from_le_bytes(c[6..8].try_into().unwrap()),
-                )
-            })
-            .collect();
-        let chains = r.u32_section()?;
-        let order = r.u32_section()?;
-        let nfreq = r.u64()? as usize;
-        let surplus = r.f64_section()?;
-        records.push(StateRecord {
-            xps,
-            chains,
-            order,
-            nfreq,
-            surplus,
-        });
-    }
-    if r.at != payload.len() {
-        return Err(format!(
-            "corrupt record: {} trailing bytes after the last section",
-            payload.len() - r.at
-        ));
-    }
-
-    validate_surface(CachedSurface {
+    let policy = r.policy(shape.dim, shape.ndofs, shape.num_states)?;
+    r.finish()?;
+    Ok(CachedSurface {
         hash,
         shape,
         fingerprint,
-        domain_lo,
-        domain_hi,
-        records,
+        policy,
         steps,
         final_sup_change,
         cost_seconds,
     })
-}
-
-/// The semantic validation every decoded record passes: consistent
-/// shapes, a sane domain box, well-formed compressed state records.
-fn validate_surface(surface: CachedSurface) -> Result<CachedSurface, String> {
-    let shape = surface.shape;
-    if surface.records.len() != shape.num_states {
-        return Err(format!(
-            "{} state records for {} discrete states",
-            surface.records.len(),
-            shape.num_states
-        ));
-    }
-    if surface.domain_lo.len() != shape.dim || surface.domain_hi.len() != shape.dim {
-        return Err(format!(
-            "domain box dims {}/{} do not match shape dim {}",
-            surface.domain_lo.len(),
-            surface.domain_hi.len(),
-            shape.dim
-        ));
-    }
-    for (lo, hi) in surface.domain_lo.iter().zip(&surface.domain_hi) {
-        if !(lo.is_finite() && hi.is_finite() && lo < hi) {
-            return Err(format!("degenerate domain box [{lo}, {hi}]"));
-        }
-    }
-    for (z, record) in surface.records.iter().enumerate() {
-        record
-            .validate(shape.dim, shape.ndofs)
-            .map_err(|e| format!("state record {z}: {e}"))?;
-    }
-    Ok(surface)
 }

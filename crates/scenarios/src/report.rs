@@ -1,6 +1,5 @@
 //! Sweep diagnostics: per-scenario solve telemetry plus the sweep's cache
-//! totals, serialized to JSON through the serde shim (bit-exact `f64`,
-//! the checkpoint convention).
+//! totals, serialized to JSON through the serde shim (bit-exact `f64`).
 
 use std::io;
 use std::path::Path;

@@ -100,15 +100,7 @@ fn surfaces_roundtrip_through_a_reopened_directory_bitwise() {
         panic!("persisted surface must be an exact hit after reopening");
     };
     assert_eq!(reopened.stats().disk_hits, 1);
-    let probes: Vec<Vec<f64>> = vec![
-        original.domain_lo.clone(),
-        original
-            .domain_lo
-            .iter()
-            .zip(&original.domain_hi)
-            .map(|(lo, hi)| 0.5 * (lo + hi))
-            .collect(),
-    ];
+    let probes = box_probes(&original);
     assert_policies_bitwise_equal(&original, &restored, &probes);
 
     // And the executor path serves it with zero solver steps.
@@ -117,6 +109,17 @@ fn surfaces_roundtrip_through_a_reopened_directory_bitwise() {
     assert_eq!(again.steps, 0);
 
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// The lower corner and the centre of the box a surface was solved on.
+fn box_probes(surface: &hddm_scenarios::CachedSurface) -> Vec<Vec<f64>> {
+    let domain = &surface.restore_policy().domain;
+    let centre = domain
+        .lo()
+        .iter()
+        .zip(domain.hi())
+        .map(|(lo, hi)| 0.5 * (lo + hi));
+    vec![domain.lo().to_vec(), centre.collect()]
 }
 
 fn original_shape(s: &Scenario) -> hddm_scenarios::ShapeKey {
@@ -248,15 +251,7 @@ fn binary_and_json_records_roundtrip_bitwise() {
     let encoded = persist::encode_record(&original);
     let restored = persist::decode_record(&encoded).unwrap();
 
-    let probes: Vec<Vec<f64>> = vec![
-        original.domain_lo.clone(),
-        original
-            .domain_lo
-            .iter()
-            .zip(&original.domain_hi)
-            .map(|(lo, hi)| 0.5 * (lo + hi))
-            .collect(),
-    ];
+    let probes = box_probes(&original);
     assert_eq!(restored.hash, original.hash);
     assert_eq!(restored.shape, original.shape);
     assert_eq!(restored.steps, original.steps);
@@ -265,16 +260,18 @@ fn binary_and_json_records_roundtrip_bitwise() {
         original.final_sup_change.to_bits()
     );
     assert_policies_bitwise_equal(&original, &restored, &probes);
-    // Field-level bitwise agreement with the encoded surface.
-    for (a, b) in restored.records.iter().zip(&original.records) {
-        assert_eq!(a.xps, b.xps);
-        assert_eq!(a.chains, b.chains);
-        assert_eq!(a.order, b.order);
-        assert_eq!(a.nfreq, b.nfreq);
-        assert_eq!(a.surplus.len(), b.surplus.len());
-        for (x, y) in a.surplus.iter().zip(&b.surplus) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+    // Array-level bitwise agreement with the encoded surface.
+    let (restored, original) = (restored.restore_policy(), original.restore_policy());
+    assert_eq!(restored.domain.lo(), original.domain.lo());
+    assert_eq!(restored.domain.hi(), original.domain.hi());
+    for z in 0..original.states.num_states() {
+        let (a, b) = (restored.states.state(z), original.states.state(z));
+        assert_eq!(a.grid.xps(), b.grid.xps());
+        assert_eq!(a.grid.chains(), b.grid.chains());
+        assert_eq!(a.grid.order(), b.grid.order());
+        assert_eq!(a.grid.nfreq(), b.grid.nfreq());
+        let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.surplus), bits(&b.surplus));
     }
 }
 
@@ -490,27 +487,6 @@ fn a_budget_below_one_surface_warns_but_keeps_the_memory_tier_working() {
     let again = run_single(&scenario, &cache, &ExecutorConfig::serial()).unwrap();
     assert_eq!(again.cache, CacheKind::Exact);
     assert_eq!(again.steps, 0);
-
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn persist_to_flushes_an_in_memory_cache_to_disk() {
-    let dir = temp_cache_dir("flush");
-    let scenario = base_scenario();
-    let cache = SurfaceCache::default();
-    run_single(&scenario, &cache, &ExecutorConfig::serial()).unwrap();
-    assert_eq!(cache.stats().persisted_entries, 0);
-
-    cache.persist_to(&dir).unwrap();
-    assert_eq!(cache.stats().persisted_entries, 1);
-    assert!(dir.join(MANIFEST_FILE).exists());
-
-    // A fresh cache over the directory serves the flushed surface.
-    let reopened = SurfaceCache::open(&dir).unwrap();
-    let served = run_single(&scenario, &reopened, &ExecutorConfig::serial()).unwrap();
-    assert_eq!(served.cache, CacheKind::Exact);
-    assert_eq!(served.steps, 0);
 
     let _ = fs::remove_dir_all(&dir);
 }

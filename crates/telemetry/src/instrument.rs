@@ -1,5 +1,5 @@
-//! The lock-free instruments: counters, gauges, log-linear histograms
-//! (shared-atomic and per-thread shard variants), and scoped span timers.
+//! The lock-free instruments: counters, gauges, log-linear histograms,
+//! and scoped span timers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,7 +15,7 @@ const MAX_EXP: i64 = 12;
 /// off the top three mantissa bits, no `log2` on the record path).
 const SUBS: i64 = 8;
 
-/// Total bucket count of [`Histogram`] / [`HistogramShard`]: one
+/// Total bucket count of [`Histogram`]: one
 /// underflow bucket, one overflow bucket, and `SUBS` linear sub-buckets
 /// for every octave in `[2^-30, 2^12)`.
 pub const BUCKETS: usize = ((MAX_EXP - MIN_EXP) * SUBS) as usize + 2;
@@ -204,24 +204,6 @@ impl Histogram {
             .fetch_max(seconds.max(0.0).to_bits(), Ordering::Relaxed);
     }
 
-    /// Folds a per-thread shard into this histogram.
-    pub fn merge_shard(&self, shard: &HistogramShard) {
-        for (i, &n) in shard.buckets.iter().enumerate() {
-            if n > 0 {
-                // ORDERING: Relaxed — tally merge, same slack as
-                // `record`: no cross-field invariant for readers.
-                self.buckets[i].fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        // ORDERING: Relaxed — see above; fields merge independently.
-        self.count.fetch_add(shard.count, Ordering::Relaxed);
-        // ORDERING: Relaxed — see above; fields merge independently.
-        self.sum_nanos.fetch_add(shard.sum_nanos, Ordering::Relaxed);
-        self.max_bits
-            // ORDERING: Relaxed — atomic RMW suffices for a running max.
-            .fetch_max(shard.max.max(0.0).to_bits(), Ordering::Relaxed);
-    }
-
     /// Number of recorded observations.
     pub fn count(&self) -> u64 {
         // ORDERING: Relaxed — scrape read; staleness by an in-flight
@@ -280,54 +262,6 @@ impl Histogram {
                 self.max_seconds()
             })
             .collect()
-    }
-}
-
-/// A plain-integer, single-thread histogram shard with the same buckets
-/// as [`Histogram`]. Record into a thread-local shard with zero atomics,
-/// then fold it into the shared histogram once with
-/// [`Histogram::merge_shard`].
-#[derive(Debug, Clone)]
-pub struct HistogramShard {
-    buckets: Vec<u64>,
-    count: u64,
-    sum_nanos: u64,
-    max: f64,
-}
-
-impl Default for HistogramShard {
-    fn default() -> HistogramShard {
-        HistogramShard {
-            buckets: vec![0; BUCKETS],
-            count: 0,
-            sum_nanos: 0,
-            max: 0.0,
-        }
-    }
-}
-
-impl HistogramShard {
-    /// An empty shard.
-    pub fn new() -> HistogramShard {
-        HistogramShard::default()
-    }
-
-    /// Records one observation (in seconds).
-    #[inline]
-    pub fn record(&mut self, seconds: f64) {
-        self.buckets[bucket_index(seconds)] += 1;
-        self.count += 1;
-        if !(seconds.is_nan() || seconds <= 0.0) {
-            self.sum_nanos += (seconds * 1e9).round() as u64;
-            if seconds > self.max {
-                self.max = seconds;
-            }
-        }
-    }
-
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 }
 

@@ -14,16 +14,14 @@
 //!   relative bucket width). Recording is wait-free (`fetch_add` on one
 //!   bucket); quantiles are nearest-rank over the cumulative bucket
 //!   counts — the same definition [`nearest_rank`] applies to a sorted
-//!   sample vector. [`HistogramShard`] is the
-//!   contention-free per-thread variant: plain integers, merged into a
-//!   shared histogram with [`Histogram::merge_shard`];
+//!   sample vector;
 //! * [`SpanTimer`] — a scoped guard that records wall time into a
 //!   histogram on drop; phase timing for solve
 //!   (hierarchize/refine/policy-update/compress), serve
 //!   (exact-hit/warm-hint/queue-wait/batch-solve) and cache
 //!   (restore/deposit/evict) all use it;
-//! * [`Registry`] — named instruments with static label sets,
-//!   deterministic (sorted) iteration order, collect hooks for computed
+//! * [`Registry`] — named instruments, deterministic (sorted) iteration
+//!   order, collect hooks for computed
 //!   gauges, and two exporters: a deterministic JSON [`Snapshot`] and a
 //!   Prometheus-style text exposition
 //!   ([`Snapshot::text_exposition`]).
@@ -52,8 +50,8 @@ mod instrument;
 mod registry;
 mod snapshot;
 
-pub use instrument::{Counter, Gauge, Histogram, HistogramShard, SpanTimer, BUCKETS};
-pub use registry::{Labels, Registry};
+pub use instrument::{Counter, Gauge, Histogram, SpanTimer, BUCKETS};
+pub use registry::Registry;
 pub use snapshot::{CounterSample, GaugeSample, HistogramSample, Snapshot};
 
 /// Nearest-rank percentile of an ascending-sorted sample vector.

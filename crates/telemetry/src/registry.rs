@@ -1,5 +1,5 @@
-//! The instrument registry: named counters/gauges/histograms with static
-//! label sets, deterministic iteration order, and collect hooks.
+//! The instrument registry: named counters/gauges/histograms,
+//! deterministic iteration order, and collect hooks.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -7,15 +7,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::instrument::{Counter, Gauge, Histogram, SpanTimer};
 use crate::snapshot::{CounterSample, GaugeSample, HistogramSample, Snapshot};
-
-/// A static label set: `&[("path", "exact"), ...]`. Labels are `'static`
-/// by design — instrument identities are decided at compile time, so the
-/// registry key needs no allocation and lookups are cheap slice compares.
-pub type Labels = &'static [(&'static str, &'static str)];
-
-const NO_LABELS: Labels = &[];
-
-type Key = (&'static str, Labels);
 
 enum Instrument {
     Counter(Arc<Counter>),
@@ -35,10 +26,9 @@ impl Instrument {
 
 #[derive(Default)]
 struct Inner {
-    /// `BTreeMap` keyed by `(name, labels)` — label slices compare by
-    /// content, so iteration (and therefore every export) is
-    /// deterministic regardless of registration order.
-    instruments: Mutex<BTreeMap<Key, Instrument>>,
+    /// `BTreeMap` keyed by name, so iteration (and therefore every
+    /// export) is deterministic regardless of registration order.
+    instruments: Mutex<BTreeMap<&'static str, Instrument>>,
     /// Closures run at the start of [`Registry::snapshot`], used to
     /// refresh computed gauges (e.g. cache entry counts) that have no
     /// natural write site.
@@ -74,19 +64,13 @@ impl Registry {
         GLOBAL.get_or_init(Registry::new)
     }
 
-    fn get_or_register<T, F, G>(
-        &self,
-        name: &'static str,
-        labels: Labels,
-        make: F,
-        pick: G,
-    ) -> Arc<T>
+    fn get_or_register<T, F, G>(&self, name: &'static str, make: F, pick: G) -> Arc<T>
     where
         F: FnOnce() -> Instrument,
         G: FnOnce(&Instrument) -> Option<Arc<T>>,
     {
         let mut map = self.inner.instruments.lock().expect("registry poisoned");
-        let entry = map.entry((name, labels)).or_insert_with(make);
+        let entry = map.entry(name).or_insert_with(make);
         let picked = pick(entry);
         let kind = entry.kind();
         // The kind-mismatch panic fires with the registry unlocked:
@@ -95,22 +79,14 @@ impl Registry {
         drop(map);
         match picked {
             Some(arc) => arc,
-            None => {
-                panic!("telemetry instrument {name:?} {labels:?} already registered as a {kind}")
-            }
+            None => panic!("telemetry instrument {name:?} already registered as a {kind}"),
         }
     }
 
-    /// Gets or registers an unlabelled counter.
+    /// Gets or registers a counter.
     pub fn counter(&self, name: &'static str) -> Arc<Counter> {
-        self.counter_with(name, NO_LABELS)
-    }
-
-    /// Gets or registers a counter with a static label set.
-    pub fn counter_with(&self, name: &'static str, labels: Labels) -> Arc<Counter> {
         self.get_or_register(
             name,
-            labels,
             || Instrument::Counter(Arc::new(Counter::new())),
             |i| match i {
                 Instrument::Counter(c) => Some(c.clone()),
@@ -119,16 +95,10 @@ impl Registry {
         )
     }
 
-    /// Gets or registers an unlabelled gauge.
+    /// Gets or registers a gauge.
     pub fn gauge(&self, name: &'static str) -> Arc<Gauge> {
-        self.gauge_with(name, NO_LABELS)
-    }
-
-    /// Gets or registers a gauge with a static label set.
-    pub fn gauge_with(&self, name: &'static str, labels: Labels) -> Arc<Gauge> {
         self.get_or_register(
             name,
-            labels,
             || Instrument::Gauge(Arc::new(Gauge::new())),
             |i| match i {
                 Instrument::Gauge(g) => Some(g.clone()),
@@ -137,16 +107,10 @@ impl Registry {
         )
     }
 
-    /// Gets or registers an unlabelled histogram.
+    /// Gets or registers a histogram.
     pub fn histogram(&self, name: &'static str) -> Arc<Histogram> {
-        self.histogram_with(name, NO_LABELS)
-    }
-
-    /// Gets or registers a histogram with a static label set.
-    pub fn histogram_with(&self, name: &'static str, labels: Labels) -> Arc<Histogram> {
         self.get_or_register(
             name,
-            labels,
             || Instrument::Histogram(Arc::new(Histogram::new())),
             |i| match i {
                 Instrument::Histogram(h) => Some(h.clone()),
@@ -158,11 +122,6 @@ impl Registry {
     /// Starts a scoped span recording into the named histogram on drop.
     pub fn span(&self, name: &'static str) -> SpanTimer {
         SpanTimer::start(self.histogram(name))
-    }
-
-    /// [`Registry::span`] with a static label set.
-    pub fn span_with(&self, name: &'static str, labels: Labels) -> SpanTimer {
-        SpanTimer::start(self.histogram_with(name, labels))
     }
 
     /// Registers a collect hook, run at the start of every
@@ -178,7 +137,7 @@ impl Registry {
     }
 
     /// Runs the collect hooks, then samples every instrument in
-    /// deterministic `(name, labels)` order.
+    /// deterministic name order.
     pub fn snapshot(&self) -> Snapshot {
         let hooks: Vec<Arc<dyn Fn() + Send + Sync>> =
             self.inner.hooks.lock().expect("registry poisoned").clone();
@@ -187,27 +146,20 @@ impl Registry {
         }
         let map = self.inner.instruments.lock().expect("registry poisoned");
         let mut snap = Snapshot::default();
-        for (&(name, labels), instrument) in map.iter() {
-            let labels: Vec<(String, String)> = labels
-                .iter()
-                .map(|&(k, v)| (k.to_string(), v.to_string()))
-                .collect();
+        for (&name, instrument) in map.iter() {
             match instrument {
                 Instrument::Counter(c) => snap.counters.push(CounterSample {
                     name: name.to_string(),
-                    labels,
                     value: c.get(),
                 }),
                 Instrument::Gauge(g) => snap.gauges.push(GaugeSample {
                     name: name.to_string(),
-                    labels,
                     value: g.get(),
                 }),
                 Instrument::Histogram(h) => {
                     let qs = h.percentiles(&[0.50, 0.99, 0.999]);
                     snap.histograms.push(HistogramSample {
                         name: name.to_string(),
-                        labels,
                         count: h.count(),
                         sum_seconds: h.sum_seconds(),
                         max_seconds: h.max_seconds(),
@@ -249,18 +201,11 @@ mod tests {
     fn snapshot_is_deterministically_ordered() {
         let r = Registry::new();
         r.counter("zzz_total").inc();
-        r.counter_with("aaa_total", &[("path", "warm")]).inc();
-        r.counter_with("aaa_total", &[("path", "exact")]).inc();
+        r.counter("mmm_total").inc();
+        r.counter("aaa_total").inc();
         let s = r.snapshot();
-        let names: Vec<_> = s
-            .counters
-            .iter()
-            .map(|c| (c.name.clone(), c.labels.clone()))
-            .collect();
-        assert_eq!(names[0].0, "aaa_total");
-        assert_eq!(names[0].1, vec![("path".to_string(), "exact".to_string())]);
-        assert_eq!(names[1].1, vec![("path".to_string(), "warm".to_string())]);
-        assert_eq!(names[2].0, "zzz_total");
+        let names: Vec<_> = s.counters.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["aaa_total", "mmm_total", "zzz_total"]);
     }
 
     #[test]

@@ -8,8 +8,6 @@ use serde::{Deserialize, Serialize};
 pub struct CounterSample {
     /// Instrument name (`hddm_<area>_<what>_total`).
     pub name: String,
-    /// Label set, `(key, value)` pairs in registration order.
-    pub labels: Vec<(String, String)>,
     /// Counter value at snapshot time.
     pub value: u64,
 }
@@ -19,8 +17,6 @@ pub struct CounterSample {
 pub struct GaugeSample {
     /// Instrument name (`hddm_<area>_<what>`).
     pub name: String,
-    /// Label set, `(key, value)` pairs in registration order.
-    pub labels: Vec<(String, String)>,
     /// Gauge value at snapshot time.
     pub value: u64,
 }
@@ -31,8 +27,6 @@ pub struct GaugeSample {
 pub struct HistogramSample {
     /// Instrument name (`hddm_<area>_<phase>_seconds`).
     pub name: String,
-    /// Label set, `(key, value)` pairs in registration order.
-    pub labels: Vec<(String, String)>,
     /// Number of recorded observations.
     pub count: u64,
     /// Sum of observations, seconds.
@@ -48,7 +42,7 @@ pub struct HistogramSample {
 }
 
 /// A point-in-time reading of every instrument in a [`Registry`], in
-/// deterministic `(name, labels)` order.
+/// deterministic name order.
 ///
 /// [`Registry`]: crate::Registry
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -59,14 +53,6 @@ pub struct Snapshot {
     pub gauges: Vec<GaugeSample>,
     /// All histograms.
     pub histograms: Vec<HistogramSample>,
-}
-
-fn labels_match(labels: &[(String, String)], want: &[(&str, &str)]) -> bool {
-    labels.len() == want.len()
-        && labels
-            .iter()
-            .zip(want)
-            .all(|((k, v), (wk, wv))| k == wk && v == wv)
 }
 
 impl Snapshot {
@@ -83,37 +69,27 @@ impl Snapshot {
         serde_json::from_str(text).map_err(|e| e.to_string())
     }
 
-    /// The value of the unlabelled counter `name`, if present.
+    /// The value of counter `name`, if present.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counter_with(name, &[])
-    }
-
-    /// The value of counter `name` with exactly the labels `labels`.
-    pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
         self.counters
             .iter()
-            .find(|c| c.name == name && labels_match(&c.labels, labels))
+            .find(|c| c.name == name)
             .map(|c| c.value)
     }
 
-    /// The value of the unlabelled gauge `name`, if present.
+    /// The value of gauge `name`, if present.
     pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges
-            .iter()
-            .find(|g| g.name == name && g.labels.is_empty())
-            .map(|g| g.value)
+        self.gauges.iter().find(|g| g.name == name).map(|g| g.value)
     }
 
-    /// The sample of the unlabelled histogram `name`, if present.
+    /// The sample of histogram `name`, if present.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSample> {
-        self.histograms
-            .iter()
-            .find(|h| h.name == name && h.labels.is_empty())
+        self.histograms.iter().find(|h| h.name == name)
     }
 
     /// Renders the Prometheus-style text exposition: counters and gauges
-    /// as single samples, histograms as summaries (`quantile` labels plus
-    /// `_sum` / `_count` / `_max` series).
+    /// as single samples, histograms as summaries (a `quantile` pair per
+    /// quantile plus `_sum` / `_count` / `_max` series).
     pub fn text_exposition(&self) -> String {
         let mut out = String::new();
         let mut last_type_line: Option<String> = None;
@@ -126,52 +102,28 @@ impl Snapshot {
         };
         for c in &self.counters {
             type_line(&mut out, &c.name, "counter");
-            out.push_str(&series(&c.name, &c.labels, None));
-            out.push_str(&format!(" {}\n", c.value));
+            out.push_str(&format!("{} {}\n", c.name, c.value));
         }
         for g in &self.gauges {
             type_line(&mut out, &g.name, "gauge");
-            out.push_str(&series(&g.name, &g.labels, None));
-            out.push_str(&format!(" {}\n", g.value));
+            out.push_str(&format!("{} {}\n", g.name, g.value));
         }
         for h in &self.histograms {
             type_line(&mut out, &h.name, "summary");
             for (q, v) in [("0.5", h.p50), ("0.99", h.p99), ("0.999", h.p999)] {
-                out.push_str(&series(&h.name, &h.labels, Some(("quantile", q))));
-                out.push_str(&format!(" {v}\n"));
+                out.push_str(&format!("{} {v}\n", series(&h.name, ("quantile", q))));
             }
-            out.push_str(&series(&format!("{}_sum", h.name), &h.labels, None));
-            out.push_str(&format!(" {}\n", h.sum_seconds));
-            out.push_str(&series(&format!("{}_count", h.name), &h.labels, None));
-            out.push_str(&format!(" {}\n", h.count));
-            out.push_str(&series(&format!("{}_max", h.name), &h.labels, None));
-            out.push_str(&format!(" {}\n", h.max_seconds));
+            out.push_str(&format!("{}_sum {}\n", h.name, h.sum_seconds));
+            out.push_str(&format!("{}_count {}\n", h.name, h.count));
+            out.push_str(&format!("{}_max {}\n", h.name, h.max_seconds));
         }
         out
     }
 }
 
-/// Renders `name{k="v",...}` (no braces when the label set is empty).
-fn series(name: &str, labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
-    let mut s = String::from(name);
-    let mut pairs: Vec<(&str, &str)> = labels
-        .iter()
-        .map(|(k, v)| (k.as_str(), v.as_str()))
-        .collect();
-    if let Some((k, v)) = extra {
-        pairs.push((k, v));
-    }
-    if !pairs.is_empty() {
-        s.push('{');
-        for (i, (k, v)) in pairs.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("{k}=\"{v}\""));
-        }
-        s.push('}');
-    }
-    s
+/// Renders `name{k="v"}`.
+fn series(name: &str, (k, v): (&str, &str)) -> String {
+    format!("{name}{{{k}=\"{v}\"}}")
 }
 
 #[cfg(test)]
@@ -181,8 +133,7 @@ mod tests {
 
     fn sample_registry() -> Registry {
         let r = Registry::new();
-        r.counter_with("hddm_t_requests_total", &[("path", "exact")])
-            .add(3);
+        r.counter("hddm_t_requests_total").add(3);
         r.gauge("hddm_t_queue_depth").set(5);
         let h = r.histogram("hddm_t_wait_seconds");
         h.record(0.001);
@@ -198,10 +149,7 @@ mod tests {
         assert_eq!(snap, back);
         // Re-snapshotting an unchanged registry yields identical text.
         assert_eq!(json, sample_registry().snapshot().to_json());
-        assert_eq!(
-            back.counter_with("hddm_t_requests_total", &[("path", "exact")]),
-            Some(3)
-        );
+        assert_eq!(back.counter("hddm_t_requests_total"), Some(3));
         assert_eq!(back.gauge("hddm_t_queue_depth"), Some(5));
         assert_eq!(back.histogram("hddm_t_wait_seconds").unwrap().count, 2);
     }
@@ -210,7 +158,7 @@ mod tests {
     fn text_exposition_shape() {
         let text = sample_registry().snapshot().text_exposition();
         assert!(text.contains("# TYPE hddm_t_requests_total counter"));
-        assert!(text.contains("hddm_t_requests_total{path=\"exact\"} 3"));
+        assert!(text.contains("hddm_t_requests_total 3"));
         assert!(text.contains("# TYPE hddm_t_queue_depth gauge"));
         assert!(text.contains("hddm_t_queue_depth 5"));
         assert!(text.contains("# TYPE hddm_t_wait_seconds summary"));

@@ -7,7 +7,7 @@ use std::thread;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use hddm_telemetry::{nearest_rank, Histogram, HistogramShard};
+use hddm_telemetry::{nearest_rank, Histogram};
 
 /// Log-uniform sample in [1e-8 s, 100 s] — spans 33 octaves of the
 /// bucket range, exercising many sub-buckets per case.
@@ -16,29 +16,25 @@ fn sample(rng: &mut ChaCha8Rng) -> f64 {
     lg.exp2()
 }
 
-/// Property: merged per-thread shards report the same p50/p99/p999 as the
+/// Property: the histogram reports the same p50/p99/p999 as the
 /// sorted-vector nearest-rank reference, within one bucket's relative
 /// error (the histogram reports the bucket's upper bound, so it may
 /// overshoot by at most `MAX_RELATIVE_ERROR` and never undershoot).
+/// (Named for the per-thread shards it once merged; samples are recorded
+/// into the histogram directly.)
 #[test]
 fn merged_shards_match_sorted_reference_within_one_bucket() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x7e1e_7e1e);
     for case in 0..20 {
         let n = 100 + (case * 517) % 4000;
-        let shards = 1 + case % 5;
         let mut values = Vec::with_capacity(n);
-        let mut shard_vec: Vec<HistogramShard> =
-            (0..shards).map(|_| HistogramShard::new()).collect();
-        for i in 0..n {
+        let hist = Histogram::new();
+        for _ in 0..n {
             let v = sample(&mut rng);
-            shard_vec[i % shards].record(v);
+            hist.record(v);
             values.push(v);
         }
-        let hist = Histogram::new();
-        for shard in &shard_vec {
-            hist.merge_shard(shard);
-        }
-        assert_eq!(hist.count(), n as u64, "case {case}: lost samples in merge");
+        assert_eq!(hist.count(), n as u64, "case {case}: lost samples");
 
         values.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for q in [0.50, 0.99, 0.999] {
@@ -58,41 +54,42 @@ fn merged_shards_match_sorted_reference_within_one_bucket() {
 }
 
 /// Concurrency: N threads recording into the shared atomic histogram lose
-/// no samples, and the result is identical to the same samples folded
-/// through per-thread shards.
+/// no samples, and the result is identical to the same samples recorded
+/// by one thread.
 #[test]
 fn concurrent_recording_loses_no_samples() {
     const THREADS: usize = 8;
     const PER_THREAD: usize = 50_000;
 
     let shared = Arc::new(Histogram::new());
-    let merged = Histogram::new();
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
             let shared = shared.clone();
             thread::spawn(move || {
                 let mut rng = ChaCha8Rng::seed_from_u64(t as u64);
-                let mut shard = HistogramShard::new();
                 for _ in 0..PER_THREAD {
-                    let v = sample(&mut rng);
-                    shared.record(v);
-                    shard.record(v);
+                    shared.record(sample(&mut rng));
                 }
-                shard
             })
         })
         .collect();
     for h in handles {
-        merged.merge_shard(&h.join().unwrap());
+        h.join().unwrap();
+    }
+    let serial = Histogram::new();
+    for t in 0..THREADS {
+        let mut rng = ChaCha8Rng::seed_from_u64(t as u64);
+        for _ in 0..PER_THREAD {
+            serial.record(sample(&mut rng));
+        }
     }
 
     let total = (THREADS * PER_THREAD) as u64;
-    assert_eq!(shared.count(), total, "atomic path lost samples");
-    assert_eq!(merged.count(), total, "shard path lost samples");
+    assert_eq!(shared.count(), total, "concurrent recording lost samples");
     // Same samples, same buckets: every quantile agrees exactly.
     for q in [0.5, 0.9, 0.99, 0.999, 1.0] {
-        assert_eq!(shared.percentile(q), merged.percentile(q), "q={q}");
+        assert_eq!(shared.percentile(q), serial.percentile(q), "q={q}");
     }
-    assert_eq!(shared.max_seconds(), merged.max_seconds());
-    assert!((shared.sum_seconds() - merged.sum_seconds()).abs() < 1e-6);
+    assert_eq!(shared.max_seconds(), serial.max_seconds());
+    assert!((shared.sum_seconds() - serial.sum_seconds()).abs() < 1e-6);
 }

@@ -53,10 +53,10 @@ fn main() {
             Some(path) => {
                 let ck = Checkpoint::load(path).expect("load checkpoint");
                 println!(
-                    "stage {stage}: resumed from {} (step {}, {} points/state)",
+                    "stage {stage}: resumed from {} (step {}, points/state {:?})",
                     path.display(),
                     ck.step,
-                    ck.states[0].chains.len() / ck.states[0].nfreq
+                    ck.policy.points_per_state()
                 );
                 TimeIteration::resume(OlgStep::new(make_model()), config(epsilon), &ck)
             }
@@ -73,11 +73,10 @@ fn main() {
         );
 
         // Write this stage's checkpoint and verify the round trip is exact.
-        let path = dir.join(format!("stage{stage}.json"));
+        let path = dir.join(format!("stage{stage}.bin"));
         let ck = Checkpoint::capture(&ti);
         ck.save(&path).expect("save checkpoint");
-        let reloaded = Checkpoint::load(&path).expect("reload");
-        let restored = reloaded.restore_policy();
+        let restored = Checkpoint::load(&path).expect("reload").policy;
         let mut a = vec![0.0; 8];
         let mut b = vec![0.0; 8];
         ti.policy.oracle(KernelKind::X86).eval(0, &probe_x, &mut a);

@@ -1,7 +1,7 @@
 //! Checkpoint/restart round trip through the facade: a `TimeIteration`
-//! interrupted mid-run, saved to a JSON file, reloaded, and resumed must
-//! land **bit-identically** on the policy of an uninterrupted run — the
-//! paper's ε-continuation restart protocol (Sec. V-C, footnote 12)
+//! interrupted mid-run, saved to a checkpoint file, reloaded, and resumed
+//! must land **bit-identically** on the policy of an uninterrupted run —
+//! the paper's ε-continuation restart protocol (Sec. V-C, footnote 12)
 //! depends on exactly this property.
 
 use hddm::core::{Checkpoint, DriverConfig, OlgStep, TimeIteration};
@@ -65,7 +65,7 @@ fn mid_run_file_checkpoint_resumes_bit_identically() {
     let want = probe_bits(&straight);
 
     // Interrupted: two steps, save, drop everything, load, two more.
-    let path = scratch_dir().join("mid_run.json");
+    let path = scratch_dir().join("mid_run.bin");
     {
         let mut first_half = TimeIteration::new(OlgStep::new(make_model()), config(2));
         first_half.run();
@@ -88,22 +88,22 @@ fn mid_run_file_checkpoint_resumes_bit_identically() {
 #[test]
 fn save_load_save_is_textually_stable() {
     // A checkpoint that goes through a file and back must serialize to the
-    // identical JSON text: surpluses survive exactly (shortest-roundtrip
-    // float formatting), structure arrays survive exactly.
+    // identical bytes: surpluses and structure arrays survive exactly.
+    // (The name dates from the JSON form.)
     let mut ti = TimeIteration::new(OlgStep::new(make_model()), config(2));
     ti.run();
 
     let dir = scratch_dir();
-    let path = dir.join("stable.json");
+    let path = dir.join("stable.bin");
     Checkpoint::capture(&ti).save(&path).unwrap();
-    let first_text = std::fs::read_to_string(&path).unwrap();
+    let first_bytes = std::fs::read(&path).unwrap();
 
     let reloaded = Checkpoint::load(&path).unwrap();
-    let path2 = dir.join("stable2.json");
+    let path2 = dir.join("stable2.bin");
     reloaded.save(&path2).unwrap();
-    let second_text = std::fs::read_to_string(&path2).unwrap();
+    let second_bytes = std::fs::read(&path2).unwrap();
 
-    assert_eq!(first_text, second_text, "JSON round trip not stable");
+    assert!(first_bytes == second_bytes, "round trip not stable");
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&path2).ok();
 }

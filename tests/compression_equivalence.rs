@@ -150,17 +150,18 @@ proptest! {
     }
 
     /// Compressed grids survive dismantling into raw arrays and
-    /// revalidation — the invariant the checkpoint file format rests on.
+    /// revalidation — the invariant the policy record format rests on.
     #[test]
     fn raw_parts_roundtrip_on_random_grids(grid in adaptive_grid(4)) {
         let cg = CompressedGrid::build(&grid);
-        let rebuilt = CompressedGrid::from_raw_parts(
+        let rebuilt = CompressedGrid::try_from_raw_parts(
             cg.dim(),
             cg.nfreq(),
             cg.xps().to_vec(),
             cg.chains().to_vec(),
             cg.order().to_vec(),
-        );
+        )
+        .expect("a built grid passes its own structural check");
         prop_assert_eq!(rebuilt.nno(), cg.nno());
         prop_assert_eq!(rebuilt.chains(), cg.chains());
         prop_assert_eq!(rebuilt.order(), cg.order());
