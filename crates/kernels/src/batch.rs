@@ -16,7 +16,7 @@
 //!   basis evaluation per `(entry, point)` — the same arithmetic as the
 //!   single-point fill, vectorized across points;
 //! * each compressed chain is walked **once per block**: the chain's xpv
-//!   factor column multiplies into an `npts`-wide running product, so the
+//!   factor columns multiply into an `npts`-wide running product, so the
 //!   chain loads and loop control amortize over the block;
 //! * each surplus row is loaded **once per block** and accumulated into
 //!   every surviving point's output row while it is cache-resident — the
@@ -25,14 +25,33 @@
 //!
 //! Blocks are processed in chunks of [`BATCH_CHUNK`] points so the
 //! working set (`xpv` block + output rows) stays cache-sized; results are
-//! independent per point, so chunking never changes values. Every variant
-//! is **bitwise identical** to its single-point counterpart (same basis
-//! expression, same chain-walk order, same axpy routine, same
-//! accumulation order per point) — the golden tests assert `==`, not a
+//! independent per point, so chunking never changes values. After the
+//! fill, a chunk is three passes:
+//!
+//! 1. **bound** — every chain ANDs the nonzero-lane masks of its factor
+//!    columns, without a branch, and the chains left with a lane are
+//!    compacted into a list;
+//! 2. **products** — each listed chain multiplies its factor columns left
+//!    to right and rebuilds its exact alive-lane mask from the products;
+//! 3. **accumulation** — its surplus row goes into the alive lanes' output
+//!    rows, strip by strip: up to four registers of the row stay loaded
+//!    across all alive lanes before the next strip is touched.
+//!
+//! (Passes 2 and 3 alternate per listed chain, so one product vector is
+//! live at a time.) The whole chunk walk is compiled once per vector
+//! kernel inside a `#[target_feature]` entry (`avx`, `avx2,fma`,
+//! `avx512f`): fill, masks and products auto-vectorize at that kernel's
+//! width and the accumulator is inlined intrinsics. `x86` is compiled for
+//! the baseline target; a vector kernel the host lacks runs the baseline
+//! walk with the portable [`crate::lanes`] accumulator of its width.
+//!
+//! Every variant is **bitwise identical** to its single-point counterpart
+//! (same basis expression, same factor order, the same instruction for
+//! every output element — fused or not, by its position in the row — and
+//! the same chain order per point) — the golden tests assert `==`, not a
 //! tolerance.
 
 use crate::data::{CompressedState, Scratch};
-use crate::vector::VectorIsa;
 use crate::KernelKind;
 use hddm_asg::linear_basis;
 
@@ -183,19 +202,10 @@ impl PointBlock {
     }
 }
 
-/// A per-chain chunk accumulator: for every set bit `k` of `mask` (the
-/// chunk's alive lanes, bit `k` ⇔ `temps[k] != 0`), performs
-/// `out[k·stride ..][..row.len()] += temps[k] · row`, ascending `k`.
-/// Hoisting the whole point loop behind one (possibly `target_feature`)
-/// function call amortizes the call and loop-setup overhead that a
-/// per-point axpy pays `npts` times per chain, and the bitmask walk
-/// visits exactly the alive lanes — no branchy scan over the (mostly
-/// dead) chunk. `stride` is the full `ndofs` row pitch.
-type RowAccum = fn(&[f64], u64, &[f64], &mut [f64], usize);
-
 /// Scalar accumulator with the exact inner loop shape of the
 /// single-point `x86` kernel, so the scalar batch variant stays bitwise
-/// equal to it.
+/// equal to it: for every set bit `k` of `mask` (the chunk's alive lanes),
+/// ascending, `out[k·stride ..][..row.len()] += temps[k] · row`.
 fn accum_scalar(temps: &[f64], mut mask: u64, row: &[f64], out: &mut [f64], stride: usize) {
     while mask != 0 {
         let k = mask.trailing_zeros() as usize;
@@ -223,320 +233,344 @@ fn accum_lanes<const N: usize>(
     }
 }
 
-// SAFETY: caller must ensure the host supports AVX and that for every
-// set bit `k` of `mask`, `temps[k]` exists and
-// `out[k * stride .. k * stride + row.len()]` is in bounds — both are
-// established by the caller's slice indexing (`temps[k]` and the `out`
-// range expression panic before any raw pointer is formed if violated).
-// Inner loops are bounded by `j + 4 <= n` / `j < n` with `n = row.len()`.
+/// The vector kernels' side of the walk: one `#[target_feature]` entry per
+/// kernel and the strip accumulator those entries inline.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn accum_avx(temps: &[f64], mut mask: u64, row: &[f64], out: &mut [f64], stride: usize) {
+mod isa {
+    use super::{span, ChunkCounts, CompressedState, PointBlock, Scratch};
     use std::arch::x86_64::*;
-    let n = row.len();
-    while mask != 0 {
-        let k = mask.trailing_zeros() as usize;
-        mask &= mask - 1;
-        let temp = temps[k];
-        let va = _mm256_set1_pd(temp);
-        let y = out[k * stride..k * stride + n].as_mut_ptr();
-        let mut j = 0usize;
-        while j + 4 <= n {
-            let vx = _mm256_loadu_pd(row.as_ptr().add(j));
-            let vy = _mm256_loadu_pd(y.add(j));
-            _mm256_storeu_pd(y.add(j), _mm256_add_pd(vy, _mm256_mul_pd(va, vx)));
-            j += 4;
-        }
-        while j < n {
-            *y.add(j) += temp * row.get_unchecked(j);
-            j += 1;
-        }
-    }
-}
 
-// SAFETY: caller must ensure the host supports AVX2+FMA; same per-bit
-// bounds contract and in-bounds argument as [`accum_avx`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn accum_avx2(temps: &[f64], mut mask: u64, row: &[f64], out: &mut [f64], stride: usize) {
-    use std::arch::x86_64::*;
-    let n = row.len();
-    while mask != 0 {
-        let k = mask.trailing_zeros() as usize;
-        mask &= mask - 1;
-        let temp = temps[k];
-        let va = _mm256_set1_pd(temp);
-        let y = out[k * stride..k * stride + n].as_mut_ptr();
-        let mut j = 0usize;
-        while j + 4 <= n {
-            let vx = _mm256_loadu_pd(row.as_ptr().add(j));
-            let vy = _mm256_loadu_pd(y.add(j));
-            _mm256_storeu_pd(y.add(j), _mm256_fmadd_pd(va, vx, vy));
-            j += 4;
-        }
-        while j < n {
-            *y.add(j) += temp * row.get_unchecked(j);
-            j += 1;
-        }
+    /// The register operations of one vector kernel, which
+    /// [`accum_strips`] is written over.
+    trait Simd {
+        /// One register of `W` doubles.
+        type V: Copy;
+        /// Doubles per register.
+        const W: usize;
+        // SAFETY: caller must ensure the host supports the kernel's
+        // instruction set — as for every method of this trait.
+        unsafe fn splat(a: f64) -> Self::V;
+        // SAFETY: caller must also ensure `W` readable doubles at `p`.
+        unsafe fn load(p: *const f64) -> Self::V;
+        /// `y[..W] += a · x`, by the instruction(s) of the single-point
+        /// kernel's vector body.
+        // SAFETY: caller must also ensure `W` writable doubles at `y`.
+        unsafe fn axpy(a: Self::V, x: Self::V, y: *mut f64);
+        /// `y[..n] += a · x[..n]` for the `n < W` elements past the last
+        /// whole register, as the single-point kernel's tail computes them.
+        // SAFETY: caller must also ensure `n` readable doubles at `x` and
+        // `n` writable ones at `y`.
+        unsafe fn tail(a: f64, x: *const f64, y: *mut f64, n: usize);
     }
-}
 
-// SAFETY: caller must ensure the host supports AVX-512F; same per-bit
-// bounds contract as [`accum_avx`]. The ragged tail uses masked
-// loads/stores enabling exactly the `n - j < 8` in-bounds lanes.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn accum_avx512(temps: &[f64], mut mask: u64, row: &[f64], out: &mut [f64], stride: usize) {
-    use std::arch::x86_64::*;
-    let n = row.len();
-    while mask != 0 {
-        let k = mask.trailing_zeros() as usize;
-        mask &= mask - 1;
-        let temp = temps[k];
-        let va = _mm512_set1_pd(temp);
-        let y = out[k * stride..k * stride + n].as_mut_ptr();
-        let mut j = 0usize;
-        while j + 8 <= n {
-            let vx = _mm512_loadu_pd(row.as_ptr().add(j));
-            let vy = _mm512_loadu_pd(y.add(j));
-            _mm512_storeu_pd(y.add(j), _mm512_fmadd_pd(va, vx, vy));
-            j += 8;
+    /// The 4-wide kernels: `avx` multiplies then adds, `avx2` fuses.
+    struct Ymm<const FMA: bool>;
+
+    impl<const FMA: bool> Simd for Ymm<FMA> {
+        type V = __m256d;
+        const W: usize = 4;
+        // SAFETY: register-only; the caller vouches for AVX.
+        #[inline(always)]
+        unsafe fn splat(a: f64) -> __m256d {
+            _mm256_set1_pd(a)
         }
-        if j < n {
-            let mask = (1u8 << (n - j)) - 1;
-            let vx = _mm512_maskz_loadu_pd(mask, row.as_ptr().add(j));
-            let vy = _mm512_maskz_loadu_pd(mask, y.add(j));
-            _mm512_mask_storeu_pd(y.add(j), mask, _mm512_fmadd_pd(va, vx, vy));
+        // SAFETY: unaligned load of the 4 doubles the caller vouches for.
+        #[inline(always)]
+        unsafe fn load(p: *const f64) -> __m256d {
+            _mm256_loadu_pd(p)
+        }
+        // SAFETY: unaligned load and store of the 4 doubles at `y`; the
+        // fused arm exists only in `Ymm<true>`, whose caller vouches for
+        // FMA.
+        #[inline(always)]
+        unsafe fn axpy(a: __m256d, x: __m256d, y: *mut f64) {
+            let acc = _mm256_loadu_pd(y);
+            let sum = if FMA {
+                _mm256_fmadd_pd(a, x, acc)
+            } else {
+                _mm256_add_pd(acc, _mm256_mul_pd(a, x))
+            };
+            _mm256_storeu_pd(y, sum);
+        }
+        // SAFETY: touches `x[j]` and `y[j]` for `j < n` only.
+        #[inline(always)]
+        unsafe fn tail(a: f64, x: *const f64, y: *mut f64, n: usize) {
+            for j in 0..n {
+                *y.add(j) += a * *x.add(j);
+            }
         }
     }
-}
 
-/// Safe wrapper around [`accum_avx`]; callable only after detection.
-fn accum_avx_safe(temps: &[f64], mask: u64, row: &[f64], out: &mut [f64], stride: usize) {
-    debug_assert!(VectorIsa::Avx.native());
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: selected only when the `avx` feature was detected.
-    unsafe {
-        accum_avx(temps, mask, row, out, stride)
+    /// The 8-wide kernel: FMA on zmm registers, masked FMA in the tail.
+    struct Zmm;
+
+    impl Simd for Zmm {
+        type V = __m512d;
+        const W: usize = 8;
+        // SAFETY: register-only; the caller vouches for AVX-512F.
+        #[inline(always)]
+        unsafe fn splat(a: f64) -> __m512d {
+            _mm512_set1_pd(a)
+        }
+        // SAFETY: unaligned load of the 8 doubles the caller vouches for.
+        #[inline(always)]
+        unsafe fn load(p: *const f64) -> __m512d {
+            _mm512_loadu_pd(p)
+        }
+        // SAFETY: unaligned load and store of the 8 doubles at `y`.
+        #[inline(always)]
+        unsafe fn axpy(a: __m512d, x: __m512d, y: *mut f64) {
+            _mm512_storeu_pd(y, _mm512_fmadd_pd(a, x, _mm512_loadu_pd(y)));
+        }
+        // SAFETY: the mask enables exactly the `n < 8` in-bounds lanes of
+        // both loads and of the store.
+        #[inline(always)]
+        unsafe fn tail(a: f64, x: *const f64, y: *mut f64, n: usize) {
+            let m = (1u8 << n) - 1;
+            let (vx, vy) = (_mm512_maskz_loadu_pd(m, x), _mm512_maskz_loadu_pd(m, y));
+            _mm512_mask_storeu_pd(y, m, _mm512_fmadd_pd(_mm512_set1_pd(a), vx, vy));
+        }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    accum_lanes::<4>(temps, mask, row, out, stride)
-}
 
-/// Safe wrapper around [`accum_avx2`]; callable only after detection.
-fn accum_avx2_safe(temps: &[f64], mask: u64, row: &[f64], out: &mut [f64], stride: usize) {
-    debug_assert!(VectorIsa::Avx2.native());
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: selected only when `avx2` and `fma` were detected.
-    unsafe {
-        accum_avx2(temps, mask, row, out, stride)
+    /// Registers of the surplus row a full strip holds — 16 doubles on the
+    /// 4-wide kernels, 32 on the 8-wide one; the rest of the register file
+    /// is the broadcast product and the output row in flight.
+    const STRIP: usize = 4;
+
+    /// One strip of `NV` registers: `x` is loaded once and stays in
+    /// registers while every alive lane's `NV · W` outputs at
+    /// `y + k · stride` take their multiply-add.
+    // SAFETY: caller must ensure `S`'s instruction set, `NV · S::W`
+    // readable doubles at `x` and, for every set bit `k` of `mask`,
+    // `temps[k]` and `NV · S::W` writable doubles at `y + k · stride`.
+    #[inline(always)]
+    unsafe fn strip<S: Simd, const NV: usize>(
+        temps: &[f64],
+        mut mask: u64,
+        x: *const f64,
+        y: *mut f64,
+        stride: usize,
+    ) {
+        let mut regs = [S::splat(0.0); NV];
+        for (v, reg) in regs.iter_mut().enumerate() {
+            *reg = S::load(x.add(v * S::W));
+        }
+        while mask != 0 {
+            let k = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let a = S::splat(*temps.get_unchecked(k));
+            for (v, &reg) in regs.iter().enumerate() {
+                S::axpy(a, reg, y.add(k * stride + v * S::W));
+            }
+        }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    accum_lanes::<4>(temps, mask, row, out, stride)
-}
 
-/// Safe wrapper around [`accum_avx512`]; callable only after detection.
-fn accum_avx512_safe(temps: &[f64], mask: u64, row: &[f64], out: &mut [f64], stride: usize) {
-    debug_assert!(VectorIsa::Avx512.native());
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: selected only when `avx512f` was detected.
-    unsafe {
-        accum_avx512(temps, mask, row, out, stride)
+    /// The vector kernels' chunk accumulator — [`super::accum_scalar`]'s
+    /// contract, walked strip by strip: the row is read once per chain,
+    /// not once per alive lane, while every output element still takes
+    /// the instruction the single-point kernel gives it (vector body or
+    /// tail, by its position in the row) and every point still sees its
+    /// chains in chain order.
+    // SAFETY: caller must ensure the host supports `S`'s instruction set.
+    // The highest alive lane is checked once against `temps` and `out`,
+    // which bounds every lower one; within a lane the full strips, the
+    // remaining whole registers and the tail cover `j < row.len()` once
+    // each.
+    #[inline(always)]
+    unsafe fn accum_strips<S: Simd>(
+        temps: &[f64],
+        mask: u64,
+        row: &[f64],
+        out: &mut [f64],
+        stride: usize,
+    ) {
+        let Some(top) = mask.checked_ilog2() else {
+            return;
+        };
+        let (top, n) = (top as usize, row.len());
+        assert!(top < temps.len() && top * stride + n <= out.len());
+        let (x, y) = (row.as_ptr(), out.as_mut_ptr());
+        let whole = n / S::W;
+        let mut v = 0;
+        while v + STRIP <= whole {
+            strip::<S, STRIP>(temps, mask, x.add(v * S::W), y.add(v * S::W), stride);
+            v += STRIP;
+        }
+        let (xv, yv) = (x.add(v * S::W), y.add(v * S::W));
+        match whole - v {
+            3 => strip::<S, 3>(temps, mask, xv, yv, stride),
+            2 => strip::<S, 2>(temps, mask, xv, yv, stride),
+            1 => strip::<S, 1>(temps, mask, xv, yv, stride),
+            _ => {}
+        }
+        let (j, rest) = (whole * S::W, n % S::W);
+        let mut lanes = if rest == 0 { 0 } else { mask };
+        while lanes != 0 {
+            let k = lanes.trailing_zeros() as usize;
+            lanes &= lanes - 1;
+            S::tail(temps[k], x.add(j), y.add(k * stride + j), rest);
+        }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    accum_lanes::<8>(temps, mask, row, out, stride)
+
+    /// The entry of one vector kernel: [`span`] with the strip accumulator
+    /// of `$isa`, all of it compiled with `$features` enabled.
+    macro_rules! entry {
+        ($name:ident, $features:literal, $isa:ty) => {
+            // SAFETY: caller must ensure the host supports `$features`.
+            #[target_feature(enable = $features)]
+            pub(super) unsafe fn $name(
+                state: &CompressedState,
+                block: &PointBlock,
+                scratch: &mut Scratch,
+                out: &mut [f64],
+                sink: impl FnMut(ChunkCounts),
+            ) {
+                span(state, block, scratch, out, sink, |t, m, row, o, stride| {
+                    // SAFETY: this entry's caller vouched for the features.
+                    unsafe { accum_strips::<$isa>(t, m, row, o, stride) }
+                })
+            }
+        };
+    }
+    entry!(span_avx, "avx", Ymm<false>);
+    entry!(span_avx2, "avx2,fma", Ymm<true>);
+    entry!(span_avx512, "avx512f", Zmm);
 }
 
-/// Processes points `lo..hi` of `block`, writing `out[k·ndofs ..]` for
-/// the `k`-th point of the span, and hands each chunk's [`ChunkCounts`]
-/// to `sink`. Shared core of every batch variant — the only basis fill
-/// and chain walk in the repository. With a no-op sink the counters are
-/// dead stores the compiler drops, so the un-observed path pays nothing.
-#[allow(clippy::too_many_arguments)]
-fn batch_span(
-    kernel: KernelKind,
+/// Bit `k` ⇔ `v[k] != 0.0` (`v.len() ≤ 64`). NaN compares unequal, so a
+/// NaN lane is alive; a product that underflowed to zero is not.
+#[inline(always)]
+fn alive(v: &[f64]) -> u64 {
+    let mut mask = 0u64;
+    for (k, &x) in v.iter().enumerate() {
+        mask |= ((x != 0.0) as u64) << k;
+    }
+    mask
+}
+
+/// Evaluates `block` chunk by chunk, writing `out[k·ndofs ..]` for point
+/// `k`, and hands each chunk's [`ChunkCounts`] to `sink`. Shared body of
+/// every batch variant — the only basis fill and chain walk in the
+/// repository — inlined into one entry per kernel, so each pass below is
+/// compiled for that kernel's instruction set and `accum` is a direct,
+/// inlined call. With a no-op sink the counters are dead stores the
+/// compiler drops, so the un-observed path pays nothing.
+#[inline(always)]
+fn span(
     state: &CompressedState,
     block: &PointBlock,
-    lo: usize,
-    hi: usize,
     scratch: &mut Scratch,
     out: &mut [f64],
     mut sink: impl FnMut(ChunkCounts),
+    accum: impl Fn(&[f64], u64, &[f64], &mut [f64], usize),
 ) {
-    let accum = accum_for(kernel);
     let cg = &state.grid;
     let ndofs = state.ndofs;
-    debug_assert_eq!(out.len(), (hi - lo) * ndofs);
     let xps = cg.xps();
     let nfreq = cg.nfreq();
     let chains = cg.chains();
     let surplus = &state.surplus;
     out.fill(0.0);
 
-    let mut at = lo;
-    while at < hi {
-        let chunk = (hi - at).min(BATCH_CHUNK);
-        let (xpvb, temps, colmask) = scratch.prepare_batch(xps.len(), chunk);
-        let full = if chunk == 64 {
-            u64::MAX
-        } else {
-            (1u64 << chunk) - 1
-        };
+    let mut at = 0;
+    while at < block.len() {
+        let chunk = (block.len() - at).min(BATCH_CHUNK);
+        let (xpvb, temps, colmask, survivors) = scratch.prepare_batch(xps.len(), chunk, cg.nno());
+        let full = u64::MAX >> (64 - chunk);
 
         // Loop 1, blocked: basis values of every xps entry at every point
         // of the chunk. Entry-major so the chain walk reads contiguous
         // point columns; the per-entry coordinate gather is a contiguous
-        // slice of the SoA block. Each entry's nonzero-lane mask is built
-        // in the same pass — the chain pruning index of loop 2.
+        // slice of the SoA block. Each entry's nonzero-lane mask — the
+        // chain pruning index of the bound pass — comes with it.
         for (e, entry) in xps.iter().enumerate() {
             let xs = &block.column(entry.index as usize)[at..at + chunk];
             let slot = &mut xpvb[e * chunk..(e + 1) * chunk];
-            let mut m = 0u64;
-            for k in 0..chunk {
-                let v = linear_basis(xs[k], entry.l, entry.i).max(0.0);
-                slot[k] = v;
-                m |= ((v != 0.0) as u64) << k;
+            for (v, &x) in slot.iter_mut().zip(xs) {
+                *v = linear_basis(x, entry.l, entry.i).max(0.0);
             }
-            colmask[e] = m;
+            colmask[e] = alive(slot);
         }
-        colmask[0] = full; // the sentinel evaluates to 1 everywhere
+        // The sentinel is 1 on every lane, whatever coordinate 0 holds:
+        // an all-sentinel chain (the root) reads this column as its
+        // product.
+        xpvb[..chunk].fill(1.0);
+        colmask[0] = full;
 
-        // Loop 2, blocked over points: every chain is walked once per
-        // chunk. The AND of its factors' column masks bounds the alive
-        // lanes from above, so a chain whose support misses the whole
-        // chunk — the overwhelmingly common case on sparse grids — costs
-        // a few u64 ANDs and no floating-point work at all. Surviving
-        // chains compute the exact products: the vector starts as the
-        // first factor column (`1·x ≡ x`, so this is bitwise the
-        // single-point walk) and multiplies the remaining factors
-        // unconditionally — a dead lane's zero just propagates
-        // (`0 · finite = 0`, the value the single-point early exit
-        // produces), keeping the loop branch-free and vectorizable.
+        // Bound pass, branch-free: the AND of a chain's column masks
+        // bounds its alive lanes from above (padding slots index the
+        // sentinel, whose mask is `full`, so no length is needed), and a
+        // chain whose support misses the whole chunk — the overwhelmingly
+        // common case on sparse grids — ends here. (NaN factors set their
+        // column-mask bits, so NaN lanes are never pruned.)
+        let mut kept = 0;
+        for (p, chain) in chains.chunks_exact(nfreq).enumerate() {
+            let mut bound = full;
+            for &idx in chain {
+                bound &= colmask[idx as usize];
+            }
+            survivors[kept] = p as u32;
+            kept += (bound != 0) as usize;
+        }
+
+        // Products and accumulation, over the survivors only.
         let mut counts = ChunkCounts {
             chunk,
             ..ChunkCounts::default()
         };
-        {
-            for (p, chain) in chains.chunks_exact(nfreq).enumerate() {
-                // Chain length: position of the 0 terminator. The typical
-                // grid has nfreq ≤ 2, so the product below is one fused
-                // pass over the chunk (multiply + aliveness reduction),
-                // not a copy + multiply + scan triple.
-                let len = chain.iter().position(|&i| i == 0).unwrap_or(nfreq);
-                let mut bound = full;
-                for &idx in &chain[..len] {
-                    bound &= colmask[idx as usize];
+        let o = at * ndofs;
+        let out_chunk = &mut out[o..o + chunk * ndofs];
+        for &p in &survivors[..kept] {
+            let p = p as usize;
+            let chain = &chains[p * nfreq..(p + 1) * nfreq];
+            let len = chain.iter().position(|&i| i == 0).unwrap_or(nfreq);
+            counts.factor_cols += len.max(1);
+            let col = |idx: u32| &xpvb[idx as usize * chunk..][..chunk];
+            // The product vector starts as the first factor column
+            // (`1·x ≡ x`, so this is bitwise the single-point walk) and
+            // multiplies the remaining factors left to right,
+            // unconditionally — a dead lane's zero just propagates
+            // (`0 · finite = 0`, the value the single-point early exit
+            // produces). A chain of at most one factor *is* its column,
+            // alive mask included; a longer one rebuilds the mask from
+            // its products, which can underflow to zero on a lane the
+            // bound kept.
+            let (product, mask) = if len <= 1 {
+                (col(chain[0]), colmask[chain[0] as usize])
+            } else {
+                for ((t, a), b) in temps.iter_mut().zip(col(chain[0])).zip(col(chain[1])) {
+                    *t = a * b;
                 }
-                if bound == 0 {
-                    // Some factor is zero on every lane ⇒ every product
-                    // is zero ⇒ the single-point kernel would skip every
-                    // point of the chunk too. (NaN factors set their
-                    // column-mask bits, so NaN lanes are never pruned.)
-                    continue;
-                }
-                counts.factor_cols += len.max(1);
-                // The alive mask (bit k ⇔ `temps[k] != 0.0`) is rebuilt
-                // exactly from the products — a product can still
-                // underflow to zero on a lane the bound kept.
-                let mut mask = 0u64;
-                match len {
-                    0 => {
-                        // All-sentinel chain (the root): product is 1.
-                        temps[..chunk].fill(1.0);
-                        mask = full;
-                    }
-                    1 => {
-                        let c0 = &xpvb[chain[0] as usize * chunk..][..chunk];
-                        for k in 0..chunk {
-                            let v = c0[k];
-                            temps[k] = v;
-                            mask |= ((v != 0.0) as u64) << k;
-                        }
-                    }
-                    2 => {
-                        let c0 = &xpvb[chain[0] as usize * chunk..][..chunk];
-                        let c1 = &xpvb[chain[1] as usize * chunk..][..chunk];
-                        for k in 0..chunk {
-                            let v = c0[k] * c1[k];
-                            temps[k] = v;
-                            mask |= ((v != 0.0) as u64) << k;
-                        }
-                    }
-                    _ => {
-                        let c0 = &xpvb[chain[0] as usize * chunk..][..chunk];
-                        let c1 = &xpvb[chain[1] as usize * chunk..][..chunk];
-                        for k in 0..chunk {
-                            temps[k] = c0[k] * c1[k];
-                        }
-                        for &idx in &chain[2..len - 1] {
-                            let col = &xpvb[idx as usize * chunk..][..chunk];
-                            for (t, &v) in temps[..chunk].iter_mut().zip(col) {
-                                *t *= v;
-                            }
-                        }
-                        let last = &xpvb[chain[len - 1] as usize * chunk..][..chunk];
-                        for k in 0..chunk {
-                            let w = temps[k] * last[k];
-                            temps[k] = w;
-                            mask |= ((w != 0.0) as u64) << k;
-                        }
+                for &idx in &chain[2..len] {
+                    for (t, v) in temps.iter_mut().zip(col(idx)) {
+                        *t *= v;
                     }
                 }
-                // Chains dead for the whole chunk (the common case on
-                // sparse grids — most grid functions' supports miss most
-                // points) skip the accumulator entirely.
-                if mask == 0 {
-                    continue;
-                }
-                counts.rows_touched += 1;
-                counts.alive_pairs += mask.count_ones() as usize;
-                // The surplus row is resident for every alive lane's
-                // accumulation; dead points are not even visited, as in
-                // the single-point kernel's skip. One accumulator call
-                // covers the whole chunk.
-                let row = &surplus[p * ndofs..(p + 1) * ndofs];
-                let o = (at - lo) * ndofs;
-                accum(
-                    &temps[..chunk],
-                    mask,
-                    row,
-                    &mut out[o..o + chunk * ndofs],
-                    ndofs,
-                );
+                (&*temps, alive(temps))
+            };
+            if mask == 0 {
+                continue;
             }
+            counts.rows_touched += 1;
+            counts.alive_pairs += mask.count_ones() as usize;
+            accum(
+                product,
+                mask,
+                &surplus[p * ndofs..(p + 1) * ndofs],
+                out_chunk,
+                ndofs,
+            );
         }
         sink(counts);
         at += chunk;
     }
 }
 
-/// Validates the shared preconditions of every batch entry point.
-fn check_batch(state: &CompressedState, block: &PointBlock, out: &[f64]) {
-    assert_eq!(block.dim(), state.grid.dim(), "point/grid dim mismatch");
-    assert_eq!(
-        out.len(),
-        block.len() * state.ndofs,
-        "output must be npts × ndofs"
-    );
-}
-
-/// The chunk accumulator of `kernel`'s batch variant, falling back to
-/// the portable lane implementation of the same width when the CPU lacks
-/// the feature (mirroring the single-point kernels' substitution table).
-fn accum_for(kernel: KernelKind) -> RowAccum {
-    match (kernel, kernel.native()) {
-        (KernelKind::Gold, _) => panic!("gold kernel requires DenseState"),
-        (KernelKind::X86, _) => accum_scalar,
-        (KernelKind::Avx, true) => accum_avx_safe,
-        (KernelKind::Avx2, true) => accum_avx2_safe,
-        (KernelKind::Avx512, true) => accum_avx512_safe,
-        (KernelKind::Avx | KernelKind::Avx2, false) => accum_lanes::<4>,
-        (KernelKind::Avx512, false) => accum_lanes::<8>,
-    }
-}
-
 /// `kernel`'s batch walk over the whole block, whatever its width,
-/// handing each chunk's [`ChunkCounts`] to `sink` in chunk order.
+/// handing each chunk's [`ChunkCounts`] to `sink` in chunk order. A
+/// vector kernel the host lacks falls back to the portable lane
+/// accumulator of the same width (mirroring the single-point kernels'
+/// substitution table).
 pub(crate) fn walk(
     kernel: KernelKind,
     state: &CompressedState,
@@ -545,8 +579,29 @@ pub(crate) fn walk(
     out: &mut [f64],
     sink: impl FnMut(ChunkCounts),
 ) {
-    check_batch(state, block, out);
-    batch_span(kernel, state, block, 0, block.len(), scratch, out, sink);
+    assert_eq!(block.dim(), state.grid.dim(), "point/grid dim mismatch");
+    assert_eq!(
+        out.len(),
+        block.len() * state.ndofs,
+        "output must be npts × ndofs"
+    );
+    match (kernel, kernel.native()) {
+        (KernelKind::Gold, _) => panic!("gold kernel requires DenseState"),
+        (KernelKind::X86, _) => span(state, block, scratch, out, sink, accum_scalar),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `native()` detected `avx`.
+        (KernelKind::Avx, true) => unsafe { isa::span_avx(state, block, scratch, out, sink) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `native()` detected `avx2` and `fma`.
+        (KernelKind::Avx2, true) => unsafe { isa::span_avx2(state, block, scratch, out, sink) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `native()` detected `avx512f`.
+        (KernelKind::Avx512, true) => unsafe { isa::span_avx512(state, block, scratch, out, sink) },
+        (KernelKind::Avx | KernelKind::Avx2, _) => {
+            span(state, block, scratch, out, sink, accum_lanes::<4>)
+        }
+        (KernelKind::Avx512, _) => span(state, block, scratch, out, sink, accum_lanes::<8>),
+    }
 }
 
 /// `kernel`'s batch walk over the whole block, returning one

@@ -101,8 +101,8 @@ impl CompressedState {
 /// Reusable per-thread evaluation scratch. Sized for the largest state it
 /// has seen; the `xpv` array is the cache/shared-memory resident working
 /// set the compression was designed around. The batch kernels keep their
-/// entry-major `xpv` block and chain-product vector here too, sized once
-/// per block — never reallocated per point.
+/// entry-major `xpv` block, chain-product vector and surviving-chain list
+/// here too, sized once per block — never reallocated per point.
 #[derive(Clone, Debug, Default)]
 pub struct Scratch {
     /// Clamped 1-D basis values, one per `xps` entry.
@@ -114,10 +114,12 @@ pub struct Scratch {
     temps: Vec<f64>,
     /// Per-xps-entry nonzero-lane masks (`nxps`), the chain pruning index.
     colmask: Vec<u64>,
+    /// Chains the column-mask bound kept for the current chunk (`nno`).
+    survivors: Vec<u32>,
     /// High-water marks of the batch buffers, asserting that capacity is
     /// monotone across the chunks of a batch (a shrink would mean a
     /// reallocation snuck back into the hot loop).
-    watermark: (usize, usize),
+    watermark: (usize, usize, usize),
 }
 
 impl Scratch {
@@ -131,19 +133,25 @@ impl Scratch {
     }
 
     /// Ensures batch capacity for `nxps` unique elements × a chunk of
-    /// `chunk` points, returning the `(xpv_block, temps, colmask)`
-    /// triple. Buffers only ever grow — sized by the first (largest)
-    /// chunk of a batch, then reused; the debug assertion fires if a
-    /// request at or below the high-water mark ever reallocates, i.e. if
-    /// per-chunk reallocation sneaks back into the hot loop.
+    /// `chunk` points over `nno` chains, returning the `(xpv_block,
+    /// temps, colmask, survivors)` buffers. Buffers only ever grow —
+    /// sized by the first (largest) chunk of a batch, then reused; the
+    /// debug assertion fires if a request at or below the high-water
+    /// mark ever reallocates, i.e. if per-chunk reallocation sneaks back
+    /// into the hot loop.
     #[inline]
     pub fn prepare_batch(
         &mut self,
         nxps: usize,
         chunk: usize,
-    ) -> (&mut [f64], &mut [f64], &mut [u64]) {
+        nno: usize,
+    ) -> (&mut [f64], &mut [f64], &mut [u64], &mut [u32]) {
         #[cfg(debug_assertions)]
-        let caps = (self.xpv_block.capacity(), self.temps.capacity());
+        let caps = (
+            self.xpv_block.capacity(),
+            self.temps.capacity(),
+            self.survivors.capacity(),
+        );
         if self.xpv_block.len() < nxps * chunk {
             self.xpv_block.resize(nxps * chunk, 0.0);
         }
@@ -152,6 +160,9 @@ impl Scratch {
         }
         if self.colmask.len() < nxps {
             self.colmask.resize(nxps, 0);
+        }
+        if self.survivors.len() < nno {
+            self.survivors.resize(nno, 0);
         }
         #[cfg(debug_assertions)]
         {
@@ -163,15 +174,21 @@ impl Scratch {
                 chunk > self.watermark.1 || self.temps.capacity() == caps.1,
                 "temps reallocated below their high-water mark"
             );
+            debug_assert!(
+                nno > self.watermark.2 || self.survivors.capacity() == caps.2,
+                "survivor list reallocated below its high-water mark"
+            );
         }
         self.watermark = (
             self.watermark.0.max(nxps * chunk),
             self.watermark.1.max(chunk),
+            self.watermark.2.max(nno),
         );
         (
             &mut self.xpv_block[..nxps * chunk],
             &mut self.temps[..chunk],
             &mut self.colmask[..nxps],
+            &mut self.survivors[..nno],
         )
     }
 }

@@ -1,13 +1,13 @@
-//! Multi-state batched evaluation.
+//! The per-shock interpolants of one policy.
 //!
 //! When solving the equilibrium system at a point, the time iteration has
 //! to "interpolate on the policy functions of all the Ns = 16 states from
 //! the previous iteration step at once" (Sec. IV) — the same coordinate
 //! `x'` is evaluated on every discrete state's ASG. This type owns one
-//! [`CompressedState`] per discrete shock and evaluates them in one call,
-//! reusing scratch.
+//! [`CompressedState`] per discrete shock; callers evaluate a state at a
+//! point through [`MultiState::evaluate_one`] and at a block through the
+//! batch walk on [`MultiState::state`].
 
-use crate::batch::PointBlock;
 use crate::data::{CompressedState, Scratch};
 use crate::KernelKind;
 
@@ -59,22 +59,6 @@ impl MultiState {
         self.states.iter().map(|s| s.grid.nno()).collect()
     }
 
-    /// Evaluates every state's interpolant at the same unit-cube `x`,
-    /// writing state `z`'s result into `out[z·ndofs .. (z+1)·ndofs]`.
-    pub fn evaluate_all(
-        &self,
-        kernel: KernelKind,
-        x: &[f64],
-        scratch: &mut Scratch,
-        out: &mut [f64],
-    ) {
-        assert_eq!(out.len(), self.ndofs * self.states.len());
-        for (z, state) in self.states.iter().enumerate() {
-            let slot = &mut out[z * self.ndofs..(z + 1) * self.ndofs];
-            kernel.evaluate_compressed(state, x, scratch, slot);
-        }
-    }
-
     /// Evaluates a single state at `x`.
     pub fn evaluate_one(
         &self,
@@ -85,42 +69,6 @@ impl MultiState {
         out: &mut [f64],
     ) {
         kernel.evaluate_compressed(&self.states[z], x, scratch, out);
-    }
-
-    /// Evaluates a single state's interpolant at a whole [`PointBlock`]
-    /// (`out` is point-major `npts × ndofs`) — the batched counterpart of
-    /// [`Self::evaluate_one`], bitwise equal to looping it per point.
-    pub fn evaluate_one_batch(
-        &self,
-        kernel: KernelKind,
-        z: usize,
-        block: &PointBlock,
-        scratch: &mut Scratch,
-        out: &mut [f64],
-    ) {
-        kernel.evaluate_compressed_batch(&self.states[z], block, scratch, out);
-    }
-
-    /// Evaluates every state's interpolant at the same [`PointBlock`]:
-    /// state `z`'s rows land at
-    /// `out[z·npts·ndofs .. (z+1)·npts·ndofs]` (point-major within each
-    /// state). One chain walk per state per block instead of one per
-    /// state per point.
-    pub fn evaluate_all_batch(
-        &self,
-        kernel: KernelKind,
-        block: &PointBlock,
-        scratch: &mut Scratch,
-        out: &mut [f64],
-    ) {
-        let span = block.len() * self.ndofs;
-        assert_eq!(out.len(), span * self.states.len());
-        if span == 0 {
-            return;
-        }
-        for (z, slot) in out.chunks_exact_mut(span).enumerate() {
-            kernel.evaluate_compressed_batch(&self.states[z], block, scratch, slot);
-        }
     }
 }
 
@@ -140,29 +88,17 @@ mod tests {
     }
 
     #[test]
-    fn evaluates_all_states_at_once() {
+    fn evaluates_each_state_at_the_same_point() {
         let ms = MultiState::new(vec![state_for(0.0), state_for(1.0), state_for(2.0)]);
         assert_eq!(ms.num_states(), 3);
         let mut scratch = Scratch::default();
-        let mut out = vec![0.0; 3 * 2];
+        let mut out = vec![0.0; 2];
         let x = [0.5, 0.5, 0.5];
-        ms.evaluate_all(KernelKind::X86, &x, &mut scratch, &mut out);
         for z in 0..3 {
-            assert!((out[z * 2] - (0.5 + z as f64)).abs() < 1e-12);
-            assert!((out[z * 2 + 1] - (0.25 - z as f64)).abs() < 1e-12);
+            ms.evaluate_one(KernelKind::X86, z, &x, &mut scratch, &mut out);
+            assert!((out[0] - (0.5 + z as f64)).abs() < 1e-12);
+            assert!((out[1] - (0.25 - z as f64)).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn single_state_access_matches_batch() {
-        let ms = MultiState::new(vec![state_for(0.5), state_for(-0.5)]);
-        let mut scratch = Scratch::default();
-        let x = [0.3, 0.7, 0.1];
-        let mut batch = vec![0.0; 4];
-        ms.evaluate_all(KernelKind::Avx2, &x, &mut scratch, &mut batch);
-        let mut single = vec![0.0; 2];
-        ms.evaluate_one(KernelKind::Avx2, 1, &x, &mut scratch, &mut single);
-        assert_eq!(&batch[2..], single.as_slice());
     }
 
     #[test]

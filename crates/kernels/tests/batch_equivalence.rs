@@ -8,7 +8,9 @@
 //!
 //! across block sizes `npts ∈ {1, 7, 64}` (covering a degenerate block,
 //! an uneven chunk tail, and a full chunk) and a ragged `ndofs` that
-//! exercises the vector kernels' remainder paths.
+//! exercises the vector kernels' remainder paths; then across every
+//! register-strip shape and chunk edge, on the blocks whose alive masks
+//! are hardest to get right, and against a golden [`ChunkCounts`] vector.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -78,6 +80,58 @@ fn batch_fn(
     batch::interpolate_batch(kind, state, block, scratch, out)
 }
 
+/// Every kernel's batch walk over `rows` equals its single-point function
+/// bitwise and — with `dense` given — the `gold` baseline to [`TOL`];
+/// returns the per-chunk counts, which no kernel may report differently.
+fn assert_block_matches(
+    state: &CompressedState,
+    dense: Option<&DenseState>,
+    rows: &[f64],
+) -> Vec<ChunkCounts> {
+    let (dim, ndofs) = (state.grid.dim(), state.ndofs);
+    let npts = rows.len() / dim;
+    let block = PointBlock::from_rows(dim, rows);
+    let mut scratch = Scratch::default();
+    let mut want_gold = vec![0.0; ndofs];
+    let mut want_single = vec![0.0; ndofs];
+    let mut counts: Option<Vec<ChunkCounts>> = None;
+    for (kind, single_fn) in VARIANTS {
+        let name = kind.name();
+        let mut got = vec![0.0; npts * ndofs];
+        let got_counts = batch_fn(kind, state, &block, &mut scratch, &mut got);
+        assert_eq!(
+            counts.get_or_insert_with(|| got_counts.clone()),
+            &got_counts,
+            "{name} ndofs={ndofs} npts={npts}: counts differ between kernels"
+        );
+        for p in 0..npts {
+            let x = &rows[p * dim..(p + 1) * dim];
+            single_fn(state, x, &mut scratch, &mut want_single);
+            let row = &got[p * ndofs..(p + 1) * ndofs];
+            if let Some(dense) = dense {
+                gold::interpolate(dense, x, &mut want_gold);
+                for k in 0..ndofs {
+                    assert!(
+                        (row[k] - want_gold[k]).abs() < TOL,
+                        "{name} ndofs={ndofs} npts={npts} point {p} dof {k} vs gold: {} vs {}",
+                        row[k],
+                        want_gold[k]
+                    );
+                }
+            }
+            for k in 0..ndofs {
+                assert_eq!(
+                    row[k].to_bits(),
+                    want_single[k].to_bits(),
+                    "{name} ndofs={ndofs} npts={npts} point {p} dof {k}: batch must be \
+                     bitwise equal to the single-point kernel"
+                );
+            }
+        }
+    }
+    counts.expect("VARIANTS is not empty")
+}
+
 #[test]
 fn batched_kernels_match_gold_and_single_point() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xBA7C4);
@@ -87,39 +141,128 @@ fn batched_kernels_match_gold_and_single_point() {
         let surplus = random_surplus(&grid, ndofs, &mut rng);
         let dense = DenseState::new(&grid, surplus.clone(), ndofs);
         let state = CompressedState::new(&grid, &surplus, ndofs);
-        let mut scratch = Scratch::default();
         for npts in [1usize, 7, 64] {
             let rows = random_block(dim, npts, &mut rng);
-            let block = PointBlock::from_rows(dim, &rows);
-            let mut want_gold = vec![0.0; ndofs];
-            let mut want_single = vec![0.0; ndofs];
-            for (kind, single_fn) in VARIANTS {
-                let name = kind.name();
-                let mut got = vec![0.0; npts * ndofs];
-                batch_fn(kind, &state, &block, &mut scratch, &mut got);
-                for p in 0..npts {
-                    let x = &rows[p * dim..(p + 1) * dim];
-                    gold::interpolate(&dense, x, &mut want_gold);
-                    single_fn(&state, x, &mut scratch, &mut want_single);
-                    let row = &got[p * ndofs..(p + 1) * ndofs];
-                    for k in 0..ndofs {
-                        assert!(
-                            (row[k] - want_gold[k]).abs() < TOL,
-                            "{name} npts={npts} point {p} dof {k} vs gold: {} vs {}",
-                            row[k],
-                            want_gold[k]
-                        );
-                        assert_eq!(
-                            row[k].to_bits(),
-                            want_single[k].to_bits(),
-                            "{name} npts={npts} point {p} dof {k}: batch must be \
-                             bitwise equal to the single-point kernel"
-                        );
-                    }
-                }
-            }
+            assert_block_matches(&state, Some(&dense), &rows);
         }
     }
+}
+
+/// The strip accumulators hold 16 (4-wide kernels) or 32 (8-wide) doubles
+/// of a surplus row in registers: `ndofs` below, at and past one register,
+/// one strip and several strips, each with and without a ragged tail,
+/// against chunks one short of full, full, one over and two-and-a-bit.
+#[test]
+fn every_strip_shape_and_chunk_edge_matches_gold_and_single_point() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x57A1B);
+    let grid = random_grid(3, 60, &mut rng);
+    for ndofs in [3usize, 4, 8, 12, 16, 17, 23, 37, 118] {
+        let surplus = random_surplus(&grid, ndofs, &mut rng);
+        let dense = DenseState::new(&grid, surplus.clone(), ndofs);
+        let state = CompressedState::new(&grid, &surplus, ndofs);
+        for npts in [1usize, 7, 63, 64, 65, 130] {
+            let rows = random_block(3, npts, &mut rng);
+            assert_block_matches(&state, Some(&dense), &rows);
+        }
+    }
+}
+
+/// A factor that is exactly 0 on some lanes (a coordinate on a knot), a
+/// NaN coordinate (every factor of its dimension clamps to 0) between
+/// dead lanes, and a chunk whose every lane is dead for most chains: the
+/// column-mask bound, the exact alive mask and the single-point early
+/// exit must agree lane for lane.
+#[test]
+fn knot_nan_and_all_dead_lanes_match_the_single_point_skip() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xDEAD);
+    let dim = 4;
+    let grid = random_grid(dim, 150, &mut rng);
+    let ndofs = 9;
+    let surplus = random_surplus(&grid, ndofs, &mut rng);
+    let dense = DenseState::new(&grid, surplus.clone(), ndofs);
+    let state = CompressedState::new(&grid, &surplus, ndofs);
+
+    // Every third lane sits on level-2..4 knots in one or all dimensions.
+    let mut rows = random_block(dim, 70, &mut rng);
+    for (p, x) in rows.chunks_exact_mut(dim).enumerate() {
+        match p % 6 {
+            0 => x[p % dim] = [0.0, 0.25, 0.5, 0.75, 1.0][p % 5],
+            3 => x.fill([0.5, 0.125, 0.875][p % 3]),
+            _ => {}
+        }
+    }
+    assert_block_matches(&state, Some(&dense), &rows);
+
+    // NaN lanes beside lanes the knots kill; `gold` has no defined value
+    // at NaN, the single-point kernels do.
+    for p in [1usize, 8, 63, 64, 69] {
+        rows[p * dim + p % dim] = f64::NAN;
+    }
+    assert_block_matches(&state, None, &rows);
+
+    // One corner cell: every chain whose support lies elsewhere is dead
+    // on all 64 lanes, so few rows are touched and those on every lane.
+    let corner: Vec<f64> = random_block(dim, BATCH_CHUNK, &mut rng)
+        .iter()
+        .map(|u| u / 64.0)
+        .collect();
+    let counts = assert_block_matches(&state, Some(&dense), &corner);
+    assert!(
+        counts[0].rows_touched * 4 < state.grid.nno(),
+        "{:?} of {} rows",
+        counts[0],
+        state.grid.nno()
+    );
+    assert_eq!(counts[0].alive_pairs, counts[0].rows_touched * BATCH_CHUNK);
+}
+
+/// A chain product can underflow to exactly 0.0 on a lane where no factor
+/// is 0 — the bound keeps the lane, the exact mask must clear it, as the
+/// single-point early exit does. 21 factors of 2⁻⁵³ do it (20 are still a
+/// subnormal); the row is infinite so an unskipped lane would read NaN.
+#[test]
+fn an_underflowed_product_clears_the_lane_the_bound_kept() {
+    let dim = 21;
+    let mut grid = SparseGrid::new(dim);
+    grid.insert(NodeKey::root());
+    grid.insert(NodeKey::from_coords((0..dim as u16).map(|d| ActiveCoord {
+        dim: d,
+        level: 2,
+        index: 0,
+    })));
+    let ndofs = 5;
+    let mut surplus = vec![1.0; 2 * ndofs];
+    surplus[ndofs..].fill(f64::INFINITY);
+    let state = CompressedState::new(&grid, &surplus, ndofs);
+
+    // φ_{2,0}(x) = 1 − 2x: 2⁻⁵³ just left of the knot, ½ at ¼, 0 past ½.
+    let tiny = 0.5 - f64::EPSILON / 4.0;
+    let mut rows = Vec::new();
+    for p in 0..9 {
+        rows.extend(std::iter::repeat_n([tiny, 0.25, 0.75][p % 3], dim));
+    }
+    let counts = assert_block_matches(&state, None, &rows);
+    let mut out = vec![0.0; 9 * ndofs];
+    KernelKind::Avx2.evaluate_compressed_batch(
+        &state,
+        &PointBlock::from_rows(dim, &rows),
+        &mut Scratch::default(),
+        &mut out,
+    );
+    for (p, row) in out.chunks_exact(ndofs).enumerate() {
+        let want = if p % 3 == 1 { f64::INFINITY } else { 1.0 };
+        assert!(row.iter().all(|&v| v == want), "point {p}: {row:?}");
+    }
+    // The root on all nine lanes, the deep node on the three ¼-lanes only.
+    assert_eq!(
+        counts,
+        [ChunkCounts {
+            chunk: 9,
+            factor_cols: 1 + dim,
+            rows_touched: 2,
+            alive_pairs: 9 + 3,
+        }]
+    );
 }
 
 #[test]
@@ -148,7 +291,7 @@ fn kernel_kind_batch_dispatch_matches_variants() {
 /// surpluses are far larger than cache (each side of 100 k nodes). There
 /// is no width below which the dispatch entry switches paths.
 #[test]
-fn dispatch_below_the_crossover_is_bitwise_equal_to_both_paths() {
+fn one_to_three_point_blocks_equal_the_single_point_kernels_on_small_and_large_grids() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xC705);
     let small = random_grid(3, 90, &mut rng);
     let large = hddm_asg::regular_grid(43, 4);
@@ -226,4 +369,33 @@ fn chunk_counts_are_per_chunk_bounded_and_kernel_independent() {
             assert_eq!(got, want, "{kind:?} npts={npts}");
         }
     }
+}
+
+/// The per-chunk counts `hddm-gpu` prices, pinned for one seeded grid and
+/// block (captured before the walk compacted its survivors into a list):
+/// a change to how chains are pruned or lanes masked must not move the
+/// modeled device cost unnoticed.
+#[test]
+fn chunk_counts_equal_the_golden_vector() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x601D);
+    let grid = random_grid(5, 180, &mut rng);
+    let ndofs = 6;
+    let surplus = random_surplus(&grid, ndofs, &mut rng);
+    let state = CompressedState::new(&grid, &surplus, ndofs);
+    let rows = random_block(5, 2 * BATCH_CHUNK + 11, &mut rng);
+    let counts = assert_block_matches(&state, None, &rows);
+    let golden = [
+        (64, 2209, 980, 7771),
+        (64, 2121, 949, 7615),
+        (11, 1300, 613, 1329),
+    ];
+    let want = golden.map(
+        |(chunk, factor_cols, rows_touched, alive_pairs)| ChunkCounts {
+            chunk,
+            factor_cols,
+            rows_touched,
+            alive_pairs,
+        },
+    );
+    assert_eq!(counts, want, "nno = {}", state.grid.nno());
 }
