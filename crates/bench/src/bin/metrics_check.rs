@@ -29,6 +29,9 @@ const SWEEP_COUNTERS: &[&str] = &[
     "hddm_cache_disk_hits_total",
     "hddm_solve_oracle_blocks_total",
     "hddm_solve_oracle_points_total",
+    "hddm_solve_residual_rows_total",
+    "hddm_solve_jacobians_total",
+    "hddm_solve_newton_iterations_total",
 ];
 const SWEEP_GAUGES: &[&str] = &[
     "hddm_cache_entries",

@@ -113,9 +113,10 @@ pub struct DriverConfig {
     /// Convergence tolerance on the sup policy change.
     pub tolerance: f64,
     /// Telemetry registry receiving per-phase span timings
-    /// (`hddm_solve_*_seconds`) and the point solver's oracle traffic
-    /// (`hddm_solve_oracle_{blocks,points}_total`); `None` disables both
-    /// entirely.
+    /// (`hddm_solve_*_seconds`), the point solver's oracle traffic
+    /// (`hddm_solve_oracle_{blocks,points}_total`) and its work
+    /// (`hddm_solve_{residual_rows,jacobians,newton_iterations}_total`);
+    /// `None` disables all of it.
     pub telemetry: Option<Registry>,
 }
 
@@ -561,9 +562,12 @@ fn solve_frontier<M: StepModel>(
     let warm_rows = evaluate_pnext(policy, config, z, &units);
     let rows = DisjointRows::zeros(points.len(), ndofs);
     let failure_count = AtomicUsize::new(0);
-    let traffic = config.telemetry.as_ref().map(|registry| OracleCounters {
+    let work = config.telemetry.as_ref().map(|registry| WorkCounters {
         blocks: registry.counter("hddm_solve_oracle_blocks_total"),
         points: registry.counter("hddm_solve_oracle_points_total"),
+        residual_rows: registry.counter("hddm_solve_residual_rows_total"),
+        jacobians: registry.counter("hddm_solve_jacobians_total"),
+        newton_iterations: registry.counter("hddm_solve_newton_iterations_total"),
     });
 
     // Every thread gets work on small frontiers; no slice is wider than
@@ -642,10 +646,14 @@ fn solve_frontier<M: StepModel>(
             for (i, row) in worker.solved.chunks_exact(ndofs).enumerate() {
                 rows.write_row(lo + i, row);
             }
-            if let Some(counters) = &traffic {
-                let tally = worker.oracle.take_traffic();
-                counters.blocks.add(tally.blocks);
-                counters.points.add(tally.points);
+            if let Some(counters) = &work {
+                let traffic = worker.oracle.take_traffic();
+                counters.blocks.add(traffic.blocks);
+                counters.points.add(traffic.points);
+                let tally = worker.scratch.take_tally();
+                counters.residual_rows.add(tally.residual_rows);
+                counters.jacobians.add(tally.jacobians);
+                counters.newton_iterations.add(tally.newton_iterations);
             }
         },
     );
@@ -671,10 +679,14 @@ struct SliceWorker<'a> {
     retry_rows: Vec<f64>,
 }
 
-/// The registry's oracle-traffic counters, resolved once per frontier.
-struct OracleCounters {
+/// The registry's counters of a frontier's work — oracle traffic and the
+/// point solver's tally — resolved once per frontier.
+struct WorkCounters {
     blocks: Arc<Counter>,
     points: Arc<Counter>,
+    residual_rows: Arc<Counter>,
+    jacobians: Arc<Counter>,
+    newton_iterations: Arc<Counter>,
 }
 
 /// Incremental hierarchization of one state's grid within one

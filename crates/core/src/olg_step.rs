@@ -70,20 +70,10 @@ impl StepModel for OlgStep {
         scratch: &mut PointScratch,
         rows: &mut [f64],
     ) -> Vec<Result<(), SolverError>> {
-        let solved = self
-            .model
-            .solve_points(z, xs_phys, warm, oracle, scratch, &self.newton);
-        solved
-            .into_iter()
-            .zip(rows.chunks_exact_mut(self.model.ndofs()))
-            .map(|(solution, row)| {
-                let solution = solution?;
-                let (savings, values) = row.split_at_mut(solution.savings.len());
-                savings.copy_from_slice(&solution.savings);
-                values.copy_from_slice(&solution.values);
-                Ok(())
-            })
-            .collect()
+        let reports =
+            self.model
+                .solve_points(z, xs_phys, warm, oracle, scratch, &self.newton, rows);
+        reports.into_iter().map(|report| report.map(drop)).collect()
     }
 }
 

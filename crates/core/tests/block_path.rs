@@ -5,7 +5,9 @@
 //! of the benchmark's `TracedStep`) gets the provided loop, in which every
 //! oracle call is a single point. Both must build the same policies bit
 //! for bit, whatever the thread count — and so must a block solve and a
-//! loop of point solves against the same `AsgOracle`, for every kernel.
+//! loop of point solves against the same `AsgOracle`, for every kernel —
+//! in every exponent class of the CRRA kernel (`γ` of 1, 2 and 3 take the
+//! multiplication form, 2.5 is `powf`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -50,9 +52,19 @@ impl StepModel for RowOnly {
     }
 }
 
-/// The `solve_cold` instance of the benchmark of record.
+const GAMMAS: [f64; 4] = [1.0, 2.0, 2.5, 3.0];
+
+/// The `solve_cold` instance of the benchmark of record, at risk aversion
+/// `gamma` (the benchmark's is 2).
+fn instance_with(gamma: f64) -> OlgModel {
+    OlgModel::new(Calibration {
+        gamma,
+        ..Calibration::small(5, 3, 2, 0.04)
+    })
+}
+
 fn instance() -> OlgModel {
-    OlgModel::new(Calibration::small(5, 3, 2, 0.04))
+    instance_with(2.0)
 }
 
 fn config(threads: usize) -> DriverConfig {
@@ -77,72 +89,86 @@ fn policy_bits(policy: &PolicySet) -> Vec<(usize, Vec<u64>)> {
         .collect()
 }
 
-fn two_steps<M: StepModel>(model: M, threads: usize) -> (PolicySet, Vec<usize>) {
-    let mut ti = TimeIteration::new(model, config(threads));
+/// [`config`] for the comparisons at `gamma`: the benchmark's γ refines
+/// as the benchmark does; the grids of the more risk-averse economies
+/// grow several times larger at that depth, so the other classes stop a
+/// level earlier.
+fn config_at(gamma: f64, threads: usize) -> DriverConfig {
+    DriverConfig {
+        max_level: if gamma == 2.0 { 4 } else { 3 },
+        ..config(threads)
+    }
+}
+
+fn two_steps<M: StepModel>(model: M, config: DriverConfig) -> (PolicySet, Vec<usize>) {
+    let mut ti = TimeIteration::new(model, config);
     let failures = ti.run().iter().map(|r| r.solver_failures).collect();
     (ti.policy, failures)
 }
 
 #[test]
 fn block_path_and_row_path_build_identical_policies() {
-    let (reference, failures) = two_steps(RowOnly(OlgStep::new(instance())), 1);
-    let reference = policy_bits(&reference);
-    assert!(reference.iter().all(|(nno, _)| *nno > 100), "no refinement");
-    for threads in [1, 2] {
-        let (blocks, block_failures) = two_steps(OlgStep::new(instance()), threads);
-        assert_eq!(
-            policy_bits(&blocks),
-            reference,
-            "block path, {threads} threads"
-        );
-        assert_eq!(block_failures, failures);
-        let (rows, row_failures) = two_steps(RowOnly(OlgStep::new(instance())), threads);
-        assert_eq!(policy_bits(&rows), reference, "row path, {threads} threads");
-        assert_eq!(row_failures, failures);
+    for gamma in GAMMAS {
+        let block_path = || OlgStep::new(instance_with(gamma));
+        let (reference, failures) = two_steps(RowOnly(block_path()), config_at(gamma, 1));
+        let reference = policy_bits(&reference);
+        assert!(reference.iter().all(|(nno, _)| *nno > 100), "no refinement");
+        for threads in [1, 2] {
+            let at = format!("γ = {gamma}, {threads} threads");
+            let (blocks, block_failures) = two_steps(block_path(), config_at(gamma, threads));
+            assert_eq!(policy_bits(&blocks), reference, "block path, {at}");
+            assert_eq!(block_failures, failures, "{at}");
+            let (rows, row_failures) = two_steps(RowOnly(block_path()), config_at(gamma, threads));
+            assert_eq!(policy_bits(&rows), reference, "row path, {at}");
+            assert_eq!(row_failures, failures, "{at}");
+        }
     }
 }
 
 #[test]
 fn block_solve_equals_point_solves_on_every_kernel() {
-    // A refined, non-trivial pnext: one adaptive step from the constant.
-    let model = instance();
-    let (policy, _) = two_steps(OlgStep::new(model.clone()), 1);
-    let step = OlgStep::new(model);
-    let (dim, ndofs) = (step.dim(), step.ndofs());
-    let (lower, upper) = step.bounds();
-    let warm = step.initial_row();
-    for npts in [1usize, 7, 64, 130] {
-        // States across the box, some outside it (the oracle clamps).
-        let xs: Vec<f64> = (0..npts * dim)
-            .map(|k| {
-                let u = ((k * 37 + 11) % 101) as f64 / 100.0 * 1.1 - 0.05;
-                lower[k % dim] + (upper[k % dim] - lower[k % dim]) * u
-            })
-            .collect();
-        for kernel in KernelKind::COMPRESSED {
-            let mut oracle = policy.oracle(kernel);
-            let mut rows = vec![0.0; npts * ndofs];
-            let together = step.solve_point_rows(
-                1,
-                &xs,
-                &warm.repeat(npts),
-                &mut oracle,
-                &mut PointScratch::default(),
-                &mut rows,
-            );
-            let traffic = oracle.take_traffic();
-            assert!(traffic.points > traffic.blocks || npts == 1, "{traffic:?}");
-            for i in 0..npts {
-                let alone =
-                    step.solve_point_row(1, &xs[i * dim..(i + 1) * dim], &warm, &mut oracle);
-                match (&together[i], alone) {
-                    (Ok(()), Ok(alone)) => {
-                        let got = rows[i * ndofs..(i + 1) * ndofs].iter().map(|v| v.to_bits());
-                        let want = alone.iter().map(|v| v.to_bits());
-                        assert!(got.eq(want), "{kernel:?}, point {i} of {npts}");
+    for gamma in GAMMAS {
+        // A refined, non-trivial pnext: one adaptive step from the constant.
+        let model = instance_with(gamma);
+        let (policy, _) = two_steps(OlgStep::new(model.clone()), config_at(gamma, 1));
+        let step = OlgStep::new(model);
+        let (dim, ndofs) = (step.dim(), step.ndofs());
+        let (lower, upper) = step.bounds();
+        let warm = step.initial_row();
+        for npts in [1usize, 7, 64, 130] {
+            // States across the box, some outside it (the oracle clamps).
+            let xs: Vec<f64> = (0..npts * dim)
+                .map(|k| {
+                    let u = ((k * 37 + 11) % 101) as f64 / 100.0 * 1.1 - 0.05;
+                    lower[k % dim] + (upper[k % dim] - lower[k % dim]) * u
+                })
+                .collect();
+            for kernel in KernelKind::COMPRESSED {
+                let at = format!("γ = {gamma}, {kernel:?}, {npts} points");
+                let mut oracle = policy.oracle(kernel);
+                let mut rows = vec![0.0; npts * ndofs];
+                let together = step.solve_point_rows(
+                    1,
+                    &xs,
+                    &warm.repeat(npts),
+                    &mut oracle,
+                    &mut PointScratch::default(),
+                    &mut rows,
+                );
+                let traffic = oracle.take_traffic();
+                assert!(traffic.points > traffic.blocks || npts == 1, "{traffic:?}");
+                for i in 0..npts {
+                    let alone =
+                        step.solve_point_row(1, &xs[i * dim..(i + 1) * dim], &warm, &mut oracle);
+                    match (&together[i], alone) {
+                        (Ok(()), Ok(alone)) => {
+                            let got = rows[i * ndofs..(i + 1) * ndofs].iter().map(|v| v.to_bits());
+                            let want = alone.iter().map(|v| v.to_bits());
+                            assert!(got.eq(want), "{at}, point {i}");
+                        }
+                        (Err(got), Err(want)) => assert_eq!(got, &want),
+                        (got, want) => panic!("{at}, point {i}: {got:?} vs {want:?}"),
                     }
-                    (Err(got), Err(want)) => assert_eq!(got, &want),
-                    (got, want) => panic!("{kernel:?}, point {i} of {npts}: {got:?} vs {want:?}"),
                 }
             }
         }
@@ -160,16 +186,22 @@ impl BlockObserver for PointCounter {
     }
 }
 
+/// The named counters of a registry a solve has reported to.
+fn counters<const N: usize>(registry: &Registry, names: [&str; N]) -> [u64; N] {
+    let snapshot = registry.snapshot();
+    names.map(|name| snapshot.counter(name).expect("registered by the solve"))
+}
+
 #[test]
 fn solver_blocks_reach_the_registry_and_the_observer() {
-    let (reference, _) = two_steps(OlgStep::new(instance()), 1);
+    let (reference, _) = two_steps(OlgStep::new(instance()), config(1));
     let traffic = |registry: &Registry| {
-        let snapshot = registry.snapshot();
-        let counter = |name| snapshot.counter(name).expect("registered by the solve");
-        (
-            counter("hddm_solve_oracle_blocks_total"),
-            counter("hddm_solve_oracle_points_total"),
-        )
+        let names = [
+            "hddm_solve_oracle_blocks_total",
+            "hddm_solve_oracle_points_total",
+        ];
+        let [blocks, points] = counters(registry, names);
+        (blocks, points)
     };
 
     // The block path, observed, on two threads: same policies, its
@@ -190,6 +222,39 @@ fn solver_blocks_reach_the_registry_and_the_observer() {
     let (blocks, points) = traffic(&registry);
     assert!(points > 8 * blocks, "{points} points in {blocks} blocks");
     assert!(observer.0.load(Ordering::Relaxed) > points);
+
+    // The point solver's tally reaches the same registry: every residual
+    // row with capital tomorrow is interpolated once per next state (the
+    // value recursion reuses the accepted row's), a Jacobian is `dim` of
+    // those rows, and thread count moves none of it.
+    let work = |registry: &Registry| {
+        counters(
+            registry,
+            [
+                "hddm_solve_residual_rows_total",
+                "hddm_solve_jacobians_total",
+                "hddm_solve_newton_iterations_total",
+            ],
+        )
+    };
+    let [residual_rows, jacobians, iterations] = work(&registry);
+    let interpolated = residual_rows * instance().num_states() as u64;
+    assert!(
+        points <= interpolated && points > interpolated / 100 * 99,
+        "a rejected row is counted and not interpolated: {points} vs {interpolated}"
+    );
+    assert!(jacobians > 0 && iterations >= jacobians);
+    assert!(residual_rows > jacobians * instance().dim() as u64);
+    let one_thread = Registry::new();
+    let mut ti = TimeIteration::new(
+        OlgStep::new(instance()),
+        DriverConfig {
+            telemetry: Some(one_thread.clone()),
+            ..config(1)
+        },
+    );
+    ti.run();
+    assert_eq!(work(&one_thread), [residual_rows, jacobians, iterations]);
 
     // The row path makes the same evaluations point solve by point
     // solve: no block is wider than one point's finite-difference columns.

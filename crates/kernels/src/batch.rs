@@ -450,8 +450,10 @@ fn alive(v: &[f64]) -> u64 {
 
 /// Evaluates `block` chunk by chunk, writing `out[k·ndofs ..]` for point
 /// `k`, and hands each chunk's [`ChunkCounts`] to `sink`. Shared body of
-/// every batch variant — the only basis fill and chain walk in the
-/// repository — inlined into one entry per kernel, so each pass below is
+/// every batch variant — the only *block* basis fill and chain walk; the
+/// single-point walks are `x86::interpolate`, `vector::skeleton` and
+/// `CompressedGrid::fill_xpv` with its scalar interpolants — inlined
+/// into one entry per kernel, so each pass below is
 /// compiled for that kernel's instruction set and `accum` is a direct,
 /// inlined call. With a no-op sink the counters are dead stores the
 /// compiler drops, so the un-observed path pays nothing.

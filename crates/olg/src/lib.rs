@@ -39,7 +39,7 @@ pub use accuracy::{
 pub use calibration::{Calibration, CalibrationError, RegimeSpec};
 pub use economy::{income, marginal_utility, prices, utility, Prices, C_FLOOR};
 pub use markov::MarkovChain;
-pub use model::{BoxPolicy, OlgModel, PointScratch, PointSolution, PolicyOracle};
+pub use model::{BoxPolicy, OlgModel, PointScratch, PointSolution, PolicyOracle, SolveTally};
 pub use simulate::{simulate, SimPeriod, Simulation};
 pub use steady::{reference_calibration, solve_steady_state, SteadyState};
 pub use welfare::{consumption_equivalent, discount_mass, newborn_welfare, WelfareReport};

@@ -12,14 +12,17 @@
 //! interpolation of `pnext` the paper's kernels exist for, now dozens to
 //! hundreds of points wide — then the Euler algebra row by row. What
 //! depends only on the point (today's prices, wealth, incomes) is computed
-//! once per point solve. Every row sees the arithmetic a lone
-//! [`OlgModel::solve_point`] applies to it, so a point's solution does not
-//! depend on its block; `solve_point`, [`OlgModel::euler_residuals`] and
-//! [`OlgModel::values_at`] are the one-point and one-row cases of the same
-//! code.
+//! once per point solve, what depends only on the calibration (`L`,
+//! `L^{1−θ}`) once per model, and the `Ns` prices of a row share its one
+//! `K'^θ` — the only call into libm a row makes, and it is made in
+//! `economy.rs`, where the transcendental budget is kept. Every row sees
+//! the arithmetic a lone [`OlgModel::solve_point`] applies to it, so a
+//! point's solution does not depend on its block; `solve_point`,
+//! [`OlgModel::euler_residuals`] and [`OlgModel::values_at`] are the
+//! one-point and one-row cases of the same code.
 
 use crate::calibration::Calibration;
-use crate::economy::{income, marginal_utility, prices, utility, Prices};
+use crate::economy::{income, marginal_utility, utility, PriceBasis, Prices};
 use crate::steady::{solve_steady_state, SteadyState};
 use hddm_solver::{newton_block, NewtonOptions, NewtonReport, NewtonWorkspace, SolverError};
 
@@ -72,6 +75,29 @@ pub struct PointScratch {
     points: PointContexts,
     round: RoundBuffers,
     kept: KeptRows,
+    tally: SolveTally,
+}
+
+impl PointScratch {
+    /// Returns the work of the block solves since the last call and
+    /// starts a new tally.
+    pub fn take_tally(&mut self) -> SolveTally {
+        std::mem::take(&mut self.tally)
+    }
+}
+
+/// What [`OlgModel::solve_points`] did on a scratch: the counts that tell
+/// cost per residual row from number of rows.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SolveTally {
+    /// Euler systems handed to Newton (one per point).
+    pub systems: u64,
+    /// Savings rows the residual rounds were asked to evaluate.
+    pub residual_rows: u64,
+    /// Finite-difference Jacobians of the systems that converged.
+    pub jacobians: u64,
+    /// Newton iterations of the systems that converged.
+    pub newton_iterations: u64,
 }
 
 /// What the residual needs of each point `(z, x)` of a block and no
@@ -160,6 +186,9 @@ pub struct OlgModel {
     pub lower: Vec<f64>,
     /// Upper bounds of the state box `B` (length `d`).
     pub upper: Vec<f64>,
+    /// The calibration-only part of the prices, derived from `cal` when
+    /// the model is built (`cal` is not to be edited afterwards).
+    basis: PriceBasis,
 }
 
 /// Width policy for the state box around the steady state.
@@ -212,6 +241,7 @@ impl OlgModel {
             upper.push(center + span);
         }
         OlgModel {
+            basis: PriceBasis::new(&cal),
             cal,
             steady,
             lower,
@@ -273,6 +303,11 @@ impl OlgModel {
     /// Records the contexts of a block: point `i` is `(z_of(i), row i of xs)`.
     fn set_contexts(&self, points: &mut PointContexts, z_of: impl Fn(usize) -> usize, xs: &[f64]) {
         let cal = &self.cal;
+        debug_assert_eq!(
+            self.basis,
+            PriceBasis::new(cal),
+            "`cal` edited after the build"
+        );
         let a_max = cal.lifespan;
         let m = xs.len() / self.dim();
         points.identity.clear();
@@ -282,7 +317,7 @@ impl OlgModel {
         points.resources.resize(m * a_max, 0.0);
         let resources = points.resources.chunks_exact_mut(a_max);
         for ((x, &z), resources) in xs.chunks_exact(self.dim()).zip(&points.z).zip(resources) {
-            let p = prices(cal, z, x[0].max(1e-9));
+            let p = self.basis.at(cal, x[0].max(1e-9)).prices(z);
             self.wealth_from_state(x, &mut points.wealth);
             for a in 1..=a_max {
                 resources[a - 1] = p.gross_return * points.wealth[a - 1] + income(cal, z, &p, a);
@@ -360,10 +395,11 @@ impl OlgModel {
             let savings = &rows[r * n..(r + 1) * n];
             let owner = owners[r];
             let k_next = round.x_next[i * d];
+            let at_k_next = self.basis.at(cal, k_next);
             round.prices_next.clear();
             round
                 .prices_next
-                .extend((0..ns).map(|z_next| prices(cal, z_next, k_next)));
+                .extend((0..ns).map(|z_next| at_k_next.prices(z_next)));
             let next = NextPolicy {
                 data: &round.policy_next[i * ndofs..],
                 stride: valid * ndofs,
@@ -424,28 +460,23 @@ impl OlgModel {
         }
     }
 
-    /// The value functions `v_1..v_{A−1}` and the consumption profile
-    /// `c_1..c_A` of one point at `savings` — the only value recursion.
+    /// The value functions `v_1..v_{A−1}` of one point at `savings`, written
+    /// to `values` — the only value recursion.
     fn values_row(
         &self,
         z: usize,
         resources: &[f64],
         savings: &[f64],
         next: NextPolicy<'_>,
-    ) -> (Vec<f64>, Vec<f64>) {
+        values: &mut [f64],
+    ) {
         let cal = &self.cal;
         let a_max = cal.lifespan;
         let ns = cal.num_states();
         let k_next: f64 = savings.iter().sum();
-
-        let mut consumption = Vec::with_capacity(a_max);
-        for a in 1..a_max {
-            consumption.push(resources[a - 1] - savings[a - 1]);
-        }
-        consumption.push(resources[a_max - 1]);
+        let at_k_next = self.basis.at(cal, k_next.max(1e-9));
 
         let transition = cal.chain.row(z);
-        let mut values = vec![0.0; a_max - 1];
         for a in 1..a_max {
             let mut continuation = 0.0;
             for z_next in 0..ns {
@@ -457,16 +488,22 @@ impl OlgModel {
                     next.at(z_next, (a_max - 1) + a)
                 } else {
                     // v'_A is closed-form: the oldest consumes everything.
-                    let pn = prices(cal, z_next, k_next.max(1e-9));
+                    let pn = at_k_next.prices(z_next);
                     let c_last =
                         pn.gross_return * savings[a_max - 2] + income(cal, z_next, &pn, a_max);
                     utility(cal.gamma, c_last)
                 };
                 continuation += pi * v_next;
             }
-            values[a - 1] = utility(cal.gamma, consumption[a - 1]) + cal.beta * continuation;
+            let consumption = resources[a - 1] - savings[a - 1];
+            values[a - 1] = utility(cal.gamma, consumption) + cal.beta * continuation;
         }
-        (values, consumption)
+    }
+
+    /// The consumption profile `c_1..c_A` of one point at `savings`.
+    fn consumption_row(resources: &[f64], savings: &[f64]) -> Vec<f64> {
+        let working = resources.iter().zip(savings).map(|(r, s)| r - s);
+        working.chain(resources.last().copied()).collect()
     }
 
     /// Euler residuals of one savings row per point: row `i` of `savings`
@@ -529,15 +566,21 @@ impl OlgModel {
             data: &round.policy_next,
             stride: self.ndofs(),
         };
-        self.values_row(z, &points.resources, savings, next)
+        let mut values = vec![0.0; savings.len()];
+        self.values_row(z, &points.resources, savings, next, &mut values);
+        (values, Self::consumption_row(&points.resources, savings))
     }
 
     /// Solves the point problems of discrete state `z` at the states `xs`
     /// (`m × d`) together: lockstep Newton on the `m` Euler systems from
     /// the savings part of each row of `guesses` (`m` rows of at least
     /// `A−1` entries, e.g. dof rows), then the value recursion of every
-    /// solved point. Entry `i` of the result is what
-    /// [`Self::solve_point`] returns for point `i` alone, bit for bit.
+    /// solved point. Where entry `i` of the result is `Ok`, row `i` of
+    /// `rows` (`m × ndofs`) holds the dof row `(s_1…s_{A−1}, v_1…v_{A−1})`
+    /// and the entry the Newton report of what [`Self::solve_point`]
+    /// returns for point `i` alone, bit for bit; the rows of failed points
+    /// are left as they were. The work is added to `scratch`'s tally.
+    #[allow(clippy::too_many_arguments)]
     pub fn solve_points(
         &self,
         z: usize,
@@ -546,7 +589,8 @@ impl OlgModel {
         oracle: &mut dyn PolicyOracle,
         scratch: &mut PointScratch,
         options: &NewtonOptions,
-    ) -> Vec<Result<PointSolution, SolverError>> {
+        rows: &mut [f64],
+    ) -> Vec<Result<NewtonReport, SolverError>> {
         let a_max = self.cal.lifespan;
         let n = a_max - 1;
         let d = self.dim();
@@ -554,6 +598,7 @@ impl OlgModel {
         let ns = self.num_states();
         assert_eq!(xs.len() % d, 0, "ragged block of states");
         let m = xs.len() / d;
+        assert_eq!(rows.len(), m * ndofs, "one dof row per point");
         if m == 0 {
             return Vec::new();
         }
@@ -566,6 +611,7 @@ impl OlgModel {
             points,
             round,
             kept,
+            tally,
         } = scratch;
         self.set_contexts(points, |_| z, xs);
         savings.clear();
@@ -576,16 +622,18 @@ impl OlgModel {
         kept.has.resize(m, false);
         kept.savings.resize(m * n, 0.0);
         kept.policy.resize(m * ns * ndofs, 0.0);
+        tally.systems += m as u64;
         let reports = newton_block(
             n,
             savings,
             options,
             newton,
-            |owners, rows, out, rejected| {
+            |owners, trials, out, rejected| {
+                tally.residual_rows += owners.len() as u64;
                 self.residual_rows(
                     points,
                     owners,
-                    rows,
+                    trials,
                     oracle,
                     round,
                     Some(kept),
@@ -595,46 +643,41 @@ impl OlgModel {
             },
         );
 
+        for (s, (report, row)) in reports.iter().zip(rows.chunks_exact_mut(ndofs)).enumerate() {
+            let Ok(report) = report else { continue };
+            tally.jacobians += report.jacobian_evals as u64;
+            tally.newton_iterations += report.iterations as u64;
+            let savings = &savings[s * n..(s + 1) * n];
+            let kept_here = kept.has[s]
+                && savings
+                    .iter()
+                    .zip(&kept.savings[s * n..(s + 1) * n])
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+            let next = if kept_here {
+                NextPolicy {
+                    data: &kept.policy[s * ns * ndofs..(s + 1) * ns * ndofs],
+                    stride: ndofs,
+                }
+            } else {
+                round.x_next.clear();
+                self.extend_next_state(savings, &mut round.x_next);
+                self.interpolate_next(&round.x_next, oracle, &mut round.policy_next);
+                NextPolicy {
+                    data: &round.policy_next,
+                    stride: ndofs,
+                }
+            };
+            let resources = &points.resources[s * a_max..(s + 1) * a_max];
+            let (row_savings, row_values) = row.split_at_mut(n);
+            row_savings.copy_from_slice(savings);
+            self.values_row(z, resources, savings, next, row_values);
+        }
         reports
-            .into_iter()
-            .enumerate()
-            .map(|(s, report)| {
-                let report = report?;
-                let savings = &savings[s * n..(s + 1) * n];
-                let kept_here = kept.has[s]
-                    && savings
-                        .iter()
-                        .zip(&kept.savings[s * n..(s + 1) * n])
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                let next = if kept_here {
-                    NextPolicy {
-                        data: &kept.policy[s * ns * ndofs..(s + 1) * ns * ndofs],
-                        stride: ndofs,
-                    }
-                } else {
-                    round.x_next.clear();
-                    self.extend_next_state(savings, &mut round.x_next);
-                    self.interpolate_next(&round.x_next, oracle, &mut round.policy_next);
-                    NextPolicy {
-                        data: &round.policy_next,
-                        stride: ndofs,
-                    }
-                };
-                let resources = &points.resources[s * a_max..(s + 1) * a_max];
-                let (values, consumption) = self.values_row(z, resources, savings, next);
-                Ok(PointSolution {
-                    savings: savings.to_vec(),
-                    values,
-                    consumption,
-                    report,
-                })
-            })
-            .collect()
     }
 
     /// Solves the full point problem: Newton on the Euler system from
     /// `guess` (savings part of a dof row), then the value recursion —
-    /// [`Self::solve_points`] with one point.
+    /// [`Self::solve_points`] with one point, plus the consumption profile.
     pub fn solve_point(
         &self,
         z: usize,
@@ -644,9 +687,20 @@ impl OlgModel {
         scratch: &mut PointScratch,
         options: &NewtonOptions,
     ) -> Result<PointSolution, SolverError> {
-        self.solve_points(z, x, guess, oracle, scratch, options)
+        let mut row = vec![0.0; self.ndofs()];
+        let report = self
+            .solve_points(z, x, guess, oracle, scratch, options, &mut row)
             .pop()
-            .expect("one point in, one solution out")
+            .expect("one point in, one report out")?;
+        let values = row.split_off(self.dim());
+        let savings = row;
+        let consumption = Self::consumption_row(&scratch.points.resources, &savings);
+        Ok(PointSolution {
+            savings,
+            values,
+            consumption,
+            report,
+        })
     }
 }
 

@@ -2,10 +2,14 @@
 //! block with a point, the point's solution is the one it has alone, bit
 //! for bit. The oracle here implements `eval` only, so every block goes
 //! through the provided `eval_block`; `hddm-core` repeats the comparison
-//! on the kernel-backed oracle.
+//! on the kernel-backed oracle. Every comparison runs in each exponent
+//! class of the CRRA kernel: `γ` of 1 (log utility), 2 and 3 take the
+//! multiplication form, 2.5 the `powf` fall-through.
 
 use hddm_olg::{Calibration, OlgModel, PointScratch, PointSolution, PolicyOracle};
-use hddm_solver::{NewtonOptions, SolverError};
+use hddm_solver::{NewtonOptions, NewtonReport, SolverError};
+
+const GAMMAS: [f64; 4] = [1.0, 2.0, 2.5, 3.0];
 
 /// A smooth stand-in for `pnext`: the steady row, tilted by the state.
 struct Tilted {
@@ -24,8 +28,11 @@ impl PolicyOracle for Tilted {
     }
 }
 
-fn setup() -> (OlgModel, Tilted) {
-    let model = OlgModel::new(Calibration::small(6, 4, 2, 0.05));
+fn setup(gamma: f64) -> (OlgModel, Tilted) {
+    let model = OlgModel::new(Calibration {
+        gamma,
+        ..Calibration::small(6, 4, 2, 0.05)
+    });
     let oracle = Tilted {
         row: model.steady.dof_row(),
         center: model.steady.state_vector(),
@@ -54,41 +61,71 @@ fn block(model: &OlgModel, npts: usize) -> (Vec<f64>, Vec<f64>) {
     (xs, model.steady.dof_row().repeat(npts))
 }
 
-fn bits(solution: &Result<PointSolution, SolverError>) -> Result<Vec<u64>, SolverError> {
-    let s = solution.as_ref().map_err(Clone::clone)?;
+/// A dof row and the Newton report behind it, as bits.
+fn bits(row: &[f64], report: &NewtonReport) -> Vec<u64> {
     let report = [
-        s.report.iterations as u64,
-        s.report.residual_evals as u64,
-        s.report.jacobian_evals as u64,
-        s.report.residual_norm.to_bits(),
+        report.iterations as u64,
+        report.residual_evals as u64,
+        report.jacobian_evals as u64,
+        report.residual_norm.to_bits(),
     ];
-    let fields = s.savings.iter().chain(&s.values).chain(&s.consumption);
-    Ok(fields.map(|v| v.to_bits()).chain(report).collect())
+    row.iter().map(|v| v.to_bits()).chain(report).collect()
+}
+
+/// Row `i` of a block solve, or the error it failed with.
+fn block_bits(
+    reports: &[Result<NewtonReport, SolverError>],
+    rows: &[f64],
+    ndofs: usize,
+    i: usize,
+) -> Result<Vec<u64>, SolverError> {
+    let report = reports[i].as_ref().map_err(Clone::clone)?;
+    Ok(bits(&rows[i * ndofs..(i + 1) * ndofs], report))
+}
+
+fn point_bits(solution: &Result<PointSolution, SolverError>) -> Result<Vec<u64>, SolverError> {
+    let s = solution.as_ref().map_err(Clone::clone)?;
+    Ok(bits(&s.dof_row(), &s.report))
 }
 
 #[test]
 fn a_block_of_points_equals_a_loop_of_single_points() {
-    let (model, mut oracle) = setup();
-    let (d, ndofs) = (model.dim(), model.ndofs());
-    let options = NewtonOptions::default();
-    let mut scratch = PointScratch::default();
-    for npts in [1usize, 7, 64, 130] {
-        let (xs, guesses) = block(&model, npts);
-        for z in 0..model.num_states() {
-            let together =
-                model.solve_points(z, &xs, &guesses, &mut oracle, &mut scratch, &options);
-            assert_eq!(together.len(), npts);
-            for (i, solution) in together.iter().enumerate() {
-                let alone = model.solve_point(
+    for gamma in GAMMAS {
+        let (model, mut oracle) = setup(gamma);
+        let (d, ndofs) = (model.dim(), model.ndofs());
+        let options = NewtonOptions::default();
+        let mut scratch = PointScratch::default();
+        for npts in [1usize, 7, 64, 130] {
+            let (xs, guesses) = block(&model, npts);
+            let mut rows = vec![0.0; npts * ndofs];
+            for z in 0..model.num_states() {
+                let together = model.solve_points(
                     z,
-                    &xs[i * d..(i + 1) * d],
-                    &guesses[i * ndofs..(i + 1) * ndofs],
+                    &xs,
+                    &guesses,
                     &mut oracle,
-                    &mut PointScratch::default(),
+                    &mut scratch,
                     &options,
+                    &mut rows,
                 );
-                assert!(alone.is_ok(), "point {i} of {npts}, z = {z}: {alone:?}");
-                assert_eq!(bits(solution), bits(&alone), "point {i} of {npts}, z = {z}");
+                assert_eq!(together.len(), npts);
+                for i in 0..npts {
+                    let alone = model.solve_point(
+                        z,
+                        &xs[i * d..(i + 1) * d],
+                        &guesses[i * ndofs..(i + 1) * ndofs],
+                        &mut oracle,
+                        &mut PointScratch::default(),
+                        &options,
+                    );
+                    let at = format!("γ = {gamma}, point {i} of {npts}, z = {z}");
+                    assert!(alone.is_ok(), "{at}: {alone:?}");
+                    assert_eq!(
+                        block_bits(&together, &rows, ndofs, i),
+                        point_bits(&alone),
+                        "{at}"
+                    );
+                }
             }
         }
     }
@@ -96,37 +133,45 @@ fn a_block_of_points_equals_a_loop_of_single_points() {
 
 #[test]
 fn a_rejected_point_does_not_disturb_its_neighbours() {
-    let (model, mut oracle) = setup();
-    let (d, ndofs) = (model.dim(), model.ndofs());
-    let options = NewtonOptions::default();
-    let (xs, mut guesses) = block(&model, 9);
-    // Negative savings all round: no capital tomorrow, so point 4's
-    // initial guess is rejected and its solve fails at once.
-    guesses[4 * ndofs..5 * ndofs].fill(-1.0);
-    let together = model.solve_points(
-        1,
-        &xs,
-        &guesses,
-        &mut oracle,
-        &mut PointScratch::default(),
-        &options,
-    );
-    assert!(
-        matches!(together[4], Err(SolverError::Rejected(_))),
-        "{:?}",
-        together[4]
-    );
-    for (i, solution) in together.iter().enumerate() {
-        let alone = model.solve_point(
+    for gamma in GAMMAS {
+        let (model, mut oracle) = setup(gamma);
+        let (d, ndofs) = (model.dim(), model.ndofs());
+        let options = NewtonOptions::default();
+        let (xs, mut guesses) = block(&model, 9);
+        // Negative savings all round: no capital tomorrow, so point 4's
+        // initial guess is rejected and its solve fails at once.
+        guesses[4 * ndofs..5 * ndofs].fill(-1.0);
+        let mut rows = vec![0.0; 9 * ndofs];
+        let together = model.solve_points(
             1,
-            &xs[i * d..(i + 1) * d],
-            &guesses[i * ndofs..(i + 1) * ndofs],
+            &xs,
+            &guesses,
             &mut oracle,
             &mut PointScratch::default(),
             &options,
+            &mut rows,
         );
-        assert_eq!(alone.is_ok(), i != 4);
-        assert_eq!(bits(solution), bits(&alone), "point {i}");
+        assert!(
+            matches!(together[4], Err(SolverError::Rejected(_))),
+            "{:?}",
+            together[4]
+        );
+        for i in 0..9 {
+            let alone = model.solve_point(
+                1,
+                &xs[i * d..(i + 1) * d],
+                &guesses[i * ndofs..(i + 1) * ndofs],
+                &mut oracle,
+                &mut PointScratch::default(),
+                &options,
+            );
+            assert_eq!(alone.is_ok(), i != 4);
+            assert_eq!(
+                block_bits(&together, &rows, ndofs, i),
+                point_bits(&alone),
+                "γ = {gamma}, point {i}"
+            );
+        }
     }
 }
 
@@ -135,26 +180,61 @@ fn the_value_recursion_reuses_rows_it_would_have_interpolated() {
     // A solve hands its value recursion the rows of Newton's accepted
     // point; a standalone `values_at` interpolates them afresh. Same
     // numbers — and the solve saves exactly that sweep over the next
-    // states.
-    let (model, mut oracle) = setup();
-    let d = model.dim();
-    let (xs, guesses) = block(&model, 5);
-    let mut scratch = PointScratch::default();
-    let options = NewtonOptions::default();
-    let solved = model.solve_points(0, &xs, &guesses, &mut oracle, &mut scratch, &options);
-    let calls_of_the_solve = oracle.calls;
-    let mut evaluations = 0;
-    for (i, solution) in solved.iter().enumerate() {
-        let solution = solution.as_ref().expect("interior point solves");
-        evaluations += solution.report.residual_evals;
-        let x = &xs[i * d..(i + 1) * d];
-        // Once in the scratch the solve left behind, once in a fresh one.
-        for scratch in [&mut scratch, &mut PointScratch::default()] {
-            let (values, consumption) =
-                model.values_at(0, x, &solution.savings, &mut oracle, scratch);
-            assert_eq!(values, solution.values, "point {i}");
-            assert_eq!(consumption, solution.consumption, "point {i}");
+    // states. The tally counts the rows the reports count.
+    for gamma in GAMMAS {
+        let (model, mut oracle) = setup(gamma);
+        let (d, ndofs) = (model.dim(), model.ndofs());
+        let (xs, guesses) = block(&model, 5);
+        let mut scratch = PointScratch::default();
+        let options = NewtonOptions::default();
+        let mut rows = vec![0.0; 5 * ndofs];
+        let solved = model.solve_points(
+            0,
+            &xs,
+            &guesses,
+            &mut oracle,
+            &mut scratch,
+            &options,
+            &mut rows,
+        );
+        let calls_of_the_solve = oracle.calls;
+        let tally = scratch.take_tally();
+        assert_eq!(scratch.take_tally(), Default::default(), "drained");
+        let (mut evaluations, mut jacobians, mut iterations) = (0, 0, 0);
+        for (i, report) in solved.iter().enumerate() {
+            let report = report.as_ref().expect("interior point solves");
+            evaluations += report.residual_evals;
+            jacobians += report.jacobian_evals;
+            iterations += report.iterations;
+            let x = &xs[i * d..(i + 1) * d];
+            let (savings, values) = rows[i * ndofs..(i + 1) * ndofs].split_at(d);
+            let alone = model
+                .solve_point(
+                    0,
+                    x,
+                    &guesses[i * ndofs..(i + 1) * ndofs],
+                    &mut oracle,
+                    &mut PointScratch::default(),
+                    &options,
+                )
+                .expect("interior point solves");
+            // Once in the scratch the solve left behind, once in a fresh one.
+            for scratch in [&mut scratch, &mut PointScratch::default()] {
+                let (again, consumption) = model.values_at(0, x, savings, &mut oracle, scratch);
+                assert_eq!(again, values, "γ = {gamma}, point {i}");
+                assert_eq!(consumption, alone.consumption, "γ = {gamma}, point {i}");
+            }
         }
+        assert_eq!(calls_of_the_solve, evaluations * model.num_states());
+        assert_eq!(
+            (tally.systems, tally.residual_rows),
+            (5, evaluations as u64),
+            "γ = {gamma}"
+        );
+        assert_eq!(
+            (tally.jacobians, tally.newton_iterations),
+            (jacobians as u64, iterations as u64),
+            "γ = {gamma}"
+        );
     }
-    assert_eq!(calls_of_the_solve, evaluations * model.num_states());
 }

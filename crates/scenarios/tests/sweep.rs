@@ -5,13 +5,19 @@
 //! the identical scenario.
 
 use hddm_scenarios::{
-    run_set, run_single, CacheKind, ExecutorConfig, ScenarioSet, SurfaceCache, SweepReport,
+    run_set, run_single, CacheKind, ExecutorConfig, Knob, ScenarioSet, SurfaceCache, SweepReport,
 };
 
 #[test]
 fn demo_sweep_warm_starts_beat_cold_solves() {
-    let set = ScenarioSet::demo(5, 3).unwrap();
+    let mut set = ScenarioSet::demo(5, 3).unwrap();
     assert!(set.len() >= 16, "demo sweep must span ≥ 16 scenarios");
+    // One economy outside the integer exponent classes of the CRRA
+    // kernel: at γ = 2.5 every marginal utility of the solve is `powf`.
+    let mut fractional = set.scenarios[0].clone();
+    Knob::Gamma.apply(&mut fractional, 2.5).unwrap();
+    fractional.name = "demo/gamma=2.5".into();
+    set.scenarios.push(fractional);
 
     let cache = SurfaceCache::default();
     let report = run_set(&set, &cache, &ExecutorConfig::serial()).unwrap();
@@ -19,6 +25,8 @@ fn demo_sweep_warm_starts_beat_cold_solves() {
     // Every scenario of the sweep converged.
     assert!(report.all_converged(), "non-converged scenario in sweep");
     assert_eq!(report.scenarios.len(), set.len());
+    let fractional = report.scenarios.last().expect("the γ = 2.5 economy");
+    assert!(fractional.steps > 0, "{fractional:?}");
 
     // The cache assisted: the first scenario is cold, and at least one
     // later scenario warm-started off a cached surface.
