@@ -253,8 +253,7 @@ pub fn io_step(label: &str) {
 }
 
 /// Like [`io_step`], but locks in `allowed` may be held — the model's
-/// way of encoding a by-design, baselined lock-over-io decision (e.g.
-/// the persist store's writer mutex over manifest writes).
+/// way of encoding a by-design, baselined lock-over-io decision.
 pub fn io_step_allowing(label: &str, allowed: &[&dyn CheckedLock]) {
     let (exec, tid) = runtime::ctx();
     let ids: Vec<usize> = allowed.iter().map(|l| l.lock_id()).collect();

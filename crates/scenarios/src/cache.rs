@@ -45,7 +45,7 @@ use hddm_kernels::{CompressedState, ExecutionBackend, KernelKind, PointBlock, Sc
 use hddm_telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::hash::{fingerprint_distance, HashId};
-use crate::persist::{EvictionPolicy, ManifestEntry, Store};
+use crate::persist::{EvictionPolicy, IndexRow, Store};
 
 /// Number of `RwLock` shards the in-memory map is split across. A small
 /// power of two: enough that a serving front-end's reader threads rarely
@@ -56,7 +56,7 @@ const SHARD_COUNT: usize = 16;
 /// The state-space shape a cached surface was solved on. Warm starts
 /// require an exact shape match: a surface over a different
 /// dimensionality or state count is not even interpretable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ShapeKey {
     /// Continuous dimensionality `d`.
     pub dim: usize,
@@ -510,7 +510,7 @@ impl SurfaceCache {
         if let Some(entry) = self.shard_read(shard_of(hash)).by_hash.get(&hash) {
             return Some(Arc::clone(&entry.surface));
         }
-        let entry: ManifestEntry = store.entry(hash)?;
+        let entry: IndexRow = store.entry(hash)?;
 
         // Unwind-safe gauge: decrement on drop so a panicking hook or
         // reader cannot leave `restoring_now` drifted upward forever.

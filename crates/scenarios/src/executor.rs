@@ -114,7 +114,7 @@ pub struct ExecutorConfig {
     /// through, so an identical sweep in a later process does zero
     /// solves.
     pub cache_dir: Option<PathBuf>,
-    /// Size bounds of the persistent cache (LRU-by-insertion eviction);
+    /// Size bounds of the persistent cache (oldest-first eviction);
     /// ignored without `cache_dir`.
     pub cache_eviction: EvictionPolicy,
     /// Registry receiving driver phase spans (`hddm_solve_*_seconds`) and

@@ -22,8 +22,8 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// JSON readers outside this workspace parse numbers as `f64`, which is
 /// lossy above 2⁵³ — a silently corrupted cache key. `HashId` therefore
 /// serializes as a fixed-width 16-digit lowercase hex *string* everywhere
-/// a hash enters JSON (reports, the persistent cache manifest, surface
-/// files); legacy numeric encodings are still accepted on the way in.
+/// a hash enters JSON (reports), the spelling a cache record's file name
+/// uses too; legacy numeric encodings are still accepted on the way in.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct HashId(pub u64);
 

@@ -19,10 +19,10 @@
 //!   reuse and nearest-neighbour warm starts projected onto the new
 //!   scenario's domain box;
 //! * [`persist`] — the versioned persistent backing store: a cache
-//!   directory with a `manifest.json` index and one atomically-written
-//!   binary record per surface (a [`hddm_core::record`] frame), lazy
-//!   restoration, LRU-by-insertion eviction, and corrupt-artifact
-//!   skipping — run N+1 of the same sweep does zero solves;
+//!   directory of atomically-written binary records, one per surface (a
+//!   [`hddm_core::record`] frame), which are also its index — lazy
+//!   restoration, oldest-first eviction, and corrupt-artifact skipping —
+//!   run N+1 of the same sweep does zero solves;
 //! * [`executor`] — the batch executor: scenarios run in set order on
 //!   `threads` workers of [`hddm_sched::parallel_for_init`], each against
 //!   the cache, streaming results as they complete;
@@ -57,6 +57,6 @@ pub use cache::{
 };
 pub use executor::{run_batch, run_set, run_single, BatchHandle, ExecutorConfig, ExecutorError};
 pub use hash::{fingerprint, fingerprint_distance, scenario_hash, HashId, ScenarioHasher};
-pub use persist::{EvictionPolicy, ManifestEntry, MANIFEST_FILE, PERSIST_VERSION};
+pub use persist::EvictionPolicy;
 pub use report::{CacheKind, ScenarioReport, SweepReport};
 pub use scenario::{Knob, Scenario, ScenarioSet, SolveSettings};

@@ -6,66 +6,59 @@
 //!
 //! ```text
 //! <cache-dir>/
-//!   manifest.json            # version + entry index (insertion order)
-//!   surface-<16-hex>.bin     # one binary record per surface, keyed by hash
+//!   surface-<16-hex>.bin     # one record per surface, named by its hash
 //! ```
 //!
-//! The manifest is the index: one [`ManifestEntry`] per surface with the
-//! hash, state-space shape, parameter fingerprint, and cost metadata —
-//! everything lookups and cost estimation need *without* touching the
-//! record files. Surfaces themselves are loaded lazily on first hit.
+//! The record files are the index. A record is one [`hddm_core::record`]
+//! frame (magic `HDDMSURF`): the checksummed 40-byte header, this module's
+//! own fields (hash, shape, cost telemetry, fingerprint; see
+//! [`encode_record`]) and the policy body every stored policy shares, laid
+//! out and validated by `hddm-core`. Opening a directory lists it, verifies
+//! each record's frame and reads the fields in front of its policy body —
+//! everything lookups and cost estimation need — through the helper
+//! [`decode_record`] starts with; policy bodies are decoded lazily on
+//! first hit. The index is ordered by (file mtime, name), oldest first, so
+//! eviction order survives a reopen.
 //!
-//! Record format: one [`hddm_core::record`] frame (`.bin`, magic
-//! `HDDMSURF`) — the checksummed 40-byte header, this module's own fields
-//! (hash, shape, cost telemetry, fingerprint; see [`encode_record`]) and
-//! the policy body every stored policy shares, laid out and validated by
-//! `hddm-core`. A record's file name is a pure function of its hash
-//! ([`surface_file_name`]); a manifest row naming any other path is
-//! dropped at open, so nothing read from the manifest can point outside
-//! the cache directory.
+//! Crash contract and damage rules:
 //!
-//! Durability rules:
-//!
-//! * every file (manifest and records) is written atomically *and
-//!   durably* through [`hddm_core::record::write_atomic`] — a dot-prefixed
+//! * a deposit is one [`hddm_core::record::write_atomic`] — a dot-prefixed
 //!   temp file in the same directory, fsynced, renamed, and the directory
-//!   fsynced after — so a crash at any point leaves either the previous
-//!   version or the complete new one, never a torn or empty file that a
-//!   rename alone (buffered in the page cache) could still surface;
-//! * an unknown manifest format version is skipped with a warning (the
-//!   store starts empty), never a panic;
-//! * a corrupt or truncated record file is skipped with a warning at load
-//!   time, dropped from the index, and counted in the telemetry;
-//! * eviction is LRU-by-insertion with configurable max-entries and
-//!   max-bytes bounds ([`EvictionPolicy`]), applied on every deposit, so
-//!   the directory provably never exceeds the configured budget.
+//!   fsynced after. A crash leaves the previous record or the complete new
+//!   one, plus at worst a `.tmp-*` file the next open removes. There is no
+//!   second file to keep in step, so an indexed-but-missing record or an
+//!   unindexed one cannot come out of a crash;
+//! * a file open cannot use — a name that is not [`surface_file_name`] of
+//!   a hash, a frame that fails to verify (torn, bit-flipped, empty, or
+//!   another format version), a frame holding another hash than its name —
+//!   is removed with a warning and counted in the telemetry. A record's
+//!   path is a function of its hash alone: nothing read from a file's
+//!   contents is ever opened;
+//! * a record damaged after open fails its full decode on first hit, is
+//!   dropped from the index and deleted, counted the same way;
+//! * eviction is oldest-first with configurable max-entries and max-bytes
+//!   bounds ([`EvictionPolicy`]), applied on every deposit, so the
+//!   directory provably never exceeds the configured budget.
 //!
 //! Concurrency: the index lives behind an `RwLock`, so any number of
 //! readers can consult it simultaneously, and **record-file I/O happens
-//! outside every lock**. The read path is: snapshot the [`ManifestEntry`]
-//! under the read lock, release it, read + validate the record file with
-//! no lock held, then hand the surface to the owning cache for promotion.
-//! Deposits serialize against each other on a writer mutex (the manifest
-//! rewrite must be ordered), but the record file itself is written before
-//! the mutex is taken — concurrent readers never wait on a writer's disk
-//! I/O, and vice versa. This removes the single-hot-path bottleneck the
-//! serving front-end needs gone: N clients restoring N different surfaces
-//! proceed in parallel.
+//! outside every lock**. The read path is: snapshot the index row under the
+//! read lock, release it, read + validate the record file with no lock
+//! held, then hand the surface to the owning cache for promotion. A deposit
+//! writes its record before taking any lock, updates the index under a
+//! short write guard, and deletes evicted files after that guard drops —
+//! concurrent readers never wait on a writer's disk I/O, and vice versa.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
-
-use serde::{Deserialize, Serialize};
+use std::sync::RwLock;
+use std::time::SystemTime;
 
 use hddm_core::record::{write_atomic, Reader, Writer};
 
 use crate::cache::{CachedSurface, ShapeKey};
 use crate::hash::{fingerprint_distance, HashId};
-
-/// Current on-disk format version of the manifest.
-pub const PERSIST_VERSION: u32 = 1;
 
 /// Current version of the binary columnar record format.
 pub const BINARY_RECORD_VERSION: u32 = 1;
@@ -73,12 +66,9 @@ pub const BINARY_RECORD_VERSION: u32 = 1;
 /// Magic bytes opening every binary record file.
 pub const RECORD_MAGIC: [u8; 8] = *b"HDDMSURF";
 
-/// The index file name inside a cache directory.
-pub const MANIFEST_FILE: &str = "manifest.json";
-
 /// Size bounds of a persistent store, enforced on every deposit by
-/// evicting the oldest entries first (LRU-by-insertion). `None` means
-/// unbounded in that dimension.
+/// evicting the oldest entries first. `None` means unbounded in that
+/// dimension.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EvictionPolicy {
     /// Maximum number of persisted surfaces.
@@ -87,33 +77,17 @@ pub struct EvictionPolicy {
     pub max_bytes: Option<u64>,
 }
 
-/// One surface's row in the manifest index: everything a lookup needs to
-/// decide exact/warm/miss — and a cost estimate — without reading the
-/// record file.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ManifestEntry {
-    /// Scenario content hash (hex-encoded in JSON).
+/// One surface's row in the index: everything a lookup needs to decide
+/// exact/warm/miss — and a cost estimate — without reading the record file
+/// again. Its file is [`surface_file_name`] of `hash`.
+#[derive(Clone, Debug)]
+pub(crate) struct IndexRow {
     pub hash: HashId,
-    /// State-space shape of the cached surface.
     pub shape: ShapeKey,
-    /// Parameter fingerprint of the producing scenario.
     pub fingerprint: Vec<f64>,
-    /// Time-iteration steps the producing solve took.
-    pub steps: usize,
-    /// Measured wall-clock seconds of the producing solve.
     pub cost_seconds: f64,
     /// Size of the record file in bytes (the eviction currency).
     pub bytes: u64,
-    /// Record file name, relative to the cache directory.
-    pub file: String,
-}
-
-/// The parsed manifest (used for reading; writing streams borrowed
-/// entries directly to avoid cloning the index).
-#[derive(Clone, Debug, Deserialize)]
-struct Manifest {
-    version: u32,
-    entries: Vec<ManifestEntry>,
 }
 
 fn warn(message: &str) {
@@ -126,117 +100,59 @@ pub fn surface_file_name(hash: u64) -> String {
 }
 
 /// The persistent backing store of a `SurfaceCache`: a cache directory,
-/// its parsed manifest index, and the eviction policy.
+/// the index its record files give, and the eviction policy.
 ///
 /// Lock discipline (all internal — the owning cache never holds its own
-/// shard locks across a store call):
-///
-/// * `index` (`RwLock`) — the manifest rows. Read-mostly; lookups and
-///   cost estimation take the read lock, snapshot what they need, and
-///   release before any file I/O.
-/// * `writer` (`Mutex`) — serializes mutations (deposit, corrupt-entry
-///   discard) so the manifest on disk is always the last writer's view.
-///   Record-file writes happen *before* the writer lock is taken.
+/// shard locks across a store call): `index` (`RwLock`) is the one lock.
+/// Lookups and cost estimation take the read lock, snapshot what they
+/// need, and release before any file I/O; deposits and discards take the
+/// write lock for the row update alone and touch files outside it.
 #[derive(Debug)]
 pub(crate) struct Store {
     dir: PathBuf,
     policy: EvictionPolicy,
-    index: RwLock<Vec<ManifestEntry>>,
-    writer: Mutex<()>,
+    index: RwLock<Vec<IndexRow>>,
     evictions: AtomicUsize,
     skipped: AtomicUsize,
     poisonings: AtomicUsize,
 }
 
 impl Store {
-    /// Opens (or initializes) a cache directory: creates it if missing,
-    /// loads the manifest index, and sweeps leftover temp files from
-    /// crashed writers. An unreadable, unparseable, or version-mismatched
-    /// manifest is skipped with a warning — the store starts empty and
-    /// the index is rewritten at the current version on the next deposit.
-    /// A row whose `file` is not the name its hash determines (a damaged
-    /// or hostile manifest, or a record format this version cannot read)
-    /// is dropped the same way, so no later read or delete can follow it
-    /// out of the directory. Record files the index does not reference
-    /// (crash leftovers, or the remains of a skipped manifest or row) are
-    /// deleted, so they cannot leak past the eviction budget forever.
+    /// Opens (or initializes) a cache directory: creates it if missing and
+    /// builds the index from its record files, oldest mtime first (ties by
+    /// name; a name is its hash in fixed-width hex, so the hash orders
+    /// ties the same). A `surface-*` file whose name, frame or embedded
+    /// hash does not check out is removed and counted in `skipped`;
+    /// `.tmp-*` files (torn deposits) and the `manifest.json` index older
+    /// builds kept beside their records are removed unread.
     pub fn open<P: AsRef<Path>>(dir: P, policy: EvictionPolicy) -> Result<Store, String> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir).map_err(|e| format!("create cache dir {}: {e}", dir.display()))?;
+        let listing =
+            fs::read_dir(&dir).map_err(|e| format!("list cache dir {}: {e}", dir.display()))?;
 
-        let mut entries = Vec::new();
+        let mut rows = Vec::new();
         let mut skipped = 0usize;
-        let manifest_path = dir.join(MANIFEST_FILE);
-        if manifest_path.exists() {
-            match fs::read_to_string(&manifest_path) {
-                Ok(text) => match serde_json::from_str::<Manifest>(&text) {
-                    Ok(manifest) if manifest.version == PERSIST_VERSION => {
-                        entries = manifest.entries;
-                        entries.retain(|e| {
-                            let named_by_hash = e.file == surface_file_name(e.hash.0);
-                            if !named_by_hash {
-                                warn(&format!(
-                                    "cache manifest row {} names {:?}, not its record file; \
-                                     ignoring it",
-                                    e.hash, e.file
-                                ));
-                                skipped += 1;
-                            }
-                            named_by_hash
-                        });
-                    }
-                    Ok(manifest) => {
-                        warn(&format!(
-                            "cache manifest {} has unknown format version {} (expected \
-                             {PERSIST_VERSION}); ignoring {} persisted entr(ies)",
-                            manifest_path.display(),
-                            manifest.version,
-                            manifest.entries.len()
-                        ));
-                        // The now-unreferenced record files are counted
-                        // (and deleted) by the sweep below.
-                        skipped += 1;
-                    }
+        for entry in listing.flatten() {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if name.starts_with(".tmp-") || name == "manifest.json" {
+                let _ = fs::remove_file(entry.path());
+            } else if name.starts_with("surface-") {
+                match read_row(&entry.path(), &name) {
+                    Ok(row) => rows.push(row),
                     Err(e) => {
-                        warn(&format!(
-                            "corrupt cache manifest {} ({e}); starting empty",
-                            manifest_path.display()
-                        ));
+                        warn(&format!("removing cache record {name} ({e})"));
+                        let _ = fs::remove_file(entry.path());
                         skipped += 1;
                     }
-                },
-                Err(e) => {
-                    warn(&format!(
-                        "unreadable cache manifest {} ({e}); starting empty",
-                        manifest_path.display()
-                    ));
-                    skipped += 1;
                 }
             }
         }
-
-        // Sweep files the index does not account for: temp files from
-        // crashed writers, and record files orphaned by a crash between
-        // the record write and the manifest write — or by a skipped
-        // manifest above. Without this, unindexed files would accumulate
-        // outside the eviction budget forever.
-        if let Ok(listing) = fs::read_dir(&dir) {
-            for entry in listing.flatten() {
-                let name = entry.file_name().to_string_lossy().into_owned();
-                if name.starts_with(".tmp-") {
-                    let _ = fs::remove_file(entry.path());
-                } else if name.starts_with("surface-") && !entries.iter().any(|e| e.file == name) {
-                    warn(&format!("removing unindexed cache record {name}"));
-                    let _ = fs::remove_file(entry.path());
-                    skipped += 1;
-                }
-            }
-        }
+        rows.sort_by_key(|(mtime, row)| (*mtime, row.hash));
         Ok(Store {
             dir,
             policy,
-            index: RwLock::new(entries),
-            writer: Mutex::new(()),
+            index: RwLock::new(rows.into_iter().map(|(_, row)| row).collect()),
             evictions: AtomicUsize::new(0),
             skipped: AtomicUsize::new(skipped),
             poisonings: AtomicUsize::new(0),
@@ -248,7 +164,7 @@ impl Store {
     // interrupt it, so a crashing thread must not cascade. The count
     // rolls up into `CacheStats::lock_poisonings`.
 
-    fn index_read(&self) -> std::sync::RwLockReadGuard<'_, Vec<ManifestEntry>> {
+    fn index_read(&self) -> std::sync::RwLockReadGuard<'_, Vec<IndexRow>> {
         self.index.read().unwrap_or_else(|poisoned| {
             // ORDERING: Relaxed — recovery tally; no ordering dependency.
             self.poisonings.fetch_add(1, Ordering::Relaxed);
@@ -257,20 +173,11 @@ impl Store {
         })
     }
 
-    fn index_write(&self) -> std::sync::RwLockWriteGuard<'_, Vec<ManifestEntry>> {
+    fn index_write(&self) -> std::sync::RwLockWriteGuard<'_, Vec<IndexRow>> {
         self.index.write().unwrap_or_else(|poisoned| {
             // ORDERING: Relaxed — recovery tally; no ordering dependency.
             self.poisonings.fetch_add(1, Ordering::Relaxed);
             self.index.clear_poison();
-            poisoned.into_inner()
-        })
-    }
-
-    fn writer_lock(&self) -> std::sync::MutexGuard<'_, ()> {
-        self.writer.lock().unwrap_or_else(|poisoned| {
-            // ORDERING: Relaxed — recovery tally; no ordering dependency.
-            self.poisonings.fetch_add(1, Ordering::Relaxed);
-            self.writer.clear_poison();
             poisoned.into_inner()
         })
     }
@@ -297,8 +204,8 @@ impl Store {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Corrupt / version-mismatched artifacts skipped over this store's
-    /// lifetime.
+    /// Damaged, misnamed or version-mismatched records skipped over this
+    /// store's lifetime.
     pub fn skipped(&self) -> usize {
         // ORDERING: Relaxed — statistics read; staleness is acceptable.
         self.skipped.load(Ordering::Relaxed)
@@ -307,14 +214,14 @@ impl Store {
     /// Snapshot of the index row for `hash`, if persisted. The clone is
     /// deliberate: the caller reads the record file *after* releasing the
     /// index lock.
-    pub fn entry(&self, hash: u64) -> Option<ManifestEntry> {
+    pub fn entry(&self, hash: u64) -> Option<IndexRow> {
         self.index_read().iter().find(|e| e.hash.0 == hash).cloned()
     }
 
     /// The nearest persisted same-shape neighbour within `radius` whose
     /// hash `exclude` does not claim (entries already promoted into
-    /// memory were scanned there), per the manifest index alone — no file
-    /// I/O, shared read lock only. Used by the warm-start lookup and cost
+    /// memory were scanned there), per the index alone — no file I/O,
+    /// shared read lock only. Used by the warm-start lookup and cost
     /// estimation so both always pick the same neighbour.
     pub fn best_candidate<F: Fn(u64) -> bool>(
         &self,
@@ -322,9 +229,9 @@ impl Store {
         fingerprint: &[f64],
         radius: f64,
         exclude: F,
-    ) -> Option<(f64, ManifestEntry)> {
+    ) -> Option<(f64, IndexRow)> {
         let index = self.index_read();
-        let mut best: Option<(f64, &ManifestEntry)> = None;
+        let mut best: Option<(f64, &IndexRow)> = None;
         for entry in index.iter() {
             if entry.shape != shape || exclude(entry.hash.0) {
                 continue;
@@ -341,8 +248,9 @@ impl Store {
     /// earlier. **Holds no lock** — this is the disk restore the serving
     /// front-end runs concurrently across threads. On failure the caller
     /// must [`Store::discard`] the entry.
-    pub fn read_record(&self, entry: &ManifestEntry) -> Result<CachedSurface, String> {
-        let bytes = fs::read(self.dir.join(&entry.file)).map_err(|e| format!("read: {e}"))?;
+    pub fn read_record(&self, entry: &IndexRow) -> Result<CachedSurface, String> {
+        let path = self.dir.join(surface_file_name(entry.hash.0));
+        let bytes = fs::read(path).map_err(|e| format!("read: {e}"))?;
         let surface = decode_record(&bytes)?;
         if surface.hash != entry.hash.0 {
             return Err(format!(
@@ -360,64 +268,52 @@ impl Store {
         Ok(surface)
     }
 
-    /// Drops `hash` from the index (corrupt record file), deletes the
-    /// file, counts the skip, and rewrites the manifest so the next
-    /// process does not rediscover the dead row. Idempotent: a concurrent
-    /// discard of the same hash is a no-op.
+    /// Drops `hash` from the index (damaged record file), deletes the
+    /// file, and counts the skip. Idempotent: a concurrent discard of the
+    /// same hash is a no-op.
     pub fn discard(&self, hash: u64) {
-        let _writer = self.writer_lock();
-        let gone = {
+        {
             let mut index = self.index_write();
             match index.iter().position(|e| e.hash.0 == hash) {
                 Some(pos) => index.remove(pos),
                 None => return, // another thread already discarded it
-            }
-        };
-        let _ = fs::remove_file(self.dir.join(&gone.file));
+            };
+        }
+        let _ = fs::remove_file(self.dir.join(surface_file_name(hash)));
         // ORDERING: Relaxed — statistics tally; no ordering dependency.
         self.skipped.fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = self.write_manifest() {
-            warn(&format!("failed to rewrite cache manifest: {e}"));
-        }
     }
 
     /// Deposits a surface: writes its record file atomically (**before**
-    /// taking any lock), then — under the writer mutex — updates the
-    /// index, applies the eviction policy, and rewrites the manifest
-    /// atomically. Returns the hashes of any evicted surfaces so the
-    /// in-memory cache can drop them too.
+    /// taking any lock), then — under the index write guard — moves its
+    /// row to the back and applies the eviction policy, and deletes the
+    /// evicted files after the guard drops. Returns the hashes of any
+    /// evicted surfaces so the in-memory cache can drop them too.
     pub fn insert(&self, surface: &CachedSurface) -> Result<Vec<u64>, String> {
-        let name = surface_file_name(surface.hash);
         let encoded = encode_record(surface);
         let bytes = encoded.len() as u64;
         // Record-file I/O outside every lock: the atomic temp+rename
         // means concurrent writers of the same hash race to an
         // interchangeable result (identical scenario ⇒ identical surface
         // up to cost telemetry), and readers never see a torn file.
-        write_atomic(&self.dir.join(&name), &encoded).map_err(|e| e.to_string())?;
+        write_atomic(&self.dir.join(surface_file_name(surface.hash)), &encoded)
+            .map_err(|e| e.to_string())?;
 
-        let entry = ManifestEntry {
+        let row = IndexRow {
             hash: HashId(surface.hash),
             shape: surface.shape,
             fingerprint: surface.fingerprint.clone(),
-            steps: surface.steps,
             cost_seconds: surface.cost_seconds,
             bytes,
-            file: name,
         };
-
-        let _writer = self.writer_lock();
         let mut evicted = Vec::new();
-        let mut evicted_files: Vec<String> = Vec::new();
         {
             let mut index = self.index_write();
-            // Re-deposits of the same scenario replace in place (last
-            // writer wins, like the in-memory map) and keep their
-            // eviction slot; the record file was overwritten above.
-            match index.iter_mut().find(|e| e.hash == entry.hash) {
-                Some(slot) => *slot = entry,
-                None => index.push(entry),
-            }
+            // A re-deposit (last writer wins, like the in-memory map) is
+            // the newest entry: its record was just rewritten, so after a
+            // reopen its mtime puts it at the back too.
+            index.retain(|e| e.hash != row.hash);
+            index.push(row);
 
             loop {
                 let over_entries = self.policy.max_entries.is_some_and(|m| index.len() > m);
@@ -431,16 +327,14 @@ impl Store {
                 // itself is ordered by the RwLock write guard.
                 self.evictions.fetch_add(1, Ordering::Relaxed);
                 evicted.push(gone.hash.0);
-                evicted_files.push(gone.file);
             }
         }
         // Evicted record files are deleted only after the index guard is
-        // gone: readers (`load`) share that RwLock and must never block
-        // on disk I/O. The writer mutex still serializes the deletions
-        // with the manifest rewrite below, so a crash between the two
-        // leaves at worst an orphaned file, never a dangling index row.
-        for file in &evicted_files {
-            let _ = fs::remove_file(self.dir.join(file));
+        // gone: readers (`entry`, `best_candidate`) share that RwLock and must never block
+        // on disk I/O. A crash before the deletion leaves a record the
+        // next open indexes and the next deposit evicts again.
+        for &hash in &evicted {
+            let _ = fs::remove_file(self.dir.join(surface_file_name(hash)));
         }
 
         // A budget smaller than a single surface evicts the deposit
@@ -456,23 +350,68 @@ impl Store {
             ));
             evicted.remove(pos);
         }
-
-        self.write_manifest()?;
         Ok(evicted)
     }
+}
 
-    /// Rewrites the manifest atomically from the in-memory index.
-    fn write_manifest(&self) -> Result<(), String> {
-        let mut out = String::new();
-        out.push('{');
-        serde::write_key("version", &mut out);
-        PERSIST_VERSION.serialize_json(&mut out);
-        out.push(',');
-        serde::write_key("entries", &mut out);
-        self.index_read().serialize_json(&mut out);
-        out.push('}');
-        write_atomic(&self.dir.join(MANIFEST_FILE), out.as_bytes()).map_err(|e| e.to_string())
+/// Reads and verifies the record `name` at `path` and builds its index row
+/// from the fields in front of its policy body. The name must be
+/// [`surface_file_name`] of a hash — checked before the file is read — and
+/// the frame must hold that hash.
+fn read_row(path: &Path, name: &str) -> Result<(SystemTime, IndexRow), String> {
+    let named = name
+        .strip_prefix("surface-")
+        .and_then(|rest| rest.strip_suffix(".bin"))
+        .and_then(|hex| HashId::from_hex(hex).ok())
+        .filter(|hash| surface_file_name(hash.0) == name)
+        .ok_or("not named surface-<16 hex digits>.bin")?;
+    let bytes = fs::read(path).map_err(|e| format!("read: {e}"))?;
+    let mtime = fs::metadata(path)
+        .and_then(|m| m.modified())
+        .map_err(|e| format!("mtime: {e}"))?;
+    let head = read_head(&mut Reader::open(
+        RECORD_MAGIC,
+        BINARY_RECORD_VERSION,
+        &bytes,
+    )?)?;
+    if head.hash != named.0 {
+        return Err(format!("holds the record of {}", HashId(head.hash)));
     }
+    let row = IndexRow {
+        hash: named,
+        shape: head.shape,
+        fingerprint: head.fingerprint,
+        cost_seconds: head.cost_seconds,
+        bytes: bytes.len() as u64,
+    };
+    Ok((mtime, row))
+}
+
+/// The fields an `HDDMSURF` payload carries in front of its policy body.
+struct Head {
+    hash: u64,
+    shape: ShapeKey,
+    steps: usize,
+    final_sup_change: f64,
+    cost_seconds: f64,
+    fingerprint: Vec<f64>,
+}
+
+/// Reads a record's [`Head`] — the first half of [`decode_record`], and
+/// all of what [`Store::open`] reads.
+fn read_head(r: &mut Reader) -> Result<Head, String> {
+    Ok(Head {
+        hash: r.u64()?,
+        shape: ShapeKey {
+            dim: r.usize()?,
+            ndofs: r.usize()?,
+            num_states: r.usize()?,
+        },
+        steps: r.usize()?,
+        final_sup_change: r.f64()?,
+        cost_seconds: r.f64()?,
+        fingerprint: r.f64_section()?,
+    })
 }
 
 /// Encodes a surface as one `HDDMSURF` record.
@@ -499,28 +438,20 @@ pub fn encode_record(surface: &CachedSurface) -> Vec<u8> {
 }
 
 /// Decodes and fully self-validates a record. Cross-checks against the
-/// manifest row happen in [`Store::read_record`].
+/// index row happen in [`Store::read_record`].
 pub fn decode_record(bytes: &[u8]) -> Result<CachedSurface, String> {
     let mut r = Reader::open(RECORD_MAGIC, BINARY_RECORD_VERSION, bytes)?;
-    let hash = r.u64()?;
-    let shape = ShapeKey {
-        dim: r.usize()?,
-        ndofs: r.usize()?,
-        num_states: r.usize()?,
-    };
-    let steps = r.usize()?;
-    let final_sup_change = r.f64()?;
-    let cost_seconds = r.f64()?;
-    let fingerprint = r.f64_section()?;
+    let head = read_head(&mut r)?;
+    let shape = head.shape;
     let policy = r.policy(shape.dim, shape.ndofs, shape.num_states)?;
     r.finish()?;
     Ok(CachedSurface {
-        hash,
+        hash: head.hash,
         shape,
-        fingerprint,
+        fingerprint: head.fingerprint,
         policy,
-        steps,
-        final_sup_change,
-        cost_seconds,
+        steps: head.steps,
+        final_sup_change: head.final_sup_change,
+        cost_seconds: head.cost_seconds,
     })
 }

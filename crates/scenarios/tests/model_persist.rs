@@ -1,28 +1,25 @@
-//! hddm-check model of the persist store's writer-mutex/index-RwLock
-//! split.
+//! hddm-check model of the persist store's one lock, the index `RwLock`.
 //!
-//! Mirrors `crates/scenarios/src/persist.rs` (`Store::insert` /
-//! `Store::lookup`): the record file is written *before* the writer
-//! mutex is taken, the index update happens under a short `RwLock`
-//! write, the manifest rewrite happens under the writer mutex only (a
-//! by-design, baselined lock-over-io — expressed here with
-//! `io_step_allowing`), and evicted record files are deleted *after*
-//! the index guard is dropped (the discipline PR 8's HL003 encoded
-//! syntactically). The read path snapshots the manifest entry under
-//! the read lock and does its file read with no lock held.
+//! Mirrors `crates/scenarios/src/persist.rs`: `Store::insert` writes the
+//! record file before taking any lock, moves its row to the back and
+//! evicts under a short index write guard, and deletes the evicted files
+//! after the guard drops; `Store::entry` + `Store::read_record` snapshot
+//! the row under the read lock and read the file with no lock held;
+//! `Store::discard` drops the row under the write guard and deletes the
+//! file after it. The record files are the index, so there is no other
+//! file and no other lock.
 //!
 //! Checked properties:
-//! - **readers never block on writer I/O**: a reader's record-file
-//!   read overlaps the writer's manifest write in some schedule
+//! - **readers never block on writer I/O**: a reader's record read
+//!   overlaps the depositor's eviction delete in some schedule
 //!   (cross-execution existential check);
 //! - **lock discipline**: no thread ever does record I/O while holding
-//!   a checked lock, except the manifest write under the writer mutex;
-//! - liveness: no deadlock/lost wakeup between the two locks.
+//!   any checked lock — no exceptions;
+//! - liveness: no deadlock between the readers and the depositor.
 //!
 //! Mutations:
 //! - `EvictInsideIndexGuard` — the evicted-file deletion moves inside
-//!   the index write guard (the exact regression PR 8 baselined
-//!   against) → io-under-lock invariant violation;
+//!   the index write guard → io-under-lock invariant violation;
 //! - `ReadLockUpgrade` — the reader re-locks the index for write while
 //!   still holding its read guard (an "upgrade") → deadlock.
 
@@ -30,8 +27,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use hddm_check::{
-    explore, io_step, io_step_allowing, replay, spawn, CheckedAtomicBool, CheckedMutex,
-    CheckedRwLock, Config, FailureKind,
+    explore, io_step, replay, spawn, CheckedAtomicBool, CheckedRwLock, Config, FailureKind,
 };
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -41,13 +37,11 @@ enum Mutation {
     ReadLockUpgrade,
 }
 
-/// Model-level `Store`: the manifest index rows are just hashes, the
-/// writer mutex serializes deposits, and a flag marks the window in
-/// which the writer is inside its manifest I/O.
+/// Model-level `Store`: the index rows are just hashes, oldest first, and
+/// a flag marks the window in which the depositor deletes evicted files.
 struct StoreModel {
     index: CheckedRwLock<Vec<u64>>,
-    writer: CheckedMutex<()>,
-    writer_in_manifest_io: CheckedAtomicBool,
+    deleting: CheckedAtomicBool,
     mutation: Mutation,
 }
 
@@ -57,22 +51,18 @@ impl StoreModel {
             // Seeded with hash 9 (oldest, evicted by the next deposit)
             // and hash 0 (the readers' target, which survives).
             index: CheckedRwLock::named("index", vec![9, 0]),
-            writer: CheckedMutex::named("writer", ()),
-            writer_in_manifest_io: CheckedAtomicBool::named("writer_in_manifest_io", false),
+            deleting: CheckedAtomicBool::named("deleting", false),
             mutation,
         })
     }
 
-    /// Mirrors `Store::insert`: record write → writer mutex → index
-    /// update (short write lock) → manifest write (writer mutex only,
-    /// by design) → evicted files deleted after the index guard drop.
+    /// Mirrors `Store::insert`: record write → index update and eviction
+    /// (short write guard) → evicted files deleted after the guard drops.
     fn insert(&self, hash: u64, max_entries: usize) {
-        // The record file is written before the mutex is taken —
-        // concurrent readers never wait on a writer's disk I/O.
         io_step("write record file");
-        let guard = self.writer.lock();
         let evicted: Vec<u64> = {
             let mut index = self.index.write();
+            index.retain(|&h| h != hash);
             index.push(hash);
             let excess = index.len().saturating_sub(max_entries);
             let evicted: Vec<u64> = index.drain(..excess).collect();
@@ -80,30 +70,26 @@ impl StoreModel {
                 for _ in &evicted {
                     // BUG under test: file deletion while the index
                     // write guard is live — readers stall on disk I/O.
-                    io_step_allowing("remove evicted record file", &[&self.writer]);
+                    io_step("remove evicted record file");
                 }
             }
             evicted
         };
-        self.writer_in_manifest_io.store(true);
-        // Manifest rewrite under the writer mutex only: the by-design,
-        // baselined lock-over-io (HL003 baseline "writer mutex over
-        // manifest I/O by design").
-        io_step_allowing("write manifest", &[&self.writer]);
-        self.writer_in_manifest_io.store(false);
         if self.mutation != Mutation::EvictInsideIndexGuard {
             for _ in &evicted {
-                io_step_allowing("remove evicted record file", &[&self.writer]);
+                self.deleting.store(true);
+                io_step("remove evicted record file");
+                self.deleting.store(false);
             }
         }
-        drop(guard);
     }
 
-    /// Mirrors the `Store` read path: snapshot the manifest entry under
-    /// the read lock, release it, read the record file with no lock
-    /// held. Returns whether the read overlapped the writer's manifest
-    /// I/O (the "readers never block on writers" witness).
-    fn lookup(&self, hash: u64) -> bool {
+    /// Mirrors the restore path: snapshot the row under the read lock,
+    /// release it, read the record file with no lock held; a record that
+    /// fails its decode is discarded (`Store::discard`). Returns whether
+    /// the read overlapped the depositor's eviction delete (the "readers
+    /// never block on writers" witness).
+    fn lookup(&self, hash: u64, damaged: bool) -> bool {
         let found = {
             let index = self.index.read();
             if self.mutation == Mutation::ReadLockUpgrade {
@@ -114,29 +100,42 @@ impl StoreModel {
             }
             index.contains(&hash)
         };
-        if found {
-            let overlapped = self.writer_in_manifest_io.peek();
-            io_step("read record file");
-            return overlapped;
+        if !found {
+            return false;
         }
-        false
+        let overlapped = self.deleting.peek();
+        io_step("read record file");
+        if damaged {
+            let removed = {
+                let mut index = self.index.write();
+                let before = index.len();
+                index.retain(|&h| h != hash);
+                index.len() < before
+            };
+            if removed {
+                io_step("remove damaged record file");
+            }
+        }
+        overlapped
     }
 }
 
-/// One writer depositing (with eviction), two readers looking up the
-/// pre-seeded hash 0. `overlap_seen` records (across executions)
-/// whether a reader's file read ever ran inside the writer's manifest
-/// I/O window.
+/// One depositor (with eviction) and two readers of the pre-seeded hash
+/// 0, the second of which finds its record damaged and discards it.
+/// `overlap_seen` records (across executions) whether a reader's record
+/// read ever ran inside the depositor's eviction delete.
 fn persist_model(mutation: Mutation, overlap_seen: Arc<AtomicBool>) {
     let m = StoreModel::new(mutation);
     let w = {
         let m = Arc::clone(&m);
         spawn("depositor", move || m.insert(1, 2))
     };
-    let readers: Vec<_> = (0..2)
-        .map(|i| {
+    let readers: Vec<_> = [false, true]
+        .into_iter()
+        .enumerate()
+        .map(|(i, damaged)| {
             let m = Arc::clone(&m);
-            spawn(&format!("reader-{i}"), move || m.lookup(0))
+            spawn(&format!("reader-{i}"), move || m.lookup(0, damaged))
         })
         .collect();
     let mut overlapped = false;
@@ -154,18 +153,18 @@ fn persist_model(mutation: Mutation, overlap_seen: Arc<AtomicBool>) {
 fn persist_split_explores_clean_and_readers_overlap_writer_io() {
     let overlap = Arc::new(AtomicBool::new(false));
     let o = Arc::clone(&overlap);
-    let report = explore(&Config::new("persist-writer-split"), move || {
+    let report = explore(&Config::new("persist-index"), move || {
         persist_model(Mutation::None, Arc::clone(&o))
     });
     let schedules = report.assert_clean();
     // ORDERING: Relaxed — read after exploration finished.
     assert!(
         overlap.load(Ordering::Relaxed),
-        "no schedule overlapped a reader's record read with the writer's \
-         manifest I/O — readers are blocking on writer I/O"
+        "no schedule overlapped a reader's record read with the depositor's \
+         eviction delete — readers are blocking on writer I/O"
     );
     println!(
-        "model persist-writer-split: {} schedules, max {} steps",
+        "model persist-index: {} schedules, max {} steps",
         schedules, report.max_steps_seen
     );
 }

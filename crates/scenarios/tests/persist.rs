@@ -3,18 +3,20 @@
 //! *fresh* cache (the new-process situation) performs zero
 //! time-iteration steps — every surface is an exact hit lazily restored
 //! from disk — and the eviction policy provably bounds the directory to
-//! the configured maximum. Corrupt and version-mismatched artifacts are
-//! skipped with a warning, never a panic.
+//! the configured maximum, oldest mtime first across a reopen. The record
+//! files are the index: corrupt, misnamed and version-mismatched records
+//! are removed with a warning, never a panic, and never followed.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, SystemTime};
 
 use hddm_kernels::KernelKind;
 use hddm_olg::{Calibration, PolicyOracle};
 use hddm_scenarios::{
     persist, run_set, run_single, CacheKind, EvictionPolicy, ExecutorConfig, Knob, Lookup,
-    Scenario, ScenarioSet, SurfaceCache, MANIFEST_FILE,
+    Scenario, ScenarioSet, SurfaceCache,
 };
 
 /// A fresh, collision-free temp directory per test invocation.
@@ -81,9 +83,8 @@ fn surfaces_roundtrip_through_a_reopened_directory_bitwise() {
         panic!("stored surface must be an exact hit in its own cache");
     };
 
-    // The directory now holds a manifest and one record file.
-    assert!(dir.join(MANIFEST_FILE).exists());
-    assert!(dir.join(persist::surface_file_name(hash)).exists());
+    // The directory now holds one record file and nothing else.
+    assert_eq!(listing(&dir), [persist::surface_file_name(hash)]);
 
     // Reopen in a *fresh* cache (the new-process situation): the exact
     // hit is lazily restored from disk and bitwise identical.
@@ -122,6 +123,16 @@ fn box_probes(surface: &hddm_scenarios::CachedSurface) -> Vec<Vec<f64>> {
     vec![domain.lo().to_vec(), centre.collect()]
 }
 
+/// The file names in `dir`, sorted.
+fn listing(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
 fn original_shape(s: &Scenario) -> hddm_scenarios::ShapeKey {
     hddm_scenarios::ShapeKey {
         dim: s.calibration.dim(),
@@ -158,8 +169,8 @@ fn rerunning_a_sweep_through_a_fresh_cache_does_zero_solves() {
     assert_eq!(second.cache_stats.disk_hits, set.len());
 
     // Measured costs also survive the restart: a third fresh cache over
-    // the directory serves them from the manifest alone, no record file
-    // loads needed (the probe would return None without the persisted
+    // the directory serves them from the index its open built, no policy
+    // body decoded (the probe would return None without the persisted
     // index).
     let third_cache = SurfaceCache::open(&dir).unwrap();
     for scenario in &set.scenarios {
@@ -189,50 +200,66 @@ fn corrupt_record_files_are_skipped_without_a_panic() {
 
     // Simulated torn write: truncate the binary record mid-payload —
     // exactly what a crash between write and fsync could leave behind.
+    // Silent bit rot: flip one payload byte, so the length and structure
+    // stay plausible and only the checksummed header catches it. A record
+    // truncated to *zero* bytes (crash after create, before any write
+    // reached disk). Each is removed at open, counted, and re-solved.
     let record = dir.join(persist::surface_file_name(hash));
-    let bytes = fs::read(&record).unwrap();
-    fs::write(&record, &bytes[..bytes.len() / 2]).unwrap();
+    let damages: [fn(&mut Vec<u8>); 3] = [
+        |b| b.truncate(b.len() / 2),
+        |b| *b.last_mut().unwrap() ^= 0x01,
+        |b| b.clear(),
+    ];
+    for damage in damages {
+        let mut bytes = fs::read(&record).unwrap();
+        damage(&mut bytes);
+        fs::write(&record, &bytes).unwrap();
 
-    let reopened = SurfaceCache::open(&dir).unwrap();
-    assert_eq!(reopened.stats().persisted_entries, 1);
-    // The lookup skips the corrupt file (warning, not panic) and misses.
-    let report = run_single(&scenario, &reopened, &ExecutorConfig::serial()).unwrap();
-    assert_eq!(report.cache, CacheKind::Cold, "corrupt entry must not hit");
-    let stats = reopened.stats();
-    assert_eq!(stats.skipped, 1);
-    // The re-solve re-deposited a good copy.
-    assert_eq!(stats.persisted_entries, 1);
-    let third = SurfaceCache::open(&dir).unwrap();
-    let served = run_single(&scenario, &third, &ExecutorConfig::serial()).unwrap();
-    assert_eq!(served.cache, CacheKind::Exact);
+        let reopened = SurfaceCache::open(&dir).unwrap();
+        let stats = reopened.stats();
+        assert_eq!((stats.persisted_entries, stats.skipped), (0, 1));
+        assert!(!record.exists(), "the damaged record is removed at open");
+        let report = run_single(&scenario, &reopened, &ExecutorConfig::serial()).unwrap();
+        assert_eq!(report.cache, CacheKind::Cold, "corrupt entry must not hit");
+        // The re-solve re-deposited a good copy.
+        assert_eq!(reopened.stats().persisted_entries, 1);
+        let served = run_single(
+            &scenario,
+            &SurfaceCache::open(&dir).unwrap(),
+            &ExecutorConfig::serial(),
+        )
+        .unwrap();
+        assert_eq!(served.cache, CacheKind::Exact);
+    }
 
-    // Silent bit rot: flip one payload byte. The length and structure
-    // stay plausible, so only the checksummed header catches it.
+    // Damage *after* open: the index row is already built, so the first
+    // hit's full decode catches it, and the lazy discard drops the row and
+    // the file (warning, not panic) before the scenario re-solves.
+    let opened = SurfaceCache::open(&dir).unwrap();
+    assert_eq!(opened.stats().persisted_entries, 1);
     let mut bytes = fs::read(&record).unwrap();
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0x01;
+    *bytes.last_mut().unwrap() ^= 0x01;
     fs::write(&record, &bytes).unwrap();
-    let fourth = SurfaceCache::open(&dir).unwrap();
-    let report = run_single(&scenario, &fourth, &ExecutorConfig::serial()).unwrap();
-    assert_eq!(report.cache, CacheKind::Cold);
-    assert_eq!(fourth.stats().skipped, 1);
-
-    // A record truncated to *zero* bytes (crash after create, before
-    // any write reached disk) is equally survivable.
-    fs::write(&record, b"").unwrap();
-    let fifth = SurfaceCache::open(&dir).unwrap();
-    let report = run_single(&scenario, &fifth, &ExecutorConfig::serial()).unwrap();
-    assert_eq!(report.cache, CacheKind::Cold);
-    assert_eq!(fifth.stats().skipped, 1);
+    let report = run_single(&scenario, &opened, &ExecutorConfig::serial()).unwrap();
+    assert_eq!(report.cache, CacheKind::Cold, "corrupt entry must not hit");
+    let stats = opened.stats();
+    assert_eq!((stats.skipped, stats.disk_hits), (1, 0));
+    assert_eq!(stats.persisted_entries, 1, "re-deposited");
+    let served = run_single(
+        &scenario,
+        &SurfaceCache::open(&dir).unwrap(),
+        &ExecutorConfig::serial(),
+    )
+    .unwrap();
+    assert_eq!(served.cache, CacheKind::Exact);
 
     let _ = fs::remove_dir_all(&dir);
 }
 
 /// The acceptance property of the record format: encoding and decoding
-/// a surface reproduces it bit for bit. (The JSON codec this test once
-/// compared against is gone; the name is kept.)
+/// a surface reproduces it bit for bit.
 #[test]
-fn binary_and_json_records_roundtrip_bitwise() {
+fn records_roundtrip_bitwise() {
     let scenario = base_scenario();
     let cache = SurfaceCache::default();
     let hash = run_single(&scenario, &cache, &ExecutorConfig::serial())
@@ -275,9 +302,29 @@ fn binary_and_json_records_roundtrip_bitwise() {
     }
 }
 
+/// FNV-1a-64, the checksum of `hddm_core::record` frames.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |state, &b| {
+        (state ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `record` with its format version and embedded hash replaced and both
+/// checksums restamped: a well-formed frame that differs in those alone.
+fn reframe(record: &[u8], version: u32, hash: u64) -> Vec<u8> {
+    let mut out = record.to_vec();
+    out[8..12].copy_from_slice(&version.to_le_bytes());
+    out[40..48].copy_from_slice(&hash.to_le_bytes());
+    let payload = fnv64(&out[40..]);
+    out[24..32].copy_from_slice(&payload.to_le_bytes());
+    let header = fnv64(&out[..32]);
+    out[32..40].copy_from_slice(&header.to_le_bytes());
+    out
+}
+
 #[test]
-fn unknown_manifest_versions_are_skipped_without_a_panic() {
-    let dir = temp_cache_dir("version");
+fn unusable_files_are_removed_at_open_and_never_followed() {
+    let dir = temp_cache_dir("unusable");
     let scenario = base_scenario();
     let cache = SurfaceCache::open(&dir).unwrap();
     let hash = run_single(&scenario, &cache, &ExecutorConfig::serial())
@@ -285,58 +332,59 @@ fn unknown_manifest_versions_are_skipped_without_a_panic() {
         .hash
         .0;
     drop(cache);
+    let good = persist::surface_file_name(hash);
+    let record = fs::read(dir.join(&good)).unwrap();
+    assert_eq!(reframe(&record, 1, hash), record, "reframe only restamps");
 
-    // Stamp a future format version onto the manifest.
-    let manifest = dir.join(MANIFEST_FILE);
-    let text = fs::read_to_string(&manifest).unwrap();
-    let future = text.replacen("\"version\":1", "\"version\":999", 1);
-    assert_ne!(text, future);
-    fs::write(&manifest, future).unwrap();
-
-    let reopened = SurfaceCache::open(&dir).unwrap();
-    let stats = reopened.stats();
-    assert_eq!(stats.persisted_entries, 0, "unknown version starts empty");
-    assert!(stats.skipped >= 1);
-    let report = run_single(&scenario, &reopened, &ExecutorConfig::serial()).unwrap();
-    assert_eq!(report.cache, CacheKind::Cold);
-    drop(reopened);
-
-    // A row may only name the record file its hash determines: a row
-    // naming a record format this version cannot read, a path that climbs
-    // out of the directory, or an absolute path is dropped at open, so no
-    // read, discard or eviction can follow it to another file.
-    let record = persist::surface_file_name(hash);
-    let stale = record.replace(".bin", ".json");
+    // Beside the good record: a valid frame under a name that is not 16
+    // lowercase hex digits (twice), a valid frame under another hash's
+    // name, a future-version frame consistent with its name, a zero-byte
+    // record, and a torn deposit.
+    let other = 0xdead_beef_0000_0001u64;
+    let bad: Vec<(String, Vec<u8>)> = vec![
+        ("surface-xyz.bin".into(), record.clone()),
+        (
+            format!("surface-{other:016X}.bin"),
+            reframe(&record, 1, other),
+        ),
+        (persist::surface_file_name(!hash), record.clone()),
+        (
+            persist::surface_file_name(other),
+            reframe(&record, 2, other),
+        ),
+        (persist::surface_file_name(other ^ 1), Vec::new()),
+    ];
+    for (name, bytes) in &bad {
+        fs::write(dir.join(name), bytes).unwrap();
+    }
+    fs::write(dir.join(".tmp-1-0-surface-junk.bin"), b"partial").unwrap();
+    // A file outside the directory, reachable through a record name.
     let victim = dir.with_file_name(format!(
         "{}_victim",
         dir.file_name().unwrap().to_string_lossy()
     ));
-    let climbing = format!("../{}", victim.file_name().unwrap().to_string_lossy());
-    for bad in [stale.as_str(), climbing.as_str(), victim.to_str().unwrap()] {
-        fs::write(&victim, b"not a cache file").unwrap();
-        fs::write(dir.join(&stale), b"{}").unwrap();
-        let text = fs::read_to_string(&manifest).unwrap();
-        let rewritten = text.replacen(&record, bad, 1);
-        assert_ne!(text, rewritten, "manifest must name the record file");
-        fs::write(&manifest, rewritten).unwrap();
-
-        let reopened = SurfaceCache::open(&dir).unwrap();
-        let stats = reopened.stats();
-        assert_eq!(stats.persisted_entries, 0, "{bad}: the row is dropped");
-        assert!(stats.skipped >= 1, "{bad}");
-        assert!(!dir.join(&stale).exists(), "{bad}: stale record is swept");
-        let report = run_single(&scenario, &reopened, &ExecutorConfig::serial()).unwrap();
-        assert_eq!(report.cache, CacheKind::Cold, "{bad}");
-        assert!(dir.join(&record).exists(), "{bad}: re-deposited as .bin");
-        assert_eq!(fs::read(&victim).unwrap(), b"not a cache file", "{bad}");
+    fs::write(&victim, b"not a cache file").unwrap();
+    let mut counted = bad.len();
+    #[cfg(unix)]
+    {
+        let link = dir.join(persist::surface_file_name(other ^ 2));
+        std::os::unix::fs::symlink(&victim, link).unwrap();
+        counted += 1;
     }
-    fs::remove_file(&victim).unwrap();
 
-    // A wholly corrupt manifest is equally survivable.
-    fs::write(&manifest, "not json at all {{{").unwrap();
     let reopened = SurfaceCache::open(&dir).unwrap();
-    assert_eq!(reopened.stats().persisted_entries, 0);
+    let stats = reopened.stats();
+    assert_eq!(
+        stats.persisted_entries, 1,
+        "only the good record is indexed"
+    );
+    assert_eq!(stats.skipped, counted, "every unusable record is counted");
+    assert_eq!(listing(&dir), [good], "and every other file is gone");
+    assert_eq!(fs::read(&victim).unwrap(), b"not a cache file");
+    let served = run_single(&scenario, &reopened, &ExecutorConfig::serial()).unwrap();
+    assert_eq!((served.cache, served.steps), (CacheKind::Exact, 0));
 
+    fs::remove_file(&victim).unwrap();
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -361,20 +409,14 @@ fn eviction_bounds_the_directory_to_max_entries_oldest_first() {
     assert_eq!(stats.persisted_entries, 2, "directory bounded to 2");
     assert_eq!(stats.evictions, set.len() - 2, "oldest entries evicted");
 
-    // Exactly two record files remain on disk (plus the manifest), and
-    // they are the two *newest* scenarios.
-    let mut files: Vec<String> = fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .filter(|n| n.starts_with("surface-"))
-        .collect();
-    files.sort();
+    // Exactly two record files remain on disk, and they are the two
+    // *newest* scenarios.
     let mut expected: Vec<String> = report.scenarios[set.len() - 2..]
         .iter()
         .map(|s| persist::surface_file_name(s.hash.0))
         .collect();
     expected.sort();
-    assert_eq!(files, expected);
+    assert_eq!(listing(&dir), expected);
 
     // A fresh cache over the directory agrees, and the surviving
     // (newest) scenario is still an exact hit.
@@ -428,40 +470,107 @@ fn max_bytes_eviction_bounds_the_directory_size() {
 }
 
 #[test]
-fn orphaned_record_files_are_swept_on_open() {
-    let dir = temp_cache_dir("orphans");
-    let scenario = base_scenario();
-    let cache = SurfaceCache::open(&dir).unwrap();
-    let hash = run_single(&scenario, &cache, &ExecutorConfig::serial())
-        .unwrap()
-        .hash
-        .0;
-    drop(cache);
-
-    // A manifest from a future format version orphans its record files.
-    let manifest = dir.join(MANIFEST_FILE);
-    let text = fs::read_to_string(&manifest).unwrap();
-    fs::write(
-        &manifest,
-        text.replacen("\"version\":1", "\"version\":999", 1),
+fn eviction_order_across_a_reopen_is_oldest_mtime_first() {
+    let dir = temp_cache_dir("mtime");
+    let set = ScenarioSet::grid(
+        &base_scenario(),
+        &[(Knob::Beta, vec![0.949, 0.95, 0.951, 0.952])],
     )
     .unwrap();
-    // Plus a crash leftover: a record file no index ever referenced.
-    fs::write(dir.join(persist::surface_file_name(!hash)), "{}").unwrap();
-    // And a torn temp file.
-    fs::write(dir.join(".tmp-12345-surface-junk.json"), "partial").unwrap();
+    let cache = SurfaceCache::open(&dir).unwrap();
+    let hashes: Vec<u64> = set.scenarios[..3]
+        .iter()
+        .map(|s| {
+            run_single(s, &cache, &ExecutorConfig::serial())
+                .unwrap()
+                .hash
+                .0
+        })
+        .collect();
+    drop(cache);
+
+    // Backdate the newest deposit below the other two: the mtime, not the
+    // deposit order of a process that is gone, is what a reopen sees.
+    for (hash, secs) in hashes.iter().zip([2_000, 3_000, 1_000]) {
+        fs::OpenOptions::new()
+            .write(true)
+            .open(dir.join(persist::surface_file_name(*hash)))
+            .unwrap()
+            .set_modified(SystemTime::UNIX_EPOCH + Duration::from_secs(secs))
+            .unwrap();
+    }
+    let policy = EvictionPolicy {
+        max_entries: Some(3),
+        max_bytes: None,
+    };
+    let reopened = SurfaceCache::open_with(&dir, policy).unwrap();
+    let newest = run_single(&set.scenarios[3], &reopened, &ExecutorConfig::serial()).unwrap();
+    assert_eq!(reopened.stats().evictions, 1);
+
+    let mut expected: Vec<String> = [hashes[0], hashes[1], newest.hash.0]
+        .iter()
+        .map(|&h| persist::surface_file_name(h))
+        .collect();
+    expected.sort();
+    assert_eq!(listing(&dir), expected, "the oldest mtime went");
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_older_builds_directory_is_served_exact_and_loses_its_manifest() {
+    let dir = temp_cache_dir("legacy");
+    let set = ScenarioSet::grid(&base_scenario(), &[(Knob::Beta, vec![0.949, 0.95])]).unwrap();
+    let first = run_set(
+        &set,
+        &SurfaceCache::open(&dir).unwrap(),
+        &ExecutorConfig::serial(),
+    )
+    .unwrap();
+
+    // The index builds before this one kept beside their records: a v1
+    // `manifest.json` restating each record's leading fields.
+    let rows: Vec<String> = first
+        .scenarios
+        .iter()
+        .zip(&set.scenarios)
+        .map(|(report, scenario)| {
+            let shape = original_shape(scenario);
+            let file = persist::surface_file_name(report.hash.0);
+            format!(
+                r#"{{"hash":"{}","shape":{{"dim":{},"ndofs":{},"num_states":{}}},"fingerprint":{:?},"steps":{},"cost_seconds":1.0,"bytes":{},"file":"{file}"}}"#,
+                report.hash,
+                shape.dim,
+                shape.ndofs,
+                shape.num_states,
+                hddm_scenarios::fingerprint(scenario),
+                report.steps,
+                fs::metadata(dir.join(&file)).unwrap().len(),
+            )
+        })
+        .collect();
+    let manifest = dir.join("manifest.json");
+    fs::write(
+        &manifest,
+        format!(r#"{{"version":1,"entries":[{}]}}"#, rows.join(",")),
+    )
+    .unwrap();
 
     let reopened = SurfaceCache::open(&dir).unwrap();
-    assert_eq!(reopened.stats().persisted_entries, 0);
-    // Unindexed files are gone: they can never leak past the eviction
-    // budget, and nothing but the (stale) manifest remains.
-    let leftovers: Vec<String> = fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .filter(|n| n != MANIFEST_FILE)
-        .collect();
-    assert!(leftovers.is_empty(), "leftovers: {leftovers:?}");
-    assert!(reopened.stats().skipped >= 3, "manifest + 2 orphans");
+    assert!(!manifest.exists(), "the manifest is removed unread");
+    let stats = reopened.stats();
+    assert_eq!((stats.persisted_entries, stats.skipped), (set.len(), 0));
+    // The rows come from the records: the manifest's 1 s cost is not read.
+    let near = reopened
+        .nearest_neighbour(
+            original_shape(&set.scenarios[0]),
+            &hddm_scenarios::fingerprint(&set.scenarios[0]),
+        )
+        .unwrap();
+    assert_ne!(near.cost_seconds, 1.0);
+    let again = run_set(&set, &reopened, &ExecutorConfig::serial()).unwrap();
+    assert_eq!(again.exact_hits, set.len());
+    assert!(again.scenarios.iter().all(|s| s.steps == 0));
 
     let _ = fs::remove_dir_all(&dir);
 }
