@@ -5,9 +5,12 @@
 //! (`Ns = 16` blocks per round at the paper's scale), every block as wide
 //! as the round has rows.
 
+use std::ops::Range;
+
 use hddm_asg::BoxDomain;
 use hddm_kernels::{
-    CompressedState, ExecutionBackend, KernelKind, MultiState, PointBlock, Scratch,
+    batch, CompressedState, ExecutionBackend, Gradients, KernelKind, MultiState, PointBlock,
+    Scratch,
 };
 use hddm_olg::PolicyOracle;
 
@@ -58,6 +61,7 @@ impl PolicySet {
             unit: vec![0.0; dim],
             unit_rows: Vec::new(),
             block: PointBlock::new(dim),
+            unit_scales: Vec::new(),
             traffic: OracleTraffic::default(),
         }
     }
@@ -87,6 +91,8 @@ pub struct AsgOracle<'a> {
     /// form, reused from block to block.
     unit_rows: Vec<f64>,
     block: PointBlock,
+    /// Per gradient state and dimension, `d unit / d physical`.
+    unit_scales: Vec<f64>,
     traffic: OracleTraffic,
 }
 
@@ -118,6 +124,81 @@ impl PolicyOracle for AsgOracle<'_> {
         );
         self.traffic.blocks += 1;
         self.traffic.points += self.block.len() as u64;
+    }
+
+    /// The value states and the gradient states as one gradient walk (an
+    /// observed backend instead sees the value states as a block of their
+    /// own and no gradient walk); the walk's unit-cube gradient times
+    /// `1/width` where the clamp left a coordinate alone, `0` where it
+    /// moved it. Only the value states are traffic.
+    fn eval_block_gradient(
+        &mut self,
+        z_next: usize,
+        dim: usize,
+        xs: &[f64],
+        grads: usize,
+        coeffs: Range<usize>,
+        values: &mut [f64],
+        gradient: &mut [f64],
+    ) {
+        let npts = xs.len() / dim;
+        let from = npts - grads;
+        self.unit_rows.clear();
+        self.unit_scales.clear();
+        for (p, x) in xs.chunks_exact(dim).enumerate() {
+            self.clamp_to_unit(x);
+            self.unit_rows.extend_from_slice(&self.unit);
+            if p >= from {
+                let inside = self.phys.iter().zip(x).map(|(c, x)| c == x);
+                let widths = (0..dim).map(|t| self.set.domain.width(t));
+                let scales = inside
+                    .zip(widths)
+                    .map(|(inside, w)| inside as u8 as f64 / w);
+                self.unit_scales.extend(scales);
+            }
+        }
+        let state = self.set.states.state(z_next);
+        let (value_rows, walked) = match &self.backend {
+            ExecutionBackend::Cpu => (0, &self.unit_rows[..]),
+            observed => {
+                let (value_units, gradient_units) = self.unit_rows.split_at(from * dim);
+                if from > 0 {
+                    self.block.set_rows(value_units);
+                    let value_out = &mut values[..from * state.ndofs];
+                    observed.evaluate_batch(
+                        self.kernel,
+                        state,
+                        &self.block,
+                        &mut self.scratch,
+                        value_out,
+                    );
+                }
+                (from, gradient_units)
+            }
+        };
+        self.block.set_rows(walked);
+        let len = coeffs.len();
+        batch::interpolate_gradient_batch(
+            self.kernel,
+            state,
+            &self.block,
+            &mut self.scratch,
+            &mut values[value_rows * state.ndofs..],
+            Gradients {
+                points: grads,
+                coeffs,
+                out: gradient,
+            },
+        );
+        for (partials, &scale) in gradient.chunks_exact_mut(len.max(1)).zip(&self.unit_scales) {
+            for v in partials {
+                *v *= scale;
+            }
+        }
+        if from > 0 {
+            self.traffic.blocks += 1;
+            self.traffic.points += from as u64;
+        }
     }
 }
 
@@ -174,6 +255,47 @@ mod tests {
         assert!((out[0] - 3.0).abs() < 1e-9, "{}", out[0]);
         oracle.eval(1, &[5.0, 0.5], &mut out);
         assert!((out[0] + 10.0).abs() < 1e-9, "{}", out[0]);
+    }
+
+    /// Counts the points of the blocks an observed backend is told of.
+    #[derive(Debug, Default)]
+    struct Seen(std::sync::atomic::AtomicUsize);
+
+    impl hddm_kernels::BlockObserver for Seen {
+        fn observe(&self, _: &CompressedState, counts: &[hddm_kernels::ChunkCounts]) {
+            let points = counts.iter().map(|c| c.chunk).sum();
+            self.0
+                .fetch_add(points, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn oracle_gradient_is_physical_and_zero_where_the_clamp_moved_the_state() {
+        let domain = BoxDomain::new(vec![2.0, -1.0], vec![6.0, 1.0]);
+        let set = PolicySet::new(
+            vec![linear_state(&domain, 1.5), linear_state(&domain, -2.0)],
+            domain,
+        );
+        // One value state, then a gradient state inside the box and one
+        // that the clamp moves in `x₀`.
+        let xs = [3.0, 0.2, 4.5, -0.3, 7.0, 0.5];
+        let seen = std::sync::Arc::new(Seen::default());
+        for backend in [
+            ExecutionBackend::Cpu,
+            ExecutionBackend::Observed(seen.clone()),
+        ] {
+            let mut oracle = set.oracle_on(KernelKind::Avx2, backend);
+            let (mut values, mut gradient) = ([0.0; 3], [f64::NAN; 4]);
+            oracle.eval_block_gradient(1, 2, &xs, 2, 0..1, &mut values, &mut gradient);
+            assert!((values[0] + 6.0).abs() < 1e-9, "{values:?}");
+            assert!((gradient[0] + 2.0).abs() < 1e-12, "{gradient:?}");
+            assert!(gradient[1].abs() < 1e-12, "{gradient:?}");
+            assert_eq!(gradient[2..], [0.0, 0.0]);
+            let traffic = oracle.take_traffic();
+            assert_eq!((traffic.blocks, traffic.points), (1, 1));
+        }
+        // The observer priced the value state and no gradient walk.
+        assert_eq!(seen.0.load(std::sync::atomic::Ordering::Relaxed), 1);
     }
 
     #[test]

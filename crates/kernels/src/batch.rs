@@ -50,6 +50,16 @@
 //! every output element — fused or not, by its position in the row — and
 //! the same chain order per point) — the golden tests assert `==`, not a
 //! tolerance.
+//!
+//! Beside the value walk sits the **gradient walk**
+//! ([`interpolate_gradient_batch`]), the Newton Jacobian's source: the
+//! same fill, bound pass and survivor list, plus a hat-slope column per
+//! `xps` entry, over a block whose first points want their value rows
+//! (bitwise the value walk's) and whose last points want the gradient of
+//! a coefficient range instead. It is compiled per kernel through the
+//! same entries.
+
+use std::ops::Range;
 
 use crate::data::{CompressedState, Scratch};
 use crate::KernelKind;
@@ -237,7 +247,9 @@ fn accum_lanes<const N: usize>(
 /// kernel and the strip accumulator those entries inline.
 #[cfg(target_arch = "x86_64")]
 mod isa {
-    use super::{span, ChunkCounts, CompressedState, PointBlock, Scratch};
+    use super::{
+        span, span_gradient, ChunkCounts, CompressedState, Gradients, PointBlock, Scratch,
+    };
     use std::arch::x86_64::*;
 
     /// The register operations of one vector kernel, which
@@ -412,10 +424,11 @@ mod isa {
         }
     }
 
-    /// The entry of one vector kernel: [`span`] with the strip accumulator
-    /// of `$isa`, all of it compiled with `$features` enabled.
+    /// The entries of one vector kernel: [`span`] and [`span_gradient`]
+    /// with the strip accumulator of `$isa`, all of it compiled with
+    /// `$features` enabled.
     macro_rules! entry {
-        ($name:ident, $features:literal, $isa:ty) => {
+        ($name:ident, $gradient:ident, $features:literal, $isa:ty) => {
             // SAFETY: caller must ensure the host supports `$features`.
             #[target_feature(enable = $features)]
             pub(super) unsafe fn $name(
@@ -430,11 +443,33 @@ mod isa {
                     unsafe { accum_strips::<$isa>(t, m, row, o, stride) }
                 })
             }
+
+            // SAFETY: caller must ensure the host supports `$features`.
+            #[target_feature(enable = $features)]
+            pub(super) unsafe fn $gradient(
+                state: &CompressedState,
+                block: &PointBlock,
+                scratch: &mut Scratch,
+                values: &mut [f64],
+                gradients: Gradients<'_>,
+            ) {
+                span_gradient(
+                    state,
+                    block,
+                    scratch,
+                    values,
+                    gradients,
+                    |t, m, row, o, stride| {
+                        // SAFETY: this entry's caller vouched for the features.
+                        unsafe { accum_strips::<$isa>(t, m, row, o, stride) }
+                    },
+                )
+            }
         };
     }
-    entry!(span_avx, "avx", Ymm<false>);
-    entry!(span_avx2, "avx2,fma", Ymm<true>);
-    entry!(span_avx512, "avx512f", Zmm);
+    entry!(span_avx, gradient_avx, "avx", Ymm<false>);
+    entry!(span_avx2, gradient_avx2, "avx2,fma", Ymm<true>);
+    entry!(span_avx512, gradient_avx512, "avx512f", Zmm);
 }
 
 /// Bit `k` ⇔ `v[k] != 0.0` (`v.len() ≤ 64`). NaN compares unequal, so a
@@ -568,6 +603,202 @@ fn span(
     }
 }
 
+/// The gradient half of a gradient walk ([`interpolate_gradient_batch`]):
+/// which points of the block want it, of which coefficients, and where it
+/// goes.
+#[derive(Debug)]
+pub struct Gradients<'a> {
+    /// The last `points` points of the block want the gradient and no
+    /// value row; the points before them want their value row only.
+    pub points: usize,
+    /// The coefficients differentiated: a contiguous range of the
+    /// surplus row.
+    pub coeffs: Range<usize>,
+    /// `points × dim × coeffs.len()`, dimension-major per point:
+    /// `out[(g·dim + t)·len + c]` is `∂ coefficient (coeffs.start + c) /
+    /// ∂ x_t` at gradient point `g`, in unit-cube coordinates.
+    pub out: &'a mut [f64],
+}
+
+/// The slope of `linear_basis(x, l, i).max(0)` where that value is `v`:
+/// `−l·sign(x·l − i)` where the hat is positive — at its peak the right
+/// derivative `−l`, which is what a forward difference sees — and `0`
+/// where it is zero, so a chain the bound pass prunes has no gradient
+/// either.
+#[inline(always)]
+fn hat_slope(x: f64, l: f64, i: f64, v: f64) -> f64 {
+    // `x·l − i` is `+0.0` at the peak, so `−t` carries the sign bit there.
+    if v > 0.0 {
+        l.copysign(-(x * l - i))
+    } else {
+        0.0
+    }
+}
+
+/// The gradient walk: [`span`]'s fill, bound pass and survivor list over
+/// a block whose first points want their value rows (written to `values`,
+/// `npts × ndofs`, exactly as `span` writes them) and whose last
+/// `gradients.points` want the gradient of a coefficient range instead.
+///
+/// A chain of factors `f_1…f_L` has the partial derivative `s_k ·
+/// ∏_{m≠k} f_m` in the dimension of factor `k`, where `s_k` is the
+/// factor's hat slope; the partials come from one prefix and one suffix
+/// pass over the chain (the slope column itself when `L = 1`) and go into
+/// the gradient rows through the kernel's own `accum`, one call per
+/// factor. Every lane's arithmetic is its own, so neither values nor
+/// gradients depend on the block or the chunk a point is in. The value
+/// rows of gradient points are left as zeros.
+#[inline(always)]
+fn span_gradient(
+    state: &CompressedState,
+    block: &PointBlock,
+    scratch: &mut Scratch,
+    values: &mut [f64],
+    gradients: Gradients<'_>,
+    accum: impl Fn(&[f64], u64, &[f64], &mut [f64], usize),
+) {
+    let cg = &state.grid;
+    let (dim, ndofs) = (cg.dim(), state.ndofs);
+    let xps = cg.xps();
+    let nfreq = cg.nfreq();
+    let chains = cg.chains();
+    let surplus = &state.surplus;
+    let Gradients {
+        points: grads,
+        coeffs,
+        out: gradient,
+    } = gradients;
+    let (len, stride) = (coeffs.len(), dim * coeffs.len());
+    let npts = block.len();
+    let nv = npts - grads;
+    values.fill(0.0);
+    gradient.fill(0.0);
+
+    let mut at = 0;
+    while at < npts {
+        let chunk = (npts - at).min(BATCH_CHUNK);
+        let buf = scratch.prepare_gradient_batch(xps.len(), chunk, cg.nno(), nfreq);
+        let (xpvb, slopes) = (buf.xpvb, buf.slopes);
+        let full = u64::MAX >> (64 - chunk);
+        // Lanes `..cv` want values, lanes `cv..` gradients.
+        let cv = nv.saturating_sub(at).min(chunk);
+        let vmask = if cv == 0 { 0 } else { full >> (chunk - cv) };
+        let gmask = full & !vmask;
+
+        // `span`'s fill, and the slopes where a lane wants them.
+        for (e, entry) in xps.iter().enumerate() {
+            let xs = &block.column(entry.index as usize)[at..at + chunk];
+            let slot = &mut xpvb[e * chunk..(e + 1) * chunk];
+            for (v, &x) in slot.iter_mut().zip(xs) {
+                *v = linear_basis(x, entry.l, entry.i).max(0.0);
+            }
+            buf.colmask[e] = alive(slot);
+            if gmask != 0 {
+                let (l, i) = (entry.l as f64, entry.i as f64);
+                let slope = &mut slopes[e * chunk..(e + 1) * chunk];
+                for ((s, &v), &x) in slope.iter_mut().zip(&*slot).zip(xs) {
+                    *s = hat_slope(x, l, i, v);
+                }
+            }
+        }
+        xpvb[..chunk].fill(1.0);
+        buf.colmask[0] = full;
+
+        // `span`'s bound pass.
+        let mut kept = 0;
+        for (p, chain) in chains.chunks_exact(nfreq).enumerate() {
+            let mut bound = full;
+            for &idx in chain {
+                bound &= buf.colmask[idx as usize];
+            }
+            buf.survivors[kept] = p as u32;
+            kept += (bound != 0) as usize;
+        }
+
+        // The chunk's value rows, and its gradient rows from its first
+        // gradient lane `cv` on.
+        let value_chunk = &mut values[at * ndofs..(at + chunk) * ndofs];
+        let g0 = (at + cv).saturating_sub(nv);
+        let gradient_chunk = &mut gradient[g0 * stride..(g0 + chunk - cv) * stride];
+        let col = |idx: u32| &xpvb[idx as usize * chunk..][..chunk];
+        for &p in &buf.survivors[..kept] {
+            let p = p as usize;
+            let chain = &chains[p * nfreq..(p + 1) * nfreq];
+            let len_p = chain.iter().position(|&i| i == 0).unwrap_or(nfreq);
+            let factors = &chain[..len_p];
+            let bound = factors
+                .iter()
+                .fold(full, |b, &idx| b & buf.colmask[idx as usize]);
+            if bound & vmask != 0 {
+                // `span`'s products and exact mask, for the value lanes.
+                let (product, mask) = if len_p <= 1 {
+                    (col(chain[0]), buf.colmask[chain[0] as usize])
+                } else {
+                    for ((t, a), b) in buf.temps.iter_mut().zip(col(chain[0])).zip(col(chain[1])) {
+                        *t = a * b;
+                    }
+                    for &idx in &chain[2..len_p] {
+                        for (t, v) in buf.temps.iter_mut().zip(col(idx)) {
+                            *t *= v;
+                        }
+                    }
+                    (&*buf.temps, alive(buf.temps))
+                };
+                if mask & vmask != 0 {
+                    let row = &surplus[p * ndofs..(p + 1) * ndofs];
+                    accum(product, mask & vmask, row, value_chunk, ndofs);
+                }
+            }
+            // A gradient lane needs every factor positive — the bound, not
+            // the product, which could underflow.
+            let gm = bound & gmask;
+            if gm == 0 || len_p == 0 {
+                continue;
+            }
+            let row = &surplus[p * ndofs + coeffs.start..p * ndofs + coeffs.end];
+            // Where a factor's dimension starts in a gradient row; lane `j`
+            // of the chunk is gradient row `j − cv`.
+            let offset = |idx: u32| xps[idx as usize].index as usize * len;
+            // Lane by lane — a chain is alive on few lanes — `s_k` times
+            // the prefix product, then times the suffix product; a lone
+            // factor's partial is its slope column.
+            let mut lanes = if len_p == 1 { 0 } else { gm };
+            while lanes != 0 {
+                let j = lanes.trailing_zeros() as usize;
+                lanes &= lanes - 1;
+                let f = |k: usize| xpvb[factors[k] as usize * chunk + j];
+                let partial = &mut buf.partials[j..];
+                partial[0] = slopes[factors[0] as usize * chunk + j];
+                let mut run = f(0);
+                for k in 1..len_p {
+                    partial[k * chunk] = slopes[factors[k] as usize * chunk + j] * run;
+                    run *= f(k);
+                }
+                run = f(len_p - 1);
+                for k in (0..len_p - 1).rev() {
+                    partial[k * chunk] *= run;
+                    run *= f(k);
+                }
+            }
+            let (partials, first) = match len_p {
+                1 => (&*slopes, factors[0] as usize * chunk),
+                _ => (&*buf.partials, 0),
+            };
+            for (k, &idx) in factors.iter().enumerate() {
+                let partial = &partials[first + k * chunk + cv..first + (k + 1) * chunk];
+                accum(
+                    partial,
+                    gm >> cv,
+                    row,
+                    &mut gradient_chunk[offset(idx)..],
+                    stride,
+                );
+            }
+        }
+        at += chunk;
+    }
+}
+
 /// `kernel`'s batch walk over the whole block, whatever its width,
 /// handing each chunk's [`ChunkCounts`] to `sink` in chunk order. A
 /// vector kernel the host lacks falls back to the portable lane
@@ -621,6 +852,67 @@ pub fn interpolate_batch(
     let mut counts = Vec::with_capacity(block.len().div_ceil(BATCH_CHUNK));
     walk(kernel, state, block, scratch, out, |c| counts.push(c));
     counts
+}
+
+/// `kernel`'s gradient walk over the whole block: the first `npts −
+/// gradients.points` points get their value rows in `values` (`npts ×
+/// ndofs`), bitwise what [`interpolate_batch`] writes for them, and the
+/// rest the gradient of `gradients.coeffs` in `gradients.out` (see
+/// [`Gradients`]); their value rows are zeros. A point's gradient does
+/// not depend on the block it is in. There are no [`ChunkCounts`]: a
+/// device model prices value walks. Panics for [`KernelKind::Gold`].
+pub fn interpolate_gradient_batch(
+    kernel: KernelKind,
+    state: &CompressedState,
+    block: &PointBlock,
+    scratch: &mut Scratch,
+    values: &mut [f64],
+    gradients: Gradients<'_>,
+) {
+    let (dim, npts) = (state.grid.dim(), block.len());
+    assert_eq!(block.dim(), dim, "point/grid dim mismatch");
+    assert_eq!(
+        values.len(),
+        npts * state.ndofs,
+        "values must be npts × ndofs"
+    );
+    assert!(gradients.points <= npts, "more gradient points than points");
+    assert!(
+        gradients.coeffs.end <= state.ndofs,
+        "coefficients out of the row"
+    );
+    assert_eq!(
+        gradients.out.len(),
+        gradients.points * dim * gradients.coeffs.len(),
+        "gradients must be points × dim × coefficients"
+    );
+    match (kernel, kernel.native()) {
+        (KernelKind::Gold, _) => panic!("gold kernel requires DenseState"),
+        (KernelKind::X86, _) => {
+            span_gradient(state, block, scratch, values, gradients, accum_scalar)
+        }
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `native()` detected `avx`.
+        (KernelKind::Avx, true) => unsafe {
+            isa::gradient_avx(state, block, scratch, values, gradients)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `native()` detected `avx2` and `fma`.
+        (KernelKind::Avx2, true) => unsafe {
+            isa::gradient_avx2(state, block, scratch, values, gradients)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `native()` detected `avx512f`.
+        (KernelKind::Avx512, true) => unsafe {
+            isa::gradient_avx512(state, block, scratch, values, gradients)
+        },
+        (KernelKind::Avx | KernelKind::Avx2, _) => {
+            span_gradient(state, block, scratch, values, gradients, accum_lanes::<4>)
+        }
+        (KernelKind::Avx512, _) => {
+            span_gradient(state, block, scratch, values, gradients, accum_lanes::<8>)
+        }
+    }
 }
 
 #[cfg(test)]

@@ -116,10 +116,39 @@ pub struct Scratch {
     colmask: Vec<u64>,
     /// Chains the column-mask bound kept for the current chunk (`nno`).
     survivors: Vec<u32>,
-    /// High-water marks of the batch buffers, asserting that capacity is
+    /// The gradient walk's hat slopes, entry-major like the basis block
+    /// (`nxps × chunk`).
+    slopes: Vec<f64>,
+    /// The gradient walk's per-factor partial products of one chain
+    /// (`nfreq × chunk`).
+    partials: Vec<f64>,
+    /// High-water marks of the batch buffers (`xpv_block`, `temps`,
+    /// `survivors`, `slopes`, `partials`), asserting that capacity is
     /// monotone across the chunks of a batch (a shrink would mean a
     /// reallocation snuck back into the hot loop).
-    watermark: (usize, usize, usize),
+    watermark: [usize; 5],
+}
+
+/// `buf[..len]`, grown first if it is shorter. `mark` is the buffer's
+/// high-water mark: in debug builds a request at or below it must not
+/// reallocate.
+#[inline]
+fn sized<'a, T: Copy + Default>(
+    buf: &'a mut Vec<T>,
+    len: usize,
+    mark: &mut usize,
+    name: &str,
+) -> &'a mut [T] {
+    let cap = buf.capacity();
+    if buf.len() < len {
+        buf.resize(len, T::default());
+    }
+    debug_assert!(
+        len > *mark || buf.capacity() == cap,
+        "{name} reallocated below its high-water mark"
+    );
+    *mark = (*mark).max(len);
+    &mut buf[..len]
 }
 
 impl Scratch {
@@ -146,49 +175,51 @@ impl Scratch {
         chunk: usize,
         nno: usize,
     ) -> (&mut [f64], &mut [f64], &mut [u64], &mut [u32]) {
-        #[cfg(debug_assertions)]
-        let caps = (
-            self.xpv_block.capacity(),
-            self.temps.capacity(),
-            self.survivors.capacity(),
-        );
-        if self.xpv_block.len() < nxps * chunk {
-            self.xpv_block.resize(nxps * chunk, 0.0);
-        }
-        if self.temps.len() < chunk {
-            self.temps.resize(chunk, 0.0);
-        }
+        let [xpv, temps, survivors, ..] = &mut self.watermark;
         if self.colmask.len() < nxps {
             self.colmask.resize(nxps, 0);
         }
-        if self.survivors.len() < nno {
-            self.survivors.resize(nno, 0);
-        }
-        #[cfg(debug_assertions)]
-        {
-            debug_assert!(
-                nxps * chunk > self.watermark.0 || self.xpv_block.capacity() == caps.0,
-                "xpv block reallocated below its high-water mark"
-            );
-            debug_assert!(
-                chunk > self.watermark.1 || self.temps.capacity() == caps.1,
-                "temps reallocated below their high-water mark"
-            );
-            debug_assert!(
-                nno > self.watermark.2 || self.survivors.capacity() == caps.2,
-                "survivor list reallocated below its high-water mark"
-            );
-        }
-        self.watermark = (
-            self.watermark.0.max(nxps * chunk),
-            self.watermark.1.max(chunk),
-            self.watermark.2.max(nno),
-        );
         (
-            &mut self.xpv_block[..nxps * chunk],
-            &mut self.temps[..chunk],
+            sized(&mut self.xpv_block, nxps * chunk, xpv, "xpv block"),
+            sized(&mut self.temps, chunk, temps, "temps"),
             &mut self.colmask[..nxps],
-            &mut self.survivors[..nno],
+            sized(&mut self.survivors, nno, survivors, "survivor list"),
         )
     }
+
+    /// [`Self::prepare_batch`] plus the gradient walk's `(slopes,
+    /// partials)` buffers for chains of at most `nfreq` factors, under the
+    /// same high-water assertion.
+    #[inline]
+    pub(crate) fn prepare_gradient_batch(
+        &mut self,
+        nxps: usize,
+        chunk: usize,
+        nno: usize,
+        nfreq: usize,
+    ) -> GradientBuffers<'_> {
+        let [xpv, temps, survivors, slopes, partials] = &mut self.watermark;
+        if self.colmask.len() < nxps {
+            self.colmask.resize(nxps, 0);
+        }
+        GradientBuffers {
+            xpvb: sized(&mut self.xpv_block, nxps * chunk, xpv, "xpv block"),
+            temps: sized(&mut self.temps, chunk, temps, "temps"),
+            colmask: &mut self.colmask[..nxps],
+            survivors: sized(&mut self.survivors, nno, survivors, "survivor list"),
+            slopes: sized(&mut self.slopes, nxps * chunk, slopes, "slope block"),
+            partials: sized(&mut self.partials, nfreq * chunk, partials, "partials"),
+        }
+    }
+}
+
+/// One chunk's buffers of the gradient walk (see
+/// [`Scratch::prepare_gradient_batch`]).
+pub(crate) struct GradientBuffers<'a> {
+    pub(crate) xpvb: &'a mut [f64],
+    pub(crate) temps: &'a mut [f64],
+    pub(crate) colmask: &'a mut [u64],
+    pub(crate) survivors: &'a mut [u32],
+    pub(crate) slopes: &'a mut [f64],
+    pub(crate) partials: &'a mut [f64],
 }

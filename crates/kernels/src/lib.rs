@@ -20,7 +20,9 @@
 //! batch walk ([`batch`]); a backend other than `Cpu` does not evaluate
 //! differently, it *observes*: the walk reports per-chunk
 //! [`ChunkCounts`] and a [`BlockObserver`] — `hddm-gpu`'s device model —
-//! prices them. The dependency points from the model to this crate.
+//! prices them. The dependency points from the model to this crate. The
+//! Newton Jacobian's gradient walk ([`batch::interpolate_gradient_batch`])
+//! sits beside the value walk and is priced by no backend.
 
 #![warn(missing_docs)]
 
@@ -34,7 +36,7 @@ pub mod vector;
 pub mod x86;
 
 pub use backend::{BlockObserver, ExecutionBackend};
-pub use batch::{ChunkCounts, PointBlock, BATCH_CHUNK};
+pub use batch::{ChunkCounts, Gradients, PointBlock, BATCH_CHUNK};
 pub use data::{CompressedState, DenseState, Scratch};
 pub use multi::MultiState;
 pub use vector::{axpy_best, VectorIsa};

@@ -11,14 +11,21 @@
 //! exercises the vector kernels' remainder paths; then across every
 //! register-strip shape and chunk edge, on the blocks whose alive masks
 //! are hardest to get right, and against a golden [`ChunkCounts`] vector.
+//!
+//! The gradient walk must give the value walk's values bit for bit, the
+//! slope of an affine function its grids reproduce, a difference quotient
+//! of the interpolant off knots and on them, and a point the same gradient
+//! whatever block it is walked in.
+
+use std::ops::Range;
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use hddm_asg::{basis, ActiveCoord, NodeKey, SparseGrid};
+use hddm_asg::{basis, hierarchize, regular_grid, tabulate, ActiveCoord, NodeKey, SparseGrid};
 use hddm_kernels::{
-    batch, gold, x86, ChunkCounts, CompressedState, DenseState, KernelKind, PointBlock, Scratch,
-    BATCH_CHUNK,
+    batch, gold, x86, ChunkCounts, CompressedState, DenseState, Gradients, KernelKind, PointBlock,
+    Scratch, BATCH_CHUNK,
 };
 
 const TOL: f64 = 1e-12;
@@ -398,4 +405,228 @@ fn chunk_counts_equal_the_golden_vector() {
         },
     );
     assert_eq!(counts, want, "nno = {}", state.grid.nno());
+}
+
+/// `kind`'s gradient walk over one block: the value rows at `value_rows`,
+/// then the gradient of `coeffs` at `gradient_rows`.
+fn gradient_walk(
+    kind: KernelKind,
+    state: &CompressedState,
+    value_rows: &[f64],
+    gradient_rows: &[f64],
+    coeffs: Range<usize>,
+) -> (Vec<f64>, Vec<f64>) {
+    let dim = state.grid.dim();
+    let rows = [value_rows, gradient_rows].concat();
+    let (npts, grads) = (rows.len() / dim, gradient_rows.len() / dim);
+    let mut values = vec![f64::NAN; npts * state.ndofs];
+    let mut gradient = vec![f64::NAN; grads * dim * coeffs.len()];
+    batch::interpolate_gradient_batch(
+        kind,
+        state,
+        &PointBlock::from_rows(dim, &rows),
+        &mut Scratch::default(),
+        &mut values,
+        Gradients {
+            points: grads,
+            coeffs,
+            out: &mut gradient,
+        },
+    );
+    (values, gradient)
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Over the strip-shape × chunk-edge matrix, a block of value points
+/// followed by the same points as gradient points: the value rows are
+/// the value walk's bit for bit (and the gradient points' rows zero), and
+/// the gradients are those of a walk of the gradient points alone.
+#[test]
+fn gradient_walk_values_equal_the_value_walk_on_every_strip_shape_and_chunk_edge() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x6AD1);
+    let grid = random_grid(3, 60, &mut rng);
+    for ndofs in [3usize, 4, 8, 12, 16, 17, 23, 37, 118] {
+        let surplus = random_surplus(&grid, ndofs, &mut rng);
+        let state = CompressedState::new(&grid, &surplus, ndofs);
+        let coeffs = 1..ndofs - 1;
+        for npts in [1usize, 7, 63, 64, 65, 130] {
+            let rows = random_block(3, npts, &mut rng);
+            for kind in KernelKind::COMPRESSED {
+                let at = format!("{kind:?} ndofs={ndofs} npts={npts}");
+                let mut want = vec![0.0; npts * ndofs];
+                batch::interpolate_batch(
+                    kind,
+                    &state,
+                    &PointBlock::from_rows(3, &rows),
+                    &mut Scratch::default(),
+                    &mut want,
+                );
+                let (values, gradient) = gradient_walk(kind, &state, &rows, &rows, coeffs.clone());
+                assert_eq!(bits(&values[..npts * ndofs]), bits(&want), "{at}");
+                assert!(values[npts * ndofs..].iter().all(|&v| v == 0.0), "{at}");
+                let (_, alone) = gradient_walk(kind, &state, &[], &rows, coeffs.clone());
+                assert_eq!(bits(&gradient), bits(&alone), "{at}");
+            }
+        }
+    }
+}
+
+/// A level ≥ 2 grid reproduces an affine function exactly, so the
+/// gradient of its interpolant is the function's slope, coefficient by
+/// coefficient (points off the level-1 knot `½`, where the level-2 hats
+/// both vanish).
+#[test]
+fn the_gradient_of_an_affine_function_is_its_slope() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xAFF1);
+    let (dim, ndofs) = (4, 5);
+    let slope = |k: usize, t: usize| (k as f64 + 1.0) * (t as f64 - 1.5);
+    for level in [2u8, 3, 4] {
+        let grid = regular_grid(dim, level);
+        let mut surplus = tabulate(&grid, ndofs, |x, out| {
+            for (k, o) in out.iter_mut().enumerate() {
+                *o = 0.3 * k as f64
+                    + x.iter()
+                        .enumerate()
+                        .map(|(t, v)| slope(k, t) * v)
+                        .sum::<f64>();
+            }
+        });
+        hierarchize(&grid, &mut surplus, ndofs);
+        let state = CompressedState::new(&grid, &surplus, ndofs);
+        let rows = random_block(dim, 70, &mut rng);
+        for kind in KernelKind::COMPRESSED {
+            let (_, gradient) = gradient_walk(kind, &state, &[], &rows, 0..ndofs);
+            for (g, point) in gradient.chunks_exact(dim * ndofs).enumerate() {
+                for (t, partials) in point.chunks_exact(ndofs).enumerate() {
+                    for (k, &got) in partials.iter().enumerate() {
+                        assert!(
+                            (got - slope(k, t)).abs() < 1e-12,
+                            "{kind:?} level {level} point {g} ∂{k}/∂x{t}: {got} vs {}",
+                            slope(k, t)
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Every kernel's gradient at `rows` against `quotient(x, t, c)`, a
+/// difference quotient of coefficient `c` in dimension `t` at `x`.
+fn assert_gradient_matches(
+    state: &CompressedState,
+    rows: &[f64],
+    quotient: impl Fn(&[f64], usize, usize) -> f64,
+    what: &str,
+) {
+    let (dim, ndofs) = (state.grid.dim(), state.ndofs);
+    for kind in KernelKind::COMPRESSED {
+        let (_, gradient) = gradient_walk(kind, state, &[], rows, 0..ndofs);
+        for (x, point) in rows
+            .chunks_exact(dim)
+            .zip(gradient.chunks_exact(dim * ndofs))
+        {
+            for (t, partials) in point.chunks_exact(ndofs).enumerate() {
+                for (c, &got) in partials.iter().enumerate() {
+                    let want = quotient(x, t, c);
+                    assert!(
+                        (got - want).abs() <= 1e-6 * (1.0 + want.abs()),
+                        "{kind:?} {what} at {x:?}: ∂{c}/∂x{t} {got} vs {want}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `state`'s value walk at one point.
+fn value_at(state: &CompressedState, x: &[f64]) -> Vec<f64> {
+    let mut out = vec![0.0; state.ndofs];
+    batch::interpolate_batch(
+        KernelKind::X86,
+        state,
+        &PointBlock::from_rows(x.len(), x),
+        &mut Scratch::default(),
+        &mut out,
+    );
+    out
+}
+
+/// Off knots the interpolant is linear in a neighbourhood of the point,
+/// so the gradient is a central difference to O(h). On a knot of level 5
+/// (the random grids' finest) a hat peaks or nothing happens, so the
+/// gradient is the right derivative — a forward difference.
+#[test]
+fn the_gradient_is_a_difference_quotient_off_knots_and_on_them() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x6D1F);
+    let dim = 4;
+    let grid = random_grid(dim, 150, &mut rng);
+    let state = CompressedState::new(&grid, &random_surplus(&grid, 6, &mut rng), 6);
+    let h = 1e-7;
+    let stepped = |x: &[f64], t: usize, by: f64| {
+        let mut x = x.to_vec();
+        x[t] += by;
+        x
+    };
+    let rows = random_block(dim, 40, &mut rng);
+    assert_gradient_matches(
+        &state,
+        &rows,
+        |x, t, c| {
+            let (ahead, behind) = (
+                value_at(&state, &stepped(x, t, h)),
+                value_at(&state, &stepped(x, t, -h)),
+            );
+            (ahead[c] - behind[c]) / (2.0 * h)
+        },
+        "off knots",
+    );
+    let mut knots = random_block(dim, 40, &mut rng);
+    for (p, x) in knots.chunks_exact_mut(dim).enumerate() {
+        for (t, v) in x.iter_mut().enumerate() {
+            if (p + t) % 2 == 0 {
+                *v = (2 * ((p * 7 + t * 3) % 8) + 1) as f64 / 16.0;
+            }
+        }
+    }
+    assert_gradient_matches(
+        &state,
+        &knots,
+        |x, t, c| (value_at(&state, &stepped(x, t, h))[c] - value_at(&state, x)[c]) / h,
+        "on knots",
+    );
+}
+
+/// A point's gradient alone, in blocks of 7, 64 and 130 points, at the
+/// last lane of a chunk and the first of the next, and behind value
+/// points that push it across a chunk edge: the same bits.
+#[test]
+fn a_points_gradient_does_not_depend_on_its_block() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xB10C);
+    let dim = 5;
+    let grid = random_grid(dim, 180, &mut rng);
+    let ndofs = 9;
+    let state = CompressedState::new(&grid, &random_surplus(&grid, ndofs, &mut rng), ndofs);
+    let coeffs = 2..7;
+    let stride = dim * coeffs.len();
+    let point = random_block(dim, 1, &mut rng);
+    for kind in KernelKind::COMPRESSED {
+        let (_, alone) = gradient_walk(kind, &state, &[], &point, coeffs.clone());
+        for (npts, at) in [(7, 3), (64, 63), (65, 64), (130, 0), (130, 129)] {
+            let mut rows = random_block(dim, npts, &mut rng);
+            rows[at * dim..(at + 1) * dim].copy_from_slice(&point);
+            for values in [0, 1, 60] {
+                let ahead = random_block(dim, values, &mut rng);
+                let (_, gradient) = gradient_walk(kind, &state, &ahead, &rows, coeffs.clone());
+                assert_eq!(
+                    bits(&gradient[at * stride..(at + 1) * stride]),
+                    bits(&alone),
+                    "{kind:?}: lane {at} of {npts} behind {values} value points"
+                );
+            }
+        }
+    }
 }

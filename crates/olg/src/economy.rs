@@ -2,11 +2,12 @@
 //! marginal products), the pay-as-you-go pension, and the CRRA utility
 //! kernel with its smooth consumption-floor extension.
 //!
-//! This file keeps the Euler algebra's `pow` budget: a residual row of
-//! [`crate::OlgModel`] reaches libm once, for `K'^θ` ([`PriceBasis::at`]).
-//! Prices of all `Ns` next states share that one power, and `c^{−γ}` for
-//! the integer `γ` every calibration in the repository uses is
-//! multiplications and one division ([`inverse_power`]).
+//! This file keeps the Euler algebra's `pow` budget: a residual row or a
+//! Jacobian row of [`crate::OlgModel`] reaches libm once, for `K'^θ`
+//! ([`PriceBasis::at`]). Prices of all `Ns` next states and their
+//! `K'`-derivatives share that one power, `c^{−γ}` for the integer `γ`
+//! every calibration in the repository uses is multiplications and one
+//! division ([`inverse_power`]), and `u''(c)` is `−γ·u'(c)/c`.
 
 use crate::calibration::Calibration;
 
@@ -99,6 +100,33 @@ impl PricesAt<'_> {
             output,
         }
     }
+
+    /// The `K`-derivative of every field of `p = self.prices(z)`, from the
+    /// output it already holds: `dY/dK = θY/K`, and from it the wage,
+    /// interest, `R̃` and pension. No power is taken.
+    pub(crate) fn slopes(&self, z: usize, p: &Prices) -> Prices {
+        let PriceBasis {
+            labor, retirees, ..
+        } = self.basis;
+        let cal = self.cal;
+        let capital = self.capital;
+        let regime = &cal.regimes[z];
+        let theta = cal.capital_share;
+        let output = theta * p.output / capital;
+        let wage = (1.0 - theta) * output / labor;
+        // `r + δ = θY/K`, so `dr/dK = (θ − 1)·θY/K²`.
+        let interest = (theta - 1.0) * output / capital;
+        let gross_return = interest * (1.0 - regime.capital_tax);
+        let revenue = regime.labor_tax * wage * labor
+            + regime.capital_tax * (interest * capital + p.interest);
+        Prices {
+            wage,
+            interest,
+            gross_return,
+            pension: revenue / retirees,
+            output,
+        }
+    }
 }
 
 /// Computes prices for discrete state `z` and aggregate capital `K` — the
@@ -148,12 +176,21 @@ fn inverse_power(exponent: f64, c: f64) -> f64 {
 /// [`C_FLOOR`], so Newton never sees NaN on aggressive trial steps.
 #[inline]
 pub fn marginal_utility(gamma: f64, c: f64) -> f64 {
+    marginal_utility_and_slope(gamma, c).0
+}
+
+/// `(u'(c), u''(c))`: [`marginal_utility`] and its derivative, which is
+/// `−γ·u'(c)/c` above [`C_FLOOR`] (no second power) and the extension's
+/// slope below it.
+#[inline]
+pub(crate) fn marginal_utility_and_slope(gamma: f64, c: f64) -> (f64, f64) {
     if c >= C_FLOOR {
-        inverse_power(gamma, c)
+        let mu = inverse_power(gamma, c);
+        (mu, -gamma * mu / c)
     } else {
         let base = inverse_power(gamma, C_FLOOR);
         let slope = -gamma * inverse_power(gamma + 1.0, C_FLOOR);
-        base + slope * (c - C_FLOOR)
+        (base + slope * (c - C_FLOOR), slope)
     }
 }
 
@@ -259,6 +296,50 @@ mod tests {
     fn utility_matches_closed_form_above_floor() {
         assert!((utility(2.0, 2.0) - (1.0 - 1.0 / 2.0)).abs() < 1e-12);
         assert!((utility(1.0, std::f64::consts::E) - 1.0) < 1e-12);
+    }
+
+    /// `(f(x + h) − f(x − h)) / 2h` and the analytic `df` agree to O(h²).
+    fn assert_slope(df: f64, f: impl Fn(f64) -> f64, x: f64, what: &str) {
+        let h = 1e-5 * x.abs();
+        let central = (f(x + h) - f(x - h)) / (2.0 * h);
+        assert!(
+            (df - central).abs() <= 1e-6 * (1.0 + central.abs()),
+            "{what} at {x}: {df} vs {central}"
+        );
+    }
+
+    #[test]
+    fn price_slopes_are_the_derivatives_of_prices() {
+        let cal = Calibration::small(8, 5, 3, 0.1);
+        let basis = PriceBasis::new(&cal);
+        for capital in [0.4, 1.7, 6.0] {
+            for z in 0..cal.num_states() {
+                let at = basis.at(&cal, capital);
+                let slopes = at.slopes(z, &at.prices(z));
+                type Field = fn(Prices) -> f64;
+                let fields: [(&str, f64, Field); 5] = [
+                    ("wage", slopes.wage, |p| p.wage),
+                    ("interest", slopes.interest, |p| p.interest),
+                    ("R̃", slopes.gross_return, |p| p.gross_return),
+                    ("pension", slopes.pension, |p| p.pension),
+                    ("output", slopes.output, |p| p.output),
+                ];
+                for (what, df, field) in fields {
+                    assert_slope(df, |k| field(prices(&cal, z, k)), capital, what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_slope_of_marginal_utility_is_its_derivative_in_every_class() {
+        for gamma in [1.0, 2.0, 2.5, 3.0] {
+            for c in [-0.3, C_FLOOR / 2.0, 2.0 * C_FLOOR, 0.01, 0.7, 3.0] {
+                let (mu, slope) = marginal_utility_and_slope(gamma, c);
+                assert_eq!(mu.to_bits(), marginal_utility(gamma, c).to_bits());
+                assert_slope(slope, |c| marginal_utility(gamma, c), c, "u'");
+            }
+        }
     }
 
     /// Distance in units in the last place between two positive doubles.

@@ -1,10 +1,14 @@
 //! The block point solver against its one-point case: whatever shares a
 //! block with a point, the point's solution is the one it has alone, bit
 //! for bit. The oracle here implements `eval` only, so every block goes
-//! through the provided `eval_block`; `hddm-core` repeats the comparison
-//! on the kernel-backed oracle. Every comparison runs in each exponent
-//! class of the CRRA kernel: `γ` of 1 (log utility), 2 and 3 take the
-//! multiplication form, 2.5 the `powf` fall-through.
+//! through the provided `eval_block` and every Jacobian's `∇ₓ pnext`
+//! through the provided forward differences of `eval_block_gradient`; one
+//! comparison repeats with a closed-form gradient, and `hddm-core`
+//! repeats them on the kernel-backed oracle. Every comparison runs in each
+//! exponent class of the CRRA kernel: `γ` of 1 (log utility), 2 and 3
+//! take the multiplication form, 2.5 the `powf` fall-through.
+
+use std::ops::Range;
 
 use hddm_olg::{Calibration, OlgModel, PointScratch, PointSolution, PolicyOracle};
 use hddm_solver::{NewtonOptions, NewtonReport, SolverError};
@@ -24,6 +28,46 @@ impl PolicyOracle for Tilted {
         let drift: f64 = x.iter().zip(&self.center).map(|(x, c)| x - c).sum();
         for (k, (o, r)) in out.iter_mut().zip(&self.row).enumerate() {
             *o = r * (1.0 + 0.02 * drift + 0.01 * z as f64) + 0.001 * k as f64 * drift;
+        }
+    }
+}
+
+impl Tilted {
+    /// `∂ out_k / ∂ x_t`, the same for every `t`.
+    fn partial(&self, k: usize) -> f64 {
+        0.02 * self.row[k] + 0.001 * k as f64
+    }
+}
+
+/// [`Tilted`] with its closed-form gradient.
+struct ExactTilted(Tilted);
+
+impl PolicyOracle for ExactTilted {
+    fn eval(&mut self, z: usize, x: &[f64], out: &mut [f64]) {
+        self.0.eval(z, x, out)
+    }
+
+    fn eval_block_gradient(
+        &mut self,
+        z_next: usize,
+        dim: usize,
+        xs: &[f64],
+        grads: usize,
+        coeffs: Range<usize>,
+        values: &mut [f64],
+        gradient: &mut [f64],
+    ) {
+        let from = xs.len() / dim - grads;
+        self.eval_block(
+            z_next,
+            dim,
+            &xs[..from * dim],
+            &mut values[..from * self.0.row.len()],
+        );
+        for partials in gradient.chunks_exact_mut(coeffs.len()) {
+            for (d, k) in partials.iter_mut().zip(coeffs.clone()) {
+                *d = self.0.partial(k);
+            }
         }
     }
 }
@@ -91,41 +135,53 @@ fn point_bits(solution: &Result<PointSolution, SolverError>) -> Result<Vec<u64>,
 #[test]
 fn a_block_of_points_equals_a_loop_of_single_points() {
     for gamma in GAMMAS {
-        let (model, mut oracle) = setup(gamma);
-        let (d, ndofs) = (model.dim(), model.ndofs());
-        let options = NewtonOptions::default();
-        let mut scratch = PointScratch::default();
-        for npts in [1usize, 7, 64, 130] {
-            let (xs, guesses) = block(&model, npts);
-            let mut rows = vec![0.0; npts * ndofs];
-            for z in 0..model.num_states() {
-                let together = model.solve_points(
+        let (model, oracle) = setup(gamma);
+        a_block_equals_its_points(&model, oracle, gamma);
+    }
+}
+
+#[test]
+fn a_block_equals_its_points_with_a_closed_form_gradient() {
+    for gamma in GAMMAS {
+        let (model, oracle) = setup(gamma);
+        a_block_equals_its_points(&model, ExactTilted(oracle), gamma);
+    }
+}
+
+fn a_block_equals_its_points(model: &OlgModel, mut oracle: impl PolicyOracle, gamma: f64) {
+    let (d, ndofs) = (model.dim(), model.ndofs());
+    let options = NewtonOptions::default();
+    let mut scratch = PointScratch::default();
+    for npts in [1usize, 7, 64, 130] {
+        let (xs, guesses) = block(model, npts);
+        let mut rows = vec![0.0; npts * ndofs];
+        for z in 0..model.num_states() {
+            let together = model.solve_points(
+                z,
+                &xs,
+                &guesses,
+                &mut oracle,
+                &mut scratch,
+                &options,
+                &mut rows,
+            );
+            assert_eq!(together.len(), npts);
+            for i in 0..npts {
+                let alone = model.solve_point(
                     z,
-                    &xs,
-                    &guesses,
+                    &xs[i * d..(i + 1) * d],
+                    &guesses[i * ndofs..(i + 1) * ndofs],
                     &mut oracle,
-                    &mut scratch,
+                    &mut PointScratch::default(),
                     &options,
-                    &mut rows,
                 );
-                assert_eq!(together.len(), npts);
-                for i in 0..npts {
-                    let alone = model.solve_point(
-                        z,
-                        &xs[i * d..(i + 1) * d],
-                        &guesses[i * ndofs..(i + 1) * ndofs],
-                        &mut oracle,
-                        &mut PointScratch::default(),
-                        &options,
-                    );
-                    let at = format!("γ = {gamma}, point {i} of {npts}, z = {z}");
-                    assert!(alone.is_ok(), "{at}: {alone:?}");
-                    assert_eq!(
-                        block_bits(&together, &rows, ndofs, i),
-                        point_bits(&alone),
-                        "{at}"
-                    );
-                }
+                let at = format!("γ = {gamma}, point {i} of {npts}, z = {z}");
+                assert!(alone.is_ok(), "{at}: {alone:?}");
+                assert_eq!(
+                    block_bits(&together, &rows, ndofs, i),
+                    point_bits(&alone),
+                    "{at}"
+                );
             }
         }
     }
@@ -225,7 +281,12 @@ fn the_value_recursion_reuses_rows_it_would_have_interpolated() {
                 assert_eq!(consumption, alone.consumption, "γ = {gamma}, point {i}");
             }
         }
-        assert_eq!(calls_of_the_solve, evaluations * model.num_states());
+        // Per next state, a residual row is one call and a Jacobian the
+        // provided forward differences: its state, then `d` stepped ones.
+        assert_eq!(
+            calls_of_the_solve,
+            (evaluations + jacobians * (1 + d)) * model.num_states()
+        );
         assert_eq!(
             (tally.systems, tally.residual_rows),
             (5, evaluations as u64),

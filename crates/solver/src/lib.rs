@@ -1,15 +1,16 @@
 //! # hddm-solver — dense nonlinear solvers
 //!
 //! The per-grid-point equation solver of the HDDM stack: a globalized
-//! (damped, line-searched) Newton method with finite-difference Jacobians
-//! and Broyden rank-1 updates, over a small self-contained dense linear
-//! algebra core. This substitutes for Ipopt [24] in the paper's pipeline
-//! (README, "Workspace layout").
+//! (damped, line-searched) Newton method with caller-supplied or
+//! finite-difference Jacobians and Broyden rank-1 updates, over a small
+//! self-contained dense linear algebra core. This substitutes for Ipopt
+//! [24] in the paper's pipeline (README, "Workspace layout").
 //!
 //! * [`linalg`] — dense matrices, LU with partial pivoting, norms;
-//! * [`newton`] — the damped Newton driver: [`newton::newton_block`] advances
-//!   many independent systems in lockstep rounds, [`newton::newton`] is its
-//!   one-system case;
+//! * [`newton`] — the damped Newton driver: [`newton::newton_rounds`]
+//!   advances many independent systems in lockstep rounds,
+//!   [`newton::newton_block`] is its closure form with finite-difference
+//!   Jacobians and [`newton::newton`] the one-system case;
 //! * [`scalar`] — Brent's method for bracketed scalar roots.
 //!
 //! ```
@@ -28,7 +29,10 @@ pub mod newton;
 pub mod scalar;
 
 pub use linalg::{norm2, norm_inf, DenseMatrix, Lu};
-pub use newton::{newton, newton_block, NewtonOptions, NewtonReport, NewtonWorkspace};
+pub use newton::{
+    newton, newton_block, newton_rounds, NewtonOptions, NewtonReport, NewtonWorkspace, Round,
+    Rounds,
+};
 pub use scalar::brent;
 
 /// Errors surfaced by the solvers. The time-iteration driver distinguishes

@@ -1,6 +1,7 @@
-//! Damped Newton with finite-difference Jacobian, Armijo line search and
-//! optional Broyden rank-1 updates — the square-system substitute for the
-//! Ipopt NLP solver the paper calls per grid point (Sec. IV-A).
+//! Damped Newton with a caller-supplied or finite-difference Jacobian,
+//! Armijo line search and optional Broyden rank-1 updates — the
+//! square-system substitute for the Ipopt NLP solver the paper calls per
+//! grid point (Sec. IV-A).
 //!
 //! The per-point equilibrium systems of the OLG model are smooth and
 //! square (~59 equations in 59 unknowns), so a globalized Newton iteration
@@ -9,16 +10,20 @@
 //! evaluations (each of which interpolates all `Ns` next-period policies)
 //! dominate everything else.
 //!
-//! There is one iteration body, [`newton_block`], and it advances `m`
+//! There is one iteration body, [`newton_rounds`], and it advances `m`
 //! independent systems in **rounds**: each round every unfinished system
-//! contributes the evaluation points it needs next — its initial residual,
-//! all `n` finite-difference columns of a Jacobian at once, or one
-//! line-search trial — and a single callback evaluates all of them. The
-//! caller can therefore turn the residual's inner interpolation into one
-//! wide operation per round instead of one call per point. Each system
-//! walks exactly the trajectory it walks alone (same evaluation points,
-//! same arithmetic, same order), so results do not depend on which other
-//! systems share the block; [`newton`] is the `m = 1` case.
+//! contributes the evaluation it needs next — its initial residual, a
+//! Jacobian, or one line-search trial — and one [`Rounds::round`] call
+//! evaluates all of them. The caller can therefore turn the residual's
+//! inner interpolation into one wide operation per round instead of one
+//! call per point. A caller that [supplies
+//! Jacobians](Rounds::supplies_jacobians) answers a Jacobian request with
+//! one `n × n` matrix in the same call; for any other, a Jacobian is `n`
+//! forward-difference residual rows. Each system walks exactly the
+//! trajectory it walks alone (same evaluation points, same arithmetic,
+//! same order), so results do not depend on which other systems share the
+//! block. [`newton_block`] is the closure form of the finite-difference
+//! caller and [`newton`] its `m = 1` case.
 
 use crate::linalg::{lu_factor, lu_solve, matvec, norm2, norm_inf, rank1_update};
 use crate::SolverError;
@@ -30,7 +35,8 @@ pub struct NewtonOptions {
     pub tolerance: f64,
     /// Maximum Newton iterations.
     pub max_iterations: usize,
-    /// Relative finite-difference step for the Jacobian.
+    /// Relative finite-difference step for a Jacobian the caller does
+    /// not supply.
     pub fd_step: f64,
     /// Armijo sufficient-decrease constant.
     pub armijo_c: f64,
@@ -39,9 +45,9 @@ pub struct NewtonOptions {
     /// Smallest admissible step length before the search is declared
     /// stalled.
     pub min_step: f64,
-    /// Recompute the finite-difference Jacobian every `broyden_refresh`
-    /// iterations; in between, apply Broyden rank-1 updates (1 =
-    /// full Newton every iteration).
+    /// Recompute the Jacobian every `broyden_refresh` iterations; in
+    /// between, apply Broyden rank-1 updates (1 = full Newton every
+    /// iteration).
     pub broyden_refresh: usize,
 }
 
@@ -67,10 +73,61 @@ pub struct NewtonReport {
     /// Final `‖F‖_∞`.
     pub residual_norm: f64,
     /// Residual evaluations (the interpolation-dominated cost the paper
-    /// counts).
+    /// counts), a finite-difference Jacobian's `n` columns included.
     pub residual_evals: usize,
-    /// Full finite-difference Jacobian constructions.
+    /// Full Jacobians, supplied or by finite differences.
     pub jacobian_evals: usize,
+}
+
+/// One round of [`newton_rounds`]: every row an unfinished system needs
+/// evaluated next. A system's rows are consecutive: one for an initial
+/// residual, a Jacobian request or a line-search trial, or — when the
+/// caller does not supply Jacobians — `n` forward-difference columns.
+#[derive(Debug)]
+pub struct Round<'a> {
+    /// `owners[i]`: the system row `i` belongs to.
+    pub owners: &'a [usize],
+    /// `k × n` evaluation points, row-major.
+    pub rows: &'a [f64],
+    /// The rows, ascending, that ask for the Jacobian `∂F/∂x` at their
+    /// point instead of the residual (always empty for a caller that does
+    /// not supply Jacobians).
+    pub jacobian_rows: &'a [usize],
+    /// `k × n`: row `i` takes `F_{owners[i]}(rows[i])` for every row not
+    /// in `jacobian_rows`.
+    pub out: &'a mut [f64],
+    /// One row-major `n × n` block per entry of `jacobian_rows`, in
+    /// order: `J[a][b] = ∂F_a/∂x_b`.
+    pub jacobians: &'a mut [f64],
+    /// Row `i`'s point is rejected when set. A rejected trial shrinks the
+    /// step; a rejected initial guess or Jacobian fails its system — the
+    /// other systems of the block are not affected.
+    pub rejected: &'a mut [Option<SolverError>],
+}
+
+/// The caller's side of [`newton_rounds`]: one call per round.
+pub trait Rounds {
+    /// Evaluates every row of `round`, or rejects it. Rows the call
+    /// neither writes nor rejects keep stale values.
+    fn round(&mut self, round: Round<'_>);
+
+    /// Whether [`Self::round`] answers Jacobian requests. When it does
+    /// not (the default), a Jacobian is `n` forward-difference residual
+    /// rows `F(x + h_j e_j)` with `h_j = fd_step · max(|x_j|, 1)`.
+    fn supplies_jacobians(&self) -> bool {
+        false
+    }
+}
+
+/// A residual closure `eval(owners, rows, out, rejected)` is a caller
+/// whose Jacobians are finite differences.
+impl<E> Rounds for E
+where
+    E: FnMut(&[usize], &[f64], &mut [f64], &mut [Option<SolverError>]),
+{
+    fn round(&mut self, round: Round<'_>) {
+        self(round.owners, round.rows, round.out, round.rejected)
+    }
 }
 
 /// What a system asks the next round to evaluate.
@@ -78,7 +135,8 @@ pub struct NewtonReport {
 enum Phase {
     /// `F(x)` at the initial guess.
     Initial,
-    /// The `n` forward-difference columns `F(x + h_j e_j)`.
+    /// The Jacobian at `x`: one request, or the `n` forward-difference
+    /// columns `F(x + h_j e_j)`.
     Jacobian,
     /// One line-search trial `F(x + α d)`.
     Trial,
@@ -93,8 +151,7 @@ struct System {
     phase: Phase,
     /// The `iter` of `for iter in 0..max_iterations`.
     iter: usize,
-    /// Accepted steps since the last finite-difference Jacobian;
-    /// `usize::MAX` forces one.
+    /// Accepted steps since the last Jacobian; `usize::MAX` forces one.
     since_refresh: usize,
     /// Whether `lu` holds a factorization.
     factored: bool,
@@ -105,7 +162,7 @@ struct System {
     report: NewtonReport,
 }
 
-/// Buffers of [`newton_block`], reusable across calls: per-system vectors
+/// Buffers of [`newton_rounds`], reusable across calls: per-system vectors
 /// and matrices in flat `m × n` / `m × n × n` arrays plus the row buffers
 /// of a round. Capacity only grows, so a worker that keeps one workspace
 /// allocates on its first (largest) block and never again.
@@ -121,10 +178,13 @@ pub struct NewtonWorkspace {
     dx: Vec<f64>,
     b_dx: Vec<f64>,
     // One round: the system each row belongs to, the evaluation points,
-    // the residual rows and the per-row rejections.
+    // the rows that request a supplied Jacobian, the residual rows, the
+    // supplied Jacobians and the per-row rejections.
     owners: Vec<usize>,
     rows: Vec<f64>,
+    jacobian_rows: Vec<usize>,
     out: Vec<f64>,
+    jacobians: Vec<f64>,
     rejected: Vec<Option<SolverError>>,
 }
 
@@ -138,7 +198,7 @@ impl NewtonWorkspace {
             System {
                 phase: Phase::Initial,
                 iter: 0,
-                since_refresh: usize::MAX, // force FD Jacobian on first iteration
+                since_refresh: usize::MAX, // force a Jacobian on the first iteration
                 factored: false,
                 alpha: 1.0,
                 merit0: 0.0,
@@ -157,11 +217,13 @@ impl NewtonWorkspace {
     /// Consumes the rows the last round evaluated for system `s`, which
     /// start at row `r`, then runs the system on until it needs another
     /// evaluation (`None`) or finishes (`Some`). `x` is the system's
-    /// current iterate.
+    /// current iterate; `slot` is the index of its Jacobian in the round's
+    /// supplied Jacobians, if it requested one.
     fn consume(
         &mut self,
         s: usize,
         r: usize,
+        slot: Option<usize>,
         x: &mut [f64],
         opts: &NewtonOptions,
     ) -> Option<Result<NewtonReport, SolverError>> {
@@ -177,21 +239,28 @@ impl NewtonWorkspace {
                 sys.report.residual_evals += 1;
             }
             Phase::Jacobian => {
-                // A rejected column fails the system with the first
-                // rejected column's error.
-                if let Some(error) = self.rejected[r..r + n].iter_mut().find_map(Option::take) {
-                    return Some(Err(error));
-                }
-                // Forward differences: `J[:,j] = (F(x + h_j e_j) − F(x)) / h_j`.
                 let jac = &mut self.jac[s * n * n..(s + 1) * n * n];
-                for j in 0..n {
-                    let at = (r + j) * n;
-                    let h_actual = self.rows[at + j] - x[j]; // exact representable step
-                    for i in 0..n {
-                        jac[i * n + j] = (self.out[at + i] - fx[i]) / h_actual;
+                if let Some(slot) = slot {
+                    if let Some(error) = self.rejected[r].take() {
+                        return Some(Err(error));
                     }
+                    jac.copy_from_slice(&self.jacobians[slot * n * n..(slot + 1) * n * n]);
+                } else {
+                    // A rejected column fails the system with the first
+                    // rejected column's error.
+                    if let Some(error) = self.rejected[r..r + n].iter_mut().find_map(Option::take) {
+                        return Some(Err(error));
+                    }
+                    // Forward differences: `J[:,j] = (F(x + h_j e_j) − F(x)) / h_j`.
+                    for j in 0..n {
+                        let at = (r + j) * n;
+                        let h_actual = self.rows[at + j] - x[j]; // exact representable step
+                        for i in 0..n {
+                            jac[i * n + j] = (self.out[at + i] - fx[i]) / h_actual;
+                        }
+                    }
+                    sys.report.residual_evals += n;
                 }
-                sys.report.residual_evals += n;
                 sys.report.jacobian_evals += 1;
                 sys.since_refresh = 0;
                 let lu = &mut self.lu[s * n * n..(s + 1) * n * n];
@@ -235,7 +304,7 @@ impl NewtonWorkspace {
                         let lu = &mut self.lu[s * n * n..(s + 1) * n * n];
                         lu.copy_from_slice(jac);
                         if lu_factor(lu, &mut self.pivots[s * n..(s + 1) * n]).is_err() {
-                            sys.since_refresh = usize::MAX; // force FD refresh
+                            sys.since_refresh = usize::MAX; // force a fresh Jacobian
                         }
                     }
                 }
@@ -338,29 +407,21 @@ impl NewtonWorkspace {
 /// Solves `m` independent square systems `F_s(x_s) = 0` of `n` unknowns
 /// each, in lockstep rounds. `xs` holds the `m` initial guesses row-major
 /// (`m × n`) and is overwritten with the final iterates; the result has
-/// one entry per system, in order.
-///
-/// Each round calls `eval(owners, rows, out, rejected)` once: `rows` is
-/// `k × n` evaluation points, `owners[i]` the system row `i` belongs to
-/// (a system's rows are consecutive: one for an initial residual or a
-/// line-search trial, `n` for the columns of a Jacobian), and `eval`
-/// writes `F_{owners[i]}(rows[i])` into row `i` of `out` or rejects the
-/// point by setting `rejected[i]`. A rejected trial shrinks the step, a
-/// rejected initial guess or Jacobian column fails that system — the
-/// other systems of the block are not affected.
-pub fn newton_block<E>(
+/// one entry per system, in order. Each round is one
+/// [`Rounds::round`] call (see [`Round`]); how a Jacobian is built is the
+/// only thing [`Rounds::supplies_jacobians`] changes — the LU, the
+/// Broyden schedule, the line search and the rejection rules are the same.
+pub fn newton_rounds<R: Rounds + ?Sized>(
     n: usize,
     xs: &mut [f64],
     opts: &NewtonOptions,
     work: &mut NewtonWorkspace,
-    mut eval: E,
-) -> Vec<Result<NewtonReport, SolverError>>
-where
-    E: FnMut(&[usize], &[f64], &mut [f64], &mut [Option<SolverError>]),
-{
+    rounds: &mut R,
+) -> Vec<Result<NewtonReport, SolverError>> {
     assert!(n > 0, "empty system");
     assert_eq!(xs.len() % n, 0, "ragged block of systems");
     let m = xs.len() / n;
+    let supplied = rounds.supplies_jacobians();
     work.reset(m, n);
     let mut outcomes: Vec<Option<Result<NewtonReport, SolverError>>> = vec![None; m];
 
@@ -368,10 +429,16 @@ where
         // Gather: what every unfinished system needs evaluated next.
         work.owners.clear();
         work.rows.clear();
+        work.jacobian_rows.clear();
         for (s, x) in xs.chunks_exact(n).enumerate() {
             match work.systems[s].phase {
                 Phase::Done => {}
                 Phase::Initial => {
+                    work.owners.push(s);
+                    work.rows.extend_from_slice(x);
+                }
+                Phase::Jacobian if supplied => {
+                    work.jacobian_rows.push(work.owners.len());
                     work.owners.push(s);
                     work.rows.extend_from_slice(x);
                 }
@@ -397,23 +464,31 @@ where
         if count == 0 {
             break;
         }
-        // Stale rows are harmless: `eval` overwrites every row it does
+        // Stale rows are harmless: the round overwrites every row it does
         // not reject, and a rejected row is never read.
         work.out.resize(count * n, 0.0);
+        work.jacobians.resize(work.jacobian_rows.len() * n * n, 0.0);
         work.rejected.clear();
         work.rejected.resize(count, None);
-        eval(&work.owners, &work.rows, &mut work.out, &mut work.rejected);
+        rounds.round(Round {
+            owners: &work.owners,
+            rows: &work.rows,
+            jacobian_rows: &work.jacobian_rows,
+            out: &mut work.out,
+            jacobians: &mut work.jacobians,
+            rejected: &mut work.rejected,
+        });
 
         // Scatter: every owner consumes its rows and runs on.
-        let mut r = 0;
+        let (mut r, mut slots) = (0, 0..);
         while r < count {
             let s = work.owners[r];
-            let taken = if work.systems[s].phase == Phase::Jacobian {
-                n
-            } else {
-                1
+            let (taken, slot) = match work.systems[s].phase {
+                Phase::Jacobian if supplied => (1, slots.next()),
+                Phase::Jacobian => (n, None),
+                _ => (1, None),
             };
-            if let Some(outcome) = work.consume(s, r, &mut xs[s * n..(s + 1) * n], opts) {
+            if let Some(outcome) = work.consume(s, r, slot, &mut xs[s * n..(s + 1) * n], opts) {
                 work.systems[s].phase = Phase::Done;
                 outcomes[s] = Some(outcome);
             }
@@ -424,6 +499,24 @@ where
         .into_iter()
         .map(|outcome| outcome.expect("the round loop ends when every system has finished"))
         .collect()
+}
+
+/// [`newton_rounds`] for a residual closure: each round calls
+/// `eval(owners, rows, out, rejected)` once, which writes
+/// `F_{owners[i]}(rows[i])` into row `i` of `out` or rejects the point by
+/// setting `rejected[i]`, and every Jacobian is `n` forward-difference
+/// rows.
+pub fn newton_block<E>(
+    n: usize,
+    xs: &mut [f64],
+    opts: &NewtonOptions,
+    work: &mut NewtonWorkspace,
+    mut eval: E,
+) -> Vec<Result<NewtonReport, SolverError>>
+where
+    E: FnMut(&[usize], &[f64], &mut [f64], &mut [Option<SolverError>]),
+{
+    newton_rounds(n, xs, opts, work, &mut eval)
 }
 
 /// Solves `F(x) = 0` for square `F`, starting from `x` (overwritten with
@@ -606,6 +699,85 @@ mod tests {
         let full = count_jacobians(1);
         let broyden = count_jacobians(8);
         assert!(broyden < full, "broyden {broyden} jacobians vs full {full}");
+    }
+
+    /// `F(x) = (x₀² − 2, x₀x₁ − 1)` with its exact Jacobian; a system
+    /// whose guess is `x₀ = 0` has a singular Jacobian there, and one with
+    /// `x₀ < 0` has its Jacobian rejected.
+    struct Exact {
+        requests: usize,
+    }
+
+    impl Rounds for Exact {
+        fn round(&mut self, round: Round<'_>) {
+            let mut requests = round.jacobian_rows.iter().enumerate().peekable();
+            for (i, x) in round.rows.chunks_exact(2).enumerate() {
+                if let Some((slot, _)) = requests.next_if(|&(_, &row)| row == i) {
+                    self.requests += 1;
+                    if x[0] < 0.0 {
+                        round.rejected[i] = Some(SolverError::Rejected("x0 < 0".into()));
+                    }
+                    let jac = [2.0 * x[0], 0.0, x[1], x[0]];
+                    round.jacobians[slot * 4..(slot + 1) * 4].copy_from_slice(&jac);
+                } else {
+                    round.out[2 * i] = x[0] * x[0] - 2.0;
+                    round.out[2 * i + 1] = x[0] * x[1] - 1.0;
+                }
+            }
+        }
+
+        fn supplies_jacobians(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn a_supplied_jacobian_is_one_request_and_no_residual_row() {
+        let opts = NewtonOptions::default();
+        let guesses = [3.0, 2.0, 0.0, 1.0, 1.0, 0.2, -3.0, -1.0];
+        let mut xs = guesses.to_vec();
+        let mut exact = Exact { requests: 0 };
+        let reports = newton_rounds(
+            2,
+            &mut xs,
+            &opts,
+            &mut NewtonWorkspace::default(),
+            &mut exact,
+        );
+        assert!(matches!(
+            reports[1],
+            Err(SolverError::SingularJacobian { .. })
+        ));
+        assert!(matches!(reports[3], Err(SolverError::Rejected(_))));
+        let mut requests = 2; // the failed systems' one request each
+        for s in [0, 2] {
+            let report = reports[s].as_ref().expect("converges");
+            let x = &xs[2 * s..2 * s + 2];
+            assert!((x[0] - 2f64.sqrt()).abs() < 1e-9 && (x[1] - 0.5f64.sqrt()).abs() < 1e-9);
+            requests += report.jacobian_evals;
+            // The initial residual and one accepted trial per iteration
+            // (no step is rejected on this system): a Jacobian adds none.
+            assert_eq!(report.residual_evals, report.iterations + 1, "{report:?}");
+            // The same root by finite differences, with `n` more residual
+            // rows per Jacobian.
+            let mut fd = guesses[2 * s..2 * s + 2].to_vec();
+            let by_fd = newton(
+                |x, out| {
+                    out[0] = x[0] * x[0] - 2.0;
+                    out[1] = x[0] * x[1] - 1.0;
+                    Ok(())
+                },
+                &mut fd,
+                &opts,
+            )
+            .unwrap();
+            assert!((fd[0] - x[0]).abs() < 1e-9 && (fd[1] - x[1]).abs() < 1e-9);
+            assert_eq!(
+                by_fd.residual_evals,
+                by_fd.iterations + 1 + 2 * by_fd.jacobian_evals
+            );
+        }
+        assert_eq!(exact.requests, requests);
     }
 
     #[test]
