@@ -156,13 +156,7 @@ fn run_once(
     runtime::start_root(&exec, Arc::clone(model));
     let outcome;
     {
-        let mut st = runtime::lock_state(&exec);
-        while !st.done {
-            st = exec.cv.wait(st).unwrap_or_else(|poison| {
-                exec.state.clear_poison();
-                poison.into_inner()
-            });
-        }
+        let mut st = runtime::wait_state_while(&exec, runtime::lock_state(&exec), |st| !st.done);
         outcome = RunOutcome {
             discovered: std::mem::take(&mut st.discovered),
             failure: st.failure.take(),

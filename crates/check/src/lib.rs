@@ -16,8 +16,8 @@
 //!   schedule can ever notify;
 //! - **invariant violation** — [`register_invariant`] assertions
 //!   checked at every scheduling point, plus [`io_step`]'s
-//!   no-lock-over-io discipline (the semantic form of hddm-lint
-//!   HL003).
+//!   no-lock-over-io discipline: a model marks its file and device I/O,
+//!   and any checked lock held there fails the execution.
 //!
 //! ## Writing a model
 //!
@@ -50,7 +50,7 @@ pub use atomic::{CheckedAtomicBool, CheckedAtomicU64, CheckedAtomicUsize};
 pub use explore::{explore, explore_random, replay, Config, Report};
 pub use runtime::{choose, register_invariant, spawn, step, JoinHandle};
 pub use sync::{
-    io_step, io_step_allowing, CheckedCondvar, CheckedLock, CheckedMutex, CheckedMutexGuard,
-    CheckedRwLock, CheckedRwLockReadGuard, CheckedRwLockWriteGuard,
+    io_step, CheckedCondvar, CheckedMutex, CheckedMutexGuard, CheckedRwLock,
+    CheckedRwLockReadGuard, CheckedRwLockWriteGuard,
 };
 pub use trace::{Alt, Failure, FailureKind, Trace};

@@ -578,6 +578,26 @@ pub(crate) fn lock_state(exec: &Execution) -> MutexGuard<'_, ExecState> {
     })
 }
 
+/// Waits on `exec.cv` while `blocked` holds. `wait_while` returns early,
+/// `blocked` unchecked, when it wakes to a state lock a panicking model
+/// thread poisoned: the poison is cleared, as [`lock_state`] clears it,
+/// and the wait resumes.
+pub(crate) fn wait_state_while<'a>(
+    exec: &'a Execution,
+    mut st: MutexGuard<'a, ExecState>,
+    mut blocked: impl FnMut(&mut ExecState) -> bool,
+) -> MutexGuard<'a, ExecState> {
+    loop {
+        match exec.cv.wait_while(st, &mut blocked) {
+            Ok(st) => return st,
+            Err(poison) => {
+                exec.state.clear_poison();
+                st = poison.into_inner();
+            }
+        }
+    }
+}
+
 fn unwind_abort() -> ! {
     std::panic::resume_unwind(Box::new(AbortToken))
 }
@@ -587,20 +607,13 @@ fn unwind_abort() -> ! {
 fn wait_for_turn<'a>(
     exec: &'a Execution,
     tid: usize,
-    mut st: MutexGuard<'a, ExecState>,
+    st: MutexGuard<'a, ExecState>,
 ) -> Option<MutexGuard<'a, ExecState>> {
-    loop {
-        if st.aborted {
-            return None;
-        }
-        if st.current == tid && matches!(st.threads[tid].status, Status::Runnable) {
-            return Some(st);
-        }
-        st = exec.cv.wait(st).unwrap_or_else(|poison| {
-            exec.state.clear_poison();
-            poison.into_inner()
-        });
-    }
+    let st = wait_state_while(exec, st, |st| {
+        let turn = st.current == tid && matches!(st.threads[tid].status, Status::Runnable);
+        !(st.aborted || turn)
+    });
+    (!st.aborted).then_some(st)
 }
 
 fn must_wait<'a>(
@@ -804,22 +817,20 @@ pub(crate) fn op_choose(exec: &Execution, tid: usize, n: usize) -> usize {
 }
 
 /// A side-effect step standing in for real I/O. Fails the execution if
-/// the calling thread holds any checked lock not in `allowed` — the
-/// semantic version of hddm-lint's HL003 "no I/O under a lock".
-pub(crate) fn op_io(exec: &Execution, tid: usize, label: &str, allowed: &[usize]) {
+/// the calling thread holds any checked lock: no I/O under a lock.
+pub(crate) fn op_io(exec: &Execution, tid: usize, label: &str) {
     let mut st = lock_state(exec);
     st.record_event(tid, &format!("io:{label}"));
-    let bad: Vec<String> = st.threads[tid]
+    let held: Vec<String> = st.threads[tid]
         .held
         .iter()
-        .filter(|id| !allowed.contains(id))
         .map(|&id| st.locks[id].name.clone())
         .collect();
-    if !bad.is_empty() {
+    if !held.is_empty() {
         let name = st.threads[tid].name.clone();
         st.fail(
             FailureKind::InvariantViolation,
-            format!("io step {label:?} on t{tid} ({name}) while holding checked lock(s): {bad:?}"),
+            format!("io step {label:?} on t{tid} ({name}) while holding checked lock(s): {held:?}"),
         );
     }
     st.check_invariants();

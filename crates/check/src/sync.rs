@@ -12,12 +12,6 @@ use std::sync::Arc;
 
 use crate::runtime::{self, Execution, LockKind, Want};
 
-/// Anything with a checker-level lock identity; used by
-/// [`io_step_allowing`] to exempt by-design lock-over-io patterns.
-pub trait CheckedLock {
-    fn lock_id(&self) -> usize;
-}
-
 /// Mutex whose acquire/release points yield to the scheduler.
 pub struct CheckedMutex<T> {
     exec: Arc<Execution>,
@@ -52,12 +46,6 @@ impl<T> CheckedMutex<T> {
         let tid = runtime::ctx_in(&self.exec);
         runtime::op_acquire(&self.exec, tid, self.id, Want::Mutex);
         CheckedMutexGuard { lock: self }
-    }
-}
-
-impl<T> CheckedLock for CheckedMutex<T> {
-    fn lock_id(&self) -> usize {
-        self.id
     }
 }
 
@@ -128,12 +116,6 @@ impl<T> CheckedRwLock<T> {
         let tid = runtime::ctx_in(&self.exec);
         runtime::op_acquire(&self.exec, tid, self.id, Want::Write);
         CheckedRwLockWriteGuard { lock: self }
-    }
-}
-
-impl<T> CheckedLock for CheckedRwLock<T> {
-    fn lock_id(&self) -> usize {
-        self.id
     }
 }
 
@@ -247,15 +229,8 @@ impl Default for CheckedCondvar {
 }
 
 /// An I/O stand-in step: fails the execution if the calling thread
-/// holds any checked lock (the semantic form of hddm-lint HL003).
+/// holds any checked lock — no file or device I/O under a lock.
 pub fn io_step(label: &str) {
-    io_step_allowing(label, &[]);
-}
-
-/// Like [`io_step`], but locks in `allowed` may be held — the model's
-/// way of encoding a by-design, baselined lock-over-io decision.
-pub fn io_step_allowing(label: &str, allowed: &[&dyn CheckedLock]) {
     let (exec, tid) = runtime::ctx();
-    let ids: Vec<usize> = allowed.iter().map(|l| l.lock_id()).collect();
-    runtime::op_io(&exec, tid, label, &ids);
+    runtime::op_io(&exec, tid, label);
 }

@@ -223,16 +223,6 @@ fn io_step_flags_io_under_lock() {
 }
 
 #[test]
-fn io_step_allowing_exempts_by_design_locks() {
-    let report = explore(&cfg("io-allowed"), || {
-        let m = Arc::new(CheckedMutex::named("writer", ()));
-        let _g = m.lock();
-        hddm_check::io_step_allowing("write manifest", &[&*m]);
-    });
-    report.assert_clean();
-}
-
-#[test]
 fn choose_explores_every_value() {
     let seen = Arc::new(AtomicUsize::new(0));
     let seen2 = Arc::clone(&seen);

@@ -70,8 +70,11 @@ impl Rendezvous {
             guard.1 += 1;
             self.cv.notify_all();
         } else {
-            while guard.1 == gen {
-                guard = self.cv.wait(guard).unwrap_or_else(|e| e.into_inner());
+            // `wait_while` returns early, generation unchecked, when it
+            // wakes to a lock a panicking rank poisoned: recover, wait on.
+            while let Err(poisoned) = self.cv.wait_while(guard, |(_, g)| *g == gen) {
+                self.state.clear_poison();
+                guard = poisoned.into_inner();
             }
         }
     }

@@ -12,7 +12,7 @@
 //! costs a skipped modeled upload and nothing else (results are
 //! unaffected by construction).
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use hddm_kernels::CompressedState;
 
@@ -93,6 +93,13 @@ impl DevicePool {
         }
     }
 
+    /// The pool state. A panic under this lock leaves at worst a stale
+    /// residency tally — accounting, never a value — so its poison is
+    /// ignored rather than turned into a panic in every later request.
+    fn state(&self) -> MutexGuard<'_, PoolInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The pool's device-byte budget.
     pub fn capacity_bytes(&self) -> usize {
         self.capacity_bytes
@@ -106,7 +113,7 @@ impl DevicePool {
     pub fn ensure_resident(&self, state: &CompressedState, pcie_bandwidth: f64) -> Residency {
         let id = SurfaceId::of(state);
         let bytes = device_bytes(state);
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.state();
         inner.clock += 1;
         let now = inner.clock;
         if let Some(e) = inner.entries.iter_mut().find(|e| e.id == id) {
@@ -153,17 +160,17 @@ impl DevicePool {
 
     /// Device bytes currently resident.
     pub fn resident_bytes(&self) -> usize {
-        self.inner.lock().unwrap().resident_bytes
+        self.state().resident_bytes
     }
 
     /// Number of surfaces currently resident.
     pub fn resident_surfaces(&self) -> usize {
-        self.inner.lock().unwrap().entries.len()
+        self.state().entries.len()
     }
 
     /// Total surfaces evicted over the pool's lifetime.
     pub fn evictions(&self) -> u64 {
-        self.inner.lock().unwrap().evictions
+        self.state().evictions
     }
 }
 
@@ -233,5 +240,23 @@ mod tests {
         assert!(pool.resident_bytes() > pool.capacity_bytes());
         // Still reusable while resident.
         assert!(pool.ensure_resident(&s, 11e9).reused);
+    }
+
+    #[test]
+    fn a_panic_under_the_pool_lock_does_not_poison_later_requests() {
+        let s = make_state(3, 3, 4);
+        let pool = DevicePool::new(1 << 30);
+        let first = pool.ensure_resident(&s, 11e9);
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _inner = pool.inner.lock();
+                panic!("panic while the pool is locked");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(pool.inner.is_poisoned());
+        assert_eq!(pool.resident_bytes(), first.bytes);
+        assert!(pool.ensure_resident(&s, 11e9).reused);
+        assert_eq!((pool.resident_surfaces(), pool.evictions()), (1, 0));
     }
 }

@@ -459,19 +459,18 @@ impl SurfaceCache {
                 let mut inflight = self.recover_mutex(&self.inner.inflight);
                 if inflight.contains(&hash) {
                     // A restore of this very hash is in flight: wait for
-                    // the winner instead of reading the file twice.
-                    while inflight.contains(&hash) {
-                        inflight =
-                            self.inner
-                                .inflight_cv
-                                .wait(inflight)
-                                .unwrap_or_else(|poisoned| {
-                                    // ORDERING: Relaxed — recovery tally.
-                                    self.inner.lock_poisonings.fetch_add(1, Ordering::Relaxed);
-                                    self.inner.inflight.clear_poison();
-                                    poisoned.into_inner()
-                                });
-                    }
+                    // the winner instead of reading the file twice. (A
+                    // wake to poison returns early; the loop re-checks.)
+                    let _released = self
+                        .inner
+                        .inflight_cv
+                        .wait_while(inflight, |inflight| inflight.contains(&hash))
+                        .unwrap_or_else(|poisoned| {
+                            // ORDERING: Relaxed — recovery tally.
+                            self.inner.lock_poisonings.fetch_add(1, Ordering::Relaxed);
+                            self.inner.inflight.clear_poison();
+                            poisoned.into_inner()
+                        });
                     continue; // re-check the shard (winner promoted or skipped)
                 }
                 inflight.insert(hash);
@@ -694,6 +693,10 @@ impl SurfaceCache {
         let mut best: Option<(f64, u64, Arc<CachedSurface>)> = None;
         for i in 0..SHARD_COUNT {
             let shard = self.shard_read(i);
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "the nearest entry wins, ties to the earliest deposit: no visit order shows"
+            )]
             for (&h, entry) in &shard.by_hash {
                 in_memory.insert(h);
                 if entry.surface.shape != shape {

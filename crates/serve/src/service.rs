@@ -59,15 +59,19 @@ impl Ticket {
     /// Blocks until the response is in.
     pub fn wait(self) -> Result<ScenarioResponse, ServeError> {
         let (lock, cv) = &*self.slot;
-        let mut slot = recover(lock);
+        // `wait_while` returns early, slot unchecked, when it wakes to a
+        // lock a panicking holder poisoned: recover, wait on.
         loop {
-            if let Some(result) = slot.take() {
+            let filled = cv
+                .wait_while(recover(lock), |slot| slot.is_none())
+                .unwrap_or_else(|poisoned| {
+                    lock.clear_poison();
+                    poisoned.into_inner()
+                })
+                .take();
+            if let Some(result) = filled {
                 return result;
             }
-            slot = cv.wait(slot).unwrap_or_else(|poisoned| {
-                lock.clear_poison();
-                poisoned.into_inner()
-            });
         }
     }
 }
@@ -116,6 +120,11 @@ impl Group {
     /// [`ServeError::DeadlineExceeded`] and removes it. Returns `false`
     /// (and marks the group fulfilled — no solve owed) when no live
     /// waiter remains.
+    ///
+    /// Runs under the queue lock (admission and seal), so answering a
+    /// waiter locks its slot inside the queue's: queue → slot, the
+    /// service's one nested acquisition. Slots are leaf locks — nothing
+    /// locks the queue while holding a slot — so the order is acyclic.
     fn shed_expired(&mut self, now: Instant, metrics: &Instruments) -> bool {
         self.waiters.retain(|w| match w.deadline {
             Some((expires, requested)) if now >= expires => {
@@ -497,38 +506,34 @@ fn dispatcher_loop(cache: &SurfaceCache, config: &ServeConfig, shared: &Shared) 
     loop {
         let mut batch: Vec<Group> = Vec::new();
         {
-            let mut state = recover(&shared.queue);
-            loop {
-                if !state.groups.is_empty() {
-                    break;
-                }
-                if state.shutdown {
-                    return;
-                }
-                state = shared.cv.wait(state).unwrap_or_else(|poisoned| {
+            // A wake to poison returns early, predicate unchecked: an
+            // empty queue then seals an empty batch and waits again.
+            let mut state = shared
+                .cv
+                .wait_while(recover(&shared.queue), |state| {
+                    state.groups.is_empty() && !state.shutdown
+                })
+                .unwrap_or_else(|poisoned| {
                     shared.queue.clear_poison();
                     poisoned.into_inner()
                 });
+            if state.groups.is_empty() && state.shutdown {
+                return;
             }
             // Coalescing window: hold the batch open briefly so near-
             // simultaneous misses ride together (unless it is already
             // full, or the service is shutting down).
             if !config.linger.is_zero() {
-                let deadline = Instant::now() + config.linger;
-                while state.groups.len() < max_batch && !state.shutdown {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    state = shared
-                        .cv
-                        .wait_timeout(state, deadline - now)
-                        .unwrap_or_else(|poisoned| {
-                            shared.queue.clear_poison();
-                            poisoned.into_inner()
-                        })
-                        .0;
-                }
+                state = shared
+                    .cv
+                    .wait_timeout_while(state, config.linger, |state| {
+                        state.groups.len() < max_batch && !state.shutdown
+                    })
+                    .unwrap_or_else(|poisoned| {
+                        shared.queue.clear_poison();
+                        poisoned.into_inner()
+                    })
+                    .0;
             }
             // Seal-time shedding: a group whose every waiter expired
             // during the wait is dropped here, *before* it can occupy a

@@ -20,7 +20,9 @@
 //!   (hierarchize/refine/policy-update/compress), serve
 //!   (exact-hit/warm-hint/queue-wait/batch-solve) and cache
 //!   (restore/deposit/evict) all use it;
-//! * [`Registry`] — named instruments, deterministic (sorted) iteration
+//! * [`Registry`] — named instruments (a new name must follow
+//!   `hddm_<subsystem>_<what>`: counters end `_total`, histograms and
+//!   spans `_seconds`, gauges neither), deterministic (sorted) iteration
 //!   order, collect hooks for computed
 //!   gauges, and two exporters: a deterministic JSON [`Snapshot`] and a
 //!   Prometheus-style text exposition

@@ -192,10 +192,14 @@ impl Deserialize for f64 {
     fn deserialize_json(v: &Value) -> Result<Self, String> {
         match v {
             // Exact: Rust's float parser is correctly rounded, and the
-            // writer printed the shortest roundtrip form.
-            Value::Number(text) => text
-                .parse::<f64>()
-                .map_err(|e| format!("invalid f64: {text:?} ({e})")),
+            // writer printed the shortest roundtrip form. A number too large
+            // for an f64 would parse as infinity, which the writer cannot
+            // print back (it writes `null`), so it is an error here.
+            Value::Number(text) => match text.parse::<f64>() {
+                Ok(x) if x.is_finite() => Ok(x),
+                Ok(_) => Err(format!("f64 out of range: {text:?}")),
+                Err(e) => Err(format!("invalid f64: {text:?} ({e})")),
+            },
             other => Err(format!("expected f64 number, found {}", other.kind())),
         }
     }
@@ -289,6 +293,16 @@ mod tests {
             x.serialize_json(&mut out);
             let back = f64::deserialize_json(&Value::Number(out)).unwrap();
             assert_eq!(x.to_bits(), back.to_bits(), "{x}");
+        }
+    }
+
+    #[test]
+    fn f64_beyond_range_is_rejected() {
+        for text in ["1e999", "-1e309"] {
+            assert!(
+                f64::deserialize_json(&Value::Number(text.into())).is_err(),
+                "{text}"
+            );
         }
     }
 

@@ -42,7 +42,7 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
 pub fn parse(text: &str) -> Result<Value, Error> {
     let bytes = text.as_bytes();
     let mut at = 0usize;
-    let value = parse_value(bytes, &mut at)?;
+    let value = parse_value(bytes, &mut at, 0)?;
     skip_ws(bytes, &mut at);
     if at != bytes.len() {
         return Err(Error(format!("trailing data at byte {at}")));
@@ -69,8 +69,18 @@ fn expect(bytes: &[u8], at: &mut usize, token: u8) -> Result<(), Error> {
     }
 }
 
-fn parse_value(bytes: &[u8], at: &mut usize) -> Result<Value, Error> {
+/// Deepest array/object nesting [`parse`] accepts: the parser recurses
+/// once per level, so untrusted text must not choose the stack depth.
+const MAX_DEPTH: usize = 128;
+
+fn parse_value(bytes: &[u8], at: &mut usize, depth: usize) -> Result<Value, Error> {
     skip_ws(bytes, at);
+    if depth > MAX_DEPTH {
+        return Err(Error(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {at}",
+            at = *at
+        )));
+    }
     match bytes.get(*at) {
         None => Err(Error("unexpected end of input".into())),
         Some(b'{') => {
@@ -83,7 +93,7 @@ fn parse_value(bytes: &[u8], at: &mut usize) -> Result<Value, Error> {
             }
             loop {
                 skip_ws(bytes, at);
-                let key = match parse_value(bytes, at)? {
+                let key = match parse_value(bytes, at, depth + 1)? {
                     Value::String(s) => s,
                     other => {
                         return Err(Error(format!(
@@ -93,7 +103,7 @@ fn parse_value(bytes: &[u8], at: &mut usize) -> Result<Value, Error> {
                     }
                 };
                 expect(bytes, at, b':')?;
-                let value = parse_value(bytes, at)?;
+                let value = parse_value(bytes, at, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, at);
                 match bytes.get(*at) {
@@ -120,7 +130,7 @@ fn parse_value(bytes: &[u8], at: &mut usize) -> Result<Value, Error> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, at)?);
+                items.push(parse_value(bytes, at, depth + 1)?);
                 skip_ws(bytes, at);
                 match bytes.get(*at) {
                     Some(b',') => *at += 1,
@@ -241,6 +251,14 @@ mod tests {
         assert_eq!(arr.len(), 3);
         assert_eq!(obj[1].1, Value::Null);
         assert_eq!(obj[2].1, Value::Bool(true));
+    }
+
+    #[test]
+    fn rejects_nesting_deeper_than_the_cap() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 2)).is_err());
+        assert!(parse(&"[".repeat(1 << 20)).is_err());
     }
 
     #[test]
