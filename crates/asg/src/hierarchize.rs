@@ -2,9 +2,9 @@
 //! (`α_{ľ,í}` of Eq. 12/14) and back.
 //!
 //! The transform is applied dimension-wise (the *unidirectional principle*):
-//! for each dimension `t`, grid points are bucketed by their coordinates in
-//! all other dimensions; each bucket is a one-dimensional sub-hierarchy on
-//! which the 1-D stencil runs fine-to-coarse:
+//! for each dimension `t`, the grid points that agree in every other
+//! dimension form a one-dimensional sub-hierarchy, on which the 1-D stencil
+//! runs fine-to-coarse:
 //!
 //! * level 1: surplus = value (the constant basis),
 //! * level 2: `α = v − v(root)` (the level-1 "prediction" at the boundary
@@ -12,112 +12,163 @@
 //! * level `l ≥ 3`: `α = v − ½·(v_left + v_right)` with the support
 //!   endpoints of Eq. (5) as neighbors.
 //!
+//! A [`Stencil`] is that list of updates for one grid, built once: for
+//! each dimension in order, one `(row, left, right, level)` entry per node
+//! above level 1 there, its endpoints found with [`SparseGrid::find`],
+//! stably sorted finest level first. Applying it is one flat loop
+//! (reversed within each dimension for the inverse), so a grid that is
+//! hierarchized many times — the start grid every state of a
+//! time-iteration step shares — pays for the lookups once.
+//!
+//! **Why one flat order gives the same bits as sub-hierarchy by
+//! sub-hierarchy.** Dimension `t`'s sub-hierarchies touch disjoint rows,
+//! so they may interleave. Within one, an update reads only strictly
+//! coarser rows of its own sub-hierarchy (the root, or support endpoints of
+//! lower levels), so updates of equal level do not depend on each other and
+//! any level-sorted order performs, per row, the same operations on the
+//! same operands. `tests/properties.rs` keeps a sub-hierarchy-wise
+//! transform as the reference and compares with `to_bits`.
+//!
 //! Validity requires the grid to be **ancestor-closed**
 //! ([`SparseGrid::insert_closed`]) so every endpoint value exists. Each
 //! point carries `ndofs` degrees of freedom (a surplus-matrix row); the
 //! stencil is applied row-wise, which is exactly the memory layout the
 //! vectorized kernels consume.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::ops::Range;
 
 use crate::basis;
 use crate::grid::SparseGrid;
-use crate::node::NodeKey;
 
 /// In-place nodal-values → hierarchical-surpluses transform.
 ///
 /// `values` is row-major `grid.len() × ndofs`, row `i` belonging to
-/// `grid.node(i)`.
+/// `grid.node(i)`. Builds the grid's [`Stencil`]; keep one instead when
+/// the same grid is hierarchized again.
 ///
 /// # Panics
-/// If the matrix shape is wrong or the grid is not ancestor-closed in a way
-/// that leaves an endpoint unresolved.
+/// If the matrix shape is wrong or the grid is not ancestor-closed.
 pub fn hierarchize(grid: &SparseGrid, values: &mut [f64], ndofs: usize) {
-    transform(grid, values, ndofs, Direction::Forward);
+    Stencil::of(grid).hierarchize(values, ndofs);
 }
 
 /// In-place hierarchical-surpluses → nodal-values transform (the inverse of
 /// [`hierarchize`]); used by tests and by incremental refinement restarts.
 pub fn dehierarchize(grid: &SparseGrid, values: &mut [f64], ndofs: usize) {
-    transform(grid, values, ndofs, Direction::Backward);
+    Stencil::of(grid).dehierarchize(values, ndofs);
+}
+
+/// One 1-D update, `row ∓= wl·left + wr·right` (rows are dense node ids),
+/// its weights fixed by `level`.
+#[derive(Clone, Copy, Debug)]
+struct Update {
+    row: u32,
+    left: u32,
+    right: u32,
+    level: u8,
+}
+
+/// The hierarchization updates of one grid, independent of the values and
+/// of `ndofs` (see the module docs).
+#[derive(Clone, Debug)]
+pub struct Stencil {
+    /// Points of the grid it was built for.
+    len: usize,
+    /// `updates[dims[t].clone()]` are dimension `t`'s, finest level first.
+    dims: Vec<Range<usize>>,
+    updates: Vec<Update>,
+}
+
+impl Stencil {
+    /// Lists the updates of `grid`.
+    ///
+    /// # Panics
+    /// If an endpoint is missing (the grid is not ancestor-closed); the
+    /// message names the endpoint and the dimension.
+    pub fn of(grid: &SparseGrid) -> Stencil {
+        let mut dims = Vec::with_capacity(grid.dim());
+        let mut updates = Vec::new();
+        for t in 0..grid.dim() as u16 {
+            let first = updates.len();
+            for (row, node) in grid.nodes().iter().enumerate() {
+                let find = |level, index| grid.find(&node.with_coord(t, level, index));
+                let (level, index) = node.coord(t);
+                let (left, right) = match level {
+                    1 => continue,
+                    2 => {
+                        let root = find(1, 1).unwrap_or_else(|| {
+                            panic!("grid not ancestor-closed: missing root in dim {t}")
+                        });
+                        (root, root)
+                    }
+                    _ => {
+                        let endpoint = |(l, i): (u8, u32)| {
+                            find(l, i).unwrap_or_else(|| {
+                                panic!("grid not ancestor-closed: missing {:?} in dim {t}", (l, i))
+                            })
+                        };
+                        let (lp, rp) = basis::support_endpoints(level, index);
+                        (endpoint(lp), endpoint(rp))
+                    }
+                };
+                let row = row as u32;
+                updates.push(Update {
+                    row,
+                    left,
+                    right,
+                    level,
+                });
+            }
+            updates[first..].sort_by_key(|u| Reverse(u.level));
+            dims.push(first..updates.len());
+        }
+        Stencil {
+            len: grid.len(),
+            dims,
+            updates,
+        }
+    }
+
+    /// In-place nodal values → surpluses (see [`hierarchize`]).
+    pub fn hierarchize(&self, values: &mut [f64], ndofs: usize) {
+        self.transform(values, ndofs, Direction::Forward);
+    }
+
+    /// In-place surpluses → nodal values (see [`dehierarchize`]).
+    pub fn dehierarchize(&self, values: &mut [f64], ndofs: usize) {
+        self.transform(values, ndofs, Direction::Backward);
+    }
+
+    fn transform(&self, values: &mut [f64], ndofs: usize, dir: Direction) {
+        assert_eq!(
+            values.len(),
+            self.len * ndofs,
+            "value matrix must be len() x ndofs"
+        );
+        let mut scratch = vec![0.0f64; ndofs];
+        let at = |id: u32| id as usize * ndofs;
+        let mut update = |u: &Update| {
+            let (wl, wr) = if u.level == 2 { (1.0, 0.0) } else { (0.5, 0.5) };
+            let (row, left, right) = (at(u.row), at(u.left), at(u.right));
+            apply(values, row, left, right, wl, wr, ndofs, dir, &mut scratch);
+        };
+        for range in &self.dims {
+            let updates = self.updates[range.clone()].iter();
+            // Fine-to-coarse for hierarchization, coarse-to-fine for the
+            // inverse (so "predictions" always use fully (un)transformed data).
+            match dir {
+                Direction::Forward => updates.for_each(&mut update),
+                Direction::Backward => updates.rev().for_each(&mut update),
+            }
+        }
+    }
 }
 
 #[derive(Clone, Copy, PartialEq)]
 enum Direction {
     Forward,
     Backward,
-}
-
-fn transform(grid: &SparseGrid, values: &mut [f64], ndofs: usize, dir: Direction) {
-    assert_eq!(
-        values.len(),
-        grid.len() * ndofs,
-        "value matrix must be len() x ndofs"
-    );
-    let dim = grid.dim();
-    for t in 0..dim as u16 {
-        transform_dim(grid, values, ndofs, t, dir);
-    }
-}
-
-/// Applies the 1-D stencil along dimension `t` to every bucket.
-fn transform_dim(grid: &SparseGrid, values: &mut [f64], ndofs: usize, t: u16, dir: Direction) {
-    // Bucket nodes by their key with dimension t stripped. Each bucket is a
-    // 1-D hierarchy {(level, index) -> dense node id}.
-    let mut buckets: HashMap<NodeKey, Vec<(u8, u32, u32)>> = HashMap::new();
-    for (i, node) in grid.nodes().iter().enumerate() {
-        let (level, index) = node.coord(t);
-        buckets
-            .entry(node.without_dim(t))
-            .or_default()
-            .push((level, index, i as u32));
-    }
-
-    let mut scratch = vec![0.0f64; ndofs];
-    #[expect(
-        clippy::iter_over_hash_type,
-        reason = "a bucket reads and writes only its own nodes' rows, so buckets commute bit for bit"
-    )]
-    for chain in buckets.values_mut() {
-        if chain.len() == 1 {
-            continue; // only the level-1 entry: identity in this dim
-        }
-        // Fine-to-coarse for hierarchization, coarse-to-fine for the
-        // inverse (so "predictions" always use fully (un)transformed data).
-        match dir {
-            Direction::Forward => chain.sort_unstable_by_key(|a| std::cmp::Reverse(a.0)),
-            Direction::Backward => chain.sort_unstable_by_key(|a| a.0),
-        }
-        let position: HashMap<(u8, u32), u32> = chain
-            .iter()
-            .map(|&(level, index, id)| ((level, index), id))
-            .collect();
-        for &(level, index, id) in chain.iter() {
-            let row = id as usize * ndofs;
-            match level {
-                1 => {}
-                2 => {
-                    let root = *position.get(&(1, 1)).unwrap_or_else(|| {
-                        panic!("grid not ancestor-closed: missing root in dim {t}")
-                    }) as usize
-                        * ndofs;
-                    apply(values, row, root, root, 1.0, 0.0, ndofs, dir, &mut scratch);
-                }
-                _ => {
-                    let (lp, rp) = basis::support_endpoints(level, index);
-                    let left = *position.get(&lp).unwrap_or_else(|| {
-                        panic!("grid not ancestor-closed: missing {lp:?} in dim {t}")
-                    }) as usize
-                        * ndofs;
-                    let right = *position.get(&rp).unwrap_or_else(|| {
-                        panic!("grid not ancestor-closed: missing {rp:?} in dim {t}")
-                    }) as usize
-                        * ndofs;
-                    apply(values, row, left, right, 0.5, 0.5, ndofs, dir, &mut scratch);
-                }
-            }
-        }
-    }
 }
 
 /// `row ∓= wl·left + wr·right` (minus for forward, plus for backward).
@@ -197,8 +248,10 @@ where
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
-    use crate::node::ActiveCoord;
+    use crate::node::{ActiveCoord, NodeKey};
     use crate::regular::regular_grid;
 
     fn key(coords: &[(u16, u8, u32)]) -> NodeKey {

@@ -11,7 +11,8 @@
 //! * the grid container with ancestor-closed insertion ([`grid`]);
 //! * regular sparse-grid enumeration and exact point counting for
 //!   `V_n^S = ⊕_{|ľ|₁ ≤ n+d−1} W_ľ` ([`regular`]);
-//! * surplus (de)hierarchization and a reference interpolant ([`hierarchize`]);
+//! * surplus (de)hierarchization as a per-grid stencil, and a reference
+//!   interpolant ([`hierarchize`]);
 //! * a posteriori adaptive refinement `g(α) ≥ ε` ([`refine`]);
 //! * box-domain scaling ([`domain`]) and the dense `(ł, í)` export consumed
 //!   by the baseline `gold` kernel and by the compression pipeline
@@ -49,7 +50,7 @@ pub use basis::{hat, linear_basis, scaled_pair, support_index, MAX_LEVEL};
 pub use dense::DenseIndexMatrix;
 pub use domain::BoxDomain;
 pub use grid::SparseGrid;
-pub use hierarchize::{dehierarchize, hierarchize, interpolate_reference, tabulate};
+pub use hierarchize::{dehierarchize, hierarchize, interpolate_reference, tabulate, Stencil};
 pub use node::{ActiveCoord, NodeKey};
 pub use refine::{refine, refine_frontier, RefineConfig, RefineReport, SurplusNorm};
 pub use regular::{level_increment_size, regular_grid, regular_grid_size};

@@ -105,18 +105,6 @@ impl NodeKey {
         NodeKey(coords.iter().map(|c| c.pack()).collect())
     }
 
-    /// Returns a copy with dimension `dim` removed (set to level 1), used as
-    /// the bucket key of dimension-wise hierarchization.
-    pub fn without_dim(&self, dim: u16) -> NodeKey {
-        NodeKey(
-            self.0
-                .iter()
-                .copied()
-                .filter(|&w| (w >> 40) as u16 != dim)
-                .collect(),
-        )
-    }
-
     /// `|ľ|₁ = Σ_t l_t`, the level sum used by the sparse-grid selection
     /// criterion (Eq. 13); inactive dimensions contribute 1 each.
     #[inline]

@@ -2,6 +2,8 @@
 //! node algebra, grid invariants, and hierarchization exactness on
 //! randomly generated adaptive grids.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use proptest::prelude::*;
 
 use hddm_asg::{
@@ -9,19 +11,30 @@ use hddm_asg::{
     NodeKey, SparseGrid,
 };
 
-/// A random valid 1-D (level, index) pair with level ≥ 2.
-fn active_pair() -> impl Strategy<Value = (u8, u32)> {
-    (2u8..=7).prop_flat_map(|level| {
+/// A random valid 1-D (level, index) pair with `2 ≤ level ≤ max_level`.
+fn active_pair_up_to(max_level: u8) -> impl Strategy<Value = (u8, u32)> {
+    (2u8..=max_level).prop_flat_map(|level| {
         let indices = basis::level_indices(level);
         (Just(level), prop::sample::select(indices))
     })
 }
 
+/// A random valid 1-D (level, index) pair with level ≥ 2.
+fn active_pair() -> impl Strategy<Value = (u8, u32)> {
+    active_pair_up_to(7)
+}
+
 /// A random ancestor-closed grid in `dim` dimensions.
 fn closed_grid(dim: usize) -> impl Strategy<Value = SparseGrid> {
+    closed_grid_of(dim, 7, 10)
+}
+
+/// A random ancestor-closed grid in `dim` dimensions grown from fewer than
+/// `seeds` nodes of level at most `max_level`.
+fn closed_grid_of(dim: usize, max_level: u8, seeds: usize) -> impl Strategy<Value = SparseGrid> {
     prop::collection::vec(
-        prop::collection::vec((0..dim as u16, active_pair()), 0..=3),
-        0..10,
+        prop::collection::vec((0..dim as u16, active_pair_up_to(max_level)), 0..=3),
+        0..seeds,
     )
     .prop_map(move |nodes| {
         let mut grid = SparseGrid::new(dim);
@@ -141,6 +154,199 @@ proptest! {
         interpolate_reference(&grid, &s2, 1, &x, &mut o2);
         interpolate_reference(&grid, &combo, 1, &x, &mut oc);
         prop_assert!((oc[0] - (o1[0] + scale * o2[0])).abs() < 1e-9);
+    }
+}
+
+/// The transform `hierarchize` ran before it became a [`hddm_asg::Stencil`]:
+/// per dimension, nodes bucketed by their key with that dimension at level
+/// 1, each bucket's 1-D chain sorted by level and walked with a hash map
+/// from `(level, index)` to node. Kept as the bitwise reference.
+mod bucket_reference {
+    use std::collections::HashMap;
+
+    use hddm_asg::{basis, NodeKey, SparseGrid};
+
+    pub fn transform(grid: &SparseGrid, values: &mut [f64], ndofs: usize, forward: bool) {
+        assert_eq!(values.len(), grid.len() * ndofs);
+        for t in 0..grid.dim() as u16 {
+            transform_dim(grid, values, ndofs, t, forward);
+        }
+    }
+
+    fn transform_dim(grid: &SparseGrid, values: &mut [f64], ndofs: usize, t: u16, forward: bool) {
+        let mut buckets: HashMap<NodeKey, Vec<(u8, u32, u32)>> = HashMap::new();
+        for (i, node) in grid.nodes().iter().enumerate() {
+            let (level, index) = node.coord(t);
+            buckets
+                .entry(node.with_coord(t, 1, 1))
+                .or_default()
+                .push((level, index, i as u32));
+        }
+        let mut scratch = vec![0.0f64; ndofs];
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "the order buckets are visited in is what the test varies"
+        )]
+        for chain in buckets.values_mut() {
+            if chain.len() == 1 {
+                continue;
+            }
+            if forward {
+                chain.sort_unstable_by_key(|a| std::cmp::Reverse(a.0));
+            } else {
+                chain.sort_unstable_by_key(|a| a.0);
+            }
+            let position: HashMap<(u8, u32), u32> = chain
+                .iter()
+                .map(|&(level, index, id)| ((level, index), id))
+                .collect();
+            let find = |key: (u8, u32), what: String| {
+                position.get(&key).copied().unwrap_or_else(|| {
+                    panic!("grid not ancestor-closed: missing {what} in dim {t}")
+                }) as usize
+                    * ndofs
+            };
+            for &(level, index, id) in chain.iter() {
+                let row = id as usize * ndofs;
+                let (left, right, wl, wr) = match level {
+                    1 => continue,
+                    2 => {
+                        let root = find((1, 1), "root".into());
+                        (root, root, 1.0, 0.0)
+                    }
+                    _ => {
+                        let (lp, rp) = basis::support_endpoints(level, index);
+                        (
+                            find(lp, format!("{lp:?}")),
+                            find(rp, format!("{rp:?}")),
+                            0.5,
+                            0.5,
+                        )
+                    }
+                };
+                for k in 0..ndofs {
+                    scratch[k] = wl * values[left + k] + wr * values[right + k];
+                }
+                for k in 0..ndofs {
+                    if forward {
+                        values[row + k] -= scratch[k];
+                    } else {
+                        values[row + k] += scratch[k];
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `n` values from `seed`: mixed signs and magnitudes, with ±∞, NaN and
+/// −0 mixed in (one value in eight).
+fn rows_with_specials(n: usize, seed: u64) -> Vec<f64> {
+    let mut state = seed;
+    let mut next = || {
+        // SplitMix64.
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    (0..n)
+        .map(|_| {
+            let r = next();
+            match r % 32 {
+                0 => f64::INFINITY,
+                1 => f64::NEG_INFINITY,
+                2 => f64::NAN,
+                3 => -0.0,
+                _ => {
+                    let unit = (r >> 11) as f64 / (1u64 << 53) as f64;
+                    (2.0 * unit - 1.0) * 2f64.powi((r % 41) as i32 - 20)
+                }
+            }
+        })
+        .collect()
+}
+
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256).with_rng_seed(0xA560_0029))]
+
+    /// The stencil and the bucket transform agree bit for bit, both ways,
+    /// on adaptive grids in 1–9 dimensions with levels up to 6 and rows
+    /// of 1–18 dofs holding ±∞ and NaN.
+    #[test]
+    fn stencil_matches_bucket_transform_bitwise(
+        grid in (1usize..=9).prop_flat_map(|dim| closed_grid_of(dim, 6, 16)),
+        ndofs in 1usize..=18,
+        seed in any::<u64>(),
+    ) {
+        let values = rows_with_specials(grid.len() * ndofs, seed);
+        let mut surpluses = values.clone();
+        hierarchize(&grid, &mut surpluses, ndofs);
+        let mut want = values.clone();
+        bucket_reference::transform(&grid, &mut want, ndofs, true);
+        prop_assert!(same_bits(&surpluses, &want), "hierarchize differs on {} nodes", grid.len());
+
+        let mut nodal = surpluses.clone();
+        dehierarchize(&grid, &mut nodal, ndofs);
+        let mut want = surpluses;
+        bucket_reference::transform(&grid, &mut want, ndofs, false);
+        prop_assert!(same_bits(&nodal, &want), "dehierarchize differs on {} nodes", grid.len());
+    }
+}
+
+/// The panic message of `f`, which must panic.
+fn panic_message(f: impl FnOnce()) -> String {
+    let payload = catch_unwind(AssertUnwindSafe(f)).expect_err("must panic");
+    match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => payload.downcast_ref::<&str>().unwrap().to_string(),
+    }
+}
+
+/// A grid that is not ancestor-closed still panics, with the message the
+/// bucket transform gave: the missing endpoint and the dimension.
+#[test]
+fn missing_endpoint_panics_naming_it_and_the_dimension() {
+    let key = |coords: &[(u16, u8, u32)]| {
+        NodeKey::from_coords(coords.iter().map(|&(dim, level, index)| ActiveCoord {
+            dim,
+            level,
+            index,
+        }))
+    };
+    let grid_of = |keys: &[NodeKey]| {
+        let mut grid = SparseGrid::new(2);
+        for k in keys {
+            grid.insert(k.clone());
+        }
+        grid
+    };
+    // (3, 1) in dim 1 without its left endpoint (2, 0).
+    let no_left = grid_of(&[NodeKey::root(), key(&[(1, 3, 1)])]);
+    // Both dim-0 boundary points without the root.
+    let no_root = grid_of(&[key(&[(0, 2, 0)]), key(&[(0, 2, 2)])]);
+    for (grid, message) in [
+        (no_left, "grid not ancestor-closed: missing (2, 0) in dim 1"),
+        (no_root, "grid not ancestor-closed: missing root in dim 0"),
+    ] {
+        let mut values = vec![1.0; grid.len()];
+        assert_eq!(
+            panic_message(|| hierarchize(&grid, &mut values, 1)),
+            message
+        );
+        assert_eq!(
+            panic_message(|| dehierarchize(&grid, &mut values, 1)),
+            message
+        );
+        assert_eq!(
+            panic_message(|| bucket_reference::transform(&grid, &mut values, 1, true)),
+            message
+        );
     }
 }
 

@@ -15,12 +15,15 @@
 //! [`hddm_cluster::SerialComm`] a step is the single-process step plus a
 //! world exchange of one rank.
 
+use std::borrow::Cow;
 use std::time::Instant;
 
 use hddm_asg::{NodeKey, SparseGrid};
 use hddm_cluster::{multiplex_states, proportional_ranks, Comm};
 
-use crate::driver::{build_state, BuiltState, DriverConfig, StepModel, StepReport, StepTotals};
+use crate::driver::{
+    build_state, BuiltState, DriverConfig, StepModel, StepReport, StepShared, StepTotals,
+};
 use crate::policy::PolicySet;
 
 /// Executes one distributed time-iteration step: consumes the (replicated)
@@ -37,6 +40,7 @@ pub fn distributed_step<M: StepModel, C: Comm>(
     let ns = model.num_states();
     let m = policy.points_per_state();
     let mut totals = StepTotals::default();
+    let shared = StepShared::new(model.dim(), config);
     let mut built: Vec<Option<BuiltState>> = (0..ns).map(|_| None).collect();
 
     if world.size() >= ns {
@@ -56,6 +60,7 @@ pub fn distributed_step<M: StepModel, C: Comm>(
             model,
             policy,
             config,
+            &shared,
             color,
             Some(&group),
             &mut totals,
@@ -68,6 +73,7 @@ pub fn distributed_step<M: StepModel, C: Comm>(
                 model,
                 policy,
                 config,
+                &shared,
                 z,
                 None::<&C>,
                 &mut totals,
@@ -120,7 +126,7 @@ pub fn distributed_step<M: StepModel, C: Comm>(
         for (l, &count) in state.levels.iter().enumerate() {
             level_points[l][z] = count;
         }
-        new_states.push(state.compress(config, ndofs));
+        new_states.push(state.compress(shared.spans.as_ref(), ndofs));
     }
 
     let report = StepReport {
@@ -164,7 +170,12 @@ fn encode_state(z: usize, state: &BuiltState, ndofs: usize, out: &mut Vec<f64>) 
 }
 
 /// Decodes one state starting at `flat[at]`; returns `(z, state, next_at)`.
-fn decode_state(flat: &[f64], at: usize, dim: usize, ndofs: usize) -> (usize, BuiltState, usize) {
+fn decode_state(
+    flat: &[f64],
+    at: usize,
+    dim: usize,
+    ndofs: usize,
+) -> (usize, BuiltState<'static>, usize) {
     let mut at = at;
     let mut take = || {
         let v = flat[at];
@@ -193,7 +204,7 @@ fn decode_state(flat: &[f64], at: usize, dim: usize, ndofs: usize) -> (usize, Bu
     (
         z,
         BuiltState {
-            grid,
+            grid: Cow::Owned(grid),
             surpluses,
             levels,
         },

@@ -11,7 +11,9 @@ use std::time::Instant;
 
 use hddm_telemetry::{Counter, Histogram, Registry};
 
-use hddm_asg::{refine_frontier, regular_grid, BoxDomain, RefineConfig, SparseGrid, SurplusNorm};
+use hddm_asg::{
+    refine_frontier, regular_grid, BoxDomain, RefineConfig, SparseGrid, Stencil, SurplusNorm,
+};
 use hddm_cluster::{Comm, SerialComm};
 use hddm_compress::CompressedGrid;
 use hddm_kernels::{
@@ -137,13 +139,16 @@ impl Default for DriverConfig {
     }
 }
 
-/// Phase-span histograms of one state's level loop, resolved once per
-/// state; instrument names follow the `hddm_solve_<phase>_seconds` scheme
-/// documented in the README.
-struct PhaseSpans {
+/// The driver's instruments, resolved from the registry once per step:
+/// the phase spans of the level loop and of compression (named by the
+/// `hddm_solve_<phase>_seconds` scheme documented in the README) and the
+/// frontier solves' work counters.
+pub(crate) struct PhaseSpans {
     policy_update: Arc<Histogram>,
     hierarchize: Arc<Histogram>,
     refine: Arc<Histogram>,
+    compress: Arc<Histogram>,
+    work: WorkCounters,
 }
 
 impl PhaseSpans {
@@ -152,6 +157,34 @@ impl PhaseSpans {
             policy_update: registry.histogram("hddm_solve_policy_update_seconds"),
             hierarchize: registry.histogram("hddm_solve_hierarchize_seconds"),
             refine: registry.histogram("hddm_solve_refine_seconds"),
+            compress: registry.histogram("hddm_solve_compress_seconds"),
+            work: WorkCounters {
+                blocks: registry.counter("hddm_solve_oracle_blocks_total"),
+                points: registry.counter("hddm_solve_oracle_points_total"),
+                residual_rows: registry.counter("hddm_solve_residual_rows_total"),
+                jacobians: registry.counter("hddm_solve_jacobians_total"),
+                newton_iterations: registry.counter("hddm_solve_newton_iterations_total"),
+            },
+        }
+    }
+}
+
+/// What every state's level loop of one step shares, built once per step:
+/// the start-level regular grid, its hierarchization stencil and the
+/// driver's instruments.
+pub(crate) struct StepShared {
+    grid: SparseGrid,
+    stencil: Stencil,
+    pub spans: Option<PhaseSpans>,
+}
+
+impl StepShared {
+    pub(crate) fn new(dim: usize, config: &DriverConfig) -> StepShared {
+        let grid = regular_grid(dim, config.start_level);
+        StepShared {
+            stencil: Stencil::of(&grid),
+            grid,
+            spans: config.telemetry.as_ref().map(PhaseSpans::resolve),
         }
     }
 }
@@ -274,12 +307,14 @@ impl<M: StepModel> TimeIteration<M> {
         let mut totals = StepTotals::default();
         let mut new_states = Vec::with_capacity(ns);
         let mut level_points: Vec<Vec<usize>> = Vec::new();
+        let shared = StepShared::new(self.model.dim(), &self.config);
 
         for z in 0..ns {
             let built = build_state(
                 &self.model,
                 &self.policy,
                 &self.config,
+                &shared,
                 z,
                 None::<&SerialComm>,
                 &mut totals,
@@ -290,7 +325,7 @@ impl<M: StepModel> TimeIteration<M> {
             for (l, &count) in built.levels.iter().enumerate() {
                 level_points[l][z] = count;
             }
-            new_states.push(built.compress(&self.config, self.model.ndofs()));
+            new_states.push(built.compress(shared.spans.as_ref(), self.model.ndofs()));
         }
 
         let report = StepReport {
@@ -355,24 +390,21 @@ impl StepTotals {
     }
 }
 
-/// One state's finished grid of this step, before compression.
-pub(crate) struct BuiltState {
-    pub grid: SparseGrid,
+/// One state's finished grid of this step, before compression: the step's
+/// shared start grid while no refinement has run, a copy after.
+pub(crate) struct BuiltState<'g> {
+    pub grid: Cow<'g, SparseGrid>,
     /// Surplus rows in grid order.
     pub surpluses: Vec<f64>,
     /// Frontier size per refinement level.
     pub levels: Vec<usize>,
 }
 
-impl BuiltState {
+impl BuiltState<'_> {
     /// Runs the compression pipeline on the finished grid — once per state
     /// per step — under the `hddm_solve_compress_seconds` span.
-    pub(crate) fn compress(&self, config: &DriverConfig, ndofs: usize) -> CompressedState {
-        let span = config
-            .telemetry
-            .as_ref()
-            .map(|registry| registry.histogram("hddm_solve_compress_seconds"));
-        timed(span.as_ref(), || {
+    pub(crate) fn compress(&self, spans: Option<&PhaseSpans>, ndofs: usize) -> CompressedState {
+        timed(spans.map(|s| &s.compress), || {
             let cg = CompressedGrid::build(&self.grid);
             let chain_order = cg.reorder_rows(&self.surpluses, ndofs);
             CompressedState::from_parts(cg, chain_order, ndofs)
@@ -384,26 +416,29 @@ impl BuiltState {
 /// against `policy` (= `pnext`), measure the policy change there,
 /// hierarchize the new rows against this step's partial interpolant,
 /// refine, repeat. The single-process step and every rank of the
-/// distributed step run this one loop.
+/// distributed step run this one loop, starting from the step's `shared`
+/// start grid: the first level is hierarchized with its stencil, and the
+/// grid is copied when this state first refines.
 ///
 /// With a `group`, each level's frontier is dealt round-robin across the
 /// group's ranks and the solved rows are merged by an allgather, so every
 /// rank hierarchizes and refines the same rows; `totals` then covers this
 /// rank's share only. `None` solves the whole frontier here.
-pub(crate) fn build_state<M: StepModel, C: Comm>(
+pub(crate) fn build_state<'g, M: StepModel, C: Comm>(
     model: &M,
     policy: &PolicySet,
     config: &DriverConfig,
+    shared: &'g StepShared,
     z: usize,
     group: Option<&C>,
     totals: &mut StepTotals,
-) -> BuiltState {
+) -> BuiltState<'g> {
     let dim = model.dim();
     let ndofs = model.ndofs();
-    let spans = config.telemetry.as_ref().map(PhaseSpans::resolve);
-    let spans = spans.as_ref();
+    let spans = shared.spans.as_ref();
+    let work = spans.map(|s| &s.work);
 
-    let mut grid = regular_grid(dim, config.start_level);
+    let mut grid = Cow::Borrowed(&shared.grid);
     let mut frontier: Vec<u32> = (0..grid.len() as u32).collect();
     let mut surpluses: Vec<f64> = Vec::new();
     let mut levels = Vec::new();
@@ -421,7 +456,7 @@ pub(crate) fn build_state<M: StepModel, C: Comm>(
             None => Cow::Borrowed(&frontier),
         };
         let solved = timed(spans.map(|s| &s.policy_update), || {
-            solve_frontier(model, policy, config, z, &grid, &mine)
+            solve_frontier(model, policy, config, z, &grid, &mine, work)
         });
         totals.add(&solved);
         let solved = match share {
@@ -434,7 +469,11 @@ pub(crate) fn build_state<M: StepModel, C: Comm>(
         // extends its compressed state in place. Deterministic, so a
         // group's ranks stay in agreement.
         let new_surpluses = timed(spans.map(|s| &s.hierarchize), || {
-            hier.extend(&grid, &frontier, &solved)
+            if levels.len() == 1 {
+                hier.start(&grid, &shared.stencil, &solved)
+            } else {
+                hier.extend(&grid, &frontier, &solved)
+            }
         });
         surpluses.extend_from_slice(&new_surpluses);
 
@@ -447,7 +486,7 @@ pub(crate) fn build_state<M: StepModel, C: Comm>(
             norm: config.refine_norm,
         };
         let report = timed(spans.map(|s| &s.refine), || {
-            refine_frontier(&mut grid, &surpluses, ndofs, &frontier, &refine_config)
+            refine_frontier(grid.to_mut(), &surpluses, ndofs, &frontier, &refine_config)
         });
         if report.new_nodes.is_empty() {
             break;
@@ -555,6 +594,7 @@ fn solve_frontier<M: StepModel>(
     z: usize,
     grid: &SparseGrid,
     points: &[u32],
+    work: Option<&WorkCounters>,
 ) -> FrontierSolve {
     let ndofs = model.ndofs();
     let dim = model.dim();
@@ -562,13 +602,6 @@ fn solve_frontier<M: StepModel>(
     let warm_rows = evaluate_pnext(policy, config, z, &units);
     let rows = DisjointRows::zeros(points.len(), ndofs);
     let failure_count = AtomicUsize::new(0);
-    let work = config.telemetry.as_ref().map(|registry| WorkCounters {
-        blocks: registry.counter("hddm_solve_oracle_blocks_total"),
-        points: registry.counter("hddm_solve_oracle_points_total"),
-        residual_rows: registry.counter("hddm_solve_residual_rows_total"),
-        jacobians: registry.counter("hddm_solve_jacobians_total"),
-        newton_iterations: registry.counter("hddm_solve_newton_iterations_total"),
-    });
 
     // Every thread gets work on small frontiers; no slice is wider than
     // the kernels' chunk or, where the frontier allows, narrower than the
@@ -646,7 +679,7 @@ fn solve_frontier<M: StepModel>(
             for (i, row) in worker.solved.chunks_exact(ndofs).enumerate() {
                 rows.write_row(lo + i, row);
             }
-            if let Some(counters) = &work {
+            if let Some(counters) = work {
                 let traffic = worker.oracle.take_traffic();
                 counters.blocks.add(traffic.blocks);
                 counters.points.add(traffic.points);
@@ -680,7 +713,7 @@ struct SliceWorker<'a> {
 }
 
 /// The registry's counters of a frontier's work — oracle traffic and the
-/// point solver's tally — resolved once per frontier.
+/// point solver's tally.
 struct WorkCounters {
     blocks: Arc<Counter>,
     points: Arc<Counter>,
@@ -690,8 +723,12 @@ struct WorkCounters {
 }
 
 /// Incremental hierarchization of one state's grid within one
-/// time-iteration step: computes surpluses of each refinement frontier
-/// relative to the partial interpolant built so far
+/// time-iteration step. The first batch is the whole start grid:
+/// [`Self::start`] hierarchizes it with the grid's precomputed
+/// [`Stencil`] (the driver builds it once per step, for every state) and
+/// starts the partial interpolant from it. Each later batch is a
+/// refinement frontier: [`Self::extend`] computes its surpluses relative
+/// to the partial interpolant built so far
 /// (`α_p = f(x_p) − u_partial(x_p)`) and **extends** that interpolant in
 /// place, so the compressed structure is never rebuilt per level — the
 /// per-step compression pipeline runs exactly once, on the finished grid
@@ -700,9 +737,9 @@ struct WorkCounters {
 ///
 /// Ancestor closure can mix level sums within one refinement batch, and
 /// a coarser new node contributes to a finer new node's interpolant — so
-/// each batch is processed in ascending-`|ľ|₁` groups, evaluating every
-/// group against the partial interpolant as **one batched kernel call**
-/// ([`KernelKind::evaluate_compressed_batch`]) and folding it in via
+/// each later batch is processed in ascending-`|ľ|₁` groups, evaluating
+/// every group against the partial interpolant as **one batched kernel
+/// call** ([`KernelKind::evaluate_compressed_batch`]) and folding it in via
 /// [`CompressedState::append_rows`] before the next (within a
 /// group, cross terms vanish at grid points; see `hddm-asg`).
 /// Deterministic, so every rank of a distributed step hierarchizing the
@@ -739,21 +776,29 @@ impl IncrementalHierarchizer {
         &self.state
     }
 
-    /// Hierarchizes the next frontier batch: returns the new surplus rows
-    /// in frontier order and extends the partial interpolant. The first
-    /// call must cover the whole start-level grid (a plain
-    /// hierarchization); later calls cover refinement frontiers.
+    /// Hierarchizes the first batch — `solved` holds one row per node of
+    /// the start grid `grid`, in grid order — with `stencil`, the grid's
+    /// [`Stencil`]; returns the surplus rows and starts the partial
+    /// interpolant from them.
+    pub fn start(&mut self, grid: &SparseGrid, stencil: &Stencil, solved: &[f64]) -> Vec<f64> {
+        assert_eq!(
+            self.state.grid.nno(),
+            0,
+            "the first batch starts the interpolant"
+        );
+        let mut values = solved.to_vec();
+        stencil.hierarchize(&mut values, self.ndofs);
+        let nodes: Vec<u32> = (0..grid.len() as u32).collect();
+        self.state.append_rows(grid, &nodes, &values);
+        values
+    }
+
+    /// Hierarchizes a later batch, the refinement frontier `frontier`:
+    /// returns the new surplus rows in frontier order and extends the
+    /// partial interpolant.
     pub fn extend(&mut self, grid: &SparseGrid, frontier: &[u32], solved: &[f64]) -> Vec<f64> {
         let ndofs = self.ndofs;
         assert_eq!(solved.len(), frontier.len() * ndofs, "ragged solved rows");
-        if self.state.grid.nno() == 0 {
-            // First batch: the frontier is the whole start-level grid.
-            debug_assert!(frontier.iter().enumerate().all(|(i, &p)| i == p as usize));
-            let mut values = solved.to_vec();
-            hddm_asg::hierarchize(grid, &mut values, ndofs);
-            self.state.append_rows(grid, frontier, &values);
-            return values;
-        }
         let dim = grid.dim();
 
         // Group frontier positions by level sum, ascending.
@@ -986,6 +1031,7 @@ mod tests {
             dim,
             ndofs,
         );
+        let stencil = Stencil::of(&grid);
         let mut unit = vec![0.0; dim];
         for level in 0..4 {
             let mut solved = vec![0.0; frontier.len() * ndofs];
@@ -993,7 +1039,11 @@ mod tests {
                 grid.unit_point_of(p as usize, &mut unit);
                 f(&unit, &mut solved[i * ndofs..(i + 1) * ndofs]);
             }
-            let new = hier.extend(&grid, &frontier, &solved);
+            let new = if level == 0 {
+                hier.start(&grid, &stencil, &solved)
+            } else {
+                hier.extend(&grid, &frontier, &solved)
+            };
             surpluses.extend_from_slice(&new);
             if level == 3 {
                 // Last pass: stop before refining again, so every grid

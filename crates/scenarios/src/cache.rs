@@ -38,7 +38,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLock
 
 use serde::{Deserialize, Serialize};
 
-use hddm_asg::{hierarchize, regular_grid, BoxDomain};
+use hddm_asg::{regular_grid, BoxDomain, Stencil};
 use hddm_compress::CompressedGrid;
 use hddm_core::PolicySet;
 use hddm_kernels::{CompressedState, ExecutionBackend, KernelKind, PointBlock, Scratch};
@@ -895,7 +895,8 @@ impl std::error::Error for ProjectionError {}
 /// `backend` (an observing backend re-uses the cached surface's device
 /// residency across states and requests) instead of one single-point
 /// interpolation per grid point, and the target grid is compressed once —
-/// the two hot costs of admitting a warm start on the serving path.
+/// the two hot costs of admitting a warm start on the serving path. Its
+/// hierarchization [`Stencil`] is built once too.
 pub fn project_policy_with(
     cached: &PolicySet,
     target_lo: &[f64],
@@ -935,6 +936,7 @@ pub fn project_policy_with(
     let block = PointBlock::from_rows(dim, &rows);
 
     let cg = CompressedGrid::build(&grid); // shared by every state
+    let stencil = Stencil::of(&grid);
     let mut scratch = Scratch::default();
     let states = (0..cached.states.num_states())
         .map(|z| {
@@ -946,7 +948,7 @@ pub fn project_policy_with(
                 &mut scratch,
                 &mut values,
             );
-            hierarchize(&grid, &mut values, ndofs);
+            stencil.hierarchize(&mut values, ndofs);
             let reordered = cg.reorder_rows(&values, ndofs);
             CompressedState::from_parts(cg.clone(), reordered, ndofs)
         })
@@ -957,7 +959,7 @@ pub fn project_policy_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hddm_asg::tabulate;
+    use hddm_asg::{hierarchize, tabulate};
     use hddm_olg::PolicyOracle;
 
     fn shape() -> ShapeKey {

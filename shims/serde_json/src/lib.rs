@@ -178,13 +178,23 @@ fn parse_string(bytes: &[u8], at: &mut usize) -> Result<String, Error> {
     *at += 1;
     let mut out = String::new();
     loop {
+        // Copy the run of plain bytes up to the next quote or backslash in
+        // one piece: both are ASCII, so a run never splits a UTF-8 scalar.
+        let rest = &bytes[*at..];
+        let run = rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(rest.len());
+        out.push_str(std::str::from_utf8(&rest[..run]).map_err(|e| Error(e.to_string()))?);
+        *at += run;
         match bytes.get(*at) {
             None => return Err(Error("unterminated string".into())),
             Some(b'"') => {
                 *at += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // A backslash.
                 *at += 1;
                 match bytes.get(*at) {
                     Some(b'"') => out.push('"'),
@@ -213,13 +223,6 @@ fn parse_string(bytes: &[u8], at: &mut usize) -> Result<String, Error> {
                     other => return Err(Error(format!("bad escape {other:?}"))),
                 }
                 *at += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*at..]).map_err(|e| Error(e.to_string()))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *at += c.len_utf8();
             }
         }
     }
@@ -259,6 +262,46 @@ mod tests {
         assert!(parse(&nested(MAX_DEPTH + 1)).is_ok());
         assert!(parse(&nested(MAX_DEPTH + 2)).is_err());
         assert!(parse(&"[".repeat(1 << 20)).is_err());
+    }
+
+    /// A 256 KiB string of 1- to 4-byte scalars and every escape the
+    /// reader knows parses to its value, and the writer's form of that
+    /// value reads back unchanged.
+    #[test]
+    fn long_strings_with_escapes_round_trip() {
+        let pieces: [(&str, &str); 16] = [
+            ("a", "a"),
+            ("Z9 ", "Z9 "),
+            ("é", "é"),
+            ("€", "€"),
+            ("𝄞", "𝄞"),
+            (r#"\""#, "\""),
+            (r"\\", "\\"),
+            (r"\/", "/"),
+            (r"\b", "\u{8}"),
+            (r"\f", "\u{c}"),
+            (r"\n", "\n"),
+            (r"\r", "\r"),
+            (r"\t", "\t"),
+            (r"\u0001", "\u{1}"),
+            (r"\u00e9", "é"),
+            (r"\u20AC", "€"),
+        ];
+        let (mut text, mut want) = (String::from("\""), String::new());
+        let mut lcg = 1u64;
+        while want.len() < 256 << 10 {
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let (json, value) = pieces[(lcg >> 60) as usize];
+            text.push_str(json);
+            want.push_str(value);
+        }
+        text.push('"');
+        assert_eq!(from_str::<String>(&text).unwrap(), want);
+        let written = to_string(&want).unwrap();
+        assert_eq!(from_str::<String>(&written).unwrap(), want);
+        assert!(parse(&text[..text.len() - 1]).is_err(), "unterminated");
     }
 
     #[test]
