@@ -1,8 +1,9 @@
 //! CI validator for telemetry snapshots written by `--metrics-out`:
 //! parses the JSON, checks the required instrument names for the
 //! requested surface (`--sweep` for solve/cache metrics, `--serve` for
-//! the serving front-end, `--gpu` for the device backend), and enforces
-//! the admission identity
+//! the serving front-end, `--gpu` for the device backend, which must also
+//! have launched and priced at least one block), and enforces the
+//! admission identity
 //!
 //! ```text
 //! submitted == exact_hits + enqueued_groups + coalesced_waiters
@@ -69,14 +70,9 @@ const SERVE_HISTOGRAMS: &[&str] = &[
 ];
 // Shared with the emitter (`hddm_gpu::backend::metric`) so the required
 // list cannot drift from what the engine actually registers.
-const GPU_COUNTERS: &[&str] = &[
-    metric::LAUNCHES,
-    metric::UPLOADS,
-    metric::POOL_HITS,
-    metric::POOL_EVICTIONS,
-];
-const GPU_GAUGES: &[&str] = &[metric::OCCUPANCY, metric::POOL_RESIDENT_BYTES];
-const GPU_HISTOGRAMS: &[&str] = &[metric::UPLOAD_SECONDS, metric::KERNEL_SECONDS];
+const GPU_COUNTERS: &[&str] = &[metric::LAUNCHES];
+const GPU_GAUGES: &[&str] = &[metric::OCCUPANCY];
+const GPU_HISTOGRAMS: &[&str] = &[metric::KERNEL_SECONDS];
 
 struct Args {
     path: String,
@@ -199,28 +195,18 @@ fn run() -> Result<(), String> {
     }
 
     if args.gpu {
-        let c = |name: &str| snapshot.counter(name).unwrap_or(0);
-        // Every evicted surface was first uploaded, so evictions can
-        // never outrun uploads; and a launch implies its surface went
-        // through the pool (upload or hit).
-        let uploads = c(metric::UPLOADS);
-        let evictions = c(metric::POOL_EVICTIONS);
-        if evictions > uploads {
+        // Presence alone would pass a GPU sweep that priced nothing: the
+        // backend must have launched and recorded a modeled kernel time.
+        let launches = snapshot.counter(metric::LAUNCHES).unwrap_or(0);
+        let priced = snapshot
+            .histogram(metric::KERNEL_SECONDS)
+            .map_or(0, |h| h.count);
+        if launches == 0 || priced == 0 {
             return Err(format!(
-                "gpu pool identity violated: {evictions} evictions > {uploads} uploads"
+                "gpu backend priced nothing: {launches} launches, {priced} kernel-seconds samples"
             ));
         }
-        let launches = c(metric::LAUNCHES);
-        let residency = uploads + c(metric::POOL_HITS);
-        if launches > 0 && residency == 0 {
-            return Err(format!(
-                "gpu pool identity violated: {launches} launches with no residency events"
-            ));
-        }
-        println!(
-            "metrics-check: gpu identities hold ({launches} launches, {uploads} uploads, \
-             {evictions} evictions)"
-        );
+        println!("metrics-check: gpu backend priced {priced} blocks in {launches} launches");
     }
 
     if args.print {

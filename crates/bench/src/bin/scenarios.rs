@@ -19,8 +19,8 @@
 //! exact cache hit (the CI smoke contract for the persistent cache).
 //!
 //! `--backend gpu` has one simulated device observe and price every
-//! block the sweep's drivers evaluate (one shared device pool and engine
-//! across the sweep, registered on the cache's telemetry registry —
+//! block the sweep's drivers evaluate (one engine across the sweep,
+//! registered on the cache's telemetry registry —
 //! `--metrics-out` snapshots then carry the `hddm_gpu_*` and
 //! `hddm_model_gpu_*` instruments). Values equal `--backend cpu`'s.
 
@@ -157,7 +157,7 @@ fn main() -> ExitCode {
         }
     };
     if args.gpu {
-        // One engine (device + surface pool) shared by every scenario,
+        // One engine (device + launch options) shared by every scenario,
         // instrumented on the same registry the sweep snapshots.
         config.backend = GpuEngine::with_registry(cache.registry()).into();
     }

@@ -1,9 +1,8 @@
 //! The device engine behind the batched-kernel seam. The seam itself —
 //! `ExecutionBackend` — lives in `hddm-kernels`, and so does the only
 //! batch walk; a [`GpuEngine`] is a `BlockObserver` of that walk: it
-//! keeps the surface device-resident (upload-once/reuse through the
-//! pool), prices the walk's per-chunk counts as simulated launches
-//! ([`price_block`]) and records both in registry-backed telemetry.
+//! prices the walk's per-chunk counts as simulated launches
+//! ([`price_block`]) and records them in registry-backed telemetry.
 
 use std::sync::Arc;
 
@@ -14,44 +13,24 @@ use hddm_kernels::{
 use hddm_telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::device::{Device, GpuError};
-use crate::pool::DevicePool;
 use crate::pricing::{price_block, BatchTiming, LaunchOptions};
-
-/// Default device-pool budget: the P100's 16 GB HBM2 minus headroom for
-/// launch scratch and transfer buffers.
-pub const DEFAULT_POOL_BYTES: usize = 14 << 30;
 
 /// Registry instrument names for the GPU engine (also listed by the
 /// `metrics-check` validator).
 pub mod metric {
     /// Simulated kernel launches (one per 64-point chunk).
     pub const LAUNCHES: &str = "hddm_gpu_launches_total";
-    /// Surface uploads (pool misses).
-    pub const UPLOADS: &str = "hddm_gpu_uploads_total";
-    /// Pool hits (surface already resident).
-    pub const POOL_HITS: &str = "hddm_gpu_pool_hits_total";
-    /// Surfaces evicted from the device pool.
-    pub const POOL_EVICTIONS: &str = "hddm_gpu_pool_evictions_total";
     /// Achieved occupancy of the latest launch, in percent.
     pub const OCCUPANCY: &str = "hddm_gpu_occupancy";
-    /// Device bytes currently resident in the pool.
-    pub const POOL_RESIDENT_BYTES: &str = "hddm_gpu_pool_resident_bytes";
-    /// Modeled PCIe upload seconds per pool miss (`hddm_model_*`: not a
-    /// wall time).
-    pub const UPLOAD_SECONDS: &str = "hddm_model_gpu_upload_seconds";
     /// Modeled kernel seconds per block evaluation (`hddm_model_*`: not
     /// a wall time).
     pub const KERNEL_SECONDS: &str = "hddm_model_gpu_kernel_seconds";
 }
 
+#[derive(Clone)]
 struct GpuInstruments {
     launches: Arc<Counter>,
-    uploads: Arc<Counter>,
-    pool_hits: Arc<Counter>,
-    pool_evictions: Arc<Counter>,
     occupancy: Arc<Gauge>,
-    pool_resident_bytes: Arc<Gauge>,
-    upload_seconds: Arc<Histogram>,
     kernel_seconds: Arc<Histogram>,
 }
 
@@ -59,12 +38,7 @@ impl GpuInstruments {
     fn new(registry: &Registry) -> GpuInstruments {
         GpuInstruments {
             launches: registry.counter(metric::LAUNCHES),
-            uploads: registry.counter(metric::UPLOADS),
-            pool_hits: registry.counter(metric::POOL_HITS),
-            pool_evictions: registry.counter(metric::POOL_EVICTIONS),
             occupancy: registry.gauge(metric::OCCUPANCY),
-            pool_resident_bytes: registry.gauge(metric::POOL_RESIDENT_BYTES),
-            upload_seconds: registry.histogram(metric::UPLOAD_SECONDS),
             kernel_seconds: registry.histogram(metric::KERNEL_SECONDS),
         }
     }
@@ -75,74 +49,33 @@ impl GpuInstruments {
 pub struct GpuRun {
     /// Launch-level cost/occupancy of the evaluation.
     pub timing: BatchTiming,
-    /// Modeled upload seconds paid by this call (0 on a pool hit).
-    pub upload_seconds: f64,
-    /// Whether the surface was already device-resident.
-    pub reused: bool,
 }
 
-struct EngineInner {
+/// The simulated device: a P100, its launch options and (optionally)
+/// registry-backed telemetry. Clones record into the same instruments.
+#[derive(Clone)]
+pub struct GpuEngine {
     device: Device,
     options: LaunchOptions,
-    pool: DevicePool,
     instruments: Option<GpuInstruments>,
 }
 
-/// A shared handle to the simulated device: launch options, the
-/// device-resident surface pool, and (optionally) registry-backed
-/// telemetry. Cloning shares the pool — one device per fleet.
-#[derive(Clone)]
-pub struct GpuEngine {
-    inner: Arc<EngineInner>,
-}
-
 impl GpuEngine {
-    /// A P100 engine with default launch options and pool budget, no
-    /// telemetry.
+    /// A P100 engine with default launch options, no telemetry.
     pub fn new() -> GpuEngine {
-        GpuEngine::configured(
-            Device::p100(),
-            LaunchOptions::default(),
-            DEFAULT_POOL_BYTES,
-            None,
-        )
+        GpuEngine {
+            device: Device::p100(),
+            options: LaunchOptions::default(),
+            instruments: None,
+        }
     }
 
     /// A default engine whose instruments register in `registry`.
     pub fn with_registry(registry: &Registry) -> GpuEngine {
-        GpuEngine::configured(
-            Device::p100(),
-            LaunchOptions::default(),
-            DEFAULT_POOL_BYTES,
-            Some(registry),
-        )
-    }
-
-    /// Full-control constructor.
-    pub fn configured(
-        device: Device,
-        options: LaunchOptions,
-        pool_capacity_bytes: usize,
-        registry: Option<&Registry>,
-    ) -> GpuEngine {
         GpuEngine {
-            inner: Arc::new(EngineInner {
-                device,
-                options,
-                pool: DevicePool::new(pool_capacity_bytes),
-                instruments: registry.map(GpuInstruments::new),
-            }),
+            instruments: Some(GpuInstruments::new(registry)),
+            ..GpuEngine::new()
         }
-    }
-
-    /// The simulated device.
-    pub fn device(&self) -> &Device {
-        &self.inner.device
-    }
-
-    /// The device-resident surface pool.
-    pub fn pool(&self) -> &DevicePool {
-        &self.inner.pool
     }
 
     /// Evaluates `state` at `block` with the `avx2` batch walk (the
@@ -160,38 +93,17 @@ impl GpuEngine {
         self.price(state, &counts)
     }
 
-    /// Prices one walked block: ensures the surface is resident
-    /// (upload-once/reuse through the pool), prices the launches and
-    /// records telemetry.
+    /// Prices one walked block and records its launches.
     fn price(&self, state: &CompressedState, counts: &[ChunkCounts]) -> Result<GpuRun, GpuError> {
-        let inner = &*self.inner;
-        let residency = inner
-            .pool
-            .ensure_resident(state, inner.device.pcie_bandwidth);
-        let timing = price_block(&inner.device, &inner.options, state, counts)?;
-        if let Some(ins) = &inner.instruments {
-            if residency.reused {
-                ins.pool_hits.inc();
-            } else {
-                ins.uploads.inc();
-                ins.upload_seconds.record(residency.upload_seconds);
-            }
-            if residency.evicted > 0 {
-                ins.pool_evictions.add(residency.evicted as u64);
-            }
-            ins.pool_resident_bytes
-                .set(inner.pool.resident_bytes() as u64);
+        let timing = price_block(&self.device, &self.options, state, counts)?;
+        if let Some(ins) = &self.instruments {
             if timing.launches > 0 {
                 ins.launches.add(timing.launches as u64);
                 ins.occupancy.set((timing.occupancy * 100.0).round() as u64);
                 ins.kernel_seconds.record(timing.modeled_seconds);
             }
         }
-        Ok(GpuRun {
-            timing,
-            upload_seconds: residency.upload_seconds,
-            reused: residency.reused,
-        })
+        Ok(GpuRun { timing })
     }
 }
 
@@ -203,8 +115,7 @@ impl BlockObserver for GpuEngine {
     }
 }
 
-/// The observed backend whose observer is this engine (clones share the
-/// pool and the instruments).
+/// The observed backend whose observer is this engine.
 impl From<GpuEngine> for ExecutionBackend {
     fn from(engine: GpuEngine) -> ExecutionBackend {
         ExecutionBackend::Observed(Arc::new(engine))
@@ -220,9 +131,9 @@ impl Default for GpuEngine {
 impl std::fmt::Debug for GpuEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GpuEngine")
-            .field("device", &self.inner.device.name)
-            .field("resident_surfaces", &self.inner.pool.resident_surfaces())
-            .field("resident_bytes", &self.inner.pool.resident_bytes())
+            .field("device", &self.device.name)
+            .field("options", &self.options)
+            .field("instrumented", &self.instruments.is_some())
             .finish()
     }
 }
@@ -243,6 +154,14 @@ mod tests {
         CompressedState::new(&grid, &surplus, ndofs)
     }
 
+    /// A 70-point block of `dim`-dimensional probe points: two chunks.
+    fn block_of_70(dim: usize) -> PointBlock {
+        let rows: Vec<f64> = (0..70 * dim)
+            .map(|k| (k as f64 * 0.091 + 0.02) % 1.0)
+            .collect();
+        PointBlock::from_rows(dim, &rows)
+    }
+
     #[test]
     fn backend_dispatch_matches_scalar_batch() {
         let state = make_state(3, 3, 5);
@@ -254,8 +173,8 @@ mod tests {
         let mut want = vec![0.0; 9 * 5];
         interpolate_batch(KernelKind::X86, &state, &block, &mut scratch, &mut want);
         let mut got = vec![0.0; 9 * 5];
-        let engine = GpuEngine::new();
-        ExecutionBackend::from(engine.clone()).evaluate_batch(
+        let registry = Registry::new();
+        ExecutionBackend::from(GpuEngine::with_registry(&registry)).evaluate_batch(
             KernelKind::X86,
             &state,
             &block,
@@ -263,7 +182,12 @@ mod tests {
             &mut got,
         );
         assert_eq!(got, want);
-        assert_eq!(engine.pool().resident_surfaces(), 1, "the block was priced");
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.counter(metric::LAUNCHES),
+            Some(1),
+            "the block was priced"
+        );
     }
 
     #[test]
@@ -271,28 +195,50 @@ mod tests {
         let registry = Registry::new();
         let engine = GpuEngine::with_registry(&registry);
         let state = make_state(3, 3, 4);
-        let rows: Vec<f64> = (0..70 * 3)
-            .map(|k| (k as f64 * 0.091 + 0.02) % 1.0)
-            .collect();
-        let block = PointBlock::from_rows(3, &rows);
+        let block = block_of_70(3);
         let mut scratch = Scratch::default();
         let mut out = vec![0.0; 70 * 4];
-        let first = engine
-            .evaluate_batch(&state, &block, &mut scratch, &mut out)
-            .unwrap();
-        assert!(!first.reused);
-        let second = engine
-            .evaluate_batch(&state, &block, &mut scratch, &mut out)
-            .unwrap();
-        assert!(second.reused);
+        for _ in 0..2 {
+            engine
+                .evaluate_batch(&state, &block, &mut scratch, &mut out)
+                .unwrap();
+        }
         let snap = registry.snapshot();
-        assert_eq!(snap.counter(metric::UPLOADS), Some(1));
-        assert_eq!(snap.counter(metric::POOL_HITS), Some(1));
         // 70 points ⇒ 2 chunks per call ⇒ 4 launches over both calls.
         assert_eq!(snap.counter(metric::LAUNCHES), Some(4));
         assert!(snap.gauge(metric::OCCUPANCY).unwrap() > 0);
-        assert!(snap.gauge(metric::POOL_RESIDENT_BYTES).unwrap() > 0);
-        assert!(snap.histogram(metric::UPLOAD_SECONDS).is_some());
-        assert!(snap.histogram(metric::KERNEL_SECONDS).is_some());
+        let kernel = snap.histogram(metric::KERNEL_SECONDS).unwrap();
+        assert_eq!(kernel.count, 2);
+        assert!(kernel.sum_seconds > 0.0);
+    }
+
+    /// The engine registers its three instruments and nothing else, and
+    /// clones of one engine record into the same ones.
+    #[test]
+    fn engine_registers_three_instruments_shared_by_clones() {
+        let registry = Registry::new();
+        let engine = GpuEngine::with_registry(&registry);
+        let snap = registry.snapshot();
+        let names: Vec<&str> = snap
+            .counters
+            .iter()
+            .map(|c| c.name.as_str())
+            .chain(snap.gauges.iter().map(|g| g.name.as_str()))
+            .chain(snap.histograms.iter().map(|h| h.name.as_str()))
+            .collect();
+        assert_eq!(
+            names,
+            [metric::LAUNCHES, metric::OCCUPANCY, metric::KERNEL_SECONDS]
+        );
+
+        let state = make_state(3, 3, 4);
+        let block = block_of_70(3);
+        let mut scratch = Scratch::default();
+        let mut out = vec![0.0; 70 * 4];
+        for e in [engine.clone(), engine] {
+            e.evaluate_batch(&state, &block, &mut scratch, &mut out)
+                .unwrap();
+        }
+        assert_eq!(registry.snapshot().counter(metric::LAUNCHES), Some(4));
     }
 }

@@ -38,8 +38,8 @@ impl Default for LaunchOptions {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BatchTiming {
     /// Modeled wall seconds: per-chunk launch latency + point/result
-    /// PCIe transfers + roofline kernel time. Surface upload is *not*
-    /// included — that is the device pool's one-time cost.
+    /// PCIe transfers + roofline kernel time. Uploading the surface
+    /// itself is excluded: it is paid once per surface, not per call.
     pub modeled_seconds: f64,
     /// Simulated kernel launches (one per chunk).
     pub launches: usize,

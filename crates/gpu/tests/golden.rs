@@ -3,15 +3,14 @@
 //! prices it, so the contract is equality, not closeness: the observed
 //! backend returns **bitwise** what the CPU backend returns for the same
 //! kernel at every block width (including the widths the CPU backend
-//! routes single-point), the engine's own entry is the `avx2` walk and
-//! stays within ≤ 1e-12 of the dense `gold` baseline, and device-pool
-//! residency (upload-once/reuse, evictions) never changes values.
+//! routes single-point), and the engine's own entry is the `avx2` walk
+//! and stays within ≤ 1e-12 of the dense `gold` baseline.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use hddm_asg::{hierarchize, regular_grid, tabulate};
-use hddm_gpu::{Device, ExecutionBackend, GpuEngine, LaunchOptions};
+use hddm_gpu::{ExecutionBackend, GpuEngine};
 use hddm_kernels::{batch, gold, CompressedState, DenseState, KernelKind, PointBlock, Scratch};
 
 const TOL: f64 = 1e-12;
@@ -107,49 +106,4 @@ fn backend_dispatch_matches_every_cpu_kernel() {
             }
         }
     }
-}
-
-/// Pool residency is pure cost accounting: a surface evaluates
-/// identically before upload, after reuse, and after being evicted and
-/// re-uploaded.
-#[test]
-fn pool_residency_never_changes_values() {
-    let a = smooth_state(3, 4, 5);
-    let b = smooth_state(3, 5, 5);
-    let mut rng = ChaCha8Rng::seed_from_u64(0x6B02);
-    let rows = random_rows(3, 64, &mut rng);
-    let block = PointBlock::from_rows(3, &rows);
-    let mut scratch = Scratch::default();
-
-    // A pool that can hold exactly one of the two surfaces, forcing an
-    // eviction on every alternation.
-    let engine = GpuEngine::configured(
-        Device::p100(),
-        LaunchOptions::default(),
-        hddm_gpu::device_bytes(&a).max(hddm_gpu::device_bytes(&b)) + 64,
-        None,
-    );
-    let mut first_a = vec![0.0; 64 * 5];
-    let run = engine
-        .evaluate_batch(&a, &block, &mut scratch, &mut first_a)
-        .unwrap();
-    assert!(!run.reused, "first touch uploads");
-
-    let mut first_b = vec![0.0; 64 * 5];
-    let run = engine
-        .evaluate_batch(&b, &block, &mut scratch, &mut first_b)
-        .unwrap();
-    assert!(!run.reused);
-    assert!(engine.pool().evictions() >= 1, "b displaced a");
-
-    // Re-evaluate both after the eviction churn: bitwise identical.
-    let mut again = vec![0.0; 64 * 5];
-    engine
-        .evaluate_batch(&a, &block, &mut scratch, &mut again)
-        .unwrap();
-    assert_eq!(again, first_a);
-    engine
-        .evaluate_batch(&b, &block, &mut scratch, &mut again)
-        .unwrap();
-    assert_eq!(again, first_b);
 }

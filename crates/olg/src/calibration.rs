@@ -2,13 +2,11 @@
 //! preferences, technology, and the per-state productivity/tax-regime
 //! configuration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::markov::MarkovChain;
 
 /// One discrete state of the economy: a productivity level joined with a
 /// tax regime ("booms, busts as well as different tax regimes").
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RegimeSpec {
     /// Total factor productivity `ζ_z`.
     pub productivity: f64,
@@ -46,9 +44,9 @@ pub struct Calibration {
 }
 
 /// A rejected [`Calibration`]: which parameter is inadmissible and why.
-/// Returned by [`Calibration::try_validate`] so scenario manifests and
-/// hand-edited calibrations fail with a diagnosis instead of silently
-/// producing NaN policy surfaces downstream.
+/// Returned by [`Calibration::try_validate`] so swept and hand-edited
+/// calibrations fail with a diagnosis instead of silently producing NaN
+/// policy surfaces downstream.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CalibrationError {
     /// `lifespan < 2`: no overlapping generations.
@@ -127,8 +125,7 @@ pub enum CalibrationError {
         reason: String,
     },
     /// A Markov transition row that is not a probability distribution
-    /// (possible when a chain is constructed by hand or deserialized
-    /// through a side channel).
+    /// (possible when a chain is constructed by hand).
     NonStochasticRow {
         /// Offending row `z`.
         state: usize,
@@ -440,64 +437,6 @@ impl Calibration {
     }
 }
 
-// Manual serde impls: `f64` fields round-trip bit-exactly through the
-// shortest-roundtrip writer, and
-// deserialization funnels through `try_validate` so a corrupted or
-// hand-edited scenario manifest is rejected with a typed diagnostic.
-impl Serialize for Calibration {
-    fn serialize_json(&self, out: &mut String) {
-        out.push('{');
-        serde::write_key("lifespan", out);
-        self.lifespan.serialize_json(out);
-        out.push(',');
-        serde::write_key("work_years", out);
-        self.work_years.serialize_json(out);
-        out.push(',');
-        serde::write_key("beta", out);
-        self.beta.serialize_json(out);
-        out.push(',');
-        serde::write_key("gamma", out);
-        self.gamma.serialize_json(out);
-        out.push(',');
-        serde::write_key("capital_share", out);
-        self.capital_share.serialize_json(out);
-        out.push(',');
-        serde::write_key("depreciation", out);
-        self.depreciation.serialize_json(out);
-        out.push(',');
-        serde::write_key("efficiency", out);
-        self.efficiency.serialize_json(out);
-        out.push(',');
-        serde::write_key("regimes", out);
-        self.regimes.serialize_json(out);
-        out.push(',');
-        serde::write_key("chain", out);
-        self.chain.serialize_json(out);
-        out.push('}');
-    }
-}
-
-impl Deserialize for Calibration {
-    fn deserialize_json(v: &serde::value::Value) -> Result<Self, String> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| format!("expected object for Calibration, found {}", v.kind()))?;
-        let cal = Calibration {
-            lifespan: serde::field(obj, "lifespan")?,
-            work_years: serde::field(obj, "work_years")?,
-            beta: serde::field(obj, "beta")?,
-            gamma: serde::field(obj, "gamma")?,
-            capital_share: serde::field(obj, "capital_share")?,
-            depreciation: serde::field(obj, "depreciation")?,
-            efficiency: serde::field(obj, "efficiency")?,
-            regimes: serde::field(obj, "regimes")?,
-            chain: serde::field(obj, "chain")?,
-        };
-        cal.try_validate().map_err(|e| e.to_string())?;
-        Ok(cal)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -659,35 +598,5 @@ mod tests {
         c.beta = 1.25;
         let msg = c.try_validate().unwrap_err().to_string();
         assert!(msg.contains("1.25"), "{msg}");
-    }
-
-    #[test]
-    fn serde_roundtrip_is_bit_exact() {
-        let cal = Calibration::small(7, 5, 3, 0.04);
-        let json = serde_json::to_string(&cal).unwrap();
-        let back: Calibration = serde_json::from_str(&json).unwrap();
-        assert_eq!(cal.lifespan, back.lifespan);
-        assert_eq!(cal.work_years, back.work_years);
-        assert_eq!(cal.beta.to_bits(), back.beta.to_bits());
-        assert_eq!(cal.gamma.to_bits(), back.gamma.to_bits());
-        assert_eq!(cal.capital_share.to_bits(), back.capital_share.to_bits());
-        assert_eq!(cal.depreciation.to_bits(), back.depreciation.to_bits());
-        for (a, b) in cal.efficiency.iter().zip(&back.efficiency) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(cal.regimes, back.regimes);
-        assert_eq!(cal.chain, back.chain);
-    }
-
-    #[test]
-    fn deserializing_an_invalid_manifest_is_rejected() {
-        let mut cal = Calibration::small(6, 4, 2, 0.05);
-        cal.beta = 0.97;
-        let json = serde_json::to_string(&cal).unwrap();
-        // Corrupt beta out of range in the JSON text.
-        let bad = json.replace("\"beta\":0.97", "\"beta\":1.5");
-        assert_ne!(json, bad);
-        let err = serde_json::from_str::<Calibration>(&bad).unwrap_err();
-        assert!(err.to_string().contains("beta"), "{err}");
     }
 }

@@ -25,8 +25,7 @@ impl MarkovChain {
 
     /// Non-panicking constructor: validates shape, finiteness,
     /// non-negativity, and row-stochasticity, returning a diagnostic
-    /// instead of aborting — the deserialization and scenario-manifest
-    /// path.
+    /// instead of aborting.
     pub fn try_new(n: usize, rows: Vec<f64>) -> Result<Self, String> {
         if rows.len() != n * n {
             return Err(format!(
@@ -156,33 +155,6 @@ impl MarkovChain {
             z = self.step(z, rng);
         }
         path
-    }
-}
-
-// Manual serde impls (not derived): the fields are private, and the
-// deserializer must funnel through `try_new` so a hand-edited manifest
-// with a non-stochastic matrix is rejected with a diagnostic instead of
-// producing an invalid chain.
-impl serde::Serialize for MarkovChain {
-    fn serialize_json(&self, out: &mut String) {
-        out.push('{');
-        serde::write_key("n", out);
-        self.n.serialize_json(out);
-        out.push(',');
-        serde::write_key("rows", out);
-        self.rows.serialize_json(out);
-        out.push('}');
-    }
-}
-
-impl serde::Deserialize for MarkovChain {
-    fn deserialize_json(v: &serde::value::Value) -> Result<Self, String> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| format!("expected object for MarkovChain, found {}", v.kind()))?;
-        let n: usize = serde::field(obj, "n")?;
-        let rows: Vec<f64> = serde::field(obj, "rows")?;
-        MarkovChain::try_new(n, rows)
     }
 }
 

@@ -348,7 +348,7 @@ pub struct OlgModel {
 }
 
 /// Width policy for the state box around the steady state.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BoxPolicy {
     /// Relative half-width for aggregate capital.
     pub capital_span: f64,

@@ -36,7 +36,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use hddm_asg::{regular_grid, BoxDomain, Stencil};
 use hddm_compress::CompressedGrid;
@@ -139,7 +139,7 @@ pub struct NeighbourInfo {
 
 /// Cache telemetry counters — in-memory traffic plus, when a persistent
 /// backing directory is attached, the on-disk store's counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct CacheStats {
     /// Entries currently held in memory (summed over shards).
     pub entries: usize,

@@ -103,8 +103,8 @@ pub struct ExecutorConfig {
     /// Which engine evaluates batched `PointBlock` calls (warm-start
     /// projection, the driver's Newton rounds, frontier warm starts and
     /// hierarchization). The GPU
-    /// variant shares one device pool across every scenario the
-    /// executor runs, so a served surface is uploaded once and re-used.
+    /// variant shares one engine, and so one set of its instruments,
+    /// across every scenario the executor runs.
     pub backend: ExecutionBackend,
     /// Whether nearby cached surfaces may seed warm starts.
     pub warm_start: bool,

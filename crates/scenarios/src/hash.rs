@@ -10,7 +10,7 @@
 //! their IEEE bit patterns, and collection lengths are folded before
 //! elements so `[1.0] ++ []` and `[] ++ [1.0]` cannot collide.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::scenario::Scenario;
 
@@ -23,7 +23,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// lossy above 2⁵³ — a silently corrupted cache key. `HashId` therefore
 /// serializes as a fixed-width 16-digit lowercase hex *string* everywhere
 /// a hash enters JSON (reports), the spelling a cache record's file name
-/// uses too; legacy numeric encodings are still accepted on the way in.
+/// uses too.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct HashId(pub u64);
 
@@ -69,21 +69,6 @@ impl From<HashId> for u64 {
 impl Serialize for HashId {
     fn serialize_json(&self, out: &mut String) {
         serde::write_json_string(&self.to_hex(), out);
-    }
-}
-
-impl Deserialize for HashId {
-    fn deserialize_json(v: &serde::value::Value) -> Result<Self, String> {
-        match v {
-            serde::value::Value::String(s) => HashId::from_hex(s),
-            // Legacy numeric encoding (pre-hex reports). The shim parses
-            // the source text directly, so this path is still exact.
-            serde::value::Value::Number(text) => text
-                .parse::<u64>()
-                .map(HashId)
-                .map_err(|e| format!("invalid numeric hash id {text:?}: {e}")),
-            other => Err(format!("expected hash id string, found {}", other.kind())),
-        }
     }
 }
 
@@ -328,20 +313,17 @@ mod tests {
 
     #[test]
     fn hash_ids_roundtrip_as_hex_strings_up_to_u64_max() {
-        use serde::{Deserialize, Serialize};
         for v in [0u64, 1, 2u64.pow(53) - 1, 2u64.pow(53) + 1, u64::MAX] {
             let id = HashId(v);
             let mut json = String::new();
             id.serialize_json(&mut json);
             // Fixed-width hex string, never a bare JSON number.
             assert_eq!(json, format!("{:?}", format!("{v:016x}")), "value {v}");
-            let tree = serde_json::parse(&json).unwrap();
-            let back = HashId::deserialize_json(&tree).unwrap();
-            assert_eq!(back, id, "value {v}");
+            let serde::value::Value::String(hex) = serde_json::parse(&json).unwrap() else {
+                panic!("value {v}: {json} is not a JSON string");
+            };
+            assert_eq!(HashId::from_hex(&hex), Ok(id), "value {v}");
         }
-        // Legacy numeric encoding is still accepted exactly.
-        let tree = serde_json::parse(&u64::MAX.to_string()).unwrap();
-        assert_eq!(HashId::deserialize_json(&tree).unwrap(), HashId(u64::MAX));
         // Garbage is rejected, not misparsed.
         assert!(HashId::from_hex("xyz").is_err());
         assert!(HashId::from_hex("00ff").is_err());

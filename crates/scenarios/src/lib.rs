@@ -27,7 +27,7 @@
 //!   `threads` workers of [`hddm_sched::parallel_for_init`], each against
 //!   the cache, streaming results as they complete;
 //! * [`report`] — per-scenario and per-sweep diagnostics
-//!   ([`ScenarioReport`], [`SweepReport`]) serialized to JSON through the
+//!   ([`ScenarioReport`], [`SweepReport`]), written as JSON through the
 //!   serde shim (bit-exact `f64`).
 //!
 //! ```

@@ -4,14 +4,13 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use hddm_olg::{BoxPolicy, Calibration, MarkovChain, OlgModel};
 
 /// Refinement + solver settings of one scenario (the per-run knobs of
 /// `DriverConfig` and the Newton iteration budget that affect the
 /// *solution*, not the hardware mapping).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SolveSettings {
     /// Regular sparse-grid level every time step starts from.
     pub start_level: u8,
@@ -50,7 +49,7 @@ impl Default for SolveSettings {
 /// module derives the cache identity from everything here except `name`
 /// (two scenarios with identical physics share a policy surface no matter
 /// what they are called).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Scenario {
     /// Display label ("baseline", "beta=0.96/tax-reform", …).
     pub name: String,
@@ -508,22 +507,5 @@ mod tests {
         let mut s = base();
         s.solve.max_level = 1;
         assert!(s.validate().unwrap_err().contains("max_level"));
-    }
-
-    #[test]
-    fn scenario_manifest_roundtrips_through_json() {
-        let s = base();
-        let json = serde_json::to_string(&s).unwrap();
-        let back: Scenario = serde_json::from_str(&json).unwrap();
-        assert_eq!(s.name, back.name);
-        assert_eq!(
-            s.calibration.beta.to_bits(),
-            back.calibration.beta.to_bits()
-        );
-        assert_eq!(s.solve, back.solve);
-        assert_eq!(
-            s.box_policy.capital_span.to_bits(),
-            back.box_policy.capital_span.to_bits()
-        );
     }
 }

@@ -5,7 +5,7 @@
 //! the identical scenario.
 
 use hddm_scenarios::{
-    run_set, run_single, CacheKind, ExecutorConfig, Knob, ScenarioSet, SurfaceCache, SweepReport,
+    run_set, run_single, CacheKind, ExecutorConfig, Knob, ScenarioSet, SurfaceCache,
 };
 
 #[test]
@@ -63,13 +63,23 @@ fn demo_sweep_warm_starts_beat_cold_solves() {
     );
     assert_eq!(warm.hash, cold.hash, "same scenario, same content hash");
 
-    // The full report survives a JSON round trip bit-exactly.
-    let back = SweepReport::from_json(&report.to_json()).unwrap();
-    assert_eq!(back.scenarios.len(), report.scenarios.len());
-    for (a, b) in report.scenarios.iter().zip(&back.scenarios) {
-        assert_eq!(a.hash, b.hash);
-        assert_eq!(a.steps, b.steps);
-        assert_eq!(a.final_sup_change.to_bits(), b.final_sup_change.to_bits());
+    // The JSON report carries every scenario bit-exactly: hashes as hex
+    // strings, `f64`s as text that parses back to the same bits.
+    let tree = serde_json::parse(&report.to_json()).unwrap();
+    let (_, scenarios) = tree
+        .as_object()
+        .unwrap()
+        .iter()
+        .find(|(k, _)| k == "scenarios")
+        .unwrap();
+    let written = scenarios.as_array().unwrap();
+    assert_eq!(written.len(), report.scenarios.len());
+    for (a, b) in report.scenarios.iter().zip(written) {
+        let b = b.as_object().unwrap();
+        assert_eq!(serde::field::<String>(b, "hash"), Ok(a.hash.to_hex()));
+        assert_eq!(serde::field::<u64>(b, "steps"), Ok(a.steps as u64));
+        let sup: f64 = serde::field(b, "final_sup_change").unwrap();
+        assert_eq!(sup.to_bits(), a.final_sup_change.to_bits());
     }
 }
 

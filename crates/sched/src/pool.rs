@@ -176,16 +176,33 @@ mod tests {
 
     #[test]
     fn imbalanced_work_is_shared() {
-        // Tasks yield so peer workers get scheduled even on a single-core
-        // host; with per-item chunks, stealing must then spread the work.
+        use std::sync::{Condvar, Mutex};
+        use std::time::Duration;
+        // Nothing stops one worker from draining the whole range before
+        // its peers are scheduled, so each worker's first item holds until
+        // a second worker has claimed one too. It cannot deadlock: every
+        // worker is spawned and the held item leaves the cursor with work.
         let n = 400;
-        let stats = parallel_for(
+        let arrived = (Mutex::new(0usize), Condvar::new());
+        let stats = parallel_for_init(
             n,
             &PoolConfig {
                 threads: 4,
                 grain: 1,
             },
-            |i| {
+            || true,
+            |first, i| {
+                if std::mem::take(first) {
+                    let (count, cv) = &arrived;
+                    let mut count = count.lock().unwrap();
+                    *count += 1;
+                    cv.notify_all();
+                    let (count, wait) = cv
+                        .wait_timeout_while(count, Duration::from_secs(60), |c| *c < 2)
+                        .unwrap();
+                    drop(count);
+                    assert!(!wait.timed_out(), "no second worker claimed an item");
+                }
                 let reps = if i % 10 == 0 { 5 } else { 1 };
                 for _ in 0..reps {
                     std::thread::yield_now();
@@ -194,7 +211,6 @@ mod tests {
         );
         let total: usize = stats.items_per_worker.iter().sum();
         assert_eq!(total, n);
-        // At least one other worker must have obtained work.
         let busy = stats.items_per_worker.iter().filter(|&&c| c > 0).count();
         assert!(busy >= 2, "{:?}", stats.items_per_worker);
     }

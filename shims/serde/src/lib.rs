@@ -5,11 +5,13 @@
 //! The shim intentionally collapses serde's serializer-agnostic design to
 //! the single backend this workspace uses (`serde_json`): `Serialize`
 //! writes JSON text directly, `Deserialize` reads from a parsed
-//! [`value::Value`] tree. Numbers keep their source text on the way in and
-//! are printed with Rust's shortest-roundtrip formatter on the way out, so
-//! `f64` survives a file round trip **bit-exactly** — the property the
-//! checkpoint tests depend on (the real stack needs `serde_json`'s
-//! `float_roundtrip` feature for the same guarantee).
+//! [`value::Value`] tree. Impls exist for the field types of what the
+//! workspace writes (sweep reports, telemetry snapshots) and reads back
+//! (snapshots) and nothing else. Numbers keep their source text on the
+//! way in and are printed with Rust's shortest-roundtrip formatter on the
+//! way out, so `f64` survives a file round trip **bit-exactly** (the real
+//! stack needs `serde_json`'s `float_roundtrip` feature for the same
+//! guarantee).
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -67,7 +69,7 @@ macro_rules! impl_serialize_display_int {
         }
     )*}
 }
-impl_serialize_display_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_serialize_display_int!(u64, usize);
 
 impl Serialize for bool {
     fn serialize_json(&self, out: &mut String) {
@@ -90,31 +92,13 @@ impl Serialize for f64 {
     }
 }
 
-impl Serialize for f32 {
-    fn serialize_json(&self, out: &mut String) {
-        (*self as f64).serialize_json(out)
-    }
-}
-
 impl Serialize for String {
     fn serialize_json(&self, out: &mut String) {
         write_json_string(self, out);
     }
 }
 
-impl Serialize for str {
-    fn serialize_json(&self, out: &mut String) {
-        write_json_string(self, out);
-    }
-}
-
 impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize_json(&self, out: &mut String) {
-        self.as_slice().serialize_json(out)
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
     fn serialize_json(&self, out: &mut String) {
         out.push('[');
         for (i, item) in self.iter().enumerate() {
@@ -136,57 +120,20 @@ impl<T: Serialize> Serialize for Option<T> {
     }
 }
 
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize_json(&self, out: &mut String) {
-        (**self).serialize_json(out)
-    }
-}
-
-macro_rules! impl_serialize_tuple {
-    ($(($($name:ident : $idx:tt),+))*) => {$(
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn serialize_json(&self, out: &mut String) {
-                out.push('[');
-                let mut first = true;
-                $(
-                    if !first { out.push(','); }
-                    first = false;
-                    self.$idx.serialize_json(out);
-                )+
-                let _ = first;
-                out.push(']');
-            }
-        }
-    )*}
-}
-impl_serialize_tuple! {
-    (A: 0)
-    (A: 0, B: 1)
-    (A: 0, B: 1, C: 2)
-    (A: 0, B: 1, C: 2, D: 3)
-}
-
 // ---------------------------------------------------------------------------
 // Deserialize impls
 // ---------------------------------------------------------------------------
 
-macro_rules! impl_deserialize_int {
-    ($($t:ty),*) => {$(
-        impl Deserialize for $t {
-            fn deserialize_json(v: &Value) -> Result<Self, String> {
-                match v {
-                    Value::Number(text) => text
-                        .parse::<$t>()
-                        .map_err(|e| format!("invalid {}: {text:?} ({e})", stringify!($t))),
-                    other => Err(format!(
-                        "expected {} number, found {}", stringify!($t), other.kind()
-                    )),
-                }
-            }
+impl Deserialize for u64 {
+    fn deserialize_json(v: &Value) -> Result<Self, String> {
+        match v {
+            Value::Number(text) => text
+                .parse()
+                .map_err(|e| format!("invalid u64: {text:?} ({e})")),
+            other => Err(format!("expected u64 number, found {}", other.kind())),
         }
-    )*}
+    }
 }
-impl_deserialize_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl Deserialize for f64 {
     fn deserialize_json(v: &Value) -> Result<Self, String> {
@@ -201,15 +148,6 @@ impl Deserialize for f64 {
                 Err(e) => Err(format!("invalid f64: {text:?} ({e})")),
             },
             other => Err(format!("expected f64 number, found {}", other.kind())),
-        }
-    }
-}
-
-impl Deserialize for bool {
-    fn deserialize_json(v: &Value) -> Result<Self, String> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(format!("expected bool, found {}", other.kind())),
         }
     }
 }
@@ -230,39 +168,6 @@ impl<T: Deserialize> Deserialize for Vec<T> {
             other => Err(format!("expected array, found {}", other.kind())),
         }
     }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn deserialize_json(v: &Value) -> Result<Self, String> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::deserialize_json(other).map(Some),
-        }
-    }
-}
-
-macro_rules! impl_deserialize_tuple {
-    ($(($($name:ident : $idx:tt),+ ; $len:expr))*) => {$(
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn deserialize_json(v: &Value) -> Result<Self, String> {
-                match v {
-                    Value::Array(items) if items.len() == $len => {
-                        Ok(($($name::deserialize_json(&items[$idx])?,)+))
-                    }
-                    Value::Array(items) => Err(format!(
-                        "expected {}-tuple, found array of {}", $len, items.len()
-                    )),
-                    other => Err(format!("expected tuple array, found {}", other.kind())),
-                }
-            }
-        }
-    )*}
-}
-impl_deserialize_tuple! {
-    (A: 0 ; 1)
-    (A: 0, B: 1 ; 2)
-    (A: 0, B: 1, C: 2 ; 3)
-    (A: 0, B: 1, C: 2, D: 3 ; 4)
 }
 
 /// Looks up `key` in an object and deserializes it — helper used by the
@@ -307,17 +212,9 @@ mod tests {
     }
 
     #[test]
-    fn tuple_and_vec_roundtrip() {
-        let v: Vec<(u32, u16, u16)> = vec![(1, 2, 3), (9, 8, 7)];
-        let mut out = String::new();
-        v.serialize_json(&mut out);
-        assert_eq!(out, "[[1,2,3],[9,8,7]]");
-    }
-
-    #[test]
     fn strings_escape() {
         let mut out = String::new();
-        "a\"b\\c\n".serialize_json(&mut out);
+        write_json_string("a\"b\\c\n", &mut out);
         assert_eq!(out, r#""a\"b\\c\n""#);
     }
 }

@@ -27,11 +27,6 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     Ok(out)
 }
 
-/// Alias of [`to_string`] (the shim has no pretty printer).
-pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    to_string(value)
-}
-
 /// Parses JSON text and deserializes a `T` from it.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
     let value = parse(text)?;

@@ -15,7 +15,7 @@
 //! | [`asg`] | `hddm-asg` | hierarchical basis, grids, refinement |
 //! | [`compress`] | `hddm-compress` | Sec. IV-B index compression |
 //! | [`kernels`] | `hddm-kernels` | gold/x86/avx/avx2/avx512 kernels |
-//! | [`gpu`] | `hddm-gpu` | device model + launch pricing + surface pool |
+//! | [`gpu`] | `hddm-gpu` | P100 device model + launch pricing |
 //! | [`solver`] | `hddm-solver` | Newton/Broyden/LU (Ipopt substitute) |
 //! | [`cluster`] | `hddm-cluster` | Comm runtime + scaling simulators |
 //! | [`sched`] | `hddm-sched` | dynamic `parallel_for` over a shared cursor |
