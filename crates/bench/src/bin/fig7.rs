@@ -8,11 +8,11 @@
 //! Step 1 *measures* the real per-point solve time of the 59-dimensional
 //! OLG system on this host (single thread, AVX2 kernels, level-2 policy
 //! grids — the exact workload of the figure). Step 2 applies the node
-//! models of the two Cray systems (see `hddm-cluster::nodesim`) to
-//! produce the figure's bars.
+//! models of the two Cray systems (`hddm_bench::nodesim`) to produce the
+//! figure's bars.
 
 use hddm_bench::calibrate_point_seconds;
-use hddm_cluster::fig7_variants;
+use hddm_bench::nodesim::fig7_variants;
 
 fn main() {
     let sample: usize = std::env::args()

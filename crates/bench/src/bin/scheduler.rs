@@ -1,77 +1,46 @@
-//! Ablation of the paper's third contribution: the "hybrid cluster
-//! oriented work-preempting scheduler ... which evenly distributes the
-//! time iteration workload onto available CPU cores and accelerators".
+//! The paper's third contribution, measured: the "hybrid cluster oriented
+//! work-preempting scheduler ... which evenly distributes the time
+//! iteration workload onto available CPU cores and accelerators".
 //!
-//! Part 1 simulates a mixed "Piz Daint"(CPU+GPU) + "Grand Tave"(KNL)
-//! fleet under three assignment policies and sweeps the stealing chunk
-//! size. Part 2 runs the *real* pool (`hddm-sched`: a shared cursor, the
-//! policy Part 1 models as work stealing) on this host with
+//! Runs the real pool (`hddm-sched`: a shared cursor from which every free
+//! worker claims the next `grain` items) on this host with
 //! straggler-shaped task costs and reports the balance it achieves
 //! against a static split.
 //!
 //! ```text
-//! cargo run -p hddm-bench --release --bin scheduler [points]
+//! cargo run -p hddm-bench --release --bin scheduler
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hddm_cluster::{fluid_bound, mixed_fleet, schedule, straggler_costs, Assignment};
 use hddm_sched::{parallel_for, PoolConfig};
 
+/// Synthetic per-point costs with straggler variance: deterministic
+/// log-normal-ish multipliers around `mean_seconds` (Newton iteration
+/// count differences), seeded for reproducibility.
+fn straggler_costs(n: usize, mean_seconds: f64, cv: f64, seed: u64) -> Vec<f64> {
+    let mut state = seed | 1; // xorshift64
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+        // Uniform u in [0,1); two-point mixture: most points cheap, a tail
+        // ~4× (hard Newton solves); matches the observed per-point spread.
+        let factor = if u < 0.9 {
+            1.0 - cv * 0.5
+        } else {
+            1.0 + cv * 4.5
+        };
+        out.push(mean_seconds * factor);
+    }
+    out
+}
+
 fn main() {
-    let points: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_000);
-
-    // ---------------- Part 1: fleet simulation ----------------
-    let fleet = mixed_fleet(8, 8);
-    let costs = straggler_costs(points, 0.05, 0.8, 42);
-    let bound = fluid_bound(&fleet, &costs);
-
-    println!("Work-preempting scheduler ablation");
-    println!(
-        "fleet: 8x daint (25.0x ref) + 8x tave (12.5x ref); {points} points, straggler tail 10% @ ~4.6x"
-    );
-    println!("fluid (perfect-balance) bound: {bound:.2} s\n");
-    println!("  policy                      makespan [s]   vs bound   mean idle");
-    for (label, policy) in [
-        ("static equal split", Assignment::StaticEqual),
-        ("static speed-proportional", Assignment::StaticProportional),
-        (
-            "work stealing, chunk 512",
-            Assignment::WorkStealing { chunk: 512 },
-        ),
-        (
-            "work stealing, chunk 64",
-            Assignment::WorkStealing { chunk: 64 },
-        ),
-        (
-            "work stealing, chunk 8",
-            Assignment::WorkStealing { chunk: 8 },
-        ),
-    ] {
-        let r = schedule(&fleet, &costs, policy);
-        println!(
-            "  {label:<27} {:>10.2}   {:>7.3}x   {:>7.1}%",
-            r.makespan,
-            r.makespan / bound,
-            100.0 * r.idle_fraction
-        );
-    }
-
-    // Chunk-size sweep: the quantization knee.
-    println!("\n  stealing chunk sweep (makespan / bound):");
-    print!("   ");
-    for chunk in [1usize, 4, 16, 64, 256, 1024, 4096] {
-        let r = schedule(&fleet, &costs, Assignment::WorkStealing { chunk });
-        print!(" {chunk}:{:.3}", r.makespan / bound);
-    }
-    println!();
-
-    // ---------------- Part 2: the real pool on this host ----------------
     // Static split = one giant chunk per worker (grain = n/threads);
-    // stealing = fine grain. Work = spin for a cost drawn from the same
+    // stealing = fine grain. Work = spin for a cost drawn from the
     // straggler distribution. Report per-worker item balance.
     let n = 2_000usize;
     let threads = 4usize;
@@ -89,7 +58,8 @@ fn main() {
         spun.fetch_add(1, Ordering::Relaxed);
     };
 
-    println!("\nreal pool on this host ({threads} workers, {n} tasks, ~20 us mean):");
+    println!("Work-preempting scheduler, measured");
+    println!("real pool on this host ({threads} workers, {n} tasks, ~20 us mean):");
     for (label, grain) in [
         ("static split (grain n/T)", n.div_ceil(threads)),
         ("work stealing (grain 4)", 4usize),

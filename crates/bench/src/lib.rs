@@ -1,14 +1,17 @@
 //! Shared helpers for the benchmark harness: grid construction with
 //! synthetic surpluses, deterministic random evaluation points, timing
 //! utilities, and the OLG point-solve calibration used by the Fig. 7/8
-//! models — plus the two baselines only the `ablations` bin runs: the
-//! hash-table storage scheme ([`hashtab`]) and the chain walk without its
-//! zero-skip ([`ablation`]).
+//! models — plus what only one reproduction bin runs: the Fig. 7 node
+//! model ([`nodesim`]), the Fig. 8 strong-scaling simulator ([`sim`]),
+//! and the two `ablations` baselines, the hash-table storage scheme
+//! ([`hashtab`]) and the chain walk without its zero-skip ([`ablation`]).
 
 #![warn(missing_docs)]
 
 pub mod ablation;
 pub mod hashtab;
+pub mod nodesim;
+pub mod sim;
 
 use std::time::Instant;
 

@@ -1,6 +1,7 @@
-//! Single-node performance model — the machinery behind the Fig. 7
-//! comparison (single thread → full CPU node → CPU+GPU node on "Piz
-//! Daint"; multi-threaded KNL on "Grand Tave").
+//! Single-node performance model, owned by the `fig7` reproduction bin —
+//! the machinery behind the Fig. 7 comparison (single thread → full CPU
+//! node → CPU+GPU node on "Piz Daint"; multi-threaded KNL on "Grand
+//! Tave").
 //!
 //! Calibrated with one measured number (the single-thread per-point solve
 //! time on the host), the variants apply the thread counts and relative

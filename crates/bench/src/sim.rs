@@ -1,7 +1,8 @@
-//! Discrete-event strong-scaling simulator.
+//! Discrete-event strong-scaling simulator — a model, owned by the `fig8`
+//! reproduction bin.
 //!
 //! Replays the distribution logic of Fig. 2 (per-state groups sized by
-//! [`crate::assign::proportional_ranks`], per-refinement-level processing
+//! [`hddm_cluster::proportional_ranks`], per-refinement-level processing
 //! with a barrier and a merge between levels) against a parametric machine
 //! model, producing the normalized-execution-time curves of Fig. 8 for
 //! node counts far beyond the host (the paper ran 1 → 4,096 Cray nodes).
@@ -15,7 +16,7 @@
 //! * communication — per-level merge (gather + re-broadcast of new
 //!   surpluses) plus a barrier per level.
 
-use crate::assign::{multiplex_states, proportional_ranks};
+use hddm_cluster::{multiplex_states, proportional_ranks};
 
 /// Machine / network parameters of the simulated cluster.
 #[derive(Clone, Copy, Debug)]

@@ -1,4 +1,4 @@
-//! # hddm-cluster — message passing and cluster simulation
+//! # hddm-cluster — message passing and rank-group assignment
 //!
 //! The distributed layer of Sec. IV-A, substituting for MPI on the Cray
 //! systems (README, "Workspace layout"):
@@ -9,27 +9,15 @@
 //!   `barrier`, `allgather`, `allreduce`, `bcast`;
 //! * [`assign`] — the proportional rank-group sizing of Sec. IV-A
 //!   (`MPI_COMM_SIZE(z) ∝ M_z`), including the paper's footnote-5 example
-//!   as a test;
-//! * [`sim`] — a discrete-event strong-scaling simulator replaying the
-//!   per-level distribute/solve/merge cycle on a parametric machine model
-//!   (regenerates Fig. 8 for 1→4,096 nodes);
-//! * [`nodesim`] — the single-node performance model behind Fig. 7;
-//! * [`hetero`] — the work-preempting-scheduler ablation on heterogeneous
-//!   worker fleets (static vs proportional vs stealing assignment), the
-//!   model behind the `scheduler` bin and nothing else.
+//!   as a test.
+//!
+//! The Fig. 7 and Fig. 8 machine models live with their figures in
+//! `hddm-bench`.
 
 #![warn(missing_docs)]
 
 pub mod assign;
 pub mod comm;
-pub mod hetero;
-pub mod nodesim;
-pub mod sim;
 
 pub use assign::{multiplex_states, proportional_ranks};
 pub use comm::{Comm, SerialComm, ThreadComm};
-pub use hetero::{
-    fluid_bound, mixed_fleet, schedule, straggler_costs, Assignment, ScheduleResult, WorkerSpec,
-};
-pub use nodesim::{fig7_variants, NodeVariant};
-pub use sim::{simulate_step, strong_scaling_sweep, ClusterModel, LevelWork, StepTiming};

@@ -77,8 +77,7 @@ pub trait PolicyOracle {
     /// has derivative zero.
     ///
     /// The provided implementation takes forward differences over
-    /// `eval_block`, with the step of a finite-difference Newton column;
-    /// kernel-backed oracles walk the gradient.
+    /// `eval_block`; kernel-backed oracles walk the gradient.
     #[allow(clippy::too_many_arguments)]
     fn eval_block_gradient(
         &mut self,
@@ -126,7 +125,7 @@ pub trait PolicyOracle {
 }
 
 /// The relative step of [`PolicyOracle::eval_block_gradient`]'s forward
-/// differences: [`NewtonOptions`]' default `fd_step`.
+/// differences, `h_t = FD_STEP · max(|x_t|, 1)`.
 const FD_STEP: f64 = 1e-7;
 
 /// Blanket implementation so plain closures can serve as oracles in tests.
@@ -301,10 +300,6 @@ impl Rounds for EulerRounds<'_> {
         let keep = Some(&mut *self.kept);
         self.model
             .residual_rows(self.points, round, &mut *self.oracle, self.round, keep);
-    }
-
-    fn supplies_jacobians(&self) -> bool {
-        true
     }
 }
 

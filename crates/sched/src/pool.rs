@@ -5,9 +5,8 @@
 //! The tasks are a flat index range and never spawn tasks, so there is
 //! nothing to steal that a shared queue does not already hand out: one
 //! atomic cursor over `0..n`, from which every free worker claims the
-//! next `grain` indices until the range is exhausted. This is the policy
-//! `hddm_cluster::hetero::Assignment::WorkStealing` models ("free workers
-//! preempt the next `chunk` tasks from a shared queue").
+//! next `grain` indices until the range is exhausted. The `scheduler` bin
+//! of `hddm-bench` measures its balance against a static split.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

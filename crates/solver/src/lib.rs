@@ -1,24 +1,43 @@
 //! # hddm-solver — dense nonlinear solvers
 //!
 //! The per-grid-point equation solver of the HDDM stack: a globalized
-//! (damped, line-searched) Newton method with caller-supplied or
-//! finite-difference Jacobians and Broyden rank-1 updates, over a small
-//! self-contained dense linear algebra core. This substitutes for Ipopt
-//! [24] in the paper's pipeline (README, "Workspace layout").
+//! (damped, line-searched) Newton method with caller-supplied Jacobians
+//! and Broyden rank-1 updates, over a small self-contained dense linear
+//! algebra core. This substitutes for Ipopt [24] in the paper's pipeline
+//! (README, "Workspace layout").
 //!
-//! * [`linalg`] — dense matrices, LU with partial pivoting, norms;
+//! * [`linalg`] — LU with partial pivoting on row-major slices, norms;
 //! * [`newton`] — the damped Newton driver: [`newton::newton_rounds`]
-//!   advances many independent systems in lockstep rounds,
-//!   [`newton::newton_block`] is its closure form with finite-difference
-//!   Jacobians and [`newton::newton`] the one-system case;
+//!   advances many independent systems in lockstep rounds, and its caller
+//!   ([`Rounds`]) answers each round's residual rows and Jacobian
+//!   requests;
 //! * [`scalar`] — Brent's method for bracketed scalar roots.
 //!
 //! ```
-//! use hddm_solver::{newton, NewtonOptions};
+//! use hddm_solver::{newton_rounds, NewtonOptions, NewtonWorkspace, Round, Rounds};
+//!
+//! /// `F(x) = x² − 2` and its Jacobian `2x`.
+//! struct Sqrt2;
+//! impl Rounds for Sqrt2 {
+//!     fn round(&mut self, round: Round<'_>) {
+//!         let mut slot = 0;
+//!         for (i, x) in round.rows.iter().enumerate() {
+//!             if round.jacobian_rows.contains(&i) {
+//!                 round.jacobians[slot] = 2.0 * x;
+//!                 slot += 1;
+//!             } else {
+//!                 round.out[i] = x * x - 2.0;
+//!             }
+//!         }
+//!     }
+//! }
 //!
 //! let mut x = vec![2.0];
-//! newton(|x, out| { out[0] = x[0] * x[0] - 2.0; Ok(()) }, &mut x,
-//!        &NewtonOptions::default()).unwrap();
+//! let opts = NewtonOptions::default();
+//! newton_rounds(1, &mut x, &opts, &mut NewtonWorkspace::default(), &mut Sqrt2)
+//!     .pop()
+//!     .unwrap()
+//!     .unwrap();
 //! assert!((x[0] - 2f64.sqrt()).abs() < 1e-9);
 //! ```
 
@@ -28,11 +47,8 @@ pub mod linalg;
 pub mod newton;
 pub mod scalar;
 
-pub use linalg::{norm2, norm_inf, DenseMatrix, Lu};
-pub use newton::{
-    newton, newton_block, newton_rounds, NewtonOptions, NewtonReport, NewtonWorkspace, Round,
-    Rounds,
-};
+pub use linalg::{norm2, norm_inf};
+pub use newton::{newton_rounds, NewtonOptions, NewtonReport, NewtonWorkspace, Round, Rounds};
 pub use scalar::brent;
 
 /// Errors surfaced by the solvers. The time-iteration driver distinguishes

@@ -1,76 +1,11 @@
-//! Minimal dense linear algebra: row-major matrices and LU factorization
-//! with partial pivoting — all the Newton solver needs for the paper's
-//! ~60×60 per-point systems.
+//! Minimal dense linear algebra on row-major slices: LU factorization
+//! with partial pivoting, a matrix-vector product and Broyden's rank-1
+//! update — all the Newton solver needs for the paper's ~60×60 per-point
+//! systems, which the block Newton keeps in flat per-worker buffers.
 
 use crate::SolverError;
 
-/// Row-major dense square matrix.
-#[derive(Clone, Debug)]
-pub struct DenseMatrix {
-    n: usize,
-    data: Vec<f64>,
-}
-
-impl DenseMatrix {
-    /// Zero matrix of size `n × n`.
-    pub fn zeros(n: usize) -> Self {
-        DenseMatrix {
-            n,
-            data: vec![0.0; n * n],
-        }
-    }
-
-    /// Identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Builds from a row-major slice.
-    pub fn from_rows(n: usize, data: &[f64]) -> Self {
-        assert_eq!(data.len(), n * n);
-        DenseMatrix {
-            n,
-            data: data.to_vec(),
-        }
-    }
-
-    /// Matrix order `n`.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Mutable access to row `i`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.n..(i + 1) * self.n]
-    }
-
-    /// Read access to row `i`.
-    #[inline]
-    pub fn row(&self, i: usize) -> &[f64] {
-        &self.data[i * self.n..(i + 1) * self.n]
-    }
-
-    /// `y = A·x`.
-    pub fn matvec(&self, x: &[f64], y: &mut [f64]) {
-        matvec(&self.data, x, y)
-    }
-
-    /// Rank-1 update `A += alpha · u vᵀ` (Broyden's step).
-    pub fn rank1_update(&mut self, alpha: f64, u: &[f64], v: &[f64]) {
-        rank1_update(&mut self.data, alpha, u, v)
-    }
-}
-
 /// `y = A·x` for a row-major `n × n` matrix stored in `a` (`n = x.len()`).
-/// The slice forms below are the arithmetic of [`DenseMatrix`] and [`Lu`];
-/// the block Newton keeps many small systems in flat per-worker buffers
-/// and calls them directly.
 pub(crate) fn matvec(a: &[f64], x: &[f64], y: &mut [f64]) {
     let n = x.len();
     assert_eq!(a.len(), n * n);
@@ -93,49 +28,9 @@ pub(crate) fn rank1_update(a: &mut [f64], alpha: f64, u: &[f64], v: &[f64]) {
     }
 }
 
-impl std::ops::Index<(usize, usize)> for DenseMatrix {
-    type Output = f64;
-    #[inline]
-    fn index(&self, (i, j): (usize, usize)) -> &f64 {
-        &self.data[i * self.n + j]
-    }
-}
-
-impl std::ops::IndexMut<(usize, usize)> for DenseMatrix {
-    #[inline]
-    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
-        &mut self.data[i * self.n + j]
-    }
-}
-
-/// LU factorization with partial pivoting (`PA = LU`).
-#[derive(Clone, Debug)]
-pub struct Lu {
-    n: usize,
-    lu: Vec<f64>,
-    pivots: Vec<u32>,
-}
-
-impl Lu {
-    /// Factors `a`, consuming a copy. Fails on (numerical) singularity.
-    pub fn factor(a: &DenseMatrix) -> Result<Lu, SolverError> {
-        let n = a.n;
-        let mut lu = a.data.clone();
-        let mut pivots = vec![0u32; n];
-        lu_factor(&mut lu, &mut pivots)?;
-        Ok(Lu { n, lu, pivots })
-    }
-
-    /// Solves `A x = b` in place (`b` becomes `x`).
-    pub fn solve(&self, b: &mut [f64]) {
-        assert_eq!(b.len(), self.n);
-        lu_solve(&self.lu, &self.pivots, b)
-    }
-}
-
 /// Factors the row-major `n × n` matrix in `lu` in place (`PA = LU`,
 /// `n = pivots.len()`). On `Err` the contents of `lu` are unspecified.
-pub(crate) fn lu_factor(lu: &mut [f64], pivots: &mut [u32]) -> Result<(), SolverError> {
+pub fn lu_factor(lu: &mut [f64], pivots: &mut [u32]) -> Result<(), SolverError> {
     let n = pivots.len();
     assert_eq!(lu.len(), n * n);
     for col in 0..n {
@@ -171,7 +66,7 @@ pub(crate) fn lu_factor(lu: &mut [f64], pivots: &mut [u32]) -> Result<(), Solver
 }
 
 /// Solves `A x = b` in place with the factors [`lu_factor`] left in `lu`.
-pub(crate) fn lu_solve(lu: &[f64], pivots: &[u32], b: &mut [f64]) {
+pub fn lu_solve(lu: &[f64], pivots: &[u32], b: &mut [f64]) {
     let n = pivots.len();
     assert_eq!(b.len(), n);
     // Apply permutation + forward substitution.
@@ -200,23 +95,33 @@ pub fn norm2(v: &[f64]) -> f64 {
     v.iter().map(|x| x * x).sum::<f64>().sqrt()
 }
 
-/// Max norm.
+/// Max norm. A NaN entry makes it NaN (`f64::max` would drop it), so a
+/// NaN residual never passes a tolerance test.
 #[inline]
 pub fn norm_inf(v: &[f64]) -> f64 {
-    v.iter().fold(0.0f64, |m, x| m.max(x.abs()))
+    v.iter()
+        .map(|x| x.abs())
+        .fold(0.0, |m, a| if a > m || a.is_nan() { a } else { m })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Factors a copy of `a` and solves `a x = b` in place.
+    fn solve(a: &[f64], b: &mut [f64]) -> Result<(), SolverError> {
+        let mut lu = a.to_vec();
+        let mut pivots = vec![0; b.len()];
+        lu_factor(&mut lu, &mut pivots)?;
+        lu_solve(&lu, &pivots, b);
+        Ok(())
+    }
+
     #[test]
     fn lu_solves_known_system() {
         // A = [[4,3],[6,3]], b = [10, 12] -> x = [1, 2].
-        let a = DenseMatrix::from_rows(2, &[4.0, 3.0, 6.0, 3.0]);
-        let lu = Lu::factor(&a).unwrap();
         let mut b = vec![10.0, 12.0];
-        lu.solve(&mut b);
+        solve(&[4.0, 3.0, 6.0, 3.0], &mut b).unwrap();
         assert!((b[0] - 1.0).abs() < 1e-12);
         assert!((b[1] - 2.0).abs() < 1e-12);
     }
@@ -224,12 +129,11 @@ mod tests {
     #[test]
     fn lu_handles_pivoting() {
         // Zero on the diagonal forces a row swap.
-        let a = DenseMatrix::from_rows(3, &[0.0, 2.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 3.0]);
-        let lu = Lu::factor(&a).unwrap();
+        let a = [0.0, 2.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 3.0];
         let x_true = [1.5, -2.0, 0.5];
         let mut b = vec![0.0; 3];
-        a.matvec(&x_true, &mut b);
-        lu.solve(&mut b);
+        matvec(&a, &x_true, &mut b);
+        solve(&a, &mut b).unwrap();
         for (got, want) in b.iter().zip(&x_true) {
             assert!((got - want).abs() < 1e-12);
         }
@@ -237,7 +141,9 @@ mod tests {
 
     #[test]
     fn lu_roundtrip_random_matrices() {
-        // Deterministic pseudo-random well-conditioned matrices.
+        // Deterministic pseudo-random well-conditioned matrices: every
+        // order up to 23 plus the paper's 59, each with a mild and with
+        // an order-proportional diagonal dominance.
         let mut seed = 0x2545F4914F6CDD1Du64;
         let mut next = move || {
             seed ^= seed << 13;
@@ -245,29 +151,29 @@ mod tests {
             seed ^= seed << 17;
             (seed >> 11) as f64 / (1u64 << 53) as f64 - 0.5
         };
-        for n in [1usize, 2, 5, 13, 59] {
-            let mut a = DenseMatrix::zeros(n);
-            for i in 0..n {
-                for j in 0..n {
-                    a[(i, j)] = next();
+        for n in (1usize..24).chain([59]) {
+            for dominance in [3.0, n as f64 * 0.75 + 2.0] {
+                let mut a = vec![0.0; n * n];
+                for i in 0..n {
+                    for j in 0..n {
+                        a[i * n + j] = next();
+                    }
+                    a[i * n + i] += dominance;
                 }
-                a[(i, i)] += 3.0; // diagonal dominance
-            }
-            let x_true: Vec<f64> = (0..n).map(|_| next()).collect();
-            let mut b = vec![0.0; n];
-            a.matvec(&x_true, &mut b);
-            let lu = Lu::factor(&a).unwrap();
-            lu.solve(&mut b);
-            for (got, want) in b.iter().zip(&x_true) {
-                assert!((got - want).abs() < 1e-9, "n={n}");
+                let x_true: Vec<f64> = (0..n).map(|_| next() * 4.0).collect();
+                let mut b = vec![0.0; n];
+                matvec(&a, &x_true, &mut b);
+                solve(&a, &mut b).unwrap();
+                for (got, want) in b.iter().zip(&x_true) {
+                    assert!((got - want).abs() < 1e-8, "n={n}: {got} vs {want}");
+                }
             }
         }
     }
 
     #[test]
     fn singular_matrix_is_reported() {
-        let a = DenseMatrix::from_rows(2, &[1.0, 2.0, 2.0, 4.0]);
-        match Lu::factor(&a) {
+        match solve(&[1.0, 2.0, 2.0, 4.0], &mut [1.0, 1.0]) {
             Err(SolverError::SingularJacobian { .. }) => {}
             other => panic!("expected singular error, got {other:?}"),
         }
@@ -275,14 +181,17 @@ mod tests {
 
     #[test]
     fn rank1_update_matches_definition() {
-        let mut a = DenseMatrix::identity(3);
+        let mut a = vec![0.0; 9];
+        for i in 0..3 {
+            a[i * 3 + i] = 1.0;
+        }
         let u = [1.0, 2.0, 3.0];
         let v = [0.5, -1.0, 2.0];
-        a.rank1_update(2.0, &u, &v);
+        rank1_update(&mut a, 2.0, &u, &v);
         for i in 0..3 {
             for j in 0..3 {
                 let expected = if i == j { 1.0 } else { 0.0 } + 2.0 * u[i] * v[j];
-                assert!((a[(i, j)] - expected).abs() < 1e-14);
+                assert!((a[i * 3 + j] - expected).abs() < 1e-14);
             }
         }
     }
@@ -291,5 +200,20 @@ mod tests {
     fn norms() {
         assert_eq!(norm2(&[3.0, 4.0]), 5.0);
         assert_eq!(norm_inf(&[-3.0, 2.0]), 3.0);
+        assert_eq!(norm_inf(&[]), 0.0);
+        assert_eq!(norm_inf(&[1.0, f64::NEG_INFINITY]), f64::INFINITY);
+    }
+
+    #[test]
+    fn norm_inf_propagates_nan() {
+        for v in [
+            &[f64::NAN][..],
+            &[0.0, f64::NAN],
+            &[f64::NAN, 3.0],
+            &[1e-12, f64::NAN, 1e-12],
+            &[f64::INFINITY, f64::NAN],
+        ] {
+            assert!(norm_inf(v).is_nan(), "{v:?}");
+        }
     }
 }

@@ -1,7 +1,6 @@
-//! Damped Newton with a caller-supplied or finite-difference Jacobian,
-//! Armijo line search and optional Broyden rank-1 updates — the
-//! square-system substitute for the Ipopt NLP solver the paper calls per
-//! grid point (Sec. IV-A).
+//! Damped Newton with a caller-supplied Jacobian, Armijo line search and
+//! optional Broyden rank-1 updates — the square-system substitute for the
+//! Ipopt NLP solver the paper calls per grid point (Sec. IV-A).
 //!
 //! The per-point equilibrium systems of the OLG model are smooth and
 //! square (~59 equations in 59 unknowns), so a globalized Newton iteration
@@ -16,14 +15,11 @@
 //! Jacobian, or one line-search trial — and one [`Rounds::round`] call
 //! evaluates all of them. The caller can therefore turn the residual's
 //! inner interpolation into one wide operation per round instead of one
-//! call per point. A caller that [supplies
-//! Jacobians](Rounds::supplies_jacobians) answers a Jacobian request with
-//! one `n × n` matrix in the same call; for any other, a Jacobian is `n`
-//! forward-difference residual rows. Each system walks exactly the
-//! trajectory it walks alone (same evaluation points, same arithmetic,
-//! same order), so results do not depend on which other systems share the
-//! block. [`newton_block`] is the closure form of the finite-difference
-//! caller and [`newton`] its `m = 1` case.
+//! call per point. Every request is one row: a Jacobian request is
+//! answered with one `n × n` matrix in the same call. Each system walks
+//! exactly the trajectory it walks alone (same evaluation points, same
+//! arithmetic, same order), so results do not depend on which other
+//! systems share the block.
 
 use crate::linalg::{lu_factor, lu_solve, matvec, norm2, norm_inf, rank1_update};
 use crate::SolverError;
@@ -35,9 +31,6 @@ pub struct NewtonOptions {
     pub tolerance: f64,
     /// Maximum Newton iterations.
     pub max_iterations: usize,
-    /// Relative finite-difference step for a Jacobian the caller does
-    /// not supply.
-    pub fd_step: f64,
     /// Armijo sufficient-decrease constant.
     pub armijo_c: f64,
     /// Backtracking factor.
@@ -56,7 +49,6 @@ impl Default for NewtonOptions {
         NewtonOptions {
             tolerance: 1e-9,
             max_iterations: 60,
-            fd_step: 1e-7,
             armijo_c: 1e-4,
             backtrack: 0.5,
             min_step: 1e-10,
@@ -73,16 +65,15 @@ pub struct NewtonReport {
     /// Final `‖F‖_∞`.
     pub residual_norm: f64,
     /// Residual evaluations (the interpolation-dominated cost the paper
-    /// counts), a finite-difference Jacobian's `n` columns included.
+    /// counts).
     pub residual_evals: usize,
-    /// Full Jacobians, supplied or by finite differences.
+    /// Jacobians requested.
     pub jacobian_evals: usize,
 }
 
-/// One round of [`newton_rounds`]: every row an unfinished system needs
-/// evaluated next. A system's rows are consecutive: one for an initial
-/// residual, a Jacobian request or a line-search trial, or — when the
-/// caller does not supply Jacobians — `n` forward-difference columns.
+/// One round of [`newton_rounds`]: the one row each unfinished system
+/// needs evaluated next — an initial residual, a Jacobian request or a
+/// line-search trial.
 #[derive(Debug)]
 pub struct Round<'a> {
     /// `owners[i]`: the system row `i` belongs to.
@@ -90,8 +81,7 @@ pub struct Round<'a> {
     /// `k × n` evaluation points, row-major.
     pub rows: &'a [f64],
     /// The rows, ascending, that ask for the Jacobian `∂F/∂x` at their
-    /// point instead of the residual (always empty for a caller that does
-    /// not supply Jacobians).
+    /// point instead of the residual.
     pub jacobian_rows: &'a [usize],
     /// `k × n`: row `i` takes `F_{owners[i]}(rows[i])` for every row not
     /// in `jacobian_rows`.
@@ -107,27 +97,10 @@ pub struct Round<'a> {
 
 /// The caller's side of [`newton_rounds`]: one call per round.
 pub trait Rounds {
-    /// Evaluates every row of `round`, or rejects it. Rows the call
-    /// neither writes nor rejects keep stale values.
+    /// Evaluates every row of `round` — its residual, or its Jacobian for
+    /// a row in `jacobian_rows` — or rejects it. Rows the call neither
+    /// writes nor rejects keep stale values.
     fn round(&mut self, round: Round<'_>);
-
-    /// Whether [`Self::round`] answers Jacobian requests. When it does
-    /// not (the default), a Jacobian is `n` forward-difference residual
-    /// rows `F(x + h_j e_j)` with `h_j = fd_step · max(|x_j|, 1)`.
-    fn supplies_jacobians(&self) -> bool {
-        false
-    }
-}
-
-/// A residual closure `eval(owners, rows, out, rejected)` is a caller
-/// whose Jacobians are finite differences.
-impl<E> Rounds for E
-where
-    E: FnMut(&[usize], &[f64], &mut [f64], &mut [Option<SolverError>]),
-{
-    fn round(&mut self, round: Round<'_>) {
-        self(round.owners, round.rows, round.out, round.rejected)
-    }
 }
 
 /// What a system asks the next round to evaluate.
@@ -135,8 +108,7 @@ where
 enum Phase {
     /// `F(x)` at the initial guess.
     Initial,
-    /// The Jacobian at `x`: one request, or the `n` forward-difference
-    /// columns `F(x + h_j e_j)`.
+    /// The Jacobian at `x`.
     Jacobian,
     /// One line-search trial `F(x + α d)`.
     Trial,
@@ -178,8 +150,8 @@ pub struct NewtonWorkspace {
     dx: Vec<f64>,
     b_dx: Vec<f64>,
     // One round: the system each row belongs to, the evaluation points,
-    // the rows that request a supplied Jacobian, the residual rows, the
-    // supplied Jacobians and the per-row rejections.
+    // the rows that request a Jacobian, the residual rows, the Jacobians
+    // and the per-row rejections.
     owners: Vec<usize>,
     rows: Vec<f64>,
     jacobian_rows: Vec<usize>,
@@ -214,16 +186,16 @@ impl NewtonWorkspace {
         self.b_dx.resize(n, 0.0);
     }
 
-    /// Consumes the rows the last round evaluated for system `s`, which
-    /// start at row `r`, then runs the system on until it needs another
-    /// evaluation (`None`) or finishes (`Some`). `x` is the system's
-    /// current iterate; `slot` is the index of its Jacobian in the round's
-    /// supplied Jacobians, if it requested one.
+    /// Consumes the row `r` the last round evaluated for system `s`, then
+    /// runs the system on until it needs another evaluation (`None`) or
+    /// finishes (`Some`). `x` is the system's current iterate; `slot`
+    /// counts the round's Jacobian requests before row `r`, so it indexes
+    /// this row's Jacobian if the row is one.
     fn consume(
         &mut self,
         s: usize,
         r: usize,
-        slot: Option<usize>,
+        slot: usize,
         x: &mut [f64],
         opts: &NewtonOptions,
     ) -> Option<Result<NewtonReport, SolverError>> {
@@ -239,28 +211,11 @@ impl NewtonWorkspace {
                 sys.report.residual_evals += 1;
             }
             Phase::Jacobian => {
-                let jac = &mut self.jac[s * n * n..(s + 1) * n * n];
-                if let Some(slot) = slot {
-                    if let Some(error) = self.rejected[r].take() {
-                        return Some(Err(error));
-                    }
-                    jac.copy_from_slice(&self.jacobians[slot * n * n..(slot + 1) * n * n]);
-                } else {
-                    // A rejected column fails the system with the first
-                    // rejected column's error.
-                    if let Some(error) = self.rejected[r..r + n].iter_mut().find_map(Option::take) {
-                        return Some(Err(error));
-                    }
-                    // Forward differences: `J[:,j] = (F(x + h_j e_j) − F(x)) / h_j`.
-                    for j in 0..n {
-                        let at = (r + j) * n;
-                        let h_actual = self.rows[at + j] - x[j]; // exact representable step
-                        for i in 0..n {
-                            jac[i * n + j] = (self.out[at + i] - fx[i]) / h_actual;
-                        }
-                    }
-                    sys.report.residual_evals += n;
+                if let Some(error) = self.rejected[r].take() {
+                    return Some(Err(error));
                 }
+                let jac = &mut self.jac[s * n * n..(s + 1) * n * n];
+                jac.copy_from_slice(&self.jacobians[slot * n * n..(slot + 1) * n * n]);
                 sys.report.jacobian_evals += 1;
                 sys.since_refresh = 0;
                 let lu = &mut self.lu[s * n * n..(s + 1) * n * n];
@@ -408,9 +363,7 @@ impl NewtonWorkspace {
 /// each, in lockstep rounds. `xs` holds the `m` initial guesses row-major
 /// (`m × n`) and is overwritten with the final iterates; the result has
 /// one entry per system, in order. Each round is one
-/// [`Rounds::round`] call (see [`Round`]); how a Jacobian is built is the
-/// only thing [`Rounds::supplies_jacobians`] changes — the LU, the
-/// Broyden schedule, the line search and the rejection rules are the same.
+/// [`Rounds::round`] call (see [`Round`]).
 pub fn newton_rounds<R: Rounds + ?Sized>(
     n: usize,
     xs: &mut [f64],
@@ -421,12 +374,11 @@ pub fn newton_rounds<R: Rounds + ?Sized>(
     assert!(n > 0, "empty system");
     assert_eq!(xs.len() % n, 0, "ragged block of systems");
     let m = xs.len() / n;
-    let supplied = rounds.supplies_jacobians();
     work.reset(m, n);
     let mut outcomes: Vec<Option<Result<NewtonReport, SolverError>>> = vec![None; m];
 
     loop {
-        // Gather: what every unfinished system needs evaluated next.
+        // Gather: the row every unfinished system needs evaluated next.
         work.owners.clear();
         work.rows.clear();
         work.jacobian_rows.clear();
@@ -437,19 +389,10 @@ pub fn newton_rounds<R: Rounds + ?Sized>(
                     work.owners.push(s);
                     work.rows.extend_from_slice(x);
                 }
-                Phase::Jacobian if supplied => {
+                Phase::Jacobian => {
                     work.jacobian_rows.push(work.owners.len());
                     work.owners.push(s);
                     work.rows.extend_from_slice(x);
-                }
-                Phase::Jacobian => {
-                    for j in 0..n {
-                        work.owners.push(s);
-                        work.rows.extend_from_slice(x);
-                        let h = opts.fd_step * x[j].abs().max(1.0);
-                        let at = work.rows.len() - n + j;
-                        work.rows[at] = x[j] + h;
-                    }
                 }
                 Phase::Trial => {
                     work.owners.push(s);
@@ -479,330 +422,20 @@ pub fn newton_rounds<R: Rounds + ?Sized>(
             rejected: &mut work.rejected,
         });
 
-        // Scatter: every owner consumes its rows and runs on.
-        let (mut r, mut slots) = (0, 0..);
-        while r < count {
+        // Scatter: every owner consumes its row and runs on.
+        let mut slot = 0;
+        for r in 0..count {
             let s = work.owners[r];
-            let (taken, slot) = match work.systems[s].phase {
-                Phase::Jacobian if supplied => (1, slots.next()),
-                Phase::Jacobian => (n, None),
-                _ => (1, None),
-            };
+            let jacobian = work.systems[s].phase == Phase::Jacobian;
             if let Some(outcome) = work.consume(s, r, slot, &mut xs[s * n..(s + 1) * n], opts) {
                 work.systems[s].phase = Phase::Done;
                 outcomes[s] = Some(outcome);
             }
-            r += taken;
+            slot += usize::from(jacobian);
         }
     }
     outcomes
         .into_iter()
         .map(|outcome| outcome.expect("the round loop ends when every system has finished"))
         .collect()
-}
-
-/// [`newton_rounds`] for a residual closure: each round calls
-/// `eval(owners, rows, out, rejected)` once, which writes
-/// `F_{owners[i]}(rows[i])` into row `i` of `out` or rejects the point by
-/// setting `rejected[i]`, and every Jacobian is `n` forward-difference
-/// rows.
-pub fn newton_block<E>(
-    n: usize,
-    xs: &mut [f64],
-    opts: &NewtonOptions,
-    work: &mut NewtonWorkspace,
-    mut eval: E,
-) -> Vec<Result<NewtonReport, SolverError>>
-where
-    E: FnMut(&[usize], &[f64], &mut [f64], &mut [Option<SolverError>]),
-{
-    newton_rounds(n, xs, opts, work, &mut eval)
-}
-
-/// Solves `F(x) = 0` for square `F`, starting from `x` (overwritten with
-/// the solution) — [`newton_block`] with one system.
-///
-/// `f(x, out)` writes the residual into `out` and may reject an evaluation
-/// point by returning `Err`, which the line search treats as "step too
-/// long".
-pub fn newton<F>(mut f: F, x: &mut [f64], opts: &NewtonOptions) -> Result<NewtonReport, SolverError>
-where
-    F: FnMut(&[f64], &mut [f64]) -> Result<(), SolverError>,
-{
-    let n = x.len();
-    let mut work = NewtonWorkspace::default();
-    newton_block(n, x, opts, &mut work, |_, rows, out, rejected| {
-        let evaluated = rows.chunks_exact(n).zip(out.chunks_exact_mut(n));
-        for ((row, out), rejected) in evaluated.zip(rejected) {
-            *rejected = f(row, out).err();
-        }
-    })
-    .pop()
-    .expect("one system in, one outcome out")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn solves_linear_system() {
-        // F(x) = A x − b.
-        let mut x = vec![0.0, 0.0];
-        let report = newton(
-            |x, out| {
-                out[0] = 2.0 * x[0] + x[1] - 5.0;
-                out[1] = x[0] - 3.0 * x[1] + 1.0;
-                Ok(())
-            },
-            &mut x,
-            &NewtonOptions::default(),
-        )
-        .unwrap();
-        assert!((x[0] - 2.0).abs() < 1e-8);
-        assert!((x[1] - 1.0).abs() < 1e-8);
-        assert!(report.iterations <= 3);
-    }
-
-    #[test]
-    fn solves_rosenbrock_critical_point() {
-        // Gradient of Rosenbrock: root at (1, 1).
-        let mut x = vec![-1.2, 1.0];
-        let report = newton(
-            |x, out| {
-                out[0] = -2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] * x[0]);
-                out[1] = 200.0 * (x[1] - x[0] * x[0]);
-                Ok(())
-            },
-            &mut x,
-            &NewtonOptions {
-                max_iterations: 500,
-                broyden_refresh: 1, // full Newton: the valley defeats rank-1 updates
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!((x[0] - 1.0).abs() < 1e-6, "x = {x:?}, {report:?}");
-        assert!((x[1] - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn solves_exponential_system() {
-        // x0 = exp(-x1), x1 = exp(-x0): symmetric fixed point.
-        let mut x = vec![1.0, 0.1];
-        newton(
-            |x, out| {
-                out[0] = x[0] - (-x[1]).exp();
-                out[1] = x[1] - (-x[0]).exp();
-                Ok(())
-            },
-            &mut x,
-            &NewtonOptions::default(),
-        )
-        .unwrap();
-        assert!((x[0] - x[1]).abs() < 1e-8);
-        assert!((x[0] - (-x[0]).exp()).abs() < 1e-8);
-    }
-
-    #[test]
-    fn euler_like_crra_system() {
-        // A miniature consumption-savings FOC: u'(c) = β R u'(w − c) with
-        // CRRA u; closed form c = w / (1 + (βR)^{1/γ}).
-        let (beta, r, w, gamma): (f64, f64, f64, f64) = (0.96, 1.05, 2.0, 2.0);
-        let mut x = vec![1.0];
-        newton(
-            |x, out| {
-                let c = x[0];
-                if c <= 0.0 || c >= w {
-                    return Err(SolverError::Rejected("consumption out of bounds".into()));
-                }
-                out[0] = c.powf(-gamma) - beta * r * (w - c).powf(-gamma);
-                Ok(())
-            },
-            &mut x,
-            &NewtonOptions::default(),
-        )
-        .unwrap();
-        let expected = w / (1.0 + (beta * r).powf(1.0 / gamma));
-        assert!((x[0] - expected).abs() < 1e-8);
-    }
-
-    #[test]
-    fn rejected_evaluations_shrink_the_step() {
-        // Residual undefined for x <= 0; start far so full steps overshoot.
-        let mut x = vec![5.0];
-        newton(
-            |x, out| {
-                if x[0] <= 0.0 {
-                    return Err(SolverError::Rejected("x must be positive".into()));
-                }
-                out[0] = x[0].ln();
-                Ok(())
-            },
-            &mut x,
-            &NewtonOptions {
-                max_iterations: 100,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!((x[0] - 1.0).abs() < 1e-7);
-    }
-
-    #[test]
-    fn reports_max_iterations_on_hopeless_system() {
-        // F(x) = 1 + x² has no real root.
-        let mut x = vec![0.0];
-        let err = newton(
-            |x, out| {
-                out[0] = 1.0 + x[0] * x[0];
-                Ok(())
-            },
-            &mut x,
-            &NewtonOptions {
-                max_iterations: 15,
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        match err {
-            SolverError::MaxIterations { residual }
-            | SolverError::LineSearchStalled { residual, .. } => {
-                assert!(residual >= 0.5)
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
-    }
-
-    #[test]
-    fn broyden_reduces_jacobian_builds() {
-        let count_jacobians = |refresh: usize| {
-            let mut x = vec![3.0, -2.0, 1.5, 0.5];
-            let report = newton(
-                |x, out| {
-                    out[0] = x[0] * x[0] - 1.0 + 0.1 * x[1];
-                    out[1] = x[1] * x[1] * x[1] + 8.0 + 0.1 * x[2];
-                    out[2] = (x[2] - 0.5).exp() - 1.0 + 0.05 * x[3];
-                    out[3] = x[3] - 0.25 * x[0];
-                    Ok(())
-                },
-                &mut x,
-                &NewtonOptions {
-                    broyden_refresh: refresh,
-                    max_iterations: 300,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            report.jacobian_evals
-        };
-        let full = count_jacobians(1);
-        let broyden = count_jacobians(8);
-        assert!(broyden < full, "broyden {broyden} jacobians vs full {full}");
-    }
-
-    /// `F(x) = (x₀² − 2, x₀x₁ − 1)` with its exact Jacobian; a system
-    /// whose guess is `x₀ = 0` has a singular Jacobian there, and one with
-    /// `x₀ < 0` has its Jacobian rejected.
-    struct Exact {
-        requests: usize,
-    }
-
-    impl Rounds for Exact {
-        fn round(&mut self, round: Round<'_>) {
-            let mut requests = round.jacobian_rows.iter().enumerate().peekable();
-            for (i, x) in round.rows.chunks_exact(2).enumerate() {
-                if let Some((slot, _)) = requests.next_if(|&(_, &row)| row == i) {
-                    self.requests += 1;
-                    if x[0] < 0.0 {
-                        round.rejected[i] = Some(SolverError::Rejected("x0 < 0".into()));
-                    }
-                    let jac = [2.0 * x[0], 0.0, x[1], x[0]];
-                    round.jacobians[slot * 4..(slot + 1) * 4].copy_from_slice(&jac);
-                } else {
-                    round.out[2 * i] = x[0] * x[0] - 2.0;
-                    round.out[2 * i + 1] = x[0] * x[1] - 1.0;
-                }
-            }
-        }
-
-        fn supplies_jacobians(&self) -> bool {
-            true
-        }
-    }
-
-    #[test]
-    fn a_supplied_jacobian_is_one_request_and_no_residual_row() {
-        let opts = NewtonOptions::default();
-        let guesses = [3.0, 2.0, 0.0, 1.0, 1.0, 0.2, -3.0, -1.0];
-        let mut xs = guesses.to_vec();
-        let mut exact = Exact { requests: 0 };
-        let reports = newton_rounds(
-            2,
-            &mut xs,
-            &opts,
-            &mut NewtonWorkspace::default(),
-            &mut exact,
-        );
-        assert!(matches!(
-            reports[1],
-            Err(SolverError::SingularJacobian { .. })
-        ));
-        assert!(matches!(reports[3], Err(SolverError::Rejected(_))));
-        let mut requests = 2; // the failed systems' one request each
-        for s in [0, 2] {
-            let report = reports[s].as_ref().expect("converges");
-            let x = &xs[2 * s..2 * s + 2];
-            assert!((x[0] - 2f64.sqrt()).abs() < 1e-9 && (x[1] - 0.5f64.sqrt()).abs() < 1e-9);
-            requests += report.jacobian_evals;
-            // The initial residual and one accepted trial per iteration
-            // (no step is rejected on this system): a Jacobian adds none.
-            assert_eq!(report.residual_evals, report.iterations + 1, "{report:?}");
-            // The same root by finite differences, with `n` more residual
-            // rows per Jacobian.
-            let mut fd = guesses[2 * s..2 * s + 2].to_vec();
-            let by_fd = newton(
-                |x, out| {
-                    out[0] = x[0] * x[0] - 2.0;
-                    out[1] = x[0] * x[1] - 1.0;
-                    Ok(())
-                },
-                &mut fd,
-                &opts,
-            )
-            .unwrap();
-            assert!((fd[0] - x[0]).abs() < 1e-9 && (fd[1] - x[1]).abs() < 1e-9);
-            assert_eq!(
-                by_fd.residual_evals,
-                by_fd.iterations + 1 + 2 * by_fd.jacobian_evals
-            );
-        }
-        assert_eq!(exact.requests, requests);
-    }
-
-    #[test]
-    fn converges_on_59_dim_system() {
-        // Same scale as the paper's per-point system: d=59 coupled mildly
-        // nonlinear equations.
-        let n = 59;
-        let mut x = vec![0.5; n];
-        let report = newton(
-            |x, out| {
-                for i in 0..n {
-                    let neighbor = x[(i + 1) % n];
-                    out[i] = x[i].powi(3) + 2.0 * x[i] - 1.0 - 0.3 * neighbor;
-                }
-                Ok(())
-            },
-            &mut x,
-            &NewtonOptions::default(),
-        )
-        .unwrap();
-        assert!(report.residual_norm < 1e-9);
-        // Symmetric system: all components equal, root of x^3 + 1.7x − 1.
-        for v in &x {
-            assert!((v - x[0]).abs() < 1e-8);
-        }
-        assert!((x[0].powi(3) + 1.7 * x[0] - 1.0).abs() < 1e-8);
-    }
 }

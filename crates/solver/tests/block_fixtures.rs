@@ -1,13 +1,16 @@
 //! The block Newton against the scalar loop it replaced. The literals
 //! below are `(x bits, NewtonReport)` or the `SolverError` that the
-//! pre-block `newton` (one system, one evaluation per call) produced on
-//! each fixture, captured before that loop was deleted. Every system must
-//! still end there bit for bit — alone, and in a block with every other
-//! fixture of its size under every fixture's options.
+//! pre-block `newton` (one system, one evaluation per call, Jacobians by
+//! forward differences) produced on each fixture, captured before that
+//! loop was deleted. Every system must still end there bit for bit —
+//! alone, and in a block with every other fixture of its size under every
+//! fixture's options — when its caller answers Jacobian requests with the
+//! same forward differences ([`common::ForwardDifferences`]).
 
-use hddm_solver::{
-    newton, newton_block, NewtonOptions, NewtonReport, NewtonWorkspace, SolverError,
-};
+mod common;
+
+use common::{solve_one, ForwardDifferences};
+use hddm_solver::{newton_rounds, NewtonOptions, NewtonReport, NewtonWorkspace, SolverError};
 
 type Residual = fn(&[f64], &mut [f64]) -> Result<(), SolverError>;
 
@@ -125,7 +128,8 @@ fn fixtures() -> Vec<Fixture> {
 
 /// A solve's end state in comparable form: the final iterate's bits and
 /// the report (iterations, residual-norm bits, residual evaluations,
-/// Jacobians), or the error.
+/// Jacobians), or the error. Residual evaluations count a Jacobian's `n`
+/// forward-difference columns, as the scalar loop counted them.
 type Outcome = (Vec<u64>, Result<(usize, u64, usize, usize), SolverError>);
 
 fn outcome(x: &[f64], result: Result<NewtonReport, SolverError>) -> Outcome {
@@ -135,7 +139,7 @@ fn outcome(x: &[f64], result: Result<NewtonReport, SolverError>) -> Outcome {
             (
                 r.iterations,
                 r.residual_norm.to_bits(),
-                r.residual_evals,
+                r.residual_evals + x.len() * r.jacobian_evals,
                 r.jacobian_evals,
             )
         }),
@@ -144,7 +148,7 @@ fn outcome(x: &[f64], result: Result<NewtonReport, SolverError>) -> Outcome {
 
 fn solve_alone(f: Residual, x0: &[f64], opts: &NewtonOptions) -> Outcome {
     let mut x = x0.to_vec();
-    let result = newton(f, &mut x, opts);
+    let result = solve_one(f, &mut x, opts);
     outcome(&x, result)
 }
 
@@ -156,12 +160,9 @@ fn solve_block(
 ) -> Vec<Outcome> {
     let n = systems[0].x0.len();
     let mut xs: Vec<f64> = systems.iter().flat_map(|s| s.x0.iter().copied()).collect();
-    let results = newton_block(n, &mut xs, opts, work, |owners, rows, out, rejected| {
-        let evaluated = rows.chunks_exact(n).zip(out.chunks_exact_mut(n));
-        for ((&s, (row, out)), rejected) in owners.iter().zip(evaluated).zip(rejected) {
-            *rejected = (systems[s].f)(row, out).err();
-        }
-    });
+    let mut rounds =
+        ForwardDifferences(|s: usize, x: &[f64], out: &mut [f64]| (systems[s].f)(x, out));
+    let results = newton_rounds(n, &mut xs, opts, work, &mut rounds);
     xs.chunks_exact(n)
         .zip(results)
         .map(|(x, result)| outcome(x, result))

@@ -1,16 +1,26 @@
 //! Property tests for the solver crate: LU against random well-conditioned
 //! systems, Newton against affine systems (must converge in one step) and
 //! randomized monotone nonlinear systems, and the block Newton against
-//! any grouping of the systems it is given.
+//! any grouping of the systems it is given. Jacobians are forward
+//! differences ([`common::ForwardDifferences`]).
+
+mod common;
 
 use proptest::prelude::*;
 
-use hddm_solver::{
-    newton, newton_block, DenseMatrix, Lu, NewtonOptions, NewtonReport, NewtonWorkspace,
-    SolverError,
-};
+use common::{solve_one, ForwardDifferences};
+use hddm_solver::linalg::{lu_factor, lu_solve};
+use hddm_solver::{newton_rounds, NewtonOptions, NewtonReport, NewtonWorkspace, SolverError};
 
-fn diag_dominant(n: usize, seed: u64) -> (DenseMatrix, Vec<f64>) {
+/// `y = A x` for a row-major square `A`.
+fn matvec(a: &[f64], x: &[f64], y: &mut [f64]) {
+    for (yi, row) in y.iter_mut().zip(a.chunks_exact(x.len())) {
+        *yi = row.iter().zip(x).map(|(a, b)| a * b).sum();
+    }
+}
+
+/// A row-major `n × n` diagonally dominant matrix and a vector.
+fn diag_dominant(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
     let mut state = seed | 1;
     let mut rnd = move || {
         state ^= state << 13;
@@ -18,12 +28,12 @@ fn diag_dominant(n: usize, seed: u64) -> (DenseMatrix, Vec<f64>) {
         state ^= state << 17;
         (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
     };
-    let mut a = DenseMatrix::zeros(n);
+    let mut a = vec![0.0; n * n];
     for i in 0..n {
         for j in 0..n {
-            a[(i, j)] = rnd();
+            a[i * n + j] = rnd();
         }
-        a[(i, i)] += n as f64 * 0.75 + 2.0;
+        a[i * n + i] += n as f64 * 0.75 + 2.0;
     }
     let x: Vec<f64> = (0..n).map(|_| rnd() * 4.0).collect();
     (a, x)
@@ -31,16 +41,11 @@ fn diag_dominant(n: usize, seed: u64) -> (DenseMatrix, Vec<f64>) {
 
 /// `A x + tanh(x) − 0.8`, undefined where `x₀` exceeds `cap` — so some
 /// systems have trial points rejected and some fail outright.
-fn capped_monotone(
-    a: &DenseMatrix,
-    cap: f64,
-    x: &[f64],
-    out: &mut [f64],
-) -> Result<(), SolverError> {
+fn capped_monotone(a: &[f64], cap: f64, x: &[f64], out: &mut [f64]) -> Result<(), SolverError> {
     if x[0] > cap {
         return Err(SolverError::Rejected(format!("x0 = {} above {cap}", x[0])));
     }
-    a.matvec(x, out);
+    matvec(a, x, out);
     for (o, v) in out.iter_mut().zip(x) {
         *o += v.tanh() - 0.8;
     }
@@ -71,9 +76,11 @@ proptest! {
     fn lu_random_systems(n in 1usize..24, seed in any::<u64>()) {
         let (a, x_true) = diag_dominant(n, seed);
         let mut b = vec![0.0; n];
-        a.matvec(&x_true, &mut b);
-        let lu = Lu::factor(&a).unwrap();
-        lu.solve(&mut b);
+        matvec(&a, &x_true, &mut b);
+        let mut lu = a.clone();
+        let mut pivots = vec![0; n];
+        lu_factor(&mut lu, &mut pivots).unwrap();
+        lu_solve(&lu, &pivots, &mut b);
         for (got, want) in b.iter().zip(&x_true) {
             prop_assert!((got - want).abs() < 1e-8, "{got} vs {want}");
         }
@@ -84,11 +91,11 @@ proptest! {
     fn newton_affine(n in 1usize..12, seed in any::<u64>()) {
         let (a, x_true) = diag_dominant(n, seed);
         let mut rhs = vec![0.0; n];
-        a.matvec(&x_true, &mut rhs);
+        matvec(&a, &x_true, &mut rhs);
         let mut x = vec![0.0; n];
-        let report = newton(
+        let report = solve_one(
             |x, out| {
-                a.matvec(x, out);
+                matvec(&a, x, out);
                 for (o, r) in out.iter_mut().zip(&rhs) {
                     *o -= r;
                 }
@@ -109,9 +116,9 @@ proptest! {
     fn newton_monotone_nonlinear(n in 1usize..10, seed in any::<u64>()) {
         let (a, _) = diag_dominant(n, seed);
         let mut x = vec![0.25; n];
-        let report = newton(
+        let report = solve_one(
             |x, out| {
-                a.matvec(x, out);
+                matvec(&a, x, out);
                 for (i, o) in out.iter_mut().enumerate() {
                     *o += x[i].tanh() - 0.8;
                 }
@@ -123,7 +130,7 @@ proptest! {
         prop_assert!(report.residual_norm < 1e-9);
         // Verify the root independently.
         let mut check = vec![0.0; n];
-        a.matvec(&x, &mut check);
+        matvec(&a, &x, &mut check);
         for (i, c) in check.iter().enumerate() {
             prop_assert!((c + x[i].tanh() - 0.8).abs() < 1e-8);
         }
@@ -145,7 +152,7 @@ proptest! {
             state
         };
         let opts = NewtonOptions { max_iterations: 40, broyden_refresh: 3, ..Default::default() };
-        let systems: Vec<(DenseMatrix, f64, Vec<f64>)> = (0..count)
+        let systems: Vec<(Vec<f64>, f64, Vec<f64>)> = (0..count)
             .map(|_| {
                 let (a, start) = diag_dominant(n, next());
                 // Caps from "never binds" down to "the guess is rejected".
@@ -157,7 +164,7 @@ proptest! {
             .iter()
             .map(|(a, cap, start)| {
                 let mut x = start.clone();
-                let result = newton(|x, out| capped_monotone(a, *cap, x, out), &mut x, &opts);
+                let result = solve_one(|x, out| capped_monotone(a, *cap, x, out), &mut x, &opts);
                 end_state(&x, result)
             })
             .collect();
@@ -172,13 +179,11 @@ proptest! {
         while at < count {
             let members = &order[at..(at + 1 + (next() % 5) as usize).min(count)];
             let mut xs: Vec<f64> = members.iter().flat_map(|&s| systems[s].2.clone()).collect();
-            let results = newton_block(n, &mut xs, &opts, &mut work, |owners, rows, out, rejected| {
-                let evaluated = rows.chunks_exact(n).zip(out.chunks_exact_mut(n));
-                for ((&o, (row, out)), rejected) in owners.iter().zip(evaluated).zip(rejected) {
-                    let (a, cap, _) = &systems[members[o]];
-                    *rejected = capped_monotone(a, *cap, row, out).err();
-                }
+            let mut rounds = ForwardDifferences(|o: usize, x: &[f64], out: &mut [f64]| {
+                let (a, cap, _) = &systems[members[o]];
+                capped_monotone(a, *cap, x, out)
             });
+            let results = newton_rounds(n, &mut xs, &opts, &mut work, &mut rounds);
             for ((&s, x), result) in members.iter().zip(xs.chunks_exact(n)).zip(results) {
                 prop_assert_eq!(&end_state(x, result), &alone[s], "system {} of {:?}", s, members);
             }

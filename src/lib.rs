@@ -4,9 +4,8 @@
 //! *"Rethinking large-scale economic modeling for efficiency: optimizations
 //! for GPU and Xeon Phi clusters"* (IPDPS 2018): adaptive sparse grids with
 //! index compression, vectorized interpolation kernels, a dynamic
-//! `parallel_for` scheduler, a message-passing/cluster-simulation layer, and
-//! a time-iteration driver solving stochastic overlapping-generations
-//! economies.
+//! `parallel_for` scheduler, a message-passing layer, and a time-iteration
+//! driver solving stochastic overlapping-generations economies.
 //!
 //! This facade crate re-exports the workspace members under stable paths:
 //!
@@ -16,8 +15,8 @@
 //! | [`compress`] | `hddm-compress` | Sec. IV-B index compression |
 //! | [`kernels`] | `hddm-kernels` | gold/x86/avx/avx2/avx512 kernels |
 //! | [`gpu`] | `hddm-gpu` | P100 device model + launch pricing |
-//! | [`solver`] | `hddm-solver` | Newton/Broyden/LU (Ipopt substitute) |
-//! | [`cluster`] | `hddm-cluster` | Comm runtime + scaling simulators |
+//! | [`solver`] | `hddm-solver` | lockstep Newton with supplied Jacobians, Broyden, LU (Ipopt substitute) |
+//! | [`cluster`] | `hddm-cluster` | Comm runtime + rank-group assignment |
 //! | [`sched`] | `hddm-sched` | dynamic `parallel_for` over a shared cursor |
 //! | [`olg`] | `hddm-olg` | the stochastic OLG economy |
 //! | [`core`] | `hddm-core` | the time-iteration driver |
