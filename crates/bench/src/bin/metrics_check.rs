@@ -30,6 +30,7 @@ const SWEEP_COUNTERS: &[&str] = &[
     "hddm_cache_disk_hits_total",
     "hddm_solve_oracle_blocks_total",
     "hddm_solve_oracle_points_total",
+    "hddm_solve_oracle_walks_total",
     "hddm_solve_residual_rows_total",
     "hddm_solve_jacobians_total",
     "hddm_solve_newton_iterations_total",

@@ -116,7 +116,7 @@ pub struct DriverConfig {
     pub tolerance: f64,
     /// Telemetry registry receiving per-phase span timings
     /// (`hddm_solve_*_seconds`), the point solver's oracle traffic
-    /// (`hddm_solve_oracle_{blocks,points}_total`) and its work
+    /// (`hddm_solve_oracle_{blocks,points,walks}_total`) and its work
     /// (`hddm_solve_{residual_rows,jacobians,newton_iterations}_total`);
     /// `None` disables all of it.
     pub telemetry: Option<Registry>,
@@ -161,6 +161,7 @@ impl PhaseSpans {
             work: WorkCounters {
                 blocks: registry.counter("hddm_solve_oracle_blocks_total"),
                 points: registry.counter("hddm_solve_oracle_points_total"),
+                walks: registry.counter("hddm_solve_oracle_walks_total"),
                 residual_rows: registry.counter("hddm_solve_residual_rows_total"),
                 jacobians: registry.counter("hddm_solve_jacobians_total"),
                 newton_iterations: registry.counter("hddm_solve_newton_iterations_total"),
@@ -683,6 +684,7 @@ fn solve_frontier<M: StepModel>(
                 let traffic = worker.oracle.take_traffic();
                 counters.blocks.add(traffic.blocks);
                 counters.points.add(traffic.points);
+                counters.walks.add(traffic.walks);
                 let tally = worker.scratch.take_tally();
                 counters.residual_rows.add(tally.residual_rows);
                 counters.jacobians.add(tally.jacobians);
@@ -717,6 +719,7 @@ struct SliceWorker<'a> {
 struct WorkCounters {
     blocks: Arc<Counter>,
     points: Arc<Counter>,
+    walks: Arc<Counter>,
     residual_rows: Arc<Counter>,
     jacobians: Arc<Counter>,
     newton_iterations: Arc<Counter>,

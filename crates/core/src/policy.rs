@@ -1,16 +1,16 @@
 //! Policy-function storage: one adaptive sparse grid interpolant per
 //! discrete state, with domain scaling and the kernel-backed
 //! [`PolicyOracle`] of the per-point solver. Each round of the block
-//! Newton asks it for one [`PointBlock`] per next discrete state
-//! (`Ns = 16` blocks per round at the paper's scale), every block as wide
-//! as the round has rows.
+//! Newton asks it once for `pnext` of every next discrete state (`Ns = 16`
+//! at the paper's scale) at one block as wide as the round has rows: the
+//! rows are clamped, rescaled and transposed into a [`PointBlock`] once,
+//! and every run of states sharing a grid is one walk.
 
 use std::ops::Range;
 
 use hddm_asg::BoxDomain;
 use hddm_kernels::{
-    batch, CompressedState, ExecutionBackend, Gradients, KernelKind, MultiState, PointBlock,
-    Scratch,
+    CompressedState, ExecutionBackend, Gradients, KernelKind, MultiState, PointBlock, Scratch,
 };
 use hddm_olg::PolicyOracle;
 
@@ -67,19 +67,24 @@ impl PolicySet {
     }
 }
 
-/// What an [`AsgOracle`] has evaluated so far: calls and the points in
-/// them (a single-point call is a block of one).
+/// What an [`AsgOracle`] has evaluated so far: `pnext` value evaluations
+/// (a single-point call is a block of one), the points in them, and the
+/// kernel walks that evaluated them — one per run of states sharing a
+/// grid, so `blocks / walks` is the mean number of states a walk served.
+/// A gradient walk's gradient points are none of these.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OracleTraffic {
-    /// Evaluation calls.
+    /// Evaluations, one per state and call.
     pub blocks: u64,
-    /// Points over all calls.
+    /// Points over all evaluations.
     pub points: u64,
+    /// Walks that evaluated them.
+    pub walks: u64,
 }
 
 /// [`PolicyOracle`] implementation on compressed ASG kernels: clamps the
 /// physical query into `B` (the paper's domain truncation), rescales to
-/// the unit cube, and evaluates the requested state's interpolant.
+/// the unit cube, and evaluates the requested states' interpolants.
 pub struct AsgOracle<'a> {
     set: &'a PolicySet,
     kernel: KernelKind,
@@ -102,19 +107,13 @@ impl PolicyOracle for AsgOracle<'_> {
         self.set
             .states
             .evaluate_one(self.kernel, z_next, &self.unit, &mut self.scratch, out);
-        self.traffic.blocks += 1;
-        self.traffic.points += 1;
+        self.count(1, 1, 1);
     }
 
     /// The block as one `PointBlock` through the backend's batch entry:
     /// per point bitwise [`Self::eval`].
     fn eval_block(&mut self, z_next: usize, dim: usize, xs: &[f64], out: &mut [f64]) {
-        self.unit_rows.clear();
-        for x in xs.chunks_exact(dim) {
-            self.clamp_to_unit(x);
-            self.unit_rows.extend_from_slice(&self.unit);
-        }
-        self.block.set_rows(&self.unit_rows);
+        let npts = self.load_block(dim, xs, 0);
         self.backend.evaluate_batch(
             self.kernel,
             self.set.states.state(z_next),
@@ -122,18 +121,19 @@ impl PolicyOracle for AsgOracle<'_> {
             &mut self.scratch,
             out,
         );
-        self.traffic.blocks += 1;
-        self.traffic.points += self.block.len() as u64;
+        self.count(1, npts, 1);
     }
 
-    /// The value states and the gradient states as one gradient walk (an
-    /// observed backend instead sees the value states as a block of their
-    /// own and no gradient walk); the walk's unit-cube gradient times
-    /// `1/width` where the clamp left a coordinate alone, `0` where it
-    /// moved it. Only the value states are traffic.
-    fn eval_block_gradient(
+    /// The block clamped, rescaled and transposed once, then one walk per
+    /// run of states sharing a grid (`MultiState::runs`) — the value walk,
+    /// or with gradient states the gradient walk, through the backend;
+    /// the gradient is the walk's unit-cube gradient times `1/width`
+    /// where the clamp left a coordinate alone, `0` where it moved it.
+    /// Per state bitwise [`Self::eval_block`] and that state's gradient
+    /// walk. Only the value states are traffic.
+    fn eval_states_block(
         &mut self,
-        z_next: usize,
+        ns: usize,
         dim: usize,
         xs: &[f64],
         grads: usize,
@@ -141,6 +141,69 @@ impl PolicyOracle for AsgOracle<'_> {
         values: &mut [f64],
         gradient: &mut [f64],
     ) {
+        let set = self.set;
+        let states = &set.states;
+        assert_eq!(ns, states.num_states(), "one block per next state");
+        let npts = self.load_block(dim, xs, grads);
+        if npts == 0 {
+            return;
+        }
+        let per_state = npts * states.ndofs();
+        let gradient_per_state = grads * dim * coeffs.len();
+        for run in states.runs() {
+            let run_states = &states.states()[run.clone()];
+            let values = &mut values[run.start * per_state..run.end * per_state];
+            if grads == 0 {
+                self.backend.evaluate_states_batch(
+                    self.kernel,
+                    run_states,
+                    &self.block,
+                    &mut self.scratch,
+                    values,
+                );
+            } else {
+                let out =
+                    &mut gradient[run.start * gradient_per_state..run.end * gradient_per_state];
+                self.backend.evaluate_gradient_batch(
+                    self.kernel,
+                    run_states,
+                    &self.block,
+                    &mut self.scratch,
+                    values,
+                    Gradients {
+                        points: grads,
+                        coeffs: coeffs.clone(),
+                        out,
+                    },
+                );
+            }
+        }
+        let scales = self.unit_scales.iter().cycle();
+        for (partials, &scale) in gradient.chunks_exact_mut(coeffs.len().max(1)).zip(scales) {
+            for v in partials {
+                *v *= scale;
+            }
+        }
+        let from = npts - grads;
+        if from > 0 {
+            self.count(ns, ns * from, states.runs().len());
+        }
+    }
+}
+
+impl AsgOracle<'_> {
+    /// Clamps the physical point into `B` and rescales it into
+    /// `self.unit`.
+    fn clamp_to_unit(&mut self, x_phys: &[f64]) {
+        self.phys.copy_from_slice(x_phys);
+        self.set.domain.clamp(&mut self.phys);
+        self.set.domain.to_unit(&self.phys, &mut self.unit);
+    }
+
+    /// Clamps and rescales the point-major `xs` into `self.block` and,
+    /// for its last `grads` points, records `self.unit_scales`; returns
+    /// the number of points.
+    fn load_block(&mut self, dim: usize, xs: &[f64], grads: usize) -> usize {
         let npts = xs.len() / dim;
         let from = npts - grads;
         self.unit_rows.clear();
@@ -157,58 +220,15 @@ impl PolicyOracle for AsgOracle<'_> {
                 self.unit_scales.extend(scales);
             }
         }
-        let state = self.set.states.state(z_next);
-        let (value_rows, walked) = match &self.backend {
-            ExecutionBackend::Cpu => (0, &self.unit_rows[..]),
-            observed => {
-                let (value_units, gradient_units) = self.unit_rows.split_at(from * dim);
-                if from > 0 {
-                    self.block.set_rows(value_units);
-                    let value_out = &mut values[..from * state.ndofs];
-                    observed.evaluate_batch(
-                        self.kernel,
-                        state,
-                        &self.block,
-                        &mut self.scratch,
-                        value_out,
-                    );
-                }
-                (from, gradient_units)
-            }
-        };
-        self.block.set_rows(walked);
-        let len = coeffs.len();
-        batch::interpolate_gradient_batch(
-            self.kernel,
-            state,
-            &self.block,
-            &mut self.scratch,
-            &mut values[value_rows * state.ndofs..],
-            Gradients {
-                points: grads,
-                coeffs,
-                out: gradient,
-            },
-        );
-        for (partials, &scale) in gradient.chunks_exact_mut(len.max(1)).zip(&self.unit_scales) {
-            for v in partials {
-                *v *= scale;
-            }
-        }
-        if from > 0 {
-            self.traffic.blocks += 1;
-            self.traffic.points += from as u64;
-        }
+        self.block.set_rows(&self.unit_rows);
+        npts
     }
-}
 
-impl AsgOracle<'_> {
-    /// Clamps the physical point into `B` and rescales it into
-    /// `self.unit`.
-    fn clamp_to_unit(&mut self, x_phys: &[f64]) {
-        self.phys.copy_from_slice(x_phys);
-        self.set.domain.clamp(&mut self.phys);
-        self.set.domain.to_unit(&self.phys, &mut self.unit);
+    /// Adds one call's evaluations, points and walks to the traffic.
+    fn count(&mut self, blocks: usize, points: usize, walks: usize) {
+        self.traffic.blocks += blocks as u64;
+        self.traffic.points += points as u64;
+        self.traffic.walks += walks as u64;
     }
 
     /// Returns the traffic since the last call and starts a new tally.
@@ -285,17 +305,21 @@ mod tests {
             ExecutionBackend::Observed(seen.clone()),
         ] {
             let mut oracle = set.oracle_on(KernelKind::Avx2, backend);
-            let (mut values, mut gradient) = ([0.0; 3], [f64::NAN; 4]);
-            oracle.eval_block_gradient(1, 2, &xs, 2, 0..1, &mut values, &mut gradient);
-            assert!((values[0] + 6.0).abs() < 1e-9, "{values:?}");
-            assert!((gradient[0] + 2.0).abs() < 1e-12, "{gradient:?}");
-            assert!(gradient[1].abs() < 1e-12, "{gradient:?}");
-            assert_eq!(gradient[2..], [0.0, 0.0]);
+            let (mut values, mut gradient) = ([0.0; 6], [f64::NAN; 8]);
+            oracle.eval_states_block(2, 2, &xs, 2, 0..1, &mut values, &mut gradient);
+            for (z, slope) in [1.5, -2.0].into_iter().enumerate() {
+                let (values, gradient) = (&values[z * 3..], &gradient[z * 4..(z + 1) * 4]);
+                assert!((values[0] - 3.0 * slope).abs() < 1e-9, "{values:?}");
+                assert!((gradient[0] - slope).abs() < 1e-12, "{gradient:?}");
+                assert!(gradient[1].abs() < 1e-12, "{gradient:?}");
+                assert_eq!(gradient[2..], [0.0, 0.0]);
+            }
+            // Both states share a grid: one walk served them.
             let traffic = oracle.take_traffic();
-            assert_eq!((traffic.blocks, traffic.points), (1, 1));
+            assert_eq!((traffic.blocks, traffic.points, traffic.walks), (2, 2, 1));
         }
-        // The observer priced the value state and no gradient walk.
-        assert_eq!(seen.0.load(std::sync::atomic::Ordering::Relaxed), 1);
+        // The observer priced each state's value state and no gradient.
+        assert_eq!(seen.0.load(std::sync::atomic::Ordering::Relaxed), 2);
     }
 
     #[test]

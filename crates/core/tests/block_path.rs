@@ -199,9 +199,10 @@ fn solver_blocks_reach_the_registry_and_the_observer() {
         let names = [
             "hddm_solve_oracle_blocks_total",
             "hddm_solve_oracle_points_total",
+            "hddm_solve_oracle_walks_total",
         ];
-        let [blocks, points] = counters(registry, names);
-        (blocks, points)
+        let [blocks, points, walks] = counters(registry, names);
+        (blocks, points, walks)
     };
 
     // The block path, observed, on two threads: same policies, its
@@ -219,8 +220,15 @@ fn solver_blocks_reach_the_registry_and_the_observer() {
     );
     let reports = ti.run();
     assert_eq!(policy_bits(&ti.policy), policy_bits(&reference));
-    let (blocks, points) = traffic(&registry);
+    let (blocks, points, walks) = traffic(&registry);
     assert!(points > 8 * blocks, "{points} points in {blocks} blocks");
+    // The first step's `pnext` is the start policy, one grid for both
+    // states, so its blocks come in pairs per walk; the second's grids
+    // are refined apart.
+    assert!(
+        walks < blocks && 2 * walks > blocks,
+        "{blocks} blocks in {walks} walks"
+    );
     assert!(observer.0.load(Ordering::Relaxed) > points);
 
     // The point solver's tally reaches the same registry: every residual
@@ -268,7 +276,7 @@ fn solver_blocks_reach_the_registry_and_the_observer() {
     assert_eq!(work(&one_thread), [residual_rows, jacobians, iterations]);
 
     // The row path makes the same evaluations point solve by point
-    // solve: every value walk is one point.
+    // solve: every value evaluation is one point.
     let row_registry = Registry::new();
     let mut ti = TimeIteration::new(
         RowOnly(OlgStep::new(instance())),
@@ -278,9 +286,11 @@ fn solver_blocks_reach_the_registry_and_the_observer() {
         },
     );
     ti.run();
-    let (row_blocks, row_points) = traffic(&row_registry);
+    let (row_blocks, row_points, row_walks) = traffic(&row_registry);
     assert_eq!(row_points, points);
     assert!(row_points == row_blocks && row_blocks > blocks);
+    // A one-point call shares its walk as a wide one does.
+    assert!(row_walks < row_blocks && 2 * row_walks > row_blocks);
 }
 
 #[test]

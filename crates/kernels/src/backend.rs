@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use crate::{batch, ChunkCounts, CompressedState, KernelKind, PointBlock, Scratch};
+use crate::{batch, ChunkCounts, CompressedState, Gradients, KernelKind, PointBlock, Scratch};
 
 /// Receives the counts of every block an observed backend evaluates.
 pub trait BlockObserver: Send + Sync + std::fmt::Debug {
@@ -39,11 +39,59 @@ impl ExecutionBackend {
         scratch: &mut Scratch,
         out: &mut [f64],
     ) {
+        self.evaluate_states_batch(kernel, std::slice::from_ref(state), block, scratch, out)
+    }
+
+    /// [`Self::evaluate_batch`] for a run of states that walk alike
+    /// (`MultiState::runs`) in one walk: `out` is `states × npts × ndofs`.
+    /// `Observed` is told of every state, in order, with the walk's counts
+    /// — the records a walk of that state alone reports.
+    pub fn evaluate_states_batch(
+        &self,
+        kernel: KernelKind,
+        states: &[CompressedState],
+        block: &PointBlock,
+        scratch: &mut Scratch,
+        out: &mut [f64],
+    ) {
         match self {
-            ExecutionBackend::Cpu => kernel.evaluate_compressed_batch(state, block, scratch, out),
+            ExecutionBackend::Cpu => batch::walk(kernel, states, block, scratch, out, |_| {}),
             ExecutionBackend::Observed(observer) => {
-                let counts = batch::interpolate_batch(kernel, state, block, scratch, out);
-                observer.observe(state, &counts)
+                let counts = batch::interpolate_states_batch(kernel, states, block, scratch, out);
+                for state in states {
+                    observer.observe(state, &counts)
+                }
+            }
+        }
+    }
+
+    /// The gradient walk of a run of states
+    /// ([`batch::interpolate_gradient_batch`]). `Observed` is told of
+    /// every state with the counts of the block's value points — what it
+    /// is told by [`Self::evaluate_batch`] of those points alone — and of
+    /// nothing when there are none: no backend prices a gradient.
+    pub fn evaluate_gradient_batch(
+        &self,
+        kernel: KernelKind,
+        states: &[CompressedState],
+        block: &PointBlock,
+        scratch: &mut Scratch,
+        values: &mut [f64],
+        gradients: Gradients<'_>,
+    ) {
+        match self {
+            ExecutionBackend::Cpu => {
+                batch::walk_gradient(kernel, states, block, scratch, values, gradients, |_| {})
+            }
+            ExecutionBackend::Observed(observer) => {
+                let counts = batch::interpolate_gradient_batch(
+                    kernel, states, block, scratch, values, gradients,
+                );
+                if !counts.is_empty() {
+                    for state in states {
+                        observer.observe(state, &counts)
+                    }
+                }
             }
         }
     }

@@ -58,6 +58,15 @@
 //! (bitwise the value walk's) and whose last points want the gradient of
 //! a coefficient range instead. It is compiled per kernel through the
 //! same entries.
+//!
+//! Both walks take a **run of states** whose grids walk alike (the
+//! discrete states of one policy that share a grid, as recorded by
+//! `MultiState::runs`): per chunk the fill, slopes, bound pass, survivor
+//! list, chain products and gradient partials are computed once, and each
+//! state's surplus rows are then accumulated into that state's own output
+//! block. A single state is a run of one. Every output element still
+//! receives the same instructions in chain order, so a state's values and
+//! gradients are bitwise those of a walk of it alone.
 
 use std::ops::Range;
 
@@ -432,13 +441,13 @@ mod isa {
             // SAFETY: caller must ensure the host supports `$features`.
             #[target_feature(enable = $features)]
             pub(super) unsafe fn $name(
-                state: &CompressedState,
+                states: &[CompressedState],
                 block: &PointBlock,
                 scratch: &mut Scratch,
                 out: &mut [f64],
                 sink: impl FnMut(ChunkCounts),
             ) {
-                span(state, block, scratch, out, sink, |t, m, row, o, stride| {
+                span(states, block, scratch, out, sink, |t, m, row, o, stride| {
                     // SAFETY: this entry's caller vouched for the features.
                     unsafe { accum_strips::<$isa>(t, m, row, o, stride) }
                 })
@@ -447,18 +456,20 @@ mod isa {
             // SAFETY: caller must ensure the host supports `$features`.
             #[target_feature(enable = $features)]
             pub(super) unsafe fn $gradient(
-                state: &CompressedState,
+                states: &[CompressedState],
                 block: &PointBlock,
                 scratch: &mut Scratch,
                 values: &mut [f64],
                 gradients: Gradients<'_>,
+                sink: impl FnMut(ChunkCounts),
             ) {
                 span_gradient(
-                    state,
+                    states,
                     block,
                     scratch,
                     values,
                     gradients,
+                    sink,
                     |t, m, row, o, stride| {
                         // SAFETY: this entry's caller vouched for the features.
                         unsafe { accum_strips::<$isa>(t, m, row, o, stride) }
@@ -483,10 +494,12 @@ fn alive(v: &[f64]) -> u64 {
     mask
 }
 
-/// Evaluates `block` chunk by chunk, writing `out[k·ndofs ..]` for point
-/// `k`, and hands each chunk's [`ChunkCounts`] to `sink`. Shared body of
-/// every batch variant — the only *block* basis fill and chain walk; the
-/// single-point walks are `x86::interpolate`, `vector::skeleton` and
+/// Evaluates `block` chunk by chunk on a run of states that walk alike
+/// (the first state's grid is walked), writing state `s`'s row of point
+/// `k` to `out[(s·npts + k)·ndofs ..]`, and hands each chunk's
+/// [`ChunkCounts`] to `sink` — once: they are every state's. Shared body
+/// of every batch variant — the only *block* basis fill and chain walk;
+/// the single-point walks are `x86::interpolate`, `vector::skeleton` and
 /// `CompressedGrid::fill_xpv` with its scalar interpolants — inlined
 /// into one entry per kernel, so each pass below is
 /// compiled for that kernel's instruction set and `accum` is a direct,
@@ -494,19 +507,19 @@ fn alive(v: &[f64]) -> u64 {
 /// compiler drops, so the un-observed path pays nothing.
 #[inline(always)]
 fn span(
-    state: &CompressedState,
+    states: &[CompressedState],
     block: &PointBlock,
     scratch: &mut Scratch,
     out: &mut [f64],
     mut sink: impl FnMut(ChunkCounts),
     accum: impl Fn(&[f64], u64, &[f64], &mut [f64], usize),
 ) {
-    let cg = &state.grid;
-    let ndofs = state.ndofs;
+    let cg = &states[0].grid;
+    let ndofs = states[0].ndofs;
     let xps = cg.xps();
     let nfreq = cg.nfreq();
     let chains = cg.chains();
-    let surplus = &state.surplus;
+    let per_state = block.len() * ndofs;
     out.fill(0.0);
 
     let mut at = 0;
@@ -550,13 +563,12 @@ fn span(
             kept += (bound != 0) as usize;
         }
 
-        // Products and accumulation, over the survivors only.
+        // Products and accumulation, over the survivors only: each
+        // product once, into every state's rows.
         let mut counts = ChunkCounts {
             chunk,
             ..ChunkCounts::default()
         };
-        let o = at * ndofs;
-        let out_chunk = &mut out[o..o + chunk * ndofs];
         for &p in &survivors[..kept] {
             let p = p as usize;
             let chain = &chains[p * nfreq..(p + 1) * nfreq];
@@ -590,13 +602,16 @@ fn span(
             }
             counts.rows_touched += 1;
             counts.alive_pairs += mask.count_ones() as usize;
-            accum(
-                product,
-                mask,
-                &surplus[p * ndofs..(p + 1) * ndofs],
-                out_chunk,
-                ndofs,
-            );
+            for (s, state) in states.iter().enumerate() {
+                let o = s * per_state + at * ndofs;
+                accum(
+                    product,
+                    mask,
+                    &state.surplus[p * ndofs..(p + 1) * ndofs],
+                    &mut out[o..o + chunk * ndofs],
+                    ndofs,
+                );
+            }
         }
         sink(counts);
         at += chunk;
@@ -614,9 +629,10 @@ pub struct Gradients<'a> {
     /// The coefficients differentiated: a contiguous range of the
     /// surplus row.
     pub coeffs: Range<usize>,
-    /// `points × dim × coeffs.len()`, dimension-major per point:
-    /// `out[(g·dim + t)·len + c]` is `∂ coefficient (coeffs.start + c) /
-    /// ∂ x_t` at gradient point `g`, in unit-cube coordinates.
+    /// `states × points × dim × coeffs.len()`, state-major, then
+    /// dimension-major per point: `out[((s·points + g)·dim + t)·len + c]`
+    /// is `∂ coefficient (coeffs.start + c) / ∂ x_t` of the walk's state
+    /// `s` at gradient point `g`, in unit-cube coordinates.
     pub out: &'a mut [f64],
 }
 
@@ -637,32 +653,36 @@ fn hat_slope(x: f64, l: f64, i: f64, v: f64) -> f64 {
 
 /// The gradient walk: [`span`]'s fill, bound pass and survivor list over
 /// a block whose first points want their value rows (written to `values`,
-/// `npts × ndofs`, exactly as `span` writes them) and whose last
-/// `gradients.points` want the gradient of a coefficient range instead.
+/// `states × npts × ndofs`, exactly as `span` writes them) and whose last
+/// `gradients.points` want the gradient of a coefficient range instead,
+/// for a run of states that walk alike. `sink` gets the counts of the
+/// value lanes of every chunk that has one: the records `span` reports
+/// for a block of the value points alone.
 ///
 /// A chain of factors `f_1…f_L` has the partial derivative `s_k ·
 /// ∏_{m≠k} f_m` in the dimension of factor `k`, where `s_k` is the
 /// factor's hat slope; the partials come from one prefix and one suffix
-/// pass over the chain (the slope column itself when `L = 1`) and go into
-/// the gradient rows through the kernel's own `accum`, one call per
-/// factor. Every lane's arithmetic is its own, so neither values nor
-/// gradients depend on the block or the chunk a point is in. The value
-/// rows of gradient points are left as zeros.
+/// pass over the chain (the slope column itself when `L = 1`), once per
+/// chunk and chain, and go into every state's gradient rows through the
+/// kernel's own `accum`, one call per factor. Every lane's arithmetic is
+/// its own, so neither values nor gradients depend on the block or the
+/// chunk a point is in, nor on the run a state is in. The value rows of
+/// gradient points are left as zeros.
 #[inline(always)]
 fn span_gradient(
-    state: &CompressedState,
+    states: &[CompressedState],
     block: &PointBlock,
     scratch: &mut Scratch,
     values: &mut [f64],
     gradients: Gradients<'_>,
+    mut sink: impl FnMut(ChunkCounts),
     accum: impl Fn(&[f64], u64, &[f64], &mut [f64], usize),
 ) {
-    let cg = &state.grid;
-    let (dim, ndofs) = (cg.dim(), state.ndofs);
+    let cg = &states[0].grid;
+    let (dim, ndofs) = (cg.dim(), states[0].ndofs);
     let xps = cg.xps();
     let nfreq = cg.nfreq();
     let chains = cg.chains();
-    let surplus = &state.surplus;
     let Gradients {
         points: grads,
         coeffs,
@@ -671,6 +691,7 @@ fn span_gradient(
     let (len, stride) = (coeffs.len(), dim * coeffs.len());
     let npts = block.len();
     let nv = npts - grads;
+    let (values_per_state, gradient_per_state) = (npts * ndofs, grads * stride);
     values.fill(0.0);
     gradient.fill(0.0);
 
@@ -715,11 +736,15 @@ fn span_gradient(
             kept += (bound != 0) as usize;
         }
 
-        // The chunk's value rows, and its gradient rows from its first
-        // gradient lane `cv` on.
-        let value_chunk = &mut values[at * ndofs..(at + chunk) * ndofs];
+        // Each state's value rows of the chunk start at `vo`, its gradient
+        // rows from the chunk's first gradient lane `cv` on at `go`.
+        let mut counts = ChunkCounts {
+            chunk: cv,
+            ..ChunkCounts::default()
+        };
+        let vo = |s: usize| s * values_per_state + at * ndofs;
         let g0 = (at + cv).saturating_sub(nv);
-        let gradient_chunk = &mut gradient[g0 * stride..(g0 + chunk - cv) * stride];
+        let go = |s: usize| s * gradient_per_state + g0 * stride;
         let col = |idx: u32| &xpvb[idx as usize * chunk..][..chunk];
         for &p in &buf.survivors[..kept] {
             let p = p as usize;
@@ -731,6 +756,7 @@ fn span_gradient(
                 .fold(full, |b, &idx| b & buf.colmask[idx as usize]);
             if bound & vmask != 0 {
                 // `span`'s products and exact mask, for the value lanes.
+                counts.factor_cols += len_p.max(1);
                 let (product, mask) = if len_p <= 1 {
                     (col(chain[0]), buf.colmask[chain[0] as usize])
                 } else {
@@ -745,8 +771,13 @@ fn span_gradient(
                     (&*buf.temps, alive(buf.temps))
                 };
                 if mask & vmask != 0 {
-                    let row = &surplus[p * ndofs..(p + 1) * ndofs];
-                    accum(product, mask & vmask, row, value_chunk, ndofs);
+                    counts.rows_touched += 1;
+                    counts.alive_pairs += (mask & vmask).count_ones() as usize;
+                    for (s, state) in states.iter().enumerate() {
+                        let row = &state.surplus[p * ndofs..(p + 1) * ndofs];
+                        let value_chunk = &mut values[vo(s)..vo(s) + chunk * ndofs];
+                        accum(product, mask & vmask, row, value_chunk, ndofs);
+                    }
                 }
             }
             // A gradient lane needs every factor positive — the bound, not
@@ -755,7 +786,6 @@ fn span_gradient(
             if gm == 0 || len_p == 0 {
                 continue;
             }
-            let row = &surplus[p * ndofs + coeffs.start..p * ndofs + coeffs.end];
             // Where a factor's dimension starts in a gradient row; lane `j`
             // of the chunk is gradient row `j − cv`.
             let offset = |idx: u32| xps[idx as usize].index as usize * len;
@@ -784,56 +814,156 @@ fn span_gradient(
                 1 => (&*slopes, factors[0] as usize * chunk),
                 _ => (&*buf.partials, 0),
             };
-            for (k, &idx) in factors.iter().enumerate() {
-                let partial = &partials[first + k * chunk + cv..first + (k + 1) * chunk];
-                accum(
-                    partial,
-                    gm >> cv,
-                    row,
-                    &mut gradient_chunk[offset(idx)..],
-                    stride,
-                );
+            for (s, state) in states.iter().enumerate() {
+                let row = &state.surplus[p * ndofs + coeffs.start..p * ndofs + coeffs.end];
+                let gradient_chunk = &mut gradient[go(s)..go(s) + (chunk - cv) * stride];
+                for (k, &idx) in factors.iter().enumerate() {
+                    let partial = &partials[first + k * chunk + cv..first + (k + 1) * chunk];
+                    accum(
+                        partial,
+                        gm >> cv,
+                        row,
+                        &mut gradient_chunk[offset(idx)..],
+                        stride,
+                    );
+                }
             }
+        }
+        if cv > 0 {
+            sink(counts);
         }
         at += chunk;
     }
 }
 
-/// `kernel`'s batch walk over the whole block, whatever its width,
-/// handing each chunk's [`ChunkCounts`] to `sink` in chunk order. A
-/// vector kernel the host lacks falls back to the portable lane
-/// accumulator of the same width (mirroring the single-point kernels'
-/// substitution table).
+/// Checks a run of states against the block one walk takes them over (in
+/// full only in debug builds: comparing the grids costs a walk's bound
+/// pass).
+fn check_run(states: &[CompressedState], block: &PointBlock) {
+    let first = states.first().expect("a run holds at least one state");
+    assert_eq!(block.dim(), first.grid.dim(), "point/grid dim mismatch");
+    assert!(
+        states[1..]
+            .iter()
+            .all(|s| s.ndofs == first.ndofs && s.grid.nno() == first.grid.nno()),
+        "a run's states must share ndofs and grid size"
+    );
+    debug_assert!(
+        states[1..].iter().all(|s| first.walks_like(s)),
+        "a run's states must walk alike"
+    );
+}
+
+/// `kernel`'s batch walk over the whole block for a run of states that
+/// walk alike, whatever its width, handing each chunk's [`ChunkCounts`]
+/// to `sink` in chunk order. A vector kernel the host lacks falls back
+/// to the portable lane accumulator of the same width (mirroring the
+/// single-point kernels' substitution table).
 pub(crate) fn walk(
     kernel: KernelKind,
-    state: &CompressedState,
+    states: &[CompressedState],
     block: &PointBlock,
     scratch: &mut Scratch,
     out: &mut [f64],
     sink: impl FnMut(ChunkCounts),
 ) {
-    assert_eq!(block.dim(), state.grid.dim(), "point/grid dim mismatch");
+    check_run(states, block);
     assert_eq!(
         out.len(),
-        block.len() * state.ndofs,
-        "output must be npts × ndofs"
+        states.len() * block.len() * states[0].ndofs,
+        "output must be states × npts × ndofs"
     );
     match (kernel, kernel.native()) {
         (KernelKind::Gold, _) => panic!("gold kernel requires DenseState"),
-        (KernelKind::X86, _) => span(state, block, scratch, out, sink, accum_scalar),
+        (KernelKind::X86, _) => span(states, block, scratch, out, sink, accum_scalar),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `native()` detected `avx`.
-        (KernelKind::Avx, true) => unsafe { isa::span_avx(state, block, scratch, out, sink) },
+        (KernelKind::Avx, true) => unsafe { isa::span_avx(states, block, scratch, out, sink) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `native()` detected `avx2` and `fma`.
-        (KernelKind::Avx2, true) => unsafe { isa::span_avx2(state, block, scratch, out, sink) },
+        (KernelKind::Avx2, true) => unsafe { isa::span_avx2(states, block, scratch, out, sink) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `native()` detected `avx512f`.
-        (KernelKind::Avx512, true) => unsafe { isa::span_avx512(state, block, scratch, out, sink) },
+        (KernelKind::Avx512, true) => unsafe {
+            isa::span_avx512(states, block, scratch, out, sink)
+        },
         (KernelKind::Avx | KernelKind::Avx2, _) => {
-            span(state, block, scratch, out, sink, accum_lanes::<4>)
+            span(states, block, scratch, out, sink, accum_lanes::<4>)
         }
-        (KernelKind::Avx512, _) => span(state, block, scratch, out, sink, accum_lanes::<8>),
+        (KernelKind::Avx512, _) => span(states, block, scratch, out, sink, accum_lanes::<8>),
+    }
+}
+
+/// `kernel`'s gradient walk over the whole block for a run of states that
+/// walk alike (see [`interpolate_gradient_batch`]), handing the counts of
+/// each chunk's value lanes to `sink` in chunk order.
+pub(crate) fn walk_gradient(
+    kernel: KernelKind,
+    states: &[CompressedState],
+    block: &PointBlock,
+    scratch: &mut Scratch,
+    values: &mut [f64],
+    gradients: Gradients<'_>,
+    sink: impl FnMut(ChunkCounts),
+) {
+    check_run(states, block);
+    let (ns, dim, npts, ndofs) = (states.len(), block.dim(), block.len(), states[0].ndofs);
+    assert_eq!(
+        values.len(),
+        ns * npts * ndofs,
+        "values must be states × npts × ndofs"
+    );
+    assert!(gradients.points <= npts, "more gradient points than points");
+    assert!(gradients.coeffs.end <= ndofs, "coefficients out of the row");
+    assert_eq!(
+        gradients.out.len(),
+        ns * gradients.points * dim * gradients.coeffs.len(),
+        "gradients must be states × points × dim × coefficients"
+    );
+    match (kernel, kernel.native()) {
+        (KernelKind::Gold, _) => panic!("gold kernel requires DenseState"),
+        (KernelKind::X86, _) => span_gradient(
+            states,
+            block,
+            scratch,
+            values,
+            gradients,
+            sink,
+            accum_scalar,
+        ),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `native()` detected `avx`.
+        (KernelKind::Avx, true) => unsafe {
+            isa::gradient_avx(states, block, scratch, values, gradients, sink)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `native()` detected `avx2` and `fma`.
+        (KernelKind::Avx2, true) => unsafe {
+            isa::gradient_avx2(states, block, scratch, values, gradients, sink)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `native()` detected `avx512f`.
+        (KernelKind::Avx512, true) => unsafe {
+            isa::gradient_avx512(states, block, scratch, values, gradients, sink)
+        },
+        (KernelKind::Avx | KernelKind::Avx2, _) => span_gradient(
+            states,
+            block,
+            scratch,
+            values,
+            gradients,
+            sink,
+            accum_lanes::<4>,
+        ),
+        (KernelKind::Avx512, _) => span_gradient(
+            states,
+            block,
+            scratch,
+            values,
+            gradients,
+            sink,
+            accum_lanes::<8>,
+        ),
     }
 }
 
@@ -849,70 +979,48 @@ pub fn interpolate_batch(
     scratch: &mut Scratch,
     out: &mut [f64],
 ) -> Vec<ChunkCounts> {
+    interpolate_states_batch(kernel, std::slice::from_ref(state), block, scratch, out)
+}
+
+/// [`interpolate_batch`] for a run of states that walk alike (consecutive
+/// states of one `MultiState` run) in one walk: `out` is `states × npts ×
+/// ndofs`, each state's block bitwise what `interpolate_batch` writes for
+/// it, and the counts — one record per chunk — are each state's.
+pub fn interpolate_states_batch(
+    kernel: KernelKind,
+    states: &[CompressedState],
+    block: &PointBlock,
+    scratch: &mut Scratch,
+    out: &mut [f64],
+) -> Vec<ChunkCounts> {
     let mut counts = Vec::with_capacity(block.len().div_ceil(BATCH_CHUNK));
-    walk(kernel, state, block, scratch, out, |c| counts.push(c));
+    walk(kernel, states, block, scratch, out, |c| counts.push(c));
     counts
 }
 
-/// `kernel`'s gradient walk over the whole block: the first `npts −
-/// gradients.points` points get their value rows in `values` (`npts ×
-/// ndofs`), bitwise what [`interpolate_batch`] writes for them, and the
-/// rest the gradient of `gradients.coeffs` in `gradients.out` (see
-/// [`Gradients`]); their value rows are zeros. A point's gradient does
-/// not depend on the block it is in. There are no [`ChunkCounts`]: a
-/// device model prices value walks. Panics for [`KernelKind::Gold`].
+/// `kernel`'s gradient walk over the whole block for a run of states that
+/// walk alike: the first `npts − gradients.points` points get their value
+/// rows in `values` (`states × npts × ndofs`), bitwise what
+/// [`interpolate_states_batch`] writes for them, and the rest the gradient
+/// of `gradients.coeffs` in `gradients.out` (see [`Gradients`]); their
+/// value rows are zeros. A point's gradient does not depend on the block
+/// it is in. The counts are those of the value points — exactly what
+/// [`interpolate_batch`] reports for a block of them alone (none when
+/// there are none): a device model prices value walks. Panics for
+/// [`KernelKind::Gold`].
 pub fn interpolate_gradient_batch(
     kernel: KernelKind,
-    state: &CompressedState,
+    states: &[CompressedState],
     block: &PointBlock,
     scratch: &mut Scratch,
     values: &mut [f64],
     gradients: Gradients<'_>,
-) {
-    let (dim, npts) = (state.grid.dim(), block.len());
-    assert_eq!(block.dim(), dim, "point/grid dim mismatch");
-    assert_eq!(
-        values.len(),
-        npts * state.ndofs,
-        "values must be npts × ndofs"
-    );
-    assert!(gradients.points <= npts, "more gradient points than points");
-    assert!(
-        gradients.coeffs.end <= state.ndofs,
-        "coefficients out of the row"
-    );
-    assert_eq!(
-        gradients.out.len(),
-        gradients.points * dim * gradients.coeffs.len(),
-        "gradients must be points × dim × coefficients"
-    );
-    match (kernel, kernel.native()) {
-        (KernelKind::Gold, _) => panic!("gold kernel requires DenseState"),
-        (KernelKind::X86, _) => {
-            span_gradient(state, block, scratch, values, gradients, accum_scalar)
-        }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `native()` detected `avx`.
-        (KernelKind::Avx, true) => unsafe {
-            isa::gradient_avx(state, block, scratch, values, gradients)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `native()` detected `avx2` and `fma`.
-        (KernelKind::Avx2, true) => unsafe {
-            isa::gradient_avx2(state, block, scratch, values, gradients)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `native()` detected `avx512f`.
-        (KernelKind::Avx512, true) => unsafe {
-            isa::gradient_avx512(state, block, scratch, values, gradients)
-        },
-        (KernelKind::Avx | KernelKind::Avx2, _) => {
-            span_gradient(state, block, scratch, values, gradients, accum_lanes::<4>)
-        }
-        (KernelKind::Avx512, _) => {
-            span_gradient(state, block, scratch, values, gradients, accum_lanes::<8>)
-        }
-    }
+) -> Vec<ChunkCounts> {
+    let mut counts = Vec::new();
+    walk_gradient(kernel, states, block, scratch, values, gradients, |c| {
+        counts.push(c)
+    });
+    counts
 }
 
 #[cfg(test)]

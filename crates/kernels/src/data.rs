@@ -96,6 +96,17 @@ impl CompressedState {
         self.grid.append_nodes(grid, new_ids);
         self.surplus.extend_from_slice(rows);
     }
+
+    /// Whether the batch walk over `other` takes exactly the steps it
+    /// takes over `self` — same dimension, `nfreq`, `xps` and `chains`,
+    /// whatever the surpluses — so one walk can serve both.
+    pub(crate) fn walks_like(&self, other: &CompressedState) -> bool {
+        let (a, b) = (&self.grid, &other.grid);
+        a.dim() == b.dim()
+            && a.nfreq() == b.nfreq()
+            && a.xps() == b.xps()
+            && a.chains() == b.chains()
+    }
 }
 
 /// Reusable per-thread evaluation scratch. Sized for the largest state it

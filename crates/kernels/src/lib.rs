@@ -119,7 +119,14 @@ impl KernelKind {
         scratch: &mut Scratch,
         out: &mut [f64],
     ) {
-        batch::walk(self, state, block, scratch, out, |_| {});
+        batch::walk(
+            self,
+            std::slice::from_ref(state),
+            block,
+            scratch,
+            out,
+            |_| {},
+        );
     }
 }
 

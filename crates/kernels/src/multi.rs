@@ -4,9 +4,15 @@
 //! to "interpolate on the policy functions of all the Ns = 16 states from
 //! the previous iteration step at once" (Sec. IV) — the same coordinate
 //! `x'` is evaluated on every discrete state's ASG. This type owns one
-//! [`CompressedState`] per discrete shock; callers evaluate a state at a
-//! point through [`MultiState::evaluate_one`] and at a block through the
-//! batch walk on [`MultiState::state`].
+//! [`CompressedState`] per discrete shock and records the **runs** of
+//! consecutive states whose grids the batch walk takes identically (same
+//! dimension, `nfreq`, `xps` and `chains`) — a property of the grids, not
+//! a setting. A run is evaluated at a block in one walk
+//! (`ExecutionBackend::evaluate_states_batch`), its fill, bound pass and
+//! chain products shared by the run's surpluses. Callers evaluate a state
+//! at a point through [`MultiState::evaluate_one`].
+
+use std::ops::Range;
 
 use crate::data::{CompressedState, Scratch};
 use crate::KernelKind;
@@ -15,6 +21,8 @@ use crate::KernelKind;
 #[derive(Clone, Debug)]
 pub struct MultiState {
     states: Vec<CompressedState>,
+    /// Maximal runs of consecutive states that walk alike, in state order.
+    runs: Vec<Range<usize>>,
     ndofs: usize,
 }
 
@@ -28,7 +36,18 @@ impl MultiState {
             states.iter().all(|s| s.ndofs == ndofs),
             "all states must share ndofs"
         );
-        MultiState { states, ndofs }
+        let mut runs: Vec<Range<usize>> = Vec::new();
+        for (z, state) in states.iter().enumerate() {
+            match runs.last_mut() {
+                Some(run) if states[run.start].walks_like(state) => run.end = z + 1,
+                _ => runs.push(z..z + 1),
+            }
+        }
+        MultiState {
+            states,
+            runs,
+            ndofs,
+        }
     }
 
     /// Number of discrete states `Ns`.
@@ -47,6 +66,19 @@ impl MultiState {
     #[inline]
     pub fn state(&self, z: usize) -> &CompressedState {
         &self.states[z]
+    }
+
+    /// Every state's interpolant, in state order.
+    #[inline]
+    pub fn states(&self) -> &[CompressedState] {
+        &self.states
+    }
+
+    /// The maximal runs of consecutive states whose grids walk alike:
+    /// they cover `0..Ns` in order, and one walk evaluates a run.
+    #[inline]
+    pub fn runs(&self) -> &[Range<usize>] {
+        &self.runs
     }
 
     /// Total grid points across states (`Σ_z M_z`).
@@ -91,6 +123,11 @@ mod tests {
     fn evaluates_each_state_at_the_same_point() {
         let ms = MultiState::new(vec![state_for(0.0), state_for(1.0), state_for(2.0)]);
         assert_eq!(ms.num_states(), 3);
+        assert_eq!(
+            ms.runs(),
+            std::slice::from_ref(&(0..3)),
+            "one grid, one run"
+        );
         let mut scratch = Scratch::default();
         let mut out = vec![0.0; 2];
         let x = [0.5, 0.5, 0.5];

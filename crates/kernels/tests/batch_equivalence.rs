@@ -16,6 +16,10 @@
 //! slope of an affine function its grids reproduce, a difference quotient
 //! of the interpolant off knots and on them, and a point the same gradient
 //! whatever block it is walked in.
+//!
+//! A run of states that share a grid, walked together, must give every
+//! state the values, gradients and counts of a walk of it alone, bit for
+//! bit — and an observed backend the records it gets state by state.
 
 use std::ops::Range;
 
@@ -24,8 +28,8 @@ use rand_chacha::ChaCha8Rng;
 
 use hddm_asg::{basis, hierarchize, regular_grid, tabulate, ActiveCoord, NodeKey, SparseGrid};
 use hddm_kernels::{
-    batch, gold, x86, ChunkCounts, CompressedState, DenseState, Gradients, KernelKind, PointBlock,
-    Scratch, BATCH_CHUNK,
+    batch, gold, x86, BlockObserver, ChunkCounts, CompressedState, DenseState, ExecutionBackend,
+    Gradients, KernelKind, MultiState, PointBlock, Scratch, BATCH_CHUNK,
 };
 
 const TOL: f64 = 1e-12;
@@ -423,7 +427,7 @@ fn gradient_walk(
     let mut gradient = vec![f64::NAN; grads * dim * coeffs.len()];
     batch::interpolate_gradient_batch(
         kind,
-        state,
+        std::slice::from_ref(state),
         &PointBlock::from_rows(dim, &rows),
         &mut Scratch::default(),
         &mut values,
@@ -627,6 +631,183 @@ fn a_points_gradient_does_not_depend_on_its_block() {
                     "{kind:?}: lane {at} of {npts} behind {values} value points"
                 );
             }
+        }
+    }
+}
+
+/// Three states on one grid with different surpluses, and a fourth on
+/// another grid.
+fn shared_and_other(ndofs: usize, rng: &mut ChaCha8Rng) -> MultiState {
+    let shared = random_grid(3, 60, rng);
+    let other = random_grid(3, 60, rng);
+    let mut state = |grid: &SparseGrid| {
+        let surplus = random_surplus(grid, ndofs, rng);
+        CompressedState::new(grid, &surplus, ndofs)
+    };
+    MultiState::new(vec![
+        state(&shared),
+        state(&shared),
+        state(&other),
+        state(&shared),
+    ])
+}
+
+#[test]
+fn runs_are_the_maximal_stretches_of_states_that_walk_alike() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5A4E);
+    let states = shared_and_other(5, &mut rng);
+    assert_eq!(states.runs(), [0..2, 2..3, 3..4]);
+    // A state's grid built again is the same walk: one run.
+    let grid = random_grid(4, 90, &mut rng);
+    let alike = (0..3)
+        .map(|_| CompressedState::new(&grid, &random_surplus(&grid, 2, &mut rng), 2))
+        .collect();
+    assert_eq!(MultiState::new(alike).runs(), std::slice::from_ref(&(0..3)));
+}
+
+/// Over every kernel, block width and split between value and gradient
+/// points: a run walked together gives each state the value rows, the
+/// gradients and the counts a walk of that state alone gives it.
+#[test]
+fn a_run_walked_together_equals_each_state_walked_alone() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x70637);
+    let ndofs = 11;
+    let states = shared_and_other(ndofs, &mut rng);
+    let run = &states.states()[0..2];
+    let coeffs = 2..9;
+    let stride = 3 * coeffs.len();
+    let mut scratch = Scratch::default();
+    for npts in [1usize, 7, 64, 65, 130] {
+        let rows = random_block(3, npts, &mut rng);
+        let block = PointBlock::from_rows(3, &rows);
+        for kind in KernelKind::COMPRESSED {
+            let mut together = vec![f64::NAN; 2 * npts * ndofs];
+            let counts =
+                batch::interpolate_states_batch(kind, run, &block, &mut scratch, &mut together);
+            for (state, values) in run.iter().zip(together.chunks_exact(npts * ndofs)) {
+                let mut alone = vec![f64::NAN; npts * ndofs];
+                let want = batch::interpolate_batch(kind, state, &block, &mut scratch, &mut alone);
+                assert_eq!(bits(values), bits(&alone), "{kind:?} npts={npts}");
+                assert_eq!(counts, want, "{kind:?} npts={npts}");
+            }
+            for grads in 0..=npts {
+                let at = format!("{kind:?} npts={npts} grads={grads}");
+                let (mut values, mut gradient) = (
+                    vec![f64::NAN; 2 * npts * ndofs],
+                    vec![f64::NAN; 2 * grads * stride],
+                );
+                let counts = batch::interpolate_gradient_batch(
+                    kind,
+                    run,
+                    &block,
+                    &mut scratch,
+                    &mut values,
+                    Gradients {
+                        points: grads,
+                        coeffs: coeffs.clone(),
+                        out: &mut gradient,
+                    },
+                );
+                for (s, state) in run.iter().enumerate() {
+                    let (mut alone, mut alone_gradient) =
+                        (vec![f64::NAN; npts * ndofs], vec![f64::NAN; grads * stride]);
+                    let want = batch::interpolate_gradient_batch(
+                        kind,
+                        std::slice::from_ref(state),
+                        &block,
+                        &mut scratch,
+                        &mut alone,
+                        Gradients {
+                            points: grads,
+                            coeffs: coeffs.clone(),
+                            out: &mut alone_gradient,
+                        },
+                    );
+                    let values = &values[s * npts * ndofs..(s + 1) * npts * ndofs];
+                    let gradient = &gradient[s * grads * stride..(s + 1) * grads * stride];
+                    assert_eq!(bits(values), bits(&alone), "{at}, state {s}");
+                    assert_eq!(bits(gradient), bits(&alone_gradient), "{at}, state {s}");
+                    assert_eq!(counts, want, "{at}");
+                }
+                // The counts are a value walk's over the value points alone.
+                let nv = npts - grads;
+                let value_points = PointBlock::from_rows(3, &rows[..nv * 3]);
+                let mut out = vec![0.0; nv * ndofs];
+                let want =
+                    batch::interpolate_batch(kind, &run[0], &value_points, &mut scratch, &mut out);
+                assert_eq!(counts, want, "{at}: value-point counts");
+            }
+        }
+    }
+}
+
+/// What an observed backend was told, in order: the state (by address)
+/// and its counts.
+#[derive(Debug, Default)]
+struct Records(std::sync::Mutex<Vec<(usize, Vec<ChunkCounts>)>>);
+
+impl BlockObserver for Records {
+    fn observe(&self, state: &CompressedState, counts: &[ChunkCounts]) {
+        let address = state as *const CompressedState as usize;
+        let mut records = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        records.push((address, counts.to_vec()));
+    }
+}
+
+impl Records {
+    fn take(&self) -> Vec<(usize, Vec<ChunkCounts>)> {
+        std::mem::take(&mut *self.0.lock().unwrap_or_else(|e| e.into_inner()))
+    }
+}
+
+/// Every run of a policy evaluated through an observed backend — values,
+/// and a gradient walk behind value points — tells the observer what
+/// evaluating each state's value points alone tells it, state by state.
+#[test]
+fn an_observed_backend_sees_each_state_as_a_per_state_evaluation_shows_it() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x0B5E);
+    let ndofs = 6;
+    let states = shared_and_other(ndofs, &mut rng);
+    let records = std::sync::Arc::new(Records::default());
+    let backend = ExecutionBackend::Observed(records.clone());
+    let mut scratch = Scratch::default();
+    let coeffs = 0..ndofs;
+    for (npts, grads) in [(70usize, 0usize), (70, 5), (70, 70), (9, 3)] {
+        let rows = random_block(3, npts, &mut rng);
+        let block = PointBlock::from_rows(3, &rows);
+        let value_points = PointBlock::from_rows(3, &rows[..(npts - grads) * 3]);
+        for kind in KernelKind::COMPRESSED {
+            let at = format!("{kind:?} npts={npts} grads={grads}");
+            for run in states.runs() {
+                let run = &states.states()[run.clone()];
+                let mut values = vec![0.0; run.len() * npts * ndofs];
+                if grads == 0 {
+                    backend.evaluate_states_batch(kind, run, &block, &mut scratch, &mut values);
+                } else {
+                    let mut gradient = vec![0.0; run.len() * grads * 3 * coeffs.len()];
+                    let gradients = Gradients {
+                        points: grads,
+                        coeffs: coeffs.clone(),
+                        out: &mut gradient,
+                    };
+                    backend.evaluate_gradient_batch(
+                        kind,
+                        run,
+                        &block,
+                        &mut scratch,
+                        &mut values,
+                        gradients,
+                    );
+                }
+            }
+            let together = records.take();
+            if grads < npts {
+                for state in states.states() {
+                    let mut out = vec![0.0; (npts - grads) * ndofs];
+                    backend.evaluate_batch(kind, state, &value_points, &mut scratch, &mut out);
+                }
+            }
+            assert_eq!(together, records.take(), "{at}");
         }
     }
 }

@@ -8,15 +8,15 @@
 //! ([`hddm_solver::newton_rounds`]); each of its rounds arrives here as a
 //! set of savings rows, each asking for its residuals or for the
 //! Jacobian at that row, and is evaluated in three passes: next states
-//! from the savings rows, **one walk per next discrete state** over all
-//! rows of the round — the interpolation of `pnext` the paper's kernels
-//! exist for, now dozens to hundreds of points wide
-//! ([`PolicyOracle::eval_block`], or [`PolicyOracle::eval_block_gradient`]
-//! when the round holds Jacobian rows) — then the Euler algebra row by
-//! row. A Jacobian is the exact Jacobian of the interpolated system: the
-//! chain rule through `x' = (Σ s, s_1…s_{A−2})`, the prices'
-//! `K'`-derivatives, the incomes, `u''` and `∇ₓ pnext` of the `A−2`
-//! coefficients the algebra reads, one gradient row per next state
+//! from the savings rows, **one oracle call for all next discrete states**
+//! over all rows of the round ([`PolicyOracle::eval_states_block`], value
+//! rows and the Jacobian rows' gradients together) — the interpolation of
+//! `pnext` the paper's kernels exist for, "the policy functions of all the
+//! Ns states at once", now dozens to hundreds of points wide — then the
+//! Euler algebra row by row. A Jacobian is the exact Jacobian of the
+//! interpolated system: the chain rule through `x' = (Σ s, s_1…s_{A−2})`,
+//! the prices' `K'`-derivatives, the incomes, `u''` and `∇ₓ pnext` of the
+//! `A−2` coefficients the algebra reads, one gradient row per next state
 //! instead of `A−1` finite-difference rows; its `pnext` is the row the
 //! point's last residual row kept. What depends only on the point (today's
 //! prices, wealth, incomes) is computed once per point solve, what depends
@@ -54,7 +54,9 @@ pub trait PolicyOracle {
     /// point-major `npts × dim`, `out` point-major `npts × ndofs`. Row
     /// `i` of `out` must be exactly what `eval` writes for row `i` of
     /// `xs`; the provided implementation loops `eval`, kernel-backed
-    /// oracles evaluate the block in one walk.
+    /// oracles evaluate the block in one walk. The point solver asks for
+    /// all next states at once ([`Self::eval_states_block`]); this is the
+    /// one-state form.
     fn eval_block(&mut self, z_next: usize, dim: usize, xs: &[f64], out: &mut [f64]) {
         let npts = xs.len() / dim;
         if npts == 0 {
@@ -66,22 +68,28 @@ pub trait PolicyOracle {
         }
     }
 
-    /// [`Self::eval_block`] whose last `grads` states want, instead of
-    /// their value row, the gradient of the coefficients `coeffs` with
-    /// respect to the *physical* state. `values` is `npts × ndofs` and its
-    /// first `npts − grads` rows are what `eval_block` writes (the rows of
-    /// gradient states are left unspecified); `gradient` is `grads × dim ×
-    /// coeffs.len()`, dimension-major per state:
-    /// `gradient[(g·dim + t)·len + c] = ∂ coefficient (coeffs.start + c) /
-    /// ∂ x_t` at gradient state `g`. A coordinate the domain clamp moves
-    /// has derivative zero.
+    /// `pnext` of all `ns` next discrete states at one block of
+    /// `dim`-dimensional states `xs` (point-major `npts × dim`), the last
+    /// `grads` of which want, instead of their value rows, the gradient of
+    /// the coefficients `coeffs` with respect to the *physical* state.
+    /// `values` is `ns × npts × ndofs`, one [`Self::eval_block`] block per
+    /// state: its first `npts − grads` rows are what `eval_block` writes
+    /// (the rows of gradient states are left unspecified). `gradient` is
+    /// `ns × grads × dim × coeffs.len()`, state-major, then
+    /// dimension-major per gradient state:
+    /// `gradient[((z'·grads + g)·dim + t)·len + c] = ∂ coefficient
+    /// (coeffs.start + c) of state z' / ∂ x_t` at gradient state `g`. A
+    /// coordinate the domain clamp moves has derivative zero. `grads = 0`
+    /// asks for values only.
     ///
-    /// The provided implementation takes forward differences over
-    /// `eval_block`; kernel-backed oracles walk the gradient.
+    /// The provided implementation takes each state in turn: its
+    /// `eval_block`, then forward differences over `eval_block` for the
+    /// gradient states. Kernel-backed oracles prepare the block once and
+    /// walk the states (and their gradient) together.
     #[allow(clippy::too_many_arguments)]
-    fn eval_block_gradient(
+    fn eval_states_block(
         &mut self,
-        z_next: usize,
+        ns: usize,
         dim: usize,
         xs: &[f64],
         grads: usize,
@@ -93,39 +101,70 @@ pub trait PolicyOracle {
         if npts == 0 {
             return;
         }
-        let (ndofs, len) = (values.len() / npts, coeffs.len());
-        // Every state's values: the answer for value states, the base of
-        // the differences for gradient states.
-        self.eval_block(z_next, dim, xs, values);
-        if grads == 0 {
-            return;
+        let (per_state, gradient_per_state) = (values.len() / ns, gradient.len() / ns);
+        for z_next in 0..ns {
+            forward_differences(
+                self,
+                z_next,
+                dim,
+                xs,
+                grads,
+                coeffs.clone(),
+                &mut values[z_next * per_state..(z_next + 1) * per_state],
+                &mut gradient[z_next * gradient_per_state..(z_next + 1) * gradient_per_state],
+            );
         }
-        let from = npts - grads;
-        let base = &values[from * ndofs..];
-        let mut stepped = xs[from * dim..].to_vec();
-        let mut at_step = vec![0.0; grads * ndofs];
-        for t in 0..dim {
-            for x in stepped.chunks_exact_mut(dim) {
-                x[t] += FD_STEP * x[t].abs().max(1.0);
-            }
-            self.eval_block(z_next, dim, &stepped, &mut at_step);
-            for (g, x) in stepped.chunks_exact_mut(dim).enumerate() {
-                let x0 = xs[(from + g) * dim + t];
-                let h = x[t] - x0; // the representable step
-                x[t] = x0;
-                let dt = &mut gradient[(g * dim + t) * len..][..len];
-                let ahead = &at_step[g * ndofs + coeffs.start..g * ndofs + coeffs.end];
-                let here = &base[g * ndofs + coeffs.start..g * ndofs + coeffs.end];
-                for ((d, a), b) in dt.iter_mut().zip(ahead).zip(here) {
-                    *d = (a - b) / h;
-                }
+    }
+}
+
+/// One state's part of the provided [`PolicyOracle::eval_states_block`]:
+/// `values` (`npts × ndofs`) from `eval_block`, and `gradient` (`grads ×
+/// dim × coeffs.len()`) as forward differences over `eval_block` at the
+/// last `grads` states.
+#[allow(clippy::too_many_arguments)]
+fn forward_differences<O: PolicyOracle + ?Sized>(
+    oracle: &mut O,
+    z_next: usize,
+    dim: usize,
+    xs: &[f64],
+    grads: usize,
+    coeffs: Range<usize>,
+    values: &mut [f64],
+    gradient: &mut [f64],
+) {
+    let npts = xs.len() / dim;
+    let (ndofs, len) = (values.len() / npts, coeffs.len());
+    // Every state's values: the answer for value states, the base of
+    // the differences for gradient states.
+    oracle.eval_block(z_next, dim, xs, values);
+    if grads == 0 {
+        return;
+    }
+    let from = npts - grads;
+    let base = &values[from * ndofs..];
+    let mut stepped = xs[from * dim..].to_vec();
+    let mut at_step = vec![0.0; grads * ndofs];
+    for t in 0..dim {
+        for x in stepped.chunks_exact_mut(dim) {
+            x[t] += FD_STEP * x[t].abs().max(1.0);
+        }
+        oracle.eval_block(z_next, dim, &stepped, &mut at_step);
+        for (g, x) in stepped.chunks_exact_mut(dim).enumerate() {
+            let x0 = xs[(from + g) * dim + t];
+            let h = x[t] - x0; // the representable step
+            x[t] = x0;
+            let dt = &mut gradient[(g * dim + t) * len..][..len];
+            let ahead = &at_step[g * ndofs + coeffs.start..g * ndofs + coeffs.end];
+            let here = &base[g * ndofs + coeffs.start..g * ndofs + coeffs.end];
+            for ((d, a), b) in dt.iter_mut().zip(ahead).zip(here) {
+                *d = (a - b) / h;
             }
         }
     }
 }
 
-/// The relative step of [`PolicyOracle::eval_block_gradient`]'s forward
-/// differences, `h_t = FD_STEP · max(|x_t|, 1)`.
+/// The relative step of the forward differences of the provided
+/// [`PolicyOracle::eval_states_block`], `h_t = FD_STEP · max(|x_t|, 1)`.
 const FD_STEP: f64 = 1e-7;
 
 /// Blanket implementation so plain closures can serve as oracles in tests.
@@ -198,7 +237,7 @@ struct RoundBuffers {
     valid: Vec<usize>,
     /// Jacobian requests whose next state exists.
     jacobians: Vec<JacobianRow>,
-    /// The next states of one walk per next discrete state (`npts × d`):
+    /// The next states of the round's one oracle call (`npts × d`):
     /// `valid`'s, then those of the Jacobian rows whose `pnext`
     /// [`KeptRows`] does not hold, then every Jacobian row's.
     x_next: Vec<f64>,
@@ -282,9 +321,9 @@ impl NextGradient<'_> {
 }
 
 /// The Euler systems of one block as the [`Rounds`] of the lockstep
-/// Newton: the round's residual rows and Jacobian requests share one walk
-/// per next discrete state, and a Jacobian is the exact Jacobian of the
-/// interpolated system.
+/// Newton: the round's residual rows and Jacobian requests share one
+/// oracle call for all next discrete states, and a Jacobian is the exact
+/// Jacobian of the interpolated system.
 struct EulerRounds<'a> {
     model: &'a OlgModel,
     points: &'a PointContexts,
@@ -477,7 +516,7 @@ impl OlgModel {
     }
 
     /// `pnext` of every next discrete state at the next states `x_next`
-    /// (`npts × d`): one block evaluation per `z'`, written to
+    /// (`npts × d`): one oracle call for all `z'`, state `z'` written to
     /// `policy_next[z' · npts · ndofs ..]`.
     fn interpolate_next(
         &self,
@@ -485,15 +524,9 @@ impl OlgModel {
         oracle: &mut dyn PolicyOracle,
         policy_next: &mut Vec<f64>,
     ) {
-        let npts = x_next.len() / self.dim();
-        if npts == 0 {
-            return;
-        }
-        policy_next.resize(self.num_states() * npts * self.ndofs(), 0.0);
-        let blocks = policy_next.chunks_exact_mut(npts * self.ndofs());
-        for (z_next, block) in blocks.enumerate() {
-            oracle.eval_block(z_next, self.dim(), x_next, block);
-        }
+        let (d, ns) = (self.dim(), self.num_states());
+        policy_next.resize(ns * (x_next.len() / d) * self.ndofs(), 0.0);
+        oracle.eval_states_block(ns, d, x_next, 0, 0..0, policy_next, &mut []);
     }
 
     /// One round: `round.rows` are savings vectors (`k × (A−1)`),
@@ -570,27 +603,21 @@ impl OlgModel {
             self.extend_next_state(&rows[r * n..(r + 1) * n], &mut bufs.x_next);
         }
 
-        // The interpolation: one walk per next discrete state.
+        // The interpolation: one oracle call for every next discrete
+        // state, the round's value and gradient states together.
         let len = a_max - 2;
         let grads = bufs.jacobians.len();
-        if grads == 0 {
-            self.interpolate_next(&bufs.x_next, oracle, &mut bufs.policy_next);
-        } else {
-            bufs.policy_next.resize(ns * npts * ndofs, 0.0);
-            bufs.gradient_next.resize(ns * grads * d * len, 0.0);
-            for z_next in 0..ns {
-                oracle.eval_block_gradient(
-                    z_next,
-                    d,
-                    &bufs.x_next,
-                    grads,
-                    1..a_max - 1,
-                    &mut bufs.policy_next[z_next * npts * ndofs..(z_next + 1) * npts * ndofs],
-                    &mut bufs.gradient_next
-                        [z_next * grads * d * len..(z_next + 1) * grads * d * len],
-                );
-            }
-        }
+        bufs.policy_next.resize(ns * npts * ndofs, 0.0);
+        bufs.gradient_next.resize(ns * grads * d * len, 0.0);
+        oracle.eval_states_block(
+            ns,
+            d,
+            &bufs.x_next,
+            grads,
+            1..a_max - 1,
+            &mut bufs.policy_next,
+            &mut bufs.gradient_next,
+        );
         let values_at = |state: usize| NextPolicy {
             data: &bufs.policy_next[state * ndofs..],
             stride: npts * ndofs,
@@ -1201,9 +1228,9 @@ mod tests {
             self.0.eval(z, x, out)
         }
 
-        fn eval_block_gradient(
+        fn eval_states_block(
             &mut self,
-            z_next: usize,
+            ns: usize,
             dim: usize,
             xs: &[f64],
             grads: usize,
@@ -1211,10 +1238,14 @@ mod tests {
             values: &mut [f64],
             gradient: &mut [f64],
         ) {
-            self.eval_block(z_next, dim, xs, values);
+            for (z_next, values) in values.chunks_exact_mut(values.len() / ns).enumerate() {
+                self.eval_block(z_next, dim, xs, values);
+            }
+            // The gradient is every state's.
             let from = xs.len() / dim - grads;
-            let per_state = gradient.chunks_exact_mut(dim * coeffs.len());
-            for (x, out) in xs[from * dim..].chunks_exact(dim).zip(per_state) {
+            let states = std::iter::repeat_n(&xs[from * dim..], ns);
+            let at = states.flat_map(|xs| xs.chunks_exact(dim));
+            for (x, out) in at.zip(gradient.chunks_exact_mut(dim * coeffs.len())) {
                 let (_, partials) = self.0.shape(x);
                 for (dt, p) in out.chunks_exact_mut(coeffs.len()).zip(&partials) {
                     for (d, r) in dt.iter_mut().zip(&self.0.row[coeffs.clone()]) {

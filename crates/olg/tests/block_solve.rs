@@ -1,9 +1,9 @@
 //! The block point solver against its one-point case: whatever shares a
 //! block with a point, the point's solution is the one it has alone, bit
-//! for bit. The oracle here implements `eval` only, so every block goes
-//! through the provided `eval_block` and every Jacobian's `∇ₓ pnext`
-//! through the provided forward differences of `eval_block_gradient`; one
-//! comparison repeats with a closed-form gradient, and `hddm-core`
+//! for bit. The oracle here implements `eval` only, so every round goes
+//! through the provided `eval_states_block` — each next state's
+//! `eval_block`, and every Jacobian's `∇ₓ pnext` as forward differences
+//! over it; one comparison repeats with a closed-form gradient, and `hddm-core`
 //! repeats them on the kernel-backed oracle. Every comparison runs in each
 //! exponent class of the CRRA kernel: `γ` of 1 (log utility), 2 and 3
 //! take the multiplication form, 2.5 the `powf` fall-through.
@@ -47,9 +47,9 @@ impl PolicyOracle for ExactTilted {
         self.0.eval(z, x, out)
     }
 
-    fn eval_block_gradient(
+    fn eval_states_block(
         &mut self,
-        z_next: usize,
+        ns: usize,
         dim: usize,
         xs: &[f64],
         grads: usize,
@@ -58,12 +58,11 @@ impl PolicyOracle for ExactTilted {
         gradient: &mut [f64],
     ) {
         let from = xs.len() / dim - grads;
-        self.eval_block(
-            z_next,
-            dim,
-            &xs[..from * dim],
-            &mut values[..from * self.0.row.len()],
-        );
+        let ndofs = self.0.row.len();
+        for (z_next, values) in values.chunks_exact_mut(values.len() / ns).enumerate() {
+            self.eval_block(z_next, dim, &xs[..from * dim], &mut values[..from * ndofs]);
+        }
+        // Every state's gradient, the same in every state.
         for partials in gradient.chunks_exact_mut(coeffs.len()) {
             for (d, k) in partials.iter_mut().zip(coeffs.clone()) {
                 *d = self.0.partial(k);

@@ -30,6 +30,7 @@ pub(crate) fn rank1_update(a: &mut [f64], alpha: f64, u: &[f64], v: &[f64]) {
 
 /// Factors the row-major `n × n` matrix in `lu` in place (`PA = LU`,
 /// `n = pivots.len()`). On `Err` the contents of `lu` are unspecified.
+/// Elimination runs on row slices, row by row below the pivot.
 pub fn lu_factor(lu: &mut [f64], pivots: &mut [u32]) -> Result<(), SolverError> {
     let n = pivots.len();
     assert_eq!(lu.len(), n * n);
@@ -37,8 +38,8 @@ pub fn lu_factor(lu: &mut [f64], pivots: &mut [u32]) -> Result<(), SolverError> 
         // Pivot search.
         let mut best = col;
         let mut best_abs = lu[col * n + col].abs();
-        for r in col + 1..n {
-            let v = lu[r * n + col].abs();
+        for (r, row) in lu.chunks_exact(n).enumerate().skip(col + 1) {
+            let v = row[col].abs();
             if v > best_abs {
                 best_abs = v;
                 best = r;
@@ -49,16 +50,17 @@ pub fn lu_factor(lu: &mut [f64], pivots: &mut [u32]) -> Result<(), SolverError> 
         }
         pivots[col] = best as u32;
         if best != col {
-            for j in 0..n {
-                lu.swap(col * n + j, best * n + j);
-            }
+            let (upper, lower) = lu.split_at_mut(best * n);
+            upper[col * n..(col + 1) * n].swap_with_slice(&mut lower[..n]);
         }
-        let inv_pivot = 1.0 / lu[col * n + col];
-        for r in col + 1..n {
-            let factor = lu[r * n + col] * inv_pivot;
-            lu[r * n + col] = factor;
-            for j in col + 1..n {
-                lu[r * n + j] -= factor * lu[col * n + j];
+        let (upper, lower) = lu.split_at_mut((col + 1) * n);
+        let pivot_row = &upper[col * n..];
+        let inv_pivot = 1.0 / pivot_row[col];
+        for row in lower.chunks_exact_mut(n) {
+            let factor = row[col] * inv_pivot;
+            row[col] = factor;
+            for (a, p) in row[col + 1..].iter_mut().zip(&pivot_row[col + 1..]) {
+                *a -= factor * p;
             }
         }
     }
@@ -69,23 +71,26 @@ pub fn lu_factor(lu: &mut [f64], pivots: &mut [u32]) -> Result<(), SolverError> 
 pub fn lu_solve(lu: &[f64], pivots: &[u32], b: &mut [f64]) {
     let n = pivots.len();
     assert_eq!(b.len(), n);
-    // Apply permutation + forward substitution.
+    assert_eq!(lu.len(), n * n);
+    // Apply permutation + forward substitution, down column `i` of `L`.
     for i in 0..n {
         b.swap(i, pivots[i] as usize);
         let bi = b[i];
         if bi != 0.0 {
-            for r in i + 1..n {
-                b[r] -= lu[r * n + i] * bi;
+            let column = lu[i..].iter().step_by(n).skip(i + 1);
+            for (br, l) in b[i + 1..].iter_mut().zip(column) {
+                *br -= l * bi;
             }
         }
     }
-    // Back substitution.
-    for i in (0..n).rev() {
-        let mut sum = b[i];
-        for j in i + 1..n {
-            sum -= lu[i * n + j] * b[j];
+    // Back substitution: row `i` of `U` against the solved tail of `b`.
+    for (i, row) in lu.chunks_exact(n.max(1)).enumerate().rev() {
+        let (head, tail) = b.split_at_mut(i + 1);
+        let mut sum = head[i];
+        for (u, x) in row[i + 1..].iter().zip(tail.iter()) {
+            sum -= u * x;
         }
-        b[i] = sum / lu[i * n + i];
+        head[i] = sum / row[i];
     }
 }
 
