@@ -742,7 +742,7 @@ struct WorkCounters {
 /// a coarser new node contributes to a finer new node's interpolant — so
 /// each later batch is processed in ascending-`|ľ|₁` groups, evaluating
 /// every group against the partial interpolant as **one batched kernel
-/// call** ([`KernelKind::evaluate_compressed_batch`]) and folding it in via
+/// call** ([`ExecutionBackend::evaluate_batch`]) and folding it in via
 /// [`CompressedState::append_rows`] before the next (within a
 /// group, cross terms vanish at grid points; see `hddm-asg`).
 /// Deterministic, so every rank of a distributed step hierarchizing the

@@ -71,7 +71,7 @@ impl PolicySet {
 /// (a single-point call is a block of one), the points in them, and the
 /// kernel walks that evaluated them — one per run of states sharing a
 /// grid, so `blocks / walks` is the mean number of states a walk served.
-/// A gradient walk's gradient points are none of these.
+/// A walk's gradient points are none of these.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OracleTraffic {
     /// Evaluations, one per state and call.
@@ -125,12 +125,12 @@ impl PolicyOracle for AsgOracle<'_> {
     }
 
     /// The block clamped, rescaled and transposed once, then one walk per
-    /// run of states sharing a grid (`MultiState::runs`) — the value walk,
-    /// or with gradient states the gradient walk, through the backend;
-    /// the gradient is the walk's unit-cube gradient times `1/width`
-    /// where the clamp left a coordinate alone, `0` where it moved it.
-    /// Per state bitwise [`Self::eval_block`] and that state's gradient
-    /// walk. Only the value states are traffic.
+    /// run of states sharing a grid (`MultiState::runs`) through the
+    /// backend, its last `grads` points gradient points; the gradient is
+    /// the walk's unit-cube gradient times `1/width` where the clamp left
+    /// a coordinate alone, `0` where it moved it. Per state bitwise
+    /// [`Self::eval_block`] and that state's walk alone. Only the value
+    /// states are traffic.
     fn eval_states_block(
         &mut self,
         ns: usize,
@@ -151,32 +151,19 @@ impl PolicyOracle for AsgOracle<'_> {
         let per_state = npts * states.ndofs();
         let gradient_per_state = grads * dim * coeffs.len();
         for run in states.runs() {
-            let run_states = &states.states()[run.clone()];
-            let values = &mut values[run.start * per_state..run.end * per_state];
-            if grads == 0 {
-                self.backend.evaluate_states_batch(
-                    self.kernel,
-                    run_states,
-                    &self.block,
-                    &mut self.scratch,
-                    values,
-                );
-            } else {
-                let out =
-                    &mut gradient[run.start * gradient_per_state..run.end * gradient_per_state];
-                self.backend.evaluate_gradient_batch(
-                    self.kernel,
-                    run_states,
-                    &self.block,
-                    &mut self.scratch,
-                    values,
-                    Gradients {
-                        points: grads,
-                        coeffs: coeffs.clone(),
-                        out,
-                    },
-                );
-            }
+            let out = &mut gradient[run.start * gradient_per_state..run.end * gradient_per_state];
+            self.backend.evaluate_states_batch(
+                self.kernel,
+                &states.states()[run.clone()],
+                &self.block,
+                &mut self.scratch,
+                &mut values[run.start * per_state..run.end * per_state],
+                Gradients {
+                    points: grads,
+                    coeffs: coeffs.clone(),
+                    out,
+                },
+            );
         }
         let scales = self.unit_scales.iter().cycle();
         for (partials, &scale) in gradient.chunks_exact_mut(coeffs.len().max(1)).zip(scales) {

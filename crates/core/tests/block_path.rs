@@ -234,7 +234,7 @@ fn solver_blocks_reach_the_registry_and_the_observer() {
     // The point solver's tally reaches the same registry: every residual
     // row with capital tomorrow is interpolated once per next state (the
     // value recursion reuses the accepted row's, a Jacobian the rows its
-    // point kept and a gradient walk is no oracle traffic), a Jacobian is
+    // point kept and gradient points are no oracle traffic), a Jacobian is
     // no residual row — a converged system evaluated its guess and at
     // least one trial per Newton iteration (a forced refresh follows a
     // failed trial) — and thread count moves none of it.

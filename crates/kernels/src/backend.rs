@@ -39,38 +39,19 @@ impl ExecutionBackend {
         scratch: &mut Scratch,
         out: &mut [f64],
     ) {
-        self.evaluate_states_batch(kernel, std::slice::from_ref(state), block, scratch, out)
+        let state = std::slice::from_ref(state);
+        self.evaluate_states_batch(kernel, state, block, scratch, out, Gradients::default())
     }
 
-    /// [`Self::evaluate_batch`] for a run of states that walk alike
-    /// (`MultiState::runs`) in one walk: `out` is `states × npts × ndofs`.
-    /// `Observed` is told of every state, in order, with the walk's counts
-    /// — the records a walk of that state alone reports.
+    /// The batch walk of a run of states that walk alike
+    /// (`MultiState::runs`; see [`batch::interpolate_states_batch`]):
+    /// `values` is `states × npts × ndofs`, and the last
+    /// `gradients.points` points get a gradient instead. `Observed` is
+    /// told of every state, in order, with the counts of the block's value
+    /// points — what [`Self::evaluate_batch`] of those points alone tells
+    /// it — and of nothing when there are none: no backend prices a
+    /// gradient or an empty block.
     pub fn evaluate_states_batch(
-        &self,
-        kernel: KernelKind,
-        states: &[CompressedState],
-        block: &PointBlock,
-        scratch: &mut Scratch,
-        out: &mut [f64],
-    ) {
-        match self {
-            ExecutionBackend::Cpu => batch::walk(kernel, states, block, scratch, out, |_| {}),
-            ExecutionBackend::Observed(observer) => {
-                let counts = batch::interpolate_states_batch(kernel, states, block, scratch, out);
-                for state in states {
-                    observer.observe(state, &counts)
-                }
-            }
-        }
-    }
-
-    /// The gradient walk of a run of states
-    /// ([`batch::interpolate_gradient_batch`]). `Observed` is told of
-    /// every state with the counts of the block's value points — what it
-    /// is told by [`Self::evaluate_batch`] of those points alone — and of
-    /// nothing when there are none: no backend prices a gradient.
-    pub fn evaluate_gradient_batch(
         &self,
         kernel: KernelKind,
         states: &[CompressedState],
@@ -81,10 +62,10 @@ impl ExecutionBackend {
     ) {
         match self {
             ExecutionBackend::Cpu => {
-                batch::walk_gradient(kernel, states, block, scratch, values, gradients, |_| {})
+                batch::walk(kernel, states, block, scratch, values, gradients, |_| {})
             }
             ExecutionBackend::Observed(observer) => {
-                let counts = batch::interpolate_gradient_batch(
+                let counts = batch::interpolate_states_batch(
                     kernel, states, block, scratch, values, gradients,
                 );
                 if !counts.is_empty() {

@@ -38,35 +38,39 @@
 //!    across all alive lanes before the next strip is touched.
 //!
 //! (Passes 2 and 3 alternate per listed chain, so one product vector is
-//! live at a time.) The whole chunk walk is compiled once per vector
-//! kernel inside a `#[target_feature]` entry (`avx`, `avx2,fma`,
-//! `avx512f`): fill, masks and products auto-vectorize at that kernel's
-//! width and the accumulator is inlined intrinsics. `x86` is compiled for
-//! the baseline target; a vector kernel the host lacks runs the baseline
-//! walk with the portable [`crate::lanes`] accumulator of its width.
+//! live at a time.)
+//!
+//! The same walk is the Newton Jacobian's source: the last
+//! [`Gradients::points`] points of a block want the gradient of a
+//! coefficient range instead of their value row, and for a chunk with
+//! such lanes the fill adds a hat-slope column per `xps` entry and each
+//! listed chain its partial products. A value-only evaluation is the walk
+//! with `Gradients::default()`: the same source, in an instance with the
+//! gradient branches compiled out, which sizes no gradient buffer and
+//! folds no per-chain bound.
+//!
+//! The walk takes a **run of states** whose grids walk alike (the
+//! discrete states of one policy that share a grid, as recorded by
+//! `MultiState::runs`): per chunk the fill, slopes, bound pass, survivor
+//! list, chain products and gradient partials are computed once, and each
+//! state's surplus rows are then accumulated into that state's own output
+//! block. A single state is a run of one.
+//!
+//! The whole chunk walk is compiled once per vector kernel inside one
+//! `#[target_feature]` entry (`avx`, `avx2,fma`, `avx512f`): fill, masks
+//! and products auto-vectorize at that kernel's width and the accumulator
+//! is inlined intrinsics. `x86` is compiled for the baseline target; a
+//! vector kernel the host lacks runs the baseline walk with the portable
+//! [`crate::lanes`] accumulator of its width.
 //!
 //! Every variant is **bitwise identical** to its single-point counterpart
 //! (same basis expression, same factor order, the same instruction for
 //! every output element — fused or not, by its position in the row — and
 //! the same chain order per point) — the golden tests assert `==`, not a
-//! tolerance.
-//!
-//! Beside the value walk sits the **gradient walk**
-//! ([`interpolate_gradient_batch`]), the Newton Jacobian's source: the
-//! same fill, bound pass and survivor list, plus a hat-slope column per
-//! `xps` entry, over a block whose first points want their value rows
-//! (bitwise the value walk's) and whose last points want the gradient of
-//! a coefficient range instead. It is compiled per kernel through the
-//! same entries.
-//!
-//! Both walks take a **run of states** whose grids walk alike (the
-//! discrete states of one policy that share a grid, as recorded by
-//! `MultiState::runs`): per chunk the fill, slopes, bound pass, survivor
-//! list, chain products and gradient partials are computed once, and each
-//! state's surplus rows are then accumulated into that state's own output
-//! block. A single state is a run of one. Every output element still
-//! receives the same instructions in chain order, so a state's values and
-//! gradients are bitwise those of a walk of it alone.
+//! tolerance. Every output element receives the same instructions in
+//! chain order whatever else the walk carries, so a state's values and
+//! gradients are bitwise those of a walk of it alone, and its values
+//! those of a walk without gradient points.
 
 use std::ops::Range;
 
@@ -124,15 +128,6 @@ impl PointBlock {
         }
     }
 
-    /// An empty block with room for `capacity` points per dimension.
-    pub fn with_capacity(dim: usize, capacity: usize) -> Self {
-        PointBlock {
-            dim,
-            npts: 0,
-            coords: Vec::with_capacity(dim * capacity),
-        }
-    }
-
     /// Builds a block from point-major rows (`npts × dim`, the layout the
     /// rest of the code base passes around) by transposing into SoA.
     pub fn from_rows(dim: usize, rows: &[f64]) -> Self {
@@ -160,34 +155,6 @@ impl PointBlock {
         }
     }
 
-    /// Appends one point (given as a `dim`-length row). Re-strides every
-    /// column, so building a block point-by-point is quadratic — hot
-    /// paths should gather rows and transpose once with
-    /// [`PointBlock::from_rows`]; `push` is for small or incremental
-    /// blocks.
-    pub fn push(&mut self, x: &[f64]) {
-        assert_eq!(x.len(), self.dim);
-        let old = self.npts;
-        self.npts += 1;
-        // Grow each column in place, back to front, so the existing
-        // columns shift into their new strided positions.
-        self.coords.resize(self.dim * self.npts, 0.0);
-        for d in (0..self.dim).rev() {
-            for p in (0..old).rev() {
-                self.coords[d * self.npts + p] = self.coords[d * old + p];
-            }
-        }
-        for d in 0..self.dim {
-            self.coords[d * self.npts + old] = x[d];
-        }
-    }
-
-    /// Removes all points, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.npts = 0;
-        self.coords.clear();
-    }
-
     /// Number of points in the block.
     #[inline]
     pub fn len(&self) -> usize {
@@ -210,14 +177,6 @@ impl PointBlock {
     #[inline]
     pub fn column(&self, d: usize) -> &[f64] {
         &self.coords[d * self.npts..(d + 1) * self.npts]
-    }
-
-    /// Copies point `p` into the point-major row `out`.
-    pub fn point(&self, p: usize, out: &mut [f64]) {
-        assert_eq!(out.len(), self.dim);
-        for (d, o) in out.iter_mut().enumerate() {
-            *o = self.coords[d * self.npts + p];
-        }
     }
 }
 
@@ -256,9 +215,7 @@ fn accum_lanes<const N: usize>(
 /// kernel and the strip accumulator those entries inline.
 #[cfg(target_arch = "x86_64")]
 mod isa {
-    use super::{
-        span, span_gradient, ChunkCounts, CompressedState, Gradients, PointBlock, Scratch,
-    };
+    use super::{span, ChunkCounts, CompressedState, Gradients, PointBlock, Scratch};
     use std::arch::x86_64::*;
 
     /// The register operations of one vector kernel, which
@@ -433,29 +390,13 @@ mod isa {
         }
     }
 
-    /// The entries of one vector kernel: [`span`] and [`span_gradient`]
-    /// with the strip accumulator of `$isa`, all of it compiled with
-    /// `$features` enabled.
+    /// The entry of one vector kernel: [`span`] with the strip
+    /// accumulator of `$isa`, all of it compiled with `$features` enabled.
     macro_rules! entry {
-        ($name:ident, $gradient:ident, $features:literal, $isa:ty) => {
+        ($name:ident, $features:literal, $isa:ty) => {
             // SAFETY: caller must ensure the host supports `$features`.
             #[target_feature(enable = $features)]
             pub(super) unsafe fn $name(
-                states: &[CompressedState],
-                block: &PointBlock,
-                scratch: &mut Scratch,
-                out: &mut [f64],
-                sink: impl FnMut(ChunkCounts),
-            ) {
-                span(states, block, scratch, out, sink, |t, m, row, o, stride| {
-                    // SAFETY: this entry's caller vouched for the features.
-                    unsafe { accum_strips::<$isa>(t, m, row, o, stride) }
-                })
-            }
-
-            // SAFETY: caller must ensure the host supports `$features`.
-            #[target_feature(enable = $features)]
-            pub(super) unsafe fn $gradient(
                 states: &[CompressedState],
                 block: &PointBlock,
                 scratch: &mut Scratch,
@@ -463,7 +404,7 @@ mod isa {
                 gradients: Gradients<'_>,
                 sink: impl FnMut(ChunkCounts),
             ) {
-                span_gradient(
+                span(
                     states,
                     block,
                     scratch,
@@ -478,9 +419,9 @@ mod isa {
             }
         };
     }
-    entry!(span_avx, gradient_avx, "avx", Ymm<false>);
-    entry!(span_avx2, gradient_avx2, "avx2,fma", Ymm<true>);
-    entry!(span_avx512, gradient_avx512, "avx512f", Zmm);
+    entry!(walk_avx, "avx", Ymm<false>);
+    entry!(walk_avx2, "avx2,fma", Ymm<true>);
+    entry!(walk_avx512, "avx512f", Zmm);
 }
 
 /// Bit `k` ⇔ `v[k] != 0.0` (`v.len() ≤ 64`). NaN compares unequal, so a
@@ -494,134 +435,10 @@ fn alive(v: &[f64]) -> u64 {
     mask
 }
 
-/// Evaluates `block` chunk by chunk on a run of states that walk alike
-/// (the first state's grid is walked), writing state `s`'s row of point
-/// `k` to `out[(s·npts + k)·ndofs ..]`, and hands each chunk's
-/// [`ChunkCounts`] to `sink` — once: they are every state's. Shared body
-/// of every batch variant — the only *block* basis fill and chain walk;
-/// the single-point walks are `x86::interpolate`, `vector::skeleton` and
-/// `CompressedGrid::fill_xpv` with its scalar interpolants — inlined
-/// into one entry per kernel, so each pass below is
-/// compiled for that kernel's instruction set and `accum` is a direct,
-/// inlined call. With a no-op sink the counters are dead stores the
-/// compiler drops, so the un-observed path pays nothing.
-#[inline(always)]
-fn span(
-    states: &[CompressedState],
-    block: &PointBlock,
-    scratch: &mut Scratch,
-    out: &mut [f64],
-    mut sink: impl FnMut(ChunkCounts),
-    accum: impl Fn(&[f64], u64, &[f64], &mut [f64], usize),
-) {
-    let cg = &states[0].grid;
-    let ndofs = states[0].ndofs;
-    let xps = cg.xps();
-    let nfreq = cg.nfreq();
-    let chains = cg.chains();
-    let per_state = block.len() * ndofs;
-    out.fill(0.0);
-
-    let mut at = 0;
-    while at < block.len() {
-        let chunk = (block.len() - at).min(BATCH_CHUNK);
-        let (xpvb, temps, colmask, survivors) = scratch.prepare_batch(xps.len(), chunk, cg.nno());
-        let full = u64::MAX >> (64 - chunk);
-
-        // Loop 1, blocked: basis values of every xps entry at every point
-        // of the chunk. Entry-major so the chain walk reads contiguous
-        // point columns; the per-entry coordinate gather is a contiguous
-        // slice of the SoA block. Each entry's nonzero-lane mask — the
-        // chain pruning index of the bound pass — comes with it.
-        for (e, entry) in xps.iter().enumerate() {
-            let xs = &block.column(entry.index as usize)[at..at + chunk];
-            let slot = &mut xpvb[e * chunk..(e + 1) * chunk];
-            for (v, &x) in slot.iter_mut().zip(xs) {
-                *v = linear_basis(x, entry.l, entry.i).max(0.0);
-            }
-            colmask[e] = alive(slot);
-        }
-        // The sentinel is 1 on every lane, whatever coordinate 0 holds:
-        // an all-sentinel chain (the root) reads this column as its
-        // product.
-        xpvb[..chunk].fill(1.0);
-        colmask[0] = full;
-
-        // Bound pass, branch-free: the AND of a chain's column masks
-        // bounds its alive lanes from above (padding slots index the
-        // sentinel, whose mask is `full`, so no length is needed), and a
-        // chain whose support misses the whole chunk — the overwhelmingly
-        // common case on sparse grids — ends here. (NaN factors set their
-        // column-mask bits, so NaN lanes are never pruned.)
-        let mut kept = 0;
-        for (p, chain) in chains.chunks_exact(nfreq).enumerate() {
-            let mut bound = full;
-            for &idx in chain {
-                bound &= colmask[idx as usize];
-            }
-            survivors[kept] = p as u32;
-            kept += (bound != 0) as usize;
-        }
-
-        // Products and accumulation, over the survivors only: each
-        // product once, into every state's rows.
-        let mut counts = ChunkCounts {
-            chunk,
-            ..ChunkCounts::default()
-        };
-        for &p in &survivors[..kept] {
-            let p = p as usize;
-            let chain = &chains[p * nfreq..(p + 1) * nfreq];
-            let len = chain.iter().position(|&i| i == 0).unwrap_or(nfreq);
-            counts.factor_cols += len.max(1);
-            let col = |idx: u32| &xpvb[idx as usize * chunk..][..chunk];
-            // The product vector starts as the first factor column
-            // (`1·x ≡ x`, so this is bitwise the single-point walk) and
-            // multiplies the remaining factors left to right,
-            // unconditionally — a dead lane's zero just propagates
-            // (`0 · finite = 0`, the value the single-point early exit
-            // produces). A chain of at most one factor *is* its column,
-            // alive mask included; a longer one rebuilds the mask from
-            // its products, which can underflow to zero on a lane the
-            // bound kept.
-            let (product, mask) = if len <= 1 {
-                (col(chain[0]), colmask[chain[0] as usize])
-            } else {
-                for ((t, a), b) in temps.iter_mut().zip(col(chain[0])).zip(col(chain[1])) {
-                    *t = a * b;
-                }
-                for &idx in &chain[2..len] {
-                    for (t, v) in temps.iter_mut().zip(col(idx)) {
-                        *t *= v;
-                    }
-                }
-                (&*temps, alive(temps))
-            };
-            if mask == 0 {
-                continue;
-            }
-            counts.rows_touched += 1;
-            counts.alive_pairs += mask.count_ones() as usize;
-            for (s, state) in states.iter().enumerate() {
-                let o = s * per_state + at * ndofs;
-                accum(
-                    product,
-                    mask,
-                    &state.surplus[p * ndofs..(p + 1) * ndofs],
-                    &mut out[o..o + chunk * ndofs],
-                    ndofs,
-                );
-            }
-        }
-        sink(counts);
-        at += chunk;
-    }
-}
-
-/// The gradient half of a gradient walk ([`interpolate_gradient_batch`]):
-/// which points of the block want it, of which coefficients, and where it
-/// goes.
-#[derive(Debug)]
+/// What a walk computes besides value rows: which points of the block
+/// want a gradient instead, of which coefficients, and where it goes.
+/// `Gradients::default()` asks for none — a value-only walk.
+#[derive(Debug, Default)]
 pub struct Gradients<'a> {
     /// The last `points` points of the block want the gradient and no
     /// value row; the points before them want their value row only.
@@ -651,13 +468,21 @@ fn hat_slope(x: f64, l: f64, i: f64, v: f64) -> f64 {
     }
 }
 
-/// The gradient walk: [`span`]'s fill, bound pass and survivor list over
-/// a block whose first points want their value rows (written to `values`,
-/// `states × npts × ndofs`, exactly as `span` writes them) and whose last
-/// `gradients.points` want the gradient of a coefficient range instead,
-/// for a run of states that walk alike. `sink` gets the counts of the
-/// value lanes of every chunk that has one: the records `span` reports
-/// for a block of the value points alone.
+/// Evaluates `block` chunk by chunk on a run of states that walk alike
+/// (the first state's grid is walked). The first `npts − gradients.points`
+/// points get state `s`'s value row of point `k` in `values[(s·npts +
+/// k)·ndofs ..]`; the rest get the gradient of `gradients.coeffs` in
+/// `gradients.out` (see [`Gradients`]), and their value rows are left as
+/// zeros. `sink` gets the counts of the value lanes of every chunk that
+/// has one — once: they are every state's, and the records of a walk of
+/// the value points alone.
+///
+/// The only *block* basis fill and chain walk — the single-point walks
+/// are `x86::interpolate`, `vector::skeleton` and
+/// `CompressedGrid::fill_xpv` with its scalar interpolants — inlined into
+/// one entry per kernel, so each pass below is compiled for that kernel's
+/// instruction set and `accum` is a direct, inlined call. With a no-op
+/// sink the counters are dead stores the compiler drops.
 ///
 /// A chain of factors `f_1…f_L` has the partial derivative `s_k ·
 /// ∏_{m≠k} f_m` in the dimension of factor `k`, where `s_k` is the
@@ -666,10 +491,33 @@ fn hat_slope(x: f64, l: f64, i: f64, v: f64) -> f64 {
 /// chunk and chain, and go into every state's gradient rows through the
 /// kernel's own `accum`, one call per factor. Every lane's arithmetic is
 /// its own, so neither values nor gradients depend on the block or the
-/// chunk a point is in, nor on the run a state is in. The value rows of
-/// gradient points are left as zeros.
+/// chunk a point is in, nor on the run a state is in.
+///
+/// A block without gradient points runs an instance of the chunk loop in
+/// which every gradient branch is compiled out: left in but untaken, they
+/// made the `avx2` value walk ≈ 3 % slower on Table II's grid (d = 59,
+/// 2,048 points, on a 2-vCPU AVX-512 Xeon).
 #[inline(always)]
-fn span_gradient(
+fn span(
+    states: &[CompressedState],
+    block: &PointBlock,
+    scratch: &mut Scratch,
+    values: &mut [f64],
+    gradients: Gradients<'_>,
+    sink: impl FnMut(ChunkCounts),
+    accum: impl Fn(&[f64], u64, &[f64], &mut [f64], usize),
+) {
+    if gradients.points == 0 {
+        chunks::<false>(states, block, scratch, values, gradients, sink, &accum)
+    } else {
+        chunks::<true>(states, block, scratch, values, gradients, sink, &accum)
+    }
+}
+
+/// [`span`]'s chunk loop; `GRADIENTS` is whether the block has gradient
+/// points.
+#[inline(always)]
+fn chunks<const GRADIENTS: bool>(
     states: &[CompressedState],
     block: &PointBlock,
     scratch: &mut Scratch,
@@ -698,15 +546,20 @@ fn span_gradient(
     let mut at = 0;
     while at < npts {
         let chunk = (npts - at).min(BATCH_CHUNK);
-        let buf = scratch.prepare_gradient_batch(xps.len(), chunk, cg.nno(), nfreq);
-        let (xpvb, slopes) = (buf.xpvb, buf.slopes);
         let full = u64::MAX >> (64 - chunk);
         // Lanes `..cv` want values, lanes `cv..` gradients.
         let cv = nv.saturating_sub(at).min(chunk);
         let vmask = if cv == 0 { 0 } else { full >> (chunk - cv) };
-        let gmask = full & !vmask;
+        let gmask = if GRADIENTS { full & !vmask } else { 0 };
+        let buf = scratch.prepare_batch(xps.len(), chunk, cg.nno(), nfreq, gmask != 0);
+        let (xpvb, slopes) = (buf.xpvb, buf.slopes);
 
-        // `span`'s fill, and the slopes where a lane wants them.
+        // Loop 1, blocked: basis values of every xps entry at every point
+        // of the chunk. Entry-major so the chain walk reads contiguous
+        // point columns; the per-entry coordinate gather is a contiguous
+        // slice of the SoA block. Each entry's nonzero-lane mask — the
+        // chain pruning index of the bound pass — comes with it, and its
+        // slopes where a lane wants them.
         for (e, entry) in xps.iter().enumerate() {
             let xs = &block.column(entry.index as usize)[at..at + chunk];
             let slot = &mut xpvb[e * chunk..(e + 1) * chunk];
@@ -722,10 +575,18 @@ fn span_gradient(
                 }
             }
         }
+        // The sentinel is 1 on every lane, whatever coordinate 0 holds:
+        // an all-sentinel chain (the root) reads this column as its
+        // product.
         xpvb[..chunk].fill(1.0);
         buf.colmask[0] = full;
 
-        // `span`'s bound pass.
+        // Bound pass, branch-free: the AND of a chain's column masks
+        // bounds its alive lanes from above (padding slots index the
+        // sentinel, whose mask is `full`, so no length is needed), and a
+        // chain whose support misses the whole chunk — the overwhelmingly
+        // common case on sparse grids — ends here. (NaN factors set their
+        // column-mask bits, so NaN lanes are never pruned.)
         let mut kept = 0;
         for (p, chain) in chains.chunks_exact(nfreq).enumerate() {
             let mut bound = full;
@@ -736,8 +597,10 @@ fn span_gradient(
             kept += (bound != 0) as usize;
         }
 
-        // Each state's value rows of the chunk start at `vo`, its gradient
-        // rows from the chunk's first gradient lane `cv` on at `go`.
+        // Products and accumulation, over the survivors only: each
+        // product once, into every state's rows. Each state's value rows
+        // of the chunk start at `vo`, its gradient rows from the chunk's
+        // first gradient lane `cv` on at `go`.
         let mut counts = ChunkCounts {
             chunk: cv,
             ..ChunkCounts::default()
@@ -751,12 +614,26 @@ fn span_gradient(
             let chain = &chains[p * nfreq..(p + 1) * nfreq];
             let len_p = chain.iter().position(|&i| i == 0).unwrap_or(nfreq);
             let factors = &chain[..len_p];
-            let bound = factors
-                .iter()
-                .fold(full, |b, &idx| b & buf.colmask[idx as usize]);
+            // A survivor's bound is non-zero; which lanes it holds matters
+            // only to a chunk with gradient lanes.
+            let bound = if gmask == 0 {
+                full
+            } else {
+                factors
+                    .iter()
+                    .fold(full, |b, &idx| b & buf.colmask[idx as usize])
+            };
             if bound & vmask != 0 {
-                // `span`'s products and exact mask, for the value lanes.
                 counts.factor_cols += len_p.max(1);
+                // The product vector starts as the first factor column
+                // (`1·x ≡ x`, so this is bitwise the single-point walk)
+                // and multiplies the remaining factors left to right,
+                // unconditionally — a dead lane's zero just propagates
+                // (`0 · finite = 0`, the value the single-point early exit
+                // produces). A chain of at most one factor *is* its
+                // column, alive mask included; a longer one rebuilds the
+                // mask from its products, which can underflow to zero on
+                // a lane the bound kept.
                 let (product, mask) = if len_p <= 1 {
                     (col(chain[0]), buf.colmask[chain[0] as usize])
                 } else {
@@ -836,68 +713,14 @@ fn span_gradient(
     }
 }
 
-/// Checks a run of states against the block one walk takes them over (in
-/// full only in debug builds: comparing the grids costs a walk's bound
-/// pass).
-fn check_run(states: &[CompressedState], block: &PointBlock) {
-    let first = states.first().expect("a run holds at least one state");
-    assert_eq!(block.dim(), first.grid.dim(), "point/grid dim mismatch");
-    assert!(
-        states[1..]
-            .iter()
-            .all(|s| s.ndofs == first.ndofs && s.grid.nno() == first.grid.nno()),
-        "a run's states must share ndofs and grid size"
-    );
-    debug_assert!(
-        states[1..].iter().all(|s| first.walks_like(s)),
-        "a run's states must walk alike"
-    );
-}
-
 /// `kernel`'s batch walk over the whole block for a run of states that
-/// walk alike, whatever its width, handing each chunk's [`ChunkCounts`]
-/// to `sink` in chunk order. A vector kernel the host lacks falls back
-/// to the portable lane accumulator of the same width (mirroring the
-/// single-point kernels' substitution table).
+/// walk alike (see [`span`]), whatever its width, handing the counts of
+/// each chunk's value lanes to `sink` in chunk order. A vector kernel the
+/// host lacks falls back to the portable lane accumulator of the same
+/// width (mirroring the single-point kernels' substitution table). The
+/// run is checked in full only in debug builds: comparing the grids costs
+/// a walk's bound pass.
 pub(crate) fn walk(
-    kernel: KernelKind,
-    states: &[CompressedState],
-    block: &PointBlock,
-    scratch: &mut Scratch,
-    out: &mut [f64],
-    sink: impl FnMut(ChunkCounts),
-) {
-    check_run(states, block);
-    assert_eq!(
-        out.len(),
-        states.len() * block.len() * states[0].ndofs,
-        "output must be states × npts × ndofs"
-    );
-    match (kernel, kernel.native()) {
-        (KernelKind::Gold, _) => panic!("gold kernel requires DenseState"),
-        (KernelKind::X86, _) => span(states, block, scratch, out, sink, accum_scalar),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `native()` detected `avx`.
-        (KernelKind::Avx, true) => unsafe { isa::span_avx(states, block, scratch, out, sink) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `native()` detected `avx2` and `fma`.
-        (KernelKind::Avx2, true) => unsafe { isa::span_avx2(states, block, scratch, out, sink) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `native()` detected `avx512f`.
-        (KernelKind::Avx512, true) => unsafe {
-            isa::span_avx512(states, block, scratch, out, sink)
-        },
-        (KernelKind::Avx | KernelKind::Avx2, _) => {
-            span(states, block, scratch, out, sink, accum_lanes::<4>)
-        }
-        (KernelKind::Avx512, _) => span(states, block, scratch, out, sink, accum_lanes::<8>),
-    }
-}
-
-/// `kernel`'s gradient walk over the whole block for a run of states that
-/// walk alike (see [`interpolate_gradient_batch`]), handing the counts of
-/// each chunk's value lanes to `sink` in chunk order.
-pub(crate) fn walk_gradient(
     kernel: KernelKind,
     states: &[CompressedState],
     block: &PointBlock,
@@ -906,8 +729,19 @@ pub(crate) fn walk_gradient(
     gradients: Gradients<'_>,
     sink: impl FnMut(ChunkCounts),
 ) {
-    check_run(states, block);
-    let (ns, dim, npts, ndofs) = (states.len(), block.dim(), block.len(), states[0].ndofs);
+    let first = states.first().expect("a run holds at least one state");
+    let (ns, dim, npts, ndofs) = (states.len(), block.dim(), block.len(), first.ndofs);
+    assert_eq!(dim, first.grid.dim(), "point/grid dim mismatch");
+    assert!(
+        states[1..]
+            .iter()
+            .all(|s| s.ndofs == ndofs && s.grid.nno() == first.grid.nno()),
+        "a run's states must share ndofs and grid size"
+    );
+    debug_assert!(
+        states[1..].iter().all(|s| first.walks_like(s)),
+        "a run's states must walk alike"
+    );
     assert_eq!(
         values.len(),
         ns * npts * ndofs,
@@ -920,54 +754,29 @@ pub(crate) fn walk_gradient(
         ns * gradients.points * dim * gradients.coeffs.len(),
         "gradients must be states × points × dim × coefficients"
     );
+    let (g, s) = (gradients, sink);
     match (kernel, kernel.native()) {
         (KernelKind::Gold, _) => panic!("gold kernel requires DenseState"),
-        (KernelKind::X86, _) => span_gradient(
-            states,
-            block,
-            scratch,
-            values,
-            gradients,
-            sink,
-            accum_scalar,
-        ),
+        (KernelKind::X86, _) => span(states, block, scratch, values, g, s, accum_scalar),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `native()` detected `avx`.
-        (KernelKind::Avx, true) => unsafe {
-            isa::gradient_avx(states, block, scratch, values, gradients, sink)
-        },
+        (KernelKind::Avx, true) => unsafe { isa::walk_avx(states, block, scratch, values, g, s) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `native()` detected `avx2` and `fma`.
-        (KernelKind::Avx2, true) => unsafe {
-            isa::gradient_avx2(states, block, scratch, values, gradients, sink)
-        },
+        (KernelKind::Avx2, true) => unsafe { isa::walk_avx2(states, block, scratch, values, g, s) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `native()` detected `avx512f`.
         (KernelKind::Avx512, true) => unsafe {
-            isa::gradient_avx512(states, block, scratch, values, gradients, sink)
+            isa::walk_avx512(states, block, scratch, values, g, s)
         },
-        (KernelKind::Avx | KernelKind::Avx2, _) => span_gradient(
-            states,
-            block,
-            scratch,
-            values,
-            gradients,
-            sink,
-            accum_lanes::<4>,
-        ),
-        (KernelKind::Avx512, _) => span_gradient(
-            states,
-            block,
-            scratch,
-            values,
-            gradients,
-            sink,
-            accum_lanes::<8>,
-        ),
+        (KernelKind::Avx | KernelKind::Avx2, _) => {
+            span(states, block, scratch, values, g, s, accum_lanes::<4>)
+        }
+        (KernelKind::Avx512, _) => span(states, block, scratch, values, g, s, accum_lanes::<8>),
     }
 }
 
-/// `kernel`'s batch walk over the whole block, returning one
+/// `kernel`'s value walk over the whole block, returning one
 /// [`ChunkCounts`] per chunk, in chunk order. `out` is
 /// point-major `npts × ndofs`; per point it is bitwise `kernel`'s
 /// single-point result. Panics for [`KernelKind::Gold`], which needs the
@@ -979,36 +788,22 @@ pub fn interpolate_batch(
     scratch: &mut Scratch,
     out: &mut [f64],
 ) -> Vec<ChunkCounts> {
-    interpolate_states_batch(kernel, std::slice::from_ref(state), block, scratch, out)
+    let state = std::slice::from_ref(state);
+    interpolate_states_batch(kernel, state, block, scratch, out, Gradients::default())
 }
 
-/// [`interpolate_batch`] for a run of states that walk alike (consecutive
-/// states of one `MultiState` run) in one walk: `out` is `states × npts ×
-/// ndofs`, each state's block bitwise what `interpolate_batch` writes for
-/// it, and the counts — one record per chunk — are each state's.
+/// `kernel`'s batch walk over the whole block for a run of states that
+/// walk alike (consecutive states of one `MultiState` run): the first
+/// `npts − gradients.points` points get their value rows in `values`
+/// (`states × npts × ndofs`), each state's bitwise what
+/// [`interpolate_batch`] writes for it, and the rest the gradient of
+/// `gradients.coeffs` in `gradients.out` (see [`Gradients`]); their value
+/// rows are zeros. A point's gradient does not depend on the block it is
+/// in. The counts — one record per chunk with a value point, each
+/// state's — are exactly what [`interpolate_batch`] reports for a block
+/// of the value points alone (none when there are none): a device model
+/// prices value walks. Panics for [`KernelKind::Gold`].
 pub fn interpolate_states_batch(
-    kernel: KernelKind,
-    states: &[CompressedState],
-    block: &PointBlock,
-    scratch: &mut Scratch,
-    out: &mut [f64],
-) -> Vec<ChunkCounts> {
-    let mut counts = Vec::with_capacity(block.len().div_ceil(BATCH_CHUNK));
-    walk(kernel, states, block, scratch, out, |c| counts.push(c));
-    counts
-}
-
-/// `kernel`'s gradient walk over the whole block for a run of states that
-/// walk alike: the first `npts − gradients.points` points get their value
-/// rows in `values` (`states × npts × ndofs`), bitwise what
-/// [`interpolate_states_batch`] writes for them, and the rest the gradient
-/// of `gradients.coeffs` in `gradients.out` (see [`Gradients`]); their
-/// value rows are zeros. A point's gradient does not depend on the block
-/// it is in. The counts are those of the value points — exactly what
-/// [`interpolate_batch`] reports for a block of them alone (none when
-/// there are none): a device model prices value walks. Panics for
-/// [`KernelKind::Gold`].
-pub fn interpolate_gradient_batch(
     kernel: KernelKind,
     states: &[CompressedState],
     block: &PointBlock,
@@ -1016,8 +811,8 @@ pub fn interpolate_gradient_batch(
     values: &mut [f64],
     gradients: Gradients<'_>,
 ) -> Vec<ChunkCounts> {
-    let mut counts = Vec::new();
-    walk_gradient(kernel, states, block, scratch, values, gradients, |c| {
+    let mut counts = Vec::with_capacity(block.len().div_ceil(BATCH_CHUNK));
+    walk(kernel, states, block, scratch, values, gradients, |c| {
         counts.push(c)
     });
     counts
@@ -1055,17 +850,10 @@ mod tests {
         let block = PointBlock::from_rows(3, &rows);
         assert_eq!(block.len(), 5);
         assert_eq!(block.dim(), 3);
-        let mut x = [0.0; 3];
-        for p in 0..5 {
-            block.point(p, &mut x);
-            assert_eq!(&x[..], &rows[p * 3..(p + 1) * 3]);
+        for d in 0..3 {
+            let want: Vec<f64> = rows.chunks_exact(3).map(|x| x[d]).collect();
+            assert_eq!(block.column(d), &want[..], "column {d}");
         }
-        // push() builds the same layout incrementally.
-        let mut pushed = PointBlock::new(3);
-        for p in 0..5 {
-            pushed.push(&rows[p * 3..(p + 1) * 3]);
-        }
-        assert_eq!(pushed.coords, block.coords);
     }
 
     #[test]

@@ -111,9 +111,10 @@ impl CompressedState {
 
 /// Reusable per-thread evaluation scratch. Sized for the largest state it
 /// has seen; the `xpv` array is the cache/shared-memory resident working
-/// set the compression was designed around. The batch kernels keep their
+/// set the compression was designed around. The batch walk keeps its
 /// entry-major `xpv` block, chain-product vector and surviving-chain list
-/// here too, sized once per block — never reallocated per point.
+/// here too, and its gradient buffers once a chunk has gradient lanes,
+/// sized once per block — never reallocated per point.
 #[derive(Clone, Debug, Default)]
 pub struct Scratch {
     /// Clamped 1-D basis values, one per `xps` entry.
@@ -127,11 +128,11 @@ pub struct Scratch {
     colmask: Vec<u64>,
     /// Chains the column-mask bound kept for the current chunk (`nno`).
     survivors: Vec<u32>,
-    /// The gradient walk's hat slopes, entry-major like the basis block
-    /// (`nxps × chunk`).
+    /// Hat slopes of a chunk with gradient lanes, entry-major like the
+    /// basis block (`nxps × chunk`; empty until such a chunk).
     slopes: Vec<f64>,
-    /// The gradient walk's per-factor partial products of one chain
-    /// (`nfreq × chunk`).
+    /// Per-factor partial products of one chain on a chunk with gradient
+    /// lanes (`nfreq × chunk`; empty until such a chunk).
     partials: Vec<f64>,
     /// High-water marks of the batch buffers (`xpv_block`, `temps`,
     /// `survivors`, `slopes`, `partials`), asserting that capacity is
@@ -173,64 +174,81 @@ impl Scratch {
     }
 
     /// Ensures batch capacity for `nxps` unique elements × a chunk of
-    /// `chunk` points over `nno` chains, returning the `(xpv_block,
-    /// temps, colmask, survivors)` buffers. Buffers only ever grow —
-    /// sized by the first (largest) chunk of a batch, then reused; the
-    /// debug assertion fires if a request at or below the high-water
-    /// mark ever reallocates, i.e. if per-chunk reallocation sneaks back
-    /// into the hot loop.
+    /// `chunk` points over `nno` chains of at most `nfreq` factors and
+    /// returns the chunk's buffers; `slopes` and `partials` are empty
+    /// unless the chunk has `gradient` lanes, so a value-only walk never
+    /// touches them. Buffers only ever grow — sized by the first
+    /// (largest) chunk of a batch, then reused; the debug assertion fires
+    /// if a request at or below the high-water mark ever reallocates,
+    /// i.e. if per-chunk reallocation sneaks back into the hot loop.
     #[inline]
-    pub fn prepare_batch(
-        &mut self,
-        nxps: usize,
-        chunk: usize,
-        nno: usize,
-    ) -> (&mut [f64], &mut [f64], &mut [u64], &mut [u32]) {
-        let [xpv, temps, survivors, ..] = &mut self.watermark;
-        if self.colmask.len() < nxps {
-            self.colmask.resize(nxps, 0);
-        }
-        (
-            sized(&mut self.xpv_block, nxps * chunk, xpv, "xpv block"),
-            sized(&mut self.temps, chunk, temps, "temps"),
-            &mut self.colmask[..nxps],
-            sized(&mut self.survivors, nno, survivors, "survivor list"),
-        )
-    }
-
-    /// [`Self::prepare_batch`] plus the gradient walk's `(slopes,
-    /// partials)` buffers for chains of at most `nfreq` factors, under the
-    /// same high-water assertion.
-    #[inline]
-    pub(crate) fn prepare_gradient_batch(
+    pub(crate) fn prepare_batch(
         &mut self,
         nxps: usize,
         chunk: usize,
         nno: usize,
         nfreq: usize,
-    ) -> GradientBuffers<'_> {
+        gradient: bool,
+    ) -> BatchBuffers<'_> {
         let [xpv, temps, survivors, slopes, partials] = &mut self.watermark;
         if self.colmask.len() < nxps {
             self.colmask.resize(nxps, 0);
         }
-        GradientBuffers {
+        let lanes = if gradient { chunk } else { 0 };
+        BatchBuffers {
             xpvb: sized(&mut self.xpv_block, nxps * chunk, xpv, "xpv block"),
             temps: sized(&mut self.temps, chunk, temps, "temps"),
             colmask: &mut self.colmask[..nxps],
             survivors: sized(&mut self.survivors, nno, survivors, "survivor list"),
-            slopes: sized(&mut self.slopes, nxps * chunk, slopes, "slope block"),
-            partials: sized(&mut self.partials, nfreq * chunk, partials, "partials"),
+            slopes: sized(&mut self.slopes, nxps * lanes, slopes, "slope block"),
+            partials: sized(&mut self.partials, nfreq * lanes, partials, "partials"),
         }
     }
 }
 
-/// One chunk's buffers of the gradient walk (see
-/// [`Scratch::prepare_gradient_batch`]).
-pub(crate) struct GradientBuffers<'a> {
+/// One chunk's buffers of the batch walk (see [`Scratch::prepare_batch`]).
+pub(crate) struct BatchBuffers<'a> {
     pub(crate) xpvb: &'a mut [f64],
     pub(crate) temps: &'a mut [f64],
     pub(crate) colmask: &'a mut [u64],
     pub(crate) survivors: &'a mut [u32],
     pub(crate) slopes: &'a mut [f64],
     pub(crate) partials: &'a mut [f64],
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::batch::{interpolate_batch, interpolate_states_batch, Gradients, PointBlock};
+    use crate::KernelKind;
+    use hddm_asg::regular_grid;
+
+    /// A value-only walk never sizes the gradient buffers, so it touches
+    /// no more memory than the value rows need; a gradient point sizes
+    /// them.
+    #[test]
+    fn a_value_walk_leaves_the_gradient_buffers_empty() {
+        let grid = regular_grid(3, 4);
+        let state = CompressedState::new(&grid, &vec![0.5; grid.len() * 2], 2);
+        let rows: Vec<f64> = (0..70 * 3).map(|k| (k as f64 * 0.137) % 1.0).collect();
+        let block = PointBlock::from_rows(3, &rows);
+        let mut scratch = Scratch::default();
+        for kind in KernelKind::COMPRESSED {
+            interpolate_batch(kind, &state, &block, &mut scratch, &mut vec![0.0; 70 * 2]);
+            assert_eq!((scratch.slopes.len(), scratch.partials.len()), (0, 0));
+        }
+        interpolate_states_batch(
+            KernelKind::X86,
+            std::slice::from_ref(&state),
+            &block,
+            &mut scratch,
+            &mut vec![0.0; 70 * 2],
+            Gradients {
+                points: 1,
+                coeffs: 0..2,
+                out: &mut [0.0; 3 * 2],
+            },
+        );
+        assert!(!scratch.slopes.is_empty() && !scratch.partials.is_empty());
+    }
 }

@@ -17,12 +17,12 @@
 //! fixed-lane code with identical results.
 //!
 //! Block consumers evaluate through an [`ExecutionBackend`]. There is one
-//! batch walk ([`batch`]); a backend other than `Cpu` does not evaluate
-//! differently, it *observes*: the walk reports per-chunk
-//! [`ChunkCounts`] and a [`BlockObserver`] — `hddm-gpu`'s device model —
-//! prices them. The dependency points from the model to this crate. The
-//! Newton Jacobian's gradient walk ([`batch::interpolate_gradient_batch`])
-//! sits beside the value walk and is priced by no backend.
+//! batch walk ([`batch`]), and it also gives the Newton Jacobian its
+//! gradient points ([`Gradients`]); a backend other than `Cpu` does not
+//! evaluate differently, it *observes*: the walk reports per-chunk
+//! [`ChunkCounts`] of its value points and a [`BlockObserver`] —
+//! `hddm-gpu`'s device model — prices them. The dependency points from
+//! the model to this crate.
 
 #![warn(missing_docs)]
 
@@ -39,7 +39,7 @@ pub use backend::{BlockObserver, ExecutionBackend};
 pub use batch::{ChunkCounts, Gradients, PointBlock, BATCH_CHUNK};
 pub use data::{CompressedState, DenseState, Scratch};
 pub use multi::MultiState;
-pub use vector::{axpy_best, VectorIsa};
+pub use vector::VectorIsa;
 
 /// Runtime-selectable interpolation kernel, named as in Table II.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -110,8 +110,9 @@ impl KernelKind {
     /// [`PointBlock`] (`out` is point-major `npts × ndofs`). Each variant
     /// is bitwise equal to looping its single-point counterpart over the
     /// block, but walks the compressed structure — and streams the
-    /// surplus matrix — once per block instead of once per point. Panics
-    /// for [`KernelKind::Gold`], which needs the dense format.
+    /// surplus matrix — once per block instead of once per point: the
+    /// [`ExecutionBackend::Cpu`] walk. Panics for [`KernelKind::Gold`],
+    /// which needs the dense format.
     pub fn evaluate_compressed_batch(
         self,
         state: &CompressedState,
@@ -119,14 +120,7 @@ impl KernelKind {
         scratch: &mut Scratch,
         out: &mut [f64],
     ) {
-        batch::walk(
-            self,
-            std::slice::from_ref(state),
-            block,
-            scratch,
-            out,
-            |_| {},
-        );
+        ExecutionBackend::Cpu.evaluate_batch(self, state, block, scratch, out)
     }
 }
 

@@ -7,10 +7,11 @@
 //! [`CompressedState`] per discrete shock and records the **runs** of
 //! consecutive states whose grids the batch walk takes identically (same
 //! dimension, `nfreq`, `xps` and `chains`) — a property of the grids, not
-//! a setting. A run is evaluated at a block in one walk
-//! (`ExecutionBackend::evaluate_states_batch`), its fill, bound pass and
-//! chain products shared by the run's surpluses. Callers evaluate a state
-//! at a point through [`MultiState::evaluate_one`].
+//! a setting. A run is evaluated at a block — value rows, and gradients
+//! at the block's gradient points — in one batch walk
+//! (`ExecutionBackend::evaluate_states_batch`), its fill, bound pass,
+//! chain products and partials shared by the run's surpluses. Callers
+//! evaluate a state at a point through [`MultiState::evaluate_one`].
 
 use std::ops::Range;
 

@@ -248,19 +248,6 @@ pub fn interpolate_avx512_mt(state: &CompressedState, x: &[f64], threads: usize,
     }
 }
 
-/// Best-available axpy on this host (AVX-512 → AVX2 → portable); exported
-/// for reuse by the GPU simulator and the solver's dense updates.
-#[inline]
-pub fn axpy_best(a: f64, x: &[f64], y: &mut [f64]) {
-    if VectorIsa::Avx512.native() {
-        axpy_avx512_safe(a, x, y);
-    } else if VectorIsa::Avx2.native() {
-        axpy_avx2_safe(a, x, y);
-    } else {
-        crate::lanes::axpy::<8>(a, x, y);
-    }
-}
-
 // SAFETY: caller must ensure the host supports AVX (the
 // `#[target_feature]` contract) and that `x.len() == y.len()`. All
 // loads/stores stay below `n = x.len()`: the vector loop stops at

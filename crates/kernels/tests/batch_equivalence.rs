@@ -12,10 +12,11 @@
 //! register-strip shape and chunk edge, on the blocks whose alive masks
 //! are hardest to get right, and against a golden [`ChunkCounts`] vector.
 //!
-//! The gradient walk must give the value walk's values bit for bit, the
-//! slope of an affine function its grids reproduce, a difference quotient
-//! of the interpolant off knots and on them, and a point the same gradient
-//! whatever block it is walked in.
+//! A walk with gradient points must give its value points the values of
+//! a walk without them bit for bit, and its gradient points the slope of
+//! an affine function its grids reproduce, a difference quotient of the
+//! interpolant off knots and on them, and the same gradient whatever
+//! block they are walked in.
 //!
 //! A run of states that share a grid, walked together, must give every
 //! state the values, gradients and counts of a walk of it alone, bit for
@@ -411,8 +412,8 @@ fn chunk_counts_equal_the_golden_vector() {
     assert_eq!(counts, want, "nno = {}", state.grid.nno());
 }
 
-/// `kind`'s gradient walk over one block: the value rows at `value_rows`,
-/// then the gradient of `coeffs` at `gradient_rows`.
+/// `kind`'s walk over one block: the value rows at `value_rows`, then
+/// the gradient of `coeffs` at `gradient_rows`.
 fn gradient_walk(
     kind: KernelKind,
     state: &CompressedState,
@@ -425,7 +426,7 @@ fn gradient_walk(
     let (npts, grads) = (rows.len() / dim, gradient_rows.len() / dim);
     let mut values = vec![f64::NAN; npts * state.ndofs];
     let mut gradient = vec![f64::NAN; grads * dim * coeffs.len()];
-    batch::interpolate_gradient_batch(
+    batch::interpolate_states_batch(
         kind,
         std::slice::from_ref(state),
         &PointBlock::from_rows(dim, &rows),
@@ -446,7 +447,7 @@ fn bits(v: &[f64]) -> Vec<u64> {
 
 /// Over the strip-shape × chunk-edge matrix, a block of value points
 /// followed by the same points as gradient points: the value rows are
-/// the value walk's bit for bit (and the gradient points' rows zero), and
+/// a value-only walk's bit for bit (and the gradient points' rows zero), and
 /// the gradients are those of a walk of the gradient points alone.
 #[test]
 fn gradient_walk_values_equal_the_value_walk_on_every_strip_shape_and_chunk_edge() {
@@ -682,8 +683,14 @@ fn a_run_walked_together_equals_each_state_walked_alone() {
         let block = PointBlock::from_rows(3, &rows);
         for kind in KernelKind::COMPRESSED {
             let mut together = vec![f64::NAN; 2 * npts * ndofs];
-            let counts =
-                batch::interpolate_states_batch(kind, run, &block, &mut scratch, &mut together);
+            let counts = batch::interpolate_states_batch(
+                kind,
+                run,
+                &block,
+                &mut scratch,
+                &mut together,
+                Gradients::default(),
+            );
             for (state, values) in run.iter().zip(together.chunks_exact(npts * ndofs)) {
                 let mut alone = vec![f64::NAN; npts * ndofs];
                 let want = batch::interpolate_batch(kind, state, &block, &mut scratch, &mut alone);
@@ -696,7 +703,7 @@ fn a_run_walked_together_equals_each_state_walked_alone() {
                     vec![f64::NAN; 2 * npts * ndofs],
                     vec![f64::NAN; 2 * grads * stride],
                 );
-                let counts = batch::interpolate_gradient_batch(
+                let counts = batch::interpolate_states_batch(
                     kind,
                     run,
                     &block,
@@ -711,7 +718,7 @@ fn a_run_walked_together_equals_each_state_walked_alone() {
                 for (s, state) in run.iter().enumerate() {
                     let (mut alone, mut alone_gradient) =
                         (vec![f64::NAN; npts * ndofs], vec![f64::NAN; grads * stride]);
-                    let want = batch::interpolate_gradient_batch(
+                    let want = batch::interpolate_states_batch(
                         kind,
                         std::slice::from_ref(state),
                         &block,
@@ -761,8 +768,9 @@ impl Records {
 }
 
 /// Every run of a policy evaluated through an observed backend — values,
-/// and a gradient walk behind value points — tells the observer what
-/// evaluating each state's value points alone tells it, state by state.
+/// and gradient points behind value points — tells the observer what
+/// evaluating each state's value points alone tells it, state by state;
+/// a block with no value point, empty or all gradient, tells it nothing.
 #[test]
 fn an_observed_backend_sees_each_state_as_a_per_state_evaluation_shows_it() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x0B5E);
@@ -772,7 +780,7 @@ fn an_observed_backend_sees_each_state_as_a_per_state_evaluation_shows_it() {
     let backend = ExecutionBackend::Observed(records.clone());
     let mut scratch = Scratch::default();
     let coeffs = 0..ndofs;
-    for (npts, grads) in [(70usize, 0usize), (70, 5), (70, 70), (9, 3)] {
+    for (npts, grads) in [(70usize, 0usize), (70, 5), (70, 70), (9, 3), (0, 0)] {
         let rows = random_block(3, npts, &mut rng);
         let block = PointBlock::from_rows(3, &rows);
         let value_points = PointBlock::from_rows(3, &rows[..(npts - grads) * 3]);
@@ -781,31 +789,26 @@ fn an_observed_backend_sees_each_state_as_a_per_state_evaluation_shows_it() {
             for run in states.runs() {
                 let run = &states.states()[run.clone()];
                 let mut values = vec![0.0; run.len() * npts * ndofs];
-                if grads == 0 {
-                    backend.evaluate_states_batch(kind, run, &block, &mut scratch, &mut values);
-                } else {
-                    let mut gradient = vec![0.0; run.len() * grads * 3 * coeffs.len()];
-                    let gradients = Gradients {
-                        points: grads,
-                        coeffs: coeffs.clone(),
-                        out: &mut gradient,
-                    };
-                    backend.evaluate_gradient_batch(
-                        kind,
-                        run,
-                        &block,
-                        &mut scratch,
-                        &mut values,
-                        gradients,
-                    );
-                }
+                let mut gradient = vec![0.0; run.len() * grads * 3 * coeffs.len()];
+                let gradients = Gradients {
+                    points: grads,
+                    coeffs: coeffs.clone(),
+                    out: &mut gradient,
+                };
+                backend.evaluate_states_batch(
+                    kind,
+                    run,
+                    &block,
+                    &mut scratch,
+                    &mut values,
+                    gradients,
+                );
             }
             let together = records.take();
-            if grads < npts {
-                for state in states.states() {
-                    let mut out = vec![0.0; (npts - grads) * ndofs];
-                    backend.evaluate_batch(kind, state, &value_points, &mut scratch, &mut out);
-                }
+            assert_eq!(together.is_empty(), grads == npts, "{at}");
+            for state in states.states() {
+                let mut out = vec![0.0; (npts - grads) * ndofs];
+                backend.evaluate_batch(kind, state, &value_points, &mut scratch, &mut out);
             }
             assert_eq!(together, records.take(), "{at}");
         }
