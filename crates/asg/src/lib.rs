@@ -35,6 +35,7 @@
 //! assert!((out[0] - 0.125).abs() < 1e-2);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod basis;

@@ -6,6 +6,7 @@
 //! and the two `ablations` baselines, the hash-table storage scheme
 //! ([`hashtab`]) and the chain walk without its zero-skip ([`ablation`]).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablation;

@@ -14,6 +14,7 @@
 //! The Fig. 7 and Fig. 8 machine models live with their figures in
 //! `hddm-bench`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod assign;

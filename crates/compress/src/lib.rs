@@ -31,6 +31,7 @@
 //! assert!((out[0] - 2.0).abs() < 1e-12);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod compressed;

@@ -6,7 +6,7 @@
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use hddm_telemetry::{Counter, Histogram, Registry};
@@ -23,7 +23,6 @@ use hddm_olg::{PointScratch, PolicyOracle};
 use hddm_sched::{parallel_for_init, PoolConfig};
 use hddm_solver::SolverError;
 
-use crate::disjoint::DisjointRows;
 use crate::policy::{AsgOracle, PolicySet};
 
 /// What the driver needs from an economic model: the state-space shape and
@@ -106,8 +105,6 @@ pub struct DriverConfig {
     pub refine_epsilon: Option<f64>,
     /// Maximum refinement level `Lmax` (paper: 6).
     pub max_level: u8,
-    /// Surplus norm for the refinement indicator.
-    pub refine_norm: SurplusNorm,
     /// Intra-step thread pool.
     pub pool: PoolConfig,
     /// Stop after this many time-iteration steps.
@@ -130,7 +127,6 @@ impl Default for DriverConfig {
             start_level: 2,
             refine_epsilon: None,
             max_level: 6,
-            refine_norm: SurplusNorm::MaxAbs,
             pool: PoolConfig::default(),
             max_steps: 100,
             tolerance: 1e-6,
@@ -484,7 +480,7 @@ pub(crate) fn build_state<'g, M: StepModel, C: Comm>(
         let refine_config = RefineConfig {
             epsilon,
             max_level: config.max_level,
-            norm: config.refine_norm,
+            norm: SurplusNorm::MaxAbs,
         };
         let report = timed(spans.map(|s| &s.refine), || {
             refine_frontier(grid.to_mut(), &surpluses, ndofs, &frontier, &refine_config)
@@ -601,7 +597,7 @@ fn solve_frontier<M: StepModel>(
     let dim = model.dim();
     let units = unit_rows(grid, points);
     let warm_rows = evaluate_pnext(policy, config, z, &units);
-    let rows = DisjointRows::zeros(points.len(), ndofs);
+    let mut rows = vec![0.0; points.len() * ndofs];
     let failure_count = AtomicUsize::new(0);
 
     // Every thread gets work on small frontiers; no slice is wider than
@@ -614,6 +610,9 @@ fn solve_frontier<M: StepModel>(
         .max(config.pool.grain)
         .clamp(1, BATCH_CHUNK);
     let pool = PoolConfig { threads, grain: 1 };
+    // One handle per slice: the pool runs each slice exactly once, so a
+    // lock is taken once and never waited on.
+    let slices: Vec<Mutex<&mut [f64]>> = rows.chunks_mut(slice * ndofs).map(Mutex::new).collect();
 
     parallel_for_init(
         points.len().div_ceil(slice),
@@ -622,7 +621,6 @@ fn solve_frontier<M: StepModel>(
             oracle: policy.oracle_on(config.kernel, config.backend.clone()),
             scratch: PointScratch::default(),
             phys: Vec::new(),
-            solved: Vec::new(),
             retry_phys: Vec::new(),
             retry_rows: Vec::new(),
         },
@@ -637,14 +635,14 @@ fn solve_frontier<M: StepModel>(
             {
                 policy.domain.from_unit(unit, phys);
             }
-            worker.solved.resize((hi - lo) * ndofs, 0.0);
+            let mut solved = slices[t].lock().unwrap_or_else(PoisonError::into_inner);
             let results = model.solve_point_rows(
                 z,
                 &worker.phys,
                 warm,
                 &mut worker.oracle,
                 &mut worker.scratch,
-                &mut worker.solved,
+                &mut solved,
             );
 
             let failed: Vec<usize> = (0..hi - lo).filter(|&i| results[i].is_err()).collect();
@@ -674,11 +672,8 @@ fn solve_frontier<M: StepModel>(
                         Ok(()) => &worker.retry_rows[j * ndofs..(j + 1) * ndofs],
                         Err(_) => &warm[i * ndofs..(i + 1) * ndofs],
                     };
-                    worker.solved[i * ndofs..(i + 1) * ndofs].copy_from_slice(row);
+                    solved[i * ndofs..(i + 1) * ndofs].copy_from_slice(row);
                 }
-            }
-            for (i, row) in worker.solved.chunks_exact(ndofs).enumerate() {
-                rows.write_row(lo + i, row);
             }
             if let Some(counters) = work {
                 let traffic = worker.oracle.take_traffic();
@@ -692,8 +687,9 @@ fn solve_frontier<M: StepModel>(
             }
         },
     );
+    drop(slices);
     FrontierSolve {
-        rows: rows.into_vec(),
+        rows,
         warm: warm_rows,
         // ORDERING: Relaxed — `parallel_for_init` has joined its workers,
         // so this is a single-threaded read-out of the tally.
@@ -706,9 +702,8 @@ fn solve_frontier<M: StepModel>(
 struct SliceWorker<'a> {
     oracle: AsgOracle<'a>,
     scratch: PointScratch,
-    /// The slice's physical points and solved rows.
+    /// The slice's physical points.
     phys: Vec<f64>,
-    solved: Vec<f64>,
     /// Points and solved rows of the cold retry.
     retry_phys: Vec<f64>,
     retry_rows: Vec<f64>,

@@ -23,14 +23,12 @@
 //!   pair for the compressed layout, its checksummed frame and the atomic
 //!   file write, shared by checkpoints and the scenario cache's records;
 //! * [`checkpoint`] — save/restart of the solver state between time steps
-//!   (the paper's restart-with-smaller-ε protocol), one such record;
-//! * [`disjoint`] — lock-free disjoint-row writes for parallel point
-//!   solves.
+//!   (the paper's restart-with-smaller-ε protocol), one such record.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checkpoint;
-pub mod disjoint;
 pub mod distributed;
 pub mod driver;
 pub mod olg_step;

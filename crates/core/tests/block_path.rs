@@ -254,7 +254,11 @@ fn solver_blocks_reach_the_registry_and_the_observer() {
         points <= interpolated && points > interpolated / 100 * 99,
         "a rejected row is counted and not interpolated: {points} vs {interpolated}"
     );
-    assert!(jacobians > 0 && iterations >= jacobians);
+    // Broyden updates carry the iterations between Jacobians.
+    assert!(
+        jacobians > 0 && iterations > jacobians,
+        "{jacobians} Jacobians in {iterations} iterations"
+    );
     let solved: usize = reports
         .iter()
         .flat_map(|r| r.level_points.iter().flatten())

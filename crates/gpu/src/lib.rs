@@ -12,6 +12,7 @@
 //! as an observer. Performance is costed by a roofline model, since this
 //! host has no GPU.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;

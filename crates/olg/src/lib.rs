@@ -21,6 +21,7 @@
 //! time-iteration driver (`hddm-core`) implements with the compressed ASG
 //! kernels.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod accuracy;

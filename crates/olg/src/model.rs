@@ -167,16 +167,6 @@ fn forward_differences<O: PolicyOracle + ?Sized>(
 /// [`PolicyOracle::eval_states_block`], `h_t = FD_STEP · max(|x_t|, 1)`.
 const FD_STEP: f64 = 1e-7;
 
-/// Blanket implementation so plain closures can serve as oracles in tests.
-impl<F> PolicyOracle for F
-where
-    F: FnMut(usize, &[f64], &mut [f64]),
-{
-    fn eval(&mut self, z_next: usize, x_next: &[f64], out: &mut [f64]) {
-        self(z_next, x_next, out)
-    }
-}
-
 /// Reusable buffers of the point solver (one per worker thread): the
 /// Newton workspace, the per-point contexts, one round's rows and the
 /// rows kept for the value recursion. Everything is sized by the first

@@ -26,7 +26,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use hddm_core::{DriverConfig, OlgStep, TimeIteration};
-use hddm_kernels::{ExecutionBackend, KernelKind};
+use hddm_kernels::ExecutionBackend;
 use hddm_sched::{parallel_for_init, PoolConfig};
 use hddm_solver::NewtonOptions;
 use hddm_telemetry::Registry;
@@ -91,15 +91,16 @@ impl std::fmt::Display for ExecutorError {
 impl std::error::Error for ExecutorError {}
 
 /// Executor configuration: the host resources a sweep runs with and the
-/// (optional) persistent policy-surface cache directory.
+/// (optional) persistent policy-surface cache directory. Every scenario
+/// interpolates with the driver's kernel (`DriverConfig::default().kernel`)
+/// and reports its phase spans and solve timings to the cache's registry,
+/// so one snapshot covers cache and solve activity together.
 #[derive(Clone, Debug)]
 pub struct ExecutorConfig {
     /// Host threads running scenarios concurrently (scenario-level
     /// `parallel_for`; each scenario's own point solves use
     /// `SolveSettings::solver_threads`).
     pub threads: usize,
-    /// Interpolation kernel for policy evaluations.
-    pub kernel: KernelKind,
     /// Which engine evaluates batched `PointBlock` calls (warm-start
     /// projection, the driver's Newton rounds, frontier warm starts and
     /// hierarchization). The GPU
@@ -117,11 +118,6 @@ pub struct ExecutorConfig {
     /// Size bounds of the persistent cache (oldest-first eviction);
     /// ignored without `cache_dir`.
     pub cache_eviction: EvictionPolicy,
-    /// Registry receiving driver phase spans (`hddm_solve_*_seconds`) and
-    /// per-scenario solve timings. `None` (the default) routes them to the
-    /// cache's own registry, so one snapshot covers cache and solve
-    /// activity together.
-    pub telemetry: Option<Registry>,
 }
 
 impl Default for ExecutorConfig {
@@ -130,12 +126,10 @@ impl Default for ExecutorConfig {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get().min(8))
                 .unwrap_or(1),
-            kernel: KernelKind::Avx2,
             backend: ExecutionBackend::Cpu,
             warm_start: true,
             cache_dir: None,
             cache_eviction: EvictionPolicy::default(),
-            telemetry: None,
         }
     }
 }
@@ -163,13 +157,11 @@ impl ExecutorConfig {
 
 fn driver_config(
     scenario: &Scenario,
-    kernel: KernelKind,
     backend: ExecutionBackend,
     telemetry: Registry,
 ) -> DriverConfig {
     let s = &scenario.solve;
     DriverConfig {
-        kernel,
         backend,
         telemetry: Some(telemetry),
         start_level: s.start_level,
@@ -217,19 +209,10 @@ fn solve_one(
         })?;
     let newton = NewtonOptions {
         max_iterations: scenario.solve.newton_max_iterations,
-        ..Default::default()
     };
     let step = OlgStep { model, newton };
-    let registry = config
-        .telemetry
-        .clone()
-        .unwrap_or_else(|| cache.registry().clone());
-    let dconfig = driver_config(
-        scenario,
-        config.kernel,
-        config.backend.clone(),
-        registry.clone(),
-    );
+    let registry = cache.registry().clone();
+    let dconfig = driver_config(scenario, config.backend.clone(), registry.clone());
 
     let (mut ti, cache_tag, warm_source) = match looked_up {
         Lookup::Warm(surface) => match project_policy_with(
@@ -237,7 +220,7 @@ fn solve_one(
             &step.model.lower,
             &step.model.upper,
             scenario.solve.start_level,
-            config.kernel,
+            dconfig.kernel,
             &config.backend,
         ) {
             Ok(projected) => (

@@ -42,6 +42,7 @@
 //! assert_eq!(report.scenarios.len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

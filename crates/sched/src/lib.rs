@@ -12,6 +12,7 @@
 //! time-iteration driver hands it frontier slices, the scenario executor
 //! whole scenarios, the `scheduler` bin synthetic loads.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod pool;

@@ -63,6 +63,7 @@
 //! assert_eq!(hit.batch_size, 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod service;

@@ -8,7 +8,7 @@ use hddm_scenarios::{CacheKind, ExecutorConfig, ExecutorError, HashId, Scenario,
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Executor the micro-batches are dispatched to (host threads,
-    /// kernel, warm-start policy, persistent cache directory).
+    /// backend, warm-start policy, persistent cache directory).
     pub executor: ExecutorConfig,
     /// Maximum scenarios coalesced into one dispatched micro-batch.
     pub max_batch: usize,

@@ -2,9 +2,11 @@
 //!
 //! The per-grid-point equation solver of the HDDM stack: a globalized
 //! (damped, line-searched) Newton method with caller-supplied Jacobians
-//! and Broyden rank-1 updates, over a small self-contained dense linear
-//! algebra core. This substitutes for Ipopt [24] in the paper's pipeline
-//! (README, "Workspace layout").
+//! and Broyden rank-1 updates between them, on one fixed schedule (the
+//! constants of [`newton`]; [`NewtonOptions`] is the iteration budget),
+//! over a small self-contained dense linear algebra core. This
+//! substitutes for Ipopt [24] in the paper's pipeline (README,
+//! "Workspace layout").
 //!
 //! * [`linalg`] — LU with partial pivoting on row-major slices, norms;
 //! * [`newton`] — the damped Newton driver: [`newton::newton_rounds`]
@@ -41,6 +43,7 @@
 //! assert!((x[0] - 2f64.sqrt()).abs() < 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod linalg;

@@ -125,7 +125,7 @@ proptest! {
                 Ok(())
             },
             &mut x,
-            &NewtonOptions { max_iterations: 120, ..Default::default() },
+            &NewtonOptions { max_iterations: 120 },
         ).unwrap();
         prop_assert!(report.residual_norm < 1e-9);
         // Verify the root independently.
@@ -151,7 +151,7 @@ proptest! {
             state ^= state << 17;
             state
         };
-        let opts = NewtonOptions { max_iterations: 40, broyden_refresh: 3, ..Default::default() };
+        let opts = NewtonOptions { max_iterations: 40 };
         let systems: Vec<(Vec<f64>, f64, Vec<f64>)> = (0..count)
             .map(|_| {
                 let (a, start) = diag_dominant(n, next());

@@ -46,6 +46,7 @@
 //! assert!(snap.to_json().starts_with('{'));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod instrument;

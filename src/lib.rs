@@ -44,6 +44,7 @@
 //! assert!(reports.last().unwrap().sup_change < 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use hddm_asg as asg;
