@@ -8,12 +8,17 @@
 //! (the driver's default) where the host has it: a four-state `d = 9`
 //! economy on its regular grid, whose states share one grid and so one
 //! walk, at 1, 2 and 4 threads; and the benchmark's cold adaptive solve,
-//! whose states are refined apart.
+//! whose states are refined apart. A hash moves with the last bit of any
+//! surplus, so the cold solve also pins what a change to Newton's
+//! rounding must keep: its grid, no failed point, and its Euler errors
+//! to ten significant digits.
 
 use hddm_core::{DriverConfig, OlgStep, PolicySet, TimeIteration};
 use hddm_kernels::KernelKind;
-use hddm_olg::{Calibration, OlgModel, PolicyOracle};
+use hddm_olg::{euler_errors_on_box, Calibration, OlgModel, PolicyOracle};
 use hddm_sched::PoolConfig;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 fn config(max_steps: usize) -> DriverConfig {
     DriverConfig {
@@ -104,7 +109,7 @@ fn the_shared_grid_economy_solves_to_its_pinned_policy_on_any_thread_count() {
         ti.run();
         assert_eq!(
             policy_hash(&ti.policy),
-            0x87c2_981e_04a0_5a4a,
+            0x30e3_25bb_2685_05ea,
             "{threads} threads"
         );
     }
@@ -129,7 +134,15 @@ fn the_cold_adaptive_solve_reaches_its_pinned_policy() {
         ..Default::default()
     };
     let model = OlgModel::new(Calibration::small(5, 3, 2, 0.04));
-    let mut ti = TimeIteration::new(OlgStep::new(model), config);
-    assert_eq!(ti.run().len(), 8);
-    assert_eq!(policy_hash(&ti.policy), 0x9aa4_2c65_9af2_185d);
+    let mut ti = TimeIteration::new(OlgStep::new(model.clone()), config);
+    let reports = ti.run();
+    assert_eq!(reports.len(), 8);
+    assert_eq!(reports[7].points_per_state, [1405, 1380]);
+    assert_eq!(reports.iter().map(|r| r.solver_failures).sum::<usize>(), 0);
+    // The benchmark's accuracy check: 500 points of the box, seed 1.
+    let mut oracle = ti.policy.oracle(KernelKind::Avx2);
+    let errors = euler_errors_on_box(&model, &mut oracle, 500, &mut ChaCha8Rng::seed_from_u64(1));
+    assert_eq!(format!("{:.9e}", errors.mean_error), "1.796588794e-4");
+    assert_eq!(format!("{:.9e}", errors.max_error), "1.709162130e-3");
+    assert_eq!(policy_hash(&ti.policy), 0x8405_ce1b_446e_ab77);
 }

@@ -31,7 +31,6 @@ pub mod markov;
 pub mod model;
 pub mod simulate;
 pub mod steady;
-pub mod welfare;
 
 pub use accuracy::{
     euler_errors_at, euler_errors_block, euler_errors_on_box, euler_errors_on_path,
@@ -43,4 +42,3 @@ pub use markov::MarkovChain;
 pub use model::{BoxPolicy, OlgModel, PointScratch, PointSolution, PolicyOracle, SolveTally};
 pub use simulate::{simulate, SimPeriod, Simulation};
 pub use steady::{reference_calibration, solve_steady_state, SteadyState};
-pub use welfare::{consumption_equivalent, discount_mass, newborn_welfare, WelfareReport};

@@ -2,11 +2,11 @@
 //!
 //! The per-grid-point equation solver of the HDDM stack: a globalized
 //! (damped, line-searched) Newton method with caller-supplied Jacobians
-//! and Broyden rank-1 updates between them, on one fixed schedule (the
-//! constants of [`newton`]; [`NewtonOptions`] is the iteration budget),
-//! over a small self-contained dense linear algebra core. This
-//! substitutes for Ipopt [24] in the paper's pipeline (README,
-//! "Workspace layout").
+//! and Broyden updates between them, kept in product form on one LU per
+//! Jacobian, on one fixed schedule (the constants of [`newton`];
+//! [`NewtonOptions`] is the iteration budget), over a small
+//! self-contained dense linear algebra core. This substitutes for Ipopt
+//! [24] in the paper's pipeline (README, "Workspace layout").
 //!
 //! * [`linalg`] — LU with partial pivoting on row-major slices, norms;
 //! * [`newton`] — the damped Newton driver: [`newton::newton_rounds`]
@@ -59,7 +59,7 @@ pub use scalar::brent;
 /// programming errors.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SolverError {
-    /// The (approximate) Jacobian lost rank at `column`.
+    /// A Jacobian the caller supplied lost rank at `column`.
     SingularJacobian {
         /// Pivot column where elimination failed.
         column: usize,

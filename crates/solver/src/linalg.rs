@@ -1,32 +1,13 @@
 //! Minimal dense linear algebra on row-major slices: LU factorization
-//! with partial pivoting, a matrix-vector product and Broyden's rank-1
-//! update — all the Newton solver needs for the paper's ~60×60 per-point
-//! systems, which the block Newton keeps in flat per-worker buffers.
+//! with partial pivoting, its solve and two norms — all the Newton solver
+//! needs for the paper's ~60×60 per-point systems, which the block Newton
+//! keeps in flat per-worker buffers.
 
 use crate::SolverError;
 
-/// `y = A·x` for a row-major `n × n` matrix stored in `a` (`n = x.len()`).
-pub(crate) fn matvec(a: &[f64], x: &[f64], y: &mut [f64]) {
-    let n = x.len();
-    assert_eq!(a.len(), n * n);
-    assert_eq!(y.len(), n);
-    for (yi, row) in y.iter_mut().zip(a.chunks_exact(n)) {
-        *yi = row.iter().zip(x).map(|(a, b)| a * b).sum();
-    }
-}
-
-/// `A += alpha · u vᵀ` on a row-major `n × n` slice (`n = u.len()`).
-pub(crate) fn rank1_update(a: &mut [f64], alpha: f64, u: &[f64], v: &[f64]) {
-    let n = u.len();
-    assert_eq!(a.len(), n * n);
-    assert_eq!(v.len(), n);
-    for (row, &ui) in a.chunks_exact_mut(n).zip(u) {
-        let ui = alpha * ui;
-        for (aij, vj) in row.iter_mut().zip(v) {
-            *aij += ui * vj;
-        }
-    }
-}
+/// The smallest pivot [`lu_factor`] accepts. Newton's Broyden update
+/// holds its denominator to the same floor.
+pub(crate) const PIVOT_FLOOR: f64 = f64::MIN_POSITIVE * 1e4;
 
 /// Factors the row-major `n × n` matrix in `lu` in place (`PA = LU`,
 /// `n = pivots.len()`). On `Err` the contents of `lu` are unspecified.
@@ -45,7 +26,7 @@ pub fn lu_factor(lu: &mut [f64], pivots: &mut [u32]) -> Result<(), SolverError> 
                 best = r;
             }
         }
-        if best_abs < f64::MIN_POSITIVE * 1e4 || !best_abs.is_finite() {
+        if best_abs < PIVOT_FLOOR || !best_abs.is_finite() {
             return Err(SolverError::SingularJacobian { column: col });
         }
         pivots[col] = best as u32;
@@ -110,11 +91,36 @@ pub fn norm_inf(v: &[f64]) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
+    /// `y = A·x` for a row-major `n × n` matrix stored in `a` (`n = x.len()`).
+    pub(crate) fn matvec(a: &[f64], x: &[f64], y: &mut [f64]) {
+        let n = x.len();
+        assert_eq!(a.len(), n * n);
+        assert_eq!(y.len(), n);
+        for (yi, row) in y.iter_mut().zip(a.chunks_exact(n)) {
+            *yi = row.iter().zip(x).map(|(a, b)| a * b).sum();
+        }
+    }
+
+    /// `A += alpha · u vᵀ` on a row-major `n × n` slice (`n = u.len()`):
+    /// the matrix form of Broyden's update, the reference Newton's
+    /// product form is tested against.
+    pub(crate) fn rank1_update(a: &mut [f64], alpha: f64, u: &[f64], v: &[f64]) {
+        let n = u.len();
+        assert_eq!(a.len(), n * n);
+        assert_eq!(v.len(), n);
+        for (row, &ui) in a.chunks_exact_mut(n).zip(u) {
+            let ui = alpha * ui;
+            for (aij, vj) in row.iter_mut().zip(v) {
+                *aij += ui * vj;
+            }
+        }
+    }
+
     /// Factors a copy of `a` and solves `a x = b` in place.
-    fn solve(a: &[f64], b: &mut [f64]) -> Result<(), SolverError> {
+    pub(crate) fn solve(a: &[f64], b: &mut [f64]) -> Result<(), SolverError> {
         let mut lu = a.to_vec();
         let mut pivots = vec![0; b.len()];
         lu_factor(&mut lu, &mut pivots)?;

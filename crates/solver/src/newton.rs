@@ -1,7 +1,6 @@
 //! Damped Newton with a caller-supplied Jacobian, Armijo line search and
-//! Broyden rank-1 updates between Jacobians — the square-system
-//! substitute for the Ipopt NLP solver the paper calls per grid point
-//! (Sec. IV-A).
+//! Broyden updates between Jacobians — the square-system substitute for
+//! the Ipopt NLP solver the paper calls per grid point (Sec. IV-A).
 //!
 //! The per-point equilibrium systems of the OLG model are smooth and
 //! square (~59 equations in 59 unknowns), so a globalized Newton iteration
@@ -21,8 +20,17 @@
 //! exactly the trajectory it walks alone (same evaluation points, same
 //! arithmetic, same order), so results do not depend on which other
 //! systems share the block.
+//!
+//! Broyden runs in product form ("good" Broyden with Sherman–Morrison;
+//! Dennis and Schnabel, 1983, §8.3; Kelley, 1995, ch. 7). A system
+//! factors only its true Jacobians. Between two of them its inverse
+//! approximation is `H_k = (I − q_{k−1} s_{k−1}ᵀ) ⋯ (I − q_0 s_0ᵀ) J⁻¹`:
+//! the LU of the last Jacobian and one factor per accepted step, with
+//! `s = α·d`, `y = ΔF`, `w = H_k y` and `q = (w − s)/(sᵀw)`. That is the
+//! inverse of the matrix update `B_{k+1} = B_k + (y − B_k s) sᵀ/(sᵀs)`,
+//! which is never formed.
 
-use crate::linalg::{lu_factor, lu_solve, matvec, norm2, norm_inf, rank1_update};
+use crate::linalg::{lu_factor, lu_solve, norm2, norm_inf, PIVOT_FLOOR};
 use crate::SolverError;
 
 /// Convergence tolerance on `‖F‖_∞`.
@@ -35,15 +43,20 @@ const BACKTRACK: f64 = 0.5;
 /// stalled.
 const MIN_STEP: f64 = 1e-10;
 /// A fresh Jacobian every `BROYDEN_REFRESH` accepted steps, Broyden
-/// rank-1 updates in between. Measured on the benchmark's cold solve
-/// against 1 (full Newton), 2 and 8: full Newton builds 1.8× the
-/// Jacobians and is slower, 2 is slower too and 8 is no faster.
+/// updates in between, so a system stores at most `BROYDEN_REFRESH − 1`
+/// product-form factors. Measured on the benchmark's cold solve against
+/// 1 (full Newton), 2 and 8 while each update still refactored an
+/// `n × n` approximation: full Newton builds 1.8× the Jacobians and is
+/// slower, 2 is slower too and 8 is no faster.
 const BROYDEN_REFRESH: usize = 5;
+/// Broyden factor slots per system.
+const FACTORS: usize = BROYDEN_REFRESH - 1;
 
 /// Newton solver configuration: the iteration budget. The rest of the
 /// schedule is fixed: `‖F‖_∞ ≤ 1e-9`, Armijo constant `1e-4`,
 /// backtracking by `0.5` down to a step of `1e-10`, and a fresh Jacobian
-/// every 5 accepted steps with Broyden updates in between.
+/// every 5 accepted steps with product-form Broyden updates of its LU in
+/// between.
 #[derive(Clone, Copy, Debug)]
 pub struct NewtonOptions {
     /// Maximum Newton iterations.
@@ -122,10 +135,10 @@ struct System {
     phase: Phase,
     /// The `iter` of `for iter in 0..max_iterations`.
     iter: usize,
-    /// Accepted steps since the last Jacobian; `usize::MAX` forces one.
+    /// Accepted steps since the last Jacobian, and so the number of
+    /// stored Broyden factors while it is below `BROYDEN_REFRESH`;
+    /// `usize::MAX` forces a Jacobian.
     since_refresh: usize,
-    /// Whether `lu` holds a factorization.
-    factored: bool,
     /// Current line-search step length.
     alpha: f64,
     /// Merit `½‖F(x)‖²` the line search compares against.
@@ -142,12 +155,11 @@ pub struct NewtonWorkspace {
     systems: Vec<System>,
     fx: Vec<f64>,
     step: Vec<f64>,
-    jac: Vec<f64>,
+    // The LU of each system's last Jacobian, and its Broyden factors:
+    // `FACTORS` slots of `[q | s]` (`2n`) per system.
     lu: Vec<f64>,
     pivots: Vec<u32>,
-    // Broyden temporaries (`n` each).
-    dx: Vec<f64>,
-    b_dx: Vec<f64>,
+    factors: Vec<f64>,
     // One round: the system each row belongs to, the evaluation points,
     // the rows that request a Jacobian, the residual rows, the Jacobians
     // and the per-row rejections.
@@ -170,7 +182,6 @@ impl NewtonWorkspace {
                 phase: Phase::Initial,
                 iter: 0,
                 since_refresh: usize::MAX, // force a Jacobian on the first iteration
-                factored: false,
                 alpha: 1.0,
                 merit0: 0.0,
                 report: NewtonReport::default(),
@@ -178,11 +189,9 @@ impl NewtonWorkspace {
         );
         self.fx.resize(m * n, 0.0);
         self.step.resize(m * n, 0.0);
-        self.jac.resize(m * n * n, 0.0);
         self.lu.resize(m * n * n, 0.0);
         self.pivots.resize(m * n, 0);
-        self.dx.resize(n, 0.0);
-        self.b_dx.resize(n, 0.0);
+        self.factors.resize(m * FACTORS * 2 * n, 0.0);
     }
 
     /// Consumes the row `r` the last round evaluated for system `s`, then
@@ -213,16 +222,13 @@ impl NewtonWorkspace {
                 if let Some(error) = self.rejected[r].take() {
                     return Some(Err(error));
                 }
-                let jac = &mut self.jac[s * n * n..(s + 1) * n * n];
-                jac.copy_from_slice(&self.jacobians[slot * n * n..(slot + 1) * n * n]);
                 sys.report.jacobian_evals += 1;
                 sys.since_refresh = 0;
                 let lu = &mut self.lu[s * n * n..(s + 1) * n * n];
-                lu.copy_from_slice(jac);
+                lu.copy_from_slice(&self.jacobians[slot * n * n..(slot + 1) * n * n]);
                 if let Err(error) = lu_factor(lu, &mut self.pivots[s * n..(s + 1) * n]) {
                     return Some(Err(error));
                 }
-                sys.factored = true;
                 return self.search(s, n, opts);
             }
             Phase::Trial => {
@@ -240,26 +246,22 @@ impl NewtonWorkspace {
                     return self.next_trial(s, n, opts);
                 }
 
-                // Broyden update B += ((Δf − B·Δx) Δxᵀ)/(Δxᵀ·Δx); Δx = α·d.
-                let jac = &mut self.jac[s * n * n..(s + 1) * n * n];
-                let step = &self.step[s * n..(s + 1) * n];
-                for (dx, d) in self.dx.iter_mut().zip(step) {
-                    *dx = d * sys.alpha;
-                }
-                matvec(jac, &self.dx, &mut self.b_dx);
-                let dx_dot = self.dx.iter().map(|v| v * v).sum::<f64>();
-                if dx_dot > 0.0 {
-                    for k in 0..n {
-                        self.b_dx[k] = (f_trial[k] - fx[k]) - self.b_dx[k];
+                // The Broyden factor of this step, unless the next
+                // iteration takes a fresh Jacobian anyway.
+                let k = sys.since_refresh;
+                if k + 1 < BROYDEN_REFRESH {
+                    let factors = &mut self.factors[s * FACTORS * 2 * n..][..(k + 1) * 2 * n];
+                    let (stored, factor) = factors.split_at_mut(k * 2 * n);
+                    for (y, (after, before)) in factor.iter_mut().zip(f_trial.iter().zip(&*fx)) {
+                        *y = after - before;
                     }
-                    rank1_update(jac, 1.0 / dx_dot, &self.b_dx, &self.dx);
-                    // Refactor the updated approximation (cheap at these sizes).
-                    if sys.since_refresh + 1 < BROYDEN_REFRESH {
-                        let lu = &mut self.lu[s * n * n..(s + 1) * n * n];
-                        lu.copy_from_slice(jac);
-                        if lu_factor(lu, &mut self.pivots[s * n..(s + 1) * n]).is_err() {
-                            sys.since_refresh = usize::MAX; // force a fresh Jacobian
-                        }
+                    let inverse = Inverse {
+                        lu: &self.lu[s * n * n..(s + 1) * n * n],
+                        pivots: &self.pivots[s * n..(s + 1) * n],
+                        factors: stored,
+                    };
+                    if !inverse.broyden_factor(sys.alpha, &self.step[s * n..(s + 1) * n], factor) {
+                        sys.since_refresh = usize::MAX; // `B_{k+1}` is singular
                     }
                 }
                 sys.since_refresh = sys.since_refresh.saturating_add(1);
@@ -299,14 +301,14 @@ impl NewtonWorkspace {
         if sys.report.residual_norm <= TOLERANCE {
             return Some(Ok(sys.report));
         }
-        if sys.since_refresh >= BROYDEN_REFRESH || !sys.factored {
+        if sys.since_refresh >= BROYDEN_REFRESH {
             sys.phase = Phase::Jacobian;
             return None;
         }
         self.search(s, n, opts)
     }
 
-    /// Newton direction `J d = −F` and the start of the Armijo
+    /// Newton direction `d = −H_k F` and the start of the Armijo
     /// backtracking on the merit function `½‖F‖²`.
     fn search(
         &mut self,
@@ -320,11 +322,12 @@ impl NewtonWorkspace {
         for (d, f) in step.iter_mut().zip(fx) {
             *d = -*f;
         }
-        lu_solve(
-            &self.lu[s * n * n..(s + 1) * n * n],
-            &self.pivots[s * n..(s + 1) * n],
-            step,
-        );
+        Inverse {
+            lu: &self.lu[s * n * n..(s + 1) * n * n],
+            pivots: &self.pivots[s * n..(s + 1) * n],
+            factors: &self.factors[s * FACTORS * 2 * n..][..sys.since_refresh * 2 * n],
+        }
+        .apply(step);
         sys.merit0 = 0.5 * norm2(fx).powi(2);
         sys.alpha = 1.0;
         self.next_trial(s, n, opts)
@@ -343,9 +346,9 @@ impl NewtonWorkspace {
             sys.phase = Phase::Trial;
             return None;
         }
-        // A stall with a Broyden-approximated Jacobian often recovers
-        // after a fresh factorization; force one (it costs an iteration)
-        // before giving up.
+        // A stall on a Broyden-updated inverse often recovers after a
+        // fresh Jacobian; force one (it costs an iteration) before giving
+        // up.
         if sys.since_refresh > 0 {
             sys.since_refresh = usize::MAX;
             sys.iter += 1;
@@ -356,6 +359,55 @@ impl NewtonWorkspace {
             residual: sys.report.residual_norm,
         }))
     }
+}
+
+/// One system's inverse approximation `H_k`: the LU of its last Jacobian
+/// and the `k` factors `[q | s]` stored since, oldest first.
+struct Inverse<'a> {
+    lu: &'a [f64],
+    pivots: &'a [u32],
+    factors: &'a [f64],
+}
+
+impl Inverse<'_> {
+    /// `v ← H_k v`: the LU solve, then each factor `v ← v − q (sᵀv)` in
+    /// the order the steps were accepted.
+    fn apply(&self, v: &mut [f64]) {
+        lu_solve(self.lu, self.pivots, v);
+        for factor in self.factors.chunks_exact(2 * v.len()) {
+            let (q, s) = factor.split_at(v.len());
+            let sv = dot(s, v);
+            for (vi, qi) in v.iter_mut().zip(q) {
+                *vi -= qi * sv;
+            }
+        }
+    }
+
+    /// Turns `factor = [y | ·]`, `y = ΔF` over the accepted step
+    /// `s = α·d`, into the factor `[q | s]` of
+    /// `H_{k+1} = (I − q sᵀ) H_k`, `q = (w − s)/(sᵀw)`, `w = H_k y`.
+    /// Returns `false`, with `factor` unspecified, when `sᵀw` is zero,
+    /// below `lu_factor`'s pivot floor or not finite: the updated matrix
+    /// `B_{k+1}` is singular exactly when `sᵀw = 0`.
+    fn broyden_factor(&self, alpha: f64, d: &[f64], factor: &mut [f64]) -> bool {
+        let (w, s) = factor.split_at_mut(d.len());
+        self.apply(w);
+        for (s, d) in s.iter_mut().zip(d) {
+            *s = alpha * d;
+        }
+        let sw = dot(s, w);
+        if sw.abs() < PIVOT_FLOOR || !sw.is_finite() {
+            return false;
+        }
+        for (q, s) in w.iter_mut().zip(&*s) {
+            *q = (*q - s) / sw;
+        }
+        true
+    }
+}
+
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(a, b)| a * b).sum()
 }
 
 /// Solves `m` independent square systems `F_s(x_s) = 0` of `n` unknowns
@@ -437,4 +489,129 @@ pub fn newton_rounds<R: Rounds + ?Sized>(
         .into_iter()
         .map(|outcome| outcome.expect("the round loop ends when every system has finished"))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::linalg::tests::{matvec, rank1_update, solve};
+
+    /// Seeded xorshift draws in `[−0.5, 0.5)`.
+    fn draws(mut seed: u64) -> impl FnMut() -> f64 {
+        move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        }
+    }
+
+    #[test]
+    fn the_product_form_applies_the_inverse_of_the_updated_matrix() {
+        // `H_k v` from the stored factors against a dense solve with
+        // `B_k`, the matrix the rank-1 updates build, for every `k` a
+        // system can reach.
+        let mut next = draws(0x9E37_79B9_7F4A_7C15);
+        for n in [1, 4, 9] {
+            let mut b: Vec<f64> = (0..n * n).map(|_| next()).collect();
+            for i in 0..n {
+                b[i * n + i] += n as f64 + 2.0;
+            }
+            let (mut lu, mut pivots) = (b.clone(), vec![0; n]);
+            lu_factor(&mut lu, &mut pivots).unwrap();
+            let mut factors = vec![0.0; FACTORS * 2 * n];
+            for k in 0..=FACTORS {
+                let (stored, rest) = factors.split_at_mut(k * 2 * n);
+                let inverse = Inverse {
+                    lu: &lu,
+                    pivots: &pivots,
+                    factors: stored,
+                };
+                let v: Vec<f64> = (0..n).map(|_| next()).collect();
+                let (mut product, mut dense) = (v.clone(), v);
+                inverse.apply(&mut product);
+                solve(&b, &mut dense).unwrap();
+                for (got, want) in product.iter().zip(&dense) {
+                    let error = (got - want).abs();
+                    assert!(error <= 1e-12 * norm_inf(&dense), "n={n} k={k}: {error:e}");
+                }
+                if k == FACTORS {
+                    break;
+                }
+                // Step `k`: `s = α·d` and a `y` near `B_k s`, which keeps
+                // `B_{k+1}` well conditioned.
+                let alpha = 0.75 + next();
+                let d: Vec<f64> = (0..n).map(|_| next()).collect();
+                let s: Vec<f64> = d.iter().map(|d| alpha * d).collect();
+                let mut bs = vec![0.0; n];
+                matvec(&b, &s, &mut bs);
+                let y: Vec<f64> = bs.iter().map(|v| v + 0.1 * next()).collect();
+                let factor = &mut rest[..2 * n];
+                factor[..n].copy_from_slice(&y);
+                assert!(inverse.broyden_factor(alpha, &d, factor), "n={n} k={k}");
+                let residual: Vec<f64> = y.iter().zip(&bs).map(|(y, bs)| y - bs).collect();
+                rank1_update(&mut b, 1.0 / dot(&s, &s), &residual, &s);
+            }
+        }
+    }
+
+    /// One system of two unknowns on a script: round `i` is answered with
+    /// `answers[i]` (its residual, or its Jacobian when it asks for one)
+    /// and logged as `(asked for a Jacobian, point)`; a round past the
+    /// script is rejected, which ends the solve.
+    struct Scripted {
+        answers: Vec<Vec<f64>>,
+        log: Vec<(bool, Vec<f64>)>,
+    }
+
+    impl Rounds for Scripted {
+        fn round(&mut self, round: Round<'_>) {
+            let jacobian = round.jacobian_rows == [0];
+            self.log.push((jacobian, round.rows.to_vec()));
+            match self.answers.get(self.log.len() - 1) {
+                Some(answer) if jacobian => round.jacobians.copy_from_slice(answer),
+                Some(answer) => round.out.copy_from_slice(answer),
+                None => round.rejected[0] = Some(SolverError::Rejected("end of script".into())),
+            }
+        }
+    }
+
+    /// From `x = 0` with `F = (1, 0)` and `J = [[1, 1], [0, 1]]` the
+    /// Newton step is `s = (−1, 0)`; its trial answers `f_trial`, and the
+    /// script ends there.
+    fn one_step(f_trial: [f64; 2]) -> Vec<(bool, Vec<f64>)> {
+        let mut script = Scripted {
+            answers: vec![vec![1.0, 0.0], vec![1.0, 1.0, 0.0, 1.0], f_trial.to_vec()],
+            log: Vec::new(),
+        };
+        let outcome = newton_rounds(
+            2,
+            &mut [0.0, 0.0],
+            &NewtonOptions::default(),
+            &mut NewtonWorkspace::default(),
+            &mut script,
+        );
+        assert!(matches!(&outcome[..], [Err(SolverError::Rejected(_))]));
+        assert_eq!(
+            script.log[..3],
+            [
+                (false, vec![0.0, 0.0]),
+                (true, vec![0.0, 0.0]),
+                (false, vec![-1.0, 0.0]),
+            ]
+        );
+        script.log
+    }
+
+    #[test]
+    fn a_vanishing_broyden_denominator_takes_a_fresh_jacobian() {
+        // `F` halves its merit, so the step is accepted, but
+        // `y = (−½, −½)` gives `w = J⁻¹y = (0, −½)` and `sᵀw = 0`: the
+        // updated matrix is singular, and the next round asks for the
+        // Jacobian at the new point.
+        assert_eq!(one_step([0.5, -0.5])[3], (true, vec![-1.0, 0.0]));
+        // Control: `y = (−½, −0.4)` gives `sᵀw = 0.1`, and the next round
+        // is a trial along the Broyden direction.
+        assert!(!one_step([0.5, -0.4])[3].0);
+    }
 }

@@ -6,7 +6,7 @@
 //! tax 20% vs 32%) are each solved to a recursive equilibrium with the
 //! full stack (time iteration on adaptive sparse grids, compressed
 //! kernels). The solved policies are then simulated to compare long-run
-//! aggregates and newborn welfare, with Euler errors as the quality gate.
+//! aggregates, with Euler errors as the quality gate.
 //!
 //! ```text
 //! cargo run --release --example tax_reform
@@ -14,10 +14,7 @@
 
 use hddm::core::{DriverConfig, OlgStep, TimeIteration};
 use hddm::kernels::KernelKind;
-use hddm::olg::{
-    consumption_equivalent, euler_errors_on_path, newborn_welfare, simulate, Calibration, OlgModel,
-    WelfareReport,
-};
+use hddm::olg::{euler_errors_on_path, simulate, Calibration, OlgModel};
 use hddm::sched::PoolConfig;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -43,7 +40,6 @@ struct Outcome {
     output: f64,
     consumption: f64,
     pension_rate: f64,
-    welfare: WelfareReport,
     euler_mean_log10: f64,
 }
 
@@ -99,13 +95,6 @@ fn solve_and_evaluate(label: &str, labor_tax: f64) -> Outcome {
     let mut oracle = ti.policy.oracle(KernelKind::Avx2);
     let sim = simulate(&eval_model, &mut oracle, 2000, 200, &mut rng);
 
-    // Newborn welfare: the solved value function of generation 1 averaged
-    // over the simulated ergodic distribution of (z, x) — see
-    // `hddm::olg::welfare` for the CEV arithmetic.
-    let mut rng = ChaCha8Rng::seed_from_u64(29);
-    let mut oracle = ti.policy.oracle(KernelKind::Avx2);
-    let welfare = newborn_welfare(&eval_model, &mut oracle, 1000, 0, &mut rng);
-
     let p_bar = hddm::olg::prices(&eval_model.cal, 0, sim.mean(|p| p.capital));
     Outcome {
         capital: sim.mean(|p| p.capital),
@@ -113,7 +102,6 @@ fn solve_and_evaluate(label: &str, labor_tax: f64) -> Outcome {
         output: sim.mean(|p| p.output),
         consumption: sim.mean(|p| p.consumption),
         pension_rate: p_bar.pension,
-        welfare,
         euler_mean_log10: accuracy.mean_log10,
     }
 }
@@ -139,18 +127,8 @@ fn main() {
         "  {:<22} {:>10.1}  {:>11.1}   (log10 mean Euler error)",
         "solution quality", low.euler_mean_log10, high.euler_mean_log10
     );
-
-    // Consumption-equivalent variation: λ such that newborns under the
-    // small-PAYG economy, with consumption scaled by (1+λ), match the
-    // large-PAYG welfare.
-    let lambda = consumption_equivalent(&low.welfare, &high.welfare);
     println!(
-        "\nnewborn welfare: expanding the PAYG system is worth {:+.2}% of lifetime\n\
-         consumption to a newborn at the ergodic mean (negative = reform hurts).",
-        100.0 * lambda
-    );
-    println!(
-        "mechanism: the larger pension crowds out private saving (K falls {:.1}%),\n\
+        "\nmechanism: the larger pension crowds out private saving (K falls {:.1}%),\n\
          lowering wages; the gain is old-age insurance — the classic trade-off the\n\
          stochastic-OLG literature quantifies.",
         100.0 * (1.0 - high.capital / low.capital)

@@ -15,7 +15,7 @@
 //! | [`compress`] | `hddm-compress` | Sec. IV-B index compression |
 //! | [`kernels`] | `hddm-kernels` | gold/x86/avx/avx2/avx512 kernels |
 //! | [`gpu`] | `hddm-gpu` | P100 device model + launch pricing |
-//! | [`solver`] | `hddm-solver` | lockstep Newton with supplied Jacobians, Broyden, LU (Ipopt substitute) |
+//! | [`solver`] | `hddm-solver` | lockstep Newton with supplied Jacobians, product-form Broyden, LU (Ipopt substitute) |
 //! | [`cluster`] | `hddm-cluster` | Comm runtime + rank-group assignment |
 //! | [`sched`] | `hddm-sched` | dynamic `parallel_for` over a shared cursor |
 //! | [`olg`] | `hddm-olg` | the stochastic OLG economy |
