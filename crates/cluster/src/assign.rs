@@ -71,7 +71,7 @@ pub fn proportional_ranks(m: &[usize], total_ranks: usize) -> Vec<usize> {
 
 /// When there are fewer ranks than states, states must share ranks. This
 /// greedy balancer (largest state to least-loaded rank) returns, for each
-/// rank, the list of states it serves sequentially.
+/// rank, the list of states it serves sequentially, in ascending order.
 pub fn multiplex_states(m: &[usize], total_ranks: usize) -> Vec<Vec<usize>> {
     assert!(total_ranks >= 1);
     let mut buckets: Vec<(usize, Vec<usize>)> = vec![(0, Vec::new()); total_ranks];
@@ -84,6 +84,9 @@ pub fn multiplex_states(m: &[usize], total_ranks: usize) -> Vec<Vec<usize>> {
             .expect("at least one rank");
         slot.0 += m[z];
         slot.1.push(z);
+    }
+    for (_, states) in &mut buckets {
+        states.sort_unstable();
     }
     buckets.into_iter().map(|(_, states)| states).collect()
 }
@@ -160,6 +163,20 @@ mod tests {
             seen[*z] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn multiplex_lists_ascend_and_keep_their_assignment() {
+        // Each case's greedy assignment, rank by rank.
+        let check = |m: &[usize], want: &[&[usize]]| {
+            let plan = multiplex_states(m, want.len());
+            assert_eq!(plan, want, "{m:?}");
+            assert!(plan.iter().all(|states| states.is_sorted()));
+        };
+        check(&[100, 300, 200, 50], &[&[1, 3], &[0, 2]]);
+        check(&[100, 300, 200, 50], &[&[1], &[2], &[0, 3]]);
+        check(&[1405, 1380], &[&[0, 1]]);
+        check(&[5, 40, 40, 10, 30, 20], &[&[0, 1, 4], &[2, 3, 5]]);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! The parallel time-iteration driver — Algorithm 1 of the paper, with the
-//! per-step structure of Fig. 2: for each discrete state, build this
-//! step's ASG level by level (solve the frontier, hierarchize, refine),
-//! interpolating next-period policies `pnext` through the compressed
-//! kernels; then merge into the new policy and iterate to convergence.
+//! per-step structure of Fig. 2: the world's ranks share out the discrete
+//! states, each state's ASG is built level by level (solve the frontier,
+//! hierarchize, refine), interpolating next-period policies `pnext`
+//! through the compressed kernels, and the ranks exchange the new
+//! interpolants; then iterate to convergence. One process is a world of
+//! one rank.
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -23,6 +25,7 @@ use hddm_olg::{PointScratch, PolicyOracle};
 use hddm_sched::{parallel_for_init, PoolConfig};
 use hddm_solver::SolverError;
 
+use crate::distributed::{decode_state, encode_state, records, Share};
 use crate::policy::{AsgOracle, PolicySet};
 
 /// What the driver needs from an economic model: the state-space shape and
@@ -139,7 +142,7 @@ impl Default for DriverConfig {
 /// the phase spans of the level loop and of compression (named by the
 /// `hddm_solve_<phase>_seconds` scheme documented in the README) and the
 /// frontier solves' work counters.
-pub(crate) struct PhaseSpans {
+struct PhaseSpans {
     policy_update: Arc<Histogram>,
     hierarchize: Arc<Histogram>,
     refine: Arc<Histogram>,
@@ -169,14 +172,14 @@ impl PhaseSpans {
 /// What every state's level loop of one step shares, built once per step:
 /// the start-level regular grid, its hierarchization stencil and the
 /// driver's instruments.
-pub(crate) struct StepShared {
+struct StepShared {
     grid: SparseGrid,
     stencil: Stencil,
-    pub spans: Option<PhaseSpans>,
+    spans: Option<PhaseSpans>,
 }
 
 impl StepShared {
-    pub(crate) fn new(dim: usize, config: &DriverConfig) -> StepShared {
+    fn new(dim: usize, config: &DriverConfig) -> StepShared {
         let grid = regular_grid(dim, config.start_level);
         StepShared {
             stencil: Stencil::of(&grid),
@@ -218,8 +221,13 @@ pub struct StepReport {
     pub wall_seconds: f64,
 }
 
-/// The time-iteration state machine.
-pub struct TimeIteration<M: StepModel> {
+/// The time-iteration state machine, run over the world `C` (Fig. 2):
+/// every step splits the world into a rank group per discrete state (or
+/// multiplexes states onto ranks when there are fewer ranks than states),
+/// builds this rank's states and exchanges them, so every rank ends the
+/// step with the same policy. The default world, [`SerialComm`], is one
+/// process: it builds every state and exchanges nothing.
+pub struct TimeIteration<M: StepModel, C: Comm = SerialComm> {
     /// The economic model being solved.
     pub model: M,
     /// Driver configuration.
@@ -227,13 +235,14 @@ pub struct TimeIteration<M: StepModel> {
     /// The current policy guess `pnext`.
     pub policy: PolicySet,
     step: usize,
+    world: C,
 }
 
 /// Builds the step-0 policy: the constant row `p⁰ = initial_row` on the
 /// start-level regular grid, one interpolant per discrete state. Pure
-/// function of the model and `start_level`, so every rank of a distributed
-/// run constructs an identical copy without communication.
-pub fn initial_policy<M: StepModel>(model: &M, start_level: u8) -> PolicySet {
+/// function of the model and `start_level`, so every rank of a world
+/// constructs an identical copy without communication.
+pub(crate) fn initial_policy<M: StepModel>(model: &M, start_level: u8) -> PolicySet {
     let (lo, hi) = model.bounds();
     let domain = BoxDomain::new(lo, hi);
     let ndofs = model.ndofs();
@@ -257,21 +266,16 @@ pub fn initial_policy<M: StepModel>(model: &M, start_level: u8) -> PolicySet {
 }
 
 impl<M: StepModel> TimeIteration<M> {
-    /// Initializes with the constant policy `p⁰ = initial_row` on the
-    /// start-level regular grid.
+    /// Initializes a single-process driver with the constant policy
+    /// `p⁰ = initial_row` on the start-level regular grid.
     pub fn new(model: M, config: DriverConfig) -> Self {
-        let policy = initial_policy(&model, config.start_level);
-        TimeIteration {
-            model,
-            config,
-            policy,
-            step: 0,
-        }
+        TimeIteration::over(SerialComm, model, config)
     }
 
-    /// Rebuilds a driver around an existing policy (the checkpoint-resume
-    /// path): no initial-guess construction, the supplied policy *is* the
-    /// current `pnext` and `step` continues the original counter.
+    /// Rebuilds a single-process driver around an existing policy (the
+    /// checkpoint-resume path): no initial-guess construction, the supplied
+    /// policy *is* the current `pnext` and `step` continues the original
+    /// counter.
     pub fn with_policy(model: M, config: DriverConfig, policy: PolicySet, step: usize) -> Self {
         assert_eq!(
             policy.domain.dim(),
@@ -288,6 +292,22 @@ impl<M: StepModel> TimeIteration<M> {
             config,
             policy,
             step,
+            world: SerialComm,
+        }
+    }
+}
+
+impl<M: StepModel, C: Comm> TimeIteration<M, C> {
+    /// Initializes this rank's driver of a run over `world` with the
+    /// constant policy `p⁰`; every rank of the world must make one.
+    pub fn over(world: C, model: M, config: DriverConfig) -> Self {
+        let policy = initial_policy(&model, config.start_level);
+        TimeIteration {
+            model,
+            config,
+            policy,
+            step: 0,
+            world,
         }
     }
 
@@ -298,40 +318,72 @@ impl<M: StepModel> TimeIteration<M> {
     }
 
     /// Executes one time-iteration step (Fig. 2), replacing the policy.
+    /// Every rank of the world returns the same report and holds the same
+    /// policy after it.
     pub fn step(&mut self) -> StepReport {
         let start = Instant::now();
-        let ns = self.model.num_states();
+        let (model, config, policy, world) = (&self.model, &self.config, &self.policy, &self.world);
+        let ns = model.num_states();
+        let ndofs = model.ndofs();
+        let shared = StepShared::new(model.dim(), config);
         let mut totals = StepTotals::default();
-        let mut new_states = Vec::with_capacity(ns);
-        let mut level_points: Vec<Vec<usize>> = Vec::new();
-        let shared = StepShared::new(self.model.dim(), &self.config);
+        // A state is compressed as soon as this rank holds it, built or
+        // received; only the compressed form and its level sizes are kept.
+        let compress =
+            |built: BuiltState| (built.compress(shared.spans.as_ref(), ndofs), built.levels);
+        let mut held: Vec<Option<(CompressedState, Vec<usize>)>> = (0..ns).map(|_| None).collect();
 
-        for z in 0..ns {
+        let share = Share::of(world, &policy.points_per_state());
+        let mut outgoing = Vec::new();
+        for &z in &share.states {
             let built = build_state(
-                &self.model,
-                &self.policy,
-                &self.config,
+                model,
+                policy,
+                config,
                 &shared,
                 z,
-                None::<&SerialComm>,
+                share.group.as_ref(),
                 &mut totals,
             );
-            if level_points.len() < built.levels.len() {
-                level_points.resize(built.levels.len(), vec![0; ns]);
+            if share.publishes {
+                encode_state(z, &built, ndofs, &mut outgoing);
             }
-            for (l, &count) in built.levels.iter().enumerate() {
+            held[z] = Some(compress(built));
+        }
+        // The world exchange: each rank decodes the states it lacks.
+        for flat in world.allgather(&outgoing) {
+            for (z, record) in records(&flat) {
+                if held[z].is_none() {
+                    held[z] = Some(compress(decode_state(record, model.dim(), ndofs)));
+                }
+            }
+        }
+
+        let mut maxbuf = [totals.sup];
+        world.allreduce_max(&mut maxbuf);
+        let mut sumbuf = [totals.sum_sq, totals.count as f64, totals.failures as f64];
+        world.allreduce_sum(&mut sumbuf);
+
+        let mut new_states = Vec::with_capacity(ns);
+        let mut level_points: Vec<Vec<usize>> = Vec::new();
+        for (z, slot) in held.into_iter().enumerate() {
+            let (state, levels) = slot.unwrap_or_else(|| panic!("state {z} missing from exchange"));
+            if level_points.len() < levels.len() {
+                level_points.resize(levels.len(), vec![0; ns]);
+            }
+            for (l, &count) in levels.iter().enumerate() {
                 level_points[l][z] = count;
             }
-            new_states.push(built.compress(shared.spans.as_ref(), self.model.ndofs()));
+            new_states.push(state);
         }
 
         let report = StepReport {
             step: self.step,
-            sup_change: totals.sup,
-            l2_change: (totals.sum_sq / totals.count.max(1) as f64).sqrt(),
+            sup_change: maxbuf[0],
+            l2_change: (sumbuf[0] / sumbuf[1].max(1.0)).sqrt(),
             points_per_state: new_states.iter().map(|s| s.grid.nno()).collect(),
             level_points,
-            solver_failures: totals.failures,
+            solver_failures: sumbuf[2] as usize,
             wall_seconds: start.elapsed().as_secs_f64(),
         };
         self.policy = PolicySet::new(new_states, self.policy.domain.clone());
@@ -339,13 +391,15 @@ impl<M: StepModel> TimeIteration<M> {
         report
     }
 
-    /// Runs until `‖p − pnext‖_∞ < tolerance` or `max_steps`.
+    /// Runs until `‖p − pnext‖_∞ < tolerance` or `max_steps`, the ranks
+    /// meeting at a barrier after each step.
     pub fn run(&mut self) -> Vec<StepReport> {
         let mut reports = Vec::new();
         for _ in 0..self.config.max_steps {
             let report = self.step();
             let done = report.sup_change < self.config.tolerance;
             reports.push(report);
+            self.world.barrier();
             if done {
                 break;
             }
@@ -354,19 +408,19 @@ impl<M: StepModel> TimeIteration<M> {
     }
 }
 
-/// What one process accumulates over a step: the policy change against
+/// What one rank accumulates over a step: the policy change against
 /// `pnext` at the points it solved, and the solves that fell back. The
-/// distributed step reduces these world-wide.
+/// step reduces these world-wide.
 #[derive(Default)]
-pub(crate) struct StepTotals {
+struct StepTotals {
     /// Largest relative change of a coefficient.
-    pub sup: f64,
+    sup: f64,
     /// Sum of squared relative changes.
-    pub sum_sq: f64,
+    sum_sq: f64,
     /// Coefficients compared.
-    pub count: usize,
+    count: usize,
     /// Points whose warm-started solve failed.
-    pub failures: usize,
+    failures: usize,
 }
 
 impl StepTotals {
@@ -399,8 +453,9 @@ pub(crate) struct BuiltState<'g> {
 
 impl BuiltState<'_> {
     /// Runs the compression pipeline on the finished grid — once per state
-    /// per step — under the `hddm_solve_compress_seconds` span.
-    pub(crate) fn compress(&self, spans: Option<&PhaseSpans>, ndofs: usize) -> CompressedState {
+    /// per step on each rank — under the `hddm_solve_compress_seconds`
+    /// span.
+    fn compress(&self, spans: Option<&PhaseSpans>, ndofs: usize) -> CompressedState {
         timed(spans.map(|s| &s.compress), || {
             let cg = CompressedGrid::build(&self.grid);
             let chain_order = cg.reorder_rows(&self.surpluses, ndofs);
@@ -412,16 +467,16 @@ impl BuiltState<'_> {
 /// The level loop of Fig. 2 for one discrete state: solve the frontier
 /// against `policy` (= `pnext`), measure the policy change there,
 /// hierarchize the new rows against this step's partial interpolant,
-/// refine, repeat. The single-process step and every rank of the
-/// distributed step run this one loop, starting from the step's `shared`
-/// start grid: the first level is hierarchized with its stencil, and the
-/// grid is copied when this state first refines.
+/// refine, repeat. Every rank runs this one loop for each state it
+/// builds, starting from the step's `shared` start grid: the first level
+/// is hierarchized with its stencil, and the grid is copied when this
+/// state first refines.
 ///
 /// With a `group`, each level's frontier is dealt round-robin across the
 /// group's ranks and the solved rows are merged by an allgather, so every
 /// rank hierarchizes and refines the same rows; `totals` then covers this
 /// rank's share only. `None` solves the whole frontier here.
-pub(crate) fn build_state<'g, M: StepModel, C: Comm>(
+fn build_state<'g, M: StepModel, C: Comm>(
     model: &M,
     policy: &PolicySet,
     config: &DriverConfig,
@@ -572,9 +627,8 @@ struct FrontierSolve {
     failures: usize,
 }
 
-/// The frontier solve of the single-process driver and of every rank of
-/// the distributed step: solves the point problems of state `z` at grid
-/// nodes `points` against `policy` (= `pnext`).
+/// The frontier solve of the level loop: solves the point problems of
+/// state `z` at grid nodes `points` against `policy` (= `pnext`).
 ///
 /// Warm starts — `pnext(z)` at every point — are ONE batched evaluation
 /// before dispatch. The points then go to the pool in slices of at most
@@ -740,12 +794,14 @@ struct WorkCounters {
 /// call** ([`ExecutionBackend::evaluate_batch`]) and folding it in via
 /// [`CompressedState::append_rows`] before the next (within a
 /// group, cross terms vanish at grid points; see `hddm-asg`).
-/// Deterministic, so every rank of a distributed step hierarchizing the
-/// same rows gets bitwise identical surpluses.
-pub struct IncrementalHierarchizer {
+/// Deterministic, so every rank of a group hierarchizing the same rows
+/// gets bitwise identical surpluses.
+pub(crate) struct IncrementalHierarchizer {
     kernel: KernelKind,
     backend: ExecutionBackend,
     ndofs: usize,
+    /// The partial interpolant built so far (kernel-ready; covers every
+    /// frontier folded in to date).
     state: CompressedState,
     scratch: Scratch,
 }
@@ -753,7 +809,7 @@ pub struct IncrementalHierarchizer {
 impl IncrementalHierarchizer {
     /// A fresh hierarchizer for one `(state, step)` grid construction,
     /// whose group evaluations dispatch through `backend`.
-    pub fn with_backend(
+    pub(crate) fn with_backend(
         kernel: KernelKind,
         backend: ExecutionBackend,
         dim: usize,
@@ -768,17 +824,16 @@ impl IncrementalHierarchizer {
         }
     }
 
-    /// The partial interpolant built so far (kernel-ready; covers every
-    /// frontier folded in to date).
-    pub fn state(&self) -> &CompressedState {
-        &self.state
-    }
-
     /// Hierarchizes the first batch — `solved` holds one row per node of
     /// the start grid `grid`, in grid order — with `stencil`, the grid's
     /// [`Stencil`]; returns the surplus rows and starts the partial
     /// interpolant from them.
-    pub fn start(&mut self, grid: &SparseGrid, stencil: &Stencil, solved: &[f64]) -> Vec<f64> {
+    pub(crate) fn start(
+        &mut self,
+        grid: &SparseGrid,
+        stencil: &Stencil,
+        solved: &[f64],
+    ) -> Vec<f64> {
         assert_eq!(
             self.state.grid.nno(),
             0,
@@ -794,7 +849,12 @@ impl IncrementalHierarchizer {
     /// Hierarchizes a later batch, the refinement frontier `frontier`:
     /// returns the new surplus rows in frontier order and extends the
     /// partial interpolant.
-    pub fn extend(&mut self, grid: &SparseGrid, frontier: &[u32], solved: &[f64]) -> Vec<f64> {
+    pub(crate) fn extend(
+        &mut self,
+        grid: &SparseGrid,
+        frontier: &[u32],
+        solved: &[f64],
+    ) -> Vec<f64> {
         let ndofs = self.ndofs;
         assert_eq!(solved.len(), frontier.len() * ndofs, "ragged solved rows");
         let dim = grid.dim();
@@ -1064,7 +1124,7 @@ mod tests {
             }
             frontier = report.new_nodes;
         }
-        assert_eq!(hier.state().grid.nno(), grid.len());
+        assert_eq!(hier.state.grid.nno(), grid.len());
         // Reference: full pipeline compression of the final surpluses.
         let rebuilt = CompressedState::new(&grid, &surpluses, ndofs);
         let mut scratch = Scratch::default();
@@ -1075,7 +1135,7 @@ mod tests {
                 ((s * 13 + 5) as f64 * 0.0137) % 1.0,
                 ((s * 7 + 11) as f64 * 0.0231) % 1.0,
             ];
-            KernelKind::X86.evaluate_compressed(hier.state(), &x, &mut scratch, &mut a);
+            KernelKind::X86.evaluate_compressed(&hier.state, &x, &mut scratch, &mut a);
             KernelKind::X86.evaluate_compressed(&rebuilt, &x, &mut scratch, &mut b);
             for k in 0..ndofs {
                 assert!((a[k] - b[k]).abs() < 1e-12, "dof {k} at {x:?}");
@@ -1086,7 +1146,7 @@ mod tests {
         for i in 0..grid.len() {
             grid.unit_point_of(i, &mut unit);
             f(&unit, &mut want);
-            KernelKind::X86.evaluate_compressed(hier.state(), &unit, &mut scratch, &mut a);
+            KernelKind::X86.evaluate_compressed(&hier.state, &unit, &mut scratch, &mut a);
             for k in 0..ndofs {
                 assert!((a[k] - want[k]).abs() < 1e-10, "grid point {i} dof {k}");
             }

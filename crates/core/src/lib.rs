@@ -10,15 +10,15 @@
 //!
 //! * [`driver`] — the [`TimeIteration`] state machine, generic over
 //!   [`StepModel`] so toy contractions and the full OLG economy run through
-//!   the identical code path;
+//!   the identical code path, and over an MPI-like [`hddm_cluster::Comm`]
+//!   so one process and a world of ranks run the identical step: per-state
+//!   groups sized ∝ `M_z`, per-level frontier partitioning + allgather
+//!   merge, and an exchange of the states a rank did not build (one
+//!   process is a world of one rank, which exchanges nothing);
 //! * [`policy`] — per-state compressed interpolants + the kernel-backed
 //!   policy oracle (domain clamping, unit-cube scaling);
 //! * [`olg_step`] — the [`StepModel`] implementation for
 //!   [`hddm_olg::OlgModel`];
-//! * [`distributed`] — the same step executed over an MPI-like
-//!   [`hddm_cluster::Comm`]: per-state groups sized ∝ `M_z`, per-level
-//!   frontier partitioning + allgather merge, world-wide policy exchange
-//!   (bitwise-equal to the single-process driver, by test);
 //! * [`record`] — the byte form of a [`PolicySet`]: the one encode/decode
 //!   pair for the compressed layout, its checksummed frame and the atomic
 //!   file write, shared by checkpoints and the scenario cache's records;
@@ -29,16 +29,13 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
-pub mod distributed;
+mod distributed;
 pub mod driver;
 pub mod olg_step;
 pub mod policy;
 pub mod record;
 
 pub use checkpoint::Checkpoint;
-pub use distributed::{distributed_run, distributed_step};
-pub use driver::{
-    initial_policy, DriverConfig, IncrementalHierarchizer, StepModel, StepReport, TimeIteration,
-};
+pub use driver::{DriverConfig, StepModel, StepReport, TimeIteration};
 pub use olg_step::OlgStep;
 pub use policy::{AsgOracle, PolicySet};

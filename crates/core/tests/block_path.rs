@@ -12,10 +12,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use hddm_cluster::SerialComm;
-use hddm_core::{
-    distributed_step, initial_policy, DriverConfig, OlgStep, PolicySet, StepModel, TimeIteration,
-};
+use hddm_cluster::ThreadComm;
+use hddm_core::{DriverConfig, OlgStep, PolicySet, StepModel, TimeIteration};
 use hddm_kernels::{BlockObserver, ChunkCounts, CompressedState, ExecutionBackend, KernelKind};
 use hddm_olg::{Calibration, OlgModel, PointScratch, PolicyOracle};
 use hddm_sched::PoolConfig;
@@ -299,7 +297,8 @@ fn solver_blocks_reach_the_registry_and_the_observer() {
 
 #[test]
 fn a_distributed_step_is_observed_and_timed_like_the_single_process_step() {
-    // One step of the same instance each way: the observer sees the same
+    // One step of the same instance on one rank and on two, whose ranks
+    // share the observer and the registry: the observer sees the same
     // points (solver, warm-start and hierarchization blocks alike) and
     // the phase spans record the same number of levels.
     let measure = |step: &dyn Fn(&DriverConfig)| {
@@ -322,9 +321,9 @@ fn a_distributed_step_is_observed_and_timed_like_the_single_process_step() {
         TimeIteration::new(OlgStep::new(instance()), config.clone()).step();
     });
     let distributed = measure(&|config| {
-        let model = OlgStep::new(instance());
-        let policy = initial_policy(&model, config.start_level);
-        distributed_step(&SerialComm, &model, &policy, config, 0);
+        ThreadComm::launch(2, |world| {
+            TimeIteration::over(world, OlgStep::new(instance()), config.clone()).step();
+        });
     });
     assert!(single.1 > 2 && single.2 == single.1, "{single:?}");
     assert_eq!(distributed, single);

@@ -1,12 +1,13 @@
 //! The compression pipeline runs once per state per step, however many
 //! refinement levels the step grows: the incremental hierarchizer extends
-//! its state level by level instead of recompressing. One `#[test]` in a
-//! process of its own, so the exact delta of the process-wide
-//! `hddm_compress_builds_total` counter holds.
+//! its state level by level instead of recompressing, and on a world of
+//! several ranks each rank compresses every state once, built or
+//! received. One `#[test]` in a process of its own, so the exact delta of
+//! the process-wide `hddm_compress_builds_total` counter holds.
 
-use hddm_cluster::SerialComm;
+use hddm_cluster::{Comm, ThreadComm};
 use hddm_compress::builds_total;
-use hddm_core::{distributed_step, DriverConfig, OlgStep, TimeIteration};
+use hddm_core::{DriverConfig, OlgStep, TimeIteration};
 use hddm_olg::{Calibration, OlgModel};
 use hddm_sched::PoolConfig;
 
@@ -34,9 +35,20 @@ fn compression_runs_once_per_solve_not_once_per_level() {
     );
     assert_eq!(builds_total() - before, ns, "one compression per state");
 
-    // The distributed step runs the same level loop.
-    let before = builds_total();
-    let (_, report) = distributed_step(&SerialComm, &model(), &ti.policy, &config, 1);
-    assert!(report.level_points.len() > 1);
-    assert_eq!(builds_total() - before, ns);
+    // Two ranks each build one state and receive the other: the count is
+    // read between barriers, after every rank's initial policy is built
+    // and before any step starts, then after every rank's step.
+    let deltas = ThreadComm::launch(2, |world| {
+        let mut ti = TimeIteration::over(world.clone(), model(), config.clone());
+        world.barrier();
+        let before = builds_total();
+        world.barrier();
+        let report = ti.step();
+        world.barrier();
+        (report.level_points.len(), builds_total() - before)
+    });
+    for (levels, delta) in deltas {
+        assert!(levels > 1);
+        assert_eq!(delta, 2 * ns, "each rank compresses every state once");
+    }
 }

@@ -23,6 +23,7 @@
 use rand::Rng;
 
 use crate::model::{OlgModel, PointScratch, PolicyOracle};
+use crate::simulate::advance;
 
 /// Euler-error statistics over a set of evaluation states.
 #[derive(Clone, Debug)]
@@ -136,7 +137,8 @@ pub fn euler_errors_block(
 
 /// Evaluates Euler errors along a simulated path of `periods` periods
 /// (after `burn_in` discarded ones), starting from the steady state with
-/// shocks drawn from the model's Markov chain.
+/// shocks drawn from the model's Markov chain — the transition of
+/// [`simulate`](crate::simulate::simulate).
 pub fn euler_errors_on_path<R: Rng>(
     model: &OlgModel,
     oracle: &mut dyn PolicyOracle,
@@ -145,8 +147,7 @@ pub fn euler_errors_on_path<R: Rng>(
     rng: &mut R,
 ) -> EulerErrorReport {
     let cal = &model.cal;
-    let a_max = cal.lifespan;
-    let n = a_max - 1;
+    let n = cal.lifespan - 1;
     let mut z = 0usize;
     let mut x = model.steady.state_vector();
     let mut row = vec![0.0; model.ndofs()];
@@ -169,14 +170,7 @@ pub fn euler_errors_on_path<R: Rng>(
             }
         }
         oracle.eval(z, &x, &mut row);
-        let savings = &row[..n];
-        let mut x_next = Vec::with_capacity(n);
-        x_next.push(savings.iter().sum());
-        x_next.extend_from_slice(&savings[..a_max - 2]);
-        for (d, v) in x_next.iter_mut().enumerate() {
-            *v = v.clamp(model.lower[d], model.upper[d]);
-        }
-        x = x_next;
+        advance(model, &row[..n], &mut x);
         z = cal.chain.step(z, rng);
     }
     EulerErrorReport::from_samples(by_age_max, sum, max, samples)

@@ -89,17 +89,21 @@ pub fn simulate<R: Rng>(
                 consumption,
             });
         }
-        // Transition: x' from savings, clamped into B; z' from the chain.
-        let mut x_next = Vec::with_capacity(a_max - 1);
-        x_next.push(savings.iter().sum());
-        x_next.extend_from_slice(&savings[..a_max - 2]);
-        for (t, v) in x_next.iter_mut().enumerate() {
-            *v = v.clamp(model.lower[t], model.upper[t]);
-        }
-        x = x_next;
+        // Transition: x' from savings; z' from the chain.
+        advance(model, savings, &mut x);
         z = cal.chain.step(z, rng);
     }
     Simulation { path }
+}
+
+/// A path's state transition: tomorrow's state of `savings`
+/// ([`OlgModel::next_state`]) into `x`, clamped into the box `B` like the
+/// solver does.
+pub(crate) fn advance(model: &OlgModel, savings: &[f64], x: &mut Vec<f64>) {
+    model.next_state(savings, x);
+    for (d, v) in x.iter_mut().enumerate() {
+        *v = v.clamp(model.lower[d], model.upper[d]);
+    }
 }
 
 #[cfg(test)]

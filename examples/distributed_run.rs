@@ -3,14 +3,14 @@
 //! discrete state (sized ∝ the grid-point counts `M_z`), groups solve
 //! their frontiers cooperatively with per-level allgather merges, and the
 //! new policy is exchanged world-wide — then the whole thing is checked
-//! against the single-process driver, which must agree **bitwise**.
+//! against the same driver on one process, which must agree **bitwise**.
 //!
 //! ```text
 //! cargo run --release --example distributed_run [ranks]
 //! ```
 
 use hddm::cluster::ThreadComm;
-use hddm::core::{distributed_run, DriverConfig, OlgStep, TimeIteration};
+use hddm::core::{DriverConfig, OlgStep, TimeIteration};
 use hddm::kernels::KernelKind;
 use hddm::olg::{Calibration, OlgModel, PolicyOracle};
 use hddm::sched::PoolConfig;
@@ -39,19 +39,19 @@ fn main() {
 
     println!("distributed time iteration: {ranks} ranks, 2 discrete states, A = 5\n");
 
-    // Single-process reference.
+    // The one-rank reference: the same driver over the default world.
     let t0 = std::time::Instant::now();
     let mut serial = TimeIteration::new(OlgStep::new(make()), config(steps));
     let serial_reports = serial.run();
     let t_serial = t0.elapsed().as_secs_f64();
 
-    // Distributed run over rank threads.
+    // The same run over rank threads.
     let t0 = std::time::Instant::now();
     let results = ThreadComm::launch(ranks, |world| {
-        let model = OlgStep::new(make());
-        let (policy, reports) = distributed_run(&world, &model, &config(steps));
+        let mut ti = TimeIteration::over(world, OlgStep::new(make()), config(steps));
+        let reports = ti.run();
         let x = make().steady.state_vector();
-        let mut oracle = policy.oracle(KernelKind::Avx2);
+        let mut oracle = ti.policy.oracle(KernelKind::Avx2);
         let mut row = vec![0.0; 8];
         oracle.eval(0, &x, &mut row);
         (reports.len(), reports.last().unwrap().sup_change, row)
@@ -60,17 +60,16 @@ fn main() {
 
     let (steps_done, final_change, dist_row) = &results[0];
     println!(
-        "serial:      {} steps, final ‖Δp‖∞ = {:.2e}, {:.2} s",
+        "1 rank:      {} steps, final ‖Δp‖∞ = {:.2e}, {:.2} s",
         serial_reports.len(),
         serial_reports.last().unwrap().sup_change,
         t_serial
     );
     println!(
-        "distributed: {} steps, final ‖Δp‖∞ = {:.2e}, {:.2} s ({} rank threads)",
-        steps_done, final_change, t_dist, ranks
+        "{ranks} ranks:     {steps_done} steps, final ‖Δp‖∞ = {final_change:.2e}, {t_dist:.2} s (rank threads)"
     );
 
-    // Bitwise agreement across ranks and against the serial driver.
+    // Bitwise agreement across ranks and against one rank.
     for (r, (_, _, row)) in results.iter().enumerate() {
         assert_eq!(row, dist_row, "rank {r} disagrees");
     }
@@ -80,7 +79,7 @@ fn main() {
         .policy
         .oracle(KernelKind::Avx2)
         .eval(0, &x, &mut serial_row);
-    assert_eq!(&serial_row, dist_row, "distributed != serial");
-    println!("\nall {ranks} ranks and the serial driver agree bitwise ✓");
+    assert_eq!(&serial_row, dist_row, "{ranks} ranks != 1 rank");
+    println!("\nall {ranks} ranks agree bitwise with a one-rank run ✓");
     println!("(on this single-core host rank threads timeshare, so wall times are\nsimilar; on a real cluster each rank is a node — see fig8 for the scaling)");
 }
