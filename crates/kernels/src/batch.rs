@@ -15,9 +15,11 @@
 //! * the `xpv` fill produces an `nxps × npts` block (entry-major), one
 //!   basis evaluation per `(entry, point)` — the same arithmetic as the
 //!   single-point fill, vectorized across points;
-//! * each compressed chain is walked **once per block**: the chain's xpv
-//!   factor columns multiply into an `npts`-wide running product, so the
-//!   chain loads and loop control amortize over the block;
+//! * each compressed chain is walked **once per block**: its xpv factor
+//!   columns are ANDed into a bound of the lanes it can be alive on and
+//!   multiplied on those lanes only, so the chain loads and loop control
+//!   amortize over the block and the products follow the live
+//!   `(chain, point)` pairs;
 //! * each surplus row is loaded **once per block** and accumulated into
 //!   every surviving point's output row while it is cache-resident — the
 //!   `nno × ndofs` stream that dominates single-point evaluation shrinks
@@ -31,14 +33,20 @@
 //! 1. **bound** — every chain ANDs the nonzero-lane masks of its factor
 //!    columns, without a branch, and the chains left with a lane are
 //!    compacted into a list;
-//! 2. **products** — each listed chain multiplies its factor columns left
-//!    to right and rebuilds its exact alive-lane mask from the products;
+//! 2. **products** — each listed chain folds its bound again and, lane by
+//!    lane over the bound's value lanes, multiplies its factors left to
+//!    right, setting a lane's alive bit iff its product is non-zero (a
+//!    chain of at most one factor is its column and the column's mask);
 //! 3. **accumulation** — its surplus row goes into the alive lanes' output
 //!    rows, strip by strip: up to four registers of the row stay loaded
 //!    across all alive lanes before the next strip is touched.
 //!
 //! (Passes 2 and 3 alternate per listed chain, so one product vector is
-//! live at a time.)
+//! live at a time.) A lane outside a chain's bound holds a zero factor,
+//! and every factor is finite and ≥ 0 (each fill clamps with `f64::max`,
+//! which also turns a NaN coordinate's factors into 0), so its product
+//! is the zero the single-point walk skips: forming products on the
+//! bound's lanes only is bitwise the dense product over the chunk.
 //!
 //! The same walk is the Newton Jacobian's source: the last
 //! [`Gradients::points`] points of a block want the gradient of a
@@ -46,8 +54,7 @@
 //! such lanes the fill adds a hat-slope column per `xps` entry and each
 //! listed chain its partial products. A value-only evaluation is the walk
 //! with `Gradients::default()`: the same source, in an instance with the
-//! gradient branches compiled out, which sizes no gradient buffer and
-//! folds no per-chain bound.
+//! gradient branches compiled out, which sizes no gradient buffer.
 //!
 //! The walk takes a **run of states** whose grids walk alike (the
 //! discrete states of one policy that share a grid, as recorded by
@@ -93,6 +100,11 @@ const _: () = assert!(BATCH_CHUNK <= 64);
 /// `max(flops/peak, bytes/bw)` is taken per launch, so the counts are
 /// per chunk). They depend only on the grid and the points: the masks
 /// are data-determined, so every accumulator reports the same records.
+///
+/// `factor_cols` is a dense-column count — what a device that multiplies
+/// whole factor columns streams — and is priced as `factor_cols × chunk`.
+/// The CPU walk forms a chain's products on its bound's lanes only, which
+/// leaves every count unchanged.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChunkCounts {
     /// Points in the chunk (`≤ BATCH_CHUNK`; only the last can be short).
@@ -424,8 +436,9 @@ mod isa {
     entry!(walk_avx512, "avx512f", Zmm);
 }
 
-/// Bit `k` ⇔ `v[k] != 0.0` (`v.len() ≤ 64`). NaN compares unequal, so a
-/// NaN lane is alive; a product that underflowed to zero is not.
+/// Bit `k` ⇔ `v[k] != 0.0` (`v.len() ≤ 64`): a basis column's nonzero
+/// lanes. No column holds a NaN: every fill clamps with `f64::max`, which
+/// drops it, so a NaN coordinate gives zero factors.
 #[inline(always)]
 fn alive(v: &[f64]) -> u64 {
     let mut mask = 0u64;
@@ -585,8 +598,9 @@ fn chunks<const GRADIENTS: bool>(
         // bounds its alive lanes from above (padding slots index the
         // sentinel, whose mask is `full`, so no length is needed), and a
         // chain whose support misses the whole chunk — the overwhelmingly
-        // common case on sparse grids — ends here. (NaN factors set their
-        // column-mask bits, so NaN lanes are never pruned.)
+        // common case on sparse grids — ends here. (A NaN coordinate's
+        // factors are 0, so the chains of its dimension are pruned on its
+        // lane, as the single-point walk skips them.)
         let mut kept = 0;
         for (p, chain) in chains.chunks_exact(nfreq).enumerate() {
             let mut bound = full;
@@ -614,38 +628,40 @@ fn chunks<const GRADIENTS: bool>(
             let chain = &chains[p * nfreq..(p + 1) * nfreq];
             let len_p = chain.iter().position(|&i| i == 0).unwrap_or(nfreq);
             let factors = &chain[..len_p];
-            // A survivor's bound is non-zero; which lanes it holds matters
-            // only to a chunk with gradient lanes.
-            let bound = if gmask == 0 {
-                full
-            } else {
-                factors
-                    .iter()
-                    .fold(full, |b, &idx| b & buf.colmask[idx as usize])
-            };
+            // The lanes on which every factor is non-zero — the only lanes
+            // the chain's product can be alive on.
+            let bound = factors
+                .iter()
+                .fold(full, |b, &idx| b & buf.colmask[idx as usize]);
             if bound & vmask != 0 {
                 counts.factor_cols += len_p.max(1);
-                // The product vector starts as the first factor column
-                // (`1·x ≡ x`, so this is bitwise the single-point walk)
-                // and multiplies the remaining factors left to right,
-                // unconditionally — a dead lane's zero just propagates
-                // (`0 · finite = 0`, the value the single-point early exit
-                // produces). A chain of at most one factor *is* its
-                // column, alive mask included; a longer one rebuilds the
-                // mask from its products, which can underflow to zero on
-                // a lane the bound kept.
+                // A chain of at most one factor *is* its column, alive
+                // mask included. A longer one multiplies its factors left
+                // to right (`1·x ≡ x`, so this is bitwise the single-point
+                // walk) on the value lanes of its bound only: every factor
+                // is finite and ≥ 0, so a lane outside the bound holds a
+                // zero factor and its product is the zero the single-point
+                // early exit skips. A lane is alive iff its product is
+                // non-zero, which it need not be on a lane the bound kept:
+                // the product can underflow.
                 let (product, mask) = if len_p <= 1 {
                     (col(chain[0]), buf.colmask[chain[0] as usize])
                 } else {
-                    for ((t, a), b) in buf.temps.iter_mut().zip(col(chain[0])).zip(col(chain[1])) {
-                        *t = a * b;
-                    }
-                    for &idx in &chain[2..len_p] {
-                        for (t, v) in buf.temps.iter_mut().zip(col(idx)) {
-                            *t *= v;
+                    let (a, b) = (col(factors[0]), col(factors[1]));
+                    let temps = &mut buf.temps[..chunk];
+                    let mut mask = 0;
+                    let mut lanes = bound & vmask;
+                    while lanes != 0 {
+                        let k = lanes.trailing_zeros() as usize;
+                        lanes &= lanes - 1;
+                        let mut t = a[k] * b[k];
+                        for &idx in &factors[2..] {
+                            t *= xpvb[idx as usize * chunk + k];
                         }
+                        temps[k] = t;
+                        mask |= ((t != 0.0) as u64) << k;
                     }
-                    (&*buf.temps, alive(buf.temps))
+                    (&*temps, mask)
                 };
                 if mask & vmask != 0 {
                     counts.rows_touched += 1;

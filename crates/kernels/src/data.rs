@@ -112,7 +112,7 @@ impl CompressedState {
 /// Reusable per-thread evaluation scratch. Sized for the largest state it
 /// has seen; the `xpv` array is the cache/shared-memory resident working
 /// set the compression was designed around. The batch walk keeps its
-/// entry-major `xpv` block, chain-product vector and surviving-chain list
+/// entry-major `xpv` block, chain-product lanes and surviving-chain list
 /// here too, and its gradient buffers once a chunk has gradient lanes,
 /// sized once per block — never reallocated per point.
 #[derive(Clone, Debug, Default)]
@@ -122,7 +122,10 @@ pub struct Scratch {
     /// Entry-major basis-value block for batched evaluation
     /// (`nxps × chunk`).
     xpv_block: Vec<f64>,
-    /// Per-point running chain products (`chunk`).
+    /// Per-point chain products (`chunk`), written only on the live lanes
+    /// of the chain being walked — the value lanes of its column-mask
+    /// bound — and read only on its alive ones; every other lane holds
+    /// whatever an earlier chain left there.
     temps: Vec<f64>,
     /// Per-xps-entry nonzero-lane masks (`nxps`), the chain pruning index.
     colmask: Vec<u64>,

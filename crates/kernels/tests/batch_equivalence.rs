@@ -36,10 +36,21 @@ use hddm_kernels::{
 const TOL: f64 = 1e-12;
 
 fn random_grid(dim: usize, nodes: usize, rng: &mut ChaCha8Rng) -> SparseGrid {
+    random_grid_refined_in(dim, nodes, 3, rng)
+}
+
+/// A closed random grid whose inserted nodes refine up to `most`
+/// dimensions each, at levels 2–5: chains of up to `most` factors.
+fn random_grid_refined_in(
+    dim: usize,
+    nodes: usize,
+    most: usize,
+    rng: &mut ChaCha8Rng,
+) -> SparseGrid {
     let mut grid = SparseGrid::new(dim);
     grid.insert(NodeKey::root());
     for _ in 0..nodes {
-        let actives = rng.gen_range(1..=3.min(dim));
+        let actives = rng.gen_range(1..=most.min(dim));
         let mut coords: Vec<ActiveCoord> = Vec::new();
         for _ in 0..actives {
             let d = rng.gen_range(0..dim) as u16;
@@ -410,6 +421,154 @@ fn chunk_counts_equal_the_golden_vector() {
         },
     );
     assert_eq!(counts, want, "nno = {}", state.grid.nno());
+}
+
+/// The chain lengths of `state`'s grid, ascending and without repeats.
+fn chain_lengths(state: &CompressedState) -> Vec<usize> {
+    let nfreq = state.grid.nfreq();
+    let mut lengths: Vec<usize> = (state.grid.chains().chunks_exact(nfreq))
+        .map(|chain| chain.iter().position(|&i| i == 0).unwrap_or(nfreq))
+        .collect();
+    lengths.sort_unstable();
+    lengths.dedup();
+    lengths
+}
+
+/// Every third coordinate of `rows` moved onto a knot of level 1–5 (`½`;
+/// `0` and `1`; `¼`; `⅝`; `15⁄16`): every finer hat but the ones centred
+/// there vanishes, so the chains through them hold exact-zero factors.
+fn on_knots(rows: &mut [f64]) {
+    for (j, x) in rows.iter_mut().step_by(3).enumerate() {
+        *x = [0.5, 0.0, 1.0, 0.25, 0.625, 0.9375][j % 6];
+    }
+}
+
+/// Chains of two to four factors (an adaptive d = 5 grid whose nodes
+/// refine up to four dimensions), points on knots, and value lanes beside
+/// gradient lanes in one chunk, at 1, 63, 64 and 65 points: the walk forms
+/// a chain's products on the value lanes of its bound only, and every
+/// kernel's value rows are still bitwise its single-point kernel's, its
+/// gradient rows those of a walk of the gradient points alone, and its
+/// counts every other kernel's. One block's counts are pinned to the
+/// values of the dense product pass.
+#[test]
+fn sparse_chain_products_equal_the_single_point_kernels_bitwise() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5BA75E);
+    let dim = 5;
+    let grid = random_grid_refined_in(dim, 160, 4, &mut rng);
+    let ndofs = 7;
+    let state = CompressedState::new(&grid, &random_surplus(&grid, ndofs, &mut rng), ndofs);
+    assert_eq!(chain_lengths(&state), [0, 1, 2, 3, 4]);
+    let coeffs = 1..6;
+    let stride = dim * coeffs.len();
+    let mut scratch = Scratch::default();
+    for npts in [1usize, 63, 64, 65] {
+        let mut rows = random_block(dim, npts, &mut rng);
+        on_knots(&mut rows);
+        for grads in [0, npts / 2, npts] {
+            let nv = npts - grads;
+            let at = format!("npts={npts} grads={grads}");
+            let (value_rows, gradient_rows) = rows.split_at(nv * dim);
+            let mut counts: Option<Vec<ChunkCounts>> = None;
+            for (kind, single_fn) in VARIANTS {
+                let mut values = vec![f64::NAN; npts * ndofs];
+                let mut gradient = vec![f64::NAN; grads * stride];
+                let got = batch::interpolate_states_batch(
+                    kind,
+                    std::slice::from_ref(&state),
+                    &PointBlock::from_rows(dim, &rows),
+                    &mut scratch,
+                    &mut values,
+                    Gradients {
+                        points: grads,
+                        coeffs: coeffs.clone(),
+                        out: &mut gradient,
+                    },
+                );
+                assert_eq!(
+                    counts.get_or_insert_with(|| got.clone()),
+                    &got,
+                    "{kind:?} {at}"
+                );
+                let mut want = vec![0.0; ndofs];
+                for (p, x) in value_rows.chunks_exact(dim).enumerate() {
+                    single_fn(&state, x, &mut scratch, &mut want);
+                    let row = &values[p * ndofs..(p + 1) * ndofs];
+                    assert_eq!(bits(row), bits(&want), "{kind:?} {at} point {p}");
+                }
+                assert!(
+                    values[nv * ndofs..].iter().all(|&v| v == 0.0),
+                    "{kind:?} {at}"
+                );
+                let (_, alone) = gradient_walk(kind, &state, &[], gradient_rows, coeffs.clone());
+                assert_eq!(bits(&gradient), bits(&alone), "{kind:?} {at}");
+            }
+            if npts == 65 && grads == 0 {
+                let golden = [(64, 4765, 1797, 8410), (1, 192, 91, 91)];
+                let want =
+                    golden.map(
+                        |(chunk, factor_cols, rows_touched, alive_pairs)| ChunkCounts {
+                            chunk,
+                            factor_cols,
+                            rows_touched,
+                            alive_pairs,
+                        },
+                    );
+                assert_eq!(counts, Some(want.to_vec()), "nno = {}", state.grid.nno());
+            }
+        }
+    }
+}
+
+/// A NaN coordinate gives zero factors — every fill clamps with
+/// `f64::max`, which drops NaN — so on its lane the chains of its
+/// dimension are pruned. A block with NaN coordinates evaluates bitwise
+/// like the single-point kernels, and its values, gradients and counts
+/// are those of the same block with ½ for every NaN, the level-1 knot on
+/// which every finer hat is zero.
+#[test]
+fn a_nan_coordinate_prunes_the_chains_of_its_dimension() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x7A7A);
+    let dim = 4;
+    let grid = random_grid_refined_in(dim, 150, 4, &mut rng);
+    let ndofs = 6;
+    let state = CompressedState::new(&grid, &random_surplus(&grid, ndofs, &mut rng), ndofs);
+    let npts = 65;
+    let mut rows = random_block(dim, npts, &mut rng);
+    // One NaN on some lanes, two on others, every coordinate on lane 64.
+    for p in [0usize, 5, 31, 63] {
+        rows[p * dim + p % dim] = f64::NAN;
+    }
+    for p in [9usize, 40] {
+        rows[p * dim] = f64::NAN;
+        rows[p * dim + 2] = f64::NAN;
+    }
+    rows[64 * dim..].fill(f64::NAN);
+    let halves: Vec<f64> = rows
+        .iter()
+        .map(|&x| if x.is_nan() { 0.5 } else { x })
+        .collect();
+    let counts = assert_block_matches(&state, None, &rows);
+    assert_eq!(counts, assert_block_matches(&state, None, &halves));
+    let coeffs = 0..ndofs;
+    for kind in KernelKind::COMPRESSED {
+        let (values, gradient) = gradient_walk(
+            kind,
+            &state,
+            &rows[..40 * dim],
+            &rows[40 * dim..],
+            coeffs.clone(),
+        );
+        let (want_values, want_gradient) = gradient_walk(
+            kind,
+            &state,
+            &halves[..40 * dim],
+            &halves[40 * dim..],
+            coeffs.clone(),
+        );
+        assert_eq!(bits(&values), bits(&want_values), "{kind:?}");
+        assert_eq!(bits(&gradient), bits(&want_gradient), "{kind:?}");
+    }
 }
 
 /// `kind`'s walk over one block: the value rows at `value_rows`, then
