@@ -3,6 +3,7 @@
 //! lives here rather than in `hddm-kernels`' API.
 
 use hddm_asg::linear_basis;
+use hddm_compress::CompressedGrid;
 use hddm_kernels::{CompressedState, Scratch};
 
 /// Ablation variant of [`hddm_kernels::x86::interpolate`]: the chain walk
@@ -41,6 +42,49 @@ pub fn interpolate_no_skip(
         }
         ichain += nfreq;
         let row = &surplus[p * ndofs..(p + 1) * ndofs];
+        for (o, s) in out.iter_mut().zip(row) {
+            *o += temp * s;
+        }
+    }
+}
+
+/// Ablation variant of [`hddm_kernels::x86::interpolate`] *without* the
+/// surplus matrix reordering: `surplus_grid_order` stays in the original
+/// grid order and every live point gathers its row through the `order`
+/// indirection. Chains and arithmetic are identical — only the memory
+/// access pattern changes from streaming to scattered, which is precisely
+/// the effect the paper's "surplus matrix reordering" removes.
+pub fn interpolate_unordered(
+    grid: &CompressedGrid,
+    surplus_grid_order: &[f64],
+    ndofs: usize,
+    x: &[f64],
+    scratch: &mut Scratch,
+    out: &mut [f64],
+) {
+    assert_eq!(x.len(), grid.dim());
+    assert_eq!(surplus_grid_order.len(), grid.nno() * ndofs);
+    assert_eq!(out.len(), ndofs);
+    let xps = grid.xps();
+    let xpv = scratch.prepare(xps.len());
+    for (v, entry) in xpv.iter_mut().zip(xps) {
+        *v = linear_basis(x[entry.index as usize], entry.l, entry.i).max(0.0);
+    }
+    out.fill(0.0);
+    let chains = grid.chains().chunks_exact(grid.nfreq());
+    for (chain, &orig) in chains.zip(grid.order()) {
+        let mut temp = 1.0;
+        for &idx in chain.iter().take_while(|&&idx| idx != 0) {
+            temp *= xpv[idx as usize];
+            if temp == 0.0 {
+                break;
+            }
+        }
+        if temp == 0.0 {
+            continue;
+        }
+        let orig = orig as usize;
+        let row = &surplus_grid_order[orig * ndofs..(orig + 1) * ndofs];
         for (o, s) in out.iter_mut().zip(row) {
             *o += temp * s;
         }

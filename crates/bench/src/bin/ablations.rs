@@ -15,13 +15,13 @@
 //! cargo run -p hddm-bench --release --bin ablations [points-per-case]
 //! ```
 
-use hddm_bench::ablation::interpolate_no_skip;
+use hddm_bench::ablation::{interpolate_no_skip, interpolate_unordered};
 use hddm_bench::hashtab::{self, HashState};
 use hddm_bench::{random_points, synthetic_surpluses, time_avg, KernelCase, NDOFS};
 use hddm_compress::CompressedGrid;
 use hddm_gpu::{price_block, Device, LaunchOptions};
 use hddm_kernels::batch::interpolate_batch;
-use hddm_kernels::{gold, x86, KernelKind, PointBlock, Scratch};
+use hddm_kernels::{gold, x86, CompressedState, KernelKind, PointBlock, Scratch};
 
 fn main() {
     let points: usize = std::env::args()
@@ -40,7 +40,6 @@ fn main() {
         let xs = random_points(59, points, 0xBEEF);
         let mut out = vec![0.0; NDOFS];
         let mut scratch = Scratch::default();
-        let mut xpv = vec![0.0; cg.xps().len()];
 
         println!(
             "  \"{name}\": {} points, {} level sets, nfreq {}",
@@ -77,18 +76,20 @@ fn main() {
         }
 
         // --- Ablation 2: surplus reordering.
-        let reordered = cg.reorder_rows(&surplus, NDOFS);
+        let reordered =
+            CompressedState::from_parts(cg.clone(), cg.reorder_rows(&surplus, NDOFS), NDOFS);
         let mut iter = xs.chunks_exact(59).cycle();
         let t_ordered = time_avg(points, || {
-            cg.interpolate_scalar(&reordered, NDOFS, iter.next().unwrap(), &mut xpv, &mut out);
+            x86::interpolate(&reordered, iter.next().unwrap(), &mut scratch, &mut out);
         });
         let mut iter = xs.chunks_exact(59).cycle();
         let t_gather = time_avg(points, || {
-            cg.interpolate_scalar_unordered(
+            interpolate_unordered(
+                &cg,
                 &surplus,
                 NDOFS,
                 iter.next().unwrap(),
-                &mut xpv,
+                &mut scratch,
                 &mut out,
             );
         });

@@ -25,9 +25,9 @@ fn main() {
     println!("Table II — interpolation kernel performance (ndofs = {NDOFS}, avg over {points} random points)");
     println!(
         "host AVX support: avx={} avx2+fma={} avx512f={}",
-        vector::VectorIsa::Avx.native(),
-        vector::VectorIsa::Avx2.native(),
-        vector::VectorIsa::Avx512.native()
+        KernelKind::Avx.native(),
+        KernelKind::Avx2.native(),
+        KernelKind::Avx512.native()
     );
     println!();
 

@@ -1,15 +1,21 @@
-//! The two baselines that exist only for the `ablations` bin — hash-table
-//! storage and the chain walk without its zero-skip — compute the same
-//! interpolant as the dense reference on arbitrary adaptive grids, so the
-//! bin times alternatives, not different answers.
+//! The baselines that exist only for the `ablations` bin — hash-table
+//! storage, the chain walk without its zero-skip and the chain walk over
+//! grid-ordered surplus rows — compute the same interpolant as the dense
+//! reference on arbitrary adaptive grids, so the bin times alternatives,
+//! not different answers.
 
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
-use hddm_asg::{interpolate_reference, ActiveCoord, NodeKey, SparseGrid};
-use hddm_bench::ablation::interpolate_no_skip;
+use hddm_asg::{
+    basis, hierarchize, interpolate_reference, regular_grid, tabulate, ActiveCoord, NodeKey,
+    SparseGrid,
+};
+use hddm_bench::ablation::{interpolate_no_skip, interpolate_unordered};
 use hddm_bench::hashtab::{self, HashState};
 use hddm_compress::CompressedGrid;
-use hddm_kernels::{CompressedState, Scratch};
+use hddm_kernels::{gold, x86, CompressedState, DenseState, Scratch};
 
 /// Strategy: a random ancestor-closed adaptive grid in `dim` dimensions
 /// (the population of the root `compression_equivalence` suite).
@@ -85,7 +91,6 @@ proptest! {
         let cg = CompressedGrid::build(&grid);
         let compressed = CompressedState::new(&grid, &surplus, ndofs);
         let mut scratch = Scratch::default();
-        let mut xpv = vec![0.0; cg.xps().len()];
         let mut want = vec![0.0; ndofs];
         let mut got = vec![0.0; ndofs];
         for _ in 0..4 {
@@ -95,9 +100,95 @@ proptest! {
             for k in 0..ndofs {
                 prop_assert!((got[k] - want[k]).abs() <= 1e-12, "no_skip dof {}", k);
             }
-            cg.interpolate_scalar_unordered(&surplus, ndofs, &x, &mut xpv, &mut got);
+            interpolate_unordered(&cg, &surplus, ndofs, &x, &mut scratch, &mut got);
             for k in 0..ndofs {
                 prop_assert!((got[k] - want[k]).abs() <= 1e-12, "unordered dof {}", k);
+            }
+        }
+    }
+}
+
+/// The grid-ordered gather and the `x86` kernel over reordered rows are
+/// the same interpolant.
+#[test]
+fn unordered_variant_matches_reordered() {
+    let grid = regular_grid(4, 4);
+    let ndofs = 3;
+    let mut surplus = tabulate(&grid, ndofs, |x, out| {
+        for (k, o) in out.iter_mut().enumerate() {
+            *o = x
+                .iter()
+                .enumerate()
+                .map(|(t, &v)| ((t + 1) as f64 * v).sin() + (k as f64 + 0.5) * v * v)
+                .sum::<f64>();
+        }
+    });
+    hierarchize(&grid, &mut surplus, ndofs);
+    let cg = CompressedGrid::build(&grid);
+    let reordered =
+        CompressedState::from_parts(cg.clone(), cg.reorder_rows(&surplus, ndofs), ndofs);
+    let mut scratch = Scratch::default();
+    let mut a = vec![0.0; ndofs];
+    let mut b = vec![0.0; ndofs];
+    for s in 0..30 {
+        let x: Vec<f64> = (0..4)
+            .map(|t| ((s as f64 + 0.37) * 0.61 + t as f64 * 0.217) % 1.0)
+            .collect();
+        x86::interpolate(&reordered, &x, &mut scratch, &mut a);
+        interpolate_unordered(&cg, &surplus, ndofs, &x, &mut scratch, &mut b);
+        for k in 0..ndofs {
+            assert!((a[k] - b[k]).abs() < 1e-12, "dof {k} at {x:?}");
+        }
+    }
+}
+
+/// The grid-ordered gather agrees with the dense `gold` kernel to ≤ 1e-12
+/// on 20 seeded random adaptive grids × 8 random points each.
+#[test]
+fn gold_vs_grid_ordered_interpolation() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xC044_E55A);
+    for round in 0..20 {
+        let dim = rng.gen_range(2..=4usize);
+        let ndofs = rng.gen_range(1..=3usize);
+        let mut grid = SparseGrid::new(dim);
+        grid.insert(NodeKey::root());
+        for _ in 0..rng.gen_range(0..8) {
+            let mut coords: Vec<ActiveCoord> = Vec::new();
+            for _ in 0..rng.gen_range(1..=3.min(dim)) {
+                let d = rng.gen_range(0..dim) as u16;
+                if coords.iter().any(|c| c.dim == d) {
+                    continue;
+                }
+                let level = rng.gen_range(2..=5u32) as u8;
+                let indices = basis::level_indices(level);
+                let index = indices[rng.gen_range(0..indices.len())];
+                coords.push(ActiveCoord {
+                    dim: d,
+                    level,
+                    index,
+                });
+            }
+            grid.insert_closed(NodeKey::from_coords(coords));
+        }
+        let surplus: Vec<f64> = (0..grid.len() * ndofs)
+            .map(|_| rng.gen::<f64>() * 2.0 - 1.0)
+            .collect();
+        let dense = DenseState::new(&grid, surplus.clone(), ndofs);
+        let cg = CompressedGrid::build(&grid);
+        let mut scratch = Scratch::default();
+        let mut want = vec![0.0; ndofs];
+        let mut got = vec![0.0; ndofs];
+        for _ in 0..8 {
+            let x: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>()).collect();
+            gold::interpolate(&dense, &x, &mut want);
+            interpolate_unordered(&cg, &surplus, ndofs, &x, &mut scratch, &mut got);
+            for k in 0..ndofs {
+                assert!(
+                    (got[k] - want[k]).abs() <= 1e-12,
+                    "round {round}: dof {k}: {} vs gold {}",
+                    got[k],
+                    want[k]
+                );
             }
         }
     }

@@ -1,8 +1,8 @@
 //! The kernel-facing compressed grid: `xps` + `chains` + point reordering,
-//! assembled by the [`crate::pipeline`] stages, with the scalar reference
-//! interpolator of Fig. 5 (left).
+//! assembled by the [`crate::pipeline`] stages. The kernels that walk it
+//! (Fig. 5) live in `hddm-kernels`.
 
-use hddm_asg::{basis, linear_basis, SparseGrid};
+use hddm_asg::{basis, SparseGrid};
 
 use crate::pipeline::{
     build_chains, decompose, renumber, transition, unique_elements, XiSparse, XpsEntry,
@@ -337,232 +337,12 @@ impl CompressedGrid {
         }
         dst
     }
-
-    /// Fills `xpv` with the clamped basis values of every `xps` entry at
-    /// `x` — the first loop of Fig. 5 (left). `xpv[0]` is 1 (sentinel).
-    pub fn fill_xpv(&self, x: &[f64], xpv: &mut [f64]) {
-        debug_assert_eq!(x.len(), self.dim);
-        debug_assert_eq!(xpv.len(), self.xps.len());
-        for (v, entry) in xpv.iter_mut().zip(&self.xps) {
-            let xp = linear_basis(x[entry.index as usize], entry.l, entry.i);
-            *v = xp.max(0.0);
-        }
-    }
-
-    /// Ablation variant of [`interpolate_scalar`](Self::interpolate_scalar)
-    /// *without* the surplus matrix reordering: `surplus` stays in the
-    /// original grid order and every live point gathers its row through the
-    /// `order` indirection. Chains and arithmetic are identical — only the
-    /// memory access pattern changes from streaming to scattered, which is
-    /// precisely the effect the paper's "surplus matrix reordering" removes.
-    pub fn interpolate_scalar_unordered(
-        &self,
-        surplus_grid_order: &[f64],
-        ndofs: usize,
-        x: &[f64],
-        xpv: &mut [f64],
-        out: &mut [f64],
-    ) {
-        assert_eq!(surplus_grid_order.len(), self.nno * ndofs);
-        assert_eq!(out.len(), ndofs);
-        self.fill_xpv(x, xpv);
-        out.fill(0.0);
-        let nfreq = self.nfreq;
-        for (p, chain) in self.chains.chunks_exact(nfreq).enumerate() {
-            let mut temp = 1.0;
-            let mut dead = false;
-            for &idx in chain {
-                if idx == 0 {
-                    break;
-                }
-                temp *= xpv[idx as usize];
-                if temp == 0.0 {
-                    dead = true;
-                    break;
-                }
-            }
-            if dead {
-                continue;
-            }
-            let orig = self.order[p] as usize;
-            let row = &surplus_grid_order[orig * ndofs..(orig + 1) * ndofs];
-            for (o, s) in out.iter_mut().zip(row) {
-                *o += temp * s;
-            }
-        }
-    }
-
-    /// Scalar compressed interpolation — a direct transcription of the
-    /// paper's Fig. 5 (left) listing. `surplus` must already be in chain
-    /// order (`reorder_rows`), row-major `nno × ndofs`; `out` accumulates
-    /// from zero.
-    pub fn interpolate_scalar(
-        &self,
-        surplus: &[f64],
-        ndofs: usize,
-        x: &[f64],
-        xpv: &mut [f64],
-        out: &mut [f64],
-    ) {
-        assert_eq!(surplus.len(), self.nno * ndofs);
-        assert_eq!(out.len(), ndofs);
-        self.fill_xpv(x, xpv);
-        out.fill(0.0);
-        let nfreq = self.nfreq;
-        for (p, chain) in self.chains.chunks_exact(nfreq).enumerate() {
-            let mut temp = 1.0;
-            let mut dead = false;
-            for &idx in chain {
-                if idx == 0 {
-                    break;
-                }
-                temp *= xpv[idx as usize];
-                if temp == 0.0 {
-                    dead = true;
-                    break;
-                }
-            }
-            if dead {
-                continue;
-            }
-            let row = &surplus[p * ndofs..(p + 1) * ndofs];
-            for (o, s) in out.iter_mut().zip(row) {
-                *o += temp * s;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hddm_asg::{
-        hierarchize, interpolate_reference, regular_grid, tabulate, NodeKey, SparseGrid,
-    };
-
-    fn smooth(x: &[f64], out: &mut [f64]) {
-        for (k, o) in out.iter_mut().enumerate() {
-            *o = x
-                .iter()
-                .enumerate()
-                .map(|(t, &v)| ((t + 1) as f64 * v).sin() + (k as f64 + 0.5) * v * v)
-                .sum::<f64>();
-        }
-    }
-
-    fn check_equivalence(grid: &SparseGrid, ndofs: usize, points: &[Vec<f64>]) {
-        let mut surplus = tabulate(grid, ndofs, smooth);
-        hierarchize(grid, &mut surplus, ndofs);
-        let cg = CompressedGrid::build(grid);
-        let reordered = cg.reorder_rows(&surplus, ndofs);
-        let mut xpv = vec![0.0; cg.xps().len()];
-        let mut got = vec![0.0; ndofs];
-        let mut want = vec![0.0; ndofs];
-        for x in points {
-            cg.interpolate_scalar(&reordered, ndofs, x, &mut xpv, &mut got);
-            interpolate_reference(grid, &surplus, ndofs, x, &mut want);
-            for k in 0..ndofs {
-                assert!(
-                    (got[k] - want[k]).abs() < 1e-11,
-                    "dof {k} at {x:?}: {} vs {}",
-                    got[k],
-                    want[k]
-                );
-            }
-        }
-    }
-
-    fn lattice_points(dim: usize, per_dim: usize) -> Vec<Vec<f64>> {
-        // Deterministic off-grid sample points.
-        let mut points = Vec::new();
-        for s in 0..per_dim {
-            let mut x = vec![0.0; dim];
-            for (t, v) in x.iter_mut().enumerate() {
-                *v = ((s as f64 + 0.37) * 0.61 + t as f64 * 0.217) % 1.0;
-            }
-            points.push(x);
-        }
-        points
-    }
-
-    #[test]
-    fn equivalent_to_reference_on_regular_grids() {
-        for dim in [1usize, 2, 3, 5] {
-            for n in 2..=4u8 {
-                let grid = regular_grid(dim, n);
-                check_equivalence(&grid, 3, &lattice_points(dim, 25));
-            }
-        }
-    }
-
-    #[test]
-    fn equivalent_on_adaptive_grid() {
-        use hddm_asg::ActiveCoord;
-        let mut grid = SparseGrid::new(3);
-        grid.insert_closed(NodeKey::from_coords([
-            ActiveCoord {
-                dim: 0,
-                level: 4,
-                index: 3,
-            },
-            ActiveCoord {
-                dim: 2,
-                level: 3,
-                index: 1,
-            },
-        ]));
-        grid.insert_closed(NodeKey::from_coords([ActiveCoord {
-            dim: 1,
-            level: 5,
-            index: 9,
-        }]));
-        check_equivalence(&grid, 2, &lattice_points(3, 40));
-    }
-
-    #[test]
-    fn exact_at_grid_points() {
-        let grid = regular_grid(4, 3);
-        let ndofs = 2;
-        let values = tabulate(&grid, ndofs, smooth);
-        let mut surplus = values.clone();
-        hierarchize(&grid, &mut surplus, ndofs);
-        let cg = CompressedGrid::build(&grid);
-        let reordered = cg.reorder_rows(&surplus, ndofs);
-        let mut xpv = vec![0.0; cg.xps().len()];
-        let mut out = vec![0.0; ndofs];
-        let mut x = vec![0.0; 4];
-        for i in 0..grid.len() {
-            grid.unit_point_of(i, &mut x);
-            cg.interpolate_scalar(&reordered, ndofs, &x, &mut xpv, &mut out);
-            for k in 0..ndofs {
-                assert!((out[k] - values[i * ndofs + k]).abs() < 1e-11);
-            }
-        }
-    }
-
-    #[test]
-    fn raw_parts_roundtrip() {
-        let grid = regular_grid(5, 3);
-        let cg = CompressedGrid::build(&grid);
-        let rebuilt = rebuild_with(&cg, cg.dim(), cg.nfreq(), |_, _, _| {}).unwrap();
-        assert_eq!(rebuilt.nno(), cg.nno());
-        assert_eq!(rebuilt.chains(), cg.chains());
-        assert_eq!(rebuilt.order(), cg.order());
-        assert!((rebuilt.stats().zero_fraction - cg.stats().zero_fraction).abs() < 1e-12);
-        // The rebuilt grid interpolates identically.
-        let ndofs = 2;
-        let mut surplus = tabulate(&grid, ndofs, smooth);
-        hierarchize(&grid, &mut surplus, ndofs);
-        let reordered = cg.reorder_rows(&surplus, ndofs);
-        let mut xpv = vec![0.0; cg.xps().len()];
-        let mut a = vec![0.0; ndofs];
-        let mut b = vec![0.0; ndofs];
-        for x in lattice_points(5, 10) {
-            cg.interpolate_scalar(&reordered, ndofs, &x, &mut xpv, &mut a);
-            rebuilt.interpolate_scalar(&reordered, ndofs, &x, &mut xpv, &mut b);
-            assert_eq!(a, b);
-        }
-    }
+    use hddm_asg::{regular_grid, NodeKey, SparseGrid};
 
     /// `try_from_raw_parts` with one array of `cg` replaced.
     fn rebuild_with(
@@ -631,26 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn unordered_variant_matches_reordered() {
-        let grid = regular_grid(4, 4);
-        let ndofs = 3;
-        let mut surplus = tabulate(&grid, ndofs, smooth);
-        hierarchize(&grid, &mut surplus, ndofs);
-        let cg = CompressedGrid::build(&grid);
-        let reordered = cg.reorder_rows(&surplus, ndofs);
-        let mut xpv = vec![0.0; cg.xps().len()];
-        let mut a = vec![0.0; ndofs];
-        let mut b = vec![0.0; ndofs];
-        for x in lattice_points(4, 30) {
-            cg.interpolate_scalar(&reordered, ndofs, &x, &mut xpv, &mut a);
-            cg.interpolate_scalar_unordered(&surplus, ndofs, &x, &mut xpv, &mut b);
-            for k in 0..ndofs {
-                assert!((a[k] - b[k]).abs() < 1e-12, "dof {k} at {x:?}");
-            }
-        }
-    }
-
-    #[test]
     fn reorder_roundtrip() {
         let grid = regular_grid(3, 3);
         let cg = CompressedGrid::build(&grid);
@@ -699,22 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn root_only_grid() {
-        let mut grid = SparseGrid::new(7);
-        grid.insert(NodeKey::root());
-        let cg = CompressedGrid::build(&grid);
-        assert_eq!(cg.nno(), 1);
-        assert_eq!(cg.nfreq(), 1);
-        assert_eq!(cg.chains(), &[0]);
-        let surplus = vec![3.25];
-        let reordered = cg.reorder_rows(&surplus, 1);
-        let mut xpv = vec![0.0; cg.xps().len()];
-        let mut out = [0.0];
-        cg.interpolate_scalar(&reordered, 1, &[0.1; 7], &mut xpv, &mut out);
-        assert_eq!(out[0], 3.25);
-    }
-
-    #[test]
     fn append_nodes_batching_is_invisible() {
         // Appending in many small batches must be bitwise identical to
         // one big append — the extend-equals-rebuild contract.
@@ -736,49 +480,6 @@ mod tests {
         assert_eq!(oneshot.xps(), batched.xps());
         assert_eq!(oneshot.chains(), batched.chains());
         assert_eq!(oneshot.order(), batched.order());
-    }
-
-    #[test]
-    fn appended_grid_interpolates_like_the_pipeline() {
-        // Append order differs from the pipeline's frequency-sorted
-        // order, but the interpolant it represents is the same function.
-        let grid = regular_grid(3, 4);
-        let ndofs = 2;
-        let mut surplus = tabulate(&grid, ndofs, smooth);
-        hierarchize(&grid, &mut surplus, ndofs);
-
-        let built = CompressedGrid::build(&grid);
-        let built_rows = built.reorder_rows(&surplus, ndofs);
-
-        let all: Vec<u32> = (0..grid.len() as u32).collect();
-        let mut appended = CompressedGrid::empty(3);
-        appended.append_nodes(&grid, &all);
-        // Append order == grid order, so the surplus matrix needs no
-        // permutation at all (order is the identity here).
-        assert!(appended
-            .order()
-            .iter()
-            .enumerate()
-            .all(|(i, &o)| i == o as usize));
-        let appended_rows = appended.reorder_rows(&surplus, ndofs);
-        assert_eq!(appended_rows, surplus);
-
-        // The appended structure passes the structural check.
-        let revalidated =
-            rebuild_with(&appended, appended.dim(), appended.nfreq(), |_, _, _| {}).unwrap();
-        assert!((revalidated.stats().zero_fraction - appended.stats().zero_fraction).abs() < 1e-12);
-
-        let mut xpv_a = vec![0.0; built.xps().len()];
-        let mut xpv_b = vec![0.0; appended.xps().len()];
-        let mut a = vec![0.0; ndofs];
-        let mut b = vec![0.0; ndofs];
-        for x in lattice_points(3, 30) {
-            built.interpolate_scalar(&built_rows, ndofs, &x, &mut xpv_a, &mut a);
-            appended.interpolate_scalar(&appended_rows, ndofs, &x, &mut xpv_b, &mut b);
-            for k in 0..ndofs {
-                assert!((a[k] - b[k]).abs() < 1e-12, "dof {k} at {x:?}");
-            }
-        }
     }
 
     #[test]

@@ -16,19 +16,19 @@
 //! [`CompressedGrid::try_from_raw_parts`], the one structural check.
 //!
 //! ```
-//! use hddm_asg::{regular_grid, hierarchize, tabulate};
-//! use hddm_compress::CompressedGrid;
+//! use hddm_asg::regular_grid;
+//! use hddm_compress::{CompressedGrid, XpsEntry};
 //!
 //! let grid = regular_grid(4, 3);
-//! let mut surplus = tabulate(&grid, 1, |x, out| out[0] = x.iter().sum());
-//! hierarchize(&grid, &mut surplus, 1);
-//!
 //! let cg = CompressedGrid::build(&grid);
-//! let reordered = cg.reorder_rows(&surplus, 1);
-//! let mut xpv = vec![0.0; cg.xps().len()];
-//! let mut out = [0.0];
-//! cg.interpolate_scalar(&reordered, 1, &[0.5, 0.5, 0.5, 0.5], &mut xpv, &mut out);
-//! assert!((out[0] - 2.0).abs() < 1e-12);
+//! // One row of `nfreq` xps ids per point, 0-terminated; xps[0] is the
+//! // neutral sentinel.
+//! assert_eq!(cg.chains().len(), grid.len() * cg.nfreq());
+//! assert_eq!(cg.xps()[0], XpsEntry::SENTINEL);
+//! // Surplus rows follow the chains; the kernels (`hddm-kernels`) walk
+//! // both.
+//! let surplus: Vec<f64> = (0..grid.len()).map(|p| p as f64).collect();
+//! assert_eq!(cg.restore_rows(&cg.reorder_rows(&surplus, 1), 1), surplus);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -5,10 +5,12 @@
 //!
 //! Two solves are pinned outright, by the FNV-1a-64 of every state's
 //! surplus bits in chain order, state after state, on the `avx2` kernel
-//! (the driver's default) where the host has it: a four-state `d = 9`
-//! economy on its regular grid, whose states share one grid and so one
-//! walk, at 1, 2 and 4 threads and on every rank of a world of 1, 3, 4
-//! and 8 ranks (states multiplexed, a group per state, groups of two);
+//! (the driver's default) — natively or, on a host without AVX2 and FMA,
+//! through its portable arithmetic, which gives the same bits: a
+//! four-state `d = 9` economy on its regular grid, whose states share one
+//! grid and so one walk, at 1, 2 and 4 threads and on every rank of a
+//! world of 1, 3, 4 and 8 ranks (states multiplexed, a group per state,
+//! groups of two);
 //! and the benchmark's cold adaptive solve, whose states are refined
 //! apart, on one process and on every rank of 1–4 ranks. A hash moves
 //! with the last bit of any surplus, so the cold solve also pins what a
@@ -132,9 +134,6 @@ fn pin_across_ranks(
 
 #[test]
 fn the_shared_grid_economy_solves_to_its_pinned_policy_on_any_thread_count() {
-    if !KernelKind::Avx2.native() {
-        return;
-    }
     for threads in [1, 2, 4] {
         let config = DriverConfig {
             tolerance: 1e-5,
@@ -158,9 +157,6 @@ fn the_shared_grid_economy_solves_to_its_pinned_policy_on_any_thread_count() {
 
 #[test]
 fn the_shared_grid_economy_solves_to_its_pinned_policy_on_any_rank_count() {
-    if !KernelKind::Avx2.native() {
-        return;
-    }
     let config = DriverConfig {
         tolerance: 1e-5,
         max_steps: 14,
@@ -180,9 +176,6 @@ fn the_shared_grid_economy_solves_to_its_pinned_policy_on_any_rank_count() {
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
 fn the_cold_adaptive_solve_reaches_its_pinned_policy() {
-    if !KernelKind::Avx2.native() {
-        return;
-    }
     let config = DriverConfig {
         refine_epsilon: Some(1e-2),
         max_level: 4,

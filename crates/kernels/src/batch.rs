@@ -39,7 +39,8 @@
 //!    chain of at most one factor is its column and the column's mask);
 //! 3. **accumulation** — its surplus row goes into the alive lanes' output
 //!    rows, strip by strip: up to four registers of the row stay loaded
-//!    across all alive lanes before the next strip is touched.
+//!    across all alive lanes before the next strip is touched (a lone
+//!    alive lane streams the row register by register).
 //!
 //! (Passes 2 and 3 alternate per listed chain, so one product vector is
 //! live at a time.) A lane outside a chain's bound holds a zero factor,
@@ -63,12 +64,17 @@
 //! state's surplus rows are then accumulated into that state's own output
 //! block. A single state is a run of one.
 //!
-//! The whole chunk walk is compiled once per vector kernel inside one
-//! `#[target_feature]` entry (`avx`, `avx2,fma`, `avx512f`): fill, masks
-//! and products auto-vectorize at that kernel's width and the accumulator
-//! is inlined intrinsics. `x86` is compiled for the baseline target; a
-//! vector kernel the host lacks runs the baseline walk with the portable
-//! [`crate::lanes`] accumulator of its width.
+//! Each vector kernel has one `#[target_feature]` entry (`avx`,
+//! `avx2,fma`, `avx512f`), generic over what it runs: this chunk walk, or
+//! the single-point kernel — Fig. 5's fill and early-exit chain loop,
+//! written once for all four kernels. Fill, masks and products
+//! auto-vectorize at the kernel's width and the accumulator is inlined
+//! intrinsics. A kernel's row multiply-add — register width, and whether
+//! the vector body and the tail fuse — is declared once (`Arith`); `x86`,
+//! and a vector kernel the host lacks, run the same loops at the baseline
+//! target with the portable accumulator (`accum_portable`), which rounds
+//! every element as the native one does. A kernel gives the same values
+//! on every host.
 //!
 //! Every variant is **bitwise identical** to its single-point counterpart
 //! (same basis expression, same factor order, the same instruction for
@@ -192,73 +198,117 @@ impl PointBlock {
     }
 }
 
-/// Scalar accumulator with the exact inner loop shape of the
-/// single-point `x86` kernel, so the scalar batch variant stays bitwise
-/// equal to it: for every set bit `k` of `mask` (the chunk's alive lanes),
-/// ascending, `out[k·stride ..][..row.len()] += temps[k] · row`.
-fn accum_scalar(temps: &[f64], mut mask: u64, row: &[f64], out: &mut [f64], stride: usize) {
-    while mask != 0 {
-        let k = mask.trailing_zeros() as usize;
-        mask &= mask - 1;
-        let temp = temps[k];
-        let slot = &mut out[k * stride..k * stride + row.len()];
-        for (o, s) in slot.iter_mut().zip(row) {
-            *o += temp * s;
-        }
-    }
+/// A kernel's row multiply-add `y += a·x`, the one place its arithmetic is
+/// defined: registers of `W` doubles, and whether the vector body (every
+/// element before the last whole register's end) and the tail past it fuse
+/// the multiply into the add. The native accumulator (`isa::Simd`) issues
+/// these instructions and [`accum_portable`] spells them out, so a kernel
+/// gives the same values on a host without its instruction set.
+trait Arith {
+    /// Doubles per register.
+    const W: usize;
+    /// Whether the vector body fuses (one rounding) or multiplies, then
+    /// adds (two).
+    const FUSED: bool;
+    /// Whether the tail fuses.
+    const FUSED_TAIL: bool;
 }
 
-/// Portable lane accumulator matching `lanes::axpy::<N>` per point.
-fn accum_lanes<const N: usize>(
+/// `x86`: one double at a time, multiply then add.
+struct Scalar;
+
+impl Arith for Scalar {
+    const W: usize = 1;
+    const FUSED: bool = false;
+    const FUSED_TAIL: bool = false;
+}
+
+/// The 4-wide kernels: `avx` multiplies then adds, `avx2` fuses its body;
+/// both tails are scalar, multiply then add.
+struct Ymm<const FMA: bool>;
+
+impl<const FMA: bool> Arith for Ymm<FMA> {
+    const W: usize = 4;
+    const FUSED: bool = FMA;
+    const FUSED_TAIL: bool = false;
+}
+
+/// The 8-wide kernel: fused in the body and in the masked tail.
+struct Zmm;
+
+impl Arith for Zmm {
+    const W: usize = 8;
+    const FUSED: bool = true;
+    const FUSED_TAIL: bool = true;
+}
+
+/// The accumulator contract, in portable code with `K`'s arithmetic: for
+/// every set bit `k` of `mask` (the chunk's alive lanes), ascending,
+/// `out[k·stride ..][..row.len()] += temps[k] · row`, each element fused
+/// or not by its position in the row exactly as `K`'s native accumulator
+/// computes it. The `x86` kernel's only accumulator.
+fn accum_portable<K: Arith>(
     temps: &[f64],
     mut mask: u64,
     row: &[f64],
     out: &mut [f64],
     stride: usize,
 ) {
+    let body = row.len() - row.len() % K::W;
     while mask != 0 {
         let k = mask.trailing_zeros() as usize;
         mask &= mask - 1;
-        crate::lanes::axpy::<N>(temps[k], row, &mut out[k * stride..k * stride + row.len()]);
+        let a = temps[k];
+        let slot = &mut out[k * stride..k * stride + row.len()];
+        for (j, (o, &x)) in slot.iter_mut().zip(row).enumerate() {
+            let fused = if j < body { K::FUSED } else { K::FUSED_TAIL };
+            *o = if fused { a.mul_add(x, *o) } else { *o + a * x };
+        }
     }
 }
 
-/// The vector kernels' side of the walk: one `#[target_feature]` entry per
+/// What runs over a kernel's row accumulator: the batch walk
+/// ([`BlockJob`]) or the single-point kernel ([`PointJob`]). A kernel's
+/// `#[target_feature]` entry is generic over the job, so either is
+/// compiled for its instruction set with the accumulator inlined.
+trait Job {
+    /// What the job returns.
+    type Out;
+    /// Runs the job with `accum(temps, mask, row, out, stride)`, which
+    /// meets [`accum_portable`]'s contract.
+    fn run(self, accum: impl Fn(&[f64], u64, &[f64], &mut [f64], usize)) -> Self::Out;
+}
+
+/// The vector kernels' native side: one `#[target_feature]` entry per
 /// kernel and the strip accumulator those entries inline.
 #[cfg(target_arch = "x86_64")]
 mod isa {
-    use super::{span, ChunkCounts, CompressedState, Gradients, PointBlock, Scratch};
+    use super::{Arith, Job, Ymm, Zmm};
     use std::arch::x86_64::*;
 
     /// The register operations of one vector kernel, which
-    /// [`accum_strips`] is written over.
-    trait Simd {
+    /// [`accum_strips`] is written over: the instructions its [`Arith`]
+    /// names.
+    trait Simd: Arith {
         /// One register of `W` doubles.
         type V: Copy;
-        /// Doubles per register.
-        const W: usize;
         // SAFETY: caller must ensure the host supports the kernel's
         // instruction set — as for every method of this trait.
         unsafe fn splat(a: f64) -> Self::V;
         // SAFETY: caller must also ensure `W` readable doubles at `p`.
         unsafe fn load(p: *const f64) -> Self::V;
-        /// `y[..W] += a · x`, by the instruction(s) of the single-point
-        /// kernel's vector body.
+        /// `y[..W] += a · x`, fused iff `FUSED`.
         // SAFETY: caller must also ensure `W` writable doubles at `y`.
         unsafe fn axpy(a: Self::V, x: Self::V, y: *mut f64);
         /// `y[..n] += a · x[..n]` for the `n < W` elements past the last
-        /// whole register, as the single-point kernel's tail computes them.
+        /// whole register, fused iff `FUSED_TAIL`.
         // SAFETY: caller must also ensure `n` readable doubles at `x` and
         // `n` writable ones at `y`.
         unsafe fn tail(a: f64, x: *const f64, y: *mut f64, n: usize);
     }
 
-    /// The 4-wide kernels: `avx` multiplies then adds, `avx2` fuses.
-    struct Ymm<const FMA: bool>;
-
     impl<const FMA: bool> Simd for Ymm<FMA> {
         type V = __m256d;
-        const W: usize = 4;
         // SAFETY: register-only; the caller vouches for AVX.
         #[inline(always)]
         unsafe fn splat(a: f64) -> __m256d {
@@ -275,28 +325,34 @@ mod isa {
         #[inline(always)]
         unsafe fn axpy(a: __m256d, x: __m256d, y: *mut f64) {
             let acc = _mm256_loadu_pd(y);
-            let sum = if FMA {
+            let sum = if Self::FUSED {
                 _mm256_fmadd_pd(a, x, acc)
             } else {
                 _mm256_add_pd(acc, _mm256_mul_pd(a, x))
             };
             _mm256_storeu_pd(y, sum);
         }
-        // SAFETY: touches `x[j]` and `y[j]` for `j < n` only.
+        // SAFETY: touches `x[j]` and `y[j]` for `j < n` only (`n < 4`).
         #[inline(always)]
         unsafe fn tail(a: f64, x: *const f64, y: *mut f64, n: usize) {
-            for j in 0..n {
-                *y.add(j) += a * *x.add(j);
+            // Element by element, not a loop: LLVM turns a loop of at most
+            // three trips into masked moves, which cost the single-point
+            // kernel (a masked store the next chain's masked load of the
+            // same elements waits on).
+            if n > 0 {
+                *y += a * *x;
+            }
+            if n > 1 {
+                *y.add(1) += a * *x.add(1);
+            }
+            if n > 2 {
+                *y.add(2) += a * *x.add(2);
             }
         }
     }
 
-    /// The 8-wide kernel: FMA on zmm registers, masked FMA in the tail.
-    struct Zmm;
-
     impl Simd for Zmm {
         type V = __m512d;
-        const W: usize = 8;
         // SAFETY: register-only; the caller vouches for AVX-512F.
         #[inline(always)]
         unsafe fn splat(a: f64) -> __m512d {
@@ -355,17 +411,17 @@ mod isa {
         }
     }
 
-    /// The vector kernels' chunk accumulator — [`super::accum_scalar`]'s
+    /// The vector kernels' accumulator — `super::accum_portable`'s
     /// contract, walked strip by strip: the row is read once per chain,
     /// not once per alive lane, while every output element still takes
-    /// the instruction the single-point kernel gives it (vector body or
-    /// tail, by its position in the row) and every point still sees its
-    /// chains in chain order.
+    /// its kernel's instruction (vector body or tail, by its position in
+    /// the row) and every point still sees its chains in chain order.
     // SAFETY: caller must ensure the host supports `S`'s instruction set.
     // The highest alive lane is checked once against `temps` and `out`,
     // which bounds every lower one; within a lane the full strips, the
-    // remaining whole registers and the tail cover `j < row.len()` once
-    // each.
+    // remaining whole registers and the tail — or, for a lone lane, the
+    // registers while `j + W <= n` and the tail — cover `j < row.len()`
+    // once each.
     #[inline(always)]
     unsafe fn accum_strips<S: Simd>(
         temps: &[f64],
@@ -380,6 +436,22 @@ mod isa {
         let (top, n) = (top as usize, row.len());
         assert!(top < temps.len() && top * stride + n <= out.len());
         let (x, y) = (row.as_ptr(), out.as_mut_ptr());
+        if mask & (mask - 1) == 0 {
+            // One alive lane — always, in the single-point kernel — has no
+            // strip to share: the row streams register by register. With
+            // strips and a masked `Ymm` tail, single-point `avx2` read
+            // ×1.04–1.06 against the former loop on Table II's grid.
+            let (a, y) = (S::splat(temps[top]), y.add(top * stride));
+            let mut j = 0;
+            while j + S::W <= n {
+                S::axpy(a, S::load(x.add(j)), y.add(j));
+                j += S::W;
+            }
+            if j < n {
+                S::tail(temps[top], x.add(j), y.add(j), n - j);
+            }
+            return;
+        }
         let whole = n / S::W;
         let mut v = 0;
         while v + STRIP <= whole {
@@ -402,38 +474,23 @@ mod isa {
         }
     }
 
-    /// The entry of one vector kernel: [`span`] with the strip
+    /// The entry of one vector kernel: a [`Job`] run with the strip
     /// accumulator of `$isa`, all of it compiled with `$features` enabled.
     macro_rules! entry {
         ($name:ident, $features:literal, $isa:ty) => {
             // SAFETY: caller must ensure the host supports `$features`.
             #[target_feature(enable = $features)]
-            pub(super) unsafe fn $name(
-                states: &[CompressedState],
-                block: &PointBlock,
-                scratch: &mut Scratch,
-                values: &mut [f64],
-                gradients: Gradients<'_>,
-                sink: impl FnMut(ChunkCounts),
-            ) {
-                span(
-                    states,
-                    block,
-                    scratch,
-                    values,
-                    gradients,
-                    sink,
-                    |t, m, row, o, stride| {
-                        // SAFETY: this entry's caller vouched for the features.
-                        unsafe { accum_strips::<$isa>(t, m, row, o, stride) }
-                    },
-                )
+            pub(super) unsafe fn $name<J: Job>(job: J) -> J::Out {
+                job.run(|t, m, row, o, stride| {
+                    // SAFETY: this entry's caller vouched for the features.
+                    unsafe { accum_strips::<$isa>(t, m, row, o, stride) }
+                })
             }
         };
     }
-    entry!(walk_avx, "avx", Ymm<false>);
-    entry!(walk_avx2, "avx2,fma", Ymm<true>);
-    entry!(walk_avx512, "avx512f", Zmm);
+    entry!(avx, "avx", Ymm<false>);
+    entry!(avx2, "avx2,fma", Ymm<true>);
+    entry!(avx512, "avx512f", Zmm);
 }
 
 /// Bit `k` ⇔ `v[k] != 0.0` (`v.len() ≤ 64`): a basis column's nonzero
@@ -481,21 +538,20 @@ fn hat_slope(x: f64, l: f64, i: f64, v: f64) -> f64 {
     }
 }
 
-/// Evaluates `block` chunk by chunk on a run of states that walk alike
-/// (the first state's grid is walked). The first `npts − gradients.points`
-/// points get state `s`'s value row of point `k` in `values[(s·npts +
-/// k)·ndofs ..]`; the rest get the gradient of `gradients.coeffs` in
-/// `gradients.out` (see [`Gradients`]), and their value rows are left as
-/// zeros. `sink` gets the counts of the value lanes of every chunk that
-/// has one — once: they are every state's, and the records of a walk of
-/// the value points alone.
+/// The batch walk: `block` chunk by chunk on a run of states that walk
+/// alike (the first state's grid is walked). The first `npts −
+/// gradients.points` points get state `s`'s value row of point `k` in
+/// `values[(s·npts + k)·ndofs ..]`; the rest get the gradient of
+/// `gradients.coeffs` in `gradients.out` (see [`Gradients`]), and their
+/// value rows are left as zeros. `sink` gets the counts of the value lanes
+/// of every chunk that has one — once: they are every state's, and the
+/// records of a walk of the value points alone.
 ///
-/// The only *block* basis fill and chain walk — the single-point walks
-/// are `x86::interpolate`, `vector::skeleton` and
-/// `CompressedGrid::fill_xpv` with its scalar interpolants — inlined into
-/// one entry per kernel, so each pass below is compiled for that kernel's
-/// instruction set and `accum` is a direct, inlined call. With a no-op
-/// sink the counters are dead stores the compiler drops.
+/// The only *block* basis fill and chain walk (the single-point one is
+/// [`PointJob`]), inlined into one entry per kernel, so each pass below is
+/// compiled for that kernel's instruction set and `accum` is a direct,
+/// inlined call. With a no-op sink the counters are dead stores the
+/// compiler drops.
 ///
 /// A chain of factors `f_1…f_L` has the partial derivative `s_k ·
 /// ∏_{m≠k} f_m` in the dimension of factor `k`, where `s_k` is the
@@ -510,24 +566,105 @@ fn hat_slope(x: f64, l: f64, i: f64, v: f64) -> f64 {
 /// which every gradient branch is compiled out: left in but untaken, they
 /// made the `avx2` value walk ≈ 3 % slower on Table II's grid (d = 59,
 /// 2,048 points, on a 2-vCPU AVX-512 Xeon).
-#[inline(always)]
-fn span(
-    states: &[CompressedState],
-    block: &PointBlock,
-    scratch: &mut Scratch,
-    values: &mut [f64],
-    gradients: Gradients<'_>,
-    sink: impl FnMut(ChunkCounts),
-    accum: impl Fn(&[f64], u64, &[f64], &mut [f64], usize),
-) {
-    if gradients.points == 0 {
-        chunks::<false>(states, block, scratch, values, gradients, sink, &accum)
-    } else {
-        chunks::<true>(states, block, scratch, values, gradients, sink, &accum)
+struct BlockJob<'a, S> {
+    states: &'a [CompressedState],
+    block: &'a PointBlock,
+    scratch: &'a mut Scratch,
+    values: &'a mut [f64],
+    gradients: Gradients<'a>,
+    sink: S,
+}
+
+impl<S: FnMut(ChunkCounts)> Job for BlockJob<'_, S> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run(self, accum: impl Fn(&[f64], u64, &[f64], &mut [f64], usize)) {
+        let BlockJob {
+            states,
+            block,
+            scratch,
+            values,
+            gradients,
+            sink,
+        } = self;
+        if gradients.points == 0 {
+            chunks::<false>(states, block, scratch, values, gradients, sink, &accum)
+        } else {
+            chunks::<true>(states, block, scratch, values, gradients, sink, &accum)
+        }
     }
 }
 
-/// [`span`]'s chunk loop; `GRADIENTS` is whether the block has gradient
+/// The single-point kernel, Fig. 5 (left): fill `xpv` with the clamped
+/// basis value of every `xps` entry at `x`, then walk the chains of
+/// `points` (chain rows, ascending), leaving a chain at its first zero
+/// factor and accumulating each surviving chain's surplus row into `out`
+/// (cleared first). Returns whether any chain survived.
+struct PointJob<'a> {
+    state: &'a CompressedState,
+    x: &'a [f64],
+    scratch: &'a mut Scratch,
+    points: Range<usize>,
+    out: &'a mut [f64],
+}
+
+impl Job for PointJob<'_> {
+    type Out = bool;
+
+    #[inline(always)]
+    fn run(self, accum: impl Fn(&[f64], u64, &[f64], &mut [f64], usize)) -> bool {
+        let PointJob {
+            state,
+            x,
+            scratch,
+            points,
+            out,
+        } = self;
+        let (cg, ndofs) = (&state.grid, state.ndofs);
+        assert_eq!(x.len(), cg.dim());
+        assert_eq!(out.len(), ndofs);
+        let xps = cg.xps();
+        let xpv = scratch.prepare(xps.len());
+        for (v, entry) in xpv.iter_mut().zip(xps) {
+            *v = linear_basis(x[entry.index as usize], entry.l, entry.i).max(0.0);
+        }
+        out.fill(0.0);
+        let nfreq = cg.nfreq();
+        let chains = &cg.chains()[points.start * nfreq..points.end * nfreq];
+        let mut touched = false;
+        for (p, chain) in points.zip(chains.chunks_exact(nfreq)) {
+            let temp = chain_product(chain, xpv);
+            if temp == 0.0 {
+                continue;
+            }
+            touched = true;
+            let row = &state.surplus[p * ndofs..(p + 1) * ndofs];
+            accum(std::slice::from_ref(&temp), 1, row, out, ndofs);
+        }
+        touched
+    }
+}
+
+/// One chain's product: its xpv factors left to right, 0 as soon as one
+/// kills it (the `goto zero` early exit of Fig. 5). Slot 0 terminates (the
+/// sentinel).
+#[inline(always)]
+fn chain_product(chain: &[u32], xpv: &[f64]) -> f64 {
+    let mut temp = 1.0;
+    for &idx in chain {
+        if idx == 0 {
+            break;
+        }
+        temp *= xpv[idx as usize];
+        if temp == 0.0 {
+            return 0.0;
+        }
+    }
+    temp
+}
+
+/// [`BlockJob`]'s chunk loop; `GRADIENTS` is whether the block has gradient
 /// points.
 #[inline(always)]
 fn chunks<const GRADIENTS: bool>(
@@ -730,12 +867,10 @@ fn chunks<const GRADIENTS: bool>(
 }
 
 /// `kernel`'s batch walk over the whole block for a run of states that
-/// walk alike (see [`span`]), whatever its width, handing the counts of
-/// each chunk's value lanes to `sink` in chunk order. A vector kernel the
-/// host lacks falls back to the portable lane accumulator of the same
-/// width (mirroring the single-point kernels' substitution table). The
-/// run is checked in full only in debug builds: comparing the grids costs
-/// a walk's bound pass.
+/// walk alike (see [`BlockJob`]), whatever its width, handing the counts
+/// of each chunk's value lanes to `sink` in chunk order. The run is
+/// checked in full only in debug builds: comparing the grids costs a
+/// walk's bound pass.
 pub(crate) fn walk(
     kernel: KernelKind,
     states: &[CompressedState],
@@ -770,25 +905,66 @@ pub(crate) fn walk(
         ns * gradients.points * dim * gradients.coeffs.len(),
         "gradients must be states × points × dim × coefficients"
     );
-    let (g, s) = (gradients, sink);
+    let job = BlockJob {
+        states,
+        block,
+        scratch,
+        values,
+        gradients,
+        sink,
+    };
+    dispatch(kernel, job)
+}
+
+/// `kernel`'s single-point evaluation at `x` over the chain rows `points`
+/// (all of them for the whole interpolant; see [`PointJob`]), into `out`;
+/// whether any chain survived.
+pub(crate) fn point(
+    kernel: KernelKind,
+    state: &CompressedState,
+    x: &[f64],
+    scratch: &mut Scratch,
+    points: Range<usize>,
+    out: &mut [f64],
+) -> bool {
+    let job = PointJob {
+        state,
+        x,
+        scratch,
+        points,
+        out,
+    };
+    dispatch(kernel, job)
+}
+
+/// Runs `job` with `kernel`'s accumulator: inside the kernel's
+/// `#[target_feature]` entry where the host has its instruction set, and
+/// with [`portable`] where it does not.
+fn dispatch<J: Job>(kernel: KernelKind, job: J) -> J::Out {
     match (kernel, kernel.native()) {
-        (KernelKind::Gold, _) => panic!("gold kernel requires DenseState"),
-        (KernelKind::X86, _) => span(states, block, scratch, values, g, s, accum_scalar),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `native()` detected `avx`.
-        (KernelKind::Avx, true) => unsafe { isa::walk_avx(states, block, scratch, values, g, s) },
+        (KernelKind::Avx, true) => unsafe { isa::avx(job) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `native()` detected `avx2` and `fma`.
-        (KernelKind::Avx2, true) => unsafe { isa::walk_avx2(states, block, scratch, values, g, s) },
+        (KernelKind::Avx2, true) => unsafe { isa::avx2(job) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `native()` detected `avx512f`.
-        (KernelKind::Avx512, true) => unsafe {
-            isa::walk_avx512(states, block, scratch, values, g, s)
-        },
-        (KernelKind::Avx | KernelKind::Avx2, _) => {
-            span(states, block, scratch, values, g, s, accum_lanes::<4>)
-        }
-        (KernelKind::Avx512, _) => span(states, block, scratch, values, g, s, accum_lanes::<8>),
+        (KernelKind::Avx512, true) => unsafe { isa::avx512(job) },
+        _ => portable(kernel, job),
+    }
+}
+
+/// Runs `job` with the portable accumulator of `kernel`'s arithmetic,
+/// compiled for the baseline target: the `x86` kernel, and a vector kernel
+/// on a host without its instruction set.
+fn portable<J: Job>(kernel: KernelKind, job: J) -> J::Out {
+    match kernel {
+        KernelKind::Gold => panic!("gold kernel requires DenseState"),
+        KernelKind::X86 => job.run(accum_portable::<Scalar>),
+        KernelKind::Avx => job.run(accum_portable::<Ymm<false>>),
+        KernelKind::Avx2 => job.run(accum_portable::<Ymm<true>>),
+        KernelKind::Avx512 => job.run(accum_portable::<Zmm>),
     }
 }
 
@@ -837,7 +1013,7 @@ pub fn interpolate_states_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hddm_asg::{hierarchize, regular_grid, tabulate};
+    use hddm_asg::{basis, hierarchize, regular_grid, tabulate, ActiveCoord, NodeKey, SparseGrid};
 
     fn make_state(dim: usize, n: u8, ndofs: usize) -> CompressedState {
         let grid = regular_grid(dim, n);
@@ -929,5 +1105,166 @@ mod tests {
             &mut Scratch::default(),
             &mut out,
         );
+    }
+
+    #[test]
+    fn chain_product_short_circuits() {
+        let xpv = [1.0, 0.5, 0.0, 2.0];
+        assert_eq!(chain_product(&[1, 3], &xpv), 1.0);
+        assert_eq!(chain_product(&[2, 3], &xpv), 0.0);
+        assert_eq!(chain_product(&[0, 3], &xpv), 1.0); // terminator first
+        assert_eq!(chain_product(&[3, 1, 0], &xpv), 1.0);
+    }
+
+    /// Runs a kernel's accumulator once.
+    struct RowJob<'a> {
+        temps: &'a [f64],
+        mask: u64,
+        row: &'a [f64],
+        out: &'a mut [f64],
+        stride: usize,
+    }
+
+    impl Job for RowJob<'_> {
+        type Out = ();
+
+        fn run(self, accum: impl Fn(&[f64], u64, &[f64], &mut [f64], usize)) {
+            accum(self.temps, self.mask, self.row, self.out, self.stride)
+        }
+    }
+
+    const VECTOR: [KernelKind; 3] = [KernelKind::Avx, KernelKind::Avx2, KernelKind::Avx512];
+
+    /// `job` with `kernel`'s native accumulator, or with its portable one.
+    fn run<J: Job>(kernel: KernelKind, native: bool, job: J) -> J::Out {
+        assert!(!native || kernel.native());
+        if native {
+            dispatch(kernel, job)
+        } else {
+            portable(kernel, job)
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The `mask` lanes of a row of `n`, through `kernel`'s native or
+    /// portable accumulator.
+    fn accumulate_row(kernel: KernelKind, native: bool, mask: u64, n: usize) -> Vec<u64> {
+        let temps: Vec<f64> = (0..5).map(|k| 0.1 + (k as f64 * 1.7).sin().abs()).collect();
+        let row: Vec<f64> = (0..n)
+            .map(|j| ((j * 37 + 11) as f64 * 0.618).sin())
+            .collect();
+        let stride = n + 3;
+        let mut out: Vec<f64> = (0..5 * stride).map(|j| (j as f64 * 0.377).cos()).collect();
+        let job = RowJob {
+            temps: &temps,
+            mask,
+            row: &row,
+            out: &mut out,
+            stride,
+        };
+        run(kernel, native, job);
+        bits(&out)
+    }
+
+    /// The portable accumulator rounds every element as the native one
+    /// does: every row length up to four registers past a full strip, so
+    /// every strip remainder and tail (0–17), and the OLG row (118), on
+    /// three alive lanes and on a lone one. The model is `f64::mul_add`
+    /// and `y + a * x`, not the intrinsics, so this is the check of the
+    /// intrinsic code.
+    #[test]
+    fn the_fallback_fuses_where_the_kernel_fuses() {
+        for kernel in VECTOR.into_iter().filter(|k| k.native()) {
+            for (mask, n) in [0b10110, 0b100]
+                .into_iter()
+                .flat_map(|m| (0..=17).chain([118]).map(move |n| (m, n)))
+            {
+                assert_eq!(
+                    accumulate_row(kernel, true, mask, n),
+                    accumulate_row(kernel, false, mask, n),
+                    "{} row of {n}, lanes {mask:#b}",
+                    kernel.name()
+                );
+            }
+        }
+        // The rows tell a fused body from an unfused one.
+        assert_ne!(
+            accumulate_row(KernelKind::Avx, false, 0b100, 118),
+            accumulate_row(KernelKind::Avx2, false, 0b100, 118)
+        );
+    }
+
+    /// A closed adaptive grid in 4 dimensions with chains of up to three
+    /// factors at levels 2–5.
+    fn adaptive_grid() -> SparseGrid {
+        let mut grid = SparseGrid::new(4);
+        grid.insert(NodeKey::root());
+        for s in 0..24usize {
+            let coords = (0..1 + s % 3).map(|t| {
+                let level = 2 + ((s + t) % 4) as u8;
+                let indices = basis::level_indices(level);
+                ActiveCoord {
+                    dim: ((s + t) % 4) as u16,
+                    level,
+                    index: indices[(s * 7 + t) % indices.len()],
+                }
+            });
+            grid.insert_closed(NodeKey::from_coords(coords));
+        }
+        grid
+    }
+
+    /// The single-point kernel and the walk, values and gradients, give
+    /// the same bits through the native and the portable accumulator.
+    #[test]
+    fn native_and_portable_kernels_agree_bitwise() {
+        let (dim, ndofs, npts, grads) = (4, 118, 70, 5);
+        let grid = adaptive_grid();
+        let surplus: Vec<f64> = (0..grid.len() * ndofs)
+            .map(|j| (j as f64 * 0.7548776662).sin())
+            .collect();
+        let state = CompressedState::new(&grid, &surplus, ndofs);
+        let rows = probe_rows(dim, npts);
+        let block = PointBlock::from_rows(dim, &rows);
+        let single = |kernel, native| {
+            let mut out = vec![0.0; npts * ndofs];
+            let mut scratch = Scratch::default();
+            for (x, o) in rows.chunks_exact(dim).zip(out.chunks_exact_mut(ndofs)) {
+                let job = PointJob {
+                    state: &state,
+                    x,
+                    scratch: &mut scratch,
+                    points: 0..state.grid.nno(),
+                    out: o,
+                };
+                run(kernel, native, job);
+            }
+            bits(&out)
+        };
+        let walk = |kernel, native| {
+            let mut values = vec![0.0; npts * ndofs];
+            let mut gradient = vec![0.0; grads * dim * 9];
+            let job = BlockJob {
+                states: std::slice::from_ref(&state),
+                block: &block,
+                scratch: &mut Scratch::default(),
+                values: &mut values,
+                gradients: Gradients {
+                    points: grads,
+                    coeffs: 100..109,
+                    out: &mut gradient,
+                },
+                sink: |_: ChunkCounts| {},
+            };
+            run(kernel, native, job);
+            [bits(&values), bits(&gradient)]
+        };
+        for kernel in VECTOR.into_iter().filter(|k| k.native()) {
+            assert_eq!(single(kernel, true), single(kernel, false), "{kernel:?}");
+            assert_eq!(walk(kernel, true), walk(kernel, false), "{kernel:?}");
+        }
     }
 }

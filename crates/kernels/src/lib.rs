@@ -12,9 +12,13 @@
 //!
 //! There is no `cuda` walk: `hddm-gpu` prices these kernels' batch walk
 //! as device launches (a single point is a one-point block). Kernels are
-//! selected at runtime through [`KernelKind`]; on hosts without the
-//! requested instruction set the vector kernels degrade to portable
-//! fixed-lane code with identical results.
+//! selected at runtime through [`KernelKind`]. Each compressed kernel's
+//! row multiply-add — register width, and which elements fuse — is
+//! defined once ([`batch`]), and its single-point kernel, its batch walk
+//! and its portable fallback all take it from there: on a host without
+//! the requested instruction set a vector kernel runs portable code that
+//! rounds every element as the native kernel does, so it gives the same
+//! values on every host.
 //!
 //! Block consumers evaluate through an [`ExecutionBackend`]. There is one
 //! batch walk ([`batch`]), and it also gives the Newton Jacobian its
@@ -30,7 +34,6 @@ pub mod backend;
 pub mod batch;
 pub mod data;
 pub mod gold;
-pub mod lanes;
 pub mod multi;
 pub mod vector;
 pub mod x86;
@@ -39,7 +42,6 @@ pub use backend::{BlockObserver, ExecutionBackend};
 pub use batch::{ChunkCounts, Gradients, PointBlock, BATCH_CHUNK};
 pub use data::{CompressedState, DenseState, Scratch};
 pub use multi::MultiState;
-pub use vector::VectorIsa;
 
 /// Runtime-selectable interpolation kernel, named as in Table II.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -78,13 +80,24 @@ impl KernelKind {
     }
 
     /// Whether this kernel runs with its native instruction set on this
-    /// host (scalar kernels always do).
+    /// host (scalar kernels always do) — the one instruction-set
+    /// detection.
     pub fn native(self) -> bool {
-        match self {
-            KernelKind::Gold | KernelKind::X86 => true,
-            KernelKind::Avx => VectorIsa::Avx.native(),
-            KernelKind::Avx2 => VectorIsa::Avx2.native(),
-            KernelKind::Avx512 => VectorIsa::Avx512.native(),
+        #[cfg(target_arch = "x86_64")]
+        {
+            match self {
+                KernelKind::Gold | KernelKind::X86 => true,
+                KernelKind::Avx => std::arch::is_x86_feature_detected!("avx"),
+                KernelKind::Avx2 => {
+                    std::arch::is_x86_feature_detected!("avx2")
+                        && std::arch::is_x86_feature_detected!("fma")
+                }
+                KernelKind::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            matches!(self, KernelKind::Gold | KernelKind::X86)
         }
     }
 
@@ -97,13 +110,7 @@ impl KernelKind {
         scratch: &mut Scratch,
         out: &mut [f64],
     ) {
-        match self {
-            KernelKind::Gold => panic!("gold kernel requires DenseState"),
-            KernelKind::X86 => x86::interpolate(state, x, scratch, out),
-            KernelKind::Avx => vector::interpolate_avx(state, x, scratch, out),
-            KernelKind::Avx2 => vector::interpolate_avx2(state, x, scratch, out),
-            KernelKind::Avx512 => vector::interpolate_avx512(state, x, scratch, out),
-        }
+        batch::point(self, state, x, scratch, 0..state.grid.nno(), out);
     }
 
     /// Evaluates a compressed-format interpolant at a whole

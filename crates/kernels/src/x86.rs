@@ -4,54 +4,14 @@
 //! (≈4.4×/4.15× over `gold` in Fig. 6).
 
 use crate::data::{CompressedState, Scratch};
-use hddm_asg::linear_basis;
+use crate::KernelKind;
 
 /// Evaluates the interpolant at unit-cube point `x`, accumulating into
 /// `out` (cleared first). Complexity `|xps| + nno × nfreq` plus the surplus
-/// accumulation.
+/// accumulation: Fig. 5 (left)'s two loops, the basis fill and the chain
+/// walk with its early exit, which every compressed kernel shares.
 pub fn interpolate(state: &CompressedState, x: &[f64], scratch: &mut Scratch, out: &mut [f64]) {
-    let cg = &state.grid;
-    let ndofs = state.ndofs;
-    assert_eq!(x.len(), cg.dim());
-    assert_eq!(out.len(), ndofs);
-    let xps = cg.xps();
-    let xpv = scratch.prepare(xps.len());
-
-    // Loop 1 of Fig. 5 (left): the meaningful 1-D basis evaluations.
-    for (v, entry) in xpv.iter_mut().zip(xps) {
-        let xp = linear_basis(x[entry.index as usize], entry.l, entry.i);
-        *v = xp.max(0.0);
-    }
-
-    // Loop 2: chain walk + surplus accumulation.
-    out.fill(0.0);
-    let nfreq = cg.nfreq();
-    let chains = cg.chains();
-    let surplus = &state.surplus;
-    let mut ichain = 0usize;
-    for p in 0..cg.nno() {
-        let mut temp = 1.0;
-        let mut dead = false;
-        for k in 0..nfreq {
-            let idx = chains[ichain + k] as usize;
-            if idx == 0 {
-                break;
-            }
-            temp *= xpv[idx];
-            if temp == 0.0 {
-                dead = true;
-                break;
-            }
-        }
-        ichain += nfreq;
-        if dead {
-            continue;
-        }
-        let row = &surplus[p * ndofs..(p + 1) * ndofs];
-        for (o, s) in out.iter_mut().zip(row) {
-            *o += temp * s;
-        }
-    }
+    KernelKind::X86.evaluate_compressed(state, x, scratch, out)
 }
 
 #[cfg(test)]

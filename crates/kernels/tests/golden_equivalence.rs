@@ -1,9 +1,8 @@
 //! Golden-value kernel equivalence: on randomized adaptive grids with
 //! randomized surpluses and evaluation points (seeded `ChaCha8Rng`, so CI
 //! is deterministic), every optimized path must agree with the dense
-//! `gold` baseline to ≤ 1e-12 — the compressed scalar kernel, each
-//! fixed-lane vectorized kernel, and the `CompressedGrid` interpolation
-//! entry points in `hddm-compress`.
+//! `gold` baseline to ≤ 1e-12 — the compressed scalar kernel and each
+//! vectorized kernel.
 //!
 //! The paper's claim (Sec. IV-B/V-A) is that compression and
 //! vectorization are *exact* reformulations, not approximations; this
@@ -14,7 +13,6 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use hddm_asg::{basis, regular_grid, ActiveCoord, NodeKey, SparseGrid};
-use hddm_compress::CompressedGrid;
 use hddm_kernels::{gold, x86, CompressedState, DenseState, KernelKind, Scratch};
 
 const TOL: f64 = 1e-12;
@@ -55,7 +53,7 @@ fn random_point(dim: usize, rng: &mut ChaCha8Rng) -> Vec<f64> {
     (0..dim).map(|_| rng.gen::<f64>()).collect()
 }
 
-/// gold vs compressed-scalar (`x86`) and every fixed-lane vector kernel,
+/// gold vs compressed-scalar (`x86`) and every vector kernel,
 /// over 20 random adaptive grids × 8 random points each.
 #[test]
 fn gold_vs_compressed_and_lane_kernels_on_random_grids() {
@@ -95,85 +93,6 @@ fn gold_vs_compressed_and_lane_kernels_on_random_grids() {
                         want[k]
                     );
                 }
-            }
-        }
-    }
-}
-
-/// gold vs the `hddm-compress` interpolation entry points (chain-ordered
-/// and grid-ordered), which the kernels build on.
-#[test]
-fn gold_vs_compress_pipeline_interpolation() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0xC044_E55A);
-    for round in 0..20 {
-        let dim = rng.gen_range(2..=4usize);
-        let ndofs = rng.gen_range(1..=3usize);
-        let grid = random_grid(dim, rng.gen_range(0..8), &mut rng);
-        let surplus = random_surplus(&grid, ndofs, &mut rng);
-        let dense = DenseState::new(&grid, surplus.clone(), ndofs);
-
-        let cg = CompressedGrid::build(&grid);
-        let reordered = cg.reorder_rows(&surplus, ndofs);
-        let mut xpv = vec![0.0; cg.xps().len()];
-        let mut want = vec![0.0; ndofs];
-        let mut got = vec![0.0; ndofs];
-        for _ in 0..8 {
-            let x = random_point(dim, &mut rng);
-            gold::interpolate(&dense, &x, &mut want);
-
-            cg.interpolate_scalar(&reordered, ndofs, &x, &mut xpv, &mut got);
-            for k in 0..ndofs {
-                assert!(
-                    (got[k] - want[k]).abs() <= TOL,
-                    "round {round}: chain-ordered dof {k}: {} vs gold {}",
-                    got[k],
-                    want[k]
-                );
-            }
-
-            cg.interpolate_scalar_unordered(&surplus, ndofs, &x, &mut xpv, &mut got);
-            for k in 0..ndofs {
-                assert!(
-                    (got[k] - want[k]).abs() <= TOL,
-                    "round {round}: grid-ordered dof {k}: {} vs gold {}",
-                    got[k],
-                    want[k]
-                );
-            }
-        }
-    }
-}
-
-/// The fixed-lane axpy helpers agree with scalar arithmetic exactly
-/// (they are reorderings of the same adds/muls over disjoint lanes).
-#[test]
-fn lane_axpy_matches_scalar() {
-    use hddm_kernels::lanes;
-    let mut rng = ChaCha8Rng::seed_from_u64(0x1A9E_5000);
-    for len in [1usize, 3, 4, 7, 8, 15, 16, 33] {
-        let a: f64 = rng.gen::<f64>() * 4.0 - 2.0;
-        let x: Vec<f64> = (0..len).map(|_| rng.gen::<f64>() - 0.5).collect();
-        let base: Vec<f64> = (0..len).map(|_| rng.gen::<f64>() - 0.5).collect();
-
-        let mut want = base.clone();
-        for (w, xi) in want.iter_mut().zip(&x) {
-            *w += a * xi;
-        }
-
-        for lanes_n in [2usize, 4, 8] {
-            let mut got = base.clone();
-            match lanes_n {
-                2 => lanes::axpy::<2>(a, &x, &mut got),
-                4 => lanes::axpy::<4>(a, &x, &mut got),
-                _ => lanes::axpy::<8>(a, &x, &mut got),
-            }
-            for k in 0..len {
-                assert!(
-                    (got[k] - want[k]).abs() <= TOL,
-                    "len {len}, {lanes_n} lanes, slot {k}: {} vs {}",
-                    got[k],
-                    want[k]
-                );
             }
         }
     }

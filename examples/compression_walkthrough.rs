@@ -10,7 +10,8 @@
 //! 3. per-frequency renumbering + transition matrices `T_freq`;
 //! 4. deduplication into the global `xps` array with lookup vectors;
 //! 5. chain construction (Algorithm 2) + the surplus reordering;
-//! 6. a compressed interpolation compared against the dense `gold` kernel.
+//! 6. a compressed interpolation (the `x86` kernel) compared against the
+//!    dense `gold` kernel.
 //!
 //! ```text
 //! cargo run --release --example compression_walkthrough [dim] [level]
@@ -18,7 +19,7 @@
 
 use hddm::asg::{hierarchize, regular_grid, tabulate};
 use hddm::compress::{decompose, unique_elements, CompressedGrid, XiSparse};
-use hddm::kernels::{gold, DenseState};
+use hddm::kernels::{gold, CompressedState, DenseState, KernelKind, Scratch};
 
 fn main() {
     let dim: usize = std::env::args()
@@ -113,7 +114,8 @@ fn main() {
     hierarchize(&grid, &mut surplus, ndofs);
     let dense = DenseState::new(&grid, surplus.clone(), ndofs);
     let reordered = cg.reorder_rows(&surplus, ndofs);
-    let mut xpv = vec![0.0; cg.xps().len()];
+    let compressed = CompressedState::from_parts(cg, reordered, ndofs);
+    let mut scratch = Scratch::default();
     let mut want = vec![0.0; ndofs];
     let mut got = vec![0.0; ndofs];
     let mut worst = 0.0f64;
@@ -122,7 +124,7 @@ fn main() {
             .map(|t| ((s * 13 + t * 7) as f64 * 0.0619 + 0.005) % 1.0)
             .collect();
         gold::interpolate(&dense, &x, &mut want);
-        cg.interpolate_scalar(&reordered, ndofs, &x, &mut xpv, &mut got);
+        KernelKind::X86.evaluate_compressed(&compressed, &x, &mut scratch, &mut got);
         for k in 0..ndofs {
             worst = worst.max((got[k] - want[k]).abs());
         }

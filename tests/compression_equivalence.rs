@@ -45,7 +45,8 @@ proptest! {
     // population every run — a failure here reproduces locally verbatim.
     #![proptest_config(ProptestConfig::with_cases(64).with_rng_seed(0x0C04_0004))]
 
-    /// compressed scalar == dense reference on random adaptive grids.
+    /// the compressed grid, walked by the `x86` kernel, == dense reference
+    /// on random adaptive grids.
     #[test]
     fn compressed_equals_reference(
         grid in adaptive_grid(4),
@@ -62,12 +63,13 @@ proptest! {
         let surplus: Vec<f64> = (0..grid.len() * ndofs).map(|_| rnd()).collect();
         let cg = CompressedGrid::build(&grid);
         let reordered = cg.reorder_rows(&surplus, ndofs);
-        let mut xpv = vec![0.0; cg.xps().len()];
+        let compressed = CompressedState::from_parts(cg, reordered, ndofs);
+        let mut scratch = Scratch::default();
         let mut got = vec![0.0; ndofs];
         let mut want = vec![0.0; ndofs];
         for _ in 0..5 {
             let x: Vec<f64> = (0..4).map(|_| rnd() + 0.5).collect();
-            cg.interpolate_scalar(&reordered, ndofs, &x, &mut xpv, &mut got);
+            KernelKind::X86.evaluate_compressed(&compressed, &x, &mut scratch, &mut got);
             interpolate_reference(&grid, &surplus, ndofs, &x, &mut want);
             for k in 0..ndofs {
                 prop_assert!((got[k] - want[k]).abs() < 1e-10,
