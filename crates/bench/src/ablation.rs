@@ -6,11 +6,12 @@ use hddm_asg::linear_basis;
 use hddm_compress::CompressedGrid;
 use hddm_kernels::{CompressedState, Scratch};
 
-/// Ablation variant of [`hddm_kernels::x86::interpolate`]: the chain walk
-/// runs to completion even after `temp` hits zero (the `goto zero` early
-/// exit of Fig. 5 is disabled), and dead points still touch their surplus
-/// rows with a `temp = 0` multiply. Isolates how much of the kernel's
-/// speed comes from skipping the (many) points whose support excludes `x`.
+/// Ablation variant of the [`hddm_kernels::KernelKind::X86`] kernel: the
+/// chain walk runs to completion even after `temp` hits zero (the `goto
+/// zero` early exit of Fig. 5 is disabled), and dead points still touch
+/// their surplus rows with a `temp = 0` multiply. Isolates how much of the
+/// kernel's speed comes from skipping the (many) points whose support
+/// excludes `x`.
 pub fn interpolate_no_skip(
     state: &CompressedState,
     x: &[f64],
@@ -48,12 +49,12 @@ pub fn interpolate_no_skip(
     }
 }
 
-/// Ablation variant of [`hddm_kernels::x86::interpolate`] *without* the
-/// surplus matrix reordering: `surplus_grid_order` stays in the original
-/// grid order and every live point gathers its row through the `order`
-/// indirection. Chains and arithmetic are identical — only the memory
-/// access pattern changes from streaming to scattered, which is precisely
-/// the effect the paper's "surplus matrix reordering" removes.
+/// Ablation variant of the [`hddm_kernels::KernelKind::X86`] kernel
+/// *without* the surplus matrix reordering: `surplus_grid_order` stays in
+/// the original grid order and every live point gathers its row through
+/// the `order` indirection. Chains and arithmetic are identical — only
+/// the memory access pattern changes from streaming to scattered, which is
+/// precisely the effect the paper's "surplus matrix reordering" removes.
 pub fn interpolate_unordered(
     grid: &CompressedGrid,
     surplus_grid_order: &[f64],
@@ -95,7 +96,7 @@ pub fn interpolate_unordered(
 mod tests {
     use super::*;
     use hddm_asg::{hierarchize, regular_grid, tabulate};
-    use hddm_kernels::x86;
+    use hddm_kernels::KernelKind;
 
     #[test]
     fn no_skip_variant_matches_skipping_kernel() {
@@ -115,7 +116,7 @@ mod tests {
             let x: Vec<f64> = (0..6)
                 .map(|t| ((s * 3 + t * 17) as f64 * 0.0577 + 0.009) % 1.0)
                 .collect();
-            x86::interpolate(&compressed, &x, &mut scratch, &mut a);
+            KernelKind::X86.evaluate_compressed(&compressed, &x, &mut scratch, &mut a);
             interpolate_no_skip(&compressed, &x, &mut scratch, &mut b);
             for k in 0..ndofs {
                 assert!((a[k] - b[k]).abs() < 1e-12, "s={s} dof={k}");

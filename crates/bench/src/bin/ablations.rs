@@ -21,7 +21,7 @@ use hddm_bench::{random_points, synthetic_surpluses, time_avg, KernelCase, NDOFS
 use hddm_compress::CompressedGrid;
 use hddm_gpu::{price_block, Device, LaunchOptions};
 use hddm_kernels::batch::interpolate_batch;
-use hddm_kernels::{gold, x86, CompressedState, KernelKind, PointBlock, Scratch};
+use hddm_kernels::{gold, CompressedState, KernelKind, PointBlock, Scratch};
 
 fn main() {
     let points: usize = std::env::args()
@@ -59,7 +59,7 @@ fn main() {
         });
         let mut iter = xs.chunks_exact(59).cycle();
         let t_chain = time_avg(points, || {
-            x86::interpolate(
+            KernelKind::X86.evaluate_compressed(
                 &case.compressed,
                 iter.next().unwrap(),
                 &mut scratch,
@@ -80,7 +80,12 @@ fn main() {
             CompressedState::from_parts(cg.clone(), cg.reorder_rows(&surplus, NDOFS), NDOFS);
         let mut iter = xs.chunks_exact(59).cycle();
         let t_ordered = time_avg(points, || {
-            x86::interpolate(&reordered, iter.next().unwrap(), &mut scratch, &mut out);
+            KernelKind::X86.evaluate_compressed(
+                &reordered,
+                iter.next().unwrap(),
+                &mut scratch,
+                &mut out,
+            );
         });
         let mut iter = xs.chunks_exact(59).cycle();
         let t_gather = time_avg(points, || {
@@ -103,7 +108,7 @@ fn main() {
         // --- Ablation 3: zero-skip early exit.
         let mut iter = xs.chunks_exact(59).cycle();
         let t_skip = time_avg(points, || {
-            x86::interpolate(
+            KernelKind::X86.evaluate_compressed(
                 &case.compressed,
                 iter.next().unwrap(),
                 &mut scratch,

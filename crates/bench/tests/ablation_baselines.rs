@@ -15,7 +15,7 @@ use hddm_asg::{
 use hddm_bench::ablation::{interpolate_no_skip, interpolate_unordered};
 use hddm_bench::hashtab::{self, HashState};
 use hddm_compress::CompressedGrid;
-use hddm_kernels::{gold, x86, CompressedState, DenseState, Scratch};
+use hddm_kernels::{gold, CompressedState, DenseState, KernelKind, Scratch};
 
 /// Strategy: a random ancestor-closed adaptive grid in `dim` dimensions
 /// (the population of the root `compression_equivalence` suite).
@@ -134,7 +134,7 @@ fn unordered_variant_matches_reordered() {
         let x: Vec<f64> = (0..4)
             .map(|t| ((s as f64 + 0.37) * 0.61 + t as f64 * 0.217) % 1.0)
             .collect();
-        x86::interpolate(&reordered, &x, &mut scratch, &mut a);
+        KernelKind::X86.evaluate_compressed(&reordered, &x, &mut scratch, &mut a);
         interpolate_unordered(&cg, &surplus, ndofs, &x, &mut scratch, &mut b);
         for k in 0..ndofs {
             assert!((a[k] - b[k]).abs() < 1e-12, "dof {k} at {x:?}");

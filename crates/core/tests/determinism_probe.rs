@@ -4,18 +4,19 @@
 //! one exactly) against hash-seed or iteration-order nondeterminism.
 //!
 //! Two solves are pinned outright, by the FNV-1a-64 of every state's
-//! surplus bits in chain order, state after state, on the `avx2` kernel
-//! (the driver's default) — natively or, on a host without AVX2 and FMA,
-//! through its portable arithmetic, which gives the same bits: a
-//! four-state `d = 9` economy on its regular grid, whose states share one
-//! grid and so one walk, at 1, 2 and 4 threads and on every rank of a
-//! world of 1, 3, 4 and 8 ranks (states multiplexed, a group per state,
-//! groups of two);
-//! and the benchmark's cold adaptive solve, whose states are refined
-//! apart, on one process and on every rank of 1–4 ranks. A hash moves
-//! with the last bit of any surplus, so the cold solve also pins what a
-//! change to Newton's rounding must keep: its grid, no failed point, its
-//! Euler errors to ten significant digits, and its step reports.
+//! surplus bits in chain order, state after state. The pins hold for the
+//! fused class of kernels on any host: `avx2` (the driver's default) and
+//! `avx512` round alike, and each gives the same bits natively or, on a
+//! host without its instruction set, through its portable arithmetic. The
+//! solves are a four-state `d = 9` economy on its regular grid, whose
+//! states share one grid and so one walk, at 1, 2 and 4 threads, on every
+//! rank of a world of 1, 3, 4 and 8 ranks (states multiplexed, a group per
+//! state, groups of two) and under `avx512`; and the benchmark's cold
+//! adaptive solve, whose states are refined apart, on one process, on
+//! every rank of 1–4 ranks and under `avx512`. A hash moves with the last
+//! bit of any surplus, so the cold solve also pins what a change to
+//! Newton's rounding must keep: its grid, no failed point, its Euler
+//! errors to ten significant digits, and its step reports.
 
 use hddm_cluster::ThreadComm;
 use hddm_core::{DriverConfig, OlgStep, PolicySet, StepReport, TimeIteration};
@@ -156,6 +157,24 @@ fn the_shared_grid_economy_solves_to_its_pinned_policy_on_any_thread_count() {
 }
 
 #[test]
+fn the_shared_grid_economy_solves_to_its_pinned_policy_under_avx512() {
+    let config = DriverConfig {
+        kernel: KernelKind::Avx512,
+        tolerance: 1e-5,
+        max_steps: 14,
+        pool: PoolConfig {
+            threads: 1,
+            ..PoolConfig::default()
+        },
+        ..Default::default()
+    };
+    let model = OlgModel::new(Calibration::small(10, 7, 4, 0.04));
+    let mut ti = TimeIteration::new(OlgStep::new(model), config);
+    ti.run();
+    assert_eq!(policy_hash(&ti.policy), 0x30e3_25bb_2685_05ea);
+}
+
+#[test]
 fn the_shared_grid_economy_solves_to_its_pinned_policy_on_any_rank_count() {
     let config = DriverConfig {
         tolerance: 1e-5,
@@ -203,4 +222,11 @@ fn the_cold_adaptive_solve_reaches_its_pinned_policy() {
     pin_across_ranks(&[1, 2, 3, 4], 0x8405_ce1b_446e_ab77, |world| {
         TimeIteration::over(world, OlgStep::new(model.clone()), config.clone())
     });
+    let avx512 = DriverConfig {
+        kernel: KernelKind::Avx512,
+        ..config
+    };
+    let mut ti = TimeIteration::new(OlgStep::new(model), avx512);
+    ti.run();
+    assert_eq!(policy_hash(&ti.policy), 0x8405_ce1b_446e_ab77, "avx512");
 }

@@ -69,12 +69,14 @@
 //! the single-point kernel — Fig. 5's fill and early-exit chain loop,
 //! written once for all four kernels. Fill, masks and products
 //! auto-vectorize at the kernel's width and the accumulator is inlined
-//! intrinsics. A kernel's row multiply-add — register width, and whether
-//! the vector body and the tail fuse — is declared once (`Arith`); `x86`,
-//! and a vector kernel the host lacks, run the same loops at the baseline
-//! target with the portable accumulator (`accum_portable`), which rounds
-//! every element as the native one does. A kernel gives the same values
-//! on every host.
+//! intrinsics. There is one rounding rule (`FUSED_BLOCK`): a kernel
+//! either multiplies, then adds (`x86`, `avx`), or fuses every element of
+//! a row but its last `n % 4` (`avx2`, `avx512`), so its register width is
+//! a speed choice only and the two kernels of a class agree bit for bit.
+//! `x86`, and a vector kernel the host lacks, run the same loops at the
+//! baseline target with the portable accumulator of the class
+//! (`accum_portable`), which rounds every element as the native one does.
+//! A kernel gives the same values on every host.
 //!
 //! Every variant is **bitwise identical** to its single-point counterpart
 //! (same basis expression, same factor order, the same instruction for
@@ -198,70 +200,37 @@ impl PointBlock {
     }
 }
 
-/// A kernel's row multiply-add `y += a·x`, the one place its arithmetic is
-/// defined: registers of `W` doubles, and whether the vector body (every
-/// element before the last whole register's end) and the tail past it fuse
-/// the multiply into the add. The native accumulator (`isa::Simd`) issues
-/// these instructions and [`accum_portable`] spells them out, so a kernel
-/// gives the same values on a host without its instruction set.
-trait Arith {
-    /// Doubles per register.
-    const W: usize;
-    /// Whether the vector body fuses (one rounding) or multiplies, then
-    /// adds (two).
-    const FUSED: bool;
-    /// Whether the tail fuses.
-    const FUSED_TAIL: bool;
-}
+/// The fused kernels' one rounding rule (`avx2` and `avx512`): of a row
+/// of `n` elements, the first `n − n % FUSED_BLOCK` take one fused
+/// multiply-add each and the last `n % FUSED_BLOCK` a multiply, then an
+/// add; the block is `avx2`'s register. The unfused kernels (`x86` and
+/// `avx`) multiply, then add, everywhere. A kernel's values are therefore
+/// set by whether it fuses, not by its register width: `x86` ≡ `avx` and
+/// `avx2` ≡ `avx512`, bit for bit.
+const FUSED_BLOCK: usize = 4;
 
-/// `x86`: one double at a time, multiply then add.
-struct Scalar;
-
-impl Arith for Scalar {
-    const W: usize = 1;
-    const FUSED: bool = false;
-    const FUSED_TAIL: bool = false;
-}
-
-/// The 4-wide kernels: `avx` multiplies then adds, `avx2` fuses its body;
-/// both tails are scalar, multiply then add.
-struct Ymm<const FMA: bool>;
-
-impl<const FMA: bool> Arith for Ymm<FMA> {
-    const W: usize = 4;
-    const FUSED: bool = FMA;
-    const FUSED_TAIL: bool = false;
-}
-
-/// The 8-wide kernel: fused in the body and in the masked tail.
-struct Zmm;
-
-impl Arith for Zmm {
-    const W: usize = 8;
-    const FUSED: bool = true;
-    const FUSED_TAIL: bool = true;
-}
-
-/// The accumulator contract, in portable code with `K`'s arithmetic: for
-/// every set bit `k` of `mask` (the chunk's alive lanes), ascending,
-/// `out[k·stride ..][..row.len()] += temps[k] · row`, each element fused
-/// or not by its position in the row exactly as `K`'s native accumulator
-/// computes it. The `x86` kernel's only accumulator.
-fn accum_portable<K: Arith>(
+/// The accumulator contract, in portable code: for every set bit `k` of
+/// `mask` (the chunk's alive lanes), ascending, `out[k·stride
+/// ..][..row.len()] += temps[k] · row`, each element rounded by
+/// [`FUSED_BLOCK`]'s rule (fused or not by its position in the row) as a
+/// native accumulator of the class computes it. The `x86` kernel's only
+/// accumulator, and a vector kernel's on a host without its instruction
+/// set.
+fn accum_portable<const FUSED: bool>(
     temps: &[f64],
     mut mask: u64,
     row: &[f64],
     out: &mut [f64],
     stride: usize,
 ) {
-    let body = row.len() - row.len() % K::W;
+    let body = row.len() - row.len() % FUSED_BLOCK;
     while mask != 0 {
         let k = mask.trailing_zeros() as usize;
         mask &= mask - 1;
         let a = temps[k];
         let slot = &mut out[k * stride..k * stride + row.len()];
         for (j, (o, &x)) in slot.iter_mut().zip(row).enumerate() {
-            let fused = if j < body { K::FUSED } else { K::FUSED_TAIL };
+            let fused = FUSED && j < body;
             *o = if fused { a.mul_add(x, *o) } else { *o + a * x };
         }
     }
@@ -283,13 +252,15 @@ trait Job {
 /// kernel and the strip accumulator those entries inline.
 #[cfg(target_arch = "x86_64")]
 mod isa {
-    use super::{Arith, Job, Ymm, Zmm};
+    use super::{Job, FUSED_BLOCK};
     use std::arch::x86_64::*;
 
     /// The register operations of one vector kernel, which
-    /// [`accum_strips`] is written over: the instructions its [`Arith`]
-    /// names.
-    trait Simd: Arith {
+    /// [`accum_strips`] is written over: its row multiply-add by
+    /// [`FUSED_BLOCK`]'s rule, in registers of `W` doubles.
+    trait Simd {
+        /// Doubles per register.
+        const W: usize;
         /// One register of `W` doubles.
         type V: Copy;
         // SAFETY: caller must ensure the host supports the kernel's
@@ -297,17 +268,23 @@ mod isa {
         unsafe fn splat(a: f64) -> Self::V;
         // SAFETY: caller must also ensure `W` readable doubles at `p`.
         unsafe fn load(p: *const f64) -> Self::V;
-        /// `y[..W] += a · x`, fused iff `FUSED`.
+        /// `y[..W] += a · x`, fused iff the kernel fuses.
         // SAFETY: caller must also ensure `W` writable doubles at `y`.
         unsafe fn axpy(a: Self::V, x: Self::V, y: *mut f64);
         /// `y[..n] += a · x[..n]` for the `n < W` elements past the last
-        /// whole register, fused iff `FUSED_TAIL`.
+        /// whole register, by [`FUSED_BLOCK`]'s rule: where the kernel
+        /// fuses, all but the last `n % FUSED_BLOCK` fuse.
         // SAFETY: caller must also ensure `n` readable doubles at `x` and
         // `n` writable ones at `y`.
         unsafe fn tail(a: f64, x: *const f64, y: *mut f64, n: usize);
     }
 
+    /// The 4-wide kernels: `avx` multiplies then adds, `avx2` fuses; a
+    /// tail (`n < 4`) is the last `n % 4` of its row, so it never fuses.
+    struct Ymm<const FMA: bool>;
+
     impl<const FMA: bool> Simd for Ymm<FMA> {
+        const W: usize = FUSED_BLOCK;
         type V = __m256d;
         // SAFETY: register-only; the caller vouches for AVX.
         #[inline(always)]
@@ -325,7 +302,7 @@ mod isa {
         #[inline(always)]
         unsafe fn axpy(a: __m256d, x: __m256d, y: *mut f64) {
             let acc = _mm256_loadu_pd(y);
-            let sum = if Self::FUSED {
+            let sum = if FMA {
                 _mm256_fmadd_pd(a, x, acc)
             } else {
                 _mm256_add_pd(acc, _mm256_mul_pd(a, x))
@@ -351,7 +328,13 @@ mod isa {
         }
     }
 
+    /// The 8-wide kernel: it fuses, and its masked tail (`n < 8`) rounds as
+    /// `avx2`'s row of `n` does — a blend that takes the fused sum on the
+    /// first `n − n % 4` lanes and the multiply-then-add on the rest.
+    struct Zmm;
+
     impl Simd for Zmm {
+        const W: usize = 8;
         type V = __m512d;
         // SAFETY: register-only; the caller vouches for AVX-512F.
         #[inline(always)]
@@ -373,8 +356,15 @@ mod isa {
         #[inline(always)]
         unsafe fn tail(a: f64, x: *const f64, y: *mut f64, n: usize) {
             let m = (1u8 << n) - 1;
-            let (vx, vy) = (_mm512_maskz_loadu_pd(m, x), _mm512_maskz_loadu_pd(m, y));
-            _mm512_mask_storeu_pd(y, m, _mm512_fmadd_pd(_mm512_set1_pd(a), vx, vy));
+            let fused = (1u8 << (n - n % FUSED_BLOCK)) - 1;
+            let (va, vx, vy) = (
+                _mm512_set1_pd(a),
+                _mm512_maskz_loadu_pd(m, x),
+                _mm512_maskz_loadu_pd(m, y),
+            );
+            let unfused = _mm512_add_pd(vy, _mm512_mul_pd(va, vx));
+            let sum = _mm512_mask_blend_pd(fused, unfused, _mm512_fmadd_pd(va, vx, vy));
+            _mm512_mask_storeu_pd(y, m, sum);
         }
     }
 
@@ -955,16 +945,14 @@ fn dispatch<J: Job>(kernel: KernelKind, job: J) -> J::Out {
     }
 }
 
-/// Runs `job` with the portable accumulator of `kernel`'s arithmetic,
-/// compiled for the baseline target: the `x86` kernel, and a vector kernel
-/// on a host without its instruction set.
+/// Runs `job` with the portable accumulator of `kernel`'s class, compiled
+/// for the baseline target: the `x86` kernel, and a vector kernel on a
+/// host without its instruction set.
 fn portable<J: Job>(kernel: KernelKind, job: J) -> J::Out {
     match kernel {
         KernelKind::Gold => panic!("gold kernel requires DenseState"),
-        KernelKind::X86 => job.run(accum_portable::<Scalar>),
-        KernelKind::Avx => job.run(accum_portable::<Ymm<false>>),
-        KernelKind::Avx2 => job.run(accum_portable::<Ymm<true>>),
-        KernelKind::Avx512 => job.run(accum_portable::<Zmm>),
+        KernelKind::X86 | KernelKind::Avx => job.run(accum_portable::<false>),
+        KernelKind::Avx2 | KernelKind::Avx512 => job.run(accum_portable::<true>),
     }
 }
 
@@ -1064,7 +1052,12 @@ mod tests {
         );
         let mut want = vec![0.0; 7];
         for p in 0..13 {
-            crate::x86::interpolate(&state, &rows[p * 4..(p + 1) * 4], &mut scratch, &mut want);
+            KernelKind::X86.evaluate_compressed(
+                &state,
+                &rows[p * 4..(p + 1) * 4],
+                &mut scratch,
+                &mut want,
+            );
             assert_eq!(&got[p * 7..(p + 1) * 7], &want[..], "point {p}");
         }
     }
@@ -1088,7 +1081,12 @@ mod tests {
         );
         let mut want = vec![0.0; 3];
         for p in 0..n {
-            crate::x86::interpolate(&state, &rows[p * 3..(p + 1) * 3], &mut scratch, &mut want);
+            KernelKind::X86.evaluate_compressed(
+                &state,
+                &rows[p * 3..(p + 1) * 3],
+                &mut scratch,
+                &mut want,
+            );
             assert_eq!(&got[p * 3..(p + 1) * 3], &want[..], "point {p}");
         }
     }
@@ -1133,8 +1131,6 @@ mod tests {
         }
     }
 
-    const VECTOR: [KernelKind; 3] = [KernelKind::Avx, KernelKind::Avx2, KernelKind::Avx512];
-
     /// `job` with `kernel`'s native accumulator, or with its portable one.
     fn run<J: Job>(kernel: KernelKind, native: bool, job: J) -> J::Out {
         assert!(!native || kernel.native());
@@ -1142,6 +1138,32 @@ mod tests {
             dispatch(kernel, job)
         } else {
             portable(kernel, job)
+        }
+    }
+
+    /// The two rounding classes of [`FUSED_BLOCK`]'s rule.
+    const CLASSES: [[KernelKind; 2]; 2] = [
+        [KernelKind::X86, KernelKind::Avx],
+        [KernelKind::Avx2, KernelKind::Avx512],
+    ];
+
+    /// Asserts that `f` gives the same result for every kernel of a class,
+    /// each through its portable accumulator and, where the host has it,
+    /// its native one.
+    fn classes_agree<T: PartialEq>(what: &str, f: impl Fn(KernelKind, bool) -> T) {
+        for class in CLASSES {
+            let want = f(class[0], false);
+            for kernel in class {
+                for native in [false, true].into_iter().filter(|&n| !n || kernel.native()) {
+                    let way = if native { "native" } else { "portable" };
+                    assert!(
+                        f(kernel, native) == want,
+                        "{what}: {} {way} differs from {} portable",
+                        kernel.name(),
+                        class[0].name()
+                    );
+                }
+            }
         }
     }
 
@@ -1170,25 +1192,20 @@ mod tests {
     }
 
     /// The portable accumulator rounds every element as the native one
-    /// does: every row length up to four registers past a full strip, so
-    /// every strip remainder and tail (0–17), and the OLG row (118), on
-    /// three alive lanes and on a lone one. The model is `f64::mul_add`
-    /// and `y + a * x`, not the intrinsics, so this is the check of the
-    /// intrinsic code.
+    /// does, and the kernels of a class round alike: every row length up
+    /// to four registers past a full strip, so every strip remainder and
+    /// tail (0–17), and the OLG row (118), on three alive lanes and on a
+    /// lone one. The model is `f64::mul_add` and `y + a * x`, not the
+    /// intrinsics, so this is the check of the intrinsic code.
     #[test]
     fn the_fallback_fuses_where_the_kernel_fuses() {
-        for kernel in VECTOR.into_iter().filter(|k| k.native()) {
-            for (mask, n) in [0b10110, 0b100]
-                .into_iter()
-                .flat_map(|m| (0..=17).chain([118]).map(move |n| (m, n)))
-            {
-                assert_eq!(
-                    accumulate_row(kernel, true, mask, n),
-                    accumulate_row(kernel, false, mask, n),
-                    "{} row of {n}, lanes {mask:#b}",
-                    kernel.name()
-                );
-            }
+        for (mask, n) in [0b10110, 0b100]
+            .into_iter()
+            .flat_map(|m| (0..=17).chain([118]).map(move |n| (m, n)))
+        {
+            classes_agree(&format!("row of {n}, lanes {mask:#b}"), |kernel, native| {
+                accumulate_row(kernel, native, mask, n)
+            });
         }
         // The rows tell a fused body from an unfused one.
         assert_ne!(
@@ -1218,7 +1235,8 @@ mod tests {
     }
 
     /// The single-point kernel and the walk, values and gradients, give
-    /// the same bits through the native and the portable accumulator.
+    /// the same bits through the native and the portable accumulator, and
+    /// for every kernel of a class.
     #[test]
     fn native_and_portable_kernels_agree_bitwise() {
         let (dim, ndofs, npts, grads) = (4, 118, 70, 5);
@@ -1262,9 +1280,7 @@ mod tests {
             run(kernel, native, job);
             [bits(&values), bits(&gradient)]
         };
-        for kernel in VECTOR.into_iter().filter(|k| k.native()) {
-            assert_eq!(single(kernel, true), single(kernel, false), "{kernel:?}");
-            assert_eq!(walk(kernel, true), walk(kernel, false), "{kernel:?}");
-        }
+        classes_agree("single point", single);
+        classes_agree("walk", walk);
     }
 }

@@ -2,23 +2,33 @@
 //!
 //! The kernel family of Sec. V-A of Kübler et al. (IPDPS 2018):
 //!
-//! | kernel   | data format  | vectorization                             |
-//! |----------|--------------|-------------------------------------------|
-//! | `gold`   | dense `nno×d`| none (baseline of [18])                   |
-//! | `x86`    | compressed   | none — isolates the data-structure gain   |
-//! | `avx`    | compressed   | 4-wide mul+add                            |
-//! | `avx2`   | compressed   | 4-wide FMA                                |
-//! | `avx512` | compressed   | 8-wide FMA + intra-kernel threading       |
+//! | kernel   | data format  | vectorization                           | class   |
+//! |----------|--------------|-----------------------------------------|---------|
+//! | `gold`   | dense `nno×d`| none (baseline of [18])                 | —       |
+//! | `x86`    | compressed   | none — isolates the data-structure gain | unfused |
+//! | `avx`    | compressed   | 4-wide mul+add                          | unfused |
+//! | `avx2`   | compressed   | 4-wide FMA                              | fused   |
+//! | `avx512` | compressed   | 8-wide FMA + intra-kernel threading     | fused   |
 //!
-//! There is no `cuda` walk: `hddm-gpu` prices these kernels' batch walk
-//! as device launches (a single point is a one-point block). Kernels are
-//! selected at runtime through [`KernelKind`]. Each compressed kernel's
-//! row multiply-add — register width, and which elements fuse — is
-//! defined once ([`batch`]), and its single-point kernel, its batch walk
-//! and its portable fallback all take it from there: on a host without
-//! the requested instruction set a vector kernel runs portable code that
-//! rounds every element as the native kernel does, so it gives the same
-//! values on every host.
+//! `x86` is the compressed format "in a most trivial way" — scalar code,
+//! no explicit vectorization (Fig. 5, left) — so it isolates the gain of
+//! the data structure itself (≈4.4× / 4.15× over `gold` in Fig. 6). Its
+//! two loops, which every compressed kernel shares, cost `|xps| + nno ×
+//! nfreq` plus the surplus accumulation: the basis fill of every `xps`
+//! entry, then the chain walk with its early exit, which adds each
+//! surviving chain's surplus row.
+//!
+//! The compressed kernels round by one rule, in two classes: the unfused
+//! ones multiply, then add; the fused ones fuse every element of a row of
+//! `n` but the last `n % 4`, which multiply, then add. So `x86` ≡
+//! `avx` and `avx2` ≡ `avx512` bit for bit, and a kernel's instruction set
+//! is a speed choice only. Kernels are selected at runtime through
+//! [`KernelKind`]. Each class's multiply-add is defined once ([`batch`])
+//! and serves a kernel's single-point evaluation, its batch walk and its
+//! portable fallback, which a host without the instruction set runs with
+//! the same bits. There is no `cuda` walk: `hddm-gpu` prices these
+//! kernels' batch walk as device launches (a single point is a one-point
+//! block).
 //!
 //! Block consumers evaluate through an [`ExecutionBackend`]. There is one
 //! batch walk ([`batch`]), and it also gives the Newton Jacobian its
@@ -36,7 +46,6 @@ pub mod data;
 pub mod gold;
 pub mod multi;
 pub mod vector;
-pub mod x86;
 
 pub use backend::{BlockObserver, ExecutionBackend};
 pub use batch::{ChunkCounts, Gradients, PointBlock, BATCH_CHUNK};
@@ -143,27 +152,59 @@ mod tests {
         assert_eq!(KernelKind::COMPRESSED.len(), 4);
     }
 
+    /// Every compressed kernel is within 1e-12 of `gold`: on a `d = 4`
+    /// grid with 5 coefficients at one point, and on a `d = 5` grid with 4
+    /// at 50.
     #[test]
     fn dispatch_is_consistent_across_kernels() {
-        let grid = regular_grid(4, 3);
-        let ndofs = 5;
-        let mut surplus = tabulate(&grid, ndofs, |x, out| {
-            for (k, o) in out.iter_mut().enumerate() {
-                *o = (k as f64 + 1.0) * x.iter().sum::<f64>();
-            }
-        });
-        hierarchize(&grid, &mut surplus, ndofs);
-        let dense = DenseState::new(&grid, surplus.clone(), ndofs);
-        let compressed = CompressedState::new(&grid, &surplus, ndofs);
-        let mut scratch = Scratch::default();
-        let x = [0.21, 0.77, 0.48, 0.95];
-        let mut want = vec![0.0; ndofs];
-        gold::interpolate(&dense, &x, &mut want);
-        for kind in KernelKind::COMPRESSED {
-            let mut got = vec![0.0; ndofs];
-            kind.evaluate_compressed(&compressed, &x, &mut scratch, &mut got);
-            for k in 0..ndofs {
-                assert!((got[k] - want[k]).abs() < 1e-12, "{kind:?} dof {k}");
+        let fifty = (0..50)
+            .map(|s| {
+                (0..5)
+                    .map(|t| ((s * 7 + t * 13) as f64 * 0.0831 + 0.021) % 1.0)
+                    .collect()
+            })
+            .collect();
+        type Coefficient = fn(&[f64], usize) -> f64;
+        let cases: [(usize, usize, Coefficient, Vec<Vec<f64>>); 2] = [
+            (
+                4,
+                5,
+                |x, k| (k as f64 + 1.0) * x.iter().sum::<f64>(),
+                vec![vec![0.21, 0.77, 0.48, 0.95]],
+            ),
+            (
+                5,
+                4,
+                |x, k| x.iter().map(|v| v.powi(k as i32 + 1)).sum(),
+                fifty,
+            ),
+        ];
+        for (dim, ndofs, f, points) in cases {
+            let grid = regular_grid(dim, 3);
+            let mut surplus = tabulate(&grid, ndofs, |x, out| {
+                for (k, o) in out.iter_mut().enumerate() {
+                    *o = f(x, k);
+                }
+            });
+            hierarchize(&grid, &mut surplus, ndofs);
+            let dense = DenseState::new(&grid, surplus.clone(), ndofs);
+            let compressed = CompressedState::new(&grid, &surplus, ndofs);
+            let mut scratch = Scratch::default();
+            for x in points {
+                let mut want = vec![0.0; ndofs];
+                gold::interpolate(&dense, &x, &mut want);
+                for kind in KernelKind::COMPRESSED {
+                    let mut got = vec![0.0; ndofs];
+                    kind.evaluate_compressed(&compressed, &x, &mut scratch, &mut got);
+                    for k in 0..ndofs {
+                        assert!(
+                            (got[k] - want[k]).abs() < 1e-12,
+                            "d={dim} {kind:?} at {x:?} dof {k}: {} vs {}",
+                            got[k],
+                            want[k]
+                        );
+                    }
+                }
             }
         }
     }

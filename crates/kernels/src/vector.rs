@@ -1,52 +1,26 @@
-//! The manually vectorized compressed-format kernels: `avx`, `avx2` and
-//! `avx512` (Sec. V-A).
+//! The full `avx512` kernel of Sec. V-A: the single-point `avx512` kernel
+//! with the paper's intra-kernel thread parallelization, whose partial
+//! vector sums with no contribution "initiate no actual memory flow"
+//! ([`interpolate_avx512_mt`]).
 //!
-//! All three share the `x86` kernel's xpv fill and early-exit chain walk
-//! and differ in the instructions of the accumulation (`value[dof] += temp
-//! · surplus(i, dof)`, the only loop with enough arithmetic density to
-//! vectorize):
+//! The vector kernels themselves are [`KernelKind`] variants, each
+//! evaluated through [`KernelKind::evaluate_compressed`]. They share the
+//! `x86` kernel's xpv fill and early-exit chain walk and differ in the
+//! instructions of the accumulation (`value[dof] += temp · surplus(i,
+//! dof)`, the only loop with enough arithmetic density to vectorize):
 //!
 //! * **avx** — 4-wide `vmulpd`/`vaddpd` (no FMA, Sandy/Ivy Bridge);
-//! * **avx2** — 4-wide `vfmadd231pd` (Haswell/Broadwell), scalar
-//!   multiply-then-add tail;
-//! * **avx512** — 8-wide `vfmadd231pd` on zmm registers with a masked
-//!   fused tail, plus the paper's intra-kernel thread parallelization with
-//!   partial vector sums whose zero contributions "initiate no actual
-//!   memory flow" ([`interpolate_avx512_mt`]).
+//! * **avx2** — 4-wide `vfmadd231pd` (Haswell/Broadwell);
+//! * **avx512** — 8-wide `vfmadd231pd` on zmm registers.
 //!
-//! Each kernel's multiply-add is defined once, in [`crate::batch`], and
-//! serves its single-point kernel here, its batch walk and its portable
-//! fallback: on a host without the instruction set the kernel runs
-//! portable code (`f64::mul_add` where it fuses, a multiply then an add
-//! where it does not) that gives the native kernel's values bit for bit.
+//! They round by one rule, in two classes: `avx` multiplies, then adds, as
+//! `x86` does, and `avx2` and `avx512` fuse every element of a row but its
+//! last `n % 4`, which multiply, then add. So `x86` ≡ `avx` and `avx2` ≡
+//! `avx512` bit for bit, on every host, and a kernel's width is a speed
+//! choice only (the crate doc says where the rule lives).
 
 use crate::data::{CompressedState, Scratch};
 use crate::{batch, KernelKind};
-
-/// The `avx` kernel: 4-wide multiply + add.
-pub fn interpolate_avx(state: &CompressedState, x: &[f64], scratch: &mut Scratch, out: &mut [f64]) {
-    KernelKind::Avx.evaluate_compressed(state, x, scratch, out)
-}
-
-/// The `avx2` kernel: 4-wide FMA.
-pub fn interpolate_avx2(
-    state: &CompressedState,
-    x: &[f64],
-    scratch: &mut Scratch,
-    out: &mut [f64],
-) {
-    KernelKind::Avx2.evaluate_compressed(state, x, scratch, out)
-}
-
-/// The `avx512` kernel (single-threaded core): 8-wide FMA on zmm registers.
-pub fn interpolate_avx512(
-    state: &CompressedState,
-    x: &[f64],
-    scratch: &mut Scratch,
-    out: &mut [f64],
-) {
-    KernelKind::Avx512.evaluate_compressed(state, x, scratch, out)
-}
 
 /// The full `avx512` kernel of Sec. V-A: the chain rows are split across
 /// `threads` workers, each running the `avx512` single-point kernel over
@@ -60,8 +34,7 @@ pub fn interpolate_avx512_mt(state: &CompressedState, x: &[f64], threads: usize,
     let threads = threads.max(1);
     let nno = state.grid.nno();
     if threads == 1 || nno < 4 * threads {
-        let mut scratch = Scratch::default();
-        interpolate_avx512(state, x, &mut scratch, out);
+        KernelKind::Avx512.evaluate_compressed(state, x, &mut Scratch::default(), out);
         return;
     }
 
@@ -136,16 +109,17 @@ mod tests {
 
     #[test]
     fn all_vector_kernels_match_scalar() {
-        // ndofs = 118 exercises the masked AVX-512 tail (118 = 14·8 + 6)
-        // and the 4-wide remainder path (118 = 29·4 + 2).
+        // ndofs = 118 exercises the AVX-512 tail (118 = 14·8 + 6, a fused
+        // 4-wide register and two unfused elements) and the 4-wide
+        // remainder path (118 = 29·4 + 2).
         let state = make_state(4, 3, 118);
         let mut scratch = Scratch::default();
         let mut want = vec![0.0; 118];
         let mut got = vec![0.0; 118];
         for x in probe_points(4, 25) {
-            crate::x86::interpolate(&state, &x, &mut scratch, &mut want);
-            for kernel in [interpolate_avx, interpolate_avx2, interpolate_avx512] {
-                kernel(&state, &x, &mut scratch, &mut got);
+            KernelKind::X86.evaluate_compressed(&state, &x, &mut scratch, &mut want);
+            for kernel in [KernelKind::Avx, KernelKind::Avx2, KernelKind::Avx512] {
+                kernel.evaluate_compressed(&state, &x, &mut scratch, &mut got);
                 for k in 0..118 {
                     assert!(
                         (got[k] - want[k]).abs() < 1e-12,
@@ -165,7 +139,7 @@ mod tests {
         let mut want = vec![0.0; 7];
         let mut got = vec![0.0; 7];
         for x in probe_points(3, 10) {
-            interpolate_avx512(&state, &x, &mut scratch, &mut want);
+            KernelKind::Avx512.evaluate_compressed(&state, &x, &mut scratch, &mut want);
             for threads in [1usize, 2, 3, 8] {
                 interpolate_avx512_mt(&state, &x, threads, &mut got);
                 for k in 0..7 {

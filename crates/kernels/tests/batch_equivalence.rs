@@ -29,7 +29,7 @@ use rand_chacha::ChaCha8Rng;
 
 use hddm_asg::{basis, hierarchize, regular_grid, tabulate, ActiveCoord, NodeKey, SparseGrid};
 use hddm_kernels::{
-    batch, gold, x86, BlockObserver, ChunkCounts, CompressedState, DenseState, ExecutionBackend,
+    batch, gold, BlockObserver, ChunkCounts, CompressedState, DenseState, ExecutionBackend,
     Gradients, KernelKind, MultiState, PointBlock, Scratch, BATCH_CHUNK,
 };
 
@@ -81,17 +81,6 @@ fn random_block(dim: usize, npts: usize, rng: &mut ChaCha8Rng) -> Vec<f64> {
     (0..npts * dim).map(|_| rng.gen::<f64>()).collect()
 }
 
-type SingleFn = fn(&CompressedState, &[f64], &mut Scratch, &mut [f64]);
-
-/// Every kernel with a batch walk next to the single-point function it
-/// must equal.
-const VARIANTS: [(KernelKind, SingleFn); 4] = [
-    (KernelKind::X86, x86::interpolate),
-    (KernelKind::Avx, hddm_kernels::vector::interpolate_avx),
-    (KernelKind::Avx2, hddm_kernels::vector::interpolate_avx2),
-    (KernelKind::Avx512, hddm_kernels::vector::interpolate_avx512),
-];
-
 /// `kind`'s batch walk and its per-chunk counts.
 fn batch_fn(
     kind: KernelKind,
@@ -103,7 +92,7 @@ fn batch_fn(
     batch::interpolate_batch(kind, state, block, scratch, out)
 }
 
-/// Every kernel's batch walk over `rows` equals its single-point function
+/// Every kernel's batch walk over `rows` equals its single-point evaluation
 /// bitwise and — with `dense` given — the `gold` baseline to [`TOL`];
 /// returns the per-chunk counts, which no kernel may report differently.
 fn assert_block_matches(
@@ -118,7 +107,7 @@ fn assert_block_matches(
     let mut want_gold = vec![0.0; ndofs];
     let mut want_single = vec![0.0; ndofs];
     let mut counts: Option<Vec<ChunkCounts>> = None;
-    for (kind, single_fn) in VARIANTS {
+    for kind in KernelKind::COMPRESSED {
         let name = kind.name();
         let mut got = vec![0.0; npts * ndofs];
         let got_counts = batch_fn(kind, state, &block, &mut scratch, &mut got);
@@ -129,7 +118,7 @@ fn assert_block_matches(
         );
         for p in 0..npts {
             let x = &rows[p * dim..(p + 1) * dim];
-            single_fn(state, x, &mut scratch, &mut want_single);
+            kind.evaluate_compressed(state, x, &mut scratch, &mut want_single);
             let row = &got[p * ndofs..(p + 1) * ndofs];
             if let Some(dense) = dense {
                 gold::interpolate(dense, x, &mut want_gold);
@@ -152,7 +141,7 @@ fn assert_block_matches(
             }
         }
     }
-    counts.expect("VARIANTS is not empty")
+    counts.expect("there are compressed kernels")
 }
 
 #[test]
@@ -327,13 +316,13 @@ fn one_to_three_point_blocks_equal_the_single_point_kernels_on_small_and_large_g
         for npts in 1..=3 {
             let rows = random_block(dim, npts, &mut rng);
             let block = PointBlock::from_rows(dim, &rows);
-            for (kind, single_fn) in VARIANTS {
+            for kind in KernelKind::COMPRESSED {
                 let mut got = vec![0.0; npts * ndofs];
                 kind.evaluate_compressed_batch(&state, &block, &mut scratch, &mut got);
                 let mut want_single = vec![0.0; ndofs];
                 for p in 0..npts {
                     let x = &rows[p * dim..(p + 1) * dim];
-                    single_fn(&state, x, &mut scratch, &mut want_single);
+                    kind.evaluate_compressed(&state, x, &mut scratch, &mut want_single);
                     for k in 0..ndofs {
                         assert_eq!(
                             got[p * ndofs + k].to_bits(),
@@ -470,7 +459,7 @@ fn sparse_chain_products_equal_the_single_point_kernels_bitwise() {
             let at = format!("npts={npts} grads={grads}");
             let (value_rows, gradient_rows) = rows.split_at(nv * dim);
             let mut counts: Option<Vec<ChunkCounts>> = None;
-            for (kind, single_fn) in VARIANTS {
+            for kind in KernelKind::COMPRESSED {
                 let mut values = vec![f64::NAN; npts * ndofs];
                 let mut gradient = vec![f64::NAN; grads * stride];
                 let got = batch::interpolate_states_batch(
@@ -492,7 +481,7 @@ fn sparse_chain_products_equal_the_single_point_kernels_bitwise() {
                 );
                 let mut want = vec![0.0; ndofs];
                 for (p, x) in value_rows.chunks_exact(dim).enumerate() {
-                    single_fn(&state, x, &mut scratch, &mut want);
+                    kind.evaluate_compressed(&state, x, &mut scratch, &mut want);
                     let row = &values[p * ndofs..(p + 1) * ndofs];
                     assert_eq!(bits(row), bits(&want), "{kind:?} {at} point {p}");
                 }

@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use hddm_asg::{basis, regular_grid, ActiveCoord, NodeKey, SparseGrid};
-use hddm_kernels::{gold, x86, CompressedState, DenseState, KernelKind, Scratch};
+use hddm_kernels::{gold, CompressedState, DenseState, KernelKind, Scratch};
 
 const TOL: f64 = 1e-12;
 
@@ -71,16 +71,6 @@ fn gold_vs_compressed_and_lane_kernels_on_random_grids() {
         for _ in 0..8 {
             let x = random_point(dim, &mut rng);
             gold::interpolate(&dense, &x, &mut want);
-
-            x86::interpolate(&compressed, &x, &mut scratch, &mut got);
-            for k in 0..ndofs {
-                assert!(
-                    (got[k] - want[k]).abs() <= TOL,
-                    "round {round}: x86 dof {k}: {} vs gold {}",
-                    got[k],
-                    want[k]
-                );
-            }
 
             for kind in KernelKind::COMPRESSED {
                 kind.evaluate_compressed(&compressed, &x, &mut scratch, &mut got);

@@ -109,11 +109,12 @@ fn converged_policy_passes_the_papers_accuracy_bar() {
     );
 }
 
-/// Every compressed kernel drives the same model to the same answer.
+/// Every compressed kernel drives the same model to the same answer: bit
+/// for bit within a rounding class (`x86` ≡ `avx`, `avx2` ≡ `avx512`), and
+/// to 1e-8 across the two.
 #[test]
 fn kernels_are_interchangeable_in_the_driver() {
-    let mut finals = Vec::new();
-    for kernel in [KernelKind::X86, KernelKind::Avx, KernelKind::Avx512] {
+    let solve = |kernel| {
         let model = OlgModel::new(Calibration::deterministic(4, 3));
         let probe = model.steady.state_vector();
         let mut ti = TimeIteration::new(OlgStep::new(model), config(kernel, 40));
@@ -121,12 +122,20 @@ fn kernels_are_interchangeable_in_the_driver() {
         let mut oracle = ti.policy.oracle(kernel);
         let mut row = vec![0.0; 6];
         oracle.eval(0, &probe, &mut row);
-        finals.push(row);
-    }
-    for other in &finals[1..] {
-        for (a, b) in finals[0].iter().zip(other) {
-            assert!((a - b).abs() < 1e-8, "{a} vs {b}");
-        }
+        row.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+    };
+    let [x86, avx, avx2, avx512] = [
+        KernelKind::X86,
+        KernelKind::Avx,
+        KernelKind::Avx2,
+        KernelKind::Avx512,
+    ]
+    .map(solve);
+    assert_eq!(x86, avx, "x86 vs avx");
+    assert_eq!(avx2, avx512, "avx2 vs avx512");
+    for (a, b) in x86.iter().zip(&avx2) {
+        let (a, b) = (f64::from_bits(*a), f64::from_bits(*b));
+        assert!((a - b).abs() < 1e-8, "{a} vs {b}");
     }
 }
 
