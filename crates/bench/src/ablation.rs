@@ -6,12 +6,14 @@ use hddm_asg::linear_basis;
 use hddm_compress::CompressedGrid;
 use hddm_kernels::{CompressedState, Scratch};
 
-/// Ablation variant of the [`hddm_kernels::KernelKind::X86`] kernel: the
-/// chain walk runs to completion even after `temp` hits zero (the `goto
-/// zero` early exit of Fig. 5 is disabled), and dead points still touch
-/// their surplus rows with a `temp = 0` multiply. Isolates how much of the
-/// kernel's speed comes from skipping the (many) points whose support
-/// excludes `x`.
+/// Ablation variant of the [`hddm_kernels::KernelKind::X86`] kernel
+/// without the zero-skip: every chain forms its product over all slots, as
+/// the kernel's branch-free walk does, but instead of compacting the
+/// chains with a non-zero product into a survivor list, every chain
+/// streams its surplus row, dead ones with a `temp = 0` multiply. Isolates
+/// how much of the kernel's speed comes from skipping the (many) points
+/// whose support excludes `x`. (Fig. 5's early exit is gone from the
+/// kernel too: it forms every product and keeps the skip.)
 pub fn interpolate_no_skip(
     state: &CompressedState,
     x: &[f64],

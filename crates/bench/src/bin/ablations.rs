@@ -6,7 +6,9 @@
 //! 2. **Surplus matrix reordering** — chains with reordered (streaming)
 //!    surplus rows vs the same chains gathering rows in original grid
 //!    order.
-//! 3. **Zero-skip early exit** — the `goto zero` shortcut of Fig. 5 on/off.
+//! 3. **Zero-skip** — the kernel's survivor list (only chains with a
+//!    non-zero product add their row) vs streaming every row. Both form
+//!    every chain's product without Fig. 5's early exit.
 //! 4. **GPU launch geometry** — block-size sweep around the paper's 128
 //!    and shared-memory vs global-memory `xpv` staging: `price_block` over
 //!    the counts of one walk (modeled; the options never change values).
@@ -105,7 +107,7 @@ fn main() {
             t_gather / t_ordered
         );
 
-        // --- Ablation 3: zero-skip early exit.
+        // --- Ablation 3: zero-skip, survivor list vs every row.
         let mut iter = xs.chunks_exact(59).cycle();
         let t_skip = time_avg(points, || {
             KernelKind::X86.evaluate_compressed(
@@ -125,9 +127,9 @@ fn main() {
             );
         });
         println!("\n  chain walk                  time [sec]");
-        println!("  with zero-skip (Fig. 5)     {t_skip:>10.6}");
+        println!("  survivor rows only          {t_skip:>10.6}");
         println!(
-            "  without early exit          {t_noskip:>10.6}   skip gain: {:.2}x",
+            "  every row streamed          {t_noskip:>10.6}   skip gain: {:.2}x",
             t_noskip / t_skip
         );
 
@@ -184,7 +186,8 @@ fn main() {
     }
 
     println!("\nReading: the compressed chains beat both incumbent storage schemes, and");
-    println!("the Fig. 5 zero-skip early exit is the dominant share of the chain-walk win.");
+    println!("skipping the rows of dead chains (the survivor list) is the dominant share");
+    println!("of the chain-walk win.");
     println!("The surplus reordering shows little effect on this single-socket host —");
     println!("its target is the many-thread / GPU memory systems of the paper's nodes,");
     println!("where scattered row gathers serialize on DRAM (cf. the global-xpv row of");

@@ -4,7 +4,8 @@
 //! models — plus what only one reproduction bin runs: the Fig. 7 node
 //! model ([`nodesim`]), the Fig. 8 strong-scaling simulator ([`sim`]),
 //! and the two `ablations` baselines, the hash-table storage scheme
-//! ([`hashtab`]) and the chain walk without its zero-skip ([`ablation`]).
+//! ([`hashtab`]) and the chain walk that streams every row instead of the
+//! survivors' ([`ablation`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

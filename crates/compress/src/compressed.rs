@@ -43,7 +43,8 @@ pub struct CompressionStats {
 /// Invariants:
 /// * `xps[0]` is the neutral sentinel `(j,ł,í) = (0,0,0)` with basis value 1;
 /// * `chains` has `nno × nfreq` entries; row `p` lists the `xps` ids of
-///   point `p`'s non-trivial 1-D factors, 0-terminated;
+///   point `p`'s non-trivial 1-D factors, then 0s to the end of the row
+///   (no factor follows a 0);
 /// * `order[p]` maps the chain row `p` back to the dense id in the original
 ///   [`SparseGrid`] — surplus matrices must be permuted with
 ///   [`CompressedGrid::reorder_rows`] before kernels touch them.
@@ -150,14 +151,43 @@ impl CompressedGrid {
                 return Err("order is not a permutation".into());
             }
         }
-        let mut nonzero = 0usize;
-        for &c in &chains {
-            if (c as usize) >= xps.len() {
-                return Err(format!("chain entry {c} out of xps range"));
+        // A row is its factors, then 0s: the single-point walk multiplies
+        // every slot and the batch walk stops at the first 0, so a factor
+        // after a 0 would make the two disagree. Such a factor is a rise
+        // (a non-zero entry right after a 0), and the only rises allowed
+        // are at row starts. One flat pass over 32-bit lanes (in blocks,
+        // so the counts cannot wrap) finds range errors and rises alike,
+        // at about what the range check alone cost.
+        let last = u32::try_from(xps.len() - 1).unwrap_or(u32::MAX);
+        let (mut nonzero, mut rises, mut over) = (0usize, 0usize, false);
+        let mut prev = 1;
+        for block in chains.chunks(u32::MAX as usize) {
+            let (mut n, mut r) = (0u32, 0u32);
+            for &c in block {
+                over |= c > last;
+                n += (c != 0) as u32;
+                r += ((prev == 0) & (c != 0)) as u32;
+                prev = c;
             }
-            if c != 0 {
-                nonzero += 1;
-            }
+            (nonzero, rises) = (nonzero + n as usize, rises + r as usize);
+        }
+        if over {
+            let c = chains
+                .iter()
+                .find(|&&c| c > last)
+                .expect("an entry past xps");
+            return Err(format!("chain entry {c} out of xps range"));
+        }
+        let starts = (nfreq..chains.len())
+            .step_by(nfreq)
+            .filter(|&j| (chains[j - 1] == 0) & (chains[j] != 0))
+            .count();
+        if rises != starts {
+            let p = chains
+                .chunks_exact(nfreq)
+                .position(|row| row.windows(2).any(|w| w[0] == 0 && w[1] != 0))
+                .expect("a rise inside a row");
+            return Err(format!("chain row {p} has a factor after its 0 padding"));
         }
         for e in &xps[1..] {
             if (e.index as usize) >= dim || e.l < 2 {
@@ -372,6 +402,25 @@ mod tests {
             chains[0] = dangling
         });
         assert!(err.unwrap_err().contains("out of xps range"));
+    }
+
+    /// A chain row whose first slot is 0 but whose second is a factor
+    /// breaks the padding invariant the kernels multiply by.
+    #[test]
+    fn raw_parts_reject_a_factor_after_the_padding() {
+        let cg = CompressedGrid::build(&regular_grid(3, 3));
+        let nfreq = cg.nfreq();
+        assert_eq!(nfreq, 2);
+        let row = cg
+            .chains()
+            .chunks_exact(nfreq)
+            .position(|chain| chain.iter().all(|&c| c != 0))
+            .expect("a chain of two factors");
+        let err = rebuild_with(&cg, cg.dim(), nfreq, |_, chains, _| chains[row * nfreq] = 0);
+        assert_eq!(
+            err.unwrap_err(),
+            format!("chain row {row} has a factor after its 0 padding")
+        );
     }
 
     /// The structural check every stored policy passes on its way back to

@@ -111,10 +111,11 @@ impl CompressedState {
 
 /// Reusable per-thread evaluation scratch. Sized for the largest state it
 /// has seen; the `xpv` array is the cache/shared-memory resident working
-/// set the compression was designed around. The batch walk keeps its
-/// entry-major `xpv` block, chain-product lanes and surviving-chain list
-/// here too, and its gradient buffers once a chunk has gradient lanes,
-/// sized once per block — never reallocated per point.
+/// set the compression was designed around. The single-point kernel keeps
+/// its compacted survivor list here, and the batch walk its entry-major
+/// `xpv` block, chain-product lanes and surviving-chain list, and its
+/// gradient buffers once a chunk has gradient lanes, sized once per block
+/// — never reallocated per point.
 #[derive(Clone, Debug, Default)]
 pub struct Scratch {
     /// Clamped 1-D basis values, one per `xps` entry.
@@ -137,11 +138,17 @@ pub struct Scratch {
     /// Per-factor partial products of one chain on a chunk with gradient
     /// lanes (`nfreq × chunk`; empty until such a chunk).
     partials: Vec<f64>,
+    /// The single-point kernel's surviving chain rows, in chain order (one
+    /// slot per chain of the range it walks).
+    point_rows: Vec<u32>,
+    /// The products of `point_rows`, slot for slot.
+    point_temps: Vec<f64>,
     /// High-water marks of the batch buffers (`xpv_block`, `temps`,
-    /// `survivors`, `slopes`, `partials`), asserting that capacity is
-    /// monotone across the chunks of a batch (a shrink would mean a
-    /// reallocation snuck back into the hot loop).
-    watermark: [usize; 5],
+    /// `survivors`, `slopes`, `partials`) and the single-point ones
+    /// (`point_rows`, `point_temps`), asserting that capacity is monotone
+    /// across the chunks of a batch and the calls of a point stream (a
+    /// shrink would mean a reallocation snuck back into the hot loop).
+    watermark: [usize; 7],
 }
 
 /// `buf[..len]`, grown first if it is shorter. `mark` is the buffer's
@@ -176,6 +183,22 @@ impl Scratch {
         &mut self.xpv[..nxps]
     }
 
+    /// Ensures single-point capacity for `nxps` unique elements and a
+    /// range of `chains` chain rows, and returns the `xpv` array and the
+    /// survivor list with its products. A call sizes no batch buffer.
+    #[inline]
+    pub(crate) fn prepare_point(&mut self, nxps: usize, chains: usize) -> PointBuffers<'_> {
+        let [.., rows, temps] = &mut self.watermark;
+        if self.xpv.len() < nxps {
+            self.xpv.resize(nxps, 0.0);
+        }
+        PointBuffers {
+            xpv: &mut self.xpv[..nxps],
+            rows: sized(&mut self.point_rows, chains, rows, "point survivor list"),
+            temps: sized(&mut self.point_temps, chains, temps, "point temps"),
+        }
+    }
+
     /// Ensures batch capacity for `nxps` unique elements × a chunk of
     /// `chunk` points over `nno` chains of at most `nfreq` factors and
     /// returns the chunk's buffers; `slopes` and `partials` are empty
@@ -193,7 +216,7 @@ impl Scratch {
         nfreq: usize,
         gradient: bool,
     ) -> BatchBuffers<'_> {
-        let [xpv, temps, survivors, slopes, partials] = &mut self.watermark;
+        let [xpv, temps, survivors, slopes, partials, ..] = &mut self.watermark;
         if self.colmask.len() < nxps {
             self.colmask.resize(nxps, 0);
         }
@@ -207,6 +230,13 @@ impl Scratch {
             partials: sized(&mut self.partials, nfreq * lanes, partials, "partials"),
         }
     }
+}
+
+/// One single-point call's buffers (see [`Scratch::prepare_point`]).
+pub(crate) struct PointBuffers<'a> {
+    pub(crate) xpv: &'a mut [f64],
+    pub(crate) rows: &'a mut [u32],
+    pub(crate) temps: &'a mut [f64],
 }
 
 /// One chunk's buffers of the batch walk (see [`Scratch::prepare_batch`]).
@@ -253,5 +283,36 @@ mod tests {
             },
         );
         assert!(!scratch.slopes.is_empty() && !scratch.partials.is_empty());
+    }
+
+    /// A stream of single-point calls on one scratch sizes its survivor
+    /// list once and never reallocates it, and sizes no batch buffer.
+    #[test]
+    fn single_point_calls_reuse_their_buffers_and_size_no_batch_block() {
+        let grid = regular_grid(3, 4);
+        let state = CompressedState::new(&grid, &vec![0.5; grid.len() * 2], 2);
+        let mut scratch = Scratch::default();
+        let mut out = [0.0; 2];
+        let mut first = None;
+        for call in 0..100 {
+            let x = [
+                (call as f64 * 0.137) % 1.0,
+                0.3,
+                (call as f64 * 0.071) % 1.0,
+            ];
+            let kind = KernelKind::COMPRESSED[call % 4];
+            kind.evaluate_compressed(&state, &x, &mut scratch, &mut out);
+            let buffers = (
+                scratch.xpv.as_ptr(),
+                scratch.point_rows.as_ptr(),
+                scratch.point_rows.capacity(),
+                scratch.point_temps.as_ptr(),
+                scratch.point_temps.capacity(),
+            );
+            assert_eq!(*first.get_or_insert(buffers), buffers, "call {call}");
+        }
+        assert_eq!(scratch.point_rows.len(), grid.len());
+        assert!(scratch.xpv_block.is_empty() && scratch.temps.is_empty());
+        assert!(scratch.colmask.is_empty() && scratch.survivors.is_empty());
     }
 }

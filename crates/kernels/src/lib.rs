@@ -13,10 +13,17 @@
 //! `x86` is the compressed format "in a most trivial way" — scalar code,
 //! no explicit vectorization (Fig. 5, left) — so it isolates the gain of
 //! the data structure itself (≈4.4× / 4.15× over `gold` in Fig. 6). Its
-//! two loops, which every compressed kernel shares, cost `|xps| + nno ×
+//! loops, which every compressed kernel shares, cost `|xps| + nno ×
 //! nfreq` plus the surplus accumulation: the basis fill of every `xps`
-//! entry, then the chain walk with its early exit, which adds each
-//! surviving chain's surplus row.
+//! entry, then the chain walk, which forms every chain's product without
+//! a branch and compacts the survivors into a list, then the addition of
+//! each survivor's surplus row. Fig. 5 leaves a chain at its first zero
+//! factor instead; on Table II's grid about a quarter of the chains
+//! survive at a point, and that exit's mispredicted branches cost more
+//! than the products it saves (over 2,048 points on a 2-vCPU AVX-512
+//! Xeon the early-exit loop took 162–185 ms, the branch-free walk 29–53
+//! ms, and the rest of a single-point pass about 200 ms). The values are
+//! bitwise the same.
 //!
 //! The compressed kernels round by one rule, in two classes: the unfused
 //! ones multiply, then add; the fused ones fuse every element of a row of

@@ -5,7 +5,9 @@
 //!
 //! The vector kernels themselves are [`KernelKind`] variants, each
 //! evaluated through [`KernelKind::evaluate_compressed`]. They share the
-//! `x86` kernel's xpv fill and early-exit chain walk and differ in the
+//! `x86` kernel's xpv fill and branch-free chain walk, which forms every
+//! chain's product and compacts the survivors (the crate doc gives the
+//! reason and the measured split), and differ in the
 //! instructions of the accumulation (`value[dof] += temp · surplus(i,
 //! dof)`, the only loop with enough arithmetic density to vectorize):
 //!

@@ -182,8 +182,8 @@ fn every_strip_shape_and_chunk_edge_matches_gold_and_single_point() {
 /// A factor that is exactly 0 on some lanes (a coordinate on a knot), a
 /// NaN coordinate (every factor of its dimension clamps to 0) between
 /// dead lanes, and a chunk whose every lane is dead for most chains: the
-/// column-mask bound, the exact alive mask and the single-point early
-/// exit must agree lane for lane.
+/// column-mask bound, the exact alive mask and the single-point walk's
+/// survivor list must agree lane for lane.
 #[test]
 fn knot_nan_and_all_dead_lanes_match_the_single_point_skip() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xDEAD);
@@ -230,7 +230,7 @@ fn knot_nan_and_all_dead_lanes_match_the_single_point_skip() {
 
 /// A chain product can underflow to exactly 0.0 on a lane where no factor
 /// is 0 — the bound keeps the lane, the exact mask must clear it, as the
-/// single-point early exit does. 21 factors of 2⁻⁵³ do it (20 are still a
+/// single-point walk drops the chain. 21 factors of 2⁻⁵³ do it (20 are still a
 /// subnormal); the row is infinite so an unskipped lane would read NaN.
 #[test]
 fn an_underflowed_product_clears_the_lane_the_bound_kept() {
@@ -334,6 +334,50 @@ fn one_to_three_point_blocks_equal_the_single_point_kernels_on_small_and_large_g
                 }
             }
         }
+    }
+}
+
+/// Table II's shape (d = 59, level 3: 7,081 chains of at most two factors,
+/// 118 coefficients) at 64 seeded points, where about a quarter of the
+/// chains survive at a point: every compressed kernel's single-point walk,
+/// which forms every product and compacts the survivors, equals its batch
+/// walk bit for bit and `gold` to [`TOL`]. (The unit tests of `batch`
+/// compare the native and the portable accumulator at this shape.)
+#[test]
+fn the_table2_grid_single_point_equals_the_walk_and_gold() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x7AB2);
+    let (dim, ndofs, npts) = (59, 118, 64);
+    let grid = regular_grid(dim, 3);
+    assert_eq!(grid.len(), 7081);
+    let surplus = random_surplus(&grid, ndofs, &mut rng);
+    let dense = DenseState::new(&grid, surplus.clone(), ndofs);
+    let state = CompressedState::new(&grid, &surplus, ndofs);
+    let rows = random_block(dim, npts, &mut rng);
+    let block = PointBlock::from_rows(dim, &rows);
+    let mut want_gold = vec![0.0; npts * ndofs];
+    for (x, o) in rows
+        .chunks_exact(dim)
+        .zip(want_gold.chunks_exact_mut(ndofs))
+    {
+        gold::interpolate(&dense, x, o);
+    }
+    let mut scratch = Scratch::default();
+    for kind in KernelKind::COMPRESSED {
+        let (mut walk, mut single) = (vec![0.0; npts * ndofs], vec![0.0; npts * ndofs]);
+        kind.evaluate_compressed_batch(&state, &block, &mut scratch, &mut walk);
+        for (x, o) in rows.chunks_exact(dim).zip(single.chunks_exact_mut(ndofs)) {
+            kind.evaluate_compressed(&state, x, &mut scratch, o);
+        }
+        assert!(
+            bits(&single) == bits(&walk),
+            "{}: single != walk",
+            kind.name()
+        );
+        let dev = single
+            .iter()
+            .zip(&want_gold)
+            .fold(0.0f64, |m, (s, g)| m.max((s - g).abs()));
+        assert!(dev <= TOL, "{}: max |single - gold| = {dev:e}", kind.name());
     }
 }
 

@@ -208,6 +208,27 @@ fn chain_products_on_live_lanes() {
     pass(flag(found, fail));
 }
 
+// The single-point kernel forms every chain's product without a branch and
+// compacts the survivors (`compact` in `batch.rs`): the early-exit product
+// it replaced does not come back, and the one row prefetch is the
+// survivor list's, in `batch.rs`.
+#[test]
+fn single_point_walk_without_a_branch() {
+    let mut failures = Vec::new();
+    for file in rust_files("crates/kernels/src") {
+        let code = live(&read(&file));
+        failures.extend(hits(&file, &code, |l| l.contains("fn chain_product")));
+        if !file.ends_with("/batch.rs") {
+            failures.extend(hits(&file, &code, |l| l.contains("_mm_prefetch")));
+        }
+    }
+    pass(flag(
+        failures,
+        "FAIL: crates/kernels/src declares chain_product or prefetches outside batch.rs; the \
+         single-point walk is `compact`, and its prefetch is PointJob's",
+    ));
+}
+
 // Each compressed kernel's row multiply-add is defined once (its `Simd`
 // impl and the portable accumulator of its class in `batch.rs`) and
 // serves its single-point kernel, its batch walk and its portable
