@@ -28,8 +28,9 @@ use crate::record::{write_atomic, Reader, Writer};
 /// Magic bytes opening every checkpoint file.
 const CHECKPOINT_MAGIC: [u8; 8] = *b"HDDMCKPT";
 
-/// Current version of the checkpoint payload.
-const CHECKPOINT_VERSION: u32 = 1;
+/// Current version of the checkpoint payload. Version 2 frames checksum a
+/// word at a time; a version-1 file is refused as another format version.
+const CHECKPOINT_VERSION: u32 = 2;
 
 /// A complete snapshot of the solver state between time steps.
 #[derive(Clone, Debug)]
@@ -224,13 +225,19 @@ mod tests {
     fn version_mismatch_is_rejected() {
         let model = OlgModel::new(Calibration::deterministic(4, 3));
         let ti = TimeIteration::new(OlgStep::new(model), config(0));
-        let mut bytes = Checkpoint::capture(&ti).encode();
-        bytes[8] = 99;
+        let good = Checkpoint::capture(&ti).encode();
         let dir = scratch_dir("version");
         let path = dir.join("bad_version.bin");
-        std::fs::write(&path, &bytes).unwrap();
-        let err = Checkpoint::load(&path).unwrap_err();
-        assert!(err.to_string().contains("version 99"), "{err}");
+        // Version 1 is the byte-wise FNV-1a frame: the version is read
+        // before either checksum, so it is reported as old, not damaged.
+        for version in [1u32, 99] {
+            let mut bytes = good.clone();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let err = Checkpoint::load(&path).unwrap_err();
+            let want = format!("version {version} (expected {CHECKPOINT_VERSION})");
+            assert!(err.to_string().contains(&want), "{err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

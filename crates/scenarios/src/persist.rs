@@ -30,8 +30,10 @@
 //!   unindexed one cannot come out of a crash;
 //! * a file open cannot use — a name that is not [`surface_file_name`] of
 //!   a hash, a frame that fails to verify (torn, bit-flipped, empty, or
-//!   another format version), a frame holding another hash than its name —
-//!   is removed with a warning and counted in the telemetry. A record's
+//!   another format version, such as a version-1 record an older build
+//!   checksummed a byte at a time), a frame holding another hash than its
+//!   name — is removed with a warning and counted in the telemetry, and its
+//!   scenario is solved again on its next request. A record's
 //!   path is a function of its hash alone: nothing read from a file's
 //!   contents is ever opened;
 //! * a record damaged after open fails its full decode on first hit, is
@@ -50,6 +52,7 @@
 //! concurrent readers never wait on a writer's disk I/O, and vice versa.
 
 use std::fs;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::RwLock;
@@ -60,8 +63,10 @@ use hddm_core::record::{write_atomic, Reader, Writer};
 use crate::cache::{CachedSurface, ShapeKey};
 use crate::hash::{fingerprint_distance, HashId};
 
-/// Current version of the binary columnar record format.
-pub const BINARY_RECORD_VERSION: u32 = 1;
+/// Current version of the binary columnar record format. Version 2
+/// frames checksum a word at a time; a version-1 record (byte-wise
+/// FNV-1a) is removed at open and its scenario re-solved.
+pub const BINARY_RECORD_VERSION: u32 = 2;
 
 /// Magic bytes opening every binary record file.
 pub const RECORD_MAGIC: [u8; 8] = *b"HDDMSURF";
@@ -365,10 +370,17 @@ fn read_row(path: &Path, name: &str) -> Result<(SystemTime, IndexRow), String> {
         .and_then(|hex| HashId::from_hex(hex).ok())
         .filter(|hash| surface_file_name(hash.0) == name)
         .ok_or("not named surface-<16 hex digits>.bin")?;
-    let bytes = fs::read(path).map_err(|e| format!("read: {e}"))?;
-    let mtime = fs::metadata(path)
+    // Bytes and mtime from one open file: a rename between two lookups of
+    // `path` cannot pair one record's bytes with another's mtime, and the
+    // mtime orders eviction.
+    let mut file = fs::File::open(path).map_err(|e| format!("read: {e}"))?;
+    let mtime = file
+        .metadata()
         .and_then(|m| m.modified())
         .map_err(|e| format!("mtime: {e}"))?;
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)
+        .map_err(|e| format!("read: {e}"))?;
     let head = read_head(&mut Reader::open(
         RECORD_MAGIC,
         BINARY_RECORD_VERSION,

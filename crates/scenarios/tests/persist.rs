@@ -302,7 +302,22 @@ fn records_roundtrip_bitwise() {
     }
 }
 
-/// FNV-1a-64, the checksum of `hddm_core::record` frames.
+/// The frame checksum of `hddm_core::record` (format version 2): one
+/// multiply-and-rotate step per little-endian word, then the tail bytes.
+fn checksum(bytes: &[u8]) -> u64 {
+    let step = |state: u64, word: u64| {
+        (state ^ word)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(29)
+    };
+    let (words, tail) = bytes.as_chunks::<8>();
+    let state = words.iter().fold(0xcbf2_9ce4_8422_2325, |state, word| {
+        step(state, u64::from_le_bytes(*word))
+    });
+    tail.iter().fold(state, |state, &b| step(state, b as u64))
+}
+
+/// Byte-wise FNV-1a-64, the frame checksum of format version 1.
 fn fnv64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |state, &b| {
         (state ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
@@ -310,14 +325,15 @@ fn fnv64(bytes: &[u8]) -> u64 {
 }
 
 /// `record` with its format version and embedded hash replaced and both
-/// checksums restamped: a well-formed frame that differs in those alone.
-fn reframe(record: &[u8], version: u32, hash: u64) -> Vec<u8> {
+/// checksums restamped by `sum`: a well-formed frame that differs in
+/// those alone.
+fn reframe(record: &[u8], version: u32, hash: u64, sum: fn(&[u8]) -> u64) -> Vec<u8> {
     let mut out = record.to_vec();
     out[8..12].copy_from_slice(&version.to_le_bytes());
     out[40..48].copy_from_slice(&hash.to_le_bytes());
-    let payload = fnv64(&out[40..]);
+    let payload = sum(&out[40..]);
     out[24..32].copy_from_slice(&payload.to_le_bytes());
-    let header = fnv64(&out[..32]);
+    let header = sum(&out[..32]);
     out[32..40].copy_from_slice(&header.to_le_bytes());
     out
 }
@@ -334,7 +350,12 @@ fn unusable_files_are_removed_at_open_and_never_followed() {
     drop(cache);
     let good = persist::surface_file_name(hash);
     let record = fs::read(dir.join(&good)).unwrap();
-    assert_eq!(reframe(&record, 1, hash), record, "reframe only restamps");
+    let current = persist::BINARY_RECORD_VERSION;
+    assert_eq!(
+        reframe(&record, current, hash, checksum),
+        record,
+        "reframe only restamps"
+    );
 
     // Beside the good record: a valid frame under a name that is not 16
     // lowercase hex digits (twice), a valid frame under another hash's
@@ -345,12 +366,12 @@ fn unusable_files_are_removed_at_open_and_never_followed() {
         ("surface-xyz.bin".into(), record.clone()),
         (
             format!("surface-{other:016X}.bin"),
-            reframe(&record, 1, other),
+            reframe(&record, current, other, checksum),
         ),
         (persist::surface_file_name(!hash), record.clone()),
         (
             persist::surface_file_name(other),
-            reframe(&record, 2, other),
+            reframe(&record, current + 1, other, checksum),
         ),
         (persist::surface_file_name(other ^ 1), Vec::new()),
     ];
@@ -385,6 +406,50 @@ fn unusable_files_are_removed_at_open_and_never_followed() {
     assert_eq!((served.cache, served.steps), (CacheKind::Exact, 0));
 
     fs::remove_file(&victim).unwrap();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A record an older build wrote (format version 1, byte-wise FNV-1a)
+/// beside current ones is removed at open and counted; its scenario
+/// solves once more and is served exact from then on.
+#[test]
+fn a_version_1_record_is_removed_at_open_and_re_solved_once() {
+    let dir = temp_cache_dir("version_1");
+    // Two scenarios of different shapes: neither can warm-start the other.
+    let mut other = Scenario::from_calibration("persist", Calibration::small(5, 3, 2, 0.03));
+    other.solve = base_scenario().solve;
+    let set = ScenarioSet {
+        scenarios: vec![base_scenario(), other],
+    };
+    let first = run_set(
+        &set,
+        &SurfaceCache::open(&dir).unwrap(),
+        &ExecutorConfig::serial(),
+    )
+    .unwrap();
+    assert_eq!(first.cold_solves, set.len());
+    let hash = first.scenarios[0].hash.0;
+    let old = dir.join(persist::surface_file_name(hash));
+    let record = fs::read(&old).unwrap();
+    fs::write(&old, reframe(&record, 1, hash, fnv64)).unwrap();
+
+    let reopened = SurfaceCache::open(&dir).unwrap();
+    let stats = reopened.stats();
+    assert_eq!((stats.persisted_entries, stats.skipped), (1, 1));
+    assert!(!old.exists(), "the version-1 record is removed at open");
+    let again = run_set(&set, &reopened, &ExecutorConfig::serial()).unwrap();
+    assert_eq!(again.scenarios[0].cache, CacheKind::Cold);
+    assert_eq!((again.cold_solves, again.exact_hits), (1, 1));
+
+    let served = run_set(
+        &set,
+        &SurfaceCache::open(&dir).unwrap(),
+        &ExecutorConfig::serial(),
+    )
+    .unwrap();
+    assert_eq!(served.exact_hits, set.len());
+    assert!(served.scenarios.iter().all(|s| s.steps == 0));
+
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -428,6 +428,42 @@ fn no_json_in_the_surface_store() {
     ));
 }
 
+// Every durable frame (`HDDMSURF` cache records, `HDDMCKPT` checkpoints) is
+// verified by one checksum, `checksum` in `record.rs`, a word per step: the
+// byte-at-a-time FNV-1a it replaced does not come back, and no second frame
+// checksum (a function named for one, or a second multiply chain) sits
+// beside it.
+#[test]
+fn one_frame_checksum() {
+    let file = "crates/core/src/record.rs";
+    let code = live(&read(file));
+    let declared = hits(file, &code, |l| {
+        let l = l.trim_start();
+        let l = l
+            .strip_prefix("pub(crate) ")
+            .or(l.strip_prefix("pub "))
+            .unwrap_or(l);
+        l.strip_prefix("fn ").is_some_and(|rest| {
+            let name: String = rest.chars().take_while(|&c| is_word(Some(c))).collect();
+            ["checksum", "fnv", "crc", "hash", "digest"]
+                .iter()
+                .any(|k| name.contains(k))
+        })
+    });
+    let multiplies = hits(file, &code, |l| l.contains("wrapping_mul"));
+    let mut failures = Vec::new();
+    if declared.len() > 1 || multiplies.len() > 1 || declared.iter().any(|l| l.contains("fn fnv64"))
+    {
+        failures.extend(declared);
+        failures.extend(multiplies);
+        failures.push(format!(
+            "FAIL: {file} declares fnv64 or more than one frame checksum; frames share one, \
+             `checksum`"
+        ));
+    }
+    pass(failures);
+}
+
 /// `[[:space:]]`.
 fn space(c: char) -> bool {
     matches!(c, ' ' | '\t' | '\n' | '\x0B' | '\x0C' | '\r')
