@@ -28,6 +28,8 @@ const SWEEP_COUNTERS: &[&str] = &[
     "hddm_cache_warm_hits_total",
     "hddm_cache_misses_total",
     "hddm_cache_disk_hits_total",
+    "hddm_cache_commit_records_total",
+    "hddm_cache_commit_failures_total",
     "hddm_solve_oracle_blocks_total",
     "hddm_solve_oracle_points_total",
     "hddm_solve_oracle_walks_total",
@@ -43,6 +45,7 @@ const SWEEP_GAUGES: &[&str] = &[
     "hddm_cache_skipped",
     "hddm_cache_lock_poisonings",
     "hddm_cache_concurrent_restores_peak",
+    "hddm_cache_commit_queue_peak",
 ];
 const SWEEP_HISTOGRAMS: &[&str] = &[
     "hddm_solve_policy_update_seconds",
@@ -50,6 +53,7 @@ const SWEEP_HISTOGRAMS: &[&str] = &[
     "hddm_solve_compress_seconds",
     "hddm_solve_scenario_seconds",
     "hddm_cache_deposit_seconds",
+    "hddm_cache_commit_seconds",
 ];
 const SERVE_COUNTERS: &[&str] = &[
     "hddm_serve_submitted_total",

@@ -38,7 +38,7 @@
 
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hddm_asg::BoxDomain;
@@ -357,54 +357,93 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Writes `bytes` to `path` atomically **and durably**: temp file in the
-/// same directory, fsync, rename, fsync the directory. The dot-prefixed
-/// temp name can never be mistaken for the target, and a crash between
-/// any two steps leaves the previous version of `path` intact. Without
-/// the temp-file fsync, a crash shortly *after* the rename could surface
-/// the new name over still-unwritten data (an empty or truncated file
-/// despite the atomic contract); without the directory fsync, the rename
-/// itself may not survive the crash. The temp name carries a process-wide
-/// counter on top of the pid: the scenario cache writes record files
-/// outside its locks, so two threads depositing the same surface
-/// concurrently must not collide on the temp path.
+/// Writes `bytes` to `path` atomically **and durably**, in three steps:
+/// [`stage`] (temp file in the same directory, fsync), [`Staged::publish`]
+/// (rename) and [`sync_dir`] (fsync the directory). A crash between any
+/// two steps leaves the previous version of `path` intact. Without the
+/// temp-file fsync, a crash shortly *after* the rename could surface the
+/// new name over still-unwritten data (an empty or truncated file despite
+/// the atomic contract); without the directory fsync, the rename itself
+/// may not survive the crash. A writer of many files (the scenario
+/// cache's commit stage) takes the steps itself, so that one directory
+/// fsync covers a whole group of renames.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    stage(path, bytes)?.publish()?;
+    sync_dir(dir_of(path));
+    Ok(())
+}
+
+/// A file written and fsynced under a dot-prefixed temp name beside its
+/// target, not yet renamed into place (see [`stage`]).
+#[derive(Debug)]
+pub struct Staged {
+    tmp: PathBuf,
+    path: PathBuf,
+}
+
+/// The first step of [`write_atomic`]: writes `bytes` to a fresh temp file
+/// in `path`'s directory and fsyncs it. The dot-prefixed temp name can
+/// never be mistaken for the target. It carries a process-wide counter on
+/// top of the pid, so two threads writing the same target concurrently
+/// never share a temp path. On failure the temp file is removed.
+pub fn stage(path: &Path, bytes: &[u8]) -> io::Result<Staged> {
     static TMP_COUNTER: AtomicUsize = AtomicUsize::new(0);
     let name = path
         .file_name()
         .ok_or_else(|| io::Error::other(format!("{} names no file", path.display())))?;
-    let dir = match path.parent() {
-        Some(dir) if !dir.as_os_str().is_empty() => dir,
-        _ => Path::new("."),
-    };
     // ORDERING: Relaxed — temp-name uniqueness needs only RMW atomicity;
     // no other memory is synchronized through the counter.
     let unique = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
-    let tmp = dir.join(format!(
-        ".tmp-{}-{unique}-{}",
-        std::process::id(),
-        name.to_string_lossy()
-    ));
+    let staged = Staged {
+        tmp: dir_of(path).join(format!(
+            ".tmp-{}-{unique}-{}",
+            std::process::id(),
+            name.to_string_lossy()
+        )),
+        path: path.to_path_buf(),
+    };
     let write_synced = || -> io::Result<()> {
         use std::io::Write;
-        let mut file = fs::File::create(&tmp)?;
+        let mut file = fs::File::create(&staged.tmp)?;
         file.write_all(bytes)?;
         file.sync_all()
     };
-    let context = |what: String, e: io::Error| {
-        let _ = fs::remove_file(&tmp);
+    write_synced().map_err(|e| staged.failed(format!("write {}", staged.tmp.display()), e))?;
+    Ok(staged)
+}
+
+impl Staged {
+    /// The second step of [`write_atomic`]: renames the temp file onto its
+    /// target. On failure the temp file is removed.
+    pub fn publish(self) -> io::Result<()> {
+        fs::rename(&self.tmp, &self.path).map_err(|e| {
+            self.failed(
+                format!("rename {} -> {}", self.tmp.display(), self.path.display()),
+                e,
+            )
+        })
+    }
+
+    fn failed(&self, what: String, e: io::Error) -> io::Error {
+        let _ = fs::remove_file(&self.tmp);
         io::Error::new(e.kind(), format!("{what}: {e}"))
-    };
-    write_synced().map_err(|e| context(format!("write {}", tmp.display()), e))?;
-    fs::rename(&tmp, path)
-        .map_err(|e| context(format!("rename {} -> {}", tmp.display(), path.display()), e))?;
-    // Make the rename durable: fsync the directory so the new directory
-    // entry reaches disk. Best effort — not every platform lets a
-    // directory be opened and synced (the data itself is already safe).
+    }
+}
+
+/// The third step of [`write_atomic`]: fsyncs `dir`, so that the renames
+/// into it reach disk. Best effort — not every platform lets a directory
+/// be opened and synced (the data itself is already safe).
+pub fn sync_dir(dir: &Path) {
     if let Ok(d) = fs::File::open(dir) {
         let _ = d.sync_all();
     }
-    Ok(())
+}
+
+fn dir_of(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    }
 }
 
 #[cfg(test)]

@@ -396,14 +396,20 @@ impl Default for BoxPolicy {
 impl OlgModel {
     /// Builds the model: solves the reference steady state and centers the
     /// box `B` on it.
+    ///
+    /// # Panics
+    ///
+    /// If the calibration is invalid or has no steady state; a calibration
+    /// from outside the program goes through [`OlgModel::with_box`].
     pub fn new(cal: Calibration) -> Self {
-        Self::with_box(cal, BoxPolicy::default())
+        Self::with_box(cal, BoxPolicy::default()).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Builds with an explicit box policy.
-    pub fn with_box(cal: Calibration, policy: BoxPolicy) -> Self {
-        cal.validate();
-        let steady = solve_steady_state(&cal);
+    /// Builds with an explicit box policy, or says why the calibration is
+    /// invalid or has no steady state.
+    pub fn with_box(cal: Calibration, policy: BoxPolicy) -> Result<Self, String> {
+        cal.try_validate().map_err(|e| e.to_string())?;
+        let steady = solve_steady_state(&cal)?;
         let d = cal.dim();
         let mut lower = Vec::with_capacity(d);
         let mut upper = Vec::with_capacity(d);
@@ -420,13 +426,13 @@ impl OlgModel {
             lower.push(center - span);
             upper.push(center + span);
         }
-        OlgModel {
+        Ok(OlgModel {
             basis: PriceBasis::new(&cal),
             cal,
             steady,
             lower,
             upper,
-        }
+        })
     }
 
     /// Continuous dimensionality `d = A − 1`.

@@ -107,8 +107,10 @@ fn lifecycle(cal: &Calibration, capital: f64) -> (f64, SteadyState) {
 /// `r`) produces numerically explosive lifecycles and spurious
 /// sign changes of the excess function. Restricting the search to the
 /// economically admissible window `r ∈ [r_lo, r_hi]` keeps the root finder
-/// on the equilibrium the literature calibrates to.
-pub fn solve_steady_state(cal: &Calibration) -> SteadyState {
+/// on the equilibrium the literature calibrates to. A calibration whose
+/// excess function keeps one sign over the whole window has no steady
+/// state there, and gets an error naming the window.
+pub fn solve_steady_state(cal: &Calibration) -> Result<SteadyState, String> {
     let reference = if cal.num_states() == 1 {
         cal.clone()
     } else {
@@ -149,11 +151,12 @@ pub fn solve_steady_state(cal: &Calibration) -> SteadyState {
         prev = Some((k, e));
         r /= ratio;
     }
-    let (lo, hi) = bracket.unwrap_or_else(|| {
-        panic!("no steady-state bracket in r ∈ [{r_floor}, {r_ceiling}]; check calibration")
-    });
-    let k = brent(excess, lo, hi, 1e-12, 200).expect("steady-state root solve failed");
-    lifecycle(&reference, k).1
+    let (lo, hi) = bracket.ok_or_else(|| {
+        format!("no steady-state bracket in r ∈ [{r_floor}, {r_ceiling}]; check calibration")
+    })?;
+    let k = brent(excess, lo, hi, 1e-12, 200)
+        .map_err(|e| format!("steady-state root solve failed: {e}"))?;
+    Ok(lifecycle(&reference, k).1)
 }
 
 impl SteadyState {
@@ -182,7 +185,7 @@ mod tests {
     #[test]
     fn steady_state_closes_the_lifecycle() {
         let cal = Calibration::deterministic(8, 6);
-        let ss = solve_steady_state(&cal);
+        let ss = solve_steady_state(&cal).unwrap();
         assert!(ss.capital > 0.0);
         // Fixed point: implied aggregate assets equal K.
         let implied: f64 = ss.assets.iter().sum();
@@ -197,7 +200,7 @@ mod tests {
     #[test]
     fn consumption_grows_at_euler_rate() {
         let cal = Calibration::deterministic(10, 7);
-        let ss = solve_steady_state(&cal);
+        let ss = solve_steady_state(&cal).unwrap();
         let g = (cal.beta * ss.prices.gross_return).powf(1.0 / cal.gamma);
         for a in 0..9 {
             let ratio = ss.consumption[a + 1] / ss.consumption[a];
@@ -209,7 +212,7 @@ mod tests {
     fn goods_market_clears() {
         // Σ c_a + δK = Y in steady state (investment replaces depreciation).
         let cal = Calibration::deterministic(8, 6);
-        let ss = solve_steady_state(&cal);
+        let ss = solve_steady_state(&cal).unwrap();
         let total_c: f64 = ss.consumption.iter().sum();
         let lhs = total_c + cal.depreciation * ss.capital;
         assert!(
@@ -222,7 +225,7 @@ mod tests {
     #[test]
     fn values_are_discounted_utility_sums() {
         let cal = Calibration::deterministic(6, 4);
-        let ss = solve_steady_state(&cal);
+        let ss = solve_steady_state(&cal).unwrap();
         let direct: f64 = ss
             .consumption
             .iter()
@@ -238,14 +241,14 @@ mod tests {
         let reference = reference_calibration(&cal);
         assert_eq!(reference.num_states(), 1);
         assert!((reference.regimes[0].productivity - 1.0).abs() < 1e-12);
-        let ss = solve_steady_state(&cal);
+        let ss = solve_steady_state(&cal).unwrap();
         assert!(ss.capital > 0.0);
     }
 
     #[test]
     fn state_vector_and_dofs_have_model_shape() {
         let cal = Calibration::deterministic(8, 6);
-        let ss = solve_steady_state(&cal);
+        let ss = solve_steady_state(&cal).unwrap();
         assert_eq!(ss.state_vector().len(), cal.dim());
         assert_eq!(ss.dof_row().len(), cal.ndofs());
         assert_eq!(ss.state_vector()[0], ss.capital);
@@ -256,7 +259,7 @@ mod tests {
         // d = 59 — the paper's scale; the solve is closed-form per K so
         // this is fast.
         let cal = Calibration::headline();
-        let ss = solve_steady_state(&cal);
+        let ss = solve_steady_state(&cal).unwrap();
         assert!(ss.capital > 0.0);
         assert_eq!(ss.state_vector().len(), 59);
         assert_eq!(ss.dof_row().len(), 118);

@@ -30,11 +30,37 @@
 //! single `HashMap` operations), so a panicking sweep thread must not
 //! poison the cache for every other thread. Recoveries are counted in
 //! [`CacheStats::lock_poisonings`].
+//!
+//! ## Write-behind commit stage
+//!
+//! A deposit ([`SurfaceCache::store_policy`]) puts the surface in its
+//! memory shard, where every lookup sees it at once, and — for a cache
+//! over a directory — enqueues the same `Arc` for the commit stage. The
+//! depositor does not wait for the disk: the next scenario of a sweep
+//! starts, and a served miss's ticket is fulfilled, while one writer
+//! thread commits behind them. The writer starts with the first deposit
+//! after a flush and runs until the next flush ([`SurfaceCache::flush`])
+//! finds the queue empty; the last handle's drop flushes, so no writer
+//! outlives its cache, and opening a cache starts none. It commits in
+//! groups: it takes everything queued, writes, fsyncs and renames each
+//! record in deposit order, applies the eviction policy to both tiers,
+//! and then fsyncs the directory once for the whole group. A record that
+//! cannot be written stays in memory only, with a warning, counted in
+//! `hddm_cache_commit_failures_total`. At most `COMMIT_BACKLOG` (64)
+//! deposits wait uncommitted; a deposit beyond that waits for the writer.
+//!
+//! A deposit is durable once a flush returns. A batch's thread flushes
+//! before it ends, so `run_set`, `run_single` and `BatchHandle::join`
+//! return with their deposits committed, and a serving dispatcher takes
+//! its next batch only then. A crash before the commit loses the deposit,
+//! which costs one re-solve; a crash inside it leaves a `.tmp-*` file that
+//! the next open removes (see [`crate::persist`]).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::thread::JoinHandle;
 
 use serde::Serialize;
 
@@ -193,6 +219,75 @@ struct ShardEntry {
     surface: Arc<CachedSurface>,
 }
 
+/// The memory tier: the shards and the tally of poisoned locks recovered
+/// anywhere in the cache. Shared by every handle and by the commit stage's
+/// writer, which drops the surfaces the eviction policy evicts.
+struct Memory {
+    shards: Vec<RwLock<Shard>>,
+    lock_poisonings: AtomicUsize,
+}
+
+impl Memory {
+    // ----- lock plumbing (poisoning-recovering) ------------------------
+
+    fn read<'a, T>(&self, lock: &'a RwLock<T>) -> RwLockReadGuard<'a, T> {
+        lock.read().unwrap_or_else(|poisoned| {
+            // ORDERING: Relaxed — recovery tally; no ordering dependency.
+            self.lock_poisonings.fetch_add(1, Ordering::Relaxed);
+            lock.clear_poison();
+            poisoned.into_inner()
+        })
+    }
+
+    fn write<'a, T>(&self, lock: &'a RwLock<T>) -> RwLockWriteGuard<'a, T> {
+        lock.write().unwrap_or_else(|poisoned| {
+            // ORDERING: Relaxed — recovery tally; no ordering dependency.
+            self.lock_poisonings.fetch_add(1, Ordering::Relaxed);
+            lock.clear_poison();
+            poisoned.into_inner()
+        })
+    }
+
+    fn lock<'a, T>(&self, lock: &'a Mutex<T>) -> MutexGuard<'a, T> {
+        lock.lock().unwrap_or_else(|poisoned| {
+            // ORDERING: Relaxed — recovery tally; no ordering dependency.
+            self.lock_poisonings.fetch_add(1, Ordering::Relaxed);
+            lock.clear_poison();
+            poisoned.into_inner()
+        })
+    }
+
+    /// Waits on `cv` until `condition` no longer holds. A wake to a lock a
+    /// panicking holder poisoned is recovered, and the wait goes on.
+    fn wait_while<'a, T>(
+        &self,
+        cv: &Condvar,
+        lock: &'a Mutex<T>,
+        mut guard: MutexGuard<'a, T>,
+        mut condition: impl FnMut(&mut T) -> bool,
+    ) -> MutexGuard<'a, T> {
+        while condition(&mut guard) {
+            guard = cv
+                .wait_while(guard, &mut condition)
+                .unwrap_or_else(|poisoned| {
+                    // ORDERING: Relaxed — recovery tally; no ordering dependency.
+                    self.lock_poisonings.fetch_add(1, Ordering::Relaxed);
+                    lock.clear_poison();
+                    poisoned.into_inner()
+                });
+        }
+        guard
+    }
+
+    fn shard_read(&self, i: usize) -> RwLockReadGuard<'_, Shard> {
+        self.read(&self.shards[i])
+    }
+
+    fn shard_write(&self, i: usize) -> RwLockWriteGuard<'_, Shard> {
+        self.write(&self.shards[i])
+    }
+}
+
 /// The cache's registry-backed instruments. Traffic counters are
 /// incremented inline on the hot paths; derived quantities (entry counts,
 /// store-side totals, lock recoveries) are gauges refreshed by
@@ -215,6 +310,20 @@ struct CacheInstruments {
     restores_peak: Arc<Gauge>,
     restore_seconds: Arc<Histogram>,
     deposit_seconds: Arc<Histogram>,
+    commit: CommitInstruments,
+}
+
+/// The commit stage's instruments. Registered by every cache, so a
+/// snapshot names them whether or not a directory backs the cache.
+#[derive(Clone)]
+struct CommitInstruments {
+    /// One sample per group commit: its records' writes, renames and
+    /// evictions, and the one directory fsync.
+    seconds: Arc<Histogram>,
+    records: Arc<Counter>,
+    failures: Arc<Counter>,
+    /// The most deposits ever enqueued and not yet committed at once.
+    queue_peak: Arc<Gauge>,
     evict_seconds: Arc<Histogram>,
 }
 
@@ -234,22 +343,28 @@ impl CacheInstruments {
             restores_peak: registry.gauge("hddm_cache_concurrent_restores_peak"),
             restore_seconds: registry.histogram("hddm_cache_restore_seconds"),
             deposit_seconds: registry.histogram("hddm_cache_deposit_seconds"),
-            evict_seconds: registry.histogram("hddm_cache_evict_seconds"),
+            commit: CommitInstruments {
+                seconds: registry.histogram("hddm_cache_commit_seconds"),
+                records: registry.counter("hddm_cache_commit_records_total"),
+                failures: registry.counter("hddm_cache_commit_failures_total"),
+                queue_peak: registry.gauge("hddm_cache_commit_queue_peak"),
+                evict_seconds: registry.histogram("hddm_cache_evict_seconds"),
+            },
             registry,
         }
     }
 }
 
 struct CacheInner {
-    shards: Vec<RwLock<Shard>>,
+    memory: Arc<Memory>,
     /// Global deposit counter (insertion order across shards).
     seq: AtomicU64,
-    /// Persistent backing store, fixed at construction.
-    store: Option<Store>,
+    /// The persistent backing store with its commit stage, fixed at
+    /// construction.
+    stage: Option<CommitStage>,
     /// Maximum fingerprint distance a warm start may bridge.
     warm_radius: f64,
     metrics: CacheInstruments,
-    lock_poisonings: AtomicUsize,
     /// Hashes whose disk restore is currently in flight; guards
     /// restore-once promotion.
     inflight: Mutex<HashSet<u64>>,
@@ -257,6 +372,12 @@ struct CacheInner {
     restoring_now: AtomicUsize,
     restore_peak: AtomicUsize,
     restore_hook: RwLock<Option<RestoreHook>>,
+}
+
+impl CacheInner {
+    fn store(&self) -> Option<&Store> {
+        self.stage.as_ref().map(|stage| &stage.shared.store)
+    }
 }
 
 /// The shared, thread-safe surface cache — a cheap clonable handle; all
@@ -268,8 +389,8 @@ struct CacheInner {
 /// [`SurfaceCache::open`]): the on-disk
 /// index is consulted on misses, hit surfaces are lazily restored from
 /// their record files — concurrently, outside any lock, at most once per
-/// entry — and promoted into memory, and every deposit is written through
-/// atomically.
+/// entry — and promoted into memory, and every deposit is committed to
+/// disk behind the depositor by the write-behind commit stage.
 #[derive(Clone)]
 pub struct SurfaceCache {
     inner: Arc<CacheInner>,
@@ -294,16 +415,21 @@ impl SurfaceCache {
 
     fn with_store(warm_radius: f64, store: Option<Store>) -> SurfaceCache {
         let registry = Registry::new();
+        let metrics = CacheInstruments::new(registry.clone());
+        let memory = Arc::new(Memory {
+            shards: (0..SHARD_COUNT)
+                .map(|_| RwLock::new(Shard::default()))
+                .collect(),
+            lock_poisonings: AtomicUsize::new(0),
+        });
+        let stage = store.map(|store| CommitStage::new(store, &memory, metrics.commit.clone()));
         let cache = SurfaceCache {
             inner: Arc::new(CacheInner {
-                shards: (0..SHARD_COUNT)
-                    .map(|_| RwLock::new(Shard::default()))
-                    .collect(),
+                memory,
                 seq: AtomicU64::new(0),
-                store,
+                stage,
                 warm_radius,
-                metrics: CacheInstruments::new(registry.clone()),
-                lock_poisonings: AtomicUsize::new(0),
+                metrics,
                 inflight: Mutex::new(HashSet::new()),
                 inflight_cv: Condvar::new(),
                 restoring_now: AtomicUsize::new(0),
@@ -337,10 +463,10 @@ impl SurfaceCache {
     /// collect hook ahead of each snapshot.
     fn refresh_gauges(&self) {
         let entries: usize = (0..SHARD_COUNT)
-            .map(|i| self.shard_read(i).by_hash.len())
+            .map(|i| self.inner.memory.shard_read(i).by_hash.len())
             .sum();
         let (persisted_entries, persisted_bytes, evictions, skipped, store_poisonings) =
-            match &self.inner.store {
+            match self.inner.store() {
                 Some(store) => (
                     store.len(),
                     store.total_bytes(),
@@ -358,7 +484,7 @@ impl SurfaceCache {
         m.skipped.set(skipped as u64);
         // ORDERING: Relaxed — recovery tally scrape; staleness by an
         // in-flight recovery is acceptable for exposition.
-        let poisonings = self.inner.lock_poisonings.load(Ordering::Relaxed);
+        let poisonings = self.inner.memory.lock_poisonings.load(Ordering::Relaxed);
         m.lock_poisonings
             .set((poisonings + store_poisonings) as u64);
         // ORDERING: Relaxed — the peak is maintained by atomic fetch_max
@@ -388,7 +514,7 @@ impl SurfaceCache {
     /// concurrency tests and load inspection.
     pub fn shard_entries(&self) -> Vec<usize> {
         (0..SHARD_COUNT)
-            .map(|i| self.shard_read(i).by_hash.len())
+            .map(|i| self.inner.memory.shard_read(i).by_hash.len())
             .collect()
     }
 
@@ -396,44 +522,7 @@ impl SurfaceCache {
     /// every record-file restore; see [`RestoreHook`]. Pass-through for
     /// tests and latency tracing — not part of the caching semantics.
     pub fn set_restore_hook(&self, hook: RestoreHook) {
-        *self.recover_rw_write(&self.inner.restore_hook) = Some(hook);
-    }
-
-    // ----- lock plumbing (poisoning-recovering) ------------------------
-
-    fn recover_rw_read<'a, T>(&self, lock: &'a RwLock<T>) -> RwLockReadGuard<'a, T> {
-        lock.read().unwrap_or_else(|poisoned| {
-            // ORDERING: Relaxed — recovery tally; no ordering dependency.
-            self.inner.lock_poisonings.fetch_add(1, Ordering::Relaxed);
-            lock.clear_poison();
-            poisoned.into_inner()
-        })
-    }
-
-    fn recover_rw_write<'a, T>(&self, lock: &'a RwLock<T>) -> RwLockWriteGuard<'a, T> {
-        lock.write().unwrap_or_else(|poisoned| {
-            // ORDERING: Relaxed — recovery tally; no ordering dependency.
-            self.inner.lock_poisonings.fetch_add(1, Ordering::Relaxed);
-            lock.clear_poison();
-            poisoned.into_inner()
-        })
-    }
-
-    fn recover_mutex<'a, T>(&self, lock: &'a Mutex<T>) -> MutexGuard<'a, T> {
-        lock.lock().unwrap_or_else(|poisoned| {
-            // ORDERING: Relaxed — recovery tally; no ordering dependency.
-            self.inner.lock_poisonings.fetch_add(1, Ordering::Relaxed);
-            lock.clear_poison();
-            poisoned.into_inner()
-        })
-    }
-
-    fn shard_read(&self, i: usize) -> RwLockReadGuard<'_, Shard> {
-        self.recover_rw_read(&self.inner.shards[i])
-    }
-
-    fn shard_write(&self, i: usize) -> RwLockWriteGuard<'_, Shard> {
-        self.recover_rw_write(&self.inner.shards[i])
+        *self.inner.memory.write(&self.inner.restore_hook) = Some(hook);
     }
 
     // ----- disk promotion (restore-once, I/O outside locks) ------------
@@ -449,28 +538,29 @@ impl SurfaceCache {
     /// many readers race. Callers for *different* hashes proceed fully in
     /// parallel — the file read holds no lock at all.
     fn promote_from_disk(&self, hash: u64) -> Option<Arc<CachedSurface>> {
-        let store = self.inner.store.as_ref()?;
+        let store = self.inner.store()?;
         loop {
-            if let Some(entry) = self.shard_read(shard_of(hash)).by_hash.get(&hash) {
+            if let Some(entry) = self
+                .inner
+                .memory
+                .shard_read(shard_of(hash))
+                .by_hash
+                .get(&hash)
+            {
                 // Another thread promoted it while we raced for the claim.
                 return Some(Arc::clone(&entry.surface));
             }
             {
-                let mut inflight = self.recover_mutex(&self.inner.inflight);
+                let mut inflight = self.inner.memory.lock(&self.inner.inflight);
                 if inflight.contains(&hash) {
                     // A restore of this very hash is in flight: wait for
-                    // the winner instead of reading the file twice. (A
-                    // wake to poison returns early; the loop re-checks.)
-                    let _released = self
-                        .inner
-                        .inflight_cv
-                        .wait_while(inflight, |inflight| inflight.contains(&hash))
-                        .unwrap_or_else(|poisoned| {
-                            // ORDERING: Relaxed — recovery tally.
-                            self.inner.lock_poisonings.fetch_add(1, Ordering::Relaxed);
-                            self.inner.inflight.clear_poison();
-                            poisoned.into_inner()
-                        });
+                    // the winner instead of reading the file twice.
+                    let _released = self.inner.memory.wait_while(
+                        &self.inner.inflight_cv,
+                        &self.inner.inflight,
+                        inflight,
+                        |inflight| inflight.contains(&hash),
+                    );
                     continue; // re-check the shard (winner promoted or skipped)
                 }
                 inflight.insert(hash);
@@ -486,7 +576,7 @@ impl SurfaceCache {
             }
             impl Drop for ClaimGuard<'_> {
                 fn drop(&mut self) {
-                    let mut inflight = self.cache.recover_mutex(&self.cache.inner.inflight);
+                    let mut inflight = self.cache.inner.memory.lock(&self.cache.inner.inflight);
                     inflight.remove(&self.hash);
                     self.cache.inner.inflight_cv.notify_all();
                 }
@@ -506,7 +596,13 @@ impl SurfaceCache {
         // claim) between our miss and our claim. Re-check now that the
         // claim is held — without this, the record file would be read a
         // second time for an already-promoted surface.
-        if let Some(entry) = self.shard_read(shard_of(hash)).by_hash.get(&hash) {
+        if let Some(entry) = self
+            .inner
+            .memory
+            .shard_read(shard_of(hash))
+            .by_hash
+            .get(&hash)
+        {
             return Some(Arc::clone(&entry.surface));
         }
         let entry: IndexRow = store.entry(hash)?;
@@ -530,7 +626,7 @@ impl SurfaceCache {
         // ORDERING: Relaxed — atomic fetch_max maintains the peak
         // exactly; no reader infers other state from it.
         self.inner.restore_peak.fetch_max(now, Ordering::Relaxed);
-        let hook = self.recover_rw_read(&self.inner.restore_hook).clone();
+        let hook = self.inner.memory.read(&self.inner.restore_hook).clone();
         if let Some(hook) = hook {
             hook(hash);
         }
@@ -543,7 +639,7 @@ impl SurfaceCache {
         match read {
             Ok(surface) => {
                 let arc = Arc::new(surface);
-                let mut shard = self.shard_write(shard_of(hash));
+                let mut shard = self.inner.memory.shard_write(shard_of(hash));
                 let entry = shard.by_hash.entry(hash).or_insert_with(|| ShardEntry {
                     // ORDERING: Relaxed — sequence uniqueness comes from
                     // RMW atomicity; insertion order is guarded by the
@@ -584,7 +680,7 @@ impl SurfaceCache {
         fingerprint: &[f64],
     ) -> Option<Arc<CachedSurface>> {
         let entry = {
-            let shard = self.shard_read(shard_of(hash));
+            let shard = self.inner.memory.shard_read(shard_of(hash));
             shard.by_hash.get(&hash).map(|e| Arc::clone(&e.surface))
         }
         .or_else(|| self.promote_from_disk(hash))?;
@@ -618,7 +714,7 @@ impl SurfaceCache {
         allow_warm: bool,
     ) -> Lookup {
         let exact = {
-            let shard = self.shard_read(shard_of(hash));
+            let shard = self.inner.memory.shard_read(shard_of(hash));
             shard.by_hash.get(&hash).map(|e| Arc::clone(&e.surface))
         };
         let exact = exact.or_else(|| self.promote_from_disk(hash));
@@ -641,7 +737,7 @@ impl SurfaceCache {
         // record file drops out of the index inside the restore, so the
         // next scan finds the next-nearest neighbour.
         loop {
-            let best_disk = self.inner.store.as_ref().and_then(|store| {
+            let best_disk = self.inner.store().and_then(|store| {
                 store
                     .best_candidate(shape, fingerprint, self.inner.warm_radius, |h| {
                         in_memory.contains(&h)
@@ -692,7 +788,7 @@ impl SurfaceCache {
         let mut in_memory = HashSet::new();
         let mut best: Option<(f64, u64, Arc<CachedSurface>)> = None;
         for i in 0..SHARD_COUNT {
-            let shard = self.shard_read(i);
+            let shard = self.inner.memory.shard_read(i);
             #[expect(
                 clippy::iter_over_hash_type,
                 reason = "the nearest entry wins, ties to the earliest deposit: no visit order shows"
@@ -728,7 +824,7 @@ impl SurfaceCache {
             distance: d,
             cost_seconds: s.cost_seconds,
         });
-        let best_disk = self.inner.store.as_ref().and_then(|store| {
+        let best_disk = self.inner.store().and_then(|store| {
             store
                 .best_candidate(shape, fingerprint, self.inner.warm_radius, |h| {
                     in_memory.contains(&h)
@@ -748,10 +844,15 @@ impl SurfaceCache {
     /// Deposits a solved policy surface: the policy is cloned once and
     /// that copy is what every later hit reads. Last writer wins on
     /// hash collisions of identical scenarios (the surfaces are
-    /// interchangeable by construction). With a persistent store
-    /// attached, the surface is written through atomically and the
-    /// eviction policy is applied; surfaces evicted from disk are dropped
-    /// from memory too, so the two tiers stay consistent.
+    /// interchangeable by construction). The surface is served from memory
+    /// as soon as this returns. With a persistent store attached, the same
+    /// `Arc` is enqueued for the commit stage, which writes it to disk
+    /// behind the caller and applies the eviction policy; surfaces evicted
+    /// from disk are dropped from memory too, so the two tiers stay
+    /// consistent. The deposit is durable once [`SurfaceCache::flush`]
+    /// returns (as [`crate::run_set`] and [`crate::BatchHandle::join`] do
+    /// before returning) or the cache's last handle drops. When the
+    /// backlog of uncommitted deposits is full, this waits for the writer.
     #[allow(clippy::too_many_arguments)]
     pub fn store_policy(
         &self,
@@ -775,7 +876,7 @@ impl SurfaceCache {
             cost_seconds,
         });
         {
-            let mut shard = self.shard_write(shard_of(hash));
+            let mut shard = self.inner.memory.shard_write(shard_of(hash));
             match shard.by_hash.get_mut(&hash) {
                 Some(entry) => entry.surface = Arc::clone(&surface), // keep the eviction slot
                 None => {
@@ -792,26 +893,20 @@ impl SurfaceCache {
                 }
             }
         }
-        if let Some(store) = &self.inner.store {
-            match store.insert(&surface) {
-                Ok(evicted) => {
-                    if !evicted.is_empty() {
-                        let span = hddm_telemetry::SpanTimer::start(Arc::clone(
-                            &self.inner.metrics.evict_seconds,
-                        ));
-                        for h in evicted {
-                            self.shard_write(shard_of(h)).by_hash.remove(&h);
-                        }
-                        span.stop();
-                    }
-                }
-                Err(e) => eprintln!(
-                    "hddm-scenarios: warning: failed to persist surface \
-                     {hash:016x} ({e}); keeping it in memory only"
-                ),
-            }
+        if let Some(stage) = &self.inner.stage {
+            stage.enqueue(surface);
         }
         deposit_span.stop();
+    }
+
+    /// Blocks until every deposit made before the call is committed to
+    /// the cache directory, or has failed to be and stays in memory only.
+    /// If no deposit is left queued, the writer thread then stops; the
+    /// next deposit starts another. A no-op for a purely in-memory cache.
+    pub fn flush(&self) {
+        if let Some(stage) = &self.inner.stage {
+            stage.flush();
+        }
     }
 
     /// Telemetry snapshot — a structured view over the registry's
@@ -834,6 +929,226 @@ impl SurfaceCache {
             lock_poisonings: m.lock_poisonings.get() as usize,
             concurrent_restores_peak: m.restores_peak.get() as usize,
         }
+    }
+}
+
+/// Most deposits that may wait for their commit at once. A deposit that
+/// finds this many uncommitted ones waits for the writer (back-pressure),
+/// so a producer that outruns the disk runs at the disk's pace instead of
+/// piling up work. Every waiting surface is also held by the memory tier
+/// (until evicted), so the bound costs no copies.
+const COMMIT_BACKLOG: u64 = 64;
+
+/// The write-behind commit stage: the one path by which a deposit reaches
+/// the cache directory. Deposits enqueue the `Arc` the memory tier holds;
+/// one writer thread, started by a deposit that finds none running, drains
+/// the queue in group commits. It stops at a flush that leaves the queue
+/// empty ([`CommitStage::flush`]), which the last handle's drop runs, so
+/// no writer outlives its cache.
+///
+/// The flush stops the writer, not only waits for it: a sweep's batch
+/// thread flushes before it exits, so the writer's thread, and the
+/// allocator arena it took, are gone before the batch thread's. A writer
+/// that outlives the batch thread hands its arena to the next batch
+/// thread, whose solves then fill a second arena: `sweep_warm`'s
+/// `peak_rss_mb` read 5.31 → 6.24 MB with a writer that lived as long as
+/// its cache.
+struct CommitStage {
+    shared: Arc<StageShared>,
+    /// The last writer started, by its number.
+    writer: Mutex<Option<(u64, JoinHandle<()>)>>,
+}
+
+/// What the cache's handles and the writer thread share. The writer holds
+/// no handle to the cache itself.
+struct StageShared {
+    store: Store,
+    memory: Arc<Memory>,
+    backlog: Mutex<Backlog>,
+    /// Signalled on every change of `backlog`: a deposit or a stop (for
+    /// the writer), a settled group (for back-pressure and flushes).
+    changed: Condvar,
+    metrics: CommitInstruments,
+}
+
+#[derive(Default)]
+struct Backlog {
+    /// Deposits waiting for the writer, oldest first.
+    queued: VecDeque<Arc<CachedSurface>>,
+    /// Deposits enqueued over the stage's life.
+    enqueued: u64,
+    /// Deposits the writer is done with: committed, or failed and kept in
+    /// memory only.
+    settled: u64,
+    /// A writer runs (or is being started) and will take what is queued.
+    writing: bool,
+    /// Writers started over the stage's life; the running one's number.
+    writers: u64,
+    /// Writers up to this number exit once they find the queue empty.
+    stop: u64,
+}
+
+impl CommitStage {
+    fn new(store: Store, memory: &Arc<Memory>, metrics: CommitInstruments) -> CommitStage {
+        CommitStage {
+            shared: Arc::new(StageShared {
+                store,
+                memory: Arc::clone(memory),
+                backlog: Mutex::new(Backlog::default()),
+                changed: Condvar::new(),
+                metrics,
+            }),
+            writer: Mutex::new(None),
+        }
+    }
+
+    fn enqueue(&self, surface: Arc<CachedSurface>) {
+        let shared = &*self.shared;
+        let mut backlog = shared.memory.wait_while(
+            &shared.changed,
+            &shared.backlog,
+            shared.memory.lock(&shared.backlog),
+            |b| b.enqueued - b.settled >= COMMIT_BACKLOG,
+        );
+        backlog.queued.push_back(surface);
+        backlog.enqueued += 1;
+        let waiting = backlog.enqueued - backlog.settled;
+        let start = !backlog.writing;
+        if start {
+            backlog.writing = true;
+            backlog.writers += 1;
+        }
+        let number = backlog.writers;
+        drop(backlog);
+        shared.metrics.queue_peak.fetch_max(waiting);
+        if start {
+            let mut writer = shared.memory.lock(&self.writer);
+            if let Some((_, stopped)) = writer.take() {
+                let _ = stopped.join();
+            }
+            let stage = Arc::clone(&self.shared);
+            match std::thread::Builder::new()
+                .name("hddm-cache-commit".into())
+                .spawn(move || stage.run_writer(number))
+            {
+                Ok(thread) => *writer = Some((number, thread)),
+                Err(e) => shared.abandon(&e.to_string()),
+            }
+        }
+        shared.changed.notify_all();
+    }
+
+    /// Waits until every deposit enqueued before the call is settled; if
+    /// the queue is then empty, stops the writer and joins it.
+    fn flush(&self) {
+        let shared = &*self.shared;
+        let backlog = shared.memory.lock(&shared.backlog);
+        let target = backlog.enqueued;
+        let mut backlog =
+            shared
+                .memory
+                .wait_while(&shared.changed, &shared.backlog, backlog, |b| {
+                    b.settled < target
+                });
+        if !backlog.queued.is_empty() {
+            return; // another thread's deposits keep the writer going
+        }
+        let number = backlog.writers;
+        backlog.stop = number;
+        drop(backlog);
+        shared.changed.notify_all();
+        let mut writer = shared.memory.lock(&self.writer);
+        // A later writer, started by a deposit since, is not this flush's.
+        if writer.as_ref().is_some_and(|(n, _)| *n == number) {
+            if let Some((_, stopped)) = writer.take() {
+                let _ = stopped.join();
+            }
+        }
+    }
+}
+
+impl Drop for CommitStage {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+impl StageShared {
+    /// No writer could be started: everything queued is settled as a
+    /// failed commit and stays in memory only, so no flush waits for a
+    /// writer that never ran.
+    fn abandon(&self, why: &str) {
+        let mut backlog = self.memory.lock(&self.backlog);
+        let lost = backlog.queued.len() as u64;
+        backlog.queued.clear();
+        backlog.settled += lost;
+        backlog.writing = false;
+        drop(backlog);
+        self.metrics.failures.add(lost);
+        eprintln!(
+            "hddm-scenarios: warning: no commit writer ({why}); \
+             {lost} surface(s) stay in memory only"
+        );
+    }
+
+    /// Writer `number`: takes everything queued as one group, commits it,
+    /// and settles it; exits, marking the stage idle in the same step, when
+    /// a flush has stopped it and the queue is empty.
+    fn run_writer(&self, number: u64) {
+        let mut done = 0;
+        loop {
+            let group: Vec<Arc<CachedSurface>> = {
+                let mut backlog = self.memory.lock(&self.backlog);
+                backlog.settled += done;
+                self.changed.notify_all();
+                let mut backlog =
+                    self.memory
+                        .wait_while(&self.changed, &self.backlog, backlog, |b| {
+                            b.queued.is_empty() && b.stop < number
+                        });
+                if backlog.queued.is_empty() {
+                    backlog.writing = false;
+                    return;
+                }
+                backlog.queued.drain(..).collect()
+            };
+            self.commit_group(&group);
+            done = group.len() as u64;
+        }
+    }
+
+    /// One group commit: each record is written to its temp file, fsynced
+    /// and renamed, in deposit order, and its evictions applied to both
+    /// tiers; then one directory fsync makes the group's renames durable.
+    /// A record that cannot be written stays in memory only.
+    fn commit_group(&self, group: &[Arc<CachedSurface>]) {
+        let span = hddm_telemetry::SpanTimer::start(Arc::clone(&self.metrics.seconds));
+        for surface in group {
+            match self.store.commit(surface) {
+                Ok(evicted) => {
+                    self.metrics.records.inc();
+                    if !evicted.is_empty() {
+                        let span = hddm_telemetry::SpanTimer::start(Arc::clone(
+                            &self.metrics.evict_seconds,
+                        ));
+                        for h in evicted {
+                            self.memory.shard_write(shard_of(h)).by_hash.remove(&h);
+                        }
+                        span.stop();
+                    }
+                }
+                Err(e) => {
+                    self.metrics.failures.inc();
+                    eprintln!(
+                        "hddm-scenarios: warning: failed to persist surface \
+                         {} ({e}); keeping it in memory only",
+                        HashId(surface.hash)
+                    );
+                }
+            }
+        }
+        self.store.sync_dir();
+        span.stop();
     }
 }
 
@@ -1290,7 +1605,7 @@ mod tests {
         // cross-thread situation a crashing sweep thread creates.
         let poisoner = cache.clone();
         let _ = std::thread::spawn(move || {
-            let _guard = poisoner.inner.shards[shard_of(77)].write().unwrap();
+            let _guard = poisoner.inner.memory.shards[shard_of(77)].write().unwrap();
             panic!("poison the shard");
         })
         .join();
@@ -1307,6 +1622,43 @@ mod tests {
             cache.stats().lock_poisonings >= 1,
             "poisoning recovery must be counted"
         );
+    }
+
+    #[test]
+    fn a_surface_whose_commit_is_queued_is_served_from_memory() {
+        let dir = std::env::temp_dir().join(format!("hddm_cache_queued_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = SurfaceCache::open(&dir).unwrap();
+        // The stage believes a writer runs, but none does: every deposit
+        // stays queued.
+        let stage = cache.inner.stage.as_ref().unwrap();
+        stage.shared.backlog.lock().unwrap().writing = true;
+        let restores = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&restores);
+        cache.set_restore_hook(Arc::new(move |_| {
+            counted.fetch_add(1, Ordering::Relaxed);
+        }));
+
+        let domain = BoxDomain::new(vec![0.0, 0.0], vec![1.0, 1.0]);
+        let policy = linear_policy(&domain, 1.0, 2.0);
+        cache.store_policy(77, shape(), vec![0.95, 2.0], &policy, 9, 1e-8, 0.5);
+        assert_eq!(stage.shared.backlog.lock().unwrap().queued.len(), 1);
+        assert!(cache.lookup_exact(77, shape(), &[0.95, 2.0]).is_some());
+        assert!(matches!(
+            cache.lookup(77, shape(), &[0.95, 2.0], true),
+            Lookup::Exact(_)
+        ));
+        assert_eq!(restores.load(Ordering::Relaxed), 0, "no disk restore");
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.persisted_entries, stats.disk_hits, stats.exact_hits),
+            (0, 0, 2)
+        );
+        assert!(std::fs::read_dir(&dir).unwrap().next().is_none());
+        // Let the drop's flush return.
+        *stage.shared.backlog.lock().unwrap() = Backlog::default();
+        drop(cache);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1356,9 +1708,17 @@ mod tests {
             stats.concurrent_restores_peak as u64,
             gauge("hddm_cache_concurrent_restores_peak")
         );
-        // Deposits were timed.
+        // Deposits were timed; a cache without a directory commits nothing,
+        // but names the commit stage's instruments.
         let deposit = snap.histogram("hddm_cache_deposit_seconds").unwrap();
         assert_eq!(deposit.count, 1);
+        assert_eq!(
+            snap.histogram("hddm_cache_commit_seconds").unwrap().count,
+            0
+        );
+        assert_eq!(counter("hddm_cache_commit_records_total"), 0);
+        assert_eq!(counter("hddm_cache_commit_failures_total"), 0);
+        assert_eq!(gauge("hddm_cache_commit_queue_peak"), 0);
         // Separate caches own separate registries: no cross-talk.
         let other = SurfaceCache::default();
         assert_eq!(

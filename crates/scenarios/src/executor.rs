@@ -111,9 +111,8 @@ pub struct ExecutorConfig {
     pub warm_start: bool,
     /// Persistent policy-surface cache directory. `None` keeps the cache
     /// purely in memory; `Some(dir)` makes [`ExecutorConfig::open_cache`]
-    /// load the on-disk index at startup and write every solved surface
-    /// through, so an identical sweep in a later process does zero
-    /// solves.
+    /// load the on-disk index at startup and commit every solved surface
+    /// to it, so an identical sweep in a later process does zero solves.
     pub cache_dir: Option<PathBuf>,
     /// Size bounds of the persistent cache (oldest-first eviction);
     /// ignored without `cache_dir`.
@@ -145,7 +144,7 @@ impl ExecutorConfig {
     }
 
     /// Opens the cache this configuration asks for: persistent (index
-    /// loaded, surfaces lazily restored, deposits written through) when
+    /// loaded, surfaces lazily restored, deposits committed) when
     /// `cache_dir` is set, purely in-memory otherwise.
     pub fn open_cache(&self) -> Result<SurfaceCache, String> {
         match &self.cache_dir {
@@ -278,7 +277,8 @@ fn solve_one(
 }
 
 /// Runs a single scenario outside any sweep (cold-versus-warm
-/// comparisons, CLI one-offs).
+/// comparisons, CLI one-offs). Like [`run_set`], it returns once the
+/// surface it deposited is committed.
 pub fn run_single(
     scenario: &Scenario,
     cache: &SurfaceCache,
@@ -290,14 +290,18 @@ pub fn run_single(
             name: scenario.name.clone(),
             reason,
         })?;
-    solve_one(scenario, cache, config)
+    let report = solve_one(scenario, cache, config);
+    cache.flush();
+    report
 }
 
 /// A dispatched batch: per-scenario results stream out of
 /// [`BatchHandle::recv`] as pool workers complete them (in completion
-/// order, not set order); [`BatchHandle::join`] waits for the rest and
-/// assembles the full [`SweepReport`]. Dropping the handle waits for the
-/// batch to finish (results are discarded).
+/// order, not set order), as soon as each surface is in the memory tier;
+/// [`BatchHandle::join`] waits for the rest and for the commits of the
+/// batch's surfaces, and assembles the full [`SweepReport`]. Dropping the
+/// handle waits for the batch to finish, commits included (results are
+/// discarded).
 pub struct BatchHandle {
     rx: Receiver<BatchItem>,
     slots: Vec<Option<Result<ScenarioReport, ExecutorError>>>,
@@ -337,11 +341,12 @@ impl BatchHandle {
         }
     }
 
-    /// Waits for every remaining scenario and assembles the
-    /// [`SweepReport`] (identical to what [`run_set`] returns). The first
-    /// per-scenario error in set order fails the whole batch, matching
-    /// the historical whole-set semantics; callers that want per-scenario
-    /// error routing stream through [`BatchHandle::recv`] instead.
+    /// Waits for every remaining scenario and for the commit of every
+    /// surface deposited so far, and assembles the [`SweepReport`]
+    /// (identical to what [`run_set`] returns). The first per-scenario
+    /// error in set order fails the whole batch, matching the historical
+    /// whole-set semantics; callers that want per-scenario error routing
+    /// stream through [`BatchHandle::recv`] instead.
     pub fn join(mut self) -> Result<SweepReport, ExecutorError> {
         while self.recv().is_some() {}
         if let Some(worker) = self.worker.take() {
@@ -431,6 +436,10 @@ pub fn run_batch(
                 let _ = tx.send((i, solve_one(&set.scenarios[i], &thread_cache, &config)));
             },
         );
+        // The batch's surfaces were handed out as they were deposited;
+        // the thread ends once they are committed, and after the cache's
+        // writer (see `crate::cache`).
+        thread_cache.flush();
     });
 
     Ok(BatchHandle {
@@ -444,8 +453,8 @@ pub fn run_batch(
 }
 
 /// Runs a whole scenario set across host threads and returns the full
-/// [`SweepReport`]. Equivalent to [`run_batch`] followed by
-/// [`BatchHandle::join`].
+/// [`SweepReport`] once every surface it deposited is committed.
+/// Equivalent to [`run_batch`] followed by [`BatchHandle::join`].
 pub fn run_set(
     set: &ScenarioSet,
     cache: &SurfaceCache,

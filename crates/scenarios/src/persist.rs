@@ -22,10 +22,14 @@
 //!
 //! Crash contract and damage rules:
 //!
-//! * a deposit is one [`hddm_core::record::write_atomic`] — a dot-prefixed
-//!   temp file in the same directory, fsynced, renamed, and the directory
-//!   fsynced after. A crash leaves the previous record or the complete new
-//!   one, plus at worst a `.tmp-*` file the next open removes. There is no
+//! * a record is committed by the cache's write-behind commit stage (see
+//!   [`crate::cache`]), one group at a time: each record is written to a
+//!   dot-prefixed temp file in the same directory, fsynced and renamed
+//!   ([`Store::commit`]); then one directory fsync ([`Store::sync_dir`])
+//!   makes the group's renames durable. A crash leaves, for each record,
+//!   the previous one or the complete new one, plus at worst a `.tmp-*`
+//!   file the next open removes. A deposit whose commit had not yet run
+//!   is simply absent, and its scenario is solved again. There is no
 //!   second file to keep in step, so an indexed-but-missing record or an
 //!   unindexed one cannot come out of a crash;
 //! * a file open cannot use — a name that is not [`surface_file_name`] of
@@ -39,17 +43,17 @@
 //! * a record damaged after open fails its full decode on first hit, is
 //!   dropped from the index and deleted, counted the same way;
 //! * eviction is oldest-first with configurable max-entries and max-bytes
-//!   bounds ([`EvictionPolicy`]), applied on every deposit, so the
+//!   bounds ([`EvictionPolicy`]), applied on every commit, so the
 //!   directory provably never exceeds the configured budget.
 //!
 //! Concurrency: the index lives behind an `RwLock`, so any number of
 //! readers can consult it simultaneously, and **record-file I/O happens
 //! outside every lock**. The read path is: snapshot the index row under the
 //! read lock, release it, read + validate the record file with no lock
-//! held, then hand the surface to the owning cache for promotion. A deposit
+//! held, then hand the surface to the owning cache for promotion. A commit
 //! writes its record before taking any lock, updates the index under a
 //! short write guard, and deletes evicted files after that guard drops —
-//! concurrent readers never wait on a writer's disk I/O, and vice versa.
+//! concurrent readers never wait on the writer's disk I/O, and vice versa.
 
 use std::fs;
 use std::io::Read;
@@ -58,7 +62,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::RwLock;
 use std::time::SystemTime;
 
-use hddm_core::record::{write_atomic, Reader, Writer};
+use hddm_core::record::{self, Reader, Writer};
 
 use crate::cache::{CachedSurface, ShapeKey};
 use crate::hash::{fingerprint_distance, HashId};
@@ -71,7 +75,7 @@ pub const BINARY_RECORD_VERSION: u32 = 2;
 /// Magic bytes opening every binary record file.
 pub const RECORD_MAGIC: [u8; 8] = *b"HDDMSURF";
 
-/// Size bounds of a persistent store, enforced on every deposit by
+/// Size bounds of a persistent store, enforced on every commit by
 /// evicting the oldest entries first. `None` means unbounded in that
 /// dimension.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -110,7 +114,7 @@ pub fn surface_file_name(hash: u64) -> String {
 /// Lock discipline (all internal — the owning cache never holds its own
 /// shard locks across a store call): `index` (`RwLock`) is the one lock.
 /// Lookups and cost estimation take the read lock, snapshot what they
-/// need, and release before any file I/O; deposits and discards take the
+/// need, and release before any file I/O; commits and discards take the
 /// write lock for the row update alone and touch files outside it.
 #[derive(Debug)]
 pub(crate) struct Store {
@@ -289,19 +293,21 @@ impl Store {
         self.skipped.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Deposits a surface: writes its record file atomically (**before**
-    /// taking any lock), then — under the index write guard — moves its
-    /// row to the back and applies the eviction policy, and deletes the
-    /// evicted files after the guard drops. Returns the hashes of any
-    /// evicted surfaces so the in-memory cache can drop them too.
-    pub fn insert(&self, surface: &CachedSurface) -> Result<Vec<u64>, String> {
+    /// Commits one surface of a group: writes its record file under a temp
+    /// name, fsyncs it and renames it into place (**before** taking any
+    /// lock), then — under the index write guard — moves its row to the
+    /// back and applies the eviction policy, and deletes the evicted files
+    /// after the guard drops. Returns the hashes of any evicted surfaces so
+    /// the in-memory cache can drop them too. The rename is durable only
+    /// after [`Store::sync_dir`], which the commit stage calls once per
+    /// group.
+    pub fn commit(&self, surface: &CachedSurface) -> Result<Vec<u64>, String> {
         let encoded = encode_record(surface);
         let bytes = encoded.len() as u64;
-        // Record-file I/O outside every lock: the atomic temp+rename
-        // means concurrent writers of the same hash race to an
-        // interchangeable result (identical scenario ⇒ identical surface
-        // up to cost telemetry), and readers never see a torn file.
-        write_atomic(&self.dir.join(surface_file_name(surface.hash)), &encoded)
+        // Readers never see a torn file: they find the previous record or
+        // the renamed new one.
+        record::stage(&self.dir.join(surface_file_name(surface.hash)), &encoded)
+            .and_then(record::Staged::publish)
             .map_err(|e| e.to_string())?;
 
         let row = IndexRow {
@@ -337,7 +343,7 @@ impl Store {
         // Evicted record files are deleted only after the index guard is
         // gone: readers (`entry`, `best_candidate`) share that RwLock and must never block
         // on disk I/O. A crash before the deletion leaves a record the
-        // next open indexes and the next deposit evicts again.
+        // next open indexes and the next commit evicts again.
         for &hash in &evicted {
             let _ = fs::remove_file(self.dir.join(surface_file_name(hash)));
         }
@@ -356,6 +362,12 @@ impl Store {
             evicted.remove(pos);
         }
         Ok(evicted)
+    }
+
+    /// Makes the renames of every [`Store::commit`] so far durable: one
+    /// fsync of the cache directory.
+    pub fn sync_dir(&self) {
+        record::sync_dir(&self.dir);
     }
 }
 

@@ -132,13 +132,16 @@ impl Scenario {
         Ok(())
     }
 
-    /// Builds the OLG model (steady state + state box) for this scenario.
+    /// Builds the OLG model (steady state + state box) for this scenario:
+    /// [`Scenario::validate`]'s diagnostic, or the steady-state solve's
+    /// when the calibration has no steady state. The latter is not part of
+    /// `validate`, which the serving front-end runs on every request
+    /// before its exact-hit lookup; the executor reports it as
+    /// [`ExecutorError::Model`](crate::ExecutorError::Model).
     pub fn build_model(&self) -> Result<OlgModel, String> {
         self.validate()?;
-        Ok(OlgModel::with_box(
-            self.calibration.clone(),
-            self.box_policy,
-        ))
+        OlgModel::with_box(self.calibration.clone(), self.box_policy)
+            .map_err(|e| format!("scenario {:?}: {e}", self.name))
     }
 
     /// Continuous state dimensionality `d = A − 1`.

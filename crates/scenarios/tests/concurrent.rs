@@ -106,6 +106,7 @@ fn readers_restores_and_deposits_race_without_double_restores_or_stat_drift() {
                 0.1,
             );
         }
+        warmer.flush();
         assert_eq!(warmer.stats().persisted_entries, PERSISTED_KEYS);
     }
 
@@ -199,7 +200,9 @@ fn readers_restores_and_deposits_race_without_double_restores_or_stat_drift() {
     assert!(restored <= PERSISTED_KEYS);
     assert!(restored > 0, "the schedule never touched a persisted key?");
 
-    // Stable stats: counters equal the per-thread tallies exactly.
+    // Stable stats: counters equal the per-thread tallies exactly, once
+    // the deposits are committed.
+    cache.flush();
     let stats = cache.stats();
     assert_eq!(stats.exact_hits, exact_lookups, "every lookup served Exact");
     assert_eq!(stats.misses, 0);

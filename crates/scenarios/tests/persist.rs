@@ -153,7 +153,16 @@ fn rerunning_a_sweep_through_a_fresh_cache_does_zero_solves() {
     let first_cache = SurfaceCache::open(&dir).unwrap();
     let first = run_set(&set, &first_cache, &ExecutorConfig::serial()).unwrap();
     assert!(first.all_converged());
+    // `run_set` returns once its deposits are committed: with the first
+    // handle still open, the directory holds every record and no temp file.
     assert_eq!(first.cache_stats.persisted_entries, set.len());
+    let mut records: Vec<String> = first
+        .scenarios
+        .iter()
+        .map(|s| persist::surface_file_name(s.hash.0))
+        .collect();
+    records.sort();
+    assert_eq!(listing(&dir), records);
 
     // Fresh cache over the same directory — exactly what a new process
     // sees. Every scenario must be a zero-step exact hit from disk.
@@ -663,4 +672,28 @@ fn a_budget_below_one_surface_warns_but_keeps_the_memory_tier_working() {
     assert_eq!(again.steps, 0);
 
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failed_commit_keeps_the_surface_in_memory_and_the_sweep_finishes() {
+    let dir = temp_cache_dir("failed_commit");
+    let cache = SurfaceCache::open(&dir).unwrap();
+    // The directory is replaced by a file: no record can be written.
+    fs::remove_dir_all(&dir).unwrap();
+    fs::write(&dir, b"not a directory").unwrap();
+
+    let set = ScenarioSet::grid(&base_scenario(), &[(Knob::Beta, vec![0.949, 0.95])]).unwrap();
+    let report = run_set(&set, &cache, &ExecutorConfig::serial()).unwrap();
+    assert!(report.all_converged());
+    let stats = report.cache_stats;
+    assert_eq!((stats.entries, stats.persisted_entries), (set.len(), 0));
+    let snap = cache.registry().snapshot();
+    assert_eq!(snap.counter("hddm_cache_commit_failures_total"), Some(2));
+    assert_eq!(snap.counter("hddm_cache_commit_records_total"), Some(0));
+    // The memory tier serves what the disk refused.
+    let again = run_set(&set, &cache, &ExecutorConfig::serial()).unwrap();
+    assert_eq!(again.exact_hits, set.len());
+
+    drop(cache);
+    let _ = fs::remove_file(&dir);
 }

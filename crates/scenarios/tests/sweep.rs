@@ -4,8 +4,10 @@
 //! in strictly fewer time-iteration steps than the cold-start solve of
 //! the identical scenario.
 
+use hddm_olg::Calibration;
 use hddm_scenarios::{
-    run_set, run_single, CacheKind, ExecutorConfig, Knob, ScenarioSet, SurfaceCache,
+    run_set, run_single, CacheKind, ExecutorConfig, ExecutorError, Knob, Scenario, ScenarioSet,
+    SurfaceCache,
 };
 
 #[test]
@@ -119,4 +121,26 @@ fn concurrent_sweep_execution_matches_the_serial_results() {
     a.sort_unstable();
     b.sort_unstable();
     assert_eq!(a, b);
+}
+
+#[test]
+fn a_scenario_without_a_steady_state_fails_with_its_name_not_a_panic() {
+    // At γ = 3 this economy's excess-capital function keeps one sign over
+    // the whole admissible interest-rate window: there is no steady state
+    // to centre the box on. The scenario passes `validate` (its fields
+    // are fine); the sweep must name it in a typed error.
+    let mut base = Scenario::from_calibration("steady", Calibration::small(4, 3, 2, 0.03));
+    base.solve.tolerance = 1e-6;
+    base.solve.max_steps = 50;
+    let set = ScenarioSet::grid(&base, &[(Knob::Gamma, vec![2.0, 3.0])]).unwrap();
+    assert!(set.scenarios.iter().all(|s| s.validate().is_ok()));
+
+    let err = run_set(&set, &SurfaceCache::default(), &ExecutorConfig::serial()).unwrap_err();
+    match err {
+        ExecutorError::Model { name, reason } => {
+            assert_eq!(name, set.scenarios[1].name);
+            assert!(reason.contains("no steady-state bracket"), "{reason}");
+        }
+        other => panic!("expected a model error, got {other:?}"),
+    }
 }

@@ -232,8 +232,12 @@ struct Shared {
 /// coalescing window) into a [`ScenarioSet`] micro-batch and run it
 /// through the incremental batch executor
 /// ([`run_batch`](hddm_scenarios::run_batch)), fulfilling each ticket as
-/// its scenario completes. No async runtime: plain threads, condvars,
-/// and the executor's completion handle.
+/// its scenario completes — once its surface is in the cache's memory
+/// tier. The cache commits it to disk behind the ticket; the dispatcher
+/// takes its next batch once the batch's commits are done, so a shut-down
+/// service (its dispatchers joined) has committed every surface it
+/// solved. No async runtime: plain threads, condvars, and the executor's
+/// completion handle.
 pub struct ScenarioService {
     cache: SurfaceCache,
     config: ServeConfig,

@@ -8,7 +8,8 @@
 //!   rendezvous inside the restore path (all four must be inside their
 //!   record-file reads simultaneously) and by the cache's
 //!   `concurrent_restores_peak` telemetry;
-//! * identical concurrent requests coalesce into one solve.
+//! * identical concurrent requests coalesce into one solve;
+//! * a shut-down service leaves every surface it solved committed.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -396,4 +397,32 @@ fn shutdown_during_the_linger_window_drains_the_queue() {
         started.elapsed() < Duration::from_secs(10),
         "shutdown must break the linger window, not sit it out"
     );
+}
+
+/// Tickets are fulfilled before their surfaces reach the disk; shutting
+/// the service down is a durability boundary. A handle kept alive past
+/// the service keeps the last-handle drop out of it: the shutdown alone
+/// must commit every solved surface.
+#[test]
+fn a_shut_down_service_has_committed_every_surface_it_solved() {
+    let dir = temp_cache_dir("shutdown");
+    let cache = SurfaceCache::open(&dir).unwrap();
+    let service = ScenarioService::new(cache.clone(), serve_config());
+    let set = ScenarioSet::grid(&base(), &[(Knob::Beta, vec![0.949, 0.951, 0.953])]).unwrap();
+    let tickets: Vec<_> = set
+        .scenarios
+        .iter()
+        .map(|s| service.submit(ScenarioRequest::new(s.clone())).unwrap())
+        .collect();
+    for ticket in tickets {
+        assert_ne!(ticket.wait().unwrap().kind(), CacheKind::Exact);
+    }
+    drop(service);
+
+    let reopened = SurfaceCache::open(&dir).unwrap();
+    assert_eq!(reopened.stats().persisted_entries, set.len());
+    let again = run_set(&set, &reopened, &ExecutorConfig::serial()).unwrap();
+    assert_eq!(again.exact_hits, set.len());
+    drop(cache);
+    let _ = std::fs::remove_dir_all(&dir);
 }

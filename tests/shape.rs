@@ -464,6 +464,58 @@ fn one_frame_checksum() {
     pass(failures);
 }
 
+// A deposit reaches the cache directory one way: the group commit of the
+// cache's write-behind stage (`StageShared::commit_group` in `cache.rs`),
+// one directory fsync per group. No inline write path comes back beside it
+// — a `store.insert`, a composed `write_atomic` or a `Store::commit` on a
+// deposit's own thread — and the store composes no `write_atomic` of its
+// own (checkpoints keep that call).
+#[test]
+fn one_durable_write_path() {
+    let file = "crates/scenarios/src/cache.rs";
+    let code = live(&read(file));
+    let head = "    fn commit_group(";
+    let mut in_stage = false;
+    let outside: String = code
+        .lines()
+        .map(|line| {
+            in_stage |= line.starts_with(head);
+            let blank = in_stage;
+            in_stage &= line != "    }";
+            if blank {
+                "\n".to_string()
+            } else {
+                format!("{line}\n")
+            }
+        })
+        .collect();
+    let mut failures = flag(
+        hits(file, &outside, |l| {
+            ["store.insert(", "write_atomic(", ".commit(", "sync_dir("]
+                .iter()
+                .any(|call| l.contains(call))
+        }),
+        format!(
+            "FAIL: {file} writes a record outside the commit stage; deposits enqueue, and \
+             `commit_group` commits"
+        ),
+    );
+    if !code.contains(head) {
+        failures.push(format!(
+            "FAIL: {file} has no commit stage (`{}`)",
+            head.trim()
+        ));
+    }
+    let store = "crates/scenarios/src/persist.rs";
+    failures.extend(flag(
+        hits(store, &live(&read(store)), |l| {
+            l.contains("write_atomic(") || l.contains("fn insert(")
+        }),
+        format!("FAIL: {store} writes a record with its own directory fsync"),
+    ));
+    pass(failures);
+}
+
 /// `[[:space:]]`.
 fn space(c: char) -> bool {
     matches!(c, ' ' | '\t' | '\n' | '\x0B' | '\x0C' | '\r')
