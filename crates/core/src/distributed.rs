@@ -97,14 +97,20 @@ pub(crate) fn records(flat: &[f64]) -> impl Iterator<Item = (usize, &[f64])> {
     })
 }
 
-/// Decodes the body of one state's record.
-pub(crate) fn decode_state(body: &[f64], dim: usize, ndofs: usize) -> BuiltState<'static> {
+/// Decodes the body of one state's record. A state whose grid is the
+/// run's `start` grid node for node borrows it, as the rank that built it
+/// did, so it is compressed against the start grid's compression.
+pub(crate) fn decode_state<'k>(
+    body: &[f64],
+    start: &'k SparseGrid,
+    ndofs: usize,
+) -> BuiltState<'k> {
     let mut words = body.iter().map(|&v| v as usize);
     let mut take = || words.next().expect("truncated exchange record");
     let nlevels = take();
     let levels: Vec<usize> = (0..nlevels).map(|_| take()).collect();
     let nno = take();
-    let mut grid = SparseGrid::new(dim);
+    let mut grid = SparseGrid::new(start.dim());
     for _ in 0..nno {
         let actives = take();
         let coords: Vec<hddm_asg::ActiveCoord> = (0..actives)
@@ -119,8 +125,13 @@ pub(crate) fn decode_state(body: &[f64], dim: usize, ndofs: usize) -> BuiltState
     }
     assert_eq!(words.len(), nno * ndofs, "ragged exchange record");
     let surpluses = body[body.len() - nno * ndofs..].to_vec();
+    let grid = if grid.nodes() == start.nodes() {
+        Cow::Borrowed(start)
+    } else {
+        Cow::Owned(grid)
+    };
     BuiltState {
-        grid: Cow::Owned(grid),
+        grid,
         surpluses,
         levels,
     }

@@ -5,10 +5,20 @@
 //! through the compressed kernels, and the ranks exchange the new
 //! interpolants; then iterate to convergence. One process is a world of
 //! one rank.
+//!
+//! A run builds what every step shares once (`RunKit`): the start-level
+//! regular grid every state restarts from, its hierarchization stencil
+//! and its compression, the driver's instruments, and a pool of worker
+//! buffers — the oracle's kernel scratch and block, the point solver's
+//! Newton workspace — that every frontier solve, warm-start evaluation
+//! and hierarchization borrows and gives back. A state that never leaves
+//! the start grid is compressed by putting its rows in the kit's chain
+//! order. A step still builds what refinement makes new: each refined
+//! grid, its incremental hierarchization and its compression.
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use hddm_telemetry::{Counter, Histogram, Registry};
@@ -26,7 +36,7 @@ use hddm_sched::{parallel_for_init, PoolConfig};
 use hddm_solver::SolverError;
 
 use crate::distributed::{decode_state, encode_state, records, Share};
-use crate::policy::{AsgOracle, PolicySet};
+use crate::policy::{OracleBuffers, PolicySet};
 
 /// What the driver needs from an economic model: the state-space shape and
 /// a per-point solve. Implemented for [`hddm_olg::OlgModel`] via
@@ -138,7 +148,7 @@ impl Default for DriverConfig {
     }
 }
 
-/// The driver's instruments, resolved from the registry once per step:
+/// The driver's instruments, resolved from the registry once per run:
 /// the phase spans of the level loop and of compression (named by the
 /// `hddm_solve_<phase>_seconds` scheme documented in the README) and the
 /// frontier solves' work counters.
@@ -167,25 +177,119 @@ impl PhaseSpans {
             },
         }
     }
+
+    /// Whether these spans were resolved from `registry`.
+    fn of(&self, registry: &Registry) -> bool {
+        Arc::ptr_eq(
+            &self.compress,
+            &registry.histogram("hddm_solve_compress_seconds"),
+        )
+    }
 }
 
-/// What every state's level loop of one step shares, built once per step:
-/// the start-level regular grid, its hierarchization stencil and the
-/// driver's instruments.
-struct StepShared {
+/// What every step of a run shares, built once per run and owned by its
+/// [`TimeIteration`]: the start-level regular grid every state restarts
+/// from (Algorithm 1, Fig. 2), its compression and hierarchization
+/// stencil, the driver's instruments, and a pool of worker buffers.
+///
+/// Nothing is built before it is needed. The grid and its compression
+/// are the step-0 policy's ([`initial_policy`]); a driver resumed around
+/// a policy builds the grid at its first step and the compression only
+/// for a state that never refines. The stencil is built at the first
+/// step, and the pool holds as many buffer sets as were ever out at once.
+/// `config` is public, so a step checks that the kit still fits it: a
+/// new start level (or model dimension) rebuilds the kit, a new registry
+/// re-resolves the spans.
+pub(crate) struct RunKit {
+    start_level: u8,
     grid: SparseGrid,
-    stencil: Stencil,
+    compressed: OnceLock<CompressedGrid>,
+    stencil: OnceLock<Stencil>,
     spans: Option<PhaseSpans>,
+    pool: Mutex<Vec<WorkerBuffers>>,
 }
 
-impl StepShared {
-    fn new(dim: usize, config: &DriverConfig) -> StepShared {
-        let grid = regular_grid(dim, config.start_level);
-        StepShared {
-            stencil: Stencil::of(&grid),
-            grid,
-            spans: config.telemetry.as_ref().map(PhaseSpans::resolve),
+impl RunKit {
+    /// A kit over the level-`start_level` regular grid in `dim`
+    /// dimensions; builds the grid alone.
+    fn new(dim: usize, start_level: u8) -> RunKit {
+        RunKit {
+            start_level,
+            grid: regular_grid(dim, start_level),
+            compressed: OnceLock::new(),
+            stencil: OnceLock::new(),
+            spans: None,
+            pool: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The kit in `slot` made fit for a step of `config` over `dim`
+    /// dimensions: kept while its start level and dimension match (a new
+    /// one otherwise), its spans resolved from `config`'s registry.
+    fn fit<'k>(slot: &'k mut Option<RunKit>, dim: usize, config: &DriverConfig) -> &'k RunKit {
+        let fits = |kit: &RunKit| kit.start_level == config.start_level && kit.grid.dim() == dim;
+        if !slot.as_ref().is_some_and(fits) {
+            *slot = None;
+        }
+        let kit = slot.get_or_insert_with(|| RunKit::new(dim, config.start_level));
+        let current = match (&kit.spans, &config.telemetry) {
+            (Some(spans), Some(registry)) => spans.of(registry),
+            (spans, registry) => spans.is_none() && registry.is_none(),
+        };
+        if !current {
+            kit.spans = config.telemetry.as_ref().map(PhaseSpans::resolve);
+        }
+        kit
+    }
+
+    /// The start grid's compression, built at the first call.
+    fn compressed(&self) -> &CompressedGrid {
+        self.compressed
+            .get_or_init(|| CompressedGrid::build(&self.grid))
+    }
+
+    /// The start grid's hierarchization stencil, built at the first call.
+    fn stencil(&self) -> &Stencil {
+        self.stencil.get_or_init(|| Stencil::of(&self.grid))
+    }
+
+    /// Lends a buffer set from the pool — a fresh one when every set is
+    /// out. It goes back when the loan drops.
+    fn lend(&self) -> Loan<'_> {
+        let pooled = self
+            .pool
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop();
+        Loan {
+            pool: &self.pool,
+            buffers: pooled.unwrap_or_default(),
+        }
+    }
+}
+
+/// One worker's buffers: the policy oracle's (whose kernel [`Scratch`]
+/// also serves the warm-start evaluation and the hierarchization) and the
+/// point solver's. They carry capacity only from one use to the next.
+#[derive(Default)]
+struct WorkerBuffers {
+    oracle: OracleBuffers,
+    point: PointScratch,
+}
+
+/// A buffer set lent by [`RunKit::lend`], given back to the pool on drop.
+struct Loan<'k> {
+    pool: &'k Mutex<Vec<WorkerBuffers>>,
+    buffers: WorkerBuffers,
+}
+
+impl Drop for Loan<'_> {
+    fn drop(&mut self) {
+        let buffers = std::mem::take(&mut self.buffers);
+        self.pool
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(buffers);
     }
 }
 
@@ -236,28 +340,32 @@ pub struct TimeIteration<M: StepModel, C: Comm = SerialComm> {
     pub policy: PolicySet,
     step: usize,
     world: C,
+    /// What every step shares; `None` until a step (or the step-0
+    /// policy) needs it.
+    kit: Option<RunKit>,
 }
 
 /// Builds the step-0 policy: the constant row `p⁰ = initial_row` on the
-/// start-level regular grid, one interpolant per discrete state. Pure
-/// function of the model and `start_level`, so every rank of a world
-/// constructs an identical copy without communication.
-pub(crate) fn initial_policy<M: StepModel>(model: &M, start_level: u8) -> PolicySet {
+/// kit's start grid, one interpolant per discrete state. Pure function of
+/// the model and the start level, so every rank of a world constructs an
+/// identical copy without communication.
+pub(crate) fn initial_policy<M: StepModel>(model: &M, kit: &RunKit) -> PolicySet {
     let (lo, hi) = model.bounds();
     let domain = BoxDomain::new(lo, hi);
     let ndofs = model.ndofs();
     let row = model.initial_row();
     assert_eq!(row.len(), ndofs);
-    let grid = regular_grid(model.dim(), start_level);
+    let grid = &kit.grid;
     // A constant function hierarchizes to a single root surplus; build
     // it directly.
     let mut values = vec![0.0; grid.len() * ndofs];
     for chunk in values.chunks_exact_mut(ndofs) {
         chunk.copy_from_slice(&row);
     }
-    hddm_asg::hierarchize(&grid, &mut values, ndofs);
-    // One compression serves every state: the start-level grid is shared.
-    let cg = CompressedGrid::build(&grid);
+    hddm_asg::hierarchize(grid, &mut values, ndofs);
+    // One compression serves every state, and the kit keeps it for the
+    // states of later steps that stay on the start grid.
+    let cg = kit.compressed();
     let chain_order = cg.reorder_rows(&values, ndofs);
     let states = (0..model.num_states())
         .map(|_| CompressedState::from_parts(cg.clone(), chain_order.clone(), ndofs))
@@ -293,6 +401,7 @@ impl<M: StepModel> TimeIteration<M> {
             policy,
             step,
             world: SerialComm,
+            kit: None,
         }
     }
 }
@@ -301,13 +410,15 @@ impl<M: StepModel, C: Comm> TimeIteration<M, C> {
     /// Initializes this rank's driver of a run over `world` with the
     /// constant policy `p⁰`; every rank of the world must make one.
     pub fn over(world: C, model: M, config: DriverConfig) -> Self {
-        let policy = initial_policy(&model, config.start_level);
+        let kit = RunKit::new(model.dim(), config.start_level);
+        let policy = initial_policy(&model, &kit);
         TimeIteration {
             model,
             config,
             policy,
             step: 0,
             world,
+            kit: Some(kit),
         }
     }
 
@@ -322,15 +433,14 @@ impl<M: StepModel, C: Comm> TimeIteration<M, C> {
     /// policy after it.
     pub fn step(&mut self) -> StepReport {
         let start = Instant::now();
+        let kit = RunKit::fit(&mut self.kit, self.model.dim(), &self.config);
         let (model, config, policy, world) = (&self.model, &self.config, &self.policy, &self.world);
         let ns = model.num_states();
         let ndofs = model.ndofs();
-        let shared = StepShared::new(model.dim(), config);
         let mut totals = StepTotals::default();
         // A state is compressed as soon as this rank holds it, built or
         // received; only the compressed form and its level sizes are kept.
-        let compress =
-            |built: BuiltState| (built.compress(shared.spans.as_ref(), ndofs), built.levels);
+        let compress = |built: BuiltState| (built.compress(kit, ndofs), built.levels);
         let mut held: Vec<Option<(CompressedState, Vec<usize>)>> = (0..ns).map(|_| None).collect();
 
         let share = Share::of(world, &policy.points_per_state());
@@ -340,7 +450,7 @@ impl<M: StepModel, C: Comm> TimeIteration<M, C> {
                 model,
                 policy,
                 config,
-                &shared,
+                kit,
                 z,
                 share.group.as_ref(),
                 &mut totals,
@@ -354,7 +464,7 @@ impl<M: StepModel, C: Comm> TimeIteration<M, C> {
         for flat in world.allgather(&outgoing) {
             for (z, record) in records(&flat) {
                 if held[z].is_none() {
-                    held[z] = Some(compress(decode_state(record, model.dim(), ndofs)));
+                    held[z] = Some(compress(decode_state(record, &kit.grid, ndofs)));
                 }
             }
         }
@@ -441,8 +551,8 @@ impl StepTotals {
     }
 }
 
-/// One state's finished grid of this step, before compression: the step's
-/// shared start grid while no refinement has run, a copy after.
+/// One state's finished grid of this step, before compression: the run's
+/// start grid while no refinement has run, a copy after.
 pub(crate) struct BuiltState<'g> {
     pub grid: Cow<'g, SparseGrid>,
     /// Surplus rows in grid order.
@@ -452,12 +562,16 @@ pub(crate) struct BuiltState<'g> {
 }
 
 impl BuiltState<'_> {
-    /// Runs the compression pipeline on the finished grid — once per state
-    /// per step on each rank — under the `hddm_solve_compress_seconds`
-    /// span.
-    fn compress(&self, spans: Option<&PhaseSpans>, ndofs: usize) -> CompressedState {
-        timed(spans.map(|s| &s.compress), || {
-            let cg = CompressedGrid::build(&self.grid);
+    /// Compresses the finished grid under the `hddm_solve_compress_seconds`
+    /// span, once per state per step on each rank: a grid that never left
+    /// the start grid takes the kit's compression and only puts its rows
+    /// in chain order; any other runs the compression pipeline.
+    fn compress(&self, kit: &RunKit, ndofs: usize) -> CompressedState {
+        timed(kit.spans.as_ref().map(|s| &s.compress), || {
+            let cg = match &self.grid {
+                Cow::Borrowed(_) => kit.compressed().clone(),
+                Cow::Owned(grid) => CompressedGrid::build(grid),
+            };
             let chain_order = cg.reorder_rows(&self.surpluses, ndofs);
             CompressedState::from_parts(cg, chain_order, ndofs)
         })
@@ -468,34 +582,31 @@ impl BuiltState<'_> {
 /// against `policy` (= `pnext`), measure the policy change there,
 /// hierarchize the new rows against this step's partial interpolant,
 /// refine, repeat. Every rank runs this one loop for each state it
-/// builds, starting from the step's `shared` start grid: the first level
-/// is hierarchized with its stencil, and the grid is copied when this
-/// state first refines.
+/// builds, starting from the `kit`'s start grid: the first level is
+/// hierarchized with its stencil, and the grid is copied when this state
+/// first refines.
 ///
 /// With a `group`, each level's frontier is dealt round-robin across the
 /// group's ranks and the solved rows are merged by an allgather, so every
 /// rank hierarchizes and refines the same rows; `totals` then covers this
 /// rank's share only. `None` solves the whole frontier here.
-fn build_state<'g, M: StepModel, C: Comm>(
+fn build_state<'k, M: StepModel, C: Comm>(
     model: &M,
     policy: &PolicySet,
     config: &DriverConfig,
-    shared: &'g StepShared,
+    kit: &'k RunKit,
     z: usize,
     group: Option<&C>,
     totals: &mut StepTotals,
-) -> BuiltState<'g> {
-    let dim = model.dim();
+) -> BuiltState<'k> {
     let ndofs = model.ndofs();
-    let spans = shared.spans.as_ref();
-    let work = spans.map(|s| &s.work);
+    let spans = kit.spans.as_ref();
 
-    let mut grid = Cow::Borrowed(&shared.grid);
+    let mut grid = Cow::Borrowed(&kit.grid);
     let mut frontier: Vec<u32> = (0..grid.len() as u32).collect();
     let mut surpluses: Vec<f64> = Vec::new();
     let mut levels = Vec::new();
-    let mut hier =
-        IncrementalHierarchizer::with_backend(config.kernel, config.backend.clone(), dim, ndofs);
+    let mut hier: Option<IncrementalHierarchizer> = None;
 
     loop {
         levels.push(frontier.len());
@@ -508,7 +619,7 @@ fn build_state<'g, M: StepModel, C: Comm>(
             None => Cow::Borrowed(&frontier),
         };
         let solved = timed(spans.map(|s| &s.policy_update), || {
-            solve_frontier(model, policy, config, z, &grid, &mine, work)
+            solve_frontier(model, policy, config, kit, z, &grid, &mine)
         });
         totals.add(&solved);
         let solved = match share {
@@ -516,18 +627,26 @@ fn build_state<'g, M: StepModel, C: Comm>(
             None => solved.rows,
         };
 
-        // Hierarchize the new rows against the partial interpolant of
-        // *this* step (coarser levels already done); the hierarchizer
-        // extends its compressed state in place. Deterministic, so a
-        // group's ranks stay in agreement.
-        let new_surpluses = timed(spans.map(|s| &s.hierarchize), || {
+        // Hierarchize: the start grid with its stencil, a refinement
+        // level against the partial interpolant of *this* step (coarser
+        // levels already done), which the hierarchizer starts from the
+        // start grid's surpluses at the first refinement level and then
+        // extends in place. Deterministic, so a group's ranks stay in
+        // agreement.
+        timed(spans.map(|s| &s.hierarchize), || {
             if levels.len() == 1 {
-                hier.start(&grid, &shared.stencil, &solved)
+                surpluses = solved;
+                kit.stencil().hierarchize(&mut surpluses, ndofs);
             } else {
-                hier.extend(&grid, &frontier, &solved)
+                let hier = hier.get_or_insert_with(|| {
+                    IncrementalHierarchizer::start(config, &grid, &surpluses, ndofs)
+                });
+                let mut loan = kit.lend();
+                let scratch = &mut loan.buffers.oracle.scratch;
+                let new_surpluses = hier.extend(&grid, &frontier, &solved, scratch);
+                surpluses.extend_from_slice(&new_surpluses);
             }
         });
-        surpluses.extend_from_slice(&new_surpluses);
 
         let Some(epsilon) = config.refine_epsilon else {
             break;
@@ -596,10 +715,11 @@ fn unit_rows(grid: &SparseGrid, points: &[u32]) -> Vec<f64> {
 }
 
 /// `pnext(z)` at the unit-cube points `unit_rows`, as one batched
-/// evaluation through the backend.
+/// evaluation through the backend in a buffer set lent by `kit`.
 fn evaluate_pnext(
     policy: &PolicySet,
     config: &DriverConfig,
+    kit: &RunKit,
     z: usize,
     unit_rows: &[f64],
 ) -> Vec<f64> {
@@ -610,7 +730,7 @@ fn evaluate_pnext(
         config.kernel,
         state,
         &block,
-        &mut Scratch::default(),
+        &mut kit.lend().buffers.oracle.scratch,
         &mut out,
     );
     out
@@ -637,20 +757,22 @@ struct FrontierSolve {
 /// points of a slice that fail are retried together from the cold
 /// constant guess, and keep their warm-start row if they fail again.
 /// Point problems are independent, so neither the slicing nor the thread
-/// count changes a row.
+/// count changes a row. Each worker borrows a buffer set from `kit` for
+/// the whole solve.
 fn solve_frontier<M: StepModel>(
     model: &M,
     policy: &PolicySet,
     config: &DriverConfig,
+    kit: &RunKit,
     z: usize,
     grid: &SparseGrid,
     points: &[u32],
-    work: Option<&WorkCounters>,
 ) -> FrontierSolve {
+    let work = kit.spans.as_ref().map(|s| &s.work);
     let ndofs = model.ndofs();
     let dim = model.dim();
     let units = unit_rows(grid, points);
-    let warm_rows = evaluate_pnext(policy, config, z, &units);
+    let warm_rows = evaluate_pnext(policy, config, kit, z, &units);
     let mut rows = vec![0.0; points.len() * ndofs];
     let failure_count = AtomicUsize::new(0);
 
@@ -672,13 +794,15 @@ fn solve_frontier<M: StepModel>(
         points.len().div_ceil(slice),
         &pool,
         || SliceWorker {
-            oracle: policy.oracle_on(config.kernel, config.backend.clone()),
-            scratch: PointScratch::default(),
+            loan: kit.lend(),
             phys: Vec::new(),
             retry_phys: Vec::new(),
             retry_rows: Vec::new(),
         },
         |worker, t| {
+            let buffers = &mut worker.loan.buffers;
+            let lent = std::mem::take(&mut buffers.oracle);
+            let mut oracle = policy.oracle_on(config.kernel, config.backend.clone(), lent);
             let lo = t * slice;
             let hi = (lo + slice).min(points.len());
             let warm = &warm_rows[lo * ndofs..hi * ndofs];
@@ -694,8 +818,8 @@ fn solve_frontier<M: StepModel>(
                 z,
                 &worker.phys,
                 warm,
-                &mut worker.oracle,
-                &mut worker.scratch,
+                &mut oracle,
+                &mut buffers.point,
                 &mut solved,
             );
 
@@ -717,8 +841,8 @@ fn solve_frontier<M: StepModel>(
                     z,
                     &worker.retry_phys,
                     &cold.repeat(failed.len()),
-                    &mut worker.oracle,
-                    &mut worker.scratch,
+                    &mut oracle,
+                    &mut buffers.point,
                     &mut worker.retry_rows,
                 );
                 for (j, &i) in failed.iter().enumerate() {
@@ -729,16 +853,19 @@ fn solve_frontier<M: StepModel>(
                     solved[i * ndofs..(i + 1) * ndofs].copy_from_slice(row);
                 }
             }
+            // The tally is taken whether or not it is counted: a pooled
+            // scratch carries no work into a later solve.
+            let tally = buffers.point.take_tally();
             if let Some(counters) = work {
-                let traffic = worker.oracle.take_traffic();
+                let traffic = oracle.take_traffic();
                 counters.blocks.add(traffic.blocks);
                 counters.points.add(traffic.points);
                 counters.walks.add(traffic.walks);
-                let tally = worker.scratch.take_tally();
                 counters.residual_rows.add(tally.residual_rows);
                 counters.jacobians.add(tally.jacobians);
                 counters.newton_iterations.add(tally.newton_iterations);
             }
+            buffers.oracle = oracle.into_buffers();
         },
     );
     drop(slices);
@@ -752,10 +879,10 @@ fn solve_frontier<M: StepModel>(
 }
 
 /// Per-worker state of [`solve_frontier`], built once per worker and
-/// reused from slice to slice.
-struct SliceWorker<'a> {
-    oracle: AsgOracle<'a>,
-    scratch: PointScratch,
+/// reused from slice to slice: the buffer set it borrows from the kit,
+/// which an oracle over the policy works in for one slice at a time.
+struct SliceWorker<'k> {
+    loan: Loan<'k>,
     /// The slice's physical points.
     phys: Vec<f64>,
     /// Points and solved rows of the cold retry.
@@ -775,12 +902,13 @@ struct WorkCounters {
 }
 
 /// Incremental hierarchization of one state's grid within one
-/// time-iteration step. The first batch is the whole start grid:
-/// [`Self::start`] hierarchizes it with the grid's precomputed
-/// [`Stencil`] (the driver builds it once per step, for every state) and
-/// starts the partial interpolant from it. Each later batch is a
-/// refinement frontier: [`Self::extend`] computes its surpluses relative
-/// to the partial interpolant built so far
+/// time-iteration step. The first batch is the whole start grid, which
+/// the driver hierarchizes with the grid's precomputed [`Stencil`] (built
+/// once per run, for every state); only a state that refines needs the
+/// partial interpolant, so [`Self::start`] starts it from those surpluses
+/// at the first refinement level. Each later batch is a refinement
+/// frontier: [`Self::extend`] computes its surpluses relative to the
+/// partial interpolant built so far
 /// (`α_p = f(x_p) − u_partial(x_p)`) and **extends** that interpolant in
 /// place, so the compressed structure is never rebuilt per level — the
 /// per-step compression pipeline runs exactly once, on the finished grid
@@ -803,57 +931,40 @@ pub(crate) struct IncrementalHierarchizer {
     /// The partial interpolant built so far (kernel-ready; covers every
     /// frontier folded in to date).
     state: CompressedState,
-    scratch: Scratch,
 }
 
 impl IncrementalHierarchizer {
-    /// A fresh hierarchizer for one `(state, step)` grid construction,
-    /// whose group evaluations dispatch through `backend`.
-    pub(crate) fn with_backend(
-        kernel: KernelKind,
-        backend: ExecutionBackend,
-        dim: usize,
+    /// A hierarchizer for one `(state, step)` grid construction whose
+    /// group evaluations dispatch through `config`'s kernel and backend:
+    /// its partial interpolant starts from `start`, the surplus rows of
+    /// the first nodes of `grid` in grid order (the start grid's).
+    pub(crate) fn start(
+        config: &DriverConfig,
+        grid: &SparseGrid,
+        start: &[f64],
         ndofs: usize,
     ) -> Self {
+        let mut state = CompressedState::empty(grid.dim(), ndofs);
+        let nodes: Vec<u32> = (0..(start.len() / ndofs) as u32).collect();
+        state.append_rows(grid, &nodes, start);
         IncrementalHierarchizer {
-            kernel,
-            backend,
+            kernel: config.kernel,
+            backend: config.backend.clone(),
             ndofs,
-            state: CompressedState::empty(dim, ndofs),
-            scratch: Scratch::default(),
+            state,
         }
-    }
-
-    /// Hierarchizes the first batch — `solved` holds one row per node of
-    /// the start grid `grid`, in grid order — with `stencil`, the grid's
-    /// [`Stencil`]; returns the surplus rows and starts the partial
-    /// interpolant from them.
-    pub(crate) fn start(
-        &mut self,
-        grid: &SparseGrid,
-        stencil: &Stencil,
-        solved: &[f64],
-    ) -> Vec<f64> {
-        assert_eq!(
-            self.state.grid.nno(),
-            0,
-            "the first batch starts the interpolant"
-        );
-        let mut values = solved.to_vec();
-        stencil.hierarchize(&mut values, self.ndofs);
-        let nodes: Vec<u32> = (0..grid.len() as u32).collect();
-        self.state.append_rows(grid, &nodes, &values);
-        values
     }
 
     /// Hierarchizes a later batch, the refinement frontier `frontier`:
     /// returns the new surplus rows in frontier order and extends the
-    /// partial interpolant.
+    /// partial interpolant. `scratch` is the kernels' buffers for its
+    /// evaluations.
     pub(crate) fn extend(
         &mut self,
         grid: &SparseGrid,
         frontier: &[u32],
         solved: &[f64],
+        scratch: &mut Scratch,
     ) -> Vec<f64> {
         let ndofs = self.ndofs;
         assert_eq!(solved.len(), frontier.len() * ndofs, "ragged solved rows");
@@ -892,13 +1003,8 @@ impl IncrementalHierarchizer {
             let block = PointBlock::from_rows(dim, &point_rows);
             interp.clear();
             interp.resize(group.len() * ndofs, 0.0);
-            self.backend.evaluate_batch(
-                self.kernel,
-                &self.state,
-                &block,
-                &mut self.scratch,
-                &mut interp,
-            );
+            self.backend
+                .evaluate_batch(self.kernel, &self.state, &block, scratch, &mut interp);
 
             group_ids.clear();
             group_rows.clear();
@@ -1083,13 +1189,10 @@ mod tests {
         let mut grid = regular_grid(dim, 2);
         let mut frontier: Vec<u32> = (0..grid.len() as u32).collect();
         let mut surpluses: Vec<f64> = Vec::new();
-        let mut hier = IncrementalHierarchizer::with_backend(
-            KernelKind::Avx2,
-            ExecutionBackend::Cpu,
-            dim,
-            ndofs,
-        );
+        let mut hier: Option<IncrementalHierarchizer> = None;
+        let config = DriverConfig::default();
         let stencil = Stencil::of(&grid);
+        let mut scratch = Scratch::default();
         let mut unit = vec![0.0; dim];
         for level in 0..4 {
             let mut solved = vec![0.0; frontier.len() * ndofs];
@@ -1097,12 +1200,16 @@ mod tests {
                 grid.unit_point_of(p as usize, &mut unit);
                 f(&unit, &mut solved[i * ndofs..(i + 1) * ndofs]);
             }
-            let new = if level == 0 {
-                hier.start(&grid, &stencil, &solved)
+            if level == 0 {
+                stencil.hierarchize(&mut solved, ndofs);
+                surpluses = solved;
             } else {
-                hier.extend(&grid, &frontier, &solved)
-            };
-            surpluses.extend_from_slice(&new);
+                let hier = hier.get_or_insert_with(|| {
+                    IncrementalHierarchizer::start(&config, &grid, &surpluses, ndofs)
+                });
+                let new = hier.extend(&grid, &frontier, &solved, &mut scratch);
+                surpluses.extend_from_slice(&new);
+            }
             if level == 3 {
                 // Last pass: stop before refining again, so every grid
                 // node has been folded into the hierarchizer.
@@ -1124,10 +1231,10 @@ mod tests {
             }
             frontier = report.new_nodes;
         }
+        let hier = hier.expect("the grid refined");
         assert_eq!(hier.state.grid.nno(), grid.len());
         // Reference: full pipeline compression of the final surpluses.
         let rebuilt = CompressedState::new(&grid, &surpluses, ndofs);
-        let mut scratch = Scratch::default();
         let mut a = vec![0.0; ndofs];
         let mut b = vec![0.0; ndofs];
         for s in 0..60 {

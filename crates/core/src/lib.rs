@@ -38,4 +38,4 @@ pub mod record;
 pub use checkpoint::Checkpoint;
 pub use driver::{DriverConfig, StepModel, StepReport, TimeIteration};
 pub use olg_step::OlgStep;
-pub use policy::{AsgOracle, PolicySet};
+pub use policy::{AsgOracle, OracleBuffers, PolicySet};

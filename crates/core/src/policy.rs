@@ -44,27 +44,53 @@ impl PolicySet {
     /// An oracle view over this policy set using `kernel` on the host
     /// kernels.
     pub fn oracle(&self, kernel: KernelKind) -> AsgOracle<'_> {
-        self.oracle_on(kernel, ExecutionBackend::Cpu)
+        self.oracle_on(kernel, ExecutionBackend::Cpu, OracleBuffers::default())
     }
 
     /// An oracle view whose block evaluations go through `backend` (an
     /// observed backend is told of every block; single-point calls are
-    /// the host kernel either way).
-    pub fn oracle_on(&self, kernel: KernelKind, backend: ExecutionBackend) -> AsgOracle<'_> {
+    /// the host kernel either way), working in `buffers` — fresh ones, or
+    /// the ones an earlier oracle gave back ([`AsgOracle::into_buffers`]).
+    pub fn oracle_on(
+        &self,
+        kernel: KernelKind,
+        backend: ExecutionBackend,
+        buffers: OracleBuffers,
+    ) -> AsgOracle<'_> {
         let dim = self.domain.dim();
+        let mut buffers = buffers;
+        buffers.phys.resize(dim, 0.0);
+        buffers.unit.resize(dim, 0.0);
+        if buffers.block.dim() != dim {
+            buffers.block = PointBlock::new(dim);
+        }
         AsgOracle {
             set: self,
             kernel,
             backend,
-            scratch: Scratch::default(),
-            phys: vec![0.0; dim],
-            unit: vec![0.0; dim],
-            unit_rows: Vec::new(),
-            block: PointBlock::new(dim),
-            unit_scales: Vec::new(),
+            buffers,
             traffic: OracleTraffic::default(),
         }
     }
+}
+
+/// The buffers of an [`AsgOracle`]: the kernels' [`Scratch`] and the
+/// block it loads. Between oracles they carry capacity only — every call
+/// overwrites what it reads — so a worker that keeps them from one oracle
+/// to the next gets the same values and allocates less.
+#[derive(Clone, Debug, Default)]
+pub struct OracleBuffers {
+    /// The kernels' buffers, also lent to the driver's other batch
+    /// evaluations.
+    pub(crate) scratch: Scratch,
+    phys: Vec<f64>,
+    unit: Vec<f64>,
+    /// A block's clamped, rescaled points (point-major) and their SoA
+    /// form, reused from block to block.
+    unit_rows: Vec<f64>,
+    block: PointBlock,
+    /// Per gradient state and dimension, `d unit / d physical`.
+    unit_scales: Vec<f64>,
 }
 
 /// What an [`AsgOracle`] has evaluated so far: `pnext` value evaluations
@@ -89,24 +115,20 @@ pub struct AsgOracle<'a> {
     set: &'a PolicySet,
     kernel: KernelKind,
     backend: ExecutionBackend,
-    scratch: Scratch,
-    phys: Vec<f64>,
-    unit: Vec<f64>,
-    /// A block's clamped, rescaled points (point-major) and their SoA
-    /// form, reused from block to block.
-    unit_rows: Vec<f64>,
-    block: PointBlock,
-    /// Per gradient state and dimension, `d unit / d physical`.
-    unit_scales: Vec<f64>,
+    buffers: OracleBuffers,
     traffic: OracleTraffic,
 }
 
 impl PolicyOracle for AsgOracle<'_> {
     fn eval(&mut self, z_next: usize, x_next: &[f64], out: &mut [f64]) {
         self.clamp_to_unit(x_next);
-        self.set
-            .states
-            .evaluate_one(self.kernel, z_next, &self.unit, &mut self.scratch, out);
+        self.set.states.evaluate_one(
+            self.kernel,
+            z_next,
+            &self.buffers.unit,
+            &mut self.buffers.scratch,
+            out,
+        );
         self.count(1, 1, 1);
     }
 
@@ -117,8 +139,8 @@ impl PolicyOracle for AsgOracle<'_> {
         self.backend.evaluate_batch(
             self.kernel,
             self.set.states.state(z_next),
-            &self.block,
-            &mut self.scratch,
+            &self.buffers.block,
+            &mut self.buffers.scratch,
             out,
         );
         self.count(1, npts, 1);
@@ -155,8 +177,8 @@ impl PolicyOracle for AsgOracle<'_> {
             self.backend.evaluate_states_batch(
                 self.kernel,
                 &states.states()[run.clone()],
-                &self.block,
-                &mut self.scratch,
+                &self.buffers.block,
+                &mut self.buffers.scratch,
                 &mut values[run.start * per_state..run.end * per_state],
                 Gradients {
                     points: grads,
@@ -165,7 +187,7 @@ impl PolicyOracle for AsgOracle<'_> {
                 },
             );
         }
-        let scales = self.unit_scales.iter().cycle();
+        let scales = self.buffers.unit_scales.iter().cycle();
         for (partials, &scale) in gradient.chunks_exact_mut(coeffs.len().max(1)).zip(scales) {
             for v in partials {
                 *v *= scale;
@@ -180,34 +202,36 @@ impl PolicyOracle for AsgOracle<'_> {
 
 impl AsgOracle<'_> {
     /// Clamps the physical point into `B` and rescales it into
-    /// `self.unit`.
+    /// `self.buffers.unit`.
     fn clamp_to_unit(&mut self, x_phys: &[f64]) {
-        self.phys.copy_from_slice(x_phys);
-        self.set.domain.clamp(&mut self.phys);
-        self.set.domain.to_unit(&self.phys, &mut self.unit);
+        self.buffers.phys.copy_from_slice(x_phys);
+        self.set.domain.clamp(&mut self.buffers.phys);
+        self.set
+            .domain
+            .to_unit(&self.buffers.phys, &mut self.buffers.unit);
     }
 
-    /// Clamps and rescales the point-major `xs` into `self.block` and,
-    /// for its last `grads` points, records `self.unit_scales`; returns
+    /// Clamps and rescales the point-major `xs` into the buffers' block and,
+    /// for its last `grads` points, records their `unit_scales`; returns
     /// the number of points.
     fn load_block(&mut self, dim: usize, xs: &[f64], grads: usize) -> usize {
         let npts = xs.len() / dim;
         let from = npts - grads;
-        self.unit_rows.clear();
-        self.unit_scales.clear();
+        self.buffers.unit_rows.clear();
+        self.buffers.unit_scales.clear();
         for (p, x) in xs.chunks_exact(dim).enumerate() {
             self.clamp_to_unit(x);
-            self.unit_rows.extend_from_slice(&self.unit);
+            self.buffers.unit_rows.extend_from_slice(&self.buffers.unit);
             if p >= from {
-                let inside = self.phys.iter().zip(x).map(|(c, x)| c == x);
+                let inside = self.buffers.phys.iter().zip(x).map(|(c, x)| c == x);
                 let widths = (0..dim).map(|t| self.set.domain.width(t));
                 let scales = inside
                     .zip(widths)
                     .map(|(inside, w)| inside as u8 as f64 / w);
-                self.unit_scales.extend(scales);
+                self.buffers.unit_scales.extend(scales);
             }
         }
-        self.block.set_rows(&self.unit_rows);
+        self.buffers.block.set_rows(&self.buffers.unit_rows);
         npts
     }
 
@@ -216,6 +240,11 @@ impl AsgOracle<'_> {
         self.traffic.blocks += blocks as u64;
         self.traffic.points += points as u64;
         self.traffic.walks += walks as u64;
+    }
+
+    /// Ends the view and gives back its buffers for the next oracle.
+    pub fn into_buffers(self) -> OracleBuffers {
+        self.buffers
     }
 
     /// Returns the traffic since the last call and starts a new tally.
@@ -228,7 +257,7 @@ impl AsgOracle<'_> {
     pub fn eval_unit(&mut self, z: usize, unit: &[f64], out: &mut [f64]) {
         self.set
             .states
-            .evaluate_one(self.kernel, z, unit, &mut self.scratch, out);
+            .evaluate_one(self.kernel, z, unit, &mut self.buffers.scratch, out);
     }
 }
 
@@ -291,7 +320,7 @@ mod tests {
             ExecutionBackend::Cpu,
             ExecutionBackend::Observed(seen.clone()),
         ] {
-            let mut oracle = set.oracle_on(KernelKind::Avx2, backend);
+            let mut oracle = set.oracle_on(KernelKind::Avx2, backend, OracleBuffers::default());
             let (mut values, mut gradient) = ([0.0; 6], [f64::NAN; 8]);
             oracle.eval_states_block(2, 2, &xs, 2, 0..1, &mut values, &mut gradient);
             for (z, slope) in [1.5, -2.0].into_iter().enumerate() {

@@ -53,9 +53,13 @@ pub fn lu_solve(lu: &[f64], pivots: &[u32], b: &mut [f64]) {
     let n = pivots.len();
     assert_eq!(b.len(), n);
     assert_eq!(lu.len(), n * n);
-    // Apply permutation + forward substitution, down column `i` of `L`.
+    // `lu_factor` swaps whole rows, the multipliers of `L` included, so
+    // `L` is the factor of `PA`: permute all of `b` first.
+    for (i, &p) in pivots.iter().enumerate() {
+        b.swap(i, p as usize);
+    }
+    // Forward substitution, down column `i` of `L`.
     for i in 0..n {
-        b.swap(i, pivots[i] as usize);
         let bi = b[i];
         if bi != 0.0 {
             let column = lu[i..].iter().step_by(n).skip(i + 1);
@@ -147,6 +151,61 @@ pub(crate) mod tests {
         solve(&a, &mut b).unwrap();
         for (got, want) in b.iter().zip(&x_true) {
             assert!((got - want).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn lu_solves_when_a_later_column_swaps_rows() {
+        // Every column pivots on the last row, so the multipliers of
+        // column 0 move with the swap of column 1.
+        let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 10.0];
+        let (mut lu, mut pivots) = (a.to_vec(), vec![0; 3]);
+        lu_factor(&mut lu, &mut pivots).unwrap();
+        assert_eq!(pivots, [2, 2, 2]);
+        let mut b = vec![-1.5, -3.0, -4.0];
+        lu_solve(&lu, &pivots, &mut b);
+        for (got, want) in b.iter().zip([1.0, -2.0, 0.5]) {
+            assert!((got - want).abs() < 1e-12, "{b:?}");
+        }
+    }
+
+    #[test]
+    fn lu_solves_random_matrices_without_dominance() {
+        // Entries in [−0.5, 0.5) and no added diagonal: partial pivoting
+        // swaps rows in most columns.
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        for n in [3, 9] {
+            for _ in 0..1000 {
+                let a: Vec<f64> = (0..n * n).map(|_| next()).collect();
+                let x_true: Vec<f64> = (0..n).map(|_| next() * 4.0).collect();
+                let mut b = vec![0.0; n];
+                matvec(&a, &x_true, &mut b);
+                let (mut lu, mut pivots) = (a.clone(), vec![0; n]);
+                if lu_factor(&mut lu, &mut pivots).is_err() {
+                    continue;
+                }
+                let mut x = b.clone();
+                lu_solve(&lu, &pivots, &mut x);
+                // The backward error `‖A x − b‖∞`, against
+                // `‖A‖∞ ‖x‖∞ + ‖b‖∞`: near-singular draws stay in bounds.
+                let mut ax = vec![0.0; n];
+                matvec(&a, &x, &mut ax);
+                let residual: Vec<f64> = ax.iter().zip(&b).map(|(p, q)| p - q).collect();
+                let a_norm = a
+                    .chunks_exact(n)
+                    .map(|row| row.iter().map(|v| v.abs()).sum::<f64>());
+                let scale = a_norm.fold(0.0, f64::max) * norm_inf(&x) + norm_inf(&b);
+                assert!(
+                    norm_inf(&residual) <= 1e-12 * scale,
+                    "n={n}: {x:?} vs {x_true:?}"
+                );
+            }
         }
     }
 

@@ -603,6 +603,53 @@ mod tests {
         script.log
     }
 
+    /// `F(x) = A x − b` with its exact Jacobian `A`.
+    struct Linear {
+        a: Vec<f64>,
+        b: Vec<f64>,
+    }
+
+    impl Rounds for Linear {
+        fn round(&mut self, round: Round<'_>) {
+            let n = self.b.len();
+            let mut jacobians = round.jacobians.chunks_exact_mut(n * n);
+            for (i, x) in round.rows.chunks_exact(n).enumerate() {
+                if round.jacobian_rows.contains(&i) {
+                    jacobians.next().unwrap().copy_from_slice(&self.a);
+                } else {
+                    let out = &mut round.out[i * n..(i + 1) * n];
+                    matvec(&self.a, x, out);
+                    for (f, b) in out.iter_mut().zip(&self.b) {
+                        *f -= b;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_linear_system_takes_one_newton_step_whatever_the_pivots() {
+        // Its factorization swaps rows in every column (pivots [2, 2, 2]);
+        // the root is (1, −2, ½).
+        let mut system = Linear {
+            a: vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 10.0],
+            b: vec![-1.5, -3.0, -4.0],
+        };
+        let mut x = [0.0; 3];
+        let outcome = newton_rounds(
+            3,
+            &mut x,
+            &NewtonOptions::default(),
+            &mut NewtonWorkspace::default(),
+            &mut system,
+        );
+        let report = outcome[0].as_ref().unwrap();
+        assert_eq!(report.iterations, 1, "{report:?}");
+        for (got, want) in x.iter().zip([1.0, -2.0, 0.5]) {
+            assert!((got - want).abs() < 1e-12, "{x:?}");
+        }
+    }
+
     #[test]
     fn a_vanishing_broyden_denominator_takes_a_fresh_jacobian() {
         // `F` halves its merit, so the step is accepted, but

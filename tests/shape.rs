@@ -416,6 +416,47 @@ fn one_time_iteration_step() {
     pass(failures);
 }
 
+// A time-iteration run builds what its steps share once: the start grid,
+// its stencil and the workers' buffers come from the run's kit
+// (`RunKit` in `driver.rs`), whose pool lends a buffer set to every
+// frontier solve, warm-start evaluation and hierarchization. No step
+// builds them again beside it.
+#[test]
+fn one_kit_per_run() {
+    let file = "crates/core/src/driver.rs";
+    let code = live(&read(file));
+    let head = "impl RunKit {";
+    let mut in_kit = false;
+    let outside: String = code
+        .lines()
+        .map(|line| {
+            in_kit |= line == head;
+            let blank = in_kit;
+            in_kit &= line != "}";
+            if blank {
+                "\n".to_string()
+            } else {
+                format!("{line}\n")
+            }
+        })
+        .collect();
+    let mut failures = flag(
+        hits(file, &outside, |l| {
+            ["regular_grid(", "Stencil::of(", "Scratch::default()"]
+                .iter()
+                .any(|call| l.contains(call))
+        }),
+        format!(
+            "FAIL: {file} builds a start grid, a stencil or worker buffers outside `{head}`; \
+             a step borrows them from the run's kit"
+        ),
+    );
+    if !code.lines().any(|l| l == head) {
+        failures.push(format!("FAIL: {file} has no run kit (`{head}`)"));
+    }
+    pass(failures);
+}
+
 // The surface cache writes one format, `HDDMSURF` record frames, and those
 // files are its index: no JSON codec comes back into the store.
 #[test]
