@@ -1276,6 +1276,8 @@ mod tests {
     use super::*;
     use hddm_asg::{hierarchize, tabulate};
     use hddm_olg::PolicyOracle;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn shape() -> ShapeKey {
         ShapeKey {
@@ -1624,10 +1626,16 @@ mod tests {
         );
     }
 
+    /// An empty directory for one test's cache.
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("hddm_cache_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
     fn a_surface_whose_commit_is_queued_is_served_from_memory() {
-        let dir = std::env::temp_dir().join(format!("hddm_cache_queued_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("queued");
         let cache = SurfaceCache::open(&dir).unwrap();
         // The stage believes a writer runs, but none does: every deposit
         // stays queued.
@@ -1657,6 +1665,97 @@ mod tests {
         assert!(std::fs::read_dir(&dir).unwrap().next().is_none());
         // Let the drop's flush return.
         *stage.shared.backlog.lock().unwrap() = Backlog::default();
+        drop(cache);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_deposit_beyond_the_backlog_waits_for_the_writer_to_settle_a_group() {
+        let dir = temp_dir("backlog");
+        let cache = SurfaceCache::open(&dir).unwrap();
+        // Writer 1 counts as running, but none does: every deposit stays
+        // queued until the test starts it.
+        let stage = cache.inner.stage.as_ref().unwrap();
+        {
+            let mut backlog = stage.shared.backlog.lock().unwrap();
+            backlog.writing = true;
+            backlog.writers = 1;
+        }
+        let domain = BoxDomain::new(vec![0.0, 0.0], vec![1.0, 1.0]);
+        let policy = linear_policy(&domain, 1.0, 2.0);
+        for hash in 0..COMMIT_BACKLOG {
+            cache.store_policy(hash, shape(), vec![hash as f64], &policy, 9, 1e-8, 0.5);
+        }
+        let (done, returned) = mpsc::channel();
+        let depositor = cache.clone();
+        let waiting = std::thread::spawn(move || {
+            let hash = COMMIT_BACKLOG;
+            depositor.store_policy(hash, shape(), vec![hash as f64], &policy, 9, 1e-8, 0.5);
+            let _ = done.send(());
+        });
+        let early = returned.recv_timeout(Duration::from_millis(200));
+        let queued = stage.shared.backlog.lock().unwrap().queued.len();
+        // Start writer 1 before asserting, so a failure unwinds through a
+        // drop whose flush a writer serves.
+        let shared = Arc::clone(&stage.shared);
+        *stage.writer.lock().unwrap() = Some((1, std::thread::spawn(move || shared.run_writer(1))));
+        assert!(
+            early.is_err(),
+            "deposit {} returned with {COMMIT_BACKLOG} unsettled",
+            COMMIT_BACKLOG + 1
+        );
+        assert_eq!(queued as u64, COMMIT_BACKLOG);
+        returned
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the waiting deposit returns once the writer settles a group");
+        waiting.join().unwrap();
+        cache.flush();
+        assert_eq!(cache.stats().persisted_entries as u64, COMMIT_BACKLOG + 1);
+        drop(cache);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_flush_returns_once_its_own_deposits_settle_and_the_last_stops_the_writer() {
+        let dir = temp_dir("flush");
+        let cache = SurfaceCache::open(&dir).unwrap();
+        let domain = BoxDomain::new(vec![0.0, 0.0], vec![1.0, 1.0]);
+        let policy = linear_policy(&domain, 1.0, 2.0);
+        // Another handle deposits (eight hashes, over and over) while this
+        // one deposits its own eight and flushes.
+        let other = cache.clone();
+        let theirs = policy.clone();
+        let racer = std::thread::spawn(move || {
+            for i in 0..200 {
+                let hash = 100 + i % 8;
+                other.store_policy(hash, shape(), vec![hash as f64], &theirs, 9, 1e-8, 0.5);
+            }
+        });
+        for hash in 0..8 {
+            cache.store_policy(hash, shape(), vec![hash as f64], &policy, 9, 1e-8, 0.5);
+        }
+        cache.flush();
+        let store = cache.inner.store().unwrap();
+        for hash in 0..8 {
+            assert!(
+                store.entry(hash).is_some(),
+                "deposit {hash} was not committed when its flush returned"
+            );
+        }
+        racer.join().unwrap();
+        cache.flush();
+        let stage = cache.inner.stage.as_ref().unwrap();
+        let (writing, unsettled) = {
+            let backlog = stage.shared.backlog.lock().unwrap();
+            (backlog.writing, backlog.enqueued - backlog.settled)
+        };
+        assert_eq!(unsettled, 0);
+        assert!(!writing, "a writer runs after the last flush");
+        assert!(
+            stage.writer.lock().unwrap().is_none(),
+            "the last flush left a writer unjoined"
+        );
+        assert_eq!(cache.stats().persisted_entries, 16);
         drop(cache);
         let _ = std::fs::remove_dir_all(&dir);
     }

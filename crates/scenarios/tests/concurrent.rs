@@ -12,12 +12,16 @@
 //! * **stable stats** — the lifetime counters add up exactly to the
 //!   per-thread tallies (hits, misses, disk restores, entries), and the
 //!   persistent index holds exactly the expected surfaces.
+//!
+//! A second test holds one restore at a gate while another reader of the
+//! same hash waits on its claim: the claim's release must wake the waiter.
 
 use std::collections::HashMap;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 use hddm_asg::{hierarchize, regular_grid, tabulate, BoxDomain};
 use hddm_compress::CompressedGrid;
@@ -29,6 +33,8 @@ const PERSISTED_KEYS: usize = 6;
 const DEPOSIT_KEYS: usize = 4;
 const THREADS: usize = 8;
 const ITERATIONS: usize = 40;
+/// How long a reader may take before the test calls it hung.
+const WATCHDOG: Duration = Duration::from_secs(20);
 
 fn temp_cache_dir(tag: &str) -> PathBuf {
     static COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -122,66 +128,75 @@ fn readers_restores_and_deposits_race_without_double_restores_or_stat_drift() {
     }
 
     // Per-thread tallies, summed at the end against the cache counters.
-    let (exact_lookups, deposits): (usize, usize) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let cache = cache.clone();
-                scope.spawn(move || {
-                    let mut rng = Lcg(0xA5A5_0000 + t as u64);
-                    let mut exact = 0usize;
-                    let mut deposited = 0usize;
-                    for _ in 0..ITERATIONS {
-                        match rng.next() % 4 {
-                            // Exact hit on a random persisted key —
-                            // different keys race their disk restores.
-                            0 | 1 => {
-                                let k = (rng.next() as usize) % PERSISTED_KEYS;
-                                let fp = [0.9 + 0.001 * k as f64];
-                                match cache.lookup(persisted_hash(k), shape(), &fp, false) {
-                                    Lookup::Exact(s) => assert_eq!(s.hash, persisted_hash(k)),
-                                    other => {
-                                        panic!("persisted key {k} must hit, got {other:?}")
-                                    }
+    // The threads report through a channel with a timeout, so a lost
+    // wakeup fails the test instead of hanging it.
+    let (tally, tallies) = mpsc::channel();
+    let handles: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let cache = cache.clone();
+            let tally = tally.clone();
+            std::thread::spawn(move || {
+                let mut rng = Lcg(0xA5A5_0000 + t as u64);
+                let mut exact = 0usize;
+                let mut deposited = 0usize;
+                for _ in 0..ITERATIONS {
+                    match rng.next() % 4 {
+                        // Exact hit on a random persisted key —
+                        // different keys race their disk restores.
+                        0 | 1 => {
+                            let k = (rng.next() as usize) % PERSISTED_KEYS;
+                            let fp = [0.9 + 0.001 * k as f64];
+                            match cache.lookup(persisted_hash(k), shape(), &fp, false) {
+                                Lookup::Exact(s) => assert_eq!(s.hash, persisted_hash(k)),
+                                other => {
+                                    panic!("persisted key {k} must hit, got {other:?}")
                                 }
-                                exact += 1;
                             }
-                            // Exact hit on the shared hottest key —
-                            // same-key restore contention.
-                            2 => {
-                                let fp = [0.9];
-                                match cache.lookup(persisted_hash(0), shape(), &fp, false) {
-                                    Lookup::Exact(s) => assert_eq!(s.hash, persisted_hash(0)),
-                                    other => panic!("hot key must hit, got {other:?}"),
-                                }
-                                exact += 1;
+                            exact += 1;
+                        }
+                        // Exact hit on the shared hottest key —
+                        // same-key restore contention.
+                        2 => {
+                            let fp = [0.9];
+                            match cache.lookup(persisted_hash(0), shape(), &fp, false) {
+                                Lookup::Exact(s) => assert_eq!(s.hash, persisted_hash(0)),
+                                other => panic!("hot key must hit, got {other:?}"),
                             }
-                            // Deposit on a small shared key range —
-                            // same-key and different-key write races,
-                            // written through to the store.
-                            _ => {
-                                let k = (rng.next() as usize) % DEPOSIT_KEYS;
-                                cache.store_policy(
-                                    deposit_hash(k),
-                                    shape(),
-                                    vec![2.0 + k as f64],
-                                    &linear_policy(0.5, k as f64),
-                                    3,
-                                    1e-9,
-                                    0.05,
-                                );
-                                deposited += 1;
-                            }
+                            exact += 1;
+                        }
+                        // Deposit on a small shared key range —
+                        // same-key and different-key write races,
+                        // written through to the store.
+                        _ => {
+                            let k = (rng.next() as usize) % DEPOSIT_KEYS;
+                            cache.store_policy(
+                                deposit_hash(k),
+                                shape(),
+                                vec![2.0 + k as f64],
+                                &linear_policy(0.5, k as f64),
+                                3,
+                                1e-9,
+                                0.05,
+                            );
+                            deposited += 1;
                         }
                     }
-                    (exact, deposited)
-                })
+                }
+                let _ = tally.send((exact, deposited));
             })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .fold((0, 0), |(e, d), (te, td)| (e + te, d + td))
-    });
+        })
+        .collect();
+    drop(tally);
+    let (exact_lookups, deposits) = (0..THREADS)
+        .map(|_| {
+            tallies
+                .recv_timeout(WATCHDOG)
+                .expect("a racing thread hung or panicked")
+        })
+        .fold((0, 0), |(e, d), (te, td)| (e + te, d + td));
+    for handle in handles {
+        handle.join().unwrap();
+    }
 
     // No double-restore: each persisted key's record file was read at
     // most once, and only touched keys were read at all.
@@ -222,8 +237,75 @@ fn readers_restores_and_deposits_race_without_double_restores_or_stat_drift() {
         "schedule sanity: deposits happened"
     );
 
-    // Deterministic replay sanity: a second identical run over a fresh
-    // directory produces identical per-thread tallies (the seeds pin the
-    // action sequence even though the cross-thread schedule varies).
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A reader that finds a restore of its hash in flight waits on the claim,
+/// and the claim's release wakes it. Reader 1's restore is held at a gate
+/// while reader 2 reaches the claim wait; then the gate opens. Both are
+/// served `Exact` off one record read, and neither hangs: the readers run
+/// on their own threads and report through a channel with a timeout.
+#[test]
+fn a_reader_waiting_on_a_same_hash_restore_is_woken_when_it_lands() {
+    let dir = temp_cache_dir("claim");
+    let hash = persisted_hash(0);
+    let fp = [0.9];
+    {
+        let warmer = SurfaceCache::open(&dir).unwrap();
+        warmer.store_policy(
+            hash,
+            shape(),
+            fp.to_vec(),
+            &linear_policy(1.0, 0.0),
+            5,
+            1e-8,
+            0.1,
+        );
+    }
+
+    let cache = SurfaceCache::open(&dir).unwrap();
+    let reads = Arc::new(AtomicUsize::new(0));
+    let (entered, in_restore) = mpsc::channel();
+    let (open, gate) = mpsc::channel::<()>();
+    let gate = Mutex::new(gate);
+    {
+        let reads = Arc::clone(&reads);
+        cache.set_restore_hook(Arc::new(move |_| {
+            reads.fetch_add(1, Ordering::Relaxed);
+            let _ = entered.send(());
+            // Returns once the gate's sender is dropped.
+            let _ = gate.lock().unwrap().recv();
+        }));
+    }
+    let (served, answers) = mpsc::channel();
+    let reader = |served: mpsc::Sender<bool>| {
+        let cache = cache.clone();
+        std::thread::spawn(move || {
+            let exact = matches!(cache.lookup(hash, shape(), &fp, false), Lookup::Exact(_));
+            let _ = served.send(exact);
+        })
+    };
+    let first = reader(served.clone());
+    in_restore
+        .recv_timeout(WATCHDOG)
+        .expect("reader 1 reached its record read");
+    let second = reader(served);
+    // Time for reader 2 to find the claim taken and wait on it.
+    std::thread::sleep(Duration::from_millis(100));
+    drop(open);
+
+    for _ in 0..2 {
+        let exact = answers
+            .recv_timeout(WATCHDOG)
+            .expect("a reader hung: the claim's release woke no waiter");
+        assert!(exact, "both readers are served the restored surface");
+    }
+    first.join().unwrap();
+    second.join().unwrap();
+    assert_eq!(
+        reads.load(Ordering::Relaxed),
+        1,
+        "two readers of one hash read its record once"
+    );
     let _ = fs::remove_dir_all(&dir);
 }

@@ -9,9 +9,10 @@
 //!   record-file reads simultaneously) and by the cache's
 //!   `concurrent_restores_peak` telemetry;
 //! * identical concurrent requests coalesce into one solve;
-//! * a shut-down service leaves every surface it solved committed.
+//! * a shut-down service leaves every surface it solved committed, and
+//!   solves what it admitted, even behind a running batch.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use hddm_olg::Calibration;
@@ -26,6 +27,9 @@ fn base() -> Scenario {
     s.solve.max_steps = 50;
     s
 }
+
+/// How long a step may take before the test calls it hung.
+const WATCHDOG: Duration = Duration::from_secs(60);
 
 fn serve_config() -> ServeConfig {
     ServeConfig {
@@ -424,5 +428,81 @@ fn a_shut_down_service_has_committed_every_surface_it_solved() {
     let again = run_set(&set, &reopened, &ExecutorConfig::serial()).unwrap();
     assert_eq!(again.exact_hits, set.len());
     drop(cache);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Shutdown drains the queue behind a running batch. The one dispatcher is
+/// held inside a batch: its solve's warm restore from disk waits at a gate.
+/// A second request queues behind it, the service is dropped from another
+/// thread, and then the gate opens. The dispatcher must come back for the
+/// queued request and solve it; exiting at the shutdown flag instead would
+/// leave it to the `Group` drop guard's `WorkerLost`.
+#[test]
+fn shutdown_while_a_batch_runs_solves_the_request_queued_behind_it() {
+    let dir = temp_cache_dir("drain");
+    {
+        let warmer = SurfaceCache::open(&dir).unwrap();
+        let set = ScenarioSet {
+            scenarios: vec![base()],
+        };
+        let report = run_set(&set, &warmer, &ExecutorConfig::serial()).unwrap();
+        assert!(report.all_converged());
+    }
+
+    let cache = SurfaceCache::open(&dir).unwrap();
+    let (entered, in_restore) = mpsc::channel();
+    let (open, gate) = mpsc::channel::<()>();
+    let gate = Mutex::new(gate);
+    cache.set_restore_hook(Arc::new(move |_| {
+        let _ = entered.send(());
+        // Returns once the gate's sender is dropped.
+        let _ = gate.lock().unwrap().recv();
+    }));
+    let service = ScenarioService::new(
+        cache,
+        ServeConfig {
+            executor: ExecutorConfig::serial(),
+            workers: 1,
+            linger: Duration::ZERO,
+            ..ServeConfig::default()
+        },
+    );
+
+    let mut near = base();
+    Knob::Beta.apply(&mut near, 0.9525).unwrap();
+    near.name = "serve/held".into();
+    let held = service.submit(ScenarioRequest::new(near)).unwrap();
+    in_restore
+        .recv_timeout(WATCHDOG)
+        .expect("the dispatched solve reached its warm restore");
+    let mut far = base();
+    Knob::CapitalSpan.apply(&mut far, 0.45).unwrap();
+    far.name = "serve/queued".into();
+    let queued = service.submit(ScenarioRequest::cold_only(far)).unwrap();
+    assert_eq!(
+        service.queue_depth(),
+        1,
+        "the request waits behind the batch"
+    );
+
+    let (dropped, shut_down) = mpsc::channel();
+    let dropper = std::thread::spawn(move || {
+        drop(service);
+        let _ = dropped.send(());
+    });
+    // Time for the drop to set the shutdown flag and join the dispatcher.
+    std::thread::sleep(Duration::from_millis(100));
+    drop(open);
+    shut_down
+        .recv_timeout(WATCHDOG)
+        .expect("shutdown joined the dispatcher");
+    dropper.join().unwrap();
+
+    assert_eq!(held.wait().unwrap().kind(), CacheKind::Warm);
+    let served = queued
+        .wait()
+        .expect("the request queued behind the running batch is solved");
+    assert_eq!(served.kind(), CacheKind::Cold);
+    assert!(served.report.converged);
     let _ = std::fs::remove_dir_all(&dir);
 }

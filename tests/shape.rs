@@ -557,6 +557,350 @@ fn one_durable_write_path() {
     pass(failures);
 }
 
+/// `text` with its line comments, its string and char literals and every
+/// other non-ASCII character blanked, each character to one space; a
+/// newline stays a newline, so a byte offset of the result has the line
+/// number it had in `text`. A lifetime (`'a`) is code.
+fn code_only(text: &str) -> String {
+    let chars: Vec<char> = text.chars().collect();
+    let mut out = String::with_capacity(chars.len());
+    let mut i = 0;
+    while i < chars.len() {
+        let next = chars.get(i + 1).copied();
+        let end = match chars[i] {
+            '/' if next == Some('/') => (i..chars.len()).find(|&j| chars[j] == '\n'),
+            '"' => {
+                let mut j = i + 1;
+                while j < chars.len() && chars[j] != '"' {
+                    j += if chars[j] == '\\' { 2 } else { 1 };
+                }
+                Some(j + 1)
+            }
+            '\'' if next == Some('\\') => (i + 3..chars.len())
+                .find(|&j| chars[j] == '\'')
+                .map(|j| j + 1),
+            '\'' if chars.get(i + 2) == Some(&'\'') => Some(i + 3),
+            c if !c.is_ascii() => Some(i + 1),
+            c => {
+                out.push(c);
+                i += 1;
+                continue;
+            }
+        };
+        let end = end.unwrap_or(chars.len()).min(chars.len());
+        out.extend(
+            chars[i..end]
+                .iter()
+                .map(|&c| if c == '\n' { c } else { ' ' }),
+        );
+        i = end;
+    }
+    out
+}
+
+/// The identifier that ends at byte `end` of `code`.
+fn ident_before(code: &str, end: usize) -> &str {
+    let start = code[..end]
+        .rfind(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .map_or(0, |at| at + 1);
+    &code[start..end]
+}
+
+/// The lock an acquisition starting at byte `at` of `code` takes:
+/// `.index_read(`/`.index_write(` the store's index, `.shard_read(`/
+/// `.shard_write(` a memory shard, and `.lock(x)` or `recover(x)` the lock
+/// `x` names (its last named field: `&self.slot.0` is `slot`).
+fn acquisition(code: &str, at: usize) -> Option<String> {
+    let rest = &code[at..];
+    for (call, lock) in [
+        (".index_read(", "index"),
+        (".index_write(", "index"),
+        (".shard_read(", "shard"),
+        (".shard_write(", "shard"),
+    ] {
+        if rest.starts_with(call) {
+            return Some(lock.to_string());
+        }
+    }
+    let args = if let Some(args) = rest.strip_prefix(".lock(") {
+        args
+    } else if !is_word(code[..at].chars().next_back()) {
+        rest.strip_prefix("recover(")?
+    } else {
+        return None;
+    };
+    let path: String = args
+        .trim_start_matches('&')
+        .chars()
+        .take_while(|&c| c.is_ascii_alphanumeric() || c == '_' || c == '.')
+        .collect();
+    path.split('.')
+        .rev()
+        .find(|field| field.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_'))
+        .map(str::to_string)
+}
+
+/// The function a `let` initializer ends in a call of, looking through a
+/// trailing `.unwrap_or_else(…)`: the call whose value is bound.
+fn bound_call(init: &str) -> Option<&str> {
+    let mut s = init.trim_end();
+    loop {
+        if !s.ends_with(')') {
+            return None;
+        }
+        let mut depth = 0usize;
+        let open = s.char_indices().rev().find_map(|(at, c)| {
+            match c {
+                ')' => depth += 1,
+                '(' => depth -= 1,
+                _ => {}
+            }
+            (depth == 0).then_some(at)
+        })?;
+        let callee = ident_before(s, open);
+        if callee != "unwrap_or_else" {
+            return Some(callee);
+        }
+        s = s[..open - callee.len()].strip_suffix('.')?.trim_end();
+    }
+}
+
+/// A `let`-bound lock guard in scope.
+struct Guard {
+    name: String,
+    lock: String,
+    /// The brace depth of its `let`: the guard lives until that block closes.
+    depth: usize,
+    line: usize,
+}
+
+/// A `let` whose `;` has not been reached.
+struct Binding {
+    name: String,
+    start: usize,
+    braces: usize,
+    parens: usize,
+}
+
+/// The faults of `text`'s non-test code as `file:line:` messages, and the
+/// locks whose guards it binds. A guard is a `let` whose initializer ends
+/// in an acquisition ([`acquisition`]) or in a `wait_while` handed a live
+/// guard; it lives until its block closes or it is `drop`ped. A fault is a
+/// call of `calls` while a guard lives, or a second acquisition of a lock
+/// while a guard of it lives. The scan reads one function at a time: a
+/// call that takes a lock inside another function is not followed.
+fn lock_faults(file: &str, text: &str, calls: &[&str]) -> (Vec<String>, BTreeSet<String>) {
+    let code = code_only(&live(text));
+    let line = |at: usize| code[..at].matches('\n').count() + 1;
+    let (mut guards, mut bindings): (Vec<Guard>, Vec<Binding>) = (Vec::new(), Vec::new());
+    let (mut braces, mut parens) = (0usize, 0usize);
+    let (mut faults, mut locks) = (Vec::new(), BTreeSet::new());
+    for (at, c) in code.char_indices() {
+        let rest = &code[at..];
+        let starts_word = !is_word(code[..at].chars().next_back());
+        if let Some(lock) = acquisition(&code, at) {
+            if let Some(g) = guards.iter().find(|g| g.lock == lock) {
+                faults.push(format!(
+                    "{file}:{}: `{lock}` acquired again while `{}` (l. {}) holds it",
+                    line(at),
+                    g.name,
+                    g.line
+                ));
+            }
+        }
+        if let Some(g) = guards.first() {
+            for call in calls {
+                if rest.starts_with(call) && (call.starts_with('.') || starts_word) {
+                    faults.push(format!(
+                        "{file}:{}: `{call}` while `{}` (l. {}) holds `{}`",
+                        line(at),
+                        g.name,
+                        g.line,
+                        g.lock
+                    ));
+                }
+            }
+        }
+        if starts_word {
+            if let Some(after) = rest.strip_prefix("let ") {
+                let before = code[..at].trim_end();
+                if !before.ends_with("if") && !before.ends_with("while") {
+                    let after = after.trim_start().trim_start_matches("mut ");
+                    let name = &after[..after
+                        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                        .unwrap_or(after.len())];
+                    bindings.push(Binding {
+                        name: name.to_string(),
+                        start: at,
+                        braces,
+                        parens,
+                    });
+                }
+            }
+            if let Some(args) = rest.strip_prefix("drop(") {
+                let name = &args[..args.find(')').unwrap_or(0)];
+                guards.retain(|g| g.name != name.trim());
+            }
+        }
+        match c {
+            '{' => braces += 1,
+            '}' => {
+                braces -= 1;
+                guards.retain(|g| g.depth <= braces);
+            }
+            '(' | '[' => parens += 1,
+            ')' | ']' => parens -= 1,
+            ';' if bindings
+                .last()
+                .is_some_and(|b| (b.braces, b.parens) == (braces, parens)) =>
+            {
+                let b = bindings.pop().expect("a pending let");
+                let statement = &code[b.start..at];
+                let Some((_, init)) = statement.split_once(" = ") else {
+                    continue;
+                };
+                let guarded = [
+                    "index_read",
+                    "index_write",
+                    "shard_read",
+                    "shard_write",
+                    "lock",
+                    "recover",
+                    "wait_while",
+                    "wait_timeout_while",
+                ];
+                if !bound_call(init).is_some_and(|call| guarded.contains(&call)) {
+                    continue;
+                }
+                let handed = guards
+                    .iter()
+                    .find(|g| init.contains("wait_while") && has_word(init, &g.name))
+                    .map(|g| g.lock.clone());
+                let acquired = (0..init.len()).find_map(|i| acquisition(init, i));
+                if let Some(lock) = handed.or(acquired) {
+                    locks.insert(lock.clone());
+                    guards.push(Guard {
+                        name: b.name,
+                        lock,
+                        depth: b.braces,
+                        line: line(b.start),
+                    });
+                }
+            }
+            _ => {}
+        }
+    }
+    (faults, locks)
+}
+
+// No record or directory I/O while a lock is held, and no lock taken twice:
+// the cache's and the store's readers must never wait on a disk, and the
+// serving queue is never held across a solve. `lock_faults` reads the
+// three files that hold the persisted cache's and the serving queue's
+// locks. It is a scan of each function's text: a lock taken inside a
+// called function (the serving queue answering a waiter's slot,
+// `Group::shed_expired`) is not seen.
+#[test]
+fn no_record_io_under_a_lock() {
+    let io = [
+        "fs::",
+        "record::",
+        ".commit(",
+        ".read_record(",
+        ".sync_dir(",
+    ];
+    let mut failures = Vec::new();
+    for (file, solve, want) in [
+        (
+            "crates/scenarios/src/cache.rs",
+            &[][..],
+            &["backlog", "inflight", "shard", "writer"][..],
+        ),
+        ("crates/scenarios/src/persist.rs", &[], &["index"]),
+        (
+            "crates/serve/src/service.rs",
+            &["dispatch(", "run_batch("],
+            &["queue"],
+        ),
+    ] {
+        let calls: Vec<&str> = io.iter().chain(solve).copied().collect();
+        let (faults, locks) = lock_faults(file, &read(file), &calls);
+        failures.extend(flag(
+            faults,
+            format!("FAIL: {file} does I/O or takes a lock again under a lock guard"),
+        ));
+        for lock in want {
+            if !locks.contains(*lock) {
+                failures.push(format!(
+                    "FAIL: {file} binds no guard of `{lock}`; the scan no longer sees its lock"
+                ));
+            }
+        }
+    }
+    for (what, seed) in [
+        (
+            "an eviction under the index guard",
+            "fn commit(&self) {\n    let mut index = self.index_write();\n    let _ = fs::remove_file(&path);\n}\n",
+        ),
+        (
+            "a read guard upgraded",
+            "fn entry(&self) {\n    let index = self.index_read();\n    let mut upgraded = self.index_write();\n}\n",
+        ),
+    ] {
+        if lock_faults("seed", seed, &io).0.is_empty() {
+            failures.push(format!("FAIL: the scan misses {what}"));
+        }
+    }
+    pass(failures);
+}
+
+// A reader that wins the claim on a hash re-checks the memory shard before
+// it reads the record: a winner may have promoted the surface and released
+// the claim between the reader's first probe and its claim, and without
+// the re-check the record file would be read a second time.
+#[test]
+fn a_claimed_restore_rechecks_the_shard() {
+    let file = "crates/scenarios/src/cache.rs";
+    let code = live(&read(file));
+    let body = code
+        .split_once("    fn restore_claimed(")
+        .map(|(_, rest)| rest.split("\n    }\n").next().unwrap_or(rest));
+    let probe = body.and_then(|b| b.find(".shard_read("));
+    let read = body.and_then(|b| b.find("store.entry("));
+    if !matches!((probe, read), (Some(p), Some(r)) if p < r) {
+        pass(vec![format!(
+            "FAIL: {file}: `restore_claimed` does not probe its shard (`.shard_read(`) \
+             before it looks the record up (`store.entry(`)"
+        )]);
+    }
+}
+
+// Every library but hddm-kernels forbids `unsafe`: the kernels' intrinsics
+// are the one place it is needed, and each of their blocks states its
+// contract (clippy `undocumented_unsafe_blocks`).
+#[test]
+fn only_the_kernels_are_unsafe() {
+    let mut libs = vec!["src/lib.rs".to_string()];
+    for krate in entries("crates") {
+        let lib = format!("crates/{krate}/src/lib.rs");
+        if krate != "kernels" && root().join(&lib).is_file() {
+            libs.push(lib);
+        }
+    }
+    pass(
+        libs.iter()
+            .filter(|lib| {
+                !read(lib)
+                    .lines()
+                    .any(|line| line.trim() == "#![forbid(unsafe_code)]")
+            })
+            .map(|lib| {
+                format!("FAIL: {lib} lacks `#![forbid(unsafe_code)]`; only hddm-kernels is unsafe")
+            })
+            .collect(),
+    );
+}
+
 /// `[[:space:]]`.
 fn space(c: char) -> bool {
     matches!(c, ' ' | '\t' | '\n' | '\x0B' | '\x0C' | '\r')
