@@ -97,7 +97,8 @@ pub struct OracleBuffers {
 /// (a single-point call is a block of one), the points in them, and the
 /// kernel walks that evaluated them — one per run of states sharing a
 /// grid, so `blocks / walks` is the mean number of states a walk served.
-/// A walk's gradient points are none of these.
+/// A walk's gradient points are none of these, though the walk gives them
+/// their value rows too: a point solver's start row is one.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OracleTraffic {
     /// Evaluations, one per state and call.
@@ -150,9 +151,9 @@ impl PolicyOracle for AsgOracle<'_> {
     /// run of states sharing a grid (`MultiState::runs`) through the
     /// backend, its last `grads` points gradient points; the gradient is
     /// the walk's unit-cube gradient times `1/width` where the clamp left
-    /// a coordinate alone, `0` where it moved it. Per state bitwise
-    /// [`Self::eval_block`] and that state's walk alone. Only the value
-    /// states are traffic.
+    /// a coordinate alone, `0` where it moved it. Every point's value rows
+    /// are, per state, bitwise [`Self::eval_block`] and that state's walk
+    /// alone. Only the value states are traffic.
     fn eval_states_block(
         &mut self,
         ns: usize,
@@ -325,17 +326,22 @@ mod tests {
             oracle.eval_states_block(2, 2, &xs, 2, 0..1, &mut values, &mut gradient);
             for (z, slope) in [1.5, -2.0].into_iter().enumerate() {
                 let (values, gradient) = (&values[z * 3..], &gradient[z * 4..(z + 1) * 4]);
-                assert!((values[0] - 3.0 * slope).abs() < 1e-9, "{values:?}");
+                // Every state's value row, the clamped one's at the box.
+                for (value, x) in values[..3].iter().zip([3.0, 4.5, 6.0]) {
+                    assert!((value - x * slope).abs() < 1e-9, "{values:?}");
+                }
                 assert!((gradient[0] - slope).abs() < 1e-12, "{gradient:?}");
                 assert!(gradient[1].abs() < 1e-12, "{gradient:?}");
                 assert_eq!(gradient[2..], [0.0, 0.0]);
             }
-            // Both states share a grid: one walk served them.
+            // Both states share a grid: one walk served them, and only
+            // the value state is traffic.
             let traffic = oracle.take_traffic();
             assert_eq!((traffic.blocks, traffic.points, traffic.walks), (2, 2, 1));
         }
-        // The observer priced each state's value state and no gradient.
-        assert_eq!(seen.0.load(std::sync::atomic::Ordering::Relaxed), 2);
+        // The observer priced each state's three value rows and no
+        // gradient.
+        assert_eq!(seen.0.load(std::sync::atomic::Ordering::Relaxed), 6);
     }
 
     #[test]

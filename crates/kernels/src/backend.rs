@@ -46,11 +46,10 @@ impl ExecutionBackend {
     /// The batch walk of a run of states that walk alike
     /// (`MultiState::runs`; see [`batch::interpolate_states_batch`]):
     /// `values` is `states × npts × ndofs`, and the last
-    /// `gradients.points` points get a gradient instead. `Observed` is
+    /// `gradients.points` points get a gradient as well. `Observed` is
     /// told of every state, in order, with the counts of the block's value
-    /// points — what [`Self::evaluate_batch`] of those points alone tells
-    /// it — and of nothing when there are none: no backend prices a
-    /// gradient or an empty block.
+    /// rows — what [`Self::evaluate_batch`] of the same block tells it —
+    /// and of nothing for an empty block: no backend prices a gradient.
     pub fn evaluate_states_batch(
         &self,
         kernel: KernelKind,

@@ -34,7 +34,7 @@
 //!    columns, without a branch, and the chains left with a lane are
 //!    compacted into a list;
 //! 2. **products** — each listed chain folds its bound again and, lane by
-//!    lane over the bound's value lanes, multiplies its factors left to
+//!    lane over the bound's lanes, multiplies its factors left to
 //!    right, setting a lane's alive bit iff its product is non-zero (a
 //!    chain of at most one factor is its column and the column's mask);
 //! 3. **accumulation** — its surplus row goes into the alive lanes' output
@@ -51,7 +51,7 @@
 //!
 //! The same walk is the Newton Jacobian's source: the last
 //! [`Gradients::points`] points of a block want the gradient of a
-//! coefficient range instead of their value row, and for a chunk with
+//! coefficient range as well as their value row, and for a chunk with
 //! such lanes the fill adds a hat-slope column per `xps` entry and each
 //! listed chain its partial products. A value-only evaluation is the walk
 //! with `Gradients::default()`: the same source, in an instance with the
@@ -503,8 +503,9 @@ fn alive(v: &[f64]) -> u64 {
 /// `Gradients::default()` asks for none — a value-only walk.
 #[derive(Debug, Default)]
 pub struct Gradients<'a> {
-    /// The last `points` points of the block want the gradient and no
-    /// value row; the points before them want their value row only.
+    /// The last `points` points of the block want the gradient as well
+    /// as their value row; the points before them want their value row
+    /// only.
     pub points: usize,
     /// The coefficients differentiated: a contiguous range of the
     /// surplus row.
@@ -532,13 +533,12 @@ fn hat_slope(x: f64, l: f64, i: f64, v: f64) -> f64 {
 }
 
 /// The batch walk: `block` chunk by chunk on a run of states that walk
-/// alike (the first state's grid is walked). The first `npts −
-/// gradients.points` points get state `s`'s value row of point `k` in
-/// `values[(s·npts + k)·ndofs ..]`; the rest get the gradient of
-/// `gradients.coeffs` in `gradients.out` (see [`Gradients`]), and their
-/// value rows are left as zeros. `sink` gets the counts of the value lanes
-/// of every chunk that has one — once: they are every state's, and the
-/// records of a walk of the value points alone.
+/// alike (the first state's grid is walked). Every point `k` gets state
+/// `s`'s value row in `values[(s·npts + k)·ndofs ..]`, and the last
+/// `gradients.points` points also the gradient of `gradients.coeffs` in
+/// `gradients.out` (see [`Gradients`]). `sink` gets the counts of every
+/// chunk — once: they are every state's, and the records of a value walk
+/// of the same block.
 ///
 /// The only *block* basis fill and chain walk (the single-point one is
 /// [`PointJob`]), inlined into one entry per kernel, so each pass below is
@@ -704,7 +704,8 @@ fn prefetch(row: &[f64]) {
 }
 
 /// [`BlockJob`]'s chunk loop; `GRADIENTS` is whether the block has gradient
-/// points.
+/// points. Every lane gets its value row; the gradient lanes are the last
+/// `grads` of the block.
 #[inline(always)]
 fn chunks<const GRADIENTS: bool>(
     states: &[CompressedState],
@@ -736,10 +737,13 @@ fn chunks<const GRADIENTS: bool>(
     while at < npts {
         let chunk = (npts - at).min(BATCH_CHUNK);
         let full = u64::MAX >> (64 - chunk);
-        // Lanes `..cv` want values, lanes `cv..` gradients.
+        // Lanes `cv..` want gradients too.
         let cv = nv.saturating_sub(at).min(chunk);
-        let vmask = if cv == 0 { 0 } else { full >> (chunk - cv) };
-        let gmask = if GRADIENTS { full & !vmask } else { 0 };
+        let gmask = match cv {
+            _ if !GRADIENTS => 0,
+            0 => full,
+            _ => full & !(full >> (chunk - cv)),
+        };
         let buf = scratch.prepare_batch(xps.len(), chunk, cg.nno(), nfreq, gmask != 0);
         let (xpvb, slopes) = (buf.xpvb, buf.slopes);
 
@@ -792,7 +796,7 @@ fn chunks<const GRADIENTS: bool>(
         // of the chunk start at `vo`, its gradient rows from the chunk's
         // first gradient lane `cv` on at `go`.
         let mut counts = ChunkCounts {
-            chunk: cv,
+            chunk,
             ..ChunkCounts::default()
         };
         let vo = |s: usize| s * values_per_state + at * ndofs;
@@ -809,44 +813,41 @@ fn chunks<const GRADIENTS: bool>(
             let bound = factors
                 .iter()
                 .fold(full, |b, &idx| b & buf.colmask[idx as usize]);
-            if bound & vmask != 0 {
-                counts.factor_cols += len_p.max(1);
-                // A chain of at most one factor *is* its column, alive
-                // mask included. A longer one multiplies its factors left
-                // to right (`1·x ≡ x`, so this is bitwise the single-point
-                // walk) on the value lanes of its bound only: every factor
-                // is finite and ≥ 0, so a lane outside the bound holds a
-                // zero factor and its product is a zero the single-point
-                // walk drops. A lane is alive iff its product is
-                // non-zero, which it need not be on a lane the bound kept:
-                // the product can underflow.
-                let (product, mask) = if len_p <= 1 {
-                    (col(chain[0]), buf.colmask[chain[0] as usize])
-                } else {
-                    let (a, b) = (col(factors[0]), col(factors[1]));
-                    let temps = &mut buf.temps[..chunk];
-                    let mut mask = 0;
-                    let mut lanes = bound & vmask;
-                    while lanes != 0 {
-                        let k = lanes.trailing_zeros() as usize;
-                        lanes &= lanes - 1;
-                        let mut t = a[k] * b[k];
-                        for &idx in &factors[2..] {
-                            t *= xpvb[idx as usize * chunk + k];
-                        }
-                        temps[k] = t;
-                        mask |= ((t != 0.0) as u64) << k;
+            counts.factor_cols += len_p.max(1);
+            // A chain of at most one factor *is* its column, alive mask
+            // included. A longer one multiplies its factors left to right
+            // (`1·x ≡ x`, so this is bitwise the single-point walk) on the
+            // lanes of its bound only: every factor is finite and ≥ 0, so a
+            // lane outside the bound holds a zero factor and its product is
+            // a zero the single-point walk drops. A lane is alive iff its
+            // product is non-zero, which it need not be on a lane the bound
+            // kept: the product can underflow.
+            let (product, mask) = if len_p <= 1 {
+                (col(chain[0]), buf.colmask[chain[0] as usize])
+            } else {
+                let (a, b) = (col(factors[0]), col(factors[1]));
+                let temps = &mut buf.temps[..chunk];
+                let mut mask = 0;
+                let mut lanes = bound;
+                while lanes != 0 {
+                    let k = lanes.trailing_zeros() as usize;
+                    lanes &= lanes - 1;
+                    let mut t = a[k] * b[k];
+                    for &idx in &factors[2..] {
+                        t *= xpvb[idx as usize * chunk + k];
                     }
-                    (&*temps, mask)
-                };
-                if mask & vmask != 0 {
-                    counts.rows_touched += 1;
-                    counts.alive_pairs += (mask & vmask).count_ones() as usize;
-                    for (s, state) in states.iter().enumerate() {
-                        let row = &state.surplus[p * ndofs..(p + 1) * ndofs];
-                        let value_chunk = &mut values[vo(s)..vo(s) + chunk * ndofs];
-                        accum(product, mask & vmask, row, value_chunk, ndofs);
-                    }
+                    temps[k] = t;
+                    mask |= ((t != 0.0) as u64) << k;
+                }
+                (&*temps, mask)
+            };
+            if mask != 0 {
+                counts.rows_touched += 1;
+                counts.alive_pairs += mask.count_ones() as usize;
+                for (s, state) in states.iter().enumerate() {
+                    let row = &state.surplus[p * ndofs..(p + 1) * ndofs];
+                    let value_chunk = &mut values[vo(s)..vo(s) + chunk * ndofs];
+                    accum(product, mask, row, value_chunk, ndofs);
                 }
             }
             // A gradient lane needs every factor positive — the bound, not
@@ -898,16 +899,14 @@ fn chunks<const GRADIENTS: bool>(
                 }
             }
         }
-        if cv > 0 {
-            sink(counts);
-        }
+        sink(counts);
         at += chunk;
     }
 }
 
 /// `kernel`'s batch walk over the whole block for a run of states that
 /// walk alike (see [`BlockJob`]), whatever its width, handing the counts
-/// of each chunk's value lanes to `sink` in chunk order. The run is
+/// of each chunk to `sink` in chunk order. The run is
 /// checked in full only in debug builds: comparing the grids costs a
 /// walk's bound pass.
 pub(crate) fn walk(
@@ -1022,16 +1021,15 @@ pub fn interpolate_batch(
 }
 
 /// `kernel`'s batch walk over the whole block for a run of states that
-/// walk alike (consecutive states of one `MultiState` run): the first
-/// `npts − gradients.points` points get their value rows in `values`
-/// (`states × npts × ndofs`), each state's bitwise what
-/// [`interpolate_batch`] writes for it, and the rest the gradient of
-/// `gradients.coeffs` in `gradients.out` (see [`Gradients`]); their value
-/// rows are zeros. A point's gradient does not depend on the block it is
-/// in. The counts — one record per chunk with a value point, each
-/// state's — are exactly what [`interpolate_batch`] reports for a block
-/// of the value points alone (none when there are none): a device model
-/// prices value walks. Panics for [`KernelKind::Gold`].
+/// walk alike (consecutive states of one `MultiState` run): every point
+/// gets its value rows in `values` (`states × npts × ndofs`), each
+/// state's bitwise what [`interpolate_batch`] writes for it, and the last
+/// `gradients.points` points also the gradient of `gradients.coeffs` in
+/// `gradients.out` (see [`Gradients`]). A point's gradient does not depend
+/// on the block it is in. The counts — one record per chunk, each
+/// state's — are exactly what [`interpolate_batch`] reports for the same
+/// block: a device model prices value walks. Panics for
+/// [`KernelKind::Gold`].
 pub fn interpolate_states_batch(
     kernel: KernelKind,
     states: &[CompressedState],
@@ -1352,9 +1350,9 @@ mod tests {
     /// The single-point kernel and the walk, values and gradients, give
     /// the same bits through the native and the portable accumulator, and
     /// for every kernel of a class; and the portable single-point kernel
-    /// of a class gives the walk's value rows. On an adaptive grid and on
-    /// Table II's (d = 59, level 3, where about a quarter of the chains
-    /// survive at a point).
+    /// of a class gives the walk's value rows, the gradient points' too.
+    /// On an adaptive grid and on Table II's (d = 59, level 3, where about
+    /// a quarter of the chains survive at a point).
     #[test]
     fn native_and_portable_kernels_agree_bitwise() {
         let (ndofs, grads) = (118, 5);
@@ -1401,10 +1399,9 @@ mod tests {
             };
             classes_agree("single point", single);
             classes_agree("walk", walk);
-            let nv = (npts - grads) * ndofs;
             for [kernel, _] in CLASSES {
                 let ([values, _], single) = (walk(kernel, false), single(kernel, false));
-                assert!(values[..nv] == single[..nv], "{} d = {dim}", kernel.name());
+                assert!(values == single, "{} d = {dim}", kernel.name());
             }
         }
     }

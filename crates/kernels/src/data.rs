@@ -124,8 +124,8 @@ pub struct Scratch {
     /// (`nxps × chunk`).
     xpv_block: Vec<f64>,
     /// Per-point chain products (`chunk`), written only on the live lanes
-    /// of the chain being walked — the value lanes of its column-mask
-    /// bound — and read only on its alive ones; every other lane holds
+    /// of the chain being walked — the lanes of its column-mask bound —
+    /// and read only on its alive ones; every other lane holds
     /// whatever an earlier chain left there.
     temps: Vec<f64>,
     /// Per-xps-entry nonzero-lane masks (`nxps`), the chain pruning index.

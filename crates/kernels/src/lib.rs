@@ -39,9 +39,10 @@
 //!
 //! Block consumers evaluate through an [`ExecutionBackend`]. There is one
 //! batch walk ([`batch`]), and it also gives the Newton Jacobian its
-//! gradient points ([`Gradients`]); a backend other than `Cpu` does not
-//! evaluate differently, it *observes*: the walk reports per-chunk
-//! [`ChunkCounts`] of its value points and a [`BlockObserver`] —
+//! gradient points ([`Gradients`]), which get their value rows too; a
+//! backend other than `Cpu` does not evaluate differently, it
+//! *observes*: the walk reports per-chunk [`ChunkCounts`] of its value
+//! rows and a [`BlockObserver`] —
 //! `hddm-gpu`'s device model — prices them. The dependency points from
 //! the model to this crate.
 

@@ -479,11 +479,12 @@ fn on_knots(rows: &mut [f64]) {
 /// Chains of two to four factors (an adaptive d = 5 grid whose nodes
 /// refine up to four dimensions), points on knots, and value lanes beside
 /// gradient lanes in one chunk, at 1, 63, 64 and 65 points: the walk forms
-/// a chain's products on the value lanes of its bound only, and every
-/// kernel's value rows are still bitwise its single-point kernel's, its
-/// gradient rows those of a walk of the gradient points alone, and its
-/// counts every other kernel's. One block's counts are pinned to the
-/// values of the dense product pass.
+/// a chain's products on the lanes of its bound only, and every kernel's
+/// value rows — the gradient points' included — are still bitwise its
+/// single-point kernel's, its gradient rows those of a walk of the
+/// gradient points alone, and its counts every other kernel's and a value
+/// walk's of the same block. One block's counts are pinned to the values
+/// of the dense product pass.
 #[test]
 fn sparse_chain_products_equal_the_single_point_kernels_bitwise() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x5BA75E);
@@ -501,7 +502,8 @@ fn sparse_chain_products_equal_the_single_point_kernels_bitwise() {
         for grads in [0, npts / 2, npts] {
             let nv = npts - grads;
             let at = format!("npts={npts} grads={grads}");
-            let (value_rows, gradient_rows) = rows.split_at(nv * dim);
+            let gradient_rows = &rows[nv * dim..];
+            let block = PointBlock::from_rows(dim, &rows);
             let mut counts: Option<Vec<ChunkCounts>> = None;
             for kind in KernelKind::COMPRESSED {
                 let mut values = vec![f64::NAN; npts * ndofs];
@@ -509,7 +511,7 @@ fn sparse_chain_products_equal_the_single_point_kernels_bitwise() {
                 let got = batch::interpolate_states_batch(
                     kind,
                     std::slice::from_ref(&state),
-                    &PointBlock::from_rows(dim, &rows),
+                    &block,
                     &mut scratch,
                     &mut values,
                     Gradients {
@@ -523,16 +525,17 @@ fn sparse_chain_products_equal_the_single_point_kernels_bitwise() {
                     &got,
                     "{kind:?} {at}"
                 );
+                let mut value_walk = vec![f64::NAN; npts * ndofs];
+                let want_counts =
+                    batch::interpolate_batch(kind, &state, &block, &mut scratch, &mut value_walk);
+                assert_eq!(got, want_counts, "{kind:?} {at}");
+                assert_eq!(bits(&values), bits(&value_walk), "{kind:?} {at}");
                 let mut want = vec![0.0; ndofs];
-                for (p, x) in value_rows.chunks_exact(dim).enumerate() {
+                for (p, x) in rows.chunks_exact(dim).enumerate() {
                     kind.evaluate_compressed(&state, x, &mut scratch, &mut want);
                     let row = &values[p * ndofs..(p + 1) * ndofs];
                     assert_eq!(bits(row), bits(&want), "{kind:?} {at} point {p}");
                 }
-                assert!(
-                    values[nv * ndofs..].iter().all(|&v| v == 0.0),
-                    "{kind:?} {at}"
-                );
                 let (_, alone) = gradient_walk(kind, &state, &[], gradient_rows, coeffs.clone());
                 assert_eq!(bits(&gradient), bits(&alone), "{kind:?} {at}");
             }
@@ -638,9 +641,9 @@ fn bits(v: &[f64]) -> Vec<u64> {
 }
 
 /// Over the strip-shape × chunk-edge matrix, a block of value points
-/// followed by the same points as gradient points: the value rows are
-/// a value-only walk's bit for bit (and the gradient points' rows zero), and
-/// the gradients are those of a walk of the gradient points alone.
+/// followed by the same points as gradient points: the value rows of both
+/// halves are a value-only walk's bit for bit, and the gradients are those
+/// of a walk of the gradient points alone.
 #[test]
 fn gradient_walk_values_equal_the_value_walk_on_every_strip_shape_and_chunk_edge() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x6AD1);
@@ -663,7 +666,7 @@ fn gradient_walk_values_equal_the_value_walk_on_every_strip_shape_and_chunk_edge
                 );
                 let (values, gradient) = gradient_walk(kind, &state, &rows, &rows, coeffs.clone());
                 assert_eq!(bits(&values[..npts * ndofs]), bits(&want), "{at}");
-                assert!(values[npts * ndofs..].iter().all(|&v| v == 0.0), "{at}");
+                assert_eq!(bits(&values[npts * ndofs..]), bits(&want), "{at}");
                 let (_, alone) = gradient_walk(kind, &state, &[], &rows, coeffs.clone());
                 assert_eq!(bits(&gradient), bits(&alone), "{at}");
             }
@@ -928,13 +931,10 @@ fn a_run_walked_together_equals_each_state_walked_alone() {
                     assert_eq!(bits(gradient), bits(&alone_gradient), "{at}, state {s}");
                     assert_eq!(counts, want, "{at}");
                 }
-                // The counts are a value walk's over the value points alone.
-                let nv = npts - grads;
-                let value_points = PointBlock::from_rows(3, &rows[..nv * 3]);
-                let mut out = vec![0.0; nv * ndofs];
-                let want =
-                    batch::interpolate_batch(kind, &run[0], &value_points, &mut scratch, &mut out);
-                assert_eq!(counts, want, "{at}: value-point counts");
+                // The counts are a value walk's over the same block.
+                let mut out = vec![0.0; npts * ndofs];
+                let want = batch::interpolate_batch(kind, &run[0], &block, &mut scratch, &mut out);
+                assert_eq!(counts, want, "{at}: value-walk counts");
             }
         }
     }
@@ -960,9 +960,10 @@ impl Records {
 }
 
 /// Every run of a policy evaluated through an observed backend — values,
-/// and gradient points behind value points — tells the observer what
-/// evaluating each state's value points alone tells it, state by state;
-/// a block with no value point, empty or all gradient, tells it nothing.
+/// and gradient points behind value points — tells the observer what a
+/// value evaluation of each state at the same block tells it, state by
+/// state: every point gets its value row. An empty block tells it
+/// nothing.
 #[test]
 fn an_observed_backend_sees_each_state_as_a_per_state_evaluation_shows_it() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x0B5E);
@@ -975,7 +976,6 @@ fn an_observed_backend_sees_each_state_as_a_per_state_evaluation_shows_it() {
     for (npts, grads) in [(70usize, 0usize), (70, 5), (70, 70), (9, 3), (0, 0)] {
         let rows = random_block(3, npts, &mut rng);
         let block = PointBlock::from_rows(3, &rows);
-        let value_points = PointBlock::from_rows(3, &rows[..(npts - grads) * 3]);
         for kind in KernelKind::COMPRESSED {
             let at = format!("{kind:?} npts={npts} grads={grads}");
             for run in states.runs() {
@@ -997,10 +997,10 @@ fn an_observed_backend_sees_each_state_as_a_per_state_evaluation_shows_it() {
                 );
             }
             let together = records.take();
-            assert_eq!(together.is_empty(), grads == npts, "{at}");
+            assert_eq!(together.is_empty(), npts == 0, "{at}");
             for state in states.states() {
-                let mut out = vec![0.0; (npts - grads) * ndofs];
-                backend.evaluate_batch(kind, state, &value_points, &mut scratch, &mut out);
+                let mut out = vec![0.0; npts * ndofs];
+                backend.evaluate_batch(kind, state, &block, &mut scratch, &mut out);
             }
             assert_eq!(together, records.take(), "{at}");
         }

@@ -6,24 +6,25 @@
 //! The unit of work is a **block of points**. [`OlgModel::solve_points`]
 //! hands the points' Euler systems to the lockstep Newton
 //! ([`hddm_solver::newton_rounds`]); each of its rounds arrives here as a
-//! set of savings rows, each asking for its residuals or for the
-//! Jacobian at that row, and is evaluated in three passes: next states
-//! from the savings rows, **one oracle call for all next discrete states**
-//! over all rows of the round ([`PolicyOracle::eval_states_block`], value
-//! rows and the Jacobian rows' gradients together) — the interpolation of
-//! `pnext` the paper's kernels exist for, "the policy functions of all the
-//! Ns states at once", now dozens to hundreds of points wide — then the
-//! Euler algebra row by row. A Jacobian is the exact Jacobian of the
+//! set of savings rows, each asking for its residuals, and a Jacobian row
+//! (a point's start row, or a later refresh) for the Jacobian at that row
+//! as well, and is evaluated in three passes: next states from the savings
+//! rows, **one oracle call for all next discrete states** over all rows of
+//! the round ([`PolicyOracle::eval_states_block`], every row's `pnext` and
+//! the Jacobian rows' gradients together) — the interpolation of `pnext`
+//! the paper's kernels exist for, "the policy functions of all the Ns
+//! states at once", now dozens to hundreds of points wide — then the Euler
+//! algebra row by row. A Jacobian is the exact Jacobian of the
 //! interpolated system: the chain rule through `x' = (Σ s, s_1…s_{A−2})`,
 //! the prices' `K'`-derivatives, the incomes, `u''` and `∇ₓ pnext` of the
 //! `A−2` coefficients the algebra reads, one gradient row per next state
-//! instead of `A−1` finite-difference rows; its `pnext` is the row the
-//! point's last residual row kept. What depends only on the point (today's
-//! prices, wealth, incomes) is computed once per point solve, what depends
-//! only on the calibration (`L`, `L^{1−θ}`) once per model, and the `Ns`
-//! prices of a row (and their slopes) share its one `K'^θ` — the only call
-//! into libm a row makes, and it is made in `economy.rs`, where the
-//! transcendental budget is kept. Every row sees the arithmetic a lone
+//! instead of `A−1` finite-difference rows; the same pass writes the row's
+//! residuals, with the bits of a residual row's. What depends only on the
+//! point (today's prices, wealth, incomes) is computed once per point
+//! solve, what depends only on the calibration (`L`, `L^{1−θ}`) once per
+//! model, and the `Ns` prices of a row (and their slopes) share its one
+//! `K'^θ` — the only call into libm a row makes, and it is made in
+//! `economy.rs`, where the transcendental budget is kept. Every row sees the arithmetic a lone
 //! [`OlgModel::solve_point`] applies to it, so a point's solution does not
 //! depend on its block; `solve_point`, [`OlgModel::euler_residuals`] and
 //! [`OlgModel::values_at`] are the one-point and one-row cases of the same
@@ -70,11 +71,10 @@ pub trait PolicyOracle {
 
     /// `pnext` of all `ns` next discrete states at one block of
     /// `dim`-dimensional states `xs` (point-major `npts × dim`), the last
-    /// `grads` of which want, instead of their value rows, the gradient of
-    /// the coefficients `coeffs` with respect to the *physical* state.
-    /// `values` is `ns × npts × ndofs`, one [`Self::eval_block`] block per
-    /// state: its first `npts − grads` rows are what `eval_block` writes
-    /// (the rows of gradient states are left unspecified). `gradient` is
+    /// `grads` of which also want the gradient of the coefficients
+    /// `coeffs` with respect to the *physical* state. `values` is
+    /// `ns × npts × ndofs`, one [`Self::eval_block`] block per state: every
+    /// row is what `eval_block` writes, the gradient states' too. `gradient` is
     /// `ns × grads × dim × coeffs.len()`, state-major, then
     /// dimension-major per gradient state:
     /// `gradient[((z'·grads + g)·dim + t)·len + c] = ∂ coefficient
@@ -196,9 +196,9 @@ impl PointScratch {
 pub struct SolveTally {
     /// Euler systems handed to Newton (one per point).
     pub systems: u64,
-    /// Savings rows whose residuals the rounds were asked to evaluate
-    /// (initial guesses and line-search trials; a Jacobian is no residual
-    /// row).
+    /// Savings rows that asked for their residuals alone (line-search
+    /// trials; a Jacobian row, every point's start row among them, is no
+    /// residual row).
     pub residual_rows: u64,
     /// Jacobians of the systems that converged.
     pub jacobians: u64,
@@ -220,19 +220,17 @@ struct PointContexts {
     wealth: Vec<f64>,
 }
 
-/// One round of residual rows and Jacobian requests.
+/// One round of residual rows and Jacobian rows.
 #[derive(Clone, Debug, Default)]
 struct RoundBuffers {
     /// Residual rows whose next state exists (positive capital tomorrow).
     valid: Vec<usize>,
-    /// Jacobian requests whose next state exists.
+    /// Jacobian rows whose next state exists.
     jacobians: Vec<JacobianRow>,
     /// The next states of the round's one oracle call (`npts × d`):
-    /// `valid`'s, then those of the Jacobian rows whose `pnext`
-    /// [`KeptRows`] does not hold, then every Jacobian row's.
+    /// `valid`'s, then the Jacobian rows'.
     x_next: Vec<f64>,
-    /// `pnext` there, one `npts × ndofs` block per next discrete state
-    /// (the rows of the gradient states are not `pnext`).
+    /// `pnext` there, one `npts × ndofs` block per next discrete state.
     policy_next: Vec<f64>,
     /// `∇ₓ pnext` of the coefficients the Euler algebra reads at the
     /// gradient states, one `jacobians × d × (A−2)` block per next
@@ -243,21 +241,18 @@ struct RoundBuffers {
     slopes_next: Vec<Prices>,
 }
 
-/// A Jacobian request of a round: its row, its slot in the round's
-/// Jacobians and, when [`KeptRows`] does not hold its `pnext`, the value
-/// state that interpolates it.
+/// A Jacobian row of a round: its row and its slot in the round's
+/// Jacobians.
 #[derive(Clone, Copy, Debug)]
 struct JacobianRow {
     row: usize,
     slot: usize,
-    values: Option<usize>,
 }
 
 /// Per point, the interpolated `pnext` rows (`Ns × ndofs`) of its last
-/// residual row, and the savings they belong to. Newton's last residual
-/// row is the point it accepted, so the value recursion at the solution
-/// finds its rows here, and so, usually, does a Jacobian at the current
-/// iterate.
+/// evaluated row, and the savings they belong to. Newton's last row is
+/// the point it accepted, so the value recursion at the solution finds its
+/// rows here.
 #[derive(Clone, Debug, Default)]
 struct KeptRows {
     has: Vec<bool>,
@@ -311,9 +306,9 @@ impl NextGradient<'_> {
 }
 
 /// The Euler systems of one block as the [`Rounds`] of the lockstep
-/// Newton: the round's residual rows and Jacobian requests share one
-/// oracle call for all next discrete states, and a Jacobian is the exact
-/// Jacobian of the interpolated system.
+/// Newton: the round's residual rows and Jacobian rows share one oracle
+/// call for all next discrete states, and a Jacobian is the exact Jacobian
+/// of the interpolated system.
 struct EulerRounds<'a> {
     model: &'a OlgModel,
     points: &'a PointContexts,
@@ -528,20 +523,18 @@ impl OlgModel {
     /// One round: `round.rows` are savings vectors (`k × (A−1)`),
     /// `round.owners[i]` the point of `points` row `i` belongs to. Writes
     /// the relative residuals `1 − β·E[R̃'·u'(c'_{a+1})]/u'(c_a)` of every
-    /// residual row into its row of `round.out` and, for every Jacobian
-    /// row, their exact Jacobian with `pnext` interpolated; or rejects a
-    /// row when implied aggregate capital tomorrow is non-positive (prices
-    /// undefined). Every point contributes at most one row. With `keep`,
-    /// a point's rows of `pnext` are remembered at each residual row, and
-    /// a Jacobian at the savings they belong to reads them instead of
-    /// interpolating them again.
+    /// row into its row of `round.out` and, for every Jacobian row, their
+    /// exact Jacobian too; or rejects a row when implied aggregate capital
+    /// tomorrow is non-positive (prices undefined). Every point contributes
+    /// at most one row. With `keep`, a point's rows of `pnext` are
+    /// remembered at each row for the value recursion.
     fn residual_rows(
         &self,
         points: &PointContexts,
         round: Round<'_>,
         oracle: &mut dyn PolicyOracle,
         bufs: &mut RoundBuffers,
-        mut keep: Option<&mut KeptRows>,
+        keep: Option<&mut KeptRows>,
     ) {
         let Round {
             owners,
@@ -562,7 +555,6 @@ impl OlgModel {
         bufs.valid.clear();
         bufs.jacobians.clear();
         let mut requests = jacobian_rows.iter().enumerate().peekable();
-        let mut misses = 0;
         for (r, savings) in rows.chunks_exact(n).enumerate() {
             let request = requests.next_if(|&(_, &row)| row == r);
             let k_next: f64 = savings.iter().sum();
@@ -572,30 +564,18 @@ impl OlgModel {
                 )));
                 continue;
             }
-            let Some((slot, _)) = request else {
-                bufs.valid.push(r);
-                continue;
-            };
-            let kept = keep
-                .as_deref()
-                .is_some_and(|kept| kept.holds(owners[r], savings));
-            let values = (!kept).then(|| {
-                misses += 1;
-                misses - 1
-            });
-            bufs.jacobians.push(JacobianRow {
-                row: r,
-                slot,
-                values,
-            });
+            match request {
+                Some((slot, _)) => bufs.jacobians.push(JacobianRow { row: r, slot }),
+                None => bufs.valid.push(r),
+            }
         }
-        let first_miss = bufs.valid.len();
-        let value_states = first_miss + misses;
+        let value_states = bufs.valid.len();
         let npts = value_states + bufs.jacobians.len();
+        // The rows in walk order: the residual rows, then the Jacobian rows.
+        let (valid, requested) = (&bufs.valid, &bufs.jacobians);
+        let walked = || valid.iter().copied().chain(requested.iter().map(|j| j.row));
         bufs.x_next.clear();
-        let missed = bufs.jacobians.iter().filter(|j| j.values.is_some());
-        let value_rows = bufs.valid.iter().copied().chain(missed.map(|j| j.row));
-        for r in value_rows.chain(bufs.jacobians.iter().map(|j| j.row)) {
+        for r in walked() {
             self.extend_next_state(&rows[r * n..(r + 1) * n], &mut bufs.x_next);
         }
 
@@ -621,32 +601,21 @@ impl OlgModel {
 
         // Euler algebra, row by row.
         for (i, &r) in bufs.valid.iter().enumerate() {
-            let savings = &rows[r * n..(r + 1) * n];
             let owner = owners[r];
             let at_k_next = self.basis.at(cal, bufs.x_next[i * d]);
             bufs.prices_next.clear();
             bufs.prices_next
                 .extend((0..ns).map(|z_next| at_k_next.prices(z_next)));
-            let next = values_at(i);
             self.euler_row(
                 points.z[owner],
                 &points.resources[owner * a_max..(owner + 1) * a_max],
-                savings,
+                &rows[r * n..(r + 1) * n],
                 &bufs.prices_next,
-                next,
+                values_at(i),
                 &mut out[r * n..(r + 1) * n],
             );
-            if let Some(kept) = keep.as_deref_mut() {
-                kept.has[owner] = true;
-                kept.savings[owner * n..(owner + 1) * n].copy_from_slice(savings);
-                let slot = &mut kept.policy[owner * ns * ndofs..(owner + 1) * ns * ndofs];
-                for (z_next, row) in slot.chunks_exact_mut(ndofs).enumerate() {
-                    row.copy_from_slice(&next.data[z_next * next.stride..][..ndofs]);
-                }
-            }
         }
         for (g, j) in bufs.jacobians.iter().enumerate() {
-            let savings = &rows[j.row * n..(j.row + 1) * n];
             let owner = owners[j.row];
             let at_k_next = self.basis.at(cal, bufs.x_next[(value_states + g) * d]);
             bufs.prices_next.clear();
@@ -656,14 +625,6 @@ impl OlgModel {
                 bufs.slopes_next.push(at_k_next.slopes(z_next, &p));
                 bufs.prices_next.push(p);
             }
-            let next = match j.values {
-                Some(miss) => values_at(first_miss + miss),
-                None => NextPolicy {
-                    data: &keep.as_deref().expect("only a kept row is a hit").policy
-                        [owner * ns * ndofs..],
-                    stride: ndofs,
-                },
-            };
             let gradient = NextGradient {
                 data: &bufs.gradient_next[g * d * len..],
                 stride: grads * d * len,
@@ -672,13 +633,29 @@ impl OlgModel {
             self.euler_jacobian(
                 points.z[owner],
                 &points.resources[owner * a_max..(owner + 1) * a_max],
-                savings,
+                &rows[j.row * n..(j.row + 1) * n],
                 &bufs.prices_next,
                 &bufs.slopes_next,
-                next,
+                values_at(value_states + g),
                 gradient,
+                &mut out[j.row * n..(j.row + 1) * n],
                 &mut jacobians[j.slot * n * n..(j.slot + 1) * n * n],
             );
+        }
+
+        // Each point's `pnext` at the row it just evaluated.
+        let Some(kept) = keep else {
+            return;
+        };
+        for (i, r) in walked().enumerate() {
+            let owner = owners[r];
+            kept.has[owner] = true;
+            kept.savings[owner * n..(owner + 1) * n].copy_from_slice(&rows[r * n..(r + 1) * n]);
+            let next = values_at(i);
+            let slot = &mut kept.policy[owner * ns * ndofs..(owner + 1) * ns * ndofs];
+            for (z_next, row) in slot.chunks_exact_mut(ndofs).enumerate() {
+                row.copy_from_slice(&next.data[z_next * next.stride..][..ndofs]);
+            }
         }
     }
 
@@ -720,7 +697,9 @@ impl OlgModel {
     /// residuals at one savings row, given `pnext`, its gradient and the
     /// prices with their `K'`-derivatives (`slopes_next`) at the row's next
     /// state — the chain rule through `x' = (Σ s, s_1…s_{A−2})`, the
-    /// prices, the incomes, `u''` and `∇ₓ pnext`. With `E_a` the
+    /// prices, the incomes, `u''` and `∇ₓ pnext` — and the residuals
+    /// themselves in `out`, bit for bit `euler_row`'s: `E_a` and `u'(c_a)`
+    /// are the same sums and calls. With `E_a` the
     /// expectation and `c'` tomorrow's consumption in `z'`,
     /// `∂F_a/∂s_b = −β/u'(c_a) · (∂E_a/∂s_b + [a = b]·E_a·u''(c_a)/u'(c_a))`
     /// and `∂E_a/∂s_b = Σ π (dR̃·u'(c') + R̃·u''(c')·∂c'/∂s_b)`, where
@@ -735,6 +714,7 @@ impl OlgModel {
         slopes_next: &[Prices],
         next: NextPolicy<'_>,
         gradient: NextGradient<'_>,
+        out: &mut [f64],
         jac: &mut [f64],
     ) {
         let cal = &self.cal;
@@ -772,6 +752,7 @@ impl OlgModel {
                     }
                 }
             }
+            out[a - 1] = 1.0 - cal.beta * expectation / mu;
             let scale = -cal.beta / mu;
             for v in row.iter_mut() {
                 *v = scale * (common + *v);
@@ -1252,9 +1233,10 @@ mod tests {
         }
     }
 
-    /// The Jacobian of one savings row at `(z, x)` through the round entry,
-    /// with `pnext` interpolated (no kept rows).
-    fn jacobian_at(
+    /// The residuals and the Jacobian of one savings row at `(z, x)`
+    /// through the round entry, as one Jacobian row, keeping its `pnext`
+    /// when `keep`.
+    fn jacobian_row_at(
         model: &OlgModel,
         z: usize,
         x: &[f64],
@@ -1262,7 +1244,7 @@ mod tests {
         oracle: &mut dyn PolicyOracle,
         scratch: &mut PointScratch,
         keep: bool,
-    ) -> Result<Vec<f64>, SolverError> {
+    ) -> Result<(Vec<f64>, Vec<f64>), SolverError> {
         let n = savings.len();
         let PointScratch {
             points,
@@ -1282,7 +1264,19 @@ mod tests {
         };
         model.residual_rows(points, rows, oracle, round, keep.then_some(kept));
         let [rejected] = rejected;
-        rejected.map_or(Ok(jac), Err)
+        rejected.map_or(Ok((out, jac)), Err)
+    }
+
+    /// The Jacobian of one savings row at `(z, x)` (no kept rows).
+    fn jacobian_at(
+        model: &OlgModel,
+        z: usize,
+        x: &[f64],
+        savings: &[f64],
+        oracle: &mut dyn PolicyOracle,
+        scratch: &mut PointScratch,
+    ) -> Result<Vec<f64>, SolverError> {
+        jacobian_row_at(model, z, x, savings, oracle, scratch, false).map(|(_, jac)| jac)
     }
 
     /// `J[a][b]` against forward differences of the residuals in `s_b`.
@@ -1296,7 +1290,7 @@ mod tests {
     ) {
         let n = savings.len();
         let mut scratch = PointScratch::default();
-        let jac = jacobian_at(model, z, x, savings, oracle, &mut scratch, false).unwrap();
+        let jac = jacobian_at(model, z, x, savings, oracle, &mut scratch).unwrap();
         let (mut base, mut ahead) = (vec![0.0; n], vec![0.0; n]);
         model
             .euler_residuals(z, x, savings, oracle, &mut scratch, &mut base)
@@ -1377,8 +1371,9 @@ mod tests {
         }
     }
 
-    /// A Jacobian at the savings of the point's last residual row reads
-    /// the kept `pnext` instead of interpolating it: the same bits.
+    /// A Jacobian row reads the walk's own `pnext`: rows kept from an
+    /// earlier residual round at the same savings change none of its
+    /// bits, and the row keeps its own `pnext` for the value recursion.
     #[test]
     fn a_kept_row_gives_the_jacobian_an_interpolation_would() {
         let model = OlgModel::new(Calibration::small(6, 4, 2, 0.05));
@@ -1386,8 +1381,8 @@ mod tests {
         let savings: Vec<f64> = model.steady.savings.iter().map(|s| s * 1.02).collect();
         let mut oracle = ExactBent(Bent::new(&model));
         let mut scratch = PointScratch::default();
-        let interpolated = jacobian_at(&model, 0, &x, &savings, &mut oracle, &mut scratch, false);
-        // A residual round with kept rows, then the Jacobian reads them.
+        let interpolated = jacobian_at(&model, 0, &x, &savings, &mut oracle, &mut scratch);
+        // A residual round with kept rows, then the Jacobian row.
         let (n, ns, ndofs) = (model.dim(), model.num_states(), model.ndofs());
         let PointScratch {
             points,
@@ -1409,10 +1404,57 @@ mod tests {
         };
         model.residual_rows(points, rows, &mut oracle, round, Some(kept));
         assert!(kept.holds(0, &savings));
-        let from_kept = jacobian_at(&model, 0, &x, &savings, &mut oracle, &mut scratch, true);
-        let bits =
-            |j: Result<Vec<f64>, _>| j.unwrap().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(from_kept), bits(interpolated));
+        let residual_kept = kept.policy.clone();
+        kept.has[0] = false;
+        let from_kept = jacobian_row_at(&model, 0, &x, &savings, &mut oracle, &mut scratch, true);
+        let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (_, from_kept) = from_kept.unwrap();
+        assert_eq!(bits(&from_kept), bits(&interpolated.unwrap()));
+        assert!(scratch.kept.holds(0, &savings));
+        assert_eq!(bits(&scratch.kept.policy), bits(&residual_kept));
+    }
+
+    /// A Jacobian row's residuals are a residual row's, bit for bit: the
+    /// start row of a point solve carries the residuals Newton tests, and
+    /// they must be the ones a residual round gives. Inside the box, below
+    /// the consumption floor and outside the box, in every exponent class.
+    #[test]
+    fn a_jacobian_rows_residuals_are_the_residual_rows_bits() {
+        for gamma in [1.0, 2.0, 2.5, 3.0] {
+            let model = OlgModel::new(Calibration {
+                gamma,
+                ..Calibration::small(6, 4, 2, 0.05)
+            });
+            let x = model.steady.state_vector();
+            let n = model.dim();
+            let steady = &model.steady.savings;
+            let interior: Vec<f64> = steady.iter().map(|s| s * 1.02).collect();
+            let mut starving = interior.clone();
+            let mut points = PointContexts::default();
+            model.set_contexts(&mut points, |_| 1, &x);
+            starving[0] = points.resources[0] + 0.05;
+            let outside: Vec<f64> = steady.iter().map(|s| 1.9 * s + 0.05).collect();
+            for (case, savings) in [
+                ("interior", &interior),
+                ("below the floor", &starving),
+                ("outside the box", &outside),
+            ] {
+                for z in 0..model.num_states() {
+                    let at = format!("γ = {gamma}, z = {z}, {case}");
+                    let mut scratch = PointScratch::default();
+                    let mut residual = vec![0.0; n];
+                    let mut oracle = ExactBent(Bent::new(&model));
+                    model
+                        .euler_residuals(z, &x, savings, &mut oracle, &mut scratch, &mut residual)
+                        .unwrap();
+                    let (fused, _) =
+                        jacobian_row_at(&model, z, &x, savings, &mut oracle, &mut scratch, false)
+                            .unwrap();
+                    let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&fused), bits(&residual), "{at}");
+                }
+            }
+        }
     }
 
     #[test]

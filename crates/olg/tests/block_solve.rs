@@ -52,15 +52,13 @@ impl PolicyOracle for ExactTilted {
         ns: usize,
         dim: usize,
         xs: &[f64],
-        grads: usize,
+        _grads: usize,
         coeffs: Range<usize>,
         values: &mut [f64],
         gradient: &mut [f64],
     ) {
-        let from = xs.len() / dim - grads;
-        let ndofs = self.0.row.len();
         for (z_next, values) in values.chunks_exact_mut(values.len() / ns).enumerate() {
-            self.eval_block(z_next, dim, &xs[..from * dim], &mut values[..from * ndofs]);
+            self.eval_block(z_next, dim, xs, values);
         }
         // Every state's gradient, the same in every state.
         for partials in gradient.chunks_exact_mut(coeffs.len()) {
@@ -235,7 +233,8 @@ fn the_value_recursion_reuses_rows_it_would_have_interpolated() {
     // A solve hands its value recursion the rows of Newton's accepted
     // point; a standalone `values_at` interpolates them afresh. Same
     // numbers — and the solve saves exactly that sweep over the next
-    // states. The tally counts the rows the reports count.
+    // states. The tally counts the rows the reports count, but for the
+    // start rows, which are Jacobian rows.
     for gamma in GAMMAS {
         let (model, mut oracle) = setup(gamma);
         let (d, ndofs) = (model.dim(), model.ndofs());
@@ -280,15 +279,18 @@ fn the_value_recursion_reuses_rows_it_would_have_interpolated() {
                 assert_eq!(consumption, alone.consumption, "γ = {gamma}, point {i}");
             }
         }
-        // Per next state, a residual row is one call and a Jacobian the
-        // provided forward differences: its state, then `d` stepped ones.
+        // Per next state, a residual row is one call and a Jacobian row
+        // the provided forward differences: its state, then `d` stepped
+        // ones. Every start row is a Jacobian row (none of these points
+        // converges at its guess), whose state call gives its residuals
+        // too: a residual evaluation of the reports, and no residual row.
         assert_eq!(
             calls_of_the_solve,
-            (evaluations + jacobians * (1 + d)) * model.num_states()
+            (evaluations - 5 + jacobians * (1 + d)) * model.num_states()
         );
         assert_eq!(
             (tally.systems, tally.residual_rows),
-            (5, evaluations as u64),
+            (5, evaluations as u64 - 5),
             "γ = {gamma}"
         );
         assert_eq!(

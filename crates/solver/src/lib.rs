@@ -11,8 +11,9 @@
 //! * [`linalg`] — LU with partial pivoting on row-major slices, norms;
 //! * [`newton`] — the damped Newton driver: [`newton::newton_rounds`]
 //!   advances many independent systems in lockstep rounds, and its caller
-//!   ([`Rounds`]) answers each round's residual rows and Jacobian
-//!   requests;
+//!   ([`Rounds`]) answers each round's rows with their residuals, and its
+//!   Jacobian rows (every system's start row among them) with their
+//!   Jacobians as well;
 //! * [`scalar`] — Brent's method for bracketed scalar roots.
 //!
 //! ```
@@ -22,14 +23,11 @@
 //! struct Sqrt2;
 //! impl Rounds for Sqrt2 {
 //!     fn round(&mut self, round: Round<'_>) {
-//!         let mut slot = 0;
-//!         for (i, x) in round.rows.iter().enumerate() {
-//!             if round.jacobian_rows.contains(&i) {
-//!                 round.jacobians[slot] = 2.0 * x;
-//!                 slot += 1;
-//!             } else {
-//!                 round.out[i] = x * x - 2.0;
-//!             }
+//!         for (f, x) in round.out.iter_mut().zip(round.rows) {
+//!             *f = x * x - 2.0;
+//!         }
+//!         for (slot, &i) in round.jacobian_rows.iter().enumerate() {
+//!             round.jacobians[slot] = 2.0 * round.rows[i];
 //!         }
 //!     }
 //! }

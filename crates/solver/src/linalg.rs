@@ -58,15 +58,18 @@ pub fn lu_solve(lu: &[f64], pivots: &[u32], b: &mut [f64]) {
     for (i, &p) in pivots.iter().enumerate() {
         b.swap(i, p as usize);
     }
-    // Forward substitution, down column `i` of `L`.
-    for i in 0..n {
-        let bi = b[i];
-        if bi != 0.0 {
-            let column = lu[i..].iter().step_by(n).skip(i + 1);
-            for (br, l) in b[i + 1..].iter_mut().zip(column) {
-                *br -= l * bi;
+    // Forward substitution, row `r` of `L` against the solved head of
+    // `b`: element `r` takes `b_r −= l_ri · b_i` for `i` ascending,
+    // skipping a zero `b_i`, as a sweep down the columns of `L` would.
+    for (r, row) in lu.chunks_exact(n.max(1)).enumerate().skip(1) {
+        let (head, tail) = b.split_at_mut(r);
+        let mut sum = tail[0];
+        for (l, &bi) in row[..r].iter().zip(head.iter()) {
+            if bi != 0.0 {
+                sum -= l * bi;
             }
         }
+        tail[0] = sum;
     }
     // Back substitution: row `i` of `U` against the solved tail of `b`.
     for (i, row) in lu.chunks_exact(n.max(1)).enumerate().rev() {
@@ -205,6 +208,59 @@ pub(crate) mod tests {
                     norm_inf(&residual) <= 1e-12 * scale,
                     "n={n}: {x:?} vs {x_true:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn the_row_sweep_solves_as_the_column_sweep_does_bit_for_bit() {
+        // The column-oriented forward substitution `lu_solve` had, as the
+        // reference; right-hand sides with zeros, so the skip is taken.
+        fn by_columns(lu: &[f64], pivots: &[u32], b: &mut [f64]) {
+            let n = pivots.len();
+            for (i, &p) in pivots.iter().enumerate() {
+                b.swap(i, p as usize);
+            }
+            for i in 0..n {
+                let bi = b[i];
+                if bi != 0.0 {
+                    let column = lu[i..].iter().step_by(n).skip(i + 1);
+                    for (br, l) in b[i + 1..].iter_mut().zip(column) {
+                        *br -= l * bi;
+                    }
+                }
+            }
+            for (i, row) in lu.chunks_exact(n.max(1)).enumerate().rev() {
+                let (head, tail) = b.split_at_mut(i + 1);
+                let mut sum = head[i];
+                for (u, x) in row[i + 1..].iter().zip(tail.iter()) {
+                    sum -= u * x;
+                }
+                head[i] = sum / row[i];
+            }
+        }
+        let mut seed = 0x5851_F42D_4C95_7F2Du64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        for n in [1, 2, 4, 9, 59] {
+            for _ in 0..50 {
+                let a: Vec<f64> = (0..n * n).map(|_| next()).collect();
+                let (mut lu, mut pivots) = (a, vec![0; n]);
+                if lu_factor(&mut lu, &mut pivots).is_err() {
+                    continue;
+                }
+                let b: Vec<f64> = (0..n)
+                    .map(|i| if i % 3 == 1 { 0.0 } else { next() })
+                    .collect();
+                let (mut rows, mut columns) = (b.clone(), b);
+                lu_solve(&lu, &pivots, &mut rows);
+                by_columns(&lu, &pivots, &mut columns);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&rows), bits(&columns), "n={n}");
             }
         }
     }

@@ -11,12 +11,15 @@
 //!
 //! There is one iteration body, [`newton_rounds`], and it advances `m`
 //! independent systems in **rounds**: each round every unfinished system
-//! contributes the evaluation it needs next — its initial residual, a
-//! Jacobian, or one line-search trial — and one [`Rounds::round`] call
-//! evaluates all of them. The caller can therefore turn the residual's
-//! inner interpolation into one wide operation per round instead of one
-//! call per point. Every request is one row: a Jacobian request is
-//! answered with one `n × n` matrix in the same call. Each system walks
+//! contributes the evaluation it needs next — its start row, a Jacobian,
+//! or one line-search trial — and one [`Rounds::round`] call evaluates
+//! all of them. The caller can therefore turn the residual's inner
+//! interpolation into one wide operation per round instead of one call per
+//! point. Every request is one row, and every row is answered with its
+//! residual; a Jacobian row also gets its `n × n` matrix in the same call.
+//! A system's start row is a Jacobian row: the first iteration always
+//! takes a Jacobian at the start point, so it rides with the first
+//! residual instead of costing a round of its own. Each system walks
 //! exactly the trajectory it walks alone (same evaluation points, same
 //! arithmetic, same order), so results do not depend on which other
 //! systems share the block.
@@ -84,8 +87,8 @@ pub struct NewtonReport {
 }
 
 /// One round of [`newton_rounds`]: the one row each unfinished system
-/// needs evaluated next — an initial residual, a Jacobian request or a
-/// line-search trial.
+/// needs evaluated next — its start row (residual and Jacobian at the
+/// initial guess), a Jacobian request or a line-search trial.
 #[derive(Debug)]
 pub struct Round<'a> {
     /// `owners[i]`: the system row `i` belongs to.
@@ -93,10 +96,12 @@ pub struct Round<'a> {
     /// `k × n` evaluation points, row-major.
     pub rows: &'a [f64],
     /// The rows, ascending, that ask for the Jacobian `∂F/∂x` at their
-    /// point instead of the residual.
+    /// point as well as the residual: every system's start row, and every
+    /// later Jacobian request.
     pub jacobian_rows: &'a [usize],
-    /// `k × n`: row `i` takes `F_{owners[i]}(rows[i])` for every row not
-    /// in `jacobian_rows`.
+    /// `k × n`: row `i` takes `F_{owners[i]}(rows[i])`, Jacobian rows
+    /// included. Newton reads a Jacobian row's residual only at the start
+    /// point; a later one is the residual of the last accepted trial.
     pub out: &'a mut [f64],
     /// One row-major `n × n` block per entry of `jacobian_rows`, in
     /// order: `J[a][b] = ∂F_a/∂x_b`.
@@ -109,16 +114,16 @@ pub struct Round<'a> {
 
 /// The caller's side of [`newton_rounds`]: one call per round.
 pub trait Rounds {
-    /// Evaluates every row of `round` — its residual, or its Jacobian for
-    /// a row in `jacobian_rows` — or rejects it. Rows the call neither
-    /// writes nor rejects keep stale values.
+    /// Evaluates every row of `round` — its residual, and its Jacobian
+    /// too for a row in `jacobian_rows` — or rejects it. Rows the call
+    /// neither writes nor rejects keep stale values.
     fn round(&mut self, round: Round<'_>);
 }
 
 /// What a system asks the next round to evaluate.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Phase {
-    /// `F(x)` at the initial guess.
+    /// `F(x)` and the Jacobian at the initial guess.
     Initial,
     /// The Jacobian at `x`.
     Jacobian,
@@ -181,7 +186,7 @@ impl NewtonWorkspace {
             System {
                 phase: Phase::Initial,
                 iter: 0,
-                since_refresh: usize::MAX, // force a Jacobian on the first iteration
+                since_refresh: 0, // the start row brings the first Jacobian
                 alpha: 1.0,
                 merit0: 0.0,
                 report: NewtonReport::default(),
@@ -217,19 +222,18 @@ impl NewtonWorkspace {
                 }
                 fx.copy_from_slice(&self.out[r * n..(r + 1) * n]);
                 sys.report.residual_evals += 1;
+                // The first iteration takes the Jacobian that came with
+                // the residual, unless the guess has converged.
+                if let Some(outcome) = self.finished(s, n, opts) {
+                    return Some(outcome);
+                }
+                return self.refresh(s, slot, n, opts);
             }
             Phase::Jacobian => {
                 if let Some(error) = self.rejected[r].take() {
                     return Some(Err(error));
                 }
-                sys.report.jacobian_evals += 1;
-                sys.since_refresh = 0;
-                let lu = &mut self.lu[s * n * n..(s + 1) * n * n];
-                lu.copy_from_slice(&self.jacobians[slot * n * n..(slot + 1) * n * n]);
-                if let Err(error) = lu_factor(lu, &mut self.pivots[s * n..(s + 1) * n]) {
-                    return Some(Err(error));
-                }
-                return self.search(s, n, opts);
+                return self.refresh(s, slot, n, opts);
             }
             Phase::Trial => {
                 let f_trial = &self.out[r * n..(r + 1) * n];
@@ -246,10 +250,13 @@ impl NewtonWorkspace {
                     return self.next_trial(s, n, opts);
                 }
 
-                // The Broyden factor of this step, unless the next
-                // iteration takes a fresh Jacobian anyway.
+                // The Broyden factor of this step, unless the system
+                // finishes on it or the next iteration takes a fresh
+                // Jacobian anyway.
                 let k = sys.since_refresh;
-                if k + 1 < BROYDEN_REFRESH {
+                let finishes =
+                    sys.iter + 1 >= opts.max_iterations || norm_inf(f_trial) <= TOLERANCE;
+                if k + 1 < BROYDEN_REFRESH && !finishes {
                     let factors = &mut self.factors[s * FACTORS * 2 * n..][..(k + 1) * 2 * n];
                     let (stored, factor) = factors.split_at_mut(k * 2 * n);
                     for (y, (after, before)) in factor.iter_mut().zip(f_trial.iter().zip(&*fx)) {
@@ -275,9 +282,30 @@ impl NewtonWorkspace {
         self.iterate(s, n, opts)
     }
 
-    /// The top of iteration `sys.iter`: convergence test, then either a
-    /// Jacobian request or the Newton direction and its first trial.
-    fn iterate(
+    /// Takes the Jacobian in slot `slot` of the round as system `s`'s new
+    /// one — its LU replaces the last, and the Broyden factors restart —
+    /// and searches along its Newton direction.
+    fn refresh(
+        &mut self,
+        s: usize,
+        slot: usize,
+        n: usize,
+        opts: &NewtonOptions,
+    ) -> Option<Result<NewtonReport, SolverError>> {
+        let sys = &mut self.systems[s];
+        sys.report.jacobian_evals += 1;
+        sys.since_refresh = 0;
+        let lu = &mut self.lu[s * n * n..(s + 1) * n * n];
+        lu.copy_from_slice(&self.jacobians[slot * n * n..(slot + 1) * n * n]);
+        if let Err(error) = lu_factor(lu, &mut self.pivots[s * n..(s + 1) * n]) {
+            return Some(Err(error));
+        }
+        self.search(s, n, opts)
+    }
+
+    /// The end test at the top of iteration `sys.iter`: the system's
+    /// outcome once it has converged or spent its budget.
+    fn finished(
         &mut self,
         s: usize,
         n: usize,
@@ -285,8 +313,8 @@ impl NewtonWorkspace {
     ) -> Option<Result<NewtonReport, SolverError>> {
         let sys = &mut self.systems[s];
         let fx = &self.fx[s * n..(s + 1) * n];
+        sys.report.residual_norm = norm_inf(fx);
         if sys.iter >= opts.max_iterations {
-            sys.report.residual_norm = norm_inf(fx);
             return Some(if sys.report.residual_norm <= TOLERANCE {
                 sys.report.iterations = opts.max_iterations;
                 Ok(sys.report)
@@ -297,10 +325,21 @@ impl NewtonWorkspace {
             });
         }
         sys.report.iterations = sys.iter;
-        sys.report.residual_norm = norm_inf(fx);
-        if sys.report.residual_norm <= TOLERANCE {
-            return Some(Ok(sys.report));
+        (sys.report.residual_norm <= TOLERANCE).then_some(Ok(sys.report))
+    }
+
+    /// The top of iteration `sys.iter`: the end test, then either a
+    /// Jacobian request or the Newton direction and its first trial.
+    fn iterate(
+        &mut self,
+        s: usize,
+        n: usize,
+        opts: &NewtonOptions,
+    ) -> Option<Result<NewtonReport, SolverError>> {
+        if let Some(outcome) = self.finished(s, n, opts) {
+            return Some(outcome);
         }
+        let sys = &mut self.systems[s];
         if sys.since_refresh >= BROYDEN_REFRESH {
             sys.phase = Phase::Jacobian;
             return None;
@@ -436,11 +475,7 @@ pub fn newton_rounds<R: Rounds + ?Sized>(
         for (s, x) in xs.chunks_exact(n).enumerate() {
             match work.systems[s].phase {
                 Phase::Done => {}
-                Phase::Initial => {
-                    work.owners.push(s);
-                    work.rows.extend_from_slice(x);
-                }
-                Phase::Jacobian => {
+                Phase::Initial | Phase::Jacobian => {
                     work.jacobian_rows.push(work.owners.len());
                     work.owners.push(s);
                     work.rows.extend_from_slice(x);
@@ -477,7 +512,7 @@ pub fn newton_rounds<R: Rounds + ?Sized>(
         let mut slot = 0;
         for r in 0..count {
             let s = work.owners[r];
-            let jacobian = work.systems[s].phase == Phase::Jacobian;
+            let jacobian = matches!(work.systems[s].phase, Phase::Initial | Phase::Jacobian);
             if let Some(outcome) = work.consume(s, r, slot, &mut xs[s * n..(s + 1) * n], opts) {
                 work.systems[s].phase = Phase::Done;
                 outcomes[s] = Some(outcome);
@@ -556,9 +591,9 @@ mod tests {
     }
 
     /// One system of two unknowns on a script: round `i` is answered with
-    /// `answers[i]` (its residual, or its Jacobian when it asks for one)
-    /// and logged as `(asked for a Jacobian, point)`; a round past the
-    /// script is rejected, which ends the solve.
+    /// `answers[i]` (its residual, followed by its Jacobian when it asks
+    /// for one) and logged as `(asked for a Jacobian, point)`; a round past
+    /// the script is rejected, which ends the solve.
     struct Scripted {
         answers: Vec<Vec<f64>>,
         log: Vec<(bool, Vec<f64>)>,
@@ -569,19 +604,22 @@ mod tests {
             let jacobian = round.jacobian_rows == [0];
             self.log.push((jacobian, round.rows.to_vec()));
             match self.answers.get(self.log.len() - 1) {
-                Some(answer) if jacobian => round.jacobians.copy_from_slice(answer),
-                Some(answer) => round.out.copy_from_slice(answer),
+                Some(answer) => {
+                    let (residual, matrix) = answer.split_at(round.out.len());
+                    round.out.copy_from_slice(residual);
+                    round.jacobians.copy_from_slice(matrix);
+                }
                 None => round.rejected[0] = Some(SolverError::Rejected("end of script".into())),
             }
         }
     }
 
-    /// From `x = 0` with `F = (1, 0)` and `J = [[1, 1], [0, 1]]` the
-    /// Newton step is `s = (−1, 0)`; its trial answers `f_trial`, and the
-    /// script ends there.
+    /// From `x = 0` with `F = (1, 0)` and `J = [[1, 1], [0, 1]]`, both in
+    /// the start row, the Newton step is `s = (−1, 0)`; its trial answers
+    /// `f_trial`, and the script ends there.
     fn one_step(f_trial: [f64; 2]) -> Vec<(bool, Vec<f64>)> {
         let mut script = Scripted {
-            answers: vec![vec![1.0, 0.0], vec![1.0, 1.0, 0.0, 1.0], f_trial.to_vec()],
+            answers: vec![vec![1.0, 0.0, 1.0, 1.0, 0.0, 1.0], f_trial.to_vec()],
             log: Vec::new(),
         };
         let outcome = newton_rounds(
@@ -593,12 +631,8 @@ mod tests {
         );
         assert!(matches!(&outcome[..], [Err(SolverError::Rejected(_))]));
         assert_eq!(
-            script.log[..3],
-            [
-                (false, vec![0.0, 0.0]),
-                (true, vec![0.0, 0.0]),
-                (false, vec![-1.0, 0.0]),
-            ]
+            script.log[..2],
+            [(true, vec![0.0, 0.0]), (false, vec![-1.0, 0.0])]
         );
         script.log
     }
@@ -612,17 +646,18 @@ mod tests {
     impl Rounds for Linear {
         fn round(&mut self, round: Round<'_>) {
             let n = self.b.len();
-            let mut jacobians = round.jacobians.chunks_exact_mut(n * n);
-            for (i, x) in round.rows.chunks_exact(n).enumerate() {
-                if round.jacobian_rows.contains(&i) {
-                    jacobians.next().unwrap().copy_from_slice(&self.a);
-                } else {
-                    let out = &mut round.out[i * n..(i + 1) * n];
-                    matvec(&self.a, x, out);
-                    for (f, b) in out.iter_mut().zip(&self.b) {
-                        *f -= b;
-                    }
+            for (x, out) in round
+                .rows
+                .chunks_exact(n)
+                .zip(round.out.chunks_exact_mut(n))
+            {
+                matvec(&self.a, x, out);
+                for (f, b) in out.iter_mut().zip(&self.b) {
+                    *f -= b;
                 }
+            }
+            for jacobian in round.jacobians.chunks_exact_mut(n * n) {
+                jacobian.copy_from_slice(&self.a);
             }
         }
     }
@@ -656,9 +691,9 @@ mod tests {
         // `y = (−½, −½)` gives `w = J⁻¹y = (0, −½)` and `sᵀw = 0`: the
         // updated matrix is singular, and the next round asks for the
         // Jacobian at the new point.
-        assert_eq!(one_step([0.5, -0.5])[3], (true, vec![-1.0, 0.0]));
+        assert_eq!(one_step([0.5, -0.5])[2], (true, vec![-1.0, 0.0]));
         // Control: `y = (−½, −0.4)` gives `sᵀw = 0.1`, and the next round
         // is a trial along the Broyden direction.
-        assert!(!one_step([0.5, -0.4])[3].0);
+        assert!(!one_step([0.5, -0.4])[2].0);
     }
 }

@@ -7,10 +7,11 @@ use hddm_solver::{
 };
 
 /// `ForwardDifferences(f)`: `f(s, x, out)` writes system `s`'s residual at
-/// `x` into `out` or rejects `x`. A Jacobian request at `x` is answered
-/// column by column, `(F(x + h_j e_j) − F(x)) / h_j` with
-/// `h_j = 1e-7 · max(|x_j|, 1)` taken as the representable step, and is
-/// rejected with the first rejected column's error.
+/// `x` into `out` or rejects `x`. Every row gets its residual; a Jacobian
+/// row at `x` also gets its Jacobian, column by column,
+/// `(F(x + h_j e_j) − F(x)) / h_j` with `h_j = 1e-7 · max(|x_j|, 1)` taken
+/// as the representable step, and is rejected with the first rejected
+/// evaluation's error.
 pub struct ForwardDifferences<F>(pub F);
 
 impl<F> Rounds for ForwardDifferences<F>

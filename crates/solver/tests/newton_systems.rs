@@ -170,6 +170,8 @@ impl Rounds for Exact {
     fn round(&mut self, round: Round<'_>) {
         let mut requests = round.jacobian_rows.iter().enumerate().peekable();
         for (i, x) in round.rows.chunks_exact(2).enumerate() {
+            round.out[2 * i] = x[0] * x[0] - 2.0;
+            round.out[2 * i + 1] = x[0] * x[1] - 1.0;
             if let Some((slot, _)) = requests.next_if(|&(_, &row)| row == i) {
                 self.requests += 1;
                 if x[0] < 0.0 {
@@ -177,14 +179,13 @@ impl Rounds for Exact {
                 }
                 let jac = [2.0 * x[0], 0.0, x[1], x[0]];
                 round.jacobians[slot * 4..(slot + 1) * 4].copy_from_slice(&jac);
-            } else {
-                round.out[2 * i] = x[0] * x[0] - 2.0;
-                round.out[2 * i + 1] = x[0] * x[1] - 1.0;
             }
         }
     }
 }
 
+/// Every system's start row is a Jacobian row that carries its residual
+/// as well: a Jacobian is one request and adds no residual evaluation.
 #[test]
 fn a_supplied_jacobian_is_one_request_and_no_residual_row() {
     let opts = NewtonOptions::default();
@@ -203,13 +204,13 @@ fn a_supplied_jacobian_is_one_request_and_no_residual_row() {
         Err(SolverError::SingularJacobian { .. })
     ));
     assert!(matches!(reports[3], Err(SolverError::Rejected(_))));
-    let mut requests = 2; // the failed systems' one request each
+    let mut requests = 2; // the failed systems' start rows
     for s in [0, 2] {
         let report = reports[s].as_ref().expect("converges");
         let x = &xs[2 * s..2 * s + 2];
         assert!((x[0] - 2f64.sqrt()).abs() < 1e-9 && (x[1] - 0.5f64.sqrt()).abs() < 1e-9);
         requests += report.jacobian_evals;
-        // The initial residual and one accepted trial per iteration
+        // The start row's residual and one accepted trial per iteration
         // (no step is rejected on this system): a Jacobian adds none.
         assert_eq!(report.residual_evals, report.iterations + 1, "{report:?}");
         // The same root by finite differences.
