@@ -4,7 +4,8 @@
 //! (damped, line-searched) Newton method with caller-supplied Jacobians
 //! and Broyden updates between them, kept in product form on one LU per
 //! Jacobian, on one fixed schedule (the constants of [`newton`];
-//! [`NewtonOptions`] is the iteration budget), over a small
+//! [`NewtonOptions`] is the iteration budget, and the caller's
+//! [`Rounds::tolerance`] where a system stops), over a small
 //! self-contained dense linear algebra core. This substitutes for Ipopt
 //! [24] in the paper's pipeline (README, "Workspace layout").
 //!

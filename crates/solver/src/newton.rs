@@ -24,6 +24,13 @@
 //! arithmetic, same order), so results do not depend on which other
 //! systems share the block.
 //!
+//! A system stops at `‖F‖_∞ ≤ τ`, where `τ` is its caller's
+//! [`Rounds::tolerance`] at the system's start residual: [`TOLERANCE`]
+//! unless the caller needs less. A caller whose systems are the inner
+//! solves of an outer iteration can stop each one at a fraction of its own
+//! start residual — inexact Newton (Dembo, Eisenstat and Steihaug, 1982) —
+//! and `τ` then depends only on where the system starts.
+//!
 //! Broyden runs in product form ("good" Broyden with Sherman–Morrison;
 //! Dennis and Schnabel, 1983, §8.3; Kelley, 1995, ch. 7). A system
 //! factors only its true Jacobians. Between two of them its inverse
@@ -36,8 +43,8 @@
 use crate::linalg::{lu_factor, lu_solve, norm2, norm_inf, PIVOT_FLOOR};
 use crate::SolverError;
 
-/// Convergence tolerance on `‖F‖_∞`.
-const TOLERANCE: f64 = 1e-9;
+/// The default convergence tolerance on `‖F‖_∞` ([`Rounds::tolerance`]).
+pub const TOLERANCE: f64 = 1e-9;
 /// Armijo sufficient-decrease constant.
 const ARMIJO_C: f64 = 1e-4;
 /// Line-search backtracking factor.
@@ -56,10 +63,10 @@ const BROYDEN_REFRESH: usize = 5;
 const FACTORS: usize = BROYDEN_REFRESH - 1;
 
 /// Newton solver configuration: the iteration budget. The rest of the
-/// schedule is fixed: `‖F‖_∞ ≤ 1e-9`, Armijo constant `1e-4`,
-/// backtracking by `0.5` down to a step of `1e-10`, and a fresh Jacobian
-/// every 5 accepted steps with product-form Broyden updates of its LU in
-/// between.
+/// schedule is fixed: Armijo constant `1e-4`, backtracking by `0.5` down
+/// to a step of `1e-10`, and a fresh Jacobian every 5 accepted steps with
+/// product-form Broyden updates of its LU in between. The tolerance is
+/// the caller's ([`Rounds::tolerance`], `‖F‖_∞ ≤ 1e-9` by default).
 #[derive(Clone, Copy, Debug)]
 pub struct NewtonOptions {
     /// Maximum Newton iterations.
@@ -118,6 +125,14 @@ pub trait Rounds {
     /// too for a row in `jacobian_rows` — or rejects it. Rows the call
     /// neither writes nor rejects keep stale values.
     fn round(&mut self, round: Round<'_>);
+
+    /// The `τ` a system stops at (`‖F‖_∞ ≤ τ`), given `‖F(x₀)‖_∞` at its
+    /// start point; asked once per system, when its start row arrives.
+    /// [`TOLERANCE`] unless the caller solves less exactly.
+    fn tolerance(&self, start_residual: f64) -> f64 {
+        let _ = start_residual;
+        TOLERANCE
+    }
 }
 
 /// What a system asks the next round to evaluate.
@@ -148,6 +163,8 @@ struct System {
     alpha: f64,
     /// Merit `½‖F(x)‖²` the line search compares against.
     merit0: f64,
+    /// The `τ` of `‖F‖_∞ ≤ τ`, set from the start residual.
+    tolerance: f64,
     report: NewtonReport,
 }
 
@@ -189,6 +206,7 @@ impl NewtonWorkspace {
                 since_refresh: 0, // the start row brings the first Jacobian
                 alpha: 1.0,
                 merit0: 0.0,
+                tolerance: TOLERANCE,
                 report: NewtonReport::default(),
             },
         );
@@ -203,14 +221,16 @@ impl NewtonWorkspace {
     /// runs the system on until it needs another evaluation (`None`) or
     /// finishes (`Some`). `x` is the system's current iterate; `slot`
     /// counts the round's Jacobian requests before row `r`, so it indexes
-    /// this row's Jacobian if the row is one.
-    fn consume(
+    /// this row's Jacobian if the row is one; `rounds` sets a start row's
+    /// tolerance.
+    fn consume<R: Rounds + ?Sized>(
         &mut self,
         s: usize,
         r: usize,
         slot: usize,
         x: &mut [f64],
         opts: &NewtonOptions,
+        rounds: &R,
     ) -> Option<Result<NewtonReport, SolverError>> {
         let n = x.len();
         let sys = &mut self.systems[s];
@@ -222,6 +242,7 @@ impl NewtonWorkspace {
                 }
                 fx.copy_from_slice(&self.out[r * n..(r + 1) * n]);
                 sys.report.residual_evals += 1;
+                sys.tolerance = rounds.tolerance(norm_inf(fx));
                 // The first iteration takes the Jacobian that came with
                 // the residual, unless the guess has converged.
                 if let Some(outcome) = self.finished(s, n, opts) {
@@ -255,7 +276,7 @@ impl NewtonWorkspace {
                 // Jacobian anyway.
                 let k = sys.since_refresh;
                 let finishes =
-                    sys.iter + 1 >= opts.max_iterations || norm_inf(f_trial) <= TOLERANCE;
+                    sys.iter + 1 >= opts.max_iterations || norm_inf(f_trial) <= sys.tolerance;
                 if k + 1 < BROYDEN_REFRESH && !finishes {
                     let factors = &mut self.factors[s * FACTORS * 2 * n..][..(k + 1) * 2 * n];
                     let (stored, factor) = factors.split_at_mut(k * 2 * n);
@@ -315,7 +336,7 @@ impl NewtonWorkspace {
         let fx = &self.fx[s * n..(s + 1) * n];
         sys.report.residual_norm = norm_inf(fx);
         if sys.iter >= opts.max_iterations {
-            return Some(if sys.report.residual_norm <= TOLERANCE {
+            return Some(if sys.report.residual_norm <= sys.tolerance {
                 sys.report.iterations = opts.max_iterations;
                 Ok(sys.report)
             } else {
@@ -325,7 +346,7 @@ impl NewtonWorkspace {
             });
         }
         sys.report.iterations = sys.iter;
-        (sys.report.residual_norm <= TOLERANCE).then_some(Ok(sys.report))
+        (sys.report.residual_norm <= sys.tolerance).then_some(Ok(sys.report))
     }
 
     /// The top of iteration `sys.iter`: the end test, then either a
@@ -513,7 +534,8 @@ pub fn newton_rounds<R: Rounds + ?Sized>(
         for r in 0..count {
             let s = work.owners[r];
             let jacobian = matches!(work.systems[s].phase, Phase::Initial | Phase::Jacobian);
-            if let Some(outcome) = work.consume(s, r, slot, &mut xs[s * n..(s + 1) * n], opts) {
+            let x = &mut xs[s * n..(s + 1) * n];
+            if let Some(outcome) = work.consume(s, r, slot, x, opts, &*rounds) {
                 work.systems[s].phase = Phase::Done;
                 outcomes[s] = Some(outcome);
             }
@@ -682,6 +704,54 @@ mod tests {
         assert_eq!(report.iterations, 1, "{report:?}");
         for (got, want) in x.iter().zip([1.0, -2.0, 0.5]) {
             assert!((got - want).abs() < 1e-12, "{x:?}");
+        }
+    }
+
+    /// `F(x) = x² − 2` with its exact Jacobian, for systems that stop at
+    /// `share` of their start residual (`share = 0`: the default).
+    struct Sqrt2 {
+        share: f64,
+    }
+
+    impl Rounds for Sqrt2 {
+        fn round(&mut self, round: Round<'_>) {
+            for (f, x) in round.out.iter_mut().zip(round.rows) {
+                *f = x * x - 2.0;
+            }
+            for (slot, &i) in round.jacobian_rows.iter().enumerate() {
+                round.jacobians[slot] = 2.0 * round.rows[i];
+            }
+        }
+
+        fn tolerance(&self, start_residual: f64) -> f64 {
+            if self.share == 0.0 {
+                return TOLERANCE;
+            }
+            (self.share * start_residual).max(TOLERANCE)
+        }
+    }
+
+    #[test]
+    fn each_system_stops_at_the_tolerance_of_its_own_start() {
+        // From 2 and from 10 side by side in one block: each system stops
+        // at the share of its own start residual.
+        let solve = |share: f64| {
+            let mut xs = [2.0, 10.0];
+            let opts = NewtonOptions::default();
+            let mut rounds = Sqrt2 { share };
+            let reports = newton_rounds(1, &mut xs, &opts, &mut Default::default(), &mut rounds);
+            reports.into_iter().map(Result::unwrap).collect::<Vec<_>>()
+        };
+        let (full, inexact) = (solve(0.0), solve(1e-2));
+        for (s, x0) in [2.0f64, 10.0].into_iter().enumerate() {
+            let start = x0 * x0 - 2.0;
+            assert!(full[s].residual_norm <= TOLERANCE, "{:?}", full[s]);
+            assert!(inexact[s].residual_norm <= 1e-2 * start, "{:?}", inexact[s]);
+            assert!(inexact[s].residual_norm > TOLERANCE, "{:?}", inexact[s]);
+            assert!(
+                inexact[s].iterations < full[s].iterations,
+                "{inexact:?} {full:?}"
+            );
         }
     }
 
