@@ -13,8 +13,10 @@
 //! Newton workspace — that every frontier solve, warm-start evaluation
 //! and hierarchization borrows and gives back. A state that never leaves
 //! the start grid is compressed by putting its rows in the kit's chain
-//! order. A step still builds what refinement makes new: each refined
-//! grid, its incremental hierarchization and its compression.
+//! order, and so is every policy built on the start grid: the step-0
+//! policy and a warm start's ([`TimeIteration::warm`]). A step still
+//! builds what refinement makes new: each refined grid, its incremental
+//! hierarchization and its compression.
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -192,11 +194,12 @@ impl PhaseSpans {
 /// from (Algorithm 1, Fig. 2), its compression and hierarchization
 /// stencil, the driver's instruments, and a pool of worker buffers.
 ///
-/// Nothing is built before it is needed. The grid and its compression
-/// are the step-0 policy's ([`initial_policy`]); a driver resumed around
-/// a policy builds the grid at its first step and the compression only
-/// for a state that never refines. The stencil is built at the first
-/// step, and the pool holds as many buffer sets as were ever out at once.
+/// The grid is built with the driver; the rest when it is first needed.
+/// A policy built on the start grid ([`RunKit::policy`]: the step-0
+/// policy, a warm start's projection) builds the stencil and the
+/// compression; a driver resumed around a policy builds the stencil at
+/// its first step and the compression only for a state that never
+/// refines. The pool holds as many buffer sets as were ever out at once.
 /// `config` is public, so a step checks that the kit still fits it: a
 /// new start level (or model dimension) rebuilds the kit, a new registry
 /// re-resolves the spans.
@@ -223,23 +226,21 @@ impl RunKit {
         }
     }
 
-    /// The kit in `slot` made fit for a step of `config` over `dim`
-    /// dimensions: kept while its start level and dimension match (a new
+    /// The kit made fit for a step of `config` over `dim` dimensions:
+    /// kept while its start level and dimension match (replaced by a new
     /// one otherwise), its spans resolved from `config`'s registry.
-    fn fit<'k>(slot: &'k mut Option<RunKit>, dim: usize, config: &DriverConfig) -> &'k RunKit {
-        let fits = |kit: &RunKit| kit.start_level == config.start_level && kit.grid.dim() == dim;
-        if !slot.as_ref().is_some_and(fits) {
-            *slot = None;
+    fn fit(&mut self, dim: usize, config: &DriverConfig) -> &RunKit {
+        if self.start_level != config.start_level || self.grid.dim() != dim {
+            *self = RunKit::new(dim, config.start_level);
         }
-        let kit = slot.get_or_insert_with(|| RunKit::new(dim, config.start_level));
-        let current = match (&kit.spans, &config.telemetry) {
+        let current = match (&self.spans, &config.telemetry) {
             (Some(spans), Some(registry)) => spans.of(registry),
             (spans, registry) => spans.is_none() && registry.is_none(),
         };
         if !current {
-            kit.spans = config.telemetry.as_ref().map(PhaseSpans::resolve);
+            self.spans = config.telemetry.as_ref().map(PhaseSpans::resolve);
         }
-        kit
+        self
     }
 
     /// The start grid's compression, built at the first call.
@@ -251,6 +252,83 @@ impl RunKit {
     /// The start grid's hierarchization stencil, built at the first call.
     fn stencil(&self) -> &Stencil {
         self.stencil.get_or_init(|| Stencil::of(&self.grid))
+    }
+
+    /// The policy over `domain` on the start grid whose states take
+    /// `values`, one item per state of `ndofs` values per grid node in
+    /// grid order: hierarchized with the kit's stencil, its rows put in
+    /// the chain order of the kit's compression, which every state shares.
+    fn policy(
+        &self,
+        domain: BoxDomain,
+        ndofs: usize,
+        values: impl Iterator<Item = Vec<f64>>,
+    ) -> PolicySet {
+        let cg = self.compressed();
+        let states = values
+            .map(|mut rows| {
+                self.stencil().hierarchize(&mut rows, ndofs);
+                let chain_order = cg.reorder_rows(&rows, ndofs);
+                CompressedState::from_parts(cg.clone(), chain_order, ndofs)
+            })
+            .collect();
+        PolicySet::new(states, domain)
+    }
+
+    /// `state` at the unit-cube points `unit_rows`, as one batched
+    /// evaluation with `kernel` through `backend` in a lent buffer set.
+    fn evaluate(
+        &self,
+        kernel: KernelKind,
+        backend: &ExecutionBackend,
+        state: &CompressedState,
+        unit_rows: &[f64],
+    ) -> Vec<f64> {
+        let block = PointBlock::from_rows(self.grid.dim(), unit_rows);
+        let mut out = vec![0.0; block.len() * state.ndofs];
+        let scratch = &mut self.lend().buffers.oracle.scratch;
+        backend.evaluate_batch(kernel, state, &block, scratch, &mut out);
+        out
+    }
+
+    /// Projects the cached surface `cached` onto the box `lo`–`hi` on the
+    /// start grid: the cached interpolant, clamped into its own box (the
+    /// paper's domain truncation), evaluated at every grid node as one
+    /// batch per state (an observing backend re-uses the surface's device
+    /// residency across states), then made a policy on the kit.
+    fn project(
+        &self,
+        cached: &PolicySet,
+        lo: &[f64],
+        hi: &[f64],
+        kernel: KernelKind,
+        backend: &ExecutionBackend,
+    ) -> Result<PolicySet, ProjectionError> {
+        let dim = cached.domain.dim();
+        if [lo.len(), hi.len(), self.grid.dim()] != [dim; 3] {
+            return Err(ProjectionError::DimensionMismatch {
+                cached: dim,
+                target_lo: lo.len(),
+                target_hi: hi.len(),
+            });
+        }
+        if cached.states.num_states() == 0 {
+            return Err(ProjectionError::EmptySurface);
+        }
+        let target = BoxDomain::new(lo.to_vec(), hi.to_vec());
+        // Start grid → target box → clamped into the cached box → the
+        // cached surface's unit cube.
+        let nodes: Vec<u32> = (0..self.grid.len() as u32).collect();
+        let mut rows = unit_rows(&self.grid, &nodes);
+        let mut phys = vec![0.0; dim];
+        for unit in rows.chunks_exact_mut(dim) {
+            target.from_unit(unit, &mut phys);
+            cached.domain.clamp(&mut phys);
+            cached.domain.to_unit(&phys, unit);
+        }
+        let values = cached.states.states().iter();
+        let values = values.map(|state| self.evaluate(kernel, backend, state, &rows));
+        Ok(self.policy(target, cached.states.ndofs(), values))
     }
 
     /// Lends a buffer set from the pool — a fresh one when every set is
@@ -340,37 +418,62 @@ pub struct TimeIteration<M: StepModel, C: Comm = SerialComm> {
     pub policy: PolicySet,
     step: usize,
     world: C,
-    /// What every step shares; `None` until a step (or the step-0
-    /// policy) needs it.
-    kit: Option<RunKit>,
+    /// What every step shares.
+    kit: RunKit,
 }
 
-/// Builds the step-0 policy: the constant row `p⁰ = initial_row` on the
-/// kit's start grid, one interpolant per discrete state. Pure function of
-/// the model and the start level, so every rank of a world constructs an
-/// identical copy without communication.
-pub(crate) fn initial_policy<M: StepModel>(model: &M, kit: &RunKit) -> PolicySet {
-    let (lo, hi) = model.bounds();
-    let domain = BoxDomain::new(lo, hi);
-    let ndofs = model.ndofs();
-    let row = model.initial_row();
-    assert_eq!(row.len(), ndofs);
-    let grid = &kit.grid;
-    // A constant function hierarchizes to a single root surplus; build
-    // it directly.
-    let mut values = vec![0.0; grid.len() * ndofs];
-    for chunk in values.chunks_exact_mut(ndofs) {
-        chunk.copy_from_slice(&row);
+/// Why a cached surface could not be projected onto a target domain box.
+/// Surfaces arriving from a persistent directory are data, not code:
+/// incompatibilities must surface as errors a caller can catch (and fall
+/// back to a cold start), never as panics.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ProjectionError {
+    /// The target box dimensionality differs from the cached surface's.
+    DimensionMismatch {
+        /// Dimensionality of the cached surface's domain.
+        cached: usize,
+        /// Dimensionality of the requested target box (lo/hi lengths).
+        target_lo: usize,
+        /// Length of the target upper-bound vector.
+        target_hi: usize,
+    },
+    /// The cached surface has no discrete states to project.
+    EmptySurface,
+}
+
+impl std::fmt::Display for ProjectionError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::DimensionMismatch {
+                cached,
+                target_lo,
+                target_hi,
+            } => write!(
+                f,
+                "projection dimension mismatch: cached surface is {cached}-dimensional, \
+                 target box is {target_lo}/{target_hi}"
+            ),
+            Self::EmptySurface => write!(f, "cached surface has no discrete states"),
+        }
     }
-    hddm_asg::hierarchize(grid, &mut values, ndofs);
-    // One compression serves every state, and the kit keeps it for the
-    // states of later steps that stay on the start grid.
-    let cg = kit.compressed();
-    let chain_order = cg.reorder_rows(&values, ndofs);
-    let states = (0..model.num_states())
-        .map(|_| CompressedState::from_parts(cg.clone(), chain_order.clone(), ndofs))
-        .collect();
-    PolicySet::new(states, domain)
+}
+
+impl std::error::Error for ProjectionError {}
+
+/// Projects a cached policy surface onto the box `target_lo`–`target_hi`
+/// on the level-`start_level` regular grid, with `kernel` through
+/// `backend`: the warm-start `p⁰` of [`TimeIteration::warm`], built on a
+/// kit of its own.
+pub fn project_policy_with(
+    cached: &PolicySet,
+    target_lo: &[f64],
+    target_hi: &[f64],
+    start_level: u8,
+    kernel: KernelKind,
+    backend: &ExecutionBackend,
+) -> Result<PolicySet, ProjectionError> {
+    let kit = RunKit::new(cached.domain.dim(), start_level);
+    kit.project(cached, target_lo, target_hi, kernel, backend)
 }
 
 impl<M: StepModel> TimeIteration<M> {
@@ -380,45 +483,69 @@ impl<M: StepModel> TimeIteration<M> {
         TimeIteration::over(SerialComm, model, config)
     }
 
+    /// Starts a single-process driver from a cached policy surface: its
+    /// step-0 policy is `cached` projected onto the model's box on the
+    /// start grid, with `config`'s kernel and backend, on the run's own
+    /// kit. A surface whose dimension is not the model's is an error.
+    pub fn warm(
+        model: M,
+        config: DriverConfig,
+        cached: &PolicySet,
+    ) -> Result<Self, ProjectionError> {
+        let kit = RunKit::new(model.dim(), config.start_level);
+        let (lo, hi) = model.bounds();
+        let policy = kit.project(cached, &lo, &hi, config.kernel, &config.backend)?;
+        Ok(TimeIteration {
+            model,
+            config,
+            policy,
+            step: 0,
+            world: SerialComm,
+            kit,
+        })
+    }
+
     /// Rebuilds a single-process driver around an existing policy (the
     /// checkpoint-resume path): no initial-guess construction, the supplied
     /// policy *is* the current `pnext` and `step` continues the original
     /// counter.
     pub fn with_policy(model: M, config: DriverConfig, policy: PolicySet, step: usize) -> Self {
         assert_eq!(
-            policy.domain.dim(),
-            model.dim(),
-            "policy/model dim mismatch"
+            (policy.domain.dim(), policy.states.num_states()),
+            (model.dim(), model.num_states()),
+            "policy/model (dim, state count) mismatch"
         );
-        assert_eq!(
-            policy.states.num_states(),
-            model.num_states(),
-            "policy/model state count mismatch"
-        );
+        let kit = RunKit::new(model.dim(), config.start_level);
         TimeIteration {
             model,
             config,
             policy,
             step,
             world: SerialComm,
-            kit: None,
+            kit,
         }
     }
 }
 
 impl<M: StepModel, C: Comm> TimeIteration<M, C> {
     /// Initializes this rank's driver of a run over `world` with the
-    /// constant policy `p⁰`; every rank of the world must make one.
+    /// constant policy `p⁰ = initial_row` on the start grid; every rank
+    /// of the world must make one. It is a pure function of the model
+    /// and the start level, so the ranks agree without communication.
     pub fn over(world: C, model: M, config: DriverConfig) -> Self {
         let kit = RunKit::new(model.dim(), config.start_level);
-        let policy = initial_policy(&model, &kit);
+        let (lo, hi) = model.bounds();
+        let row = model.initial_row();
+        assert_eq!(row.len(), model.ndofs());
+        let values = (0..model.num_states()).map(|_| row.repeat(kit.grid.len()));
+        let policy = kit.policy(BoxDomain::new(lo, hi), row.len(), values);
         TimeIteration {
             model,
             config,
             policy,
             step: 0,
             world,
-            kit: Some(kit),
+            kit,
         }
     }
 
@@ -433,7 +560,7 @@ impl<M: StepModel, C: Comm> TimeIteration<M, C> {
     /// policy after it.
     pub fn step(&mut self) -> StepReport {
         let start = Instant::now();
-        let kit = RunKit::fit(&mut self.kit, self.model.dim(), &self.config);
+        let kit = self.kit.fit(self.model.dim(), &self.config);
         let (model, config, policy, world) = (&self.model, &self.config, &self.policy, &self.world);
         let ns = model.num_states();
         let ndofs = model.ndofs();
@@ -714,28 +841,6 @@ fn unit_rows(grid: &SparseGrid, points: &[u32]) -> Vec<f64> {
     rows
 }
 
-/// `pnext(z)` at the unit-cube points `unit_rows`, as one batched
-/// evaluation through the backend in a buffer set lent by `kit`.
-fn evaluate_pnext(
-    policy: &PolicySet,
-    config: &DriverConfig,
-    kit: &RunKit,
-    z: usize,
-    unit_rows: &[f64],
-) -> Vec<f64> {
-    let state = policy.states.state(z);
-    let block = PointBlock::from_rows(policy.domain.dim(), unit_rows);
-    let mut out = vec![0.0; block.len() * state.ndofs];
-    config.backend.evaluate_batch(
-        config.kernel,
-        state,
-        &block,
-        &mut kit.lend().buffers.oracle.scratch,
-        &mut out,
-    );
-    out
-}
-
 /// What [`solve_frontier`] returns.
 struct FrontierSolve {
     /// The solved dof rows, in the order of the requested points.
@@ -772,7 +877,8 @@ fn solve_frontier<M: StepModel>(
     let ndofs = model.ndofs();
     let dim = model.dim();
     let units = unit_rows(grid, points);
-    let warm_rows = evaluate_pnext(policy, config, kit, z, &units);
+    let state = policy.states.state(z);
+    let warm_rows = kit.evaluate(config.kernel, &config.backend, state, &units);
     let mut rows = vec![0.0; points.len() * ndofs];
     let failure_count = AtomicUsize::new(0);
 
@@ -1258,6 +1364,94 @@ mod tests {
                 assert!((a[k] - want[k]).abs() < 1e-10, "grid point {i} dof {k}");
             }
         }
+    }
+
+    /// A one-state policy set interpolating `f(x_phys) = a·x₀ + b·x₁`
+    /// over `domain`, built without a kit.
+    fn linear_policy(domain: &BoxDomain, a: f64, b: f64) -> PolicySet {
+        let grid = regular_grid(2, 3);
+        let mut phys = vec![0.0; 2];
+        let mut values = hddm_asg::tabulate(&grid, 1, |unit, out| {
+            domain.from_unit(unit, &mut phys);
+            out[0] = a * phys[0] + b * phys[1];
+        });
+        hddm_asg::hierarchize(&grid, &mut values, 1);
+        let cg = CompressedGrid::build(&grid);
+        let reordered = cg.reorder_rows(&values, 1);
+        PolicySet::new(
+            vec![CompressedState::from_parts(cg, reordered, 1)],
+            domain.clone(),
+        )
+    }
+
+    #[test]
+    fn projection_reproduces_the_surface_on_an_overlapping_box() {
+        // Cached: linear surface on [0,1]². Target: the sub-box
+        // [0.2,0.8]×[0.1,0.9]. A piecewise-linear interpolant of a linear
+        // function is exact, so the projection must reproduce the
+        // function on the whole target box.
+        let domain = BoxDomain::new(vec![0.0, 0.0], vec![1.0, 1.0]);
+        let cached = linear_policy(&domain, 2.0, -1.0);
+        let projected = project_policy_with(
+            &cached,
+            &[0.2, 0.1],
+            &[0.8, 0.9],
+            3,
+            KernelKind::X86,
+            &ExecutionBackend::Cpu,
+        )
+        .unwrap();
+        let mut oracle = projected.oracle(KernelKind::X86);
+        let mut out = [0.0];
+        for probe in [[0.25, 0.3], [0.5, 0.5], [0.75, 0.85]] {
+            oracle.eval(0, &probe, &mut out);
+            let want = 2.0 * probe[0] - probe[1];
+            assert!(
+                (out[0] - want).abs() < 1e-10,
+                "probe {probe:?}: {} vs {want}",
+                out[0]
+            );
+        }
+    }
+
+    #[test]
+    fn projection_rejects_incompatible_surfaces_without_panicking() {
+        let domain = BoxDomain::new(vec![0.0, 0.0], vec![1.0, 1.0]);
+        let cached = linear_policy(&domain, 1.0, 0.0);
+        // Wrong target dimensionality: typed error, no assert.
+        let project = |lo: &[f64], hi: &[f64]| {
+            project_policy_with(&cached, lo, hi, 3, KernelKind::X86, &ExecutionBackend::Cpu)
+        };
+        let err = project(&[0.2], &[0.8]).unwrap_err();
+        assert_eq!(
+            err,
+            ProjectionError::DimensionMismatch {
+                cached: 2,
+                target_lo: 1,
+                target_hi: 1
+            }
+        );
+        // Mismatched lo/hi lengths are caught too (previously an assert
+        // inside BoxDomain).
+        let err = project(&[0.2, 0.1], &[0.8]).unwrap_err();
+        assert!(matches!(err, ProjectionError::DimensionMismatch { .. }));
+        // A warm start of a model of another dimension is refused the
+        // same way.
+        let model = Contraction { dim: 3, states: 1 };
+        let warm = TimeIteration::warm(model, DriverConfig::default(), &cached);
+        assert_eq!(
+            warm.err(),
+            Some(ProjectionError::DimensionMismatch {
+                cached: 2,
+                target_lo: 3,
+                target_hi: 3
+            })
+        );
+        // Both variants render a diagnostic.
+        assert!(err.to_string().contains("dimension mismatch"));
+        assert!(ProjectionError::EmptySurface
+            .to_string()
+            .contains("no discrete states"));
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   so one process and a world of ranks run the identical step: per-state
 //!   groups sized ∝ `M_z`, per-level frontier partitioning + allgather
 //!   merge, and an exchange of the states a rank did not build (one
-//!   process is a world of one rank, which exchanges nothing);
+//!   process is a world of one rank, which exchanges nothing); a run
+//!   starts cold, resumed, or warm from a cached surface;
 //! * [`policy`] — per-state compressed interpolants + the kernel-backed
 //!   policy oracle (domain clamping, unit-cube scaling);
 //! * [`olg_step`] — the [`StepModel`] implementation for
@@ -36,6 +37,8 @@ pub mod policy;
 pub mod record;
 
 pub use checkpoint::Checkpoint;
-pub use driver::{DriverConfig, StepModel, StepReport, TimeIteration};
+pub use driver::{
+    project_policy_with, DriverConfig, ProjectionError, StepModel, StepReport, TimeIteration,
+};
 pub use olg_step::OlgStep;
 pub use policy::{AsgOracle, OracleBuffers, PolicySet};

@@ -3,8 +3,9 @@
 //! extends its state level by level instead of recompressing, and on a
 //! world of several ranks each rank compresses every state once, built or
 //! received. A state that never leaves the start grid is not compressed
-//! at all: the run's kit compressed the start grid once, and the state's
-//! rows only go into its chain order. The tests read the exact delta of
+//! at all: the run's kit compressed the start grid once (for the step-0
+//! policy, a warm start's projection or the first such state), and the
+//! state's rows only go into its chain order. The tests read the exact delta of
 //! the process-wide `hddm_compress_builds_total` counter, so they hold a
 //! lock of this process while they run.
 
@@ -92,6 +93,13 @@ fn a_run_that_never_refines_compresses_once() {
     let before = builds_total();
     let mut resumed = TimeIteration::with_policy(model(), config.clone(), ti.policy.clone(), 4);
     assert_eq!(resumed.run().len(), 4);
+    assert_eq!(builds_total() - before, 1, "one compression per run");
+
+    // A warm start's projection compresses the start grid on the run's
+    // kit, and its steps reuse that compression.
+    let before = builds_total();
+    let mut warm = TimeIteration::warm(model(), config.clone(), &ti.policy).expect("same shape");
+    assert_eq!(warm.run().len(), 4);
     assert_eq!(builds_total() - before, 1, "one compression per run");
 
     // Two ranks each build one state and receive the other, still on the

@@ -16,10 +16,11 @@
 //! every rank of 1–4 ranks and under `avx512`. A hash moves with the last
 //! bit of any surplus, so the cold solve also pins what a change to
 //! Newton's rounding must keep: its grid, no failed point, its Euler
-//! errors to ten significant digits, and its step reports.
+//! errors to ten significant digits, and its step reports. A warm start
+//! from a refined surface is pinned the same way, policy and reports.
 
 use hddm_cluster::ThreadComm;
-use hddm_core::{DriverConfig, OlgStep, PolicySet, StepReport, TimeIteration};
+use hddm_core::{project_policy_with, DriverConfig, OlgStep, PolicySet, StepReport, TimeIteration};
 use hddm_kernels::KernelKind;
 use hddm_olg::{euler_errors_on_box, Calibration, OlgModel, PolicyOracle};
 use hddm_sched::PoolConfig;
@@ -189,6 +190,47 @@ fn the_shared_grid_economy_solves_to_its_pinned_policy_on_any_rank_count() {
         let model = OlgModel::new(Calibration::small(10, 7, 4, 0.04));
         TimeIteration::over(world, OlgStep::new(model), config.clone())
     });
+}
+
+/// A warm start as the scenario engine makes one: a source economy solved
+/// until its states refine off the start grid, so the projection walks a
+/// grid other than the target's, and a neighbouring calibration of the
+/// same shape run from that surface. [`TimeIteration::warm`] and
+/// [`project_policy_with`] + [`TimeIteration::with_policy`] reach the same
+/// pinned policy and step reports.
+#[test]
+fn a_warm_start_from_a_refined_surface_reaches_its_pinned_policy() {
+    let config = DriverConfig {
+        refine_epsilon: Some(5e-3),
+        max_level: 3,
+        max_steps: 3,
+        tolerance: 0.0,
+        pool: PoolConfig {
+            threads: 1,
+            grain: 4,
+        },
+        ..Default::default()
+    };
+    let source = OlgModel::new(Calibration::small(4, 3, 2, 0.05));
+    let mut source = TimeIteration::new(OlgStep::new(source), config.clone());
+    source.run();
+    let surface = &source.policy;
+    let target = || OlgStep::new(OlgModel::new(Calibration::small(4, 3, 2, 0.06)));
+
+    let warm = TimeIteration::warm(target(), config.clone(), surface).expect("same shape");
+    let step = target();
+    let (lo, hi) = (&step.model.lower, &step.model.upper);
+    let (level, kernel, backend) = (config.start_level, config.kernel, &config.backend);
+    let projected =
+        project_policy_with(surface, lo, hi, level, kernel, backend).expect("same shape");
+    assert_ne!(surface.points_per_state(), projected.points_per_state());
+    let resumed = TimeIteration::with_policy(step, config, projected, 0);
+
+    for (path, mut ti) in [("warm", warm), ("project + with_policy", resumed)] {
+        let reports = ti.run();
+        assert_eq!(policy_hash(&ti.policy), 0xb071_66b9_97fa_7ff4, "{path}");
+        assert_eq!(report_hash(&reports), 0xdc98_1a4d_2a0c_509d, "{path}");
+    }
 }
 
 /// The benchmark's `solve_cold` (8 s in a debug build, so release only).

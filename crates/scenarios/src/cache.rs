@@ -64,10 +64,7 @@ use std::thread::JoinHandle;
 
 use serde::Serialize;
 
-use hddm_asg::{regular_grid, BoxDomain, Stencil};
-use hddm_compress::CompressedGrid;
 use hddm_core::PolicySet;
-use hddm_kernels::{CompressedState, ExecutionBackend, KernelKind, PointBlock, Scratch};
 use hddm_telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::hash::{fingerprint_distance, HashId};
@@ -1159,122 +1156,12 @@ fn shard_of(hash: u64) -> usize {
     (hash as usize) % SHARD_COUNT
 }
 
-/// Why a cached surface could not be projected onto a target domain box.
-/// Surfaces arriving from a persistent directory are data, not code:
-/// incompatibilities must surface as errors the executor can catch (and
-/// fall back to a cold solve), never as panics.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ProjectionError {
-    /// The target box dimensionality differs from the cached surface's.
-    DimensionMismatch {
-        /// Dimensionality of the cached surface's domain.
-        cached: usize,
-        /// Dimensionality of the requested target box (lo/hi lengths).
-        target_lo: usize,
-        /// Length of the target upper-bound vector.
-        target_hi: usize,
-    },
-    /// The cached surface has no discrete states to project.
-    EmptySurface,
-}
-
-impl std::fmt::Display for ProjectionError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ProjectionError::DimensionMismatch {
-                cached,
-                target_lo,
-                target_hi,
-            } => write!(
-                f,
-                "projection dimension mismatch: cached surface is {cached}-dimensional, \
-                 target box is {target_lo}/{target_hi}"
-            ),
-            ProjectionError::EmptySurface => {
-                write!(f, "cached surface has no discrete states")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ProjectionError {}
-
-/// Projects a cached policy surface onto a new scenario's domain box:
-/// evaluates the cached interpolant (clamped into its own box, the
-/// paper's domain truncation) on the target's start-level regular grid,
-/// hierarchizes, and compresses — producing the warm-start `p⁰` in
-/// exactly the representation the driver iterates on.
-///
-/// The whole target grid is mapped into the cached surface's unit cube
-/// once and evaluated per state as **one batched kernel call** through
-/// `backend` (an observing backend re-uses the cached surface's device
-/// residency across states and requests) instead of one single-point
-/// interpolation per grid point, and the target grid is compressed once —
-/// the two hot costs of admitting a warm start on the serving path. Its
-/// hierarchization [`Stencil`] is built once too.
-pub fn project_policy_with(
-    cached: &PolicySet,
-    target_lo: &[f64],
-    target_hi: &[f64],
-    start_level: u8,
-    kernel: KernelKind,
-    backend: &ExecutionBackend,
-) -> Result<PolicySet, ProjectionError> {
-    let dim = cached.domain.dim();
-    if target_lo.len() != dim || target_hi.len() != dim {
-        return Err(ProjectionError::DimensionMismatch {
-            cached: dim,
-            target_lo: target_lo.len(),
-            target_hi: target_hi.len(),
-        });
-    }
-    if cached.states.num_states() == 0 {
-        return Err(ProjectionError::EmptySurface);
-    }
-    let ndofs = cached.states.state(0).ndofs;
-    let target = BoxDomain::new(target_lo.to_vec(), target_hi.to_vec());
-    let grid = regular_grid(dim, start_level);
-
-    // Target grid → target physical box → clamped into the cached box →
-    // the cached surface's unit cube, gathered into one SoA block.
-    let mut rows = Vec::with_capacity(grid.len() * dim);
-    let mut unit = vec![0.0; dim];
-    let mut phys = vec![0.0; dim];
-    let mut cached_unit = vec![0.0; dim];
-    for i in 0..grid.len() {
-        grid.unit_point_of(i, &mut unit);
-        target.from_unit(&unit, &mut phys);
-        cached.domain.clamp(&mut phys);
-        cached.domain.to_unit(&phys, &mut cached_unit);
-        rows.extend_from_slice(&cached_unit);
-    }
-    let block = PointBlock::from_rows(dim, &rows);
-
-    let cg = CompressedGrid::build(&grid); // shared by every state
-    let stencil = Stencil::of(&grid);
-    let mut scratch = Scratch::default();
-    let states = (0..cached.states.num_states())
-        .map(|z| {
-            let mut values = vec![0.0; grid.len() * ndofs];
-            backend.evaluate_batch(
-                kernel,
-                cached.states.state(z),
-                &block,
-                &mut scratch,
-                &mut values,
-            );
-            stencil.hierarchize(&mut values, ndofs);
-            let reordered = cg.reorder_rows(&values, ndofs);
-            CompressedState::from_parts(cg.clone(), reordered, ndofs)
-        })
-        .collect();
-    Ok(PolicySet::new(states, target))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hddm_asg::{hierarchize, tabulate};
+    use hddm_asg::{hierarchize, regular_grid, tabulate, BoxDomain};
+    use hddm_compress::CompressedGrid;
+    use hddm_kernels::{CompressedState, KernelKind};
     use hddm_olg::PolicyOracle;
     use std::sync::mpsc;
     use std::time::Duration;
@@ -1429,36 +1316,6 @@ mod tests {
     }
 
     #[test]
-    fn projection_reproduces_the_surface_on_an_overlapping_box() {
-        // Cached: linear surface on [0,1]². Target: the sub-box
-        // [0.2,0.8]×[0.1,0.9]. A piecewise-linear interpolant of a linear
-        // function is exact, so the projection must reproduce the
-        // function on the whole target box.
-        let domain = BoxDomain::new(vec![0.0, 0.0], vec![1.0, 1.0]);
-        let cached = linear_policy(&domain, 2.0, -1.0);
-        let projected = project_policy_with(
-            &cached,
-            &[0.2, 0.1],
-            &[0.8, 0.9],
-            3,
-            KernelKind::X86,
-            &ExecutionBackend::Cpu,
-        )
-        .unwrap();
-        let mut oracle = projected.oracle(KernelKind::X86);
-        let mut out = [0.0];
-        for probe in [[0.25, 0.3], [0.5, 0.5], [0.75, 0.85]] {
-            oracle.eval(0, &probe, &mut out);
-            let want = 2.0 * probe[0] - probe[1];
-            assert!(
-                (out[0] - want).abs() < 1e-10,
-                "probe {probe:?}: {} vs {want}",
-                out[0]
-            );
-        }
-    }
-
-    #[test]
     fn exact_hash_collisions_are_demoted_to_misses() {
         // Same hash, incompatible shape or fingerprint: serving the entry
         // as an exact hit would restore an unusable surface. The lookup
@@ -1500,34 +1357,6 @@ mod tests {
             cache.lookup(77, shape(), &[0.95, 2.0], true),
             Lookup::Exact(_)
         ));
-    }
-
-    #[test]
-    fn projection_rejects_incompatible_surfaces_without_panicking() {
-        let domain = BoxDomain::new(vec![0.0, 0.0], vec![1.0, 1.0]);
-        let cached = linear_policy(&domain, 1.0, 0.0);
-        // Wrong target dimensionality: typed error, no assert.
-        let project = |lo: &[f64], hi: &[f64]| {
-            project_policy_with(&cached, lo, hi, 3, KernelKind::X86, &ExecutionBackend::Cpu)
-        };
-        let err = project(&[0.2], &[0.8]).unwrap_err();
-        assert_eq!(
-            err,
-            ProjectionError::DimensionMismatch {
-                cached: 2,
-                target_lo: 1,
-                target_hi: 1
-            }
-        );
-        // Mismatched lo/hi lengths are caught too (previously an assert
-        // inside BoxDomain).
-        let err = project(&[0.2, 0.1], &[0.8]).unwrap_err();
-        assert!(matches!(err, ProjectionError::DimensionMismatch { .. }));
-        // Both variants render a diagnostic.
-        assert!(err.to_string().contains("dimension mismatch"));
-        assert!(ProjectionError::EmptySurface
-            .to_string()
-            .contains("no discrete states"));
     }
 
     #[test]

@@ -31,7 +31,7 @@ use hddm_sched::{parallel_for_init, PoolConfig};
 use hddm_solver::NewtonOptions;
 use hddm_telemetry::Registry;
 
-use crate::cache::{project_policy_with, Lookup, ShapeKey, SurfaceCache};
+use crate::cache::{Lookup, ShapeKey, SurfaceCache};
 use crate::hash::{fingerprint, scenario_hash, HashId};
 use crate::persist::EvictionPolicy;
 use crate::report::{CacheKind, ScenarioReport, SweepReport};
@@ -200,48 +200,49 @@ fn solve_one(
         ));
     }
 
-    let model = scenario
-        .build_model()
-        .map_err(|reason| ExecutorError::Model {
-            name: scenario.name.clone(),
-            reason,
-        })?;
     let newton = NewtonOptions {
         max_iterations: scenario.solve.newton_max_iterations,
     };
-    let step = OlgStep { model, newton };
+    let step = || -> Result<OlgStep, ExecutorError> {
+        let model = scenario
+            .build_model()
+            .map_err(|reason| ExecutorError::Model {
+                name: scenario.name.clone(),
+                reason,
+            })?;
+        Ok(OlgStep { model, newton })
+    };
     let registry = cache.registry().clone();
-    let dconfig = driver_config(scenario, config.backend.clone(), registry.clone());
+    let dconfig = || driver_config(scenario, config.backend.clone(), registry.clone());
 
-    let (mut ti, cache_tag, warm_source) = match looked_up {
-        Lookup::Warm(surface) => match project_policy_with(
-            surface.restore_policy(),
-            &step.model.lower,
-            &step.model.upper,
-            scenario.solve.start_level,
-            dconfig.kernel,
-            &config.backend,
-        ) {
-            Ok(projected) => (
-                TimeIteration::with_policy(step, dconfig, projected, 0),
-                CacheKind::Warm,
-                Some(HashId(surface.hash)),
-            ),
-            Err(e) => {
-                // An incompatible cached surface (possible once surfaces
-                // arrive from disk) must not abort the sweep: fall back
-                // to the cold start the scenario would have had anyway.
-                eprintln!(
-                    "hddm-scenarios: warning: warm start of {:?} from surface \
-                     {} failed ({e}); solving cold",
-                    scenario.name,
-                    HashId(surface.hash)
-                );
-                (TimeIteration::new(step, dconfig), CacheKind::Cold, None)
+    let warm = match looked_up {
+        Lookup::Warm(surface) => {
+            match TimeIteration::warm(step()?, dconfig(), surface.restore_policy()) {
+                Ok(ti) => Some((ti, HashId(surface.hash))),
+                Err(e) => {
+                    // An incompatible cached surface (possible once
+                    // surfaces arrive from disk) must not abort the sweep:
+                    // fall back to the cold start the scenario would have
+                    // had anyway.
+                    eprintln!(
+                        "hddm-scenarios: warning: warm start of {:?} from surface \
+                         {} failed ({e}); solving cold",
+                        scenario.name,
+                        HashId(surface.hash)
+                    );
+                    None
+                }
             }
-        },
-        Lookup::Miss => (TimeIteration::new(step, dconfig), CacheKind::Cold, None),
+        }
+        Lookup::Miss => None,
         Lookup::Exact(_) => unreachable!("exact hits return early"),
+    };
+    let (mut ti, cache_tag, warm_source) = match warm {
+        Some((ti, source)) => (ti, CacheKind::Warm, Some(source)),
+        None => {
+            let ti = TimeIteration::new(step()?, dconfig());
+            (ti, CacheKind::Cold, None)
+        }
     };
 
     let reports = ti.run();

@@ -53,11 +53,11 @@ pub mod report;
 pub mod scenario;
 
 pub use cache::{
-    project_policy_with, CacheStats, CachedSurface, Lookup, NeighbourInfo, ProjectionError,
-    RestoreHook, ShapeKey, SurfaceCache,
+    CacheStats, CachedSurface, Lookup, NeighbourInfo, RestoreHook, ShapeKey, SurfaceCache,
 };
 pub use executor::{run_batch, run_set, run_single, BatchHandle, ExecutorConfig, ExecutorError};
 pub use hash::{fingerprint, fingerprint_distance, scenario_hash, HashId, ScenarioHasher};
+pub use hddm_core::{project_policy_with, ProjectionError};
 pub use persist::EvictionPolicy;
 pub use report::{CacheKind, ScenarioReport, SweepReport};
 pub use scenario::{Knob, Scenario, ScenarioSet, SolveSettings};

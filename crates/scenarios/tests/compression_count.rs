@@ -1,8 +1,9 @@
-//! A sweep compresses once per scenario it solves, plus what warm-start
-//! projection compresses, not once per state per step: every scenario's
-//! states stay on the level-2 start grid, and each run's kit compresses
-//! that grid once. One `#[test]` in a process of its own, so the exact
-//! delta of the process-wide `hddm_compress_builds_total` counter holds.
+//! A sweep compresses exactly once per scenario it solves, not once per
+//! state per step: every scenario's states stay on the level-2 start grid,
+//! and each run's kit compresses that grid once — for the cold run's
+//! step-0 policy or a warm run's projection, and no step compresses it
+//! again. One `#[test]` in a process of its own, so the exact delta of the
+//! process-wide `hddm_compress_builds_total` counter holds.
 
 use hddm_compress::builds_total;
 use hddm_olg::Calibration;
@@ -31,5 +32,5 @@ fn a_sweep_compresses_once_per_run() {
         (report.cold_solves, report.warm_starts, steps),
         (1, 31, 429)
     );
-    assert!(builds <= 64, "{builds} compressions for 32 runs");
+    assert_eq!(builds, 32, "one compression per run");
 }

@@ -417,10 +417,14 @@ fn one_time_iteration_step() {
 }
 
 // A time-iteration run builds what its steps share once: the start grid,
-// its stencil and the workers' buffers come from the run's kit
-// (`RunKit` in `driver.rs`), whose pool lends a buffer set to every
-// frontier solve, warm-start evaluation and hierarchization. No step
-// builds them again beside it.
+// its stencil, its compression and the workers' buffers come from the
+// run's kit (`RunKit` in `driver.rs`), whose pool lends a buffer set to
+// every frontier solve, warm-start evaluation and hierarchization. Every
+// policy on the start grid — the step-0 policy, a warm start's projection
+// — is hierarchized by the kit's stencil, never by the free
+// `hierarchize(`. No step builds them again beside it, and neither does
+// the scenario engine or the serving front-end: a warm start is
+// `TimeIteration::warm`.
 #[test]
 fn one_kit_per_run() {
     let file = "crates/core/src/driver.rs";
@@ -440,20 +444,47 @@ fn one_kit_per_run() {
             }
         })
         .collect();
+    // A call of the free function, not the stencil's method.
+    let free_hierarchize = |l: &str| {
+        l.match_indices("hierarchize(").any(|(at, _)| {
+            let before = l[..at].chars().next_back();
+            before != Some('.') && !is_word(before)
+        })
+    };
     let mut failures = flag(
         hits(file, &outside, |l| {
             ["regular_grid(", "Stencil::of(", "Scratch::default()"]
                 .iter()
                 .any(|call| l.contains(call))
+                || free_hierarchize(l)
         }),
         format!(
-            "FAIL: {file} builds a start grid, a stencil or worker buffers outside `{head}`; \
-             a step borrows them from the run's kit"
+            "FAIL: {file} builds a start grid, a stencil or worker buffers, or hierarchizes \
+             without the kit's stencil, outside `{head}`; a step borrows them from the run's kit"
         ),
     );
     if !code.lines().any(|l| l == head) {
         failures.push(format!("FAIL: {file} has no run kit (`{head}`)"));
     }
+    let engines = [
+        rust_files("crates/scenarios/src"),
+        rust_files("crates/serve/src"),
+    ]
+    .concat();
+    failures.extend(flag(
+        live_hits(&engines, |l| {
+            [
+                "regular_grid(",
+                "Stencil::of(",
+                "CompressedGrid::build(",
+                "Scratch::default()",
+            ]
+            .iter()
+            .any(|call| l.contains(call))
+        }),
+        "FAIL: the scenario engine or the serving front-end builds a start grid, a stencil, a \
+         compression or worker buffers; a warm start is `TimeIteration::warm`, on the run's kit",
+    ));
     pass(failures);
 }
 
