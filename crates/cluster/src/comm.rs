@@ -3,7 +3,7 @@
 //!
 //! Supported operations are exactly what the time iteration of Fig. 2
 //! needs: `barrier`, `allgather` (merging per-rank policy slices),
-//! `allreduce` (convergence norms), `bcast`, and — the structural core of
+//! `allreduce` (convergence norms), and — the structural core of
 //! Sec. IV-A — `split`, which carves `MPI_COMM_WORLD` into one
 //! sub-communicator per discrete state.
 
@@ -36,8 +36,6 @@ pub trait Comm: Sized {
     fn allreduce_sum(&self, buf: &mut [f64]);
     /// Element-wise max across ranks.
     fn allreduce_max(&self, buf: &mut [f64]);
-    /// Broadcast from `root` (the slice is overwritten on other ranks).
-    fn bcast(&self, root: usize, buf: &mut [f64]);
     /// Splits into sub-communicators by `color`; rank order within a color
     /// follows world-rank order (MPI_Comm_split with key = rank).
     fn split(&self, color: usize) -> Self;
@@ -191,23 +189,6 @@ impl Comm for ThreadComm {
         }
     }
 
-    fn bcast(&self, root: usize, buf: &mut [f64]) {
-        if self.rank == root {
-            recover(&self.inner.board)[root] = Some(buf.to_vec());
-        }
-        self.barrier();
-        if self.rank != root {
-            let board = recover(&self.inner.board);
-            let data = board[root].as_ref().expect("bcast root missing");
-            buf.copy_from_slice(data);
-        }
-        self.barrier();
-        if self.rank == root {
-            recover(&self.inner.board)[root] = None;
-        }
-        self.barrier();
-    }
-
     fn split(&self, color: usize) -> ThreadComm {
         // Publish colors.
         recover(&self.inner.color_board)[self.rank] = Some(color);
@@ -265,7 +246,6 @@ impl Comm for SerialComm {
     }
     fn allreduce_sum(&self, _buf: &mut [f64]) {}
     fn allreduce_max(&self, _buf: &mut [f64]) {}
-    fn bcast(&self, _root: usize, _buf: &mut [f64]) {}
     fn split(&self, _color: usize) -> SerialComm {
         SerialComm
     }
@@ -311,22 +291,6 @@ mod tests {
                 assert_eq!(slice.len(), rank + 1);
                 assert!(slice.iter().all(|&v| v == rank as f64));
             }
-        }
-    }
-
-    #[test]
-    fn bcast_from_nonzero_root() {
-        let results = ThreadComm::launch(4, |comm| {
-            let mut buf = if comm.rank() == 2 {
-                vec![7.5, -1.0]
-            } else {
-                vec![0.0, 0.0]
-            };
-            comm.bcast(2, &mut buf);
-            buf
-        });
-        for r in &results {
-            assert_eq!(r, &vec![7.5, -1.0]);
         }
     }
 

@@ -6,7 +6,7 @@
 //! * [`comm`] — an MPI-flavored [`Comm`] trait with a threaded in-process
 //!   backend ([`ThreadComm`], every rank an OS thread) and a no-op
 //!   [`SerialComm`]; supports `split` into per-state sub-communicators,
-//!   `barrier`, `allgather`, `allreduce`, `bcast`;
+//!   `barrier`, `allgather`, `allreduce`;
 //! * [`assign`] — the proportional rank-group sizing of Sec. IV-A
 //!   (`MPI_COMM_SIZE(z) ∝ M_z`), including the paper's footnote-5 example
 //!   as a test.

@@ -312,9 +312,6 @@ impl RunKit {
                 target_hi: hi.len(),
             });
         }
-        if cached.states.num_states() == 0 {
-            return Err(ProjectionError::EmptySurface);
-        }
         let target = BoxDomain::new(lo.to_vec(), hi.to_vec());
         // Start grid → target box → clamped into the cached box → the
         // cached surface's unit cube.
@@ -437,8 +434,6 @@ pub enum ProjectionError {
         /// Length of the target upper-bound vector.
         target_hi: usize,
     },
-    /// The cached surface has no discrete states to project.
-    EmptySurface,
 }
 
 impl std::fmt::Display for ProjectionError {
@@ -453,7 +448,6 @@ impl std::fmt::Display for ProjectionError {
                 "projection dimension mismatch: cached surface is {cached}-dimensional, \
                  target box is {target_lo}/{target_hi}"
             ),
-            Self::EmptySurface => write!(f, "cached surface has no discrete states"),
         }
     }
 }
@@ -1081,9 +1075,7 @@ impl IncrementalHierarchizer {
         let level_of = |pos: usize| grid.node(frontier[pos] as usize).level_sum(dim);
         order.sort_by_key(|&pos| level_of(pos));
 
-        let mut unit = vec![0.0; dim];
         let mut out = vec![0.0; frontier.len() * ndofs];
-        let mut point_rows: Vec<f64> = Vec::new();
         let mut interp: Vec<f64> = Vec::new();
         let mut group_ids: Vec<u32> = Vec::new();
         let mut group_rows: Vec<f64> = Vec::new();
@@ -1101,18 +1093,14 @@ impl IncrementalHierarchizer {
             // One batched evaluation of the whole group against the
             // interpolant over everything strictly processed so far
             // (rows gathered point-major, transposed to SoA in one pass).
-            point_rows.clear();
-            for &pos in group {
-                grid.unit_point_of(frontier[pos] as usize, &mut unit);
-                point_rows.extend_from_slice(&unit);
-            }
-            let block = PointBlock::from_rows(dim, &point_rows);
+            group_ids.clear();
+            group_ids.extend(group.iter().map(|&pos| frontier[pos]));
+            let block = PointBlock::from_rows(dim, &unit_rows(grid, &group_ids));
             interp.clear();
             interp.resize(group.len() * ndofs, 0.0);
             self.backend
                 .evaluate_batch(self.kernel, &self.state, &block, scratch, &mut interp);
 
-            group_ids.clear();
             group_rows.clear();
             for (g, &pos) in group.iter().enumerate() {
                 let row = &solved[pos * ndofs..(pos + 1) * ndofs];
@@ -1120,7 +1108,6 @@ impl IncrementalHierarchizer {
                 for k in 0..ndofs {
                     out[pos * ndofs + k] = row[k] - ev[k];
                 }
-                group_ids.push(frontier[pos]);
                 group_rows.extend_from_slice(&out[pos * ndofs..(pos + 1) * ndofs]);
             }
             // Fold the group into the partial interpolant (append-only —
@@ -1447,11 +1434,7 @@ mod tests {
                 target_hi: 3
             })
         );
-        // Both variants render a diagnostic.
         assert!(err.to_string().contains("dimension mismatch"));
-        assert!(ProjectionError::EmptySurface
-            .to_string()
-            .contains("no discrete states"));
     }
 
     #[test]

@@ -49,12 +49,12 @@
 //! `hddm_cache_commit_failures_total`. At most `COMMIT_BACKLOG` (64)
 //! deposits wait uncommitted; a deposit beyond that waits for the writer.
 //!
-//! A deposit is durable once a flush returns. A batch's thread flushes
-//! before it ends, so `run_set`, `run_single` and `BatchHandle::join`
-//! return with their deposits committed, and a serving dispatcher takes
-//! its next batch only then. A crash before the commit loses the deposit,
-//! which costs one re-solve; a crash inside it leaves a `.tmp-*` file that
-//! the next open removes (see [`crate::persist`]).
+//! A deposit is durable once a flush returns. A batch flushes before it
+//! returns, so `run_batch`, `run_set` and `run_single` return with their
+//! deposits committed, and a serving dispatcher takes its next batch only
+//! then. A crash before the commit loses the deposit, which costs one
+//! re-solve; a crash inside it leaves a `.tmp-*` file that the next open
+//! removes (see [`crate::persist`]).
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::Path;
@@ -710,17 +710,9 @@ impl SurfaceCache {
         fingerprint: &[f64],
         allow_warm: bool,
     ) -> Lookup {
-        let exact = {
-            let shard = self.inner.memory.shard_read(shard_of(hash));
-            shard.by_hash.get(&hash).map(|e| Arc::clone(&e.surface))
-        };
-        let exact = exact.or_else(|| self.promote_from_disk(hash));
-        if let Some(entry) = exact {
-            if entry.shape == shape && entry.fingerprint == fingerprint {
-                self.inner.metrics.exact_hits.inc();
-                return Lookup::Exact(entry);
-            }
-            // Collision: fall through to the warm path / miss.
+        // A collision falls through to the warm path / miss.
+        if let Some(surface) = self.lookup_exact(hash, shape, fingerprint) {
+            return Lookup::Exact(surface);
         }
 
         if !allow_warm {
@@ -847,9 +839,9 @@ impl SurfaceCache {
     /// behind the caller and applies the eviction policy; surfaces evicted
     /// from disk are dropped from memory too, so the two tiers stay
     /// consistent. The deposit is durable once [`SurfaceCache::flush`]
-    /// returns (as [`crate::run_set`] and [`crate::BatchHandle::join`] do
-    /// before returning) or the cache's last handle drops. When the
-    /// backlog of uncommitted deposits is full, this waits for the writer.
+    /// returns (as [`crate::run_batch`] and [`crate::run_set`] do before
+    /// returning) or the cache's last handle drops. When the backlog of
+    /// uncommitted deposits is full, this waits for the writer.
     #[allow(clippy::too_many_arguments)]
     pub fn store_policy(
         &self,
@@ -943,13 +935,11 @@ const COMMIT_BACKLOG: u64 = 64;
 /// empty ([`CommitStage::flush`]), which the last handle's drop runs, so
 /// no writer outlives its cache.
 ///
-/// The flush stops the writer, not only waits for it: a sweep's batch
-/// thread flushes before it exits, so the writer's thread, and the
-/// allocator arena it took, are gone before the batch thread's. A writer
-/// that outlives the batch thread hands its arena to the next batch
-/// thread, whose solves then fill a second arena: `sweep_warm`'s
-/// `peak_rss_mb` read 5.31 → 6.24 MB with a writer that lived as long as
-/// its cache.
+/// The flush stops the writer, not only waits for it: a batch flushes
+/// before `run_batch` returns, so no writer thread, and no allocator
+/// arena it took, outlives the batch that started it (a writer that
+/// lived as long as its cache read `sweep_warm`'s `peak_rss_mb` 5.31 →
+/// 6.24 MB).
 struct CommitStage {
     shared: Arc<StageShared>,
     /// The last writer started, by its number.

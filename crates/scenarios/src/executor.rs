@@ -1,33 +1,29 @@
 //! The batch executor: runs a [`ScenarioSet`] through the time-iteration
 //! driver on `threads` host workers of the `hddm-sched` pool
-//! (`hddm_sched::parallel_for_init` — the paper's Sec. IV-A scheduler),
-//! with the policy-surface cache supplying exact hits and warm starts.
+//! (`hddm_sched::parallel_for` — the paper's Sec. IV-A scheduler),
+//! started from the calling thread, with the policy-surface cache
+//! supplying exact hits and warm starts.
 //!
 //! Two entry points:
 //!
 //! * [`run_set`] — the one-shot sweep: execute the whole set, block, and
 //!   return the full [`SweepReport`];
 //! * [`run_batch`] — the incremental form the serving front-end builds
-//!   on: accept a batch, return immediately with a [`BatchHandle`], and
-//!   stream per-scenario results as they complete ([`BatchHandle::recv`]);
-//!   [`BatchHandle::join`] waits for the rest and assembles the same
-//!   [`SweepReport`] `run_set` produces (`run_set` *is*
-//!   `run_batch(...)` + `join`).
+//!   on: run the batch on the calling thread's pool and hand each
+//!   scenario's result to a callback on the worker that solved it, as
+//!   soon as its surface is in the cache's memory tier (`run_set` *is*
+//!   `run_batch` with a callback that fills one slot per scenario).
 //!
-//! Result collection is lock-free on the hot path: each pool worker owns
-//! a cloned channel sender (via `parallel_for_init`'s per-worker state)
-//! and sends `(index, result)` as each scenario finishes — no shared
-//! `Mutex<Vec<...>>` serializing completions. Failures are typed
-//! ([`ExecutorError`]), never bare strings.
+//! Both return once every surface the batch deposited is committed.
+//! Failures are typed ([`ExecutorError`]), never bare strings.
 
 use std::path::PathBuf;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::thread::JoinHandle;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use hddm_core::{DriverConfig, OlgStep, TimeIteration};
 use hddm_kernels::ExecutionBackend;
-use hddm_sched::{parallel_for_init, PoolConfig};
+use hddm_sched::{parallel_for, PoolConfig};
 use hddm_solver::NewtonOptions;
 use hddm_telemetry::Registry;
 
@@ -36,10 +32,6 @@ use crate::hash::{fingerprint, scenario_hash, HashId};
 use crate::persist::EvictionPolicy;
 use crate::report::{CacheKind, ScenarioReport, SweepReport};
 use crate::scenario::{Scenario, ScenarioSet};
-
-/// One streamed completion: the scenario's index within its set plus its
-/// result.
-type BatchItem = (usize, Result<ScenarioReport, ExecutorError>);
 
 /// Why the executor could not run (or finish) a scenario or a set.
 /// Typed so callers — the serving front-end above all — can route each
@@ -63,12 +55,6 @@ pub enum ExecutorError {
         /// The model-construction diagnostic.
         reason: String,
     },
-    /// A pool worker died without delivering this scenario's result
-    /// (a bug or a panic in the worker).
-    MissingResult {
-        /// Index of the undelivered scenario within its set.
-        index: usize,
-    },
 }
 
 impl std::fmt::Display for ExecutorError {
@@ -80,9 +66,6 @@ impl std::fmt::Display for ExecutorError {
             }
             ExecutorError::Model { name, reason } => {
                 write!(f, "model build failed for scenario {name:?}: {reason}")
-            }
-            ExecutorError::MissingResult { index } => {
-                write!(f, "scenario {index} was never executed (worker lost)")
             }
         }
     }
@@ -296,114 +279,22 @@ pub fn run_single(
     report
 }
 
-/// A dispatched batch: per-scenario results stream out of
-/// [`BatchHandle::recv`] as pool workers complete them (in completion
-/// order, not set order), as soon as each surface is in the memory tier;
-/// [`BatchHandle::join`] waits for the rest and for the commits of the
-/// batch's surfaces, and assembles the full [`SweepReport`]. Dropping the
-/// handle waits for the batch to finish, commits included (results are
-/// discarded).
-pub struct BatchHandle {
-    rx: Receiver<BatchItem>,
-    slots: Vec<Option<Result<ScenarioReport, ExecutorError>>>,
-    delivered: usize,
-    cache: SurfaceCache,
-    started: Instant,
-    worker: Option<JoinHandle<()>>,
-}
-
-impl BatchHandle {
-    /// Number of scenarios in the batch.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the batch is empty (never true: empty sets are rejected).
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// The next completed scenario, blocking until one finishes:
-    /// `(index within the set, its result)`. `None` once every result
-    /// has been delivered — or when the executor thread died without
-    /// delivering the rest (the missing ones surface as
-    /// [`ExecutorError::MissingResult`] from [`BatchHandle::join`]).
-    pub fn recv(&mut self) -> Option<BatchItem> {
-        if self.delivered == self.slots.len() {
-            return None;
-        }
-        match self.rx.recv() {
-            Ok((i, result)) => {
-                self.slots[i] = Some(result.clone());
-                self.delivered += 1;
-                Some((i, result))
-            }
-            Err(_) => None, // executor thread gone; join() reports the holes
-        }
-    }
-
-    /// Waits for every remaining scenario and for the commit of every
-    /// surface deposited so far, and assembles the [`SweepReport`]
-    /// (identical to what [`run_set`] returns). The first per-scenario
-    /// error in set order fails the whole batch, matching the historical
-    /// whole-set semantics; callers that want per-scenario error routing
-    /// stream through [`BatchHandle::recv`] instead.
-    pub fn join(mut self) -> Result<SweepReport, ExecutorError> {
-        while self.recv().is_some() {}
-        if let Some(worker) = self.worker.take() {
-            if let Err(panic) = worker.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
-        let total_wall_seconds = self.started.elapsed().as_secs_f64();
-
-        let mut scenarios = Vec::with_capacity(self.slots.len());
-        for (i, slot) in std::mem::take(&mut self.slots).into_iter().enumerate() {
-            match slot {
-                Some(Ok(report)) => scenarios.push(report),
-                Some(Err(e)) => return Err(e),
-                None => return Err(ExecutorError::MissingResult { index: i }),
-            }
-        }
-
-        let count = |kind: CacheKind| scenarios.iter().filter(|s| s.cache == kind).count();
-        Ok(SweepReport {
-            exact_hits: count(CacheKind::Exact),
-            warm_starts: count(CacheKind::Warm),
-            cold_solves: count(CacheKind::Cold),
-            scenarios,
-            cache_stats: self.cache.stats(),
-            total_wall_seconds,
-        })
-    }
-}
-
-impl Drop for BatchHandle {
-    fn drop(&mut self) {
-        // Never leak a running executor thread: drain whatever is still
-        // coming and join. A panic in the worker is swallowed here (the
-        // handle is being discarded); `join()` propagates it instead.
-        while self.delivered < self.slots.len() && self.rx.recv().is_ok() {
-            self.delivered += 1;
-        }
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
-
-/// Dispatches a scenario batch to the pool and returns immediately with
-/// a [`BatchHandle`] streaming per-scenario results. This is the
-/// incremental entry point the serving front-end coalesces micro-batches
-/// onto; [`run_set`] is the blocking wrapper.
+/// Runs a scenario batch on the calling thread: `done(i, result)` is
+/// called on the pool worker that solved scenario `i`, as soon as its
+/// surface is in the memory tier, and the call returns once every
+/// surface the batch deposited is committed. This is the incremental
+/// entry point the serving front-end fulfils its tickets from;
+/// [`run_set`] collects the results into a [`SweepReport`].
 ///
 /// Validates the whole batch up front (typed [`ExecutorError`]s), then
-/// executes on a detached worker thread running the scenario-level pool.
+/// runs the scenario-level pool, which calls `done` once per scenario or
+/// re-raises a worker's panic.
 pub fn run_batch(
-    set: ScenarioSet,
-    cache: SurfaceCache,
-    config: ExecutorConfig,
-) -> Result<BatchHandle, ExecutorError> {
+    set: &ScenarioSet,
+    cache: &SurfaceCache,
+    config: &ExecutorConfig,
+    done: impl Fn(usize, Result<ScenarioReport, ExecutorError>) + Sync,
+) -> Result<(), ExecutorError> {
     if set.is_empty() {
         return Err(ExecutorError::EmptySet);
     }
@@ -415,53 +306,48 @@ pub fn run_batch(
                 reason,
             })?;
     }
-
-    let n = set.len();
-    let (tx, rx): (Sender<BatchItem>, Receiver<BatchItem>) = channel();
-
-    let started = Instant::now();
-    let thread_cache = cache.clone();
-    let worker = std::thread::spawn(move || {
-        let pool = PoolConfig {
-            threads: config.threads,
-            grain: 1,
-        };
-        // Each pool worker owns a cloned sender (per-worker init state):
-        // completions stream out lock-free instead of serializing on a
-        // shared results mutex.
-        parallel_for_init(
-            n,
-            &pool,
-            || tx.clone(),
-            |tx, i| {
-                let _ = tx.send((i, solve_one(&set.scenarios[i], &thread_cache, &config)));
-            },
-        );
-        // The batch's surfaces were handed out as they were deposited;
-        // the thread ends once they are committed, and after the cache's
-        // writer (see `crate::cache`).
-        thread_cache.flush();
+    let pool = PoolConfig {
+        threads: config.threads,
+        grain: 1,
+    };
+    parallel_for(set.len(), &pool, |i| {
+        done(i, solve_one(&set.scenarios[i], cache, config));
     });
-
-    Ok(BatchHandle {
-        rx,
-        slots: vec![None; n],
-        delivered: 0,
-        cache,
-        started,
-        worker: Some(worker),
-    })
+    // The batch's surfaces were handed out as they were deposited; the
+    // batch ends once they are committed (see `crate::cache`).
+    cache.flush();
+    Ok(())
 }
 
 /// Runs a whole scenario set across host threads and returns the full
-/// [`SweepReport`] once every surface it deposited is committed.
-/// Equivalent to [`run_batch`] followed by [`BatchHandle::join`].
+/// [`SweepReport`] once every surface it deposited is committed. The
+/// first per-scenario error in set order fails the whole set.
 pub fn run_set(
     set: &ScenarioSet,
     cache: &SurfaceCache,
     config: &ExecutorConfig,
 ) -> Result<SweepReport, ExecutorError> {
-    run_batch(set.clone(), cache.clone(), config.clone())?.join()
+    let started = Instant::now();
+    let slots: Vec<OnceLock<Result<ScenarioReport, ExecutorError>>> =
+        set.scenarios.iter().map(|_| OnceLock::new()).collect();
+    run_batch(set, cache, config, |i, result| {
+        let _ = slots[i].set(result);
+    })?;
+    let total_wall_seconds = started.elapsed().as_secs_f64();
+    let scenarios = slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("the pool runs every scenario"))
+        .collect::<Result<Vec<_>, _>>()?;
+
+    let count = |kind: CacheKind| scenarios.iter().filter(|s| s.cache == kind).count();
+    Ok(SweepReport {
+        exact_hits: count(CacheKind::Exact),
+        warm_starts: count(CacheKind::Warm),
+        cold_solves: count(CacheKind::Cold),
+        scenarios,
+        cache_stats: cache.stats(),
+        total_wall_seconds,
+    })
 }
 
 #[cfg(test)]
@@ -560,28 +446,34 @@ mod tests {
 
     #[test]
     fn run_batch_streams_results_as_they_complete() {
-        let cache = SurfaceCache::default();
+        let dir = std::env::temp_dir().join(format!("hddm_exec_batch_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = SurfaceCache::open(&dir).unwrap();
         let set = ScenarioSet::grid(&base(), &[(Knob::Beta, vec![0.949, 0.95, 0.951])]).unwrap();
-        let mut handle = run_batch(set.clone(), cache.clone(), ExecutorConfig::serial()).unwrap();
-        assert_eq!(handle.len(), 3);
-
-        let mut seen = Vec::new();
-        while let Some((i, result)) = handle.recv() {
+        let seen = std::sync::Mutex::new(Vec::new());
+        run_batch(&set, &cache, &ExecutorConfig::serial(), |i, result| {
             let report = result.unwrap();
             assert!(report.converged);
-            assert_eq!(report.name, set.scenarios[i].name);
-            seen.push(i);
-        }
-        assert_eq!(seen.len(), 3);
-        let mut sorted = seen.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2], "every index delivered exactly once");
+            let scenario = &set.scenarios[i];
+            assert_eq!(report.name, scenario.name);
+            // In the memory tier before the callback runs.
+            let hash = scenario_hash(scenario);
+            let served = cache.lookup_exact(hash, ShapeKey::of(scenario), &fingerprint(scenario));
+            assert_eq!(served.map(|s| s.hash), Some(hash));
+            seen.lock().unwrap().push(i);
+        })
+        .unwrap();
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_unstable();
+        assert_eq!(seen, vec![0, 1, 2], "every index delivered exactly once");
 
-        // join() after streaming still assembles the aggregate report.
-        let report = handle.join().unwrap();
-        assert_eq!(report.scenarios.len(), 3);
-        assert!(report.all_converged());
-        assert_eq!(report.cold_solves + report.warm_starts, 3);
+        // Committed once run_batch returns: every record is on disk.
+        for scenario in &set.scenarios {
+            let name = crate::persist::surface_file_name(scenario_hash(scenario));
+            assert!(dir.join(&name).is_file(), "{name} not committed");
+        }
+        drop(cache);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //!   restoration, oldest-first eviction, and corrupt-artifact skipping —
 //!   run N+1 of the same sweep does zero solves;
 //! * [`executor`] — the batch executor: scenarios run in set order on
-//!   `threads` workers of [`hddm_sched::parallel_for_init`], each against
-//!   the cache, streaming results as they complete;
+//!   `threads` workers of [`hddm_sched::parallel_for`], started from the
+//!   calling thread, each against the cache, handing each result to a
+//!   callback as it completes;
 //! * [`report`] — per-scenario and per-sweep diagnostics
 //!   ([`ScenarioReport`], [`SweepReport`]), written as JSON through the
 //!   serde shim (bit-exact `f64`).
@@ -55,7 +56,7 @@ pub mod scenario;
 pub use cache::{
     CacheStats, CachedSurface, Lookup, NeighbourInfo, RestoreHook, ShapeKey, SurfaceCache,
 };
-pub use executor::{run_batch, run_set, run_single, BatchHandle, ExecutorConfig, ExecutorError};
+pub use executor::{run_batch, run_set, run_single, ExecutorConfig, ExecutorError};
 pub use hash::{fingerprint, fingerprint_distance, scenario_hash, HashId, ScenarioHasher};
 pub use hddm_core::{project_policy_with, ProjectionError};
 pub use persist::EvictionPolicy;

@@ -19,6 +19,7 @@
 use std::fs;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use hddm_olg::Calibration;
@@ -57,14 +58,13 @@ fn deposit_stream_child() {
     }
     let set = set();
     let cache = SurfaceCache::open(&dir).unwrap();
-    let mut batch = run_batch(set.clone(), cache.clone(), ExecutorConfig::serial()).unwrap();
-    let mut deposited = 0;
-    while let Some((_, report)) = batch.recv() {
+    let deposited = AtomicUsize::new(0);
+    run_batch(&set, &cache, &ExecutorConfig::serial(), |_, report| {
         report.unwrap();
-        deposited += 1;
-        fs::write(marks.join(format!("deposited-{deposited}")), b"").unwrap();
-    }
-    batch.join().unwrap();
+        let n = deposited.fetch_add(1, Ordering::Relaxed) + 1;
+        fs::write(marks.join(format!("deposited-{n}")), b"").unwrap();
+    })
+    .unwrap();
     let surfaces: Vec<_> = set
         .scenarios
         .iter()

@@ -30,7 +30,7 @@
 //!
 //! Design constraints inherited from the workspace: **no external async
 //! runtime** — plain threads, condvars, and the executor's completion
-//! handle ([`hddm_scenarios::BatchHandle`]); identical pending requests
+//! callback ([`hddm_scenarios::run_batch`]); identical pending requests
 //! coalesce into one solve; the queue is bounded (back-pressure via
 //! [`ServeError::QueueFull`], never unbounded buffering). Requests may
 //! carry a [`deadline`](ScenarioRequest::deadline): ones still queued

@@ -2,6 +2,8 @@
 //! probing), the bounded coalescing queue, and the dispatcher workers.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -94,7 +96,7 @@ impl Waiter {
 /// One queued scenario group: the representative scenario plus every
 /// ticket waiting on it (identical in-queue requests coalesce here — one
 /// solve fans out to all waiters). The drop guard turns an abandoned
-/// group (dispatcher panic) into [`ServeError::WorkerLost`] instead of a
+/// group (a panicking solve) into [`ServeError::WorkerLost`] instead of a
 /// forever-blocked ticket.
 struct Group {
     scenario: hddm_scenarios::Scenario,
@@ -105,13 +107,19 @@ struct Group {
     warm_hint: Option<WarmHint>,
     enqueued: Instant,
     waiters: Vec<Waiter>,
-    fulfilled: bool,
+    fulfilled: AtomicBool,
 }
 
 impl Group {
-    fn fulfill(&mut self, result: Result<ScenarioResponse, ServeError>) {
-        self.fulfilled = true;
-        for waiter in self.waiters.drain(..) {
+    /// Answers every waiter. A dispatched batch calls this on the pool
+    /// worker that solved the group, so it takes `&self`; the flag only
+    /// tells the drop guard that no answer is owed.
+    fn fulfill(&self, result: Result<ScenarioResponse, ServeError>) {
+        // ORDERING: Relaxed — the drop guard reads the flag on the
+        // dispatcher after the pool's join, which orders this store
+        // before it; the waiters synchronize through their slots.
+        self.fulfilled.store(true, Ordering::Relaxed);
+        for waiter in &self.waiters {
             waiter.fulfill(result.clone());
         }
     }
@@ -137,7 +145,7 @@ impl Group {
             _ => true,
         });
         if self.waiters.is_empty() {
-            self.fulfilled = true;
+            *self.fulfilled.get_mut() = true;
             metrics.shed_groups.inc();
             return false;
         }
@@ -147,7 +155,7 @@ impl Group {
 
 impl Drop for Group {
     fn drop(&mut self) {
-        if !self.fulfilled {
+        if !*self.fulfilled.get_mut() {
             self.fulfill(Err(ServeError::WorkerLost));
         }
     }
@@ -231,13 +239,13 @@ struct Shared {
 /// [`ServeConfig::max_batch`] groups (after a [`ServeConfig::linger`]
 /// coalescing window) into a [`ScenarioSet`] micro-batch and run it
 /// through the incremental batch executor
-/// ([`run_batch`](hddm_scenarios::run_batch)), fulfilling each ticket as
-/// its scenario completes — once its surface is in the cache's memory
-/// tier. The cache commits it to disk behind the ticket; the dispatcher
-/// takes its next batch once the batch's commits are done, so a shut-down
-/// service (its dispatchers joined) has committed every surface it
-/// solved. No async runtime: plain threads, condvars, and the executor's
-/// completion handle.
+/// ([`run_batch`](hddm_scenarios::run_batch)) on the dispatcher's own
+/// thread, fulfilling each ticket as its scenario completes — once its
+/// surface is in the cache's memory tier. The cache commits it to disk
+/// behind the ticket; the dispatcher takes its next batch once the
+/// batch's commits are done, so a shut-down service (its dispatchers
+/// joined) has committed every surface it solved. No async runtime:
+/// plain threads, condvars, and the executor's completion callback.
 pub struct ScenarioService {
     cache: SurfaceCache,
     config: ServeConfig,
@@ -439,7 +447,7 @@ impl ScenarioService {
                     warm_hint,
                     enqueued: admitted,
                     waiters: vec![Waiter { slot, deadline }],
-                    fulfilled: false,
+                    fulfilled: AtomicBool::new(false),
                 });
                 metrics.enqueued_groups.inc();
                 metrics
@@ -562,9 +570,10 @@ fn dispatcher_loop(cache: &SurfaceCache, config: &ServeConfig, shared: &Shared) 
     }
 }
 
-/// Runs one sealed micro-batch. Requests that forbid warm starts are
-/// split into their own sub-batch so the per-request policy survives the
-/// executor's batch-level `warm_start` flag.
+/// Runs one sealed micro-batch on the dispatcher's thread. Requests that
+/// forbid warm starts are split into their own sub-batch so the
+/// per-request policy survives the executor's batch-level `warm_start`
+/// flag.
 fn dispatch(
     cache: &SurfaceCache,
     executor: &ExecutorConfig,
@@ -573,7 +582,7 @@ fn dispatch(
 ) {
     let (warm_ok, cold_only): (Vec<Group>, Vec<Group>) =
         batch.into_iter().partition(|g| g.allow_warm);
-    for (mut groups, allow_warm) in [(warm_ok, true), (cold_only, false)] {
+    for (groups, allow_warm) in [(warm_ok, true), (cold_only, false)] {
         if groups.is_empty() {
             continue;
         }
@@ -593,28 +602,27 @@ fn dispatch(
                 .queue_wait_seconds
                 .record(dispatched.duration_since(group.enqueued).as_secs_f64());
         }
-        match run_batch(set, cache.clone(), exec) {
-            Ok(mut handle) => {
-                while let Some((i, result)) = handle.recv() {
-                    let group = &mut groups[i];
-                    let response = result
-                        .map(|report| ScenarioResponse {
-                            report,
-                            warm_hint: group.warm_hint,
-                            batch_size,
-                            queue_seconds: dispatched.duration_since(group.enqueued).as_secs_f64(),
-                            total_seconds: group.enqueued.elapsed().as_secs_f64(),
-                        })
-                        .map_err(ServeError::Executor);
-                    group.fulfill(response);
-                }
-                // Undelivered scenarios (executor thread died) fall to
-                // the groups' drop guards → WorkerLost.
-            }
-            Err(e) => {
-                for group in &mut groups {
-                    group.fulfill(Err(ServeError::Executor(e.clone())));
-                }
+        // A panicking solve must not end the dispatcher: the groups it
+        // left unanswered fall to their drop guards → WorkerLost. The
+        // cache and the slots recover the locks a panic poisons.
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            run_batch(&set, cache, &exec, |i, result| {
+                let group = &groups[i];
+                let response = result
+                    .map(|report| ScenarioResponse {
+                        report,
+                        warm_hint: group.warm_hint,
+                        batch_size,
+                        queue_seconds: dispatched.duration_since(group.enqueued).as_secs_f64(),
+                        total_seconds: group.enqueued.elapsed().as_secs_f64(),
+                    })
+                    .map_err(ServeError::Executor);
+                group.fulfill(response);
+            })
+        }));
+        if let Ok(Err(e)) = ran {
+            for group in &groups {
+                group.fulfill(Err(ServeError::Executor(e.clone())));
             }
         }
         metrics

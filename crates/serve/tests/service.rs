@@ -10,8 +10,11 @@
 //!   `concurrent_restores_peak` telemetry;
 //! * identical concurrent requests coalesce into one solve;
 //! * a shut-down service leaves every surface it solved committed, and
-//!   solves what it admitted, even behind a running batch.
+//!   solves what it admitted, even behind a running batch;
+//! * a solve that panics inside a batch loses only its own ticket
+//!   (`WorkerLost`), and the dispatcher serves on.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -504,5 +507,63 @@ fn shutdown_while_a_batch_runs_solves_the_request_queued_behind_it() {
         .expect("the request queued behind the running batch is solved");
     assert_eq!(served.kind(), CacheKind::Cold);
     assert!(served.report.converged);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A solve that panics inside a dispatched batch answers its ticket with
+/// `WorkerLost` and leaves the dispatcher serving. The one dispatcher's
+/// warm restore from disk panics once; the ticket must come back within
+/// the watchdog, and the same request then warm-starts and converges.
+#[test]
+fn a_panicking_batch_loses_its_ticket_and_the_dispatcher_serves_on() {
+    let dir = temp_cache_dir("panic");
+    {
+        let warmer = SurfaceCache::open(&dir).unwrap();
+        let set = ScenarioSet {
+            scenarios: vec![base()],
+        };
+        assert!(run_set(&set, &warmer, &ExecutorConfig::serial())
+            .unwrap()
+            .all_converged());
+    }
+
+    let cache = SurfaceCache::open(&dir).unwrap();
+    let armed = AtomicBool::new(true);
+    cache.set_restore_hook(Arc::new(move |_| {
+        if armed.swap(false, Ordering::Relaxed) {
+            panic!("a restore fails inside a dispatched solve");
+        }
+    }));
+    let service = ScenarioService::new(
+        cache,
+        ServeConfig {
+            executor: ExecutorConfig::serial(),
+            workers: 1,
+            linger: Duration::ZERO,
+            ..ServeConfig::default()
+        },
+    );
+    let answer = |ticket: hddm_serve::Ticket| {
+        let started = Instant::now();
+        loop {
+            if let Some(result) = ticket.poll() {
+                return result;
+            }
+            assert!(started.elapsed() < WATCHDOG, "the ticket hung");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+
+    let mut near = base();
+    Knob::Beta.apply(&mut near, 0.9525).unwrap();
+    near.name = "serve/panics".into();
+    let lost = service.submit(ScenarioRequest::new(near.clone())).unwrap();
+    assert_eq!(answer(lost).unwrap_err(), ServeError::WorkerLost);
+
+    let served = answer(service.submit(ScenarioRequest::new(near)).unwrap())
+        .expect("the dispatcher serves the next request");
+    assert_eq!(served.kind(), CacheKind::Warm);
+    assert!(served.report.converged);
+    drop(service);
     let _ = std::fs::remove_dir_all(&dir);
 }

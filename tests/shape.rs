@@ -906,6 +906,58 @@ fn a_claimed_restore_rechecks_the_shard() {
     }
 }
 
+// A scenario batch runs on the thread that calls `run_batch`: the pool
+// starts from it and hands each result to the caller's callback, so the
+// executor starts no batch thread and passes no results over a channel.
+// The serving front-end starts its dispatchers in `ScenarioService::spawn`
+// and no thread anywhere else; a dispatcher runs its batches itself.
+#[test]
+fn a_batch_runs_on_its_callers_thread() {
+    let spawns = |l: &str| {
+        ["thread::spawn", "thread::scope", "thread::Builder"]
+            .iter()
+            .any(|call| l.contains(call))
+    };
+    let executor = "crates/scenarios/src/executor.rs";
+    let mut failures = flag(
+        hits(executor, &code_only(&live(&read(executor))), |l| {
+            spawns(l) || has_word(l, "mpsc") || l.contains("channel(") || l.contains("channel::<")
+        }),
+        format!(
+            "FAIL: {executor} starts a thread or opens a channel; a batch runs on its \
+             caller's thread and hands results to its callback"
+        ),
+    );
+    let service = "crates/serve/src/service.rs";
+    let code = code_only(&live(&read(service)));
+    let head = "    fn spawn(";
+    let mut in_spawn = false;
+    let outside: String = code
+        .lines()
+        .map(|line| {
+            in_spawn |= line.starts_with(head);
+            let blank = in_spawn;
+            in_spawn &= line != "    }";
+            if blank {
+                "\n".to_string()
+            } else {
+                format!("{line}\n")
+            }
+        })
+        .collect();
+    failures.extend(flag(
+        hits(service, &outside, spawns),
+        format!(
+            "FAIL: {service} starts a thread outside `ScenarioService::spawn`; a dispatcher \
+             runs its batch through `run_batch` on its own thread"
+        ),
+    ));
+    if !code.lines().any(|l| l.starts_with(head)) {
+        failures.push(format!("FAIL: {service} has no `ScenarioService::spawn`"));
+    }
+    pass(failures);
+}
+
 // Every library but hddm-kernels forbids `unsafe`: the kernels' intrinsics
 // are the one place it is needed, and each of their blocks states its
 // contract (clippy `undocumented_unsafe_blocks`).
