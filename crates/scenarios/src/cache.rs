@@ -16,25 +16,36 @@
 //!
 //! ## Concurrency architecture
 //!
-//! The cache is a cheaply clonable handle (`Arc` inside) over a **sharded
-//! read path**: entries live in `RwLock`-guarded shards selected by hash,
-//! so concurrent exact-hit readers only contend when they hit the same
-//! shard — and even then only on a shared read lock. Record-file I/O for
-//! lazy disk restores happens **outside every lock** (see
-//! [`crate::persist`]); a per-entry in-flight guard ensures each surface
-//! is restored from disk at most once no matter how many readers race for
-//! it (losers wait on a condvar and are handed the winner's `Arc`).
+//! The cache is a cheaply clonable handle (`Arc` inside) over **one
+//! catalogue** of every surface it knows: the records listed from its
+//! directory at open, then every deposit. Each entry holds what a lookup
+//! decides on (shape, fingerprint, measured cost), the size of its
+//! committed record file, and the surface itself once deposited or
+//! restored. The catalogue is split into `RwLock`-guarded shards selected
+//! by hash, so concurrent exact-hit readers only contend when they hit the
+//! same shard — and even then only on a shared read lock. A warm lookup and
+//! the near-miss probe are one scan over the shards with one tie rule: the
+//! nearest entry wins, and among equals the one the cache learned of first
+//! (records in open order, then deposits in deposit order; a restore or a
+//! re-deposit keeps an entry's place).
+//!
+//! Record-file I/O happens **outside every lock** (see [`crate::persist`]):
+//! a lazy restore reads its record with no lock held and then loads the
+//! surface into its entry under one short shard write guard, and a
+//! per-entry in-flight claim ensures each surface is restored from disk at
+//! most once no matter how many readers race for it (losers wait on a
+//! condvar and are handed the winner's `Arc`).
 //!
 //! Poisoned locks are recovered, not propagated: every guarded region
-//! leaves the cache structurally consistent (promotion and deposit are
-//! single `HashMap` operations), so a panicking sweep thread must not
-//! poison the cache for every other thread. Recoveries are counted in
+//! leaves the cache structurally consistent (a restore, a deposit, a commit
+//! and an eviction each change one entry), so a panicking sweep thread must
+//! not poison the cache for every other thread. Recoveries are counted in
 //! [`CacheStats::lock_poisonings`].
 //!
 //! ## Write-behind commit stage
 //!
 //! A deposit ([`SurfaceCache::store_policy`]) puts the surface in its
-//! memory shard, where every lookup sees it at once, and — for a cache
+//! catalogue entry, where every lookup sees it at once, and — for a cache
 //! over a directory — enqueues the same `Arc` for the commit stage. The
 //! depositor does not wait for the disk: the next scenario of a sweep
 //! starts, and a served miss's ticket is fulfilled, while one writer
@@ -43,8 +54,12 @@
 //! finds the queue empty; the last handle's drop flushes, so no writer
 //! outlives its cache, and opening a cache starts none. It commits in
 //! groups: it takes everything queued, writes, fsyncs and renames each
-//! record in deposit order, applies the eviction policy to both tiers,
-//! and then fsyncs the directory once for the whole group. A record that
+//! record in deposit order, marks its entry committed and applies the
+//! eviction policy to the catalogue, and then fsyncs the directory once for
+//! the whole group. Eviction takes the oldest committed record first (a
+//! re-deposit's commit moves it to the back) and its entry, surface
+//! included, with it; a budget below one surface evicts the record just
+//! committed but keeps its surface in memory, with a warning. A record that
 //! cannot be written stays in memory only, with a warning, counted in
 //! `hddm_cache_commit_failures_total`. At most `COMMIT_BACKLOG` (64)
 //! deposits wait uncommitted; a deposit beyond that waits for the writer.
@@ -56,10 +71,12 @@
 //! re-solve; a crash inside it leaves a `.tmp-*` file that the next open
 //! removes (see [`crate::persist`]).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{hash_map, HashMap, HashSet, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{
+    Arc, Condvar, LockResult, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 use std::thread::JoinHandle;
 
 use serde::Serialize;
@@ -68,9 +85,9 @@ use hddm_core::PolicySet;
 use hddm_telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::hash::{fingerprint_distance, HashId};
-use crate::persist::{EvictionPolicy, IndexRow, Store};
+use crate::persist::{EvictionPolicy, Listed, Store};
 
-/// Number of `RwLock` shards the in-memory map is split across. A small
+/// Number of `RwLock` shards the catalogue is split across. A small
 /// power of two: enough that a serving front-end's reader threads rarely
 /// collide, small enough that whole-cache scans (warm-start search, cost
 /// estimation) stay cheap.
@@ -164,7 +181,8 @@ pub struct NeighbourInfo {
 /// backing directory is attached, the on-disk store's counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct CacheStats {
-    /// Entries currently held in memory (summed over shards).
+    /// Surfaces currently held in memory (summed over shards): deposits
+    /// and restored records.
     pub entries: usize,
     /// Surfaces currently persisted in the backing directory (0 for a
     /// purely in-memory cache).
@@ -185,9 +203,10 @@ pub struct CacheStats {
     /// Corrupt, truncated, or version-mismatched persisted artifacts
     /// skipped with a warning.
     pub skipped: usize,
-    /// Poisoned shard/store locks recovered (a sweep thread panicked
-    /// while holding a cache lock; the guarded state is crash-consistent
-    /// by construction, so the lock is cleared and reused).
+    /// Poisoned cache locks recovered — catalogue shards, restore claims,
+    /// the commit backlog (a sweep thread panicked while holding one; the
+    /// guarded state is crash-consistent by construction, so the lock is
+    /// cleared and reused).
     pub lock_poisonings: usize,
     /// High-water mark of simultaneously in-flight disk restores — the
     /// direct evidence that record-file I/O runs outside the cache locks
@@ -201,57 +220,198 @@ pub struct CacheStats {
 /// per-hash restore attempts; production code leaves it unset.
 pub type RestoreHook = Arc<dyn Fn(u64) + Send + Sync>;
 
-/// One shard of the in-memory map. `seq` is the global deposit sequence
-/// number — the deterministic tie-breaker that replaces the old
-/// cache-wide insertion-order vector (nearest-neighbour searches prefer
-/// the earliest deposit among equal distances, independent of shard
-/// layout).
+/// One shard of the catalogue.
 #[derive(Default)]
 struct Shard {
-    by_hash: HashMap<u64, ShardEntry>,
+    by_hash: HashMap<u64, Entry>,
 }
 
-struct ShardEntry {
+impl Shard {
+    /// Takes `hash`'s committed record `order` out of the catalogue, and
+    /// the entry with it unless `keep_loaded` and the entry holds its
+    /// surface. False when the entry no longer lists that record: another
+    /// thread dropped it, or a newer commit replaced it.
+    fn drop_record(&mut self, hash: u64, order: u64, keep_loaded: bool) -> bool {
+        let Some(entry) = self.by_hash.get_mut(&hash) else {
+            return false;
+        };
+        if entry.record.is_none_or(|r| r.order != order) {
+            return false;
+        }
+        entry.record = None;
+        if !(keep_loaded && entry.surface.is_some()) {
+            self.by_hash.remove(&hash);
+        }
+        true
+    }
+}
+
+/// A surface the cache knows: a record listed at open, or a deposit. It
+/// holds a committed record, a loaded surface, or both.
+struct Entry {
+    /// When the cache learned of the surface: the nearest-neighbour
+    /// tie-breaker, independent of shard layout. A restore or a re-deposit
+    /// keeps it.
     seq: u64,
-    surface: Arc<CachedSurface>,
+    shape: ShapeKey,
+    fingerprint: Vec<f64>,
+    /// Measured wall-clock seconds of the producing solve.
+    cost_seconds: f64,
+    /// The committed record file: `None` while the deposit waits for its
+    /// commit, after a failed commit, and under a budget below one surface.
+    record: Option<Record>,
+    /// The surface, once deposited or restored from its record.
+    surface: Option<Arc<CachedSurface>>,
 }
 
-/// The memory tier: the shards and the tally of poisoned locks recovered
-/// anywhere in the cache. Shared by every handle and by the commit stage's
-/// writer, which drops the surfaces the eviction policy evicts.
-struct Memory {
+impl Entry {
+    /// The entry of a deposit the cache learns of `seq`-th, not yet
+    /// committed.
+    fn deposited(seq: u64, surface: &Arc<CachedSurface>) -> Entry {
+        Entry {
+            seq,
+            shape: surface.shape,
+            fingerprint: surface.fingerprint.clone(),
+            cost_seconds: surface.cost_seconds,
+            record: None,
+            surface: Some(Arc::clone(surface)),
+        }
+    }
+}
+
+/// An entry's committed record file.
+#[derive(Clone, Copy)]
+struct Record {
+    /// Commit order (open order for a listed record): eviction takes the
+    /// smallest.
+    order: u64,
+    bytes: u64,
+}
+
+/// One pass over the catalogue: what the gauges and the eviction policy
+/// read.
+#[derive(Default)]
+struct Census {
+    /// Entries holding their surface.
+    loaded: usize,
+    /// Committed records, and their bytes.
+    records: usize,
+    bytes: u64,
+    /// The oldest committed record: (order, hash, bytes).
+    oldest: Option<(u64, u64, u64)>,
+}
+
+/// The catalogue: its shards, the counter its orders draw from, and the
+/// tallies of the cache's lock recoveries, evictions and removed records.
+/// Shared by every handle and by the commit stage's writer.
+struct Catalogue {
     shards: Vec<RwLock<Shard>>,
+    /// The next [`Entry::seq`] or [`Record::order`]: one counter, so each
+    /// order is the order its numbers were drawn in.
+    seq: AtomicU64,
     lock_poisonings: AtomicUsize,
+    /// Committed records evicted by the size policy.
+    evictions: AtomicUsize,
+    /// Unusable records removed, at open or on a failed restore.
+    skipped: AtomicUsize,
 }
 
-impl Memory {
+impl Catalogue {
+    /// A catalogue of the records a directory listed, in open order, and
+    /// the count of files its open removed.
+    fn new(records: Vec<Listed>, skipped: usize) -> Catalogue {
+        let mut shards: Vec<Shard> = (0..SHARD_COUNT).map(|_| Shard::default()).collect();
+        let listed = records.len() as u64;
+        for (seq, record) in (0..).zip(records) {
+            let entry = Entry {
+                seq,
+                shape: record.shape,
+                fingerprint: record.fingerprint,
+                cost_seconds: record.cost_seconds,
+                record: Some(Record {
+                    order: seq,
+                    bytes: record.bytes,
+                }),
+                surface: None,
+            };
+            shards[shard_of(record.hash)]
+                .by_hash
+                .insert(record.hash, entry);
+        }
+        Catalogue {
+            shards: shards.into_iter().map(RwLock::new).collect(),
+            seq: AtomicU64::new(listed),
+            lock_poisonings: AtomicUsize::new(0),
+            evictions: AtomicUsize::new(0),
+            skipped: AtomicUsize::new(skipped),
+        }
+    }
+
+    fn next(&self) -> u64 {
+        // ORDERING: Relaxed — uniqueness by RMW atomicity; the shard write
+        // lock orders the entry update that uses the number.
+        self.seq.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// The surface of `hash`, if its entry holds it.
+    fn loaded(&self, hash: u64) -> Option<Arc<CachedSurface>> {
+        self.shard_read(shard_of(hash))
+            .by_hash
+            .get(&hash)?
+            .surface
+            .clone()
+    }
+
+    /// Counts the catalogue, one shard read guard at a time.
+    fn census(&self) -> Census {
+        let mut census = Census::default();
+        for i in 0..SHARD_COUNT {
+            let shard = self.shard_read(i);
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "sums and the smallest commit order: no visit order shows"
+            )]
+            for (&hash, entry) in &shard.by_hash {
+                census.loaded += usize::from(entry.surface.is_some());
+                let Some(record) = entry.record else {
+                    continue;
+                };
+                census.records += 1;
+                census.bytes += record.bytes;
+                if census
+                    .oldest
+                    .is_none_or(|(order, _, _)| record.order < order)
+                {
+                    census.oldest = Some((record.order, hash, record.bytes));
+                }
+            }
+        }
+        census
+    }
+
     // ----- lock plumbing (poisoning-recovering) ------------------------
 
-    fn read<'a, T>(&self, lock: &'a RwLock<T>) -> RwLockReadGuard<'a, T> {
-        lock.read().unwrap_or_else(|poisoned| {
+    /// The guard of `result`; a poisoned one is counted, cleared by
+    /// `clear` and used.
+    fn recovered<G>(&self, result: LockResult<G>, clear: impl FnOnce()) -> G {
+        result.unwrap_or_else(|poisoned| {
             // ORDERING: Relaxed — recovery tally; no ordering dependency.
             self.lock_poisonings.fetch_add(1, Ordering::Relaxed);
-            lock.clear_poison();
+            clear();
             poisoned.into_inner()
         })
+    }
+
+    fn read<'a, T>(&self, lock: &'a RwLock<T>) -> RwLockReadGuard<'a, T> {
+        self.recovered(lock.read(), || lock.clear_poison())
     }
 
     fn write<'a, T>(&self, lock: &'a RwLock<T>) -> RwLockWriteGuard<'a, T> {
-        lock.write().unwrap_or_else(|poisoned| {
-            // ORDERING: Relaxed — recovery tally; no ordering dependency.
-            self.lock_poisonings.fetch_add(1, Ordering::Relaxed);
-            lock.clear_poison();
-            poisoned.into_inner()
-        })
+        self.recovered(lock.write(), || lock.clear_poison())
     }
 
     fn lock<'a, T>(&self, lock: &'a Mutex<T>) -> MutexGuard<'a, T> {
-        lock.lock().unwrap_or_else(|poisoned| {
-            // ORDERING: Relaxed — recovery tally; no ordering dependency.
-            self.lock_poisonings.fetch_add(1, Ordering::Relaxed);
-            lock.clear_poison();
-            poisoned.into_inner()
-        })
+        self.recovered(lock.lock(), || lock.clear_poison())
     }
 
     /// Waits on `cv` until `condition` no longer holds. A wake to a lock a
@@ -264,14 +424,7 @@ impl Memory {
         mut condition: impl FnMut(&mut T) -> bool,
     ) -> MutexGuard<'a, T> {
         while condition(&mut guard) {
-            guard = cv
-                .wait_while(guard, &mut condition)
-                .unwrap_or_else(|poisoned| {
-                    // ORDERING: Relaxed — recovery tally; no ordering dependency.
-                    self.lock_poisonings.fetch_add(1, Ordering::Relaxed);
-                    lock.clear_poison();
-                    poisoned.into_inner()
-                });
+            guard = self.recovered(cv.wait_while(guard, &mut condition), || lock.clear_poison());
         }
         guard
     }
@@ -353,9 +506,7 @@ impl CacheInstruments {
 }
 
 struct CacheInner {
-    memory: Arc<Memory>,
-    /// Global deposit counter (insertion order across shards).
-    seq: AtomicU64,
+    catalogue: Arc<Catalogue>,
     /// The persistent backing store with its commit stage, fixed at
     /// construction.
     stage: Option<CommitStage>,
@@ -378,16 +529,16 @@ impl CacheInner {
 }
 
 /// The shared, thread-safe surface cache — a cheap clonable handle; all
-/// clones observe the same entries and telemetry. Nearest-neighbour scan
-/// order is deposit order (a global sequence number), so warm-start
-/// choices stay deterministic given a deterministic execution order.
+/// clones observe the same entries and telemetry. Nearest-neighbour ties go
+/// to the entry the cache learned of first, so warm-start choices stay
+/// deterministic given a deterministic execution order.
 ///
 /// Optionally backed by a persistent cache directory (see
-/// [`SurfaceCache::open`]): the on-disk
-/// index is consulted on misses, hit surfaces are lazily restored from
-/// their record files — concurrently, outside any lock, at most once per
-/// entry — and promoted into memory, and every deposit is committed to
-/// disk behind the depositor by the write-behind commit stage.
+/// [`SurfaceCache::open`]): its records join the catalogue at open, a hit
+/// on one is lazily restored from its record file — concurrently, outside
+/// any lock, at most once per entry — and kept in its entry, and every
+/// deposit is committed to disk behind the depositor by the write-behind
+/// commit stage.
 #[derive(Clone)]
 pub struct SurfaceCache {
     inner: Arc<CacheInner>,
@@ -407,23 +558,23 @@ impl SurfaceCache {
     /// An empty in-memory cache accepting warm starts within
     /// `warm_radius` fingerprint distance (see [`fingerprint_distance`]).
     pub fn new(warm_radius: f64) -> SurfaceCache {
-        SurfaceCache::with_store(warm_radius, None)
+        SurfaceCache::build(warm_radius, Catalogue::new(Vec::new(), 0), None)
     }
 
-    fn with_store(warm_radius: f64, store: Option<Store>) -> SurfaceCache {
+    fn build(
+        warm_radius: f64,
+        catalogue: Catalogue,
+        store: Option<(Store, EvictionPolicy)>,
+    ) -> SurfaceCache {
         let registry = Registry::new();
         let metrics = CacheInstruments::new(registry.clone());
-        let memory = Arc::new(Memory {
-            shards: (0..SHARD_COUNT)
-                .map(|_| RwLock::new(Shard::default()))
-                .collect(),
-            lock_poisonings: AtomicUsize::new(0),
+        let catalogue = Arc::new(catalogue);
+        let stage = store.map(|(store, policy)| {
+            CommitStage::new(store, policy, &catalogue, metrics.commit.clone())
         });
-        let stage = store.map(|store| CommitStage::new(store, &memory, metrics.commit.clone()));
         let cache = SurfaceCache {
             inner: Arc::new(CacheInner {
-                memory,
-                seq: AtomicU64::new(0),
+                catalogue,
                 stage,
                 warm_radius,
                 metrics,
@@ -459,31 +610,18 @@ impl SurfaceCache {
     /// before every [`SurfaceCache::stats`] read and by the registry's
     /// collect hook ahead of each snapshot.
     fn refresh_gauges(&self) {
-        let entries: usize = (0..SHARD_COUNT)
-            .map(|i| self.inner.memory.shard_read(i).by_hash.len())
-            .sum();
-        let (persisted_entries, persisted_bytes, evictions, skipped, store_poisonings) =
-            match self.inner.store() {
-                Some(store) => (
-                    store.len(),
-                    store.total_bytes(),
-                    store.evictions(),
-                    store.skipped(),
-                    store.poisonings(),
-                ),
-                None => (0, 0, 0, 0, 0),
-            };
+        let catalogue = &self.inner.catalogue;
+        let census = catalogue.census();
         let m = &self.inner.metrics;
-        m.entries.set(entries as u64);
-        m.persisted_entries.set(persisted_entries as u64);
-        m.persisted_bytes.set(persisted_bytes);
-        m.evictions.set(evictions as u64);
-        m.skipped.set(skipped as u64);
-        // ORDERING: Relaxed — recovery tally scrape; staleness by an
-        // in-flight recovery is acceptable for exposition.
-        let poisonings = self.inner.memory.lock_poisonings.load(Ordering::Relaxed);
-        m.lock_poisonings
-            .set((poisonings + store_poisonings) as u64);
+        m.entries.set(census.loaded as u64);
+        m.persisted_entries.set(census.records as u64);
+        m.persisted_bytes.set(census.bytes);
+        // ORDERING: Relaxed — tally scrapes; staleness by an in-flight
+        // eviction, removal or recovery is acceptable for exposition.
+        let tally = |count: &AtomicUsize| count.load(Ordering::Relaxed) as u64;
+        m.evictions.set(tally(&catalogue.evictions));
+        m.skipped.set(tally(&catalogue.skipped));
+        m.lock_poisonings.set(tally(&catalogue.lock_poisonings));
         // ORDERING: Relaxed — the peak is maintained by atomic fetch_max
         // (RMWs on one atomic are totally ordered); this scrape infers
         // nothing about other memory from the value.
@@ -492,8 +630,9 @@ impl SurfaceCache {
     }
 
     /// Opens a cache backed by the persistent directory `dir` (created if
-    /// missing) with an unbounded eviction policy. The on-disk index is
-    /// loaded immediately; surfaces are restored lazily on first hit.
+    /// missing) with an unbounded eviction policy. The directory's records
+    /// are listed into the catalogue immediately; surfaces are restored
+    /// lazily on first hit.
     pub fn open<P: AsRef<Path>>(dir: P) -> Result<SurfaceCache, String> {
         SurfaceCache::open_with(dir, EvictionPolicy::default())
     }
@@ -503,15 +642,19 @@ impl SurfaceCache {
         dir: P,
         policy: EvictionPolicy,
     ) -> Result<SurfaceCache, String> {
-        let store = Store::open(dir, policy)?;
-        Ok(SurfaceCache::with_store(DEFAULT_WARM_RADIUS, Some(store)))
+        let (store, records, skipped) = Store::open(dir)?;
+        Ok(SurfaceCache::build(
+            DEFAULT_WARM_RADIUS,
+            Catalogue::new(records, skipped),
+            Some((store, policy)),
+        ))
     }
 
-    /// Entries currently held by each shard — per-shard telemetry for
-    /// concurrency tests and load inspection.
+    /// Catalogue entries in each shard, loaded or not — per-shard
+    /// telemetry for concurrency tests and load inspection.
     pub fn shard_entries(&self) -> Vec<usize> {
         (0..SHARD_COUNT)
-            .map(|i| self.inner.memory.shard_read(i).by_hash.len())
+            .map(|i| self.inner.catalogue.shard_read(i).by_hash.len())
             .collect()
     }
 
@@ -519,15 +662,15 @@ impl SurfaceCache {
     /// every record-file restore; see [`RestoreHook`]. Pass-through for
     /// tests and latency tracing — not part of the caching semantics.
     pub fn set_restore_hook(&self, hook: RestoreHook) {
-        *self.inner.memory.write(&self.inner.restore_hook) = Some(hook);
+        *self.inner.catalogue.write(&self.inner.restore_hook) = Some(hook);
     }
 
     // ----- disk promotion (restore-once, I/O outside locks) ------------
 
-    /// Loads `hash` from the backing store (if any) and promotes it into
-    /// its shard. `None` when there is no store, the hash is not
-    /// persisted, or its record file is corrupt (skipped with a warning
-    /// and dropped from the index).
+    /// Restores the listed record of `hash` and keeps the surface in its
+    /// catalogue entry. `None` when there is no store, the catalogue lists
+    /// no record of the hash, or its record file is corrupt (skipped with a
+    /// warning and dropped from the catalogue).
     ///
     /// Restore-once guarantee: concurrent callers for the same hash elect
     /// one restorer; the rest wait on a condvar and re-read the shard, so
@@ -536,23 +679,18 @@ impl SurfaceCache {
     /// parallel — the file read holds no lock at all.
     fn promote_from_disk(&self, hash: u64) -> Option<Arc<CachedSurface>> {
         let store = self.inner.store()?;
+        let catalogue = &self.inner.catalogue;
         loop {
-            if let Some(entry) = self
-                .inner
-                .memory
-                .shard_read(shard_of(hash))
-                .by_hash
-                .get(&hash)
-            {
+            if let Some(surface) = catalogue.loaded(hash) {
                 // Another thread promoted it while we raced for the claim.
-                return Some(Arc::clone(&entry.surface));
+                return Some(surface);
             }
             {
-                let mut inflight = self.inner.memory.lock(&self.inner.inflight);
+                let mut inflight = catalogue.lock(&self.inner.inflight);
                 if inflight.contains(&hash) {
                     // A restore of this very hash is in flight: wait for
                     // the winner instead of reading the file twice.
-                    let _released = self.inner.memory.wait_while(
+                    let _released = catalogue.wait_while(
                         &self.inner.inflight_cv,
                         &self.inner.inflight,
                         inflight,
@@ -573,9 +711,10 @@ impl SurfaceCache {
             }
             impl Drop for ClaimGuard<'_> {
                 fn drop(&mut self) {
-                    let mut inflight = self.cache.inner.memory.lock(&self.cache.inner.inflight);
+                    let inner = &self.cache.inner;
+                    let mut inflight = inner.catalogue.lock(&inner.inflight);
                     inflight.remove(&self.hash);
-                    self.cache.inner.inflight_cv.notify_all();
+                    inner.inflight_cv.notify_all();
                 }
             }
             let _claim = ClaimGuard { cache: self, hash };
@@ -584,25 +723,24 @@ impl SurfaceCache {
         }
     }
 
-    /// The claimed restore itself: snapshot the index row, read + validate
-    /// the record file with **no lock held**, then promote under a single
-    /// short shard write lock.
+    /// The claimed restore itself: read what the catalogue lists of the
+    /// record, read + validate the record file with **no lock held**, then
+    /// keep the surface in its entry under a single short shard write lock.
     fn restore_claimed(&self, store: &Store, hash: u64) -> Option<Arc<CachedSurface>> {
+        let catalogue = &self.inner.catalogue;
         // The shard check in `promote_from_disk` and the claim are not
         // one atomic step: a winner may have promoted (and released the
         // claim) between our miss and our claim. Re-check now that the
         // claim is held — without this, the record file would be read a
         // second time for an already-promoted surface.
-        if let Some(entry) = self
-            .inner
-            .memory
-            .shard_read(shard_of(hash))
-            .by_hash
-            .get(&hash)
-        {
-            return Some(Arc::clone(&entry.surface));
-        }
-        let entry: IndexRow = store.entry(hash)?;
+        let (shape, fingerprint, order) = {
+            let shard = catalogue.shard_read(shard_of(hash));
+            let entry = shard.by_hash.get(&hash)?;
+            if let Some(surface) = &entry.surface {
+                return Some(Arc::clone(surface));
+            }
+            (entry.shape, entry.fingerprint.clone(), entry.record?.order)
+        };
 
         // Unwind-safe gauge: decrement on drop so a panicking hook or
         // reader cannot leave `restoring_now` drifted upward forever.
@@ -623,38 +761,46 @@ impl SurfaceCache {
         // ORDERING: Relaxed — atomic fetch_max maintains the peak
         // exactly; no reader infers other state from it.
         self.inner.restore_peak.fetch_max(now, Ordering::Relaxed);
-        let hook = self.inner.memory.read(&self.inner.restore_hook).clone();
+        let hook = catalogue.read(&self.inner.restore_hook).clone();
         if let Some(hook) = hook {
             hook(hash);
         }
         let span =
             hddm_telemetry::SpanTimer::start(Arc::clone(&self.inner.metrics.restore_seconds));
-        let read = store.read_record(&entry);
+        let read = store.read_record(hash, shape, &fingerprint);
         span.stop();
         drop(_gauge);
 
         match read {
             Ok(surface) => {
-                let arc = Arc::new(surface);
-                let mut shard = self.inner.memory.shard_write(shard_of(hash));
-                let entry = shard.by_hash.entry(hash).or_insert_with(|| ShardEntry {
-                    // ORDERING: Relaxed — sequence uniqueness comes from
-                    // RMW atomicity; insertion order is guarded by the
-                    // shard's write lock, not by this atomic.
-                    seq: self.inner.seq.fetch_add(1, Ordering::Relaxed),
-                    surface: Arc::clone(&arc),
-                });
-                let promoted = Arc::clone(&entry.surface);
-                drop(shard);
+                let restored = Arc::new(surface);
+                let kept = match catalogue.shard_write(shard_of(hash)).by_hash.get_mut(&hash) {
+                    // The entry keeps its place; a deposit that landed
+                    // during the read stays.
+                    Some(entry) => Arc::clone(entry.surface.get_or_insert(restored)),
+                    // Evicted during the read: served, not kept.
+                    None => restored,
+                };
                 self.inner.metrics.disk_hits.inc();
-                Some(promoted)
+                Some(kept)
             }
             Err(e) => {
                 eprintln!(
                     "hddm-scenarios: warning: skipping corrupt cached surface {} ({e})",
                     HashId(hash)
                 );
-                store.discard(hash);
+                let dropped = catalogue
+                    .shard_write(shard_of(hash))
+                    .drop_record(hash, order, true);
+                // Another reader's discard or an eviction may have dropped
+                // it first; only the thread that dropped it deletes and
+                // counts it.
+                if dropped {
+                    store.remove_record(hash);
+                    // ORDERING: Relaxed — statistics tally; no ordering
+                    // dependency.
+                    catalogue.skipped.fetch_add(1, Ordering::Relaxed);
+                }
                 None
             }
         }
@@ -676,27 +822,27 @@ impl SurfaceCache {
         shape: ShapeKey,
         fingerprint: &[f64],
     ) -> Option<Arc<CachedSurface>> {
-        let entry = {
-            let shard = self.inner.memory.shard_read(shard_of(hash));
-            shard.by_hash.get(&hash).map(|e| Arc::clone(&e.surface))
-        }
-        .or_else(|| self.promote_from_disk(hash))?;
         // A colliding hash with an incompatible shape/fingerprint is a
-        // miss, exactly as in `lookup`.
-        if entry.shape == shape && entry.fingerprint == fingerprint {
-            self.inner.metrics.exact_hits.inc();
-            Some(entry)
-        } else {
-            None
-        }
+        // miss, exactly as in `lookup`, and restores nothing.
+        let loaded = {
+            let shard = self.inner.catalogue.shard_read(shard_of(hash));
+            let entry = shard.by_hash.get(&hash)?;
+            if entry.shape != shape || entry.fingerprint != fingerprint {
+                return None;
+            }
+            entry.surface.clone()
+        };
+        let surface = loaded.or_else(|| self.promote_from_disk(hash))?;
+        self.inner.metrics.exact_hits.inc();
+        Some(surface)
     }
 
     /// Looks up a surface for the scenario identified by `hash`,
-    /// `shape`, and `fingerprint`: exact hash match first (memory, then
-    /// the persistent index), then — when `allow_warm` — the nearest
-    /// same-shape neighbour within the warm radius across memory and
-    /// disk. With `allow_warm: false` a non-exact lookup counts as a
-    /// miss, so telemetry matches what the executor actually serves.
+    /// `shape`, and `fingerprint`: exact hash match first, then — when
+    /// `allow_warm` — the nearest same-shape neighbour within the warm
+    /// radius, restored from disk if it is not loaded yet. With
+    /// `allow_warm: false` a non-exact lookup counts as a miss, so
+    /// telemetry matches what the executor actually serves.
     ///
     /// An exact-hash candidate whose shape or fingerprint disagrees with
     /// the request is a hash collision, not a hit: serving it would
@@ -714,131 +860,78 @@ impl SurfaceCache {
         if let Some(surface) = self.lookup_exact(hash, shape, fingerprint) {
             return Lookup::Exact(surface);
         }
-
-        if !allow_warm {
-            self.inner.metrics.misses.inc();
-            return Lookup::Miss;
-        }
-
-        let (best_mem, in_memory) = self.best_memory_candidate(shape, fingerprint);
-
-        // Disk candidates are retried in nearest-first order: a corrupt
-        // record file drops out of the index inside the restore, so the
-        // next scan finds the next-nearest neighbour.
-        loop {
-            let best_disk = self.inner.store().and_then(|store| {
-                store
-                    .best_candidate(shape, fingerprint, self.inner.warm_radius, |h| {
-                        in_memory.contains(&h)
-                    })
-                    .map(|(d, entry)| (d, entry.hash.0))
-            });
-            let from_disk = match (best_mem.as_ref(), best_disk) {
-                (Some((dm, _)), Some((dd, h))) if dd < *dm => Some(h),
-                (None, Some((_, h))) => Some(h),
-                _ => None,
-            };
-            match from_disk {
-                Some(h) => {
-                    if let Some(entry) = self.promote_from_disk(h) {
-                        self.inner.metrics.warm_hits.inc();
-                        return Lookup::Warm(entry);
-                    }
-                    // Corrupt candidate was skipped; rescan.
-                }
-                None => {
-                    return match best_mem {
-                        Some((_, surface)) => {
-                            self.inner.metrics.warm_hits.inc();
-                            Lookup::Warm(surface)
-                        }
-                        None => {
-                            self.inner.metrics.misses.inc();
-                            Lookup::Miss
-                        }
-                    };
+        // A corrupt record drops out of the catalogue inside its restore,
+        // so the next scan finds the next-nearest neighbour.
+        if allow_warm {
+            while let Some((near, loaded)) = self.nearest(shape, fingerprint) {
+                let surface = loaded.or_else(|| self.promote_from_disk(near.hash.0));
+                if let Some(surface) = surface {
+                    self.inner.metrics.warm_hits.inc();
+                    return Lookup::Warm(surface);
                 }
             }
         }
+        self.inner.metrics.misses.inc();
+        Lookup::Miss
     }
 
-    /// The nearest same-shape in-memory neighbour within the warm radius
-    /// (ties broken toward the earliest deposit — deterministic and
-    /// independent of shard/map iteration order), plus the set of all
-    /// in-memory hashes (so the disk scan can skip entries already
-    /// considered here). Shards are scanned one read lock at a time; a
-    /// deposit racing the scan may be missed this round, exactly as it
-    /// could have missed the old cache-wide mutex.
-    fn best_memory_candidate(
+    /// The nearest same-shape catalogue entry within the warm radius, ties
+    /// to the entry learned of first — deterministic and independent of
+    /// shard/map iteration order. Shards are scanned one read lock at a
+    /// time; a deposit racing the scan may be missed this round, exactly
+    /// as it could have missed a cache-wide mutex.
+    fn nearest(
         &self,
         shape: ShapeKey,
         fingerprint: &[f64],
-    ) -> (Option<(f64, Arc<CachedSurface>)>, HashSet<u64>) {
-        let mut in_memory = HashSet::new();
-        let mut best: Option<(f64, u64, Arc<CachedSurface>)> = None;
+    ) -> Option<(NeighbourInfo, Option<Arc<CachedSurface>>)> {
+        let mut best: Option<(u64, NeighbourInfo, Option<Arc<CachedSurface>>)> = None;
         for i in 0..SHARD_COUNT {
-            let shard = self.inner.memory.shard_read(i);
+            let shard = self.inner.catalogue.shard_read(i);
             #[expect(
                 clippy::iter_over_hash_type,
-                reason = "the nearest entry wins, ties to the earliest deposit: no visit order shows"
+                reason = "the nearest entry wins, ties to the one learned of first: no visit order shows"
             )]
-            for (&h, entry) in &shard.by_hash {
-                in_memory.insert(h);
-                if entry.surface.shape != shape {
+            for (&hash, entry) in &shard.by_hash {
+                if entry.shape != shape {
                     continue;
                 }
-                let d = fingerprint_distance(&entry.surface.fingerprint, fingerprint);
-                let better = match &best {
-                    None => true,
-                    Some((bd, bseq, _)) => d < *bd || (d == *bd && entry.seq < *bseq),
-                };
+                let d = fingerprint_distance(&entry.fingerprint, fingerprint);
+                let better = best.as_ref().is_none_or(|(seq, b, _)| {
+                    d < b.distance || (d == b.distance && entry.seq < *seq)
+                });
                 if d <= self.inner.warm_radius && better {
-                    best = Some((d, entry.seq, Arc::clone(&entry.surface)));
+                    let near = NeighbourInfo {
+                        hash: HashId(hash),
+                        distance: d,
+                        cost_seconds: entry.cost_seconds,
+                    };
+                    best = Some((entry.seq, near, entry.surface.clone()));
                 }
             }
         }
-        (best.map(|(d, _, surface)| (d, surface)), in_memory)
+        best.map(|(_, near, surface)| (near, surface))
     }
 
     /// The nearest same-shape cached neighbour of `fingerprint` within
-    /// the warm radius — in memory or in the persistent index — without
-    /// restoring anything from disk and without touching the hit/miss
-    /// telemetry. This is the serving front-end's "near miss" probe: it
-    /// answers "what would a warm start use, and what did it cost?"
-    /// from index metadata alone.
+    /// the warm radius, loaded or not, by the rule a warm
+    /// [`SurfaceCache::lookup`] follows — without restoring anything from
+    /// disk and without touching the hit/miss telemetry. This is the
+    /// serving front-end's "near miss" probe: it answers "what would a warm
+    /// start use, and what did it cost?" from the catalogue alone.
     pub fn nearest_neighbour(&self, shape: ShapeKey, fingerprint: &[f64]) -> Option<NeighbourInfo> {
-        let (best_mem, in_memory) = self.best_memory_candidate(shape, fingerprint);
-        let best_mem = best_mem.map(|(d, s)| NeighbourInfo {
-            hash: HashId(s.hash),
-            distance: d,
-            cost_seconds: s.cost_seconds,
-        });
-        let best_disk = self.inner.store().and_then(|store| {
-            store
-                .best_candidate(shape, fingerprint, self.inner.warm_radius, |h| {
-                    in_memory.contains(&h)
-                })
-                .map(|(d, entry)| NeighbourInfo {
-                    hash: entry.hash,
-                    distance: d,
-                    cost_seconds: entry.cost_seconds,
-                })
-        });
-        match (best_mem, best_disk) {
-            (Some(m), Some(d)) => Some(if d.distance < m.distance { d } else { m }),
-            (m, d) => m.or(d),
-        }
+        self.nearest(shape, fingerprint).map(|(near, _)| near)
     }
 
     /// Deposits a solved policy surface: the policy is cloned once and
     /// that copy is what every later hit reads. Last writer wins on
     /// hash collisions of identical scenarios (the surfaces are
-    /// interchangeable by construction). The surface is served from memory
-    /// as soon as this returns. With a persistent store attached, the same
-    /// `Arc` is enqueued for the commit stage, which writes it to disk
-    /// behind the caller and applies the eviction policy; surfaces evicted
-    /// from disk are dropped from memory too, so the two tiers stay
-    /// consistent. The deposit is durable once [`SurfaceCache::flush`]
+    /// interchangeable by construction); a re-deposit keeps its entry's
+    /// place. The surface is served from memory as soon as this returns.
+    /// With a persistent store attached, the same `Arc` is enqueued for the
+    /// commit stage, which writes it to disk behind the caller and applies
+    /// the eviction policy; an evicted entry leaves the catalogue, surface
+    /// included. The deposit is durable once [`SurfaceCache::flush`]
     /// returns (as [`crate::run_batch`] and [`crate::run_set`] do before
     /// returning) or the cache's last handle drops. When the backlog of
     /// uncommitted deposits is full, this waits for the writer.
@@ -865,20 +958,18 @@ impl SurfaceCache {
             cost_seconds,
         });
         {
-            let mut shard = self.inner.memory.shard_write(shard_of(hash));
-            match shard.by_hash.get_mut(&hash) {
-                Some(entry) => entry.surface = Arc::clone(&surface), // keep the eviction slot
-                None => {
-                    // ORDERING: Relaxed — uniqueness by RMW atomicity;
-                    // the shard write lock orders the insertion itself.
-                    let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-                    shard.by_hash.insert(
-                        hash,
-                        ShardEntry {
-                            seq,
-                            surface: Arc::clone(&surface),
-                        },
-                    );
+            let catalogue = &self.inner.catalogue;
+            let mut shard = catalogue.shard_write(shard_of(hash));
+            match shard.by_hash.entry(hash) {
+                hash_map::Entry::Occupied(mut known) => {
+                    let known = known.get_mut();
+                    *known = Entry {
+                        record: known.record,
+                        ..Entry::deposited(known.seq, &surface)
+                    };
+                }
+                hash_map::Entry::Vacant(slot) => {
+                    slot.insert(Entry::deposited(catalogue.next(), &surface));
                 }
             }
         }
@@ -924,14 +1015,14 @@ impl SurfaceCache {
 /// Most deposits that may wait for their commit at once. A deposit that
 /// finds this many uncommitted ones waits for the writer (back-pressure),
 /// so a producer that outruns the disk runs at the disk's pace instead of
-/// piling up work. Every waiting surface is also held by the memory tier
-/// (until evicted), so the bound costs no copies.
+/// piling up work. Every waiting surface is also held by its catalogue
+/// entry (until evicted), so the bound costs no copies.
 const COMMIT_BACKLOG: u64 = 64;
 
 /// The write-behind commit stage: the one path by which a deposit reaches
-/// the cache directory. Deposits enqueue the `Arc` the memory tier holds;
-/// one writer thread, started by a deposit that finds none running, drains
-/// the queue in group commits. It stops at a flush that leaves the queue
+/// the cache directory. Deposits enqueue the `Arc` their catalogue entry
+/// holds; one writer thread, started by a deposit that finds none running,
+/// drains the queue in group commits. It stops at a flush that leaves the queue
 /// empty ([`CommitStage::flush`]), which the last handle's drop runs, so
 /// no writer outlives its cache.
 ///
@@ -950,7 +1041,8 @@ struct CommitStage {
 /// no handle to the cache itself.
 struct StageShared {
     store: Store,
-    memory: Arc<Memory>,
+    policy: EvictionPolicy,
+    catalogue: Arc<Catalogue>,
     backlog: Mutex<Backlog>,
     /// Signalled on every change of `backlog`: a deposit or a stop (for
     /// the writer), a settled group (for back-pressure and flushes).
@@ -976,11 +1068,17 @@ struct Backlog {
 }
 
 impl CommitStage {
-    fn new(store: Store, memory: &Arc<Memory>, metrics: CommitInstruments) -> CommitStage {
+    fn new(
+        store: Store,
+        policy: EvictionPolicy,
+        catalogue: &Arc<Catalogue>,
+        metrics: CommitInstruments,
+    ) -> CommitStage {
         CommitStage {
             shared: Arc::new(StageShared {
                 store,
-                memory: Arc::clone(memory),
+                policy,
+                catalogue: Arc::clone(catalogue),
                 backlog: Mutex::new(Backlog::default()),
                 changed: Condvar::new(),
                 metrics,
@@ -991,10 +1089,10 @@ impl CommitStage {
 
     fn enqueue(&self, surface: Arc<CachedSurface>) {
         let shared = &*self.shared;
-        let mut backlog = shared.memory.wait_while(
+        let mut backlog = shared.catalogue.wait_while(
             &shared.changed,
             &shared.backlog,
-            shared.memory.lock(&shared.backlog),
+            shared.catalogue.lock(&shared.backlog),
             |b| b.enqueued - b.settled >= COMMIT_BACKLOG,
         );
         backlog.queued.push_back(surface);
@@ -1009,7 +1107,7 @@ impl CommitStage {
         drop(backlog);
         shared.metrics.queue_peak.fetch_max(waiting);
         if start {
-            let mut writer = shared.memory.lock(&self.writer);
+            let mut writer = shared.catalogue.lock(&self.writer);
             if let Some((_, stopped)) = writer.take() {
                 let _ = stopped.join();
             }
@@ -1029,11 +1127,11 @@ impl CommitStage {
     /// the queue is then empty, stops the writer and joins it.
     fn flush(&self) {
         let shared = &*self.shared;
-        let backlog = shared.memory.lock(&shared.backlog);
+        let backlog = shared.catalogue.lock(&shared.backlog);
         let target = backlog.enqueued;
         let mut backlog =
             shared
-                .memory
+                .catalogue
                 .wait_while(&shared.changed, &shared.backlog, backlog, |b| {
                     b.settled < target
                 });
@@ -1044,7 +1142,7 @@ impl CommitStage {
         backlog.stop = number;
         drop(backlog);
         shared.changed.notify_all();
-        let mut writer = shared.memory.lock(&self.writer);
+        let mut writer = shared.catalogue.lock(&self.writer);
         // A later writer, started by a deposit since, is not this flush's.
         if writer.as_ref().is_some_and(|(n, _)| *n == number) {
             if let Some((_, stopped)) = writer.take() {
@@ -1065,7 +1163,7 @@ impl StageShared {
     /// failed commit and stays in memory only, so no flush waits for a
     /// writer that never ran.
     fn abandon(&self, why: &str) {
-        let mut backlog = self.memory.lock(&self.backlog);
+        let mut backlog = self.catalogue.lock(&self.backlog);
         let lost = backlog.queued.len() as u64;
         backlog.queued.clear();
         backlog.settled += lost;
@@ -1085,11 +1183,11 @@ impl StageShared {
         let mut done = 0;
         loop {
             let group: Vec<Arc<CachedSurface>> = {
-                let mut backlog = self.memory.lock(&self.backlog);
+                let mut backlog = self.catalogue.lock(&self.backlog);
                 backlog.settled += done;
                 self.changed.notify_all();
                 let mut backlog =
-                    self.memory
+                    self.catalogue
                         .wait_while(&self.changed, &self.backlog, backlog, |b| {
                             b.queued.is_empty() && b.stop < number
                         });
@@ -1105,24 +1203,25 @@ impl StageShared {
     }
 
     /// One group commit: each record is written to its temp file, fsynced
-    /// and renamed, in deposit order, and its evictions applied to both
-    /// tiers; then one directory fsync makes the group's renames durable.
-    /// A record that cannot be written stays in memory only.
+    /// and renamed, in deposit order, and its entry marked committed and
+    /// the eviction policy applied; then one directory fsync makes the
+    /// group's renames durable. A record that cannot be written stays in
+    /// memory only.
     fn commit_group(&self, group: &[Arc<CachedSurface>]) {
         let span = hddm_telemetry::SpanTimer::start(Arc::clone(&self.metrics.seconds));
         for surface in group {
             match self.store.commit(surface) {
-                Ok(evicted) => {
+                Ok(bytes) => {
                     self.metrics.records.inc();
-                    if !evicted.is_empty() {
-                        let span = hddm_telemetry::SpanTimer::start(Arc::clone(
-                            &self.metrics.evict_seconds,
-                        ));
-                        for h in evicted {
-                            self.memory.shard_write(shard_of(h)).by_hash.remove(&h);
-                        }
-                        span.stop();
-                    }
+                    let order = self.catalogue.next();
+                    self.catalogue
+                        .shard_write(shard_of(surface.hash))
+                        .by_hash
+                        .entry(surface.hash)
+                        // Evicted earlier in this group: learned anew.
+                        .or_insert_with(|| Entry::deposited(self.catalogue.next(), surface))
+                        .record = Some(Record { order, bytes });
+                    self.evict(surface.hash);
                 }
                 Err(e) => {
                     self.metrics.failures.inc();
@@ -1136,6 +1235,48 @@ impl StageShared {
         }
         self.store.sync_dir();
         span.stop();
+    }
+
+    /// Applies the eviction policy after the commit of `deposit`: while the
+    /// committed records exceed a bound, the oldest goes, and its entry,
+    /// surface included, with it — except `deposit`'s own, whose surface
+    /// stays in memory when the budget is smaller than one surface: the
+    /// directory bound still holds, and caching still works. Each record
+    /// file is deleted after its shard guard drops.
+    fn evict(&self, deposit: u64) {
+        let mut span = None;
+        loop {
+            let census = self.catalogue.census();
+            let over = self.policy.max_entries.is_some_and(|m| census.records > m)
+                || self.policy.max_bytes.is_some_and(|m| census.bytes > m);
+            let Some((order, hash, bytes)) = census.oldest.filter(|_| over) else {
+                return;
+            };
+            span.get_or_insert_with(|| {
+                hddm_telemetry::SpanTimer::start(Arc::clone(&self.metrics.evict_seconds))
+            });
+            let dropped = self.catalogue.shard_write(shard_of(hash)).drop_record(
+                hash,
+                order,
+                hash == deposit,
+            );
+            if !dropped {
+                continue; // a reader's discard dropped it first
+            }
+            // A crash before the deletion leaves a record the next open
+            // lists and the next commit evicts again.
+            self.store.remove_record(hash);
+            // ORDERING: Relaxed — statistics tally; the catalogue update
+            // itself is ordered by the shard write guard.
+            self.catalogue.evictions.fetch_add(1, Ordering::Relaxed);
+            if hash == deposit {
+                eprintln!(
+                    "hddm-scenarios: warning: cache budget is too small for a single \
+                     surface ({bytes} bytes); surface {} stays in memory only",
+                    HashId(hash)
+                );
+            }
+        }
     }
 }
 
@@ -1426,7 +1567,9 @@ mod tests {
         // cross-thread situation a crashing sweep thread creates.
         let poisoner = cache.clone();
         let _ = std::thread::spawn(move || {
-            let _guard = poisoner.inner.memory.shards[shard_of(77)].write().unwrap();
+            let _guard = poisoner.inner.catalogue.shards[shard_of(77)]
+                .write()
+                .unwrap();
             panic!("poison the shard");
         })
         .join();
@@ -1554,10 +1697,9 @@ mod tests {
             cache.store_policy(hash, shape(), vec![hash as f64], &policy, 9, 1e-8, 0.5);
         }
         cache.flush();
-        let store = cache.inner.store().unwrap();
         for hash in 0..8 {
             assert!(
-                store.entry(hash).is_some(),
+                dir.join(crate::persist::surface_file_name(hash)).exists(),
                 "deposit {hash} was not committed when its flush returned"
             );
         }

@@ -11,7 +11,7 @@
 //! * [`run_batch`] — the incremental form the serving front-end builds
 //!   on: run the batch on the calling thread's pool and hand each
 //!   scenario's result to a callback on the worker that solved it, as
-//!   soon as its surface is in the cache's memory tier (`run_set` *is*
+//!   soon as its surface is in the cache's catalogue (`run_set` *is*
 //!   `run_batch` with a callback that fills one slot per scenario).
 //!
 //! Both return once every surface the batch deposited is committed.
@@ -94,8 +94,9 @@ pub struct ExecutorConfig {
     pub warm_start: bool,
     /// Persistent policy-surface cache directory. `None` keeps the cache
     /// purely in memory; `Some(dir)` makes [`ExecutorConfig::open_cache`]
-    /// load the on-disk index at startup and commit every solved surface
-    /// to it, so an identical sweep in a later process does zero solves.
+    /// list the directory's records at startup and commit every solved
+    /// surface to it, so an identical sweep in a later process does zero
+    /// solves.
     pub cache_dir: Option<PathBuf>,
     /// Size bounds of the persistent cache (oldest-first eviction);
     /// ignored without `cache_dir`.
@@ -126,8 +127,8 @@ impl ExecutorConfig {
         }
     }
 
-    /// Opens the cache this configuration asks for: persistent (index
-    /// loaded, surfaces lazily restored, deposits committed) when
+    /// Opens the cache this configuration asks for: persistent (records
+    /// listed, surfaces lazily restored, deposits committed) when
     /// `cache_dir` is set, purely in-memory otherwise.
     pub fn open_cache(&self) -> Result<SurfaceCache, String> {
         match &self.cache_dir {
@@ -281,10 +282,10 @@ pub fn run_single(
 
 /// Runs a scenario batch on the calling thread: `done(i, result)` is
 /// called on the pool worker that solved scenario `i`, as soon as its
-/// surface is in the memory tier, and the call returns once every
-/// surface the batch deposited is committed. This is the incremental
-/// entry point the serving front-end fulfils its tickets from;
-/// [`run_set`] collects the results into a [`SweepReport`].
+/// surface is in the cache's catalogue, and the call returns once every
+/// surface the batch deposited is committed, on a panic's unwind too. This
+/// is the incremental entry point the serving front-end fulfils its tickets
+/// from; [`run_set`] collects the results into a [`SweepReport`].
 ///
 /// Validates the whole batch up front (typed [`ExecutorError`]s), then
 /// runs the scenario-level pool, which calls `done` once per scenario or
@@ -310,12 +311,19 @@ pub fn run_batch(
         threads: config.threads,
         grain: 1,
     };
+    // The batch's surfaces were handed out as they were deposited; the
+    // batch ends once they are committed (see `crate::cache`), also when a
+    // solve's panic unwinds out of `parallel_for`.
+    struct FlushOnExit<'a>(&'a SurfaceCache);
+    impl Drop for FlushOnExit<'_> {
+        fn drop(&mut self) {
+            self.0.flush();
+        }
+    }
+    let _flush = FlushOnExit(cache);
     parallel_for(set.len(), &pool, |i| {
         done(i, solve_one(&set.scenarios[i], cache, config));
     });
-    // The batch's surfaces were handed out as they were deposited; the
-    // batch ends once they are committed (see `crate::cache`).
-    cache.flush();
     Ok(())
 }
 
@@ -456,7 +464,7 @@ mod tests {
             assert!(report.converged);
             let scenario = &set.scenarios[i];
             assert_eq!(report.name, scenario.name);
-            // In the memory tier before the callback runs.
+            // In the catalogue before the callback runs.
             let hash = scenario_hash(scenario);
             let served = cache.lookup_exact(hash, ShapeKey::of(scenario), &fingerprint(scenario));
             assert_eq!(served.map(|s| s.hash), Some(hash));

@@ -20,9 +20,10 @@
 //!   scenario's domain box;
 //! * [`persist`] — the versioned persistent backing store: a cache
 //!   directory of atomically-written binary records, one per surface (a
-//!   [`hddm_core::record`] frame), which are also its index — lazy
-//!   restoration, oldest-first eviction, and corrupt-artifact skipping —
-//!   run N+1 of the same sweep does zero solves;
+//!   [`hddm_core::record`] frame), listed into the cache's one catalogue
+//!   at open — lazy restoration, oldest-first eviction, and
+//!   corrupt-artifact skipping — run N+1 of the same sweep does zero
+//!   solves;
 //! * [`executor`] — the batch executor: scenarios run in set order on
 //!   `threads` workers of [`hddm_sched::parallel_for`], started from the
 //!   calling thread, each against the cache, handing each result to a

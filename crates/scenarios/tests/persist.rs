@@ -4,8 +4,10 @@
 //! time-iteration steps — every surface is an exact hit lazily restored
 //! from disk — and the eviction policy provably bounds the directory to
 //! the configured maximum, oldest mtime first across a reopen. The record
-//! files are the index: corrupt, misnamed and version-mismatched records
-//! are removed with a warning, never a panic, and never followed.
+//! files seed the cache's catalogue at open: corrupt, misnamed and
+//! version-mismatched records are removed with a warning, never a panic,
+//! and never followed, and equal-distance warm starts go to the record
+//! listed first.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -15,7 +17,7 @@ use std::time::{Duration, SystemTime};
 use hddm_kernels::KernelKind;
 use hddm_olg::{Calibration, PolicyOracle};
 use hddm_scenarios::{
-    persist, run_set, run_single, CacheKind, EvictionPolicy, ExecutorConfig, Knob, Lookup,
+    persist, run_set, run_single, CacheKind, EvictionPolicy, ExecutorConfig, HashId, Knob, Lookup,
     Scenario, ScenarioSet, SurfaceCache,
 };
 
@@ -587,6 +589,64 @@ fn eviction_order_across_a_reopen_is_oldest_mtime_first() {
         .collect();
     expected.sort();
     assert_eq!(listing(&dir), expected, "the oldest mtime went");
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Two records at one fingerprint: a warm lookup and the near-miss probe
+/// name the one the cache learned of first — the record listed first at
+/// open — whether or not an exact hit has restored the other since.
+#[test]
+fn warm_ties_go_to_the_record_listed_first_whatever_was_restored() {
+    let dir = temp_cache_dir("ties");
+    let scenario = base_scenario();
+    let (shape, fp) = (
+        original_shape(&scenario),
+        hddm_scenarios::fingerprint(&scenario),
+    );
+    let solved = SurfaceCache::default();
+    let hash = run_single(&scenario, &solved, &ExecutorConfig::serial())
+        .unwrap()
+        .hash
+        .0;
+    let Lookup::Exact(surface) = solved.lookup(hash, shape, &fp, false) else {
+        panic!("stored surface must be an exact hit in its own cache");
+    };
+    let (first, second) = (0x10, 0x20);
+    let cache = SurfaceCache::open(&dir).unwrap();
+    for h in [first, second] {
+        cache.store_policy(
+            h,
+            shape,
+            fp.clone(),
+            surface.restore_policy(),
+            surface.steps,
+            surface.final_sup_change,
+            surface.cost_seconds,
+        );
+    }
+    drop(cache);
+    for (h, secs) in [(first, 1_000), (second, 2_000)] {
+        fs::OpenOptions::new()
+            .write(true)
+            .open(dir.join(persist::surface_file_name(h)))
+            .unwrap()
+            .set_modified(SystemTime::UNIX_EPOCH + Duration::from_secs(secs))
+            .unwrap();
+    }
+
+    let reopened = SurfaceCache::open(&dir).unwrap();
+    assert!(reopened.lookup_exact(second, shape, &fp).is_some());
+    assert_eq!(
+        reopened.nearest_neighbour(shape, &fp).map(|n| n.hash),
+        Some(HashId(first)),
+        "the probe names the record listed first"
+    );
+    match reopened.lookup(0x30, shape, &fp, true) {
+        Lookup::Warm(s) => assert_eq!(s.hash, first, "the warm start is the record listed first"),
+        other => panic!("expected warm, got {other:?}"),
+    }
+    assert_eq!(reopened.stats().disk_hits, 2);
 
     let _ = fs::remove_dir_all(&dir);
 }

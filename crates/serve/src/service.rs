@@ -224,7 +224,7 @@ struct Shared {
 /// The non-blocking scenario serving facade over the scenario engine:
 ///
 /// * **exact hit** — the scenario's content hash is cached (in memory or
-///   in the persistent index): the response is built on the caller's
+///   listed from its directory): the response is built on the caller's
 ///   thread from the cached surface, with zero solver steps. Concurrent
 ///   callers read through the sharded cache (and restore record files
 ///   from disk outside any lock), so hit latency does not serialize;
@@ -241,7 +241,7 @@ struct Shared {
 /// through the incremental batch executor
 /// ([`run_batch`](hddm_scenarios::run_batch)) on the dispatcher's own
 /// thread, fulfilling each ticket as its scenario completes — once its
-/// surface is in the cache's memory tier. The cache commits it to disk
+/// surface is in the cache's catalogue. The cache commits it to disk
 /// behind the ticket; the dispatcher takes its next batch once the
 /// batch's commits are done, so a shut-down service (its dispatchers
 /// joined) has committed every surface it solved. No async runtime:
@@ -399,7 +399,7 @@ impl ScenarioService {
         }
 
         // Near-miss probe (outside the queue lock — it scans every shard
-        // and the persistent index): index metadata only, no record I/O.
+        // of the cache's catalogue): catalogue metadata only, no record I/O.
         let warm_hint = if request.allow_warm {
             let span = hddm_telemetry::SpanTimer::start(Arc::clone(&metrics.warm_hint_seconds));
             let hint = self.cache.nearest_neighbour(shape, &fp).map(|n| WarmHint {

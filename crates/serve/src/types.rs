@@ -86,7 +86,7 @@ impl ScenarioRequest {
 }
 
 /// Nearest warm-start candidate reported on a near miss — the metadata
-/// the service extracts from the cache index at admission time, before
+/// the service extracts from the cache's catalogue at admission time, before
 /// the solve runs (and without any record-file I/O).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WarmHint {

@@ -12,7 +12,8 @@
 //! * a shut-down service leaves every surface it solved committed, and
 //!   solves what it admitted, even behind a running batch;
 //! * a solve that panics inside a batch loses only its own ticket
-//!   (`WorkerLost`), and the dispatcher serves on.
+//!   (`WorkerLost`), and the dispatcher serves on; the deposits the batch
+//!   made before the panic are committed when it unwinds.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -20,7 +21,8 @@ use std::time::{Duration, Instant};
 
 use hddm_olg::Calibration;
 use hddm_scenarios::{
-    run_set, CacheKind, ExecutorConfig, Knob, Scenario, ScenarioSet, SurfaceCache,
+    persist, run_set, scenario_hash, CacheKind, ExecutorConfig, Knob, Scenario, ScenarioSet,
+    SurfaceCache,
 };
 use hddm_serve::{ScenarioRequest, ScenarioService, ServeConfig, ServeError};
 
@@ -565,5 +567,52 @@ fn a_panicking_batch_loses_its_ticket_and_the_dispatcher_serves_on() {
     assert_eq!(served.kind(), CacheKind::Warm);
     assert!(served.report.converged);
     drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A batch whose second solve panics still commits the first one's
+/// deposit before the panic leaves `run_set`: scenario 0 solves cold and
+/// deposits, scenario 1's warm restore from disk panics in the restore
+/// hook. Once `catch_unwind` returns, with the cache still open, scenario
+/// 0's record is on disk and counted as committed.
+#[test]
+fn a_panicking_batch_commits_the_deposits_it_made_before_the_panic() {
+    let dir = temp_cache_dir("unwind");
+    {
+        let warmer = SurfaceCache::open(&dir).unwrap();
+        let set = ScenarioSet {
+            scenarios: vec![base()],
+        };
+        assert!(run_set(&set, &warmer, &ExecutorConfig::serial())
+            .unwrap()
+            .all_converged());
+    }
+
+    let cache = SurfaceCache::open(&dir).unwrap();
+    cache.set_restore_hook(Arc::new(|_| panic!("a restore fails inside the batch")));
+    // Another shape: scenario 0 neither hits nor warm-starts from disk.
+    let mut deposits = Scenario::from_calibration("serve", Calibration::small(5, 3, 2, 0.03));
+    deposits.solve = base().solve;
+    let mut panics = base();
+    Knob::Beta.apply(&mut panics, 0.9525).unwrap();
+    panics.name = "serve/panics".into();
+    let set = ScenarioSet {
+        scenarios: vec![deposits.clone(), panics],
+    };
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_set(&set, &cache, &ExecutorConfig::serial())
+    }));
+    assert!(unwound.is_err(), "scenario 1's restore panics");
+
+    let record = dir.join(persist::surface_file_name(scenario_hash(&deposits)));
+    assert!(record.exists(), "scenario 0's deposit was not committed");
+    assert_eq!(
+        cache
+            .registry()
+            .snapshot()
+            .counter("hddm_cache_commit_records_total"),
+        Some(1)
+    );
+    drop(cache);
     let _ = std::fs::remove_dir_all(&dir);
 }

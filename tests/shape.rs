@@ -489,14 +489,14 @@ fn one_kit_per_run() {
 }
 
 // The surface cache writes one format, `HDDMSURF` record frames, and those
-// files are its index: no JSON codec comes back into the store.
+// files seed its catalogue: no JSON codec comes back into the store.
 #[test]
 fn no_json_in_the_surface_store() {
     let file = "crates/scenarios/src/persist.rs";
     let found = hits(file, &read(file), |l| l.contains("serde"));
     pass(flag(
         found,
-        format!("FAIL: {file} names serde; the record files are the index"),
+        format!("FAIL: {file} names serde; the record files seed the catalogue"),
     ));
 }
 
@@ -588,6 +588,50 @@ fn one_durable_write_path() {
     pass(failures);
 }
 
+// The surface cache has one catalogue: the shards in `cache.rs` list every
+// surface it knows, and the store keeps the record files, not a second
+// index behind a lock of its own. Every nearest-neighbour decision (warm
+// lookup, near-miss probe) is one scan, so one function measures a
+// fingerprint distance.
+#[test]
+fn one_catalogue() {
+    let store = "crates/scenarios/src/persist.rs";
+    let mut failures = flag(
+        hits(store, &code_only(&live(&read(store))), |l| {
+            has_word(l, "RwLock") || has_word(l, "Mutex")
+        }),
+        format!("FAIL: {store} names a lock; the store keeps the files, the cache's shards the catalogue"),
+    );
+    let mut callers = BTreeSet::new();
+    for file in rust_files("crates/scenarios/src") {
+        let mut within = String::new();
+        for line in code_only(&live(&read(&file))).lines() {
+            let starts = |at: usize| !is_word(line[..at].chars().next_back());
+            if let Some((at, _)) = line.match_indices("fn ").find(|&(at, _)| starts(at)) {
+                within = line[at + 3..]
+                    .chars()
+                    .take_while(|&c| is_word(Some(c)))
+                    .collect();
+            }
+            let calls = line
+                .match_indices("fingerprint_distance(")
+                .any(|(at, _)| starts(at) && !line[..at].trim_end().ends_with("fn"));
+            if calls {
+                callers.insert(format!("{file}: fn {within}"));
+            }
+        }
+    }
+    if callers.len() != 1 {
+        failures.extend(callers.iter().cloned());
+        failures.push(format!(
+            "FAIL: {} non-test functions of crates/scenarios/src call fingerprint_distance; \
+             every nearest-neighbour decision is one scan of the catalogue",
+            callers.len()
+        ));
+    }
+    pass(failures);
+}
+
 /// `text` with its line comments, its string and char literals and every
 /// other non-ASCII character blanked, each character to one space; a
 /// newline stays a newline, so a byte offset of the result has the line
@@ -638,20 +682,13 @@ fn ident_before(code: &str, end: usize) -> &str {
 }
 
 /// The lock an acquisition starting at byte `at` of `code` takes:
-/// `.index_read(`/`.index_write(` the store's index, `.shard_read(`/
-/// `.shard_write(` a memory shard, and `.lock(x)` or `recover(x)` the lock
-/// `x` names (its last named field: `&self.slot.0` is `slot`).
+/// `.shard_read(`/`.shard_write(` a catalogue shard, and `.lock(x)` or
+/// `recover(x)` the lock `x` names (its last named field: `&self.slot.0` is
+/// `slot`).
 fn acquisition(code: &str, at: usize) -> Option<String> {
     let rest = &code[at..];
-    for (call, lock) in [
-        (".index_read(", "index"),
-        (".index_write(", "index"),
-        (".shard_read(", "shard"),
-        (".shard_write(", "shard"),
-    ] {
-        if rest.starts_with(call) {
-            return Some(lock.to_string());
-        }
+    if rest.starts_with(".shard_read(") || rest.starts_with(".shard_write(") {
+        return Some("shard".to_string());
     }
     let args = if let Some(args) = rest.strip_prefix(".lock(") {
         args
@@ -791,8 +828,6 @@ fn lock_faults(file: &str, text: &str, calls: &[&str]) -> (Vec<String>, BTreeSet
                     continue;
                 };
                 let guarded = [
-                    "index_read",
-                    "index_write",
                     "shard_read",
                     "shard_write",
                     "lock",
@@ -825,12 +860,12 @@ fn lock_faults(file: &str, text: &str, calls: &[&str]) -> (Vec<String>, BTreeSet
 }
 
 // No record or directory I/O while a lock is held, and no lock taken twice:
-// the cache's and the store's readers must never wait on a disk, and the
-// serving queue is never held across a solve. `lock_faults` reads the
-// three files that hold the persisted cache's and the serving queue's
-// locks. It is a scan of each function's text: a lock taken inside a
-// called function (the serving queue answering a waiter's slot,
-// `Group::shed_expired`) is not seen.
+// the cache's readers must never wait on a disk, and the serving queue is
+// never held across a solve. `lock_faults` reads the cache, whose shards,
+// claims and commit stage hold the persisted cache's locks, the store,
+// which holds none, and the serving queue. It is a scan of each function's
+// text: a lock taken inside a called function (the serving queue answering
+// a waiter's slot, `Group::shed_expired`) is not seen.
 #[test]
 fn no_record_io_under_a_lock() {
     let io = [
@@ -838,6 +873,7 @@ fn no_record_io_under_a_lock() {
         "record::",
         ".commit(",
         ".read_record(",
+        ".remove_record(",
         ".sync_dir(",
     ];
     let mut failures = Vec::new();
@@ -847,7 +883,7 @@ fn no_record_io_under_a_lock() {
             &[][..],
             &["backlog", "inflight", "shard", "writer"][..],
         ),
-        ("crates/scenarios/src/persist.rs", &[], &["index"]),
+        ("crates/scenarios/src/persist.rs", &[], &[]),
         (
             "crates/serve/src/service.rs",
             &["dispatch(", "run_batch("],
@@ -870,12 +906,12 @@ fn no_record_io_under_a_lock() {
     }
     for (what, seed) in [
         (
-            "an eviction under the index guard",
-            "fn commit(&self) {\n    let mut index = self.index_write();\n    let _ = fs::remove_file(&path);\n}\n",
+            "an eviction under a shard guard",
+            "fn evict(&self) {\n    let mut shard = self.catalogue.shard_write(i);\n    self.store.remove_record(hash);\n}\n",
         ),
         (
             "a read guard upgraded",
-            "fn entry(&self) {\n    let index = self.index_read();\n    let mut upgraded = self.index_write();\n}\n",
+            "fn loaded(&self) {\n    let shard = self.shard_read(i);\n    let mut upgraded = self.shard_write(i);\n}\n",
         ),
     ] {
         if lock_faults("seed", seed, &io).0.is_empty() {
@@ -885,7 +921,7 @@ fn no_record_io_under_a_lock() {
     pass(failures);
 }
 
-// A reader that wins the claim on a hash re-checks the memory shard before
+// A reader that wins the claim on a hash re-checks the catalogue shard before
 // it reads the record: a winner may have promoted the surface and released
 // the claim between the reader's first probe and its claim, and without
 // the re-check the record file would be read a second time.
@@ -897,11 +933,11 @@ fn a_claimed_restore_rechecks_the_shard() {
         .split_once("    fn restore_claimed(")
         .map(|(_, rest)| rest.split("\n    }\n").next().unwrap_or(rest));
     let probe = body.and_then(|b| b.find(".shard_read("));
-    let read = body.and_then(|b| b.find("store.entry("));
+    let read = body.and_then(|b| b.find(".read_record("));
     if !matches!((probe, read), (Some(p), Some(r)) if p < r) {
         pass(vec![format!(
             "FAIL: {file}: `restore_claimed` does not probe its shard (`.shard_read(`) \
-             before it looks the record up (`store.entry(`)"
+             before it reads the record (`.read_record(`)"
         )]);
     }
 }
