@@ -30,11 +30,6 @@ impl BoxDomain {
         BoxDomain::new(vec![0.0; dim], vec![1.0; dim])
     }
 
-    /// A cube `[lo, hi]^dim`.
-    pub fn cube(dim: usize, lo: f64, hi: f64) -> Self {
-        BoxDomain::new(vec![lo; dim], vec![hi; dim])
-    }
-
     /// Dimensionality.
     #[inline]
     pub fn dim(&self) -> usize {
@@ -121,7 +116,7 @@ mod tests {
 
     #[test]
     fn clamp_and_contains() {
-        let b = BoxDomain::cube(2, 0.0, 10.0);
+        let b = BoxDomain::new(vec![0.0; 2], vec![10.0; 2]);
         let mut x = [-1.0, 11.0];
         assert!(!b.contains(&x));
         b.clamp(&mut x);

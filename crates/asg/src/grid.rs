@@ -117,28 +117,6 @@ impl SparseGrid {
         self.nodes[i].unit_point(out);
     }
 
-    /// Collects all unit-cube points as a row-major `len × dim` matrix.
-    pub fn unit_points(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.len() * self.dim];
-        for (i, chunk) in out.chunks_exact_mut(self.dim).enumerate() {
-            self.nodes[i].unit_point(chunk);
-        }
-        out
-    }
-
-    /// Indices of the nodes whose `|ľ|₁`-based *refinement level* equals
-    /// `level`, where the root counts as level 1 and each refinement step
-    /// adds 1 (i.e. `|ľ|₁ − d + 1`). This matches the per-level processing
-    /// loop of Fig. 2 and the level decomposition of Fig. 8.
-    pub fn indices_of_refinement_level(&self, level: u32) -> Vec<u32> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.level_sum(self.dim) - self.dim as u32 + 1 == level)
-            .map(|(i, _)| i as u32)
-            .collect()
-    }
-
     /// Histogram of point counts per refinement level (index 0 unused).
     pub fn level_histogram(&self) -> Vec<usize> {
         let mut hist = vec![0usize; 2];
@@ -204,9 +182,6 @@ mod tests {
         let mut g = SparseGrid::new(2);
         g.insert_closed(key(&[(0, 3, 1)]));
         // root (level 1), (0,2,0) (level 2), (0,3,1) (level 3)
-        assert_eq!(g.indices_of_refinement_level(1).len(), 1);
-        assert_eq!(g.indices_of_refinement_level(2).len(), 1);
-        assert_eq!(g.indices_of_refinement_level(3).len(), 1);
         let hist = g.level_histogram();
         assert_eq!(&hist[1..], &[1, 1, 1]);
     }
@@ -218,14 +193,5 @@ mod tests {
         assert_eq!(g.max_level(), 1);
         g.insert_closed(key(&[(1, 4, 1)]));
         assert_eq!(g.max_level(), 4);
-    }
-
-    #[test]
-    fn unit_points_layout() {
-        let mut g = SparseGrid::new(2);
-        g.insert(NodeKey::root());
-        g.insert(key(&[(0, 2, 0)]));
-        let pts = g.unit_points();
-        assert_eq!(pts, vec![0.5, 0.5, 0.0, 0.5]);
     }
 }

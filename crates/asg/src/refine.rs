@@ -256,7 +256,10 @@ mod tests {
     #[test]
     fn frontier_refinement_only_touches_frontier() {
         let mut grid = regular_grid(2, 2);
-        let frontier = grid.indices_of_refinement_level(2);
+        // The refinement-level-2 nodes: `|l|_1 = d + 1`.
+        let frontier: Vec<u32> = (0..grid.len() as u32)
+            .filter(|&i| grid.node(i as usize).level_sum(2) == 3)
+            .collect();
         let surpluses = vec![1.0; grid.len()];
         let report = refine_frontier(
             &mut grid,

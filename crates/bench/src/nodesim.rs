@@ -32,11 +32,6 @@ impl NodeVariant {
         let quanta = points.div_ceil(self.threads) as f64;
         quanta * per_point / (self.accel_speedup * self.thread_efficiency)
     }
-
-    /// Speedup over a reference wall time.
-    pub fn speedup_vs(&self, reference_seconds: f64, points: usize, point_seconds_ref: f64) -> f64 {
-        reference_seconds / self.wall_time(points, point_seconds_ref)
-    }
 }
 
 /// The four configurations of Fig. 7, parameterized so that the published
@@ -96,7 +91,7 @@ mod tests {
     fn hybrid_node_speedup_near_25x() {
         let variants = fig7_variants();
         let reference = variants[0].wall_time(POINTS, T_POINT);
-        let hybrid = variants[2].speedup_vs(reference, POINTS, T_POINT);
+        let hybrid = reference / variants[2].wall_time(POINTS, T_POINT);
         assert!((20.0..=30.0).contains(&hybrid), "hybrid speedup {hybrid}");
     }
 

@@ -298,7 +298,7 @@ mod tests {
             .collect();
         Checkpoint {
             step: 7,
-            policy: PolicySet::new(states, BoxDomain::cube(DIM, -1.0, 2.0)),
+            policy: PolicySet::new(states, BoxDomain::new(vec![-1.0; DIM], vec![2.0; DIM])),
         }
     }
 

@@ -43,186 +43,27 @@ pub struct Calibration {
     pub chain: MarkovChain,
 }
 
-/// A rejected [`Calibration`]: which parameter is inadmissible and why.
-/// Returned by [`Calibration::try_validate`] so swept and hand-edited
-/// calibrations fail with a diagnosis instead of silently producing NaN
-/// policy surfaces downstream.
-#[derive(Clone, Debug, PartialEq)]
-pub enum CalibrationError {
-    /// `lifespan < 2`: no overlapping generations.
-    LifespanTooShort {
-        /// The offending lifespan.
-        lifespan: usize,
-    },
-    /// `work_years` outside `1..lifespan`.
-    RetirementOutsideLifespan {
-        /// The offending working-period count.
-        work_years: usize,
-        /// Adult lifespan `A`.
-        lifespan: usize,
-    },
-    /// A scalar preference/technology parameter is NaN or infinite.
-    NonFinite {
-        /// Parameter name (`beta`, `gamma`, …).
-        name: &'static str,
-        /// The offending value.
-        value: f64,
-    },
-    /// Discount factor outside `(0, 1)`.
-    BetaOutOfRange {
-        /// The offending `β`.
-        beta: f64,
-    },
-    /// CRRA coefficient `γ ≤ 0`.
-    GammaNotPositive {
-        /// The offending `γ`.
-        gamma: f64,
-    },
-    /// Capital share outside `(0, 1)`.
-    CapitalShareOutOfRange {
-        /// The offending `θ`.
-        capital_share: f64,
-    },
-    /// Depreciation outside `[0, 1]`.
-    DepreciationOutOfRange {
-        /// The offending `δ`.
-        depreciation: f64,
-    },
-    /// `efficiency.len() != lifespan`.
-    EfficiencyLengthMismatch {
-        /// Length of the supplied profile.
-        len: usize,
-        /// Adult lifespan `A`.
-        lifespan: usize,
-    },
-    /// A working age with non-positive (or non-finite) efficiency.
-    BadWorkingEfficiency {
-        /// Offending age (0-based).
-        age: usize,
-        /// The offending efficiency units.
-        value: f64,
-    },
-    /// A retired age with non-zero efficiency.
-    RetiredEfficiencyNonZero {
-        /// Offending age (0-based).
-        age: usize,
-        /// The offending efficiency units.
-        value: f64,
-    },
-    /// `regimes.len() != chain.num_states()`.
-    RegimeCountMismatch {
-        /// Number of regime specs.
-        regimes: usize,
-        /// Number of Markov states.
-        states: usize,
-    },
-    /// A regime with non-positive/non-finite productivity or a tax rate
-    /// outside `[0, 1)`.
-    BadRegime {
-        /// Offending discrete state `z`.
-        state: usize,
-        /// Human-readable reason.
-        reason: String,
-    },
-    /// A Markov transition row that is not a probability distribution
-    /// (possible when a chain is constructed by hand).
-    NonStochasticRow {
-        /// Offending row `z`.
-        state: usize,
-        /// Row sum found.
-        sum: f64,
-    },
-}
-
-impl std::fmt::Display for CalibrationError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CalibrationError::LifespanTooShort { lifespan } => {
-                write!(f, "need at least two generations, got lifespan {lifespan}")
-            }
-            CalibrationError::RetirementOutsideLifespan {
-                work_years,
-                lifespan,
-            } => write!(
-                f,
+impl Calibration {
+    /// Validates internal consistency, returning the first violation as a
+    /// diagnostic naming the parameter and its value: finiteness of all
+    /// scalar parameters, `β ∈ (0, 1)`, `γ > 0`, `θ ∈ (0, 1)`, `δ ∈ [0, 1]`,
+    /// a positive hump profile over working ages (zero in retirement), one
+    /// regime per Markov state with positive productivity and taxes in
+    /// `[0, 1)`, and row-stochastic transition rows. Swept and hand-edited
+    /// calibrations fail with it instead of silently producing NaN policy
+    /// surfaces downstream; the built-in calibrations panic with it.
+    pub fn validate(&self) -> Result<(), String> {
+        let (lifespan, work_years) = (self.lifespan, self.work_years);
+        if lifespan < 2 {
+            return Err(format!(
+                "need at least two generations, got lifespan {lifespan}"
+            ));
+        }
+        if work_years < 1 || work_years >= lifespan {
+            return Err(format!(
                 "retirement must happen strictly inside the lifespan: \
                  work_years {work_years} vs lifespan {lifespan}"
-            ),
-            CalibrationError::NonFinite { name, value } => {
-                write!(f, "{name} must be finite, got {value}")
-            }
-            CalibrationError::BetaOutOfRange { beta } => {
-                write!(f, "discount factor beta must lie in (0, 1), got {beta}")
-            }
-            CalibrationError::GammaNotPositive { gamma } => {
-                write!(f, "CRRA gamma must be positive, got {gamma}")
-            }
-            CalibrationError::CapitalShareOutOfRange { capital_share } => {
-                write!(f, "capital share must lie in (0, 1), got {capital_share}")
-            }
-            CalibrationError::DepreciationOutOfRange { depreciation } => {
-                write!(f, "depreciation must lie in [0, 1], got {depreciation}")
-            }
-            CalibrationError::EfficiencyLengthMismatch { len, lifespan } => {
-                write!(
-                    f,
-                    "efficiency profile has {len} entries for lifespan {lifespan}"
-                )
-            }
-            CalibrationError::BadWorkingEfficiency { age, value } => {
-                write!(
-                    f,
-                    "working age {age} must have positive efficiency, got {value}"
-                )
-            }
-            CalibrationError::RetiredEfficiencyNonZero { age, value } => {
-                write!(
-                    f,
-                    "retired age {age} must have zero efficiency, got {value}"
-                )
-            }
-            CalibrationError::RegimeCountMismatch { regimes, states } => {
-                write!(f, "{regimes} regime specs for {states} Markov states")
-            }
-            CalibrationError::BadRegime { state, reason } => {
-                write!(f, "regime of state {state}: {reason}")
-            }
-            CalibrationError::NonStochasticRow { state, sum } => {
-                write!(f, "Markov row {state} sums to {sum}, expected 1")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CalibrationError {}
-
-impl Calibration {
-    /// Validates internal consistency, panicking with the diagnostic of
-    /// [`try_validate`](Self::try_validate) on the first violation — the
-    /// construction-time guard used by the built-in calibrations.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
-
-    /// Validates internal consistency, returning the first violation as a
-    /// typed [`CalibrationError`]: finiteness of all scalar parameters,
-    /// `β ∈ (0, 1)`, `γ > 0`, `θ ∈ (0, 1)`, `δ ∈ [0, 1]`, a positive
-    /// hump profile over working ages (zero in retirement), one regime
-    /// per Markov state with positive productivity and taxes in `[0, 1)`,
-    /// and row-stochastic transition rows.
-    pub fn try_validate(&self) -> Result<(), CalibrationError> {
-        if self.lifespan < 2 {
-            return Err(CalibrationError::LifespanTooShort {
-                lifespan: self.lifespan,
-            });
-        }
-        if self.work_years < 1 || self.work_years >= self.lifespan {
-            return Err(CalibrationError::RetirementOutsideLifespan {
-                work_years: self.work_years,
-                lifespan: self.lifespan,
-            });
+            ));
         }
         for (name, value) in [
             ("beta", self.beta),
@@ -231,66 +72,75 @@ impl Calibration {
             ("depreciation", self.depreciation),
         ] {
             if !value.is_finite() {
-                return Err(CalibrationError::NonFinite { name, value });
+                return Err(format!("{name} must be finite, got {value}"));
             }
         }
         if self.beta <= 0.0 || self.beta >= 1.0 {
-            return Err(CalibrationError::BetaOutOfRange { beta: self.beta });
+            return Err(format!(
+                "discount factor beta must lie in (0, 1), got {}",
+                self.beta
+            ));
         }
         if self.gamma <= 0.0 {
-            return Err(CalibrationError::GammaNotPositive { gamma: self.gamma });
+            return Err(format!("CRRA gamma must be positive, got {}", self.gamma));
         }
         if self.capital_share <= 0.0 || self.capital_share >= 1.0 {
-            return Err(CalibrationError::CapitalShareOutOfRange {
-                capital_share: self.capital_share,
-            });
+            return Err(format!(
+                "capital share must lie in (0, 1), got {}",
+                self.capital_share
+            ));
         }
         if !(0.0..=1.0).contains(&self.depreciation) {
-            return Err(CalibrationError::DepreciationOutOfRange {
-                depreciation: self.depreciation,
-            });
+            return Err(format!(
+                "depreciation must lie in [0, 1], got {}",
+                self.depreciation
+            ));
         }
-        if self.efficiency.len() != self.lifespan {
-            return Err(CalibrationError::EfficiencyLengthMismatch {
-                len: self.efficiency.len(),
-                lifespan: self.lifespan,
-            });
+        if self.efficiency.len() != lifespan {
+            return Err(format!(
+                "efficiency profile has {} entries for lifespan {lifespan}",
+                self.efficiency.len()
+            ));
         }
-        for (a, &e) in self.efficiency.iter().enumerate() {
-            if a < self.work_years {
+        for (age, &e) in self.efficiency.iter().enumerate() {
+            if age < work_years {
                 if !(e.is_finite() && e > 0.0) {
-                    return Err(CalibrationError::BadWorkingEfficiency { age: a, value: e });
+                    return Err(format!(
+                        "working age {age} must have positive efficiency, got {e}"
+                    ));
                 }
             } else if e != 0.0 {
-                return Err(CalibrationError::RetiredEfficiencyNonZero { age: a, value: e });
+                return Err(format!(
+                    "retired age {age} must have zero efficiency, got {e}"
+                ));
             }
         }
-        if self.regimes.len() != self.chain.num_states() {
-            return Err(CalibrationError::RegimeCountMismatch {
-                regimes: self.regimes.len(),
-                states: self.chain.num_states(),
-            });
+        let states = self.chain.num_states();
+        if self.regimes.len() != states {
+            return Err(format!(
+                "{} regime specs for {states} Markov states",
+                self.regimes.len()
+            ));
         }
         for (z, r) in self.regimes.iter().enumerate() {
             if !(r.productivity.is_finite() && r.productivity > 0.0) {
-                return Err(CalibrationError::BadRegime {
-                    state: z,
-                    reason: format!("productivity must be positive, got {}", r.productivity),
-                });
+                return Err(format!(
+                    "regime of state {z}: productivity must be positive, got {}",
+                    r.productivity
+                ));
             }
             for (name, tax) in [("labor tax", r.labor_tax), ("capital tax", r.capital_tax)] {
                 if !(tax.is_finite() && (0.0..1.0).contains(&tax)) {
-                    return Err(CalibrationError::BadRegime {
-                        state: z,
-                        reason: format!("{name} must lie in [0, 1), got {tax}"),
-                    });
+                    return Err(format!(
+                        "regime of state {z}: {name} must lie in [0, 1), got {tax}"
+                    ));
                 }
             }
         }
-        for z in 0..self.chain.num_states() {
+        for z in 0..states {
             let sum: f64 = self.chain.row(z).iter().sum();
             if (sum - 1.0).abs() >= 1e-10 {
-                return Err(CalibrationError::NonStochasticRow { state: z, sum });
+                return Err(format!("Markov row {z} sums to {sum}, expected 1"));
             }
         }
         Ok(())
@@ -386,7 +236,7 @@ impl Calibration {
             regimes,
             chain,
         };
-        calibration.validate();
+        calibration.validate().unwrap_or_else(|e| panic!("{e}"));
         calibration
     }
 
@@ -425,7 +275,7 @@ impl Calibration {
             regimes,
             chain,
         };
-        calibration.validate();
+        calibration.validate().unwrap_or_else(|e| panic!("{e}"));
         calibration
     }
 
@@ -449,7 +299,7 @@ mod tests {
         assert_eq!(c.ndofs(), 118);
         assert_eq!(c.num_states(), 16);
         assert_eq!(c.retirees(), 14); // ages 47..60 (calendar 67..80+)
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
@@ -478,7 +328,7 @@ mod tests {
             let c = Calibration::small(6, 4, states, 0.05);
             assert_eq!(c.num_states(), states);
             assert_eq!(c.dim(), 5);
-            c.validate();
+            assert_eq!(c.validate(), Ok(()));
         }
     }
 
@@ -487,116 +337,56 @@ mod tests {
     fn rejects_no_retirement() {
         let mut c = Calibration::small(6, 4, 1, 0.0);
         c.work_years = 6;
-        c.validate();
+        c.validate().unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// Every admissibility rule returns its own typed rejection instead of
+    /// Every admissibility rule rejects with its own diagnostic instead of
     /// silently producing NaN surfaces downstream.
     #[test]
     fn typed_rejections_cover_every_parameter() {
         let base = || Calibration::small(6, 4, 2, 0.05);
-        assert_eq!(base().try_validate(), Ok(()));
-
-        let mut c = base();
-        c.lifespan = 1;
-        assert!(matches!(
-            c.try_validate(),
-            Err(CalibrationError::LifespanTooShort { lifespan: 1 })
-        ));
-
-        let mut c = base();
-        c.work_years = 6;
-        assert!(matches!(
-            c.try_validate(),
-            Err(CalibrationError::RetirementOutsideLifespan { work_years: 6, .. })
-        ));
-
-        let mut c = base();
-        c.beta = f64::NAN;
-        assert!(matches!(
-            c.try_validate(),
-            Err(CalibrationError::NonFinite { name: "beta", .. })
-        ));
-
-        let mut c = base();
-        c.beta = 1.0;
-        assert!(matches!(
-            c.try_validate(),
-            Err(CalibrationError::BetaOutOfRange { .. })
-        ));
-
-        let mut c = base();
-        c.gamma = 0.0;
-        assert!(matches!(
-            c.try_validate(),
-            Err(CalibrationError::GammaNotPositive { .. })
-        ));
-
-        let mut c = base();
-        c.capital_share = 1.0;
-        assert!(matches!(
-            c.try_validate(),
-            Err(CalibrationError::CapitalShareOutOfRange { .. })
-        ));
-
-        let mut c = base();
-        c.depreciation = -0.1;
-        assert!(matches!(
-            c.try_validate(),
-            Err(CalibrationError::DepreciationOutOfRange { .. })
-        ));
-
-        let mut c = base();
-        c.efficiency.pop();
-        assert!(matches!(
-            c.try_validate(),
-            Err(CalibrationError::EfficiencyLengthMismatch { len: 5, .. })
-        ));
-
-        let mut c = base();
-        c.efficiency[2] = 0.0;
-        assert!(matches!(
-            c.try_validate(),
-            Err(CalibrationError::BadWorkingEfficiency { age: 2, .. })
-        ));
-
-        let mut c = base();
-        c.efficiency[5] = 0.3;
-        assert!(matches!(
-            c.try_validate(),
-            Err(CalibrationError::RetiredEfficiencyNonZero { age: 5, .. })
-        ));
-
-        let mut c = base();
-        c.regimes.pop();
-        assert!(matches!(
-            c.try_validate(),
-            Err(CalibrationError::RegimeCountMismatch {
-                regimes: 1,
-                states: 2
-            })
-        ));
-
-        let mut c = base();
-        c.regimes[1].productivity = 0.0;
-        assert!(matches!(
-            c.try_validate(),
-            Err(CalibrationError::BadRegime { state: 1, .. })
-        ));
-
-        let mut c = base();
-        c.regimes[0].labor_tax = 1.0;
-        assert!(matches!(
-            c.try_validate(),
-            Err(CalibrationError::BadRegime { state: 0, .. })
-        ));
+        assert_eq!(base().validate(), Ok(()));
+        let rejects = |change: fn(&mut Calibration), message: &str| {
+            let mut c = base();
+            change(&mut c);
+            let err = c.validate().unwrap_err();
+            assert!(err.contains(message), "{err:?} does not say {message:?}");
+        };
+        rejects(|c| c.lifespan = 1, "got lifespan 1");
+        rejects(|c| c.work_years = 6, "work_years 6 vs lifespan 6");
+        rejects(|c| c.beta = f64::NAN, "beta must be finite");
+        rejects(|c| c.beta = 1.0, "beta must lie in (0, 1)");
+        rejects(|c| c.gamma = 0.0, "gamma must be positive");
+        rejects(
+            |c| c.capital_share = 1.0,
+            "capital share must lie in (0, 1)",
+        );
+        rejects(|c| c.depreciation = -0.1, "depreciation must lie in [0, 1]");
+        rejects(|c| c.efficiency.truncate(5), "has 5 entries for lifespan 6");
+        rejects(
+            |c| c.efficiency[2] = 0.0,
+            "working age 2 must have positive",
+        );
+        rejects(|c| c.efficiency[5] = 0.3, "retired age 5 must have zero");
+        rejects(
+            |c| c.regimes.truncate(1),
+            "1 regime specs for 2 Markov states",
+        );
+        rejects(
+            |c| c.regimes[1].productivity = 0.0,
+            "state 1: productivity must be positive",
+        );
+        rejects(
+            |c| c.regimes[0].labor_tax = 1.0,
+            "state 0: labor tax must lie in [0, 1)",
+        );
     }
 
     #[test]
     fn errors_display_the_offending_value() {
         let mut c = Calibration::small(6, 4, 1, 0.0);
         c.beta = 1.25;
-        let msg = c.try_validate().unwrap_err().to_string();
+        let msg = c.validate().unwrap_err();
         assert!(msg.contains("1.25"), "{msg}");
     }
 }

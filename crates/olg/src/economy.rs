@@ -407,7 +407,7 @@ mod tests {
             regime.labor_tax = labor_tax + 0.01 * z as f64;
             regime.capital_tax = capital_tax + 0.02 * z as f64;
         }
-        cal.validate();
+        assert_eq!(cal.validate(), Ok(()));
         cal
     }
 

@@ -36,7 +36,7 @@ pub use accuracy::{
     euler_errors_at, euler_errors_block, euler_errors_on_box, euler_errors_on_path,
     EulerErrorReport,
 };
-pub use calibration::{Calibration, CalibrationError, RegimeSpec};
+pub use calibration::{Calibration, RegimeSpec};
 pub use economy::{income, marginal_utility, prices, utility, Prices, C_FLOOR};
 pub use markov::MarkovChain;
 pub use model::{BoxPolicy, OlgModel, PointScratch, PointSolution, PolicyOracle, SolveTally};

@@ -433,7 +433,7 @@ impl OlgModel {
     /// Builds with an explicit box policy, or says why the calibration is
     /// invalid or has no steady state.
     pub fn with_box(cal: Calibration, policy: BoxPolicy) -> Result<Self, String> {
-        cal.try_validate().map_err(|e| e.to_string())?;
+        cal.validate()?;
         let steady = solve_steady_state(&cal)?;
         let d = cal.dim();
         let mut lower = Vec::with_capacity(d);

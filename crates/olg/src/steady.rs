@@ -42,7 +42,7 @@ pub fn reference_calibration(cal: &Calibration) -> Calibration {
         capital_tax: mean(|r| r.capital_tax),
     }];
     reference.chain = MarkovChain::deterministic();
-    reference.validate();
+    reference.validate().unwrap_or_else(|e| panic!("{e}"));
     reference
 }
 

@@ -30,11 +30,11 @@
 //! re-deposit keeps an entry's place).
 //!
 //! Record-file I/O happens **outside every lock** (see [`crate::persist`]):
-//! a lazy restore reads its record with no lock held and then loads the
-//! surface into its entry under one short shard write guard, and a
-//! per-entry in-flight claim ensures each surface is restored from disk at
-//! most once no matter how many readers race for it (losers wait on a
-//! condvar and are handed the winner's `Arc`).
+//! each entry holds its surface in a shared once-cell slot, and a lazy
+//! restore clones the slot under a shard read guard, drops the guard, and
+//! fills the slot from the record file. The slot restores each surface from
+//! disk at most once no matter how many readers race for it: the others
+//! wait inside the slot and are handed the same `Arc`.
 //!
 //! Poisoned locks are recovered, not propagated: every guarded region
 //! leaves the cache structurally consistent (a restore, a deposit, a commit
@@ -71,11 +71,12 @@
 //! re-solve; a crash inside it leaves a `.tmp-*` file that the next open
 //! removes (see [`crate::persist`]).
 
-use std::collections::{hash_map, HashMap, HashSet, VecDeque};
+use std::collections::{hash_map, HashMap, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{
-    Arc, Condvar, LockResult, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
+    Arc, Condvar, LockResult, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard,
+    RwLockWriteGuard,
 };
 use std::thread::JoinHandle;
 
@@ -203,10 +204,10 @@ pub struct CacheStats {
     /// Corrupt, truncated, or version-mismatched persisted artifacts
     /// skipped with a warning.
     pub skipped: usize,
-    /// Poisoned cache locks recovered — catalogue shards, restore claims,
-    /// the commit backlog (a sweep thread panicked while holding one; the
-    /// guarded state is crash-consistent by construction, so the lock is
-    /// cleared and reused).
+    /// Poisoned cache locks recovered — catalogue shards, the commit
+    /// backlog, the writer handle (a sweep thread panicked while holding
+    /// one; the guarded state is crash-consistent by construction, so the
+    /// lock is cleared and reused).
     pub lock_poisonings: usize,
     /// High-water mark of simultaneously in-flight disk restores — the
     /// direct evidence that record-file I/O runs outside the cache locks
@@ -239,7 +240,7 @@ impl Shard {
             return false;
         }
         entry.record = None;
-        if !(keep_loaded && entry.surface.is_some()) {
+        if !(keep_loaded && entry.loaded().is_some()) {
             self.by_hash.remove(&hash);
         }
         true
@@ -248,6 +249,13 @@ impl Shard {
 
 /// A surface the cache knows: a record listed at open, or a deposit. It
 /// holds a committed record, a loaded surface, or both.
+///
+/// The surface lives in a shared slot. A deposit's slot is filled at once;
+/// a listed record's slot is filled by its first restore (see
+/// [`SurfaceCache::promote_from_disk`]) with the restored surface, or with
+/// `None` when the record cannot be read. A deposit replaces the slot, so
+/// readers already waiting on a restore of the old one are served the
+/// restored surface while the catalogue keeps the deposit.
 struct Entry {
     /// When the cache learned of the surface: the nearest-neighbour
     /// tie-breaker, independent of shard layout. A restore or a re-deposit
@@ -261,8 +269,12 @@ struct Entry {
     /// commit, after a failed commit, and under a budget below one surface.
     record: Option<Record>,
     /// The surface, once deposited or restored from its record.
-    surface: Option<Arc<CachedSurface>>,
+    slot: Slot,
 }
+
+/// An entry's surface slot: empty until deposited or restored; `None` after
+/// a failed restore.
+type Slot = Arc<OnceLock<Option<Arc<CachedSurface>>>>;
 
 impl Entry {
     /// The entry of a deposit the cache learns of `seq`-th, not yet
@@ -274,8 +286,13 @@ impl Entry {
             fingerprint: surface.fingerprint.clone(),
             cost_seconds: surface.cost_seconds,
             record: None,
-            surface: Some(Arc::clone(surface)),
+            slot: Arc::new(OnceLock::from(Some(Arc::clone(surface)))),
         }
+    }
+
+    /// The surface, if the entry holds it.
+    fn loaded(&self) -> Option<&Arc<CachedSurface>> {
+        self.slot.get()?.as_ref()
     }
 }
 
@@ -332,7 +349,7 @@ impl Catalogue {
                     order: seq,
                     bytes: record.bytes,
                 }),
-                surface: None,
+                slot: Slot::default(),
             };
             shards[shard_of(record.hash)]
                 .by_hash
@@ -353,15 +370,6 @@ impl Catalogue {
         self.seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// The surface of `hash`, if its entry holds it.
-    fn loaded(&self, hash: u64) -> Option<Arc<CachedSurface>> {
-        self.shard_read(shard_of(hash))
-            .by_hash
-            .get(&hash)?
-            .surface
-            .clone()
-    }
-
     /// Counts the catalogue, one shard read guard at a time.
     fn census(&self) -> Census {
         let mut census = Census::default();
@@ -372,7 +380,7 @@ impl Catalogue {
                 reason = "sums and the smallest commit order: no visit order shows"
             )]
             for (&hash, entry) in &shard.by_hash {
-                census.loaded += usize::from(entry.surface.is_some());
+                census.loaded += usize::from(entry.loaded().is_some());
                 let Some(record) = entry.record else {
                     continue;
                 };
@@ -513,10 +521,6 @@ struct CacheInner {
     /// Maximum fingerprint distance a warm start may bridge.
     warm_radius: f64,
     metrics: CacheInstruments,
-    /// Hashes whose disk restore is currently in flight; guards
-    /// restore-once promotion.
-    inflight: Mutex<HashSet<u64>>,
-    inflight_cv: Condvar,
     restoring_now: AtomicUsize,
     restore_peak: AtomicUsize,
     restore_hook: RwLock<Option<RestoreHook>>,
@@ -578,8 +582,6 @@ impl SurfaceCache {
                 stage,
                 warm_radius,
                 metrics,
-                inflight: Mutex::new(HashSet::new()),
-                inflight_cv: Condvar::new(),
                 restoring_now: AtomicUsize::new(0),
                 restore_peak: AtomicUsize::new(0),
                 restore_hook: RwLock::new(None),
@@ -667,81 +669,41 @@ impl SurfaceCache {
 
     // ----- disk promotion (restore-once, I/O outside locks) ------------
 
-    /// Restores the listed record of `hash` and keeps the surface in its
-    /// catalogue entry. `None` when there is no store, the catalogue lists
-    /// no record of the hash, or its record file is corrupt (skipped with a
-    /// warning and dropped from the catalogue).
+    /// Restores the listed record of `hash` into its catalogue entry's
+    /// slot. `None` when there is no store, the catalogue lists no record
+    /// of the hash, or its record file is corrupt (skipped with a warning
+    /// and dropped from the catalogue).
     ///
-    /// Restore-once guarantee: concurrent callers for the same hash elect
-    /// one restorer; the rest wait on a condvar and re-read the shard, so
-    /// the record file is read at most once per promotion no matter how
-    /// many readers race. Callers for *different* hashes proceed fully in
-    /// parallel — the file read holds no lock at all.
+    /// Restore-once guarantee: concurrent callers for the same hash share
+    /// the entry's slot, so one of them reads the record file and the rest
+    /// wait in `get_or_init` for its surface. Callers for *different*
+    /// hashes proceed fully in parallel — the file read holds no lock at
+    /// all. A restore that unwinds leaves the slot empty for the next
+    /// reader. An entry evicted during the read is served, not kept.
     fn promote_from_disk(&self, hash: u64) -> Option<Arc<CachedSurface>> {
         let store = self.inner.store()?;
-        let catalogue = &self.inner.catalogue;
-        loop {
-            if let Some(surface) = catalogue.loaded(hash) {
-                // Another thread promoted it while we raced for the claim.
-                return Some(surface);
-            }
-            {
-                let mut inflight = catalogue.lock(&self.inner.inflight);
-                if inflight.contains(&hash) {
-                    // A restore of this very hash is in flight: wait for
-                    // the winner instead of reading the file twice.
-                    let _released = catalogue.wait_while(
-                        &self.inner.inflight_cv,
-                        &self.inner.inflight,
-                        inflight,
-                        |inflight| inflight.contains(&hash),
-                    );
-                    continue; // re-check the shard (winner promoted or skipped)
-                }
-                inflight.insert(hash);
-            }
-
-            // The claim MUST be released even if the restore unwinds (a
-            // panicking restore hook, an OOM in deserialization): a leaked
-            // claim would deadlock every future promotion of this hash.
-            // The guard releases + notifies on drop, unwind included.
-            struct ClaimGuard<'a> {
-                cache: &'a SurfaceCache,
-                hash: u64,
-            }
-            impl Drop for ClaimGuard<'_> {
-                fn drop(&mut self) {
-                    let inner = &self.cache.inner;
-                    let mut inflight = inner.catalogue.lock(&inner.inflight);
-                    inflight.remove(&self.hash);
-                    inner.inflight_cv.notify_all();
-                }
-            }
-            let _claim = ClaimGuard { cache: self, hash };
-
-            return self.restore_claimed(store, hash);
-        }
+        let (slot, shape, fingerprint, record) = {
+            let shard = self.inner.catalogue.shard_read(shard_of(hash));
+            let entry = shard.by_hash.get(&hash)?;
+            let slot = Arc::clone(&entry.slot);
+            (slot, entry.shape, entry.fingerprint.clone(), entry.record)
+        };
+        slot.get_or_init(|| self.restore(store, hash, shape, &fingerprint, record?.order))
+            .clone()
     }
 
-    /// The claimed restore itself: read what the catalogue lists of the
-    /// record, read + validate the record file with **no lock held**, then
-    /// keep the surface in its entry under a single short shard write lock.
-    fn restore_claimed(&self, store: &Store, hash: u64) -> Option<Arc<CachedSurface>> {
+    /// Reads and validates the record file of `hash` (committed `order`-th)
+    /// with **no lock held**. A record that cannot be read is removed and
+    /// dropped from the catalogue.
+    fn restore(
+        &self,
+        store: &Store,
+        hash: u64,
+        shape: ShapeKey,
+        fingerprint: &[f64],
+        order: u64,
+    ) -> Option<Arc<CachedSurface>> {
         let catalogue = &self.inner.catalogue;
-        // The shard check in `promote_from_disk` and the claim are not
-        // one atomic step: a winner may have promoted (and released the
-        // claim) between our miss and our claim. Re-check now that the
-        // claim is held — without this, the record file would be read a
-        // second time for an already-promoted surface.
-        let (shape, fingerprint, order) = {
-            let shard = catalogue.shard_read(shard_of(hash));
-            let entry = shard.by_hash.get(&hash)?;
-            if let Some(surface) = &entry.surface {
-                return Some(Arc::clone(surface));
-            }
-            (entry.shape, entry.fingerprint.clone(), entry.record?.order)
-        };
-
         // Unwind-safe gauge: decrement on drop so a panicking hook or
         // reader cannot leave `restoring_now` drifted upward forever.
         struct GaugeGuard<'a>(&'a CacheInner);
@@ -754,8 +716,7 @@ impl SurfaceCache {
         }
         // ORDERING: Relaxed — RMWs on one atomic are totally ordered, so
         // `now` is the exact number of concurrent restorers; order
-        // against unrelated memory is irrelevant (downgraded from
-        // SeqCst, which bought nothing here).
+        // against unrelated memory is irrelevant.
         let now = self.inner.restoring_now.fetch_add(1, Ordering::Relaxed) + 1;
         let _gauge = GaugeGuard(&self.inner);
         // ORDERING: Relaxed — atomic fetch_max maintains the peak
@@ -767,22 +728,14 @@ impl SurfaceCache {
         }
         let span =
             hddm_telemetry::SpanTimer::start(Arc::clone(&self.inner.metrics.restore_seconds));
-        let read = store.read_record(hash, shape, &fingerprint);
+        let read = store.read_record(hash, shape, fingerprint);
         span.stop();
         drop(_gauge);
 
         match read {
             Ok(surface) => {
-                let restored = Arc::new(surface);
-                let kept = match catalogue.shard_write(shard_of(hash)).by_hash.get_mut(&hash) {
-                    // The entry keeps its place; a deposit that landed
-                    // during the read stays.
-                    Some(entry) => Arc::clone(entry.surface.get_or_insert(restored)),
-                    // Evicted during the read: served, not kept.
-                    None => restored,
-                };
                 self.inner.metrics.disk_hits.inc();
-                Some(kept)
+                Some(Arc::new(surface))
             }
             Err(e) => {
                 eprintln!(
@@ -792,9 +745,8 @@ impl SurfaceCache {
                 let dropped = catalogue
                     .shard_write(shard_of(hash))
                     .drop_record(hash, order, true);
-                // Another reader's discard or an eviction may have dropped
-                // it first; only the thread that dropped it deletes and
-                // counts it.
+                // An eviction or a newer commit may have dropped it first;
+                // only the thread that dropped it deletes and counts it.
                 if dropped {
                     store.remove_record(hash);
                     // ORDERING: Relaxed — statistics tally; no ordering
@@ -830,7 +782,7 @@ impl SurfaceCache {
             if entry.shape != shape || entry.fingerprint != fingerprint {
                 return None;
             }
-            entry.surface.clone()
+            entry.loaded().cloned()
         };
         let surface = loaded.or_else(|| self.promote_from_disk(hash))?;
         self.inner.metrics.exact_hits.inc();
@@ -906,7 +858,7 @@ impl SurfaceCache {
                         distance: d,
                         cost_seconds: entry.cost_seconds,
                     };
-                    best = Some((entry.seq, near, entry.surface.clone()));
+                    best = Some((entry.seq, near, entry.loaded().cloned()));
                 }
             }
         }
@@ -927,7 +879,10 @@ impl SurfaceCache {
     /// that copy is what every later hit reads. Last writer wins on
     /// hash collisions of identical scenarios (the surfaces are
     /// interchangeable by construction); a re-deposit keeps its entry's
-    /// place. The surface is served from memory as soon as this returns.
+    /// place and replaces its slot, so readers already waiting on a restore
+    /// of the hash are served the restored surface while the catalogue
+    /// keeps the deposit. The surface is served from memory as soon as this
+    /// returns.
     /// With a persistent store attached, the same `Arc` is enqueued for the
     /// commit stage, which writes it to disk behind the caller and applies
     /// the eviction policy; an evicted entry leaves the catalogue, surface

@@ -74,12 +74,12 @@ impl Scenario {
     }
 
     /// Validates the scenario end to end: the calibration through
-    /// [`Calibration::try_validate`], positive/finite box-policy spans,
+    /// [`Calibration::validate`], positive/finite box-policy spans,
     /// and a sane solver configuration. Returns a human-readable
     /// diagnostic naming the offending field.
     pub fn validate(&self) -> Result<(), String> {
         self.calibration
-            .try_validate()
+            .validate()
             .map_err(|e| format!("scenario {:?}: {e}", self.name))?;
         let b = &self.box_policy;
         for (name, v, must_be_positive) in [

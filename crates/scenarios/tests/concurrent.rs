@@ -5,7 +5,7 @@
 //! Invariants asserted after the dust settles:
 //!
 //! * **no double-restore** — every persisted surface's record file is
-//!   read at most once (the per-entry in-flight guard), verified through
+//!   read at most once (the entry's restore slot), verified through
 //!   the restore hook's per-hash call counts;
 //! * **no lost lookups** — every exact lookup of a persisted key is
 //!   served `Exact` on every thread, every iteration;
@@ -14,7 +14,9 @@
 //!   persistent index holds exactly the expected surfaces.
 //!
 //! A second test holds one restore at a gate while another reader of the
-//! same hash waits on its claim: the claim's release must wake the waiter.
+//! same hash waits on the entry's slot: the restore's landing must wake
+//! the waiter. A third holds a restore at the gate while the same hash is
+//! deposited again: the cache keeps the deposit.
 
 use std::collections::HashMap;
 use std::fs;
@@ -240,9 +242,9 @@ fn readers_restores_and_deposits_race_without_double_restores_or_stat_drift() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A reader that finds a restore of its hash in flight waits on the claim,
-/// and the claim's release wakes it. Reader 1's restore is held at a gate
-/// while reader 2 reaches the claim wait; then the gate opens. Both are
+/// A reader that finds a restore of its hash in flight waits on the
+/// entry's slot, and the restore's landing wakes it. Reader 1's restore is
+/// held at a gate while reader 2 reaches the slot; then the gate opens. Both are
 /// served `Exact` off one record read, and neither hangs: the readers run
 /// on their own threads and report through a channel with a timeout.
 #[test]
@@ -290,14 +292,14 @@ fn a_reader_waiting_on_a_same_hash_restore_is_woken_when_it_lands() {
         .recv_timeout(WATCHDOG)
         .expect("reader 1 reached its record read");
     let second = reader(served);
-    // Time for reader 2 to find the claim taken and wait on it.
+    // Time for reader 2 to find the restore in flight and wait on it.
     std::thread::sleep(Duration::from_millis(100));
     drop(open);
 
     for _ in 0..2 {
         let exact = answers
             .recv_timeout(WATCHDOG)
-            .expect("a reader hung: the claim's release woke no waiter");
+            .expect("a reader hung: the restore's landing woke no waiter");
         assert!(exact, "both readers are served the restored surface");
     }
     first.join().unwrap();
@@ -307,5 +309,83 @@ fn a_reader_waiting_on_a_same_hash_restore_is_woken_when_it_lands() {
         1,
         "two readers of one hash read its record once"
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A deposit that lands while a restore of the same hash reads its record
+/// is what the cache keeps. Reader 1's restore of a persisted hash (steps 5)
+/// is held at a gate while the hash is deposited again with steps 7; then
+/// the gate opens. Reader 1 is served `Exact` (the two surfaces are
+/// interchangeable), and the catalogue, a later lookup and the committed
+/// record all hold the deposit.
+#[test]
+fn a_deposit_during_a_same_hash_restore_is_the_surface_the_cache_keeps() {
+    let dir = temp_cache_dir("deposit_during_restore");
+    let hash = persisted_hash(0);
+    let fp = [0.9];
+    {
+        let warmer = SurfaceCache::open(&dir).unwrap();
+        warmer.store_policy(
+            hash,
+            shape(),
+            fp.to_vec(),
+            &linear_policy(1.0, 0.0),
+            5,
+            1e-8,
+            0.1,
+        );
+    }
+
+    let cache = SurfaceCache::open(&dir).unwrap();
+    let (entered, in_restore) = mpsc::channel();
+    let (open, gate) = mpsc::channel::<()>();
+    let gate = Mutex::new(gate);
+    cache.set_restore_hook(Arc::new(move |_| {
+        let _ = entered.send(());
+        // Returns once the gate's sender is dropped.
+        let _ = gate.lock().unwrap().recv();
+    }));
+    let (served, answer) = mpsc::channel();
+    let reader = {
+        let cache = cache.clone();
+        std::thread::spawn(move || {
+            let exact = matches!(cache.lookup(hash, shape(), &fp, false), Lookup::Exact(_));
+            let _ = served.send(exact);
+        })
+    };
+    in_restore
+        .recv_timeout(WATCHDOG)
+        .expect("reader 1 reached its record read");
+    cache.store_policy(
+        hash,
+        shape(),
+        fp.to_vec(),
+        &linear_policy(0.0, 1.0),
+        7,
+        1e-8,
+        0.1,
+    );
+    drop(open);
+
+    let exact = answer
+        .recv_timeout(WATCHDOG)
+        .expect("reader 1 hung after its gate opened");
+    reader.join().unwrap();
+    assert!(exact, "reader 1 is served one of the two surfaces");
+    let kept = cache
+        .lookup_exact(hash, shape(), &fp)
+        .expect("the hash is cached");
+    assert_eq!(kept.steps, 7, "a later lookup is served the deposit");
+    let stats = cache.stats();
+    assert_eq!((stats.entries, stats.disk_hits), (1, 1));
+    cache.flush();
+    drop(cache);
+
+    let reopened = SurfaceCache::open(&dir).unwrap();
+    let record = reopened
+        .lookup_exact(hash, shape(), &fp)
+        .expect("the record persists");
+    assert_eq!(record.steps, 7, "the record on disk is the deposit's");
+    drop(reopened);
     let _ = fs::remove_dir_all(&dir);
 }

@@ -30,7 +30,7 @@ fn reform(labor_tax: f64) -> Calibration {
     for regime in cal.regimes.iter_mut() {
         regime.labor_tax = labor_tax;
     }
-    cal.validate();
+    cal.validate().unwrap_or_else(|e| panic!("{e}"));
     cal
 }
 

@@ -861,8 +861,8 @@ fn lock_faults(file: &str, text: &str, calls: &[&str]) -> (Vec<String>, BTreeSet
 
 // No record or directory I/O while a lock is held, and no lock taken twice:
 // the cache's readers must never wait on a disk, and the serving queue is
-// never held across a solve. `lock_faults` reads the cache, whose shards,
-// claims and commit stage hold the persisted cache's locks, the store,
+// never held across a solve. `lock_faults` reads the cache, whose shards
+// and commit stage hold the persisted cache's locks, the store,
 // which holds none, and the serving queue. It is a scan of each function's
 // text: a lock taken inside a called function (the serving queue answering
 // a waiter's slot, `Group::shed_expired`) is not seen.
@@ -881,7 +881,7 @@ fn no_record_io_under_a_lock() {
         (
             "crates/scenarios/src/cache.rs",
             &[][..],
-            &["backlog", "inflight", "shard", "writer"][..],
+            &["backlog", "shard", "writer"][..],
         ),
         ("crates/scenarios/src/persist.rs", &[], &[]),
         (
@@ -921,25 +921,75 @@ fn no_record_io_under_a_lock() {
     pass(failures);
 }
 
-// A reader that wins the claim on a hash re-checks the catalogue shard before
-// it reads the record: a winner may have promoted the surface and released
-// the claim between the reader's first probe and its claim, and without
-// the re-check the record file would be read a second time.
+// Each cache entry restores its surface once through its own slot, a
+// `OnceLock`: no side table of hashes in flight, no claim to re-check. One
+// function reads a record file, and it runs only inside a slot's
+// `get_or_init`, so concurrent readers of one hash share one read.
 #[test]
-fn a_claimed_restore_rechecks_the_shard() {
+fn one_restore_slot() {
     let file = "crates/scenarios/src/cache.rs";
-    let code = live(&read(file));
-    let body = code
-        .split_once("    fn restore_claimed(")
-        .map(|(_, rest)| rest.split("\n    }\n").next().unwrap_or(rest));
-    let probe = body.and_then(|b| b.find(".shard_read("));
-    let read = body.and_then(|b| b.find(".read_record("));
-    if !matches!((probe, read), (Some(p), Some(r)) if p < r) {
-        pass(vec![format!(
-            "FAIL: {file}: `restore_claimed` does not probe its shard (`.shard_read(`) \
-             before it reads the record (`.read_record(`)"
-        )]);
+    let code = code_only(&live(&read(file)));
+    let mut failures = flag(
+        hits(file, &code, |l| {
+            has_word(l, "inflight") || has_word(l, "HashSet")
+        }),
+        format!("FAIL: {file} keeps a set of restores in flight; the entry's slot is the claim"),
+    );
+    // The functions that read a record file: each line counts toward the
+    // free function or method it lies in, not a function nested in one (a
+    // guard's `drop`).
+    let mut readers = BTreeSet::new();
+    let mut within = "";
+    for line in code.lines() {
+        let item = ["fn ", "    fn ", "pub fn ", "    pub fn "]
+            .iter()
+            .find_map(|head| line.strip_prefix(head));
+        if let Some(name) = item {
+            within = &name[..name.find(|c| !is_word(Some(c))).unwrap_or(name.len())];
+        }
+        if line.contains(".read_record(") {
+            readers.insert(within);
+        }
     }
+    let [reader] = Vec::from_iter(&readers)[..] else {
+        failures.push(format!(
+            "FAIL: {file}: {} functions read a record file ({readers:?}); one restore reads it",
+            readers.len()
+        ));
+        return pass(failures);
+    };
+    // The byte ranges of the arguments of each `get_or_init(` call.
+    let inits: Vec<(usize, usize)> = code
+        .match_indices("get_or_init(")
+        .map(|(at, head)| {
+            let start = at + head.len();
+            let mut depth = 0usize;
+            let end = code[start..].char_indices().find_map(|(i, c)| {
+                match c {
+                    '(' => depth += 1,
+                    ')' if depth == 0 => return Some(start + i),
+                    ')' => depth -= 1,
+                    _ => {}
+                }
+                None
+            });
+            (start, end.unwrap_or(code.len()))
+        })
+        .collect();
+    let call = format!(".{reader}(");
+    let calls: Vec<usize> = code.match_indices(&call).map(|(at, _)| at).collect();
+    let outside: Vec<String> = calls
+        .iter()
+        .filter(|&&at| !inits.iter().any(|&(start, end)| (start..end).contains(&at)))
+        .map(|&at| format!("{file}:{}: `{call}`", code[..at].matches('\n').count() + 1))
+        .collect();
+    if calls.is_empty() || !outside.is_empty() {
+        failures.extend(outside);
+        failures.push(format!(
+            "FAIL: {file}: `{reader}` must be called, and only inside a slot's `get_or_init(` closure"
+        ));
+    }
+    pass(failures);
 }
 
 // A scenario batch runs on the thread that calls `run_batch`: the pool
