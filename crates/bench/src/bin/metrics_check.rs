@@ -35,6 +35,8 @@ const SWEEP_COUNTERS: &[&str] = &[
     "hddm_solve_oracle_walks_total",
     "hddm_solve_residual_rows_total",
     "hddm_solve_jacobians_total",
+    "hddm_solve_jacobians_carried_total",
+    "hddm_solve_jacobian_refreshes_total",
     "hddm_solve_newton_iterations_total",
 ];
 const SWEEP_GAUGES: &[&str] = &[

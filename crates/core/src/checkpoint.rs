@@ -6,13 +6,15 @@
 //! until the error stalls, write the solution out, restart with a smaller
 //! ε. This module provides that restart surface: the complete solver state
 //! between two time steps is the policy set (one compressed interpolant
-//! per discrete state, chain-ordered surpluses) plus the step counter, and
-//! that is exactly what a [`Checkpoint`] holds.
+//! per discrete state, chain-ordered surpluses), the Jacobian factors the
+//! run carries into its next step (one [`FactorStore`] per state) and the
+//! step counter, and that is exactly what a [`Checkpoint`] holds.
 //!
 //! On disk a checkpoint is one [`crate::record`] frame — magic
-//! `HDDMCKPT`, the step counter, the policy's shape and the policy body
-//! every stored policy shares — so surpluses survive the file bit for bit
-//! and a resumed run continues **bit-identically**. It is written through
+//! `HDDMCKPT`, the step counter, the policy's shape, the policy body every
+//! stored policy shares, then the factor stores
+//! ([`crate::factors::write_stores`]) — so surpluses and factors survive
+//! the file bit for bit and a resumed run continues **bit-identically**. It is written through
 //! [`write_atomic`]: a crash mid-save leaves the previous checkpoint of
 //! an ε-continuation stage in place, and a truncated or damaged file is an
 //! [`io::Error`] at [`Checkpoint::load`], never a panic.
@@ -22,15 +24,17 @@ use std::io;
 use std::path::Path;
 
 use crate::driver::{DriverConfig, StepModel, TimeIteration};
+use crate::factors::{read_stores, write_stores, FactorStore};
 use crate::policy::PolicySet;
 use crate::record::{write_atomic, Reader, Writer};
 
 /// Magic bytes opening every checkpoint file.
 const CHECKPOINT_MAGIC: [u8; 8] = *b"HDDMCKPT";
 
-/// Current version of the checkpoint payload. Version 2 frames checksum a
-/// word at a time; a version-1 file is refused as another format version.
-const CHECKPOINT_VERSION: u32 = 2;
+/// Current version of the checkpoint payload. Version 3 holds the carried
+/// factors, version 2 frames checksum a word at a time; a file of an
+/// earlier version is refused as another format version.
+const CHECKPOINT_VERSION: u32 = 3;
 
 /// A complete snapshot of the solver state between time steps.
 #[derive(Clone, Debug)]
@@ -39,6 +43,8 @@ pub struct Checkpoint {
     pub step: usize,
     /// The policy `p` after `step` steps.
     pub policy: PolicySet,
+    /// The factors the run carries into step `step`, one store per state.
+    pub factors: Vec<FactorStore>,
 }
 
 impl Checkpoint {
@@ -47,6 +53,7 @@ impl Checkpoint {
         Checkpoint {
             step: ti.step_index(),
             policy: ti.policy.clone(),
+            factors: ti.factors.clone(),
         }
     }
 
@@ -57,6 +64,7 @@ impl Checkpoint {
         w.u64(self.policy.states.ndofs() as u64);
         w.u64(self.policy.states.num_states() as u64);
         w.policy(&self.policy);
+        write_stores(&self.factors, &mut w);
         w.finish()
     }
 
@@ -65,8 +73,13 @@ impl Checkpoint {
         let step = r.usize()?;
         let (dim, ndofs, num_states) = (r.usize()?, r.usize()?, r.usize()?);
         let policy = r.policy(dim, ndofs, num_states)?;
+        let factors = read_stores(&mut r, &policy.points_per_state())?;
         r.finish()?;
-        Ok(Checkpoint { step, policy })
+        Ok(Checkpoint {
+            step,
+            policy,
+            factors,
+        })
     }
 
     /// Writes the checkpoint to `path`, atomically and durably: an
@@ -89,17 +102,20 @@ impl Checkpoint {
 }
 
 impl<M: StepModel> TimeIteration<M> {
-    /// Resumes a run from a checkpoint: the policy set and step counter
-    /// are restored, the model and config are supplied fresh (they are
-    /// code + calibration, not solver state). Panics if the model shape
-    /// does not match the checkpoint.
+    /// Resumes a run from a checkpoint: the policy set, the carried
+    /// factors and the step counter are restored, the model and config
+    /// are supplied fresh (they are code + calibration, not solver state).
+    /// Panics if the model shape does not match the checkpoint.
     pub fn resume(model: M, config: DriverConfig, checkpoint: &Checkpoint) -> Self {
         assert_eq!(
             model.ndofs(),
             checkpoint.policy.states.ndofs(),
             "model ndofs mismatch"
         );
-        TimeIteration::with_policy(model, config, checkpoint.policy.clone(), checkpoint.step)
+        let (policy, step) = (checkpoint.policy.clone(), checkpoint.step);
+        let mut ti = TimeIteration::with_policy(model, config, policy, step);
+        ti.factors.clone_from(&checkpoint.factors);
+        ti
     }
 }
 
@@ -228,9 +244,10 @@ mod tests {
         let good = Checkpoint::capture(&ti).encode();
         let dir = scratch_dir("version");
         let path = dir.join("bad_version.bin");
-        // Version 1 is the byte-wise FNV-1a frame: the version is read
-        // before either checksum, so it is reported as old, not damaged.
-        for version in [1u32, 99] {
+        // Version 1 is the byte-wise FNV-1a frame and version 2 has no
+        // factors: the version is read before either checksum, so it is
+        // reported as old, not damaged.
+        for version in [1u32, 2, 99] {
             let mut bytes = good.clone();
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             std::fs::write(&path, &bytes).unwrap();
@@ -299,6 +316,7 @@ mod tests {
         Checkpoint {
             step: 7,
             policy: PolicySet::new(states, BoxDomain::new(vec![-1.0; DIM], vec![2.0; DIM])),
+            factors: vec![FactorStore::default(); grids.len()],
         }
     }
 

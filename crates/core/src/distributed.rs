@@ -9,7 +9,9 @@
 //! several states in turn (the paper's small-node-count configuration).
 //! After the states are built, each is published by one rank that built
 //! it, and only when some rank did not: on a world of one rank the
-//! exchange carries nothing.
+//! exchange carries nothing. A state travels with its carried factors
+//! ([`crate::factors`]), so every rank starts the next step from the same
+//! ones.
 
 use std::borrow::Cow;
 
@@ -17,6 +19,7 @@ use hddm_asg::{NodeKey, SparseGrid};
 use hddm_cluster::{multiplex_states, proportional_ranks, Comm};
 
 use crate::driver::BuiltState;
+use crate::factors::FactorStore;
 
 /// This rank's part of a step.
 pub(crate) struct Share<C> {
@@ -62,9 +65,16 @@ impl<C: Comm> Share<C> {
 
 /// Appends a state's record to `out`:
 /// `[len, z, nlevels, levels…, nno, (active_count, (dim, level, index)…)…,
-///   surpluses…]`, where `len` counts the words after it — all integers
-/// exact in f64.
-pub(crate) fn encode_state(z: usize, state: &BuiltState, ndofs: usize, out: &mut Vec<f64>) {
+///   surpluses…, n, nodes, (LU…, pivots…)…]`, where `len` counts the words
+/// after it and `nodes` (0 or `nno`) the entries of the state's factor
+/// `store`, `n² + n` words each — all exact in f64.
+pub(crate) fn encode_state(
+    z: usize,
+    state: &BuiltState,
+    store: &FactorStore,
+    ndofs: usize,
+    out: &mut Vec<f64>,
+) {
     let at = out.len();
     out.push(0.0);
     out.push(z as f64);
@@ -81,6 +91,11 @@ pub(crate) fn encode_state(z: usize, state: &BuiltState, ndofs: usize, out: &mut
     }
     debug_assert_eq!(state.surpluses.len(), state.grid.len() * ndofs);
     out.extend_from_slice(&state.surpluses);
+    out.push(store.unknowns() as f64);
+    out.push(store.nodes() as f64);
+    for node in 0..store.nodes() {
+        store.extend_words(node, out);
+    }
     out[at] = (out.len() - at - 1) as f64;
 }
 
@@ -97,16 +112,20 @@ pub(crate) fn records(flat: &[f64]) -> impl Iterator<Item = (usize, &[f64])> {
     })
 }
 
-/// Decodes the body of one state's record. A state whose grid is the
-/// run's `start` grid node for node borrows it, as the rank that built it
-/// did, so it is compressed against the start grid's compression.
+/// Decodes the body of one state's record: the state and its factors. A
+/// state whose grid is the run's `start` grid node for node borrows it, as
+/// the rank that built it did, so it is compressed against the start
+/// grid's compression.
 pub(crate) fn decode_state<'k>(
     body: &[f64],
     start: &'k SparseGrid,
     ndofs: usize,
-) -> BuiltState<'k> {
-    let mut words = body.iter().map(|&v| v as usize);
-    let mut take = || words.next().expect("truncated exchange record");
+) -> (BuiltState<'k>, FactorStore) {
+    let mut at = 0;
+    let mut take = || {
+        at += 1;
+        *body.get(at - 1).expect("truncated exchange record") as usize
+    };
     let nlevels = take();
     let levels: Vec<usize> = (0..nlevels).map(|_| take()).collect();
     let nno = take();
@@ -123,18 +142,29 @@ pub(crate) fn decode_state<'k>(
         let (_, fresh) = grid.insert(NodeKey::from_coords(coords));
         debug_assert!(fresh, "duplicate node in encoded state");
     }
-    assert_eq!(words.len(), nno * ndofs, "ragged exchange record");
-    let surpluses = body[body.len() - nno * ndofs..].to_vec();
+    let surpluses = body[at..at + nno * ndofs].to_vec();
+    let rest = &body[at + nno * ndofs..];
+    let (n, nodes) = (rest[0] as usize, rest[1] as usize);
+    assert_eq!(
+        rest.len(),
+        2 + nodes * (n * n + n),
+        "ragged exchange record"
+    );
+    let mut store = FactorStore::empty(n, nodes);
+    for (node, words) in rest[2..].chunks_exact(n * n + n).enumerate() {
+        store.set_words(node, words);
+    }
     let grid = if grid.nodes() == start.nodes() {
         Cow::Borrowed(start)
     } else {
         Cow::Owned(grid)
     };
-    BuiltState {
+    let state = BuiltState {
         grid,
         surpluses,
         levels,
-    }
+    };
+    (state, store)
 }
 
 #[cfg(test)]

@@ -17,6 +17,10 @@
 //! policy and a warm start's ([`TimeIteration::warm`]). A step still
 //! builds what refinement makes new: each refined grid, its incremental
 //! hierarchization and its compression.
+//!
+//! A run also carries one [`FactorStore`] per state from step to step: the
+//! LU of the last Jacobian each settled grid node's point solve took, which
+//! that node's solve of the next step starts from ([`crate::factors`]).
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -35,9 +39,10 @@ use hddm_kernels::{
 };
 use hddm_olg::{PointScratch, PolicyOracle};
 use hddm_sched::{parallel_for_init, PoolConfig};
-use hddm_solver::SolverError;
+use hddm_solver::{Factors, SolverError};
 
 use crate::distributed::{decode_state, encode_state, records, Share};
+use crate::factors::{settled, Entries, FactorStore, Matcher, Start};
 use crate::policy::{OracleBuffers, PolicySet};
 
 /// What the driver needs from an economic model: the state-space shape and
@@ -65,15 +70,28 @@ pub trait StepModel: Sync {
         oracle: &mut dyn PolicyOracle,
     ) -> Result<Vec<f64>, SolverError>;
 
+    /// The unknowns of a point's Newton system, whose Jacobian factors the
+    /// driver carries from step to step ([`Self::solve_point_rows`]'s
+    /// `factors`); 0, the provided value, for a model that carries none.
+    fn unknowns(&self) -> usize {
+        0
+    }
+
     /// Solves the point problems of a block of states of `z` together:
     /// `xs_phys` is `npts × dim`, `warm` one warm-start row per point
     /// (`npts × ndofs`). Point `i`'s solved row is written to row `i` of
     /// `rows` where entry `i` of the result is `Ok`; both must be exactly
-    /// what [`Self::solve_point_row`] gives for the point alone. The
-    /// provided implementation loops it; a model whose point solver can
-    /// advance many points in lockstep overrides this so `oracle` sees
-    /// wide blocks. `scratch` is the calling worker's, reused from block
-    /// to block.
+    /// what [`Self::solve_point_row`] gives for the point alone when its
+    /// slot in `factors` is empty. `factors` holds one slot per point of
+    /// [`Self::unknowns`] unknowns: a point whose slot holds the LU of its
+    /// previous step's Jacobian starts its Newton from it, and the slot
+    /// leaves holding the LU of the point's last Jacobian
+    /// ([`hddm_solver::Factors`]). The provided implementation loops
+    /// `solve_point_row` and leaves `factors` alone; a model whose point
+    /// solver can advance many points in lockstep overrides this so
+    /// `oracle` sees wide blocks. `scratch` is the calling worker's,
+    /// reused from block to block.
+    #[allow(clippy::too_many_arguments)]
     fn solve_point_rows(
         &self,
         z: usize,
@@ -81,6 +99,7 @@ pub trait StepModel: Sync {
         warm: &[f64],
         oracle: &mut dyn PolicyOracle,
         _scratch: &mut PointScratch,
+        _factors: &mut Factors,
         rows: &mut [f64],
     ) -> Vec<Result<(), SolverError>> {
         let dim = self.dim();
@@ -129,8 +148,9 @@ pub struct DriverConfig {
     /// Telemetry registry receiving per-phase span timings
     /// (`hddm_solve_*_seconds`), the point solver's oracle traffic
     /// (`hddm_solve_oracle_{blocks,points,walks}_total`) and its work
-    /// (`hddm_solve_{residual_rows,jacobians,newton_iterations}_total`);
-    /// `None` disables all of it.
+    /// (`hddm_solve_{residual_rows,jacobians,newton_iterations}_total`,
+    /// `hddm_solve_jacobians_carried_total`,
+    /// `hddm_solve_jacobian_refreshes_total`); `None` disables all of it.
     pub telemetry: Option<Registry>,
 }
 
@@ -175,6 +195,8 @@ impl PhaseSpans {
                 walks: registry.counter("hddm_solve_oracle_walks_total"),
                 residual_rows: registry.counter("hddm_solve_residual_rows_total"),
                 jacobians: registry.counter("hddm_solve_jacobians_total"),
+                carried: registry.counter("hddm_solve_jacobians_carried_total"),
+                refreshes: registry.counter("hddm_solve_jacobian_refreshes_total"),
                 newton_iterations: registry.counter("hddm_solve_newton_iterations_total"),
             },
         }
@@ -345,11 +367,13 @@ impl RunKit {
 
 /// One worker's buffers: the policy oracle's (whose kernel [`Scratch`]
 /// also serves the warm-start evaluation and the hierarchization) and the
-/// point solver's. They carry capacity only from one use to the next.
+/// point solver's, with its block of factor slots. They carry capacity
+/// only from one use to the next.
 #[derive(Default)]
 struct WorkerBuffers {
     oracle: OracleBuffers,
     point: PointScratch,
+    factors: Factors,
 }
 
 /// A buffer set lent by [`RunKit::lend`], given back to the pool on drop.
@@ -417,6 +441,8 @@ pub struct TimeIteration<M: StepModel, C: Comm = SerialComm> {
     world: C,
     /// What every step shares.
     kit: RunKit,
+    /// The carried Jacobian factors, one store per state.
+    pub(crate) factors: Vec<FactorStore>,
 }
 
 /// Why a cached surface could not be projected onto a target domain box.
@@ -490,6 +516,7 @@ impl<M: StepModel> TimeIteration<M> {
         let (lo, hi) = model.bounds();
         let policy = kit.project(cached, &lo, &hi, config.kernel, &config.backend)?;
         Ok(TimeIteration {
+            factors: vec![FactorStore::default(); model.num_states()],
             model,
             config,
             policy,
@@ -502,7 +529,8 @@ impl<M: StepModel> TimeIteration<M> {
     /// Rebuilds a single-process driver around an existing policy (the
     /// checkpoint-resume path): no initial-guess construction, the supplied
     /// policy *is* the current `pnext` and `step` continues the original
-    /// counter.
+    /// counter. No factor is carried into its first step
+    /// ([`TimeIteration::resume`] restores a checkpoint's).
     pub fn with_policy(model: M, config: DriverConfig, policy: PolicySet, step: usize) -> Self {
         assert_eq!(
             (policy.domain.dim(), policy.states.num_states()),
@@ -511,6 +539,7 @@ impl<M: StepModel> TimeIteration<M> {
         );
         let kit = RunKit::new(model.dim(), config.start_level);
         TimeIteration {
+            factors: vec![FactorStore::default(); model.num_states()],
             model,
             config,
             policy,
@@ -534,6 +563,7 @@ impl<M: StepModel, C: Comm> TimeIteration<M, C> {
         let values = (0..model.num_states()).map(|_| row.repeat(kit.grid.len()));
         let policy = kit.policy(BoxDomain::new(lo, hi), row.len(), values);
         TimeIteration {
+            factors: vec![FactorStore::default(); model.num_states()],
             model,
             config,
             policy,
@@ -564,6 +594,7 @@ impl<M: StepModel, C: Comm> TimeIteration<M, C> {
         let compress = |built: BuiltState| (built.compress(kit, ndofs), built.levels);
         let mut held: Vec<Option<(CompressedState, Vec<usize>)>> = (0..ns).map(|_| None).collect();
 
+        let factors = &mut self.factors;
         let share = Share::of(world, &policy.points_per_state());
         let mut outgoing = Vec::new();
         for &z in &share.states {
@@ -575,17 +606,21 @@ impl<M: StepModel, C: Comm> TimeIteration<M, C> {
                 z,
                 share.group.as_ref(),
                 &mut totals,
+                &mut factors[z],
             );
             if share.publishes {
-                encode_state(z, &built, ndofs, &mut outgoing);
+                encode_state(z, &built, &factors[z], ndofs, &mut outgoing);
             }
             held[z] = Some(compress(built));
         }
-        // The world exchange: each rank decodes the states it lacks.
+        // The world exchange: each rank decodes the states it lacks, with
+        // their factors.
         for flat in world.allgather(&outgoing) {
             for (z, record) in records(&flat) {
                 if held[z].is_none() {
-                    held[z] = Some(compress(decode_state(record, &kit.grid, ndofs)));
+                    let (built, store) = decode_state(record, &kit.grid, ndofs);
+                    factors[z] = store;
+                    held[z] = Some(compress(built));
                 }
             }
         }
@@ -711,6 +746,12 @@ impl BuiltState<'_> {
 /// group's ranks and the solved rows are merged by an allgather, so every
 /// rank hierarchizes and refines the same rows; `totals` then covers this
 /// rank's share only. `None` solves the whole frontier here.
+///
+/// `store` is the state's carried factors, keyed by its grid of the last
+/// step; each level's solves start from them and the level's new factors
+/// (merged across a group with its rows) replace them in place, so the
+/// store leaves keyed by the grid this call builds.
+#[allow(clippy::too_many_arguments)]
 fn build_state<'k, M: StepModel, C: Comm>(
     model: &M,
     policy: &PolicySet,
@@ -719,9 +760,12 @@ fn build_state<'k, M: StepModel, C: Comm>(
     z: usize,
     group: Option<&C>,
     totals: &mut StepTotals,
+    store: &mut FactorStore,
 ) -> BuiltState<'k> {
     let ndofs = model.ndofs();
     let spans = kit.spans.as_ref();
+    let unknowns = carried_unknowns(model);
+    let mut matcher = Matcher::new(&policy.states.state(z).grid, store);
 
     let mut grid = Cow::Borrowed(&kit.grid);
     let mut frontier: Vec<u32> = (0..grid.len() as u32).collect();
@@ -739,12 +783,44 @@ fn build_state<'k, M: StepModel, C: Comm>(
             Some((_, positions)) => positions.clone().map(|i| frontier[i]).collect(),
             None => Cow::Borrowed(&frontier),
         };
+        // The frontier is the grid's newest nodes: alone, each solve
+        // writes its new factor to its node's entry of the store; in a
+        // group, to this rank's share of the level, merged below.
+        let from = grid.len() - frontier.len();
+        let previous = matcher.level(&grid, from);
+        store.grow(unknowns, grid.len());
+        let (starts, side, mut level) = match &share {
+            Some((_, positions)) => {
+                let previous: Vec<u32> = positions.clone().map(|i| previous[i]).collect();
+                let (starts, side) = store.starts(&previous, |_| None);
+                (starts, side, Some(FactorStore::empty(unknowns, mine.len())))
+            }
+            None => {
+                let (starts, side) = store.starts(&previous, |i| Some(from + i));
+                (starts, side, None)
+            }
+        };
+        let out = match &mut level {
+            Some(level) => level.entries(0..mine.len()),
+            None => store.entries(from..grid.len()),
+        };
+        let carried = Carried {
+            starts: &starts,
+            side: &side,
+            unknowns,
+        };
         let solved = timed(spans.map(|s| &s.policy_update), || {
-            solve_frontier(model, policy, config, kit, z, &grid, &mine)
+            solve_frontier(model, policy, config, kit, z, &grid, &mine, carried, out)
         });
         totals.add(&solved);
         let solved = match share {
-            Some((g, positions)) => merge_level(g, positions, &solved.rows, frontier.len(), ndofs),
+            Some((g, positions)) => {
+                let level = level.expect("a group solves into a level store");
+                let (rows, merged) =
+                    merge_level(g, positions, &solved.rows, &level, frontier.len(), ndofs);
+                store.put_level(from, &merged);
+                rows
+            }
             None => solved.rows,
         };
 
@@ -785,6 +861,7 @@ fn build_state<'k, M: StepModel, C: Comm>(
         }
         frontier = report.new_nodes;
     }
+    store.truncate(grid.len());
 
     BuiltState {
         grid,
@@ -793,34 +870,52 @@ fn build_state<'k, M: StepModel, C: Comm>(
     }
 }
 
+/// The unknowns of `model`'s point systems whose factors a run carries: 0
+/// (none) for a model that carries none or whose pivots do not fit a byte.
+fn carried_unknowns<M: StepModel>(model: &M) -> usize {
+    Some(model.unknowns())
+        .filter(|&n| n < u8::MAX as usize)
+        .unwrap_or(0)
+}
+
 /// Merges one level across a rank group: every rank contributes the rows
-/// it solved, tagged with their frontier `positions`, and gets back all
-/// `len` rows in frontier order.
+/// it solved and their factors, tagged with their frontier `positions`,
+/// and gets back all `len` rows and factors in frontier order.
 fn merge_level<C: Comm>(
     group: &C,
     positions: impl Iterator<Item = usize>,
     rows: &[f64],
+    factors: &FactorStore,
     len: usize,
     ndofs: usize,
-) -> Vec<f64> {
-    let stride = 1 + ndofs;
+) -> (Vec<f64>, FactorStore) {
+    let n = factors.unknowns();
+    let entry = n * n + n;
+    let stride = 1 + ndofs + entry;
     let mut flat = Vec::with_capacity(rows.len() / ndofs * stride);
-    for (i, row) in positions.zip(rows.chunks_exact(ndofs)) {
+    for (j, (i, row)) in positions.zip(rows.chunks_exact(ndofs)).enumerate() {
         flat.push(i as f64);
         flat.extend_from_slice(row);
+        if n > 0 {
+            factors.extend_words(j, &mut flat);
+        }
     }
     let mut merged = vec![0.0; len * ndofs];
+    let mut merged_factors = FactorStore::empty(n, len);
     let mut seen = vec![false; len];
     for contribution in &group.allgather(&flat) {
         assert_eq!(contribution.len() % stride, 0, "ragged merge payload");
         for rec in contribution.chunks_exact(stride) {
             let i = rec[0] as usize;
-            merged[i * ndofs..(i + 1) * ndofs].copy_from_slice(&rec[1..]);
+            merged[i * ndofs..(i + 1) * ndofs].copy_from_slice(&rec[1..1 + ndofs]);
+            if n > 0 {
+                merged_factors.set_words(i, &rec[1 + ndofs..]);
+            }
             seen[i] = true;
         }
     }
     assert!(seen.iter().all(|&s| s), "merge missed frontier points");
-    merged
+    (merged, merged_factors)
 }
 
 /// The unit-cube coordinates of grid nodes `points`, point-major.
@@ -846,6 +941,17 @@ struct FrontierSolve {
     failures: usize,
 }
 
+/// How the points of a frontier solve start ([`FactorStore::starts`]):
+/// fresh, from the factor in their own entry of the solve's output, or
+/// from an entry of `side`.
+#[derive(Clone, Copy)]
+struct Carried<'a> {
+    starts: &'a [Start],
+    side: &'a FactorStore,
+    /// [`carried_unknowns`] of the model, 0 carrying none.
+    unknowns: usize,
+}
+
 /// The frontier solve of the level loop: solves the point problems of
 /// state `z` at grid nodes `points` against `policy` (= `pnext`).
 ///
@@ -855,9 +961,14 @@ struct FrontierSolve {
 /// ([`StepModel::solve_point_rows`]) so the oracle sees wide blocks; the
 /// points of a slice that fail are retried together from the cold
 /// constant guess, and keep their warm-start row if they fail again.
+/// A point starts from its `carried` factor where it has one, and its
+/// entry of `out` (one per requested point) leaves holding its last LU
+/// where it converged and its row moved by less than
+/// [`hddm_solver::CARRY_LIMIT`] ([`settled`]), and no factor elsewhere.
 /// Point problems are independent, so neither the slicing nor the thread
-/// count changes a row. Each worker borrows a buffer set from `kit` for
-/// the whole solve.
+/// count changes a row or a factor. Each worker borrows a buffer set from
+/// `kit` for the whole solve.
+#[allow(clippy::too_many_arguments)]
 fn solve_frontier<M: StepModel>(
     model: &M,
     policy: &PolicySet,
@@ -866,6 +977,8 @@ fn solve_frontier<M: StepModel>(
     z: usize,
     grid: &SparseGrid,
     points: &[u32],
+    carried: Carried<'_>,
+    out: Entries<'_>,
 ) -> FrontierSolve {
     let work = kit.spans.as_ref().map(|s| &s.work);
     let ndofs = model.ndofs();
@@ -886,9 +999,14 @@ fn solve_frontier<M: StepModel>(
         .max(config.pool.grain)
         .clamp(1, BATCH_CHUNK);
     let pool = PoolConfig { threads, grain: 1 };
-    // One handle per slice: the pool runs each slice exactly once, so a
-    // lock is taken once and never waited on.
-    let slices: Vec<Mutex<&mut [f64]>> = rows.chunks_mut(slice * ndofs).map(Mutex::new).collect();
+    // One handle per slice, its rows and its factors: the pool runs each
+    // slice exactly once, so a lock is taken once and never waited on.
+    let n = carried.unknowns;
+    let slices: Vec<Mutex<_>> = rows
+        .chunks_mut(slice * ndofs)
+        .zip(out.runs(slice))
+        .map(Mutex::new)
+        .collect();
 
     parallel_for_init(
         points.len().div_ceil(slice),
@@ -913,15 +1031,33 @@ fn solve_frontier<M: StepModel>(
             {
                 policy.domain.from_unit(unit, phys);
             }
-            let mut solved = slices[t].lock().unwrap_or_else(PoisonError::into_inner);
+            let mut guard = slices[t].lock().unwrap_or_else(PoisonError::into_inner);
+            let (solved, kept) = &mut *guard;
+            buffers.factors.clear(hi - lo, n);
+            for (i, start) in carried.starts[lo..hi].iter().enumerate() {
+                match *start {
+                    Start::Fresh => {}
+                    Start::InPlace => kept.load(i, &mut buffers.factors, i),
+                    Start::Side(k) => carried.side.load(k as usize, &mut buffers.factors, i),
+                }
+            }
             let results = model.solve_point_rows(
                 z,
                 &worker.phys,
                 warm,
                 &mut oracle,
                 &mut buffers.point,
-                &mut solved,
+                &mut buffers.factors,
+                solved,
             );
+            if n > 0 {
+                for (i, result) in results.iter().enumerate() {
+                    let row = &solved[i * ndofs..(i + 1) * ndofs];
+                    let keep = result.is_ok() && settled(row, &warm[i * ndofs..(i + 1) * ndofs]);
+                    let factor = buffers.factors.get(i).filter(|_| keep);
+                    kept.keep(i, factor);
+                }
+            }
 
             let failed: Vec<usize> = (0..hi - lo).filter(|&i| results[i].is_err()).collect();
             if !failed.is_empty() {
@@ -937,12 +1073,14 @@ fn solve_frontier<M: StepModel>(
                     worker.retry_phys.extend_from_slice(x);
                 }
                 worker.retry_rows.resize(failed.len() * ndofs, 0.0);
+                buffers.factors.clear(failed.len(), n);
                 let retried = model.solve_point_rows(
                     z,
                     &worker.retry_phys,
                     &cold.repeat(failed.len()),
                     &mut oracle,
                     &mut buffers.point,
+                    &mut buffers.factors,
                     &mut worker.retry_rows,
                 );
                 for (j, &i) in failed.iter().enumerate() {
@@ -963,6 +1101,8 @@ fn solve_frontier<M: StepModel>(
                 counters.walks.add(traffic.walks);
                 counters.residual_rows.add(tally.residual_rows);
                 counters.jacobians.add(tally.jacobians);
+                counters.carried.add(tally.carried);
+                counters.refreshes.add(tally.refreshes);
                 counters.newton_iterations.add(tally.newton_iterations);
             }
             buffers.oracle = oracle.into_buffers();
@@ -998,6 +1138,8 @@ struct WorkCounters {
     walks: Arc<Counter>,
     residual_rows: Arc<Counter>,
     jacobians: Arc<Counter>,
+    carried: Arc<Counter>,
+    refreshes: Arc<Counter>,
     newton_iterations: Arc<Counter>,
 }
 

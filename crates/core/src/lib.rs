@@ -24,7 +24,9 @@
 //!   pair for the compressed layout, its checksummed frame and the atomic
 //!   file write, shared by checkpoints and the scenario cache's records;
 //! * [`checkpoint`] — save/restart of the solver state between time steps
-//!   (the paper's restart-with-smaller-ε protocol), one such record.
+//!   (the paper's restart-with-smaller-ε protocol), one such record;
+//! * [`factors`] — the Jacobian factors a run carries from step to step,
+//!   one [`FactorStore`] per state.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,6 +34,7 @@
 pub mod checkpoint;
 mod distributed;
 pub mod driver;
+pub mod factors;
 pub mod olg_step;
 pub mod policy;
 pub mod record;
@@ -40,5 +43,6 @@ pub use checkpoint::Checkpoint;
 pub use driver::{
     project_policy_with, DriverConfig, ProjectionError, StepModel, StepReport, TimeIteration,
 };
+pub use factors::FactorStore;
 pub use olg_step::OlgStep;
 pub use policy::{AsgOracle, OracleBuffers, PolicySet};

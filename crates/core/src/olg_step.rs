@@ -1,7 +1,7 @@
 //! Glue between the OLG economy and the time-iteration driver.
 
 use hddm_olg::{OlgModel, PointScratch, PolicyOracle};
-use hddm_solver::{NewtonOptions, SolverError};
+use hddm_solver::{Factors, NewtonOptions, SolverError};
 
 use crate::driver::StepModel;
 
@@ -60,6 +60,11 @@ impl StepModel for OlgStep {
         Ok(solution.dof_row())
     }
 
+    /// The Euler system's unknowns, the savings `s_1…s_{A−1}`.
+    fn unknowns(&self) -> usize {
+        self.model.dim()
+    }
+
     /// The block as one lockstep solve ([`OlgModel::solve_points`]).
     fn solve_point_rows(
         &self,
@@ -68,11 +73,12 @@ impl StepModel for OlgStep {
         warm: &[f64],
         oracle: &mut dyn PolicyOracle,
         scratch: &mut PointScratch,
+        factors: &mut Factors,
         rows: &mut [f64],
     ) -> Vec<Result<(), SolverError>> {
+        let options = &self.newton;
         let reports =
-            self.model
-                .solve_points(z, xs_phys, warm, oracle, scratch, &self.newton, rows);
+            (self.model).solve_points(z, xs_phys, warm, oracle, scratch, options, factors, rows);
         reports.into_iter().map(|report| report.map(drop)).collect()
     }
 }

@@ -114,7 +114,8 @@ impl Writer {
         }
     }
 
-    fn u32_section(&mut self, vs: &[u32]) {
+    /// Appends a length-prefixed `u32` section, zero-padded to 8 bytes.
+    pub(crate) fn u32_section(&mut self, vs: &[u32]) {
         self.u64(vs.len() as u64);
         for v in vs {
             self.bytes.extend_from_slice(&v.to_le_bytes());
@@ -122,6 +123,16 @@ impl Writer {
         if vs.len() % 2 == 1 {
             self.bytes.extend_from_slice(&0u32.to_le_bytes()); // keep 8-byte alignment
         }
+    }
+
+    /// Appends a length-prefixed byte section, zero-padded to 8 bytes.
+    pub(crate) fn u8_section(&mut self, vs: &[u8]) {
+        self.u64(vs.len() as u64);
+        self.bytes.extend_from_slice(vs);
+        self.bytes.resize(
+            self.bytes.len() + vs.len().next_multiple_of(8) - vs.len(),
+            0,
+        );
     }
 
     /// Appends the policy body: the domain box, then every state's arrays.
@@ -263,7 +274,8 @@ impl<'a> Reader<'a> {
             .collect())
     }
 
-    fn u32_section(&mut self) -> Result<Vec<u32>, String> {
+    /// Reads a length-prefixed `u32` section and its padding.
+    pub(crate) fn u32_section(&mut self) -> Result<Vec<u32>, String> {
         let len = self.section_len(4)?;
         let raw = self.take(len * 4)?;
         let vs = raw
@@ -273,6 +285,14 @@ impl<'a> Reader<'a> {
         if len % 2 == 1 {
             self.take(4)?; // alignment pad
         }
+        Ok(vs)
+    }
+
+    /// Reads a length-prefixed byte section and its padding.
+    pub(crate) fn u8_section(&mut self) -> Result<Vec<u8>, String> {
+        let len = self.section_len(1)?;
+        let vs = self.take(len)?.to_vec();
+        self.take(len.next_multiple_of(8) - len)?; // alignment pad
         Ok(vs)
     }
 

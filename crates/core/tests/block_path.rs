@@ -17,7 +17,7 @@ use hddm_core::{DriverConfig, OlgStep, PolicySet, StepModel, TimeIteration};
 use hddm_kernels::{BlockObserver, ChunkCounts, CompressedState, ExecutionBackend, KernelKind};
 use hddm_olg::{Calibration, OlgModel, PointScratch, PolicyOracle};
 use hddm_sched::PoolConfig;
-use hddm_solver::SolverError;
+use hddm_solver::{Factors, SolverError};
 use hddm_telemetry::Registry;
 
 /// `OlgStep` without its block override.
@@ -151,6 +151,7 @@ fn block_solve_equals_point_solves_on_every_kernel() {
                     &warm.repeat(npts),
                     &mut oracle,
                     &mut PointScratch::default(),
+                    &mut Factors::default(),
                     &mut rows,
                 );
                 let traffic = oracle.take_traffic();

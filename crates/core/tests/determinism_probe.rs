@@ -18,12 +18,19 @@
 //! Newton's rounding must keep: its grid, no failed point, its Euler
 //! errors to ten significant digits, and its step reports. A warm start
 //! from a refined surface is pinned the same way, policy and reports.
+//!
+//! Every pinned run carries Jacobian factors from step to step (its
+//! `hddm_solve_jacobians_carried_total` is asserted positive), so the
+//! pins also hold the factor store to thread-, rank- and kernel-equality:
+//! a factor keyed by anything but its grid node, or left behind by the
+//! world exchange or a group's merge, changes a hash.
 
 use hddm_cluster::ThreadComm;
 use hddm_core::{project_policy_with, DriverConfig, OlgStep, PolicySet, StepReport, TimeIteration};
 use hddm_kernels::KernelKind;
 use hddm_olg::{euler_errors_on_box, Calibration, OlgModel, PolicyOracle};
 use hddm_sched::PoolConfig;
+use hddm_telemetry::Registry;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -115,6 +122,14 @@ fn report_hash(reports: &[StepReport]) -> u64 {
     }))
 }
 
+/// The systems a registry has seen start from a carried factor.
+fn carried(registry: &Registry) -> u64 {
+    let snapshot = registry.snapshot();
+    snapshot
+        .counter("hddm_solve_jacobians_carried_total")
+        .unwrap_or(0)
+}
+
 /// Runs `make`'s driver over a world of each size in `ranks` and checks
 /// that every rank ends at the policy hash `want`.
 fn pin_across_ranks(
@@ -137,6 +152,7 @@ fn pin_across_ranks(
 #[test]
 fn the_shared_grid_economy_solves_to_its_pinned_policy_on_any_thread_count() {
     for threads in [1, 2, 4] {
+        let registry = Registry::new();
         let config = DriverConfig {
             tolerance: 1e-5,
             max_steps: 14,
@@ -144,6 +160,7 @@ fn the_shared_grid_economy_solves_to_its_pinned_policy_on_any_thread_count() {
                 threads,
                 ..PoolConfig::default()
             },
+            telemetry: Some(registry.clone()),
             ..Default::default()
         };
         let model = OlgModel::new(Calibration::small(10, 7, 4, 0.04));
@@ -151,9 +168,10 @@ fn the_shared_grid_economy_solves_to_its_pinned_policy_on_any_thread_count() {
         ti.run();
         assert_eq!(
             policy_hash(&ti.policy),
-            0x244b_21a8_ebc4_610a,
+            0x03f8_b1a5_cab1_feec,
             "{threads} threads"
         );
+        assert!(carried(&registry) > 0, "{threads} threads carry no factor");
     }
 }
 
@@ -172,11 +190,12 @@ fn the_shared_grid_economy_solves_to_its_pinned_policy_under_avx512() {
     let model = OlgModel::new(Calibration::small(10, 7, 4, 0.04));
     let mut ti = TimeIteration::new(OlgStep::new(model), config);
     ti.run();
-    assert_eq!(policy_hash(&ti.policy), 0x244b_21a8_ebc4_610a);
+    assert_eq!(policy_hash(&ti.policy), 0x03f8_b1a5_cab1_feec);
 }
 
 #[test]
 fn the_shared_grid_economy_solves_to_its_pinned_policy_on_any_rank_count() {
+    let registry = Registry::new();
     let config = DriverConfig {
         tolerance: 1e-5,
         max_steps: 14,
@@ -184,12 +203,14 @@ fn the_shared_grid_economy_solves_to_its_pinned_policy_on_any_rank_count() {
             threads: 1,
             ..PoolConfig::default()
         },
+        telemetry: Some(registry.clone()),
         ..Default::default()
     };
-    pin_across_ranks(&[1, 3, 4, 8], 0x244b_21a8_ebc4_610a, |world| {
+    pin_across_ranks(&[1, 3, 4, 8], 0x03f8_b1a5_cab1_feec, |world| {
         let model = OlgModel::new(Calibration::small(10, 7, 4, 0.04));
         TimeIteration::over(world, OlgStep::new(model), config.clone())
     });
+    assert!(carried(&registry) > 0, "no rank carried a factor");
 }
 
 /// A warm start as the scenario engine makes one: a source economy solved
@@ -228,8 +249,8 @@ fn a_warm_start_from_a_refined_surface_reaches_its_pinned_policy() {
 
     for (path, mut ti) in [("warm", warm), ("project + with_policy", resumed)] {
         let reports = ti.run();
-        assert_eq!(policy_hash(&ti.policy), 0xb071_66b9_97fa_7ff4, "{path}");
-        assert_eq!(report_hash(&reports), 0xdc98_1a4d_2a0c_509d, "{path}");
+        assert_eq!(policy_hash(&ti.policy), 0xf548_2910_eb62_dfbe, "{path}");
+        assert_eq!(report_hash(&reports), 0x60f7_8bef_8ce7_10eb, "{path}");
     }
 }
 
@@ -249,19 +270,25 @@ fn the_cold_adaptive_solve_reaches_its_pinned_policy() {
         ..Default::default()
     };
     let model = OlgModel::new(Calibration::small(5, 3, 2, 0.04));
-    let mut ti = TimeIteration::new(OlgStep::new(model.clone()), config.clone());
+    let registry = Registry::new();
+    let traced = DriverConfig {
+        telemetry: Some(registry.clone()),
+        ..config.clone()
+    };
+    let mut ti = TimeIteration::new(OlgStep::new(model.clone()), traced);
     let reports = ti.run();
-    assert_eq!(report_hash(&reports), 0xc588_4db9_109e_db5b);
+    assert!(carried(&registry) > 0);
+    assert_eq!(report_hash(&reports), 0xaf90_ecc1_4947_9517);
     assert_eq!(reports.len(), 8);
     assert_eq!(reports[7].points_per_state, [1405, 1380]);
     assert_eq!(reports.iter().map(|r| r.solver_failures).sum::<usize>(), 0);
     // The benchmark's accuracy check: 500 points of the box, seed 1.
     let mut oracle = ti.policy.oracle(KernelKind::Avx2);
     let errors = euler_errors_on_box(&model, &mut oracle, 500, &mut ChaCha8Rng::seed_from_u64(1));
-    assert_eq!(format!("{:.9e}", errors.mean_error), "1.796590550e-4");
-    assert_eq!(format!("{:.9e}", errors.max_error), "1.709163150e-3");
-    assert_eq!(policy_hash(&ti.policy), 0xbd76_dcaa_0f54_6a2b);
-    pin_across_ranks(&[1, 2, 3, 4], 0xbd76_dcaa_0f54_6a2b, |world| {
+    assert_eq!(format!("{:.9e}", errors.mean_error), "1.796590958e-4");
+    assert_eq!(format!("{:.9e}", errors.max_error), "1.709165081e-3");
+    assert_eq!(policy_hash(&ti.policy), 0x721a_507f_6a19_1626);
+    pin_across_ranks(&[1, 2, 3, 4], 0x721a_507f_6a19_1626, |world| {
         TimeIteration::over(world, OlgStep::new(model.clone()), config.clone())
     });
     let avx512 = DriverConfig {
@@ -270,5 +297,44 @@ fn the_cold_adaptive_solve_reaches_its_pinned_policy() {
     };
     let mut ti = TimeIteration::new(OlgStep::new(model), avx512);
     ti.run();
-    assert_eq!(policy_hash(&ti.policy), 0xbd76_dcaa_0f54_6a2b, "avx512");
+    assert_eq!(policy_hash(&ti.policy), 0x721a_507f_6a19_1626, "avx512");
+}
+
+/// An adaptive three-state economy on two and three ranks, whose states
+/// change hands between steps as their grids grow: a rank then builds a
+/// state whose factors it received in the last step's world exchange, so
+/// every rank must hold every state's store.
+#[test]
+fn states_that_change_ranks_keep_their_factors() {
+    let registry = Registry::new();
+    let config = DriverConfig {
+        refine_epsilon: Some(5e-3),
+        max_level: 3,
+        max_steps: 4,
+        tolerance: 0.0,
+        pool: PoolConfig {
+            threads: 1,
+            grain: 4,
+        },
+        telemetry: Some(registry.clone()),
+        ..Default::default()
+    };
+    let model = || OlgStep::new(OlgModel::new(Calibration::small(4, 3, 3, 0.05)));
+    let mut alone = TimeIteration::new(model(), config.clone());
+    let reports = alone.run();
+    assert!(carried(&registry) > 0);
+    // Which states the first of two ranks builds, step by step: the
+    // split must change for the exchange to matter.
+    let mut splits = reports
+        .iter()
+        .map(|r| hddm_cluster::multiplex_states(&r.points_per_state, 2).swap_remove(0));
+    let first = splits.next().expect("four steps");
+    assert!(
+        splits.any(|split| split != first),
+        "the states never change ranks"
+    );
+    let want = policy_hash(&alone.policy);
+    pin_across_ranks(&[2, 3], want, |world| {
+        TimeIteration::over(world, model(), config.clone())
+    });
 }

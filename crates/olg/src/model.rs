@@ -7,10 +7,11 @@
 //! hands the points' Euler systems to the lockstep Newton
 //! ([`hddm_solver::newton_rounds`]); each of its rounds arrives here as a
 //! set of savings rows, each asking for its residuals, and a Jacobian row
-//! (a point's start row, or a later refresh) for the Jacobian at that row
-//! as well, and is evaluated in three passes: next states from the savings
-//! rows, **one oracle call for all next discrete states** over all rows of
-//! the round ([`PolicyOracle::eval_states_block`], every row's `pnext` and
+//! (the start row of a point that carries no factor, or a later refresh)
+//! for the Jacobian at that row as well, and is evaluated in three passes:
+//! next states from the savings rows, **one oracle call for all next
+//! discrete states** over all rows of the round
+//! ([`PolicyOracle::eval_states_block`], every row's `pnext` and
 //! the Jacobian rows' gradients together) — the interpolation of `pnext`
 //! the paper's kernels exist for, "the policy functions of all the Ns
 //! states at once", now dozens to hundreds of points wide — then the Euler
@@ -27,8 +28,10 @@
 //! Steihaug, 1982), never tighter than the solver's default 1e-9 and never
 //! looser than 1e-4. A step moves the policy by far more than the digits a
 //! 1e-9 solve buys, and the next step solves the point again from there.
-//! `τ` depends on the start only, and the start on the policy, so a solve
-//! is the same on any thread or rank count and after a checkpoint resume.
+//! `τ` depends on the start only, and the start on the policy (and, for a
+//! point that carries a factor, on the factor, which the driver keys by
+//! grid node and keeps in checkpoints), so a solve is the same on any
+//! thread or rank count and after a checkpoint resume.
 //!
 //! What depends only on the
 //! point (today's prices, wealth, incomes) is computed once per point
@@ -49,7 +52,8 @@ use crate::economy::{
 };
 use crate::steady::{solve_steady_state, SteadyState};
 use hddm_solver::{
-    newton, newton_rounds, NewtonOptions, NewtonReport, NewtonWorkspace, Round, Rounds, SolverError,
+    newton, newton_rounds, Factors, NewtonOptions, NewtonReport, NewtonWorkspace, Round, Rounds,
+    SolverError,
 };
 
 /// Next-period policy interpolation, the hot path the paper's kernels
@@ -208,11 +212,17 @@ pub struct SolveTally {
     /// Euler systems handed to Newton (one per point).
     pub systems: u64,
     /// Savings rows that asked for their residuals alone (line-search
-    /// trials; a Jacobian row, every point's start row among them, is no
+    /// trials and the start rows of points that carry a factor; a
+    /// Jacobian row, every other point's start row among them, is no
     /// residual row).
     pub residual_rows: u64,
     /// Jacobians of the systems that converged.
     pub jacobians: u64,
+    /// Systems that converged from a carried factor.
+    pub carried: u64,
+    /// Carried factors of converged systems that failed their trial and
+    /// were replaced by a fresh Jacobian.
+    pub refreshes: u64,
     /// Newton iterations of the systems that converged.
     pub newton_iterations: u64,
 }
@@ -916,8 +926,13 @@ impl OlgModel {
     /// solved point. Where entry `i` of the result is `Ok`, row `i` of
     /// `rows` (`m × ndofs`) holds the dof row `(s_1…s_{A−1}, v_1…v_{A−1})`
     /// and the entry the Newton report of what [`Self::solve_point`]
-    /// returns for point `i` alone, bit for bit; the rows of failed points
-    /// are left as they were. The work is added to `scratch`'s tally.
+    /// returns for point `i` alone, bit for bit, when point `i`'s slot in
+    /// `factors` is empty; the rows of failed points are left as they
+    /// were. `factors` is one in/out slot per point
+    /// ([`hddm_solver::Factors`]): a point whose slot holds the LU of an
+    /// earlier Jacobian of its Euler system starts from it, and every
+    /// slot leaves holding its point's last LU. The work is added to
+    /// `scratch`'s tally.
     #[allow(clippy::too_many_arguments)]
     pub fn solve_points(
         &self,
@@ -927,6 +942,7 @@ impl OlgModel {
         oracle: &mut dyn PolicyOracle,
         scratch: &mut PointScratch,
         options: &NewtonOptions,
+        factors: &mut Factors,
         rows: &mut [f64],
     ) -> Vec<Result<NewtonReport, SolverError>> {
         let a_max = self.cal.lifespan;
@@ -969,11 +985,13 @@ impl OlgModel {
             kept,
             tally,
         };
-        let reports = newton_rounds(n, savings, options, newton, &mut rounds);
+        let reports = newton_rounds(n, savings, options, newton, factors, &mut rounds);
 
         for (s, (report, row)) in reports.iter().zip(rows.chunks_exact_mut(ndofs)).enumerate() {
             let Ok(report) = report else { continue };
             tally.jacobians += report.jacobian_evals as u64;
+            tally.carried += u64::from(report.carried);
+            tally.refreshes += u64::from(report.replaced);
             tally.newton_iterations += report.iterations as u64;
             let savings = &savings[s * n..(s + 1) * n];
             let next = if kept.holds(s, savings) {
@@ -1000,7 +1018,8 @@ impl OlgModel {
 
     /// Solves the full point problem: Newton on the Euler system from
     /// `guess` (savings part of a dof row), then the value recursion —
-    /// [`Self::solve_points`] with one point, plus the consumption profile.
+    /// [`Self::solve_points`] with one point and no carried factor, plus
+    /// the consumption profile.
     pub fn solve_point(
         &self,
         z: usize,
@@ -1012,7 +1031,16 @@ impl OlgModel {
     ) -> Result<PointSolution, SolverError> {
         let mut row = vec![0.0; self.ndofs()];
         let report = self
-            .solve_points(z, x, guess, oracle, scratch, options, &mut row)
+            .solve_points(
+                z,
+                x,
+                guess,
+                oracle,
+                scratch,
+                options,
+                &mut Factors::default(),
+                &mut row,
+            )
             .pop()
             .expect("one point in, one report out")?;
         let values = row.split_off(self.dim());

@@ -11,7 +11,7 @@
 use std::ops::Range;
 
 use hddm_olg::{Calibration, OlgModel, PointScratch, PointSolution, PolicyOracle};
-use hddm_solver::{NewtonOptions, NewtonReport, SolverError};
+use hddm_solver::{Factors, NewtonOptions, NewtonReport, SolverError};
 
 const GAMMAS: [f64; 4] = [1.0, 2.0, 2.5, 3.0];
 
@@ -160,6 +160,7 @@ fn a_block_equals_its_points(model: &OlgModel, mut oracle: impl PolicyOracle, ga
                 &mut oracle,
                 &mut scratch,
                 &options,
+                &mut Factors::default(),
                 &mut rows,
             );
             assert_eq!(together.len(), npts);
@@ -202,6 +203,7 @@ fn a_rejected_point_does_not_disturb_its_neighbours() {
             &mut oracle,
             &mut PointScratch::default(),
             &options,
+            &mut Factors::default(),
             &mut rows,
         );
         assert!(
@@ -249,6 +251,7 @@ fn the_value_recursion_reuses_rows_it_would_have_interpolated() {
             &mut oracle,
             &mut scratch,
             &options,
+            &mut Factors::default(),
             &mut rows,
         );
         let calls_of_the_solve = oracle.calls;

@@ -9,7 +9,7 @@ use hddm_compress::builds_total;
 use hddm_olg::Calibration;
 use hddm_scenarios::{run_set, ExecutorConfig, Knob, Scenario, ScenarioSet, SurfaceCache};
 
-/// The benchmark's `sweep_warm` set at seed 1 (429 steps, 1 cold and 31
+/// The benchmark's `sweep_warm` set at seed 1 (430 steps, 1 cold and 31
 /// warm solves; 7 s in a debug build, so release only).
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
@@ -30,7 +30,7 @@ fn a_sweep_compresses_once_per_run() {
     let steps: usize = report.scenarios.iter().map(|s| s.steps).sum();
     assert_eq!(
         (report.cold_solves, report.warm_starts, steps),
-        (1, 31, 429)
+        (1, 31, 430)
     );
     assert_eq!(builds, 32, "one compression per run");
 }

@@ -13,12 +13,13 @@
 //! * [`newton`] — the damped Newton driver: [`newton::newton_rounds`]
 //!   advances many independent systems in lockstep rounds, and its caller
 //!   ([`Rounds`]) answers each round's rows with their residuals, and its
-//!   Jacobian rows (every system's start row among them) with their
-//!   Jacobians as well;
+//!   Jacobian rows (every fresh system's start row among them) with their
+//!   Jacobians as well; a system whose [`Factors`] slot carries the LU of
+//!   an earlier Jacobian starts from it with a residual row;
 //! * [`scalar`] — Brent's method for bracketed scalar roots.
 //!
 //! ```
-//! use hddm_solver::{newton_rounds, NewtonOptions, NewtonWorkspace, Round, Rounds};
+//! use hddm_solver::{newton_rounds, Factors, NewtonOptions, NewtonWorkspace, Round, Rounds};
 //!
 //! /// `F(x) = x² − 2` and its Jacobian `2x`.
 //! struct Sqrt2;
@@ -35,11 +36,21 @@
 //!
 //! let mut x = vec![2.0];
 //! let opts = NewtonOptions::default();
-//! newton_rounds(1, &mut x, &opts, &mut NewtonWorkspace::default(), &mut Sqrt2)
+//! let mut factors = Factors::default();
+//! newton_rounds(1, &mut x, &opts, &mut NewtonWorkspace::default(), &mut factors, &mut Sqrt2)
 //!     .pop()
 //!     .unwrap()
 //!     .unwrap();
 //! assert!((x[0] - 2f64.sqrt()).abs() < 1e-9);
+//!
+//! // The slot now holds the LU of the last Jacobian: a second solve from
+//! // a nearby guess starts from it with a residual row alone.
+//! let mut y = vec![1.5];
+//! let report = newton_rounds(1, &mut y, &opts, &mut NewtonWorkspace::default(), &mut factors, &mut Sqrt2)
+//!     .pop()
+//!     .unwrap()
+//!     .unwrap();
+//! assert!(report.carried && (y[0] - 2f64.sqrt()).abs() < 1e-9);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -50,7 +61,10 @@ pub mod newton;
 pub mod scalar;
 
 pub use linalg::{norm2, norm_inf};
-pub use newton::{newton_rounds, NewtonOptions, NewtonReport, NewtonWorkspace, Round, Rounds};
+pub use newton::{
+    newton_rounds, Factors, NewtonOptions, NewtonReport, NewtonWorkspace, Round, Rounds,
+    CARRIED_CONTRACTION, CARRY_LIMIT,
+};
 pub use scalar::brent;
 
 /// Errors surfaced by the solvers. The time-iteration driver distinguishes

@@ -17,12 +17,27 @@
 //! interpolation into one wide operation per round instead of one call per
 //! point. Every request is one row, and every row is answered with its
 //! residual; a Jacobian row also gets its `n × n` matrix in the same call.
-//! A system's start row is a Jacobian row: the first iteration always
-//! takes a Jacobian at the start point, so it rides with the first
-//! residual instead of costing a round of its own. Each system walks
-//! exactly the trajectory it walks alone (same evaluation points, same
-//! arithmetic, same order), so results do not depend on which other
-//! systems share the block.
+//! A system starts in one of two ways, by its slot in the caller's
+//! [`Factors`]:
+//!
+//! * **fresh** (an empty slot): its start row is a Jacobian row, so the
+//!   first iteration's Jacobian rides with the first residual instead of
+//!   costing a round of its own;
+//! * **carried** (a held slot, the LU of a Jacobian an earlier solve took
+//!   for the same unknowns): its start row is a residual row, and its first
+//!   direction comes from the carried LU. The carried factor is on trial
+//!   for one step: where its first accepted step does not shrink `‖F‖_∞` to
+//!   [`CARRIED_CONTRACTION`] of the start, or its line search stalls, the
+//!   next iteration takes a fresh Jacobian (chord and Broyden methods
+//!   restarted from an old factor: Dennis and Schnabel, 1983, §8; Kelley,
+//!   1995, §5.4 and ch. 7).
+//!
+//! Either way the slot leaves the call holding the LU of the system's last
+//! Jacobian, carried or fresh, for the caller to carry to its next solve.
+//! Each system walks exactly the trajectory it walks alone (same
+//! evaluation points, same arithmetic, same order), so results do not
+//! depend on which other systems share the block or which of them carry a
+//! factor.
 //!
 //! A system stops at `‖F‖_∞ ≤ τ`, where `τ` is its caller's
 //! [`Rounds::tolerance`] at the system's start residual: [`TOLERANCE`]
@@ -57,16 +72,37 @@ const MIN_STEP: f64 = 1e-10;
 /// product-form factors. Measured on the benchmark's cold solve against
 /// 1 (full Newton), 2 and 8 while each update still refactored an
 /// `n × n` approximation: full Newton builds 1.8× the Jacobians and is
-/// slower, 2 is slower too and 8 is no faster.
+/// slower, 2 is slower too and 8 is no faster. Re-measured with carried
+/// factors (five alternating process pairs per workload against 5): 8
+/// read the benchmark's `solve_cold` ×0.98 and `sweep_warm` ×0.97, 12
+/// read ×1.03 and ×1.00, neither ahead on both (README, "Block Newton").
 const BROYDEN_REFRESH: usize = 5;
+/// A carried factor's first accepted step must bring `‖F‖_∞` to at most
+/// this share of its start value; otherwise the next iteration takes a
+/// fresh Jacobian. A step from the factor of a settled grid node
+/// contracts by far more: on the benchmark's two solve workloads no
+/// carried factor fails it.
+pub const CARRIED_CONTRACTION: f64 = 0.5;
+/// The time-iteration driver carries a grid node's factor into the next
+/// step only where the node's solved row moved by less than this in the
+/// step that took it (relative, `|new − old| / (1 + |old|)`, the measure
+/// of the step's `sup_change`). Measured in five alternating process
+/// pairs per workload against two other rules: carrying every converged
+/// node's factor with the trial alone read the benchmark's `solve_cold`
+/// ×1.10 and `sweep_warm` ×1.04 (the cold solve's early refined steps
+/// took 40,592 Newton iterations instead of 31,414), and carrying every
+/// factor once the previous step's `sup_change` was below 5 % read ×0.97
+/// and ×1.00, inside the spread (README, "Block Newton").
+pub const CARRY_LIMIT: f64 = 1e-2;
 /// Broyden factor slots per system.
 const FACTORS: usize = BROYDEN_REFRESH - 1;
 
 /// Newton solver configuration: the iteration budget. The rest of the
 /// schedule is fixed: Armijo constant `1e-4`, backtracking by `0.5` down
 /// to a step of `1e-10`, and a fresh Jacobian every 5 accepted steps with
-/// product-form Broyden updates of its LU in between. The tolerance is
-/// the caller's ([`Rounds::tolerance`], `‖F‖_∞ ≤ 1e-9` by default).
+/// product-form Broyden updates of its LU in between; a carried factor is
+/// replaced after a first step that does not halve `‖F‖_∞`. The tolerance
+/// is the caller's ([`Rounds::tolerance`], `‖F‖_∞ ≤ 1e-9` by default).
 #[derive(Clone, Copy, Debug)]
 pub struct NewtonOptions {
     /// Maximum Newton iterations.
@@ -91,11 +127,72 @@ pub struct NewtonReport {
     pub residual_evals: usize,
     /// Jacobians requested.
     pub jacobian_evals: usize,
+    /// Whether the system started from a carried factor.
+    pub carried: bool,
+    /// Whether the carried factor failed its trial and was replaced by a
+    /// fresh Jacobian.
+    pub replaced: bool,
+}
+
+/// One in/out LU slot per system of a [`newton_rounds`] call: the LU of an
+/// `n × n` Jacobian with its row pivots, or nothing.
+///
+/// On the way in, a held slot is a factor carried from an earlier solve of
+/// the same unknowns, and its system starts from it (see the module docs).
+/// On the way out, a slot holds the LU of its system's last Jacobian,
+/// carried or fresh; it is empty where the system failed, or where it
+/// converged at its start without a factor. A block of another shape than
+/// the call's counts as `m` empty slots.
+#[derive(Clone, Debug, Default)]
+pub struct Factors {
+    n: usize,
+    lu: Vec<f64>,
+    pivots: Vec<u32>,
+    held: Vec<bool>,
+}
+
+impl Factors {
+    /// Makes the block `m` empty slots of `n × n`.
+    pub fn clear(&mut self, m: usize, n: usize) {
+        self.n = n;
+        self.lu.resize(m * n * n, 0.0);
+        self.pivots.resize(m * n, 0);
+        self.held.clear();
+        self.held.resize(m, false);
+    }
+
+    /// Slot `s`'s LU (`n × n`, row-major, as [`crate::linalg::lu_factor`]
+    /// leaves it) and pivots, if it holds a factor.
+    pub fn get(&self, s: usize) -> Option<(&[f64], &[u32])> {
+        let n = self.n;
+        self.held[s].then(|| {
+            (
+                &self.lu[s * n * n..(s + 1) * n * n],
+                &self.pivots[s * n..(s + 1) * n],
+            )
+        })
+    }
+
+    /// Slot `s`'s LU and pivots to be written, the slot then holding them.
+    pub fn set(&mut self, s: usize) -> (&mut [f64], &mut [u32]) {
+        let n = self.n;
+        self.held[s] = true;
+        (
+            &mut self.lu[s * n * n..(s + 1) * n * n],
+            &mut self.pivots[s * n..(s + 1) * n],
+        )
+    }
+
+    /// Empties slot `s`.
+    fn release(&mut self, s: usize) {
+        self.held[s] = false;
+    }
 }
 
 /// One round of [`newton_rounds`]: the one row each unfinished system
-/// needs evaluated next — its start row (residual and Jacobian at the
-/// initial guess), a Jacobian request or a line-search trial.
+/// needs evaluated next — its start row (the residual at the initial
+/// guess, and the Jacobian there unless the system carries a factor), a
+/// Jacobian request or a line-search trial.
 #[derive(Debug)]
 pub struct Round<'a> {
     /// `owners[i]`: the system row `i` belongs to.
@@ -103,8 +200,8 @@ pub struct Round<'a> {
     /// `k × n` evaluation points, row-major.
     pub rows: &'a [f64],
     /// The rows, ascending, that ask for the Jacobian `∂F/∂x` at their
-    /// point as well as the residual: every system's start row, and every
-    /// later Jacobian request.
+    /// point as well as the residual: every fresh system's start row, and
+    /// every later Jacobian request.
     pub jacobian_rows: &'a [usize],
     /// `k × n`: row `i` takes `F_{owners[i]}(rows[i])`, Jacobian rows
     /// included. Newton reads a Jacobian row's residual only at the start
@@ -140,6 +237,8 @@ pub trait Rounds {
 enum Phase {
     /// `F(x)` and the Jacobian at the initial guess.
     Initial,
+    /// `F(x)` at the initial guess of a system that carries a factor.
+    Carried,
     /// The Jacobian at `x`.
     Jacobian,
     /// One line-search trial `F(x + α d)`.
@@ -165,6 +264,8 @@ struct System {
     merit0: f64,
     /// The `τ` of `‖F‖_∞ ≤ τ`, set from the start residual.
     tolerance: f64,
+    /// The carried factor is on trial: no step has been accepted on it.
+    on_trial: bool,
     report: NewtonReport,
 }
 
@@ -177,10 +278,10 @@ pub struct NewtonWorkspace {
     systems: Vec<System>,
     fx: Vec<f64>,
     step: Vec<f64>,
-    // The LU of each system's last Jacobian, and its Broyden factors:
-    // `FACTORS` slots of `[q | s]` (`2n`) per system.
-    lu: Vec<f64>,
-    pivots: Vec<u32>,
+    // The LU of each system's last Jacobian — the caller's `Factors`,
+    // held here for the call — and its Broyden factors: `FACTORS` slots
+    // of `[q | s]` (`2n`) per system.
+    lu: Factors,
     factors: Vec<f64>,
     // One round: the system each row belongs to, the evaluation points,
     // the rows that request a Jacobian, the residual rows, the Jacobians
@@ -195,25 +296,25 @@ pub struct NewtonWorkspace {
 
 impl NewtonWorkspace {
     /// Sizes the per-system buffers for `m` systems of `n` unknowns, all
-    /// about to evaluate their initial guess.
+    /// about to evaluate their initial guess: a system whose slot in
+    /// `self.lu` holds a factor starts from it.
     fn reset(&mut self, m: usize, n: usize) {
+        if self.lu.held.len() != m || self.lu.n != n {
+            self.lu.clear(m, n);
+        }
         self.systems.clear();
-        self.systems.resize(
-            m,
-            System {
-                phase: Phase::Initial,
-                iter: 0,
-                since_refresh: 0, // the start row brings the first Jacobian
-                alpha: 1.0,
-                merit0: 0.0,
-                tolerance: TOLERANCE,
-                report: NewtonReport::default(),
-            },
-        );
+        self.systems.extend(self.lu.held.iter().map(|&held| System {
+            phase: if held { Phase::Carried } else { Phase::Initial },
+            iter: 0,
+            since_refresh: 0, // the start row or the slot brings the first LU
+            alpha: 1.0,
+            merit0: 0.0,
+            tolerance: TOLERANCE,
+            on_trial: false,
+            report: NewtonReport::default(),
+        }));
         self.fx.resize(m * n, 0.0);
         self.step.resize(m * n, 0.0);
-        self.lu.resize(m * n * n, 0.0);
-        self.pivots.resize(m * n, 0);
         self.factors.resize(m * FACTORS * 2 * n, 0.0);
     }
 
@@ -236,17 +337,24 @@ impl NewtonWorkspace {
         let sys = &mut self.systems[s];
         let fx = &mut self.fx[s * n..(s + 1) * n];
         match sys.phase {
-            Phase::Initial => {
+            Phase::Initial | Phase::Carried => {
                 if let Some(error) = self.rejected[r].take() {
                     return Some(Err(error));
                 }
                 fx.copy_from_slice(&self.out[r * n..(r + 1) * n]);
                 sys.report.residual_evals += 1;
                 sys.tolerance = rounds.tolerance(norm_inf(fx));
+                let carried = sys.phase == Phase::Carried;
+                sys.report.carried = carried;
+                sys.on_trial = carried;
                 // The first iteration takes the Jacobian that came with
-                // the residual, unless the guess has converged.
+                // the residual, or the carried factor, unless the guess
+                // has converged.
                 if let Some(outcome) = self.finished(s, n, opts) {
                     return Some(outcome);
+                }
+                if carried {
+                    return self.search(s, n, opts);
                 }
                 return self.refresh(s, slot, n, opts);
             }
@@ -271,21 +379,30 @@ impl NewtonWorkspace {
                     return self.next_trial(s, n, opts);
                 }
 
+                // A carried factor whose first step contracts too little
+                // is replaced by a fresh Jacobian at the new point.
+                let finishes =
+                    sys.iter + 1 >= opts.max_iterations || norm_inf(f_trial) <= sys.tolerance;
+                if std::mem::take(&mut sys.on_trial)
+                    && !finishes
+                    && norm_inf(f_trial) > CARRIED_CONTRACTION * norm_inf(fx)
+                {
+                    sys.report.replaced = true;
+                    sys.since_refresh = usize::MAX;
+                }
                 // The Broyden factor of this step, unless the system
                 // finishes on it or the next iteration takes a fresh
                 // Jacobian anyway.
                 let k = sys.since_refresh;
-                let finishes =
-                    sys.iter + 1 >= opts.max_iterations || norm_inf(f_trial) <= sys.tolerance;
-                if k + 1 < BROYDEN_REFRESH && !finishes {
+                if k < FACTORS && !finishes {
                     let factors = &mut self.factors[s * FACTORS * 2 * n..][..(k + 1) * 2 * n];
                     let (stored, factor) = factors.split_at_mut(k * 2 * n);
                     for (y, (after, before)) in factor.iter_mut().zip(f_trial.iter().zip(&*fx)) {
                         *y = after - before;
                     }
                     let inverse = Inverse {
-                        lu: &self.lu[s * n * n..(s + 1) * n * n],
-                        pivots: &self.pivots[s * n..(s + 1) * n],
+                        lu: &self.lu.lu[s * n * n..(s + 1) * n * n],
+                        pivots: &self.lu.pivots[s * n..(s + 1) * n],
                         factors: stored,
                     };
                     if !inverse.broyden_factor(sys.alpha, &self.step[s * n..(s + 1) * n], factor) {
@@ -316,9 +433,9 @@ impl NewtonWorkspace {
         let sys = &mut self.systems[s];
         sys.report.jacobian_evals += 1;
         sys.since_refresh = 0;
-        let lu = &mut self.lu[s * n * n..(s + 1) * n * n];
+        let (lu, pivots) = self.lu.set(s);
         lu.copy_from_slice(&self.jacobians[slot * n * n..(slot + 1) * n * n]);
-        if let Err(error) = lu_factor(lu, &mut self.pivots[s * n..(s + 1) * n]) {
+        if let Err(error) = lu_factor(lu, pivots) {
             return Some(Err(error));
         }
         self.search(s, n, opts)
@@ -383,8 +500,8 @@ impl NewtonWorkspace {
             *d = -*f;
         }
         Inverse {
-            lu: &self.lu[s * n * n..(s + 1) * n * n],
-            pivots: &self.pivots[s * n..(s + 1) * n],
+            lu: &self.lu.lu[s * n * n..(s + 1) * n * n],
+            pivots: &self.lu.pivots[s * n..(s + 1) * n],
             factors: &self.factors[s * FACTORS * 2 * n..][..sys.since_refresh * 2 * n],
         }
         .apply(step);
@@ -406,10 +523,11 @@ impl NewtonWorkspace {
             sys.phase = Phase::Trial;
             return None;
         }
-        // A stall on a Broyden-updated inverse often recovers after a
-        // fresh Jacobian; force one (it costs an iteration) before giving
-        // up.
-        if sys.since_refresh > 0 {
+        // A stall on a Broyden-updated inverse or a carried factor often
+        // recovers after a fresh Jacobian; force one (it costs an
+        // iteration) before giving up.
+        if sys.since_refresh > 0 || sys.on_trial {
+            sys.report.replaced |= std::mem::take(&mut sys.on_trial);
             sys.since_refresh = usize::MAX;
             sys.iter += 1;
             return self.iterate(s, n, opts);
@@ -472,19 +590,22 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 
 /// Solves `m` independent square systems `F_s(x_s) = 0` of `n` unknowns
 /// each, in lockstep rounds. `xs` holds the `m` initial guesses row-major
-/// (`m × n`) and is overwritten with the final iterates; the result has
-/// one entry per system, in order. Each round is one
-/// [`Rounds::round`] call (see [`Round`]).
+/// (`m × n`) and is overwritten with the final iterates; `factors` holds
+/// one in/out slot per system (see [`Factors`]); the result has one entry
+/// per system, in order. Each round is one [`Rounds::round`] call (see
+/// [`Round`]).
 pub fn newton_rounds<R: Rounds + ?Sized>(
     n: usize,
     xs: &mut [f64],
     opts: &NewtonOptions,
     work: &mut NewtonWorkspace,
+    factors: &mut Factors,
     rounds: &mut R,
 ) -> Vec<Result<NewtonReport, SolverError>> {
     assert!(n > 0, "empty system");
     assert_eq!(xs.len() % n, 0, "ragged block of systems");
     let m = xs.len() / n;
+    std::mem::swap(&mut work.lu, factors);
     work.reset(m, n);
     let mut outcomes: Vec<Option<Result<NewtonReport, SolverError>>> = vec![None; m];
 
@@ -498,6 +619,10 @@ pub fn newton_rounds<R: Rounds + ?Sized>(
                 Phase::Done => {}
                 Phase::Initial | Phase::Jacobian => {
                     work.jacobian_rows.push(work.owners.len());
+                    work.owners.push(s);
+                    work.rows.extend_from_slice(x);
+                }
+                Phase::Carried => {
                     work.owners.push(s);
                     work.rows.extend_from_slice(x);
                 }
@@ -537,11 +662,15 @@ pub fn newton_rounds<R: Rounds + ?Sized>(
             let x = &mut xs[s * n..(s + 1) * n];
             if let Some(outcome) = work.consume(s, r, slot, x, opts, &*rounds) {
                 work.systems[s].phase = Phase::Done;
+                if outcome.is_err() {
+                    work.lu.release(s);
+                }
                 outcomes[s] = Some(outcome);
             }
             slot += usize::from(jacobian);
         }
     }
+    std::mem::swap(&mut work.lu, factors);
     outcomes
         .into_iter()
         .map(|outcome| outcome.expect("the round loop ends when every system has finished"))
@@ -649,6 +778,7 @@ mod tests {
             &mut [0.0, 0.0],
             &NewtonOptions::default(),
             &mut NewtonWorkspace::default(),
+            &mut Factors::default(),
             &mut script,
         );
         assert!(matches!(&outcome[..], [Err(SolverError::Rejected(_))]));
@@ -698,6 +828,7 @@ mod tests {
             &mut x,
             &NewtonOptions::default(),
             &mut NewtonWorkspace::default(),
+            &mut Factors::default(),
             &mut system,
         );
         let report = outcome[0].as_ref().unwrap();
@@ -739,7 +870,8 @@ mod tests {
             let mut xs = [2.0, 10.0];
             let opts = NewtonOptions::default();
             let mut rounds = Sqrt2 { share };
-            let reports = newton_rounds(1, &mut xs, &opts, &mut Default::default(), &mut rounds);
+            let (mut work, mut factors) = Default::default();
+            let reports = newton_rounds(1, &mut xs, &opts, &mut work, &mut factors, &mut rounds);
             reports.into_iter().map(Result::unwrap).collect::<Vec<_>>()
         };
         let (full, inexact) = (solve(0.0), solve(1e-2));

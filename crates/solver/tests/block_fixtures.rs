@@ -13,7 +13,9 @@
 mod common;
 
 use common::{solve_one, ForwardDifferences};
-use hddm_solver::{newton_rounds, NewtonOptions, NewtonReport, NewtonWorkspace, SolverError};
+use hddm_solver::{
+    newton_rounds, Factors, NewtonOptions, NewtonReport, NewtonWorkspace, SolverError,
+};
 
 type Residual = fn(&[f64], &mut [f64]) -> Result<(), SolverError>;
 
@@ -144,7 +146,7 @@ fn solve_block(
     let mut xs: Vec<f64> = systems.iter().flat_map(|s| s.x0.iter().copied()).collect();
     let mut rounds =
         ForwardDifferences(|s: usize, x: &[f64], out: &mut [f64]| (systems[s].f)(x, out));
-    let results = newton_rounds(n, &mut xs, opts, work, &mut rounds);
+    let results = newton_rounds(n, &mut xs, opts, work, &mut Factors::default(), &mut rounds);
     xs.chunks_exact(n)
         .zip(results)
         .map(|(x, result)| outcome(x, result))

@@ -3,7 +3,8 @@
 //! Jacobian request with forward differences.
 
 use hddm_solver::{
-    newton_rounds, NewtonOptions, NewtonReport, NewtonWorkspace, Round, Rounds, SolverError,
+    newton_rounds, Factors, NewtonOptions, NewtonReport, NewtonWorkspace, Round, Rounds,
+    SolverError,
 };
 
 /// `ForwardDifferences(f)`: `f(s, x, out)` writes system `s`'s residual at
@@ -56,7 +57,14 @@ where
 {
     let mut rounds = ForwardDifferences(|_: usize, x: &[f64], out: &mut [f64]| f(x, out));
     let mut work = NewtonWorkspace::default();
-    newton_rounds(x.len(), x, opts, &mut work, &mut rounds)
-        .pop()
-        .expect("one system in, one outcome out")
+    newton_rounds(
+        x.len(),
+        x,
+        opts,
+        &mut work,
+        &mut Factors::default(),
+        &mut rounds,
+    )
+    .pop()
+    .expect("one system in, one outcome out")
 }

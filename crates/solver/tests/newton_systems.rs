@@ -7,7 +7,9 @@
 mod common;
 
 use common::solve_one;
-use hddm_solver::{newton_rounds, NewtonOptions, NewtonWorkspace, Round, Rounds, SolverError};
+use hddm_solver::{
+    newton_rounds, Factors, NewtonOptions, NewtonWorkspace, Round, Rounds, SolverError,
+};
 
 #[test]
 fn solves_linear_system() {
@@ -197,6 +199,7 @@ fn a_supplied_jacobian_is_one_request_and_no_residual_row() {
         &mut xs,
         &opts,
         &mut NewtonWorkspace::default(),
+        &mut Factors::default(),
         &mut exact,
     );
     assert!(matches!(
@@ -293,6 +296,7 @@ fn a_nan_residual_is_never_converged() {
             &mut x,
             &NewtonOptions::default(),
             &mut NewtonWorkspace::default(),
+            &mut Factors::default(),
             &mut NanComponent { nan },
         )
         .pop()

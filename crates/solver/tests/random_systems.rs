@@ -10,7 +10,9 @@ use proptest::prelude::*;
 
 use common::{solve_one, ForwardDifferences};
 use hddm_solver::linalg::{lu_factor, lu_solve};
-use hddm_solver::{newton_rounds, NewtonOptions, NewtonReport, NewtonWorkspace, SolverError};
+use hddm_solver::{
+    newton_rounds, Factors, NewtonOptions, NewtonReport, NewtonWorkspace, SolverError,
+};
 
 /// `y = A x` for a row-major square `A`.
 fn matvec(a: &[f64], x: &[f64], y: &mut [f64]) {
@@ -183,7 +185,8 @@ proptest! {
                 let (a, cap, _) = &systems[members[o]];
                 capped_monotone(a, *cap, x, out)
             });
-            let results = newton_rounds(n, &mut xs, &opts, &mut work, &mut rounds);
+            let mut factors = Factors::default();
+            let results = newton_rounds(n, &mut xs, &opts, &mut work, &mut factors, &mut rounds);
             for ((&s, x), result) in members.iter().zip(xs.chunks_exact(n)).zip(results) {
                 prop_assert_eq!(&end_state(x, result), &alone[s], "system {} of {:?}", s, members);
             }

@@ -2,12 +2,15 @@
 //! interrupted mid-run, saved to a checkpoint file, reloaded, and resumed
 //! must land **bit-identically** on the policy of an uninterrupted run —
 //! the paper's ε-continuation restart protocol (Sec. V-C, footnote 12)
-//! depends on exactly this property.
+//! depends on exactly this property. A checkpoint holds the Jacobian
+//! factors the run carries into its next step, so a resume in the tail,
+//! where every settled node starts from its factor, continues exactly too.
 
-use hddm::core::{Checkpoint, DriverConfig, OlgStep, TimeIteration};
+use hddm::core::{Checkpoint, DriverConfig, FactorStore, OlgStep, StepReport, TimeIteration};
 use hddm::kernels::KernelKind;
 use hddm::olg::{Calibration, OlgModel, PolicyOracle};
 use hddm::sched::PoolConfig;
+use hddm::telemetry::Registry;
 
 fn config(max_steps: usize) -> DriverConfig {
     DriverConfig {
@@ -139,4 +142,56 @@ fn checkpoint_resume_with_refinement_enabled() {
         got, want,
         "refined resumed policy diverged bitwise from the uninterrupted run"
     );
+}
+
+/// The systems a registry has seen start from a carried factor.
+fn carried(registry: &Registry) -> u64 {
+    let snapshot = registry.snapshot();
+    snapshot
+        .counter("hddm_solve_jacobians_carried_total")
+        .expect("registered by the solve")
+}
+
+#[test]
+fn a_checkpoint_in_the_tail_resumes_its_carried_factors_bit_identically() {
+    // Eight steps straight, against six + save/load + two: the first six
+    // settle the policy, so nodes carry factors into the last two, and
+    // the resumed run must start from the same factors to match.
+    let traced = |steps: usize, registry: &Registry| DriverConfig {
+        telemetry: Some(registry.clone()),
+        ..config(steps)
+    };
+    let bits = |reports: &[StepReport]| {
+        let changes = reports.iter().map(|r| [r.sup_change, r.l2_change]);
+        changes.flatten().map(f64::to_bits).collect::<Vec<_>>()
+    };
+    let whole = Registry::new();
+    let mut straight = TimeIteration::new(OlgStep::new(make_model()), traced(8, &whole));
+    let straight_reports = straight.run();
+
+    let path = scratch_dir().join("tail.bin");
+    let head = Registry::new();
+    {
+        let mut first = TimeIteration::new(OlgStep::new(make_model()), traced(6, &head));
+        first.run();
+        Checkpoint::capture(&first).save(&path).unwrap();
+    }
+    assert!(carried(&head) > 0, "the first six steps carry no factor");
+    let loaded = Checkpoint::load(&path).unwrap();
+    let stored: usize = loaded.factors.iter().map(FactorStore::carried).sum();
+    assert!(stored > 0, "the checkpoint holds no factor");
+
+    let tail = Registry::new();
+    let mut resumed = TimeIteration::resume(OlgStep::new(make_model()), traced(2, &tail), &loaded);
+    let resumed_reports = resumed.run();
+    assert_eq!(resumed.step_index(), 8);
+    assert!(carried(&tail) > 0, "the resumed steps carry no factor");
+    assert_eq!(carried(&head) + carried(&tail), carried(&whole));
+    assert_eq!(bits(&resumed_reports), bits(&straight_reports[6..]));
+    assert_eq!(
+        probe_bits(&resumed),
+        probe_bits(&straight),
+        "resumed policy diverged bitwise from the uninterrupted run"
+    );
+    std::fs::remove_file(&path).ok();
 }
