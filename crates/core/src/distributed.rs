@@ -66,8 +66,9 @@ impl<C: Comm> Share<C> {
 /// Appends a state's record to `out`:
 /// `[len, z, nlevels, levels…, nno, (active_count, (dim, level, index)…)…,
 ///   surpluses…, n, nodes, (LU…, pivots…)…]`, where `len` counts the words
-/// after it and `nodes` (0 or `nno`) the entries of the state's factor
-/// `store`, `n² + n` words each — all exact in f64.
+/// after it and `nodes` (`nno`, or 0 for a store of `n = 0` unknowns)
+/// the entries of the state's factor `store`, `n² + n` words each — all
+/// exact in f64.
 pub(crate) fn encode_state(
     z: usize,
     state: &BuiltState,
@@ -150,9 +151,14 @@ pub(crate) fn decode_state<'k>(
         2 + nodes * (n * n + n),
         "ragged exchange record"
     );
+    // A store of no unknowns (a model that carries no factor) has no
+    // entry to read.
     let mut store = FactorStore::empty(n, nodes);
-    for (node, words) in rest[2..].chunks_exact(n * n + n).enumerate() {
-        store.set_words(node, words);
+    if n > 0 {
+        let mut entries = store.entries(0..nodes);
+        for (node, words) in rest[2..].chunks_exact(n * n + n).enumerate() {
+            entries.set_words(node, words);
+        }
     }
     let grid = if grid.nodes() == start.nodes() {
         Cow::Borrowed(start)

@@ -42,7 +42,7 @@ use hddm_sched::{parallel_for_init, PoolConfig};
 use hddm_solver::{Factors, SolverError};
 
 use crate::distributed::{decode_state, encode_state, records, Share};
-use crate::factors::{settled, Entries, FactorStore, Matcher, Start};
+use crate::factors::{found, settled, Entries, FactorStore, Matcher};
 use crate::policy::{OracleBuffers, PolicySet};
 
 /// What the driver needs from an economic model: the state-space shape and
@@ -72,7 +72,10 @@ pub trait StepModel: Sync {
 
     /// The unknowns of a point's Newton system, whose Jacobian factors the
     /// driver carries from step to step ([`Self::solve_point_rows`]'s
-    /// `factors`); 0, the provided value, for a model that carries none.
+    /// `factors`); 0, the provided value, for a model that carries none,
+    /// whose stores then hold no entry. The driver sizes a state's store
+    /// before a level's solves write their factors into it, so it takes
+    /// `n` from here and not from the first factor a solve returns.
     fn unknowns(&self) -> usize {
         0
     }
@@ -748,9 +751,9 @@ impl BuiltState<'_> {
 /// rank's share only. `None` solves the whole frontier here.
 ///
 /// `store` is the state's carried factors, keyed by its grid of the last
-/// step; each level's solves start from them and the level's new factors
-/// (merged across a group with its rows) replace them in place, so the
-/// store leaves keyed by the grid this call builds.
+/// step. Each level's solves start from them and write their new factors
+/// (merged across a group with the rows) to a new store in the order of
+/// the grid this call builds, which replaces `store` at the end.
 #[allow(clippy::too_many_arguments)]
 fn build_state<'k, M: StepModel, C: Comm>(
     model: &M,
@@ -765,7 +768,11 @@ fn build_state<'k, M: StepModel, C: Comm>(
     let ndofs = model.ndofs();
     let spans = kit.spans.as_ref();
     let unknowns = carried_unknowns(model);
-    let mut matcher = Matcher::new(&policy.states.state(z).grid, store);
+    let old = std::mem::take(store);
+    let old_grid = &policy.states.state(z).grid;
+    let mut matcher = Matcher::new(old_grid, &old, unknowns);
+    // A settled grid keeps its size, so its new store never moves.
+    let mut new = FactorStore::with_room(unknowns, old_grid.nno().max(kit.grid.len()));
 
     let mut grid = Cow::Borrowed(&kit.grid);
     let mut frontier: Vec<u32> = (0..grid.len() as u32).collect();
@@ -784,30 +791,25 @@ fn build_state<'k, M: StepModel, C: Comm>(
             None => Cow::Borrowed(&frontier),
         };
         // The frontier is the grid's newest nodes: alone, each solve
-        // writes its new factor to its node's entry of the store; in a
-        // group, to this rank's share of the level, merged below.
+        // writes its new factor to its node's entry of the new store; in
+        // a group, to this rank's share of the level, merged below.
         let from = grid.len() - frontier.len();
         let previous = matcher.level(&grid, from);
-        store.grow(unknowns, grid.len());
-        let (starts, side, mut level) = match &share {
+        new.grow(grid.len());
+        let (previous, mut level) = match &share {
             Some((_, positions)) => {
-                let previous: Vec<u32> = positions.clone().map(|i| previous[i]).collect();
-                let (starts, side) = store.starts(&previous, |_| None);
-                (starts, side, Some(FactorStore::empty(unknowns, mine.len())))
+                let previous = positions.clone().map(|i| previous[i]).collect();
+                (previous, Some(FactorStore::empty(unknowns, mine.len())))
             }
-            None => {
-                let (starts, side) = store.starts(&previous, |i| Some(from + i));
-                (starts, side, None)
-            }
+            None => (previous, None),
         };
         let out = match &mut level {
             Some(level) => level.entries(0..mine.len()),
-            None => store.entries(from..grid.len()),
+            None => new.entries(from..grid.len()),
         };
         let carried = Carried {
-            starts: &starts,
-            side: &side,
-            unknowns,
+            old: &old,
+            previous: &previous,
         };
         let solved = timed(spans.map(|s| &s.policy_update), || {
             solve_frontier(model, policy, config, kit, z, &grid, &mine, carried, out)
@@ -816,10 +818,16 @@ fn build_state<'k, M: StepModel, C: Comm>(
         let solved = match share {
             Some((g, positions)) => {
                 let level = level.expect("a group solves into a level store");
-                let (rows, merged) =
-                    merge_level(g, positions, &solved.rows, &level, frontier.len(), ndofs);
-                store.put_level(from, &merged);
-                rows
+                let out = new.entries(from..grid.len());
+                merge_level(
+                    g,
+                    positions,
+                    &solved.rows,
+                    &level,
+                    out,
+                    frontier.len(),
+                    ndofs,
+                )
             }
             None => solved.rows,
         };
@@ -861,7 +869,7 @@ fn build_state<'k, M: StepModel, C: Comm>(
         }
         frontier = report.new_nodes;
     }
-    store.truncate(grid.len());
+    *store = new;
 
     BuiltState {
         grid,
@@ -880,15 +888,17 @@ fn carried_unknowns<M: StepModel>(model: &M) -> usize {
 
 /// Merges one level across a rank group: every rank contributes the rows
 /// it solved and their factors, tagged with their frontier `positions`,
-/// and gets back all `len` rows and factors in frontier order.
+/// and gets back all `len` rows in frontier order, their factors written
+/// to `out` (one entry per frontier point).
 fn merge_level<C: Comm>(
     group: &C,
     positions: impl Iterator<Item = usize>,
     rows: &[f64],
     factors: &FactorStore,
+    mut out: Entries<'_>,
     len: usize,
     ndofs: usize,
-) -> (Vec<f64>, FactorStore) {
+) -> Vec<f64> {
     let n = factors.unknowns();
     let entry = n * n + n;
     let stride = 1 + ndofs + entry;
@@ -901,7 +911,6 @@ fn merge_level<C: Comm>(
         }
     }
     let mut merged = vec![0.0; len * ndofs];
-    let mut merged_factors = FactorStore::empty(n, len);
     let mut seen = vec![false; len];
     for contribution in &group.allgather(&flat) {
         assert_eq!(contribution.len() % stride, 0, "ragged merge payload");
@@ -909,13 +918,13 @@ fn merge_level<C: Comm>(
             let i = rec[0] as usize;
             merged[i * ndofs..(i + 1) * ndofs].copy_from_slice(&rec[1..1 + ndofs]);
             if n > 0 {
-                merged_factors.set_words(i, &rec[1 + ndofs..]);
+                out.set_words(i, &rec[1 + ndofs..]);
             }
             seen[i] = true;
         }
     }
     assert!(seen.iter().all(|&s| s), "merge missed frontier points");
-    (merged, merged_factors)
+    merged
 }
 
 /// The unit-cube coordinates of grid nodes `points`, point-major.
@@ -941,15 +950,12 @@ struct FrontierSolve {
     failures: usize,
 }
 
-/// How the points of a frontier solve start ([`FactorStore::starts`]):
-/// fresh, from the factor in their own entry of the solve's output, or
-/// from an entry of `side`.
+/// Where the points of a frontier solve find their carried factors: point
+/// `i` at node `previous[i]` of `old` ([`Matcher::level`]), or nowhere.
 #[derive(Clone, Copy)]
 struct Carried<'a> {
-    starts: &'a [Start],
-    side: &'a FactorStore,
-    /// [`carried_unknowns`] of the model, 0 carrying none.
-    unknowns: usize,
+    old: &'a FactorStore,
+    previous: &'a [u32],
 }
 
 /// The frontier solve of the level loop: solves the point problems of
@@ -1001,7 +1007,7 @@ fn solve_frontier<M: StepModel>(
     let pool = PoolConfig { threads, grain: 1 };
     // One handle per slice, its rows and its factors: the pool runs each
     // slice exactly once, so a lock is taken once and never waited on.
-    let n = carried.unknowns;
+    let n = out.unknowns();
     let slices: Vec<Mutex<_>> = rows
         .chunks_mut(slice * ndofs)
         .zip(out.runs(slice))
@@ -1034,11 +1040,9 @@ fn solve_frontier<M: StepModel>(
             let mut guard = slices[t].lock().unwrap_or_else(PoisonError::into_inner);
             let (solved, kept) = &mut *guard;
             buffers.factors.clear(hi - lo, n);
-            for (i, start) in carried.starts[lo..hi].iter().enumerate() {
-                match *start {
-                    Start::Fresh => {}
-                    Start::InPlace => kept.load(i, &mut buffers.factors, i),
-                    Start::Side(k) => carried.side.load(k as usize, &mut buffers.factors, i),
+            for (i, &previous) in carried.previous[lo..hi].iter().enumerate() {
+                if let Some(node) = found(previous) {
+                    carried.old.load(node, &mut buffers.factors, i);
                 }
             }
             let results = model.solve_point_rows(

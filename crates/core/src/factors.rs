@@ -21,14 +21,13 @@
 //! records never hold it.
 //!
 //! A store is one slab per state: `n²` `f32` of LU and `n` `u8` pivots per
-//! node, no allocation per node. A step updates its state's store in
-//! place, a level at a time: a level's frontier is the grid's newest
-//! nodes, so each point solve writes its new factor to the position its
-//! node takes. On a settled grid every node keeps its position and reads
-//! its factor where it writes the next one; a factor that sits elsewhere
-//! is copied aside before the level's solves start, and a node whose
-//! previous position an earlier level of the same step has already
-//! overwritten finds no factor.
+//! node, no allocation per node. A step builds a state's new store beside
+//! its old one: each level's solves read their factors from the old store
+//! and write their new ones to the new store, at the positions their nodes
+//! take in the grid under construction (a level's frontier is the grid's
+//! newest nodes), and the old store is dropped once the state is built.
+//! A store of `n = 0` unknowns holds nothing: the store of a model that
+//! carries no factor.
 
 use std::ops::Range;
 
@@ -58,23 +57,29 @@ pub struct FactorStore {
 impl FactorStore {
     /// `nodes` entries of `n` unknowns, none holding a factor.
     pub(crate) fn empty(n: usize, nodes: usize) -> FactorStore {
-        let mut store = FactorStore::default();
-        store.grow(n, nodes);
+        let mut store = FactorStore {
+            n,
+            ..FactorStore::default()
+        };
+        store.grow(nodes);
         store
     }
 
-    /// Makes the store cover at least `nodes` entries of `n` unknowns: an
-    /// entry it has keeps its factor, a new one holds none. Another `n`
-    /// empties it first. A slab that must move takes a quarter more room
-    /// than asked, so a grid that grows for a few steps moves it a few
-    /// times and not at every level (each move leaves a hole in the heap).
-    pub(crate) fn grow(&mut self, n: usize, nodes: usize) {
-        if n != self.n {
-            *self = FactorStore {
-                n,
-                ..FactorStore::default()
-            };
+    /// No entry yet, with room for `nodes` entries of `n` unknowns.
+    pub(crate) fn with_room(n: usize, nodes: usize) -> FactorStore {
+        FactorStore {
+            n,
+            lu: Vec::with_capacity(nodes * n * n),
+            pivots: Vec::with_capacity(nodes * n),
         }
+    }
+
+    /// Makes the store cover at least `nodes` entries: an entry it has
+    /// keeps its factor, a new one holds none. A slab that must move takes
+    /// a quarter more room than asked, so a grid that grows for a few
+    /// levels moves it a few times and not at every level.
+    pub(crate) fn grow(&mut self, nodes: usize) {
+        let n = self.n;
         let nodes = nodes.max(self.nodes());
         if nodes * n > self.pivots.capacity() {
             let room = nodes + nodes / 4;
@@ -85,7 +90,7 @@ impl FactorStore {
         self.pivots.resize(nodes * n, EMPTY);
     }
 
-    /// The grid nodes the store covers.
+    /// The grid nodes the store covers, 0 for a store of no unknowns.
     pub fn nodes(&self) -> usize {
         self.pivots.len().checked_div(self.n).unwrap_or(0)
     }
@@ -95,7 +100,8 @@ impl FactorStore {
         (0..self.nodes()).filter(|&node| self.holds(node)).count()
     }
 
-    /// The unknowns per system, 0 for a store that never held a factor.
+    /// The unknowns per system, 0 for a store of a model that carries no
+    /// factor.
     pub(crate) fn unknowns(&self) -> usize {
         self.n
     }
@@ -107,10 +113,26 @@ impl FactorStore {
     /// Puts node `node`'s factor into slot `s` of `slots` (sized for this
     /// store's `n`), if it holds one.
     pub(crate) fn load(&self, node: usize, slots: &mut Factors, s: usize) {
-        load(self.n, &self.lu, &self.pivots, node, slots, s);
+        let n = self.n;
+        if !self.holds(node) {
+            return;
+        }
+        let (to_lu, to_pivots) = slots.set(s);
+        for (to, from) in to_lu
+            .iter_mut()
+            .zip(&self.lu[node * n * n..(node + 1) * n * n])
+        {
+            *to = f64::from(*from);
+        }
+        for (to, from) in to_pivots
+            .iter_mut()
+            .zip(&self.pivots[node * n..(node + 1) * n])
+        {
+            *to = u32::from(*from);
+        }
     }
 
-    /// The entries of nodes `nodes`, to be read and written in place.
+    /// The entries of nodes `nodes`, to be written.
     pub(crate) fn entries(&mut self, nodes: Range<usize>) -> Entries<'_> {
         let n = self.n;
         Entries {
@@ -120,61 +142,8 @@ impl FactorStore {
         }
     }
 
-    /// How each point of a frontier solve starts: point `i`'s factor sits
-    /// at node `previous[i]` of the store ([`Matcher::level`]), and its
-    /// new entry goes to node `own(i)` of the store, or elsewhere
-    /// (`None`). A factor at the point's own node is read in place; any
-    /// other is copied to the returned side store first, since its node
-    /// may be written before it is read.
-    pub(crate) fn starts(
-        &self,
-        previous: &[u32],
-        own: impl Fn(usize) -> Option<usize>,
-    ) -> (Vec<Start>, FactorStore) {
-        let n = self.n;
-        let mut side = FactorStore {
-            n,
-            ..FactorStore::default()
-        };
-        let starts = previous
-            .iter()
-            .enumerate()
-            .map(|(i, &previous)| match found(previous) {
-                Some(node) if node < self.nodes() && self.holds(node) => {
-                    if own(i) == Some(node) {
-                        return Start::InPlace;
-                    }
-                    side.lu
-                        .extend_from_slice(&self.lu[node * n * n..(node + 1) * n * n]);
-                    side.pivots
-                        .extend_from_slice(&self.pivots[node * n..(node + 1) * n]);
-                    Start::Side(side.nodes() as u32 - 1)
-                }
-                _ => Start::Fresh,
-            })
-            .collect();
-        (starts, side)
-    }
-
-    /// Writes `level`'s entries at nodes `at..` (a level's frontier is the
-    /// grid's newest nodes), growing the store to cover them.
-    pub(crate) fn put_level(&mut self, at: usize, level: &FactorStore) {
-        let n = level.n;
-        let end = at + level.nodes();
-        self.grow(n, end);
-        self.lu[at * n * n..end * n * n].copy_from_slice(&level.lu);
-        self.pivots[at * n..end * n].copy_from_slice(&level.pivots);
-    }
-
-    /// Drops the entries of nodes past the first `nodes`.
-    pub(crate) fn truncate(&mut self, nodes: usize) {
-        let n = self.n;
-        self.lu.truncate(nodes * n * n);
-        self.pivots.truncate(nodes * n);
-    }
-
     /// Node `node`'s entry as `n² + n` words exact in `f64`: the LU, then
-    /// the pivots.
+    /// the pivots ([`Entries::set_words`] reads them back).
     pub(crate) fn extend_words(&self, node: usize, out: &mut Vec<f64>) {
         let n = self.n;
         out.extend(
@@ -188,33 +157,9 @@ impl FactorStore {
                 .map(|&p| f64::from(p)),
         );
     }
-
-    /// Sets node `node`'s entry from the words of
-    /// [`Self::extend_words`].
-    pub(crate) fn set_words(&mut self, node: usize, words: &[f64]) {
-        let n = self.n;
-        let (lu, pivots) = words.split_at(n * n);
-        for (to, from) in self.lu[node * n * n..(node + 1) * n * n].iter_mut().zip(lu) {
-            *to = *from as f32;
-        }
-        for (to, from) in self.pivots[node * n..(node + 1) * n].iter_mut().zip(pivots) {
-            *to = *from as u8;
-        }
-    }
 }
 
-/// How a point of a frontier solve starts ([`FactorStore::starts`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) enum Start {
-    /// With a fresh Jacobian.
-    Fresh,
-    /// From the factor in its own entry.
-    InPlace,
-    /// From entry `k` of the side store.
-    Side(u32),
-}
-
-/// A run of a store's entries ([`FactorStore::entries`]).
+/// A run of a store's entries to be written ([`FactorStore::entries`]).
 pub(crate) struct Entries<'a> {
     n: usize,
     lu: &'a mut [f32],
@@ -222,6 +167,11 @@ pub(crate) struct Entries<'a> {
 }
 
 impl<'a> Entries<'a> {
+    /// The unknowns per entry.
+    pub(crate) fn unknowns(&self) -> usize {
+        self.n
+    }
+
     /// The entries in runs of `nodes`, for writers that share them out
     /// (one run per slice of a frontier), then empty runs without end.
     pub(crate) fn runs(self, nodes: usize) -> impl Iterator<Item = Entries<'a>> {
@@ -235,12 +185,6 @@ impl<'a> Entries<'a> {
             rest = (lu_rest, pivots_rest);
             Entries { n, lu, pivots }
         })
-    }
-
-    /// Puts entry `i`'s factor into slot `s` of `slots` (sized for this
-    /// store's `n`), if it holds one.
-    pub(crate) fn load(&self, i: usize, slots: &mut Factors, s: usize) {
-        load(self.n, self.lu, self.pivots, i, slots, s);
     }
 
     /// Keeps `factor` (an LU of the store's `n` and its pivots) as entry
@@ -259,21 +203,17 @@ impl<'a> Entries<'a> {
             *to = *from as f32;
         }
     }
-}
 
-/// Puts entry `i` of `lu`/`pivots` (entries of `n` unknowns) into slot `s`
-/// of `slots`, if it holds a factor.
-fn load(n: usize, lu: &[f32], pivots: &[u8], i: usize, slots: &mut Factors, s: usize) {
-    let pivots = &pivots[i * n..(i + 1) * n];
-    if pivots[0] == EMPTY {
-        return;
-    }
-    let (to_lu, to_pivots) = slots.set(s);
-    for (to, from) in to_lu.iter_mut().zip(&lu[i * n * n..(i + 1) * n * n]) {
-        *to = f64::from(*from);
-    }
-    for (to, from) in to_pivots.iter_mut().zip(pivots) {
-        *to = u32::from(*from);
+    /// Sets entry `i` from the words of [`FactorStore::extend_words`].
+    pub(crate) fn set_words(&mut self, i: usize, words: &[f64]) {
+        let n = self.n;
+        let (lu, pivots) = words.split_at(n * n);
+        for (to, from) in self.lu[i * n * n..(i + 1) * n * n].iter_mut().zip(lu) {
+            *to = *from as f32;
+        }
+        for (to, from) in self.pivots[i * n..(i + 1) * n].iter_mut().zip(pivots) {
+            *to = *from as u8;
+        }
     }
 }
 
@@ -382,9 +322,10 @@ pub(crate) struct Matcher<'g> {
 
 impl<'g> Matcher<'g> {
     /// A matcher for the nodes of `store` on `old`, the grid it is keyed
-    /// by; a store of another grid (or none) matches nothing.
-    pub(crate) fn new(old: &'g CompressedGrid, store: &FactorStore) -> Matcher<'g> {
-        let pending = if store.nodes() == old.nno() {
+    /// by, for systems of `n` unknowns; a store of another grid or of
+    /// another `n` (or none) matches nothing.
+    pub(crate) fn new(old: &'g CompressedGrid, store: &FactorStore, n: usize) -> Matcher<'g> {
+        let pending = if n > 0 && store.n == n && store.nodes() == old.nno() {
             let order = old.order();
             (0..old.nno() as u32)
                 .filter(|&p| store.holds(order[p as usize] as usize))
@@ -395,10 +336,9 @@ impl<'g> Matcher<'g> {
         Matcher { old, pending }
     }
 
-    /// The previous node of each node of the level that put nodes
-    /// `from..grid.len()` into `grid`, where it is still in the store
-    /// (at a position no earlier level overwrote, `≥ from`); [`NO_NODE`]
-    /// elsewhere.
+    /// The node of the old store of each node of the level that put nodes
+    /// `from..grid.len()` into `grid`, where it holds a factor;
+    /// [`NO_NODE`] elsewhere.
     pub(crate) fn level(&mut self, grid: &SparseGrid, from: usize) -> Vec<u32> {
         let mut previous = vec![NO_NODE; grid.len() - from];
         let (old, order) = (self.old, self.old.order());
@@ -416,10 +356,8 @@ impl<'g> Matcher<'g> {
             let Some(node) = grid.find(&NodeKey::from_coords(coords)) else {
                 return true;
             };
-            let at = order[p as usize];
-            if node as usize >= from && at as usize >= from {
-                previous[node as usize - from] = at;
-            }
+            // A node found now was not in the grid at an earlier level.
+            previous[node as usize - from] = order[p as usize];
             false
         });
         previous
@@ -460,50 +398,42 @@ mod tests {
         }
         let mut store = numbered(old.len());
         store.entries(3..4).keep(0, None); // node 3 holds no factor
-        let mut matcher = Matcher::new(&compressed, &store);
+        let mut matcher = Matcher::new(&compressed, &store, 2);
         let previous = matcher.level(&new, 0);
+        let mut slots = Factors::default();
+        slots.clear(1, 2);
         for (i, &previous) in previous.iter().enumerate() {
             let was = old.find(new.node(i)).unwrap() as usize;
             let want = (was != 3).then_some(was);
             assert_eq!(found(previous), want, "new node {i}");
-        }
-
-        // Read where it sits, or from the side store where another node
-        // will write first.
-        let own = |i: usize| Some(i);
-        let (starts, side) = store.starts(&previous, own);
-        let mut slots = Factors::default();
-        slots.clear(1, 2);
-        for (i, start) in starts.iter().enumerate() {
-            let was = old.find(new.node(i)).unwrap() as usize;
-            match *start {
-                Start::Fresh => assert_eq!(was, 3),
-                Start::InPlace => assert_eq!(was, i),
-                Start::Side(k) => {
-                    side.load(k as usize, &mut slots, 0);
-                    assert_eq!(slots.get(0).unwrap().0, &[was as f64; 4]);
-                }
+            if let Some(node) = found(previous) {
+                store.load(node, &mut slots, 0);
+                assert_eq!(slots.get(0).unwrap().0, &[was as f64; 4]);
             }
         }
     }
 
     #[test]
-    fn a_later_level_finds_no_entry_an_earlier_level_overwrote() {
-        // Old nodes at positions 0 and 1 come back in the second level
-        // (positions ≥ 1): position 0 has been written by then.
+    fn a_node_of_a_later_level_finds_its_entry_and_another_n_finds_none() {
+        // Old nodes 0 and 1 come back in the second level.
         let old = regular_grid(1, 2);
         let compressed = CompressedGrid::build(&old);
         let store = numbered(old.len());
         let mut new = SparseGrid::new(1);
         new.insert(old.node(2).clone());
-        let mut matcher = Matcher::new(&compressed, &store);
+        let mut matcher = Matcher::new(&compressed, &store, 2);
         assert_eq!(found(matcher.level(&new, 0)[0]), Some(2));
         new.insert(old.node(0).clone());
         new.insert(old.node(1).clone());
         let previous = matcher.level(&new, 1);
         assert_eq!(
             previous.iter().map(|&p| found(p)).collect::<Vec<_>>(),
-            [None, Some(1)]
+            [Some(0), Some(1)]
         );
+
+        for n in [0, 3] {
+            let previous = Matcher::new(&compressed, &store, n).level(&new, 0);
+            assert!(previous.iter().all(|&p| found(p).is_none()), "n = {n}");
+        }
     }
 }

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hddm_cluster::ThreadComm;
-use hddm_core::{DriverConfig, OlgStep, PolicySet, StepModel, TimeIteration};
+use hddm_core::{Checkpoint, DriverConfig, OlgStep, PolicySet, StepModel, TimeIteration};
 use hddm_kernels::{BlockObserver, ChunkCounts, CompressedState, ExecutionBackend, KernelKind};
 use hddm_olg::{Calibration, OlgModel, PointScratch, PolicyOracle};
 use hddm_sched::PoolConfig;
@@ -121,6 +121,42 @@ fn block_path_and_row_path_build_identical_policies() {
             assert_eq!(row_failures, failures, "{at}");
         }
     }
+}
+
+#[test]
+fn a_model_that_carries_no_factor_runs_on_several_ranks_and_resumes() {
+    // `RowOnly` keeps the provided `StepModel::unknowns` of 0, so its
+    // states travel in the world exchange (2 ranks, one state each), in a
+    // group's merge (3 ranks) and in a checkpoint with stores of no
+    // unknowns.
+    let model = || RowOnly(OlgStep::new(instance()));
+    let (reference, _) = two_steps(model(), config(1));
+    let reference = policy_bits(&reference);
+    assert_eq!(reference.len(), 2);
+    for ranks in [2, 3] {
+        let policies = ThreadComm::launch(ranks, |world| {
+            let mut ti = TimeIteration::over(world, model(), config(1));
+            ti.run();
+            policy_bits(&ti.policy)
+        });
+        for policy in policies {
+            assert_eq!(policy, reference, "{ranks} ranks");
+        }
+    }
+
+    let one_step = DriverConfig {
+        max_steps: 1,
+        ..config(1)
+    };
+    let mut first = TimeIteration::new(model(), one_step.clone());
+    first.run();
+    let path = std::env::temp_dir().join(format!("hddm-no-factors-{}.ckpt", std::process::id()));
+    Checkpoint::capture(&first).save(&path).unwrap();
+    let loaded = Checkpoint::load(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let mut resumed = TimeIteration::resume(model(), one_step, &loaded);
+    resumed.run();
+    assert_eq!(policy_bits(&resumed.policy), reference, "resumed");
 }
 
 #[test]

@@ -278,17 +278,17 @@ fn the_cold_adaptive_solve_reaches_its_pinned_policy() {
     let mut ti = TimeIteration::new(OlgStep::new(model.clone()), traced);
     let reports = ti.run();
     assert!(carried(&registry) > 0);
-    assert_eq!(report_hash(&reports), 0xaf90_ecc1_4947_9517);
+    assert_eq!(report_hash(&reports), 0x64d3_b8a7_c956_f4bd);
     assert_eq!(reports.len(), 8);
     assert_eq!(reports[7].points_per_state, [1405, 1380]);
     assert_eq!(reports.iter().map(|r| r.solver_failures).sum::<usize>(), 0);
     // The benchmark's accuracy check: 500 points of the box, seed 1.
     let mut oracle = ti.policy.oracle(KernelKind::Avx2);
     let errors = euler_errors_on_box(&model, &mut oracle, 500, &mut ChaCha8Rng::seed_from_u64(1));
-    assert_eq!(format!("{:.9e}", errors.mean_error), "1.796590958e-4");
-    assert_eq!(format!("{:.9e}", errors.max_error), "1.709165081e-3");
-    assert_eq!(policy_hash(&ti.policy), 0x721a_507f_6a19_1626);
-    pin_across_ranks(&[1, 2, 3, 4], 0x721a_507f_6a19_1626, |world| {
+    assert_eq!(format!("{:.9e}", errors.mean_error), "1.796590717e-4");
+    assert_eq!(format!("{:.9e}", errors.max_error), "1.709165025e-3");
+    assert_eq!(policy_hash(&ti.policy), 0x8dd3_42eb_cbd6_f44d);
+    pin_across_ranks(&[1, 2, 3, 4], 0x8dd3_42eb_cbd6_f44d, |world| {
         TimeIteration::over(world, OlgStep::new(model.clone()), config.clone())
     });
     let avx512 = DriverConfig {
@@ -297,7 +297,7 @@ fn the_cold_adaptive_solve_reaches_its_pinned_policy() {
     };
     let mut ti = TimeIteration::new(OlgStep::new(model), avx512);
     ti.run();
-    assert_eq!(policy_hash(&ti.policy), 0x721a_507f_6a19_1626, "avx512");
+    assert_eq!(policy_hash(&ti.policy), 0x8dd3_42eb_cbd6_f44d, "avx512");
 }
 
 /// An adaptive three-state economy on two and three ranks, whose states

@@ -57,7 +57,7 @@ fn the_cold_solve_does_its_pinned_work() {
     // 46,455 / 20,427 / 2,898 when every point was solved to 1e-9 and its
     // first Jacobian took a round of its own; 29,023 / 18,949 / 1,441
     // before a settled node carried its factor into the next step.
-    assert_eq!(work(&registry), [31_414, 7_960, 2_351, 10_989, 0]);
+    assert_eq!(work(&registry), [31_821, 7_750, 2_419, 11_199, 0]);
 }
 
 /// The benchmark's `sweep_warm` set at seed 1: one cold and 31 warm
